@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-deprecated test race bench bench-json mesh-smoke recover-smoke route-smoke cover verify-figs api-check api-update ci
+.PHONY: all build vet lint lint-deprecated test race bench loc mesh-smoke recover-smoke route-smoke cover verify-figs api-check api-update ci
 
 all: test
 
@@ -46,13 +46,13 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
-# Regenerate the machine-checkable benchmark trajectory: a pinned open-loop
-# load run (p50/p99 packet latency, sustained pkt/s) plus allocs/op of the
-# hottest micro-benchmarks with their recorded pre-optimisation baselines.
-# The self-check fails the target when the output is schema-invalid.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_pr10.json
-	$(GO) run ./cmd/benchjson -check BENCH_pr10.json
+# Code size per internal package: non-test Go lines that are neither blank
+# nor comment-only. Simplification PRs quote their line deltas from this.
+# (The repo benchmark is not a make target: see benchmark/README.md.)
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | grep -v '^\s*$$' | grep -vc '^\s*//')" $${d%/}; \
+	done
 
 # Mesh smoke gate: both acceptance topologies (4-chain line and diamond)
 # under per-link chaos must deliver every routed transfer with exact

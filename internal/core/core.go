@@ -27,6 +27,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nodestore"
 	"repro/internal/relayer"
+	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/transfer"
@@ -39,7 +40,9 @@ type Config struct {
 	Start time.Time
 	// GuestParams configure the Guest Contract (DefaultParams if zero).
 	GuestParams guest.Params
-	// CP configures the counterparty chain (DefaultConfig if zero).
+	// CP configures the counterparty chain of the implicit two-chain
+	// deployment (DefaultConfig if zero); chains of an explicit Mesh carry
+	// their own.
 	CP counterparty.Config
 	// Behaviours define the validator fleet; defaults to
 	// DeploymentBehaviours() (the Table I fleet) when empty.
@@ -52,23 +55,21 @@ type Config struct {
 	CPPort    ibc.PortID
 	// Ordering is the channel ordering (Unordered default).
 	Ordering ibc.Ordering
-	// Channels describes the full channel topology. When empty it
-	// defaults to the single channel described by GuestPort/CPPort/
-	// Ordering above, which keeps every seed experiment and the
-	// committed reference figures bit-identical. All channels multiplex
-	// over the one connection/client pair; the relayer serves each from
-	// its own work-queue shard while client updates stay shared.
+	// Channels describes the channel list of the implicit deployment's one
+	// link. When empty it is the single channel described by GuestPort/
+	// CPPort/Ordering above. All channels multiplex over the one
+	// connection/client pair; the relayer serves each from its own
+	// work-queue shard while client updates stay shared.
 	Channels []ChannelSpec
-	// Mesh, when non-empty, replaces the fixed host↔counterparty pair
-	// with an N-chain topology: one guest chain plus Cosmos
+	// Mesh declares the topology: one guest chain plus Cosmos
 	// counterparties joined by a link graph, each link served by its own
-	// relayer. The legacy accessors (CP, Relayer, Boot, Channels) then
-	// alias the first guest link so single-pair call sites keep working.
-	// An empty Mesh leaves the classic pair path completely untouched.
-	// See mesh.go.
+	// relayer fleet. Left empty it is the paper's deployment — the
+	// two-chain mesh "guest" ↔ "cp" over one link carrying Channels. The
+	// single-pair accessors (CP, Relayer, Boot, GuestApp, CPApp) are views
+	// of the first guest link either way. See mesh.go and plan.go.
 	Mesh MeshSpec
-	// RelayerConfig tunes pacing; DefaultConfig if zero. Mesh deployments
-	// use it as the pacing template for every guest-link relayer.
+	// RelayerConfig tunes pacing; DefaultConfig if zero. It is the pacing
+	// template for every guest-link relayer.
 	RelayerConfig relayer.Config
 	// HostProfile sets the host runtime constraints (Solana default;
 	// §VI-D portability).
@@ -106,8 +107,8 @@ type StoreSpec struct {
 	// ColdRetention, when > 0 and GuestParams.ColdRetention is unset,
 	// evicts guest snapshots older than this many blocks to disk.
 	ColdRetention int
-	// Counterparty also persists the counterparty chain's store (legacy
-	// pair path only; mesh counterparties stay in-heap).
+	// Counterparty also persists the implicit deployment's counterparty
+	// store under "cp" (chains of an explicit Mesh stay in-heap).
 	Counterparty bool
 }
 
@@ -176,20 +177,23 @@ type Network struct {
 	Sched    *sim.Scheduler
 	Host     *host.Chain
 	Contract *guest.Contract
-	CP       *counterparty.Chain
-	Relayer  *relayer.Relayer
-	Boot     *relayer.Result
+	// CP, Relayer (the primary of the link's fleet) and Boot are views of
+	// the first guest link — the whole deployment when Config.Mesh is
+	// empty.
+	CP      *counterparty.Chain
+	Relayer *relayer.Relayer
+	Boot    *relayer.Result
 
 	Validators    []*validator.Validator
 	ValidatorKeys []*cryptoutil.PrivKey
 
-	// GuestApp / CPApp are channel 0's transfer applications (the
-	// legacy single-channel accessors); Channels holds every route.
+	// GuestApp / CPApp are Channels[0]'s transfer applications; Channels
+	// holds every channel of every guest link, first link first.
 	GuestApp *transfer.App
 	CPApp    *transfer.App
 	Channels []*ChannelRuntime
 
-	// Mesh holds the N-chain runtime (nil on legacy pair deployments).
+	// Mesh is the topology runtime: chains, links, relayer fleets, routes.
 	Mesh *MeshRuntime
 
 	Gossip    *fisherman.Gossip
@@ -220,19 +224,11 @@ type Network struct {
 	slotScheduled bool
 	hostCursor    host.Slot
 
-	// Chain RPC front-ends on the simulated network, plus the ack record
-	// that makes packet redelivery idempotent (see transport.go).
-	hostEP       *netsim.Endpoint
-	cpEP         *netsim.Endpoint
-	recordedAcks map[string][]byte
-	// cpDeliveredBy records which node first delivered each packet to the
-	// counterparty, so replays by a competing relayer are flagged as lost
-	// races while a relayer's own retries still look like its delivery.
-	cpDeliveredBy map[string]netsim.NodeID
-	// relayerNodes are the addresses host-block notifications fan out to:
-	// the single RelayerNode on pair deployments, one node per guest link
-	// on a mesh.
-	relayerNodes []netsim.NodeID
+	// hostEP is the host chain's RPC front-end on the simulated network
+	// (see transport.go); guest is the guest chain's runtime, whose
+	// relayerNodes host-block notifications fan out to.
+	hostEP *netsim.Endpoint
+	guest  *MeshChain
 
 	// Guest-block cadence instruments fed from dispatch.
 	mBlockInterval *telemetry.Histogram
@@ -255,271 +251,295 @@ func DefaultStakes(n int) []host.Lamports {
 
 // NewNetwork deploys everything and runs the IBC bootstrap. The returned
 // network is idle: call Run (or the scheduler directly) to make progress.
+//
+// There is one way to build a deployment: normalize turns the config into
+// a plan (plan.go), and everything below wires that plan — chains and
+// their port stacks, one client pair + connection + channel list per
+// link, the simulated network with one idempotent front-end per chain,
+// one relayer fleet per link, the routing view, fees, daemons, schedule.
 func NewNetwork(cfg Config) (*Network, error) {
-	if cfg.Mesh.enabled() {
-		return newMeshNetwork(cfg)
-	}
-	if cfg.Start.IsZero() {
-		cfg.Start = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if cfg.GuestParams == (guest.Params{}) {
-		cfg.GuestParams = guest.DefaultParams()
-	}
-	if cfg.CP.ChainID == "" {
-		cfg.CP = counterparty.DefaultConfig()
-	}
-	if len(cfg.Behaviours) == 0 {
-		cfg.Behaviours = DeploymentBehaviours()
-		if len(cfg.Stakes) == 0 {
-			cfg.Stakes = DeploymentStakes()
-		}
-		// The §V-C incident ships with the default fleet: validator #1's
-		// ~10 h outage is a scripted crash window, not a latency tail.
-		cfg.Net.Crashes = append(cfg.Net.Crashes, DeploymentOutage())
-	}
-	if len(cfg.Stakes) == 0 {
-		cfg.Stakes = DefaultStakes(len(cfg.Behaviours))
-	}
-	if len(cfg.Stakes) != len(cfg.Behaviours) {
-		return nil, errors.New("core: stakes and behaviours length mismatch")
-	}
-	if cfg.GuestPort == "" {
-		cfg.GuestPort = "transfer"
-	}
-	if cfg.CPPort == "" {
-		cfg.CPPort = "transfer"
-	}
-	if cfg.RelayerConfig.TxGap == nil {
-		cfg.RelayerConfig = relayer.DefaultConfig()
-		// The relayer's pacing stream hangs off the scenario seed rather
-		// than DefaultConfig's fixed one, so changing Config.Seed varies
-		// every actor's randomness coherently.
-		cfg.RelayerConfig.Seed = sim.DeriveSeed(cfg.Seed, "relayer")
-	}
-
-	if cfg.HostProfile.Name == "" {
-		cfg.HostProfile = host.SolanaProfile()
+	p, err := normalize(&cfg)
+	if err != nil {
+		return nil, err
 	}
 	n := &Network{Sched: sim.NewScheduler(cfg.Start), cfg: cfg, Tel: telemetry.New()}
 	if err := n.setupFoundation(); err != nil {
 		return nil, err
 	}
-	contract := n.Contract
+	mesh := &MeshRuntime{
+		Spec:           p.spec,
+		Chains:         make(map[string]*MeshChain),
+		ForwardAccount: p.spec.ForwardAccount,
+	}
+	n.Mesh = mesh
 
-	cpOpts := []counterparty.Option{counterparty.WithTelemetry(n.Tel.Metrics)}
-	if cfg.Store.Dir != "" && cfg.Store.Counterparty {
-		ns, err := nodestore.Open(filepath.Join(cfg.Store.Dir, "cp"), nodestore.DiskConfig{
-			SyncEvery: cfg.Store.SyncEvery,
-		})
+	// --- Chains, applications, middleware stacks ---
+	for i := range p.chains {
+		mc, err := n.buildChain(&p.chains[i])
 		if err != nil {
-			return nil, fmt.Errorf("core: open counterparty node store: %w", err)
+			return nil, err
 		}
-		n.CPNodeStore = ns
-		cpOpts = append(cpOpts, counterparty.WithNodeStore(ns))
-	}
-	cp, err := counterparty.New(cfg.CP, n.Sched.Clock(), cpOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("core: counterparty: %w", err)
-	}
-	n.CP = cp
-
-	// Channel topology: explicit specs, or the legacy single channel.
-	specs := make([]ChannelSpec, 0, len(cfg.Channels))
-	for _, sp := range cfg.Channels {
-		if sp.GuestPort == "" {
-			sp.GuestPort = cfg.GuestPort
-		}
-		if sp.CPPort == "" {
-			sp.CPPort = cfg.CPPort
-		}
-		if sp.Ordering == 0 {
-			sp.Ordering = cfg.Ordering
-		}
-		specs = append(specs, sp)
-	}
-	if len(specs) == 0 {
-		specs = []ChannelSpec{{GuestPort: cfg.GuestPort, CPPort: cfg.CPPort, Ordering: cfg.Ordering}}
+		mesh.Chains[mc.Name] = mc
+		mesh.Order = append(mesh.Order, mc.Name)
 	}
 
-	// Applications on both sides: one transfer app per distinct port
-	// (channels sharing a port share the app and dispatch through the
-	// ibc router's single binding). Every app is bound as a middleware
-	// stack — empty for plain channels, so a stack-less spec behaves
-	// bit-identically to binding the bare app.
-	guestApps := make(map[ibc.PortID]*transfer.App)
-	cpApps := make(map[ibc.PortID]*transfer.App)
-	guestStacks := make(map[ibc.PortID]*middleware.Stack)
-	cpStacks := make(map[ibc.PortID]*middleware.Stack)
-
-	// Middleware dependencies per side: the live guest compute meter (so
-	// callback budgets charge the enclosing transaction), a next-hop app
-	// resolver, and the chain-level packet sender onward hops ride. The
-	// state pointer is resolved ONCE here, outside execution — the hook
-	// fires inside executeLocked, where a chain.StateOf round-trip would
-	// self-deadlock on the host mutex.
-	guestState, err := contract.State(n.Host)
-	if err != nil {
-		return nil, fmt.Errorf("core: guest state for middleware: %w", err)
-	}
-	guestMeter := func() middleware.Meter {
-		if m := guestState.Meter(); m != nil {
-			return m
-		}
-		return nil
-	}
-	guestResolve := func(port ibc.PortID) middleware.ForwardBank {
-		if a, ok := guestApps[port]; ok {
-			return a
-		}
-		return nil
-	}
-	cpResolve := func(port ibc.PortID) middleware.ForwardBank {
-		if a, ok := cpApps[port]; ok {
-			return a
-		}
-		return nil
-	}
-	guestSender, err := contract.PacketSender(n.Host)
-	if err != nil {
-		return nil, fmt.Errorf("core: guest packet sender: %w", err)
-	}
-
-	for i, sp := range specs {
-		if _, ok := guestApps[sp.GuestPort]; !ok {
-			app := transfer.New(sp.GuestPort,
-				transfer.WithTelemetry(n.Tel.Metrics),
-				transfer.WithMetricsNamespace("guest.transfer"))
-			mws, err := n.buildMiddlewares("guest", sp.GuestMiddleware, app, guestResolve, guestSender, guestMeter)
-			if err != nil {
-				return nil, fmt.Errorf("core: channel %d guest middleware: %w", i, err)
+	// --- Link bootstrap ---
+	// One client pair + connection per link, in canonical order, then a
+	// channel handshake per declared channel — the first creates the
+	// connection, the rest reuse it (IBC multiplexes any number of
+	// channels over one connection, which is what makes update
+	// amortisation possible). Guest links get indexed client IDs on the
+	// shared guest handler; cosmos pairs name their clients after the
+	// peer chain.
+	guestLinks := 0
+	for _, lp := range p.links {
+		ca, cb := mesh.Chains[lp.a], mesh.Chains[lp.b]
+		link := &MeshLink{ID: lp.id, A: lp.a, B: lp.b, metricsNS: lp.metricsNS}
+		for ci, ch := range lp.channels {
+			ends := routing.Link{A: lp.a, B: lp.b, PortA: ch.portA, PortB: ch.portB}
+			switch {
+			case ca == n.guest || cb == n.guest:
+				// The plan's ChannelSpec already names the ports guest-side
+				// first; find the cosmos end to match.
+				cosmos, guestPort, cpPort := cb, ch.spec.GuestPort, ch.spec.CPPort
+				if cb == n.guest {
+					cosmos = ca
+				}
+				res, err := (&relayer.Bootstrap{
+					HostChain:         n.Host,
+					Contract:          n.Contract,
+					CP:                cosmos.CP,
+					ValidatorKeys:     n.ValidatorKeys,
+					GuestPort:         guestPort,
+					CPPort:            cpPort,
+					Ordering:          ch.ordering,
+					Version:           ch.version,
+					GuestClientID:     ibc.ClientID(fmt.Sprintf("tendermint-%d", guestLinks)),
+					GuestOnCPClientID: "guest-0",
+					Reuse:             link.boot,
+				}).Run()
+				if err != nil {
+					return nil, fmt.Errorf("core: bootstrap link %s channel %d: %w", lp.id, ci, err)
+				}
+				if link.boot == nil {
+					link.boot, link.cosmos = res, cosmos
+				}
+				ends.ChannelA, ends.ChannelB = res.GuestChannel, res.CPChannel
+				if cb == n.guest {
+					ends.ChannelA, ends.ChannelB = res.CPChannel, res.GuestChannel
+				}
+				link.routes = append(link.routes, relayer.ChannelRoute{
+					GuestPort: guestPort, GuestChannel: res.GuestChannel,
+					CPPort: cpPort, CPChannel: res.CPChannel,
+				})
+				n.Channels = append(n.Channels, &ChannelRuntime{
+					Spec:         ch.spec,
+					GuestApp:     n.guest.Apps[guestPort],
+					CPApp:        cosmos.Apps[cpPort],
+					GuestStack:   n.guest.Stacks[guestPort],
+					CPStack:      cosmos.Stacks[cpPort],
+					GuestChannel: res.GuestChannel,
+					CPChannel:    res.CPChannel,
+				})
+				if n.Boot == nil {
+					n.Boot, n.CP = res, cosmos.CP
+					n.GuestApp, n.CPApp = n.Channels[0].GuestApp, n.Channels[0].CPApp
+				}
+			default:
+				res, err := (&relayer.PairBootstrap{
+					A: ca.CP, B: cb.CP,
+					PortA: ch.portA, PortB: ch.portB,
+					Ordering: ch.ordering, Version: ch.version,
+				}).Run()
+				if err != nil {
+					return nil, fmt.Errorf("core: bootstrap link %s: %w", lp.id, err)
+				}
+				ends.ChannelA, ends.ChannelB = res.ChanA, res.ChanB
+				link.pairBoot = res
 			}
-			stack := middleware.NewStack(app, mws...)
-			if err := contract.BindPort(n.Host, sp.GuestPort, stack); err != nil {
-				return nil, err
-			}
-			guestApps[sp.GuestPort] = app
-			guestStacks[sp.GuestPort] = stack
-		} else if len(sp.GuestMiddleware) > 0 {
-			return nil, fmt.Errorf("core: channel %d re-declares middleware for guest port %q (stacks are per port; declare them on the port's first channel)", i, sp.GuestPort)
+			link.Channels = append(link.Channels, ends)
 		}
-		if _, ok := cpApps[sp.CPPort]; !ok {
-			app := transfer.New(sp.CPPort,
-				transfer.WithTelemetry(n.Tel.Metrics),
-				transfer.WithMetricsNamespace("cp.transfer"))
-			mws, err := n.buildMiddlewares("cp", sp.CPMiddleware, app, cpResolve, cp, nil)
-			if err != nil {
-				return nil, fmt.Errorf("core: channel %d cp middleware: %w", i, err)
-			}
-			stack := middleware.NewStack(app, mws...)
-			if err := cp.Handler().BindPort(sp.CPPort, stack); err != nil {
-				return nil, err
-			}
-			cpApps[sp.CPPort] = app
-			cpStacks[sp.CPPort] = stack
-		} else if len(sp.CPMiddleware) > 0 {
-			return nil, fmt.Errorf("core: channel %d re-declares middleware for cp port %q (stacks are per port; declare them on the port's first channel)", i, sp.CPPort)
+		if link.boot != nil {
+			guestLinks++
 		}
-	}
-	n.GuestApp = guestApps[specs[0].GuestPort]
-	n.CPApp = cpApps[specs[0].CPPort]
-
-	// IBC bootstrap: clients + connection once, then a channel
-	// handshake per spec — channel 0 creates the connection, the rest
-	// reuse it (IBC multiplexes any number of channels over one
-	// connection, which is what makes update amortisation possible).
-	var reuse *relayer.Result
-	for i, sp := range specs {
-		boot := &relayer.Bootstrap{
-			HostChain:     n.Host,
-			Contract:      contract,
-			CP:            cp,
-			ValidatorKeys: n.ValidatorKeys,
-			GuestPort:     sp.GuestPort,
-			CPPort:        sp.CPPort,
-			Ordering:      sp.Ordering,
-			Version:       sp.Version,
-			Reuse:         reuse,
-		}
-		res, err := boot.Run()
-		if err != nil {
-			return nil, fmt.Errorf("core: bootstrap channel %d: %w", i, err)
-		}
-		if i == 0 {
-			n.Boot = res
-			reuse = res
-		}
-		n.Channels = append(n.Channels, &ChannelRuntime{
-			Spec:         sp,
-			GuestApp:     guestApps[sp.GuestPort],
-			CPApp:        cpApps[sp.CPPort],
-			GuestStack:   guestStacks[sp.GuestPort],
-			CPStack:      cpStacks[sp.CPPort],
-			GuestChannel: res.GuestChannel,
-			CPChannel:    res.CPChannel,
-		})
+		mesh.Links = append(mesh.Links, link)
 	}
 
-	n.seedBlockCadence()
-
-	// Simulated network between all actors. Bootstrap ran over direct
-	// calls (operator setup predates the daemons); from here on every
-	// actor's traffic goes through netsim endpoints.
+	// --- Simulated network + chain front-ends ---
+	// Bootstrap ran over direct calls (operator setup predates the
+	// daemons); from here on every actor's traffic goes through netsim
+	// endpoints.
 	netCfg := cfg.Net
 	if netCfg.Seed == 0 {
 		netCfg.Seed = sim.DeriveSeed(cfg.Seed, "netsim")
 	}
 	n.Net = netsim.New(n.Sched, netCfg, netsim.WithTelemetry(n.Tel.Metrics))
 	n.Net.ScheduleFaults(cfg.Start)
-	n.wireTransport()
-
-	rcfg := cfg.RelayerConfig
-	rcfg.GuestClientID = n.Boot.GuestClientID
-	rcfg.GuestOnCPClientID = n.Boot.GuestOnCPClientID
-	rcfg.GuestPort = specs[0].GuestPort
-	rcfg.GuestChannel = n.Boot.GuestChannel
-	rcfg.CPPort = specs[0].CPPort
-	rcfg.CPChannel = n.Boot.CPChannel
-	for _, ch := range n.Channels {
-		rcfg.Channels = append(rcfg.Channels, relayer.ChannelRoute{
-			GuestPort:    ch.Spec.GuestPort,
-			GuestChannel: ch.GuestChannel,
-			CPPort:       ch.Spec.CPPort,
-			CPChannel:    ch.CPChannel,
-		})
-	}
-	n.Relayer = relayer.New(rcfg, n.Host, contract, cp, n.Sched,
-		relayer.WithTelemetry(n.Tel), relayer.WithTransport(n.Net))
-	n.Host.Fund(n.Relayer.Key().Public(), 10_000*host.LamportsPerSOL)
-
-	n.startDaemons()
-
-	// Point every fee middleware at the deployment's relayer: settled
-	// fees accrue to its payee identity and it sweeps the escrows
-	// periodically (plus once at drain in experiments).
-	feesPresent := false
-	seenStacks := make(map[*middleware.Stack]bool)
-	for _, rt := range n.Channels {
-		for _, stack := range []*middleware.Stack{rt.GuestStack, rt.CPStack} {
-			if stack == nil || seenStacks[stack] {
-				continue
-			}
-			seenStacks[stack] = true
-			if fm, ok := stack.Middleware("fees").(*middleware.Fees); ok && fm != nil {
-				fm.SetPayee(n.Relayer.PayeeID())
-				n.Relayer.RegisterFeeClaimer(fm)
-				feesPresent = true
-			}
+	n.hostEP = n.Net.Node(netsim.HostNode, nil, n.hostCall)
+	for _, name := range mesh.Order {
+		if mc := mesh.Chains[name]; mc.CP != nil {
+			mc.deliveredBy = make(map[string]netsim.NodeID)
+			mc.ep = n.Net.Node(mc.Node, nil, chainFrontEnd(mc.CP, mc.deliveredBy))
 		}
 	}
 
+	// --- Relayer fleets: one or more competitors per link ---
+	// Every competitor shares the link's fault profile, metrics namespace
+	// and routes; the plan gives each its own address, identity and seed.
+	for li, l := range mesh.Links {
+		lp := &p.links[li]
+		ca, cb := mesh.Chains[l.A], mesh.Chains[l.B]
+		for _, rp := range lp.fleet {
+			if linkCfgSet(lp.netA) {
+				n.Net.SetLinkBoth(rp.node, ca.Node, lp.netA)
+			}
+			if linkCfgSet(lp.netB) {
+				n.Net.SetLinkBoth(rp.node, cb.Node, lp.netB)
+			}
+			var r LinkRelayer
+			if l.boot != nil {
+				rcfg := cfg.RelayerConfig
+				rcfg.Seed = rp.seed
+				rcfg.GuestClientID = l.boot.GuestClientID
+				rcfg.GuestOnCPClientID = l.boot.GuestOnCPClientID
+				rcfg.Channels = l.routes
+				rcfg.MetricsNamespace = lp.metricsNS
+				rcfg.NodeID = rp.node
+				rcfg.ChainNodeID = l.cosmos.Node
+				rcfg.KeyName = rp.identity
+				rcfg.StrictRoutes = lp.strict
+				gr := relayer.New(rcfg, n.Host, n.Contract, l.cosmos.CP, n.Sched,
+					relayer.WithTelemetry(n.Tel), relayer.WithTransport(n.Net))
+				n.Host.Fund(gr.Key().Public(), 10_000*host.LamportsPerSOL)
+				if n.Relayer == nil {
+					n.Relayer = gr
+				}
+				r = gr
+			} else {
+				ch := l.Channels[0]
+				r = relayer.NewPair(relayer.PairConfig{
+					LinkID:           l.ID,
+					Seed:             rp.seed,
+					MetricsNamespace: lp.metricsNS,
+					NodeID:           rp.node,
+					Payee:            rp.identity,
+					A:                relayer.PairSideConfig{Chain: ca.CP, Node: ca.Node, ClientOfPeer: l.pairBoot.ClientBOnA, Port: ch.PortA, Channel: ch.ChannelA},
+					B:                relayer.PairSideConfig{Chain: cb.CP, Node: cb.Node, ClientOfPeer: l.pairBoot.ClientAOnB, Port: ch.PortB, Channel: ch.ChannelB},
+				}, n.Sched, n.Net, relayer.WithPairTelemetry(n.Tel))
+			}
+			l.Relayers = append(l.Relayers, r)
+			l.Nodes = append(l.Nodes, rp.node)
+			ca.relayerNodes = append(ca.relayerNodes, rp.node)
+			cb.relayerNodes = append(cb.relayerNodes, rp.node)
+		}
+	}
+
+	// --- Routing view ---
+	// Routes ride each link's first channel. A static spec gets the
+	// single-path view nothing ever feeds; an adaptive one the scored
+	// view wireScheduling samples relayer health into.
+	rlinks := make([]routing.Link, 0, len(mesh.Links))
+	for _, l := range mesh.Links {
+		rlinks = append(rlinks, l.Channels[0])
+	}
+	if p.spec.Routing == RoutingAdaptive {
+		mesh.View = routing.NewView(rlinks, p.spec.Cost, sim.DeriveSeed(cfg.Seed, "routing/view"))
+	} else {
+		mesh.View = routing.NewTable(rlinks)
+	}
+
+	feesPresent := n.wireFees()
+	n.seedBlockCadence()
+	n.startDaemons()
 	n.wireScheduling(feesPresent)
 	return n, nil
 }
 
-// setupFoundation provisions the layers every deployment shape shares —
-// the simulated host chain, telemetry instruments, the funded payer, the
-// validator fleet's keys and genesis set, and the Guest Contract. Both
-// the legacy pair path and the mesh path build on it.
+// buildChain creates one chain of the plan — the counterparty itself for
+// a cosmos chain; the guest chain is the already-deployed contract — and
+// binds a transfer app per declared port, each as a middleware stack
+// (empty for plain ports, so a stack-less port behaves bit-identically to
+// binding the bare app).
+func (n *Network) buildChain(cp *chainPlan) (*MeshChain, error) {
+	mc := &MeshChain{
+		Name:   cp.name,
+		Kind:   MeshCosmos,
+		Apps:   make(map[ibc.PortID]*transfer.App),
+		Stacks: make(map[ibc.PortID]*middleware.Stack),
+		Node:   cp.node,
+	}
+	// Middleware dependencies: a next-hop app resolver, the chain-level
+	// packet sender onward hops ride, and — on the guest — the live
+	// compute meter, so callback budgets charge the enclosing transaction
+	// (nil on the unmetered counterparty).
+	resolve := func(port ibc.PortID) middleware.ForwardBank {
+		if a, ok := mc.Apps[port]; ok {
+			return a
+		}
+		return nil
+	}
+	var sender ibc.PacketSender
+	var meter middleware.MeterSource
+	var bind func(ibc.PortID, ibc.Module) error
+	if cp.guest {
+		mc.Kind = MeshGuest
+		n.Mesh.GuestName, n.guest = cp.name, mc
+		// The state pointer is resolved ONCE here, outside execution — the
+		// meter hook fires inside executeLocked, where a chain.StateOf
+		// round-trip would self-deadlock on the host mutex.
+		guestState, err := n.Contract.State(n.Host)
+		if err != nil {
+			return nil, fmt.Errorf("core: guest state for middleware: %w", err)
+		}
+		meter = func() middleware.Meter {
+			if m := guestState.Meter(); m != nil {
+				return m
+			}
+			return nil
+		}
+		if sender, err = n.Contract.PacketSender(n.Host); err != nil {
+			return nil, fmt.Errorf("core: guest packet sender: %w", err)
+		}
+		bind = func(port ibc.PortID, m ibc.Module) error { return n.Contract.BindPort(n.Host, port, m) }
+	} else {
+		opts := []counterparty.Option{counterparty.WithTelemetry(n.Tel.Metrics), counterparty.WithMetricsNamespace(cp.ibcNS)}
+		if n.cfg.Store.Dir != "" && cp.storeDir != "" {
+			ns, err := nodestore.Open(filepath.Join(n.cfg.Store.Dir, cp.storeDir), nodestore.DiskConfig{
+				SyncEvery: n.cfg.Store.SyncEvery,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("core: open counterparty node store: %w", err)
+			}
+			n.CPNodeStore = ns
+			opts = append(opts, counterparty.WithNodeStore(ns))
+		}
+		chain, err := counterparty.New(cp.cp, n.Sched.Clock(), opts...)
+		if err != nil {
+			return nil, fmt.Errorf("core: chain %s: %w", cp.name, err)
+		}
+		mc.CP, sender, bind = chain, chain, chain.Handler().BindPort
+	}
+	for _, pp := range cp.ports {
+		app := transfer.New(pp.port,
+			transfer.WithTelemetry(n.Tel.Metrics),
+			transfer.WithMetricsNamespace(pp.appNS))
+		mws, err := n.buildMiddlewares(pp.stack, app, resolve, sender, meter)
+		if err != nil {
+			return nil, fmt.Errorf("core: chain %s port %s middleware: %w", cp.name, pp.port, err)
+		}
+		stack := middleware.NewStack(app, mws...)
+		if err := bind(pp.port, stack); err != nil {
+			return nil, fmt.Errorf("core: chain %s: bind %s: %w", cp.name, pp.port, err)
+		}
+		mc.Apps[pp.port] = app
+		mc.Stacks[pp.port] = stack
+	}
+	return mc, nil
+}
+
+// setupFoundation provisions the host-side layers — the simulated host
+// chain, telemetry instruments, the funded payer, the validator fleet's
+// keys and genesis set, and the Guest Contract.
 func (n *Network) setupFoundation() error {
 	cfg := n.cfg
 	n.Host = host.NewChainWithProfile(n.Sched.Clock(), cfg.HostProfile)
@@ -623,8 +643,8 @@ func (n *Network) seedBlockCadence() {
 	}
 }
 
-// startDaemons launches the host-side actors every deployment shape
-// runs: the validator daemons, the fisherman, and the crank identity.
+// startDaemons launches the host-side actors: the validator daemons, the
+// fisherman, and the crank identity.
 func (n *Network) startDaemons() {
 	cfg := n.cfg
 	contract := n.Contract
@@ -666,32 +686,31 @@ func (n *Network) startDaemons() {
 	n.crank = guest.NewTxBuilder(contract, crankKey.Public())
 }
 
-// buildMiddlewares instantiates a ChannelSpec middleware list for one
-// side of a deployment. bank is the port's transfer app (fee escrow
-// ledger), resolve finds next-hop apps for forwarding, sender is the
-// chain-level send entry point, and meter exposes the live compute meter
-// (nil on the unmetered counterparty).
-func (n *Network) buildMiddlewares(side string, mspecs []MiddlewareSpec, bank *transfer.App, resolve middleware.AppResolver, sender ibc.PacketSender, meter middleware.MeterSource) ([]middleware.Middleware, error) {
-	out := make([]middleware.Middleware, 0, len(mspecs))
-	for _, ms := range mspecs {
+// buildMiddlewares instantiates one port's declared middleware stack.
+// bank is the port's transfer app (fee escrow ledger), resolve finds
+// next-hop apps for forwarding, sender is the chain-level send entry
+// point, and meter exposes the live compute meter.
+func (n *Network) buildMiddlewares(stack []mwPlan, bank *transfer.App, resolve middleware.AppResolver, sender ibc.PacketSender, meter middleware.MeterSource) ([]middleware.Middleware, error) {
+	out := make([]middleware.Middleware, 0, len(stack))
+	for _, ms := range stack {
 		switch ms.Kind {
 		case MiddlewareCallbacks:
 			out = append(out, middleware.NewCallbacks(
 				middleware.WithMeterSource(meter),
-				middleware.WithCallbacksTelemetry(n.Tel.Metrics, side+".mw.callbacks")))
+				middleware.WithCallbacksTelemetry(n.Tel.Metrics, ms.ns)))
 		case MiddlewareFees:
 			if !ms.Fees.Enabled() {
 				return nil, fmt.Errorf("core: fees middleware needs a non-zero schedule")
 			}
-			out = append(out, middleware.NewFees(bank, ms.Fees,
-				middleware.WithFeesTelemetry(n.Tel.Metrics, side+".mw.fees")))
-		case MiddlewareForward:
-			account := ms.ForwardAccount
-			if account == "" {
-				account = "forward-module"
+			opts := []middleware.FeesOption{middleware.WithFeesTelemetry(n.Tel.Metrics, ms.ns)}
+			if ms.exemptSender != "" {
+				opts = append(opts, middleware.WithFeesExemptSender(ms.exemptSender))
 			}
-			out = append(out, middleware.NewForward(account, resolve, sender,
-				middleware.WithForwardTelemetry(n.Tel.Metrics, side+".mw.forward")))
+			out = append(out, middleware.NewFees(bank, ms.Fees, opts...))
+		case MiddlewareForward:
+			out = append(out, middleware.NewForward(ms.ForwardAccount, resolve, sender,
+				middleware.WithForwardTelemetry(n.Tel.Metrics, ms.ns),
+				middleware.WithForwardTimeout(ms.timeout, n.Sched.Now)))
 		default:
 			return nil, fmt.Errorf("core: unknown middleware kind %q", ms.Kind)
 		}
@@ -699,19 +718,31 @@ func (n *Network) buildMiddlewares(side string, mspecs []MiddlewareSpec, bank *t
 	return out, nil
 }
 
-// wireScheduling installs the recurring simulation activities.
+// wireScheduling installs the recurring simulation activities: host slot
+// production on demand, per-chain BFT block ticks fanning out to each
+// attached link relayer, the crank, the heartbeat, per-link timeout
+// scans, fisherman polling, and — only when the deployment asks for them
+// — the adaptive health feed and the ICS-29 fee sweep.
 func (n *Network) wireScheduling(feesPresent bool) {
 	// Host blocks are produced on demand: whenever a transaction is
 	// submitted, the next slot boundary gets a production event.
 	n.Host.SetSubmitHook(n.ensureSlotScheduled)
 
 	// Counterparty blocks tick at the BFT interval; the new-height
-	// notification reaches the relayer over the wire.
-	n.Sched.Every(n.CP.BlockInterval(), func() bool {
-		h := n.CP.ProduceBlock()
-		n.cpEP.Send(netsim.RelayerNode, netsim.KindCPBlock, netsim.MsgCPBlock{Height: h.Height})
-		return true
-	})
+	// notification reaches the relayers over the wire.
+	for _, name := range n.Mesh.Order {
+		mc := n.Mesh.Chains[name]
+		if mc.CP == nil {
+			continue
+		}
+		n.Sched.Every(mc.CP.BlockInterval(), func() bool {
+			h := mc.CP.ProduceBlock()
+			for _, rn := range mc.relayerNodes {
+				mc.ep.Send(rn, netsim.KindCPBlock, netsim.MsgCPBlock{Height: h.Height})
+			}
+			return true
+		})
+	}
 
 	// The crank checks each second whether a guest block is due (pending
 	// state changes or Δ expiry).
@@ -729,7 +760,11 @@ func (n *Network) wireScheduling(feesPresent bool) {
 
 	// Timeout scanning and fisherman polling are periodic housekeeping.
 	n.Sched.Every(30*time.Second, func() bool {
-		n.Relayer.CheckTimeouts()
+		for _, l := range n.Mesh.Links {
+			for _, r := range l.Relayers {
+				r.CheckTimeouts()
+			}
+		}
 		return true
 	})
 	n.Sched.Every(5*time.Second, func() bool {
@@ -739,11 +774,30 @@ func (n *Network) wireScheduling(feesPresent bool) {
 		return true
 	})
 
+	// Health telemetry feeds the adaptive view on the spec's cadence. A
+	// static deployment schedules nothing here: its view is never observed.
+	if n.Mesh.Spec.Routing == RoutingAdaptive {
+		view := n.Mesh.View
+		cRecomputes := n.Tel.Metrics.Counter("mesh.routing.recomputes")
+		n.Sched.Every(n.Mesh.Spec.HealthInterval, func() bool {
+			for _, l := range n.Mesh.Links {
+				view.Observe(l.ID, routing.LinkHealth(l.Health()))
+			}
+			if view.Refresh() {
+				cRecomputes.Inc()
+			}
+			for _, l := range n.Mesh.Links {
+				n.Tel.Metrics.Gauge("mesh.routing.cost_milli." + l.ID).Set(int64(view.Cost(l.ID) * 1000))
+			}
+			return true
+		})
+	}
+
 	// ICS-29 fee sweeping, only wired when a fee middleware exists so
-	// stack-less deployments schedule exactly what they did before.
+	// fee-less deployments schedule nothing for it.
 	if feesPresent {
 		n.Sched.Every(10*time.Minute, func() bool {
-			n.Relayer.ClaimFees()
+			n.ClaimMeshFees()
 			return true
 		})
 	}
@@ -792,7 +846,7 @@ func (n *Network) dispatch(block *host.Block) {
 	for i := range n.Validators {
 		n.hostEP.Send(netsim.ValidatorNode(i), netsim.KindHostBlock, netsim.MsgHostBlock{Block: block})
 	}
-	for _, rn := range n.relayerNodes {
+	for _, rn := range n.guest.relayerNodes {
 		n.hostEP.Send(rn, netsim.KindHostBlock, netsim.MsgHostBlock{Block: block})
 	}
 	n.hostCursor = block.Slot
@@ -996,17 +1050,14 @@ func (n *Network) SnapshotTelemetry() telemetry.Snapshot {
 		// Ratio in basis points (gauges are integral).
 		n.Tel.Metrics.Gauge("guest.state.shared_node_ratio_bp").Set(int64(tr.SharedNodeRatio() * 10_000))
 	}
-	// Mesh deployments surface each link's live health next to the
-	// counters its relayers already emit: the work backlog the adaptive
-	// view scores, and the delivery-latency EWMA in milliseconds. (The
-	// relayer.link.<id>.net_dead_letters counters register at wiring.)
-	if n.Mesh != nil {
-		for _, l := range n.Mesh.Links {
-			h := l.Health()
-			ns := "relayer.link." + l.ID
-			n.Tel.Metrics.Gauge(ns + ".backlog").Set(int64(h.Backlog))
-			n.Tel.Metrics.Gauge(ns + ".health_latency_ms").Set(int64(h.Latency * 1000))
-		}
+	// Each link's live health sits next to the counters its relayers
+	// already emit: the work backlog the adaptive view scores, and the
+	// delivery-latency EWMA in milliseconds. (The <ns>.net_dead_letters
+	// counters register at wiring.)
+	for _, l := range n.Mesh.Links {
+		h := l.Health()
+		n.Tel.Metrics.Gauge(l.metricsNS + ".backlog").Set(int64(h.Backlog))
+		n.Tel.Metrics.Gauge(l.metricsNS + ".health_latency_ms").Set(int64(h.Latency * 1000))
 	}
 	return n.Tel.Snapshot()
 }

@@ -1,33 +1,24 @@
-// Mesh deployments: instead of the fixed host↔counterparty pair, a
-// Network can wire an N-chain graph — one guest chain living on the host
-// plus any number of Cosmos-style counterparties — joined by links. Each
-// link gets its own client pair, connection, channel, relayer, and
-// netsim fault profile; a static route table over the graph turns
-// SendRouted into a nested forward memo the PR-7 forwarding middleware
-// unwraps one hop per chain.
-//
-// The mesh path branches off at the top of NewNetwork; an empty
-// Config.Mesh leaves the legacy pair wiring completely untouched, so
-// every seed experiment reproduces bit-identically.
+// Every deployment is a mesh: one guest chain living on the host plus any
+// number of Cosmos-style counterparties, joined by links. Each link gets
+// its own client pair, connection, channels, relayer fleet, and netsim
+// fault profile; one routing view over the graph turns SendRouted into a
+// nested forward memo the forwarding middleware unwraps one hop per
+// chain. The paper's deployment — guest ↔ one counterparty — is the
+// one-link case, and what an empty Config.Mesh normalises to (plan.go).
 package core
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/counterparty"
 	"repro/internal/fees"
-	"repro/internal/guest"
 	"repro/internal/host"
 	"repro/internal/ibc"
 	"repro/internal/middleware"
 	"repro/internal/netsim"
 	"repro/internal/relayer"
 	"repro/internal/routing"
-	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/transfer"
 )
 
@@ -51,10 +42,10 @@ type MeshChainSpec struct {
 	Name string
 	// Kind is MeshGuest or MeshCosmos ("" = cosmos).
 	Kind MeshChainKind
-	// CP configures a cosmos chain. Zero fields default like the legacy
-	// counterparty except ChainID (the chain's Name), NumValidators (24 —
-	// a mesh runs several chains in one process), and Seed (derived from
-	// Config.Seed under "mesh/chain/<name>").
+	// CP configures a cosmos chain. Zero fields default like
+	// counterparty.DefaultConfig except ChainID (the chain's Name),
+	// NumValidators (24 — a mesh runs several chains in one process), and
+	// Seed (derived from Config.Seed under "mesh/chain/<name>").
 	CP counterparty.Config
 }
 
@@ -84,12 +75,12 @@ type MeshLinkSpec struct {
 type MeshRoutingMode string
 
 const (
-	// RoutingStatic (the zero value) routes over the boot-time shortest
-	// path table — byte-identical to the pre-adaptive deployments.
+	// RoutingStatic (the zero value) never feeds the routing view, so
+	// routes stay the boot-time hop-count shortest paths.
 	RoutingStatic MeshRoutingMode = ""
-	// RoutingAdaptive routes over the live health-scored view: per-link
-	// costs from relayer telemetry, hysteresis-gated recomputes, and
-	// equal-cost multi-path splitting by flow hash.
+	// RoutingAdaptive feeds the view live health: per-link costs from
+	// relayer telemetry, hysteresis-gated recomputes, and equal-cost
+	// multi-path splitting by flow hash.
 	RoutingAdaptive MeshRoutingMode = "adaptive"
 )
 
@@ -104,8 +95,8 @@ type MeshSpec struct {
 	// hop the forwarding middleware emits — the knob multi-hop timeout
 	// experiments turn. 0 means onward hops never expire.
 	ForwardTimeout time.Duration
-	// Routing selects static table routing (the zero value; byte-identical
-	// to pre-adaptive deployments) or the health-aware adaptive view.
+	// Routing selects static routing (the zero value) or the health-fed
+	// adaptive view.
 	Routing MeshRoutingMode
 	// Cost parameterises the adaptive view's per-link scoring; zero
 	// fields inherit routing.DefaultCostModel. Ignored when static.
@@ -120,10 +111,7 @@ type MeshSpec struct {
 	Fees middleware.FeeSchedule
 }
 
-// enabled reports whether the config asks for a mesh deployment.
-func (m MeshSpec) enabled() bool { return len(m.Chains) > 0 || len(m.Links) > 0 }
-
-// MeshChain is one chain's runtime state inside a mesh Network.
+// MeshChain is one chain's runtime state inside a Network.
 type MeshChain struct {
 	Name string
 	Kind MeshChainKind
@@ -134,8 +122,8 @@ type MeshChain struct {
 	// bound port.
 	Apps   map[ibc.PortID]*transfer.App
 	Stacks map[ibc.PortID]*middleware.Stack
-	// Node is the chain's RPC front-end address (cosmos chains only; the
-	// guest chain is reached through netsim.HostNode).
+	// Node is the chain's RPC front-end address (netsim.HostNode for the
+	// guest chain).
 	Node netsim.NodeID
 
 	ep *netsim.Endpoint
@@ -148,31 +136,40 @@ type MeshChain struct {
 	deliveredBy map[string]netsim.NodeID
 }
 
-// MeshLink is one wired link: canonical ends, the channel the handshake
-// opened, and the relayer serving it (exactly one of Relayer / Pair).
+// LinkRelayer is what the deployment wiring needs from a relayer serving
+// a link, whichever kind it is (relayer.Relayer on guest links,
+// relayer.PairRelayer between cosmos chains).
+type LinkRelayer interface {
+	Health() relayer.LinkHealth
+	CheckTimeouts()
+	ClaimFees() map[string]uint64
+	RegisterFeeClaimer(relayer.FeeClaimer)
+	PayeeID() string
+}
+
+// MeshLink is one wired link: canonical ends, the channels the handshakes
+// opened, and the relayer fleet serving them.
 type MeshLink struct {
 	// ID is the canonical "<a>-<b>" identifier (A < B).
 	ID   string
 	A, B string
-	// PortA/ChanA are A's end of the channel; PortB/ChanB are B's.
-	PortA, PortB ibc.PortID
-	ChanA, ChanB ibc.ChannelID
-	// Relayer serves guest↔cosmos links, Pair cosmos↔cosmos ones. With
-	// competing relayers these alias the first (primary) competitor;
-	// Relayers / Pairs list the whole fleet.
-	Relayer  *relayer.Relayer
-	Pair     *relayer.PairRelayer
-	Relayers []*relayer.Relayer
-	Pairs    []*relayer.PairRelayer
-	// Node is the primary link relayer's network address; Nodes lists
-	// every competitor's (Nodes[0] == Node).
-	Node  netsim.NodeID
-	Nodes []netsim.NodeID
+	// Channels names each opened channel by both ends' (port, channel),
+	// in declaration order. Routes ride Channels[0].
+	Channels []routing.Link
+	// Relayers is the fleet racing on the link (Relayers[0] is the
+	// primary); Nodes[i] is Relayers[i]'s network address.
+	Relayers []LinkRelayer
+	Nodes    []netsim.NodeID
 
-	// bootRes / pairRes hold the bootstrap identifiers (exactly one set,
-	// matching Relayer / Pair).
-	bootRes *relayer.Result
-	pairRes *relayer.PairResult
+	// metricsNS prefixes the fleet's metrics. A guest link keeps its
+	// bootstrap identifiers in boot, its counterparty end in cosmos, and
+	// the guest relayers' view of Channels in routes; a cosmos↔cosmos link
+	// keeps pairBoot.
+	metricsNS string
+	boot      *relayer.Result
+	cosmos    *MeshChain
+	routes    []relayer.ChannelRoute
+	pairBoot  *relayer.PairResult
 }
 
 // Health aggregates the link's live health across its relayer fleet:
@@ -180,31 +177,22 @@ type MeshLink struct {
 func (l *MeshLink) Health() relayer.LinkHealth {
 	var agg relayer.LinkHealth
 	var lat float64
-	n := 0
-	report := func(h relayer.LinkHealth) {
+	for _, r := range l.Relayers {
+		h := r.Health()
 		lat += h.Latency
 		agg.DeadLetters += h.DeadLetters
 		agg.Backlog += h.Backlog
-		n++
 	}
-	for _, r := range l.Relayers {
-		report(r.Health())
-	}
-	for _, pr := range l.Pairs {
-		report(pr.Health())
-	}
-	if n > 0 {
-		agg.Latency = lat / float64(n)
-	}
+	agg.Latency = lat / float64(len(l.Relayers))
 	return agg
 }
 
-// MeshRuntime is the mesh-specific view of a Network.
+// MeshRuntime is the topology view of a Network.
 type MeshRuntime struct {
-	Spec  MeshSpec
-	Table *routing.Table
-	// View is the health-scored adaptive routing view (nil when the spec
-	// routes statically). Routed sends consult it at send time.
+	Spec MeshSpec
+	// View routes every SendRouted. A static spec never feeds it health,
+	// so it keeps one hop-count shortest path per chain pair; an adaptive
+	// spec samples the relayer fleets into it on Spec.HealthInterval.
 	View *routing.View
 	// Chains indexes runtime state by chain name; Order lists the names
 	// sorted.
@@ -227,11 +215,9 @@ func (m *MeshRuntime) Chain(name string) *MeshChain { return m.Chains[name] }
 // Link returns the link between a and b in either orientation (nil when
 // absent).
 func (m *MeshRuntime) Link(a, b string) *MeshLink {
-	if b < a {
-		a, b = b, a
-	}
+	id := routing.LinkID(a, b)
 	for _, l := range m.Links {
-		if l.A == a && l.B == b {
+		if l.ID == id {
 			return l
 		}
 	}
@@ -243,530 +229,55 @@ func linkCfgSet(c netsim.LinkConfig) bool {
 	return c.Latency != nil || c.Drop != 0 || c.Duplicate != 0 || c.Reorder != 0 || c.ReorderDelay != 0
 }
 
-// normalizeMesh validates the spec and returns it with chains sorted by
-// name and links canonicalised (A < B, sorted), so two configs declaring
-// the same topology in different order wire identically.
-func normalizeMesh(spec MeshSpec) (MeshSpec, error) {
-	if len(spec.Chains) == 0 || len(spec.Links) == 0 {
-		return spec, errors.New("core: mesh needs chains and links")
-	}
-	if spec.ForwardAccount == "" {
-		spec.ForwardAccount = "forward-module"
-	}
-	switch spec.Routing {
-	case RoutingStatic, RoutingAdaptive:
-	default:
-		return spec, fmt.Errorf("core: unknown mesh routing mode %q", spec.Routing)
-	}
-	if spec.HealthInterval == 0 {
-		spec.HealthInterval = 30 * time.Second
-	}
-
-	chains := append([]MeshChainSpec(nil), spec.Chains...)
-	sort.Slice(chains, func(i, j int) bool { return chains[i].Name < chains[j].Name })
-	byName := make(map[string]MeshChainSpec, len(chains))
-	chainIDs := make(map[string]string)
-	guests := 0
-	for i := range chains {
-		sp := &chains[i]
-		if sp.Name == "" {
-			return spec, errors.New("core: mesh chain needs a name")
-		}
-		for _, r := range sp.Name {
-			if r == ' ' {
-				return spec, fmt.Errorf("core: mesh chain name %q contains a space", sp.Name)
-			}
-		}
-		if _, dup := byName[sp.Name]; dup {
-			return spec, fmt.Errorf("core: duplicate mesh chain %q", sp.Name)
-		}
-		if sp.Kind == "" {
-			sp.Kind = MeshCosmos
-		}
-		switch sp.Kind {
-		case MeshGuest:
-			guests++
-		case MeshCosmos:
-			id := sp.CP.ChainID
-			if id == "" {
-				id = sp.Name
-			}
-			if prev, dup := chainIDs[id]; dup {
-				return spec, fmt.Errorf("core: mesh chains %q and %q share chain ID %q", prev, sp.Name, id)
-			}
-			chainIDs[id] = sp.Name
-		default:
-			return spec, fmt.Errorf("core: mesh chain %q: unknown kind %q", sp.Name, sp.Kind)
-		}
-		byName[sp.Name] = *sp
-	}
-	if guests != 1 {
-		return spec, fmt.Errorf("core: mesh needs exactly one guest chain, got %d", guests)
-	}
-
-	links := append([]MeshLinkSpec(nil), spec.Links...)
-	for i := range links {
-		l := &links[i]
-		if l.PortA == "" {
-			l.PortA = "transfer"
-		}
-		if l.PortB == "" {
-			l.PortB = "transfer"
-		}
-		if l.Ordering == 0 {
-			l.Ordering = ibc.Unordered
-		}
-		if l.A == l.B {
-			return spec, fmt.Errorf("core: mesh link %q-%q joins a chain to itself", l.A, l.B)
-		}
-		if l.Relayers < 0 {
-			return spec, fmt.Errorf("core: mesh link %s-%s: negative relayer count %d", l.A, l.B, l.Relayers)
-		}
-		if l.Relayers == 0 {
-			l.Relayers = 1
-		}
-		if _, ok := byName[l.A]; !ok {
-			return spec, fmt.Errorf("core: mesh link references unknown chain %q", l.A)
-		}
-		if _, ok := byName[l.B]; !ok {
-			return spec, fmt.Errorf("core: mesh link references unknown chain %q", l.B)
-		}
-		if l.B < l.A {
-			l.A, l.B = l.B, l.A
-			l.PortA, l.PortB = l.PortB, l.PortA
-			l.NetA, l.NetB = l.NetB, l.NetA
-		}
-	}
-	sort.Slice(links, func(i, j int) bool {
-		if links[i].A != links[j].A {
-			return links[i].A < links[j].A
-		}
-		return links[i].B < links[j].B
-	})
-	for i := 1; i < len(links); i++ {
-		if links[i].A == links[i-1].A && links[i].B == links[i-1].B {
-			return spec, fmt.Errorf("core: duplicate mesh link %s-%s", links[i].A, links[i].B)
-		}
-	}
-	spec.Chains, spec.Links = chains, links
-	return spec, nil
-}
-
-// newMeshNetwork deploys an N-chain mesh. It shares the host/guest
-// foundation and daemon fleet with the legacy pair path and replaces the
-// single bootstrap + relayer with a per-link fleet.
-func newMeshNetwork(cfg Config) (*Network, error) {
-	// Defaults mirror the pair path.
-	if cfg.Start.IsZero() {
-		cfg.Start = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if cfg.GuestParams == (guest.Params{}) {
-		cfg.GuestParams = guest.DefaultParams()
-	}
-	if len(cfg.Behaviours) == 0 {
-		cfg.Behaviours = DeploymentBehaviours()
-		if len(cfg.Stakes) == 0 {
-			cfg.Stakes = DeploymentStakes()
-		}
-		cfg.Net.Crashes = append(cfg.Net.Crashes, DeploymentOutage())
-	}
-	if len(cfg.Stakes) == 0 {
-		cfg.Stakes = DefaultStakes(len(cfg.Behaviours))
-	}
-	if len(cfg.Stakes) != len(cfg.Behaviours) {
-		return nil, errors.New("core: stakes and behaviours length mismatch")
-	}
-	if cfg.HostProfile.Name == "" {
-		cfg.HostProfile = host.SolanaProfile()
-	}
-	spec, err := normalizeMesh(cfg.Mesh)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Mesh = spec
-
-	n := &Network{Sched: sim.NewScheduler(cfg.Start), cfg: cfg, Tel: telemetry.New()}
-	if err := n.setupFoundation(); err != nil {
-		return nil, err
-	}
-
-	mesh := &MeshRuntime{
-		Spec:           spec,
-		Chains:         make(map[string]*MeshChain),
-		ForwardAccount: spec.ForwardAccount,
-	}
-	n.Mesh = mesh
-
-	// --- Chains ---
-	for _, sp := range spec.Chains {
-		mc := &MeshChain{
-			Name:   sp.Name,
-			Kind:   sp.Kind,
-			Apps:   make(map[ibc.PortID]*transfer.App),
-			Stacks: make(map[ibc.PortID]*middleware.Stack),
-		}
-		if sp.Kind == MeshGuest {
-			mesh.GuestName = sp.Name
-		} else {
-			cc := sp.CP
-			if cc.ChainID == "" {
-				cc.ChainID = sp.Name
-			}
-			if cc.NumValidators == 0 {
-				cc.NumValidators = 24
-			}
-			if cc.BlockInterval == 0 {
-				cc.BlockInterval = 6 * time.Second
-			}
-			if cc.ParticipationMin == 0 {
-				cc.ParticipationMin = 0.68
-			}
-			if cc.Seed == 0 {
-				cc.Seed = sim.DeriveSeed(cfg.Seed, "mesh/chain/"+sp.Name)
-			}
-			if cc.SnapshotRetention == 0 {
-				cc.SnapshotRetention = 4096
-			}
-			cp, err := counterparty.New(cc, n.Sched.Clock(),
-				counterparty.WithTelemetry(n.Tel.Metrics),
-				counterparty.WithMetricsNamespace("mesh."+sp.Name+".ibc"))
-			if err != nil {
-				return nil, fmt.Errorf("core: mesh chain %s: %w", sp.Name, err)
-			}
-			mc.CP = cp
-			mc.Node = netsim.ChainNode(sp.Name)
-		}
-		mesh.Chains[sp.Name] = mc
-		mesh.Order = append(mesh.Order, sp.Name)
-	}
-
-	// --- Applications + forwarding middleware ---
-	// Each chain binds one transfer app per port its links use, wrapped in
-	// the forwarding middleware so it can serve as an intermediate hop.
-	ports := make(map[string][]ibc.PortID)
-	seenPort := make(map[string]map[ibc.PortID]bool)
-	addPort := func(chain string, port ibc.PortID) {
-		if seenPort[chain] == nil {
-			seenPort[chain] = make(map[ibc.PortID]bool)
-		}
-		if !seenPort[chain][port] {
-			seenPort[chain][port] = true
-			ports[chain] = append(ports[chain], port)
-		}
-	}
-	for _, l := range spec.Links {
-		addPort(l.A, l.PortA)
-		addPort(l.B, l.PortB)
-	}
-
-	guestSender, err := n.Contract.PacketSender(n.Host)
-	if err != nil {
-		return nil, fmt.Errorf("core: guest packet sender: %w", err)
-	}
-	for _, name := range mesh.Order {
-		mc := mesh.Chains[name]
-		resolve := func(port ibc.PortID) middleware.ForwardBank {
-			if a, ok := mc.Apps[port]; ok {
-				return a
-			}
-			return nil
-		}
-		var sender ibc.PacketSender
-		if mc.Kind == MeshGuest {
-			sender = guestSender
-		} else {
-			sender = mc.CP
-		}
-		for _, port := range ports[name] {
-			base := "mesh." + name + "." + string(port)
-			app := transfer.New(port,
-				transfer.WithTelemetry(n.Tel.Metrics),
-				transfer.WithMetricsNamespace(base))
-			fwdOpts := []middleware.ForwardOption{
-				middleware.WithForwardTelemetry(n.Tel.Metrics, base+".forward"),
-			}
-			if spec.ForwardTimeout > 0 {
-				fwdOpts = append(fwdOpts, middleware.WithForwardTimeout(spec.ForwardTimeout, n.Sched.Now))
-			}
-			var mws []middleware.Middleware
-			if spec.Fees.Enabled() {
-				// Fees sit outside forwarding so the sender's escrow is
-				// charged before the packet commits; onward hops the
-				// forward module emits are exempt (the first hop paid).
-				mws = append(mws, middleware.NewFees(app, spec.Fees,
-					middleware.WithFeesTelemetry(n.Tel.Metrics, base+".fees"),
-					middleware.WithFeesExemptSender(spec.ForwardAccount)))
-			}
-			mws = append(mws, middleware.NewForward(spec.ForwardAccount, resolve, sender, fwdOpts...))
-			stack := middleware.NewStack(app, mws...)
-			if mc.Kind == MeshGuest {
-				if err := n.Contract.BindPort(n.Host, port, stack); err != nil {
-					return nil, fmt.Errorf("core: mesh chain %s: bind %s: %w", name, port, err)
-				}
-			} else {
-				if err := mc.CP.Handler().BindPort(port, stack); err != nil {
-					return nil, fmt.Errorf("core: mesh chain %s: bind %s: %w", name, port, err)
-				}
-			}
-			mc.Apps[port] = app
-			mc.Stacks[port] = stack
-		}
-	}
-
-	// --- Link bootstrap ---
-	// One client pair + connection + channel per link, in canonical
-	// order. Guest links get indexed client IDs on the shared guest
-	// handler; cosmos pairs name their clients after the peer chain.
-	guestLinks := 0
-	for _, ls := range spec.Links {
-		ca, cb := mesh.Chains[ls.A], mesh.Chains[ls.B]
-		link := &MeshLink{
-			ID: ls.A + "-" + ls.B, A: ls.A, B: ls.B,
-			PortA: ls.PortA, PortB: ls.PortB,
-			Node: netsim.LinkRelayerNode(ls.A + "-" + ls.B),
-		}
-		switch {
-		case ca.Kind == MeshGuest || cb.Kind == MeshGuest:
-			guestEndA := ca.Kind == MeshGuest
-			cosmos := cb
-			guestPort, cpPort := ls.PortA, ls.PortB
-			if !guestEndA {
-				cosmos = ca
-				guestPort, cpPort = ls.PortB, ls.PortA
-			}
-			boot := &relayer.Bootstrap{
-				HostChain:         n.Host,
-				Contract:          n.Contract,
-				CP:                cosmos.CP,
-				ValidatorKeys:     n.ValidatorKeys,
-				GuestPort:         guestPort,
-				CPPort:            cpPort,
-				Ordering:          ls.Ordering,
-				Version:           ls.Version,
-				GuestClientID:     ibc.ClientID(fmt.Sprintf("tendermint-%d", guestLinks)),
-				GuestOnCPClientID: "guest-0",
-			}
-			res, err := boot.Run()
-			if err != nil {
-				return nil, fmt.Errorf("core: bootstrap link %s: %w", link.ID, err)
-			}
-			guestLinks++
-			if guestEndA {
-				link.ChanA, link.ChanB = res.GuestChannel, res.CPChannel
-			} else {
-				link.ChanA, link.ChanB = res.CPChannel, res.GuestChannel
-			}
-			link.bootRes = res
-		default:
-			pb := &relayer.PairBootstrap{
-				A: ca.CP, B: cb.CP,
-				PortA: ls.PortA, PortB: ls.PortB,
-				Ordering: ls.Ordering, Version: ls.Version,
-			}
-			res, err := pb.Run()
-			if err != nil {
-				return nil, fmt.Errorf("core: bootstrap link %s: %w", link.ID, err)
-			}
-			link.ChanA, link.ChanB = res.ChanA, res.ChanB
-			link.pairRes = res
-		}
-		mesh.Links = append(mesh.Links, link)
-	}
-
-	// --- Simulated network + front-ends ---
-	netCfg := cfg.Net
-	if netCfg.Seed == 0 {
-		netCfg.Seed = sim.DeriveSeed(cfg.Seed, "netsim")
-	}
-	n.Net = netsim.New(n.Sched, netCfg, netsim.WithTelemetry(n.Tel.Metrics))
-	n.Net.ScheduleFaults(cfg.Start)
-	n.hostEP = n.Net.Node(netsim.HostNode, nil, n.hostCall)
-	for _, name := range mesh.Order {
-		mc := mesh.Chains[name]
-		if mc.Kind == MeshCosmos {
-			mc.deliveredBy = make(map[string]netsim.NodeID)
-			mc.ep = n.Net.Node(mc.Node, nil, meshChainFrontEnd(mc.CP, mc.deliveredBy))
-		}
-	}
-	for i, l := range mesh.Links {
-		ls := spec.Links[i]
-		if linkCfgSet(ls.NetA) {
-			n.Net.SetLinkBoth(l.Node, meshEndNode(mesh.Chains[l.A]), ls.NetA)
-		}
-		if linkCfgSet(ls.NetB) {
-			n.Net.SetLinkBoth(l.Node, meshEndNode(mesh.Chains[l.B]), ls.NetB)
-		}
-	}
-
-	// --- Relayer fleet: one or more competitors per link ---
-	// Competitor 0 reuses exactly the single-relayer identifiers (seed
-	// stream "link/<id>", key "relayer/link/<id>", node address), so a
-	// spec with Relayers <= 1 wires byte-identically to the pre-race
-	// deployments. Extra competitors derive "/r<i>"-suffixed variants and
-	// share the link's metrics namespace: delivery counters aggregate per
-	// link, and the lost_race counter splits winners from losers.
-	base := cfg.RelayerConfig
-	if base.TxGap == nil {
-		base = relayer.DefaultConfig()
-	}
-	for i, l := range mesh.Links {
-		ls := spec.Links[i]
-		count := ls.Relayers
-		if count < 1 {
-			count = 1
-		}
-		ca, cb := mesh.Chains[l.A], mesh.Chains[l.B]
-		for ri := 0; ri < count; ri++ {
-			suffix := ""
-			node := l.Node
-			if ri > 0 {
-				suffix = fmt.Sprintf("/r%d", ri)
-				node = netsim.LinkRelayerNode(l.ID + suffix)
-				// Competitors share the link's fault profile.
-				if linkCfgSet(ls.NetA) {
-					n.Net.SetLinkBoth(node, meshEndNode(ca), ls.NetA)
-				}
-				if linkCfgSet(ls.NetB) {
-					n.Net.SetLinkBoth(node, meshEndNode(cb), ls.NetB)
-				}
-			}
-			if l.bootRes != nil {
-				cosmos := cb
-				guestPort, cpPort := l.PortA, l.PortB
-				if cb.Kind == MeshGuest {
-					cosmos = ca
-					guestPort, cpPort = l.PortB, l.PortA
-				}
-				res := l.bootRes
-				rcfg := base
-				rcfg.Seed = sim.DeriveSeed(cfg.Seed, "link/"+l.ID+suffix)
-				rcfg.GuestClientID = res.GuestClientID
-				rcfg.GuestOnCPClientID = res.GuestOnCPClientID
-				rcfg.Channels = []relayer.ChannelRoute{{
-					GuestPort: guestPort, GuestChannel: res.GuestChannel,
-					CPPort: cpPort, CPChannel: res.CPChannel,
-				}}
-				rcfg.MetricsNamespace = "relayer.link." + l.ID
-				rcfg.NodeID = node
-				rcfg.ChainNodeID = cosmos.Node
-				rcfg.KeyName = "relayer/link/" + l.ID + suffix
-				rcfg.StrictRoutes = true
-				r := relayer.New(rcfg, n.Host, n.Contract, cosmos.CP, n.Sched,
-					relayer.WithTelemetry(n.Tel), relayer.WithTransport(n.Net))
-				n.Host.Fund(r.Key().Public(), 10_000*host.LamportsPerSOL)
-				if ri == 0 {
-					l.Relayer = r
-				}
-				l.Relayers = append(l.Relayers, r)
-				n.relayerNodes = append(n.relayerNodes, node)
-				cosmos.relayerNodes = append(cosmos.relayerNodes, node)
-			} else {
-				res := l.pairRes
-				pr := relayer.NewPair(relayer.PairConfig{
-					LinkID: l.ID,
-					Seed:   sim.DeriveSeed(cfg.Seed, "link/"+l.ID+suffix),
-					NodeID: node,
-					Payee:  "pair:" + l.ID + suffix,
-					A:      relayer.PairSideConfig{Chain: ca.CP, Node: ca.Node, ClientOfPeer: res.ClientBOnA, Port: l.PortA, Channel: l.ChanA},
-					B:      relayer.PairSideConfig{Chain: cb.CP, Node: cb.Node, ClientOfPeer: res.ClientAOnB, Port: l.PortB, Channel: l.ChanB},
-				}, n.Sched, n.Net, relayer.WithPairTelemetry(n.Tel))
-				if ri == 0 {
-					l.Pair = pr
-				}
-				l.Pairs = append(l.Pairs, pr)
-				ca.relayerNodes = append(ca.relayerNodes, node)
-				cb.relayerNodes = append(cb.relayerNodes, node)
-			}
-			l.Nodes = append(l.Nodes, node)
-		}
-	}
-
-	// --- Route table + legacy aliases ---
-	rlinks := make([]routing.Link, 0, len(mesh.Links))
-	for _, l := range mesh.Links {
-		rlinks = append(rlinks, routing.Link{
-			A: l.A, B: l.B,
-			PortA: l.PortA, PortB: l.PortB,
-			ChannelA: l.ChanA, ChannelB: l.ChanB,
-		})
-	}
-	mesh.Table = routing.NewTable(rlinks)
-	if spec.Routing == RoutingAdaptive {
-		mesh.View = routing.NewView(rlinks, spec.Cost, sim.DeriveSeed(cfg.Seed, "routing/view"))
-	}
-	n.aliasGuestLinks()
-	n.wireMeshFees()
-
-	n.seedBlockCadence()
-	n.startDaemons()
-	n.wireMeshScheduling()
-	return n, nil
-}
-
-// wireMeshFees points every mesh fee middleware at the relayer fleet:
-// the payee resolver pays whichever competitor the destination chain
-// recorded as first deliverer, the primary relayer of the source end's
-// link is the static fallback (timeouts), and every relayer sweeps every
-// escrow it can earn from. No-op without a fee schedule.
-func (n *Network) wireMeshFees() {
+// wireFees points every fee middleware at the relayer fleets: the payee
+// resolver pays whichever competitor the destination chain recorded as
+// first deliverer, the primary relayer of the source end's link is the
+// fallback (timeouts, and deliveries to the guest, which keeps no
+// registry), and every relayer sweeps every escrow it can earn from. It
+// reports whether any stack escrows fees.
+func (n *Network) wireFees() bool {
 	mesh := n.Mesh
-	if !mesh.Spec.Fees.Enabled() {
-		return
+	// Source channel end -> peer chain and the link's primary payee, so a
+	// settling packet finds the delivery registry its destination chain
+	// keeps.
+	type chanEnd struct {
+		chain   string
+		port    ibc.PortID
+		channel ibc.ChannelID
 	}
+	type linkEnd struct {
+		peer         *MeshChain
+		primaryPayee string
+	}
+	ends := make(map[chanEnd]linkEnd)
 	// Relayer node -> payee identity, across every link's fleet.
 	payeeOf := make(map[netsim.NodeID]string)
 	for _, l := range mesh.Links {
 		for ri, r := range l.Relayers {
 			payeeOf[l.Nodes[ri]] = r.PayeeID()
 		}
-		for ri, pr := range l.Pairs {
-			payeeOf[l.Nodes[ri]] = pr.PayeeID()
+		primary := l.Relayers[0].PayeeID()
+		for _, ch := range l.Channels {
+			ends[chanEnd{l.A, ch.PortA, ch.ChannelA}] = linkEnd{mesh.Chains[l.B], primary}
+			ends[chanEnd{l.B, ch.PortB, ch.ChannelB}] = linkEnd{mesh.Chains[l.A], primary}
 		}
 	}
-	// Per chain: (source port, source channel) -> peer chain and the
-	// link's primary payee, so a settling packet finds the delivery
-	// registry its destination chain keeps.
-	type linkEnd struct {
-		peer         *MeshChain
-		primaryPayee string
-	}
-	endKey := func(port ibc.PortID, ch ibc.ChannelID) string {
-		return string(port) + "/" + string(ch)
-	}
-	ends := make(map[string]map[string]linkEnd) // chain -> endKey -> linkEnd
-	addEnd := func(chain string, port ibc.PortID, ch ibc.ChannelID, peer *MeshChain, payee string) {
-		if ends[chain] == nil {
-			ends[chain] = make(map[string]linkEnd)
-		}
-		ends[chain][endKey(port, ch)] = linkEnd{peer: peer, primaryPayee: payee}
-	}
-	for _, l := range mesh.Links {
-		primary := payeeOf[l.Node]
-		addEnd(l.A, l.PortA, l.ChanA, mesh.Chains[l.B], primary)
-		addEnd(l.B, l.PortB, l.ChanB, mesh.Chains[l.A], primary)
-	}
+	present := false
 	for _, name := range mesh.Order {
-		mc := mesh.Chains[name]
-		chainEnds := ends[name]
-		for _, stack := range mc.Stacks {
+		for _, stack := range mesh.Chains[name].Stacks {
 			fm, ok := stack.Middleware("fees").(*middleware.Fees)
 			if !ok || fm == nil {
 				continue
 			}
+			present = true
 			fm.SetPayeeResolver(func(p ibc.Packet) string {
-				end, ok := chainEnds[endKey(p.SourcePort, p.SourceChannel)]
+				end, ok := ends[chanEnd{name, p.SourcePort, p.SourceChannel}]
 				if !ok {
 					return ""
 				}
-				if end.peer != nil && end.peer.deliveredBy != nil {
-					if winner, ok := end.peer.deliveredBy[recvKey(&p)]; ok {
-						if payee := payeeOf[winner]; payee != "" {
-							return payee
-						}
-					}
+				if payee := payeeOf[end.peer.deliveredBy[recvKey(&p)]]; payee != "" {
+					return payee
 				}
-				// No recorded delivery (e.g. a timeout settlement): the
-				// link's primary relayer did the proof work.
 				return end.primaryPayee
 			})
 			// Every competitor sweeps: Claim is payee-keyed, so
@@ -775,157 +286,18 @@ func (n *Network) wireMeshFees() {
 				for _, r := range l.Relayers {
 					r.RegisterFeeClaimer(fm)
 				}
-				for _, pr := range l.Pairs {
-					pr.RegisterFeeClaimer(fm)
-				}
 			}
 		}
 	}
-}
-
-// meshEndNode is a chain's address for per-link fault profiles: the host
-// front-end for the guest chain, the chain's own node otherwise.
-func meshEndNode(mc *MeshChain) netsim.NodeID {
-	if mc.Kind == MeshGuest {
-		return netsim.HostNode
-	}
-	return mc.Node
-}
-
-// aliasGuestLinks points the legacy single-pair accessors (CP, Relayer,
-// Boot, Channels, GuestApp, CPApp) at the guest links, first link first,
-// so InjectTransfer and existing call sites work unchanged on a mesh.
-func (n *Network) aliasGuestLinks() {
-	mesh := n.Mesh
-	for _, l := range mesh.Links {
-		if l.Relayer == nil {
-			continue
-		}
-		ca, cb := mesh.Chains[l.A], mesh.Chains[l.B]
-		guestChain, cosmos := ca, cb
-		guestPort, cpPort := l.PortA, l.PortB
-		guestChan, cpChan := l.ChanA, l.ChanB
-		if cb.Kind == MeshGuest {
-			guestChain, cosmos = cb, ca
-			guestPort, cpPort = l.PortB, l.PortA
-			guestChan, cpChan = l.ChanB, l.ChanA
-		}
-		rt := &ChannelRuntime{
-			Spec:         ChannelSpec{GuestPort: guestPort, CPPort: cpPort},
-			GuestApp:     guestChain.Apps[guestPort],
-			CPApp:        cosmos.Apps[cpPort],
-			GuestStack:   guestChain.Stacks[guestPort],
-			CPStack:      cosmos.Stacks[cpPort],
-			GuestChannel: guestChan,
-			CPChannel:    cpChan,
-		}
-		n.Channels = append(n.Channels, rt)
-		if n.Relayer == nil {
-			n.Relayer = l.Relayer
-			n.CP = cosmos.CP
-			n.Boot = l.bootRes
-			n.GuestApp = rt.GuestApp
-			n.CPApp = rt.CPApp
-		}
-	}
-}
-
-// wireMeshScheduling installs the mesh's recurring activities: host slot
-// production on demand, per-chain BFT block ticks fanning out to each
-// attached link relayer, the crank, the heartbeat, per-link timeout
-// scans, and fisherman polling.
-func (n *Network) wireMeshScheduling() {
-	n.Host.SetSubmitHook(n.ensureSlotScheduled)
-
-	for _, name := range n.Mesh.Order {
-		mc := n.Mesh.Chains[name]
-		if mc.Kind != MeshCosmos {
-			continue
-		}
-		n.Sched.Every(mc.CP.BlockInterval(), func() bool {
-			h := mc.CP.ProduceBlock()
-			for _, rn := range mc.relayerNodes {
-				mc.ep.Send(rn, netsim.KindCPBlock, netsim.MsgCPBlock{Height: h.Height})
-			}
-			return true
-		})
-	}
-
-	n.Sched.Every(time.Second, func() bool {
-		n.maybeCrank()
-		return true
-	})
-	n.Sched.Every(time.Minute, func() bool {
-		n.ensureSlotScheduled()
-		return true
-	})
-	n.Sched.Every(30*time.Second, func() bool {
-		for _, l := range n.Mesh.Links {
-			for _, r := range l.Relayers {
-				r.CheckTimeouts()
-			}
-			for _, pr := range l.Pairs {
-				pr.CheckTimeouts()
-			}
-		}
-		return true
-	})
-	n.Sched.Every(5*time.Second, func() bool {
-		for _, f := range n.Fishermen {
-			_ = f.Poll()
-		}
-		return true
-	})
-
-	// Health telemetry feeds the adaptive view on the spec's cadence.
-	// Static meshes schedule nothing extra, keeping them byte-identical.
-	if n.Mesh.View != nil {
-		view := n.Mesh.View
-		cRecomputes := n.Tel.Metrics.Counter("mesh.routing.recomputes")
-		costGauge := make(map[string]*telemetry.Gauge, len(n.Mesh.Links))
-		for _, l := range n.Mesh.Links {
-			costGauge[l.ID] = n.Tel.Metrics.Gauge("mesh.routing.cost_milli." + l.ID)
-		}
-		n.Sched.Every(n.Mesh.Spec.HealthInterval, func() bool {
-			for _, l := range n.Mesh.Links {
-				h := l.Health()
-				view.Observe(l.ID, routing.LinkHealth{
-					Latency:     h.Latency,
-					DeadLetters: h.DeadLetters,
-					Backlog:     h.Backlog,
-				})
-			}
-			if view.Refresh() {
-				cRecomputes.Inc()
-			}
-			for _, l := range n.Mesh.Links {
-				costGauge[l.ID].Set(int64(view.Cost(l.ID) * 1000))
-			}
-			return true
-		})
-	}
-
-	// ICS-29 fee sweeping across the fleet, only when the mesh escrows.
-	if n.Mesh.Spec.Fees.Enabled() {
-		n.Sched.Every(10*time.Minute, func() bool {
-			n.ClaimMeshFees()
-			return true
-		})
-	}
+	return present
 }
 
 // ClaimMeshFees makes every link relayer sweep its accrued ICS-29 fees
 // (experiments also call it once at drain).
 func (n *Network) ClaimMeshFees() {
-	if n.Mesh == nil {
-		return
-	}
 	for _, l := range n.Mesh.Links {
 		for _, r := range l.Relayers {
 			r.ClaimFees()
-		}
-		for _, pr := range l.Pairs {
-			pr.ClaimFees()
 		}
 	}
 }
@@ -934,17 +306,13 @@ func (n *Network) ClaimMeshFees() {
 // fleet and both chain ends at runtime — the knob adaptive-routing
 // experiments turn mid-run to make an arm unhealthy (and later heal it).
 func (n *Network) DegradeMeshLink(a, b string, lc netsim.LinkConfig) error {
-	if n.Mesh == nil {
-		return errors.New("core: DegradeMeshLink needs a mesh deployment")
-	}
 	l := n.Mesh.Link(a, b)
 	if l == nil {
 		return fmt.Errorf("core: no mesh link %s-%s", a, b)
 	}
-	endA, endB := meshEndNode(n.Mesh.Chains[l.A]), meshEndNode(n.Mesh.Chains[l.B])
 	for _, node := range l.Nodes {
-		n.Net.SetLinkBoth(node, endA, lc)
-		n.Net.SetLinkBoth(node, endB, lc)
+		n.Net.SetLinkBoth(node, n.Mesh.Chains[l.A].Node, lc)
+		n.Net.SetLinkBoth(node, n.Mesh.Chains[l.B].Node, lc)
 	}
 	return nil
 }
@@ -968,9 +336,6 @@ type RoutedSend struct {
 // hop. src must be a cosmos chain — guest-side sends go through
 // SendRoutedFromGuest, which signs a host transaction.
 func (n *Network) SendRouted(src, dst, sender, receiver, denom string, amount uint64, memo string, timeout time.Duration) (*RoutedSend, error) {
-	if n.Mesh == nil {
-		return nil, errors.New("core: SendRouted needs a mesh deployment")
-	}
 	mc := n.Mesh.Chains[src]
 	if mc == nil {
 		return nil, fmt.Errorf("core: unknown mesh chain %q", src)
@@ -978,12 +343,11 @@ func (n *Network) SendRouted(src, dst, sender, receiver, denom string, amount ui
 	if mc.Kind == MeshGuest {
 		return nil, fmt.Errorf("core: chain %q is the guest chain; use SendRoutedFromGuest", src)
 	}
-	rs, err := n.planRouted(src, dst, sender, receiver, memo)
+	rs, err := n.planRouted(src, dst, sender, receiver, denom, memo)
 	if err != nil {
 		return nil, err
 	}
 	h0 := rs.Route[0]
-	rs.DenomTrace = routing.TraceDenom(rs.Route, denom)
 	app := mc.Apps[h0.Port]
 	if app == nil {
 		return nil, fmt.Errorf("core: chain %q has no app on port %q", src, h0.Port)
@@ -1013,17 +377,13 @@ func (n *Network) SendRouted(src, dst, sender, receiver, denom string, amount ui
 }
 
 // SendRoutedFromGuest sends from a guest-side user towards chain dst,
-// riding InjectTransfer on the guest link the route's first hop names.
+// riding InjectTransfer on the guest channel the route's first hop names.
 func (n *Network) SendRoutedFromGuest(u *User, dst, receiver, denom string, amount uint64, memo string, policy fees.Policy, timeout time.Duration) (*RoutedSend, error) {
-	if n.Mesh == nil {
-		return nil, errors.New("core: SendRoutedFromGuest needs a mesh deployment")
-	}
-	rs, err := n.planRouted(n.Mesh.GuestName, dst, u.Key.Public().String(), receiver, memo)
+	rs, err := n.planRouted(n.Mesh.GuestName, dst, u.Key.Public().String(), receiver, denom, memo)
 	if err != nil {
 		return nil, err
 	}
 	h0 := rs.Route[0]
-	rs.DenomTrace = routing.TraceDenom(rs.Route, denom)
 	ch := -1
 	for i, rt := range n.Channels {
 		if rt.Spec.GuestPort == h0.Port && rt.GuestChannel == h0.Channel {
@@ -1051,23 +411,20 @@ func (n *Network) SendRoutedFromGuest(u *User, dst, receiver, denom string, amou
 	return rs, nil
 }
 
-// planRouted resolves the route and forward plan for one send. Static
-// meshes read the boot-time table; adaptive ones consult the live view,
-// hashing (sender, flow sequence) over the equal-cost path set so flows
-// split deterministically across healthy arms.
-func (n *Network) planRouted(src, dst, sender, receiver, memo string) (*RoutedSend, error) {
-	var route []routing.Hop
-	var err error
-	if n.Mesh.View != nil {
-		seq := n.Mesh.flowSeq
-		n.Mesh.flowSeq++
-		route, err = n.Mesh.View.RouteFlow(src, dst, sender, seq)
-	} else {
-		route, err = n.Mesh.Table.Route(src, dst)
-	}
+// planRouted resolves the route, forward plan, and denom trace for one
+// send through the routing view, hashing (sender, flow sequence) over the
+// equal-cost path set so an adaptive mesh splits flows deterministically
+// across healthy arms (a static view keeps a single path per pair).
+func (n *Network) planRouted(src, dst, sender, receiver, denom, memo string) (*RoutedSend, error) {
+	seq := n.Mesh.flowSeq
+	n.Mesh.flowSeq++
+	route, err := n.Mesh.View.RouteFlow(src, dst, sender, seq)
 	if err != nil {
 		return nil, err
 	}
-	plan := routing.Plan(route, receiver, n.Mesh.ForwardAccount, memo)
-	return &RoutedSend{Route: route, Plan: plan}, nil
+	return &RoutedSend{
+		Route:      route,
+		Plan:       routing.Plan(route, receiver, n.Mesh.ForwardAccount, memo),
+		DenomTrace: routing.TraceDenom(route, denom),
+	}, nil
 }

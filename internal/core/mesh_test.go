@@ -264,19 +264,26 @@ func TestMeshRelayerNamespacesNeverCollide(t *testing.T) {
 	}
 }
 
-// TestMeshStaticDefaultHasNoView checks the zero Routing value wires the
-// classic static table and nothing else: no adaptive view, one relayer
-// per link under the pre-race identifiers.
-func TestMeshStaticDefaultHasNoView(t *testing.T) {
+// TestMeshStaticDefaultNeverObservesView checks the zero Routing value
+// wires the static router and nothing else: a single-path view nothing
+// ever feeds, one relayer per link under the pre-race identifiers.
+func TestMeshStaticDefaultNeverObservesView(t *testing.T) {
 	n := meshNetwork(t, Config{Behaviours: fastFleet(4), Seed: 11, Mesh: lineMesh()})
-	if n.Mesh.View != nil {
-		t.Fatal("static mesh built an adaptive view")
+	n.Run(10 * time.Minute)
+	if got := n.Mesh.View.Recomputes(); got != 0 {
+		t.Fatalf("static view recomputed %d times", got)
+	}
+	if got := len(n.Mesh.View.Paths("guest", "c")); got != 1 {
+		t.Fatalf("static view keeps %d guest->c paths, want 1", got)
+	}
+	if _, ok := n.SnapshotTelemetry().Counters["mesh.routing.recomputes"]; ok {
+		t.Fatal("static mesh scheduled the adaptive health feed")
 	}
 	for _, l := range n.Mesh.Links {
-		if len(l.Nodes) != 1 || l.Nodes[0] != l.Node {
-			t.Fatalf("link %s: want single node %v, got %v", l.ID, l.Node, l.Nodes)
+		if len(l.Nodes) != 1 || l.Nodes[0] != netsim.LinkRelayerNode(l.ID) {
+			t.Fatalf("link %s: want single node %v, got %v", l.ID, netsim.LinkRelayerNode(l.ID), l.Nodes)
 		}
-		if got := len(l.Relayers) + len(l.Pairs); got != 1 {
+		if got := len(l.Relayers); got != 1 {
 			t.Fatalf("link %s: want 1 relayer, got %d", l.ID, got)
 		}
 	}
@@ -308,8 +315,8 @@ func TestMeshCompetingRelayersShareLink(t *testing.T) {
 	if len(l.Relayers) != 2 || len(l.Nodes) != 2 {
 		t.Fatalf("want 2 competitors, got %d relayers %d nodes", len(l.Relayers), len(l.Nodes))
 	}
-	if l.Relayer != l.Relayers[0] {
-		t.Fatal("primary alias is not competitor 0")
+	if n.Relayer != l.Relayers[0] {
+		t.Fatal("Network.Relayer is not the first guest link's competitor 0")
 	}
 	if l.Nodes[0] != netsim.LinkRelayerNode(l.ID) {
 		t.Fatalf("competitor 0 node changed: %v", l.Nodes[0])
@@ -376,5 +383,60 @@ func TestMeshAdaptiveRouteFlowSticky(t *testing.T) {
 	r2, _ := n.Mesh.View.RouteFlow("guest", "c", "alice", 7)
 	if fmt.Sprint(r1) != fmt.Sprint(r2) {
 		t.Fatal("RouteFlow not sticky for identical flow keys")
+	}
+}
+
+// TestPairIsTheTwoChainMesh checks the implicit deployment is built as a
+// mesh like any other: two chains, one link carrying every declared
+// channel, the single-pair accessors viewing that link — and a routed
+// send to the counterparty's chain name lands exactly where a plain
+// channel-0 InjectTransfer does.
+func TestPairIsTheTwoChainMesh(t *testing.T) {
+	for _, channels := range [][]ChannelSpec{nil, {{}, {GuestPort: "transfer-1"}, {CPPort: "transfer-1"}}} {
+		n := meshNetwork(t, Config{Behaviours: fastFleet(4), Seed: 7, Channels: channels})
+		if len(n.Mesh.Chains) != 2 || len(n.Mesh.Links) != 1 {
+			t.Fatalf("implicit deployment has %d chains / %d links, want 2 / 1", len(n.Mesh.Chains), len(n.Mesh.Links))
+		}
+		l := n.Mesh.Links[0]
+		want := len(channels)
+		if want == 0 {
+			want = 1
+		}
+		if len(l.Channels) != want || len(n.Channels) != want {
+			t.Fatalf("link carries %d channels (%d runtimes), want %d", len(l.Channels), len(n.Channels), want)
+		}
+		if len(l.Relayers) != 1 || l.Relayers[0] != n.Relayer || l.Nodes[0] != netsim.RelayerNode {
+			t.Fatalf("link fleet %v at %v is not Network.Relayer at the well-known address", l.Relayers, l.Nodes)
+		}
+		cp := n.Mesh.Chain(l.A)
+		if cp.CP != n.CP || cp.Node != netsim.CPNode || n.Mesh.GuestName != l.B {
+			t.Fatalf("link ends %s/%s do not match the pair accessors", l.A, l.B)
+		}
+		if n.Channels[0].GuestApp != n.GuestApp || n.Channels[0].CPApp != n.CPApp || n.Channels[0].GuestChannel != n.Boot.GuestChannel {
+			t.Fatal("GuestApp/CPApp/Boot are not views of channel 0")
+		}
+
+		alice := n.NewUser("alice", 10*host.LamportsPerSOL, "GUEST", 1_000)
+		rs, err := n.SendRoutedFromGuest(alice, cp.Name, "bob", "GUEST", 100, "", fees.PriorityPolicy, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs.Route) != 1 || rs.Route[0].Channel != n.Boot.GuestChannel || rs.Plan.Receiver != "bob" || rs.Plan.Memo != "" {
+			t.Fatalf("routed send %+v did not ride channel 0 directly", rs)
+		}
+		if _, err := n.InjectTransfer(TransferReq{
+			Sender: alice.Key.Public(), Receiver: "carol", Denom: "GUEST", Amount: 100, Policy: fees.PriorityPolicy,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		n.Run(5 * time.Minute)
+
+		voucher := rs.DenomTrace[1]
+		if bob, carol := n.CPApp.Balance("bob", voucher), n.CPApp.Balance("carol", voucher); bob != 100 || carol != 100 {
+			t.Fatalf("vouchers: routed %d, injected %d, want 100 each of %s", bob, carol, voucher)
+		}
+		if got := n.GuestApp.EscrowedAmount(n.Boot.GuestChannel, "GUEST"); got != 200 {
+			t.Fatalf("channel-0 escrow = %d, want 200", got)
+		}
 	}
 }

@@ -13,33 +13,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// wireTransport registers the two chain RPC front-ends on the simulated
-// network and makes their call handlers idempotent, so ReliableCall's
-// at-least-once delivery composes into exactly-once application effects
-// (DESIGN.md §10):
+// The chain RPC front-ends on the simulated network make their call
+// handlers idempotent, so ReliableCall's at-least-once delivery composes
+// into exactly-once application effects (DESIGN.md §10):
 //
 //   - host submit: the chain's replay protection rejects a re-sent
 //     accepted transaction, so the duplicate is acknowledged as success;
-//   - cp update-client: a header the client already knows is a stale
-//     update — the consensus state is in place, so success;
-//   - cp recv-packet: the sealed receipt rejects a second delivery; the
-//     ack recorded from the WriteAck event is returned again;
-//   - cp ack-packet: re-acknowledging a cleared commitment is success.
-func (n *Network) wireTransport() {
-	n.hostEP = n.Net.Node(netsim.HostNode, nil, n.hostCall)
-	n.cpEP = n.Net.Node(netsim.CPNode, nil, n.cpCall)
-	n.relayerNodes = []netsim.NodeID{netsim.RelayerNode}
-	n.recordedAcks = make(map[string][]byte)
-	n.cpDeliveredBy = make(map[string]netsim.NodeID)
-	// The bus runs callbacks under its lock: record only, never re-enter.
-	n.CP.Handler().Events().Subscribe(func(ev telemetry.Event) {
-		if wa, ok := ev.(ibc.EventWriteAck); ok {
-			n.recordedAcks[recvKey(wa.Packet)] = wa.Ack
-		}
-	})
-}
+//   - update-client: a header the client already knows is a stale update —
+//     the consensus state is in place, so success;
+//   - recv-packet: the sealed receipt rejects a second delivery; the ack
+//     recorded from the WriteAck event is returned again;
+//   - ack-packet / timeout-packet: re-settling a cleared commitment is
+//     success.
 
-// recvKey identifies a packet on the receiving (cp) side.
+// recvKey identifies a packet on the receiving side.
 func recvKey(p *ibc.Packet) string {
 	return fmt.Sprintf("%s/%s/%d", p.DestPort, p.DestChannel, p.Sequence)
 }
@@ -57,58 +44,15 @@ func (n *Network) hostCall(_ netsim.NodeID, kind string, payload any) (any, erro
 	return nil, fmt.Errorf("core: host: unknown call %q", kind)
 }
 
-// cpCall serves wire calls addressed to the counterparty's front-end.
-func (n *Network) cpCall(from netsim.NodeID, kind string, payload any) (any, error) {
-	switch m := payload.(type) {
-	case netsim.MsgUpdateClient:
-		err := n.CP.Handler().UpdateClient(m.ClientID, m.Header)
-		if errors.Is(err, guestlc.ErrStaleBlock) || errors.Is(err, tendermint.ErrStaleHeader) {
-			// The client already holds this height's consensus state.
-			err = nil
-		}
-		return nil, err
-	case netsim.MsgRecvPacket:
-		ack, err := n.CP.Handler().RecvPacket(m.Packet, m.Proof, m.ProofHeight)
-		if errors.Is(err, ibc.ErrPacketAlreadyDelivered) {
-			if prev, ok := n.recordedAcks[recvKey(m.Packet)]; ok {
-				// Duplicate only when a different node delivered first: a
-				// relayer's own retry must look like its one delivery,
-				// while a competing relayer's replay is a lost race.
-				winner, recorded := n.cpDeliveredBy[recvKey(m.Packet)]
-				return netsim.RespRecvPacket{
-					Ack: prev, ProvableAt: n.CP.Height() + 1,
-					Duplicate: recorded && winner != from,
-				}, nil
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		n.cpDeliveredBy[recvKey(m.Packet)] = from
-		return netsim.RespRecvPacket{Ack: ack, ProvableAt: n.CP.Height() + 1}, nil
-	case netsim.MsgAckPacket:
-		err := n.CP.Handler().AcknowledgePacket(m.Packet, m.Ack, m.Proof, m.ProofHeight)
-		if errors.Is(err, ibc.ErrPacketAlreadyDelivered) {
-			err = nil
-		}
-		return nil, err
-	}
-	return nil, fmt.Errorf("core: cp: unknown call %q", kind)
-}
-
-// meshChainFrontEnd builds the idempotent RPC front-end for one mesh
-// chain. It mirrors cpCall — with a per-chain ack record, since a mesh
-// runs many chains in one process — and adds the timeout path the
-// cosmos↔cosmos pair relayers drive. deliveredBy (caller-owned, may be
-// nil) records which node first delivered each packet: the replay path
-// flags deliveries from any other node as Duplicate (a lost race), and
-// the fee payee resolver reads the same registry so first-to-deliver
-// claims the ICS-29 fee.
-func meshChainFrontEnd(c *counterparty.Chain, deliveredBy map[string]netsim.NodeID) netsim.CallHandler {
+// chainFrontEnd builds the idempotent RPC front-end for one cosmos chain,
+// with its own ack record (a deployment may run many chains in one
+// process). deliveredBy records which node first delivered each packet:
+// the replay path flags a delivery from any other node as Duplicate (a
+// lost race) while a relayer's own retry still looks like its one
+// delivery, and the fee payee resolver reads the same registry so
+// first-to-deliver claims the ICS-29 fee.
+func chainFrontEnd(c *counterparty.Chain, deliveredBy map[string]netsim.NodeID) netsim.CallHandler {
 	acks := make(map[string][]byte)
-	if deliveredBy == nil {
-		deliveredBy = make(map[string]netsim.NodeID)
-	}
 	// The bus runs callbacks under its lock: record only, never re-enter.
 	c.Handler().Events().Subscribe(func(ev telemetry.Event) {
 		if wa, ok := ev.(ibc.EventWriteAck); ok {
@@ -120,6 +64,7 @@ func meshChainFrontEnd(c *counterparty.Chain, deliveredBy map[string]netsim.Node
 		case netsim.MsgUpdateClient:
 			err := c.Handler().UpdateClient(m.ClientID, m.Header)
 			if errors.Is(err, guestlc.ErrStaleBlock) || errors.Is(err, tendermint.ErrStaleHeader) {
+				// The client already holds this height's consensus state.
 				err = nil
 			}
 			return nil, err

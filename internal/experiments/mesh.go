@@ -335,7 +335,7 @@ func RunMesh(cfg MeshConfig) (*MeshResult, error) {
 	snap := net.SnapshotTelemetry()
 	res := &MeshResult{
 		Topology: cfg.Topology,
-		Chains:   net.Mesh.Table.Chains(),
+		Chains:   net.Mesh.View.Chains(),
 	}
 	if res.Topology == "" {
 		res.Topology = "line"
@@ -389,7 +389,7 @@ func RunMesh(cfg MeshConfig) (*MeshResult, error) {
 	for _, l := range net.Mesh.Links {
 		ns := "relayer.link." + l.ID + "."
 		rep := MeshLinkReport{ID: l.ID, Kind: "pair"}
-		if l.Relayer != nil {
+		if l.A == net.Mesh.GuestName || l.B == net.Mesh.GuestName {
 			rep.Kind = "guest"
 			// The guest relayer counts per-channel deliveries.
 			for k, v := range snap.Counters {

@@ -5,7 +5,8 @@ import (
 )
 
 // BenchmarkRecvBare measures the unwrapped application recv path — the
-// baseline for the middleware-overhead gate in BENCH_pr10.json.
+// baseline for the middleware-overhead rows of the repo benchmark
+// (middleware.recv_bare_ns vs recv_stacked_ns; see benchmark/README.md).
 func BenchmarkRecvBare(b *testing.B) {
 	app := &quietApp{ack: []byte(`{"result":"AQ=="}`)}
 	p := testPacket()

@@ -1,11 +1,13 @@
 package relayer
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/guest"
 	"repro/internal/host"
+	"repro/internal/ibc"
 	"repro/internal/sim"
 )
 
@@ -38,10 +40,7 @@ func newDaemonHarness(t *testing.T) *daemonHarness {
 	cfg := DefaultConfig()
 	cfg.GuestClientID = res.GuestClientID
 	cfg.GuestOnCPClientID = res.GuestOnCPClientID
-	cfg.GuestPort = "transfer"
-	cfg.GuestChannel = res.GuestChannel
-	cfg.CPPort = "transfer"
-	cfg.CPChannel = res.CPChannel
+	cfg.Channels = []ChannelRoute{{GuestPort: "transfer", GuestChannel: res.GuestChannel, CPPort: "transfer", CPChannel: res.CPChannel}}
 	h.relayer = New(cfg, e.chain, e.contract, e.cp, sched)
 	e.chain.Fund(h.relayer.Key().Public(), 1_000*host.LamportsPerSOL)
 
@@ -202,5 +201,54 @@ func TestDaemonTimeoutFlow(t *testing.T) {
 		if !tr.DeliveredAt.IsZero() {
 			t.Fatal("expired packet was delivered")
 		}
+	}
+}
+
+// TestCheckTimeoutsOrdersSameScanExpiries pins the timeout scan's
+// submission order: Traces is a map, so packets expiring in one scan must
+// be sorted by (port, channel, sequence) before their host transactions
+// are enqueued — otherwise the host sees them in a run-dependent order.
+func TestCheckTimeoutsOrdersSameScanExpiries(t *testing.T) {
+	const packets = 6
+	run := func() (order []uint64, fees host.Lamports) {
+		h := newDaemonHarness(t)
+		h.sched.Every(15*time.Second, func() bool {
+			h.relayer.CheckTimeouts()
+			return true
+		})
+		sender := h.keys[1].Public()
+		sb := guest.NewTxBuilder(h.contract, sender)
+		for i := 0; i < packets; i++ {
+			tx := sb.SendPacketTx(&guest.SendPacketArgs{
+				Sender: sender, Port: "transfer", Channel: h.res.GuestChannel,
+				Data:             []byte{'t', byte('0' + i)},
+				TimeoutTimestamp: h.sched.Now().Add(2 * time.Second),
+			})
+			if err := h.chain.Submit(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.sched.RunFor(8 * time.Minute)
+		for _, b := range h.chain.BlocksSince(0) {
+			for _, ev := range b.Events {
+				if e, ok := ev.Payload.(ibc.EventTimeoutPacket); ok {
+					order = append(order, e.Packet.Sequence)
+				}
+			}
+		}
+		return order, h.relayer.TotalFees
+	}
+	first, firstFees := run()
+	if len(first) != packets {
+		t.Fatalf("timed out %d packets, want %d (order %v)", len(first), packets, first)
+	}
+	for i, seq := range first {
+		if seq != uint64(i+1) {
+			t.Fatalf("host saw timeouts in order %v, want ascending sequence", first)
+		}
+	}
+	second, secondFees := run()
+	if !reflect.DeepEqual(first, second) || firstFees != secondFees {
+		t.Fatalf("runs diverged: order %v vs %v, fees %d vs %d", first, second, firstFees, secondFees)
 	}
 }

@@ -3,7 +3,8 @@ package relayer
 // LinkHealth is the health sample a relayer exposes to the adaptive
 // routing plane: the EWMA latency of its delivery work, the cumulative
 // dead-letter count of its reliable network calls, and the depth of its
-// queued work. core feeds these into routing.View per mesh link.
+// queued work. Both Relayer and PairRelayer report it; core aggregates
+// the relayers serving one link and feeds the result into routing.View.
 type LinkHealth struct {
 	// Latency is the EWMA delivery latency in seconds — the same values
 	// the relayer's latency histograms observe, folded online so the
@@ -14,13 +15,6 @@ type LinkHealth struct {
 	// Backlog is the queued-work depth: inbound packets, pending acks,
 	// ack backlogs, and paced jobs not yet landed.
 	Backlog int
-}
-
-// HealthReporter is the seam between relayers and the routing plane:
-// both Relayer and PairRelayer implement it, and core aggregates the
-// reporters serving one link into that link's health sample.
-type HealthReporter interface {
-	Health() LinkHealth
 }
 
 // healthDecay is the EWMA weight of each new latency observation.

@@ -45,10 +45,7 @@ func TestProveGuestMembershipRecoversFromPrunedSnapshot(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GuestClientID = res.GuestClientID
 	cfg.GuestOnCPClientID = res.GuestOnCPClientID
-	cfg.GuestPort = "transfer"
-	cfg.GuestChannel = res.GuestChannel
-	cfg.CPPort = "transfer"
-	cfg.CPChannel = res.CPChannel
+	cfg.Channels = []ChannelRoute{{GuestPort: "transfer", GuestChannel: res.GuestChannel, CPPort: "transfer", CPChannel: res.CPChannel}}
 	r := New(cfg, e.chain, e.contract, e.cp, sim.NewScheduler(e.clock.Now()))
 
 	st, err := e.contract.State(e.chain)

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"time"
 
@@ -48,8 +49,8 @@ type Config struct {
 	// chain; GuestOnCPClientID is the guest client on the counterparty.
 	GuestClientID     ibc.ClientID
 	GuestOnCPClientID ibc.ClientID
-	// Channels lists every (port, channel) route the relayer serves.
-	// When empty, the legacy single-channel fields below define one.
+	// Channels lists every (port, channel) route the relayer serves, one
+	// work-queue shard each (at least one).
 	Channels []ChannelRoute
 	// MetricsNamespace prefixes every metric and event key this relayer
 	// writes (default "relayer"). Mesh deployments run one relayer per
@@ -67,31 +68,11 @@ type Config struct {
 	// Per-link relayers need distinct identities on the shared host.
 	KeyName string
 	// StrictRoutes restricts the relayer to packets whose (port, channel)
-	// is in Channels. The default (false) keeps the legacy fallback —
-	// stray packets ride shard 0 — which is right when one relayer serves
-	// the whole deployment; a mesh runs several relayers against the same
-	// guest chain, and each must ignore the others' traffic.
+	// is in Channels. The default (false) lets stray packets ride shard 0,
+	// which is right when one relayer serves the whole deployment; a mesh
+	// runs several relayers against the same guest chain, and each must
+	// ignore the others' traffic.
 	StrictRoutes bool
-	// Legacy single-channel fields (filled by Bootstrap); still honoured
-	// when Channels is empty.
-	GuestPort    ibc.PortID
-	GuestChannel ibc.ChannelID
-	CPPort       ibc.PortID
-	CPChannel    ibc.ChannelID
-}
-
-// routes resolves the channel topology: explicit Channels when given,
-// otherwise the one route described by the legacy fields.
-func (c Config) routes() []ChannelRoute {
-	if len(c.Channels) > 0 {
-		return c.Channels
-	}
-	return []ChannelRoute{{
-		GuestPort:    c.GuestPort,
-		GuestChannel: c.GuestChannel,
-		CPPort:       c.CPPort,
-		CPChannel:    c.CPChannel,
-	}}
 }
 
 // DefaultConfig returns deployment-like pacing.
@@ -142,7 +123,7 @@ type PacketTrace struct {
 }
 
 // Relayer connects one guest chain and one counterparty, serving every
-// channel in Config.Channels (or the legacy single route).
+// channel in Config.Channels.
 type Relayer struct {
 	cfg Config
 	// ns is the resolved metrics namespace; nodeID/chainNode the resolved
@@ -347,7 +328,7 @@ func New(cfg Config, hostChain *host.Chain, contract *guest.Contract, cp *counte
 	r.mFeesClaimed = reg.Counter(r.ns + ".fees_claimed_tokens")
 	r.byGuest = make(map[chanKey]*shard)
 	r.byCP = make(map[chanKey]*shard)
-	for i, route := range cfg.routes() {
+	for i, route := range cfg.Channels {
 		s := newShard(r, reg, route, i)
 		r.shards = append(r.shards, s)
 		r.byGuest[chanKey{route.GuestPort, route.GuestChannel}] = s
@@ -834,6 +815,12 @@ func (r *Relayer) CheckTimeouts() {
 	if err != nil {
 		return
 	}
+	// Traces is a map: collect the packets still awaiting a timeout, then
+	// order them by (port, channel, sequence) so two packets expiring in
+	// the same scan submit their host transactions in the same order on
+	// every run. Only the candidates are sorted — settled traces (the
+	// bulk of the map under load) drop out at the first check.
+	var expired []*ibc.Packet
 	for key, tr := range r.Traces {
 		p := tr.Packet
 		if !st.Handler.HasCommitment(p) {
@@ -845,10 +832,23 @@ func (r *Relayer) CheckTimeouts() {
 		if p.TimeoutHeight == 0 && p.TimeoutTimestamp.IsZero() {
 			continue // no timeout set
 		}
-		s := r.shardForGuest(p.SourcePort, p.SourceChannel)
-		if s.timeoutInFlight[key] {
+		if r.shardForGuest(p.SourcePort, p.SourceChannel).timeoutInFlight[key] {
 			continue
 		}
+		expired = append(expired, p)
+	}
+	sort.Slice(expired, func(i, j int) bool {
+		a, b := expired[i], expired[j]
+		if a.SourcePort != b.SourcePort {
+			return a.SourcePort < b.SourcePort
+		}
+		if a.SourceChannel != b.SourceChannel {
+			return a.SourceChannel < b.SourceChannel
+		}
+		return a.Sequence < b.Sequence
+	})
+	for _, p := range expired {
+		key, s := traceKey(p), r.shardForGuest(p.SourcePort, p.SourceChannel)
 		// The timeout must have elapsed as observable through the
 		// client's own latest consensus state — proofs are anchored at a
 		// height the guest's client already trusts.
@@ -885,9 +885,8 @@ func (r *Relayer) CheckTimeouts() {
 		r.TimeoutsRun++
 		r.mTimeouts.Inc()
 		s.cTimeouts.Inc()
-		tkey := key
 		s.pc.enqueue("timeout", txs, func(_, finished time.Time) {
-			r.tracer.Mark(tkey, telemetry.StageTimeout, finished)
+			r.tracer.Mark(key, telemetry.StageTimeout, finished)
 		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"strings"
 )
 
 // LinkID returns the canonical mesh identifier for the link between a
@@ -104,10 +103,9 @@ func (m CostModel) withDefaults() CostModel {
 	return m
 }
 
-// View is the dynamic replacement for Table: the same link graph scored
-// by a CostModel over live health samples. Routes are weighted shortest
-// paths recomputed only when some link's cost drifts past the
-// hysteresis threshold; chain pairs with several near-equal-cost paths
+// View is the one router: the link graph scored by a CostModel over live
+// health samples. Routes are weighted shortest paths recomputed only
+// when some link's cost drifts past the hysteresis threshold; chain pairs with several near-equal-cost paths
 // split flows across them by deterministic weighted hashing of
 // (sender, sequence), so a given flow is sticky but the aggregate load
 // spreads. All tie-breaks are canonical or seeded — two same-seed runs
@@ -135,10 +133,18 @@ type scoredPath struct {
 	cost float64
 }
 
+// NewTable builds the static router: a View that keeps one path per
+// chain pair and is never fed health, so every link costs BaseCost
+// forever and Route/RouteFlow return the hop-count shortest path, ties
+// broken on the smallest (chain, channel) sequence — a pure function of
+// the link set, whatever order or orientation the links are declared in.
+func NewTable(links []Link) *View {
+	return NewView(links, CostModel{MaxPaths: 1}, 0)
+}
+
 // NewView builds the dynamic view over links. With no health samples
 // every link costs BaseCost, so the initial table is hop-count shortest
-// paths — the static table's behaviour. seed feeds the deterministic
-// tie-break and ECMP hashing.
+// paths. seed feeds the deterministic tie-break and ECMP hashing.
 func NewView(links []Link, model CostModel, seed int64) *View {
 	v := &View{
 		model:    model.withDefaults(),
@@ -275,7 +281,7 @@ func (v *View) rebuild() {
 				if len(found[i].hops) != len(found[j].hops) {
 					return len(found[i].hops) < len(found[j].hops)
 				}
-				return pathString(found[i].hops) < pathString(found[j].hops)
+				return lessPath(found[i].hops, found[j].hops)
 			})
 			best := found[0].cost
 			limit := best * (1 + v.model.ECMPSpread)
@@ -319,20 +325,19 @@ func (v *View) enumerate(adj map[string][]edge, src, dst string) []scoredPath {
 	return out
 }
 
-// pathString renders the chain sequence of a path for canonical
-// ordering.
-func pathString(hops []Hop) string {
-	var b strings.Builder
-	for i, h := range hops {
-		if i == 0 {
-			b.WriteString(h.From)
+// lessPath orders equal-length paths by their (chain, channel) sequence,
+// hop by hop — never by a joined string, where a separator could sort
+// inside a chain name.
+func lessPath(a, b []Hop) bool {
+	for i := range a {
+		if a[i].To != b[i].To {
+			return a[i].To < b[i].To
 		}
-		b.WriteByte(' ')
-		b.WriteString(h.To)
-		b.WriteByte('/')
-		b.WriteString(string(h.Channel))
+		if a[i].Channel != b[i].Channel {
+			return a[i].Channel < b[i].Channel
+		}
 	}
-	return b.String()
+	return false
 }
 
 // Paths returns the current multi-path set for src->dst, cheapest

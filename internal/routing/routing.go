@@ -2,15 +2,14 @@
 // (port, channel) sequence a multi-hop transfer traverses, the nested
 // forward memo the PR-7 forwarding middleware consumes at each
 // intermediate chain, and the ICS-20 denom trace the transfer composes
-// along the way. Routes are static shortest paths; the table is built
-// once from the bootstrapped topology and is deterministic in the link
-// set regardless of declaration order or orientation.
+// along the way. One View (health.go) finds every route: never observed
+// it yields static hop-count shortest paths, deterministic in the link
+// set regardless of declaration order or orientation; fed link health it
+// re-scores and splits flows across near-equal arms.
 package routing
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ibc"
@@ -53,92 +52,8 @@ type edge struct {
 	hop Hop
 }
 
-// Table holds precomputed shortest-path routes between every chain pair.
-type Table struct {
-	chains []string
-	routes map[string][]Hop // "src dst" -> hop sequence
-}
-
 // routeKey indexes routes; chain names never contain a space.
 func routeKey(src, dst string) string { return src + " " + dst }
-
-// NewTable builds the all-pairs route table. Paths are breadth-first
-// shortest; ties break on the lexicographically smallest (neighbor,
-// channel), so the result is a pure function of the link set — two meshes
-// declaring the same links in different order or orientation route
-// identically.
-func NewTable(links []Link) *Table {
-	adj := make(map[string][]edge)
-	addEdge := func(from, to string, h Hop) {
-		adj[from] = append(adj[from], edge{to: to, hop: h})
-	}
-	for _, l := range links {
-		addEdge(l.A, l.B, Hop{From: l.A, To: l.B, Port: l.PortA, Channel: l.ChannelA, DestPort: l.PortB, DestChannel: l.ChannelB})
-		addEdge(l.B, l.A, Hop{From: l.B, To: l.A, Port: l.PortB, Channel: l.ChannelB, DestPort: l.PortA, DestChannel: l.ChannelA})
-	}
-	t := &Table{routes: make(map[string][]Hop)}
-	for name, edges := range adj {
-		t.chains = append(t.chains, name)
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].to != edges[j].to {
-				return edges[i].to < edges[j].to
-			}
-			return edges[i].hop.Channel < edges[j].hop.Channel
-		})
-		adj[name] = edges
-	}
-	sort.Strings(t.chains)
-
-	for _, src := range t.chains {
-		// BFS with sorted expansion: the first path found to each node is
-		// both shortest and canonical.
-		prev := map[string]Hop{}
-		visited := map[string]bool{src: true}
-		queue := []string{src}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			for _, e := range adj[cur] {
-				if visited[e.to] {
-					continue
-				}
-				visited[e.to] = true
-				prev[e.to] = e.hop
-				queue = append(queue, e.to)
-			}
-		}
-		for _, dst := range t.chains {
-			if dst == src || !visited[dst] {
-				continue
-			}
-			var hops []Hop
-			for cur := dst; cur != src; {
-				h := prev[cur]
-				hops = append([]Hop{h}, hops...)
-				cur = h.From
-			}
-			t.routes[routeKey(src, dst)] = hops
-		}
-	}
-	return t
-}
-
-// Chains lists every chain in the graph, sorted.
-func (t *Table) Chains() []string { return t.chains }
-
-// Route returns the hop sequence from src to dst. Unreachable
-// destinations return an error wrapping ErrNoRoute; src == dst wraps
-// ErrSameChain.
-func (t *Table) Route(src, dst string) ([]Hop, error) {
-	if src == dst {
-		return nil, fmt.Errorf("%w: %s->%s", ErrSameChain, src, dst)
-	}
-	hops, ok := t.routes[routeKey(src, dst)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s->%s", ErrNoRoute, src, dst)
-	}
-	return hops, nil
-}
 
 // ForwardPlan is what a routed send needs beyond the first hop's (port,
 // channel): the first-hop receiver and the memo carrying the remaining
