@@ -24,11 +24,20 @@ lint: lint-deprecated
 # and the error aliases ErrInvalidProof / ErrDuplicatePacket were deleted
 # in PR 7; this gate keeps them from creeping back in any file. Use the
 # O(1) Snapshot/Commit + At + Release versioning API and the canonical
-# ErrProofVerification / ErrPacketAlreadyDelivered names.
+# ErrProofVerification / ErrPacketAlreadyDelivered names. PR 13 folded the
+# second relayer into relayer.Relayer (one engine, two ends, always on a
+# netsim endpoint); its names stay retired too (netsim.LinkRelayerNode and
+# the validator's and fisherman's WithTransport are different things).
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired API call sites (Clone() -> Snapshot/At/Release; use ErrProofVerification / ErrPacketAlreadyDelivered):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'NewPair\|PairRelayer\|WithPairTelemetry\|relayer\.WithTransport\|LinkRelayer' --include='*.go' . | grep -v 'LinkRelayerNode'; \
+		grep -n 'WithTransport' internal/relayer/*.go); \
+	if [ -n "$$bad" ]; then \
+		echo "retired relayer API (there is one relayer: relayer.New over two ends):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

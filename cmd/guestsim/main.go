@@ -316,8 +316,8 @@ func runMeshScenario(seed int64, topology string, packets int, chaos bool) {
 	}
 	fmt.Println()
 	for _, l := range res.Links {
-		fmt.Printf("link %-9s kind=%-5s client_updates=%3d delivered=%3d acks=%3d updates/packet=%.2f net_retries=%d",
-			l.ID, l.Kind, l.ClientUpdates, l.Delivered, l.Acks, l.UpdatesPerPacket, l.NetRetries)
+		fmt.Printf("link %-9s client_updates=%3d delivered=%3d acks=%3d updates/packet=%.2f net_retries=%d",
+			l.ID, l.ClientUpdates, l.Delivered, l.Acks, l.UpdatesPerPacket, l.NetRetries)
 		if l.HopP99Ms > 0 {
 			fmt.Printf(" hop p50=%.0fms p99=%.0fms", l.HopP50Ms, l.HopP99Ms)
 		}

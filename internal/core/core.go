@@ -290,8 +290,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	// channels over one connection, which is what makes update
 	// amortisation possible). Guest links get indexed client IDs on the
 	// shared guest handler; cosmos pairs name their clients after the
-	// peer chain.
+	// peer chain. This loop is the last place that asks which kind of
+	// chain an end is.
 	guestLinks := 0
+	var primary *MeshLink
 	for _, lp := range p.links {
 		ca, cb := mesh.Chains[lp.a], mesh.Chains[lp.b]
 		link := &MeshLink{ID: lp.id, A: lp.a, B: lp.b, metricsNS: lp.metricsNS}
@@ -321,17 +323,13 @@ func NewNetwork(cfg Config) (*Network, error) {
 				if err != nil {
 					return nil, fmt.Errorf("core: bootstrap link %s channel %d: %w", lp.id, ci, err)
 				}
-				if link.boot == nil {
-					link.boot, link.cosmos = res, cosmos
-				}
+				link.boot = res
 				ends.ChannelA, ends.ChannelB = res.GuestChannel, res.CPChannel
+				link.clientOnA, link.clientOnB = res.GuestClientID, res.GuestOnCPClientID
 				if cb == n.guest {
 					ends.ChannelA, ends.ChannelB = res.CPChannel, res.GuestChannel
+					link.clientOnA, link.clientOnB = res.GuestOnCPClientID, res.GuestClientID
 				}
-				link.routes = append(link.routes, relayer.ChannelRoute{
-					GuestPort: guestPort, GuestChannel: res.GuestChannel,
-					CPPort: cpPort, CPChannel: res.CPChannel,
-				})
 				n.Channels = append(n.Channels, &ChannelRuntime{
 					Spec:         ch.spec,
 					GuestApp:     n.guest.Apps[guestPort],
@@ -342,7 +340,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 					CPChannel:    res.CPChannel,
 				})
 				if n.Boot == nil {
-					n.Boot, n.CP = res, cosmos.CP
+					n.Boot, n.CP, primary = res, cosmos.CP, link
 					n.GuestApp, n.CPApp = n.Channels[0].GuestApp, n.Channels[0].CPApp
 				}
 			default:
@@ -355,7 +353,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 					return nil, fmt.Errorf("core: bootstrap link %s: %w", lp.id, err)
 				}
 				ends.ChannelA, ends.ChannelB = res.ChanA, res.ChanB
-				link.pairBoot = res
+				link.clientOnA, link.clientOnB = res.ClientBOnA, res.ClientAOnB
 			}
 			link.Channels = append(link.Channels, ends)
 		}
@@ -384,8 +382,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 
 	// --- Relayer fleets: one or more competitors per link ---
-	// Every competitor shares the link's fault profile, metrics namespace
-	// and routes; the plan gives each its own address, identity and seed.
+	// Every link is served by the one relayer engine over its two ends.
+	// Competitors share the link's fault profile, metrics namespace and
+	// routes; the plan gives each its own address, identity and seed.
 	for li, l := range mesh.Links {
 		lp := &p.links[li]
 		ca, cb := mesh.Chains[l.A], mesh.Chains[l.B]
@@ -396,36 +395,24 @@ func NewNetwork(cfg Config) (*Network, error) {
 			if linkCfgSet(lp.netB) {
 				n.Net.SetLinkBoth(rp.node, cb.Node, lp.netB)
 			}
-			var r LinkRelayer
-			if l.boot != nil {
-				rcfg := cfg.RelayerConfig
-				rcfg.Seed = rp.seed
-				rcfg.GuestClientID = l.boot.GuestClientID
-				rcfg.GuestOnCPClientID = l.boot.GuestOnCPClientID
-				rcfg.Channels = l.routes
-				rcfg.MetricsNamespace = lp.metricsNS
-				rcfg.NodeID = rp.node
-				rcfg.ChainNodeID = l.cosmos.Node
-				rcfg.KeyName = rp.identity
-				rcfg.StrictRoutes = lp.strict
-				gr := relayer.New(rcfg, n.Host, n.Contract, l.cosmos.CP, n.Sched,
-					relayer.WithTelemetry(n.Tel), relayer.WithTransport(n.Net))
-				n.Host.Fund(gr.Key().Public(), 10_000*host.LamportsPerSOL)
-				if n.Relayer == nil {
-					n.Relayer = gr
-				}
-				r = gr
-			} else {
-				ch := l.Channels[0]
-				r = relayer.NewPair(relayer.PairConfig{
-					LinkID:           l.ID,
-					Seed:             rp.seed,
-					MetricsNamespace: lp.metricsNS,
-					NodeID:           rp.node,
-					Payee:            rp.identity,
-					A:                relayer.PairSideConfig{Chain: ca.CP, Node: ca.Node, ClientOfPeer: l.pairBoot.ClientBOnA, Port: ch.PortA, Channel: ch.ChannelA},
-					B:                relayer.PairSideConfig{Chain: cb.CP, Node: cb.Node, ClientOfPeer: l.pairBoot.ClientAOnB, Port: ch.PortB, Channel: ch.ChannelB},
-				}, n.Sched, n.Net, relayer.WithPairTelemetry(n.Tel))
+			rcfg := cfg.RelayerConfig
+			rcfg.A, rcfg.B = ca.end, cb.end
+			rcfg.A.ClientOfPeer, rcfg.B.ClientOfPeer = l.clientOnA, l.clientOnB
+			rcfg.Channels = l.Channels
+			rcfg.StrictRoutes = lp.strict
+			rcfg.OpLatency = lp.opLatency
+			rcfg.Seed = rp.seed
+			rcfg.MetricsNamespace = lp.metricsNS
+			rcfg.NodeID = rp.node
+			rcfg.KeyName = rp.identity
+			r, err := relayer.New(rcfg, n.Sched, n.Net, relayer.WithTelemetry(n.Tel))
+			if err != nil {
+				return nil, fmt.Errorf("core: relayer for link %s: %w", l.ID, err)
+			}
+			// Host fees are only ever drawn by a relayer with a guest end.
+			n.Host.Fund(r.Key().Public(), 10_000*host.LamportsPerSOL)
+			if l == primary && n.Relayer == nil {
+				n.Relayer = r
 			}
 			l.Relayers = append(l.Relayers, r)
 			l.Nodes = append(l.Nodes, rp.node)
@@ -501,6 +488,7 @@ func (n *Network) buildChain(cp *chainPlan) (*MeshChain, error) {
 			return nil, fmt.Errorf("core: guest packet sender: %w", err)
 		}
 		bind = func(port ibc.PortID, m ibc.Module) error { return n.Contract.BindPort(n.Host, port, m) }
+		mc.end = relayer.EndConfig{Host: n.Host, Contract: n.Contract, Node: cp.node}
 	} else {
 		opts := []counterparty.Option{counterparty.WithTelemetry(n.Tel.Metrics), counterparty.WithMetricsNamespace(cp.ibcNS)}
 		if n.cfg.Store.Dir != "" && cp.storeDir != "" {
@@ -518,6 +506,7 @@ func (n *Network) buildChain(cp *chainPlan) (*MeshChain, error) {
 			return nil, fmt.Errorf("core: chain %s: %w", cp.name, err)
 		}
 		mc.CP, sender, bind = chain, chain, chain.Handler().BindPort
+		mc.end = relayer.EndConfig{Chain: chain, Node: cp.node}
 	}
 	for _, pp := range cp.ports {
 		app := transfer.New(pp.port,
@@ -781,7 +770,7 @@ func (n *Network) wireScheduling(feesPresent bool) {
 		cRecomputes := n.Tel.Metrics.Counter("mesh.routing.recomputes")
 		n.Sched.Every(n.Mesh.Spec.HealthInterval, func() bool {
 			for _, l := range n.Mesh.Links {
-				view.Observe(l.ID, routing.LinkHealth(l.Health()))
+				view.Observe(l.ID, l.Health())
 			}
 			if view.Refresh() {
 				cRecomputes.Inc()

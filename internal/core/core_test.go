@@ -100,10 +100,10 @@ func TestGuestToCPTransfer(t *testing.T) {
 	}
 	for key, tr := range n.Relayer.Traces {
 		if tr.AckedAt.IsZero() {
-			t.Fatalf("packet %s not acked; trace %+v", key, tr)
+			t.Fatalf("packet %v not acked; trace %+v", key, tr)
 		}
 		if st.Handler.HasCommitment(tr.Packet) {
-			t.Fatalf("commitment for %s not cleared", key)
+			t.Fatalf("commitment for %v not cleared", key)
 		}
 	}
 	if len(n.Relayer.Traces) != 1 {

@@ -174,7 +174,7 @@ func TestManyPacketsBothDirections(t *testing.T) {
 	}
 	for key, tr := range n.Relayer.Traces {
 		if st.Handler.HasCommitment(tr.Packet) {
-			t.Fatalf("commitment %s never cleared", key)
+			t.Fatalf("commitment %v never cleared", key)
 		}
 	}
 	// Receipts were sealed: guest storage stays small.

@@ -127,6 +127,8 @@ type MeshChain struct {
 	Node netsim.NodeID
 
 	ep *netsim.Endpoint
+	// end is how a relayer reaches this chain (ClientOfPeer is per link).
+	end relayer.EndConfig
 	// relayerNodes are the link relayers notified of this chain's blocks.
 	relayerNodes []netsim.NodeID
 	// deliveredBy records which relayer node first delivered each inbound
@@ -134,17 +136,6 @@ type MeshChain struct {
 	// from other nodes as lost races, and the fee payee resolver pays the
 	// recorded winner.
 	deliveredBy map[string]netsim.NodeID
-}
-
-// LinkRelayer is what the deployment wiring needs from a relayer serving
-// a link, whichever kind it is (relayer.Relayer on guest links,
-// relayer.PairRelayer between cosmos chains).
-type LinkRelayer interface {
-	Health() relayer.LinkHealth
-	CheckTimeouts()
-	ClaimFees() map[string]uint64
-	RegisterFeeClaimer(relayer.FeeClaimer)
-	PayeeID() string
 }
 
 // MeshLink is one wired link: canonical ends, the channels the handshakes
@@ -158,24 +149,22 @@ type MeshLink struct {
 	Channels []routing.Link
 	// Relayers is the fleet racing on the link (Relayers[0] is the
 	// primary); Nodes[i] is Relayers[i]'s network address.
-	Relayers []LinkRelayer
+	Relayers []*relayer.Relayer
 	Nodes    []netsim.NodeID
 
-	// metricsNS prefixes the fleet's metrics. A guest link keeps its
-	// bootstrap identifiers in boot, its counterparty end in cosmos, and
-	// the guest relayers' view of Channels in routes; a cosmos↔cosmos link
-	// keeps pairBoot.
-	metricsNS string
-	boot      *relayer.Result
-	cosmos    *MeshChain
-	routes    []relayer.ChannelRoute
-	pairBoot  *relayer.PairResult
+	// metricsNS prefixes the fleet's metrics; clientOnA / clientOnB are
+	// each end's light client of the other. A guest link also keeps its
+	// bootstrap identifiers in boot, to open further channels over the
+	// same connection.
+	metricsNS            string
+	clientOnA, clientOnB ibc.ClientID
+	boot                 *relayer.Result
 }
 
 // Health aggregates the link's live health across its relayer fleet:
 // mean delivery-latency EWMA, summed dead letters, summed backlog.
-func (l *MeshLink) Health() relayer.LinkHealth {
-	var agg relayer.LinkHealth
+func (l *MeshLink) Health() routing.LinkHealth {
+	var agg routing.LinkHealth
 	var lat float64
 	for _, r := range l.Relayers {
 		h := r.Health()

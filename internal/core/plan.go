@@ -74,9 +74,12 @@ type linkPlan struct {
 	channels   []channelPlan
 	netA, netB netsim.LinkConfig
 	// metricsNS prefixes every metric the link's relayers write; strict
-	// relayers ignore packets on routes they do not serve.
+	// relayers ignore packets on routes they do not serve; opLatency paces
+	// submissions to cosmos ends (nil on a guest link, whose guest end
+	// paces what it sends).
 	metricsNS string
 	strict    bool
+	opLatency sim.Dist
 	fleet     []relayerPlan // competitor 0 (the primary) first
 }
 
@@ -90,8 +93,7 @@ type channelPlan struct {
 }
 
 // relayerPlan is one competitor's identity: network address, the name its
-// fee-paying key (guest links) or payee (cosmos links) derives from, and
-// its pacing seed.
+// key (host fee payer and ICS-29 payee) derives from, and its pacing seed.
 type relayerPlan struct {
 	node     netsim.NodeID
 	identity string
@@ -397,15 +399,15 @@ func meshPlan(cfg *Config) (*plan, error) {
 		bind(ca, ls.PortA)
 		bind(cb, ls.PortB)
 		id := ls.A + "-" + ls.B
-		// Guest relayers pay host fees from a named key; cosmos pair
-		// relayers are known to fee escrows by a payee string.
-		identity := "pair:" + id
+		// Cosmos submission is not the paper's bottleneck: a cosmos↔cosmos
+		// link paces each operation like the guest end paces its peer.
+		opLatency := relayer.DefaultConfig().CPLatency
 		var chSpec ChannelSpec
 		switch {
 		case ca.guest:
-			identity, chSpec = "relayer/link/"+id, ChannelSpec{GuestPort: ls.PortA, CPPort: ls.PortB}
+			opLatency, chSpec = nil, ChannelSpec{GuestPort: ls.PortA, CPPort: ls.PortB}
 		case cb.guest:
-			identity, chSpec = "relayer/link/"+id, ChannelSpec{GuestPort: ls.PortB, CPPort: ls.PortA}
+			opLatency, chSpec = nil, ChannelSpec{GuestPort: ls.PortB, CPPort: ls.PortA}
 		}
 		lp := linkPlan{
 			id: id, a: ls.A, b: ls.B,
@@ -414,6 +416,7 @@ func meshPlan(cfg *Config) (*plan, error) {
 			netB:      ls.NetB,
 			metricsNS: "relayer.link." + id,
 			strict:    true,
+			opLatency: opLatency,
 		}
 		// Competitor 0 keeps the bare per-link identifiers; extras derive
 		// "/r<i>"-suffixed variants and share the link's namespace:
@@ -426,7 +429,7 @@ func meshPlan(cfg *Config) (*plan, error) {
 			}
 			lp.fleet = append(lp.fleet, relayerPlan{
 				node:     netsim.LinkRelayerNode(id + suffix),
-				identity: identity + suffix,
+				identity: "relayer/link/" + id + suffix,
 				seed:     sim.DeriveSeed(cfg.Seed, "link/"+id+suffix),
 			})
 		}

@@ -80,17 +80,15 @@ type MeshFlowReport struct {
 }
 
 // MeshLinkReport is the per-link relayer outcome, read from the link's
-// private metric namespace (relayer.link.<id>.*).
+// private metric namespace (relayer.link.<id>.*). Every link runs the same
+// relayer engine, so every link reports the same keys.
 type MeshLinkReport struct {
 	ID string
-	// Kind is "guest" for the host↔cosmos link relayer, "pair" for a
-	// cosmos↔cosmos pair relayer.
-	Kind string
-	// ClientUpdates counts the link's client-update submissions (both
-	// directions for a pair link).
+	// ClientUpdates counts the client updates the engine issued, both
+	// directions (a guest end's own header pushes are not among them).
 	ClientUpdates uint64
 	// Delivered / Acks count packet deliveries and acknowledgement
-	// round-trips relayed over the link.
+	// round-trips relayed over the link, both directions.
 	Delivered uint64
 	Acks      uint64
 	// UpdatesPerPacket is ClientUpdates / max(Delivered, 1) — the
@@ -98,8 +96,8 @@ type MeshLinkReport struct {
 	UpdatesPerPacket float64
 	// NetRetries counts reliable-call re-issues the chaos forced.
 	NetRetries uint64
-	// HopP50Ms / HopP99Ms summarise the link's per-hop relay latency
-	// histogram in milliseconds (pair links only; zero when absent).
+	// HopP50Ms / HopP99Ms summarise the scan-to-delivery latency of
+	// packets landing on the link's cosmos ends, in milliseconds.
 	HopP50Ms, HopP99Ms float64
 }
 
@@ -388,30 +386,17 @@ func RunMesh(cfg MeshConfig) (*MeshResult, error) {
 	}
 	for _, l := range net.Mesh.Links {
 		ns := "relayer.link." + l.ID + "."
-		rep := MeshLinkReport{ID: l.ID, Kind: "pair"}
-		if l.A == net.Mesh.GuestName || l.B == net.Mesh.GuestName {
-			rep.Kind = "guest"
-			// The guest relayer counts per-channel deliveries.
-			for k, v := range snap.Counters {
-				if strings.HasPrefix(k, ns+"ch.") {
-					switch {
-					case strings.HasSuffix(k, ".delivered_to_cp"):
-						rep.Delivered += v
-					case strings.HasSuffix(k, ".acks_to_guest"):
-						rep.Acks += v
-					}
-				}
-			}
-		} else {
-			rep.Delivered = snap.Counter(ns + "delivered")
-			rep.Acks = snap.Counter(ns + "acks")
-			if lat := snap.HistogramSamples(ns + "hop.latency_s"); len(lat) > 0 {
-				rep.HopP50Ms = 1000 * stats.QuantileUnsorted(lat, 0.50)
-				rep.HopP99Ms = 1000 * stats.QuantileUnsorted(lat, 0.99)
-			}
+		rep := MeshLinkReport{
+			ID:            l.ID,
+			ClientUpdates: snap.Counter(ns + "client_updates"),
+			Delivered:     snap.Counter(ns + "delivered"),
+			Acks:          snap.Counter(ns + "acks"),
+			NetRetries:    snap.Counter(ns + "net_retries"),
 		}
-		rep.ClientUpdates = snap.Counter(ns + "client_updates")
-		rep.NetRetries = snap.Counter(ns + "net_retries")
+		if lat := snap.HistogramSamples(ns + "hop.latency_s"); len(lat) > 0 {
+			rep.HopP50Ms = 1000 * stats.QuantileUnsorted(lat, 0.50)
+			rep.HopP99Ms = 1000 * stats.QuantileUnsorted(lat, 0.99)
+		}
 		if rep.Delivered > 0 {
 			rep.UpdatesPerPacket = float64(rep.ClientUpdates) / float64(rep.Delivered)
 		} else {

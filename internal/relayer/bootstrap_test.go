@@ -194,3 +194,58 @@ func TestBootstrapFailsWithoutQuorumKeys(t *testing.T) {
 		t.Fatal("bootstrap succeeded without a finalisation quorum")
 	}
 }
+
+// TestPairBootstrapReuseOpensSecondChannel opens a second channel between
+// two cosmos chains over the first handshake's connection and clients.
+func TestPairBootstrapReuseOpensSecondChannel(t *testing.T) {
+	clock := host.NewManualClock(time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC))
+	var chains [2]*counterparty.Chain
+	for i, id := range []string{"chain-a", "chain-b"} {
+		cfg := counterparty.DefaultConfig()
+		cfg.ChainID, cfg.NumValidators = id, 8
+		c, err := counterparty.New(cfg, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, port := range []ibc.PortID{"transfer", "gov"} {
+			if err := c.Handler().BindPort(port, nopModule{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chains[i] = c
+	}
+	a, b := chains[0], chains[1]
+	first, err := (&PairBootstrap{A: a, B: b, PortA: "transfer", PortB: "transfer"}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := (&PairBootstrap{A: a, B: b, PortA: "gov", PortB: "gov", Version: "gov-1", Reuse: first}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.ChanA == first.ChanA || second.ChanB == first.ChanB {
+		t.Fatal("second channel reused the first id")
+	}
+	if second.ConnA != first.ConnA || second.ConnB != first.ConnB || second.ClientBOnA != first.ClientBOnA {
+		t.Fatalf("second channel did not reuse the connection: %+v vs %+v", second, first)
+	}
+	for _, end := range []struct {
+		chain *counterparty.Chain
+		id    ibc.ChannelID
+	}{{a, second.ChanA}, {b, second.ChanB}} {
+		ch, err := end.chain.Handler().Channel("gov", end.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch.State != ibc.StateOpen || ch.Version != "gov-1" {
+			t.Fatalf("gov channel on %s: %+v", end.chain.ChainID(), ch)
+		}
+	}
+	// No second client pair was created.
+	if _, err := a.Handler().Client("tm-chain-b"); err != nil {
+		t.Fatal(err)
+	}
+	if conn, err := b.Handler().Connection(second.ConnB); err != nil || conn.State != ibc.StateOpen {
+		t.Fatalf("connection on b: %+v, %v", conn, err)
+	}
+}

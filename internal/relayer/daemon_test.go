@@ -8,97 +8,20 @@ import (
 	"repro/internal/guest"
 	"repro/internal/host"
 	"repro/internal/ibc"
-	"repro/internal/sim"
+	"repro/internal/netsim"
 )
 
-// daemonHarness drives a Relayer on a scheduler with inline validators:
-// each host block's NewBlock events are answered by Sign transactions
-// after a fixed delay, and slots tick on the scheduler.
-type daemonHarness struct {
-	*bootEnv
-	sched   *sim.Scheduler
-	relayer *Relayer
-	res     *Result
-}
+// The tests below pin what only a guest link has: the Fig. 2 milestones,
+// chunked client updates, the multi-transaction ReceivePacket flow, host
+// fees. They run on the shared harness's guest link, over its "transfer"
+// channel.
 
-func newDaemonHarness(t *testing.T) *daemonHarness {
-	t.Helper()
-	e := newBootEnv(t)
-	b := &Bootstrap{
-		HostChain: e.chain, Contract: e.contract, CP: e.cp,
-		ValidatorKeys: e.keys, GuestPort: "transfer", CPPort: "transfer",
-	}
-	res, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := sim.NewScheduler(e.clock.Now())
-	// Replace the env's manual clock with the scheduler's so everything
-	// shares one timeline.
-	h := &daemonHarness{bootEnv: e, sched: sched, res: res}
-
-	cfg := DefaultConfig()
-	cfg.GuestClientID = res.GuestClientID
-	cfg.GuestOnCPClientID = res.GuestOnCPClientID
-	cfg.Channels = []ChannelRoute{{GuestPort: "transfer", GuestChannel: res.GuestChannel, CPPort: "transfer", CPChannel: res.CPChannel}}
-	h.relayer = New(cfg, e.chain, e.contract, e.cp, sched)
-	e.chain.Fund(h.relayer.Key().Public(), 1_000*host.LamportsPerSOL)
-
-	crank := guest.NewTxBuilder(e.contract, e.keys[0].Public())
-	// Slot loop: advance the env clock alongside the scheduler, produce a
-	// block, dispatch events to the relayer and inline validators.
-	signed := map[uint64]bool{}
-	sched.Every(host.SlotDuration, func() bool {
-		e.clock.Set(sched.Now())
-		blk := e.chain.ProduceBlock()
-		h.relayer.OnHostBlock(blk)
-		st, err := e.contract.State(e.chain)
-		if err != nil {
-			return true
-		}
-		head := st.Head()
-		if !head.Finalised && !signed[head.Block.Height] {
-			signed[head.Block.Height] = true
-			block := head.Block
-			sched.After(time.Second, func() {
-				for _, k := range e.keys {
-					vb := guest.NewTxBuilder(e.contract, k.Public())
-					_ = e.chain.Submit(vb.SignTx(k, block))
-				}
-			})
-		}
-		return true
-	})
-	// Crank for guest blocks.
-	sched.Every(time.Second, func() bool {
-		st, err := e.contract.State(e.chain)
-		if err != nil {
-			return true
-		}
-		head := st.Head()
-		if head.Finalised && head.Block.StateRoot != st.Store.Root() {
-			_ = e.chain.Submit(crank.GenerateBlockTx())
-		}
-		return true
-	})
-	// Counterparty ticks.
-	sched.Every(e.cp.BlockInterval(), func() bool {
-		e.clock.Set(sched.Now())
-		hh := e.cp.ProduceBlock()
-		h.relayer.OnCPBlock(hh.Height)
-		return true
-	})
-	return h
+func newDaemonHarness(t *testing.T) *linkEnv {
+	return newLinkEnv(t, guestLink, netsim.Config{})
 }
 
 func TestDaemonRelaysOutboundPacketAndAck(t *testing.T) {
 	h := newDaemonHarness(t)
-	st, err := h.contract.State(h.chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.BeginDirect(h.clock.Now(), uint64(h.chain.Slot()))
-
 	// Send a packet from the guest via a transaction.
 	sender := h.keys[1].Public()
 	sb := guest.NewTxBuilder(h.contract, sender)
@@ -168,15 +91,13 @@ func TestDaemonDeliversInboundPacket(t *testing.T) {
 
 func TestDaemonTimeoutFlow(t *testing.T) {
 	h := newDaemonHarness(t)
-	// Timeout scanning runs on the harness too.
 	h.sched.Every(15*time.Second, func() bool {
 		h.relayer.CheckTimeouts()
 		return true
 	})
 	sender := h.keys[1].Public()
 	sb := guest.NewTxBuilder(h.contract, sender)
-	// Stop packet delivery by breaking the counterparty channel? Instead,
-	// send with a timeout so short the cp rejects delivery as expired.
+	// Send with a timeout so short the cp rejects delivery as expired.
 	tx := sb.SendPacketTx(&guest.SendPacketArgs{
 		Sender: sender, Port: "transfer", Channel: h.res.GuestChannel,
 		Data:             []byte("too-late"),

@@ -1,0 +1,488 @@
+package relayer
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/counterparty"
+	"repro/internal/guest"
+	"repro/internal/host"
+	"repro/internal/ibc"
+	"repro/internal/lightclient/guestlc"
+	"repro/internal/lightclient/tendermint"
+	"repro/internal/netsim"
+	"repro/internal/routing"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/transfer"
+)
+
+// linkKind selects what the engine under test relays between.
+type linkKind string
+
+const (
+	// guestLink is the guest chain and a cosmos chain; the "home" end is
+	// the guest.
+	guestLink linkKind = "guest-cosmos"
+	// cosmosLink is two cosmos chains; the "home" end is chain A.
+	cosmosLink linkKind = "cosmos-cosmos"
+)
+
+// bankPort carries the transfer apps the scenarios move tokens through
+// (the guest deployment's "transfer" port holds bootEnv's nopModule).
+const bankPort ibc.PortID = "bank"
+
+// linkEnv runs relayer engines on one link over a simulated network: two
+// chains ticking on the scheduler, a transfer app on each side of a bank
+// channel, one idempotent front-end per chain, and block notifications
+// fanned out to every engine. Scenarios send from the home end to the
+// away end (always a cosmos chain) and back.
+type linkEnv struct {
+	*bootEnv // the guest deployment; nil on a cosmos link
+	sched    *sim.Scheduler
+	net      *netsim.Network
+	tel      *telemetry.Telemetry
+	// res is the guest link's "transfer" channel (nopModule on both ends).
+	res *Result
+
+	away             *counterparty.Chain
+	homeApp, awayApp *transfer.App
+	homeCh, awayCh   ibc.ChannelID
+	// sendHome submits a bank packet from the home end; homeCommitted
+	// reports whether the home chain still commits a packet.
+	sendHome      func(data []byte, timeout time.Time)
+	homeCommitted func(p *ibc.Packet) bool
+
+	cfg      Config
+	relayer  *Relayer // the first engine
+	relayers []*Relayer
+}
+
+// newLinkEnv builds the link and starts its first engine, whose config
+// tune may adjust.
+func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(*Config)) *linkEnv {
+	t.Helper()
+	e := &linkEnv{tel: telemetry.New(), homeApp: transfer.New(bankPort), awayApp: transfer.New(bankPort)}
+	newCosmos := func(id string, seed int64, clock host.Clock) *counterparty.Chain {
+		cfg := counterparty.DefaultConfig()
+		cfg.ChainID, cfg.NumValidators, cfg.Seed = id, 8, seed
+		c, err := counterparty.New(cfg, clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	bank := func(h *ibc.Handler, app *transfer.App) {
+		if err := h.BindPort(bankPort, app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var home EndConfig
+	if kind == guestLink {
+		e.bootEnv = newBootEnv(t)
+		e.sched = sim.NewScheduler(e.clock.Now())
+		e.away = e.cp
+		st, err := e.contract.State(e.chain)
+		must(err)
+		bank(st.Handler, e.homeApp)
+		bank(e.away.Handler(), e.awayApp)
+		boot := Bootstrap{HostChain: e.chain, Contract: e.contract, CP: e.cp, ValidatorKeys: e.keys, GuestPort: "transfer", CPPort: "transfer"}
+		e.res, err = boot.Run()
+		must(err)
+		boot.GuestPort, boot.CPPort, boot.Reuse = bankPort, bankPort, e.res
+		res, err := boot.Run()
+		must(err)
+		e.homeCh, e.awayCh = res.GuestChannel, res.CPChannel
+		home = EndConfig{Host: e.chain, Contract: e.contract, Node: netsim.HostNode, ClientOfPeer: res.GuestClientID}
+		e.cfg = DefaultConfig()
+		e.cfg.A = EndConfig{Chain: e.away, Node: netsim.CPNode, ClientOfPeer: res.GuestOnCPClientID}
+		e.cfg.Channels = []routing.Link{
+			{PortA: "transfer", ChannelA: e.res.CPChannel, PortB: "transfer", ChannelB: e.res.GuestChannel},
+			{PortA: bankPort, ChannelA: e.awayCh, PortB: bankPort, ChannelB: e.homeCh},
+		}
+		sender := e.keys[1].Public()
+		e.sendHome = func(data []byte, timeout time.Time) {
+			must(e.chain.Submit(guest.NewTxBuilder(e.contract, sender).SendPacketTx(&guest.SendPacketArgs{
+				Sender: sender, Port: bankPort, Channel: e.homeCh, Data: data, TimeoutTimestamp: timeout,
+			})))
+		}
+		e.homeCommitted = st.Handler.HasCommitment
+	} else {
+		e.sched = sim.NewScheduler(time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC))
+		a := newCosmos("chain-a", 1, e.sched.Clock())
+		e.away = newCosmos("chain-b", 2, e.sched.Clock())
+		bank(a.Handler(), e.homeApp)
+		bank(e.away.Handler(), e.awayApp)
+		res, err := (&PairBootstrap{A: a, B: e.away, PortA: bankPort, PortB: bankPort}).Run()
+		must(err)
+		e.homeCh, e.awayCh = res.ChanA, res.ChanB
+		home = EndConfig{Chain: a, Node: netsim.ChainNode("a"), ClientOfPeer: res.ClientBOnA}
+		e.cfg = Config{Seed: 7, StrictRoutes: true, OpLatency: DefaultConfig().CPLatency, NodeID: netsim.LinkRelayerNode("a-b")}
+		e.cfg.A = EndConfig{Chain: e.away, Node: netsim.ChainNode("b"), ClientOfPeer: res.ClientAOnB}
+		e.cfg.Channels = []routing.Link{{PortA: bankPort, ChannelA: e.awayCh, PortB: bankPort, ChannelB: e.homeCh}}
+		e.sendHome = func(data []byte, timeout time.Time) {
+			_, err := a.SendPacket(bankPort, e.homeCh, data, 0, timeout)
+			must(err)
+		}
+		e.homeCommitted = a.Handler().HasCommitment
+	}
+	// The away chain is end A and the home chain end B — the orientation
+	// of the paper's deployment, where "cp" sorts before "guest".
+	e.cfg.B = home
+	e.cfg.MetricsNamespace = "relayer"
+	for _, f := range tune {
+		f(&e.cfg)
+	}
+
+	e.net = netsim.New(e.sched, netCfg)
+	e.net.ScheduleFaults(e.sched.Now())
+	e.net.Node(e.cfg.A.Node, nil, chainFrontEnd(e.away))
+	if home.Chain != nil {
+		e.net.Node(home.Node, nil, chainFrontEnd(home.Chain))
+	} else {
+		e.net.Node(home.Node, nil, func(_ netsim.NodeID, _ string, payload any) (any, error) {
+			err := e.chain.Submit(payload.(netsim.MsgSubmitTx).Tx)
+			if errors.Is(err, host.ErrDuplicateTransaction) {
+				err = nil
+			}
+			return nil, err
+		})
+	}
+	e.relayer = e.addRelayer(t, e.cfg)
+	if home.Chain != nil {
+		e.cosmosTicks(home.Chain, home.Node)
+	} else {
+		e.guestTicks()
+	}
+	e.cosmosTicks(e.away, e.cfg.A.Node)
+	return e
+}
+
+// addRelayer starts one more engine on the link.
+func (e *linkEnv) addRelayer(t *testing.T, cfg Config) *Relayer {
+	t.Helper()
+	r, err := New(cfg, e.sched, e.net, WithTelemetry(e.tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.bootEnv != nil {
+		e.chain.Fund(r.Key().Public(), 1_000*host.LamportsPerSOL)
+	}
+	e.relayers = append(e.relayers, r)
+	return r
+}
+
+// notify tells every engine that the chain behind node produced a block.
+func (e *linkEnv) notify(node netsim.NodeID, kind string) {
+	for _, r := range e.relayers {
+		e.net.Endpoint(node).Send(r.ep.ID(), kind, nil)
+	}
+}
+
+// cosmosTicks starts a cosmos chain's block loop.
+func (e *linkEnv) cosmosTicks(c *counterparty.Chain, node netsim.NodeID) {
+	e.sched.Every(c.BlockInterval(), func() bool {
+		if e.bootEnv != nil {
+			e.clock.Set(e.sched.Now())
+		}
+		c.ProduceBlock()
+		e.notify(node, netsim.KindCPBlock)
+		return true
+	})
+}
+
+// guestTicks starts the guest deployment's loops: host slots with inline
+// validators — each guest block's NewBlock is answered by Sign
+// transactions after a fixed delay — and the crank.
+func (e *linkEnv) guestTicks() {
+	st, err := e.contract.State(e.chain)
+	if err != nil {
+		panic(err)
+	}
+	signed := map[uint64]bool{}
+	e.sched.Every(host.SlotDuration, func() bool {
+		e.clock.Set(e.sched.Now())
+		e.chain.ProduceBlock()
+		e.notify(netsim.HostNode, netsim.KindHostBlock)
+		head := st.Head()
+		if !head.Finalised && !signed[head.Block.Height] {
+			signed[head.Block.Height] = true
+			block := head.Block
+			e.sched.After(time.Second, func() {
+				for _, k := range e.keys {
+					_ = e.chain.Submit(guest.NewTxBuilder(e.contract, k.Public()).SignTx(k, block))
+				}
+			})
+		}
+		return true
+	})
+	crank := guest.NewTxBuilder(e.contract, e.keys[0].Public())
+	e.sched.Every(time.Second, func() bool {
+		if head := st.Head(); head.Finalised && head.Block.StateRoot != st.Store.Root() {
+			_ = e.chain.Submit(crank.GenerateBlockTx())
+		}
+		return true
+	})
+}
+
+// chainFrontEnd is the test's idempotent chain front-end, a miniature of
+// core's: replays succeed, and a replayed delivery from another node than
+// the first is flagged as a lost race.
+func chainFrontEnd(c *counterparty.Chain) netsim.CallHandler {
+	key := func(p *ibc.Packet) string { return fmt.Sprintf("%s/%s/%d", p.DestPort, p.DestChannel, p.Sequence) }
+	acks := make(map[string][]byte)
+	deliveredBy := make(map[string]netsim.NodeID)
+	c.Handler().Events().Subscribe(func(ev telemetry.Event) {
+		if wa, ok := ev.(ibc.EventWriteAck); ok {
+			acks[key(wa.Packet)] = wa.Ack
+		}
+	})
+	settled := func(err error) error {
+		if errors.Is(err, ibc.ErrPacketAlreadyDelivered) {
+			return nil
+		}
+		return err
+	}
+	return func(from netsim.NodeID, kind string, payload any) (any, error) {
+		switch m := payload.(type) {
+		case netsim.MsgUpdateClient:
+			err := c.Handler().UpdateClient(m.ClientID, m.Header)
+			if errors.Is(err, tendermint.ErrStaleHeader) || errors.Is(err, guestlc.ErrStaleBlock) {
+				err = nil
+			}
+			return nil, err
+		case netsim.MsgRecvPacket:
+			ack, err := c.Handler().RecvPacket(m.Packet, m.Proof, m.ProofHeight)
+			if prev, ok := acks[key(m.Packet)]; ok && errors.Is(err, ibc.ErrPacketAlreadyDelivered) {
+				return netsim.RespRecvPacket{Ack: prev, ProvableAt: c.Height() + 1, Duplicate: deliveredBy[key(m.Packet)] != from}, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			deliveredBy[key(m.Packet)] = from
+			return netsim.RespRecvPacket{Ack: ack, ProvableAt: c.Height() + 1}, nil
+		case netsim.MsgAckPacket:
+			return nil, settled(c.Handler().AcknowledgePacket(m.Packet, m.Ack, m.Proof, m.ProofHeight))
+		case netsim.MsgTimeoutPacket:
+			return nil, settled(c.Handler().TimeoutPacket(m.Packet, m.Proof, m.ProofHeight))
+		}
+		return nil, fmt.Errorf("test front-end: unknown call %q", kind)
+	}
+}
+
+// send moves amount TOK from alice on the home chain towards bob on the
+// away chain; timeout 0 means the packet never expires.
+func (e *linkEnv) send(t *testing.T, amount uint64, timeout time.Duration) {
+	t.Helper()
+	e.homeApp.Mint("alice", "TOK", amount)
+	data := &transfer.PacketData{Denom: "TOK", Amount: amount, Sender: "alice", Receiver: "bob"}
+	if err := e.homeApp.PrepareSend(e.homeCh, data); err != nil {
+		t.Fatal(err)
+	}
+	var ts time.Time
+	if timeout > 0 {
+		ts = e.sched.Now().Add(timeout)
+	}
+	e.sendHome(data.Marshal(), ts)
+}
+
+// sendBack moves amount COIN from carol on the away chain to dave on the
+// home chain.
+func (e *linkEnv) sendBack(t *testing.T, amount uint64) *ibc.Packet {
+	t.Helper()
+	e.awayApp.Mint("carol", "COIN", amount)
+	data := &transfer.PacketData{Denom: "COIN", Amount: amount, Sender: "carol", Receiver: "dave"}
+	if err := e.awayApp.PrepareSend(e.awayCh, data); err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.away.SendPacket(bankPort, e.awayCh, data.Marshal(), 0, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// scanTimeouts runs every engine's timeout scan on the deployment cadence.
+func (e *linkEnv) scanTimeouts() {
+	e.sched.Every(30*time.Second, func() bool {
+		for _, r := range e.relayers {
+			r.CheckTimeouts()
+		}
+		return true
+	})
+}
+
+// wantTransferred checks the home→away ledger after sent tokens left
+// alice: bob holds exactly delivered vouchers, the home escrow backs exactly
+// those, alice was refunded the rest, and the home chain commits no packet
+// any more.
+func (e *linkEnv) wantTransferred(t *testing.T, sent, delivered uint64) {
+	t.Helper()
+	voucher := transfer.VoucherPrefix(bankPort, e.awayCh) + "TOK"
+	if got := e.awayApp.Balance("bob", voucher); got != delivered {
+		t.Errorf("bob holds %d vouchers, want %d (exactly-once)", got, delivered)
+	}
+	if got := e.homeApp.EscrowedAmount(e.homeCh, "TOK"); got != delivered {
+		t.Errorf("home escrow = %d, want %d", got, delivered)
+	}
+	if got := e.homeApp.Balance("alice", "TOK"); got != sent-delivered {
+		t.Errorf("alice holds %d, want %d (refunded exactly once)", got, sent-delivered)
+	}
+	for seq := uint64(1); seq <= 64; seq++ {
+		if e.homeCommitted(&ibc.Packet{Sequence: seq, SourcePort: bankPort, SourceChannel: e.homeCh}) {
+			t.Errorf("home chain still commits bank packet %d: never acked or timed out", seq)
+		}
+	}
+}
+
+func (e *linkEnv) counter(name string) uint64 {
+	return e.tel.Metrics.Snapshot().Counters["relayer."+name]
+}
+
+// TestEngine runs the same scenarios on both link kinds: whatever differs
+// between a guest link and a cosmos↔cosmos link is inside the ends.
+func TestEngine(t *testing.T) {
+	chaos := netsim.Config{
+		Seed:    11,
+		Default: netsim.LinkConfig{Latency: sim.Uniform{Min: 20 * time.Millisecond, Max: 200 * time.Millisecond}, Drop: 0.05, Duplicate: 0.05},
+	}
+	scenarios := []struct {
+		name string
+		run  func(t *testing.T, kind linkKind)
+	}{
+		{"delivers and acks", func(t *testing.T, kind linkKind) {
+			e := newLinkEnv(t, kind, netsim.Config{})
+			e.send(t, 500, 0)
+			back := e.sendBack(t, 70)
+			e.sched.RunFor(10 * time.Minute)
+
+			e.wantTransferred(t, 500, 500)
+			if got := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"); got != 70 {
+				t.Errorf("dave holds %d vouchers, want 70", got)
+			}
+			if e.away.Handler().HasCommitment(back) {
+				t.Error("away chain still commits its packet: ack never relayed back")
+			}
+			if d, a := e.counter("delivered"), e.counter("acks"); d != 2 || a != 2 {
+				t.Errorf("delivered = %d, acks = %d, want 2 and 2 (one packet each way)", d, a)
+			}
+			ch := "ch." + string(e.homeCh) + "."
+			if n := e.counter(ch+"delivered_to_cp") + e.counter(ch+"recv_submitted"); n != 2 {
+				t.Errorf("bank channel counted %d deliveries, want 2", n)
+			}
+			if len(e.relayer.Traces) != 0 && kind == cosmosLink {
+				t.Errorf("%d traces left on a link that keeps none", len(e.relayer.Traces))
+			}
+		}},
+		{"lossy network delivers exactly once", func(t *testing.T, kind linkKind) {
+			e := newLinkEnv(t, kind, chaos)
+			const n, amt = 8, 100
+			for i := 0; i < n; i++ {
+				e.send(t, amt, 0)
+			}
+			e.sched.RunFor(2 * time.Hour)
+			e.wantTransferred(t, n*amt, n*amt)
+		}},
+		{"expired packet is timed out and refunded once", func(t *testing.T, kind linkKind) {
+			// The engine is cut off from the away chain long enough for the
+			// packet to expire undelivered; the receipt non-membership
+			// proof then refunds it on the home chain.
+			e := newLinkEnv(t, kind, netsim.Config{Seed: 3, Partitions: []netsim.PartitionWindow{{
+				A: []netsim.NodeID{netsim.ChainNode("b"), netsim.CPNode}, B: []netsim.NodeID{netsim.LinkRelayerNode("a-b"), netsim.RelayerNode},
+				Duration: 30 * time.Minute,
+			}}})
+			e.scanTimeouts()
+			e.send(t, 250, 10*time.Minute)
+			e.sched.RunFor(3 * time.Hour)
+
+			e.wantTransferred(t, 250, 0)
+			if n := e.counter("timeouts_submitted"); n != 1 {
+				t.Errorf("timeouts_submitted = %d, want 1", n)
+			}
+		}},
+		{"second engine loses the race", func(t *testing.T, kind linkKind) {
+			e := newLinkEnv(t, kind, netsim.Config{})
+			rival := e.cfg
+			rival.NodeID, rival.KeyName, rival.Seed = "rival", "rival", 99
+			e.addRelayer(t, rival)
+			e.send(t, 40, 0)
+			e.sched.RunFor(10 * time.Minute)
+
+			e.wantTransferred(t, 40, 40)
+			if lost, d, a := e.counter("lost_race"), e.counter("delivered"), e.counter("acks"); lost != 1 || d != 1 || a != 1 {
+				t.Errorf("lost_race = %d, delivered = %d, acks = %d, want 1 each", lost, d, a)
+			}
+		}},
+		{"client updates do not grow with packets behind one height", func(t *testing.T, kind linkKind) {
+			// Unpaced, so every delivery lands before the next block and
+			// the acks share a height too: one update per leg, whatever
+			// the packet count.
+			updates := func(packets int) uint64 {
+				e := newLinkEnv(t, kind, netsim.Config{}, func(c *Config) { c.OpLatency = nil })
+				for i := 0; i < packets; i++ {
+					e.sendBack(t, 5)
+				}
+				e.sched.RunFor(15 * time.Minute)
+				if got := e.counter("delivered"); got != uint64(packets) {
+					t.Fatalf("%d of %d packets delivered", got, packets)
+				}
+				return e.counter("client_updates")
+			}
+			if one, many := updates(1), updates(12); one == 0 || many != one {
+				t.Errorf("client updates: %d for 1 packet, %d for 12 committed at the same height", one, many)
+			}
+		}},
+	}
+	for _, kind := range []linkKind{guestLink, cosmosLink} {
+		for _, sc := range scenarios {
+			t.Run(string(kind)+"/"+sc.name, func(t *testing.T) { sc.run(t, kind) })
+		}
+	}
+}
+
+// TestTimeoutResubmittedAfterDeadLetter cuts the engine off from the host
+// just as it submits a timeout, until the retry budget dead-letters the
+// submission. The in-flight flag must clear with the dropped job so a
+// later scan resubmits, and the sender is refunded exactly once.
+func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
+	e := newLinkEnv(t, guestLink, netsim.Config{})
+	r := e.relayer
+	r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 3}
+	cut := false
+	e.sched.Every(15*time.Second, func() bool {
+		r.CheckTimeouts()
+		if r.TimeoutsRun == 1 && !cut {
+			cut = true
+			e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{Drop: 1})
+			e.sched.After(10*time.Second, func() {
+				e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{})
+			})
+		}
+		return true
+	})
+	// Too short for the cosmos chain to accept: delivery is rejected as
+	// expired, so only the timeout can settle the packet.
+	e.send(t, 90, 2*time.Second)
+	e.sched.RunFor(10 * time.Minute)
+
+	if dead := e.counter("net_dead_letters"); dead == 0 {
+		t.Fatal("the cut never dead-lettered a submission; the scenario did not run")
+	}
+	if r.TimeoutsRun != 2 {
+		t.Errorf("timeout submissions = %d, want 2 (dead-lettered, then resubmitted)", r.TimeoutsRun)
+	}
+	e.wantTransferred(t, 90, 0)
+	for _, tr := range r.Traces {
+		if tr.inFlight {
+			t.Error("a trace is still marked in flight")
+		}
+	}
+}

@@ -5,28 +5,28 @@ import (
 	"time"
 
 	"repro/internal/host"
+	"repro/internal/netsim"
 )
 
 // job is a paced sequence of host transactions with a completion callback.
 type job struct {
-	label string
-	txs   []*host.Transaction
+	txs []*host.Transaction
 	// started is when the first transaction was submitted (the paper's
 	// Fig. 4 measures first-tx to last-tx execution).
 	started time.Time
-	onDone  func(started, finished time.Time)
+	onDone  func(started, finished time.Time, err error)
 }
 
 // pacer is one paced host-transaction submitter: a FIFO of jobs drained
 // one transaction at a time with a TxGap-distributed gap between
 // submissions, exactly like a real RPC submitter with confirmation
-// pacing. Each relayer shard owns a pacer, so channels submit
+// pacing. Each guest-end lane owns a pacer, so channels submit
 // concurrently on the sim scheduler without perturbing each other's
-// pacing streams; shard 0 shares the relayer's root pacer (and its RNG)
-// with the client-update scheduler, which keeps the single-channel
-// topology byte-identical to the pre-shard relayer.
+// pacing streams; lane 0 shares the root pacer (and the relayer's root
+// RNG) with client updates, which keeps the single-channel topology
+// byte-identical to the pre-shard relayer.
 type pacer struct {
-	r   *Relayer
+	g   *guestEnd
 	rng *rand.Rand
 
 	// queue is the FIFO of host tx jobs; busy marks the pump running.
@@ -36,13 +36,14 @@ type pacer struct {
 
 // enqueue schedules a paced submission of txs; onDone fires one slot after
 // the last submission (when the commit landed) with the first and last
-// transaction landing times.
-func (p *pacer) enqueue(label string, txs []*host.Transaction, onDone func(started, finished time.Time)) {
-	p.queue = append(p.queue, &job{label: label, txs: txs, onDone: onDone})
-	p.r.queueDelta(+1)
+// transaction landing times — or as soon as a submission fails, with the
+// error.
+func (p *pacer) enqueue(txs []*host.Transaction, onDone func(started, finished time.Time, err error)) {
+	p.queue = append(p.queue, &job{txs: txs, onDone: onDone})
+	p.g.queueDelta(+1)
 	if !p.busy {
 		p.busy = true
-		p.r.sched.After(0, p.pump)
+		p.g.r.sched.After(0, p.pump)
 	}
 }
 
@@ -52,53 +53,52 @@ func (p *pacer) pump() {
 		p.busy = false
 		return
 	}
-	r := p.r
+	g, sched := p.g, p.g.r.sched
 	j := p.queue[0]
 	if len(j.txs) == 0 {
 		// Job finished submitting; fire completion after landing.
 		p.queue = p.queue[1:]
-		r.queueDelta(-1)
-		done := j.onDone
-		started := j.started
-		slot := r.hostChain.Profile().SlotDuration
-		r.sched.After(slot+slot/2, func() {
-			finished := r.sched.Now()
-			if !started.IsZero() {
-				r.mJobLatency.Observe(finished.Sub(started).Seconds())
-				r.observeHealthLatency(finished.Sub(started).Seconds())
+		g.queueDelta(-1)
+		slot := g.host.Profile().SlotDuration
+		sched.After(slot+slot/2, func() {
+			finished := sched.Now()
+			if !j.started.IsZero() {
+				lat := finished.Sub(j.started).Seconds()
+				g.mJobLatency.Observe(lat)
+				g.r.observeLatency(lat)
 			}
-			if done != nil {
-				done(started, finished)
-			}
+			j.onDone(j.started, finished, nil)
 		})
-		r.sched.After(0, p.pump)
+		sched.After(0, p.pump)
 		return
 	}
 	if j.started.IsZero() {
 		// First transaction lands at the next slot boundary.
-		j.started = r.sched.Now().Add(r.hostChain.Profile().SlotDuration / 2)
+		j.started = sched.Now().Add(g.host.Profile().SlotDuration / 2)
 	}
 	tx := j.txs[0]
 	j.txs = j.txs[1:]
-	r.TotalFees += tx.Fee()
-	r.submitHost(tx, func(err error) {
+	g.r.TotalFees += tx.Fee()
+	// The host's replay protection makes the reliable call's retries
+	// idempotent.
+	g.r.call(g.node, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx}, func(_ any, err error) {
 		if err != nil {
 			// Oversized or malformed transactions are a relayer bug (and a
 			// dead-lettered submission surfaces here too); drop the job
-			// rather than wedge the queue.
+			// rather than wedge the queue, and tell its owner.
 			p.queue = p.queue[1:]
-			r.queueDelta(-1)
-			r.sched.After(0, p.pump)
+			g.queueDelta(-1)
+			j.onDone(j.started, sched.Now(), err)
+			sched.After(0, p.pump)
 			return
 		}
-		r.sched.After(r.cfg.TxGap.Sample(p.rng), p.pump)
+		sched.After(g.r.cfg.TxGap.Sample(p.rng), p.pump)
 	})
 }
 
 // queueDelta tracks the aggregate job-queue depth across all pacers and
-// mirrors it into the relayer.queue_depth gauge (with one pacer the
-// series is identical to the old per-queue length samples).
-func (r *Relayer) queueDelta(d int64) {
-	r.queuedJobs += d
-	r.mQueueDepth.Set(r.queuedJobs)
+// mirrors it into the queue_depth gauge.
+func (g *guestEnd) queueDelta(d int64) {
+	g.queuedJobs += d
+	g.mQueueDepth.Set(g.queuedJobs)
 }

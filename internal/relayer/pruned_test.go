@@ -9,7 +9,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/host"
 	"repro/internal/ibc"
-	"repro/internal/sim"
+	"repro/internal/netsim"
 )
 
 // mintFinalisedBlock writes a value and mints a finalised guest block via
@@ -33,20 +33,9 @@ func mintFinalisedBlock(t *testing.T, e *bootEnv, st *guest.State, tag string) *
 }
 
 func TestProveGuestMembershipRecoversFromPrunedSnapshot(t *testing.T) {
-	e := newBootEnv(t)
-	b := &Bootstrap{
-		HostChain: e.chain, Contract: e.contract, CP: e.cp,
-		ValidatorKeys: e.keys, GuestPort: "transfer", CPPort: "transfer",
-	}
-	res, err := b.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.GuestClientID = res.GuestClientID
-	cfg.GuestOnCPClientID = res.GuestOnCPClientID
-	cfg.Channels = []ChannelRoute{{GuestPort: "transfer", GuestChannel: res.GuestChannel, CPPort: "transfer", CPChannel: res.CPChannel}}
-	r := New(cfg, e.chain, e.contract, e.cp, sim.NewScheduler(e.clock.Now()))
+	env := newLinkEnv(t, guestLink, netsim.Config{})
+	e, res := env.bootEnv, env.res
+	g := env.relayer.ends[1].(*guestEnd)
 
 	st, err := e.contract.State(e.chain)
 	if err != nil {
@@ -67,7 +56,7 @@ func TestProveGuestMembershipRecoversFromPrunedSnapshot(t *testing.T) {
 		t.Fatalf("ProveMembershipAt = %v, want ErrSnapshotPruned", err)
 	}
 	// ...but the relayer falls forward to the newest finalised root.
-	proof, provedAt, err := r.proveGuestMembership(st, height, path)
+	proof, provedAt, err := g.proveMembership(height, path)
 	if err != nil {
 		t.Fatalf("proveGuestMembership did not recover: %v", err)
 	}
@@ -95,7 +84,7 @@ func TestProveGuestMembershipRecoversFromPrunedSnapshot(t *testing.T) {
 		t.Fatalf("cp guest client at %d, want >= %d", client.LatestHeight(), provedAt)
 	}
 	// A genuinely unknown height still fails.
-	if _, _, err := r.proveGuestMembership(st, 10_000, path); err == nil {
+	if _, _, err := g.proveMembership(10_000, path); err == nil {
 		t.Fatal("bogus height unexpectedly proved")
 	}
 }
