@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-deprecated test race bench loc mesh-smoke recover-smoke route-smoke cover verify-figs api-check api-update ci
+.PHONY: all build vet lint lint-deprecated test race bench loc scenario-smoke cover verify-figs api-check api-update ci
 
 all: test
 
@@ -28,6 +28,9 @@ lint: lint-deprecated
 # second relayer into relayer.Relayer (one engine, two ends, always on a
 # netsim endpoint); its names stay retired too (netsim.LinkRelayerNode and
 # the validator's and fisherman's WithTransport are different things).
+# PR 17 folded the five packet-plane scenario drivers into Scenario
+# literals run by Scenario.Run (internal/experiments/scenarios.go); their
+# names stay retired outside benchmark/, whose one comment mention stays.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -38,6 +41,11 @@ lint-deprecated:
 		grep -n 'WithTransport' internal/relayer/*.go); \
 	if [ -n "$$bad" ]; then \
 		echo "retired relayer API (there is one relayer: relayer.New over two ends):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'RunMesh\|RunLoad\|RunMiddleware\|RunMultiChannel\|RunAdaptiveRouting\|MeshResult\|LoadResult\|MiddlewareResult' --include='*.go' . | grep -v '^./benchmark/'); \
+	if [ -n "$$bad" ]; then \
+		echo "retired scenario drivers (a scenario is a Scenario literal: experiments.Lookup + Scenario.Run):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -55,39 +63,31 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
-# Code size per internal package: non-test Go lines that are neither blank
-# nor comment-only. Simplification PRs quote their line deltas from this.
-# (The repo benchmark is not a make target: see benchmark/README.md.)
+# Code size per internal package and of cmd/guestsim: non-test Go lines
+# that are neither blank nor comment-only. Simplification PRs quote their
+# line deltas from this. (The repo benchmark is not a make target: see
+# benchmark/README.md.)
 loc:
-	@for d in internal/*/; do \
+	@for d in internal/*/ cmd/guestsim/; do \
 		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | grep -v '^\s*$$' | grep -vc '^\s*//')" $${d%/}; \
 	done
 
-# Mesh smoke gate: both acceptance topologies (4-chain line and diamond)
-# under per-link chaos must deliver every routed transfer with exact
-# escrow/voucher conservation at every hop. guestsim exits non-zero on a
-# conservation violation, so this is a pass/fail gate, not a demo.
-mesh-smoke:
-	$(GO) run ./cmd/guestsim -mesh -mesh-topology line >/dev/null
-	$(GO) run ./cmd/guestsim -mesh -mesh-topology diamond >/dev/null
-	@echo "mesh smoke: line + diamond conserve under chaos"
-
-# Kill-and-recover smoke gate: a disk-backed guest is power-cut mid-stall
-# (WAL truncated to the last fsync), reopened cold, and must recover
-# exactly the last finalised root with byte-identical historical proofs.
-# guestsim exits non-zero when either verdict fails.
-recover-smoke:
-	$(GO) run ./cmd/guestsim -recover >/dev/null
-	@echo "recover smoke: power cut recovers the last finalised root"
-
-# Adaptive-routing smoke gate: the degraded diamond must migrate >= 90%
-# of post-grace flows to the healthy arm, beat the same-seed static
-# control's post-degradation p99, conserve escrow at every hop under
-# rerouting, and the competing-relayer race must deliver exactly once
-# with conserved fee totals. guestsim exits non-zero on any violation.
-route-smoke:
-	$(GO) run ./cmd/guestsim -adaptive-routing >/dev/null
-	@echo "route smoke: adaptive plane migrates, conserves, races exactly-once"
+# Scenario smoke gate: the acceptance scenarios no Go test already runs
+# at full size, each through the one runner and ledger. The mesh line and
+# diamond under per-link chaos must deliver every routed transfer with
+# exact escrow/voucher conservation at every hop; the middleware chain
+# under drop/duplicate chaos must forward, settle fees and dispatch
+# callbacks exactly once; the degraded diamond must migrate >= 90% of
+# post-grace flows to the healthy arm and beat the same-seed static
+# control's p99 while the relayer race delivers exactly once; and a
+# disk-backed guest power-cut mid-stall must recover exactly the last
+# finalised root with byte-identical proofs. guestsim exits non-zero on
+# any ledger violation or failed verdict line, so this is pass/fail.
+scenario-smoke:
+	@for s in mesh-line mesh-diamond middleware-chaos adaptive recover; do \
+		echo "guestsim -scenario $$s"; $(GO) run ./cmd/guestsim -scenario $$s >/dev/null || exit 1; \
+	done
+	@echo "scenario smoke: mesh, middleware, adaptive routing and recovery hold"
 
 # Coverage across every package, with the combined profile left in
 # cover.out for `go tool cover -html=cover.out`.
@@ -125,6 +125,6 @@ api-update:
 
 # The pre-merge gate: vet + lint (including the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
-# figure-drift check, the exported-API stability check, and the mesh,
-# kill-and-recover, and adaptive-routing smoke runs.
-ci: vet lint race cover verify-figs api-check mesh-smoke recover-smoke route-smoke
+# figure-drift check, the exported-API stability check, and the scenario
+# smoke runs.
+ci: vet lint race cover verify-figs api-check scenario-smoke

@@ -6,6 +6,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -37,46 +38,22 @@ func main() {
 	netSeed := flag.Int64("net-seed", 0, "network fault seed (0 derives one from -seed)")
 	netPartition := flag.String("net-partition", "", "partition window [A|B:]START+DURATION (e.g. relayer|cp:36h+2h)")
 	netCrash := flag.String("net-crash", "", "crash window NODE:START+DURATION (e.g. v0:648h+9h55m)")
-	loadRate := flag.Float64("load-rate", 0, "open-loop offered load in transfers/s of virtual time; > 0 switches to the loadgen scenario instead of the closed-loop deployment")
-	loadAccounts := flag.Uint64("load-accounts", 1_000_000, "loadgen sender population size (accounts materialise lazily)")
-	loadZipfS := flag.Float64("load-zipf-s", 1.2, "loadgen Zipf account-popularity exponent (> 1)")
-	loadDuration := flag.Duration("load-duration", 5*time.Minute, "loadgen offered-load window of virtual time")
-	loadBursty := flag.Bool("load-bursty", false, "loadgen self-similar (bursty) arrivals instead of Poisson")
-	mw := flag.Bool("middleware", false, "run the middleware-chain scenario (ICS-29 fees + 2-hop forwarding + metered callbacks) instead of the closed-loop deployment")
-	mwPackets := flag.Int("middleware-packets", 16, "middleware scenario: number of 2-hop transfers")
-	mwChaos := flag.Bool("middleware-chaos", false, "middleware scenario: inject the 5% drop + 5% duplicate acceptance chaos on every link")
-	mesh := flag.Bool("mesh", false, "run the N-chain mesh scenario (routed multi-hop transfers, one relayer per link) instead of the closed-loop deployment")
-	meshTopology := flag.String("mesh-topology", "line", "mesh scenario: link graph, line (guest-a-b-c) or diamond (guest-{a,b}-c)")
-	meshPackets := flag.Int("mesh-packets", 6, "mesh scenario: transfers per flow")
-	meshChaos := flag.Bool("mesh-chaos", true, "mesh scenario: 5% drop + asymmetric latency on every link")
-	adaptiveRouting := flag.Bool("adaptive-routing", false, "run the adaptive-routing scenario (degraded diamond static-vs-adaptive + competing-relayer race) instead of the closed-loop deployment")
+	scenario := flag.String("scenario", "", "run a named acceptance scenario instead of the closed-loop deployment: mesh-line, mesh-diamond, middleware, middleware-chaos, multichannel, adaptive, load, overload, recover (chaos is part of each scenario; only -seed, -store-dir and the three overrides below apply)")
+	packets := flag.Int("packets", 0, "scenario override: transfers per flow (0 keeps the scenario's own)")
+	rate := flag.Float64("rate", 0, "scenario override: open-loop offered load in transfers/s of virtual time (0 keeps the scenario's own)")
+	duration := flag.Duration("duration", 0, "scenario override: window of virtual time the traffic is offered over (0 keeps the scenario's own)")
 	storeDir := flag.String("store-dir", "", "persist guest state to a WAL-backed node store under this directory (empty = in-memory)")
 	storeSync := flag.Int("store-sync-interval", 0, "group-fsync cadence in committed roots on top of the per-finalisation fsync (0 = finalisation only)")
-	recoverRun := flag.Bool("recover", false, "run the kill-and-recover chaos scenario (power-cut the WAL mid-stall, reopen, verify roots and proofs) instead of the closed-loop deployment")
 	flag.Parse()
 
-	if *recoverRun {
-		runRecoverScenario(*seed, *storeDir)
+	if *scenario == "recover" {
+		recoverGuest(*seed, *storeDir)
 		return
 	}
-
-	if *adaptiveRouting {
-		runAdaptiveScenario(*seed)
-		return
-	}
-
-	if *mesh {
-		runMeshScenario(*seed, *meshTopology, *meshPackets, *meshChaos)
-		return
-	}
-
-	if *mw {
-		runMiddlewareScenario(*seed, *mwPackets, *mwChaos)
-		return
-	}
-
-	if *loadRate > 0 {
-		runLoadScenario(*seed, *channels, *loadRate, *loadAccounts, *loadZipfS, *loadDuration, *loadBursty)
+	if *scenario != "" {
+		if !scenarioMode(os.Stdout, *scenario, *seed, *packets, *rate, *duration) {
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -229,12 +206,13 @@ func main() {
 	}
 }
 
-// runRecoverScenario runs the kill-and-recover chaos scenario: a
-// disk-backed guest is power-cut mid-stall (WAL truncated to the durable
-// prefix), reopened cold, and checked for exact recovery of the last
-// finalised root plus byte-identical historical proofs. With no -store-dir
-// the WAL lands in a throwaway temp directory.
-func runRecoverScenario(seed int64, dir string) {
+// recoverGuest runs the kill-and-recover chaos run (not a packet-plane
+// scenario, so it has no ledger and prints its own verdicts): a disk-backed
+// guest is power-cut mid-stall (WAL truncated to the durable prefix),
+// reopened cold, and checked for exact recovery of the last finalised root
+// plus byte-identical historical proofs. With no -store-dir the WAL lands
+// in a throwaway temp directory.
+func recoverGuest(seed int64, dir string) {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "guestsim-recover-*")
 		if err != nil {
@@ -243,175 +221,79 @@ func runRecoverScenario(seed int64, dir string) {
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	start := time.Now()
 	res, err := experiments.RunRecover(seed, dir)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("kill-and-recover: validator %s dark %v from %v, power cut mid-window, simulated in %v\n\n",
-		res.Window.Node, res.Window.Duration, res.Window.From, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("pre-crash:  head height %d, finalised height %d (%d unfinalised blocks discarded by the cut)\n",
-		res.HeadHeight, res.FinalisedHeight, res.LostBlocks)
-	fmt.Printf("wal:        %d nodes written (%d deduped), %.1f MiB appended, flush p99 %.2f ms\n",
-		res.NodesWritten, res.NodesDeduped, float64(res.SegmentBytes)/(1<<20), res.FlushP99Ms)
-	fmt.Printf("recovered:  height %d, %d retained versions, cold open %.1f ms\n",
-		res.RecoveredHeight, res.RetainedRecovered, res.ColdOpenMs)
-	fmt.Printf("verdicts:   root_match=%v proofs_identical=%v (%d proofs checked)\n",
-		res.RootMatch, res.ProofsIdentical, res.ProofsChecked)
+	fmt.Printf("kill-and-recover: validator %s dark %v from %v, power cut mid-window\n\n"+
+		"pre-crash:  head height %d, finalised height %d (%d unfinalised blocks discarded by the cut)\n"+
+		"wal:        %d nodes written (%d deduped), %.1f MiB appended, flush p99 %.2f ms\n"+
+		"recovered:  height %d, %d retained versions, cold open %.1f ms\n"+
+		"verdicts:   root_match=%v proofs_identical=%v (%d proofs checked)\n",
+		res.Window.Node, res.Window.Duration, res.Window.From, res.HeadHeight, res.FinalisedHeight, res.LostBlocks,
+		res.NodesWritten, res.NodesDeduped, float64(res.SegmentBytes)/(1<<20), res.FlushP99Ms,
+		res.RecoveredHeight, res.RetainedRecovered, res.ColdOpenMs, res.RootMatch, res.ProofsIdentical, res.ProofsChecked)
 	if !res.RootMatch || !res.ProofsIdentical {
 		log.Fatal("kill-and-recover verification failed")
 	}
 }
 
-// runMiddlewareScenario runs the middleware-chain acceptance scenario:
-// fee-escrowed transfers forwarded through the counterparty hub back to a
-// second guest app, with metered recv callbacks on the terminal leg, and
-// prints the hop-by-hop conservation and fee-settlement verdicts.
-func runMiddlewareScenario(seed int64, packets int, chaos bool) {
-	cfg := experiments.DefaultMiddlewareConfig()
-	cfg.Seed = seed
-	cfg.Packets = packets
-	if chaos {
-		cfg.Net = experiments.ChaosLink()
+// scenarioMode runs a registered acceptance scenario — every run it makes,
+// then its verdict — and reports whether it passed: no ledger violation in
+// any run and no failed verdict line. The overrides apply to every run.
+func scenarioMode(w io.Writer, name string, seed int64, packets int, rate float64, window time.Duration) bool {
+	runs, verdict, ok := experiments.Lookup(name)
+	if !ok {
+		log.Fatalf("unknown scenario %q (see -help)", name)
 	}
-	start := time.Now()
-	res, err := experiments.RunMiddleware(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("middleware chain: %d 2-hop transfers over %v (chaos=%v), simulated in %v\n\n",
-		res.Sent, cfg.Duration, chaos, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("tokens:    sent %d = guest escrow %d = hub escrow %d = final vouchers %d (stuck %d) — conserved=%v\n",
-		res.SentTokens, res.GuestEscrow, res.HubEscrow, res.FinalVouchers, res.HubModuleStuck, res.TokensConserved)
-	fmt.Printf("forwarded: %d (stranded %d)\n", res.Forwarded, res.Stranded)
-	fmt.Printf("fees:      escrowed %d = paid %d + refunded %d, claimed %d onto relayer balance %d (pending %d) — conserved=%v\n",
-		res.FeesEscrowed, res.FeesPaid, res.FeesRefunded, res.FeesClaimed, res.RelayerBalance, res.FeesPending, res.FeesConserved)
-	fmt.Printf("callbacks: %d executed, %d rejected\n", res.CallbacksExecuted, res.CallbacksRejected)
-	fmt.Printf("network:   %d retries\n", res.NetRetries)
-	if !res.Conserved() {
-		log.Fatal("middleware scenario conservation violated")
-	}
-}
-
-// runMeshScenario runs the N-chain mesh acceptance scenario: a line or
-// diamond topology with one relayer per link, routed multi-hop transfers
-// under per-link chaos, and prints per-flow latency plus per-link
-// client-update amortisation and the hop-by-hop conservation verdict.
-func runMeshScenario(seed int64, topology string, packets int, chaos bool) {
-	cfg := experiments.DefaultMeshConfig()
-	cfg.Seed = seed
-	cfg.Topology = topology
-	cfg.PacketsPerFlow = packets
-	cfg.Chaos = chaos
-	start := time.Now()
-	res, err := experiments.RunMesh(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("mesh %s: chains %s, %d routed transfers over %v (chaos=%v), simulated in %v\n\n",
-		res.Topology, strings.Join(res.Chains, ","), res.TotalPackets, cfg.Duration, chaos, time.Since(start).Round(time.Millisecond))
-	for _, f := range res.Flows {
-		fmt.Printf("flow %-9s path=%-16s sent=%2d tokens=%5d received=%5d delivered=%2d  e2e p50=%6.2fs p99=%6.2fs  conserved=%v\n",
-			f.Src+">"+f.Dst, strings.Join(f.Path, "-"), f.Sent, f.SentTokens, f.Received, f.Delivered, f.E2EP50s, f.E2EP99s, f.Conserved)
-	}
-	fmt.Println()
-	for _, l := range res.Links {
-		fmt.Printf("link %-9s client_updates=%3d delivered=%3d acks=%3d updates/packet=%.2f net_retries=%d",
-			l.ID, l.ClientUpdates, l.Delivered, l.Acks, l.UpdatesPerPacket, l.NetRetries)
-		if l.HopP99Ms > 0 {
-			fmt.Printf(" hop p50=%.0fms p99=%.0fms", l.HopP50Ms, l.HopP99Ms)
+	passed := true
+	var reports []*experiments.Report
+	for _, s := range runs {
+		s.Net.Seed = seed
+		if packets > 0 {
+			s.Packets = packets
 		}
-		fmt.Println()
+		if rate > 0 && s.Load != nil {
+			s.Load.Rate = rate
+		}
+		if window > 0 {
+			s.Window = window
+		}
+		rep, err := s.Run()
+		if err != nil {
+			log.Fatal(err)
+		}
+		render(w, rep)
+		passed = passed && len(rep.Violations) == 0
+		reports = append(reports, rep)
 	}
-	if !res.Conserved {
-		log.Fatal("mesh scenario conservation violated")
+	if verdict != nil {
+		for _, c := range verdict(reports) {
+			fmt.Fprintf(w, "%s %s\n", map[bool]string{true: "ok  ", false: "FAIL"}[c.OK], c.Text)
+			passed = passed && c.OK
+		}
 	}
+	return passed
 }
 
-// runAdaptiveScenario runs the health-aware routing acceptance pair: the
-// degraded diamond under static and adaptive routing (same seed), and the
-// competing-relayer race with ICS-29 fee attribution. It exits non-zero
-// when any acceptance criterion fails, so `make route-smoke` gates CI.
-func runAdaptiveScenario(seed int64) {
-	cfg := experiments.DefaultAdaptiveRoutingConfig()
-	cfg.Seed = seed
-	start := time.Now()
-	res, err := experiments.RunAdaptiveRouting(cfg)
-	if err != nil {
-		log.Fatal(err)
+// render prints one run: a row per flow, link and fee book, then every
+// violation. Zero latencies mean nothing was timed there.
+func render(w io.Writer, r *experiments.Report) {
+	fmt.Fprintf(w, "\nscenario %s: seed %d, %v + %v drain, %d flows, %d planned transfers each\n", r.Scenario.Name,
+		r.Scenario.Net.Seed, r.Scenario.Window, r.Scenario.Drain, len(r.Flows), r.Scenario.Packets)
+	for _, f := range r.Flows {
+		fmt.Fprintf(w, "flow %-12s path=%-16s sent=%3d tokens=%6d escrow=%v received=%6d delivered=%3d  e2e p50=%6.2fs p99=%6.2fs  refused=%d %s\n",
+			f.Flow, strings.Join(f.Paths, ","), f.Admitted, f.AdmittedTokens, f.HopEscrow, f.Vouchers, f.Delivered, f.P50, f.P99, f.SendErrors, f.FirstError)
 	}
-	fmt.Printf("adaptive routing: %d transfers over %v, a-c arm degrades at %v, simulated in %v\n\n",
-		res.Sent, cfg.Window, cfg.DegradeAt, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("pre-degradation arms:   %v\n", res.PreArms)
-	fmt.Printf("post-grace arms:        %v (migration %.0f%%)\n", res.PostArms, 100*res.MigrationFraction)
-	fmt.Printf("view recomputes:        %d\n", res.Recomputes)
-	fmt.Printf("post-degradation p99:   adaptive %.1fs vs static %.1fs (p50 %.1fs vs %.1fs)\n",
-		res.AdaptiveP99s, res.StaticP99s, res.AdaptiveP50s, res.StaticP50s)
-	fmt.Printf("delivered:              %d/%d, escrow conserved=%v (static %v)\n\n",
-		res.Delivered, res.Sent, res.Conserved, res.StaticConserved)
-	r := res.Race
-	fmt.Printf("relayer race:           %d packets, %d competitors, lost_race=%d\n", r.Sent, r.Relayers, r.LostRace)
-	fmt.Printf("  exactly-once:         %v (received %d tokens)\n", r.ExactlyOnce, r.Received)
-	fmt.Printf("  fees:                 escrowed=%d paid=%d refunded=%d claimed=%d conserved=%v\n",
-		r.Escrowed, r.Paid, r.Refunded, r.Claimed, r.FeesConserved)
-	for payee, fee := range r.FeeByPayee {
-		fmt.Printf("  payee %s...: claimed %d\n", payee[:12], fee)
+	for _, l := range r.Links {
+		fmt.Fprintf(w, "link %-9s client_updates=%3d delivered=%3d acks=%3d updates/packet=%.2f net_retries=%d lost_race=%d hop p50=%.0fms p99=%.0fms\n",
+			l.ID, l.ClientUpdates, l.Delivered, l.Acks, float64(l.ClientUpdates)/float64(max(l.Delivered, 1)), l.NetRetries, l.LostRace, l.HopP50Ms, l.HopP99Ms)
 	}
-	switch {
-	case res.MigrationFraction < 0.9:
-		log.Fatalf("migration fraction %.3f < 0.9", res.MigrationFraction)
-	case !res.P99Improved:
-		log.Fatal("adaptive p99 does not beat static")
-	case !res.Conserved || !res.StaticConserved:
-		log.Fatal("escrow conservation violated")
-	case !r.ExactlyOnce || !r.FeesConserved:
-		log.Fatal("relayer race: delivery or fee invariant violated")
-	case r.LostRace != uint64(r.Sent):
-		log.Fatalf("lost_race %d != sent %d", r.LostRace, r.Sent)
+	for _, b := range r.Fees {
+		fmt.Fprintf(w, "fees %s/%s: escrowed %d = paid %d + refunded %d, claimed %d (pending %d), payees %v\n",
+			b.Chain, b.Port, b.Escrowed, b.Paid, b.Refunded, b.Claimed, b.Pending, b.Payees)
 	}
-}
-
-// runLoadScenario runs the open-loop loadgen workload (ISSUE 6 tentpole)
-// instead of the closed-loop 28-day deployment and prints its outcome:
-// admission counters, latency percentiles, sustained throughput, and the
-// per-channel conservation verdicts.
-func runLoadScenario(seed int64, channels int, rate float64, accounts uint64, zipfS float64, duration time.Duration, bursty bool) {
-	cfg := experiments.DefaultLoadConfig()
-	cfg.Seed = seed
-	if channels > 0 {
-		cfg.Channels = channels
-	}
-	cfg.Rate = rate
-	cfg.Accounts = accounts
-	cfg.ZipfS = zipfS
-	cfg.Duration = duration
-	cfg.Bursty = bursty
-
-	start := time.Now()
-	res, err := experiments.RunLoad(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	elapsed := time.Since(start)
-
-	arrivals := "poisson"
-	if bursty {
-		arrivals = "self-similar"
-	}
-	fmt.Printf("open-loop load: %.2f tx/s (%s) over %v + %v drain, %d channels, %d accounts (zipf s=%.2f)\n",
-		rate, arrivals, cfg.Duration, cfg.Drain, cfg.Channels, accounts, zipfS)
-	fmt.Printf("simulated in %v\n\n", elapsed.Round(time.Millisecond))
-	fmt.Printf("offered:             %d\n", res.Offered)
-	fmt.Printf("admitted:            %d (rejected %d, shed %d)\n", res.Admitted, res.Rejected, res.Shed)
-	fmt.Printf("delivered:           %d (sustained %.3f pkt/s)\n", res.Delivered, res.SustainedPPS)
-	fmt.Printf("packet latency:      p50 %v, p99 %v\n", res.P50.Round(time.Millisecond), res.P99.Round(time.Millisecond))
-	fmt.Printf("senders touched:     %d of %d\n", res.MaterialisedAccounts, accounts)
-	for i, ch := range res.Channels {
-		fmt.Printf("  ch %d %s: admitted %d (%d tokens), escrow %d, vouchers %d, delivered %d — conserved=%v fully_delivered=%v\n",
-			i, ch.GuestChannel, ch.Admitted, ch.AdmittedTokens, ch.Escrowed, ch.Vouchers, ch.DeliveredCP,
-			ch.EscrowConserved, ch.FullyDelivered)
-	}
-	if !res.EscrowConserved {
-		log.Fatal("escrow conservation violated")
+	for _, v := range r.Violations {
+		fmt.Fprintf(w, "VIOLATION %s\n", v)
 	}
 }

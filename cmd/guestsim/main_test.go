@@ -1,0 +1,28 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestScenarioModeVerdict: scenario mode passes a conserving run (with the
+// generic overrides applied) and fails — which main turns into exit 1 — a
+// run whose ledger reports a violation, printing it.
+func TestScenarioModeVerdict(t *testing.T) {
+	var out bytes.Buffer
+	if !scenarioMode(&out, "mesh-line", 7, 3, 0, 2*time.Hour) {
+		t.Fatalf("mesh-line failed:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "seed 7, 2h0m0s + 3h0m0s drain, 3 flows, 3 planned transfers each") {
+		t.Fatalf("overrides not applied:\n%s", out.String())
+	}
+	out.Reset()
+	if scenarioMode(&out, "stray-voucher", 1, 0, 0, 0) {
+		t.Fatalf("stray-voucher passed:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "VIOLATION guest>cp[0]: vouchers 262 != delivered tokens 255") {
+		t.Fatalf("violation not printed:\n%s", out.String())
+	}
+}

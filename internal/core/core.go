@@ -296,7 +296,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	var primary *MeshLink
 	for _, lp := range p.links {
 		ca, cb := mesh.Chains[lp.a], mesh.Chains[lp.b]
-		link := &MeshLink{ID: lp.id, A: lp.a, B: lp.b, metricsNS: lp.metricsNS}
+		link := &MeshLink{ID: lp.id, A: lp.a, B: lp.b, MetricsNS: lp.metricsNS}
 		for ci, ch := range lp.channels {
 			ends := routing.Link{A: lp.a, B: lp.b, PortA: ch.portA, PortB: ch.portB}
 			switch {
@@ -1045,8 +1045,8 @@ func (n *Network) SnapshotTelemetry() telemetry.Snapshot {
 	// counters register at wiring.)
 	for _, l := range n.Mesh.Links {
 		h := l.Health()
-		n.Tel.Metrics.Gauge(l.metricsNS + ".backlog").Set(int64(h.Backlog))
-		n.Tel.Metrics.Gauge(l.metricsNS + ".health_latency_ms").Set(int64(h.Latency * 1000))
+		n.Tel.Metrics.Gauge(l.MetricsNS + ".backlog").Set(int64(h.Backlog))
+		n.Tel.Metrics.Gauge(l.MetricsNS + ".health_latency_ms").Set(int64(h.Latency * 1000))
 	}
 	return n.Tel.Snapshot()
 }

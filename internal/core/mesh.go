@@ -151,12 +151,13 @@ type MeshLink struct {
 	// primary); Nodes[i] is Relayers[i]'s network address.
 	Relayers []*relayer.Relayer
 	Nodes    []netsim.NodeID
+	// MetricsNS prefixes the fleet's metrics ("relayer" on the implicit
+	// pair, "relayer.link.<id>" on a declared mesh).
+	MetricsNS string
 
-	// metricsNS prefixes the fleet's metrics; clientOnA / clientOnB are
-	// each end's light client of the other. A guest link also keeps its
-	// bootstrap identifiers in boot, to open further channels over the
-	// same connection.
-	metricsNS            string
+	// clientOnA / clientOnB are each end's light client of the other. A
+	// guest link also keeps its bootstrap identifiers in boot, to open
+	// further channels over the same connection.
 	clientOnA, clientOnB ibc.ClientID
 	boot                 *relayer.Result
 }

@@ -45,6 +45,15 @@ func OutageWindow() netsim.CrashWindow {
 	}
 }
 
+// pivotalFleet is the four-validator fleet of the outage and recover runs:
+// validator 0 holds 40% of stake, so the other three's 60% sits below the
+// 2/3 quorum and finalisation exists only with it.
+func pivotalFleet() ([]validator.Behaviour, []host.Lamports) {
+	const sol = host.LamportsPerSOL
+	return uniformFleet(4, sim.Uniform{Min: 2 * time.Second, Max: 4 * time.Second}),
+		[]host.Lamports{400 * sol, 200 * sol, 200 * sol, 200 * sol}
+}
+
 // RunOutage reproduces the §V-C liveness incident in isolation: a
 // four-validator guest where validator 0 holds 40% of stake (so the other
 // three's 60% sits below the 2/3 quorum), with validator 0 crashed via a
@@ -53,18 +62,7 @@ func OutageWindow() netsim.CrashWindow {
 // block's finalisation delay is the outage length, and no block is lost.
 func RunOutage(seed int64) (*OutageResult, error) {
 	window := OutageWindow()
-	latency := sim.Uniform{Min: 2 * time.Second, Max: 4 * time.Second}
-	behaviours := make([]validator.Behaviour, 4)
-	stakes := make([]host.Lamports, 4)
-	for i := range behaviours {
-		behaviours[i] = validator.Behaviour{
-			Active:  true,
-			Latency: latency,
-			Policy:  fees.Policy{Name: "fixed"},
-		}
-		stakes[i] = 200 * host.LamportsPerSOL
-	}
-	stakes[0] = 400 * host.LamportsPerSOL // 40%: quorum exists only with v0
+	behaviours, stakes := pivotalFleet()
 
 	net, err := core.NewNetwork(core.Config{
 		Behaviours: behaviours,

@@ -12,8 +12,6 @@ import (
 	"repro/internal/ibc"
 	"repro/internal/netsim"
 	"repro/internal/nodestore"
-	"repro/internal/sim"
-	"repro/internal/validator"
 )
 
 // RecoverResult summarises a kill-and-recover chaos run: a disk-backed
@@ -94,18 +92,7 @@ func RecoverWindow() netsim.CrashWindow {
 //     versions must be byte-identical to pre-crash proofs.
 func RunRecover(seed int64, dir string) (*RecoverResult, error) {
 	window := RecoverWindow()
-	latency := sim.Uniform{Min: 2 * time.Second, Max: 4 * time.Second}
-	behaviours := make([]validator.Behaviour, 4)
-	stakes := make([]host.Lamports, 4)
-	for i := range behaviours {
-		behaviours[i] = validator.Behaviour{
-			Active:  true,
-			Latency: latency,
-			Policy:  fees.Policy{Name: "fixed"},
-		}
-		stakes[i] = 200 * host.LamportsPerSOL
-	}
-	stakes[0] = 400 * host.LamportsPerSOL // 40%: quorum exists only with v0
+	behaviours, stakes := pivotalFleet()
 
 	net, err := core.NewNetwork(core.Config{
 		Behaviours: behaviours,

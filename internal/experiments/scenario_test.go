@@ -1,0 +1,244 @@
+package experiments
+
+import (
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/ibc"
+)
+
+// The acceptance suite of the packet plane: one table over the registry,
+// one driver. Every row runs its scenario's runs and verdict and must come
+// back with no violation (or exactly the one it provokes) and no failed
+// verdict line; check holds what only that row asserts. The top-level
+// tests below keep the names the tier-1 floor knows the rows by.
+
+type row struct {
+	scenario string
+	// tweak adjusts every run before it starts; rows without one share a
+	// memoised outcome, which is also the determinism check's first run.
+	tweak func(*Scenario)
+	// violation is the one breach the row provokes ("" = a clean run).
+	violation string
+	check     func(t *testing.T, rs []*Report)
+}
+
+type outcome struct {
+	reports []*Report
+	checks  []Check
+}
+
+var memo = map[string]outcome{}
+
+func runScenario(t *testing.T, name string, tweak func(*Scenario)) outcome {
+	t.Helper()
+	if o, ok := memo[name]; ok && tweak == nil {
+		return o
+	}
+	runs, verdict, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no scenario %q", name)
+	}
+	var o outcome
+	for _, s := range runs {
+		if tweak != nil {
+			tweak(&s)
+		}
+		rep, err := s.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		o.reports = append(o.reports, rep)
+	}
+	if verdict != nil {
+		o.checks = verdict(o.reports)
+	}
+	if tweak == nil {
+		memo[name] = o
+	}
+	return o
+}
+
+func (r row) run(t *testing.T) {
+	t.Helper()
+	o := runScenario(t, r.scenario, r.tweak)
+	for _, rep := range o.reports {
+		switch {
+		case r.violation == "" && len(rep.Violations) > 0:
+			t.Errorf("%s: violations %q\n%s", rep.Scenario.Name, rep.Violations, rep.Fingerprint)
+		case r.violation != "" && (len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], r.violation)):
+			t.Errorf("%s: violations %q, want exactly one containing %q", rep.Scenario.Name, rep.Violations, r.violation)
+		}
+		for _, f := range rep.Flows {
+			if f.Admitted == 0 {
+				t.Errorf("%s: flow %s admitted nothing", rep.Scenario.Name, f.Flow)
+			}
+		}
+	}
+	for _, c := range o.checks {
+		if !c.OK {
+			t.Errorf("%s verdict failed: %s", r.scenario, c.Text)
+		}
+	}
+	if r.check != nil && !t.Failed() {
+		r.check(t, o.reports)
+	}
+}
+
+// smoke shrinks a mesh run to 3 bursts over 2 hours at seed 7.
+func smoke(s *Scenario) { s.Packets, s.Window, s.Net.Seed = 3, 2*time.Hour, 7 }
+
+// timed requires every flow's latency percentiles to be plausible.
+func timed(t *testing.T, r *Report) {
+	t.Helper()
+	for _, f := range r.Flows {
+		if f.P50 <= 0 || f.P99 < f.P50 {
+			t.Errorf("%s flow %s: latency p50=%.3fs p99=%.3fs", r.Scenario.Name, f.Flow, f.P50, f.P99)
+		}
+	}
+}
+
+var rows = map[string]row{
+	"mesh-line": {scenario: "mesh-line", tweak: smoke, check: func(t *testing.T, rs []*Report) {
+		timed(t, rs[0])
+		if len(rs[0].Links) != 3 {
+			t.Fatalf("line mesh has %d links, want 3", len(rs[0].Links))
+		}
+		for _, l := range rs[0].Links {
+			if l.ClientUpdates == 0 || l.Delivered == 0 {
+				t.Errorf("link %s: %d client updates, %d delivered", l.ID, l.ClientUpdates, l.Delivered)
+			}
+		}
+	}},
+	"mesh-diamond": {scenario: "mesh-diamond", tweak: smoke, check: func(t *testing.T, rs []*Report) {
+		if len(rs[0].Links) != 4 {
+			t.Fatalf("diamond mesh has %d links, want 4", len(rs[0].Links))
+		}
+		// guest→c crosses exactly one forwarding chain, whichever arm the
+		// tie-break picked.
+		f0 := rs[0].Flows[0]
+		if len(f0.HopEscrow) != 2 {
+			t.Fatalf("guest>c crossed %d hops, want 2", len(f0.HopEscrow))
+		}
+		if via := strings.Split(f0.Paths[0], "-")[1]; via != "a" && via != "b" {
+			t.Fatalf("guest>c routed via %q", via)
+		}
+	}},
+	// The verdict holds forwarding, once-per-packet callbacks and the fee
+	// legs; under chaos also that the faults bit.
+	"middleware": {scenario: "middleware"},
+	"middleware-chaos": {scenario: "middleware-chaos", check: func(t *testing.T, rs []*Report) {
+		if rs[0].Fees[0].Payees[0].Balance == 0 {
+			t.Fatal("relayer claimed no fees")
+		}
+	}},
+	// 4 channels (one ordered) x 24 packets under 5% drop + 5% duplicate:
+	// every channel conserves exactly once, delivers and acks everything;
+	// the verdict's last line is the 1-vs-4-channel amortisation claim.
+	"multichannel": {scenario: "multichannel", check: func(t *testing.T, rs []*Report) {
+		if len(rs[0].Flows) != 4 {
+			t.Fatalf("got %d channel flows, want 4", len(rs[0].Flows))
+		}
+		ordered := false
+		for i, f := range rs[0].Flows {
+			if f.Admitted != 24 {
+				t.Errorf("channel %d: sent %d packets, want 24", i, f.Admitted)
+			}
+			ordered = ordered || rs[0].Scenario.Net.Channels[i].Ordering == ibc.Ordered
+		}
+		if !ordered {
+			t.Error("expected at least one ordered channel in the chaos topology")
+		}
+	}},
+	// The verdict holds migration >= 90%, the pre-degradation ECMP split,
+	// a recompute, adaptive-beats-static p99, one lost race per packet and
+	// the fee legs; the ledger and fee book hold conservation in all three
+	// runs.
+	"adaptive": {scenario: "adaptive", check: func(t *testing.T, rs []*Report) {
+		payees := rs[2].Fees[len(rs[2].Fees)-1].Payees // the guest's book
+		if len(payees) != 2 {
+			t.Fatalf("race: want 2 competitor payees, got %v", payees)
+		}
+		for _, p := range payees {
+			if p.Balance == 0 {
+				t.Errorf("race: competitor %s never won a race", p.ID)
+			}
+		}
+	}},
+	// Under capacity: everything offered is admitted (verdict) and
+	// delivered exactly once (ledger).
+	"load": {scenario: "load", check: func(t *testing.T, rs []*Report) { timed(t, rs[0]) }},
+	// Far over capacity: the verdict holds the shedding and the host's
+	// counters, the mid-flight ledger rules the admitted packets.
+	"overload": {scenario: "overload"},
+	// The header-ordering hazard of pipelined finalisation: a quorum
+	// cascade finalises several guest blocks at once, and the relayer must
+	// push their headers to the counterparty client in height order. At
+	// this rate and depth the cascade happens many times, so full delivery
+	// is the regression check.
+	"load-cascade": {scenario: "load", tweak: func(s *Scenario) { s.Load.Rate, s.Window = 0.5, 3*time.Minute }},
+	// Bursty load through a deep pipeline with the sharded host pre-verify
+	// and sharded MintBatch engaged — the goroutine fan-out `go test -race`
+	// must certify.
+	"load-concurrent-stages": {scenario: "load", tweak: func(s *Scenario) {
+		s.Load.Bursty, s.Load.Rate, s.Load.PrewarmTop = true, 1, 64
+		s.Net.GuestParams.PipelineDepth = 4
+		s.Window, s.Drain = 2*time.Minute, 20*time.Minute
+	}},
+	// The runner reports — does not hide — a breach: a voucher minted
+	// behind the protocol's back comes back as its flow's violation.
+	"stray-voucher": {scenario: "stray-voucher", violation: "guest>cp[0]: vouchers 262 != delivered tokens 255"},
+}
+
+func TestRunMeshLineConservesEveryHop(t *testing.T)      { rows["mesh-line"].run(t) }
+func TestRunMeshDiamondRoutesAndConserves(t *testing.T)  { rows["mesh-diamond"].run(t) }
+func TestRunMiddlewareLossless(t *testing.T)             { rows["middleware"].run(t) }
+func TestRunMiddlewareChaos(t *testing.T)                { rows["middleware-chaos"].run(t) }
+func TestMultiChannelExactlyOnceUnderChaos(t *testing.T) { rows["multichannel"].run(t) }
+func TestAdaptiveRoutingAcceptance(t *testing.T)         { rows["adaptive"].run(t) }
+func TestRunLoadModerate(t *testing.T)                   { rows["load"].run(t) }
+func TestRunOverload(t *testing.T)                       { rows["overload"].run(t) }
+func TestPipelinedCascadeDeliversAll(t *testing.T)       { rows["load-cascade"].run(t) }
+func TestPipelinedLoadConcurrentStages(t *testing.T)     { rows["load-concurrent-stages"].run(t) }
+func TestRunnerReportsViolation(t *testing.T)            { rows["stray-voucher"].run(t) }
+
+// TestMultiChannelUpdateAmortisation names the verdict line that pins the
+// amortisation claim (the multichannel row already requires it to hold).
+func TestMultiChannelUpdateAmortisation(t *testing.T) {
+	o := runScenario(t, "multichannel", nil)
+	last := o.checks[len(o.checks)-1]
+	if !last.OK || !strings.HasPrefix(last.Text, "client updates: 1 channel") {
+		t.Fatalf("amortisation verdict: %+v", last)
+	}
+	t.Log(last.Text)
+}
+
+// sameSeedTwice is the one determinism check: each named scenario runs
+// twice with its seed and must produce identical fingerprints, run by run.
+// Every registered scenario is named by one of the tests below.
+func sameSeedTwice(t *testing.T, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		first := runScenario(t, name, nil)
+		delete(memo, name)
+		second := runScenario(t, name, nil)
+		for i := range first.reports {
+			if a, b := first.reports[i].Fingerprint, second.reports[i].Fingerprint; a != b {
+				t.Errorf("%s run %d diverged:\n%s\n---\n%s", name, i, a, b)
+			}
+		}
+	}
+}
+
+func TestRunMeshDeterministic(t *testing.T)         { sameSeedTwice(t, "mesh-line", "mesh-diamond") }
+func TestRunMiddlewareDeterminism(t *testing.T)     { sameSeedTwice(t, "middleware", "middleware-chaos") }
+func TestMultiChannelDeterminism(t *testing.T)      { sameSeedTwice(t, "multichannel", "stray-voucher") }
+func TestAdaptiveRoutingDeterministic(t *testing.T) { sameSeedTwice(t, "adaptive") }
+func TestRunLoadDeterministic(t *testing.T)         { sameSeedTwice(t, "load", "overload") }
+
+func TestLookupUnknownScenario(t *testing.T) {
+	if _, _, ok := Lookup("no-such-scenario"); ok {
+		t.Fatal("Lookup accepted an unregistered name")
+	}
+}

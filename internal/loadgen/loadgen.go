@@ -82,6 +82,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// numReceivers is the size of the account pool terminal transfers credit.
+const numReceivers = 64
+
+// Receivers lists every account a terminal transfer may credit on the
+// counterparty — what a conservation check sums vouchers over.
+func Receivers() []string {
+	out := make([]string, numReceivers)
+	for i := range out {
+		out[i] = fmt.Sprintf("load-recv-%d", i)
+	}
+	return out
+}
+
 // Event is one sampled workload decision; the Sampler exposes it so
 // determinism tests can compare full sequences without a network.
 type Event struct {
@@ -205,7 +218,9 @@ func New(net *core.Network, cfg Config) *Generator {
 		admittedCount:  make([]uint64, len(net.Channels)),
 	}
 	apps := g.distinctApps()
+	materialised := net.Tel.Metrics.Counter("loadgen.materialised")
 	materialise := func(_ uint64, pub cryptoutil.PubKey) {
+		materialised.Inc()
 		net.Host.Fund(pub, cfg.FundLamports)
 		for _, app := range apps {
 			app.Mint(pub.String(), cfg.Denom, cfg.MintTokens)
@@ -284,7 +299,7 @@ func (g *Generator) inject(ev Event) {
 	// The sequence number makes every transfer unique (dedup-safe) even
 	// when the Zipf head re-sends the same amount within one slot.
 	memo := fmt.Sprintf("%d:%s", g.seq, strings.Repeat("x", ev.MemoLen))
-	receiver := fmt.Sprintf("load-recv-%d", ev.Account%64)
+	receiver := fmt.Sprintf("load-recv-%d", ev.Account%numReceivers)
 	if ev.Forward {
 		// Address the counterparty's forwarding module account and fold the
 		// unique padding memo into the onward hop so dedup still holds.

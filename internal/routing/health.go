@@ -251,8 +251,8 @@ func (v *View) Refresh() bool {
 func (v *View) rebuild() {
 	adj := make(map[string][]edge)
 	for _, l := range v.links {
-		adj[l.A] = append(adj[l.A], edge{to: l.B, hop: Hop{From: l.A, To: l.B, Port: l.PortA, Channel: l.ChannelA, DestPort: l.PortB, DestChannel: l.ChannelB}})
-		adj[l.B] = append(adj[l.B], edge{to: l.A, hop: Hop{From: l.B, To: l.A, Port: l.PortB, Channel: l.ChannelB, DestPort: l.PortA, DestChannel: l.ChannelA}})
+		adj[l.A] = append(adj[l.A], edge{to: l.B, hop: l.HopFrom(l.A)})
+		adj[l.B] = append(adj[l.B], edge{to: l.A, hop: l.HopFrom(l.B)})
 	}
 	for name, edges := range adj {
 		sort.Slice(edges, func(i, j int) bool {

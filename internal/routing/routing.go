@@ -46,6 +46,14 @@ type Hop struct {
 	DestChannel ibc.ChannelID
 }
 
+// HopFrom is the link crossed starting on chain from (one of its ends).
+func (l Link) HopFrom(from string) Hop {
+	if from == l.B {
+		return Hop{From: l.B, To: l.A, Port: l.PortB, Channel: l.ChannelB, DestPort: l.PortA, DestChannel: l.ChannelA}
+	}
+	return Hop{From: l.A, To: l.B, Port: l.PortA, Channel: l.ChannelA, DestPort: l.PortB, DestChannel: l.ChannelB}
+}
+
 // edge is a directed view of a Link.
 type edge struct {
 	to  string

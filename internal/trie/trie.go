@@ -144,15 +144,30 @@ func (t *Trie) writeRev() uint64 {
 	return t.rev
 }
 
-func (t *Trie) alloc(n *node) (*node, error) {
-	if t.maxNodes > 0 && t.nodeCount >= t.maxNodes {
-		return nil, ErrFull
+// reserve fails with ErrFull unless n more nodes fit the arena. An
+// operation that allocates more than once reserves its net growth before
+// it touches anything, so a full arena never leaves it half applied.
+func (t *Trie) reserve(n int) error {
+	if t.maxNodes > 0 && t.nodeCount+n > t.maxNodes {
+		return ErrFull
 	}
+	return nil
+}
+
+// take counts n into the arena; the caller has reserved the room.
+func (t *Trie) take(n *node) *node {
 	n.rev = t.writeRev()
 	t.nodeCount++
 	t.totalAllocs++
 	t.fresh++
-	return n, nil
+	return n
+}
+
+func (t *Trie) alloc(n *node) (*node, error) {
+	if err := t.reserve(1); err != nil {
+		return nil, err
+	}
+	return t.take(n), nil
 }
 
 func (t *Trie) free(n *node) {
@@ -300,15 +315,17 @@ func (t *Trie) splitLeaf(cur *ref, old *node, remaining path, value cryptoutil.H
 	oldRest := old.path[c:]
 	newRest := remaining[c:]
 
-	newLeaf, err := t.alloc(&node{kind: kindLeaf, path: newRest[1:].clone(), value: value})
-	if err != nil {
+	// The new leaf and the branch, plus an extension above them when the
+	// two keys share a prefix.
+	grow := 2
+	if c > 0 {
+		grow = 3
+	}
+	if err := t.reserve(grow); err != nil {
 		return err
 	}
-	br, err := t.alloc(&node{kind: kindBranch})
-	if err != nil {
-		t.free(newLeaf)
-		return err
-	}
+	newLeaf := t.take(&node{kind: kindLeaf, path: newRest[1:].clone(), value: value})
+	br := t.take(&node{kind: kindBranch})
 	// Reuse the old leaf node with a shortened path.
 	old.path = oldRest[1:].clone()
 	br.children[oldRest[0]] = ref{hash: t.hs.node(old), node: old}
@@ -320,13 +337,7 @@ func (t *Trie) splitLeaf(cur *ref, old *node, remaining path, value cryptoutil.H
 		cur.hash = t.hs.node(br)
 		return nil
 	}
-	ext, err := t.alloc(&node{kind: kindExt, path: remaining[:c].clone()})
-	if err != nil {
-		t.free(newLeaf)
-		t.free(br)
-		t.leafCount--
-		return err
-	}
+	ext := t.take(&node{kind: kindExt, path: remaining[:c].clone()})
 	ext.child = ref{hash: t.hs.node(br), node: br}
 	cur.node = ext
 	cur.hash = t.hs.node(ext)
@@ -339,15 +350,19 @@ func (t *Trie) splitExt(cur *ref, old *node, remaining path, value cryptoutil.Ha
 	oldRest := old.path[c:] // >= 1 bit
 	newRest := remaining[c:]
 
-	newLeaf, err := t.alloc(&node{kind: kindLeaf, path: newRest[1:].clone(), value: value})
-	if err != nil {
+	// The new leaf and the branch, plus an extension above them when the
+	// key shares a prefix with the old one — unless the old extension has
+	// a single bit left: the branch absorbs it, and the slot it frees
+	// pays for the new extension.
+	grow := 2
+	if c > 0 && len(oldRest) > 1 {
+		grow = 3
+	}
+	if err := t.reserve(grow); err != nil {
 		return err
 	}
-	br, err := t.alloc(&node{kind: kindBranch})
-	if err != nil {
-		t.free(newLeaf)
-		return err
-	}
+	newLeaf := t.take(&node{kind: kindLeaf, path: newRest[1:].clone(), value: value})
+	br := t.take(&node{kind: kindBranch})
 
 	// The old extension's child goes under oldRest[0], via a shortened
 	// extension if bits remain.
@@ -366,13 +381,7 @@ func (t *Trie) splitExt(cur *ref, old *node, remaining path, value cryptoutil.Ha
 		cur.hash = t.hs.node(br)
 		return nil
 	}
-	ext, err := t.alloc(&node{kind: kindExt, path: remaining[:c].clone()})
-	if err != nil {
-		t.free(newLeaf)
-		t.free(br)
-		t.leafCount--
-		return err
-	}
+	ext := t.take(&node{kind: kindExt, path: remaining[:c].clone()})
 	ext.child = ref{hash: t.hs.node(br), node: br}
 	cur.node = ext
 	cur.hash = t.hs.node(ext)
