@@ -38,8 +38,8 @@ func main() {
 	netSeed := flag.Int64("net-seed", 0, "network fault seed (0 derives one from -seed)")
 	netPartition := flag.String("net-partition", "", "partition window [A|B:]START+DURATION (e.g. relayer|cp:36h+2h)")
 	netCrash := flag.String("net-crash", "", "crash window NODE:START+DURATION (e.g. v0:648h+9h55m)")
-	scenario := flag.String("scenario", "", "run a named acceptance scenario instead of the closed-loop deployment: mesh-line, mesh-diamond, middleware, middleware-chaos, multichannel, adaptive, load, overload, recover (chaos is part of each scenario; only -seed, -store-dir and the three overrides below apply)")
-	packets := flag.Int("packets", 0, "scenario override: transfers per flow (0 keeps the scenario's own)")
+	scenario := flag.String("scenario", "", "run a named acceptance scenario instead of the closed-loop deployment: mesh-line, mesh-diamond, middleware, middleware-chaos, multichannel, adaptive, load, overload, stray-voucher (the self-test that must exit 1), recover (chaos is part of each scenario; only -seed and the three overrides below apply, plus -store-dir for recover)")
+	packets := flag.Int("packets", 0, "scenario override: transfers per flow (0 keeps the scenario's own; ignored by load and overload, whose traffic is -rate over -duration)")
 	rate := flag.Float64("rate", 0, "scenario override: open-loop offered load in transfers/s of virtual time (0 keeps the scenario's own)")
 	duration := flag.Duration("duration", 0, "scenario override: window of virtual time the traffic is offered over (0 keeps the scenario's own)")
 	storeDir := flag.String("store-dir", "", "persist guest state to a WAL-backed node store under this directory (empty = in-memory)")
@@ -250,7 +250,7 @@ func scenarioMode(w io.Writer, name string, seed int64, packets int, rate float6
 	var reports []*experiments.Report
 	for _, s := range runs {
 		s.Net.Seed = seed
-		if packets > 0 {
+		if packets > 0 && s.At != nil {
 			s.Packets = packets
 		}
 		if rate > 0 && s.Load != nil {
@@ -282,8 +282,8 @@ func render(w io.Writer, r *experiments.Report) {
 	fmt.Fprintf(w, "\nscenario %s: seed %d, %v + %v drain, %d flows, %d planned transfers each\n", r.Scenario.Name,
 		r.Scenario.Net.Seed, r.Scenario.Window, r.Scenario.Drain, len(r.Flows), r.Scenario.Packets)
 	for _, f := range r.Flows {
-		fmt.Fprintf(w, "flow %-12s path=%-16s sent=%3d tokens=%6d escrow=%v received=%6d delivered=%3d  e2e p50=%6.2fs p99=%6.2fs  refused=%d %s\n",
-			f.Flow, strings.Join(f.Paths, ","), f.Admitted, f.AdmittedTokens, f.HopEscrow, f.Vouchers, f.Delivered, f.P50, f.P99, f.SendErrors, f.FirstError)
+		fmt.Fprintf(w, "flow %-12s path=%-16s sent=%3d tokens=%6d escrow=%v received=%6d delivered=%3d acked=%3d  e2e p50=%6.2fs p99=%6.2fs  refused=%d %s\n",
+			f.Flow, strings.Join(f.Paths, ","), f.Admitted, f.AdmittedTokens, f.HopEscrow, f.Vouchers, f.Delivered, f.Acked, f.P50, f.P99, f.SendErrors, f.FirstError)
 	}
 	for _, l := range r.Links {
 		fmt.Fprintf(w, "link %-9s client_updates=%3d delivered=%3d acks=%3d updates/packet=%.2f net_retries=%d lost_race=%d hop p50=%.0fms p99=%.0fms\n",

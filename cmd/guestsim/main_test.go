@@ -18,6 +18,12 @@ func TestScenarioModeVerdict(t *testing.T) {
 	if !strings.Contains(out.String(), "seed 7, 2h0m0s + 3h0m0s drain, 3 flows, 3 planned transfers each") {
 		t.Fatalf("overrides not applied:\n%s", out.String())
 	}
+	// -packets means nothing to a scenario whose traffic is a loadgen
+	// stream: it is ignored, not handed to a schedule the literal lacks.
+	out.Reset()
+	if !scenarioMode(&out, "load", 1, 5, 0, time.Minute) {
+		t.Fatalf("load with -packets failed:\n%s", out.String())
+	}
 	out.Reset()
 	if scenarioMode(&out, "stray-voucher", 1, 0, 0, 0) {
 		t.Fatalf("stray-voucher passed:\n%s", out.String())

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -91,16 +92,20 @@ type Report struct {
 	Links    []LinkReport
 	Fees     []invariant.FeeBook
 	// Violations lists every breach of the ledger and fee-book rules plus,
-	// unless the scenario declares Overload, every rejected send and
-	// undelivered transfer. Empty means the run conserved.
+	// unless the scenario declares Overload, every rejected send,
+	// undelivered transfer and guest-side flow whose channels relayed back
+	// other than one acknowledgement per transfer. Empty means the run
+	// conserved.
 	Violations []string
 	// Fingerprint digests the run: two runs of one Scenario must agree.
 	Fingerprint string
 
-	tel telemetry.Snapshot
+	tel     telemetry.Snapshot
+	senders int // distinct accounts the loadgen stream materialised
 }
 
-// FlowReport is one flow's ledger plus what the runner timed.
+// FlowReport is one flow's ledger (Acked is counted for guest-side flows
+// only) plus what the runner timed.
 type FlowReport struct {
 	invariant.Ledger
 	// Paths lists the distinct chain sequences ("guest-a-c") the flow's
@@ -247,6 +252,7 @@ func (s Scenario) Run() (*Report, error) {
 			// latency the packet tracer's send→recv spans.
 			ch := fr.Channels[0]
 			fl.Admitted, fl.AdmittedTokens = int(gen.AdmittedCount(ch)), gen.AdmittedTokens(ch)
+			rep.senders = gen.Accounts().Materialised()
 			lat = tracedLatencies(rep.tel, fr.routes[0][0])
 		}
 		for _, snd := range fl.sends {
@@ -256,12 +262,25 @@ func (s Scenario) Run() (*Report, error) {
 		}
 		fl.P50, fl.P99 = stats.QuantileUnsorted(lat, 0.50), stats.QuantileUnsorted(lat, 0.99)
 		fl.Read(net, fr.routes, fr.Denom, fr.receivers)
+		// The engine counts the acknowledgements it carried back to the
+		// guest per guest channel: a guest-side flow's are those of every
+		// channel its routes left through.
+		for _, l := range net.Mesh.Links {
+			for _, ch := range l.Channels {
+				if slices.ContainsFunc(fr.routes, func(rt []routing.Hop) bool { return rt[0] == ch.HopFrom(net.Mesh.GuestName) }) {
+					fl.Acked += int(rep.tel.Counter(l.MetricsNS + ".ch." + string(ch.ChannelB) + ".acks_to_guest"))
+				}
+			}
+		}
 		rep.Violations = append(rep.Violations, fl.Violations(!s.Overload)...)
 		if !s.Overload && fl.SendErrors > 0 {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("%s: %d sends refused, first: %s", fl.Flow, fl.SendErrors, fl.FirstError))
 		}
 		if !s.Overload && fl.Delivered != fl.Admitted {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("%s: delivered %d of %d admitted", fl.Flow, fl.Delivered, fl.Admitted))
+		}
+		if !s.Overload && fr.Src == net.Mesh.GuestName && fl.Acked != fl.Admitted {
+			rep.Violations = append(rep.Violations, fmt.Sprintf("%s: acked %d of %d admitted", fl.Flow, fl.Acked, fl.Admitted))
 		}
 		rep.Flows = append(rep.Flows, *fl)
 	}

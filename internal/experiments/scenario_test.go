@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/ibc"
 )
 
@@ -166,6 +167,15 @@ var rows = map[string]row{
 			}
 		}
 	}},
+	// Acknowledgements are held per channel, not link-wide: one the engine
+	// never relayed, counted on the first hop's guest channel, is that
+	// flow's violation.
+	"miscounted-ack": {scenario: "middleware", violation: "guest>guest[0 1]: acked 17 of 16 admitted", tweak: func(s *Scenario) {
+		s.Actions = append(s.Actions, Action{At: time.Hour, Do: func(net *core.Network) error {
+			net.Tel.Metrics.Counter("relayer.ch." + string(net.Channels[0].GuestChannel) + ".acks_to_guest").Inc()
+			return nil
+		}})
+	}},
 	// Under capacity: everything offered is admitted (verdict) and
 	// delivered exactly once (ledger).
 	"load": {scenario: "load", check: func(t *testing.T, rs []*Report) { timed(t, rs[0]) }},
@@ -202,6 +212,7 @@ func TestRunOverload(t *testing.T)                       { rows["overload"].run(
 func TestPipelinedCascadeDeliversAll(t *testing.T)       { rows["load-cascade"].run(t) }
 func TestPipelinedLoadConcurrentStages(t *testing.T)     { rows["load-concurrent-stages"].run(t) }
 func TestRunnerReportsViolation(t *testing.T)            { rows["stray-voucher"].run(t) }
+func TestRunnerHoldsAcksPerChannel(t *testing.T)         { rows["miscounted-ack"].run(t) }
 
 // TestMultiChannelUpdateAmortisation names the verdict line that pins the
 // amortisation claim (the multichannel row already requires it to hold).

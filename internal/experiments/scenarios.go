@@ -33,7 +33,9 @@ type Check struct {
 // Lookup returns a registered acceptance scenario: the runs it makes, in
 // order, and the verdict over their reports (nil when the ledger says it
 // all). The literals are fresh on every call, so the caller may override
-// Net.Seed, Packets, Window or Load.Rate before running them.
+// Net.Seed, Packets, Window or Load.Rate before running them. (guestsim's
+// -scenario recover is not here: RunRecover is a storage chaos run with no
+// packet ledger, so cmd/guestsim dispatches it itself.)
 func Lookup(name string) (runs []Scenario, verdict func([]*Report) []Check, ok bool) {
 	switch name {
 	case "mesh-line":
@@ -310,9 +312,9 @@ func middlewareVerdict(rs []*Report) []Check {
 	return out
 }
 
-// multichannelVerdict holds the chaos run to a full ack round-trip on every
-// channel and the two lossless runs to the amortisation claim: the
-// client-update count is flat in the channel count because one update
+// multichannelVerdict holds the chaos run to having felt its faults (the
+// runner already holds every channel to a full ack round-trip) and the two
+// lossless runs to the amortisation claim: the client-update count is flat in the channel count because one update
 // flushes every channel's provable work, so quadrupling the channels (and
 // the packet volume with them) may cost at most ~25% more updates (slack
 // for extra counterparty blocks carrying backlog at window edges), and
@@ -322,8 +324,6 @@ func multichannelVerdict(rs []*Report) []Check {
 	u1, u4 := one.Links[0].ClientUpdates, four.Links[0].ClientUpdates
 	perPacket1, perPacket4 := float64(u1)/float64(one.sent()), float64(u4)/float64(four.sent())
 	return []Check{
-		// No channel acks a packet twice, so the sum leaves none short.
-		check(chaos.Links[0].Acks == chaos.sent(), "acks: %d for %d packets over %d channels under chaos", chaos.Links[0].Acks, chaos.sent(), len(chaos.Flows)),
 		chaosBit(chaos),
 		check(u1 > 0 && u4 <= u1+u1/4+1 && perPacket4 < perPacket1,
 			"client updates: 1 channel %d (%.3f/packet), 4 channels %d (%.3f/packet)", u1, perPacket1, u4, perPacket4),
@@ -383,7 +383,7 @@ func loadVerdict(rs []*Report) []Check {
 	if r.Scenario.Overload {
 		admission = offered >= 2*delivered && rejected+shed > 0 && c("host.mempool_rejected") >= rejected
 	}
-	senders := c("loadgen.materialised")
+	senders := uint64(r.senders)
 	return []Check{
 		check(admission, "offered: %d at %.2f tx/s, admitted %d (rejected %d, shed %d); host mempool rejected %d, shed %d",
 			offered, r.Scenario.Load.Rate, admitted, rejected, shed, c("host.mempool_rejected"), c("host.mempool_shed")),

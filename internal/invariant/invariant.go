@@ -26,7 +26,7 @@ type Ledger struct {
 	Vouchers        uint64   // credited to the flow's receivers on the destination
 	Delivered       int
 	DeliveredTokens uint64
-	Acked           int    // the driver's to fill, if it taps the source's acknowledgements
+	Acked           int    // acknowledgements relayed back to the source; the driver's to fill and to hold to Admitted
 	Duplicates      int    // success acknowledgements for an already-delivered transfer
 	ErrorAcks       int    // error acknowledgements written on the destination
 	Stranded        uint64 // left in forwarding module accounts on intermediate chains

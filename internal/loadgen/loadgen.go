@@ -218,9 +218,7 @@ func New(net *core.Network, cfg Config) *Generator {
 		admittedCount:  make([]uint64, len(net.Channels)),
 	}
 	apps := g.distinctApps()
-	materialised := net.Tel.Metrics.Counter("loadgen.materialised")
 	materialise := func(_ uint64, pub cryptoutil.PubKey) {
-		materialised.Inc()
 		net.Host.Fund(pub, cfg.FundLamports)
 		for _, app := range apps {
 			app.Mint(pub.String(), cfg.Denom, cfg.MintTokens)
