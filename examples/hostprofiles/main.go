@@ -78,7 +78,8 @@ func run(profile host.Profile) {
 		updateTxs = float64(net.Relayer.Updates[0].Txs)
 	}
 	if len(net.Relayer.Recvs) > 0 {
-		recvTxs = float64(net.Relayer.Recvs[0].Txs)
+		r := net.Relayer.Recvs[0]
+		recvTxs = float64(r.Txs) / float64(r.Packets)
 	}
 	fmt.Printf("%-10s %10s %12d %14.0f %12.0f %14s\n",
 		profile.Name, profile.SlotDuration, profile.MaxTransactionSize,

@@ -136,8 +136,8 @@ func TestCPToGuestTransfer(t *testing.T) {
 		t.Fatalf("client update used %d txs; expected a chunked upload", n.Relayer.Updates[0].Txs)
 	}
 	// The recv flow used multiple host transactions.
-	if len(n.Relayer.Recvs) != 1 {
-		t.Fatalf("recv records = %d, want 1", len(n.Relayer.Recvs))
+	if len(n.Relayer.Recvs) != 1 || n.Relayer.Recvs[0].Packets != 1 {
+		t.Fatalf("recv records = %+v, want one job of one packet", n.Relayer.Recvs)
 	}
 	// The ack rode a finalised guest block back and cleared the cp-side
 	// commitment.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,7 +9,10 @@ import (
 	"repro/internal/fees"
 	"repro/internal/guest"
 	"repro/internal/host"
+	"repro/internal/ibc"
+	"repro/internal/middleware"
 	"repro/internal/sim"
+	"repro/internal/transfer"
 	"repro/internal/validator"
 )
 
@@ -23,14 +27,187 @@ func TestUpdateCoalescing(t *testing.T) {
 		}
 	}
 	n.Run(6 * time.Minute)
-	if len(n.Relayer.Recvs) != 6 {
-		t.Fatalf("delivered %d of 6", len(n.Relayer.Recvs))
+	delivered := 0
+	for _, r := range n.Relayer.Recvs {
+		delivered += r.Packets
+	}
+	if delivered != 6 {
+		t.Fatalf("delivered %d of 6", delivered)
+	}
+	// Packets provable behind one update share a chunk sequence and commit.
+	if len(n.Relayer.Recvs) >= 6 {
+		t.Fatalf("%d recv jobs for 6 packets; expected batching", len(n.Relayer.Recvs))
 	}
 	if len(n.Relayer.Updates) >= 6 {
 		t.Fatalf("%d updates for 6 packets; expected coalescing", len(n.Relayer.Updates))
 	}
 	if n.Relayer.TotalFees == 0 {
 		t.Fatal("relayer paid no fees")
+	}
+}
+
+// TestRecvBatchingRespectsHostLimits: 40 counterparty packets on two
+// channels, committed while a client update is in flight, are all provable
+// behind the next one. Each lane packs them into jobs that fit the host's
+// per-invocation limits with the largest memo the load generator draws and
+// a metered recv hook on top of the fees and forwarding layers, at under
+// 1.2 host transactions per packet; every packet is delivered and acked
+// exactly once.
+func TestRecvBatchingRespectsHostLimits(t *testing.T) {
+	const perChannel, amount, hookBudget = 20, 7, 60_000
+	const maxMemo = 512 // loadgen.DefaultSizes().MemoMax (loadgen imports core)
+	cp := counterparty.DefaultConfig()
+	cp.NumValidators = 12
+	cp.BlockInterval = 3 * time.Second
+	stack := []MiddlewareSpec{
+		{Kind: MiddlewareCallbacks},
+		{Kind: MiddlewareFees, Fees: middleware.FeeSchedule{Denom: "fee", RecvFee: 3, AckFee: 2, TimeoutFee: 4}},
+		{Kind: MiddlewareForward},
+	}
+	n, err := NewNetwork(Config{CP: cp, Behaviours: fastFleet(4), Seed: 7, Channels: []ChannelSpec{
+		{GuestPort: "transfer", CPPort: "transfer", GuestMiddleware: stack},
+		{GuestPort: "transfer-1", CPPort: "transfer-1", GuestMiddleware: stack},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hooked := make(map[ibc.ChannelID]int)
+	for _, rt := range n.Channels {
+		rt.CPApp.Mint("burst-sender", "PICA", 1_000_000)
+		rt.GuestStack.Middleware("callbacks").(*middleware.Callbacks).Register(rt.Spec.GuestPort, rt.GuestChannel,
+			&middleware.Callback{Budget: hookBudget, OnRecv: func(p ibc.Packet, m middleware.Meter) error {
+				hooked[p.DestChannel]++
+				return m.Consume(hookBudget)
+			}})
+	}
+	send := func(ch int) *ibc.Packet {
+		p, err := n.SendTransferFromCPOn(ch, "burst-sender", "guest-recv", "PICA", amount,
+			strings.Repeat("m", maxMemo), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// The first packet starts a client update; the rest commit behind it.
+	sent := []*ibc.Packet{send(0)}
+	n.Run(cp.BlockInterval + time.Second)
+	if len(n.Relayer.Updates) != 0 || len(n.Relayer.Recvs) != 0 {
+		t.Fatalf("the first update already landed (%d updates, %d recvs); the burst would not queue behind it",
+			len(n.Relayer.Updates), len(n.Relayer.Recvs))
+	}
+	for i := 1; i < 2*perChannel; i++ {
+		sent = append(sent, send(i%2))
+	}
+
+	recvTxs := 0
+	var cursor host.Slot
+	for i := 0; i < 60; i++ {
+		n.Run(10 * time.Second)
+		for _, b := range n.Host.BlocksSince(cursor) {
+			cursor = b.Slot
+			for _, res := range b.Results {
+				if !strings.HasPrefix(res.Label, "recv-packet/") {
+					continue
+				}
+				recvTxs++
+				if res.Err != nil {
+					t.Errorf("%s failed: %v", res.Label, res.Err)
+				}
+				if res.Units > host.MaxComputeUnits/2 {
+					t.Errorf("%s used %d compute units, above half the budget", res.Label, res.Units)
+				}
+			}
+		}
+	}
+
+	delivered, jobs := 0, 0
+	for _, r := range n.Relayer.Recvs {
+		delivered += r.Packets
+		jobs++
+		// Every hook burns its whole allowance, so the compute bound caps
+		// a job well below what the heap alone would admit.
+		if most := int(host.MaxComputeUnits / 2 / hookBudget); r.Packets > most {
+			t.Errorf("a job carried %d packets; %d-unit hooks allow at most %d", r.Packets, hookBudget, most)
+		}
+	}
+	if delivered != len(sent) {
+		t.Fatalf("delivered %d of %d", delivered, len(sent))
+	}
+	t.Logf("%d packets in %d jobs, %d recv transactions", delivered, jobs, recvTxs)
+	if perPacket := float64(recvTxs) / float64(len(sent)); perPacket >= 1.2 {
+		t.Errorf("%d recv transactions in %d jobs for %d packets = %.2f per packet, want < 1.2", recvTxs, jobs, len(sent), perPacket)
+	}
+	for i, rt := range n.Channels {
+		voucher := transfer.VoucherPrefix(rt.Spec.GuestPort, rt.GuestChannel) + "PICA"
+		if got := rt.GuestApp.Balance("guest-recv", voucher); got != perChannel*amount {
+			t.Errorf("channel %d: receiver holds %d, want %d (each packet once)", i, got, perChannel*amount)
+		}
+		if hooked[rt.GuestChannel] != perChannel {
+			t.Errorf("channel %d: recv hook ran %d times, want %d", i, hooked[rt.GuestChannel], perChannel)
+		}
+	}
+	for _, p := range sent {
+		if n.CP.Handler().HasCommitment(p) {
+			t.Errorf("counterparty still commits %s/%d: never acked", p.SourceChannel, p.Sequence)
+		}
+	}
+}
+
+// TestOrderedInboundBatch: counterparty packets on an Ordered channel
+// share a recv job like any others — applied in sequence by one commit,
+// settled once, never resubmitted.
+func TestOrderedInboundBatch(t *testing.T) {
+	const packets = 6
+	cp := counterparty.DefaultConfig()
+	cp.NumValidators = 12
+	cp.BlockInterval = 3 * time.Second
+	n, err := NewNetwork(Config{CP: cp, Behaviours: fastFleet(4), Seed: 7, Ordering: ibc.Ordered})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.CPApp.Mint("burst-sender", "PICA", 1_000_000)
+	var sent []*ibc.Packet
+	for i := 0; i < packets; i++ {
+		p, err := n.SendTransferFromCP("burst-sender", "guest-recv", "PICA", 10, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, p)
+	}
+	n.Run(6 * time.Minute)
+
+	if len(n.Relayer.Recvs) != 1 || n.Relayer.Recvs[0].Packets != packets {
+		t.Fatalf("recv records = %+v, want one job of %d packets", n.Relayer.Recvs, packets)
+	}
+	recvTxs := 0
+	for _, b := range n.Host.BlocksSince(0) {
+		for _, res := range b.Results {
+			if strings.HasPrefix(res.Label, "recv-packet/") {
+				recvTxs++
+				if res.Err != nil {
+					t.Errorf("%s failed: %v", res.Label, res.Err)
+				}
+			}
+		}
+	}
+	if recvTxs != n.Relayer.Recvs[0].Txs {
+		t.Errorf("%d recv transactions on the host, the one job built %d: something was resubmitted", recvTxs, n.Relayer.Recvs[0].Txs)
+	}
+	voucher := transfer.VoucherPrefix("transfer", n.Boot.GuestChannel) + "PICA"
+	if got := n.GuestApp.Balance("guest-recv", voucher); got != packets*10 {
+		t.Errorf("receiver holds %d, want %d (each packet once)", got, packets*10)
+	}
+	st, err := n.GuestState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range sent {
+		if !st.Handler.PacketDelivered(p) {
+			t.Errorf("guest does not show packet %d delivered", p.Sequence)
+		}
+		if n.CP.Handler().HasCommitment(p) {
+			t.Errorf("counterparty still commits packet %d: never acked", p.Sequence)
+		}
 	}
 }
 

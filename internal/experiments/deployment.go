@@ -311,9 +311,12 @@ func (d *Deployment) recordSeries() seriesSet {
 		s.UpdateSigs = append(s.UpdateSigs, float64(u.Sigs))
 	}
 
+	// One sample per received packet: its share of the job that carried it.
 	for _, r := range d.Net.Relayer.Recvs {
-		s.RecvTxs = append(s.RecvTxs, float64(r.Txs))
-		s.RecvCostsCents = append(s.RecvCostsCents, fees.Cents(r.Cost))
+		for i := 0; i < r.Packets; i++ {
+			s.RecvTxs = append(s.RecvTxs, float64(r.Txs)/float64(r.Packets))
+			s.RecvCostsCents = append(s.RecvCostsCents, fees.Cents(r.Cost)/float64(r.Packets))
+		}
 	}
 
 	for i := 1; i < len(st.Entries); i++ {

@@ -505,9 +505,66 @@ func (c *Contract) commitUpdateClient(ctx *host.ExecContext, st *State, r *wire.
 	return nil
 }
 
-// commitRecvPacket applies a staged incoming packet (Alg. 1
-// ReceivePacket): verify the proof, reject duplicates, deliver to the
-// destination application on the host.
+// chargeRecv charges m what committing p costs the contract itself: hashing
+// the proof and walking its trie nodes.
+func chargeRecv(m *host.ComputeMeter, p *RecvPayload) error {
+	if err := m.ConsumeHash(len(p.Proof)); err != nil {
+		return err
+	}
+	return m.Consume(host.CUPerTrieNode * uint64(1+len(p.Proof)/64))
+}
+
+// recvBatchLen is the recv batch rule: how many payloads from the front
+// of ps one commit may apply with units of compute left. The commit
+// decodes the whole staging buffer on the program heap and applies every
+// packet inside one transaction's compute budget, so the staged bytes stay
+// within host.MaxHeapBytes and the worst-case metered compute — chargeRecv
+// per packet plus what its destination port declares for its recv path
+// (ibc.RecvBudgeter) — within units. The first payload always counts: a
+// packet on its own is applied as it always was, and fails on its own.
+// The relayer cuts its jobs with the rule (TxBuilder.RecvBatchLen) and the
+// contract refuses a buffer that breaks it.
+func recvBatchLen(units uint64, ps []*RecvPayload, st *State) int {
+	meter := host.NewComputeMeter(units)
+	bytes := 0
+	for i, p := range ps {
+		bytes += p.wireSize()
+		err := chargeRecv(meter, p)
+		if err == nil {
+			err = meter.Consume(st.recvBudget(p.Packet))
+		}
+		if i > 0 && (err != nil || bytes > host.MaxHeapBytes) {
+			return i
+		}
+	}
+	return len(ps)
+}
+
+// recvBudget is the metered compute delivering p may charge beyond the
+// contract's own: what the module on p's destination port declares, 0 for
+// one that declares nothing.
+func (s *State) recvBudget(p *ibc.Packet) uint64 {
+	m, err := s.Handler.Router().Route(p.DestPort)
+	if err != nil {
+		return 0
+	}
+	if b, ok := m.(ibc.RecvBudgeter); ok {
+		return b.RecvBudget(p.DestPort, p.DestChannel)
+	}
+	return 0
+}
+
+// commitRecvPacket applies every incoming packet staged in the buffer
+// (Alg. 1 ReceivePacket, once per packet): verify the proof, reject
+// duplicates, deliver to the destination application on the host. The
+// buffer is decoded on the program heap and checked against the batch
+// rule before anything is applied, so a transaction cannot run out of
+// compute between two packets and lose the first one's events. Each packet
+// then stands alone, as IBC requires of a multi-packet transaction: one
+// that is already receipted (a redundant relay) or fails its own checks is
+// passed over, the rest are delivered with one event each in staging
+// order, and the transaction fails — with the first packet's error — only
+// if none was.
 func (c *Contract) commitRecvPacket(ctx *host.ExecContext, st *State, r *wire.Reader) error {
 	a, err := decodeCommit(r)
 	if err != nil {
@@ -517,21 +574,38 @@ func (c *Contract) commitRecvPacket(ctx *host.ExecContext, st *State, r *wire.Re
 	if err != nil {
 		return err
 	}
-	payload, err := UnmarshalRecvPayload(buf.Data)
+	if err := ctx.Heap.Alloc(len(buf.Data)); err != nil {
+		return err
+	}
+	payloads, err := UnmarshalRecvPayloads(buf.Data)
 	if err != nil {
 		return err
 	}
-	if err := ctx.Meter.ConsumeHash(len(payload.Proof)); err != nil {
-		return err
+	if n := recvBatchLen(ctx.Meter.Remaining(), payloads, st); n < len(payloads) {
+		return fmt.Errorf("%w: %d packets staged, %d fit", ErrRecvBatchTooLarge, len(payloads), n)
 	}
-	if err := ctx.Meter.Consume(host.CUPerTrieNode * uint64(1+len(payload.Proof)/64)); err != nil {
-		return err
+	for _, p := range payloads {
+		if err := chargeRecv(ctx.Meter, p); err != nil {
+			return err
+		}
 	}
-	ack, err := st.Handler.RecvPacket(payload.Packet, payload.Proof, payload.ProofHeight)
-	if err != nil {
-		return err
+	var firstErr error
+	delivered := 0
+	for _, p := range payloads {
+		ack, err := st.Handler.RecvPacket(p.Packet, p.Proof, p.ProofHeight)
+		switch {
+		case err == nil:
+			delivered++
+			ctx.Emit(EventPacketDelivered{Packet: p.Packet, Ack: ack})
+		case errors.Is(err, host.ErrComputeBudgetExceeded):
+			return err
+		case firstErr == nil:
+			firstErr = err
+		}
 	}
-	ctx.Emit(EventPacketDelivered{Packet: payload.Packet, Ack: ack})
+	if delivered == 0 {
+		return firstErr
+	}
 	return nil
 }
 

@@ -227,29 +227,47 @@ type RecvPayload struct {
 	Proof       []byte
 }
 
-// MarshalRecvPayload encodes a RecvPayload for staging.
-func MarshalRecvPayload(p *RecvPayload) []byte {
-	w := wire.NewWriter()
-	ibc.EncodePacket(w, p.Packet)
-	w.U64(uint64(p.ProofHeight))
-	w.Bytes32(p.Proof)
+// wireSize is the payload's staged size.
+func (p *RecvPayload) wireSize() int {
+	return ibc.PacketWireSize(p.Packet) + 8 + 4 + len(p.Proof)
+}
+
+// MarshalRecvPayload encodes RecvPayloads for staging, end to end with no
+// count prefix: a recv job stages every packet it carries in one buffer,
+// and a single packet encodes exactly as it always has.
+func MarshalRecvPayload(ps ...*RecvPayload) []byte {
+	size := 0
+	for _, p := range ps {
+		size += p.wireSize()
+	}
+	w := wire.NewWriterSize(size)
+	for _, p := range ps {
+		ibc.EncodePacket(w, p.Packet)
+		w.U64(uint64(p.ProofHeight))
+		w.Bytes32(p.Proof)
+	}
 	return w.Bytes()
 }
 
-// UnmarshalRecvPayload decodes a staged RecvPayload.
-func UnmarshalRecvPayload(data []byte) (*RecvPayload, error) {
+// UnmarshalRecvPayloads decodes a staging buffer of one or more
+// RecvPayloads laid end to end. A truncated payload — and trailing bytes,
+// which read as one — fails with wire.ErrShort; nothing is returned
+// unless the whole buffer decodes.
+func UnmarshalRecvPayloads(data []byte) ([]*RecvPayload, error) {
 	r := wire.NewReader(data)
-	pkt, err := ibc.DecodePacket(r)
-	if err != nil {
-		return nil, err
+	var ps []*RecvPayload
+	for {
+		// The reader's first error sticks, so one check covers the payload.
+		pkt, _ := ibc.DecodePacket(r)
+		p := &RecvPayload{Packet: pkt, ProofHeight: ibc.Height(r.U64()), Proof: r.Bytes32()}
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("guest: decode recv payload %d: %w", len(ps), err)
+		}
+		ps = append(ps, p)
+		if r.Remaining() == 0 {
+			return ps, nil
+		}
 	}
-	p := &RecvPayload{Packet: pkt}
-	p.ProofHeight = ibc.Height(r.U64())
-	p.Proof = r.Bytes32()
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("guest: decode recv payload: %w", err)
-	}
-	return p, nil
 }
 
 // AckPayload is the staged payload for OpCommitAck.

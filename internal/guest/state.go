@@ -30,6 +30,7 @@ var (
 	ErrStakeTooSmall     = errors.New("guest: stake below minimum")
 	ErrUnknownCandidate  = errors.New("guest: unknown candidate")
 	ErrUnknownBuffer     = errors.New("guest: unknown staging buffer")
+	ErrRecvBatchTooLarge = errors.New("guest: staged recv packets exceed one commit's heap or compute")
 	ErrNothingToWithdraw = errors.New("guest: no matured withdrawals")
 	ErrBadEvidence       = errors.New("guest: misbehaviour evidence invalid")
 	ErrNotDead           = errors.New("guest: chain is not dead (emergency timeout not reached)")

@@ -197,10 +197,19 @@ func (b *TxBuilder) UpdateClientTxs(clientID ibc.ClientID, header []byte, sigs [
 	return b.ChunkedUpload(OpCommitUpdateClient, clientID, MarshalUpdateClientPayload(header), sigs, "client-update")
 }
 
-// RecvPacketTxs stages an incoming packet with its proof and commits it
-// (the 4-5 transaction flow of §V-A).
-func (b *TxBuilder) RecvPacketTxs(p *RecvPayload) []*host.Transaction {
-	return b.ChunkedUpload(OpCommitRecvPacket, "", MarshalRecvPayload(p), nil, "recv-packet")
+// RecvPacketTxs stages incoming packets with their proofs as one chunk
+// sequence and commits them together (for one packet, the 4-5 transaction
+// flow of §V-A). RecvBatchLen says how many packets one call may carry.
+func (b *TxBuilder) RecvPacketTxs(ps ...*RecvPayload) []*host.Transaction {
+	return b.ChunkedUpload(OpCommitRecvPacket, "", MarshalRecvPayload(ps...), nil, "recv-packet")
+}
+
+// RecvBatchLen returns how many payloads from the front of ps one
+// RecvPacketTxs call may carry to st's contract: the contract's batch rule
+// (recvBatchLen) held to half of Profile.MaxComputeUnits, which leaves the
+// commit headroom for a budget declared after the job was cut.
+func (b *TxBuilder) RecvBatchLen(ps []*RecvPayload, st *State) int {
+	return recvBatchLen(b.Profile.MaxComputeUnits/2-host.CUBaseInstruction, ps, st)
 }
 
 // AckPacketTxs stages an acknowledgement with its proof and commits it.

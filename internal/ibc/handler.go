@@ -950,5 +950,21 @@ func (h *Handler) HasCommitment(p *Packet) bool {
 	return has
 }
 
-// PacketDelivered reports whether an incoming packet was delivered.
-func (h *Handler) PacketDelivered(p *Packet) bool { return h.hasReceipt(p) }
+// PacketDelivered reports whether an incoming packet was delivered: an
+// unordered channel holds (or sealed) its receipt; an ordered channel
+// writes none, its next expected sequence has moved past the packet.
+func (h *Handler) PacketDelivered(p *Packet) bool {
+	if h.hasReceipt(p) {
+		return true
+	}
+	end, err := h.Channel(p.DestPort, p.DestChannel)
+	if err != nil || end.Ordering != Ordered {
+		return false
+	}
+	raw, err := h.store.Get(NextSequenceRecvPath(p.DestPort, p.DestChannel))
+	if err != nil {
+		return false
+	}
+	next, err := decodeSequence(raw)
+	return err == nil && p.Sequence < next
+}

@@ -410,8 +410,16 @@ func TestOrderedChannelSequenceEnforced(t *testing.T) {
 	}
 	_, err := p.b.handler.RecvPacket(pkt1, proof1, h1)
 	must(t, err)
+	// An ordered channel writes no receipt: delivery shows in the sequence.
+	if !p.b.handler.PacketDelivered(pkt1) || p.b.handler.PacketDelivered(pkt2) {
+		t.Fatalf("PacketDelivered = %v, %v after packet 1 alone; want true, false",
+			p.b.handler.PacketDelivered(pkt1), p.b.handler.PacketDelivered(pkt2))
+	}
 	_, err = p.b.handler.RecvPacket(pkt2, proof2, h2)
 	must(t, err)
+	if !p.b.handler.PacketDelivered(pkt2) {
+		t.Fatal("PacketDelivered(2) = false after delivery")
+	}
 	// Replaying packet 1 must fail as a duplicate.
 	if _, err := p.b.handler.RecvPacket(pkt1, proof1, h1); !errors.Is(err, ErrPacketAlreadyDelivered) {
 		t.Fatalf("replay = %v, want ErrPacketAlreadyDelivered", err)

@@ -102,6 +102,15 @@ type Module interface {
 	OnTimeoutPacket(p Packet) error
 }
 
+// RecvBudgeter is implemented by modules and middleware layers whose
+// OnRecvPacket charges the compute meter of the transaction delivering the
+// packet: RecvBudget is the most one delivery on (port, channel) may
+// charge. Whoever applies several deliveries in one transaction bounds the
+// batch with it.
+type RecvBudgeter interface {
+	RecvBudget(port PortID, channel ChannelID) uint64
+}
+
 // PacketSender is the send side of the packet lifecycle: assign a
 // sequence, commit the packet, return it. Handler implements it (the core
 // ICS-04 send); middleware stacks wrap it to intercept outgoing packets

@@ -127,6 +127,16 @@ func (c *Callbacks) Register(port ibc.PortID, ch ibc.ChannelID, cb *Callback) {
 	c.hooks[hookKey{port, ch}] = cb
 }
 
+// RecvBudget implements ibc.RecvBudgeter: the compute allowance of the
+// recv hook registered on (port, channel), 0 without one — the most a
+// delivery there may charge the host meter through this layer.
+func (c *Callbacks) RecvBudget(port ibc.PortID, ch ibc.ChannelID) uint64 {
+	if cb := c.hooks[hookKey{port, ch}]; cb != nil && cb.OnRecv != nil {
+		return cb.Budget
+	}
+	return 0
+}
+
 func (c *Callbacks) meter(budget uint64) *budgetMeter {
 	m := &budgetMeter{remaining: budget}
 	if c.source != nil {

@@ -134,6 +134,20 @@ func (s *Stack) Middleware(name string) Middleware {
 	return nil
 }
 
+// RecvBudget implements ibc.RecvBudgeter: the sum of what the layers that
+// charge the host meter on recv declare for one delivery on (port,
+// channel). A layer that meters its recv path declares it by implementing
+// ibc.RecvBudgeter itself.
+func (s *Stack) RecvBudget(port ibc.PortID, channel ibc.ChannelID) uint64 {
+	var units uint64
+	for _, mw := range s.mws {
+		if b, ok := mw.(ibc.RecvBudgeter); ok {
+			units += b.RecvBudget(port, channel)
+		}
+	}
+	return units
+}
+
 // OnChanOpen implements ibc.Module.
 func (s *Stack) OnChanOpen(port ibc.PortID, channel ibc.ChannelID, version string) error {
 	return s.chanOpen(port, channel, version)

@@ -122,25 +122,28 @@ func (c *cosmosEnd) updateClient(h header, done func(error)) {
 		func(_ any, err error) { done(err) })
 }
 
-// recvPacket delivers w. The front-end answers with the written ack and
-// the first height whose root commits it, and flags a replay — a
-// competing relayer got there first — as Duplicate. An application
-// rejection (say, an expired packet) is left to the timeout scan.
-func (c *cosmosEnd) recvPacket(s *shard, w work, proof []byte, provedAt uint64) {
-	c.call(netsim.KindRecvPacket,
-		netsim.MsgRecvPacket{Packet: w.packet, Proof: proof, ProofHeight: ibc.Height(provedAt)},
-		func(resp any, err error) {
-			rr, ok := resp.(netsim.RespRecvPacket)
-			if err != nil || !ok {
-				return
-			}
-			if !rr.Duplicate && !w.seen.IsZero() {
-				lat := c.r.sched.Now().Sub(w.seen).Seconds()
-				c.r.mHopLatency.Observe(lat)
-				c.r.observeLatency(lat)
-			}
-			c.r.delivered(c.side, s, w.packet, rr.Ack, rr.ProvableAt, rr.Duplicate)
-		})
+// recvPackets delivers the batch one front-end call per packet, in order.
+// The front-end answers with the written ack and the first height whose
+// root commits it, and flags a replay — a competing relayer got there
+// first — as Duplicate. An application rejection (say, an expired packet)
+// is left to the timeout scan.
+func (c *cosmosEnd) recvPackets(s *shard, batch []proven) {
+	for _, w := range batch {
+		c.call(netsim.KindRecvPacket,
+			netsim.MsgRecvPacket{Packet: w.packet, Proof: w.proof, ProofHeight: ibc.Height(w.provedAt)},
+			func(resp any, err error) {
+				rr, ok := resp.(netsim.RespRecvPacket)
+				if err != nil || !ok {
+					return
+				}
+				if !rr.Duplicate && !w.seen.IsZero() {
+					lat := c.r.sched.Now().Sub(w.seen).Seconds()
+					c.r.mHopLatency.Observe(lat)
+					c.r.observeLatency(lat)
+				}
+				c.r.delivered(c.side, s, w.packet, rr.Ack, rr.ProvableAt, rr.Duplicate)
+			})
+	}
 }
 
 func (c *cosmosEnd) ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64) {

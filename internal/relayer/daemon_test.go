@@ -69,8 +69,8 @@ func TestDaemonDeliversInboundPacket(t *testing.T) {
 	}
 	h.sched.RunFor(4 * time.Minute)
 
-	if len(h.relayer.Recvs) != 1 {
-		t.Fatalf("recvs = %d", len(h.relayer.Recvs))
+	if len(h.relayer.Recvs) != 1 || h.relayer.Recvs[0].Packets != 1 {
+		t.Fatalf("recvs = %+v, want one job of one packet", h.relayer.Recvs)
 	}
 	if h.relayer.Recvs[0].Txs < 2 {
 		t.Fatalf("recv txs = %d", h.relayer.Recvs[0].Txs)

@@ -486,3 +486,67 @@ func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
 		}
 	}
 }
+
+// TestRecvJobResubmittedAfterDeadLetter: five counterparty packets provable
+// behind one client update share one recv job. The engine is cut off from
+// the host once that job has started submitting, until the retry budget
+// dead-letters one of its chunks: the job is dropped with nothing
+// committed, so all five packets must go back to their shard and arrive
+// exactly once when the link heals.
+func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
+	e := newLinkEnv(t, guestLink, netsim.Config{})
+	r := e.relayer
+	r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 3}
+	const packets, amount = 5, 10
+	var sent []*ibc.Packet
+	for i := 0; i < packets; i++ {
+		sent = append(sent, e.sendBack(t, amount))
+	}
+	bank := r.shards[1]
+	lane := r.ends[1].(*guestEnd).lanes[bank.index].pc
+	cutChunks := 0
+	e.sched.Every(50*time.Millisecond, func() bool {
+		if len(lane.queue) == 0 {
+			return true
+		}
+		j := lane.queue[0]
+		if j.started.IsZero() || len(j.txs) == 0 || j.txs[0].Label != "recv-packet/chunk" {
+			return true
+		}
+		cutChunks = len(j.txs)
+		e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{Drop: 1})
+		e.sched.After(10*time.Second, func() {
+			e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{})
+		})
+		return false
+	})
+	e.sched.RunFor(15 * time.Minute)
+
+	if cutChunks == 0 {
+		t.Fatal("the link was never cut mid-job; the scenario did not run")
+	}
+	if dead := e.counter("net_dead_letters"); dead == 0 {
+		t.Fatal("the cut never dead-lettered a submission; the scenario did not run")
+	}
+	if got := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"); got != packets*amount {
+		t.Errorf("dave holds %d vouchers, want %d (every packet exactly once)", got, packets*amount)
+	}
+	if d, a := e.counter("delivered"), e.counter("acks"); d != packets || a != packets {
+		t.Errorf("delivered = %d, acks = %d, want %d each", d, a, packets)
+	}
+	recorded := 0
+	for _, rec := range r.Recvs {
+		recorded += rec.Packets
+	}
+	if recorded != packets {
+		t.Errorf("recv records cover %d packets, want %d", recorded, packets)
+	}
+	for _, p := range sent {
+		if e.away.Handler().HasCommitment(p) {
+			t.Errorf("away chain still commits packet %d: its ack never came back", p.Sequence)
+		}
+	}
+	if n := len(bank.packets[0]); n != 0 {
+		t.Errorf("%d packets still queued on the shard", n)
+	}
+}

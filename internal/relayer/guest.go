@@ -256,7 +256,9 @@ func (g *guestEnd) deliverEntry(entry *guest.BlockEntry) {
 		}
 		path := ibc.CommitmentPath(p.SourcePort, p.SourceChannel, p.Sequence)
 		if proof, provedAt, err := g.proveMembership(proveAt, path); err == nil {
-			g.peer().recvPacket(s, work{packet: p}, proof, provedAt)
+			// One call per packet keeps the block's packets in block order
+			// on the peer's FIFO whatever channels they interleave.
+			g.peer().recvPackets(s, []proven{{work{packet: p}, proof, provedAt}})
 		}
 	}
 }
@@ -382,18 +384,55 @@ func (g *guestEnd) updateClient(h header, done func(error)) {
 	})
 }
 
-// recvPacket runs the 4-5 transaction ReceivePacket flow.
-func (g *guestEnd) recvPacket(s *shard, w work, proof []byte, provedAt uint64) {
-	txs := g.builder.RecvPacketTxs(&guest.RecvPayload{Packet: w.packet, ProofHeight: ibc.Height(provedAt), Proof: proof})
+// recvPackets runs the ReceivePacket flow for the batch: as few jobs as
+// the host's per-invocation limits allow (TxBuilder.RecvBatchLen), each
+// one chunk sequence staging its packets back to back and one commit that
+// applies them all — 4-5 transactions for a packet on its own, under one
+// per packet at depth.
+func (g *guestEnd) recvPackets(s *shard, batch []proven) {
+	payloads := make([]*guest.RecvPayload, len(batch))
+	for i, w := range batch {
+		payloads[i] = &guest.RecvPayload{Packet: w.packet, ProofHeight: ibc.Height(w.provedAt), Proof: w.proof}
+	}
+	for len(batch) > 0 {
+		n := g.builder.RecvBatchLen(payloads, g.st)
+		g.recvJob(s, batch[:n], payloads[:n])
+		batch, payloads = batch[n:], payloads[n:]
+	}
+}
+
+// recvJob submits one recv job and settles each of its packets. A job
+// whose submission failed (a dead-lettered chunk takes every packet staged
+// with it) is settled by the guest's state: a packet it shows delivered
+// is delivered, any other goes back to its shard. A job that was
+// submitted in full counts every packet delivered, as a packet on its own
+// always was: the relayer does not see a host transaction fail in
+// execution, and a commit the guest rejected loses the same packets
+// whether they shared it or not (ROADMAP 1c).
+func (g *guestEnd) recvJob(s *shard, job []proven, payloads []*guest.RecvPayload) {
+	txs := g.builder.RecvPacketTxs(payloads...)
 	cost := feeOf(txs)
 	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) {
-		if err != nil {
+		landed := make([]*ibc.Packet, 0, len(job))
+		for _, w := range job {
+			if err == nil || g.st.Handler.PacketDelivered(w.packet) {
+				landed = append(landed, w.packet)
+			} else {
+				g.r.requeue(g.side, s, w.work)
+			}
+		}
+		if len(landed) == 0 {
 			return
 		}
-		g.r.Recvs = append(g.r.Recvs, RecvRecord{Txs: len(txs), Cost: cost})
-		g.mRecvTxs.Observe(float64(len(txs)))
-		g.mRecvCost.Observe(fees.Cents(cost))
-		g.r.delivered(g.side, s, w.packet, nil, 0, false)
+		g.r.Recvs = append(g.r.Recvs, RecvRecord{Txs: len(txs), Cost: cost, Packets: len(landed)})
+		// The histograms observe each packet's share of its job, so they
+		// keep reading "host txs (cents) per received packet".
+		n := float64(len(landed))
+		for _, p := range landed {
+			g.mRecvTxs.Observe(float64(len(txs)) / n)
+			g.mRecvCost.Observe(fees.Cents(cost) / n)
+			g.r.delivered(g.side, s, p, nil, 0, false)
+		}
 	})
 }
 

@@ -20,11 +20,14 @@
 // one connection: work queues live in per-channel shards, while each
 // direction issues at most one client update at a time and flushes every
 // shard's provable work when it lands — the amortisation that keeps
-// update cost flat as channels and packets grow.
+// update cost flat as channels and packets grow. A shard's provable
+// packets reach the sink as one batch, which the guest end stages as one
+// chunk sequence with one commit.
 package relayer
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -129,10 +132,14 @@ type UpdateRecord struct {
 	Latency time.Duration
 }
 
-// RecvRecord captures one ReceivePacket flow on the host (§V-A: 4-5 txs).
+// RecvRecord captures one ReceivePacket flow on the host (§V-A: 4-5 txs
+// for a packet on its own): the job's transactions and fees, and how many
+// packets it delivered — everything provable behind one client update
+// shares a chunk sequence and a commit.
 type RecvRecord struct {
-	Txs  int
-	Cost host.Lamports
+	Txs     int
+	Cost    host.Lamports
+	Packets int
 }
 
 // PacketTrace tracks one packet the relayer may have to time out. Traces
@@ -183,6 +190,15 @@ type work struct {
 	seen   time.Time
 }
 
+// proven is work with the commitment proof flush produced for it: the
+// unit a sink is handed is the batch of one shard's packets provable at
+// one client height.
+type proven struct {
+	work
+	proof    []byte
+	provedAt uint64
+}
+
 // ackWork is an ack written at height on the chain that received packet,
 // awaiting relay to the chain that sent it.
 type ackWork struct {
@@ -195,7 +211,8 @@ type ackWork struct {
 type header interface{ Marshal() []byte }
 
 // end is one chain of the link as the engine sees it. Sink operations
-// report their outcome through Relayer.delivered / acked / timedOut.
+// report their outcome through Relayer.delivered / requeue / acked /
+// timedOut.
 type end interface {
 	// As a source: scan feeds new chain events to the engine (queuePacket,
 	// or the end's own delivery schedule); head is the newest provable
@@ -207,10 +224,11 @@ type end interface {
 	proveMembership(height uint64, path string) (proof []byte, provedAt uint64, err error)
 	proveNonMembership(height uint64, path string) ([]byte, error)
 	hasCommitment(p *ibc.Packet) bool
-	// As a sink: its client of the peer, and the four datagrams.
+	// As a sink: its client of the peer, and the four datagrams — recv
+	// takes one shard's provable packets as a batch.
 	client() (ibc.Client, error)
 	updateClient(h header, done func(error))
-	recvPacket(s *shard, w work, proof []byte, provedAt uint64)
+	recvPackets(s *shard, batch []proven)
 	ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64)
 	timeoutPacket(s *shard, tr *PacketTrace, proof []byte, provedAt ibc.Height)
 	// sinkNames are the per-channel counters of packets and acks landing
@@ -559,17 +577,21 @@ func (r *Relayer) flush(src int, height uint64) {
 	from, to := r.ends[src], r.ends[1-src]
 	for _, s := range r.shards {
 		var later []work
+		var batch []proven
 		for _, w := range s.packets[src] {
 			if w.height <= height {
 				path := ibc.CommitmentPath(w.packet.SourcePort, w.packet.SourceChannel, w.packet.Sequence)
 				if proof, provedAt, err := from.proveMembership(height, path); err == nil {
-					to.recvPacket(s, w, proof, provedAt)
+					batch = append(batch, proven{w, proof, provedAt})
 					continue
 				}
 			}
 			later = append(later, w)
 		}
 		s.packets[src] = later
+		if len(batch) > 0 {
+			to.recvPackets(s, batch)
+		}
 
 		var laterAcks []ackWork
 		for _, w := range s.acks[src] {
@@ -611,6 +633,22 @@ func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provabl
 	if ack != nil {
 		s.acks[to] = append(s.acks[to], ackWork{packet: p, ack: ack, height: provableAt})
 	}
+}
+
+// requeue takes back work whose submission to side to failed and whose
+// sink does not show it delivered, for the next flush to prove and submit
+// again. It goes back in sequence order, ahead of packets queued since: an
+// ordered channel accepts no other. Once the source no longer commits the
+// packet (acked through another relayer, or timed out) there is nothing
+// left to deliver.
+func (r *Relayer) requeue(to int, s *shard, w work) {
+	src := 1 - to
+	if !r.ends[src].hasCommitment(w.packet) {
+		return
+	}
+	q := s.packets[src]
+	i := sort.Search(len(q), func(i int) bool { return q[i].packet.Sequence > w.packet.Sequence })
+	s.packets[src] = slices.Insert(q, i, w)
 }
 
 // acked records the outcome of relaying p's ack to side to, which sent p.
