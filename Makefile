@@ -31,6 +31,10 @@ lint: lint-deprecated
 # PR 17 folded the five packet-plane scenario drivers into Scenario
 # literals run by Scenario.Run (internal/experiments/scenarios.go); their
 # names stay retired outside benchmark/, whose one comment mention stays.
+# PR 19 folded the last two hand-written drivers (the §V-C outage and the
+# kill-and-recover run) into the same registry and deleted the whole-trie
+# serialiser (nodecodec.go is the persisted format); those names are
+# retired everywhere.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -46,6 +50,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'RunMesh\|RunLoad\|RunMiddleware\|RunMultiChannel\|RunAdaptiveRouting\|MeshResult\|LoadResult\|MiddlewareResult' --include='*.go' . | grep -v '^./benchmark/'); \
 	if [ -n "$$bad" ]; then \
 		echo "retired scenario drivers (a scenario is a Scenario literal: experiments.Lookup + Scenario.Run):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'RunOutage\|RunRecover\|OutageResult\|RecoverResult\|UnmarshalTrie' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired drivers and serialiser (outage and recover are registry scenarios; trie nodes persist through nodecodec.go):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -79,15 +88,17 @@ loc:
 # under drop/duplicate chaos must forward, settle fees and dispatch
 # callbacks exactly once; the degraded diamond must migrate >= 90% of
 # post-grace flows to the healthy arm and beat the same-seed static
-# control's p99 while the relayer race delivers exactly once; and a
-# disk-backed guest power-cut mid-stall must recover exactly the last
-# finalised root with byte-identical proofs. guestsim exits non-zero on
-# any ledger violation or failed verdict line, so this is pass/fail.
+# control's p99 while the relayer race delivers exactly once; the §V-C
+# outage must stall finalisation for the 9.5 h the pivotal validator is
+# dark and still deliver and acknowledge every transfer sent across it;
+# and a disk-backed guest power-cut mid-stall must recover exactly the
+# last finalised root with byte-identical proofs. guestsim exits non-zero
+# on any ledger violation or failed verdict line, so this is pass/fail.
 scenario-smoke:
-	@for s in mesh-line mesh-diamond middleware-chaos adaptive recover; do \
+	@for s in mesh-line mesh-diamond middleware-chaos adaptive outage recover; do \
 		echo "guestsim -scenario $$s"; $(GO) run ./cmd/guestsim -scenario $$s >/dev/null || exit 1; \
 	done
-	@echo "scenario smoke: mesh, middleware, adaptive routing and recovery hold"
+	@echo "scenario smoke: mesh, middleware, adaptive routing, outage and recovery hold"
 
 # Coverage across every package, with the combined profile left in
 # cover.out for `go tool cover -html=cover.out`.

@@ -38,20 +38,16 @@ func main() {
 	netSeed := flag.Int64("net-seed", 0, "network fault seed (0 derives one from -seed)")
 	netPartition := flag.String("net-partition", "", "partition window [A|B:]START+DURATION (e.g. relayer|cp:36h+2h)")
 	netCrash := flag.String("net-crash", "", "crash window NODE:START+DURATION (e.g. v0:648h+9h55m)")
-	scenario := flag.String("scenario", "", "run a named acceptance scenario instead of the closed-loop deployment: mesh-line, mesh-diamond, middleware, middleware-chaos, multichannel, adaptive, load, overload, stray-voucher (the self-test that must exit 1), recover (chaos is part of each scenario; only -seed and the three overrides below apply, plus -store-dir for recover)")
-	packets := flag.Int("packets", 0, "scenario override: transfers per flow (0 keeps the scenario's own; ignored by load and overload, whose traffic is -rate over -duration)")
+	scenario := flag.String("scenario", "", "run a named acceptance scenario instead of the closed-loop deployment: "+strings.Join(experiments.Names(), ", ")+" (chaos is part of each scenario; of the other flags only -seed and the scenario overrides -packets, -rate, -duration and -store-dir apply)")
+	packets := flag.Int("packets", 0, "scenario override: transfers per flow (0 keeps the scenario's own; ignored by scenarios whose traffic is -rate over -duration)")
 	rate := flag.Float64("rate", 0, "scenario override: open-loop offered load in transfers/s of virtual time (0 keeps the scenario's own)")
 	duration := flag.Duration("duration", 0, "scenario override: window of virtual time the traffic is offered over (0 keeps the scenario's own)")
-	storeDir := flag.String("store-dir", "", "persist guest state to a WAL-backed node store under this directory (empty = in-memory)")
+	storeDir := flag.String("store-dir", "", "persist guest state to a WAL-backed node store under this directory (empty = in-memory; scenario override: where a scenario that declares a store keeps it, empty = a throwaway temp directory)")
 	storeSync := flag.Int("store-sync-interval", 0, "group-fsync cadence in committed roots on top of the per-finalisation fsync (0 = finalisation only)")
 	flag.Parse()
 
-	if *scenario == "recover" {
-		recoverGuest(*seed, *storeDir)
-		return
-	}
 	if *scenario != "" {
-		if !scenarioMode(os.Stdout, *scenario, *seed, *packets, *rate, *duration) {
+		if !scenarioMode(os.Stdout, *scenario, *seed, *packets, *rate, *duration, *storeDir) {
 			os.Exit(1)
 		}
 		return
@@ -206,42 +202,10 @@ func main() {
 	}
 }
 
-// recoverGuest runs the kill-and-recover chaos run (not a packet-plane
-// scenario, so it has no ledger and prints its own verdicts): a disk-backed
-// guest is power-cut mid-stall (WAL truncated to the durable prefix),
-// reopened cold, and checked for exact recovery of the last finalised root
-// plus byte-identical historical proofs. With no -store-dir the WAL lands
-// in a throwaway temp directory.
-func recoverGuest(seed int64, dir string) {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "guestsim-recover-*")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
-	res, err := experiments.RunRecover(seed, dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("kill-and-recover: validator %s dark %v from %v, power cut mid-window\n\n"+
-		"pre-crash:  head height %d, finalised height %d (%d unfinalised blocks discarded by the cut)\n"+
-		"wal:        %d nodes written (%d deduped), %.1f MiB appended, flush p99 %.2f ms\n"+
-		"recovered:  height %d, %d retained versions, cold open %.1f ms\n"+
-		"verdicts:   root_match=%v proofs_identical=%v (%d proofs checked)\n",
-		res.Window.Node, res.Window.Duration, res.Window.From, res.HeadHeight, res.FinalisedHeight, res.LostBlocks,
-		res.NodesWritten, res.NodesDeduped, float64(res.SegmentBytes)/(1<<20), res.FlushP99Ms,
-		res.RecoveredHeight, res.RetainedRecovered, res.ColdOpenMs, res.RootMatch, res.ProofsIdentical, res.ProofsChecked)
-	if !res.RootMatch || !res.ProofsIdentical {
-		log.Fatal("kill-and-recover verification failed")
-	}
-}
-
 // scenarioMode runs a registered acceptance scenario — every run it makes,
 // then its verdict — and reports whether it passed: no ledger violation in
 // any run and no failed verdict line. The overrides apply to every run.
-func scenarioMode(w io.Writer, name string, seed int64, packets int, rate float64, window time.Duration) bool {
+func scenarioMode(w io.Writer, name string, seed int64, packets int, rate float64, window time.Duration, storeDir string) bool {
 	runs, verdict, ok := experiments.Lookup(name)
 	if !ok {
 		log.Fatalf("unknown scenario %q (see -help)", name)
@@ -258,6 +222,17 @@ func scenarioMode(w io.Writer, name string, seed int64, packets int, rate float6
 		}
 		if window > 0 {
 			s.Window = window
+		}
+		if s.Net.Store != (core.StoreSpec{}) {
+			if storeDir == "" {
+				tmp, err := os.MkdirTemp("", "guestsim-store-*")
+				if err != nil {
+					log.Fatal(err)
+				}
+				defer os.RemoveAll(tmp)
+				storeDir = tmp
+			}
+			s.Net.Store.Dir = storeDir
 		}
 		rep, err := s.Run()
 		if err != nil {

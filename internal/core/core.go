@@ -1016,7 +1016,13 @@ func (n *Network) SendTransferFromCPOn(ch int, sender, receiver, denom string, a
 	if timeout > 0 {
 		ts = n.Sched.Now().Add(timeout)
 	}
-	return n.CP.SendPacket(rt.Spec.CPPort, rt.CPChannel, data.Marshal(), 0, ts)
+	p, err := n.CP.SendPacket(rt.Spec.CPPort, rt.CPChannel, data.Marshal(), 0, ts)
+	if err != nil {
+		// The packet never entered the chain: undo the escrow.
+		_ = rt.CPApp.CancelSend(rt.CPChannel, data)
+		return nil, err
+	}
+	return p, nil
 }
 
 // GuestState returns the live contract state (read-only off-chain view).

@@ -197,3 +197,49 @@ func TestRoundTripVoucherReturnsHome(t *testing.T) {
 		t.Fatalf("escrow not released, got %d", got)
 	}
 }
+
+// TestRefusedCPSendLeavesNoEscrow: a counterparty-side send the handler
+// refuses (here: the channel was closed under it) never became a packet,
+// so the escrow PrepareSend took must be rolled back — sender balance and
+// channel escrow end as they were.
+func TestRefusedCPSendLeavesNoEscrow(t *testing.T) {
+	n := testNetwork(t)
+	n.CPApp.Mint("cp-carol", "PICA", 500)
+	if err := n.CP.Handler().ChanCloseInit("transfer", n.Boot.CPChannel); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.SendTransferFromCP("cp-carol", "guest-dave", "PICA", 120, "", 0); err == nil {
+		t.Fatal("send on a closed channel was accepted")
+	}
+	if got := n.CPApp.Balance("cp-carol", "PICA"); got != 500 {
+		t.Errorf("carol balance = %d after a refused send, want 500", got)
+	}
+	if got := n.CPApp.EscrowedAmount(n.Boot.CPChannel, "PICA"); got != 0 {
+		t.Errorf("channel escrow = %d after a refused send, want 0", got)
+	}
+}
+
+// TestRelayerFeesFollowHostProfile: what the relayer reports as paid is
+// what the host debited from its key, on a host whose signature fee is not
+// Solana's.
+func TestRelayerFeesFollowHostProfile(t *testing.T) {
+	n, err := NewNetwork(Config{Behaviours: fastFleet(4), Seed: 7, HostProfile: host.NEARLikeProfile()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := n.Relayer.Key().Public()
+	balance, reported := n.Host.Balance(key), n.Relayer.TotalFees
+	alice := n.NewUser("alice", 10*host.LamportsPerSOL, "GUEST", 1_000)
+	if _, err := n.SendTransferFromGuest(alice, "cp-bob", "GUEST", 250, "", fees.PriorityPolicy, 0); err != nil {
+		t.Fatal(err)
+	}
+	n.CPApp.Mint("cp-carol", "PICA", 500)
+	if _, err := n.SendTransferFromCP("cp-carol", "guest-dave", "PICA", 120, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	n.Run(10 * time.Minute)
+	paid, reported := balance-n.Host.Balance(key), n.Relayer.TotalFees-reported
+	if len(n.Relayer.Updates) == 0 || paid == 0 || paid != reported {
+		t.Fatalf("relayer reports %d lamports in fees over %d client updates, the host debited %d", reported, len(n.Relayer.Updates), paid)
+	}
+}

@@ -199,13 +199,6 @@ func (c *Chain) Handler() *ibc.Handler { return c.handler }
 // Store exposes the provable store.
 func (c *Chain) Store() *ibc.Store { return c.store }
 
-// SyncStore forces a durability point on the persistent backend (no-op
-// without one).
-func (c *Chain) SyncStore() error { return c.store.SyncBackend() }
-
-// CloseStore syncs and closes the persistent backend (no-op without one).
-func (c *Chain) CloseStore() error { return c.store.CloseBackend() }
-
 // ChainID returns the chain identifier.
 func (c *Chain) ChainID() string { return c.cfg.ChainID }
 
@@ -214,9 +207,6 @@ func (c *Chain) Height() uint64 { return c.height }
 
 // BlockInterval returns the configured block time.
 func (c *Chain) BlockInterval() time.Duration { return c.cfg.BlockInterval }
-
-// ValidatorSet returns the BFT validator set.
-func (c *Chain) ValidatorSet() *tendermint.ValidatorSet { return c.valset }
 
 // CurrentHeight implements ibc.SelfInfo.
 func (c *Chain) CurrentHeight() ibc.Height { return ibc.Height(c.height) }

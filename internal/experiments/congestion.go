@@ -166,7 +166,7 @@ func runCongestionProbe(minutes int, policyName string) probeResult {
 			return true
 		}
 		sent[tag] = sched.Now()
-		paid += tx.Fee()
+		paid += tx.Fee(chain.Profile())
 		count++
 		return true
 	})

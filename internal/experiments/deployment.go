@@ -166,7 +166,7 @@ func RunWithNetwork(cfg Config, netCfg core.Config) (*Deployment, error) {
 			tx, err := net.SendTransferFromGuestOn(ch, alice, "cp-receiver", "GUEST", 1+uint64(rng.Intn(1000)), memo(cfg.OutMemo), policy, 0)
 			if err == nil {
 				d.OutboundSent++
-				d.sendMeta = append(d.sendMeta, sendMeta{policy: policy.Name, fee: tx.Fee()})
+				d.sendMeta = append(d.sendMeta, sendMeta{policy: policy.Name, fee: tx.Fee(net.Host.Profile())})
 			}
 			scheduleOut()
 		})

@@ -21,17 +21,16 @@ import (
 	"repro/internal/transfer"
 )
 
-// Scenario is one packet-plane acceptance run as data: a deployment,
-// the traffic offered to it, the faults that hit it mid-run, and how long
-// it runs. Run executes any Scenario the same way and holds it to the same
+// Scenario is one acceptance run as data: a deployment, the traffic
+// offered to it, the faults that hit it mid-run, and how long it runs. Run executes any Scenario the same way and holds it to the same
 // ledger (internal/invariant); the registry (scenarios.go) holds the
 // literals. (The 28-day closed-loop deployment is not one: see Run in
 // deployment.go.)
 type Scenario struct {
 	Name string
-	// Net is the deployment: topology, per-link faults, store, seed. An
-	// empty fleet means HealthyBehaviours(8) — these scenarios measure the
-	// packet plane, not the §V fleet incidents.
+	// Net is the deployment: topology, fleet, per-link faults, store, seed.
+	// An empty fleet means HealthyBehaviours(8): only the §V fleet
+	// incidents (outage, recover) name their own.
 	Net   core.Config
 	Flows []Flow
 	// Packets is the number of bursts: burst j sends one transfer on every
@@ -52,11 +51,12 @@ type Scenario struct {
 	// Window is the span traffic is offered over; the run lasts
 	// Window+Drain so in-flight transfers settle.
 	Window, Drain time.Duration
-	// Overload declares that the offered load exceeds capacity: rejected
-	// sends and an undelivered backlog are then expected, and only the
-	// mid-flight ledger rules apply. Everywhere else a rejected send, an
-	// undelivered transfer or an unsettled hop is a violation.
-	Overload bool
+	// MidFlight declares that the run ends with transfers still in flight
+	// — the offered load exceeds capacity, or the run stops inside a stall:
+	// rejected sends and an undelivered backlog are then expected, and only
+	// the mid-flight ledger rules apply. Everywhere else a rejected send,
+	// an undelivered transfer or an unsettled hop is a violation.
+	MidFlight bool
 }
 
 // Flow is one stream of transfers between two chains of the deployment.
@@ -92,7 +92,7 @@ type Report struct {
 	Links    []LinkReport
 	Fees     []invariant.FeeBook
 	// Violations lists every breach of the ledger and fee-book rules plus,
-	// unless the scenario declares Overload, every rejected send,
+	// unless the scenario declares MidFlight, every rejected send,
 	// undelivered transfer and guest-side flow whose channels relayed back
 	// other than one acknowledgement per transfer. Empty means the run
 	// conserved.
@@ -272,14 +272,14 @@ func (s Scenario) Run() (*Report, error) {
 				}
 			}
 		}
-		rep.Violations = append(rep.Violations, fl.Violations(!s.Overload)...)
-		if !s.Overload && fl.SendErrors > 0 {
+		rep.Violations = append(rep.Violations, fl.Violations(!s.MidFlight)...)
+		if !s.MidFlight && fl.SendErrors > 0 {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("%s: %d sends refused, first: %s", fl.Flow, fl.SendErrors, fl.FirstError))
 		}
-		if !s.Overload && fl.Delivered != fl.Admitted {
+		if !s.MidFlight && fl.Delivered != fl.Admitted {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("%s: delivered %d of %d admitted", fl.Flow, fl.Delivered, fl.Admitted))
 		}
-		if !s.Overload && fr.Src == net.Mesh.GuestName && fl.Acked != fl.Admitted {
+		if !s.MidFlight && fr.Src == net.Mesh.GuestName && fl.Acked != fl.Admitted {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("%s: acked %d of %d admitted", fl.Flow, fl.Acked, fl.Admitted))
 		}
 		rep.Flows = append(rep.Flows, *fl)

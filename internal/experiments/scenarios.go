@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,14 +15,15 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/middleware"
 	"repro/internal/netsim"
+	"repro/internal/nodestore"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/transfer"
 )
 
-// The registry: every packet-plane acceptance scenario as Scenario
-// literals, plus — where the ledger cannot express what the scenario is
+// The registry: every acceptance scenario — the packet plane's and the
+// two fleet incidents — as Scenario literals, plus — where the ledger cannot express what the scenario is
 // for — one verdict function over the reports.
 
 // Check is one line of a scenario's verdict: a measured figure and whether
@@ -30,49 +33,61 @@ type Check struct {
 	Text string
 }
 
-// Lookup returns a registered acceptance scenario: the runs it makes, in
-// order, and the verdict over their reports (nil when the ledger says it
-// all). The literals are fresh on every call, so the caller may override
-// Net.Seed, Packets, Window or Load.Rate before running them. (guestsim's
-// -scenario recover is not here: RunRecover is a storage chaos run with no
-// packet ledger, so cmd/guestsim dispatches it itself.)
-func Lookup(name string) (runs []Scenario, verdict func([]*Report) []Check, ok bool) {
-	switch name {
-	case "mesh-line":
-		// 3 hops over two forwarding chains, 2 hops, and 2 hops against
-		// the first two.
-		return []Scenario{meshScenario(name, LineMeshTopology(), [2]string{"guest", "c"}, [2]string{"a", "c"}, [2]string{"c", "a"})}, nil, true
-	case "mesh-diamond":
-		// 2 hops through a forwarding chain, and each arm's direct hop.
-		return []Scenario{meshScenario(name, DiamondMeshTopology(), [2]string{"guest", "c"}, [2]string{"a", "c"}, [2]string{"b", "c"})}, nil, true
-	case "middleware":
-		return []Scenario{middlewareScenario(name, netsim.Config{})}, middlewareVerdict, true
-	case "middleware-chaos":
-		return []Scenario{middlewareScenario(name, ChaosLink())}, middlewareVerdict, true
-	case "multichannel":
+// Verdict is a scenario's bar over the reports of its runs.
+type Verdict = func([]*Report) []Check
+
+// registry lists the acceptance scenarios in the order -help shows them:
+// each entry builds the runs the scenario makes, in order, and the verdict
+// over their reports (nil when the ledger says it all).
+var registry = []struct {
+	name  string
+	build func(name string) ([]Scenario, Verdict)
+}{
+	// 3 hops over two forwarding chains, 2 hops, and 2 hops against the
+	// first two.
+	{"mesh-line", func(name string) ([]Scenario, Verdict) {
+		return []Scenario{meshScenario(name, LineMeshTopology(), [2]string{"guest", "c"}, [2]string{"a", "c"}, [2]string{"c", "a"})}, nil
+	}},
+	// 2 hops through a forwarding chain, and each arm's direct hop.
+	{"mesh-diamond", func(name string) ([]Scenario, Verdict) {
+		return []Scenario{meshScenario(name, DiamondMeshTopology(), [2]string{"guest", "c"}, [2]string{"a", "c"}, [2]string{"b", "c"})}, nil
+	}},
+	{"middleware", func(name string) ([]Scenario, Verdict) {
+		return []Scenario{middlewareScenario(name, netsim.Config{})}, middlewareVerdict
+	}},
+	{"middleware-chaos", func(name string) ([]Scenario, Verdict) {
+		return []Scenario{middlewareScenario(name, ChaosLink())}, middlewareVerdict
+	}},
+	{"multichannel", func(name string) ([]Scenario, Verdict) {
 		return []Scenario{
 			multichannelScenario(name, 4, 0.25, ChaosLink()),
 			multichannelScenario(name+"-1ch-lossless", 1, 0, netsim.Config{}),
 			multichannelScenario(name+"-4ch-lossless", 4, 0, netsim.Config{}),
-		}, multichannelVerdict, true
-	case "adaptive":
-		return []Scenario{diamondScenario("diamond-static", false), diamondScenario("diamond-adaptive", true), raceScenario()}, adaptiveVerdict, true
-	case "load":
-		return []Scenario{loadScenario(name, loadgen.Config{Rate: 0.2}, 5*time.Minute, 30*time.Minute)}, loadVerdict, true
-	case "overload":
-		// Far more than the deployment can relay (capacity is pinned by
-		// relayer pacing at well under 1 packet/s/channel) against a
-		// deliberately tight host: small mempool, small per-slot budget,
-		// aggressive deadlines. Admission control must shed the excess and
-		// every admitted packet must still conserve.
+		}, multichannelVerdict
+	}},
+	{"adaptive", func(string) ([]Scenario, Verdict) {
+		return []Scenario{diamondScenario("diamond-static", false), diamondScenario("diamond-adaptive", true), raceScenario()}, adaptiveVerdict
+	}},
+	{"load", func(name string) ([]Scenario, Verdict) {
+		return []Scenario{loadScenario(name, loadgen.Config{Rate: 0.2}, 5*time.Minute, 30*time.Minute)}, loadVerdict
+	}},
+	// Far more than the deployment can relay (capacity is pinned by relayer
+	// pacing at well under 1 packet/s/channel) against a deliberately tight
+	// host: small mempool, small per-slot budget, aggressive deadlines.
+	// Admission control must shed the excess and every admitted packet
+	// must still conserve.
+	{"overload", func(name string) ([]Scenario, Verdict) {
 		s := loadScenario(name, loadgen.Config{Rate: 100, Bursty: true, Deadline: 2 * time.Second}, 2*time.Minute, 10*time.Minute)
-		s.Net.MempoolLimit, s.Net.HostProfile, s.Overload = 48, host.SolanaProfile(), true
+		s.Net.MempoolLimit, s.Net.HostProfile, s.MidFlight = 48, host.SolanaProfile(), true
 		s.Net.HostProfile.BlockComputeBudget = 100_000
-		return []Scenario{s}, loadVerdict, true
-	case "stray-voucher":
-		// The runner's own self-test: a voucher minted on the destination
-		// behind the protocol's back must come back as that flow's
-		// violation.
+		return []Scenario{s}, loadVerdict
+	}},
+	{"outage", outageScenario},
+	{"recover", recoverScenario},
+	// The runner's own self-test, which must FAIL: a voucher minted on the
+	// destination behind the protocol's back must come back as that flow's
+	// violation.
+	{"stray-voucher", func(name string) ([]Scenario, Verdict) {
 		s := multichannelScenario(name, 1, 0, netsim.Config{})
 		s.Packets, s.Window, s.Drain = 4, time.Hour, time.Hour
 		s.Actions = []Action{{At: 30 * time.Minute, Do: func(net *core.Network) error {
@@ -80,7 +95,28 @@ func Lookup(name string) (runs []Scenario, verdict func([]*Report) []Check, ok b
 			rt.CPApp.Mint(s.Flows[0].Receiver, transfer.VoucherPrefix(rt.Spec.CPPort, rt.CPChannel)+s.Flows[0].Denom, 7)
 			return nil
 		}}}
-		return []Scenario{s}, nil, true
+		return []Scenario{s}, nil
+	}},
+}
+
+// Names lists the registered scenarios in registry order.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
+	}
+	return names
+}
+
+// Lookup returns a registered acceptance scenario: its runs and verdict,
+// built fresh on every call, so the caller may override Net.Seed, Packets,
+// Window, Load.Rate or Net.Store.Dir before running them.
+func Lookup(name string) (runs []Scenario, v Verdict, ok bool) {
+	for _, e := range registry {
+		if e.name == name {
+			runs, v = e.build(name)
+			return runs, v, true
+		}
 	}
 	return nil, nil, false
 }
@@ -259,6 +295,177 @@ func loadScenario(name string, load loadgen.Config, window, drain time.Duration)
 	}
 }
 
+// The fleet incidents: the §V-C pivotal-validator outage and the power cut
+// that "finalised ⇒ durable" is stated against. They share one deployment.
+
+// outageLength is the §V-C incident ("about 9.5 hours"): the window the
+// outage injects and the floor its verdict holds the stall to.
+const outageLength = 9*time.Hour + 30*time.Minute
+
+// pivotalScenario is a four-validator guest whose validator 0 holds 40% of
+// stake — the other three's 60% sits below the 2/3 quorum, so finalisation
+// exists only with it — and is crashed by a netsim fault window (not a
+// modelled latency tail) for dark from hour 24, while one guest→cp flow
+// sends packets transfers one even interval apart over window.
+func pivotalScenario(name string, dark time.Duration, packets int, window, drain time.Duration) Scenario {
+	const sol = host.LamportsPerSOL
+	return Scenario{
+		Name: name,
+		Net: core.Config{
+			Seed:       1,
+			Behaviours: uniformFleet(4, sim.Uniform{Min: 2 * time.Second, Max: 4 * time.Second}),
+			Stakes:     []host.Lamports{400 * sol, 200 * sol, 200 * sol, 200 * sol},
+			Net: netsim.Config{Crashes: []netsim.CrashWindow{
+				{Node: netsim.ValidatorNode(0), From: 24 * time.Hour, Duration: dark},
+			}},
+		},
+		Flows: []Flow{{
+			Src: "guest", Dst: "cp", Sender: name + "-sender", Receiver: "cp-receiver", Denom: "GUEST", Tag: name, Channels: []int{0},
+		}},
+		Packets: packets, At: spaced(1), Amount: ramp(1),
+		Window: window, Drain: drain,
+	}
+}
+
+// outageScenario reproduces the §V-C liveness incident in isolation: an
+// hourly transfer for 36 h across the 9.5 h the pivotal validator is dark,
+// run through the heal plus 12 h. The ledger holds what the paper claims
+// of the stall — nothing is lost: every transfer sent before, during and
+// after it ends delivered and acknowledged exactly once — and the verdict
+// holds the stall itself, read off the guest-block cadence histograms.
+func outageScenario(name string) ([]Scenario, Verdict) {
+	const sending, healed = 36 * time.Hour, 24*time.Hour + outageLength
+	s := pivotalScenario(name, outageLength, 35, sending, healed+12*time.Hour-sending)
+	return []Scenario{s}, func(rs []*Report) []Check {
+		tel := rs[0].tel
+		// Every block after genesis leaves one interval sample when it is
+		// generated and one finalisation delay when it is finalised; one
+		// block stalls, so the median is the typical delay.
+		blocks, delays := len(tel.HistogramSamples("guest.block.interval_s")), stats.Summarize(tel.HistogramSamples("guest.block.finalise_s"))
+		stall, floor := delays.Max, outageLength.Seconds()
+		// Retries may be zero: a fully crashed daemon originates nothing, so
+		// recovery comes from the cursor pull and head re-signing, not the
+		// retry timer.
+		dropped, retries := tel.Counter("netsim.dropped_crash"), tel.Counter("validator.net_retries")+tel.Counter("relayer.net_retries")
+		return []Check{
+			check(blocks > 0 && delays.N == blocks, "guest blocks: %d generated, %d finalised (the stall loses none)", blocks, delays.N),
+			check(stall >= floor && stall <= floor+time.Hour.Seconds(),
+				"stall: longest finalisation %.0fs, want the %.0fs outage and at most 1h more (validator 0 is pivotal, recovery prompt)", stall, floor),
+			check(delays.Med > 0 && delays.Med <= 60, "typical finalisation: median %.1fs", delays.Med),
+			check(dropped > 0, "crash window dropped %d messages (%d reliable-call retries)", dropped, retries),
+		}
+	}
+}
+
+// recovery is what the recover scenario's closing action found.
+type recovery struct {
+	// head and finalised are the guest's tip and last finalised height at
+	// the power cut; the gap is committed but never finalised, so never
+	// fsynced, and the cut legitimately discards it. recovered is the
+	// reopened WAL's head.
+	head, finalised, recovered uint64
+	rootMatch                  bool
+	retained                   int // historical versions the reopened store serves
+	sampled, identical         int // pre-cut historical proofs, and how many regenerated byte for byte
+}
+
+// recoverScenario is the kill-and-recover run. The same guest on a
+// WAL-backed store (the caller names Net.Store.Dir; the WAL lands under
+// its "guest") sends a transfer every 30 minutes; finalisation fsyncs the
+// WAL, so finalised ⇒ durable. Validator 0 goes dark for 6 h and the run
+// ends 3 h in, transfers in flight: finalisation has stalled while block
+// generation kept appending unsynced commits. The closing action cuts the
+// power there, reopens the WAL cold and regenerates historical proofs.
+func recoverScenario(name string) ([]Scenario, Verdict) {
+	s := pivotalScenario(name, 6*time.Hour, 53, 27*time.Hour, 0)
+	s.Net.Store, s.MidFlight = core.StoreSpec{ColdRetention: 16}, true
+	var got recovery
+	s.Actions = []Action{{At: s.Window, Do: func(net *core.Network) (err error) {
+		got, err = powerCut(net)
+		return err
+	}}}
+	return []Scenario{s}, func([]*Report) []Check {
+		return []Check{
+			check(got.rootMatch, "root_match: recovered height %d against last finalised %d", got.recovered, got.finalised),
+			check(got.sampled > 0 && got.identical == got.sampled, "historical proofs: %d of %d regenerated byte-identical", got.identical, got.sampled),
+			check(got.head > got.finalised, "the cut discarded %d unfinalised blocks (head %d)", got.head-got.finalised, got.head),
+			check(got.retained > 0, "retained versions recovered: %d", got.retained),
+		}
+	}
+}
+
+// powerCut samples membership proofs at retained finalised heights, cuts
+// the guest's disk store at the WAL's last durable byte — what a kill -9
+// after a torn buffered write leaves — reopens it cold, and compares: the
+// recovered head must be the last finalised root, and every sampled proof
+// must regenerate byte for byte from the recovered store.
+func powerCut(net *core.Network) (recovery, error) {
+	var got recovery
+	disk, ok := net.GuestNodeStore.(*nodestore.Disk)
+	if !ok {
+		return got, errors.New("power cut: the guest has no disk store (set Net.Store.Dir)")
+	}
+	st, err := net.GuestState()
+	if err == nil {
+		err = st.PersistError()
+	}
+	if err != nil {
+		return got, fmt.Errorf("power cut: guest state before the cut: %w", err)
+	}
+	lf := st.LatestFinalised()
+	got.head, got.finalised = st.Height(), lf.Block.Height
+
+	// Paths live since the handshake: the channel end and its
+	// send-sequence counter, at the 4 newest retained finalised heights.
+	type sample struct {
+		version      ibc.Version
+		path         string
+		value, proof []byte
+	}
+	var samples []sample
+	rt := net.Channels[0]
+	for h := got.finalised; h > 0 && len(samples) < 8; h-- {
+		ro, err := st.SnapshotAt(h)
+		if entry, eerr := st.Entry(h); err != nil || eerr != nil || !entry.Finalised {
+			continue // pruned or unfinalised
+		}
+		for _, p := range []string{ibc.ChannelPath(rt.Spec.GuestPort, rt.GuestChannel), ibc.NextSequenceSendPath(rt.Spec.GuestPort, rt.GuestChannel)} {
+			val, proof, err := ro.ProveMembership(p)
+			if err != nil {
+				return got, fmt.Errorf("power cut: proof of %q at height %d: %w", p, h, err)
+			}
+			samples = append(samples, sample{ro.Version(), p, val, proof})
+		}
+	}
+	got.sampled = len(samples)
+
+	if err := disk.Crash(); err != nil {
+		return got, err
+	}
+	reopened, err := nodestore.Open(disk.Dir(), nodestore.DiskConfig{})
+	if err != nil {
+		return got, err
+	}
+	store, err := ibc.NewStoreWithBackend(reopened)
+	if err != nil {
+		reopened.Close()
+		return got, err
+	}
+	if rec := reopened.Recovered(); rec != nil {
+		got.recovered, got.retained = rec.Head.Height, len(rec.Retained)
+		got.rootMatch = rec.Head.Height == got.finalised && rec.Head.Root == lf.Block.StateRoot
+	}
+	for _, s := range samples {
+		// A version that is not durable can only be an unsynced commit.
+		if ro, err := store.At(s.version); err == nil {
+			if val, proof, err := ro.ProveMembership(s.path); err == nil && bytes.Equal(val, s.value) && bytes.Equal(proof, s.proof) {
+				got.identical++
+			}
+		}
+	}
+	return got, store.CloseBackend()
+}
+
 // The verdicts.
 
 func check(ok bool, format string, args ...any) Check {
@@ -380,7 +587,7 @@ func loadVerdict(rs []*Report) []Check {
 	offered, admitted, rejected, shed := c("loadgen.offered"), c("loadgen.admitted"), c("loadgen.rejected"), c("loadgen.shed")
 	delivered := r.Links[0].Delivered
 	admission := offered > 0 && admitted == offered
-	if r.Scenario.Overload {
+	if r.Scenario.MidFlight {
 		admission = offered >= 2*delivered && rejected+shed > 0 && c("host.mempool_rejected") >= rejected
 	}
 	senders := uint64(r.senders)

@@ -31,11 +31,11 @@ func TestDeploymentPoliciesMatchPaperCosts(t *testing.T) {
 		p.Apply(tx)
 		return tx
 	}
-	prio := USD(sendTx(PriorityPolicy).Fee())
+	prio := USD(sendTx(PriorityPolicy).Fee(host.SolanaProfile()))
 	if math.Abs(prio-1.40) > 0.01 {
 		t.Fatalf("priority send = $%.3f, want $1.40", prio)
 	}
-	bundle := USD(sendTx(BundlePolicy).Fee())
+	bundle := USD(sendTx(BundlePolicy).Fee(host.SolanaProfile()))
 	if math.Abs(bundle-3.02) > 0.01 {
 		t.Fatalf("bundle send = $%.3f, want $3.02", bundle)
 	}

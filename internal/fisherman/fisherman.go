@@ -82,12 +82,6 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(f *Fisherman) { f.telemetry = reg }
 }
 
-// WithBatchVerifier replaces the process-wide signature verifier, letting
-// tests isolate cache statistics.
-func WithBatchVerifier(v *cryptoutil.BatchVerifier) Option {
-	return func(f *Fisherman) { f.verifier = v }
-}
-
 // WithTransport routes evidence submission through the simulated network
 // as reliable calls that retry until the host acknowledges. index
 // selects the fisherman's netsim address.
@@ -106,12 +100,10 @@ func New(name string, chain *host.Chain, contract *guest.Contract, gossip *Gossi
 		builder:  guest.NewTxBuilder(contract, key.Public()),
 		key:      key,
 		seen:     make(map[cryptoutil.PubKey]map[uint64]Observation),
+		verifier: cryptoutil.DefaultBatchVerifier(),
 	}
 	for _, o := range opts {
 		o(f)
-	}
-	if f.verifier == nil {
-		f.verifier = cryptoutil.DefaultBatchVerifier()
 	}
 	f.mObservations = f.telemetry.Counter("fisherman.observations")
 	f.mEvidence = f.telemetry.Counter("fisherman.evidence_submitted")

@@ -557,7 +557,6 @@ func openTestChannel(t *testing.T, st *State, port ibc.PortID) {
 
 type permissiveClient struct{}
 
-func (permissiveClient) Type() string                   { return "permissive" }
 func (permissiveClient) LatestHeight() ibc.Height       { return 1 }
 func (permissiveClient) Frozen() bool                   { return false }
 func (permissiveClient) StateBytes() []byte             { return []byte("permissive") }

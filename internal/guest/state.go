@@ -274,9 +274,6 @@ func (s *State) ValidateSelfClient(clientState []byte) error {
 	return nil
 }
 
-// ActiveStake returns the total stake of the current epoch.
-func (s *State) ActiveStake() uint64 { return s.CurrentEpoch.TotalStake() }
-
 // buildNextEpoch selects the top-staked candidates for the next epoch.
 func (s *State) buildNextEpoch() (*guestblock.Epoch, error) {
 	candidates := make([]*Candidate, 0, len(s.Candidates))

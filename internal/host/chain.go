@@ -166,9 +166,6 @@ type Chain struct {
 	// prunedBlocks counts blocks discarded from the front of the history.
 	prunedBlocks int
 
-	// FeeCollector accumulates all fees charged (burned + tips).
-	feesCollected Lamports
-
 	// Telemetry instruments; nil (no-op) until SetTelemetry is called.
 	txsSubmitted    *telemetry.Counter
 	txsExecuted     *telemetry.Counter
@@ -369,7 +366,7 @@ func (c *Chain) getOrCreateAccount(key cryptoutil.PubKey) *Account {
 // immediately against the chain's profile; execution errors surface in the
 // TxResult.
 func (c *Chain) Submit(tx *Transaction) error {
-	if err := tx.ValidateProfile(c.profile); err != nil {
+	if err := tx.Validate(c.profile); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -429,13 +426,6 @@ func (c *Chain) Slot() Slot {
 
 // Now returns the chain clock's current time.
 func (c *Chain) Now() time.Time { return c.clock.Now() }
-
-// FeesCollected returns the cumulative fees charged.
-func (c *Chain) FeesCollected() Lamports {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.feesCollected
-}
 
 // ProduceBlock executes the mempool (highest tip/priority first) within the
 // slot's compute budget and appends a block. Unexecuted transactions stay
@@ -617,7 +607,7 @@ func (c *Chain) executeLocked(ptx *pendingTx, block *Block) TxResult {
 	}
 
 	payer := c.getOrCreateAccount(tx.FeePayer)
-	fee := tx.FeeProfile(c.profile)
+	fee := tx.Fee(c.profile)
 	if payer.Lamports < fee {
 		res.Err = fmt.Errorf("%w: fee %d > balance %d", ErrInsufficientFunds, fee, payer.Lamports)
 		c.txsExecuted.Inc()
@@ -625,7 +615,6 @@ func (c *Chain) executeLocked(ptx *pendingTx, block *Block) TxResult {
 		return res
 	}
 	payer.Lamports -= fee
-	c.feesCollected += fee
 	res.Fee = fee
 
 	sink := &eventSink{}

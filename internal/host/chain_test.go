@@ -164,7 +164,7 @@ func TestTxSizeLimit(t *testing.T) {
 	}
 	// A payload at exactly the chunk limit must fit.
 	tx2 := call(prog, payer, 1)
-	tx2.Instructions[0].Data = make([]byte, MaxInstructionData(1, 1))
+	tx2.Instructions[0].Data = make([]byte, c.Profile().MaxInstructionData(1, 1))
 	tx2.Instructions[0].Data[0] = 1
 	if err := c.Submit(tx2); err != nil {
 		t.Fatalf("Submit max-chunk = %v", err)
@@ -180,7 +180,7 @@ func TestSignatureLimit(t *testing.T) {
 	for i := 0; i < MaxSignaturesPerTransaction; i++ {
 		tx.ExtraSigners = append(tx.ExtraSigners, cryptoutil.GenerateKeyIndexed("sig", i).Public())
 	}
-	if err := tx.Validate(); !errors.Is(err, ErrTooManySignatures) {
+	if err := tx.Validate(SolanaProfile()); !errors.Is(err, ErrTooManySignatures) {
 		t.Fatalf("Validate = %v, want ErrTooManySignatures", err)
 	}
 }
@@ -451,9 +451,6 @@ func TestProfilesSane(t *testing.T) {
 	s := SolanaProfile()
 	if s.MaxTransactionSize != MaxTransactionSize || s.MaxComputeUnits != MaxComputeUnits {
 		t.Fatal("solana profile drifted from constants")
-	}
-	if s.MaxInstructionData(1, 1) != MaxInstructionData(1, 1) {
-		t.Fatal("profile instruction-data math diverges from the package helper")
 	}
 }
 

@@ -22,11 +22,6 @@ type SigVerify struct {
 // request: signature (64) + pubkey (32) + offsets/length header (14).
 func precompileSigSize(msgLen int) int { return 64 + 32 + 14 + msgLen }
 
-// Verified reports whether the request's signature is valid.
-func (s *SigVerify) Verified() bool {
-	return cryptoutil.Verify(s.Pub, s.Msg, s.Sig)
-}
-
 // digest identifies a verified (pubkey, message) pair.
 func (s *SigVerify) digest() cryptoutil.Hash {
 	return cryptoutil.HashTagged('P', s.Pub[:], s.Msg)

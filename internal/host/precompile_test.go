@@ -124,7 +124,7 @@ func TestPrecompileCountsTowardSignatureLimit(t *testing.T) {
 		msg := []byte{byte(i)}
 		tx.PrecompileSigs = append(tx.PrecompileSigs, SigVerify{Pub: key.Public(), Msg: msg, Sig: key.Sign(msg)})
 	}
-	if err := tx.Validate(); !errors.Is(err, ErrTooManySignatures) {
+	if err := tx.Validate(SolanaProfile()); !errors.Is(err, ErrTooManySignatures) {
 		t.Fatalf("Validate = %v, want ErrTooManySignatures", err)
 	}
 }

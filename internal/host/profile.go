@@ -70,8 +70,10 @@ func TRONLikeProfile() Profile {
 	}
 }
 
-// MaxInstructionData returns how many bytes of single-instruction data fit
-// in a transaction under this profile.
+// MaxInstructionData returns how many bytes of instruction data fit in a
+// transaction with the given signer count and account references under
+// this profile, assuming a single instruction. Chunking clients use this
+// to size their chunks.
 func (p Profile) MaxInstructionData(numSigners, numAccounts int) int {
 	n := p.MaxTransactionSize - txOverhead - numSigners*signatureSize
 	n -= 32 + 1 + numAccounts*32 + 2

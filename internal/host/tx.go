@@ -84,24 +84,14 @@ func (tx *Transaction) Size() int {
 	return n
 }
 
-// Fee returns the total fee the fee payer is charged on execution under
-// the Solana profile.
-func (tx *Transaction) Fee() Lamports {
-	return tx.FeeProfile(SolanaProfile())
-}
-
-// FeeProfile computes the fee under a given host profile.
-func (tx *Transaction) FeeProfile(p Profile) Lamports {
+// Fee returns the total fee the fee payer is charged on execution by a
+// host with profile p (a chain charges Fee(chain.Profile())).
+func (tx *Transaction) Fee(p Profile) Lamports {
 	return p.BaseFeePerSignature*Lamports(tx.NumSignatures()) + tx.PriorityFee + tx.BundleTip
 }
 
-// Validate checks static transaction limits under the Solana profile.
-func (tx *Transaction) Validate() error {
-	return tx.ValidateProfile(SolanaProfile())
-}
-
-// ValidateProfile checks static transaction limits under a host profile.
-func (tx *Transaction) ValidateProfile(p Profile) error {
+// Validate checks static transaction limits under a host profile.
+func (tx *Transaction) Validate(p Profile) error {
 	if tx.FeePayer.IsZero() {
 		return fmt.Errorf("host: transaction without fee payer")
 	}
@@ -115,18 +105,6 @@ func (tx *Transaction) ValidateProfile(p Profile) error {
 		return fmt.Errorf("%w: %d > %d bytes", ErrTxTooLarge, s, p.MaxTransactionSize)
 	}
 	return nil
-}
-
-// MaxInstructionData returns how many bytes of instruction data fit in a
-// transaction with the given signer count and account references, assuming
-// a single instruction. Chunking clients use this to size their chunks.
-func MaxInstructionData(numSigners, numAccounts int) int {
-	n := MaxTransactionSize - txOverhead - numSigners*signatureSize
-	n -= 32 + 1 + numAccounts*32 + 2
-	if n < 0 {
-		return 0
-	}
-	return n
 }
 
 // TxResult records the outcome of an executed transaction.

@@ -935,15 +935,6 @@ func (h *Handler) TimeoutPacket(p *Packet, proofUnreceived []byte, proofHeight H
 	return nil
 }
 
-// NextSendSequence returns the next outgoing sequence for a channel.
-func (h *Handler) NextSendSequence(port PortID, id ChannelID) (uint64, error) {
-	raw, err := h.store.Get(NextSequenceSendPath(port, id))
-	if err != nil {
-		return 0, err
-	}
-	return decodeSequence(raw)
-}
-
 // HasCommitment reports whether an outgoing packet commitment is pending.
 func (h *Handler) HasCommitment(p *Packet) bool {
 	has, _ := h.store.Has(CommitmentPath(p.SourcePort, p.SourceChannel, p.Sequence))

@@ -71,7 +71,6 @@ type mockClient struct {
 	frozen bool
 }
 
-func (m *mockClient) Type() string         { return "mock" }
 func (m *mockClient) LatestHeight() Height { return m.target.height - 1 }
 func (m *mockClient) Frozen() bool         { return m.frozen }
 func (m *mockClient) StateBytes() []byte   { return []byte("client-for-" + m.target.name) }

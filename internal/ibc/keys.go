@@ -21,11 +21,6 @@ func ClientStatePath(id ClientID) string {
 	return fmt.Sprintf("clients/%s/clientState", id)
 }
 
-// ConsensusStatePath is the storage path of a consensus state at height.
-func ConsensusStatePath(id ClientID, h Height) string {
-	return fmt.Sprintf("clients/%s/consensusStates/%d", id, h)
-}
-
 // ConnectionPath is the storage path of a connection end.
 func ConnectionPath(id ConnectionID) string {
 	return fmt.Sprintf("connections/%s", id)

@@ -49,9 +49,6 @@ func NewStoreWithBackend(b nodestore.Store, opts ...trie.Option) (*Store, error)
 	return s, nil
 }
 
-// Backend returns the attached nodestore backend, or nil.
-func (s *Store) Backend() nodestore.Store { return s.backend }
-
 // Persistent reports whether a backend is attached.
 func (s *Store) Persistent() bool { return s.backend != nil }
 

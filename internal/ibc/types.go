@@ -109,8 +109,6 @@ var (
 // chain's state (ICS-02). Implementations: lightclient/guest (quorum of
 // validator signatures) and lightclient/tendermint (BFT commits).
 type Client interface {
-	// Type returns the client type identifier.
-	Type() string
 	// LatestHeight returns the most recent verified counterparty height.
 	LatestHeight() Height
 	// Update verifies a serialized counterparty header and records its

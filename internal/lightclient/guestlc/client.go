@@ -39,8 +39,6 @@ type Client struct {
 	epoch     *guestblock.Epoch
 	consensus map[ibc.Height]ConsensusState
 	frozen    bool
-
-	updateCount int
 }
 
 var _ ibc.Client = (*Client)(nil)
@@ -60,17 +58,11 @@ func NewClient(genesis *guestblock.Block, epoch *guestblock.Epoch) (*Client, err
 	return c, nil
 }
 
-// Type implements ibc.Client.
-func (c *Client) Type() string { return ClientType }
-
 // LatestHeight implements ibc.Client.
 func (c *Client) LatestHeight() ibc.Height { return c.latest }
 
 // Frozen implements ibc.Client.
 func (c *Client) Frozen() bool { return c.frozen }
-
-// UpdateCount returns the number of accepted updates.
-func (c *Client) UpdateCount() int { return c.updateCount }
 
 // Epoch returns the currently trusted validator set.
 func (c *Client) Epoch() *guestblock.Epoch { return c.epoch }
@@ -108,7 +100,6 @@ func (c *Client) UpdateSigned(sb *guestblock.SignedBlock) error {
 		}
 		c.epoch = sb.Block.NextEpoch
 	}
-	c.updateCount++
 	return nil
 }
 

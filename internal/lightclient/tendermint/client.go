@@ -34,12 +34,6 @@ type ConsensusState struct {
 // Option configures a Client.
 type Option func(*Client)
 
-// WithTrustingPeriod sets how long a consensus state remains a valid trust
-// anchor (default 14 days).
-func WithTrustingPeriod(d time.Duration) Option {
-	return func(c *Client) { c.trustingPeriod = d }
-}
-
 // WithRateLimit caps client updates per window — the mitigation §VI-C
 // recommends so a compromised counterparty cannot flood the client.
 func WithRateLimit(maxUpdates int, window time.Duration) Option {
@@ -61,11 +55,10 @@ type Client struct {
 	// lastUpdateLocal is the local time of the last accepted update.
 	lastUpdateLocal time.Time
 
-	rateMax     int
-	rateWindow  time.Duration
-	rateCount   int
-	rateStart   time.Time
-	updateCount int
+	rateMax    int
+	rateWindow time.Duration
+	rateCount  int
+	rateStart  time.Time
 }
 
 var _ ibc.Client = (*Client)(nil)
@@ -97,18 +90,11 @@ func NewClient(chainID string, trustedHeader *Header, trustedVals *ValidatorSet,
 	return c, nil
 }
 
-// Type implements ibc.Client.
-func (c *Client) Type() string { return ClientType }
-
 // LatestHeight implements ibc.Client.
 func (c *Client) LatestHeight() ibc.Height { return c.latest }
 
 // Frozen implements ibc.Client.
 func (c *Client) Frozen() bool { return c.frozen }
-
-// UpdateCount returns how many updates were accepted (excluding the
-// anchor).
-func (c *Client) UpdateCount() int { return c.updateCount }
 
 // SigChecker verifies that pub signed payload. The default checker runs
 // Ed25519 in-process; the Guest Contract instead supplies a checker backed
@@ -169,7 +155,6 @@ func (c *Client) update(u *Update, now time.Time, check SigChecker) error {
 	}
 	c.trustedVals = u.ValSet
 	c.lastUpdateLocal = now
-	c.updateCount++
 	c.rateCount++
 	return nil
 }

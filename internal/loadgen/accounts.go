@@ -41,9 +41,6 @@ func NewAccounts(rng *rand.Rand, n uint64, s float64, materialise func(idx uint6
 	}
 }
 
-// N returns the population size.
-func (a *Accounts) N() uint64 { return a.n }
-
 // Materialised returns how many distinct accounts have been touched.
 func (a *Accounts) Materialised() int { return len(a.cache) }
 

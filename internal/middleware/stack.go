@@ -116,9 +116,6 @@ func NewStack(app ibc.Module, mws ...Middleware) *Stack {
 	return s
 }
 
-// App returns the wrapped base application.
-func (s *Stack) App() ibc.Module { return s.app }
-
 // Len returns the number of middlewares in the chain.
 func (s *Stack) Len() int { return len(s.mws) }
 

@@ -390,9 +390,6 @@ type Endpoint struct {
 // ID returns the endpoint's node.
 func (e *Endpoint) ID() NodeID { return e.id }
 
-// Network returns the owning network.
-func (e *Endpoint) Network() *Network { return e.net }
-
 // Send delivers a one-way message (at-most-once).
 func (e *Endpoint) Send(to NodeID, kind string, payload any) {
 	e.net.send(&envelope{from: e.id, to: to, kind: kind, payload: payload})

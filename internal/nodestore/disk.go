@@ -539,6 +539,9 @@ func (d *Disk) rotateLocked() error {
 	return nil
 }
 
+// Dir returns the directory the store was opened in.
+func (d *Disk) Dir() string { return d.dir }
+
 // Recovered returns the state replayed at Open, or nil for a fresh store.
 func (d *Disk) Recovered() *RecoveredState { return d.recovered }
 

@@ -137,15 +137,6 @@ func (m *Mem) Stats() Stats {
 	return m.stats
 }
 
-// retainedRoots computes the recovery view a Disk store would produce from
-// the same record stream. Exported to the package tests as the reference
-// behaviour for Disk recovery.
-func (m *Mem) retainedRoots() *RecoveredState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return recoveredFromRoots(m.roots, m.released)
-}
-
 // recoveredFromRoots derives the RecoveredState from a replayed root/release
 // stream: the last root is the head, and retained versions are the roots
 // never released, newest record per version, sorted by version.

@@ -361,7 +361,7 @@ func (g *guestEnd) updateClient(h header, done func(error)) {
 		sigs = append(sigs, guest.SigBatch{Pub: cs.PubKey, Payload: payload[:], Sig: cs.Signature})
 	}
 	txs := g.builder.UpdateClientTxs(g.clientID, headerBytes, sigs)
-	cost := feeOf(txs)
+	cost := g.feeOf(txs)
 	g.root.enqueue(txs, func(started, finished time.Time, err error) {
 		if err == nil {
 			rec := UpdateRecord{
@@ -411,7 +411,7 @@ func (g *guestEnd) recvPackets(s *shard, batch []proven) {
 // whether they shared it or not (ROADMAP 1c).
 func (g *guestEnd) recvJob(s *shard, job []proven, payloads []*guest.RecvPayload) {
 	txs := g.builder.RecvPacketTxs(payloads...)
-	cost := feeOf(txs)
+	cost := g.feeOf(txs)
 	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) {
 		landed := make([]*ibc.Packet, 0, len(job))
 		for _, w := range job {
@@ -446,10 +446,12 @@ func (g *guestEnd) timeoutPacket(s *shard, tr *PacketTrace, proof []byte, proved
 	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) { g.r.timedOut(tr, err) })
 }
 
-func feeOf(txs []*host.Transaction) host.Lamports {
+// feeOf is what the host charges for txs.
+func (g *guestEnd) feeOf(txs []*host.Transaction) host.Lamports {
 	var cost host.Lamports
+	profile := g.host.Profile()
 	for _, tx := range txs {
-		cost += tx.Fee()
+		cost += tx.Fee(profile)
 	}
 	return cost
 }

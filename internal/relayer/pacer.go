@@ -78,7 +78,7 @@ func (p *pacer) pump() {
 	}
 	tx := j.txs[0]
 	j.txs = j.txs[1:]
-	g.r.TotalFees += tx.Fee()
+	g.r.TotalFees += tx.Fee(g.host.Profile())
 	// The host's replay protection makes the reliable call's retries
 	// idempotent.
 	g.r.call(g.node, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx}, func(_ any, err error) {

@@ -89,11 +89,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	return Summarize(xs).StdDev
-}
-
 // Pearson returns the correlation coefficient of paired samples; the paper
 // reports cost↔latency correlation 0.007 across validators (§V-C).
 func Pearson(xs, ys []float64) float64 {
@@ -135,9 +130,6 @@ func (e *ECDF) At(x float64) float64 {
 	idx := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
 	return float64(idx) / float64(len(e.sorted))
 }
-
-// FractionBelow is an alias for At, reading as "fraction of samples <= x".
-func (e *ECDF) FractionBelow(x float64) float64 { return e.At(x) }
 
 // Len returns the sample count.
 func (e *ECDF) Len() int { return len(e.sorted) }

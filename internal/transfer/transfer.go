@@ -143,9 +143,6 @@ func New(port ibc.PortID, opts ...Option) *App {
 	return a
 }
 
-// Port returns the app's port.
-func (a *App) Port() ibc.PortID { return a.port }
-
 // Mint credits tokens out of thin air (genesis supply / faucet).
 func (a *App) Mint(account, denom string, amount uint64) {
 	a.credit(account, denom, amount)

@@ -35,9 +35,6 @@ type ref struct {
 	sealed bool
 }
 
-// empty reports whether the ref is the empty sentinel (no subtree at all).
-func (r *ref) empty() bool { return r.node == nil && !r.sealed && r.hash.IsZero() }
-
 // node is a trie node. Exactly one of the three shapes is active, selected
 // by kind:
 //

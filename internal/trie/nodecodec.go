@@ -7,14 +7,11 @@ import (
 )
 
 // Per-node content-addressed encoding: the unit the NodeSource stores under
-// the node's hash. Unlike serialize.go — which flattens the whole trie into
-// one recursive byte string for the 10 MiB account image — this codec
-// encodes exactly one node, with children represented by their hashes, so
-// a subtree shared between versions is stored once and found by hash.
-//
-// The byte layouts for leaf and extension content deliberately mirror the
-// serialize.go tags and field order; the only difference is that child
-// refs become (state, hash) pairs instead of inline recursion.
+// the node's hash, and the only persisted form of the trie. The codec
+// encodes exactly one node, with children represented by (state, hash)
+// pairs, so a subtree shared between versions is stored once and found by
+// hash. The encoding is canonical: a node has exactly one accepted byte
+// form (FuzzNodeCodecDecode).
 const (
 	ncLeaf   byte = 0x01
 	ncBranch byte = 0x02
@@ -133,6 +130,9 @@ func (d *nodeDecoder) childRef() (ref, error) {
 		if err != nil {
 			return ref{}, err
 		}
+		if h.IsZero() {
+			return ref{}, fmt.Errorf("trie: decode node: live child with the empty hash")
+		}
 		return ref{hash: h}, nil
 	case ncChildSealed:
 		h, err := d.hash()
@@ -148,9 +148,21 @@ func (d *nodeDecoder) childRef() (ref, error) {
 // decodeNode parses a node encoded by encodeNode and verifies that its
 // content re-hashes to h — the content-addressing check that makes a
 // corrupted or substituted store entry detectable at the first read.
-// Children come back as evicted refs (hash only); the decoded node carries
-// write generation 0 so the first mutation path-copies it.
 func decodeNode(h cryptoutil.Hash, enc []byte) (*node, error) {
+	n, err := parseNode(enc)
+	if err != nil {
+		return nil, err
+	}
+	if got := n.hash(); got != h {
+		return nil, fmt.Errorf("trie: decode node: content hash %x does not match address %x", got[:8], h[:8])
+	}
+	return n, nil
+}
+
+// parseNode parses one encoded node, rejecting every malformed or
+// non-canonical form. Children come back as evicted refs (hash only); the
+// node carries write generation 0 so the first mutation path-copies it.
+func parseNode(enc []byte) (*node, error) {
 	d := nodeDecoder{b: enc}
 	kind, err := d.u8()
 	if err != nil {
@@ -201,9 +213,6 @@ func decodeNode(h cryptoutil.Hash, enc []byte) (*node, error) {
 	}
 	if len(d.b) != 0 {
 		return nil, fmt.Errorf("trie: decode node: %d trailing bytes", len(d.b))
-	}
-	if got := n.hash(); got != h {
-		return nil, fmt.Errorf("trie: decode node: content hash %x does not match address %x", got[:8], h[:8])
 	}
 	return n, nil
 }

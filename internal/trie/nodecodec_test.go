@@ -117,6 +117,37 @@ func TestNodeCodecRejectsCorruption(t *testing.T) {
 	}
 }
 
+// FuzzNodeCodecDecode feeds arbitrary bytes to the persisted node format:
+// decoding never panics, and an accepted node is canonical — it re-encodes
+// to the same bytes and decodes under its own content hash and no other.
+func FuzzNodeCodecDecode(f *testing.F) {
+	h := val("child")
+	f.Add([]byte{})
+	f.Add(encodeNode(&node{kind: kindLeaf, path: path{1, 0, 1, 1, 0}, value: val("v"), sealed: true}))
+	f.Add(encodeNode(&node{kind: kindBranch, children: [2]ref{{hash: h}, {hash: h, sealed: true}}}))
+	f.Add(encodeNode(&node{kind: kindExt, path: path{0, 1, 1}, child: ref{hash: h}}))
+	// A live child with the empty hash would re-encode as an empty child.
+	f.Add(append([]byte{ncBranch, ncChildEmpty, ncChildHash}, make([]byte, cryptoutil.HashSize)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := parseNode(data)
+		if err != nil {
+			return
+		}
+		if again := encodeNode(n); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x, re-encodes to %x", data, again)
+		}
+		addr := n.hash()
+		back, err := decodeNode(addr, data)
+		if err != nil || back.hash() != addr {
+			t.Fatalf("node does not decode under its own hash %x: %v", addr[:8], err)
+		}
+		addr[0] ^= 1
+		if _, err := decodeNode(addr, data); err == nil {
+			t.Fatal("node decoded under a foreign address")
+		}
+	})
+}
+
 // TestFlushRootPostOrder checks the WAL durability invariant directly:
 // every node is written strictly after all of its children, so any log
 // prefix ending at a root record describes a complete trie.

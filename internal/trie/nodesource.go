@@ -36,9 +36,6 @@ type NodeSource interface {
 // are impossible and every code path behaves exactly as before.
 func (t *Trie) SetNodeSource(ns NodeSource) { t.ns = ns }
 
-// NodeSource returns the attached backend, or nil.
-func (t *Trie) NodeSource() NodeSource { return t.ns }
-
 // resolver faults evicted nodes in from a NodeSource during read-only
 // walks. Loaded nodes are returned to the walker by value and never
 // installed into shared refs, so concurrent Views of retained versions

@@ -108,9 +108,6 @@ func New(opts ...Option) *Trie {
 	return t
 }
 
-// EmptyRoot is the root commitment of an empty trie.
-func EmptyRoot() cryptoutil.Hash { return cryptoutil.ZeroHash }
-
 // Root returns the current root commitment.
 func (t *Trie) Root() cryptoutil.Hash { return t.root.hash }
 

@@ -771,93 +771,3 @@ func TestQuickProofKeyBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSerializeRoundTrip(t *testing.T) {
-	tr := New(WithCapacity(100_000))
-	for i := 0; i < 200; i++ {
-		must(t, tr.Set(key(fmt.Sprintf("ser%d", i)), val(fmt.Sprintf("sv%d", i))))
-	}
-	// Mix in sealed sequential entries (stubs + collapsed regions).
-	for i := uint64(0); i < 32; i++ {
-		must(t, tr.Set(seqKey(9, i), val("r")))
-		must(t, tr.Seal(seqKey(9, i)))
-	}
-	data, err := tr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalTrie(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Root() != tr.Root() {
-		t.Fatalf("root changed: %v vs %v", back.Root(), tr.Root())
-	}
-	if back.NodeCount() != tr.NodeCount() || back.SealedCount() != tr.SealedCount() {
-		t.Fatalf("counters: %d/%d vs %d/%d", back.NodeCount(), back.SealedCount(), tr.NodeCount(), tr.SealedCount())
-	}
-	// Contents identical.
-	for i := 0; i < 200; i++ {
-		got, err := back.Get(key(fmt.Sprintf("ser%d", i)))
-		if err != nil || got != val(fmt.Sprintf("sv%d", i)) {
-			t.Fatalf("entry %d lost: %v %v", i, got, err)
-		}
-	}
-	// Seal semantics survive the round trip.
-	if _, err := back.Get(seqKey(9, 3)); !errors.Is(err, ErrSealed) {
-		t.Fatalf("sealed entry readable after round trip: %v", err)
-	}
-	if err := back.Set(seqKey(9, 3), val("again")); !errors.Is(err, ErrSealed) {
-		t.Fatalf("sealed entry writable after round trip: %v", err)
-	}
-	// Proofs from the decoded trie verify against the original root.
-	proof, err := back.Prove(key("ser7"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyMembership(tr.Root(), key("ser7"), val("sv7"), proof); err != nil {
-		t.Fatal(err)
-	}
-	// The decoded trie keeps working: insert the next sequence number.
-	if err := back.Set(seqKey(9, 32), val("next")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSerializeEmptyAndCorrupt(t *testing.T) {
-	tr := New()
-	data, err := tr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalTrie(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Root().IsZero() || back.NodeCount() != 0 {
-		t.Fatal("empty trie round trip broken")
-	}
-	// Corruption is detected (decode error), never a silent wrong trie.
-	must(t, tr.Set(key("c"), val("v")))
-	data, err = tr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x01
-		back, err := UnmarshalTrie(mut)
-		if err != nil {
-			continue
-		}
-		// A successful decode of mutated bytes must differ somewhere
-		// observable (root or counters) unless the flip hit the counters
-		// themselves, which are bookkeeping only.
-		if back.Root() == tr.Root() && back.NodeCount() == tr.NodeCount() && back.Len() == tr.Len() {
-			if i >= 1 && i < 25 {
-				continue // capacity/alloc/free bookkeeping bytes
-			}
-			t.Fatalf("byte %d flip produced an identical-looking trie", i)
-		}
-	}
-}

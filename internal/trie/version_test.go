@@ -396,36 +396,3 @@ func TestConcurrentHistoricalReadsDuringHeadWrites(t *testing.T) {
 	default:
 	}
 }
-
-func TestSnapshotAfterSerializeRoundTrip(t *testing.T) {
-	tr := New()
-	for i := 0; i < 32; i++ {
-		if err := tr.Set(key(fmt.Sprintf("z%d", i)), val("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := tr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := UnmarshalTrie(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := tr2.Root()
-	v := tr2.Snapshot()
-	if err := tr2.Set(key("z0"), val("w")); err != nil {
-		t.Fatal(err)
-	}
-	view, err := tr2.At(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if view.Root() != root {
-		t.Fatal("round-tripped trie snapshot root drifted after mutation")
-	}
-	if got, err := view.Get(key("z0")); err != nil || got != val("v") {
-		t.Fatalf("round-tripped view read = %v, %v; want original value", got, err)
-	}
-}
-

@@ -242,7 +242,7 @@ func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
 		v.Records = append(v.Records, SignRecord{
 			Height:  block.Height,
 			Latency: latency,
-			Cost:    tx.Fee(),
+			Cost:    tx.Fee(v.chain.Profile()),
 		})
 		v.mSignatures.Inc()
 		v.mSignLatency.Observe(latency.Seconds())

@@ -29,16 +29,6 @@ func NewWriter() *Writer { return &Writer{} }
 // allocation instead of growing through append doublings.
 func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
-// Grow ensures capacity for at least n more bytes.
-func (w *Writer) Grow(n int) {
-	if cap(w.buf)-len(w.buf) >= n {
-		return
-	}
-	buf := make([]byte, len(w.buf), len(w.buf)+n)
-	copy(buf, w.buf)
-	w.buf = buf
-}
-
 // Bytes returns the accumulated buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
 
