@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-deprecated test race bench loc scenario-smoke cover verify-figs api-check api-update ci
+.PHONY: all build vet lint lint-deprecated test race bench loc scenario-smoke fuzz-smoke cover verify-figs api-check api-update ci
 
 all: test
 
@@ -100,6 +100,17 @@ scenario-smoke:
 	done
 	@echo "scenario smoke: mesh, middleware, adaptive routing, outage and recovery hold"
 
+# Fuzz smoke gate: every native fuzz target runs for five seconds beyond its
+# seed corpus (which plain `go test` already replays) — the recv staging
+# buffer, the persisted trie node format, and the ICS-24 key derivation.
+# One target per invocation: `go test -fuzz` takes a single match. A
+# failure leaves the input under the package's testdata/fuzz/ to commit
+# with the fix.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzRecvBatchDecode$$' -fuzztime=5s ./internal/guest
+	$(GO) test -run='^$$' -fuzz='^FuzzNodeCodecDecode$$' -fuzztime=5s ./internal/trie
+	$(GO) test -run='^$$' -fuzz='^FuzzPathToKey$$' -fuzztime=5s ./internal/ibc
+
 # Coverage across every package, with the combined profile left in
 # cover.out for `go tool cover -html=cover.out`.
 cover:
@@ -136,6 +147,6 @@ api-update:
 
 # The pre-merge gate: vet + lint (including the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
-# figure-drift check, the exported-API stability check, and the scenario
-# smoke runs.
-ci: vet lint race cover verify-figs api-check scenario-smoke
+# figure-drift check, the exported-API stability check, the scenario
+# smoke runs, and five seconds of each fuzz target.
+ci: vet lint race cover verify-figs api-check scenario-smoke fuzz-smoke

@@ -9,6 +9,8 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -44,14 +46,20 @@ func main() {
 	duration := flag.Duration("duration", 0, "scenario override: window of virtual time the traffic is offered over (0 keeps the scenario's own)")
 	storeDir := flag.String("store-dir", "", "persist guest state to a WAL-backed node store under this directory (empty = in-memory; scenario override: where a scenario that declares a store keeps it, empty = a throwaway temp directory)")
 	storeSync := flag.Int("store-sync-interval", 0, "group-fsync cadence in committed roots on top of the per-finalisation fsync (0 = finalisation only)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with `go tool pprof`)")
+	memProfile := flag.String("memprofile", "", "write an allocation and heap profile to this file when the run ends")
 	flag.Parse()
 
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	if *scenario != "" {
-		if !scenarioMode(os.Stdout, *scenario, *seed, *packets, *rate, *duration, *storeDir) {
+		passed := scenarioMode(os.Stdout, *scenario, *seed, *packets, *rate, *duration, *storeDir)
+		stopProfiles()
+		if !passed {
 			os.Exit(1)
 		}
 		return
 	}
+	defer stopProfiles()
 
 	cfg := experiments.DefaultConfig()
 	cfg.Duration = time.Duration(*days * 24 * float64(time.Hour))
@@ -199,6 +207,49 @@ func main() {
 
 	if *metrics {
 		fmt.Printf("\n--- telemetry snapshot ---\n%s", dep.Net.SnapshotTelemetry().Render())
+	}
+}
+
+// startProfiles starts a CPU profile into cpuFile and returns the function
+// that ends it and writes the heap profile (allocations since start, and
+// what is still live after a collection) to memFile; an empty name skips
+// that profile. Both are plain runtime/pprof files around whichever mode
+// runs. The benchmark's traced pass folds its own profile into per-package
+// shares (benchmark/pprof.go); that code stays with the benchmark until an
+// issue that may edit benchmark/ moves it here.
+func startProfiles(cpuFile, memFile string) (stop func()) {
+	var cpu *os.File
+	if cpuFile != "" {
+		f, err := os.Create(cpuFile)
+		if err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+		cpu = f
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				log.Fatalf("-cpuprofile: %v", err)
+			}
+		}
+		if memFile == "" {
+			return
+		}
+		f, err := os.Create(memFile)
+		if err == nil {
+			runtime.GC() // so the in-use figures are what the run retains
+			err = pprof.WriteHeapProfile(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			log.Fatalf("-memprofile: %v", err)
+		}
 	}
 }
 

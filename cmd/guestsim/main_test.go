@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -43,5 +45,23 @@ func TestScenarioModeStoresInTempDir(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "ok   root_match") || strings.Contains(out.String(), "FAIL") {
 		t.Fatalf("verdict lines:\n%s", out.String())
+	}
+}
+
+// TestProfilesWritten: -cpuprofile and -memprofile each leave a pprof file
+// once the run they were started around stops, and an unset flag leaves
+// nothing.
+func TestProfilesWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	startProfiles(cpu, mem)()
+	for _, name := range []string{cpu, mem} {
+		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: not written (%v)", filepath.Base(name), err)
+		}
+	}
+	startProfiles("", "")()
+	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+		t.Errorf("unset flags wrote files: %v", entries)
 	}
 }

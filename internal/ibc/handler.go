@@ -1,6 +1,7 @@
 package ibc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,6 +38,13 @@ type Handler struct {
 	// receipts are sealed immediately after delivery.
 	sealReceipts bool
 
+	// connEnds and chanEnds hold, per store path, the end last decoded from
+	// that path and the stored bytes it was decoded from: every packet
+	// operation reads its channel and connection, and the bytes change only
+	// during a handshake or a close.
+	connEnds map[string]decoded[ConnectionEnd]
+	chanEnds map[string]decoded[ChannelEnd]
+
 	// bus carries typed protocol events (ibc.Event* structs). It is always
 	// non-nil: with no subscribers it counts published events as dropped,
 	// so "nothing was listening" is observable instead of silent — the
@@ -56,6 +64,29 @@ type Handler struct {
 	packetsTimedOut *telemetry.Counter
 	receiptsSealed  *telemetry.Counter
 	updateVerify    *telemetry.Histogram
+}
+
+// decoded is a stored value's JSON decoding next to the bytes it came from.
+type decoded[T any] struct {
+	raw []byte
+	end T
+}
+
+// decodeEnd returns a copy of the end stored as raw under path, decoding
+// only when raw differs from the bytes cache last decoded for that path.
+// The store still served (and checked) raw, so the cache needs no
+// invalidation: a rewritten end arrives as different bytes.
+func decodeEnd[T any](cache map[string]decoded[T], path string, raw []byte) (*T, error) {
+	d, ok := cache[path]
+	if !ok || !bytes.Equal(d.raw, raw) {
+		d = decoded[T]{raw: raw}
+		if err := json.Unmarshal(raw, &d.end); err != nil {
+			return nil, err
+		}
+		cache[path] = d
+	}
+	end := d.end // both end types are flat values: callers may edit theirs
+	return &end, nil
 }
 
 // HandlerOption configures a Handler.
@@ -86,6 +117,8 @@ func NewHandler(store *Store, self SelfInfo, opts ...HandlerOption) *Handler {
 		store:     store,
 		self:      self,
 		clients:   make(map[ClientID]Client),
+		connEnds:  make(map[string]decoded[ConnectionEnd]),
+		chanEnds:  make(map[string]decoded[ChannelEnd]),
 		router:    NewRouter(),
 		bus:       telemetry.NewBus(),
 		metricsNS: "ibc",
@@ -195,15 +228,16 @@ func (h *Handler) setConnection(id ConnectionID, end *ConnectionEnd) error {
 
 // Connection returns the connection end stored under id.
 func (h *Handler) Connection(id ConnectionID) (*ConnectionEnd, error) {
-	raw, err := h.store.Get(ConnectionPath(id))
+	path := ConnectionPath(id)
+	raw, err := h.store.Get(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrConnectionNotFound, id)
 	}
-	var end ConnectionEnd
-	if err := json.Unmarshal(raw, &end); err != nil {
+	end, err := decodeEnd(h.connEnds, path, raw)
+	if err != nil {
 		return nil, fmt.Errorf("ibc: unmarshal connection %q: %w", id, err)
 	}
-	return &end, nil
+	return end, nil
 }
 
 // expectedConnectionBytes builds the serialized form the counterparty must
@@ -362,15 +396,16 @@ func (h *Handler) setChannel(port PortID, id ChannelID, end *ChannelEnd) error {
 
 // Channel returns the channel end for (port, id).
 func (h *Handler) Channel(port PortID, id ChannelID) (*ChannelEnd, error) {
-	raw, err := h.store.Get(ChannelPath(port, id))
+	path := ChannelPath(port, id)
+	raw, err := h.store.Get(path)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s/%s", ErrChannelNotFound, port, id)
 	}
-	var end ChannelEnd
-	if err := json.Unmarshal(raw, &end); err != nil {
+	end, err := decodeEnd(h.chanEnds, path, raw)
+	if err != nil {
 		return nil, fmt.Errorf("ibc: unmarshal channel %s/%s: %w", port, id, err)
 	}
-	return &end, nil
+	return end, nil
 }
 
 func expectedChannelBytes(end *ChannelEnd) []byte {

@@ -1,9 +1,11 @@
 package ibc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/cryptoutil"
 )
@@ -44,17 +46,45 @@ func NextSequenceRecvPath(port PortID, ch ChannelID) string {
 
 // CommitmentPath is the storage path of an outgoing packet commitment.
 func CommitmentPath(port PortID, ch ChannelID, seq uint64) string {
-	return fmt.Sprintf("commitments/ports/%s/channels/%s/sequences/%d", port, ch, seq)
+	return sequencedPath(nsCommitment, port, ch, seq)
 }
 
 // ReceiptPath is the storage path of an incoming packet receipt.
 func ReceiptPath(port PortID, ch ChannelID, seq uint64) string {
-	return fmt.Sprintf("receipts/ports/%s/channels/%s/sequences/%d", port, ch, seq)
+	return sequencedPath(nsReceipt, port, ch, seq)
 }
 
 // AckPath is the storage path of a packet acknowledgement.
 func AckPath(port PortID, ch ChannelID, seq uint64) string {
-	return fmt.Sprintf("acks/ports/%s/channels/%s/sequences/%d", port, ch, seq)
+	return sequencedPath(nsAck, port, ch, seq)
+}
+
+// The sequenced namespaces and the fixed segments between their fields.
+const (
+	nsCommitment = "commitments"
+	nsReceipt    = "receipts"
+	nsAck        = "acks"
+
+	segPorts     = "/ports/"
+	segChannels  = "/channels/"
+	segSequences = "/sequences/"
+)
+
+// sequencedPath builds "<ns>/ports/<port>/channels/<ch>/sequences/<seq>"
+// in one allocation: every packet operation builds several of these.
+func sequencedPath(ns string, port PortID, ch ChannelID, seq uint64) string {
+	var digits [20]byte // a uint64 has at most 20 decimal digits
+	num := strconv.AppendUint(digits[:0], seq, 10)
+	var b strings.Builder
+	b.Grow(len(ns) + len(segPorts) + len(port) + len(segChannels) + len(ch) + len(segSequences) + len(num))
+	b.WriteString(ns)
+	b.WriteString(segPorts)
+	b.WriteString(string(port))
+	b.WriteString(segChannels)
+	b.WriteString(string(ch))
+	b.WriteString(segSequences)
+	b.Write(num)
+	return b.String()
 }
 
 // Structured key namespaces. One byte tags keep namespaces disjoint.
@@ -73,7 +103,7 @@ const (
 // adjacent in the key space so that sealing delivered receipts saturates
 // and collapses aligned blocks.
 func PathToKey(path string) [cryptoutil.HashSize]byte {
-	tag, chanScope, seq, ok := splitSequencedPath(path)
+	tag, port, channel, seq, ok := splitSequencedPath(path)
 	if !ok {
 		h := cryptoutil.HashTagged(keyTagHashed, []byte(path))
 		h[0] = keyTagHashed
@@ -81,33 +111,111 @@ func PathToKey(path string) [cryptoutil.HashSize]byte {
 	}
 	var key [cryptoutil.HashSize]byte
 	key[0] = tag
-	scope := cryptoutil.HashTagged(tag, []byte(chanScope))
-	copy(key[1:24], scope[:23])
-	for i := 0; i < 8; i++ {
-		key[cryptoutil.HashSize-1-i] = byte(seq >> (8 * i))
-	}
+	scope := channelScope(tag, port, channel)
+	copy(key[1:1+scopeLen], scope[:])
+	binary.BigEndian.PutUint64(key[1+scopeLen:], seq)
 	return key
 }
 
-// splitSequencedPath recognises "<ns>/ports/<p>/channels/<c>/sequences/<n>".
-func splitSequencedPath(path string) (tag byte, chanScope string, seq uint64, ok bool) {
-	parts := strings.Split(path, "/")
-	if len(parts) != 7 || parts[1] != "ports" || parts[3] != "channels" || parts[5] != "sequences" {
-		return 0, "", 0, false
-	}
-	switch parts[0] {
-	case "commitments":
+// splitSequencedPath recognises "<ns>/ports/<p>/channels/<c>/sequences/<n>"
+// and returns its fields as substrings of path. The number must be
+// canonical decimal — the spelling the builders emit — so that no two
+// paths the value table keeps apart share a structured key: anything else
+// ("007", "+7", "") is not a sequenced path and hashes flat.
+func splitSequencedPath(path string) (tag byte, port, channel string, seq uint64, ok bool) {
+	ns, rest, _ := cutField(path)
+	switch ns {
+	case nsCommitment:
 		tag = keyTagCommitment
-	case "receipts":
+	case nsReceipt:
 		tag = keyTagReceipt
-	case "acks":
+	case nsAck:
 		tag = keyTagAck
 	default:
-		return 0, "", 0, false
+		return 0, "", "", 0, false
 	}
-	n, err := strconv.ParseUint(parts[6], 10, 64)
+	if rest, ok = strings.CutPrefix(rest, segPorts); !ok {
+		return 0, "", "", 0, false
+	}
+	if port, rest, ok = cutField(rest); !ok {
+		return 0, "", "", 0, false
+	}
+	if rest, ok = strings.CutPrefix(rest, segChannels); !ok {
+		return 0, "", "", 0, false
+	}
+	if channel, rest, ok = cutField(rest); !ok {
+		return 0, "", "", 0, false
+	}
+	digits, ok := strings.CutPrefix(rest, segSequences)
+	if !ok || (len(digits) > 1 && digits[0] == '0') {
+		return 0, "", "", 0, false
+	}
+	// ParseUint takes digits only: no sign, no separators, no empty string.
+	seq, err := strconv.ParseUint(digits, 10, 64)
 	if err != nil {
-		return 0, "", 0, false
+		return 0, "", "", 0, false
 	}
-	return tag, parts[2] + "/" + parts[4], n, true
+	return tag, port, channel, seq, true
+}
+
+// cutField splits s before its first '/', which stays with the remainder
+// (the fixed segments carry their slashes).
+func cutField(s string) (field, rest string, ok bool) {
+	i := strings.IndexByte(s, '/')
+	if i < 0 {
+		return s, "", false
+	}
+	return s[:i], s[i:], true
+}
+
+// scopeLen is how much of H(tag || port/channel) a structured key carries.
+const scopeLen = 23
+
+// scopeKey names one channel scope: a namespace tag and the channel.
+type scopeKey struct {
+	tag           byte
+	port, channel string
+}
+
+// scopeMemoMax bounds the digest table. A deployment has a handful of
+// channels per chain; paths arriving from outside (proof verification) may
+// name any number, and past the bound their digests are computed each time.
+const scopeMemoMax = 1024
+
+// scopeMemo caches channelScope by copy-on-write: PathToKey runs on every
+// store access, ReadOnlyStore views call it from other goroutines, and the
+// table stops changing once a deployment's channels have been seen, so a
+// read is one atomic load and a map lookup.
+var scopeMemo atomic.Pointer[map[scopeKey][scopeLen]byte]
+
+// channelScope is the channel-scope part of a structured key, memoised.
+func channelScope(tag byte, port, channel string) [scopeLen]byte {
+	k := scopeKey{tag, port, channel}
+	var seen map[scopeKey][scopeLen]byte
+	m := scopeMemo.Load()
+	if m != nil {
+		seen = *m
+	}
+	if d, ok := seen[k]; ok {
+		return d
+	}
+	d := scopeDigest(tag, port, channel)
+	if len(seen) < scopeMemoMax {
+		next := make(map[scopeKey][scopeLen]byte, len(seen)+1)
+		for k, v := range seen {
+			next[k] = v
+		}
+		// port and channel alias the caller's path: the table keeps copies.
+		next[scopeKey{tag, strings.Clone(port), strings.Clone(channel)}] = d
+		// Losing a race drops this entry; the next miss stores it.
+		scopeMemo.CompareAndSwap(m, &next)
+	}
+	return d
+}
+
+// scopeDigest computes H(tag || port "/" channel)[:scopeLen].
+func scopeDigest(tag byte, port, channel string) (d [scopeLen]byte) {
+	h := cryptoutil.HashTagged(tag, []byte(port), []byte{'/'}, []byte(channel))
+	copy(d[:], h[:])
+	return d
 }

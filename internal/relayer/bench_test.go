@@ -2,6 +2,7 @@ package relayer
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/ibc"
 )
@@ -21,5 +22,26 @@ func BenchmarkTraceKey(b *testing.B) {
 		if len(traceKey(p)) == 0 {
 			b.Fatal("empty key")
 		}
+	}
+}
+
+// BenchmarkCheckTimeouts is one timeout scan over a link that has settled
+// 10 000 packets (their traces kept for Fig. 2) and has 100 outstanding,
+// none expired yet: the steady state of an outbound run between blocks.
+func BenchmarkCheckTimeouts(b *testing.B) {
+	l := newFakeLink(b)
+	for i := 0; i < 10_000; i++ {
+		l.deliver(1, l.send(1, i%2, time.Hour), false)
+	}
+	for i := 0; i < 100; i++ {
+		l.send(1, i%2, time.Hour)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.r.CheckTimeouts()
+	}
+	if len(l.submitted) != 0 {
+		b.Fatalf("submitted %d timeouts before anything expired", len(l.submitted))
 	}
 }

@@ -155,7 +155,7 @@ func (g *guestEnd) scan() {
 				if r.route(g.side, p.SourcePort, p.SourceChannel) == nil {
 					continue
 				}
-				r.Traces[idOf(g.side, p)] = &PacketTrace{Packet: p, SentAt: ev.Time, src: uint8(g.side), keep: true}
+				r.track(&PacketTrace{Packet: p, SentAt: ev.Time, src: uint8(g.side), keep: true})
 				// Send and commit coincide on the guest: the commitment is
 				// written in the same host transaction as SendPacket.
 				key := traceKey(p)

@@ -145,7 +145,7 @@ type RecvRecord struct {
 // PacketTrace tracks one packet the relayer may have to time out. Traces
 // of guest-sent packets also carry the milestones Fig. 2 is drawn from
 // and are kept after they settle; any other trace exists only until its
-// packet is acked or timed out.
+// packet is delivered, acked or timed out.
 type PacketTrace struct {
 	Packet      *ibc.Packet
 	SentAt      time.Time
@@ -294,6 +294,12 @@ type Relayer struct {
 	TotalFees   host.Lamports
 	TimeoutsRun int
 
+	// open indexes the traces CheckTimeouts may still owe a timeout proof
+	// for: recorded with a timeout, not yet delivered, and not yet seen
+	// without their commitment. The scan walks these, never Traces, so its
+	// cost follows the undelivered packets rather than the link's history.
+	open map[traceID]*PacketTrace
+
 	// Telemetry (all nil-safe no-ops unless WithTelemetry was given).
 	tel            *telemetry.Telemetry
 	tracer         *telemetry.Tracer
@@ -357,6 +363,7 @@ func New(cfg Config, sched *sim.Scheduler, net *netsim.Network, opts ...Option) 
 		key:    cryptoutil.GenerateKey(cfg.KeyName),
 		retry:  netsim.DefaultRetryPolicy(),
 		Traces: make(map[traceID]*PacketTrace),
+		open:   make(map[traceID]*PacketTrace),
 	}
 	for _, o := range opts {
 		o(r)
@@ -497,6 +504,30 @@ func (r *Relayer) route(side int, port ibc.PortID, channel ibc.ChannelID) *shard
 	return r.shards[0]
 }
 
+// canExpire reports whether p carries a timeout.
+func canExpire(p *ibc.Packet) bool {
+	return p.TimeoutHeight != 0 || !p.TimeoutTimestamp.IsZero()
+}
+
+// track records tr, and opens it for the timeout scan when its packet can
+// expire.
+func (r *Relayer) track(tr *PacketTrace) {
+	id := idOf(int(tr.src), tr.Packet)
+	r.Traces[id] = tr
+	if canExpire(tr.Packet) {
+		r.open[id] = tr
+	}
+}
+
+// closeTrace takes a trace the timeout scan has nothing left to do for out
+// of its index. Only a kept trace has a reader after that (Fig. 2).
+func (r *Relayer) closeTrace(id traceID, tr *PacketTrace) {
+	delete(r.open, id)
+	if !tr.keep {
+		delete(r.Traces, id)
+	}
+}
+
 // queuePacket records a packet committed on side src at height. Only a
 // packet that can expire needs a trace.
 func (r *Relayer) queuePacket(src int, p *ibc.Packet, height uint64) {
@@ -506,8 +537,8 @@ func (r *Relayer) queuePacket(src int, p *ibc.Packet, height uint64) {
 	}
 	now := r.sched.Now()
 	s.packets[src] = append(s.packets[src], work{packet: p, height: height, seen: now})
-	if p.TimeoutHeight != 0 || !p.TimeoutTimestamp.IsZero() {
-		r.Traces[idOf(src, p)] = &PacketTrace{Packet: p, SentAt: now, src: uint8(src)}
+	if canExpire(p) {
+		r.track(&PacketTrace{Packet: p, SentAt: now, src: uint8(src)})
 	}
 }
 
@@ -613,15 +644,18 @@ func (r *Relayer) flush(src int, height uint64) {
 // guest end relays its own (they ride finalised guest blocks).
 func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provableAt uint64, duplicate bool) {
 	now := r.sched.Now()
-	tr := r.Traces[idOf(1-to, p)]
+	id := idOf(1-to, p)
+	tr := r.Traces[id]
 	if tr != nil {
+		// A packet that arrived can no longer time out, whoever delivered
+		// it: only its ack is pending.
 		tr.DeliveredAt = now
+		r.closeTrace(id, tr)
 	}
 	if duplicate {
 		// A competing relayer won this packet: record the loss and stand
 		// down — the winner counts the delivery, relays the ack, and
-		// claims the fee. DeliveredAt is still marked so the timeout scan
-		// doesn't fire a proof for a packet that did arrive.
+		// claims the fee.
 		r.mLostRace.Inc()
 		return
 	}
@@ -671,14 +705,17 @@ func (r *Relayer) timedOut(tr *PacketTrace, err error) {
 	}
 }
 
-// settle closes a trace whose packet was acked or timed out.
+// settle closes a trace whose packet was acked or timed out. A kept trace
+// whose timeout was submitted stays open until a scan sees its commitment
+// gone: the relayer cannot see a host transaction fail in execution, and a
+// timeout the source rejected has to be submitted again.
 func (r *Relayer) settle(id traceID, stage string) {
 	tr := r.Traces[id]
 	if tr == nil {
 		return
 	}
 	if !tr.keep {
-		delete(r.Traces, id)
+		r.closeTrace(id, tr)
 		return
 	}
 	now := r.sched.Now()
@@ -688,29 +725,33 @@ func (r *Relayer) settle(id traceID, stage string) {
 	r.tracer.Mark(traceKey(tr.Packet), stage, now)
 }
 
-// CheckTimeouts scans traced packets for expiry and submits receipt
-// non-membership proofs to the chain that sent them (unordered channels).
-func (r *Relayer) CheckTimeouts() {
-	// Traces is a map: collect the packets still awaiting a timeout, then
-	// order them by (port, channel, sequence) so two packets expiring in
-	// the same scan are submitted in the same order on every run. Only the
-	// candidates are sorted — settled traces (the bulk of the map under
-	// load) drop out at the first check.
+// CheckTimeouts submits a receipt non-membership proof to the sending
+// chain for every open packet whose timeout has provably elapsed
+// (unordered channels).
+func (r *Relayer) CheckTimeouts() { r.submitTimeouts(r.expirable()) }
+
+// expirable walks the open traces and returns those a timeout may be
+// submitted for now, closing the ones whose source no longer commits them
+// (acked through another relayer, or timed out).
+func (r *Relayer) expirable() []*PacketTrace {
 	var expired []*PacketTrace
-	for id, tr := range r.Traces {
-		p := tr.Packet
+	for id, tr := range r.open {
 		switch {
-		case !r.ends[tr.src].hasCommitment(p): // acked or already timed out
-			if !tr.keep {
-				delete(r.Traces, id)
-			}
-		case !tr.DeliveredAt.IsZero(): // delivered; ack pending
-		case p.TimeoutHeight == 0 && p.TimeoutTimestamp.IsZero():
+		case !r.ends[tr.src].hasCommitment(tr.Packet):
+			r.closeTrace(id, tr)
 		case tr.inFlight:
 		default:
 			expired = append(expired, tr)
 		}
 	}
+	return expired
+}
+
+// submitTimeouts proves and submits the timeouts among expired that have
+// elapsed. The candidates come out of a map: they are ordered by (port,
+// channel, sequence) first, so two packets expiring in the same scan are
+// submitted in the same order on every run.
+func (r *Relayer) submitTimeouts(expired []*PacketTrace) {
 	sort.Slice(expired, func(i, j int) bool {
 		a, b := expired[i].Packet, expired[j].Packet
 		if a.SourcePort != b.SourcePort {
