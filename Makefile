@@ -34,7 +34,9 @@ lint: lint-deprecated
 # PR 19 folded the last two hand-written drivers (the §V-C outage and the
 # kill-and-recover run) into the same registry and deleted the whole-trie
 # serialiser (nodecodec.go is the persisted format); those names are
-# retired everywhere.
+# retired everywhere. PR 22 made a cosmos chain's front-end serve one call,
+# the transaction (netsim.KindTx / MsgTx); the four per-datagram call kinds
+# are message types inside it and their names stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -55,6 +57,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'RunOutage\|RunRecover\|OutageResult\|RecoverResult\|UnmarshalTrie' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired drivers and serialiser (outage and recover are registry scenarios; trie nodes persist through nodecodec.go):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'KindUpdateClient\|KindRecvPacket\|KindAckPacket\|KindTimeoutPacket' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired call kinds (a cosmos end submits transactions: netsim.KindTx carrying MsgUpdateClient/MsgRecvPacket/MsgAckPacket/MsgTimeoutPacket):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

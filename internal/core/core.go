@@ -377,7 +377,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	for _, name := range mesh.Order {
 		if mc := mesh.Chains[name]; mc.CP != nil {
 			mc.deliveredBy = make(map[string]netsim.NodeID)
-			mc.ep = n.Net.Node(mc.Node, nil, chainFrontEnd(mc.CP, mc.deliveredBy))
+			mc.ep = n.Net.Node(mc.Node, nil, mc.CP.FrontEnd(mc.deliveredBy))
 		}
 	}
 

@@ -265,7 +265,7 @@ func (n *Network) wireFees() bool {
 				if !ok {
 					return ""
 				}
-				if payee := payeeOf[end.peer.deliveredBy[recvKey(&p)]]; payee != "" {
+				if payee := payeeOf[end.peer.deliveredBy[counterparty.RecvKey(&p)]]; payee != "" {
 					return payee
 				}
 				return end.primaryPayee

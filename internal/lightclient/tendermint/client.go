@@ -176,50 +176,54 @@ func (c *Client) checkRate(now time.Time) error {
 // verifyCommit checks the update's commit against both the header's own
 // validator set (>2/3) and the currently trusted set (>1/3 overlap — the
 // skipping-verification trust rule; sequential updates where the set hash
-// matches the trusted NextValSetHash trivially satisfy it). check==nil
+// matches the trusted NextValSetHash trivially satisfy it). The powers are
+// tallied before any signature is verified: a commit that cannot reach
+// either threshold is refused without paying for its Ed25519. check==nil
 // verifies signatures in-process; otherwise it consults the supplied
 // out-of-band checker.
 func (c *Client) verifyCommit(u *Update, check SigChecker) error {
 	if u.ValSet.Hash() != u.Header.ValSetHash {
 		return errors.New("tendermint: update validator set does not match header")
 	}
-	headerHash := u.Header.Hash()
 	seen := make(map[cryptoutil.PubKey]bool, len(u.Commit))
 	var ownPower, trustedPower uint64
-	tasks := make([]cryptoutil.VerifyTask, 0, len(u.Commit))
 	for _, sig := range u.Commit {
 		if seen[sig.PubKey] {
 			return fmt.Errorf("tendermint: duplicate commit signature from %s", sig.PubKey.Short())
 		}
 		seen[sig.PubKey] = true
-		payload := VotePayload(headerHash, sig.Timestamp)
-		if check != nil {
-			// Out-of-band checker (host precompile lookup): a map probe,
-			// nothing to parallelise.
-			if !check(sig.PubKey, payload) {
-				return fmt.Errorf("tendermint: invalid commit signature from %s", sig.PubKey.Short())
-			}
-		} else {
-			tasks = append(tasks, cryptoutil.HashTask(sig.PubKey, payload, sig.Signature))
-		}
 		ownPower += u.ValSet.PowerOf(sig.PubKey)
 		trustedPower += c.trustedVals.PowerOf(sig.PubKey)
-	}
-	if len(tasks) > 0 {
-		verifier := cryptoutil.DefaultBatchVerifier()
-		if !verifier.VerifyAll(tasks) {
-			for i, t := range tasks {
-				if !verifier.Verify(t) {
-					return fmt.Errorf("tendermint: invalid commit signature from %s", u.Commit[i].PubKey.Short())
-				}
-			}
-		}
 	}
 	if ownPower*3 <= u.ValSet.TotalPower()*2 {
 		return fmt.Errorf("%w: %d of %d", ErrInsufficientSig, ownPower, u.ValSet.TotalPower())
 	}
 	if trustedPower*3 <= c.trustedVals.TotalPower() {
 		return fmt.Errorf("%w: %d of %d", ErrNoTrustOverlap, trustedPower, c.trustedVals.TotalPower())
+	}
+
+	headerHash := u.Header.Hash()
+	if check != nil {
+		// Out-of-band checker (host precompile lookup): a map probe,
+		// nothing to parallelise.
+		for _, sig := range u.Commit {
+			if !check(sig.PubKey, VotePayload(headerHash, sig.Timestamp)) {
+				return fmt.Errorf("tendermint: invalid commit signature from %s", sig.PubKey.Short())
+			}
+		}
+		return nil
+	}
+	tasks := make([]cryptoutil.VerifyTask, len(u.Commit))
+	for i, sig := range u.Commit {
+		tasks[i] = cryptoutil.HashTask(sig.PubKey, VotePayload(headerHash, sig.Timestamp), sig.Signature)
+	}
+	verifier := cryptoutil.DefaultBatchVerifier()
+	if !verifier.VerifyAll(tasks) {
+		for i, t := range tasks {
+			if !verifier.Verify(t) {
+				return fmt.Errorf("tendermint: invalid commit signature from %s", u.Commit[i].PubKey.Short())
+			}
+		}
 	}
 	return nil
 }

@@ -96,10 +96,15 @@ func TestUpdateRejectsSubQuorum(t *testing.T) {
 	c := newTestChain(t, 9)
 	client := newTestClient(t, c)
 	h := c.header(cryptoutil.ZeroHash)
-	// 6 of 9 equal powers = exactly 2/3, NOT more than 2/3.
+	// 6 of 9 equal powers = exactly 2/3, NOT more than 2/3. The tally
+	// refuses it before any of its signatures is verified.
 	u := c.update(h, 6)
+	misses := cryptoutil.DefaultBatchVerifier().Stats().Misses
 	if err := client.UpdateVerified(u, c.now); !errors.Is(err, ErrInsufficientSig) {
 		t.Fatalf("err = %v, want ErrInsufficientSig", err)
+	}
+	if got := cryptoutil.DefaultBatchVerifier().Stats().Misses; got != misses {
+		t.Errorf("an under-powered commit cost %d signature verifications, want 0", got-misses)
 	}
 	// 7 of 9 passes.
 	u = c.update(h, 7)

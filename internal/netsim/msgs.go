@@ -14,15 +14,9 @@ const (
 	KindCPBlock = "cp.block"
 	// KindSubmitTx submits a host transaction (daemon -> host, call).
 	KindSubmitTx = "host.submit"
-	// KindUpdateClient runs UpdateClient on the counterparty (call).
-	KindUpdateClient = "cp.update-client"
-	// KindRecvPacket runs RecvPacket on the counterparty (call).
-	KindRecvPacket = "cp.recv-packet"
-	// KindAckPacket runs AcknowledgePacket on the counterparty (call).
-	KindAckPacket = "cp.ack-packet"
-	// KindTimeoutPacket runs TimeoutPacket on a chain front-end (call);
-	// mesh link relayers use it to refund expired hops on Cosmos chains.
-	KindTimeoutPacket = "cp.timeout-packet"
+	// KindTx submits a transaction — an ordered list of IBC datagrams — to a
+	// Cosmos chain's front-end (call).
+	KindTx = "cp.tx"
 )
 
 // MsgHostBlock is the KindHostBlock payload.
@@ -40,20 +34,36 @@ type MsgSubmitTx struct {
 	Tx *host.Transaction
 }
 
-// MsgUpdateClient is the KindUpdateClient payload.
+// MsgTx is the KindTx payload. Msgs holds MsgUpdateClient, MsgRecvPacket,
+// MsgAckPacket and MsgTimeoutPacket values, applied in order; the response
+// is one TxResult per message. Unlike a Cosmos transaction it is not
+// all-or-nothing: each message stands alone, so a replayed transaction is
+// idempotent message by message (DESIGN.md §10).
+type MsgTx struct {
+	Msgs []any
+}
+
+// TxResult is the outcome of one message of a transaction.
+type TxResult struct {
+	Resp any
+	Err  error
+}
+
+// MsgUpdateClient runs UpdateClient on the chain.
 type MsgUpdateClient struct {
 	ClientID ibc.ClientID
 	Header   []byte
 }
 
-// MsgRecvPacket is the KindRecvPacket payload.
+// MsgRecvPacket runs RecvPacket on the chain; its TxResult.Resp is a
+// RespRecvPacket.
 type MsgRecvPacket struct {
 	Packet      *ibc.Packet
 	Proof       []byte
 	ProofHeight ibc.Height
 }
 
-// RespRecvPacket is the KindRecvPacket response.
+// RespRecvPacket is what a delivered MsgRecvPacket answers with.
 type RespRecvPacket struct {
 	// Ack is the acknowledgement the receiving chain wrote.
 	Ack []byte
@@ -68,7 +78,7 @@ type RespRecvPacket struct {
 	Duplicate bool
 }
 
-// MsgAckPacket is the KindAckPacket payload.
+// MsgAckPacket runs AcknowledgePacket on the chain.
 type MsgAckPacket struct {
 	Packet      *ibc.Packet
 	Ack         []byte
@@ -76,7 +86,7 @@ type MsgAckPacket struct {
 	ProofHeight ibc.Height
 }
 
-// MsgTimeoutPacket is the KindTimeoutPacket payload. Proof is receipt
+// MsgTimeoutPacket runs TimeoutPacket on the chain. Proof is receipt
 // non-membership (unordered channels) at ProofHeight on the destination.
 type MsgTimeoutPacket struct {
 	Packet      *ibc.Packet

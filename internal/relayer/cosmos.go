@@ -8,9 +8,14 @@ import (
 	"repro/internal/netsim"
 )
 
+// maxTxMsgs caps the messages of one transaction (Hermes' default
+// max_msg_num); what is queued beyond it forms the next transaction.
+const maxTxMsgs = 30
+
 // cosmosEnd is a Cosmos-style chain: its state is read directly (the RPC
 // analogue) and everything submitted to it goes through its netsim
-// front-end, one operation at a time.
+// front-end as transactions, one at a time, each carrying every message
+// queued when it leaves.
 type cosmosEnd struct {
 	r        *Relayer
 	side     int
@@ -20,17 +25,17 @@ type cosmosEnd struct {
 
 	cursor int // EventsSince cursor
 
-	// ops serialises submissions: reliable retries must not let a
-	// RecvPacket overtake the UpdateClient it depends on.
-	ops  []cosmosOp
+	// msgs is the submission FIFO: transactions are cut from its head and
+	// never overlap, so reliable retries cannot let a RecvPacket overtake
+	// the UpdateClient it depends on.
+	msgs []cosmosMsg
 	busy bool
 }
 
-// cosmosOp is one queued front-end call.
-type cosmosOp struct {
-	kind    string
-	payload any
-	done    func(resp any, err error)
+// cosmosMsg is one queued datagram and what to do with its outcome.
+type cosmosMsg struct {
+	msg  any
+	done func(resp any, err error)
 }
 
 func (c *cosmosEnd) scan() {
@@ -78,24 +83,25 @@ func (c *cosmosEnd) client() (ibc.Client, error) { return c.chain.Handler().Clie
 
 func (c *cosmosEnd) sinkNames() (string, string) { return "delivered_to_cp", "acks_to_cp" }
 
-func (c *cosmosEnd) backlog() int { return len(c.ops) }
+func (c *cosmosEnd) backlog() int { return len(c.msgs) }
 
-// call appends one operation to the FIFO and starts the pump if idle.
+// submit appends one message to the FIFO and starts the pump if idle.
 // Without an OpLatency, on a lossless network, the whole queue drains
 // synchronously before this returns.
-func (c *cosmosEnd) call(kind string, payload any, done func(resp any, err error)) {
-	c.ops = append(c.ops, cosmosOp{kind, payload, done})
+func (c *cosmosEnd) submit(msg any, done func(resp any, err error)) {
+	c.msgs = append(c.msgs, cosmosMsg{msg, done})
 	if !c.busy {
 		c.busy = true
 		c.pump()
 	}
 }
 
-// pump issues the head operation — after a sampled submission latency
-// where the link configures one, so the queue drains at deployment pace.
+// pump issues the next transaction — after a sampled submission latency
+// where the link configures one, so the queue drains at deployment pace and
+// whatever is handed over meanwhile rides along.
 func (c *cosmosEnd) pump() {
-	if len(c.ops) == 0 {
-		c.busy = false
+	if len(c.msgs) == 0 {
+		c.msgs, c.busy = nil, false
 		return
 	}
 	if lat := c.r.cfg.OpLatency; lat != nil {
@@ -105,35 +111,50 @@ func (c *cosmosEnd) pump() {
 	c.issue()
 }
 
-// issue calls the front-end with the head operation and advances on its
-// completion.
+// issue cuts a transaction from the head of the FIFO, calls the front-end
+// with it and hands every message its own outcome. A call that failed as a
+// whole fails each of its messages.
 func (c *cosmosEnd) issue() {
-	op := c.ops[0]
-	c.r.call(c.node, op.kind, op.payload, func(resp any, err error) {
-		c.ops[0] = cosmosOp{}
-		c.ops = c.ops[1:]
-		op.done(resp, err)
+	n := min(len(c.msgs), maxTxMsgs)
+	tx := netsim.MsgTx{Msgs: make([]any, n)}
+	for i, m := range c.msgs[:n] {
+		tx.Msgs[i] = m.msg
+	}
+	c.r.call(c.node, netsim.KindTx, tx, func(resp any, err error) {
+		results, _ := resp.([]netsim.TxResult)
+		// What the outcomes queue lands behind sent, never in it.
+		sent := c.msgs[:n]
+		c.msgs = c.msgs[n:]
+		for i, m := range sent {
+			if err != nil {
+				m.done(nil, err)
+			} else {
+				m.done(results[i].Resp, results[i].Err)
+			}
+		}
+		clear(sent)
 		c.pump()
 	})
 }
 
+func (c *cosmosEnd) inOrder() bool { return true }
+
 func (c *cosmosEnd) updateClient(h header, done func(error)) {
-	c.call(netsim.KindUpdateClient, netsim.MsgUpdateClient{ClientID: c.clientID, Header: h.Marshal()},
+	c.submit(netsim.MsgUpdateClient{ClientID: c.clientID, Header: h.Marshal()},
 		func(_ any, err error) { done(err) })
 }
 
-// recvPackets delivers the batch one front-end call per packet, in order.
-// The front-end answers with the written ack and the first height whose
+// recvPackets delivers the batch one message per packet, in order. The
+// front-end answers each with the written ack and the first height whose
 // root commits it, and flags a replay — a competing relayer got there
-// first — as Duplicate. An application rejection (say, an expired packet)
-// is left to the timeout scan.
+// first — as Duplicate.
 func (c *cosmosEnd) recvPackets(s *shard, batch []proven) {
 	for _, w := range batch {
-		c.call(netsim.KindRecvPacket,
-			netsim.MsgRecvPacket{Packet: w.packet, Proof: w.proof, ProofHeight: ibc.Height(w.provedAt)},
+		c.submit(netsim.MsgRecvPacket{Packet: w.packet, Proof: w.proof, ProofHeight: ibc.Height(w.provedAt)},
 			func(resp any, err error) {
 				rr, ok := resp.(netsim.RespRecvPacket)
 				if err != nil || !ok {
+					c.recvFailed(s, w.work)
 					return
 				}
 				if !rr.Duplicate && !w.seen.IsZero() {
@@ -146,14 +167,34 @@ func (c *cosmosEnd) recvPackets(s *shard, batch []proven) {
 	}
 }
 
+// recvFailed settles a recv message the chain refused — its proof height
+// has no consensus state because the update ahead of it was refused, say —
+// by the chain's state, as the guest end settles a failed job: a packet the
+// chain shows delivered is delivered, any other goes back to its shard. A
+// packet already expired at the chain's head is left to the timeout scan,
+// or every flush would submit it again to be rejected again.
+func (c *cosmosEnd) recvFailed(s *shard, w work) {
+	if c.chain.Handler().PacketDelivered(w.packet) {
+		c.r.delivered(c.side, s, w.packet, nil, 0, false)
+		return
+	}
+	if h, t, err := c.head(); err == nil && w.packet.TimedOut(ibc.Height(h), t) {
+		return
+	}
+	c.r.requeue(c.side, s, w)
+}
+
 func (c *cosmosEnd) ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64) {
-	c.call(netsim.KindAckPacket,
-		netsim.MsgAckPacket{Packet: w.packet, Ack: w.ack, Proof: proof, ProofHeight: ibc.Height(provedAt)},
-		func(_ any, err error) { c.r.acked(c.side, s, w.packet, err) })
+	c.submit(netsim.MsgAckPacket{Packet: w.packet, Ack: w.ack, Proof: proof, ProofHeight: ibc.Height(provedAt)},
+		func(_ any, err error) {
+			if err != nil {
+				c.r.requeueAck(c.side, s, w)
+			}
+			c.r.acked(c.side, s, w.packet, err)
+		})
 }
 
 func (c *cosmosEnd) timeoutPacket(_ *shard, tr *PacketTrace, proof []byte, provedAt ibc.Height) {
-	c.call(netsim.KindTimeoutPacket,
-		netsim.MsgTimeoutPacket{Packet: tr.Packet, Proof: proof, ProofHeight: provedAt},
+	c.submit(netsim.MsgTimeoutPacket{Packet: tr.Packet, Proof: proof, ProofHeight: provedAt},
 		func(_ any, err error) { c.r.timedOut(tr, err) })
 }

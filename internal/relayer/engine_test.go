@@ -3,6 +3,8 @@ package relayer
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,7 +12,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/host"
 	"repro/internal/ibc"
-	"repro/internal/lightclient/guestlc"
 	"repro/internal/lightclient/tendermint"
 	"repro/internal/netsim"
 	"repro/internal/routing"
@@ -28,6 +29,8 @@ const (
 	guestLink linkKind = "guest-cosmos"
 	// cosmosLink is two cosmos chains; the "home" end is chain A.
 	cosmosLink linkKind = "cosmos-cosmos"
+	// orderedLink is cosmosLink with an ordered bank channel.
+	orderedLink linkKind = "cosmos-ordered"
 )
 
 // bankPort carries the transfer apps the scenarios move tokens through
@@ -58,13 +61,20 @@ type linkEnv struct {
 	cfg      Config
 	relayer  *Relayer // the first engine
 	relayers []*Relayer
+
+	// txs is every transaction each chain front-end was called with, in
+	// arrival order (a replay appears again). intercept, when set, sees a
+	// transaction before the front-end does and may substitute its messages
+	// or cut a link to lose the reply.
+	txs       map[netsim.NodeID][]netsim.MsgTx
+	intercept func(node netsim.NodeID, tx *netsim.MsgTx)
 }
 
 // newLinkEnv builds the link and starts its first engine, whose config
 // tune may adjust.
 func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(*Config)) *linkEnv {
 	t.Helper()
-	e := &linkEnv{tel: telemetry.New(), homeApp: transfer.New(bankPort), awayApp: transfer.New(bankPort)}
+	e := &linkEnv{tel: telemetry.New(), homeApp: transfer.New(bankPort), awayApp: transfer.New(bankPort), txs: map[netsim.NodeID][]netsim.MsgTx{}}
 	newCosmos := func(id string, seed int64, clock host.Clock) *counterparty.Chain {
 		cfg := counterparty.DefaultConfig()
 		cfg.ChainID, cfg.NumValidators, cfg.Seed = id, 8, seed
@@ -121,7 +131,11 @@ func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(
 		e.away = newCosmos("chain-b", 2, e.sched.Clock())
 		bank(a.Handler(), e.homeApp)
 		bank(e.away.Handler(), e.awayApp)
-		res, err := (&PairBootstrap{A: a, B: e.away, PortA: bankPort, PortB: bankPort}).Run()
+		boot := &PairBootstrap{A: a, B: e.away, PortA: bankPort, PortB: bankPort}
+		if kind == orderedLink {
+			boot.Ordering = ibc.Ordered
+		}
+		res, err := boot.Run()
 		must(err)
 		e.homeCh, e.awayCh = res.ChanA, res.ChanB
 		home = EndConfig{Chain: a, Node: netsim.ChainNode("a"), ClientOfPeer: res.ClientBOnA}
@@ -144,9 +158,9 @@ func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(
 
 	e.net = netsim.New(e.sched, netCfg)
 	e.net.ScheduleFaults(e.sched.Now())
-	e.net.Node(e.cfg.A.Node, nil, chainFrontEnd(e.away))
+	e.net.Node(e.cfg.A.Node, nil, e.frontEnd(e.cfg.A.Node, e.away))
 	if home.Chain != nil {
-		e.net.Node(home.Node, nil, chainFrontEnd(home.Chain))
+		e.net.Node(home.Node, nil, e.frontEnd(home.Node, home.Chain))
 	} else {
 		e.net.Node(home.Node, nil, func(_ netsim.NodeID, _ string, payload any) (any, error) {
 			err := e.chain.Submit(payload.(netsim.MsgSubmitTx).Tx)
@@ -233,49 +247,72 @@ func (e *linkEnv) guestTicks() {
 	})
 }
 
-// chainFrontEnd is the test's idempotent chain front-end, a miniature of
-// core's: replays succeed, and a replayed delivery from another node than
-// the first is flagged as a lost race.
-func chainFrontEnd(c *counterparty.Chain) netsim.CallHandler {
-	key := func(p *ibc.Packet) string { return fmt.Sprintf("%s/%s/%d", p.DestPort, p.DestChannel, p.Sequence) }
-	acks := make(map[string][]byte)
-	deliveredBy := make(map[string]netsim.NodeID)
-	c.Handler().Events().Subscribe(func(ev telemetry.Event) {
-		if wa, ok := ev.(ibc.EventWriteAck); ok {
-			acks[key(wa.Packet)] = wa.Ack
-		}
-	})
-	settled := func(err error) error {
-		if errors.Is(err, ibc.ErrPacketAlreadyDelivered) {
-			return nil
-		}
-		return err
-	}
+// frontEnd is c's front-end behind the transaction log.
+func (e *linkEnv) frontEnd(node netsim.NodeID, c *counterparty.Chain) netsim.CallHandler {
+	serve := c.FrontEnd(map[string]netsim.NodeID{})
 	return func(from netsim.NodeID, kind string, payload any) (any, error) {
-		switch m := payload.(type) {
-		case netsim.MsgUpdateClient:
-			err := c.Handler().UpdateClient(m.ClientID, m.Header)
-			if errors.Is(err, tendermint.ErrStaleHeader) || errors.Is(err, guestlc.ErrStaleBlock) {
-				err = nil
+		if tx, ok := payload.(netsim.MsgTx); ok {
+			if e.intercept != nil {
+				e.intercept(node, &tx)
 			}
-			return nil, err
-		case netsim.MsgRecvPacket:
-			ack, err := c.Handler().RecvPacket(m.Packet, m.Proof, m.ProofHeight)
-			if prev, ok := acks[key(m.Packet)]; ok && errors.Is(err, ibc.ErrPacketAlreadyDelivered) {
-				return netsim.RespRecvPacket{Ack: prev, ProvableAt: c.Height() + 1, Duplicate: deliveredBy[key(m.Packet)] != from}, nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			deliveredBy[key(m.Packet)] = from
-			return netsim.RespRecvPacket{Ack: ack, ProvableAt: c.Height() + 1}, nil
-		case netsim.MsgAckPacket:
-			return nil, settled(c.Handler().AcknowledgePacket(m.Packet, m.Ack, m.Proof, m.ProofHeight))
-		case netsim.MsgTimeoutPacket:
-			return nil, settled(c.Handler().TimeoutPacket(m.Packet, m.Proof, m.ProofHeight))
+			e.txs[node] = append(e.txs[node], tx)
+			payload = tx
 		}
-		return nil, fmt.Errorf("test front-end: unknown call %q", kind)
+		return serve(from, kind, payload)
 	}
+}
+
+// shape summarises a transaction as its message counts by type, in the
+// order update, recv, ack, timeout: "1u 12r".
+func shape(tx netsim.MsgTx) string {
+	var n [4]int
+	for _, m := range tx.Msgs {
+		switch m.(type) {
+		case netsim.MsgUpdateClient:
+			n[0]++
+		case netsim.MsgRecvPacket:
+			n[1]++
+		case netsim.MsgAckPacket:
+			n[2]++
+		case netsim.MsgTimeoutPacket:
+			n[3]++
+		}
+	}
+	var parts []string
+	for i, c := range n {
+		if c > 0 {
+			parts = append(parts, fmt.Sprintf("%d%c", c, "urat"[i]))
+		}
+	}
+	return strings.Join(parts, " ")
+}
+
+func shapes(txs []netsim.MsgTx) []string {
+	out := make([]string, len(txs))
+	for i, tx := range txs {
+		out[i] = shape(tx)
+	}
+	return out
+}
+
+// recvSeqs lists the sequences of the recv messages of txs, in order.
+func recvSeqs(txs ...netsim.MsgTx) []uint64 {
+	var seqs []uint64
+	for _, tx := range txs {
+		for _, m := range tx.Msgs {
+			if r, ok := m.(netsim.MsgRecvPacket); ok {
+				seqs = append(seqs, r.Packet.Sequence)
+			}
+		}
+	}
+	return seqs
+}
+
+// loseReply cuts the link that carries node's replies to the first engine,
+// for long enough to lose the one about to be sent and no retry.
+func (e *linkEnv) loseReply(node netsim.NodeID) {
+	e.net.SetLink(node, e.relayer.ep.ID(), netsim.LinkConfig{Drop: 1})
+	e.sched.After(5*time.Second, func() { e.net.SetLink(node, e.relayer.ep.ID(), netsim.LinkConfig{}) })
 }
 
 // send moves amount TOK from alice on the home chain towards bob on the
@@ -356,9 +393,10 @@ func TestEngine(t *testing.T) {
 	}
 	scenarios := []struct {
 		name string
+		only linkKind // empty: both kinds
 		run  func(t *testing.T, kind linkKind)
 	}{
-		{"delivers and acks", func(t *testing.T, kind linkKind) {
+		{"delivers and acks", "", func(t *testing.T, kind linkKind) {
 			e := newLinkEnv(t, kind, netsim.Config{})
 			e.send(t, 500, 0)
 			back := e.sendBack(t, 70)
@@ -382,7 +420,7 @@ func TestEngine(t *testing.T) {
 				t.Errorf("%d traces left on a link that keeps none", len(e.relayer.Traces))
 			}
 		}},
-		{"lossy network delivers exactly once", func(t *testing.T, kind linkKind) {
+		{"lossy network delivers exactly once", "", func(t *testing.T, kind linkKind) {
 			e := newLinkEnv(t, kind, chaos)
 			const n, amt = 8, 100
 			for i := 0; i < n; i++ {
@@ -391,7 +429,7 @@ func TestEngine(t *testing.T) {
 			e.sched.RunFor(2 * time.Hour)
 			e.wantTransferred(t, n*amt, n*amt)
 		}},
-		{"expired packet is timed out and refunded once", func(t *testing.T, kind linkKind) {
+		{"expired packet is timed out and refunded once", "", func(t *testing.T, kind linkKind) {
 			// The engine is cut off from the away chain long enough for the
 			// packet to expire undelivered; the receipt non-membership
 			// proof then refunds it on the home chain.
@@ -408,7 +446,7 @@ func TestEngine(t *testing.T) {
 				t.Errorf("timeouts_submitted = %d, want 1", n)
 			}
 		}},
-		{"second engine loses the race", func(t *testing.T, kind linkKind) {
+		{"second engine loses the race", "", func(t *testing.T, kind linkKind) {
 			e := newLinkEnv(t, kind, netsim.Config{})
 			rival := e.cfg
 			rival.NodeID, rival.KeyName, rival.Seed = "rival", "rival", 99
@@ -421,7 +459,7 @@ func TestEngine(t *testing.T) {
 				t.Errorf("lost_race = %d, delivered = %d, acks = %d, want 1 each", lost, d, a)
 			}
 		}},
-		{"client updates do not grow with packets behind one height", func(t *testing.T, kind linkKind) {
+		{"client updates do not grow with packets behind one height", "", func(t *testing.T, kind linkKind) {
 			// Unpaced, so every delivery lands before the next block and
 			// the acks share a height too: one update per leg, whatever
 			// the packet count.
@@ -440,11 +478,153 @@ func TestEngine(t *testing.T) {
 				t.Errorf("client updates: %d for 1 packet, %d for 12 committed at the same height", one, many)
 			}
 		}},
+		{"a lost reply replays the whole transaction", "", func(t *testing.T, kind linkKind) {
+			// The first transaction that carries packets is applied and its
+			// reply lost: the retry hands the sink the same messages again,
+			// and every one of them answers as it did the first time.
+			e := newLinkEnv(t, kind, netsim.Config{})
+			away, lost := e.cfg.A.Node, -1
+			e.intercept = func(node netsim.NodeID, tx *netsim.MsgTx) {
+				if node == away && lost < 0 && len(recvSeqs(*tx)) > 0 {
+					lost = len(e.txs[away])
+					e.loseReply(away)
+				}
+			}
+			const n, amt = 8, 100
+			for i := 0; i < n; i++ {
+				e.send(t, amt, 0)
+			}
+			e.sched.RunFor(30 * time.Minute)
+
+			if txs := e.txs[away]; lost < 0 || len(txs) < lost+2 {
+				t.Fatalf("no transaction lost its reply and was retried (%d served)", len(txs))
+			} else if first, replay := txs[lost], txs[lost+1]; shape(first) != shape(replay) || !slices.Equal(recvSeqs(first), recvSeqs(replay)) {
+				t.Errorf("transaction %q with packets %v was retried as %q with %v", shape(first), recvSeqs(first), shape(replay), recvSeqs(replay))
+			}
+			e.wantTransferred(t, n*amt, n*amt)
+			if d, lostRace := e.counter("delivered"), e.counter("lost_race"); d != n || lostRace != 0 {
+				t.Errorf("delivered = %d, lost_race = %d, want %d and 0: a replay is not a second delivery", d, lostRace, n)
+			}
+			if r := e.counter("net_retries"); r != 1 {
+				t.Errorf("net_retries = %d, want 1 (one timer for the whole transaction)", r)
+			}
+		}},
+		{"a flush is one transaction, cut at the cap", cosmosLink, func(t *testing.T, kind linkKind) {
+			// Packets committed at one height leave with the update that
+			// unlocks them; the message past the cap forms the next
+			// transaction.
+			for _, tc := range []struct {
+				packets int
+				want    []string
+			}{
+				{12, []string{"1u 12r"}},
+				{maxTxMsgs, []string{fmt.Sprintf("1u %dr", maxTxMsgs-1), "1r"}},
+			} {
+				e := newLinkEnv(t, kind, netsim.Config{})
+				for i := 0; i < tc.packets; i++ {
+					e.send(t, 5, 0)
+				}
+				e.sched.RunFor(10 * time.Minute)
+
+				total := uint64(5 * tc.packets)
+				e.wantTransferred(t, total, total)
+				txs := e.txs[e.cfg.A.Node]
+				if got := shapes(txs); !slices.Equal(got, tc.want) {
+					t.Errorf("%d packets reached the sink as %q, want %q", tc.packets, got, tc.want)
+				}
+				for i, seq := range recvSeqs(txs...) {
+					if seq != uint64(i+1) {
+						t.Errorf("%d packets: recv %d carries sequence %d", tc.packets, i, seq)
+					}
+				}
+				if tc.packets > 12 {
+					continue
+				}
+				// The deliveries share a height too, so the acks come back
+				// the same way: one update per leg.
+				if got := shapes(e.txs[e.cfg.B.Node]); !slices.Equal(got, []string{"1u 12a"}) {
+					t.Errorf("acks reached the source as %q, want one transaction", got)
+				}
+				if u := e.counter("client_updates"); u != 2 {
+					t.Errorf("client_updates = %d, want 2 (one per leg)", u)
+				}
+			}
+		}},
 	}
 	for _, kind := range []linkKind{guestLink, cosmosLink} {
 		for _, sc := range scenarios {
+			if sc.only != "" && sc.only != kind {
+				continue
+			}
 			t.Run(string(kind)+"/"+sc.name, func(t *testing.T) { sc.run(t, kind) })
 		}
+	}
+}
+
+// TestCosmosRecvRequeuedAfterRefusedUpdate: the update three packets ride
+// behind reaches the sink with a commit below 2/3 of its validator set's
+// power, so the sink refuses it and the recvs fail on the missing consensus
+// state. They go back to their shard — in sequence order, ahead of two
+// packets committed while the transaction was in flight, which an ordered
+// channel insists on — and the next transaction delivers all five exactly
+// once.
+func TestCosmosRecvRequeuedAfterRefusedUpdate(t *testing.T) {
+	for _, kind := range []linkKind{cosmosLink, orderedLink} {
+		t.Run(string(kind), func(t *testing.T) {
+			e := newLinkEnv(t, kind, netsim.Config{})
+			away := e.cfg.A.Node
+			refused := uint64(0)
+			e.intercept = func(node netsim.NodeID, tx *netsim.MsgTx) {
+				m, ok := tx.Msgs[0].(netsim.MsgUpdateClient)
+				if node != away || !ok {
+					return
+				}
+				u, err := tendermint.UnmarshalUpdate(m.Header)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if refused == 0 {
+					// Hold the transaction in flight over the next block, which
+					// commits two more packets: its retry is refused as well.
+					refused = u.Header.Height
+					e.loseReply(away)
+					e.sched.After(time.Second, func() {
+						e.send(t, 10, 0)
+						e.send(t, 10, 0)
+					})
+				}
+				if u.Header.Height == refused {
+					u.Commit = u.Commit[:len(u.Commit)/2]
+					m.Header = u.Marshal()
+					tx.Msgs = append([]any{m}, tx.Msgs[1:]...)
+				}
+			}
+			for i := 0; i < 3; i++ {
+				e.send(t, 10, 0)
+			}
+			e.sched.RunFor(10 * time.Minute)
+
+			if got, want := shapes(e.txs[away]), []string{"1u 3r", "1u 3r", "1u 5r"}; !slices.Equal(got, want) {
+				t.Fatalf("the sink was called with %q, want %q (refused, its retry, the next flush)", got, want)
+			}
+			if got := recvSeqs(e.txs[away][2]); !slices.Equal(got, []uint64{1, 2, 3, 4, 5}) {
+				t.Errorf("the flush after the refused update carries packets %v, want 1 to 5 in order", got)
+			}
+			client, err := e.away.Handler().Client(e.cfg.A.ClientOfPeer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.ConsensusTime(ibc.Height(refused)); err == nil {
+				t.Errorf("the sink accepted the under-powered update at height %d; the scenario did not run", refused)
+			}
+			e.wantTransferred(t, 50, 50)
+			if d, a := e.counter("delivered"), e.counter("acks"); d != 5 || a != 5 {
+				t.Errorf("delivered = %d, acks = %d, want 5 each", d, a)
+			}
+			if n := len(e.relayer.shards[0].packets[1]); n != 0 {
+				t.Errorf("%d packets still queued on the shard", n)
+			}
+		})
 	}
 }
 

@@ -348,6 +348,10 @@ func (g *guestEnd) hasCommitment(p *ibc.Packet) bool { return g.st.Handler.HasCo
 
 func (g *guestEnd) client() (ibc.Client, error) { return g.st.Handler.Client(g.clientID) }
 
+// inOrder is false: an update rides the root pacer and every channel's
+// datagrams their own lane, so only the update's landing orders them.
+func (g *guestEnd) inOrder() bool { return false }
+
 // updateClient stages a peer header across chunk transactions whose
 // precompile entries verify the commit signatures (§IV), on the root
 // pacer.

@@ -6,8 +6,16 @@
 // ICS-29 fee sweeps, and the health sample the routing plane reads.
 //
 // An end hides exactly what differs between chains. A cosmos end is a
-// counterparty.Chain behind its netsim RPC front-end and one serial
-// reliable-call FIFO (cosmos.go). The guest end is the paper's part
+// counterparty.Chain behind its netsim RPC front-end (cosmos.go). What it
+// is handed — client updates, recvs, acks, timeouts — queues as messages in
+// one FIFO, and it submits transactions, never datagrams: each turn takes
+// everything queued, up to 30 messages, as one reliable call with one
+// latency draw and one retry timer, so a header and the packets it unlocks
+// travel together as ICS-18 lets a relayer bundle them. The chain applies
+// the messages in order and answers each on its own; a message that failed
+// (its update was refused, say) is settled by the chain's state and goes
+// back to its shard, and a replayed transaction is idempotent message by
+// message. The guest end is the paper's part
 // (guest.go): Alg. 2's header pump decides which guest blocks the peer
 // must learn, and every guest-bound datagram becomes a sequence of
 // size-limited host transactions paced like a real RPC submitter — this
@@ -80,7 +88,7 @@ type Config struct {
 	// Alg. 2's header pushes and the ack relay (submission there is not
 	// the bottleneck the paper measures).
 	CPLatency sim.Dist
-	// OpLatency, when set, is drawn before every operation a cosmos end
+	// OpLatency, when set, is drawn before every transaction a cosmos end
 	// submits. Cosmos↔cosmos links set it; the guest link leaves it nil
 	// because the guest end already paces what it sends (CPLatency).
 	OpLatency sim.Dist
@@ -200,7 +208,8 @@ type proven struct {
 }
 
 // ackWork is an ack written at height on the chain that received packet,
-// awaiting relay to the chain that sent it.
+// awaiting relay to the chain that sent it (height is zero for an ack the
+// guest end relays itself).
 type ackWork struct {
 	packet *ibc.Packet
 	ack    []byte
@@ -225,8 +234,11 @@ type end interface {
 	proveNonMembership(height uint64, path string) ([]byte, error)
 	hasCommitment(p *ibc.Packet) bool
 	// As a sink: its client of the peer, and the four datagrams — recv
-	// takes one shard's provable packets as a batch.
+	// takes one shard's provable packets as a batch. inOrder reports
+	// whether the end applies what it is handed strictly in the order
+	// handed over, so work may be queued behind the update that unlocks it.
 	client() (ibc.Client, error)
+	inOrder() bool
 	updateClient(h header, done func(error))
 	recvPackets(s *shard, batch []proven)
 	ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64)
@@ -545,10 +557,11 @@ func (r *Relayer) queuePacket(src int, p *ibc.Packet, height uint64) {
 // maybeUpdate keeps the peer's client of side src where src's queued work
 // needs it: with nothing above the client's height it flushes; otherwise
 // it sends one update to src's head — one header covers every shard — and
-// flushes when that lands. The update count therefore depends on block
-// cadence and backlog arrival, not on the number of channels or packets,
-// which is the amortisation the paper's cost model (§V, Tables II-III)
-// relies on.
+// flushes at that height: right behind the update when the sink keeps
+// order, so header and datagrams share a transaction, and in any case when
+// the update lands. The update count therefore depends on block cadence and
+// backlog arrival, not on the number of channels or packets, which is the
+// amortisation the paper's cost model (§V, Tables II-III) relies on.
 func (r *Relayer) maybeUpdate(src int) {
 	d := &r.dirs[src]
 	if d.inFlight {
@@ -595,6 +608,12 @@ func (r *Relayer) maybeUpdate(src int) {
 	})
 	if err != nil {
 		d.inFlight = false
+		return
+	}
+	if r.ends[1-src].inOrder() {
+		// Should the sink refuse the update, what rides behind it fails on
+		// the missing consensus state and goes back to its shard.
+		r.flush(src, target)
 	}
 }
 
@@ -624,8 +643,11 @@ func (r *Relayer) flush(src int, height uint64) {
 			to.recvPackets(s, batch)
 		}
 
-		var laterAcks []ackWork
-		for _, w := range s.acks[src] {
+		// A sink may settle an ack before ackPacket returns, and a refused
+		// one goes back to the shard: the queue is taken off it first.
+		acks := s.acks[src]
+		s.acks[src] = nil
+		for _, w := range acks {
 			if w.height <= height {
 				path := ibc.AckPath(w.packet.DestPort, w.packet.DestChannel, w.packet.Sequence)
 				if proof, provedAt, err := from.proveMembership(height, path); err == nil {
@@ -633,9 +655,8 @@ func (r *Relayer) flush(src int, height uint64) {
 					continue
 				}
 			}
-			laterAcks = append(laterAcks, w)
+			s.acks[src] = append(s.acks[src], w)
 		}
-		s.acks[src] = laterAcks
 	}
 }
 
@@ -674,15 +695,27 @@ func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provabl
 // again. It goes back in sequence order, ahead of packets queued since: an
 // ordered channel accepts no other. Once the source no longer commits the
 // packet (acked through another relayer, or timed out) there is nothing
-// left to deliver.
+// left to deliver. Work an end drives itself never was on a shard: the
+// guest's header pump hands a block's packets over once, and what the sink
+// rejects is the timeout scan's.
 func (r *Relayer) requeue(to int, s *shard, w work) {
 	src := 1 - to
-	if !r.ends[src].hasCommitment(w.packet) {
+	if w.seen.IsZero() || !r.ends[src].hasCommitment(w.packet) {
 		return
 	}
 	q := s.packets[src]
 	i := sort.Search(len(q), func(i int) bool { return q[i].packet.Sequence > w.packet.Sequence })
 	s.packets[src] = slices.Insert(q, i, w)
+}
+
+// requeueAck takes back an ack flush handed to side to and the sink
+// refused, for the next flush to prove and submit again — while to still
+// commits the packet: once it does not, the packet is settled. An ack the
+// guest end relays itself (it has no height) never was on a shard.
+func (r *Relayer) requeueAck(to int, s *shard, w ackWork) {
+	if w.height != 0 && r.ends[to].hasCommitment(w.packet) {
+		s.acks[1-to] = append(s.acks[1-to], w)
+	}
 }
 
 // acked records the outcome of relaying p's ack to side to, which sent p.
