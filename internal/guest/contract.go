@@ -442,6 +442,14 @@ func (c *Contract) chunk(ctx *host.ExecContext, st *State, r *wire.Reader) error
 	if err := ctx.Meter.Consume(uint64(len(a.Data)) * host.CUPerByteWritten); err != nil {
 		return err
 	}
+	// Every claim is checked before anything is staged: the host does not
+	// roll a failed transaction's contract state back, so a refused chunk
+	// must leave no bytes behind for its resubmission to stage twice.
+	for _, claim := range a.SigClaims {
+		if !ctx.PrecompileVerified(claim.Pub, claim.Payload) {
+			return fmt.Errorf("%w: claim for %s", ErrBadSignature, claim.Pub.Short())
+		}
+	}
 	key := stagingKey{owner: ctx.FeePayer(), id: a.BufferID}
 	buf, ok := st.staging[key]
 	if !ok {
@@ -451,9 +459,6 @@ func (c *Contract) chunk(ctx *host.ExecContext, st *State, r *wire.Reader) error
 	buf.Data = append(buf.Data, a.Data...)
 	buf.Txs++
 	for _, claim := range a.SigClaims {
-		if !ctx.PrecompileVerified(claim.Pub, claim.Payload) {
-			return fmt.Errorf("%w: claim for %s", ErrBadSignature, claim.Pub.Short())
-		}
 		buf.VerifiedSigs[sigDigest(claim.Pub, claim.Payload)] = true
 	}
 	return nil
@@ -517,13 +522,14 @@ func chargeRecv(m *host.ComputeMeter, p *RecvPayload) error {
 // recvBatchLen is the recv batch rule: how many payloads from the front
 // of ps one commit may apply with units of compute left. The commit
 // decodes the whole staging buffer on the program heap and applies every
-// packet inside one transaction's compute budget, so the staged bytes stay
-// within host.MaxHeapBytes and the worst-case metered compute — chargeRecv
-// per packet plus what its destination port declares for its recv path
-// (ibc.RecvBudgeter) — within units. The first payload always counts: a
-// packet on its own is applied as it always was, and fails on its own.
-// The relayer cuts its jobs with the rule (TxBuilder.RecvBatchLen) and the
-// contract refuses a buffer that breaks it.
+// packet inside one transaction's compute budget, so the payloads with
+// their proofs whole (wireSize: what the decode leaves on the heap, however
+// few bytes staged them) stay within host.MaxHeapBytes and the worst-case
+// metered compute — chargeRecv per packet plus what its destination port
+// declares for its recv path (ibc.RecvBudgeter) — within units. The first
+// payload always counts: a packet on its own is applied as it always was,
+// and fails on its own. The relayer cuts its jobs with the rule
+// (TxBuilder.RecvBatchLen) and the contract refuses a buffer that breaks it.
 func recvBatchLen(units uint64, ps []*RecvPayload, st *State) int {
 	meter := host.NewComputeMeter(units)
 	bytes := 0
@@ -557,9 +563,13 @@ func (s *State) recvBudget(p *ibc.Packet) uint64 {
 // commitRecvPacket applies every incoming packet staged in the buffer
 // (Alg. 1 ReceivePacket, once per packet): verify the proof, reject
 // duplicates, deliver to the destination application on the host. The
-// buffer is decoded on the program heap and checked against the batch
-// rule before anything is applied, so a transaction cannot run out of
-// compute between two packets and lose the first one's events. Each packet
+// buffer is decoded on the program heap — charged for the staged bytes
+// first, then by the decode for what each proof grows by as its shared tail
+// is put back — and checked against the batch rule before anything is
+// applied, so a transaction cannot run out of compute between two packets
+// and lose the first one's events. From here on every proof is whole: the
+// rule, the compute charge and Handler.RecvPacket see the payloads a
+// one-per-buffer relay would have staged. Each packet
 // then stands alone, as IBC requires of a multi-packet transaction: one
 // that is already receipted (a redundant relay) or fails its own checks is
 // passed over, the rest are delivered with one event each in staging
@@ -577,7 +587,7 @@ func (c *Contract) commitRecvPacket(ctx *host.ExecContext, st *State, r *wire.Re
 	if err := ctx.Heap.Alloc(len(buf.Data)); err != nil {
 		return err
 	}
-	payloads, err := UnmarshalRecvPayloads(buf.Data)
+	payloads, err := UnmarshalRecvPayloads(buf.Data, ctx.Heap)
 	if err != nil {
 		return err
 	}

@@ -395,6 +395,48 @@ func TestChunkedUploadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRefusedChunkStagesNothing: the host keeps a failed transaction's
+// contract state, so a chunk refused for a claim the precompile did not
+// verify must not have staged its bytes first — resubmitted, it would stage
+// them twice.
+func TestRefusedChunkStagesNothing(t *testing.T) {
+	e := newEnv(t, 2)
+	key := cryptoutil.GenerateKey("chunker")
+	e.chain.Fund(key.Public(), 10*host.LamportsPerSOL)
+	builder := NewTxBuilder(e.contract, key.Public())
+	staged := stagingKey{owner: key.Public(), id: 7}
+	chunk := func(data string, verified bool) *host.Transaction {
+		msg := []byte("vote over " + data)
+		tx := builder.tx("test/chunk", EncodeChunk(&ChunkArgs{
+			BufferID: staged.id, Data: []byte(data), SigClaims: []SigClaim{{Pub: key.Public(), Payload: msg}},
+		}))
+		if verified {
+			tx.PrecompileSigs = []host.SigVerify{{Pub: key.Public(), Msg: msg, Sig: key.Sign(msg)}}
+		}
+		return tx
+	}
+
+	if err := e.submitExpectErr(chunk("first", false)); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("err = %v, want ErrBadSignature", err)
+	}
+	if buf, ok := e.state().staging[staged]; ok {
+		t.Fatalf("a refused chunk created its buffer: %d bytes, %d txs", len(buf.Data), buf.Txs)
+	}
+
+	e.submit(chunk("first", true))
+	if err := e.submitExpectErr(chunk("second", false)); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("err = %v, want ErrBadSignature", err)
+	}
+	buf := e.state().staging[staged]
+	if string(buf.Data) != "first" || buf.Txs != 1 || len(buf.VerifiedSigs) != 1 {
+		t.Fatalf("a refused chunk changed its buffer: data %q, %d txs, %d verified claims", buf.Data, buf.Txs, len(buf.VerifiedSigs))
+	}
+	e.submit(chunk("second", true))
+	if buf := e.state().staging[staged]; string(buf.Data) != "firstsecond" || buf.Txs != 2 || len(buf.VerifiedSigs) != 2 {
+		t.Fatalf("resubmitted with its claim verified: data %q, %d txs, %d verified claims", buf.Data, buf.Txs, len(buf.VerifiedSigs))
+	}
+}
+
 func TestMisbehaviourSlashing(t *testing.T) {
 	e := newEnv(t, 4)
 	crank := NewTxBuilder(e.contract, e.payer)

@@ -2,9 +2,11 @@ package guest
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/host"
 	"repro/internal/ibc"
 	"repro/internal/wire"
 )
@@ -227,42 +229,91 @@ type RecvPayload struct {
 	Proof       []byte
 }
 
-// wireSize is the payload's staged size.
+// wireSize is the payload's size with its proof whole: what it costs the
+// commit's heap once decoded, and what a payload staged first or alone
+// occupies in the buffer.
 func (p *RecvPayload) wireSize() int {
 	return ibc.PacketWireSize(p.Packet) + 8 + 4 + len(p.Proof)
 }
 
+// sharedTail is how many trailing bytes proof has in common with prev, as
+// far as a u16 can say.
+func sharedTail(prev, proof []byte) int {
+	n := 0
+	for n < len(prev) && n < len(proof) && n < math.MaxUint16 &&
+		prev[len(prev)-1-n] == proof[len(proof)-1-n] {
+		n++
+	}
+	return n
+}
+
 // MarshalRecvPayload encodes RecvPayloads for staging, end to end with no
-// count prefix: a recv job stages every packet it carries in one buffer,
-// and a single packet encodes exactly as it always has.
+// count prefix: a recv job stages every packet it carries in one buffer.
+// The first payload is written whole — a single packet encodes exactly as
+// it always has. One after it writes `u16 n` ahead of its proof and then
+// only proof[:len(proof)-n]: n is the number of trailing bytes the proof
+// shares with the whole proof of the payload before it. Proof bytes are
+// opaque here; the format pays off because trie.Proof.MarshalBinary writes
+// its items deepest first, so two neighbouring leaves proven at one root
+// agree in everything but the first item or two, and a caller that passes
+// payloads in sequence order (the relayer does) stages each shared upper
+// path once.
 func MarshalRecvPayload(ps ...*RecvPayload) []byte {
-	size := 0
+	size := 0 // an upper bound once neighbours share two bytes; the writer grows otherwise
 	for _, p := range ps {
 		size += p.wireSize()
 	}
 	w := wire.NewWriterSize(size)
-	for _, p := range ps {
+	for i, p := range ps {
 		ibc.EncodePacket(w, p.Packet)
 		w.U64(uint64(p.ProofHeight))
-		w.Bytes32(p.Proof)
+		head := p.Proof
+		if i > 0 {
+			n := sharedTail(ps[i-1].Proof, p.Proof)
+			w.U16(uint16(n))
+			head = p.Proof[:len(p.Proof)-n]
+		}
+		w.Bytes32(head)
 	}
 	return w.Bytes()
 }
 
 // UnmarshalRecvPayloads decodes a staging buffer of one or more
-// RecvPayloads laid end to end. A truncated payload — and trailing bytes,
-// which read as one — fails with wire.ErrShort; nothing is returned
-// unless the whole buffer decodes.
-func UnmarshalRecvPayloads(data []byte) ([]*RecvPayload, error) {
+// RecvPayloads laid end to end and makes every proof whole again — head ‖
+// the last n bytes of the proof before it, itself already whole — so what
+// it returns is position-independent. The caller has charged heap for the
+// buffer; each proof's growth (its n tail bytes, less the two of the
+// length field they replace) is charged before it is allocated, so a few
+// staged bytes cannot claim more memory than the heap has
+// (host.ErrHeapExhausted). A truncated payload — and trailing bytes, which
+// read as one — fails with wire.ErrShort, a tail longer than the proof it
+// names with ErrRecvSharedTail; nothing is returned unless the whole
+// buffer decodes.
+func UnmarshalRecvPayloads(data []byte, heap *host.HeapMeter) ([]*RecvPayload, error) {
 	r := wire.NewReader(data)
 	var ps []*RecvPayload
+	var prev []byte
 	for {
 		// The reader's first error sticks, so one check covers the payload.
 		pkt, _ := ibc.DecodePacket(r)
-		p := &RecvPayload{Packet: pkt, ProofHeight: ibc.Height(r.U64()), Proof: r.Bytes32()}
-		if err := r.Err(); err != nil {
+		p := &RecvPayload{Packet: pkt, ProofHeight: ibc.Height(r.U64())}
+		n := 0
+		if len(ps) > 0 {
+			n = int(r.U16())
+		}
+		head := r.Bytes32()
+		err := r.Err()
+		if err == nil && n > len(prev) {
+			err = fmt.Errorf("%w: %d bytes of a %d-byte proof", ErrRecvSharedTail, n, len(prev))
+		}
+		if err == nil && n > 2 {
+			err = heap.Alloc(n - 2)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("guest: decode recv payload %d: %w", len(ps), err)
 		}
+		p.Proof = append(head, prev[len(prev)-n:]...)
+		prev = p.Proof
 		ps = append(ps, p)
 		if r.Remaining() == 0 {
 			return ps, nil

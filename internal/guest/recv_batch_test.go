@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cryptoutil"
@@ -17,10 +19,17 @@ import (
 // badProof is the one proof recvEnv's client rejects.
 var badProof = []byte("bad-proof")
 
-// pickyClient accepts every proof but badProof.
-type pickyClient struct{ permissiveClient }
+// pickyClient accepts every proof but badProof — or, given the
+// counterparty's root, exactly the proofs that verify against it.
+type pickyClient struct {
+	permissiveClient
+	root *cryptoutil.Hash
+}
 
-func (pickyClient) VerifyMembership(_ ibc.Height, _ string, _ []byte, proof []byte) error {
+func (c *pickyClient) VerifyMembership(_ ibc.Height, path string, value, proof []byte) error {
+	if c.root != nil {
+		return ibc.VerifyStoredMembership(*c.root, path, value, proof)
+	}
 	if bytes.Equal(proof, badProof) {
 		return ibc.ErrProofVerification
 	}
@@ -50,6 +59,7 @@ func (m *hookedModule) OnRecvPacket(p ibc.Packet) ([]byte, error) {
 type recvEnv struct {
 	*env
 	mod     *hookedModule
+	client  *pickyClient
 	builder *TxBuilder
 }
 
@@ -62,7 +72,8 @@ func newRecvEnv(t *testing.T) *recvEnv {
 	if err := st.Handler.BindPort("transfer", e.mod); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Handler.CreateClient("test-client", &pickyClient{}); err != nil {
+	e.client = &pickyClient{}
+	if err := st.Handler.CreateClient("test-client", e.client); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.Handler.ConnOpenInit("test-client", "their-client"); err != nil {
@@ -130,6 +141,25 @@ func (e *recvEnv) receipted(ps []*RecvPayload) []uint64 {
 	return seqs
 }
 
+// decode is the commit's decode of a staged buffer on a heap of limit
+// bytes: the buffer is charged first, then what the proofs grow by.
+func decode(data []byte, limit int) ([]*RecvPayload, error) {
+	heap := host.NewHeapMeter(limit)
+	if err := heap.Alloc(len(data)); err != nil {
+		return nil, err
+	}
+	return UnmarshalRecvPayloads(data, heap)
+}
+
+// expandedSize is Σ wireSize: the bytes the batch rule and the heap read.
+func expandedSize(ps []*RecvPayload) int {
+	size := 0
+	for _, p := range ps {
+		size += p.wireSize()
+	}
+	return size
+}
+
 func seqsOf(ps []*RecvPayload) []uint64 {
 	seqs := make([]uint64, len(ps))
 	for i, p := range ps {
@@ -157,8 +187,8 @@ func TestCommitRecvBatch(t *testing.T) {
 		t.Run(fmt.Sprintf("batch=%d", n), func(t *testing.T) {
 			e := newRecvEnv(t)
 			ps := payloads(n, proofLen)
-			if staged := len(MarshalRecvPayload(ps...)); staged > host.MaxHeapBytes {
-				t.Fatalf("job stages %d bytes, above the %d-byte heap", staged, host.MaxHeapBytes)
+			if size := expandedSize(ps); size > host.MaxHeapBytes {
+				t.Fatalf("job decodes to %d bytes, above the %d-byte heap", size, host.MaxHeapBytes)
 			}
 			res, delivered := e.run(e.builder.RecvPacketTxs(ps...))
 			if res.Err != nil {
@@ -181,10 +211,12 @@ func TestCommitRecvBatch(t *testing.T) {
 			}
 		})
 	}
-	// One more packet than a full job no longer fits one of the limits.
+	// One more packet than a full job no longer fits one of the limits:
+	// the rule is about the payloads with their proofs whole, whatever
+	// they stage in.
 	over := payloads(full+1, proofLen)
-	if staged, units := len(MarshalRecvPayload(over...)), host.CUBaseInstruction+uint64(full+1)*perPacket; staged <= host.MaxHeapBytes && units <= host.MaxComputeUnits/2 {
-		t.Errorf("RecvBatchLen stops at %d packets, but %d still fit (%d bytes, %d units)", full, full+1, staged, units)
+	if size, units := expandedSize(over), host.CUBaseInstruction+uint64(full+1)*perPacket; size <= host.MaxHeapBytes && units <= host.MaxComputeUnits/2 {
+		t.Errorf("RecvBatchLen stops at %d packets, but %d still fit (%d bytes, %d units)", full, full+1, size, units)
 	}
 	if one := e0.builder.RecvBatchLen(payloads(2, host.MaxHeapBytes), e0.state()); one != 1 {
 		t.Errorf("an oversized packet shares a job (%d); it must travel alone", one)
@@ -298,10 +330,36 @@ func TestCommitRecvBatchIndependentPackets(t *testing.T) {
 	})
 }
 
+// stageLater appends p to buf the way a payload after the first is staged:
+// head only, ahead of it the length n of the tail it claims to share with
+// the proof before it.
+func stageLater(buf []byte, p *RecvPayload, n int, head []byte) []byte {
+	w := wire.NewWriter()
+	ibc.EncodePacket(w, p.Packet)
+	w.U64(uint64(p.ProofHeight))
+	w.U16(uint16(n))
+	w.Bytes32(head)
+	return append(append([]byte(nil), buf...), w.Bytes()...)
+}
+
+// tailBomb is a buffer that fits the heap as staged and would not as
+// decoded: one payload with a 24 kB proof, then a few bytes per payload
+// each claiming all of it as its tail.
+func tailBomb(n int) []byte {
+	buf := MarshalRecvPayload(payload(1, 24_000))
+	for i := 1; i < n; i++ {
+		buf = stageLater(buf, payload(uint64(i+1), 0), 24_000, nil)
+	}
+	return buf
+}
+
 // TestCommitRecvMalformedBuffer: the whole buffer decodes before anything
-// is applied, so a truncated or padded one changes nothing.
+// is applied, so one that is truncated, padded, claims a tail its
+// predecessor does not have, or would outgrow the heap once its tails are
+// put back changes nothing.
 func TestCommitRecvMalformedBuffer(t *testing.T) {
 	good := MarshalRecvPayload(payloads(3, 200)...)
+	first := MarshalRecvPayload(payload(1, 200))
 	cases := []struct {
 		name string
 		data []byte
@@ -309,7 +367,13 @@ func TestCommitRecvMalformedBuffer(t *testing.T) {
 	}{
 		{"truncated", good[:len(good)-5], wire.ErrShort},
 		{"trailing garbage", append(append([]byte(nil), good...), 0xde, 0xad, 0xbe, 0xef), wire.ErrShort},
-		{"above the heap", bytes.Repeat(good, host.MaxHeapBytes/len(good)+1), host.ErrHeapExhausted},
+		{"above the heap", bytes.Repeat(first, host.MaxHeapBytes/len(first)+1), host.ErrHeapExhausted},
+		{"tail longer than the proof before it", stageLater(first, payload(2, 0), 201, nil), ErrRecvSharedTail},
+		{"truncated tail length", func() []byte {
+			whole := stageLater(first, payload(2, 0), 200, nil)
+			return whole[:len(whole)-4-1] // cut inside the u16, ahead of the head's length
+		}(), wire.ErrShort},
+		{"tails that outgrow the heap", tailBomb(8), host.ErrHeapExhausted},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -324,6 +388,169 @@ func TestCommitRecvMalformedBuffer(t *testing.T) {
 			}
 		})
 	}
+
+	// The bomb is refused before its tails are allocated, not after: 80
+	// payloads claiming 24 kB each would be 1.9 MB.
+	bomb := tailBomb(80)
+	if len(bomb) > host.MaxHeapBytes {
+		t.Fatalf("the bomb stages %d bytes; it must fit the heap as staged", len(bomb))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decode(bomb, host.MaxHeapBytes)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, host.ErrHeapExhausted) {
+		t.Fatalf("err = %v, want ErrHeapExhausted", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*host.MaxHeapBytes {
+		t.Errorf("refusing the bomb allocated %d bytes on a %d-byte heap", got, host.MaxHeapBytes)
+	}
+}
+
+// TestRecvPayloadRoundTrip: whatever two neighbouring proofs share, the
+// decode returns the payloads that were encoded, each proof whole.
+func TestRecvPayloadRoundTrip(t *testing.T) {
+	withProofs := func(proofs ...[]byte) []*RecvPayload {
+		ps := payloads(len(proofs), 0)
+		for i, proof := range proofs {
+			ps[i].Proof = proof
+		}
+		return ps
+	}
+	fill := func(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+	long := append(fill(1, 300), fill(2, 100)...)
+	huge := fill(7, 70_000)
+	cases := []struct {
+		name string
+		ps   []*RecvPayload
+		// staged is the buffer's size less the packets, heights and
+		// length fields: the proof bytes that were written.
+		staged int
+	}{
+		{"one payload", withProofs(long), 400},
+		{"identical proofs", withProofs(long, long, long), 400},
+		{"disjoint proofs", withProofs(fill(1, 200), fill(2, 200), fill(3, 200)), 600},
+		{"shared upper path", withProofs(long, append(fill(9, 50), long[50:]...), append(fill(8, 20), long[20:]...)), 400 + 50 + 50},
+		{"empty proof in the middle", withProofs(long, nil, long), 800},
+		{"shorter than its predecessor", withProofs(long, long[300:], long), 400 + 0 + 300},
+		{"tail above 65535 bytes", withProofs(huge, huge), 70_000 + 70_000 - math.MaxUint16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			data := MarshalRecvPayload(tc.ps...)
+			overhead := expandedSize(tc.ps) + 2*(len(tc.ps)-1)
+			for _, p := range tc.ps {
+				overhead -= len(p.Proof)
+			}
+			if got := len(data) - overhead; got != tc.staged {
+				t.Errorf("staged %d proof bytes, want %d", got, tc.staged)
+			}
+			back, err := decode(data, 1<<20)
+			if err != nil || len(back) != len(tc.ps) {
+				t.Fatalf("%d payloads decoded to %d (%v)", len(tc.ps), len(back), err)
+			}
+			for i, p := range tc.ps {
+				if !bytes.Equal(back[i].Proof, p.Proof) || !bytes.Equal(MarshalRecvPayload(back[i]), MarshalRecvPayload(p)) {
+					t.Errorf("payload %d changed in the round trip", i)
+				}
+			}
+		})
+	}
+}
+
+// provenPayloads is n packets of consecutive sequences committed on a
+// counterparty whose store also holds other channels' state, each with its
+// real membership proof at the returned root.
+func provenPayloads(t *testing.T, n int) ([]*RecvPayload, cryptoutil.Hash) {
+	t.Helper()
+	cp := ibc.NewStore()
+	for i := 0; i < 2000; i++ {
+		path := ibc.CommitmentPath("transfer", ibc.ChannelID(fmt.Sprintf("channel-%d", 100+i%7)), uint64(i))
+		if err := cp.Set(path, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ps := payloads(n, 0)
+	path := func(p *ibc.Packet) string { return ibc.CommitmentPath(p.SourcePort, p.SourceChannel, p.Sequence) }
+	for _, p := range ps {
+		if err := cp.Set(path(p.Packet), p.Packet.CommitmentBytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range ps {
+		_, proof, err := cp.ProveMembership(path(p.Packet))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Proof = proof
+	}
+	return ps, cp.Root()
+}
+
+// TestRecvBatchSharesProofTails: consecutive sequences are neighbouring
+// leaves, so a job stages their shared upper path once — fewer bytes, fewer
+// chunk transactions — while the commit verifies every packet's own whole
+// proof and charges what it would have charged for the payloads staged
+// whole.
+func TestRecvBatchSharesProofTails(t *testing.T) {
+	const n = 32
+	// whole is the encoding with nothing shared: every proof in full.
+	whole := func(ps []*RecvPayload) []byte {
+		buf := MarshalRecvPayload(ps[0])
+		for _, p := range ps[1:] {
+			buf = stageLater(buf, p, 0, p.Proof)
+		}
+		return buf
+	}
+	ps, root := provenPayloads(t, n)
+
+	e := newRecvEnv(t)
+	e.client.root = &root
+	if fit := e.builder.RecvBatchLen(ps, e.state()); fit != n {
+		t.Fatalf("%d of %d packets fit one job", fit, n)
+	}
+	txs := e.builder.RecvPacketTxs(ps...)
+	if staged, size := len(MarshalRecvPayload(ps...)), expandedSize(ps); 4*staged > 3*size {
+		t.Errorf("%d adjacent packets stage %d bytes of %d: want at most three quarters", n, staged, size)
+	}
+	ref := newRecvEnv(t)
+	ref.client.root = &root
+	wholeTxs := ref.builder.ChunkedUpload(OpCommitRecvPacket, "", whole(ps), nil, "recv-packet")
+	if chunks, was := len(txs)-1, len(wholeTxs)-1; 3*chunks > 2*was {
+		t.Errorf("%d chunk transactions where whole proofs need %d: want at most two thirds", chunks, was)
+	}
+	res, delivered := e.run(txs)
+	if res.Err != nil || !sameSeqs(delivered, seqsOf(ps)) || len(e.receipted(ps)) != n {
+		t.Fatalf("err = %v, events %v, %d receipts; want all %d delivered", res.Err, delivered, len(e.receipted(ps)), n)
+	}
+	// The commit is the one whole proofs get: same events, same compute.
+	wholeRes, wholeDelivered := ref.run(wholeTxs)
+	if wholeRes.Err != nil || !sameSeqs(wholeDelivered, delivered) || wholeRes.Units != res.Units || ref.state().Store.Root() != e.state().Store.Root() {
+		t.Errorf("whole proofs: err = %v, %d events, %d units; shared tails: %d events, %d units",
+			wholeRes.Err, len(wholeDelivered), wholeRes.Units, len(delivered), res.Units)
+	}
+
+	t.Run("bad proof in the middle", func(t *testing.T) {
+		e := newRecvEnv(t)
+		e.client.root = &root
+		ps, _ := provenPayloads(t, n)
+		// Corrupt the deepest item only: the successor still shares the
+		// bad proof's upper path and is rebuilt from it.
+		bad := n / 2
+		ps[bad].Proof = append([]byte(nil), ps[bad].Proof...)
+		ps[bad].Proof[2] ^= 0xff
+		if shared := sharedTail(ps[bad].Proof, ps[bad+1].Proof); shared < 64 {
+			t.Fatalf("the successor shares %d bytes with the bad proof; the test needs it to lean on it", shared)
+		}
+		want := append(seqsOf(ps[:bad]), seqsOf(ps[bad+1:])...)
+		res, delivered := e.run(e.builder.RecvPacketTxs(ps...))
+		if res.Err != nil {
+			t.Fatalf("one bad proof failed the batch: %v", res.Err)
+		}
+		if !sameSeqs(delivered, want) || !sameSeqs(e.receipted(ps), want) {
+			t.Errorf("events %v, receipts %v; want every packet but %d", delivered, e.receipted(ps), ps[bad].Packet.Sequence)
+		}
+	})
 }
 
 // TestRecvPacketTxsGolden pins the one-packet job to the bytes the
@@ -343,19 +570,31 @@ func TestRecvPacketTxsGolden(t *testing.T) {
 	}
 }
 
-// FuzzRecvBatchDecode: k payloads laid end to end decode to the same k;
-// arbitrary bytes never panic, re-encode byte-identically when they do
-// decode, and are never half-applied by a commit when they do not.
+// FuzzRecvBatchDecode: k payloads staged together decode to the same k;
+// arbitrary bytes never panic, never decode to more than the heap holds,
+// survive a re-encode when they do decode (to no more bytes: the encoder
+// shares the longest tail), and are never half-applied by a commit when
+// they do not.
 func FuzzRecvBatchDecode(f *testing.F) {
 	good := MarshalRecvPayload(payloads(3, 200)...)
+	first := MarshalRecvPayload(payload(1, 200))
 	f.Add([]byte{}, uint8(0))
 	f.Add(MarshalRecvPayload(payload(1, 0)), uint8(1))
 	f.Add(good, uint8(3))
 	f.Add(good[:len(good)-5], uint8(16))
 	f.Add(append(append([]byte(nil), good...), 0xde, 0xad, 0xbe, 0xef), uint8(40))
+	f.Add(stageLater(first, payload(2, 0), 120, []byte("head")), uint8(5))
+	f.Add(stageLater(first, payload(2, 0), 0, bytes.Repeat([]byte{0xab}, 200)), uint8(7))
+	f.Add(stageLater(first, payload(2, 0), 201, nil), uint8(9))
+	f.Add(tailBomb(4), uint8(11))
 	f.Fuzz(func(t *testing.T, data []byte, k uint8) {
 		ps := payloads(int(k%48)+1, int(k)*3)
-		back, err := UnmarshalRecvPayloads(MarshalRecvPayload(ps...))
+		for i, p := range ps {
+			if len(p.Proof) > 0 && k%2 == 1 {
+				p.Proof[i%len(p.Proof)] = byte(i) // neighbours share a tail, not all
+			}
+		}
+		back, err := decode(MarshalRecvPayload(ps...), 1<<20)
 		if err != nil || len(back) != len(ps) {
 			t.Fatalf("%d payloads decoded to %d (%v)", len(ps), len(back), err)
 		}
@@ -365,10 +604,23 @@ func FuzzRecvBatchDecode(f *testing.F) {
 			}
 		}
 
-		decoded, err := UnmarshalRecvPayloads(data)
+		decoded, err := decode(data, host.MaxHeapBytes)
 		if err == nil {
-			if !bytes.Equal(MarshalRecvPayload(decoded...), data) {
-				t.Fatal("decoded payloads do not re-encode to the input")
+			if size := expandedSize(decoded); size > host.MaxHeapBytes {
+				t.Fatalf("%d staged bytes decoded to %d, above the %d-byte heap", len(data), size, host.MaxHeapBytes)
+			}
+			again := MarshalRecvPayload(decoded...)
+			if len(again) > len(data) {
+				t.Fatalf("%d staged bytes re-encode to %d", len(data), len(again))
+			}
+			back, err := decode(again, host.MaxHeapBytes)
+			if err != nil || len(back) != len(decoded) {
+				t.Fatalf("re-encoded payloads decode to %d of %d (%v)", len(back), len(decoded), err)
+			}
+			for i := range decoded {
+				if !bytes.Equal(MarshalRecvPayload(back[i]), MarshalRecvPayload(decoded[i])) {
+					t.Fatalf("payload %d of %d changed in the re-encode", i, len(decoded))
+				}
 			}
 			return
 		}

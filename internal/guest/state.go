@@ -31,6 +31,7 @@ var (
 	ErrUnknownCandidate  = errors.New("guest: unknown candidate")
 	ErrUnknownBuffer     = errors.New("guest: unknown staging buffer")
 	ErrRecvBatchTooLarge = errors.New("guest: staged recv packets exceed one commit's heap or compute")
+	ErrRecvSharedTail    = errors.New("guest: staged recv proof shares more than the proof before it holds")
 	ErrNothingToWithdraw = errors.New("guest: no matured withdrawals")
 	ErrBadEvidence       = errors.New("guest: misbehaviour evidence invalid")
 	ErrNotDead           = errors.New("guest: chain is not dead (emergency timeout not reached)")

@@ -199,7 +199,9 @@ func (b *TxBuilder) UpdateClientTxs(clientID ibc.ClientID, header []byte, sigs [
 
 // RecvPacketTxs stages incoming packets with their proofs as one chunk
 // sequence and commits them together (for one packet, the 4-5 transaction
-// flow of §V-A). RecvBatchLen says how many packets one call may carry.
+// flow of §V-A). RecvBatchLen says how many packets one call may carry;
+// passing them in sequence order lets each stage only the part of its
+// proof the one before it does not have (MarshalRecvPayload).
 func (b *TxBuilder) RecvPacketTxs(ps ...*RecvPayload) []*host.Transaction {
 	return b.ChunkedUpload(OpCommitRecvPacket, "", MarshalRecvPayload(ps...), nil, "recv-packet")
 }
@@ -207,7 +209,10 @@ func (b *TxBuilder) RecvPacketTxs(ps ...*RecvPayload) []*host.Transaction {
 // RecvBatchLen returns how many payloads from the front of ps one
 // RecvPacketTxs call may carry to st's contract: the contract's batch rule
 // (recvBatchLen) held to half of Profile.MaxComputeUnits, which leaves the
-// commit headroom for a budget declared after the job was cut.
+// commit headroom for a budget declared after the job was cut. The rule
+// reads the payloads with their proofs whole, as the commit will hold them,
+// not the fewer bytes RecvPacketTxs stages: sharing proof tails saves chunk
+// transactions, it does not fit more packets behind one commit.
 func (b *TxBuilder) RecvBatchLen(ps []*RecvPayload, st *State) int {
 	return recvBatchLen(b.Profile.MaxComputeUnits/2-host.CUBaseInstruction, ps, st)
 }

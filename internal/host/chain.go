@@ -523,7 +523,12 @@ func (c *Chain) produceBlockLocked() (*Block, []*Transaction) {
 	c.blocks = append(c.blocks, block)
 	if c.keepBlocks > 0 && len(c.blocks) > c.keepBlocks {
 		drop := len(c.blocks) - c.keepBlocks
-		c.blocks = append([]*Block(nil), c.blocks[drop:]...)
+		// Reslice, do not copy the window on every block: the dropped
+		// pointers are cleared so their blocks can be collected, and
+		// append moves the live window to a fresh array whenever this
+		// one's tail runs out.
+		clear(c.blocks[:drop])
+		c.blocks = c.blocks[drop:]
 		c.prunedBlocks += drop
 	}
 	return block, shed

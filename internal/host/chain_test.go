@@ -270,23 +270,33 @@ func TestEventsAndPolling(t *testing.T) {
 
 func TestBlockRetention(t *testing.T) {
 	c, _, prog, payer := newTestChain(t)
-	c.SetBlockRetention(5)
-	for i := 0; i < 12; i++ {
+	const keep = 5
+	c.SetBlockRetention(keep)
+	// Three windows' worth, so the retained window has slid off the front
+	// of its backing array more than once.
+	for i := 0; i < 3*keep; i++ {
 		must(t, c.Submit(call(prog, payer, 1)))
 		c.ProduceBlock()
 	}
 	blocks := c.BlocksSince(0)
-	if len(blocks) != 5 {
-		t.Fatalf("retained %d blocks, want 5", len(blocks))
+	if len(blocks) != keep {
+		t.Fatalf("retained %d blocks, want %d", len(blocks), keep)
 	}
-	if blocks[0].Slot != 8 {
-		t.Fatalf("first retained slot = %d, want 8", blocks[0].Slot)
+	for i, b := range blocks {
+		if want := Slot(2*keep + 1 + i); b.Slot != want {
+			t.Fatalf("retained block %d is slot %d, want %d", i, b.Slot, want)
+		}
 	}
-	if _, err := c.BlockAt(3); err == nil {
-		t.Fatal("pruned block still retrievable")
+	if blocks := c.BlocksSince(3*keep - 2); len(blocks) != 2 || blocks[1].Slot != 3*keep {
+		t.Fatalf("BlocksSince(%d) = %d blocks", 3*keep-2, len(blocks))
 	}
-	if b, err := c.BlockAt(10); err != nil || b.Slot != 10 {
-		t.Fatalf("BlockAt(10) = %v, %v", b, err)
+	for _, pruned := range []Slot{3, keep, 2 * keep} {
+		if _, err := c.BlockAt(pruned); err == nil {
+			t.Fatalf("pruned block %d still retrievable", pruned)
+		}
+	}
+	if b, err := c.BlockAt(2*keep + 2); err != nil || b.Slot != 2*keep+2 {
+		t.Fatalf("BlockAt(%d) = %v, %v", 2*keep+2, b, err)
 	}
 }
 

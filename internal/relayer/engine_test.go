@@ -667,21 +667,36 @@ func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
 	}
 }
 
-// TestRecvJobResubmittedAfterDeadLetter: five counterparty packets provable
-// behind one client update share one recv job. The engine is cut off from
-// the host once that job has started submitting, until the retry budget
+// TestRecvJobResubmittedAfterDeadLetter: counterparty packets provable
+// behind one client update share one recv job — as many of them as it
+// takes for the job to have a chunk left to send once it has started. The
+// engine is cut off from the host at that point, until the retry budget
 // dead-letters one of its chunks: the job is dropped with nothing
-// committed, so all five packets must go back to their shard and arrive
-// exactly once when the link heals.
+// committed, so every packet must go back to its shard and arrive exactly
+// once when the link heals.
 func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 	e := newLinkEnv(t, guestLink, netsim.Config{})
 	r := e.relayer
 	r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 3}
-	const packets, amount = 5, 10
+	const amount = 10
 	var sent []*ibc.Packet
-	for i := 0; i < packets; i++ {
+	// Neighbouring packets stage little more than themselves, so size the
+	// job by what it stages: two chunks and the commit.
+	for builder := *r.ends[1].(*guestEnd).builder; ; {
 		sent = append(sent, e.sendBack(t, amount))
+		staged := make([]*guest.RecvPayload, len(sent))
+		for i, p := range sent {
+			_, proof, err := e.away.Store().ProveMembership(ibc.CommitmentPath(p.SourcePort, p.SourceChannel, p.Sequence))
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged[i] = &guest.RecvPayload{Packet: p, Proof: proof}
+		}
+		if len(builder.RecvPacketTxs(staged...)) >= 3 {
+			break
+		}
 	}
+	packets := len(sent)
 	bank := r.shards[1]
 	lane := r.ends[1].(*guestEnd).lanes[bank.index].pc
 	cutChunks := 0
@@ -708,10 +723,10 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 	if dead := e.counter("net_dead_letters"); dead == 0 {
 		t.Fatal("the cut never dead-lettered a submission; the scenario did not run")
 	}
-	if got := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"); got != packets*amount {
-		t.Errorf("dave holds %d vouchers, want %d (every packet exactly once)", got, packets*amount)
+	if got, want := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"), uint64(packets*amount); got != want {
+		t.Errorf("dave holds %d vouchers, want %d (every packet exactly once)", got, want)
 	}
-	if d, a := e.counter("delivered"), e.counter("acks"); d != packets || a != packets {
+	if d, a := e.counter("delivered"), e.counter("acks"); d != uint64(packets) || a != uint64(packets) {
 		t.Errorf("delivered = %d, acks = %d, want %d each", d, a, packets)
 	}
 	recorded := 0

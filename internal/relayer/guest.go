@@ -392,7 +392,11 @@ func (g *guestEnd) updateClient(h header, done func(error)) {
 // the host's per-invocation limits allow (TxBuilder.RecvBatchLen), each
 // one chunk sequence staging its packets back to back and one commit that
 // applies them all — 4-5 transactions for a packet on its own, under one
-// per packet at depth.
+// per packet at depth. A shard hands over its packets in sequence order and
+// requeue keeps that order, so neighbours in batch are neighbouring leaves
+// of the counterparty's trie: their proofs differ in the deepest item or
+// two, and the staging format (guest.MarshalRecvPayload) uploads the part
+// they share once.
 func (g *guestEnd) recvPackets(s *shard, batch []proven) {
 	payloads := make([]*guest.RecvPayload, len(batch))
 	for i, w := range batch {
