@@ -198,3 +198,65 @@ func TestViewScoresDeadLettersAndBacklog(t *testing.T) {
 		t.Fatalf("cost did not return to base after recovery: %v != %v", got, base)
 	}
 }
+
+// TestViewDefaultCostsGolden pins DefaultCostModel by what it does: the
+// diamond's link costs, guest->c path set and the arms sixteen flows take
+// after each step of a fixed health script — base cost, the latency, drop
+// and backlog terms, the drop EWMA's decay, the hysteresis gate (steps 0
+// and 4 move no table) and the equal-cost spread (step 3 readmits the a
+// arm at 2.2375 against 2.27), value for value.
+func TestViewDefaultCostsGolden(t *testing.T) {
+	type obs struct {
+		id string
+		h  LinkHealth
+	}
+	steps := []struct {
+		observe []obs
+		rebuilt bool
+		costs   [4]float64 // a-c, a-guest, b-c, b-guest
+		arms    string     // first hops of the path set, cheapest first
+		flows   string     // first hop of alice's flows 0..15
+	}{
+		{[]obs{{"a-c", LinkHealth{Latency: 0.1, Backlog: 5}}},
+			false, [4]float64{1, 1, 1, 1}, "ab", "aababbaababbaaba"},
+		{[]obs{{"a-c", LinkHealth{Latency: 0.1, DeadLetters: 3, Backlog: 40}}, {"b-guest", LinkHealth{Latency: 0.02}}},
+			true, [4]float64{2.6500000000000004, 1, 1, 1.02}, "b", "bbbbbbbbbbbbbbbb"},
+		{[]obs{{"a-c", LinkHealth{Latency: 2.5, DeadLetters: 3, Backlog: 40}}, {"b-c", LinkHealth{Latency: 0.04, Backlog: 2}}},
+			true, [4]float64{4.675, 1, 1.08, 1.02}, "b", "bbbbbbbbbbbbbbbb"},
+		{[]obs{{"a-c", LinkHealth{Latency: 0.05, DeadLetters: 3}}, {"b-c", LinkHealth{DeadLetters: 1}}},
+			true, [4]float64{1.2375, 1, 1.25, 1.02}, "ab", "aababbaababbaaba"},
+		{[]obs{{"a-c", LinkHealth{DeadLetters: 3}}, {"b-c", LinkHealth{DeadLetters: 1}}},
+			false, [4]float64{1.2375, 1, 1.25, 1.02}, "ab", "aababbaababbaaba"},
+	}
+	v := NewView(diamondLinks(), DefaultCostModel(), 7)
+	for i, st := range steps {
+		for _, o := range st.observe {
+			v.Observe(o.id, o.h)
+		}
+		if got := v.Refresh(); got != st.rebuilt {
+			t.Fatalf("step %d: rebuilt = %v, want %v", i, got, st.rebuilt)
+		}
+		for j, id := range []string{"a-c", "a-guest", "b-c", "b-guest"} {
+			if got := v.Cost(id); got != st.costs[j] {
+				t.Errorf("step %d: cost(%s) = %v, want %v", i, id, got, st.costs[j])
+			}
+		}
+		arms, flows := "", ""
+		for _, p := range v.Paths("guest", "c") {
+			arms += p[0].To
+		}
+		for seq := uint64(0); seq < 16; seq++ {
+			hops, err := v.RouteFlow("guest", "c", "alice", seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flows += hops[0].To
+		}
+		if arms != st.arms || flows != st.flows {
+			t.Errorf("step %d: path set %q, flows %q; want %q, %q", i, arms, flows, st.arms, st.flows)
+		}
+	}
+	if v.Recomputes() != 3 {
+		t.Errorf("recomputes = %d, want 3", v.Recomputes())
+	}
+}
