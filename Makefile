@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-deprecated test race bench loc scenario-smoke fuzz-smoke cover verify-figs api-check api-update ci
+.PHONY: all build vet lint lint-deprecated test race bench loc scenario-smoke examples-smoke fuzz-smoke cover verify-figs api-check api-update ci
 
 all: test
 
@@ -26,8 +26,8 @@ lint: lint-deprecated
 # O(1) Snapshot/Commit + At + Release versioning API and the canonical
 # ErrProofVerification / ErrPacketAlreadyDelivered names. PR 13 folded the
 # second relayer into relayer.Relayer (one engine, two ends, always on a
-# netsim endpoint); its names stay retired too (netsim.LinkRelayerNode and
-# the validator's and fisherman's WithTransport are different things).
+# netsim endpoint); its names stay retired too (netsim.LinkRelayerNode is a
+# different thing).
 # PR 17 folded the five packet-plane scenario drivers into Scenario
 # literals run by Scenario.Run (internal/experiments/scenarios.go); their
 # names stay retired outside benchmark/, whose one comment mention stays.
@@ -36,15 +36,18 @@ lint: lint-deprecated
 # serialiser (nodecodec.go is the persisted format); those names are
 # retired everywhere. PR 22 made a cosmos chain's front-end serve one call,
 # the transaction (netsim.KindTx / MsgTx); the four per-datagram call kinds
-# are message types inside it and their names stay retired.
+# are message types inside it and their names stay retired. PR 24 made a
+# setting exist only where two callers disagree: the knobs every caller
+# left at one value became constants, the capabilities only they could
+# switch on went with them, and the validator and fisherman lost their
+# transport-less mode (the network is a constructor argument).
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired API call sites (Clone() -> Snapshot/At/Release; use ErrProofVerification / ErrPacketAlreadyDelivered):"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rn 'NewPair\|PairRelayer\|WithPairTelemetry\|relayer\.WithTransport\|LinkRelayer' --include='*.go' . | grep -v 'LinkRelayerNode'; \
-		grep -n 'WithTransport' internal/relayer/*.go); \
+	@bad=$$(grep -rn 'NewPair\|PairRelayer\|WithPairTelemetry\|LinkRelayer' --include='*.go' . | grep -v 'LinkRelayerNode'); \
 	if [ -n "$$bad" ]; then \
 		echo "retired relayer API (there is one relayer: relayer.New over two ends):"; \
 		echo "$$bad"; exit 1; \
@@ -62,6 +65,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'KindUpdateClient\|KindRecvPacket\|KindAckPacket\|KindTimeoutPacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired call kinds (a cosmos end submits transactions: netsim.KindTx carrying MsgUpdateClient/MsgRecvPacket/MsgAckPacket/MsgTimeoutPacket):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'WithTransport\|FlowProfile\|ChannelMix\|PrewarmTop\|MintBatch\|RelayerConfig\|WithNodeStore\|CPNodeStore\|OpLatency' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired settings (DESIGN.md lists the configuration surface that remains; daemons take the network as a constructor argument):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -106,6 +114,23 @@ scenario-smoke:
 		echo "guestsim -scenario $$s"; $(GO) run ./cmd/guestsim -scenario $$s >/dev/null || exit 1; \
 	done
 	@echo "scenario smoke: mesh, middleware, adaptive routing, outage and recovery hold"
+
+# Examples smoke gate: nothing else runs the five example programs (each
+# well under a second), and they are the only callers that wire a channel
+# after the deployment is up or read the first client update's shape. One
+# success line apiece.
+examples-smoke:
+	@out=$$($(GO) run ./examples/governance) || exit 1; \
+		echo "$$out" | grep -q 'votes received by the DAO: 4' && echo "$$out" | grep -q 'PASSES' || { echo "examples/governance:"; echo "$$out"; exit 1; }
+	@out=$$($(GO) run ./examples/tokentransfer) || exit 1; \
+		echo "$$out" | grep -q '999 refunded: true' || { echo "examples/tokentransfer:"; echo "$$out"; exit 1; }
+	@out=$$($(GO) run ./examples/fisherman) || exit 1; \
+		echo "$$out" | grep -q 'rewards for 4 reports' || { echo "examples/fisherman:"; echo "$$out"; exit 1; }
+	@out=$$($(GO) run ./examples/quickstart) || exit 1; \
+		echo "$$out" | grep -q 'first light-client update:' || { echo "examples/quickstart:"; echo "$$out"; exit 1; }
+	@out=$$($(GO) run ./examples/hostprofiles) || exit 1; \
+		echo "$$out" | grep -q 'only engages where the transaction size limit demands it' || { echo "examples/hostprofiles:"; echo "$$out"; exit 1; }
+	@echo "examples smoke: governance, tokentransfer, fisherman, quickstart and hostprofiles report success"
 
 # Fuzz smoke gate: every native fuzz target runs for five seconds beyond its
 # seed corpus (which plain `go test` already replays) — the recv staging
@@ -154,6 +179,6 @@ api-update:
 
 # The pre-merge gate: vet + lint (including the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
-# figure-drift check, the exported-API stability check, the scenario
-# smoke runs, and five seconds of each fuzz target.
-ci: vet lint race cover verify-figs api-check scenario-smoke fuzz-smoke
+# figure-drift check, the exported-API stability check, the scenario and
+# example smoke runs, and five seconds of each fuzz target.
+ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

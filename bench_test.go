@@ -21,11 +21,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cryptoutil"
 	"repro/internal/experiments"
-	"repro/internal/guestblock"
-	"repro/internal/ibc"
-	"repro/internal/trie"
 )
 
 func mustShared(b *testing.B) *experiments.Deployment {
@@ -190,247 +186,5 @@ func BenchmarkHostProfileComparison(b *testing.B) {
 	}
 	for i, name := range cmpr.Profiles {
 		b.ReportMetric(cmpr.UpdateTxs[i], "update_txs_"+name)
-	}
-}
-
-// --- Micro-benchmarks of the core data structures ---
-
-func benchKeys(n int) [][trie.KeySize]byte {
-	keys := make([][trie.KeySize]byte, n)
-	for i := range keys {
-		keys[i] = [trie.KeySize]byte(cryptoutil.HashUint64('b', uint64(i)))
-	}
-	return keys
-}
-
-func BenchmarkTrieSet(b *testing.B) {
-	keys := benchKeys(b.N)
-	value := cryptoutil.HashBytes([]byte("v"))
-	tr := trie.New()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tr.Set(keys[i], value); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrieGet(b *testing.B) {
-	const n = 10_000
-	keys := benchKeys(n)
-	value := cryptoutil.HashBytes([]byte("v"))
-	tr := trie.New()
-	for _, k := range keys {
-		if err := tr.Set(k, value); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Get(keys[i%n]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrieProve(b *testing.B) {
-	const n = 10_000
-	keys := benchKeys(n)
-	value := cryptoutil.HashBytes([]byte("v"))
-	tr := trie.New()
-	for _, k := range keys {
-		if err := tr.Set(k, value); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.Prove(keys[i%n]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrieVerifyMembership(b *testing.B) {
-	const n = 4_096
-	keys := benchKeys(n)
-	value := cryptoutil.HashBytes([]byte("v"))
-	tr := trie.New()
-	for _, k := range keys {
-		if err := tr.Set(k, value); err != nil {
-			b.Fatal(err)
-		}
-	}
-	root := tr.Root()
-	proofs := make([]*trie.Proof, n)
-	for i, k := range keys {
-		p, err := tr.Prove(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		proofs[i] = p
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := trie.VerifyMembership(root, keys[i%n], value, proofs[i%n]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTrieSealSequential(b *testing.B) {
-	value := cryptoutil.HashBytes([]byte("v"))
-	tr := trie.New()
-	var key [trie.KeySize]byte
-	key[0] = 0x02
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 8; j++ {
-			key[trie.KeySize-1-j] = byte(uint64(i) >> (8 * j))
-		}
-		if err := tr.Set(key, value); err != nil {
-			b.Fatal(err)
-		}
-		if err := tr.Seal(key); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSnapshotPerBlock measures the per-block snapshot cost at growing
-// store sizes: the versioned path (Commit, an O(1) root-pointer capture)
-// stays flat with the number of live pairs. Each iteration also proves one
-// key from the captured snapshot. The deprecated deep-copy baseline lives in
-// bench_clone_deprecated_test.go.
-func BenchmarkSnapshotPerBlock(b *testing.B) {
-	for _, size := range []int{1_000, 10_000, 50_000} {
-		store := ibc.NewStore()
-		paths := make([]string, size)
-		for i := 0; i < size; i++ {
-			paths[i] = fmt.Sprintf("bench/pair/%d", i)
-			if err := store.Set(paths[i], []byte("v")); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.Run(fmt.Sprintf("versioned/pairs=%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v := store.Commit()
-				snap, err := store.At(v)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := snap.ProveMembership(paths[i%size]); err != nil {
-					b.Fatal(err)
-				}
-				store.Release(v)
-			}
-		})
-	}
-}
-
-// --- Wire codec: every packet and instruction crosses this path ---
-
-func benchPacket() *ibc.Packet {
-	return &ibc.Packet{
-		Sequence:      123_456,
-		SourcePort:    "transfer",
-		SourceChannel: "channel-0",
-		DestPort:      "transfer",
-		DestChannel:   "channel-1",
-		Data:          []byte(`{"denom":"load","amount":"42","sender":"a","receiver":"load-recv-7","memo":"1:xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"}`),
-		TimeoutHeight: 10_000,
-	}
-}
-
-func BenchmarkPacketEncode(b *testing.B) {
-	p := benchPacket()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(ibc.MarshalPacket(p)) == 0 {
-			b.Fatal("empty encoding")
-		}
-	}
-}
-
-func BenchmarkPacketDecode(b *testing.B) {
-	buf := ibc.MarshalPacket(benchPacket())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ibc.UnmarshalPacket(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Quorum verification: the crypto hot path (Alg. 1/2, §V Fig. 4-5) ---
-
-// quorumFixture builds an n-validator epoch and a block finalised by every
-// validator, outside any timed region.
-func quorumFixture(n int) (*guestblock.Epoch, *guestblock.SignedBlock) {
-	keys := make([]*cryptoutil.PrivKey, n)
-	vals := make([]guestblock.Validator, n)
-	for i := range keys {
-		keys[i] = cryptoutil.GenerateKeyIndexed("bench-quorum", i)
-		vals[i] = guestblock.Validator{PubKey: keys[i].Public(), Stake: 100}
-	}
-	epoch, err := guestblock.NewEpoch(0, vals)
-	if err != nil {
-		panic(err)
-	}
-	blk := &guestblock.Block{
-		Height:          1,
-		HostHeight:      7,
-		Time:            time.Unix(1_700_000_000, 0).UTC(),
-		StateRoot:       cryptoutil.HashBytes([]byte("bench-root")),
-		EpochIndex:      0,
-		EpochCommitment: epoch.Commitment(),
-	}
-	payload := blk.SigningPayload()
-	sb := &guestblock.SignedBlock{Block: blk}
-	for _, k := range keys {
-		sb.Signatures = append(sb.Signatures, guestblock.BlockSignature{
-			Height: blk.Height, PubKey: k.Public(), Signature: k.SignHash(payload),
-		})
-	}
-	return epoch, sb
-}
-
-// BenchmarkQuorumVerify compares 24-validator quorum verification across
-// the sequential baseline (one worker, no cache), the parallel batch path
-// (pool-wide fan-out, no cache; >= 2x on a multi-core runner), and the
-// full production configuration (pool + verification cache, where repeated
-// verification of an already-seen quorum skips Ed25519 entirely).
-func BenchmarkQuorumVerify(b *testing.B) {
-	epoch, sb := quorumFixture(24)
-	for _, bench := range []struct {
-		name     string
-		verifier *cryptoutil.BatchVerifier
-	}{
-		{"sequential", cryptoutil.NewBatchVerifier(cryptoutil.WithWorkers(1), cryptoutil.WithCacheSize(0))},
-		{"batch", cryptoutil.NewBatchVerifier(cryptoutil.WithCacheSize(0))},
-		{"batch-cached", cryptoutil.NewBatchVerifier()},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sb.VerifyQuorumWith(epoch, bench.verifier); err != nil {
-					b.Fatal(err)
-				}
-			}
-			s := bench.verifier.Stats()
-			if s.Hits+s.Misses > 0 {
-				b.ReportMetric(float64(s.Hits)/float64(s.Hits+s.Misses), "cache_hit_rate")
-			}
-		})
 	}
 }

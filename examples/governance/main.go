@@ -87,19 +87,20 @@ func main() {
 	cp := counterparty.DefaultConfig()
 	cp.NumValidators = 25
 
-	// Build the network on the "gov" port with our custom modules bound
-	// on both ends instead of the token-transfer app.
+	// Build the default deployment: its "transfer" channel opens, and the
+	// connection it rides is the one the governance channel reuses below.
 	net, err := core.NewNetwork(core.Config{
 		Behaviours: fleet,
 		CP:         cp,
-		GuestPort:  "transfer", // default transfer channel still opens
 		Seed:       11,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Open a second, dedicated channel for governance.
+	// Open a second, dedicated channel for governance, on the "gov" port
+	// with our custom modules bound on both ends instead of the
+	// token-transfer app.
 	voter := &voterApp{}
 	dao := &tally{}
 	st, err := net.GuestState()

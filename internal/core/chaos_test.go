@@ -91,11 +91,11 @@ func TestChaosExactlyOnceDelivery(t *testing.T) {
 	if sentOut == 0 || sentIn == 0 {
 		t.Fatalf("workload did not run: sentOut=%d sentIn=%d", sentOut, sentIn)
 	}
-	outVoucher := fmt.Sprintf("%s/%s/GUEST", n.cfg.CPPort, n.Boot.CPChannel)
+	outVoucher := fmt.Sprintf("%s/%s/GUEST", defaultPort, n.Boot.CPChannel)
 	if got := n.CPApp.Balance("cp-receiver", outVoucher); got != sentOut {
 		t.Errorf("cp-receiver %s = %d, want %d (lost or double-delivered packets)", outVoucher, got, sentOut)
 	}
-	inVoucher := fmt.Sprintf("%s/%s/PICA", n.cfg.GuestPort, n.Boot.GuestChannel)
+	inVoucher := fmt.Sprintf("%s/%s/PICA", defaultPort, n.Boot.GuestChannel)
 	if got := n.GuestApp.Balance("guest-receiver", inVoucher); got != sentIn {
 		t.Errorf("guest-receiver %s = %d, want %d (lost or double-delivered packets)", inVoucher, got, sentIn)
 	}

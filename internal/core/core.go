@@ -36,8 +36,6 @@ import (
 
 // Config assembles a Network.
 type Config struct {
-	// Start is the virtual genesis time.
-	Start time.Time
 	// GuestParams configure the Guest Contract (DefaultParams if zero).
 	GuestParams guest.Params
 	// CP configures the counterparty chain of the implicit two-chain
@@ -50,16 +48,10 @@ type Config struct {
 	// Stakes per validator in lamports; defaults to a realistic spread
 	// summing to the deployment's $1.25M at $200/SOL.
 	Stakes []host.Lamports
-	// GuestPort / CPPort are the application ports ("transfer").
-	GuestPort ibc.PortID
-	CPPort    ibc.PortID
-	// Ordering is the channel ordering (Unordered default).
-	Ordering ibc.Ordering
 	// Channels describes the channel list of the implicit deployment's one
-	// link. When empty it is the single channel described by GuestPort/
-	// CPPort/Ordering above. All channels multiplex over the one
-	// connection/client pair; the relayer serves each from its own
-	// work-queue shard while client updates stay shared.
+	// link. When empty it is one unordered "transfer" channel. All channels
+	// multiplex over the one connection/client pair; the relayer serves
+	// each from its own work-queue shard while client updates stay shared.
 	Channels []ChannelSpec
 	// Mesh declares the topology: one guest chain plus Cosmos
 	// counterparties joined by a link graph, each link served by its own
@@ -68,9 +60,6 @@ type Config struct {
 	// single-pair accessors (CP, Relayer, Boot, GuestApp, CPApp) are views
 	// of the first guest link either way. See mesh.go and plan.go.
 	Mesh MeshSpec
-	// RelayerConfig tunes pacing; DefaultConfig if zero. It is the pacing
-	// template for every guest-link relayer.
-	RelayerConfig relayer.Config
 	// HostProfile sets the host runtime constraints (Solana default;
 	// §VI-D portability).
 	HostProfile host.Profile
@@ -97,9 +86,9 @@ type Config struct {
 // StoreSpec configures the nodestore persistence layer behind the provable
 // stores. An empty Dir disables persistence entirely.
 type StoreSpec struct {
-	// Dir is the directory holding the write-ahead logs ("guest" and,
-	// with Counterparty set, "cp" subdirectories). Opening a non-empty
-	// directory recovers the state it holds.
+	// Dir is the directory holding the guest chain's write-ahead log
+	// (subdirectory "guest"; counterparty chains stay in-heap). Opening a
+	// non-empty directory recovers the state it holds.
 	Dir string
 	// SyncEvery adds a group-fsync every N root commits on top of the
 	// finalisation-driven syncs (0 = finalisation only).
@@ -107,15 +96,12 @@ type StoreSpec struct {
 	// ColdRetention, when > 0 and GuestParams.ColdRetention is unset,
 	// evicts guest snapshots older than this many blocks to disk.
 	ColdRetention int
-	// Counterparty also persists the implicit deployment's counterparty
-	// store under "cp" (chains of an explicit Mesh stay in-heap).
-	Counterparty bool
 }
 
 // ChannelSpec declares one channel of the topology: the application
 // ports on each side, the ordering, the ICS-20 version string, and the
-// middleware stacks wrapping each side's transfer app. Zero fields
-// inherit the Config-level defaults.
+// middleware stacks wrapping each side's transfer app. Zero ports are
+// "transfer", zero ordering Unordered.
 type ChannelSpec struct {
 	GuestPort ibc.PortID
 	CPPort    ibc.PortID
@@ -153,9 +139,6 @@ type MiddlewareSpec struct {
 	Kind MiddlewareKind
 	// Fees is the per-packet fee schedule (Kind == MiddlewareFees).
 	Fees middleware.FeeSchedule
-	// ForwardAccount is the module account that funds onward hops
-	// (Kind == MiddlewareForward; defaults to "forward-module").
-	ForwardAccount string
 }
 
 // ChannelRuntime is one opened channel: its spec, the transfer apps
@@ -211,12 +194,11 @@ type Network struct {
 	// (§V-D: ≈ $14.6k).
 	Deposit host.Lamports
 
-	// GuestNodeStore / CPNodeStore are the disk persistence backends when
-	// Config.Store.Dir is set (nil otherwise). Close them via CloseStores
-	// when tearing the network down gracefully; crash tests instead call
-	// the Disk Crash hook directly.
+	// GuestNodeStore is the disk persistence backend when Config.Store.Dir
+	// is set (nil otherwise). Close it via CloseStores when tearing the
+	// network down gracefully; crash tests instead call the Disk Crash hook
+	// directly.
 	GuestNodeStore nodestore.Store
-	CPNodeStore    nodestore.Store
 
 	cfg           Config
 	payer         *cryptoutil.PrivKey
@@ -225,7 +207,7 @@ type Network struct {
 	hostCursor    host.Slot
 
 	// hostEP is the host chain's RPC front-end on the simulated network
-	// (see transport.go); guest is the guest chain's runtime, whose
+	// (netsim.HostFrontEnd); guest is the guest chain's runtime, whose
 	// relayerNodes host-block notifications fan out to.
 	hostEP *netsim.Endpoint
 	guest  *MeshChain
@@ -262,14 +244,14 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Network{Sched: sim.NewScheduler(cfg.Start), cfg: cfg, Tel: telemetry.New()}
+	n := &Network{Sched: sim.NewScheduler(genesis), cfg: cfg, Tel: telemetry.New()}
 	if err := n.setupFoundation(); err != nil {
 		return nil, err
 	}
 	mesh := &MeshRuntime{
 		Spec:           p.spec,
 		Chains:         make(map[string]*MeshChain),
-		ForwardAccount: p.spec.ForwardAccount,
+		ForwardAccount: forwardAccount,
 	}
 	n.Mesh = mesh
 
@@ -372,8 +354,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 		netCfg.Seed = sim.DeriveSeed(cfg.Seed, "netsim")
 	}
 	n.Net = netsim.New(n.Sched, netCfg, netsim.WithTelemetry(n.Tel.Metrics))
-	n.Net.ScheduleFaults(cfg.Start)
-	n.hostEP = n.Net.Node(netsim.HostNode, nil, n.hostCall)
+	n.Net.ScheduleFaults(genesis)
+	n.hostEP = n.Net.Node(netsim.HostNode, nil, netsim.HostFrontEnd(n.Host))
 	for _, name := range mesh.Order {
 		if mc := mesh.Chains[name]; mc.CP != nil {
 			mc.deliveredBy = make(map[string]netsim.NodeID)
@@ -395,12 +377,11 @@ func NewNetwork(cfg Config) (*Network, error) {
 			if linkCfgSet(lp.netB) {
 				n.Net.SetLinkBoth(rp.node, cb.Node, lp.netB)
 			}
-			rcfg := cfg.RelayerConfig
+			rcfg := relayer.DefaultConfig()
 			rcfg.A, rcfg.B = ca.end, cb.end
 			rcfg.A.ClientOfPeer, rcfg.B.ClientOfPeer = l.clientOnA, l.clientOnB
 			rcfg.Channels = l.Channels
 			rcfg.StrictRoutes = lp.strict
-			rcfg.OpLatency = lp.opLatency
 			rcfg.Seed = rp.seed
 			rcfg.MetricsNamespace = lp.metricsNS
 			rcfg.NodeID = rp.node
@@ -490,18 +471,8 @@ func (n *Network) buildChain(cp *chainPlan) (*MeshChain, error) {
 		bind = func(port ibc.PortID, m ibc.Module) error { return n.Contract.BindPort(n.Host, port, m) }
 		mc.end = relayer.EndConfig{Host: n.Host, Contract: n.Contract, Node: cp.node}
 	} else {
-		opts := []counterparty.Option{counterparty.WithTelemetry(n.Tel.Metrics), counterparty.WithMetricsNamespace(cp.ibcNS)}
-		if n.cfg.Store.Dir != "" && cp.storeDir != "" {
-			ns, err := nodestore.Open(filepath.Join(n.cfg.Store.Dir, cp.storeDir), nodestore.DiskConfig{
-				SyncEvery: n.cfg.Store.SyncEvery,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("core: open counterparty node store: %w", err)
-			}
-			n.CPNodeStore = ns
-			opts = append(opts, counterparty.WithNodeStore(ns))
-		}
-		chain, err := counterparty.New(cp.cp, n.Sched.Clock(), opts...)
+		chain, err := counterparty.New(cp.cp, n.Sched.Clock(),
+			counterparty.WithTelemetry(n.Tel.Metrics), counterparty.WithMetricsNamespace(cp.ibcNS))
 		if err != nil {
 			return nil, fmt.Errorf("core: chain %s: %w", cp.name, err)
 		}
@@ -596,21 +567,13 @@ func (n *Network) setupFoundation() error {
 	return nil
 }
 
-// CloseStores syncs and closes the disk persistence backends, making
+// CloseStores syncs and closes the disk persistence backend, making
 // everything appended so far durable. No-op without Config.Store.Dir.
 func (n *Network) CloseStores() error {
-	var first error
-	if n.GuestNodeStore != nil {
-		if err := n.GuestNodeStore.Close(); err != nil && first == nil {
-			first = err
-		}
+	if n.GuestNodeStore == nil {
+		return nil
 	}
-	if n.CPNodeStore != nil {
-		if err := n.CPNodeStore.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return n.GuestNodeStore.Close()
 }
 
 // seedBlockCadence seeds the guest-block cadence histograms with the
@@ -641,17 +604,16 @@ func (n *Network) startDaemons() {
 	// Validator daemons: activate (and stake, for late joiners) at their
 	// join time.
 	for i, b := range cfg.Behaviours {
-		v := validator.New(n.ValidatorKeys[i], b, n.Host, contract, n.Sched,
+		v := validator.New(n.ValidatorKeys[i], b, n.Host, contract, n.Sched, n.Net, i,
 			validator.WithSeed(cfg.Seed+int64(i)*101),
-			validator.WithTelemetry(n.Tel.Metrics),
-			validator.WithTransport(n.Net, i))
+			validator.WithTelemetry(n.Tel.Metrics))
 		n.Validators = append(n.Validators, v)
 		i := i
 		if b.JoinAt <= 0 {
 			v.Activate()
 			continue
 		}
-		n.Sched.At(cfg.Start.Add(b.JoinAt), func() {
+		n.Sched.At(genesis.Add(b.JoinAt), func() {
 			builder := guest.NewTxBuilder(contract, n.ValidatorKeys[i].Public())
 			stakeTx := builder.StakeTx(n.ValidatorKeys[i].Public(), cfg.Stakes[i])
 			if err := n.Host.Submit(stakeTx); err != nil {
@@ -663,8 +625,7 @@ func (n *Network) startDaemons() {
 
 	// Fisherman infrastructure.
 	n.Gossip = &fisherman.Gossip{}
-	f := fisherman.New("0", n.Host, contract, n.Gossip,
-		fisherman.WithTelemetry(n.Tel.Metrics), fisherman.WithTransport(n.Net, 0))
+	f := fisherman.New("0", n.Host, contract, n.Gossip, n.Net, 0, fisherman.WithTelemetry(n.Tel.Metrics))
 	n.Host.Fund(f.Key().Public(), 100*host.LamportsPerSOL)
 	n.Fishermen = []*fisherman.Fisherman{f}
 
@@ -697,7 +658,7 @@ func (n *Network) buildMiddlewares(stack []mwPlan, bank *transfer.App, resolve m
 			}
 			out = append(out, middleware.NewFees(bank, ms.Fees, opts...))
 		case MiddlewareForward:
-			out = append(out, middleware.NewForward(ms.ForwardAccount, resolve, sender,
+			out = append(out, middleware.NewForward(forwardAccount, resolve, sender,
 				middleware.WithForwardTelemetry(n.Tel.Metrics, ms.ns),
 				middleware.WithForwardTimeout(ms.timeout, n.Sched.Now)))
 		default:
@@ -763,12 +724,12 @@ func (n *Network) wireScheduling(feesPresent bool) {
 		return true
 	})
 
-	// Health telemetry feeds the adaptive view on the spec's cadence. A
+	// Health telemetry feeds the adaptive view every healthInterval. A
 	// static deployment schedules nothing here: its view is never observed.
 	if n.Mesh.Spec.Routing == RoutingAdaptive {
 		view := n.Mesh.View
 		cRecomputes := n.Tel.Metrics.Counter("mesh.routing.recomputes")
-		n.Sched.Every(n.Mesh.Spec.HealthInterval, func() bool {
+		n.Sched.Every(healthInterval, func() bool {
 			for _, l := range n.Mesh.Links {
 				view.Observe(l.ID, l.Health())
 			}
@@ -800,8 +761,8 @@ func (n *Network) ensureSlotScheduled() {
 	n.slotScheduled = true
 	now := n.Sched.Now()
 	slot := n.cfg.HostProfile.SlotDuration
-	elapsed := now.Sub(n.cfg.Start)
-	next := n.cfg.Start.Add(elapsed.Truncate(slot) + slot)
+	elapsed := now.Sub(genesis)
+	next := genesis.Add(elapsed.Truncate(slot) + slot)
 	n.Sched.At(next, n.produceHostBlock)
 }
 

@@ -161,7 +161,7 @@ func TestOrderedInboundBatch(t *testing.T) {
 	cp := counterparty.DefaultConfig()
 	cp.NumValidators = 12
 	cp.BlockInterval = 3 * time.Second
-	n, err := NewNetwork(Config{CP: cp, Behaviours: fastFleet(4), Seed: 7, Ordering: ibc.Ordered})
+	n, err := NewNetwork(Config{CP: cp, Behaviours: fastFleet(4), Seed: 7, Channels: []ChannelSpec{{Ordering: ibc.Ordered}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,9 +88,6 @@ const (
 type MeshSpec struct {
 	Chains []MeshChainSpec
 	Links  []MeshLinkSpec
-	// ForwardAccount is the module account intermediate hops pay through
-	// (default "forward-module").
-	ForwardAccount string
 	// ForwardTimeout, when set, puts a timestamp timeout on every onward
 	// hop the forwarding middleware emits — the knob multi-hop timeout
 	// experiments turn. 0 means onward hops never expire.
@@ -98,12 +95,9 @@ type MeshSpec struct {
 	// Routing selects static routing (the zero value) or the health-fed
 	// adaptive view.
 	Routing MeshRoutingMode
-	// Cost parameterises the adaptive view's per-link scoring; zero
+	// Cost tunes the adaptive view (fed relayer health every 30 s); zero
 	// fields inherit routing.DefaultCostModel. Ignored when static.
 	Cost routing.CostModel
-	// HealthInterval is the cadence at which relayer health feeds the
-	// adaptive view (default 30s). Ignored when static.
-	HealthInterval time.Duration
 	// Fees, when enabled, wraps every mesh port in the ICS-29 fee
 	// middleware: senders escrow the schedule per packet, and the relayer
 	// that delivers it claims the recv+ack legs (first-to-deliver wins
@@ -182,7 +176,7 @@ type MeshRuntime struct {
 	Spec MeshSpec
 	// View routes every SendRouted. A static spec never feeds it health,
 	// so it keeps one hop-count shortest path per chain pair; an adaptive
-	// spec samples the relayer fleets into it on Spec.HealthInterval.
+	// spec samples the relayer fleets into it every 30 s.
 	View *routing.View
 	// Chains indexes runtime state by chain name; Order lists the names
 	// sorted.

@@ -21,7 +21,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/ibc"
 	"repro/internal/netsim"
-	"repro/internal/relayer"
 	"repro/internal/sim"
 )
 
@@ -43,8 +42,6 @@ type chainPlan struct {
 	ibcNS string
 	// node is the chain's RPC front-end address (the host's for the guest).
 	node netsim.NodeID
-	// storeDir, when set, persists the chain's store under Store.Dir.
-	storeDir string
 	// ports lists the bound ports in first-use order.
 	ports []portPlan
 }
@@ -74,12 +71,9 @@ type linkPlan struct {
 	channels   []channelPlan
 	netA, netB netsim.LinkConfig
 	// metricsNS prefixes every metric the link's relayers write; strict
-	// relayers ignore packets on routes they do not serve; opLatency paces
-	// submissions to cosmos ends (nil on a guest link, whose guest end
-	// paces what it sends).
+	// relayers ignore packets on routes they do not serve.
 	metricsNS string
 	strict    bool
-	opLatency sim.Dist
 	fleet     []relayerPlan // competitor 0 (the primary) first
 }
 
@@ -100,19 +94,23 @@ type relayerPlan struct {
 	seed     int64
 }
 
-// Names of the implicit pair deployment's two chains, and the module
-// account forwarding hops pay through unless a spec names another.
+// What every deployment shares: the names of the implicit pair's two
+// chains, the application port a spec that names none binds, the module
+// account forwarding hops pay through, and the cadence at which relayer
+// health feeds an adaptive routing view.
 const (
-	pairGuestName         = "guest"
-	pairCPName            = "cp"
-	defaultForwardAccount = "forward-module"
+	pairGuestName             = "guest"
+	pairCPName                = "cp"
+	defaultPort    ibc.PortID = "transfer"
+	forwardAccount            = "forward-module"
+	healthInterval            = 30 * time.Second
 )
+
+// genesis is the virtual time every deployment starts at.
+var genesis = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
 
 // normalize fills cfg's deployment-wide defaults and returns the plan.
 func normalize(cfg *Config) (*plan, error) {
-	if cfg.Start.IsZero() {
-		cfg.Start = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
-	}
 	if cfg.GuestParams == (guest.Params{}) {
 		cfg.GuestParams = guest.DefaultParams()
 	}
@@ -131,13 +129,6 @@ func normalize(cfg *Config) (*plan, error) {
 	if len(cfg.Stakes) != len(cfg.Behaviours) {
 		return nil, errors.New("core: stakes and behaviours length mismatch")
 	}
-	if cfg.RelayerConfig.TxGap == nil {
-		cfg.RelayerConfig = relayer.DefaultConfig()
-		// The relayer's pacing stream hangs off the scenario seed rather
-		// than DefaultConfig's fixed one, so changing Config.Seed varies
-		// every actor's randomness coherently.
-		cfg.RelayerConfig.Seed = sim.DeriveSeed(cfg.Seed, "relayer")
-	}
 	if cfg.HostProfile.Name == "" {
 		cfg.HostProfile = host.SolanaProfile()
 	}
@@ -148,19 +139,13 @@ func normalize(cfg *Config) (*plan, error) {
 }
 
 // pairPlan normalises the implicit deployment: guest ↔ cp over one link
-// whose channels are Config.Channels (or the single GuestPort/CPPort/
-// Ordering channel), each port carrying exactly the middleware its first
+// whose channels are Config.Channels (or one unordered "transfer"
+// channel), each port carrying exactly the middleware its first
 // ChannelSpec declares, served by the one relayer at the well-known
 // "relayer"/"cp" addresses.
 func pairPlan(cfg *Config) (*plan, error) {
 	if cfg.CP.ChainID == "" {
 		cfg.CP = counterparty.DefaultConfig()
-	}
-	if cfg.GuestPort == "" {
-		cfg.GuestPort = "transfer"
-	}
-	if cfg.CPPort == "" {
-		cfg.CPPort = "transfer"
 	}
 	specs := append([]ChannelSpec(nil), cfg.Channels...)
 	if len(specs) == 0 {
@@ -169,9 +154,6 @@ func pairPlan(cfg *Config) (*plan, error) {
 
 	guestChain := chainPlan{name: pairGuestName, guest: true, node: netsim.HostNode}
 	cpChain := chainPlan{name: pairCPName, cp: cfg.CP, node: netsim.CPNode}
-	if cfg.Store.Counterparty {
-		cpChain.storeDir = "cp"
-	}
 	// declare binds port on chain with the stack its first spec lists;
 	// stacks are per port, so a later spec may only repeat the port bare.
 	declare := func(chain *chainPlan, side string, i int, port ibc.PortID, mws []MiddlewareSpec) error {
@@ -185,30 +167,26 @@ func pairPlan(cfg *Config) (*plan, error) {
 		}
 		pp := portPlan{port: port, appNS: side + ".transfer"}
 		for _, ms := range mws {
-			if ms.ForwardAccount == "" {
-				ms.ForwardAccount = defaultForwardAccount
-			}
 			pp.stack = append(pp.stack, mwPlan{MiddlewareSpec: ms, ns: side + ".mw." + string(ms.Kind)})
 		}
 		chain.ports = append(chain.ports, pp)
 		return nil
 	}
 	// The link is canonical like any other: "cp" sorts before "guest", so
-	// the counterparty is end A.
+	// the counterparty is end A. The relayer's pacing stream hangs off the
+	// scenario seed, so changing Config.Seed varies every actor's
+	// randomness coherently.
 	link := linkPlan{
 		id: pairCPName + "-" + pairGuestName, a: pairCPName, b: pairGuestName,
 		metricsNS: "relayer",
-		fleet:     []relayerPlan{{node: netsim.RelayerNode, identity: "relayer", seed: cfg.RelayerConfig.Seed}},
+		fleet:     []relayerPlan{{node: netsim.RelayerNode, identity: "relayer", seed: sim.DeriveSeed(cfg.Seed, "relayer")}},
 	}
 	for i, sp := range specs {
 		if sp.GuestPort == "" {
-			sp.GuestPort = cfg.GuestPort
+			sp.GuestPort = defaultPort
 		}
 		if sp.CPPort == "" {
-			sp.CPPort = cfg.CPPort
-		}
-		if sp.Ordering == 0 {
-			sp.Ordering = cfg.Ordering
+			sp.CPPort = defaultPort
 		}
 		if err := declare(&guestChain, "guest", i, sp.GuestPort, sp.GuestMiddleware); err != nil {
 			return nil, err
@@ -231,7 +209,6 @@ func pairPlan(cfg *Config) (*plan, error) {
 				A: link.a, B: link.b, PortA: ch0.portA, PortB: ch0.portB,
 				Ordering: ch0.ordering, Version: ch0.version, Relayers: 1,
 			}},
-			ForwardAccount: defaultForwardAccount,
 		},
 		chains: []chainPlan{cpChain, guestChain},
 		links:  []linkPlan{link},
@@ -249,14 +226,8 @@ func meshPlan(cfg *Config) (*plan, error) {
 	if len(spec.Chains) == 0 || len(spec.Links) == 0 {
 		return nil, errors.New("core: mesh needs chains and links")
 	}
-	if spec.ForwardAccount == "" {
-		spec.ForwardAccount = defaultForwardAccount
-	}
 	if spec.Routing != RoutingStatic && spec.Routing != RoutingAdaptive {
 		return nil, fmt.Errorf("core: unknown mesh routing mode %q", spec.Routing)
-	}
-	if spec.HealthInterval == 0 {
-		spec.HealthInterval = 30 * time.Second
 	}
 
 	p := &plan{}
@@ -327,10 +298,10 @@ func meshPlan(cfg *Config) (*plan, error) {
 	for i := range links {
 		l := &links[i]
 		if l.PortA == "" {
-			l.PortA = "transfer"
+			l.PortA = defaultPort
 		}
 		if l.PortB == "" {
-			l.PortB = "transfer"
+			l.PortB = defaultPort
 		}
 		if l.Ordering == 0 {
 			l.Ordering = ibc.Unordered
@@ -385,11 +356,11 @@ func meshPlan(cfg *Config) (*plan, error) {
 		if spec.Fees.Enabled() {
 			pp.stack = append(pp.stack, mwPlan{
 				MiddlewareSpec: MiddlewareSpec{Kind: MiddlewareFees, Fees: spec.Fees},
-				ns:             base + ".fees", exemptSender: spec.ForwardAccount,
+				ns:             base + ".fees", exemptSender: forwardAccount,
 			})
 		}
 		pp.stack = append(pp.stack, mwPlan{
-			MiddlewareSpec: MiddlewareSpec{Kind: MiddlewareForward, ForwardAccount: spec.ForwardAccount},
+			MiddlewareSpec: MiddlewareSpec{Kind: MiddlewareForward},
 			ns:             base + ".forward", timeout: spec.ForwardTimeout,
 		})
 		chain.ports = append(chain.ports, pp)
@@ -399,15 +370,12 @@ func meshPlan(cfg *Config) (*plan, error) {
 		bind(ca, ls.PortA)
 		bind(cb, ls.PortB)
 		id := ls.A + "-" + ls.B
-		// Cosmos submission is not the paper's bottleneck: a cosmos↔cosmos
-		// link paces each operation like the guest end paces its peer.
-		opLatency := relayer.DefaultConfig().CPLatency
 		var chSpec ChannelSpec
 		switch {
 		case ca.guest:
-			opLatency, chSpec = nil, ChannelSpec{GuestPort: ls.PortA, CPPort: ls.PortB}
+			chSpec = ChannelSpec{GuestPort: ls.PortA, CPPort: ls.PortB}
 		case cb.guest:
-			opLatency, chSpec = nil, ChannelSpec{GuestPort: ls.PortB, CPPort: ls.PortA}
+			chSpec = ChannelSpec{GuestPort: ls.PortB, CPPort: ls.PortA}
 		}
 		lp := linkPlan{
 			id: id, a: ls.A, b: ls.B,
@@ -416,7 +384,6 @@ func meshPlan(cfg *Config) (*plan, error) {
 			netB:      ls.NetB,
 			metricsNS: "relayer.link." + id,
 			strict:    true,
-			opLatency: opLatency,
 		}
 		// Competitor 0 keeps the bare per-link identifiers; extras derive
 		// "/r<i>"-suffixed variants and share the link's namespace:

@@ -16,7 +16,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/ibc"
 	"repro/internal/lightclient/tendermint"
-	"repro/internal/nodestore"
 	"repro/internal/telemetry"
 )
 
@@ -92,15 +91,6 @@ func WithMetricsNamespace(ns string) Option {
 	return func(c *Chain) { c.metricsNS = ns }
 }
 
-// WithNodeStore persists the chain's provable store through the given
-// backend (see ibc.NewStoreWithBackend). Durability points follow the
-// backend's own sync cadence plus explicit SyncStore calls; the chain has
-// instant finality, so there is no per-block finalisation hook like the
-// guest's.
-func WithNodeStore(ns nodestore.Store) Option {
-	return func(c *Chain) { c.nodeStore = ns }
-}
-
 // Chain is the simulated counterparty.
 type Chain struct {
 	cfg   Config
@@ -140,7 +130,6 @@ type Chain struct {
 	events    []Event
 	telemetry *telemetry.Registry
 	metricsNS string
-	nodeStore nodestore.Store
 }
 
 // New creates the chain and produces its genesis block.
@@ -174,11 +163,7 @@ func New(cfg Config, clock host.Clock, opts ...Option) (*Chain, error) {
 	for _, o := range opts {
 		o(c)
 	}
-	store, err := ibc.NewStoreWithBackend(c.nodeStore)
-	if err != nil {
-		return nil, fmt.Errorf("counterparty: open provable store: %w", err)
-	}
-	c.store = store
+	c.store = ibc.NewStore()
 	if c.metricsNS == "" {
 		c.metricsNS = "cp.ibc"
 	}

@@ -21,7 +21,7 @@ func RecvKey(p *ibc.Packet) string {
 // in order and each answers for itself, so a message that fails leaves the
 // ones around it standing. Every message is idempotent, which turns
 // ReliableCall's at-least-once delivery of the whole transaction into
-// exactly-once application effects (DESIGN.md §10):
+// exactly-once application effects (DESIGN.md §8):
 //
 //   - update-client: a header the client already knows is a stale update —
 //     the consensus state is in place, so success;

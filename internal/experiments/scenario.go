@@ -222,7 +222,7 @@ func (s Scenario) Run() (*Report, error) {
 		lc.Seed = cfg.Seed
 		gen = loadgen.New(net, lc)
 		for i := range net.Channels {
-			fr := r.open(Flow{Src: net.Mesh.GuestName, Denom: lc.Denom, Channels: []int{i}})
+			fr := r.open(Flow{Src: net.Mesh.GuestName, Denom: loadgen.Denom, Channels: []int{i}})
 			fr.generated, fr.receivers = true, loadgen.Receivers()
 		}
 		gen.Run(s.Window)

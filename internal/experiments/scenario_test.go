@@ -194,11 +194,11 @@ var rows = map[string]row{
 	// this rate and depth the cascade happens many times, so full delivery
 	// is the regression check.
 	"load-cascade": {scenario: "load", tweak: func(s *Scenario) { s.Load.Rate, s.Window = 0.5, 3*time.Minute }},
-	// Bursty load through a deep pipeline with the sharded host pre-verify
-	// and sharded MintBatch engaged — the goroutine fan-out `go test -race`
-	// must certify.
+	// Bursty load through a deeper pipeline, with the host's sharded
+	// pre-verify engaged — the goroutine fan-out `go test -race` must
+	// certify.
 	"load-concurrent-stages": {scenario: "load", tweak: func(s *Scenario) {
-		s.Load.Bursty, s.Load.Rate, s.Load.PrewarmTop = true, 1, 64
+		s.Load.Bursty, s.Load.Rate = true, 1
 		s.Net.GuestParams.PipelineDepth = 4
 		s.Window, s.Drain = 2*time.Minute, 20*time.Minute
 	}},

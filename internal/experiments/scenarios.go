@@ -250,7 +250,6 @@ func diamondScenario(name string, adaptive bool) Scenario {
 		// the equal-cost set, so the pre-degradation split is visible and
 		// the post-degradation migration is a real routing decision.
 		spec.Cost = routing.CostModel{ECMPSpread: 0.25, Hysteresis: 0.2}
-		spec.HealthInterval = 30 * time.Second
 	}
 	return Scenario{
 		Name: name, Net: core.Config{Seed: 1, Mesh: spec},
@@ -286,7 +285,6 @@ func raceScenario() Scenario {
 // loadScenario offers an open-loop loadgen stream to a 2-channel pair with
 // guest blocks pipelined 3 deep.
 func loadScenario(name string, load loadgen.Config, window, drain time.Duration) Scenario {
-	load.Accounts, load.ZipfS, load.Denom = 1_000_000, 1.2, "load"
 	params := guest.DefaultParams()
 	params.PipelineDepth = 3
 	return Scenario{
@@ -596,6 +594,6 @@ func loadVerdict(rs []*Report) []Check {
 			offered, r.Scenario.Load.Rate, admitted, rejected, shed, c("host.mempool_rejected"), c("host.mempool_shed")),
 		check(delivered > 0, "delivered: %d (sustained %.3f pkt/s)", delivered,
 			float64(delivered)/(r.Scenario.Window+r.Scenario.Drain).Seconds()),
-		check(senders > 0 && senders <= offered, "senders touched: %d of %d", senders, r.Scenario.Load.Accounts),
+		check(senders > 0 && senders <= offered, "senders touched: %d of %d", senders, loadgen.Population),
 	}
 }

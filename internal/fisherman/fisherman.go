@@ -61,9 +61,8 @@ type Fisherman struct {
 	mObservations *telemetry.Counter
 	mEvidence     *telemetry.Counter
 
-	// Simulated transport (nil without WithTransport: direct calls).
-	net          *netsim.Network
-	netIndex     int
+	// Evidence goes out over the simulated network as reliable calls that
+	// retry until the host acknowledges.
 	ep           *netsim.Endpoint
 	retry        netsim.RetryPolicy
 	mNetRetries  *telemetry.Counter
@@ -82,16 +81,10 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(f *Fisherman) { f.telemetry = reg }
 }
 
-// WithTransport routes evidence submission through the simulated network
-// as reliable calls that retry until the host acknowledges. index
-// selects the fisherman's netsim address.
-func WithTransport(net *netsim.Network, index int) Option {
-	return func(f *Fisherman) { f.net = net; f.netIndex = index }
-}
-
-// New creates a fisherman; fund its account for fees. Fishermen are
-// permissionless — anyone can run one (§III-C).
-func New(name string, chain *host.Chain, contract *guest.Contract, gossip *Gossip, opts ...Option) *Fisherman {
+// New creates a fisherman at netsim.FishermanNode(index) on net; fund its
+// account for fees. Fishermen are permissionless — anyone can run one
+// (§III-C).
+func New(name string, chain *host.Chain, contract *guest.Contract, gossip *Gossip, net *netsim.Network, index int, opts ...Option) *Fisherman {
 	key := cryptoutil.GenerateKey("fisherman/" + name)
 	f := &Fisherman{
 		chain:    chain,
@@ -101,19 +94,17 @@ func New(name string, chain *host.Chain, contract *guest.Contract, gossip *Gossi
 		key:      key,
 		seen:     make(map[cryptoutil.PubKey]map[uint64]Observation),
 		verifier: cryptoutil.DefaultBatchVerifier(),
+		ep:       net.Node(netsim.FishermanNode(index), nil, nil),
+		retry:    netsim.DefaultRetryPolicy(),
 	}
 	for _, o := range opts {
 		o(f)
 	}
 	f.mObservations = f.telemetry.Counter("fisherman.observations")
 	f.mEvidence = f.telemetry.Counter("fisherman.evidence_submitted")
-	if f.net != nil {
-		f.ep = f.net.Node(netsim.FishermanNode(f.netIndex), nil, nil)
-		f.retry = netsim.DefaultRetryPolicy()
-		f.mNetRetries = f.telemetry.Counter("fisherman.net_retries")
-		f.mNetDead = f.telemetry.Counter("fisherman.net_dead_letters")
-		f.mNetAttempts = f.telemetry.Histogram("fisherman.net_attempts")
-	}
+	f.mNetRetries = f.telemetry.Counter("fisherman.net_retries")
+	f.mNetDead = f.telemetry.Counter("fisherman.net_dead_letters")
+	f.mNetAttempts = f.telemetry.Histogram("fisherman.net_attempts")
 	return f
 }
 
@@ -143,9 +134,7 @@ func (f *Fisherman) Poll() error {
 			continue // forged sighting, not usable evidence
 		}
 		if ev := f.classify(st, o); ev != nil {
-			if err := f.submit(ev); err != nil {
-				return err
-			}
+			f.submit(ev)
 		}
 		f.remember(o)
 	}
@@ -202,16 +191,8 @@ func (f *Fisherman) remember(o Observation) {
 	}
 }
 
-func (f *Fisherman) submit(ev *guest.Evidence) error {
+func (f *Fisherman) submit(ev *guest.Evidence) {
 	tx := f.builder.MisbehaviourTx(ev)
-	if f.ep == nil {
-		if err := f.chain.Submit(tx); err != nil {
-			return err
-		}
-		f.Submitted++
-		f.mEvidence.Inc()
-		return nil
-	}
 	obs := netsim.RetryObserver{Retries: f.mNetRetries, DeadLetters: f.mNetDead, Attempts: f.mNetAttempts}
 	f.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx},
 		f.retry, obs, func(_ any, err error) {
@@ -221,5 +202,4 @@ func (f *Fisherman) submit(ev *guest.Evidence) error {
 			f.Submitted++
 			f.mEvidence.Inc()
 		})
-	return nil
 }

@@ -8,6 +8,8 @@ import (
 	"repro/internal/guest"
 	"repro/internal/guestblock"
 	"repro/internal/host"
+	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 // fishEnv sets up a contract with canonical blocks to test against.
@@ -43,7 +45,11 @@ func newFishEnv(t *testing.T) *fishEnv {
 		t.Fatal(err)
 	}
 	e.contract = contract
-	e.fish = New("test", chain, contract, e.gossip)
+	// A zero-value network is lossless and synchronous: evidence reaches the
+	// host's mempool before Poll returns, and the scheduler never runs.
+	net := netsim.New(sim.NewScheduler(clock.Now()), netsim.Config{})
+	net.Node(netsim.HostNode, nil, netsim.HostFrontEnd(chain))
+	e.fish = New("test", chain, contract, e.gossip, net, 0)
 	chain.Fund(e.fish.Key().Public(), 10*host.LamportsPerSOL)
 
 	// Mint one canonical block at height 2.

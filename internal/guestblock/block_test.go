@@ -114,6 +114,20 @@ func TestSignedBlockQuorum(t *testing.T) {
 	if err := sb.VerifyQuorum(e); err != nil {
 		t.Fatal(err)
 	}
+	// The verdict does not depend on how the signatures are checked: one
+	// worker, the pool, or the pool behind the verification cache — where
+	// the second pass answers from the cache.
+	for name, v := range map[string]*cryptoutil.BatchVerifier{
+		"sequential":   cryptoutil.NewBatchVerifier(cryptoutil.WithWorkers(1), cryptoutil.WithCacheSize(0)),
+		"batch":        cryptoutil.NewBatchVerifier(cryptoutil.WithCacheSize(0)),
+		"batch-cached": cryptoutil.NewBatchVerifier(),
+	} {
+		for pass := 0; pass < 2; pass++ {
+			if err := sb.VerifyQuorumWith(e, v); err != nil {
+				t.Fatalf("%s verifier, pass %d: %v", name, pass, err)
+			}
+		}
+	}
 }
 
 func TestSignedBlockRejectsForgery(t *testing.T) {

@@ -814,39 +814,47 @@ func (h *Handler) hasReceipt(p *Packet) bool {
 	return h.store.IsSealed(path)
 }
 
-// AcknowledgePacket verifies the counterparty committed ack for a packet
-// this chain sent, notifies the application, and clears the commitment.
-func (h *Handler) AcknowledgePacket(p *Packet, ack []byte, proofAck []byte, proofHeight Height) error {
+// pendingCommitment opens the settlement of a packet this chain sent: it
+// resolves the packet's channel end, the light client behind the channel's
+// open connection and the commitment path, and checks that the path still
+// holds p's commitment. A path that holds nothing means the packet was
+// already acknowledged or timed out (ErrPacketAlreadyDelivered).
+func (h *Handler) pendingCommitment(p *Packet) (*ChannelEnd, Client, string, error) {
 	if err := p.Validate(); err != nil {
-		return err
+		return nil, nil, "", err
 	}
 	end, err := h.Channel(p.SourcePort, p.SourceChannel)
 	if err != nil {
-		return err
+		return nil, nil, "", err
 	}
 	conn, err := h.openConnection(end.ConnectionID)
 	if err != nil {
-		return err
+		return nil, nil, "", err
 	}
 	client, err := h.Client(conn.ClientID)
 	if err != nil {
-		return err
+		return nil, nil, "", err
 	}
 	commitPath := CommitmentPath(p.SourcePort, p.SourceChannel, p.Sequence)
-	has, err := h.store.Has(commitPath)
-	if err != nil {
-		return err
-	}
-	if !has {
-		// Already acknowledged or timed out.
-		return ErrPacketAlreadyDelivered
-	}
 	stored, err := h.store.Get(commitPath)
+	if errors.Is(err, trie.ErrNotFound) {
+		return nil, nil, "", ErrPacketAlreadyDelivered
+	}
 	if err != nil {
-		return err
+		return nil, nil, "", err
 	}
 	if string(stored) != string(p.CommitmentBytes()) {
-		return fmt.Errorf("%w: commitment mismatch", ErrInvalidPacket)
+		return nil, nil, "", fmt.Errorf("%w: commitment mismatch", ErrInvalidPacket)
+	}
+	return end, client, commitPath, nil
+}
+
+// AcknowledgePacket verifies the counterparty committed ack for a packet
+// this chain sent, notifies the application, and clears the commitment.
+func (h *Handler) AcknowledgePacket(p *Packet, ack []byte, proofAck []byte, proofHeight Height) error {
+	_, client, commitPath, err := h.pendingCommitment(p)
+	if err != nil {
+		return err
 	}
 	ackPath := AckPath(p.DestPort, p.DestChannel, p.Sequence)
 	if err := client.VerifyMembership(proofHeight, ackPath, AckCommitmentBytes(ack), proofAck); err != nil {
@@ -872,35 +880,9 @@ func (h *Handler) AcknowledgePacket(p *Packet, ack []byte, proofAck []byte, proo
 // commitment. For unordered channels the proof is receipt non-membership;
 // for ordered channels it is a nextSequenceRecv proof.
 func (h *Handler) TimeoutPacket(p *Packet, proofUnreceived []byte, proofHeight Height) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	end, err := h.Channel(p.SourcePort, p.SourceChannel)
+	end, client, commitPath, err := h.pendingCommitment(p)
 	if err != nil {
 		return err
-	}
-	conn, err := h.openConnection(end.ConnectionID)
-	if err != nil {
-		return err
-	}
-	client, err := h.Client(conn.ClientID)
-	if err != nil {
-		return err
-	}
-	commitPath := CommitmentPath(p.SourcePort, p.SourceChannel, p.Sequence)
-	has, err := h.store.Has(commitPath)
-	if err != nil {
-		return err
-	}
-	if !has {
-		return ErrPacketAlreadyDelivered
-	}
-	stored, err := h.store.Get(commitPath)
-	if err != nil {
-		return err
-	}
-	if string(stored) != string(p.CommitmentBytes()) {
-		return fmt.Errorf("%w: commitment mismatch", ErrInvalidPacket)
 	}
 
 	// The timeout must have elapsed as observed through the light client.

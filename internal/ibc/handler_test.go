@@ -458,7 +458,7 @@ func TestSendOnClosedOrMissingChannel(t *testing.T) {
 func TestAckCommitmentMismatchRejected(t *testing.T) {
 	p := newPair(t)
 	pkt, proof, h := p.send(t, []byte("ackme"), time.Time{})
-	_, err := p.b.handler.RecvPacket(pkt, proof, h)
+	ack, err := p.b.handler.RecvPacket(pkt, proof, h)
 	must(t, err)
 	p.b.commit()
 	_, ackProof, err := p.b.snaps[p.b.height-1].ProveMembership(AckPath(pkt.DestPort, pkt.DestChannel, pkt.Sequence))
@@ -466,6 +466,21 @@ func TestAckCommitmentMismatchRejected(t *testing.T) {
 	// Wrong ack bytes cannot verify against the committed ack.
 	if err := p.a.handler.AcknowledgePacket(pkt, []byte("forged-ack"), ackProof, p.b.height-1); !errors.Is(err, ErrProofVerification) {
 		t.Fatalf("forged ack = %v, want ErrProofVerification", err)
+	}
+	// A packet that differs from the one committed settles nothing, by ack
+	// or by timeout.
+	other := *pkt
+	other.Data = []byte("not what was sent")
+	if err := p.a.handler.AcknowledgePacket(&other, ack, ackProof, p.b.height-1); !errors.Is(err, ErrInvalidPacket) {
+		t.Fatalf("ack of a different packet = %v, want ErrInvalidPacket", err)
+	}
+	if err := p.a.handler.TimeoutPacket(&other, ackProof, p.b.height-1); !errors.Is(err, ErrInvalidPacket) {
+		t.Fatalf("timeout of a different packet = %v, want ErrInvalidPacket", err)
+	}
+	// Once the real ack cleared the commitment, a second one finds nothing.
+	must(t, p.a.handler.AcknowledgePacket(pkt, ack, ackProof, p.b.height-1))
+	if err := p.a.handler.AcknowledgePacket(pkt, ack, ackProof, p.b.height-1); !errors.Is(err, ErrPacketAlreadyDelivered) {
+		t.Fatalf("second ack = %v, want ErrPacketAlreadyDelivered", err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 // touched. Index 0 is the most popular account (rand.Zipf assigns mass
 // monotonically), so "the head" is always the lowest indices.
 type Accounts struct {
-	n    uint64
 	zipf *rand.Zipf
 
 	cache map[uint64]cryptoutil.PubKey
@@ -23,19 +22,11 @@ type Accounts struct {
 	materialise func(idx uint64, pub cryptoutil.PubKey)
 }
 
-// NewAccounts builds a population of n accounts with Zipf parameter s
-// (> 1; heavier head for larger s), sampling with rng. materialise, when
+// NewAccounts builds the population, sampling with rng. materialise, when
 // non-nil, runs once per distinct account the first time it is drawn.
-func NewAccounts(rng *rand.Rand, n uint64, s float64, materialise func(idx uint64, pub cryptoutil.PubKey)) *Accounts {
-	if n == 0 {
-		n = 1
-	}
-	if s <= 1 {
-		s = 1.2
-	}
+func NewAccounts(rng *rand.Rand, materialise func(idx uint64, pub cryptoutil.PubKey)) *Accounts {
 	return &Accounts{
-		n:           n,
-		zipf:        rand.NewZipf(rng, s, 1, n-1),
+		zipf:        rand.NewZipf(rng, zipfS, 1, Population-1),
 		cache:       make(map[uint64]cryptoutil.PubKey),
 		materialise: materialise,
 	}

@@ -4,83 +4,52 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
-	"repro/internal/fees"
 	"repro/internal/host"
-	"repro/internal/middleware"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/transfer"
 )
 
-// Config parameterises one open-loop load stream.
+// Config parameterises one open-loop load stream: what callers vary. The
+// rest of the workload is fixed below.
 type Config struct {
 	// Seed drives every loadgen stream (decorrelated from the network's
 	// own seed via DeriveSeed labels).
 	Seed int64
-	// Rate is the offered load in transfers per second of virtual time.
+	// Rate is the offered load in transfers per second of virtual time
+	// (default 1).
 	Rate float64
 	// Bursty selects the self-similar arrival process instead of Poisson.
 	Bursty bool
-	// Accounts is the sender population size (millions are free: accounts
-	// materialise lazily on first touch).
-	Accounts uint64
-	// ZipfS is the account-popularity exponent (> 1; default 1.2).
-	ZipfS float64
-	// Denom is the token denomination transferred (default "load").
-	Denom string
-	// Sizes profiles transfer amounts and memo padding.
-	Sizes SizeProfile
-	// Mix weights traffic across the topology's channels.
-	Mix ChannelMix
 	// Deadline arms mempool deadline shedding per transaction (0 = none).
 	Deadline time.Duration
-	// Timeout is the IBC packet timeout (default 1h).
-	Timeout time.Duration
-	// FundLamports funds each materialised sender for fees (default 10 SOL).
-	FundLamports host.Lamports
-	// MintTokens credits each materialised sender (default 1e9).
-	MintTokens uint64
-	// PrewarmTop pre-materialises the K most popular accounts in one
-	// sharded MintBatch instead of lazily (0 = fully lazy).
-	PrewarmTop int
-	// Policy is the fee policy for injected transfers.
-	Policy fees.Policy
-	// Flows mixes forwarding traffic into the workload (zero value: all
-	// transfers are terminal).
-	Flows FlowProfile
 }
 
-func (c Config) withDefaults() Config {
-	if c.Rate <= 0 {
-		c.Rate = 1
-	}
-	if c.Accounts == 0 {
-		c.Accounts = 1_000_000
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
-	if c.Denom == "" {
-		c.Denom = "load"
-	}
-	if c.Sizes == (SizeProfile{}) {
-		c.Sizes = DefaultSizes()
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = time.Hour
-	}
-	if c.FundLamports <= 0 {
-		c.FundLamports = 10 * host.LamportsPerSOL
-	}
-	if c.MintTokens == 0 {
-		c.MintTokens = 1_000_000_000
-	}
-	return c
-}
+// The workload every stream offers: a Zipf-1.2 sender out of a million
+// (accounts materialise lazily on first touch, so the population is free),
+// funded with 10 SOL for fees and credited 1e9 tokens of Denom, sending
+// the §V-A shape — small amounts, memos spanning one to a few
+// host-transaction chunks — at the base fee with a one-hour IBC timeout.
+const (
+	// Population is the number of sender accounts.
+	Population = 1_000_000
+	zipfS      = 1.2
+	// Denom is the token denomination transferred.
+	Denom = "load"
+
+	amountMin, amountMax = 1, 100
+	memoMin, memoMax     = 32, 512
+
+	packetTimeout = time.Hour
+	fundLamports  = 10 * host.LamportsPerSOL
+	mintTokens    = 1_000_000_000
+)
 
 // numReceivers is the size of the account pool terminal transfers credit.
 const numReceivers = 64
@@ -103,32 +72,26 @@ type Event struct {
 	Channel int
 	Amount  uint64
 	MemoLen int
-	// Forward marks a transfer that carries a forward memo for the
-	// counterparty's forwarding middleware.
-	Forward bool
 }
 
 // Sampler draws the workload's random decisions from four decorrelated
 // streams of the config seed — arrivals, accounts, sizes, and channel mix
-// each get their own rand.Rand, so changing e.g. the size profile never
-// perturbs the arrival sequence.
+// each get their own rand.Rand, so the channel count never perturbs the
+// arrival sequence.
 type Sampler struct {
-	cfg      Config
 	channels int
 	arrivals Arrivals
 	arrRng   *rand.Rand
 	sizeRng  *rand.Rand
 	mixRng   *rand.Rand
-	flowRng  *rand.Rand
 	accounts *Accounts
 }
 
 // NewSampler builds a sampler over the given channel count. materialise
 // is forwarded to the account population (may be nil).
 func NewSampler(cfg Config, channels int, materialise func(idx uint64, pub cryptoutil.PubKey)) *Sampler {
-	cfg = cfg.withDefaults()
-	if channels < 1 {
-		channels = 1
+	if cfg.Rate <= 0 {
+		cfg.Rate = 1
 	}
 	stream := func(label string) *rand.Rand {
 		return rand.New(rand.NewSource(sim.DeriveSeed(cfg.Seed, "loadgen/"+label)))
@@ -141,29 +104,27 @@ func NewSampler(cfg Config, channels int, materialise func(idx uint64, pub crypt
 		arr = Poisson{Mean: mean}
 	}
 	return &Sampler{
-		cfg:      cfg,
 		channels: channels,
 		arrivals: arr,
 		arrRng:   stream("arrivals"),
 		sizeRng:  stream("sizes"),
 		mixRng:   stream("mix"),
-		flowRng:  stream("flows"),
-		accounts: NewAccounts(stream("accounts"), cfg.Accounts, cfg.ZipfS, materialise),
+		accounts: NewAccounts(stream("accounts"), materialise),
 	}
 }
 
 // Accounts exposes the underlying population.
 func (s *Sampler) Accounts() *Accounts { return s.accounts }
 
-// Next draws the next workload event.
+// Next draws the next workload event: channels take load uniformly, and
+// amount and memo padding are uniform over their bounds.
 func (s *Sampler) Next() Event {
-	ev := Event{
-		Gap:     s.arrivals.Next(s.arrRng),
-		Channel: s.cfg.Mix.Sample(s.mixRng, s.channels),
-		Amount:  s.cfg.Sizes.SampleAmount(s.sizeRng),
-		MemoLen: s.cfg.Sizes.SampleMemoLen(s.sizeRng),
-		Forward: s.cfg.Flows.SampleForward(s.flowRng),
+	ev := Event{Gap: s.arrivals.Next(s.arrRng)}
+	if s.channels > 1 {
+		ev.Channel = s.mixRng.Intn(s.channels)
 	}
+	ev.Amount = amountMin + uint64(s.sizeRng.Int63n(amountMax-amountMin+1))
+	ev.MemoLen = memoMin + s.sizeRng.Intn(memoMax-memoMin+1)
 	ev.Account = s.accounts.SampleIndex()
 	return ev
 }
@@ -205,7 +166,6 @@ type Generator struct {
 // funds the host account for fees and mints guest tokens on every distinct
 // transfer app of the topology.
 func New(net *core.Network, cfg Config) *Generator {
-	cfg = cfg.withDefaults()
 	g := &Generator{
 		net:            net,
 		cfg:            cfg,
@@ -217,56 +177,20 @@ func New(net *core.Network, cfg Config) *Generator {
 		shedTokens:     make([]uint64, len(net.Channels)),
 		admittedCount:  make([]uint64, len(net.Channels)),
 	}
-	apps := g.distinctApps()
-	materialise := func(_ uint64, pub cryptoutil.PubKey) {
-		net.Host.Fund(pub, cfg.FundLamports)
-		for _, app := range apps {
-			app.Mint(pub.String(), cfg.Denom, cfg.MintTokens)
-		}
-	}
-	g.sampler = NewSampler(cfg, len(net.Channels), materialise)
-	if cfg.PrewarmTop > 0 {
-		g.prewarm(cfg.PrewarmTop, apps)
-	}
-	return g
-}
-
-// distinctApps lists the topology's distinct guest-side transfer apps
-// (channels sharing a port share an app).
-func (g *Generator) distinctApps() []appMinter {
-	var apps []appMinter
-	seen := make(map[appMinter]bool)
-	for _, rt := range g.net.Channels {
-		if !seen[rt.GuestApp] {
-			seen[rt.GuestApp] = true
+	// Channels sharing a port share an app.
+	var apps []*transfer.App
+	for _, rt := range net.Channels {
+		if !slices.Contains(apps, rt.GuestApp) {
 			apps = append(apps, rt.GuestApp)
 		}
 	}
-	return apps
-}
-
-// appMinter is the slice of the transfer app the generator needs.
-type appMinter interface {
-	Mint(account, denom string, amount uint64)
-	MintBatch(accounts []string, denom string, amount uint64)
-}
-
-// prewarm materialises the top-k most popular accounts (the Zipf head is
-// the lowest indices) in one sharded MintBatch per app.
-func (g *Generator) prewarm(k int, apps []appMinter) {
-	if uint64(k) > g.cfg.Accounts {
-		k = int(g.cfg.Accounts)
-	}
-	names := make([]string, 0, k)
-	for i := 0; i < k; i++ {
-		pub := g.sampler.accounts.Pub(uint64(i)) // funds via materialise
-		names = append(names, pub.String())
-	}
-	// Pub's materialise hook already minted MintTokens once per app; the
-	// batch tops the head accounts up so they survive heavy reuse.
-	for _, app := range apps {
-		app.MintBatch(names, g.cfg.Denom, g.cfg.MintTokens)
-	}
+	g.sampler = NewSampler(cfg, len(net.Channels), func(_ uint64, pub cryptoutil.PubKey) {
+		net.Host.Fund(pub, fundLamports)
+		for _, app := range apps {
+			app.Mint(pub.String(), Denom, mintTokens)
+		}
+	})
+	return g
 }
 
 // Run offers load for d of virtual time, then lets the caller drain. It
@@ -298,17 +222,6 @@ func (g *Generator) inject(ev Event) {
 	// when the Zipf head re-sends the same amount within one slot.
 	memo := fmt.Sprintf("%d:%s", g.seq, strings.Repeat("x", ev.MemoLen))
 	receiver := fmt.Sprintf("load-recv-%d", ev.Account%numReceivers)
-	if ev.Forward {
-		// Address the counterparty's forwarding module account and fold the
-		// unique padding memo into the onward hop so dedup still holds.
-		receiver = g.cfg.Flows.ForwardAccount
-		memo = middleware.ForwardMemo(middleware.ForwardInfo{
-			Port:     g.cfg.Flows.ForwardPort,
-			Channel:  g.cfg.Flows.ForwardChannel,
-			Receiver: g.cfg.Flows.ForwardReceiver,
-			Memo:     memo,
-		})
-	}
 	var deadline time.Time
 	if g.cfg.Deadline > 0 {
 		deadline = g.net.Sched.Now().Add(g.cfg.Deadline)
@@ -317,11 +230,10 @@ func (g *Generator) inject(ev Event) {
 		Channel:  ev.Channel,
 		Sender:   pub,
 		Receiver: receiver,
-		Denom:    g.cfg.Denom,
+		Denom:    Denom,
 		Amount:   ev.Amount,
 		Memo:     memo,
-		Policy:   g.cfg.Policy,
-		Timeout:  g.cfg.Timeout,
+		Timeout:  packetTimeout,
 		Deadline: deadline,
 		OnShed: func() {
 			g.shed.Inc()

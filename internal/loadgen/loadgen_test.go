@@ -11,7 +11,7 @@ import (
 // TestSamplerDeterminism: same seed ⇒ identical event sequences (arrival
 // gaps, accounts, channels, amounts); different seed ⇒ different.
 func TestSamplerDeterminism(t *testing.T) {
-	cfg := Config{Seed: 42, Rate: 50, Accounts: 1_000_000, ZipfS: 1.2}
+	cfg := Config{Seed: 42, Rate: 50}
 	a := NewSampler(cfg, 4, nil)
 	b := NewSampler(cfg, 4, nil)
 	var diffFromC int
@@ -32,19 +32,27 @@ func TestSamplerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSamplerStreamsDecorrelated: changing the size profile must not
-// perturb the arrival or account streams.
+// TestSamplerStreamsDecorrelated: the channel count, which decides whether
+// and how the mix stream is drawn, must not perturb the arrival, account or
+// size streams.
 func TestSamplerStreamsDecorrelated(t *testing.T) {
 	cfg := Config{Seed: 7, Rate: 20}
-	a := NewSampler(cfg, 2, nil)
-	cfg2 := cfg
-	cfg2.Sizes = SizeProfile{AmountMin: 1000, AmountMax: 2000, MemoMin: 1, MemoMax: 2}
-	b := NewSampler(cfg2, 2, nil)
+	a := NewSampler(cfg, 1, nil)
+	b := NewSampler(cfg, 4, nil)
+	spread := false
 	for i := 0; i < 500; i++ {
 		ea, eb := a.Next(), b.Next()
-		if ea.Gap != eb.Gap || ea.Account != eb.Account || ea.Channel != eb.Channel {
-			t.Fatalf("event %d: size profile perturbed other streams: %+v vs %+v", i, ea, eb)
+		if ea.Channel != 0 {
+			t.Fatalf("event %d: channel %d on a one-channel topology", i, ea.Channel)
 		}
+		spread = spread || eb.Channel != 0
+		ea.Channel, eb.Channel = 0, 0
+		if ea != eb {
+			t.Fatalf("event %d: channel count perturbed other streams: %+v vs %+v", i, ea, eb)
+		}
+	}
+	if !spread {
+		t.Fatal("four channels never drew a channel other than 0")
 	}
 }
 
@@ -98,7 +106,7 @@ func TestSelfSimilarMeanRateAndBurstiness(t *testing.T) {
 // TestZipfHeadMass: the popular head must dominate; the population stays
 // huge while only touched accounts materialise.
 func TestZipfHeadMass(t *testing.T) {
-	cfg := Config{Seed: 9, Rate: 1, Accounts: 1_000_000, ZipfS: 1.2}
+	cfg := Config{Seed: 9, Rate: 1}
 	s := NewSampler(cfg, 1, nil)
 	const n = 100_000
 	counts := make(map[uint64]int)
@@ -118,7 +126,7 @@ func TestZipfHeadMass(t *testing.T) {
 		t.Fatalf("top-1000 head mass = %.3f, want >= 0.5 (Zipf s=1.2)", frac)
 	}
 	// Uniform would put 0.1% on the head; Zipf must be far from uniform.
-	if frac < 100*float64(1000)/float64(cfg.Accounts) {
+	if frac < 100*float64(1000)/float64(Population) {
 		t.Fatalf("head mass %.3f indistinguishable from uniform", frac)
 	}
 	// Lazy materialisation: distinct touched accounts are a tiny slice of
@@ -131,7 +139,7 @@ func TestZipfHeadMass(t *testing.T) {
 // TestAccountsLazyMaterialise: the materialise hook runs exactly once per
 // distinct account.
 func TestAccountsLazyMaterialise(t *testing.T) {
-	cfg := Config{Seed: 5, Rate: 1, Accounts: 1 << 20, ZipfS: 1.3}
+	cfg := Config{Seed: 5, Rate: 1}
 	seen := make(map[uint64]int)
 	s := NewSampler(cfg, 1, func(idx uint64, _ cryptoutil.PubKey) { seen[idx]++ })
 	for i := 0; i < 5000; i++ {

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/host"
 	"repro/internal/ibc"
 )
@@ -34,11 +37,32 @@ type MsgSubmitTx struct {
 	Tx *host.Transaction
 }
 
+// HostFrontEnd serves the calls addressed to the host chain's RPC
+// front-end: transaction submission. Like a cosmos chain's
+// (counterparty.Chain.FrontEnd) it is idempotent, so ReliableCall's
+// at-least-once delivery composes into exactly-once effects: the chain's
+// replay protection rejects a re-sent accepted transaction, so the
+// duplicate is acknowledged as success.
+func HostFrontEnd(chain *host.Chain) CallHandler {
+	return func(_ NodeID, kind string, payload any) (any, error) {
+		m, ok := payload.(MsgSubmitTx)
+		if !ok {
+			return nil, fmt.Errorf("netsim: host: unknown call %q", kind)
+		}
+		err := chain.Submit(m.Tx)
+		if errors.Is(err, host.ErrDuplicateTransaction) {
+			// The earlier copy landed; this retry only re-requests the ack.
+			err = nil
+		}
+		return nil, err
+	}
+}
+
 // MsgTx is the KindTx payload. Msgs holds MsgUpdateClient, MsgRecvPacket,
 // MsgAckPacket and MsgTimeoutPacket values, applied in order; the response
 // is one TxResult per message. Unlike a Cosmos transaction it is not
 // all-or-nothing: each message stands alone, so a replayed transaction is
-// idempotent message by message (DESIGN.md §10).
+// idempotent message by message (DESIGN.md §8).
 type MsgTx struct {
 	Msgs []any
 }

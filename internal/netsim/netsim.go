@@ -15,7 +15,7 @@
 // Delivery is at-most-once per send; reliability is layered on top with
 // Endpoint.ReliableCall (retry with exponential backoff), and
 // exactly-once application semantics come from the IBC layer's sealed
-// receipts plus idempotent call handlers — see DESIGN.md §10.
+// receipts plus idempotent call handlers — see DESIGN.md §8.
 package netsim
 
 import (

@@ -6,6 +6,7 @@ import (
 	"repro/internal/counterparty"
 	"repro/internal/ibc"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 // maxTxMsgs caps the messages of one transaction (Hermes' default
@@ -22,6 +23,9 @@ type cosmosEnd struct {
 	chain    *counterparty.Chain
 	node     netsim.NodeID
 	clientID ibc.ClientID // the chain's client of the peer
+	// opLatency, on a cosmos↔cosmos link, is drawn before every transaction
+	// (Config.CPLatency); nil on a guest link.
+	opLatency sim.Dist
 
 	cursor int // EventsSince cursor
 
@@ -81,12 +85,14 @@ func (c *cosmosEnd) hasCommitment(p *ibc.Packet) bool { return c.chain.Handler()
 
 func (c *cosmosEnd) client() (ibc.Client, error) { return c.chain.Handler().Client(c.clientID) }
 
+func (c *cosmosEnd) packetDelivered(p *ibc.Packet) bool { return c.chain.Handler().PacketDelivered(p) }
+
 func (c *cosmosEnd) sinkNames() (string, string) { return "delivered_to_cp", "acks_to_cp" }
 
 func (c *cosmosEnd) backlog() int { return len(c.msgs) }
 
 // submit appends one message to the FIFO and starts the pump if idle.
-// Without an OpLatency, on a lossless network, the whole queue drains
+// On a guest link over a lossless network the whole queue drains
 // synchronously before this returns.
 func (c *cosmosEnd) submit(msg any, done func(resp any, err error)) {
 	c.msgs = append(c.msgs, cosmosMsg{msg, done})
@@ -96,15 +102,15 @@ func (c *cosmosEnd) submit(msg any, done func(resp any, err error)) {
 	}
 }
 
-// pump issues the next transaction — after a sampled submission latency
-// where the link configures one, so the queue drains at deployment pace and
+// pump issues the next transaction — on a cosmos↔cosmos link after a
+// sampled submission latency, so the queue drains at deployment pace and
 // whatever is handed over meanwhile rides along.
 func (c *cosmosEnd) pump() {
 	if len(c.msgs) == 0 {
 		c.msgs, c.busy = nil, false
 		return
 	}
-	if lat := c.r.cfg.OpLatency; lat != nil {
+	if lat := c.opLatency; lat != nil {
 		c.r.sched.After(lat.Sample(c.r.rng), c.issue)
 		return
 	}
@@ -154,7 +160,7 @@ func (c *cosmosEnd) recvPackets(s *shard, batch []proven) {
 			func(resp any, err error) {
 				rr, ok := resp.(netsim.RespRecvPacket)
 				if err != nil || !ok {
-					c.recvFailed(s, w.work)
+					c.r.recvFailed(c.side, s, w.work)
 					return
 				}
 				if !rr.Duplicate && !w.seen.IsZero() {
@@ -165,23 +171,6 @@ func (c *cosmosEnd) recvPackets(s *shard, batch []proven) {
 				c.r.delivered(c.side, s, w.packet, rr.Ack, rr.ProvableAt, rr.Duplicate)
 			})
 	}
-}
-
-// recvFailed settles a recv message the chain refused — its proof height
-// has no consensus state because the update ahead of it was refused, say —
-// by the chain's state, as the guest end settles a failed job: a packet the
-// chain shows delivered is delivered, any other goes back to its shard. A
-// packet already expired at the chain's head is left to the timeout scan,
-// or every flush would submit it again to be rejected again.
-func (c *cosmosEnd) recvFailed(s *shard, w work) {
-	if c.chain.Handler().PacketDelivered(w.packet) {
-		c.r.delivered(c.side, s, w.packet, nil, 0, false)
-		return
-	}
-	if h, t, err := c.head(); err == nil && w.packet.TimedOut(ibc.Height(h), t) {
-		return
-	}
-	c.r.requeue(c.side, s, w)
 }
 
 func (c *cosmosEnd) ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64) {

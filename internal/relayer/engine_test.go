@@ -139,7 +139,7 @@ func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(
 		must(err)
 		e.homeCh, e.awayCh = res.ChanA, res.ChanB
 		home = EndConfig{Chain: a, Node: netsim.ChainNode("a"), ClientOfPeer: res.ClientBOnA}
-		e.cfg = Config{Seed: 7, StrictRoutes: true, OpLatency: DefaultConfig().CPLatency, NodeID: netsim.LinkRelayerNode("a-b")}
+		e.cfg = Config{Seed: 7, StrictRoutes: true, CPLatency: DefaultConfig().CPLatency, NodeID: netsim.LinkRelayerNode("a-b")}
 		e.cfg.A = EndConfig{Chain: e.away, Node: netsim.ChainNode("b"), ClientOfPeer: res.ClientAOnB}
 		e.cfg.Channels = []routing.Link{{PortA: bankPort, ChannelA: e.awayCh, PortB: bankPort, ChannelB: e.homeCh}}
 		e.sendHome = func(data []byte, timeout time.Time) {
@@ -332,15 +332,19 @@ func (e *linkEnv) send(t *testing.T, amount uint64, timeout time.Duration) {
 }
 
 // sendBack moves amount COIN from carol on the away chain to dave on the
-// home chain.
-func (e *linkEnv) sendBack(t *testing.T, amount uint64) *ibc.Packet {
+// home chain; timeout 0 means the packet never expires.
+func (e *linkEnv) sendBack(t *testing.T, amount uint64, timeout time.Duration) *ibc.Packet {
 	t.Helper()
 	e.awayApp.Mint("carol", "COIN", amount)
 	data := &transfer.PacketData{Denom: "COIN", Amount: amount, Sender: "carol", Receiver: "dave"}
 	if err := e.awayApp.PrepareSend(e.awayCh, data); err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.away.SendPacket(bankPort, e.awayCh, data.Marshal(), 0, time.Time{})
+	var ts time.Time
+	if timeout > 0 {
+		ts = e.sched.Now().Add(timeout)
+	}
+	p, err := e.away.SendPacket(bankPort, e.awayCh, data.Marshal(), 0, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +403,7 @@ func TestEngine(t *testing.T) {
 		{"delivers and acks", "", func(t *testing.T, kind linkKind) {
 			e := newLinkEnv(t, kind, netsim.Config{})
 			e.send(t, 500, 0)
-			back := e.sendBack(t, 70)
+			back := e.sendBack(t, 70, 0)
 			e.sched.RunFor(10 * time.Minute)
 
 			e.wantTransferred(t, 500, 500)
@@ -460,13 +464,17 @@ func TestEngine(t *testing.T) {
 			}
 		}},
 		{"client updates do not grow with packets behind one height", "", func(t *testing.T, kind linkKind) {
-			// Unpaced, so every delivery lands before the next block and
-			// the acks share a height too: one update per leg, whatever
-			// the packet count.
+			// Cosmos ends unpaced, so every delivery lands before the next
+			// block and the acks share a height too: one update per leg,
+			// whatever the packet count.
 			updates := func(packets int) uint64 {
-				e := newLinkEnv(t, kind, netsim.Config{}, func(c *Config) { c.OpLatency = nil })
+				e := newLinkEnv(t, kind, netsim.Config{}, func(c *Config) {
+					if c.B.Chain != nil {
+						c.CPLatency = sim.Constant(0)
+					}
+				})
 				for i := 0; i < packets; i++ {
-					e.sendBack(t, 5)
+					e.sendBack(t, 5, 0)
 				}
 				e.sched.RunFor(15 * time.Minute)
 				if got := e.counter("delivered"); got != uint64(packets) {
@@ -673,17 +681,51 @@ func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
 // engine is cut off from the host at that point, until the retry budget
 // dead-letters one of its chunks: the job is dropped with nothing
 // committed, so every packet must go back to its shard and arrive exactly
-// once when the link heals.
+// once when the link heals — except the first. The guest chain moved on
+// during the cut (a user's send was committed and finalised) and the packet
+// has expired at its head: resubmitted, it would ride a job "submitted in
+// full" and be counted delivered, so it is left to the timeout scan and its
+// sender is refunded exactly once. The ack of the user's packet comes back
+// as a job on the same lane, which is dead-lettered the same way: it goes
+// back to its shard and is acknowledged once.
 func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 	e := newLinkEnv(t, guestLink, netsim.Config{})
 	r := e.relayer
-	r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 3}
+	r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 5}
+	e.scanTimeouts()
+	bank := r.shards[1]
+	lane := r.ends[1].(*guestEnd).lanes[bank.index].pc
+	// cutMidJob cuts the engine off from the host once a job has started on
+	// the bank lane and the next transaction it has to send carries label,
+	// runs then, and reports how many transactions the job had left.
+	cutMidJob := func(label string, then func()) *int {
+		left := new(int)
+		e.sched.Every(50*time.Millisecond, func() bool {
+			if len(lane.queue) == 0 {
+				return true
+			}
+			j := lane.queue[0]
+			if j.started.IsZero() || len(j.txs) == 0 || j.txs[0].Label != label {
+				return true
+			}
+			*left = len(j.txs)
+			e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{Drop: 1})
+			e.sched.After(10*time.Second, func() {
+				e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{})
+			})
+			then()
+			return false
+		})
+		return left
+	}
+
 	const amount = 10
-	var sent []*ibc.Packet
+	// The first packet expires before the cosmos chain has even committed it.
+	sent := []*ibc.Packet{e.sendBack(t, amount, time.Second)}
 	// Neighbouring packets stage little more than themselves, so size the
 	// job by what it stages: two chunks and the commit.
 	for builder := *r.ends[1].(*guestEnd).builder; ; {
-		sent = append(sent, e.sendBack(t, amount))
+		sent = append(sent, e.sendBack(t, amount, 0))
 		staged := make([]*guest.RecvPayload, len(sent))
 		for i, p := range sent {
 			_, proof, err := e.away.Store().ProveMembership(ibc.CommitmentPath(p.SourcePort, p.SourceChannel, p.Sequence))
@@ -696,52 +738,44 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 			break
 		}
 	}
-	packets := len(sent)
-	bank := r.shards[1]
-	lane := r.ends[1].(*guestEnd).lanes[bank.index].pc
-	cutChunks := 0
-	e.sched.Every(50*time.Millisecond, func() bool {
-		if len(lane.queue) == 0 {
-			return true
-		}
-		j := lane.queue[0]
-		if j.started.IsZero() || len(j.txs) == 0 || j.txs[0].Label != "recv-packet/chunk" {
-			return true
-		}
-		cutChunks = len(j.txs)
-		e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{Drop: 1})
-		e.sched.After(10*time.Second, func() {
-			e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{})
-		})
-		return false
-	})
-	e.sched.RunFor(15 * time.Minute)
+	live := uint64(len(sent) - 1)
+	cutChunks := cutMidJob("recv-packet/chunk", func() { e.send(t, 40, 0) })
+	cutAck := cutMidJob("ack-packet/commit", func() {})
+	e.sched.RunFor(20 * time.Minute)
 
-	if cutChunks == 0 {
-		t.Fatal("the link was never cut mid-job; the scenario did not run")
+	if *cutChunks == 0 || *cutAck == 0 {
+		t.Fatalf("the link was cut with %d recv and %d ack transactions left to send, want both mid-job; the scenario did not run", *cutChunks, *cutAck)
 	}
-	if dead := e.counter("net_dead_letters"); dead == 0 {
-		t.Fatal("the cut never dead-lettered a submission; the scenario did not run")
+	if dead := e.counter("net_dead_letters"); dead != 2 {
+		t.Fatalf("%d submissions were dead-lettered, want 2 (a recv chunk and an ack commit); the scenario did not run", dead)
 	}
-	if got, want := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"), uint64(packets*amount); got != want {
-		t.Errorf("dave holds %d vouchers, want %d (every packet exactly once)", got, want)
+	if got, want := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"), live*amount; got != want {
+		t.Errorf("dave holds %d vouchers, want %d (every live packet exactly once)", got, want)
 	}
-	if d, a := e.counter("delivered"), e.counter("acks"); d != uint64(packets) || a != uint64(packets) {
-		t.Errorf("delivered = %d, acks = %d, want %d each", d, a, packets)
+	// The user's packet is delivered and acked too.
+	if d, a := e.counter("delivered"), e.counter("acks"); d != live+1 || a != live+1 {
+		t.Errorf("delivered = %d, acks = %d, want %d each (the expired packet is neither)", d, a, live+1)
 	}
 	recorded := 0
 	for _, rec := range r.Recvs {
 		recorded += rec.Packets
 	}
-	if recorded != packets {
-		t.Errorf("recv records cover %d packets, want %d", recorded, packets)
+	if recorded != int(live) {
+		t.Errorf("recv records cover %d packets, want %d", recorded, live)
+	}
+	if got := e.awayApp.Balance("carol", "COIN"); got != amount || r.TimeoutsRun != 1 {
+		t.Errorf("carol holds %d COIN after %d timeout submissions, want %d after 1 (the expired packet refunded exactly once)", got, r.TimeoutsRun, amount)
 	}
 	for _, p := range sent {
 		if e.away.Handler().HasCommitment(p) {
-			t.Errorf("away chain still commits packet %d: its ack never came back", p.Sequence)
+			t.Errorf("away chain still commits packet %d: neither acked nor timed out", p.Sequence)
 		}
 	}
-	if n := len(bank.packets[0]); n != 0 {
-		t.Errorf("%d packets still queued on the shard", n)
+	e.wantTransferred(t, 40, 40)
+	if got := e.counter("ch." + string(e.homeCh) + ".acks_to_guest"); got != 1 {
+		t.Errorf("acks_to_guest = %d, want 1 (dead-lettered, then resubmitted)", got)
+	}
+	if p, a := len(bank.packets[0]), len(bank.acks[0]); p != 0 || a != 0 {
+		t.Errorf("%d packets and %d acks still queued on the shard", p, a)
 	}
 }

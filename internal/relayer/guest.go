@@ -348,6 +348,8 @@ func (g *guestEnd) hasCommitment(p *ibc.Packet) bool { return g.st.Handler.HasCo
 
 func (g *guestEnd) client() (ibc.Client, error) { return g.st.Handler.Client(g.clientID) }
 
+func (g *guestEnd) packetDelivered(p *ibc.Packet) bool { return g.st.Handler.PacketDelivered(p) }
+
 // inOrder is false: an update rides the root pacer and every channel's
 // datagrams their own lane, so only the update's landing orders them.
 func (g *guestEnd) inOrder() bool { return false }
@@ -411,42 +413,42 @@ func (g *guestEnd) recvPackets(s *shard, batch []proven) {
 
 // recvJob submits one recv job and settles each of its packets. A job
 // whose submission failed (a dead-lettered chunk takes every packet staged
-// with it) is settled by the guest's state: a packet it shows delivered
-// is delivered, any other goes back to its shard. A job that was
-// submitted in full counts every packet delivered, as a packet on its own
-// always was: the relayer does not see a host transaction fail in
-// execution, and a commit the guest rejected loses the same packets
-// whether they shared it or not (ROADMAP 1c).
+// with it) is settled packet by packet by the guest's state
+// (Relayer.recvFailed). A job that was submitted in full counts every
+// packet delivered, as a packet on its own always was: the relayer does
+// not see a host transaction fail in execution, and a commit the guest
+// rejected loses the same packets whether they shared it or not (ROADMAP
+// 1c).
 func (g *guestEnd) recvJob(s *shard, job []proven, payloads []*guest.RecvPayload) {
 	txs := g.builder.RecvPacketTxs(payloads...)
 	cost := g.feeOf(txs)
 	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) {
-		landed := make([]*ibc.Packet, 0, len(job))
-		for _, w := range job {
-			if err == nil || g.st.Handler.PacketDelivered(w.packet) {
-				landed = append(landed, w.packet)
-			} else {
-				g.r.requeue(g.side, s, w.work)
+		if err != nil {
+			for _, w := range job {
+				g.r.recvFailed(g.side, s, w.work)
 			}
-		}
-		if len(landed) == 0 {
 			return
 		}
-		g.r.Recvs = append(g.r.Recvs, RecvRecord{Txs: len(txs), Cost: cost, Packets: len(landed)})
+		g.r.Recvs = append(g.r.Recvs, RecvRecord{Txs: len(txs), Cost: cost, Packets: len(job)})
 		// The histograms observe each packet's share of its job, so they
 		// keep reading "host txs (cents) per received packet".
-		n := float64(len(landed))
-		for _, p := range landed {
+		n := float64(len(job))
+		for _, w := range job {
 			g.mRecvTxs.Observe(float64(len(txs)) / n)
 			g.mRecvCost.Observe(fees.Cents(cost) / n)
-			g.r.delivered(g.side, s, p, nil, 0, false)
+			g.r.delivered(g.side, s, w.packet, nil, 0, false)
 		}
 	})
 }
 
 func (g *guestEnd) ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64) {
 	txs := g.builder.AckPacketTxs(&guest.AckPayload{Packet: w.packet, Ack: w.ack, ProofHeight: ibc.Height(provedAt), Proof: proof})
-	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) { g.r.acked(g.side, s, w.packet, err) })
+	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) {
+		if err != nil {
+			g.r.requeueAck(g.side, s, w)
+		}
+		g.r.acked(g.side, s, w.packet, err)
+	})
 }
 
 func (g *guestEnd) timeoutPacket(s *shard, tr *PacketTrace, proof []byte, provedAt ibc.Height) {

@@ -84,14 +84,12 @@ type Config struct {
 	// TxGap is the pacing between consecutive host transaction
 	// submissions (RPC + confirmation pacing of the real deployment).
 	TxGap sim.Dist
-	// CPLatency is the latency of the guest end's actions on its peer —
-	// Alg. 2's header pushes and the ack relay (submission there is not
-	// the bottleneck the paper measures).
+	// CPLatency is the latency of submitting to a cosmos chain (not the
+	// bottleneck the paper measures). On a guest link the guest end draws it
+	// for its own actions on its peer — Alg. 2's header pushes and the ack
+	// relay; on a cosmos↔cosmos link, where nothing else paces them, each
+	// cosmos end draws it before every transaction it submits.
 	CPLatency sim.Dist
-	// OpLatency, when set, is drawn before every transaction a cosmos end
-	// submits. Cosmos↔cosmos links set it; the guest link leaves it nil
-	// because the guest end already paces what it sends (CPLatency).
-	OpLatency sim.Dist
 	// Seed makes pacing deterministic.
 	Seed int64
 	// MetricsNamespace prefixes every metric this relayer writes (default
@@ -233,11 +231,13 @@ type end interface {
 	proveMembership(height uint64, path string) (proof []byte, provedAt uint64, err error)
 	proveNonMembership(height uint64, path string) ([]byte, error)
 	hasCommitment(p *ibc.Packet) bool
-	// As a sink: its client of the peer, and the four datagrams — recv
-	// takes one shard's provable packets as a batch. inOrder reports
-	// whether the end applies what it is handed strictly in the order
-	// handed over, so work may be queued behind the update that unlocks it.
+	// As a sink: its client of the peer, whether its state shows a packet
+	// delivered, and the four datagrams — recv takes one shard's provable
+	// packets as a batch. inOrder reports whether the end applies what it
+	// is handed strictly in the order handed over, so work may be queued
+	// behind the update that unlocks it.
 	client() (ibc.Client, error)
+	packetDelivered(p *ibc.Packet) bool
 	inOrder() bool
 	updateClient(h header, done func(error))
 	recvPackets(s *shard, batch []proven)
@@ -404,10 +404,16 @@ func New(cfg Config, sched *sim.Scheduler, net *netsim.Network, opts ...Option) 
 		r.byChan[0][chanKey{ch.PortA, ch.ChannelA}] = s
 		r.byChan[1][chanKey{ch.PortB, ch.ChannelB}] = s
 	}
+	// Nothing else paces the ends of a cosmos↔cosmos link; on a guest link
+	// the guest end paces what it sends.
+	var opLatency sim.Dist
+	if cfg.A.Chain != nil && cfg.B.Chain != nil {
+		opLatency = cfg.CPLatency
+	}
 	for side, ec := range [2]EndConfig{cfg.A, cfg.B} {
 		r.nodes[side] = ec.Node
 		if ec.Chain != nil {
-			r.ends[side] = &cosmosEnd{r: r, side: side, chain: ec.Chain, node: ec.Node, clientID: ec.ClientOfPeer}
+			r.ends[side] = &cosmosEnd{r: r, side: side, chain: ec.Chain, node: ec.Node, clientID: ec.ClientOfPeer, opLatency: opLatency}
 			continue
 		}
 		g, err := newGuestEnd(r, side, ec, reg)
@@ -688,6 +694,27 @@ func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provabl
 	if ack != nil {
 		s.acks[to] = append(s.acks[to], ackWork{packet: p, ack: ack, height: provableAt})
 	}
+}
+
+// recvFailed settles a recv whose submission to side to failed — the update
+// ahead of it was refused, so its proof height has no consensus state; a
+// chunk of its job was dead-lettered — by the sink's state: a packet the
+// sink shows delivered is delivered, any other goes back to its shard. A
+// packet already expired at the sink's head is left to the timeout scan:
+// every flush would submit it again to be rejected again, and on the guest,
+// where the relayer cannot see a transaction fail in execution, the
+// resubmission would count it delivered and its sender would never be
+// refunded.
+func (r *Relayer) recvFailed(to int, s *shard, w work) {
+	sink := r.ends[to]
+	if sink.packetDelivered(w.packet) {
+		r.delivered(to, s, w.packet, nil, 0, false)
+		return
+	}
+	if h, t, err := sink.head(); err == nil && w.packet.TimedOut(ibc.Height(h), t) {
+		return
+	}
+	r.requeue(to, s, w)
 }
 
 // requeue takes back work whose submission to side to failed and whose

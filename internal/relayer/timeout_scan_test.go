@@ -54,6 +54,7 @@ func (f *fakeEnd) hasCommitment(p *ibc.Packet) bool {
 	return f.committed[idOf(f.side, p)]
 }
 func (f *fakeEnd) client() (ibc.Client, error)               { return f.cl, nil }
+func (f *fakeEnd) packetDelivered(*ibc.Packet) bool          { return false }
 func (f *fakeEnd) inOrder() bool                             { return false }
 func (f *fakeEnd) updateClient(_ header, done func(error))   { done(nil) }
 func (f *fakeEnd) recvPackets(*shard, []proven)              {}

@@ -32,18 +32,26 @@ type LinkHealth struct {
 	Backlog int
 }
 
-// CostModel parameterises how link health turns into a routing cost.
-// The zero value is replaced by DefaultCostModel.
+// A link's cost is baseCost, the per-hop floor that lets shorter paths
+// win when health is equal, plus latencyWeight per second of EWMA delivery
+// latency, dropWeight per dead-lettered call in the drop EWMA (each
+// refresh's new dead letters enter it at weight dropDecay) and
+// backlogWeight per backlogged work item — one more hop's worth per second
+// of latency, per two dead letters, per 50 queued items. A chain pair
+// keeps at most maxPaths near-equal-cost paths.
+const (
+	baseCost      = 1.0
+	latencyWeight = 1.0
+	dropWeight    = 0.5
+	backlogWeight = 0.02
+	dropDecay     = 0.5
+	maxPaths      = 4
+)
+
+// CostModel is what a deployment tunes about the adaptive view: how far
+// costs must move before routes do, and how close to the best a path must
+// be to share its traffic. A zero field takes DefaultCostModel's value.
 type CostModel struct {
-	// BaseCost is the per-hop floor: a perfectly healthy link still
-	// costs this much, so shorter paths win when health is equal.
-	BaseCost float64
-	// LatencyWeight is the cost added per second of EWMA latency.
-	LatencyWeight float64
-	// DropWeight is the cost added per unit of the dead-letter EWMA.
-	DropWeight float64
-	// BacklogWeight is the cost added per backlogged work item.
-	BacklogWeight float64
 	// Hysteresis is the minimum fractional change of any link's cost
 	// (relative to the cost backing the current table) that triggers a
 	// recompute; smaller drifts are absorbed so routes don't flap.
@@ -51,56 +59,12 @@ type CostModel struct {
 	// ECMPSpread widens equal-cost matching: a path whose cost is
 	// within (1+ECMPSpread)x the best is part of the multi-path set.
 	ECMPSpread float64
-	// MaxPaths caps the retained multi-path set per chain pair.
-	MaxPaths int
-	// DropDecay is the EWMA weight applied to each refresh's new
-	// dead-letter delta (0 < DropDecay <= 1).
-	DropDecay float64
 }
 
 // DefaultCostModel returns the tuning used by core when a mesh enables
 // adaptive routing without overriding the model.
 func DefaultCostModel() CostModel {
-	return CostModel{
-		BaseCost:      1,
-		LatencyWeight: 1,    // +1 cost per second of EWMA delivery latency
-		DropWeight:    0.5,  // +0.5 per dead-lettered call in the EWMA window
-		BacklogWeight: 0.02, // +1 per 50 backlogged items
-		Hysteresis:    0.25,
-		ECMPSpread:    0.05,
-		MaxPaths:      4,
-		DropDecay:     0.5,
-	}
-}
-
-// withDefaults fills zero fields from DefaultCostModel.
-func (m CostModel) withDefaults() CostModel {
-	d := DefaultCostModel()
-	if m.BaseCost <= 0 {
-		m.BaseCost = d.BaseCost
-	}
-	if m.LatencyWeight <= 0 {
-		m.LatencyWeight = d.LatencyWeight
-	}
-	if m.DropWeight <= 0 {
-		m.DropWeight = d.DropWeight
-	}
-	if m.BacklogWeight <= 0 {
-		m.BacklogWeight = d.BacklogWeight
-	}
-	if m.Hysteresis <= 0 {
-		m.Hysteresis = d.Hysteresis
-	}
-	if m.ECMPSpread <= 0 {
-		m.ECMPSpread = d.ECMPSpread
-	}
-	if m.MaxPaths <= 0 {
-		m.MaxPaths = d.MaxPaths
-	}
-	if m.DropDecay <= 0 || m.DropDecay > 1 {
-		m.DropDecay = d.DropDecay
-	}
-	return m
+	return CostModel{Hysteresis: 0.25, ECMPSpread: 0.05}
 }
 
 // View is the one router: the link graph scored by a CostModel over live
@@ -113,6 +77,8 @@ func (m CostModel) withDefaults() CostModel {
 type View struct {
 	model CostModel
 	seed  int64
+	// maxPaths caps the retained path set per chain pair (1 for NewTable).
+	maxPaths int
 
 	links  []Link
 	ids    []string // canonical link IDs, sorted
@@ -134,21 +100,33 @@ type scoredPath struct {
 }
 
 // NewTable builds the static router: a View that keeps one path per
-// chain pair and is never fed health, so every link costs BaseCost
+// chain pair and is never fed health, so every link costs baseCost
 // forever and Route/RouteFlow return the hop-count shortest path, ties
 // broken on the smallest (chain, channel) sequence — a pure function of
 // the link set, whatever order or orientation the links are declared in.
 func NewTable(links []Link) *View {
-	return NewView(links, CostModel{MaxPaths: 1}, 0)
+	return newView(links, CostModel{}, 0, 1)
 }
 
 // NewView builds the dynamic view over links. With no health samples
-// every link costs BaseCost, so the initial table is hop-count shortest
+// every link costs baseCost, so the initial table is hop-count shortest
 // paths. seed feeds the deterministic tie-break and ECMP hashing.
 func NewView(links []Link, model CostModel, seed int64) *View {
+	return newView(links, model, seed, maxPaths)
+}
+
+func newView(links []Link, model CostModel, seed int64, paths int) *View {
+	d := DefaultCostModel()
+	if model.Hysteresis <= 0 {
+		model.Hysteresis = d.Hysteresis
+	}
+	if model.ECMPSpread <= 0 {
+		model.ECMPSpread = d.ECMPSpread
+	}
 	v := &View{
-		model:    model.withDefaults(),
+		model:    model,
 		seed:     seed,
+		maxPaths: paths,
 		links:    append([]Link(nil), links...),
 		samples:  make(map[string]LinkHealth),
 		dropEWMA: make(map[string]float64),
@@ -187,7 +165,7 @@ func (v *View) Cost(id string) float64 {
 	if c, ok := v.effective[id]; ok {
 		return c
 	}
-	return v.model.BaseCost
+	return baseCost
 }
 
 // Observe records a health sample for link id (canonical LinkID). The
@@ -199,7 +177,7 @@ func (v *View) Observe(id string, h LinkHealth) {
 		delta = float64(h.DeadLetters - v.lastDead[id])
 	}
 	v.lastDead[id] = h.DeadLetters
-	v.dropEWMA[id] = v.model.DropDecay*delta + (1-v.model.DropDecay)*v.dropEWMA[id]
+	v.dropEWMA[id] = dropDecay*delta + (1-dropDecay)*v.dropEWMA[id]
 	v.samples[id] = h
 }
 
@@ -208,10 +186,10 @@ func (v *View) freshCosts() map[string]float64 {
 	costs := make(map[string]float64, len(v.ids))
 	for _, id := range v.ids {
 		h := v.samples[id]
-		costs[id] = v.model.BaseCost +
-			v.model.LatencyWeight*h.Latency +
-			v.model.DropWeight*v.dropEWMA[id] +
-			v.model.BacklogWeight*float64(h.Backlog)
+		costs[id] = baseCost +
+			latencyWeight*h.Latency +
+			dropWeight*v.dropEWMA[id] +
+			backlogWeight*float64(h.Backlog)
 	}
 	return costs
 }
@@ -226,7 +204,7 @@ func (v *View) Refresh() bool {
 	for _, id := range v.ids {
 		old := v.effective[id]
 		if old <= 0 {
-			old = v.model.BaseCost
+			old = baseCost
 		}
 		if math.Abs(fresh[id]-old)/old > v.model.Hysteresis {
 			trigger = true
@@ -244,7 +222,7 @@ func (v *View) Refresh() bool {
 
 // rebuild enumerates, for every ordered chain pair, all simple paths in
 // canonical adjacency order, keeps the cheapest and every path within
-// ECMPSpread of it (capped at MaxPaths), and sorts the survivors by
+// ECMPSpread of it (capped at maxPaths), and sorts the survivors by
 // (cost, hop count, canonical chain sequence). Enumeration order is a
 // pure function of the link set, so permuting link declarations cannot
 // change the result.
@@ -287,7 +265,7 @@ func (v *View) rebuild() {
 			limit := best * (1 + v.model.ECMPSpread)
 			kept := found[:0]
 			for _, p := range found {
-				if p.cost > limit || len(kept) >= v.model.MaxPaths {
+				if p.cost > limit || len(kept) >= v.maxPaths {
 					break
 				}
 				kept = append(kept, p)

@@ -174,7 +174,7 @@ func TestViewHysteresisGatesRecompute(t *testing.T) {
 }
 
 func TestViewScoresDeadLettersAndBacklog(t *testing.T) {
-	v := NewView(diamondLinks(), CostModel{DropDecay: 1}, 1)
+	v := NewView(diamondLinks(), CostModel{}, 1)
 	id := LinkID("b", "c")
 	base := v.Cost(id)
 	// Dead letters are cumulative; the view folds deltas into an EWMA.
@@ -184,18 +184,22 @@ func TestViewScoresDeadLettersAndBacklog(t *testing.T) {
 	if withDrops <= base {
 		t.Fatalf("dead letters did not raise cost: %v <= %v", withDrops, base)
 	}
-	// A flat counter means no new drops: with full decay the penalty
-	// clears and a large backlog becomes the dominant term.
+	// A flat counter means no new drops: the penalty halves, and a large
+	// backlog becomes the dominant term.
 	v.Observe(id, LinkHealth{DeadLetters: 4, Backlog: 500})
 	v.Refresh()
 	withBacklog := v.Cost(id)
-	if withBacklog <= base {
-		t.Fatalf("backlog did not raise cost: %v <= %v", withBacklog, base)
+	if withBacklog <= withDrops {
+		t.Fatalf("backlog did not raise cost: %v <= %v", withBacklog, withDrops)
 	}
-	v.Observe(id, LinkHealth{DeadLetters: 4})
-	v.Refresh()
-	if got := v.Cost(id); got != base {
-		t.Fatalf("cost did not return to base after recovery: %v != %v", got, base)
+	// Healthy samples decay the penalty away: the cost comes back to
+	// within the hysteresis band of base, where the gate stops moving it.
+	for i := 0; i < 8; i++ {
+		v.Observe(id, LinkHealth{DeadLetters: 4})
+		v.Refresh()
+	}
+	if got := v.Cost(id); got >= withDrops || got > base*(1+DefaultCostModel().Hysteresis) {
+		t.Fatalf("cost did not return to base after recovery: %v (base %v)", got, base)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/ibc"
 	"repro/internal/telemetry"
@@ -253,50 +252,6 @@ func (a *App) CancelSend(srcChannel ibc.ChannelID, d *PacketData) error {
 	esc[d.Denom] -= d.Amount
 	a.credit(d.Sender, d.Denom, d.Amount)
 	return nil
-}
-
-// mintShards is the worker fan-out for MintBatch.
-const mintShards = 8
-
-// MintBatch credits amount of denom to every listed account. Accounts are
-// sharded by key prefix and the per-shard balance maps are built
-// concurrently, then merged in fixed shard order — so materialising a
-// large (Zipf-sampled) account population is parallel while the resulting
-// state is identical to sequential Mint calls in any order.
-func (a *App) MintBatch(accounts []string, denom string, amount uint64) {
-	if len(accounts) < 2*mintShards {
-		for _, acct := range accounts {
-			a.credit(acct, denom, amount)
-		}
-		return
-	}
-	var shards [mintShards]map[string]uint64
-	var wg sync.WaitGroup
-	for s := 0; s < mintShards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			m := make(map[string]uint64)
-			for _, acct := range accounts {
-				var b byte
-				if len(acct) > 0 {
-					b = acct[0]
-				}
-				if int(b)%mintShards == s {
-					m[acct] += amount
-				}
-			}
-			shards[s] = m
-		}(s)
-	}
-	wg.Wait()
-	// Deterministic merge: fixed shard order; commutative += within a
-	// shard makes intra-shard iteration order irrelevant.
-	for s := 0; s < mintShards; s++ {
-		for acct, amt := range shards[s] {
-			a.credit(acct, denom, amt)
-		}
-	}
 }
 
 // OnChanOpen implements ibc.Module.

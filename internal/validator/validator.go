@@ -73,9 +73,10 @@ type Validator struct {
 	mSignatures  *telemetry.Counter
 	mSignLatency *telemetry.Histogram
 
-	// Simulated transport (nil without WithTransport: direct calls).
-	net        *netsim.Network
-	netIndex   int
+	// The daemon's address on the simulated network: host blocks arrive as
+	// wire notifications (cursor-pulled, so a dropped one loses nothing) and
+	// sign transactions go out as reliable calls that retry until the host
+	// acknowledges.
 	ep         *netsim.Endpoint
 	hostCursor host.Slot
 	retry      netsim.RetryPolicy
@@ -99,18 +100,10 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(v *Validator) { v.telemetry = reg }
 }
 
-// WithTransport routes the daemon's traffic through the simulated
-// network: host blocks arrive as wire notifications (cursor-pulled so a
-// dropped notification loses nothing) and sign transactions go out as
-// reliable calls that retry until the host acknowledges. index selects
-// the daemon's netsim address.
-func WithTransport(net *netsim.Network, index int) Option {
-	return func(v *Validator) { v.net = net; v.netIndex = index }
-}
-
-// New creates a validator daemon. The validator's host account must be
-// funded separately to cover fees.
-func New(key *cryptoutil.PrivKey, b Behaviour, chain *host.Chain, contract *guest.Contract, sched *sim.Scheduler, opts ...Option) *Validator {
+// New creates a validator daemon at netsim.ValidatorNode(index) on net (a
+// zero-value netsim config is lossless and synchronous). The validator's
+// host account must be funded separately to cover fees.
+func New(key *cryptoutil.PrivKey, b Behaviour, chain *host.Chain, contract *guest.Contract, sched *sim.Scheduler, net *netsim.Network, index int, opts ...Option) *Validator {
 	builder := guest.NewTxBuilder(contract, key.Public())
 	builder.PriorityFee = b.Policy.PriorityFee
 	builder.BundleTip = b.Policy.BundleTip
@@ -123,6 +116,8 @@ func New(key *cryptoutil.PrivKey, b Behaviour, chain *host.Chain, contract *gues
 		sched:         sched,
 		pendingCost:   make(map[uint64]host.Lamports),
 		signedHeights: make(map[uint64]bool),
+		hostCursor:    chain.Slot(),
+		retry:         netsim.DefaultRetryPolicy(),
 	}
 	for _, o := range opts {
 		o(v)
@@ -130,14 +125,10 @@ func New(key *cryptoutil.PrivKey, b Behaviour, chain *host.Chain, contract *gues
 	v.rng = rand.New(rand.NewSource(v.seed))
 	v.mSignatures = v.telemetry.Counter("validator.signatures")
 	v.mSignLatency = v.telemetry.Histogram("validator.sign_latency_s")
-	if v.net != nil {
-		v.ep = v.net.Node(netsim.ValidatorNode(v.netIndex), v.onNetMessage, nil)
-		v.hostCursor = chain.Slot()
-		v.retry = netsim.DefaultRetryPolicy()
-		v.mNetRetries = v.telemetry.Counter("validator.net_retries")
-		v.mNetDead = v.telemetry.Counter("validator.net_dead_letters")
-		v.mNetAttempts = v.telemetry.Histogram("validator.net_attempts")
-	}
+	v.mNetRetries = v.telemetry.Counter("validator.net_retries")
+	v.mNetDead = v.telemetry.Counter("validator.net_dead_letters")
+	v.mNetAttempts = v.telemetry.Histogram("validator.net_attempts")
+	v.ep = net.Node(netsim.ValidatorNode(index), v.onNetMessage, nil)
 	return v
 }
 
@@ -249,14 +240,10 @@ func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
 	})
 }
 
-// submitTx submits one host transaction — directly without a transport,
-// or as a reliable call that retries until the host acknowledges. done
-// fires exactly once with the submission outcome.
+// submitTx submits one host transaction as a reliable call that retries
+// until the host acknowledges. done fires exactly once with the submission
+// outcome.
 func (v *Validator) submitTx(tx *host.Transaction, done func(error)) {
-	if v.ep == nil {
-		done(v.chain.Submit(tx))
-		return
-	}
 	obs := netsim.RetryObserver{Retries: v.mNetRetries, DeadLetters: v.mNetDead, Attempts: v.mNetAttempts}
 	v.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx},
 		v.retry, obs, func(_ any, err error) { done(err) })

@@ -9,6 +9,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/guestblock"
 	"repro/internal/host"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -46,20 +47,24 @@ func newValEnv(t *testing.T, n int, latency sim.Dist) *valEnv {
 		t.Fatal(err)
 	}
 	e.contract = contract
+	// A zero-value network is lossless and synchronous: the daemons run as
+	// deployed, on their endpoints, and nothing is drawn or delayed.
+	net := netsim.New(sched, netsim.Config{})
+	hostEP := net.Node(netsim.HostNode, nil, netsim.HostFrontEnd(chain))
 	for i := 0; i < n; i++ {
 		v := New(e.keys[i], Behaviour{
 			Active:  true,
 			Latency: latency,
 			Policy:  fees.Policy{Name: "t", PriorityFee: 1_000},
-		}, chain, contract, sched, WithSeed(int64(i)))
+		}, chain, contract, sched, net, i, WithSeed(int64(i)))
 		v.Activate()
 		e.daemons = append(e.daemons, v)
 	}
-	// Drive slots every 400ms and fan blocks out to the daemons.
+	// Drive slots every 400ms and notify the daemons of each block.
 	sched.Every(host.SlotDuration, func() bool {
 		b := chain.ProduceBlock()
-		for _, v := range e.daemons {
-			v.OnHostBlock(b)
+		for i := range e.daemons {
+			hostEP.Send(netsim.ValidatorNode(i), netsim.KindHostBlock, netsim.MsgHostBlock{Block: b})
 		}
 		return true
 	})
