@@ -10,9 +10,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Lint runs staticcheck when it is installed, and falls back to go vet
-# otherwise so the target works offline and in minimal containers.
+# Lint fails on any file gofmt would change, then runs staticcheck when it
+# is installed, and falls back to go vet otherwise so the target works
+# offline and in minimal containers.
 lint: lint-deprecated
+	@bad=$$(gofmt -l .); \
+	if [ -n "$$bad" ]; then \
+		echo "not gofmt-formatted (run gofmt -w):"; echo "$$bad"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -134,7 +139,9 @@ examples-smoke:
 
 # Fuzz smoke gate: every native fuzz target runs for five seconds beyond its
 # seed corpus (which plain `go test` already replays) — the recv staging
-# buffer, the persisted trie node format, and the ICS-24 key derivation.
+# buffer, the persisted trie node format, the ICS-24 key derivation, and
+# the two light-client update decoders (Tendermint update, guest signed
+# block).
 # One target per invocation: `go test -fuzz` takes a single match. A
 # failure leaves the input under the package's testdata/fuzz/ to commit
 # with the fix.
@@ -142,6 +149,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRecvBatchDecode$$' -fuzztime=5s ./internal/guest
 	$(GO) test -run='^$$' -fuzz='^FuzzNodeCodecDecode$$' -fuzztime=5s ./internal/trie
 	$(GO) test -run='^$$' -fuzz='^FuzzPathToKey$$' -fuzztime=5s ./internal/ibc
+	$(GO) test -run='^$$' -fuzz='^FuzzUpdateDecode$$' -fuzztime=5s ./internal/lightclient/tendermint
+	$(GO) test -run='^$$' -fuzz='^FuzzSignedBlockDecode$$' -fuzztime=5s ./internal/guestblock
 
 # Coverage across every package, with the combined profile left in
 # cover.out for `go tool cover -html=cover.out`.
@@ -177,7 +186,7 @@ api-check:
 api-update:
 	$(GO) run ./cmd/apidump internal/ibc internal/middleware internal/routing internal/nodestore > api/ibc.txt
 
-# The pre-merge gate: vet + lint (including the retired-API grep), the
+# The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
 # example smoke runs, and five seconds of each fuzz target.

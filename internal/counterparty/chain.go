@@ -99,6 +99,13 @@ type Chain struct {
 
 	keys   []*cryptoutil.PrivKey
 	valset *tendermint.ValidatorSet
+	// valsetHash is valset.Hash(), which every header carries twice; the
+	// set never changes, so it is computed once.
+	valsetHash cryptoutil.Hash
+	// signerRng draws UpdateAt's signer permutation; it is re-seeded from
+	// the height on every draw, which yields the permutation a fresh
+	// source with that seed would.
+	signerRng *rand.Rand
 
 	store   *ibc.Store
 	handler *ibc.Handler
@@ -144,6 +151,7 @@ func New(cfg Config, clock host.Clock, opts ...Option) (*Chain, error) {
 		cfg:         cfg,
 		clock:       clock,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		signerRng:   rand.New(rand.NewSource(cfg.Seed)),
 		snapshots:   make(map[uint64]ibc.Version),
 		versionRefs: make(map[ibc.Version]int),
 		commitCache: make(map[uint64][]tendermint.CommitSig),
@@ -160,6 +168,7 @@ func New(cfg Config, clock host.Clock, opts ...Option) (*Chain, error) {
 		return nil, err
 	}
 	c.valset = vs
+	c.valsetHash = vs.Hash()
 	for _, o := range opts {
 		o(c)
 	}
@@ -231,8 +240,8 @@ func (c *Chain) produceBlockLocked() *tendermint.Header {
 		Height:         c.height,
 		Time:           c.clock.Now(),
 		AppRoot:        c.store.Root(),
-		ValSetHash:     c.valset.Hash(),
-		NextValSetHash: c.valset.Hash(),
+		ValSetHash:     c.valsetHash,
+		NextValSetHash: c.valsetHash,
 	}
 	// Draw participation in [min, 1]; the signer subset is derived
 	// deterministically from the height when (and if) an update is built.
@@ -314,8 +323,8 @@ func (c *Chain) UpdateAt(height uint64) (*tendermint.Update, error) {
 	commit, ok := c.commitCache[height]
 	if !ok {
 		n := c.signerCounts[height-1]
-		rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(height)*0x9e3779b9))
-		perm := rng.Perm(len(c.keys))
+		c.signerRng.Seed(c.cfg.Seed ^ int64(height)*0x9e3779b9)
+		perm := c.signerRng.Perm(len(c.keys))
 		signers := make([]*cryptoutil.PrivKey, 0, n)
 		for _, idx := range perm[:n] {
 			signers = append(signers, c.keys[idx])

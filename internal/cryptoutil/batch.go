@@ -37,10 +37,10 @@ func (t *VerifyTask) cacheKey() Hash {
 // a cached entry can never go stale, and refusing to cache failures keeps an
 // attacker from churning the cache with garbage signatures.
 type sigCache struct {
-	mu   sync.Mutex
-	cap  int
-	ll   *list.List // front = most recently used; values are Hash keys
-	m    map[Hash]*list.Element
+	mu  sync.Mutex
+	cap int
+	ll  *list.List // front = most recently used; values are Hash keys
+	m   map[Hash]*list.Element
 }
 
 func newSigCache(capacity int) *sigCache {

@@ -3,7 +3,6 @@ package guest
 import (
 	"errors"
 	"testing"
-
 )
 
 // newPipelinedEnv is newEnv with a PipelineDepth override.

@@ -15,6 +15,15 @@ import (
 	"repro/internal/wire"
 )
 
+// Encoded sizes of the fixed-layout entries: a validator (pubkey, stake),
+// a block signature (pubkey, signature), and a block without its optional
+// next epoch (heights, time, hashes, epoch index, next-epoch flag).
+const (
+	validatorSize = 32 + 8
+	signatureSize = 32 + 64
+	blockSize     = 8 + 8 + 8 + 3*cryptoutil.HashSize + 8 + 1
+)
+
 // Validator is one staked guest-blockchain validator (§III-B).
 type Validator struct {
 	PubKey cryptoutil.PubKey
@@ -79,6 +88,8 @@ func (e *Epoch) StakeOf(pub cryptoutil.PubKey) uint64 {
 // Has reports whether pub is an epoch validator.
 func (e *Epoch) Has(pub cryptoutil.PubKey) bool { return e.StakeOf(pub) > 0 }
 
+func (e *Epoch) encodedSize() int { return 8 + 8 + 2 + len(e.Validators)*validatorSize }
+
 // Encode appends the epoch's canonical encoding.
 func (e *Epoch) Encode(w *wire.Writer) {
 	w.U64(e.Index)
@@ -96,7 +107,7 @@ func DecodeEpoch(r *wire.Reader) (*Epoch, error) {
 		Index:       r.U64(),
 		QuorumStake: r.U64(),
 	}
-	n := int(r.U16())
+	n := r.Count16(validatorSize)
 	e.Validators = make([]Validator, 0, n)
 	for i := 0; i < n; i++ {
 		e.Validators = append(e.Validators, Validator{PubKey: r.PubKey(), Stake: r.U64()})
@@ -107,11 +118,13 @@ func DecodeEpoch(r *wire.Reader) (*Epoch, error) {
 	return e, nil
 }
 
-// Commitment returns the hash committing to the epoch contents.
+// Commitment returns the hash committing to the epoch contents:
+// HashTagged('E', encoding), hashed from one exact-size buffer.
 func (e *Epoch) Commitment() cryptoutil.Hash {
-	w := wire.NewWriter()
+	w := wire.NewWriterSize(1 + e.encodedSize())
+	w.U8('E')
 	e.Encode(w)
-	return cryptoutil.HashTagged('E', w.Bytes())
+	return cryptoutil.HashBytes(w.Bytes())
 }
 
 // Block is a guest blockchain block header (Alg. 1). Guest blocks carry no
@@ -137,6 +150,13 @@ type Block struct {
 	// NextEpoch is present on the last block of an epoch and carries the
 	// full next validator set, letting light clients rotate trust.
 	NextEpoch *Epoch
+}
+
+func (b *Block) encodedSize() int {
+	if b.NextEpoch == nil {
+		return blockSize
+	}
+	return blockSize + b.NextEpoch.encodedSize()
 }
 
 // Encode appends the block's canonical encoding.
@@ -167,12 +187,16 @@ func DecodeBlock(r *wire.Reader) (*Block, error) {
 		EpochIndex: r.U64(),
 	}
 	b.EpochCommitment = r.Hash()
-	if r.U8() == 1 {
+	switch flag := r.U8(); flag {
+	case 0:
+	case 1:
 		next, err := DecodeEpoch(r)
 		if err != nil {
 			return nil, err
 		}
 		b.NextEpoch = next
+	default:
+		return nil, fmt.Errorf("guestblock: decode block: next-epoch flag %d", flag)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("guestblock: decode block: %w", err)
@@ -180,24 +204,29 @@ func DecodeBlock(r *wire.Reader) (*Block, error) {
 	return b, nil
 }
 
-// Hash returns the block hash.
+// Hash returns the block hash: HashTagged('B', encoding), hashed from one
+// exact-size buffer.
 func (b *Block) Hash() cryptoutil.Hash {
-	w := wire.NewWriter()
+	w := wire.NewWriterSize(1 + b.encodedSize())
+	w.U8('B')
 	b.Encode(w)
-	return cryptoutil.HashTagged('B', w.Bytes())
+	return cryptoutil.HashBytes(w.Bytes())
 }
 
 // SigningPayload returns the digest validators sign. It is domain-separated
 // from the block hash so signatures cannot be confused with other uses.
 func (b *Block) SigningPayload() cryptoutil.Hash {
-	h := b.Hash()
-	return cryptoutil.HashTagged('S', h[:])
+	return SigningPayloadForHash(b.Hash())
 }
 
 // SigningPayloadForHash reconstructs the signing payload from a block hash;
-// fishermen use this to check signatures on claimed blocks (§III-C).
+// fishermen use this to check signatures on claimed blocks (§III-C). It is
+// HashTagged('S', hash), hashed from a stack array.
 func SigningPayloadForHash(blockHash cryptoutil.Hash) cryptoutil.Hash {
-	return cryptoutil.HashTagged('S', blockHash[:])
+	var buf [1 + cryptoutil.HashSize]byte
+	buf[0] = 'S'
+	copy(buf[1:], blockHash[:])
+	return cryptoutil.HashBytes(buf[:])
 }
 
 // BlockSignature is one validator's finalisation vote.
@@ -224,9 +253,13 @@ func (sb *SignedBlock) Encode(w *wire.Writer) {
 	}
 }
 
+func (sb *SignedBlock) encodedSize() int {
+	return sb.Block.encodedSize() + 2 + len(sb.Signatures)*signatureSize
+}
+
 // Marshal returns the serialized signed block.
 func (sb *SignedBlock) Marshal() []byte {
-	w := wire.NewWriter()
+	w := wire.NewWriterSize(sb.encodedSize())
 	sb.Encode(w)
 	return w.Bytes()
 }
@@ -238,8 +271,8 @@ func UnmarshalSignedBlock(data []byte) (*SignedBlock, error) {
 	if err != nil {
 		return nil, err
 	}
-	sb := &SignedBlock{Block: b}
-	n := int(r.U16())
+	n := r.Count16(signatureSize)
+	sb := &SignedBlock{Block: b, Signatures: make([]BlockSignature, 0, n)}
 	for i := 0; i < n; i++ {
 		sb.Signatures = append(sb.Signatures, BlockSignature{
 			Height:    b.Height,

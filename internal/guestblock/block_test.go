@@ -9,7 +9,7 @@ import (
 	"repro/internal/wire"
 )
 
-func testEpoch(t *testing.T, n int) (*Epoch, []*cryptoutil.PrivKey) {
+func testEpoch(t testing.TB, n int) (*Epoch, []*cryptoutil.PrivKey) {
 	t.Helper()
 	keys := make([]*cryptoutil.PrivKey, n)
 	vals := make([]Validator, n)

@@ -22,7 +22,7 @@ func newTestChain(t *testing.T, n int) *testChain {
 	return newNamedTestChain(t, "tm-test", n)
 }
 
-func newNamedTestChain(t *testing.T, label string, n int) *testChain {
+func newNamedTestChain(t testing.TB, label string, n int) *testChain {
 	t.Helper()
 	c := &testChain{chainID: "test-chain", now: time.Unix(1_700_000_000, 0).UTC()}
 	vals := make([]Validator, n)

@@ -8,6 +8,7 @@
 package tendermint
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -22,6 +23,13 @@ type Validator struct {
 	PubKey cryptoutil.PubKey
 	Power  uint64
 }
+
+// Encoded sizes of the fixed-layout entries: a validator (pubkey, power)
+// and a commit signature (pubkey, timestamp, signature).
+const (
+	validatorSize = 32 + 8
+	commitSigSize = 32 + 8 + 64
+)
 
 // ValidatorSet is a canonical (pubkey-sorted) validator set.
 type ValidatorSet struct {
@@ -62,6 +70,8 @@ func (vs *ValidatorSet) PowerOf(pub cryptoutil.PubKey) uint64 {
 	return 0
 }
 
+func (vs *ValidatorSet) encodedSize() int { return 2 + len(vs.Validators)*validatorSize }
+
 // Encode appends the canonical encoding.
 func (vs *ValidatorSet) Encode(w *wire.Writer) {
 	w.U16(uint16(len(vs.Validators)))
@@ -73,7 +83,7 @@ func (vs *ValidatorSet) Encode(w *wire.Writer) {
 
 // DecodeValidatorSet reads a set written by Encode.
 func DecodeValidatorSet(r *wire.Reader) (*ValidatorSet, error) {
-	n := int(r.U16())
+	n := r.Count16(validatorSize)
 	vs := &ValidatorSet{Validators: make([]Validator, 0, n)}
 	for i := 0; i < n; i++ {
 		vs.Validators = append(vs.Validators, Validator{PubKey: r.PubKey(), Power: r.U64()})
@@ -84,11 +94,13 @@ func DecodeValidatorSet(r *wire.Reader) (*ValidatorSet, error) {
 	return vs, nil
 }
 
-// Hash returns the set's commitment.
+// Hash returns the set's commitment: HashTagged('v', encoding), hashed
+// from one exact-size buffer.
 func (vs *ValidatorSet) Hash() cryptoutil.Hash {
-	w := wire.NewWriter()
+	w := wire.NewWriterSize(1 + vs.encodedSize())
+	w.U8('v')
 	vs.Encode(w)
-	return cryptoutil.HashTagged('v', w.Bytes())
+	return cryptoutil.HashBytes(w.Bytes())
 }
 
 // Header is a counterparty block header.
@@ -100,6 +112,8 @@ type Header struct {
 	ValSetHash     cryptoutil.Hash
 	NextValSetHash cryptoutil.Hash
 }
+
+func (h *Header) encodedSize() int { return 2 + len(h.ChainID) + 8 + 8 + 3*cryptoutil.HashSize }
 
 // Encode appends the canonical encoding.
 func (h *Header) Encode(w *wire.Writer) {
@@ -127,11 +141,13 @@ func DecodeHeader(r *wire.Reader) (*Header, error) {
 	return h, nil
 }
 
-// Hash returns the header hash.
+// Hash returns the header hash: HashTagged('h', encoding), hashed from
+// one exact-size buffer.
 func (h *Header) Hash() cryptoutil.Hash {
-	w := wire.NewWriter()
+	w := wire.NewWriterSize(1 + h.encodedSize())
+	w.U8('h')
 	h.Encode(w)
-	return cryptoutil.HashTagged('h', w.Bytes())
+	return cryptoutil.HashBytes(w.Bytes())
 }
 
 // CommitSig is one validator's precommit on a header. Each signer signs
@@ -144,12 +160,13 @@ type CommitSig struct {
 }
 
 // VotePayload is the digest a validator signs for a header hash and vote
-// timestamp.
+// timestamp: HashTagged('V', hash‖time), hashed from a stack array.
 func VotePayload(headerHash cryptoutil.Hash, ts time.Time) cryptoutil.Hash {
-	w := wire.NewWriter()
-	w.Hash(headerHash)
-	w.Time(ts)
-	return cryptoutil.HashTagged('V', w.Bytes())
+	var buf [1 + cryptoutil.HashSize + 8]byte
+	buf[0] = 'V'
+	copy(buf[1:], headerHash[:])
+	binary.BigEndian.PutUint64(buf[1+cryptoutil.HashSize:], wire.TimeNanos(ts))
+	return cryptoutil.HashBytes(buf[:])
 }
 
 // Update is a light-client update: a header, the commit that finalises it,
@@ -160,10 +177,14 @@ type Update struct {
 	ValSet *ValidatorSet
 }
 
+func (u *Update) encodedSize() int {
+	return u.Header.encodedSize() + 2 + len(u.Commit)*commitSigSize + u.ValSet.encodedSize()
+}
+
 // Marshal returns the serialized update; its length is what the relayer
 // must chunk across host transactions.
 func (u *Update) Marshal() []byte {
-	w := wire.NewWriter()
+	w := wire.NewWriterSize(u.encodedSize())
 	u.Header.Encode(w)
 	w.U16(uint16(len(u.Commit)))
 	for _, c := range u.Commit {
@@ -182,8 +203,8 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &Update{Header: h}
-	n := int(r.U16())
+	n := r.Count16(commitSigSize)
+	u := &Update{Header: h, Commit: make([]CommitSig, 0, n)}
 	for i := 0; i < n; i++ {
 		u.Commit = append(u.Commit, CommitSig{
 			PubKey:    r.PubKey(),
@@ -205,13 +226,13 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 // SignCommit produces a full commit for a header from the given keys
 // (test/simulation helper used by the counterparty chain).
 func SignCommit(h *Header, keys []*cryptoutil.PrivKey, ts time.Time) []CommitSig {
-	hash := h.Hash()
+	payload := VotePayload(h.Hash(), ts)
 	out := make([]CommitSig, 0, len(keys))
 	for _, k := range keys {
 		out = append(out, CommitSig{
 			PubKey:    k.Public(),
 			Timestamp: ts,
-			Signature: k.SignHash(VotePayload(hash, ts)),
+			Signature: k.SignHash(payload),
 		})
 	}
 	return out

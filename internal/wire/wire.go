@@ -63,12 +63,15 @@ func (w *Writer) PubKey(p cryptoutil.PubKey) { w.buf = append(w.buf, p[:]...) }
 func (w *Writer) Signature(s cryptoutil.Signature) { w.buf = append(w.buf, s[:]...) }
 
 // Time appends a timestamp as Unix nanoseconds.
-func (w *Writer) Time(t time.Time) {
+func (w *Writer) Time(t time.Time) { w.U64(TimeNanos(t)) }
+
+// TimeNanos is the value Time encodes: Unix nanoseconds, 0 for the zero
+// time. Fixed-layout digests put it into a stack array themselves.
+func TimeNanos(t time.Time) uint64 {
 	if t.IsZero() {
-		w.U64(0)
-		return
+		return 0
 	}
-	w.U64(uint64(t.UnixNano()))
+	return uint64(t.UnixNano())
 }
 
 // Bytes16 appends a byte string with a 2-byte length prefix.
@@ -101,6 +104,19 @@ func (r *Reader) Err() error { return r.err }
 
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
+
+// Count16 reads a u16 count of entries that take at least entrySize
+// bytes each. A count the unread input cannot hold reads as 0 and sets
+// ErrShort, so a decoder sizes its slice only from what the input holds
+// and never allocates for entries that are not there.
+func (r *Reader) Count16(entrySize int) int {
+	n := int(r.U16()) // 0 once the reader has failed
+	if n > r.Remaining()/entrySize {
+		r.err = ErrShort
+		return 0
+	}
+	return n
+}
 
 // Done returns an error unless the buffer was fully and cleanly consumed.
 func (r *Reader) Done() error {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -86,6 +87,21 @@ func TestShortBufferSticks(t *testing.T) {
 	}
 	if r.Done() == nil {
 		t.Fatal("Done cleared the error")
+	}
+}
+
+func TestCount16OnlyWhatTheInputHolds(t *testing.T) {
+	// Three 4-byte entries follow the count: 3 fits, 4 does not.
+	for count, want := range map[uint16]int{3: 3, 4: 0, 0xffff: 0} {
+		w := NewWriter()
+		w.U16(count)
+		w.U32(1)
+		w.U32(2)
+		w.U32(3)
+		r := NewReader(w.Bytes())
+		if got := r.Count16(4); got != want || (want == 0) != errors.Is(r.Err(), ErrShort) {
+			t.Fatalf("count %d: Count16 = %d (%v), want %d", count, got, r.Err(), want)
+		}
 	}
 }
 
