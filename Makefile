@@ -139,15 +139,19 @@ examples-smoke:
 
 # Fuzz smoke gate: every native fuzz target runs for five seconds beyond its
 # seed corpus (which plain `go test` already replays) — the recv staging
-# buffer, the persisted trie node format, the ICS-24 key derivation, and
-# the two light-client update decoders (Tendermint update, guest signed
-# block).
+# buffer, the persisted trie node format, the trie proof decoder, WAL
+# recovery from an arbitrary segment, the ICS-24 key derivation, and the
+# two light-client update decoders (Tendermint update, guest signed block).
 # One target per invocation: `go test -fuzz` takes a single match. A
 # failure leaves the input under the package's testdata/fuzz/ to commit
-# with the fix.
+# with the fix. WAL recovery opens a directory twice per input, so its
+# minimisation of a new input is capped at 100 runs, or it would spend the
+# five seconds there.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRecvBatchDecode$$' -fuzztime=5s ./internal/guest
 	$(GO) test -run='^$$' -fuzz='^FuzzNodeCodecDecode$$' -fuzztime=5s ./internal/trie
+	$(GO) test -run='^$$' -fuzz='^FuzzProofDecode$$' -fuzztime=5s ./internal/trie
+	$(GO) test -run='^$$' -fuzz='^FuzzDiskRecover$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/nodestore
 	$(GO) test -run='^$$' -fuzz='^FuzzPathToKey$$' -fuzztime=5s ./internal/ibc
 	$(GO) test -run='^$$' -fuzz='^FuzzUpdateDecode$$' -fuzztime=5s ./internal/lightclient/tendermint
 	$(GO) test -run='^$$' -fuzz='^FuzzSignedBlockDecode$$' -fuzztime=5s ./internal/guestblock
@@ -189,5 +193,5 @@ api-update:
 # The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
-# example smoke runs, and five seconds of each fuzz target.
+# example smoke runs, and five seconds of each of the seven fuzz targets.
 ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

@@ -34,61 +34,53 @@ func (p Poisson) Next(rng *rand.Rand) time.Duration {
 // SelfSimilar is a bursty on/off arrival process with Pareto-distributed
 // period lengths — the classic construction whose superposition yields
 // self-similar (long-range-dependent) traffic. During ON periods arrivals
-// come at Burst times the mean rate; OFF periods are silent. Period
-// lengths are heavy-tailed with index Alpha (1 < Alpha < 2 gives LRD),
-// and the ON/OFF duty cycle is chosen so the long-run rate matches Mean.
+// come at selfSimilarBurst times the mean rate; OFF periods are silent.
+// Period lengths are heavy-tailed with index selfSimilarAlpha, and the
+// ON/OFF duty cycle is chosen so the long-run rate matches Mean.
 type SelfSimilar struct {
 	// Mean is the long-run mean inter-arrival gap (1/rate).
 	Mean time.Duration
-	// Alpha is the Pareto tail index of period lengths (default 1.5).
-	Alpha float64
-	// Burst is the peak-to-mean rate ratio during ON periods (default 8).
-	Burst float64
-	// OnMean is the mean ON period length (default 100 peak gaps).
-	OnMean time.Duration
 
 	onLeft time.Duration
 }
 
-// params fills defaults and returns (alpha, peak gap, mean on, mean off).
-func (s *SelfSimilar) params() (float64, time.Duration, time.Duration, time.Duration) {
-	alpha := s.Alpha
-	if alpha <= 1 {
-		alpha = 1.5
-	}
-	burst := s.Burst
-	if burst <= 1 {
-		burst = 8
-	}
-	peak := time.Duration(float64(s.Mean) / burst)
-	onMean := s.OnMean
-	if onMean <= 0 {
-		onMean = 100 * peak
-	}
+// The on/off shape: the Pareto tail index of period lengths (1 < alpha < 2
+// gives long-range dependence), the peak-to-mean rate ratio during ON
+// periods, and the mean ON period in peak gaps.
+const (
+	selfSimilarAlpha  = 1.5
+	selfSimilarBurst  = 8
+	selfSimilarOnGaps = 100
+)
+
+// params returns (peak gap, mean on, mean off).
+func (s *SelfSimilar) params() (time.Duration, time.Duration, time.Duration) {
+	peak := time.Duration(float64(s.Mean) / selfSimilarBurst)
+	onMean := selfSimilarOnGaps * peak
 	// Duty cycle on/(on+off) = 1/burst keeps the long-run rate at 1/Mean.
-	offMean := time.Duration(float64(onMean) * (burst - 1))
-	return alpha, peak, onMean, offMean
+	offMean := time.Duration(float64(onMean) * (selfSimilarBurst - 1))
+	return peak, onMean, offMean
 }
 
-// pareto draws a Pareto(alpha) duration with the given mean.
-func pareto(rng *rand.Rand, mean time.Duration, alpha float64) time.Duration {
+// pareto draws a Pareto(selfSimilarAlpha) duration with the given mean.
+func pareto(rng *rand.Rand, mean time.Duration) time.Duration {
 	// Mean of Pareto(xm, alpha) is xm*alpha/(alpha-1); invert for xm.
-	xm := float64(mean) * (alpha - 1) / alpha
+	xm := float64(mean) * (selfSimilarAlpha - 1) / selfSimilarAlpha
 	u := rng.Float64()
 	if u <= 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	return time.Duration(xm / math.Pow(u, 1/alpha))
+	return time.Duration(xm / math.Pow(u, 1/selfSimilarAlpha))
 }
 
 // Next implements Arrivals.
 func (s *SelfSimilar) Next(rng *rand.Rand) time.Duration {
-	alpha, peak, onMean, offMean := s.params()
+	peak, onMean, offMean := s.params()
 	var gap time.Duration
 	for {
 		if s.onLeft <= 0 {
-			gap += pareto(rng, offMean, alpha)
-			s.onLeft = pareto(rng, onMean, alpha)
+			gap += pareto(rng, offMean)
+			s.onLeft = pareto(rng, onMean)
 		}
 		g := time.Duration(rng.ExpFloat64() * float64(peak))
 		if g <= s.onLeft {

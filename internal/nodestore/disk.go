@@ -2,7 +2,6 @@ package nodestore
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/wire"
 )
 
 // Disk is the WAL-backed Store. All state changes are appended to a single
@@ -213,117 +213,108 @@ func (d *Disk) replay(names []string) error {
 // length of the valid prefix and a non-nil error when the scan stopped
 // early (truncated or corrupt tail).
 func (d *Disk) scanSegment(seg int, data []byte) (int64, error) {
-	off := int64(0)
-	for int64(len(data))-off >= frameHeader {
-		payloadLen := int64(binary.BigEndian.Uint32(data[off:]))
-		wantCRC := binary.BigEndian.Uint32(data[off+4:])
-		if payloadLen < 1 || payloadLen > maxRecordBytes {
-			return off, fmt.Errorf("nodestore: bad record length %d", payloadLen)
-		}
-		if int64(len(data))-off-frameHeader < payloadLen {
-			return off, fmt.Errorf("nodestore: truncated record")
-		}
-		payload := data[off+frameHeader : off+frameHeader+payloadLen]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
+	r := wire.NewReader(data)
+	for r.Remaining() > 0 {
+		off := int64(len(data) - r.Remaining())
+		n, wantCRC := r.U32(), r.U32()
+		payload := r.Raw(int(n))
+		switch {
+		case r.Err() != nil:
+			return off, fmt.Errorf("nodestore: truncated record: %w", r.Err())
+		case n < 1 || n > maxRecordBytes:
+			return off, fmt.Errorf("nodestore: bad record length %d", n)
+		case crc32.ChecksumIEEE(payload) != wantCRC:
 			return off, fmt.Errorf("nodestore: record CRC mismatch")
 		}
 		if err := d.indexRecord(seg, off+frameHeader, payload); err != nil {
 			return off, err
 		}
 		d.stats.RecoveredRecords++
-		off += frameHeader + payloadLen
 	}
-	if off != int64(len(data)) {
-		return off, fmt.Errorf("nodestore: trailing partial record")
-	}
-	return off, nil
+	return int64(len(data)), nil
 }
 
 // indexRecord parses one replayed payload into the in-memory index.
 // payloadOff is the payload's offset within its segment file.
 func (d *Disk) indexRecord(seg int, payloadOff int64, payload []byte) error {
-	switch payload[0] {
+	r := wire.NewReader(payload)
+	// rest locates what follows the fields read so far: a node's encoding
+	// or a value's bytes, which run to the end of the payload.
+	rest := func() loc {
+		return loc{seg: seg, off: payloadOff + int64(len(payload)-r.Remaining()), n: r.Remaining()}
+	}
+	switch kind := r.U8(); kind {
 	case recNode:
-		if len(payload) < 1+cryptoutil.HashSize {
-			return fmt.Errorf("nodestore: short node record")
+		h := r.Hash()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("nodestore: node record: %w", err)
 		}
-		var h cryptoutil.Hash
-		copy(h[:], payload[1:])
 		if _, ok := d.nodes[h]; !ok {
-			d.nodes[h] = loc{seg: seg, off: payloadOff + 1 + cryptoutil.HashSize, n: len(payload) - 1 - cryptoutil.HashSize}
+			d.nodes[h] = rest()
 		}
-		return nil
 	case recValue:
-		if len(payload) < 1+8+1+2 {
-			return fmt.Errorf("nodestore: short value record")
+		ver := r.U64()
+		tomb := r.U8() != 0
+		path := r.String16()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("nodestore: value record: %w", err)
 		}
-		ver := binary.BigEndian.Uint64(payload[1:])
-		tomb := payload[9] != 0
-		pathLen := int(binary.BigEndian.Uint16(payload[10:]))
-		if len(payload) < 12+pathLen {
-			return fmt.Errorf("nodestore: short value record path")
-		}
-		path := string(payload[12 : 12+pathLen])
-		d.values[path] = append(d.values[path], diskValue{
-			ver:  ver,
-			at:   loc{seg: seg, off: payloadOff + int64(12+pathLen), n: len(payload) - 12 - pathLen},
-			tomb: tomb,
-		})
-		return nil
+		d.values[path] = append(d.values[path], diskValue{ver: ver, at: rest(), tomb: tomb})
 	case recRoot:
-		rec, err := decodeRootRecord(payload)
-		if err != nil {
-			return err
+		rec := readRootRecord(r)
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("nodestore: root record: %w", err)
 		}
 		d.roots = append(d.roots, rec)
-		return nil
 	case recRelease:
-		if len(payload) != 1+8 {
-			return fmt.Errorf("nodestore: short release record")
+		ver := r.U64()
+		if err := r.Done(); err != nil {
+			return fmt.Errorf("nodestore: release record: %w", err)
 		}
-		d.released[binary.BigEndian.Uint64(payload[1:])] = struct{}{}
-		return nil
+		d.released[ver] = struct{}{}
 	default:
-		return fmt.Errorf("nodestore: unknown record type %#x", payload[0])
+		return fmt.Errorf("nodestore: unknown record type %#x", kind)
 	}
+	return nil
 }
 
 const rootRecordLen = 1 + 8 + cryptoutil.HashSize + 1 + 8 + 5*8
 
 func encodeRootRecord(rec RootRecord) []byte {
-	b := make([]byte, rootRecordLen)
-	b[0] = recRoot
-	binary.BigEndian.PutUint64(b[1:], rec.Version)
-	copy(b[9:], rec.Root[:])
-	if rec.Sealed {
-		b[9+cryptoutil.HashSize] = 1
-	}
-	o := 10 + cryptoutil.HashSize
-	binary.BigEndian.PutUint64(b[o:], rec.Height)
-	binary.BigEndian.PutUint64(b[o+8:], uint64(rec.Nodes))
-	binary.BigEndian.PutUint64(b[o+16:], uint64(rec.Leaves))
-	binary.BigEndian.PutUint64(b[o+24:], uint64(rec.SealedRefs))
-	binary.BigEndian.PutUint64(b[o+32:], uint64(rec.TotalAllocs))
-	binary.BigEndian.PutUint64(b[o+40:], uint64(rec.TotalFrees))
-	return b
+	w := wire.NewWriterSize(rootRecordLen)
+	w.U8(recRoot)
+	w.U64(rec.Version)
+	w.Hash(rec.Root)
+	w.U8(flag(rec.Sealed))
+	w.U64(rec.Height)
+	w.U64(uint64(rec.Nodes))
+	w.U64(uint64(rec.Leaves))
+	w.U64(uint64(rec.SealedRefs))
+	w.U64(uint64(rec.TotalAllocs))
+	w.U64(uint64(rec.TotalFrees))
+	return w.Bytes()
 }
 
-func decodeRootRecord(payload []byte) (RootRecord, error) {
-	if len(payload) != rootRecordLen {
-		return RootRecord{}, fmt.Errorf("nodestore: root record length %d", len(payload))
-	}
+// readRootRecord reads what encodeRootRecord wrote after the type byte.
+func readRootRecord(r *wire.Reader) RootRecord {
 	var rec RootRecord
-	rec.Version = binary.BigEndian.Uint64(payload[1:])
-	copy(rec.Root[:], payload[9:])
-	rec.Sealed = payload[9+cryptoutil.HashSize] != 0
-	o := 10 + cryptoutil.HashSize
-	rec.Height = binary.BigEndian.Uint64(payload[o:])
-	rec.Nodes = int(binary.BigEndian.Uint64(payload[o+8:]))
-	rec.Leaves = int(binary.BigEndian.Uint64(payload[o+16:]))
-	rec.SealedRefs = int(binary.BigEndian.Uint64(payload[o+24:]))
-	rec.TotalAllocs = int(binary.BigEndian.Uint64(payload[o+32:]))
-	rec.TotalFrees = int(binary.BigEndian.Uint64(payload[o+40:]))
-	return rec, nil
+	rec.Version = r.U64()
+	rec.Root = r.Hash()
+	rec.Sealed = r.U8() != 0
+	rec.Height = r.U64()
+	rec.Nodes = int(r.U64())
+	rec.Leaves = int(r.U64())
+	rec.SealedRefs = int(r.U64())
+	rec.TotalAllocs = int(r.U64())
+	rec.TotalFrees = int(r.U64())
+	return rec
+}
+
+func flag(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (d *Disk) addSegment() error {
@@ -339,10 +330,10 @@ func (d *Disk) addSegment() error {
 // appendLocked frames and buffers one payload, returning the offset of the
 // payload's first byte within the active segment.
 func (d *Disk) appendLocked(payload []byte) (int64, error) {
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := d.w.Write(hdr[:]); err != nil {
+	hdr := wire.NewWriterSize(frameHeader)
+	hdr.U32(uint32(len(payload)))
+	hdr.U32(crc32.ChecksumIEEE(payload))
+	if _, err := d.w.Write(hdr.Bytes()); err != nil {
 		return 0, err
 	}
 	if _, err := d.w.Write(payload); err != nil {
@@ -382,15 +373,16 @@ func (d *Disk) NodePut(h cryptoutil.Hash, enc []byte) error {
 		d.stats.NodesDeduped++
 		return nil
 	}
-	payload := make([]byte, 1+cryptoutil.HashSize+len(enc))
-	payload[0] = recNode
-	copy(payload[1:], h[:])
-	copy(payload[1+cryptoutil.HashSize:], enc)
-	off, err := d.appendLocked(payload)
+	w := wire.NewWriterSize(1 + cryptoutil.HashSize + len(enc))
+	w.U8(recNode)
+	w.Hash(h)
+	head := w.Len()
+	w.Raw(enc)
+	off, err := d.appendLocked(w.Bytes())
 	if err != nil {
 		return err
 	}
-	d.nodes[h] = loc{seg: len(d.segs) - 1, off: off + 1 + cryptoutil.HashSize, n: len(enc)}
+	d.nodes[h] = loc{seg: len(d.segs) - 1, off: off + int64(head), n: len(enc)}
 	d.stats.NodesWritten++
 	return nil
 }
@@ -432,22 +424,20 @@ func (d *Disk) ValuePut(ver uint64, path string, value []byte, tombstone bool) e
 	if len(path) > 1<<16-1 {
 		return fmt.Errorf("nodestore: path too long (%d bytes)", len(path))
 	}
-	payload := make([]byte, 12+len(path)+len(value))
-	payload[0] = recValue
-	binary.BigEndian.PutUint64(payload[1:], ver)
-	if tombstone {
-		payload[9] = 1
-	}
-	binary.BigEndian.PutUint16(payload[10:], uint16(len(path)))
-	copy(payload[12:], path)
-	copy(payload[12+len(path):], value)
-	off, err := d.appendLocked(payload)
+	w := wire.NewWriterSize(1 + 8 + 1 + 2 + len(path) + len(value))
+	w.U8(recValue)
+	w.U64(ver)
+	w.U8(flag(tombstone))
+	w.String16(path)
+	head := w.Len()
+	w.Raw(value)
+	off, err := d.appendLocked(w.Bytes())
 	if err != nil {
 		return err
 	}
 	d.values[path] = append(d.values[path], diskValue{
 		ver:  ver,
-		at:   loc{seg: len(d.segs) - 1, off: off + int64(12+len(path)), n: len(value)},
+		at:   loc{seg: len(d.segs) - 1, off: off + int64(head), n: len(value)},
 		tomb: tombstone,
 	})
 	d.stats.ValuesWritten++
@@ -510,10 +500,10 @@ func (d *Disk) ReleaseVersion(ver uint64) error {
 	if d.closed {
 		return ErrClosed
 	}
-	payload := make([]byte, 9)
-	payload[0] = recRelease
-	binary.BigEndian.PutUint64(payload[1:], ver)
-	if _, err := d.appendLocked(payload); err != nil {
+	w := wire.NewWriterSize(1 + 8)
+	w.U8(recRelease)
+	w.U64(ver)
+	if _, err := d.appendLocked(w.Bytes()); err != nil {
 		return err
 	}
 	d.released[ver] = struct{}{}

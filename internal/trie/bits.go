@@ -6,7 +6,13 @@
 // state size depends only on live data, not on history.
 package trie
 
-import "repro/internal/cryptoutil"
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/cryptoutil"
+	"repro/internal/wire"
+)
 
 // KeySize is the fixed key length in bytes. All keys are 32-byte hashes of
 // IBC commitment paths, which keeps every leaf at a unique position and
@@ -55,22 +61,29 @@ func (p path) pack() []byte {
 	return buf
 }
 
-// canonicalPacked reports whether packed is the canonical encoding of a
-// path with the given bit length: exact byte length and zero padding bits.
-// Decoders enforce this so that proofs and serialized tries are
-// non-malleable — no two distinct byte strings decode to the same
-// structure.
-func canonicalPacked(packed []byte, bits int) bool {
-	if len(packed) != (bits+7)/8 {
-		return false
+// writePath writes a packed path as its u16 bit length and its packed
+// bytes: the one path form proofs and stored nodes share.
+func writePath(w *wire.Writer, packed []byte, bits int) {
+	w.U16(uint16(bits))
+	w.Raw(packed)
+}
+
+// readPath reads a path written by writePath; the packed bytes alias the
+// reader's input. A path longer than a key or with a padding bit set is an
+// error, so that proofs and stored nodes are non-malleable: no two byte
+// strings decode to the same structure.
+func readPath(r *wire.Reader) ([]byte, int, error) {
+	bits := int(r.U16())
+	packed := r.Raw((bits + 7) / 8)
+	switch {
+	case r.Err() != nil:
+		return nil, 0, r.Err()
+	case bits > keyBits:
+		return nil, 0, fmt.Errorf("path length %d exceeds key bits", bits)
+	case bits%8 != 0 && packed[len(packed)-1]&(0xff>>(bits%8)) != 0:
+		return nil, 0, errors.New("non-canonical path padding")
 	}
-	if rem := bits % 8; rem != 0 {
-		mask := byte(0xff) >> rem
-		if packed[len(packed)-1]&mask != 0 {
-			return false
-		}
-	}
-	return true
+	return packed, bits, nil
 }
 
 // unpackPath reverses pack for a path of the given bit length.

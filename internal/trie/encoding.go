@@ -2,178 +2,138 @@ package trie
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
+
+	"repro/internal/cryptoutil"
+	"repro/internal/wire"
 )
 
 // Wire format version for proofs.
 const proofWireVersion = 1
 
+// minItemSize is the fewest bytes an ascent item encodes to: a kind byte
+// and an empty path's u16 bit length.
+const minItemSize = 3
+
 // MarshalBinary encodes the proof into a compact byte string. The encoding
 // matters because relayed proofs must fit into 1232-byte host transactions
 // (§IV); the relayer chunks larger payloads across transactions.
 func (p *Proof) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(proofWireVersion)
-	flags := byte(0)
-	if p.Membership {
-		flags |= 1
-	}
-	flags |= byte(p.terminalShape()) << 1
-	buf.WriteByte(flags)
-
-	switch p.terminalShape() {
+	size := 4 // version, flags, item count
+	switch p.terminal {
 	case terminalLeaf:
-		writeUint16(&buf, uint16(p.LeafPathLen))
-		buf.Write(p.LeafPath)
+		size += 2 + len(p.LeafPath)
 		if !p.Membership {
-			buf.Write(p.LeafValue[:])
+			size += cryptoutil.HashSize
 		}
 	case terminalExt:
-		writeUint16(&buf, uint16(p.ExtPathLen))
-		buf.Write(p.ExtPath)
-		buf.Write(p.ExtChild[:])
-	case terminalNone:
-		// nothing
+		size += 2 + len(p.ExtPath) + cryptoutil.HashSize
 	}
-
-	writeUint16(&buf, uint16(len(p.Items)))
 	for _, it := range p.Items {
-		buf.WriteByte(byte(it.Kind))
 		switch it.Kind {
 		case AscentBranch:
-			buf.WriteByte(it.Bit)
-			buf.Write(it.Sibling[:])
+			size += 2 + cryptoutil.HashSize
 		case AscentExt:
-			writeUint16(&buf, uint16(it.PathLen))
-			buf.Write(it.Path)
+			size += minItemSize + len(it.Path)
 		default:
 			return nil, fmt.Errorf("trie: cannot encode ascent kind %d", it.Kind)
 		}
 	}
-	return buf.Bytes(), nil
-}
 
-// UnmarshalBinary decodes a proof produced by MarshalBinary.
-func (p *Proof) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	ver, err := r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("trie: short proof: %w", err)
+	w := wire.NewWriterSize(size)
+	w.U8(proofWireVersion)
+	flags := byte(p.terminal) << 1
+	if p.Membership {
+		flags |= 1
 	}
-	if ver != proofWireVersion {
-		return fmt.Errorf("trie: unsupported proof version %d", ver)
-	}
-	flags, err := r.ReadByte()
-	if err != nil {
-		return fmt.Errorf("trie: short proof: %w", err)
-	}
-	*p = Proof{}
-	p.Membership = flags&1 != 0
-	p.terminal = terminalKind(flags >> 1)
-
+	w.U8(flags)
 	switch p.terminal {
 	case terminalLeaf:
-		n, err := readUint16(r)
-		if err != nil {
-			return err
-		}
-		p.LeafPathLen = int(n)
-		p.LeafPath = make([]byte, (int(n)+7)/8)
-		if _, err := r.Read(p.LeafPath); err != nil && int(n) > 0 {
-			return fmt.Errorf("trie: short proof: %w", err)
-		}
-		if !canonicalPacked(p.LeafPath, p.LeafPathLen) {
-			return fmt.Errorf("%w: non-canonical leaf path", ErrBadProof)
-		}
+		writePath(w, p.LeafPath, p.LeafPathLen)
 		if !p.Membership {
-			if _, err := r.Read(p.LeafValue[:]); err != nil {
-				return fmt.Errorf("trie: short proof: %w", err)
-			}
+			w.Hash(p.LeafValue)
 		}
 	case terminalExt:
-		n, err := readUint16(r)
-		if err != nil {
-			return err
-		}
-		p.ExtPathLen = int(n)
-		p.ExtPath = make([]byte, (int(n)+7)/8)
-		if _, err := r.Read(p.ExtPath); err != nil {
-			return fmt.Errorf("trie: short proof: %w", err)
-		}
-		if !canonicalPacked(p.ExtPath, p.ExtPathLen) {
-			return fmt.Errorf("%w: non-canonical extension path", ErrBadProof)
-		}
-		if _, err := r.Read(p.ExtChild[:]); err != nil {
-			return fmt.Errorf("trie: short proof: %w", err)
-		}
-	case terminalNone:
-	default:
-		return fmt.Errorf("trie: unknown terminal kind %d", p.terminal)
+		writePath(w, p.ExtPath, p.ExtPathLen)
+		w.Hash(p.ExtChild)
 	}
+	w.U16(uint16(len(p.Items)))
+	for _, it := range p.Items {
+		w.U8(byte(it.Kind))
+		if it.Kind == AscentBranch {
+			w.U8(it.Bit)
+			w.Hash(it.Sibling)
+		} else {
+			writePath(w, it.Path, it.PathLen)
+		}
+	}
+	return w.Bytes(), nil
+}
 
-	count, err := readUint16(r)
+// UnmarshalBinary decodes a proof produced by MarshalBinary and accepts
+// nothing else: short or trailing input, a non-canonical path, an unknown
+// kind and a membership proof without a leaf are errors (ErrBadProof).
+func (p *Proof) UnmarshalBinary(data []byte) error {
+	r := wire.NewReader(data)
+	ver, flags := r.U8(), r.U8()
+	if r.Err() == nil && ver != proofWireVersion {
+		return fmt.Errorf("%w: unsupported version %d", ErrBadProof, ver)
+	}
+	*p = Proof{Membership: flags&1 != 0, terminal: terminalKind(flags >> 1)}
+	var err error
+	switch {
+	case p.terminal == terminalLeaf:
+		p.LeafPath, p.LeafPathLen, err = readOwnedPath(r)
+		if !p.Membership {
+			p.LeafValue = r.Hash()
+		}
+	case p.Membership:
+		return fmt.Errorf("%w: membership proof without a leaf", ErrBadProof)
+	case p.terminal == terminalExt:
+		p.ExtPath, p.ExtPathLen, err = readOwnedPath(r)
+		p.ExtChild = r.Hash()
+	case p.terminal != terminalNone:
+		return fmt.Errorf("%w: unknown terminal kind %d", ErrBadProof, p.terminal)
+	}
 	if err != nil {
 		return err
 	}
-	p.Items = make([]AscentItem, 0, count)
-	for i := 0; i < int(count); i++ {
-		kind, err := r.ReadByte()
-		if err != nil {
-			return fmt.Errorf("trie: short proof: %w", err)
-		}
-		var it AscentItem
-		it.Kind = AscentKind(kind)
+
+	// A verifiable proof consumes at least one key bit per item.
+	n := r.Count16(minItemSize)
+	if n > keyBits {
+		return fmt.Errorf("%w: %d ascent items for a %d-bit key", ErrBadProof, n, keyBits)
+	}
+	p.Items = make([]AscentItem, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		it := &p.Items[i]
+		it.Kind = AscentKind(r.U8())
 		switch it.Kind {
 		case AscentBranch:
-			b, err := r.ReadByte()
-			if err != nil {
-				return fmt.Errorf("trie: short proof: %w", err)
-			}
-			it.Bit = b
-			if _, err := r.Read(it.Sibling[:]); err != nil {
-				return fmt.Errorf("trie: short proof: %w", err)
-			}
+			it.Bit = r.U8()
+			it.Sibling = r.Hash()
 		case AscentExt:
-			n, err := readUint16(r)
-			if err != nil {
+			if it.Path, it.PathLen, err = readOwnedPath(r); err != nil {
 				return err
 			}
-			it.PathLen = int(n)
-			it.Path = make([]byte, (int(n)+7)/8)
-			if _, err := r.Read(it.Path); err != nil && int(n) > 0 {
-				return fmt.Errorf("trie: short proof: %w", err)
-			}
-			if !canonicalPacked(it.Path, it.PathLen) {
-				return fmt.Errorf("%w: non-canonical ascent path", ErrBadProof)
-			}
 		default:
-			return fmt.Errorf("trie: unknown ascent kind %d", kind)
+			if r.Err() == nil {
+				return fmt.Errorf("%w: unknown ascent kind %d", ErrBadProof, it.Kind)
+			}
 		}
-		p.Items = append(p.Items, it)
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: %w", ErrBadProof, err)
 	}
 	return nil
 }
 
-// Size returns the encoded proof size in bytes.
-func (p *Proof) Size() int {
-	b, err := p.MarshalBinary()
+// readOwnedPath is readPath for a proof, which keeps its paths after the
+// caller's buffer is gone.
+func readOwnedPath(r *wire.Reader) ([]byte, int, error) {
+	packed, bits, err := readPath(r)
 	if err != nil {
-		return 0
+		return nil, 0, fmt.Errorf("%w: %w", ErrBadProof, err)
 	}
-	return len(b)
-}
-
-func writeUint16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func readUint16(r *bytes.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := r.Read(b[:]); err != nil {
-		return 0, fmt.Errorf("trie: short proof: %w", err)
-	}
-	return binary.BigEndian.Uint16(b[:]), nil
+	return bytes.Clone(packed), bits, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/wire"
 )
 
 // Per-node content-addressed encoding: the unit the NodeSource stores under
@@ -22,127 +23,87 @@ const (
 	ncChildSealed byte = 0x02 // opaque sealed reference (hash only)
 )
 
-// encodedNodeMax bounds a node encoding: tag + flags + 2-byte bit length +
-// 2-byte packed-length prefix + 32-byte packed path + (state+hash)*2.
-const encodedNodeMax = 1 + 1 + 2 + 2 + KeySize + 2*(1+cryptoutil.HashSize)
-
-// encodeNode renders one node into its content-addressed byte form.
+// encodeNode renders one node into its content-addressed byte form, in a
+// buffer of exactly its size.
 func encodeNode(n *node) []byte {
-	b := make([]byte, 0, encodedNodeMax)
+	var scratch [KeySize]byte
+	packed := appendPacked(scratch[:0], n.path)
+	var w *wire.Writer
 	switch n.kind {
 	case kindLeaf:
-		flags := byte(0)
+		w = wire.NewWriterSize(4 + len(packed) + cryptoutil.HashSize)
+		w.U8(ncLeaf)
 		if n.sealed {
-			flags = 1
+			w.U8(1)
+		} else {
+			w.U8(0)
 		}
-		b = append(b, ncLeaf, flags, byte(len(n.path)>>8), byte(len(n.path)))
-		b = appendPacked(b, n.path)
-		b = append(b, n.value[:]...)
+		writePath(w, packed, len(n.path))
+		w.Hash(n.value)
 	case kindBranch:
-		b = append(b, ncBranch)
-		b = appendChildRef(b, n.children[0])
-		b = appendChildRef(b, n.children[1])
+		w = wire.NewWriterSize(1 + childSize(n.children[0]) + childSize(n.children[1]))
+		w.U8(ncBranch)
+		writeChild(w, n.children[0])
+		writeChild(w, n.children[1])
 	case kindExt:
-		b = append(b, ncExt, byte(len(n.path)>>8), byte(len(n.path)))
-		b = appendPacked(b, n.path)
-		b = appendChildRef(b, n.child)
+		w = wire.NewWriterSize(3 + len(packed) + childSize(n.child))
+		w.U8(ncExt)
+		writePath(w, packed, len(n.path))
+		writeChild(w, n.child)
 	default:
 		panic("trie: encode node: invalid node kind")
 	}
-	return b
+	return w.Bytes()
 }
 
-func appendChildRef(b []byte, r ref) []byte {
+// childSize is the encoded size of a child reference: its state byte, then
+// its hash unless it is empty.
+func childSize(r ref) int {
+	if !r.sealed && r.hash.IsZero() {
+		return 1
+	}
+	return 1 + cryptoutil.HashSize
+}
+
+func writeChild(w *wire.Writer, r ref) {
 	switch {
 	case r.sealed:
-		b = append(b, ncChildSealed)
-		return append(b, r.hash[:]...)
+		w.U8(ncChildSealed)
+		w.Hash(r.hash)
 	case r.hash.IsZero():
-		return append(b, ncChildEmpty)
+		w.U8(ncChildEmpty)
 	default:
-		b = append(b, ncChildHash)
-		return append(b, r.hash[:]...)
+		w.U8(ncChildHash)
+		w.Hash(r.hash)
 	}
 }
 
-// nodeDecoder is a minimal cursor over an encoded node.
-type nodeDecoder struct {
-	b []byte
-}
-
-func (d *nodeDecoder) u8() (byte, error) {
-	if len(d.b) < 1 {
-		return 0, fmt.Errorf("trie: decode node: short buffer")
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v, nil
-}
-
-func (d *nodeDecoder) take(n int) ([]byte, error) {
-	if len(d.b) < n {
-		return nil, fmt.Errorf("trie: decode node: short buffer")
-	}
-	v := d.b[:n]
-	d.b = d.b[n:]
-	return v, nil
-}
-
-func (d *nodeDecoder) path() (path, error) {
-	lb, err := d.take(2)
-	if err != nil {
-		return nil, err
-	}
-	bits := int(lb[0])<<8 | int(lb[1])
-	if bits > keyBits {
-		return nil, fmt.Errorf("trie: decode node: path length %d exceeds key bits", bits)
-	}
-	packed, err := d.take((bits + 7) / 8)
-	if err != nil {
-		return nil, err
-	}
-	if !canonicalPacked(packed, bits) {
-		return nil, fmt.Errorf("trie: decode node: non-canonical path")
-	}
-	return unpackPath(packed, bits), nil
-}
-
-func (d *nodeDecoder) hash() (cryptoutil.Hash, error) {
-	b, err := d.take(cryptoutil.HashSize)
-	if err != nil {
-		return cryptoutil.ZeroHash, err
-	}
-	var h cryptoutil.Hash
-	copy(h[:], b)
-	return h, nil
-}
-
-func (d *nodeDecoder) childRef() (ref, error) {
-	state, err := d.u8()
-	if err != nil {
-		return ref{}, err
-	}
-	switch state {
+// readChild reads what writeChild wrote. A live child with the empty hash
+// is refused: it would re-encode as an empty child.
+func readChild(r *wire.Reader) (ref, error) {
+	switch state := r.U8(); state {
 	case ncChildEmpty:
 		return ref{}, nil
 	case ncChildHash:
-		h, err := d.hash()
-		if err != nil {
-			return ref{}, err
-		}
-		if h.IsZero() {
+		h := r.Hash()
+		if h.IsZero() && r.Err() == nil {
 			return ref{}, fmt.Errorf("trie: decode node: live child with the empty hash")
 		}
 		return ref{hash: h}, nil
 	case ncChildSealed:
-		h, err := d.hash()
-		if err != nil {
-			return ref{}, err
-		}
-		return ref{hash: h, sealed: true}, nil
+		return ref{hash: r.Hash(), sealed: true}, nil
 	default:
 		return ref{}, fmt.Errorf("trie: decode node: unknown child state %#x", state)
 	}
+}
+
+// readNodePath reads a node's path and unpacks it.
+func readNodePath(r *wire.Reader) (path, error) {
+	packed, bits, err := readPath(r)
+	if err != nil {
+		return nil, fmt.Errorf("trie: decode node: %w", err)
+	}
+	return unpackPath(packed, bits), nil
 }
 
 // decodeNode parses a node encoded by encodeNode and verifies that its
@@ -163,56 +124,42 @@ func decodeNode(h cryptoutil.Hash, enc []byte) (*node, error) {
 // non-canonical form. Children come back as evicted refs (hash only); the
 // node carries write generation 0 so the first mutation path-copies it.
 func parseNode(enc []byte) (*node, error) {
-	d := nodeDecoder{b: enc}
-	kind, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
+	r := wire.NewReader(enc)
 	n := &node{}
-	switch kind {
+	var err error
+	switch kind := r.U8(); kind {
 	case ncLeaf:
-		flags, err := d.u8()
-		if err != nil {
-			return nil, err
-		}
+		flags := r.U8()
 		if flags > 1 {
 			return nil, fmt.Errorf("trie: decode node: invalid leaf flags %#x", flags)
 		}
-		p, err := d.path()
-		if err != nil {
+		n.kind, n.sealed = kindLeaf, flags == 1
+		if n.path, err = readNodePath(r); err != nil {
 			return nil, err
 		}
-		v, err := d.hash()
-		if err != nil {
-			return nil, err
-		}
-		n.kind, n.path, n.value, n.sealed = kindLeaf, p, v, flags&1 != 0
+		n.value = r.Hash()
 	case ncBranch:
-		left, err := d.childRef()
-		if err != nil {
-			return nil, err
-		}
-		right, err := d.childRef()
-		if err != nil {
-			return nil, err
-		}
 		n.kind = kindBranch
-		n.children[0], n.children[1] = left, right
+		for i := range n.children {
+			if n.children[i], err = readChild(r); err != nil {
+				return nil, err
+			}
+		}
 	case ncExt:
-		p, err := d.path()
-		if err != nil {
+		n.kind = kindExt
+		if n.path, err = readNodePath(r); err != nil {
 			return nil, err
 		}
-		child, err := d.childRef()
-		if err != nil {
+		if n.child, err = readChild(r); err != nil {
 			return nil, err
 		}
-		n.kind, n.path, n.child = kindExt, p, child
 	default:
-		return nil, fmt.Errorf("trie: decode node: unknown kind %#x", kind)
+		if r.Err() == nil {
+			return nil, fmt.Errorf("trie: decode node: unknown kind %#x", kind)
+		}
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("trie: decode node: %d trailing bytes", len(d.b))
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("trie: decode node: %w", err)
 	}
 	return n, nil
 }

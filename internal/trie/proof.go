@@ -64,6 +64,8 @@ type Proof struct {
 	ExtPathLen  int
 	ExtChild    cryptoutil.Hash
 
+	// terminal is the shape: Prove and UnmarshalBinary set it, and the
+	// verifiers and MarshalBinary read only it.
 	terminal terminalKind
 }
 
@@ -172,7 +174,7 @@ func reverseItems(items []AscentItem) {
 
 // VerifyMembership checks that proof demonstrates key ↦ value under root.
 func VerifyMembership(root cryptoutil.Hash, key [KeySize]byte, value cryptoutil.Hash, proof *Proof) error {
-	if proof == nil || !proof.Membership || proof.terminalShape() != terminalLeaf {
+	if proof == nil || !proof.Membership || proof.terminal != terminalLeaf {
 		return fmt.Errorf("%w: not a membership proof", ErrBadProof)
 	}
 	if value.IsZero() {
@@ -207,7 +209,7 @@ func VerifyNonMembership(root cryptoutil.Hash, key [KeySize]byte, proof *Proof) 
 	keyPath := keyToPath(key)
 	prefixLen := ascentBits(proof.Items)
 
-	switch proof.terminalShape() {
+	switch proof.terminal {
 	case terminalNone:
 		if len(proof.Items) != 0 || !root.IsZero() {
 			return fmt.Errorf("%w: empty-trie proof against non-empty root", ErrBadProof)
@@ -253,22 +255,6 @@ func VerifyNonMembership(root cryptoutil.Hash, key [KeySize]byte, proof *Proof) 
 		return nil
 	default:
 		return fmt.Errorf("%w: unknown terminal", ErrBadProof)
-	}
-}
-
-// terminalShape recovers the terminal kind for proofs that crossed an
-// encode/decode boundary (the unexported field is rebuilt from contents).
-func (p *Proof) terminalShape() terminalKind {
-	if p.terminal != terminalNone {
-		return p.terminal
-	}
-	switch {
-	case p.LeafPathLen > 0 || len(p.LeafPath) > 0 || p.Membership:
-		return terminalLeaf
-	case p.ExtPathLen > 0:
-		return terminalExt
-	default:
-		return terminalNone
 	}
 }
 

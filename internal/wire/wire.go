@@ -87,7 +87,15 @@ func (w *Writer) Bytes32(b []byte) {
 }
 
 // String16 appends a string with a 2-byte length prefix.
-func (w *Writer) String16(s string) { w.Bytes16([]byte(s)) }
+func (w *Writer) String16(s string) {
+	w.U16(uint16(len(s)))
+	w.buf = append(w.buf, s...)
+}
+
+// Raw appends b with no length prefix: the reader knows its length from
+// what precedes it, as a packed path's from its bit count, or from where
+// the message ends.
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // Reader decodes a binary message; the first error sticks.
 type Reader struct {
@@ -213,6 +221,10 @@ func (r *Reader) Time() time.Time {
 	}
 	return time.Unix(0, int64(v)).UTC()
 }
+
+// Raw reads the n bytes Writer.Raw wrote. The slice aliases the input:
+// copy it to keep it longer than the input.
+func (r *Reader) Raw(n int) []byte { return r.take(n) }
 
 // Bytes16 reads a 2-byte-length-prefixed byte string.
 func (r *Reader) Bytes16() []byte {

@@ -29,6 +29,7 @@ func TestRoundTripAllTypes(t *testing.T) {
 	w.Bytes16([]byte("short"))
 	w.Bytes32(bytes.Repeat([]byte{0xAB}, 70_000))
 	w.String16("hello")
+	w.Raw([]byte("raw"))
 
 	r := NewReader(w.Bytes())
 	if got := r.U8(); got != 7 {
@@ -66,6 +67,9 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 	if got := r.String16(); got != "hello" {
 		t.Fatalf("string16 = %q", got)
+	}
+	if got := r.Raw(3); string(got) != "raw" {
+		t.Fatalf("raw = %q", got)
 	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
