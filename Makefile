@@ -45,7 +45,10 @@ lint: lint-deprecated
 # setting exist only where two callers disagree: the knobs every caller
 # left at one value became constants, the capabilities only they could
 # switch on went with them, and the validator and fisherman lost their
-# transport-less mode (the network is a constructor argument).
+# transport-less mode (the network is a constructor argument). The
+# telemetry registry and tracer are the relayer's only measurement record:
+# its per-update and per-recv records, its timeout count and the
+# experiments' record-based figure path stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -75,6 +78,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'WithTransport\|FlowProfile\|ChannelMix\|PrewarmTop\|MintBatch\|RelayerConfig\|WithNodeStore\|CPNodeStore\|OpLatency' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired settings (DESIGN.md lists the configuration surface that remains; daemons take the network as a constructor argument):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'UpdateRecord\|RecvRecord\|recordSeries\|seriesSet\|TimeoutsRun' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired relayer records (read the relayer.* histograms and counters and the tracer's spans):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -139,9 +147,10 @@ examples-smoke:
 
 # Fuzz smoke gate: every native fuzz target runs for five seconds beyond its
 # seed corpus (which plain `go test` already replays) — the recv staging
-# buffer, the persisted trie node format, the trie proof decoder, WAL
-# recovery from an arbitrary segment, the ICS-24 key derivation, and the
-# two light-client update decoders (Tendermint update, guest signed block).
+# buffer, the staged ack, timeout and update-client payloads, the persisted
+# trie node format, the trie proof decoder, WAL recovery from an arbitrary
+# segment, the ICS-24 key derivation, and the two light-client update
+# decoders (Tendermint update, guest signed block).
 # One target per invocation: `go test -fuzz` takes a single match. A
 # failure leaves the input under the package's testdata/fuzz/ to commit
 # with the fix. WAL recovery opens a directory twice per input, so its
@@ -149,6 +158,7 @@ examples-smoke:
 # five seconds there.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRecvBatchDecode$$' -fuzztime=5s ./internal/guest
+	$(GO) test -run='^$$' -fuzz='^FuzzCommitPayloadDecode$$' -fuzztime=5s ./internal/guest
 	$(GO) test -run='^$$' -fuzz='^FuzzNodeCodecDecode$$' -fuzztime=5s ./internal/trie
 	$(GO) test -run='^$$' -fuzz='^FuzzProofDecode$$' -fuzztime=5s ./internal/trie
 	$(GO) test -run='^$$' -fuzz='^FuzzDiskRecover$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/nodestore
@@ -193,5 +203,5 @@ api-update:
 # The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
-# example smoke runs, and five seconds of each of the seven fuzz targets.
+# example smoke runs, and five seconds of each of the eight fuzz targets.
 ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

@@ -73,13 +73,15 @@ func run(profile host.Profile) {
 	delivered := net.Sched.Now().Sub(start).Round(time.Second)
 	net.Run(10 * time.Second) // let the relayer's bookkeeping callbacks fire
 
+	// The first client update's transactions, and the first received
+	// packet's share of its job's.
 	var updateTxs, recvTxs float64
-	if len(net.Relayer.Updates) > 0 {
-		updateTxs = float64(net.Relayer.Updates[0].Txs)
+	snap := net.SnapshotTelemetry()
+	if s := snap.HistogramSamples("relayer.update.txs"); len(s) > 0 {
+		updateTxs = s[0]
 	}
-	if len(net.Relayer.Recvs) > 0 {
-		r := net.Relayer.Recvs[0]
-		recvTxs = float64(r.Txs) / float64(r.Packets)
+	if s := snap.HistogramSamples("relayer.recv.txs"); len(s) > 0 {
+		recvTxs = s[0]
 	}
 	fmt.Printf("%-10s %10s %12d %14.0f %12.0f %14s\n",
 		profile.Name, profile.SlotDuration, profile.MaxTransactionSize,

@@ -72,9 +72,9 @@ func main() {
 	}
 	fmt.Printf("\nguest chain: height %d, %d live trie nodes, root %s\n",
 		st.Height(), st.StorageNodeCount(), st.Store.Root().Short())
-	if len(net.Relayer.Updates) > 0 {
-		u := net.Relayer.Updates[0]
-		fmt.Printf("first light-client update: %d host txs, %d bytes, %d signatures, cost %.1f¢\n",
-			u.Txs, u.Bytes, u.Sigs, fees.Cents(u.Cost))
+	snap := net.SnapshotTelemetry()
+	if txs := snap.HistogramSamples("relayer.update.txs"); len(txs) > 0 {
+		fmt.Printf("first light-client update: %.0f host txs, %.0f signatures, cost %.1f¢\n",
+			txs[0], snap.HistogramSamples("relayer.update.sigs")[0], snap.HistogramSamples("relayer.update.cost_cents")[0])
 	}
 }

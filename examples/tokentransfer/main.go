@@ -78,5 +78,5 @@ func main() {
 	net.Run(6 * time.Minute)
 	after := net.GuestApp.Balance(erin.Key.Public().String(), "SOLG")
 	fmt.Printf("erin before refund: %d, after: %d (999 refunded: %v)\n", before, after, after == before+999)
-	fmt.Printf("timeouts proven by relayer: %d\n", net.Relayer.TimeoutsRun)
+	fmt.Printf("timeouts proven by relayer: %d\n", net.SnapshotTelemetry().Counter("relayer.timeouts_submitted"))
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fees"
 	"repro/internal/host"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/validator"
 )
 
@@ -98,16 +99,15 @@ func TestGuestToCPTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, tr := range n.Relayer.Traces {
-		if tr.AckedAt.IsZero() {
-			t.Fatalf("packet %v not acked; trace %+v", key, tr)
-		}
-		if st.Handler.HasCommitment(tr.Packet) {
-			t.Fatalf("commitment for %v not cleared", key)
-		}
+	traces := n.SnapshotTelemetry().Traces
+	if len(traces) != 1 {
+		t.Fatalf("traced %d packets, want 1", len(traces))
 	}
-	if len(n.Relayer.Traces) != 1 {
-		t.Fatalf("traced %d packets, want 1", len(n.Relayer.Traces))
+	if _, ok := traces[0].Span(telemetry.StageAck); !ok {
+		t.Fatalf("packet not acked; trace %+v", traces[0])
+	}
+	if st.Handler.HasCommitment(&ibc.Packet{Sequence: 1, SourcePort: "transfer", SourceChannel: n.Boot.GuestChannel}) {
+		t.Fatal("commitment not cleared")
 	}
 }
 
@@ -129,15 +129,17 @@ func TestCPToGuestTransfer(t *testing.T) {
 		t.Fatalf("dave voucher balance = %d, want 120", got)
 	}
 	// The light-client update machinery ran (chunked txs).
-	if len(n.Relayer.Updates) == 0 {
+	snap := n.SnapshotTelemetry()
+	updates := snap.HistogramSamples("relayer.update.txs")
+	if len(updates) == 0 {
 		t.Fatal("no client updates recorded")
 	}
-	if n.Relayer.Updates[0].Txs < 5 {
-		t.Fatalf("client update used %d txs; expected a chunked upload", n.Relayer.Updates[0].Txs)
+	if updates[0] < 5 {
+		t.Fatalf("client update used %v txs; expected a chunked upload", updates[0])
 	}
 	// The recv flow used multiple host transactions.
-	if len(n.Relayer.Recvs) != 1 || n.Relayer.Recvs[0].Packets != 1 {
-		t.Fatalf("recv records = %+v, want one job of one packet", n.Relayer.Recvs)
+	if txs := snap.HistogramSamples("relayer.recv.txs"); len(txs) != 1 || txs[0] < 2 || hostResults(n, "recv-packet/commit") != 1 {
+		t.Fatalf("recv txs per packet = %v, want one job of one packet in several transactions", txs)
 	}
 	// The ack rode a finalised guest block back and cleared the cp-side
 	// commitment.
@@ -239,7 +241,8 @@ func TestRelayerFeesFollowHostProfile(t *testing.T) {
 	}
 	n.Run(10 * time.Minute)
 	paid, reported := balance-n.Host.Balance(key), n.Relayer.TotalFees-reported
-	if len(n.Relayer.Updates) == 0 || paid == 0 || paid != reported {
-		t.Fatalf("relayer reports %d lamports in fees over %d client updates, the host debited %d", reported, len(n.Relayer.Updates), paid)
+	updates := len(n.SnapshotTelemetry().HistogramSamples("relayer.update.txs"))
+	if updates == 0 || paid == 0 || paid != reported {
+		t.Fatalf("relayer reports %d lamports in fees over %d client updates, the host debited %d", reported, updates, paid)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/ibc"
 	"repro/internal/middleware"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/transfer"
 	"repro/internal/validator"
 )
@@ -27,23 +29,34 @@ func TestUpdateCoalescing(t *testing.T) {
 		}
 	}
 	n.Run(6 * time.Minute)
-	delivered := 0
-	for _, r := range n.Relayer.Recvs {
-		delivered += r.Packets
-	}
-	if delivered != 6 {
+	// A landed recv job observes one recv.txs sample per packet it carried.
+	snap := n.SnapshotTelemetry()
+	if delivered := len(snap.HistogramSamples("relayer.recv.txs")); delivered != 6 {
 		t.Fatalf("delivered %d of 6", delivered)
 	}
 	// Packets provable behind one update share a chunk sequence and commit.
-	if len(n.Relayer.Recvs) >= 6 {
-		t.Fatalf("%d recv jobs for 6 packets; expected batching", len(n.Relayer.Recvs))
+	if jobs := hostResults(n, "recv-packet/commit"); jobs >= 6 {
+		t.Fatalf("%d recv jobs for 6 packets; expected batching", jobs)
 	}
-	if len(n.Relayer.Updates) >= 6 {
-		t.Fatalf("%d updates for 6 packets; expected coalescing", len(n.Relayer.Updates))
+	if updates := len(snap.HistogramSamples("relayer.update.txs")); updates >= 6 {
+		t.Fatalf("%d updates for 6 packets; expected coalescing", updates)
 	}
 	if n.Relayer.TotalFees == 0 {
 		t.Fatal("relayer paid no fees")
 	}
+}
+
+// hostResults counts the host transactions labelled label.
+func hostResults(n *Network, label string) int {
+	count := 0
+	for _, b := range n.Host.BlocksSince(0) {
+		for _, res := range b.Results {
+			if res.Label == label {
+				count++
+			}
+		}
+	}
+	return count
 }
 
 // TestRecvBatchingRespectsHostLimits: 40 counterparty packets on two
@@ -91,9 +104,8 @@ func TestRecvBatchingRespectsHostLimits(t *testing.T) {
 	// The first packet starts a client update; the rest commit behind it.
 	sent := []*ibc.Packet{send(0)}
 	n.Run(cp.BlockInterval + time.Second)
-	if len(n.Relayer.Updates) != 0 || len(n.Relayer.Recvs) != 0 {
-		t.Fatalf("the first update already landed (%d updates, %d recvs); the burst would not queue behind it",
-			len(n.Relayer.Updates), len(n.Relayer.Recvs))
+	if snap := n.SnapshotTelemetry(); len(snap.HistogramSamples("relayer.update.txs")) != 0 || len(snap.HistogramSamples("relayer.recv.txs")) != 0 {
+		t.Fatal("the first update already landed; the burst would not queue behind it")
 	}
 	for i := 1; i < 2*perChannel; i++ {
 		sent = append(sent, send(i%2))
@@ -120,18 +132,15 @@ func TestRecvBatchingRespectsHostLimits(t *testing.T) {
 		}
 	}
 
-	delivered, jobs := 0, 0
-	for _, r := range n.Relayer.Recvs {
-		delivered += r.Packets
-		jobs++
-		// Every hook burns its whole allowance, so the compute bound caps
-		// a job well below what the heap alone would admit.
-		if most := int(host.MaxComputeUnits / 2 / hookBudget); r.Packets > most {
-			t.Errorf("a job carried %d packets; %d-unit hooks allow at most %d", r.Packets, hookBudget, most)
-		}
-	}
+	delivered := len(n.SnapshotTelemetry().HistogramSamples("relayer.recv.txs"))
+	jobs := hostResults(n, "recv-packet/commit")
 	if delivered != len(sent) {
 		t.Fatalf("delivered %d of %d", delivered, len(sent))
+	}
+	// Every hook burns its whole allowance, so the compute bound caps a job
+	// well below what the heap alone would admit.
+	if most := int(host.MaxComputeUnits / 2 / hookBudget); jobs*most < delivered {
+		t.Errorf("%d jobs carried %d packets; %d-unit hooks allow at most %d a job", jobs, delivered, hookBudget, most)
 	}
 	t.Logf("%d packets in %d jobs, %d recv transactions", delivered, jobs, recvTxs)
 	if perPacket := float64(recvTxs) / float64(len(sent)); perPacket >= 1.2 {
@@ -176,8 +185,11 @@ func TestOrderedInboundBatch(t *testing.T) {
 	}
 	n.Run(6 * time.Minute)
 
-	if len(n.Relayer.Recvs) != 1 || n.Relayer.Recvs[0].Packets != packets {
-		t.Fatalf("recv records = %+v, want one job of %d packets", n.Relayer.Recvs, packets)
+	// One job: one commit, and one recv.txs sample per packet, each its
+	// share of the job's transactions.
+	txs := n.SnapshotTelemetry().HistogramSamples("relayer.recv.txs")
+	if commits := hostResults(n, "recv-packet/commit"); commits != 1 || len(txs) != packets {
+		t.Fatalf("%d recv commits delivered %d packets, want one job of %d", commits, len(txs), packets)
 	}
 	recvTxs := 0
 	for _, b := range n.Host.BlocksSince(0) {
@@ -190,8 +202,8 @@ func TestOrderedInboundBatch(t *testing.T) {
 			}
 		}
 	}
-	if recvTxs != n.Relayer.Recvs[0].Txs {
-		t.Errorf("%d recv transactions on the host, the one job built %d: something was resubmitted", recvTxs, n.Relayer.Recvs[0].Txs)
+	if built := math.Round(txs[0] * packets); float64(recvTxs) != built {
+		t.Errorf("%d recv transactions on the host, the one job built %v: something was resubmitted", recvTxs, built)
 	}
 	voucher := transfer.VoucherPrefix("transfer", n.Boot.GuestChannel) + "PICA"
 	if got := n.GuestApp.Balance("guest-recv", voucher); got != packets*10 {
@@ -262,8 +274,8 @@ func TestEpochRotationIntegration(t *testing.T) {
 	}
 	// The whole pipeline survived the rotation: the last packet acked.
 	acked := 0
-	for _, tr := range n.Relayer.Traces {
-		if !tr.AckedAt.IsZero() {
+	for _, tr := range n.SnapshotTelemetry().Traces {
+		if _, ok := tr.Span(telemetry.StageAck); ok {
 			acked++
 		}
 	}
@@ -349,9 +361,9 @@ func TestManyPacketsBothDirections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, tr := range n.Relayer.Traces {
-		if st.Handler.HasCommitment(tr.Packet) {
-			t.Fatalf("commitment %v never cleared", key)
+	for seq := uint64(1); seq <= each; seq++ {
+		if st.Handler.HasCommitment(&ibc.Packet{Sequence: seq, SourcePort: "transfer", SourceChannel: n.Boot.GuestChannel}) {
+			t.Fatalf("commitment %d never cleared", seq)
 		}
 	}
 	// Receipts were sealed: guest storage stays small.

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fees"
 	"repro/internal/host"
-	"repro/internal/relayer"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -100,7 +99,7 @@ type Deployment struct {
 	InboundSent  int
 
 	// sendMeta records the fee policy and fee of each outbound send, in
-	// send order, so collect can join them with relayer traces.
+	// send order, so collect can join them with the tracer's packet traces.
 	sendMeta []sendMeta
 }
 
@@ -193,38 +192,11 @@ func RunWithNetwork(cfg Config, netCfg core.Config) (*Deployment, error) {
 	return d, nil
 }
 
-// seriesSet bundles every figure series a deployment run produces.
-type seriesSet struct {
-	Sends           []SendSample
-	UpdateLatencies []float64
-	UpdateTxCounts  []float64
-	UpdateCosts     []float64
-	UpdateSigs      []float64
-	RecvTxs         []float64
-	RecvCostsCents  []float64
-	BlockIntervals  []float64
-}
-
-// collect extracts all series from the finished network's telemetry
-// snapshot. The legacy in-memory records remain available through
-// recordSeries as the determinism reference.
+// collect compiles every figure series from the finished network's
+// telemetry snapshot: packet traces give Figs. 2-3, the relayer histograms
+// Figs. 4-5 and the §V-A receive flow, and the block-cadence histogram
+// Fig. 6.
 func (d *Deployment) collect() {
-	s := d.telemetrySeries()
-	d.Sends = s.Sends
-	d.UpdateLatencies = s.UpdateLatencies
-	d.UpdateTxCounts = s.UpdateTxCounts
-	d.UpdateCosts = s.UpdateCosts
-	d.UpdateSigs = s.UpdateSigs
-	d.RecvTxs = s.RecvTxs
-	d.RecvCostsCents = s.RecvCostsCents
-	d.BlockIntervals = s.BlockIntervals
-}
-
-// telemetrySeries compiles every figure series from the network's telemetry
-// snapshot: packet traces give Figs. 2-3, the relayer histograms Figs. 4-5
-// and the §V-A receive flow, and the block-cadence histogram Fig. 6.
-func (d *Deployment) telemetrySeries() seriesSet {
-	var s seriesSet
 	snap := d.Net.SnapshotTelemetry()
 
 	// Figs. 2-3: per packet, SendPacket -> FinalisedBlock and the send
@@ -255,79 +227,26 @@ func (d *Deployment) telemetrySeries() seriesSet {
 			continue
 		}
 		meta := d.sendMeta[i]
-		s.Sends = append(s.Sends, SendSample{
+		d.Sends = append(d.Sends, SendSample{
 			Latency: fin.At.Sub(send.At).Seconds(),
 			CostUSD: fees.USD(meta.fee),
 			Policy:  meta.policy,
 		})
 	}
 
-	// Figs. 4-5: relayer client updates (histograms preserve observation
-	// order, so these series match the in-memory record order).
-	s.UpdateLatencies = snap.HistogramSamples("relayer.update.latency_s")
-	s.UpdateTxCounts = snap.HistogramSamples("relayer.update.txs")
-	s.UpdateCosts = snap.HistogramSamples("relayer.update.cost_cents")
-	s.UpdateSigs = snap.HistogramSamples("relayer.update.sigs")
+	// Figs. 4-5: relayer client updates, in observation order.
+	d.UpdateLatencies = snap.HistogramSamples("relayer.update.latency_s")
+	d.UpdateTxCounts = snap.HistogramSamples("relayer.update.txs")
+	d.UpdateCosts = snap.HistogramSamples("relayer.update.cost_cents")
+	d.UpdateSigs = snap.HistogramSamples("relayer.update.sigs")
 
 	// §V-A receive flow.
-	s.RecvTxs = snap.HistogramSamples("relayer.recv.txs")
-	s.RecvCostsCents = snap.HistogramSamples("relayer.recv.cost_cents")
+	d.RecvTxs = snap.HistogramSamples("relayer.recv.txs")
+	d.RecvCostsCents = snap.HistogramSamples("relayer.recv.cost_cents")
 
 	// Fig. 6: guest block intervals.
-	s.BlockIntervals = snap.HistogramSamples("guest.block.interval_s")
-	return s
+	d.BlockIntervals = snap.HistogramSamples("guest.block.interval_s")
 }
-
-// recordSeries recomputes every series from the relayer's in-memory records
-// and the guest state — the pre-telemetry collection path. It is kept as the
-// reference implementation the determinism test pins telemetrySeries to.
-func (d *Deployment) recordSeries() seriesSet {
-	var s seriesSet
-	st, err := d.Net.GuestState()
-	if err != nil {
-		return s
-	}
-	traces := make([]*relayerTrace, 0, len(d.Net.Relayer.Traces))
-	for _, tr := range d.Net.Relayer.Traces {
-		traces = append(traces, tr)
-	}
-	sort.Slice(traces, func(i, j int) bool { return traces[i].Packet.Sequence < traces[j].Packet.Sequence })
-	for i, tr := range traces {
-		if tr.FinalisedAt.IsZero() || tr.SentAt.IsZero() || i >= len(d.sendMeta) {
-			continue
-		}
-		meta := d.sendMeta[i]
-		s.Sends = append(s.Sends, SendSample{
-			Latency: tr.FinalisedAt.Sub(tr.SentAt).Seconds(),
-			CostUSD: fees.USD(meta.fee),
-			Policy:  meta.policy,
-		})
-	}
-
-	for _, u := range d.Net.Relayer.Updates {
-		s.UpdateLatencies = append(s.UpdateLatencies, u.Latency.Seconds())
-		s.UpdateTxCounts = append(s.UpdateTxCounts, float64(u.Txs))
-		s.UpdateCosts = append(s.UpdateCosts, fees.Cents(u.Cost))
-		s.UpdateSigs = append(s.UpdateSigs, float64(u.Sigs))
-	}
-
-	// One sample per received packet: its share of the job that carried it.
-	for _, r := range d.Net.Relayer.Recvs {
-		for i := 0; i < r.Packets; i++ {
-			s.RecvTxs = append(s.RecvTxs, float64(r.Txs)/float64(r.Packets))
-			s.RecvCostsCents = append(s.RecvCostsCents, fees.Cents(r.Cost)/float64(r.Packets))
-		}
-	}
-
-	for i := 1; i < len(st.Entries); i++ {
-		gap := st.Entries[i].CreatedAt.Sub(st.Entries[i-1].CreatedAt).Seconds()
-		s.BlockIntervals = append(s.BlockIntervals, gap)
-	}
-	return s
-}
-
-// relayerTrace aliases the relayer's packet trace type.
-type relayerTrace = relayer.PacketTrace
 
 // sharedRun caches one default deployment for the benchmark suite: the
 // simulation is deterministic, so every figure bench reads the same run.

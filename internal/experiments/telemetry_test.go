@@ -1,33 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
-
-// TestTelemetrySeriesMatchRecords pins the telemetry-derived figure series
-// to the pre-telemetry record-based collection path: both must produce
-// bit-identical values in identical order, so moving the figures onto
-// telemetry snapshots changes nothing about the reported numbers.
-func TestTelemetrySeriesMatchRecords(t *testing.T) {
-	d := getShortRun(t)
-	tel := d.telemetrySeries()
-	rec := d.recordSeries()
-
-	check := func(name string, got, want any) {
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s diverged between telemetry and records:\n got %v\nwant %v", name, got, want)
-		}
-	}
-	check("Sends", tel.Sends, rec.Sends)
-	check("UpdateLatencies", tel.UpdateLatencies, rec.UpdateLatencies)
-	check("UpdateTxCounts", tel.UpdateTxCounts, rec.UpdateTxCounts)
-	check("UpdateCosts", tel.UpdateCosts, rec.UpdateCosts)
-	check("UpdateSigs", tel.UpdateSigs, rec.UpdateSigs)
-	check("RecvTxs", tel.RecvTxs, rec.RecvTxs)
-	check("RecvCostsCents", tel.RecvCostsCents, rec.RecvCostsCents)
-	check("BlockIntervals", tel.BlockIntervals, rec.BlockIntervals)
-}
+import "testing"
 
 // TestTelemetrySnapshotCoversLifecycle sanity-checks that a deployment run
 // leaves a populated snapshot: non-zero packet counters on both handlers and

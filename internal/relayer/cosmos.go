@@ -183,7 +183,7 @@ func (c *cosmosEnd) ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64
 		})
 }
 
-func (c *cosmosEnd) timeoutPacket(_ *shard, tr *PacketTrace, proof []byte, provedAt ibc.Height) {
-	c.submit(netsim.MsgTimeoutPacket{Packet: tr.Packet, Proof: proof, ProofHeight: provedAt},
+func (c *cosmosEnd) timeoutPacket(_ *shard, tr *packetTrace, proof []byte, provedAt ibc.Height) {
+	c.submit(netsim.MsgTimeoutPacket{Packet: tr.packet, Proof: proof, ProofHeight: provedAt},
 		func(_ any, err error) { c.r.timedOut(tr, err) })
 }

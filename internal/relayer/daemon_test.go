@@ -9,9 +9,10 @@ import (
 	"repro/internal/host"
 	"repro/internal/ibc"
 	"repro/internal/netsim"
+	"repro/internal/telemetry"
 )
 
-// The tests below pin what only a guest link has: the Fig. 2 milestones,
+// The tests below pin what only a guest link has: the Fig. 2 tracer spans,
 // chunked client updates, the multi-transaction ReceivePacket flow, host
 // fees. They run on the shared harness's guest link, over its "transfer"
 // channel.
@@ -33,29 +34,32 @@ func TestDaemonRelaysOutboundPacketAndAck(t *testing.T) {
 	}
 	h.sched.RunFor(3 * time.Minute)
 
-	if len(h.relayer.Traces) != 1 {
-		t.Fatalf("traces = %d", len(h.relayer.Traces))
+	// Fig. 2's milestones are the packet's tracer spans.
+	traces := h.tel.Tracer.Snapshot()
+	if len(traces) != 1 {
+		t.Fatalf("traced %d packets, want 1", len(traces))
 	}
-	for _, tr := range h.relayer.Traces {
-		if tr.FinalisedAt.IsZero() {
-			t.Fatal("packet never finalised")
+	var at []time.Time
+	for _, stage := range []string{telemetry.StageSend, telemetry.StageFinalise, telemetry.StageRecv, telemetry.StageAck} {
+		span, ok := traces[0].Span(stage)
+		if !ok {
+			t.Fatalf("no %s span: %+v", stage, traces[0])
 		}
-		if tr.DeliveredAt.IsZero() {
-			t.Fatal("packet never delivered to the counterparty")
-		}
-		if tr.AckedAt.IsZero() {
-			t.Fatal("ack never returned")
-		}
-		if !tr.SentAt.Before(tr.FinalisedAt) || tr.FinalisedAt.After(tr.DeliveredAt) {
-			t.Fatalf("milestones out of order: %+v", tr)
-		}
+		at = append(at, span.At)
+	}
+	if !at[0].Before(at[1]) || at[1].After(at[2]) || at[2].After(at[3]) {
+		t.Fatalf("milestones out of order: %+v", traces[0])
+	}
+	if len(h.relayer.traces) != 0 {
+		t.Fatalf("%d traces held for a packet that cannot expire", len(h.relayer.traces))
 	}
 	// The ack flow required a client update on the guest (chunked).
-	if len(h.relayer.Updates) == 0 {
+	updates := h.tel.Metrics.Snapshot().HistogramSamples("relayer.update.txs")
+	if len(updates) == 0 {
 		t.Fatal("no client updates")
 	}
-	if h.relayer.Updates[0].Txs < 2 {
-		t.Fatalf("update txs = %d", h.relayer.Updates[0].Txs)
+	if updates[0] < 2 {
+		t.Fatalf("update txs = %v", updates[0])
 	}
 	if h.relayer.TotalFees == 0 {
 		t.Fatal("relayer paid nothing")
@@ -69,11 +73,20 @@ func TestDaemonDeliversInboundPacket(t *testing.T) {
 	}
 	h.sched.RunFor(4 * time.Minute)
 
-	if len(h.relayer.Recvs) != 1 || h.relayer.Recvs[0].Packets != 1 {
-		t.Fatalf("recvs = %+v, want one job of one packet", h.relayer.Recvs)
+	// One job of one packet: one recv.txs sample, and one commit on the host.
+	if txs := h.tel.Metrics.Snapshot().HistogramSamples("relayer.recv.txs"); len(txs) != 1 || txs[0] < 2 {
+		t.Fatalf("recv txs per packet = %v, want one packet in at least 2 transactions", txs)
 	}
-	if h.relayer.Recvs[0].Txs < 2 {
-		t.Fatalf("recv txs = %d", h.relayer.Recvs[0].Txs)
+	commits := 0
+	for _, b := range h.chain.BlocksSince(0) {
+		for _, res := range b.Results {
+			if res.Label == "recv-packet/commit" {
+				commits++
+			}
+		}
+	}
+	if commits != 1 {
+		t.Fatalf("%d recv commits on the host, want one job", commits)
 	}
 	// The ack went back to the counterparty and cleared its commitment.
 	var cleared bool
@@ -108,27 +121,34 @@ func TestDaemonTimeoutFlow(t *testing.T) {
 	}
 	h.sched.RunFor(5 * time.Minute)
 
-	if h.relayer.TimeoutsRun != 1 {
-		t.Fatalf("timeouts run = %d, want 1 (deduped)", h.relayer.TimeoutsRun)
+	if n := h.counter("timeouts_submitted"); n != 1 {
+		t.Fatalf("timeouts submitted = %d, want 1 (deduped)", n)
 	}
 	st, err := h.contract.State(h.chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range h.relayer.Traces {
-		if st.Handler.HasCommitment(tr.Packet) {
-			t.Fatal("commitment not cleared by timeout")
-		}
-		if !tr.DeliveredAt.IsZero() {
-			t.Fatal("expired packet was delivered")
-		}
+	p := &ibc.Packet{Sequence: 1, SourcePort: "transfer", SourceChannel: h.res.GuestChannel}
+	if st.Handler.HasCommitment(p) {
+		t.Fatal("commitment not cleared by timeout")
+	}
+	tr, _ := h.tel.Tracer.Trace(traceKey(p))
+	if _, ok := tr.Span(telemetry.StageTimeout); !ok {
+		t.Fatalf("no timeout span: %+v", tr)
+	}
+	if _, ok := tr.Span(telemetry.StageRecv); ok {
+		t.Fatal("expired packet was delivered")
+	}
+	if len(h.relayer.traces) != 0 {
+		t.Fatalf("%d traces left once the timeout cleared the commitment", len(h.relayer.traces))
 	}
 }
 
 // TestCheckTimeoutsOrdersSameScanExpiries pins the timeout scan's
-// submission order: Traces is a map, so packets expiring in one scan must
-// be sorted by (port, channel, sequence) before their host transactions
-// are enqueued — otherwise the host sees them in a run-dependent order.
+// submission order: the trace table is a map, so packets expiring in one
+// scan must be sorted by (port, channel, sequence) before their host
+// transactions are enqueued — otherwise the host sees them in a
+// run-dependent order.
 func TestCheckTimeoutsOrdersSameScanExpiries(t *testing.T) {
 	const packets = 6
 	run := func() (order []uint64, fees host.Lamports) {

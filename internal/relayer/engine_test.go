@@ -420,8 +420,8 @@ func TestEngine(t *testing.T) {
 			if n := e.counter(ch+"delivered_to_cp") + e.counter(ch+"recv_submitted"); n != 2 {
 				t.Errorf("bank channel counted %d deliveries, want 2", n)
 			}
-			if len(e.relayer.Traces) != 0 && kind == cosmosLink {
-				t.Errorf("%d traces left on a link that keeps none", len(e.relayer.Traces))
+			if n := len(e.relayer.traces); n != 0 {
+				t.Errorf("%d traces left on a link that keeps none", n)
 			}
 		}},
 		{"lossy network delivers exactly once", "", func(t *testing.T, kind linkKind) {
@@ -639,15 +639,19 @@ func TestCosmosRecvRequeuedAfterRefusedUpdate(t *testing.T) {
 // TestTimeoutResubmittedAfterDeadLetter cuts the engine off from the host
 // just as it submits a timeout, until the retry budget dead-letters the
 // submission. The in-flight flag must clear with the dropped job so a
-// later scan resubmits, and the sender is refunded exactly once.
+// later scan resubmits, and the sender is refunded exactly once. The fees
+// the relayer reports are what the host debited: the dead-lettered
+// transaction never reached it.
 func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
 	e := newLinkEnv(t, guestLink, netsim.Config{})
 	r := e.relayer
 	r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 3}
+	key := r.Key().Public()
+	balance := e.chain.Balance(key)
 	cut := false
 	e.sched.Every(15*time.Second, func() bool {
 		r.CheckTimeouts()
-		if r.TimeoutsRun == 1 && !cut {
+		if e.counter("timeouts_submitted") == 1 && !cut {
 			cut = true
 			e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{Drop: 1})
 			e.sched.After(10*time.Second, func() {
@@ -664,14 +668,17 @@ func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
 	if dead := e.counter("net_dead_letters"); dead == 0 {
 		t.Fatal("the cut never dead-lettered a submission; the scenario did not run")
 	}
-	if r.TimeoutsRun != 2 {
-		t.Errorf("timeout submissions = %d, want 2 (dead-lettered, then resubmitted)", r.TimeoutsRun)
+	if n := e.counter("timeouts_submitted"); n != 2 {
+		t.Errorf("timeout submissions = %d, want 2 (dead-lettered, then resubmitted)", n)
 	}
 	e.wantTransferred(t, 90, 0)
-	for _, tr := range r.Traces {
+	for _, tr := range r.traces {
 		if tr.inFlight {
 			t.Error("a trace is still marked in flight")
 		}
+	}
+	if paid := balance - e.chain.Balance(key); paid != r.TotalFees {
+		t.Errorf("relayer reports %d lamports in fees, the host debited %d", r.TotalFees, paid)
 	}
 }
 
@@ -756,15 +763,12 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 	if d, a := e.counter("delivered"), e.counter("acks"); d != live+1 || a != live+1 {
 		t.Errorf("delivered = %d, acks = %d, want %d each (the expired packet is neither)", d, a, live+1)
 	}
-	recorded := 0
-	for _, rec := range r.Recvs {
-		recorded += rec.Packets
+	// A job that landed observes one recv.txs sample per packet it carried.
+	if n := len(e.tel.Metrics.Snapshot().HistogramSamples("relayer.recv.txs")); n != int(live) {
+		t.Errorf("recv jobs that landed carried %d packets, want %d", n, live)
 	}
-	if recorded != int(live) {
-		t.Errorf("recv records cover %d packets, want %d", recorded, live)
-	}
-	if got := e.awayApp.Balance("carol", "COIN"); got != amount || r.TimeoutsRun != 1 {
-		t.Errorf("carol holds %d COIN after %d timeout submissions, want %d after 1 (the expired packet refunded exactly once)", got, r.TimeoutsRun, amount)
+	if got, n := e.awayApp.Balance("carol", "COIN"), e.counter("timeouts_submitted"); got != amount || n != 1 {
+		t.Errorf("carol holds %d COIN after %d timeout submissions, want %d after 1 (the expired packet refunded exactly once)", got, n, amount)
 	}
 	for _, p := range sent {
 		if e.away.Handler().HasCommitment(p) {

@@ -155,7 +155,7 @@ func (g *guestEnd) scan() {
 				if r.route(g.side, p.SourcePort, p.SourceChannel) == nil {
 					continue
 				}
-				r.track(&PacketTrace{Packet: p, SentAt: ev.Time, src: uint8(g.side), keep: true})
+				r.track(g.side, p, true)
 				// Send and commit coincide on the guest: the commitment is
 				// written in the same host transaction as SendPacket.
 				key := traceKey(p)
@@ -178,9 +178,6 @@ func (g *guestEnd) onFinalised(entry *guest.BlockEntry) {
 			continue
 		}
 		owned++
-		if tr := r.Traces[idOf(g.side, p)]; tr != nil {
-			tr.FinalisedAt = entry.FinalisedAt
-		}
 		key := traceKey(p)
 		r.tracer.Mark(key, telemetry.StageFinalise, entry.FinalisedAt)
 		r.tracer.Mark(key, telemetry.StagePickup, r.sched.Now())
@@ -359,32 +356,21 @@ func (g *guestEnd) inOrder() bool { return false }
 // pacer.
 func (g *guestEnd) updateClient(h header, done func(error)) {
 	update := h.(*tendermint.Update)
-	headerBytes := update.Marshal()
 	sigs := make([]guest.SigBatch, 0, len(update.Commit))
 	headerHash := update.Header.Hash()
 	for _, cs := range update.Commit {
 		payload := tendermint.VotePayload(headerHash, cs.Timestamp)
 		sigs = append(sigs, guest.SigBatch{Pub: cs.PubKey, Payload: payload[:], Sig: cs.Signature})
 	}
-	txs := g.builder.UpdateClientTxs(g.clientID, headerBytes, sigs)
+	txs := g.builder.UpdateClientTxs(g.clientID, update.Marshal(), sigs)
 	cost := g.feeOf(txs)
 	g.root.enqueue(txs, func(started, finished time.Time, err error) {
 		if err == nil {
-			rec := UpdateRecord{
-				Height:  ibc.Height(update.Header.Height),
-				Txs:     len(txs),
-				Bytes:   len(headerBytes),
-				Sigs:    len(sigs),
-				Cost:    cost,
-				Latency: finished.Sub(started),
-			}
-			g.r.Updates = append(g.r.Updates, rec)
-			// Observe the exact values the record path captured, so
-			// figures compiled from telemetry snapshots match the series.
-			g.mUpdLatency.Observe(rec.Latency.Seconds())
-			g.mUpdTxs.Observe(float64(rec.Txs))
-			g.mUpdCost.Observe(fees.Cents(rec.Cost))
-			g.mUpdSigs.Observe(float64(rec.Sigs))
+			// Fig. 4's latency is first-tx landing to last-tx landing.
+			g.mUpdLatency.Observe(finished.Sub(started).Seconds())
+			g.mUpdTxs.Observe(float64(len(txs)))
+			g.mUpdCost.Observe(fees.Cents(cost))
+			g.mUpdSigs.Observe(float64(len(sigs)))
 		}
 		done(err)
 	})
@@ -429,7 +415,6 @@ func (g *guestEnd) recvJob(s *shard, job []proven, payloads []*guest.RecvPayload
 			}
 			return
 		}
-		g.r.Recvs = append(g.r.Recvs, RecvRecord{Txs: len(txs), Cost: cost, Packets: len(job)})
 		// The histograms observe each packet's share of its job, so they
 		// keep reading "host txs (cents) per received packet".
 		n := float64(len(job))
@@ -451,8 +436,8 @@ func (g *guestEnd) ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64)
 	})
 }
 
-func (g *guestEnd) timeoutPacket(s *shard, tr *PacketTrace, proof []byte, provedAt ibc.Height) {
-	txs := g.builder.TimeoutPacketTxs(&guest.TimeoutPayload{Packet: tr.Packet, ProofHeight: provedAt, Proof: proof})
+func (g *guestEnd) timeoutPacket(s *shard, tr *packetTrace, proof []byte, provedAt ibc.Height) {
+	txs := g.builder.TimeoutPacketTxs(&guest.TimeoutPayload{Packet: tr.packet, ProofHeight: provedAt, Proof: proof})
 	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) { g.r.timedOut(tr, err) })
 }
 

@@ -78,7 +78,6 @@ func (p *pacer) pump() {
 	}
 	tx := j.txs[0]
 	j.txs = j.txs[1:]
-	g.r.TotalFees += tx.Fee(g.host.Profile())
 	// The host's replay protection makes the reliable call's retries
 	// idempotent.
 	g.r.call(g.node, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx}, func(_ any, err error) {
@@ -92,6 +91,8 @@ func (p *pacer) pump() {
 			sched.After(0, p.pump)
 			return
 		}
+		// Only a transaction the host accepted is charged.
+		g.r.TotalFees += tx.Fee(g.host.Profile())
 		sched.After(g.r.cfg.TxGap.Sample(p.rng), p.pump)
 	})
 }

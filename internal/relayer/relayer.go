@@ -126,41 +126,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// UpdateRecord captures one chunked light-client update on the host (the
-// Fig. 4 / Fig. 5 sample unit).
-type UpdateRecord struct {
-	Height ibc.Height
-	Txs    int
-	Bytes  int
-	Sigs   int
-	Cost   host.Lamports
-	// Latency is first-tx landing to last-tx landing (Fig. 4's metric).
-	Latency time.Duration
-}
-
-// RecvRecord captures one ReceivePacket flow on the host (§V-A: 4-5 txs
-// for a packet on its own): the job's transactions and fees, and how many
-// packets it delivered — everything provable behind one client update
-// shares a chunk sequence and a commit.
-type RecvRecord struct {
-	Txs     int
-	Cost    host.Lamports
-	Packets int
-}
-
-// PacketTrace tracks one packet the relayer may have to time out. Traces
-// of guest-sent packets also carry the milestones Fig. 2 is drawn from
-// and are kept after they settle; any other trace exists only until its
-// packet is delivered, acked or timed out.
-type PacketTrace struct {
-	Packet      *ibc.Packet
-	SentAt      time.Time
-	FinalisedAt time.Time
-	DeliveredAt time.Time
-	AckedAt     time.Time
-
+// packetTrace is a packet the timeout scan may still owe a proof: one that
+// carries a timeout and has not been delivered, nor seen settled.
+type packetTrace struct {
+	packet   *ibc.Packet
 	src      uint8 // side the packet was sent from
-	keep     bool  // guest-sent: retained and mirrored into the tracer
+	guest    bool  // sent from the guest end (see settle)
 	inFlight bool  // a timeout submission is pending
 }
 
@@ -242,7 +213,7 @@ type end interface {
 	updateClient(h header, done func(error))
 	recvPackets(s *shard, batch []proven)
 	ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64)
-	timeoutPacket(s *shard, tr *PacketTrace, proof []byte, provedAt ibc.Height)
+	timeoutPacket(s *shard, tr *packetTrace, proof []byte, provedAt ibc.Height)
 	// sinkNames are the per-channel counters of packets and acks landing
 	// here; backlog is work queued inside the end.
 	sinkNames() (delivered, acked string)
@@ -296,23 +267,18 @@ type Relayer struct {
 	byChan [2]map[chanKey]*shard
 	dirs   [2]direction
 
-	// Stats. The record slices are the pre-telemetry measurement path and
-	// stay authoritative for determinism checks; the telemetry histograms
-	// observe the exact same values. The guest end fills Updates, Recvs
-	// and TotalFees.
-	Updates     []UpdateRecord
-	Recvs       []RecvRecord
-	Traces      map[traceID]*PacketTrace
-	TotalFees   host.Lamports
-	TimeoutsRun int
+	// TotalFees is what the host charged for the transactions the guest end
+	// submitted.
+	TotalFees host.Lamports
 
-	// open indexes the traces CheckTimeouts may still owe a timeout proof
-	// for: recorded with a timeout, not yet delivered, and not yet seen
-	// without their commitment. The scan walks these, never Traces, so its
-	// cost follows the undelivered packets rather than the link's history.
-	open map[traceID]*PacketTrace
+	// traces holds the packets CheckTimeouts may still owe a timeout proof:
+	// recorded with a timeout, not yet delivered, and not yet seen settled.
+	// The scan walks it, so its cost follows the undelivered packets rather
+	// than the link's history.
+	traces map[traceID]*packetTrace
 
-	// Telemetry (all nil-safe no-ops unless WithTelemetry was given).
+	// Telemetry (all nil-safe no-ops unless WithTelemetry was given). Every
+	// measurement the relayer makes lives here.
 	tel            *telemetry.Telemetry
 	tracer         *telemetry.Tracer
 	mClientUpdates *telemetry.Counter
@@ -374,8 +340,7 @@ func New(cfg Config, sched *sim.Scheduler, net *netsim.Network, opts ...Option) 
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		key:    cryptoutil.GenerateKey(cfg.KeyName),
 		retry:  netsim.DefaultRetryPolicy(),
-		Traces: make(map[traceID]*PacketTrace),
-		open:   make(map[traceID]*PacketTrace),
+		traces: make(map[traceID]*packetTrace),
 	}
 	for _, o := range opts {
 		o(r)
@@ -527,37 +492,30 @@ func canExpire(p *ibc.Packet) bool {
 	return p.TimeoutHeight != 0 || !p.TimeoutTimestamp.IsZero()
 }
 
-// track records tr, and opens it for the timeout scan when its packet can
-// expire.
-func (r *Relayer) track(tr *PacketTrace) {
-	id := idOf(int(tr.src), tr.Packet)
-	r.Traces[id] = tr
-	if canExpire(tr.Packet) {
-		r.open[id] = tr
+// track traces a packet committed on side src, if it can expire: the
+// timeout scan may come to owe it a proof.
+func (r *Relayer) track(src int, p *ibc.Packet, guest bool) {
+	if canExpire(p) {
+		r.traces[idOf(src, p)] = &packetTrace{packet: p, src: uint8(src), guest: guest}
 	}
 }
 
-// closeTrace takes a trace the timeout scan has nothing left to do for out
-// of its index. Only a kept trace has a reader after that (Fig. 2).
-func (r *Relayer) closeTrace(id traceID, tr *PacketTrace) {
-	delete(r.open, id)
-	if !tr.keep {
-		delete(r.Traces, id)
+// mark records stage, now, in the tracer for a packet sent from side src.
+// Only the guest end's packets are traced (Fig. 2).
+func (r *Relayer) mark(src int, p *ibc.Packet, stage string) {
+	if _, guest := r.ends[src].(*guestEnd); guest {
+		r.tracer.Mark(traceKey(p), stage, r.sched.Now())
 	}
 }
 
-// queuePacket records a packet committed on side src at height. Only a
-// packet that can expire needs a trace.
+// queuePacket records a packet committed on side src at height.
 func (r *Relayer) queuePacket(src int, p *ibc.Packet, height uint64) {
 	s := r.route(src, p.SourcePort, p.SourceChannel)
 	if s == nil {
 		return
 	}
-	now := r.sched.Now()
-	s.packets[src] = append(s.packets[src], work{packet: p, height: height, seen: now})
-	if canExpire(p) {
-		r.track(&PacketTrace{Packet: p, SentAt: now, src: uint8(src)})
-	}
+	s.packets[src] = append(s.packets[src], work{packet: p, height: height, seen: r.sched.Now()})
+	r.track(src, p, false)
 }
 
 // maybeUpdate keeps the peer's client of side src where src's queued work
@@ -670,15 +628,9 @@ func (r *Relayer) flush(src int, height uint64) {
 // the written ack has it relayed once the ack's height is provable; the
 // guest end relays its own (they ride finalised guest blocks).
 func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provableAt uint64, duplicate bool) {
-	now := r.sched.Now()
-	id := idOf(1-to, p)
-	tr := r.Traces[id]
-	if tr != nil {
-		// A packet that arrived can no longer time out, whoever delivered
-		// it: only its ack is pending.
-		tr.DeliveredAt = now
-		r.closeTrace(id, tr)
-	}
+	// A packet that arrived can no longer time out, whoever delivered it:
+	// only its ack is pending.
+	delete(r.traces, idOf(1-to, p))
 	if duplicate {
 		// A competing relayer won this packet: record the loss and stand
 		// down — the winner counts the delivery, relays the ack, and
@@ -686,9 +638,7 @@ func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provabl
 		r.mLostRace.Inc()
 		return
 	}
-	if tr != nil && tr.keep {
-		r.tracer.Mark(traceKey(p), telemetry.StageRecv, now)
-	}
+	r.mark(1-to, p, telemetry.StageRecv)
 	r.mDelivered.Inc()
 	s.cDelivered[to].Inc()
 	if ack != nil {
@@ -752,37 +702,29 @@ func (r *Relayer) acked(to int, s *shard, p *ibc.Packet, err error) {
 	}
 	r.mAcks.Inc()
 	s.cAcked[to].Inc()
-	r.settle(idOf(to, p), telemetry.StageAck)
+	r.settle(to, p, telemetry.StageAck)
 }
 
 // timedOut records the outcome of a timeout submission. The in-flight
 // flag clears either way, so a dropped submission is retried by a later
 // scan.
-func (r *Relayer) timedOut(tr *PacketTrace, err error) {
+func (r *Relayer) timedOut(tr *packetTrace, err error) {
 	tr.inFlight = false
 	if err == nil {
-		r.settle(idOf(int(tr.src), tr.Packet), telemetry.StageTimeout)
+		r.settle(int(tr.src), tr.packet, telemetry.StageTimeout)
 	}
 }
 
-// settle closes a trace whose packet was acked or timed out. A kept trace
-// whose timeout was submitted stays open until a scan sees its commitment
+// settle closes the trace of a packet sent from side src that was acked or
+// timed out. A guest-sent one stays open until a scan sees its commitment
 // gone: the relayer cannot see a host transaction fail in execution, and a
-// timeout the source rejected has to be submitted again.
-func (r *Relayer) settle(id traceID, stage string) {
-	tr := r.Traces[id]
-	if tr == nil {
-		return
+// timeout the guest rejected has to be submitted again.
+func (r *Relayer) settle(src int, p *ibc.Packet, stage string) {
+	id := idOf(src, p)
+	if tr := r.traces[id]; tr != nil && !tr.guest {
+		delete(r.traces, id)
 	}
-	if !tr.keep {
-		r.closeTrace(id, tr)
-		return
-	}
-	now := r.sched.Now()
-	if stage == telemetry.StageAck {
-		tr.AckedAt = now
-	}
-	r.tracer.Mark(traceKey(tr.Packet), stage, now)
+	r.mark(src, p, stage)
 }
 
 // CheckTimeouts submits a receipt non-membership proof to the sending
@@ -790,15 +732,15 @@ func (r *Relayer) settle(id traceID, stage string) {
 // (unordered channels).
 func (r *Relayer) CheckTimeouts() { r.submitTimeouts(r.expirable()) }
 
-// expirable walks the open traces and returns those a timeout may be
-// submitted for now, closing the ones whose source no longer commits them
-// (acked through another relayer, or timed out).
-func (r *Relayer) expirable() []*PacketTrace {
-	var expired []*PacketTrace
-	for id, tr := range r.open {
+// expirable walks the traces and returns those a timeout may be submitted
+// for now, closing the ones whose source no longer commits them (acked
+// through another relayer, or timed out).
+func (r *Relayer) expirable() []*packetTrace {
+	var expired []*packetTrace
+	for id, tr := range r.traces {
 		switch {
-		case !r.ends[tr.src].hasCommitment(tr.Packet):
-			r.closeTrace(id, tr)
+		case !r.ends[tr.src].hasCommitment(tr.packet):
+			delete(r.traces, id)
 		case tr.inFlight:
 		default:
 			expired = append(expired, tr)
@@ -811,9 +753,9 @@ func (r *Relayer) expirable() []*PacketTrace {
 // elapsed. The candidates come out of a map: they are ordered by (port,
 // channel, sequence) first, so two packets expiring in the same scan are
 // submitted in the same order on every run.
-func (r *Relayer) submitTimeouts(expired []*PacketTrace) {
+func (r *Relayer) submitTimeouts(expired []*packetTrace) {
 	sort.Slice(expired, func(i, j int) bool {
-		a, b := expired[i].Packet, expired[j].Packet
+		a, b := expired[i].packet, expired[j].packet
 		if a.SourcePort != b.SourcePort {
 			return a.SourcePort < b.SourcePort
 		}
@@ -826,7 +768,7 @@ func (r *Relayer) submitTimeouts(expired []*PacketTrace) {
 		return expired[i].src < expired[j].src
 	})
 	for _, tr := range expired {
-		p, src, dst := tr.Packet, int(tr.src), 1-int(tr.src)
+		p, src, dst := tr.packet, int(tr.src), 1-int(tr.src)
 		// The timeout must have elapsed as observable through the sending
 		// chain's client of the destination — proofs are anchored at a
 		// height that client already trusts.
@@ -857,7 +799,6 @@ func (r *Relayer) submitTimeouts(expired []*PacketTrace) {
 		}
 		s := r.route(src, p.SourcePort, p.SourceChannel)
 		tr.inFlight = true
-		r.TimeoutsRun++
 		r.mTimeouts.Inc()
 		s.cTimeouts.Inc()
 		r.ends[src].timeoutPacket(s, tr, proof, known)

@@ -1,10 +1,11 @@
 package relayer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,7 +32,7 @@ type fakeEnd struct {
 
 	commitmentReads int
 	submitted       *[]string      // every timeout handed to either end of the link, in order
-	pending         []*PacketTrace // timeouts handed to this end and not yet settled
+	pending         []*packetTrace // timeouts handed to this end and not yet settled
 }
 
 func (f *fakeEnd) peer() *fakeEnd { return f.r.ends[1-f.side].(*fakeEnd) }
@@ -59,12 +60,17 @@ func (f *fakeEnd) inOrder() bool                             { return false }
 func (f *fakeEnd) updateClient(_ header, done func(error))   { done(nil) }
 func (f *fakeEnd) recvPackets(*shard, []proven)              {}
 func (f *fakeEnd) ackPacket(*shard, ackWork, []byte, uint64) {}
-func (f *fakeEnd) timeoutPacket(s *shard, tr *PacketTrace, _ []byte, provedAt ibc.Height) {
-	*f.submitted = append(*f.submitted, fmt.Sprintf("shard %d side %d %s@%d", s.index, f.side, traceKey(tr.Packet), provedAt))
+func (f *fakeEnd) timeoutPacket(s *shard, tr *packetTrace, _ []byte, provedAt ibc.Height) {
+	*f.submitted = append(*f.submitted, submission(s.index, f.side, tr.packet, uint64(provedAt)))
 	f.pending = append(f.pending, tr)
 }
 func (f *fakeEnd) sinkNames() (string, string) { return "delivered", "acked" }
 func (f *fakeEnd) backlog() int                { return 0 }
+
+// submission names a timeout of p handed to side over shard at provedAt.
+func submission(shard, side int, p *ibc.Packet, provedAt uint64) string {
+	return fmt.Sprintf("shard %d side %d %s@%d", shard, side, traceKey(p), provedAt)
+}
 
 // fakeClient is a light client that trusts whatever it is told.
 type fakeClient struct {
@@ -145,8 +151,7 @@ func newFakeLink(tb testing.TB) *fakeLink {
 }
 
 // send commits a new packet on side's channel ch. Side 1 records it the way
-// the guest end does (a kept trace, timeout or not), side 0 the way a cosmos
-// end does (queuePacket: a trace only if it can expire).
+// the guest end does, side 0 the way a cosmos end does (queuePacket).
 func (l *fakeLink) send(side, ch int, timeout time.Duration) *ibc.Packet {
 	l.nextSeq[side][ch]++
 	link := fakeChannels[ch]
@@ -160,7 +165,7 @@ func (l *fakeLink) send(side, ch int, timeout time.Duration) *ibc.Packet {
 	}
 	l.ends[side].committed[idOf(side, p)] = true
 	if side == 1 {
-		l.r.track(&PacketTrace{Packet: p, SentAt: l.sched.Now(), src: 1, keep: true})
+		l.r.track(1, p, true)
 	} else {
 		l.r.queuePacket(0, p, l.ends[0].height)
 	}
@@ -185,56 +190,47 @@ func (l *fakeLink) advance(d time.Duration) {
 	}
 }
 
-// checkTimeoutsFullWalk is the timeout scan as it was before the open-trace
-// index: it asks the source about every trace the relayer holds. Kept as
-// the reference the index is held to.
-func checkTimeoutsFullWalk(r *Relayer) {
-	var expired []*PacketTrace
-	for id, tr := range r.Traces {
-		p := tr.Packet
-		switch {
-		case !r.ends[tr.src].hasCommitment(p): // acked or already timed out
-			if !tr.keep {
-				delete(r.Traces, id)
-			}
-		case !tr.DeliveredAt.IsZero(): // delivered; ack pending
-		case p.TimeoutHeight == 0 && p.TimeoutTimestamp.IsZero():
-		case tr.inFlight:
-		default:
-			expired = append(expired, tr)
-		}
-	}
-	r.submitTimeouts(expired)
+func (l *fakeLink) counter(name string) uint64 {
+	return l.tel.Metrics.Snapshot().Counters["relayer."+name]
 }
 
-// TestCheckTimeoutsMatchesFullWalk drives two identical links through one
-// seeded schedule of sends, deliveries, lost races, acks, commitments a
-// competing relayer cleared, client updates, and timeout submissions that
-// land, dead-letter, stay pending, or land and are rejected in execution
-// (which the relayer cannot see: it reads as success). One link scans through the open-trace
-// index, the other walks every trace: each scan must submit the same
-// timeouts in the same order.
+// TestCheckTimeoutsMatchesFullWalk drives a link through one seeded
+// schedule of sends, deliveries, lost races, acks, commitments a competing
+// relayer cleared, client updates, and timeout submissions that land,
+// dead-letter, stay pending, or land and are rejected in execution (which
+// the relayer cannot see: it reads as success). Before each scan the
+// schedule walks every packet it sent and, from its own record of each,
+// predicts the timeouts the scan submits and their order; after it, the
+// relayer must hold a trace for exactly the packets it may still owe a
+// timeout proof.
 func TestCheckTimeoutsMatchesFullWalk(t *testing.T) {
+	resubmitted := 0
 	for seed := int64(1); seed <= 6; seed++ {
-		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) { runScanSchedule(t, seed) })
+		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) { resubmitted += runScanSchedule(t, seed) })
+	}
+	if resubmitted == 0 {
+		t.Error("no schedule resubmitted a guest-side timeout that was rejected in execution")
 	}
 }
 
-func runScanSchedule(t *testing.T, seed int64) {
-	links := [2]*fakeLink{newFakeLink(t), newFakeLink(t)}
-	scan := [2]func(*Relayer){(*Relayer).CheckTimeouts, checkTimeoutsFullWalk}
+// runScanSchedule runs the schedule seed draws and returns how often the
+// scan resubmitted a guest-side timeout that had read as landed.
+func runScanSchedule(t *testing.T, seed int64) int {
+	l := newFakeLink(t)
 	rng := rand.New(rand.NewSource(seed))
 	errDead := errors.New("dead letter")
 
-	// The schedule tracks packets by (source side, packet) and applies every
-	// step to both links.
+	// sent is the schedule's record of one packet.
 	type sent struct {
-		src       int
-		p         [2]*ibc.Packet // one per link
-		delivered bool
-		cleared   bool
+		src, ch   int
+		p         *ibc.Packet
+		delivered bool // landed, whoever delivered it
+		cleared   bool // the source no longer commits it
+		inFlight  bool // a timeout submission is pending
+		refunded  bool // a timeout submission read as landed
 	}
 	var packets []*sent
+	byID := map[traceID]*sent{}
 	pick := func(ok func(*sent) bool) *sent {
 		var pool []*sent
 		for _, s := range packets {
@@ -248,18 +244,57 @@ func runScanSchedule(t *testing.T, seed int64) {
 		return pool[rng.Intn(len(pool))]
 	}
 	undelivered := func(s *sent) bool { return !s.delivered && !s.cleared }
-	var lostRaces, rivalClears, deadLetters, landed, rejected int
+	// owed: the relayer may still owe s a timeout proof. The cosmos-like
+	// side (0) is done with a packet once a timeout reads as landed; the
+	// guest-like side (1) waits for the commitment to go, so a timeout
+	// rejected in execution is submitted again.
+	owed := func(s *sent) bool {
+		return canExpire(s.p) && undelivered(s) && !(s.src == 0 && s.refunded)
+	}
+	// expect predicts a scan: the owed packets not in flight, in (port,
+	// channel, sequence) order, whose timeout has elapsed as seen through
+	// the source's client of the destination — which the scan pulls to the
+	// destination's head when that head is past a timeout the client
+	// cannot prove yet.
+	expect := func() (want []string, due []*sent) {
+		var known [2]uint64
+		var knownTime [2]time.Time
+		for side, e := range l.ends {
+			known[side], knownTime[side] = e.cl.latest, e.cl.times[e.cl.latest]
+		}
+		for _, s := range packets {
+			if owed(s) && !s.inFlight {
+				due = append(due, s)
+			}
+		}
+		slices.SortFunc(due, func(a, b *sent) int {
+			return cmp.Or(cmp.Compare(a.p.SourcePort, b.p.SourcePort), cmp.Compare(a.p.SourceChannel, b.p.SourceChannel),
+				cmp.Compare(a.p.Sequence, b.p.Sequence), cmp.Compare(a.src, b.src))
+		})
+		n := 0
+		for _, s := range due {
+			if dst := l.ends[1-s.src]; !s.p.TimedOut(ibc.Height(known[s.src]), knownTime[s.src]) {
+				if s.p.TimedOut(ibc.Height(dst.height), dst.now) {
+					known[s.src], knownTime[s.src] = dst.height, dst.now
+				}
+				continue
+			}
+			want = append(want, submission(s.ch, s.src, s.p, known[s.src]))
+			due[n] = s
+			n++
+		}
+		return want, due[:n]
+	}
+	var lostRaces, rivalClears, deadLetters, landed, rejected, resubmitted int
 
 	for step := 0; step < 1500; step++ {
 		switch op := rng.Intn(12); {
 		case op < 3: // send, most with a timeout
 			src, ch := rng.Intn(2), rng.Intn(2)
 			timeout := time.Duration(rng.Intn(4)) * time.Minute
-			s := &sent{src: src}
-			for i, l := range links {
-				s.p[i] = l.send(src, ch, timeout)
-			}
+			s := &sent{src: src, ch: ch, p: l.send(src, ch, timeout)}
 			packets = append(packets, s)
+			byID[idOf(src, s.p)] = s
 		case op < 5: // deliver; one in three is a race a rival won
 			if s := pick(undelivered); s != nil {
 				s.delivered = true
@@ -267,124 +302,104 @@ func runScanSchedule(t *testing.T, seed int64) {
 				if duplicate {
 					lostRaces++
 				}
-				for i, l := range links {
-					l.deliver(s.src, s.p[i], duplicate)
-				}
+				l.deliver(s.src, s.p, duplicate)
 			}
 		case op < 6: // ack a delivered packet
 			if s := pick(func(s *sent) bool { return s.delivered && !s.cleared }); s != nil {
 				s.cleared = true
-				for i, l := range links {
-					delete(l.ends[s.src].committed, idOf(s.src, s.p[i]))
-					l.r.acked(s.src, l.shardOf(s.src, s.p[i]), s.p[i], nil)
-				}
+				delete(l.ends[s.src].committed, idOf(s.src, s.p))
+				l.r.acked(s.src, l.shardOf(s.src, s.p), s.p, nil)
 			}
 		case op < 7: // a competing relayer settles an undelivered packet
 			if s := pick(undelivered); s != nil {
 				s.cleared = true
 				rivalClears++
-				for i, l := range links {
-					delete(l.ends[s.src].committed, idOf(s.src, s.p[i]))
-				}
+				delete(l.ends[s.src].committed, idOf(s.src, s.p))
 			}
 		case op < 9: // time passes
-			d := time.Duration(1+rng.Intn(90)) * time.Second
-			for _, l := range links {
-				l.advance(d)
-			}
+			l.advance(time.Duration(1+rng.Intn(90)) * time.Second)
 		case op < 10: // other traffic brings one side's client up to date
 			side := rng.Intn(2)
-			for _, l := range links {
-				l.ends[side].cl.install(l.ends[1-side].height, l.ends[1-side].now)
-			}
+			l.ends[side].cl.install(l.ends[1-side].height, l.ends[1-side].now)
 		case op < 11: // settle the oldest pending timeout submission
 			side, outcome := rng.Intn(2), rng.Intn(4)
-			if len(links[0].ends[side].pending) == 0 || outcome == 3 {
+			e := l.ends[side]
+			if len(e.pending) == 0 || outcome == 3 {
 				continue // nothing submitted, or it stays in flight
 			}
-			for _, l := range links {
-				e := l.ends[side]
-				tr := e.pending[0]
-				e.pending = e.pending[1:]
-				switch outcome {
-				case 0: // landed: the source refunds and clears the commitment
-					delete(e.committed, idOf(side, tr.Packet))
-					l.r.timedOut(tr, nil)
-				case 1:
-					l.r.timedOut(tr, errDead)
-				case 2: // submitted in full, rejected on chain
-					l.r.timedOut(tr, nil)
-				}
-			}
+			tr := e.pending[0]
+			e.pending = e.pending[1:]
+			s := byID[idOf(side, tr.packet)]
+			s.inFlight = false
 			switch outcome {
-			case 0:
+			case 0: // landed: the source refunds and clears the commitment
 				landed++
-				// The schedule must not deliver or ack it afterwards.
-				for _, s := range packets {
-					if !links[0].ends[s.src].committed[idOf(s.src, s.p[0])] {
-						s.cleared = true
-					}
-				}
+				s.cleared, s.refunded = true, true
+				delete(e.committed, idOf(side, tr.packet))
+				l.r.timedOut(tr, nil)
 			case 1:
 				deadLetters++
-			case 2:
+				l.r.timedOut(tr, errDead)
+			case 2: // submitted in full, rejected on chain
 				rejected++
+				s.refunded = true
+				l.r.timedOut(tr, nil)
 			}
 		default: // scan
-			for i, l := range links {
-				scan[i](l.r)
+			want, due := expect()
+			before := len(l.submitted)
+			l.r.CheckTimeouts()
+			if got := l.submitted[before:]; !slices.Equal(got, want) {
+				t.Fatalf("step %d: the scan submitted\n%v\nthe schedule expects\n%v", step, got, want)
 			}
-			if !reflect.DeepEqual(links[0].submitted, links[1].submitted) {
-				t.Fatalf("step %d: index submitted\n%v\nfull walk submitted\n%v", step, links[0].submitted, links[1].submitted)
+			for _, s := range due {
+				if s.refunded {
+					resubmitted++
+				}
+				s.inFlight = true
+			}
+			for id := range l.r.traces {
+				if s := byID[id]; !owed(s) {
+					t.Fatalf("step %d: trace %v left after the scan, but the packet is owed nothing (%+v)", step, id, *s)
+				}
+			}
+			for _, s := range packets {
+				if owed(s) && l.r.traces[idOf(s.src, s.p)] == nil {
+					t.Fatalf("step %d: no trace for %s, which may still need a timeout", step, traceKey(s.p))
+				}
 			}
 		}
 	}
 
-	idx, ref := links[0], links[1]
-	if idx.r.TimeoutsRun != ref.r.TimeoutsRun {
-		t.Errorf("TimeoutsRun = %d with the index, %d with the full walk", idx.r.TimeoutsRun, ref.r.TimeoutsRun)
+	submitted := l.counter("timeouts_submitted")
+	if submitted != uint64(len(l.submitted)) {
+		t.Errorf("timeouts_submitted = %d, the ends were handed %d", submitted, len(l.submitted))
 	}
-	a, b := idx.tel.Metrics.Snapshot().Counters, ref.tel.Metrics.Snapshot().Counters
-	for _, name := range []string{"relayer.timeouts_submitted", "relayer.client_updates", "relayer.lost_race",
-		"relayer.ch.channel-5.timeouts", "relayer.ch.channel-6.timeouts"} {
-		if a[name] != b[name] {
-			t.Errorf("%s = %d with the index, %d with the full walk", name, a[name], b[name])
-		}
-	}
-	for id, tr := range ref.r.Traces {
-		if tr.keep && idx.r.Traces[id] == nil {
-			t.Errorf("kept trace %v missing from the indexed link's Traces", id)
-		}
-	}
-	// The index holds nothing the scan is done with.
-	for id, tr := range idx.r.open {
-		if !tr.DeliveredAt.IsZero() || !canExpire(tr.Packet) {
-			t.Errorf("open trace %v is delivered or cannot expire", id)
-		}
-	}
-	if len(idx.r.open) >= len(idx.r.Traces) {
-		t.Errorf("index holds %d of %d traces: nothing left it", len(idx.r.open), len(idx.r.Traces))
+	perChannel := [2]uint64{l.counter("ch.channel-5.timeouts"), l.counter("ch.channel-6.timeouts")}
+	if perChannel[0]+perChannel[1] != submitted {
+		t.Errorf("channel timeout counters %v do not add up to %d", perChannel, submitted)
 	}
 	// The schedule has to have exercised every case it claims to.
-	if idx.r.TimeoutsRun < 20 || landed == 0 || deadLetters == 0 || rejected == 0 || lostRaces == 0 || rivalClears == 0 ||
-		idx.r.TimeoutsRun <= landed || a["relayer.client_updates"] == 0 ||
-		a["relayer.ch.channel-5.timeouts"] == 0 || a["relayer.ch.channel-6.timeouts"] == 0 {
+	if submitted < 20 || landed == 0 || deadLetters == 0 || rejected == 0 || lostRaces == 0 || rivalClears == 0 ||
+		submitted <= uint64(landed) || l.counter("client_updates") == 0 || perChannel[0] == 0 || perChannel[1] == 0 {
 		t.Errorf("thin schedule: %d timeouts submitted (%d landed, %d dead-lettered, %d rejected), %d lost races, %d rival clears, %d client pulls",
-			idx.r.TimeoutsRun, landed, deadLetters, rejected, lostRaces, rivalClears, a["relayer.client_updates"])
+			submitted, landed, deadLetters, rejected, lostRaces, rivalClears, l.counter("client_updates"))
 	}
+	return resubmitted
 }
 
-// TestCheckTimeoutsSkipsSettledTraces: the scan's cost follows the packets
-// that can still expire. With 1 000 delivered traces kept for Fig. 2 and one
-// packet outstanding, a scan consults the source's state once.
+// TestCheckTimeoutsSkipsSettledTraces: the relayer keeps nothing for a
+// packet once it is delivered, so the scan's cost follows the packets that
+// can still expire. With 1 000 packets delivered and one outstanding, a
+// scan consults the source's state once.
 func TestCheckTimeoutsSkipsSettledTraces(t *testing.T) {
 	l := newFakeLink(t)
 	for i := 0; i < 1000; i++ {
 		l.deliver(1, l.send(1, 0, time.Hour), false)
 	}
 	l.send(1, 0, time.Hour)
-	if len(l.r.Traces) != 1001 {
-		t.Fatalf("%d traces kept, want 1001", len(l.r.Traces))
+	if len(l.r.traces) != 1 {
+		t.Fatalf("%d traces after 1 000 deliveries, want the one outstanding packet's", len(l.r.traces))
 	}
 	src := l.ends[1]
 	for scan := 1; scan <= 3; scan++ {
@@ -401,7 +416,7 @@ func TestCheckTimeoutsSkipsSettledTraces(t *testing.T) {
 	l.advance(2 * time.Hour)
 	l.r.CheckTimeouts() // pulls the client past the timeout
 	l.r.CheckTimeouts()
-	if len(l.submitted) != 1 || l.r.TimeoutsRun != 1 {
-		t.Fatalf("submitted %v (TimeoutsRun %d), want the one outstanding packet", l.submitted, l.r.TimeoutsRun)
+	if n := l.counter("timeouts_submitted"); len(l.submitted) != 1 || n != 1 {
+		t.Fatalf("submitted %v (timeouts_submitted %d), want the one outstanding packet", l.submitted, n)
 	}
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -64,9 +62,9 @@ func (g *Gauge) Value() int64 {
 
 // Histogram records a stream of float64 observations (latencies in
 // seconds, transaction counts, costs). Samples are retained in insertion
-// order — the experiment drivers rebuild their per-record series from them
-// — and quantiles are computed on demand from a sorted copy. Observe takes
-// a short mutex; a nil histogram is a no-op.
+// order — the experiment drivers read their figure series from them, and
+// a snapshot computes quantiles from them. Observe takes a short mutex;
+// a nil histogram is a no-op.
 type Histogram struct {
 	mu      sync.Mutex
 	samples []float64
@@ -114,46 +112,6 @@ func (h *Histogram) Samples() []float64 {
 	out := make([]float64, len(h.samples))
 	copy(out, h.samples)
 	return out
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) with linear interpolation
-// between order statistics, NaN when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	h.mu.Lock()
-	sorted := make([]float64, len(h.samples))
-	copy(sorted, h.samples)
-	h.mu.Unlock()
-	return quantileSorted(sortInPlace(sorted), q)
-}
-
-func sortInPlace(v []float64) []float64 {
-	sort.Float64s(v)
-	return v
-}
-
-// quantileSorted interpolates the q-quantile of an ascending slice.
-func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[n-1]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Registry is a named get-or-create store of metrics. Lookups take a read

@@ -37,8 +37,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("nil histogram quantile must be NaN")
+	if empty := (HistogramSnapshot{}); !math.IsNaN(empty.Quantile(0.5)) || !math.IsNaN(empty.Mean()) {
+		t.Fatal("an empty histogram's quantile and mean must be NaN")
 	}
 	s := r.Snapshot()
 	if len(s.Counters) != 0 {
@@ -47,7 +47,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 }
 
 // referenceQuantile computes the same linearly interpolated quantile from a
-// full sort, used as an oracle against Histogram.Quantile.
+// full sort, used as an oracle against HistogramSnapshot.Quantile.
 func referenceQuantile(samples []float64, q float64) float64 {
 	s := append([]float64(nil), samples...)
 	sort.Float64s(s)
@@ -73,13 +73,14 @@ func referenceQuantile(samples []float64, q float64) float64 {
 func TestHistogramQuantileMatchesReferenceSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{1, 2, 3, 10, 101, 1000} {
-		h := &Histogram{}
+		r := NewRegistry()
 		samples := make([]float64, 0, n)
 		for i := 0; i < n; i++ {
 			v := rng.NormFloat64() * 100
 			samples = append(samples, v)
-			h.Observe(v)
+			r.Histogram("h").Observe(v)
 		}
+		h := r.Snapshot().Histograms["h"]
 		for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
 			got, want := h.Quantile(q), referenceQuantile(samples, q)
 			if math.Abs(got-want) > 1e-9 {
@@ -107,9 +108,10 @@ func TestHistogramPreservesInsertionOrder(t *testing.T) {
 	if h.Sum() != 15 {
 		t.Fatalf("sum = %v, want 15", h.Sum())
 	}
-	// Quantile must not disturb the stream.
-	h.Quantile(0.5)
-	if got := h.Samples(); got[0] != 3 {
+	// A snapshot's Quantile must not disturb its stream.
+	snap := HistogramSnapshot{Samples: got, Sum: h.Sum()}
+	snap.Quantile(0.5)
+	if got[0] != 3 {
 		t.Fatal("Quantile mutated the recorded sample order")
 	}
 }

@@ -2,8 +2,11 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // HistogramSnapshot is an exported histogram: the full sample stream in
@@ -16,22 +19,22 @@ type HistogramSnapshot struct {
 // Count returns the number of samples.
 func (h HistogramSnapshot) Count() int { return len(h.Samples) }
 
-// Quantile returns the q-quantile of the snapshot (NaN when empty).
+// Quantile returns the q-quantile of the snapshot with linear
+// interpolation between order statistics (NaN when empty).
 func (h HistogramSnapshot) Quantile(q float64) float64 {
-	sorted := make([]float64, len(h.Samples))
-	copy(sorted, h.Samples)
-	return quantileSorted(sortInPlace(sorted), q)
+	if len(h.Samples) == 0 {
+		return math.NaN()
+	}
+	return stats.QuantileUnsorted(h.Samples, q)
 }
 
 // Mean returns the sample mean (NaN when empty).
 func (h HistogramSnapshot) Mean() float64 {
 	if len(h.Samples) == 0 {
-		return nan()
+		return math.NaN()
 	}
 	return h.Sum / float64(len(h.Samples))
 }
-
-func nan() float64 { return quantileSorted(nil, 0.5) }
 
 // Snapshot is a consistent point-in-time export of a registry (and, via
 // Telemetry.Snapshot, the bus counters and packet traces).
