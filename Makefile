@@ -48,7 +48,9 @@ lint: lint-deprecated
 # transport-less mode (the network is a constructor argument). The
 # telemetry registry and tracer are the relayer's only measurement record:
 # its per-update and per-recv records, its timeout count and the
-# experiments' record-based figure path stay retired.
+# experiments' record-based figure path stay retired. Channel and
+# connection ends have one wire encoding with no decode cache; the JSON
+# path, its second encoder and the unused connection delay stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -83,6 +85,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'UpdateRecord\|RecvRecord\|recordSeries\|seriesSet\|TimeoutsRun' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired relayer records (read the relayer.* histograms and counters and the tracer's spans):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'decodeEnd\|expectedConnectionBytes\|expectedChannelBytes\|DelayPeriod' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired end encoding (ends go through internal/ibc/ends_wire.go, one encoder for stored and expected ends):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -149,7 +156,8 @@ examples-smoke:
 # seed corpus (which plain `go test` already replays) — the recv staging
 # buffer, the staged ack, timeout and update-client payloads, the persisted
 # trie node format, the trie proof decoder, WAL recovery from an arbitrary
-# segment, the ICS-24 key derivation, and the two light-client update
+# segment, the ICS-24 key derivation, the channel and connection end
+# decoders, the forward-memo parse, and the two light-client update
 # decoders (Tendermint update, guest signed block).
 # One target per invocation: `go test -fuzz` takes a single match. A
 # failure leaves the input under the package's testdata/fuzz/ to commit
@@ -163,6 +171,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzProofDecode$$' -fuzztime=5s ./internal/trie
 	$(GO) test -run='^$$' -fuzz='^FuzzDiskRecover$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/nodestore
 	$(GO) test -run='^$$' -fuzz='^FuzzPathToKey$$' -fuzztime=5s ./internal/ibc
+	$(GO) test -run='^$$' -fuzz='^FuzzEndDecode$$' -fuzztime=5s ./internal/ibc
+	$(GO) test -run='^$$' -fuzz='^FuzzForwardMemo$$' -fuzztime=5s ./internal/middleware
 	$(GO) test -run='^$$' -fuzz='^FuzzUpdateDecode$$' -fuzztime=5s ./internal/lightclient/tendermint
 	$(GO) test -run='^$$' -fuzz='^FuzzSignedBlockDecode$$' -fuzztime=5s ./internal/guestblock
 
@@ -203,5 +213,5 @@ api-update:
 # The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
-# example smoke runs, and five seconds of each of the eight fuzz targets.
+# example smoke runs, and five seconds of each of the ten fuzz targets.
 ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

@@ -1,8 +1,6 @@
 package ibc
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -38,13 +36,6 @@ type Handler struct {
 	// receipts are sealed immediately after delivery.
 	sealReceipts bool
 
-	// connEnds and chanEnds hold, per store path, the end last decoded from
-	// that path and the stored bytes it was decoded from: every packet
-	// operation reads its channel and connection, and the bytes change only
-	// during a handshake or a close.
-	connEnds map[string]decoded[ConnectionEnd]
-	chanEnds map[string]decoded[ChannelEnd]
-
 	// bus carries typed protocol events (ibc.Event* structs). It is always
 	// non-nil: with no subscribers it counts published events as dropped,
 	// so "nothing was listening" is observable instead of silent — the
@@ -64,29 +55,6 @@ type Handler struct {
 	packetsTimedOut *telemetry.Counter
 	receiptsSealed  *telemetry.Counter
 	updateVerify    *telemetry.Histogram
-}
-
-// decoded is a stored value's JSON decoding next to the bytes it came from.
-type decoded[T any] struct {
-	raw []byte
-	end T
-}
-
-// decodeEnd returns a copy of the end stored as raw under path, decoding
-// only when raw differs from the bytes cache last decoded for that path.
-// The store still served (and checked) raw, so the cache needs no
-// invalidation: a rewritten end arrives as different bytes.
-func decodeEnd[T any](cache map[string]decoded[T], path string, raw []byte) (*T, error) {
-	d, ok := cache[path]
-	if !ok || !bytes.Equal(d.raw, raw) {
-		d = decoded[T]{raw: raw}
-		if err := json.Unmarshal(raw, &d.end); err != nil {
-			return nil, err
-		}
-		cache[path] = d
-	}
-	end := d.end // both end types are flat values: callers may edit theirs
-	return &end, nil
 }
 
 // HandlerOption configures a Handler.
@@ -117,8 +85,6 @@ func NewHandler(store *Store, self SelfInfo, opts ...HandlerOption) *Handler {
 		store:     store,
 		self:      self,
 		clients:   make(map[ClientID]Client),
-		connEnds:  make(map[string]decoded[ConnectionEnd]),
-		chanEnds:  make(map[string]decoded[ChannelEnd]),
 		router:    NewRouter(),
 		bus:       telemetry.NewBus(),
 		metricsNS: "ibc",
@@ -219,36 +185,16 @@ func (h *Handler) newConnectionID() ConnectionID {
 }
 
 func (h *Handler) setConnection(id ConnectionID, end *ConnectionEnd) error {
-	raw, err := json.Marshal(end)
-	if err != nil {
-		return fmt.Errorf("ibc: marshal connection: %w", err)
-	}
-	return h.store.Set(ConnectionPath(id), raw)
+	return storeEnd(h.store, ConnectionPath(id), end, marshalConnectionEnd, unmarshalConnectionEnd)
 }
 
 // Connection returns the connection end stored under id.
 func (h *Handler) Connection(id ConnectionID) (*ConnectionEnd, error) {
-	path := ConnectionPath(id)
-	raw, err := h.store.Get(path)
+	raw, err := h.store.Get(ConnectionPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrConnectionNotFound, id)
 	}
-	end, err := decodeEnd(h.connEnds, path, raw)
-	if err != nil {
-		return nil, fmt.Errorf("ibc: unmarshal connection %q: %w", id, err)
-	}
-	return end, nil
-}
-
-// expectedConnectionBytes builds the serialized form the counterparty must
-// have stored for its end, for proof verification.
-func expectedConnectionBytes(end *ConnectionEnd) []byte {
-	raw, err := json.Marshal(end)
-	if err != nil {
-		// Marshalling a plain struct cannot fail.
-		panic(fmt.Sprintf("ibc: marshal expected connection: %v", err))
-	}
-	return raw
+	return unmarshalConnectionEnd(raw)
 }
 
 // ConnOpenInit starts the handshake (chain A).
@@ -294,7 +240,7 @@ func (h *Handler) ConnOpenTry(
 		ClientID:     counterparty.ClientID,
 		Counterparty: Counterparty{ClientID: clientID},
 	}
-	if err := client.VerifyMembership(proofHeight, ConnectionPath(counterparty.ConnectionID), expectedConnectionBytes(expected), proofInit); err != nil {
+	if err := client.VerifyMembership(proofHeight, ConnectionPath(counterparty.ConnectionID), marshalConnectionEnd(expected), proofInit); err != nil {
 		return "", err
 	}
 	id := h.newConnectionID()
@@ -337,7 +283,7 @@ func (h *Handler) ConnOpenAck(
 		ClientID:     end.Counterparty.ClientID,
 		Counterparty: Counterparty{ClientID: end.ClientID, ConnectionID: id},
 	}
-	if err := client.VerifyMembership(proofHeight, ConnectionPath(counterpartyConnID), expectedConnectionBytes(expected), proofTry); err != nil {
+	if err := client.VerifyMembership(proofHeight, ConnectionPath(counterpartyConnID), marshalConnectionEnd(expected), proofTry); err != nil {
 		return err
 	}
 	end.State = StateOpen
@@ -367,7 +313,7 @@ func (h *Handler) ConnOpenConfirm(id ConnectionID, proofAck []byte, proofHeight 
 		ClientID:     end.Counterparty.ClientID,
 		Counterparty: Counterparty{ClientID: end.ClientID, ConnectionID: id},
 	}
-	if err := client.VerifyMembership(proofHeight, ConnectionPath(end.Counterparty.ConnectionID), expectedConnectionBytes(expected), proofAck); err != nil {
+	if err := client.VerifyMembership(proofHeight, ConnectionPath(end.Counterparty.ConnectionID), marshalConnectionEnd(expected), proofAck); err != nil {
 		return err
 	}
 	end.State = StateOpen
@@ -387,45 +333,84 @@ func (h *Handler) newChannelID() ChannelID {
 }
 
 func (h *Handler) setChannel(port PortID, id ChannelID, end *ChannelEnd) error {
-	raw, err := json.Marshal(end)
-	if err != nil {
-		return fmt.Errorf("ibc: marshal channel: %w", err)
-	}
-	return h.store.Set(ChannelPath(port, id), raw)
+	return storeEnd(h.store, ChannelPath(port, id), end, marshalChannelEnd, unmarshalChannelEnd)
 }
 
 // Channel returns the channel end for (port, id).
 func (h *Handler) Channel(port PortID, id ChannelID) (*ChannelEnd, error) {
-	path := ChannelPath(port, id)
-	raw, err := h.store.Get(path)
+	raw, err := h.store.Get(ChannelPath(port, id))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s/%s", ErrChannelNotFound, port, id)
 	}
-	end, err := decodeEnd(h.chanEnds, path, raw)
-	if err != nil {
-		return nil, fmt.Errorf("ibc: unmarshal channel %s/%s: %w", port, id, err)
-	}
-	return end, nil
+	return unmarshalChannelEnd(raw)
 }
 
-func expectedChannelBytes(end *ChannelEnd) []byte {
-	raw, err := json.Marshal(end)
-	if err != nil {
-		panic(fmt.Sprintf("ibc: marshal expected channel: %v", err))
-	}
-	return raw
-}
-
-// openConnection fetches a connection and checks it is OPEN.
-func (h *Handler) openConnection(id ConnectionID) (*ConnectionEnd, error) {
+// openClient resolves the light client behind an open connection: the one
+// lookup every channel handshake and packet proof makes.
+func (h *Handler) openClient(id ConnectionID) (*ConnectionEnd, Client, error) {
 	conn, err := h.Connection(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if conn.State != StateOpen {
-		return nil, fmt.Errorf("%w: connection %q is %v, want OPEN", ErrInvalidState, id, conn.State)
+		return nil, nil, fmt.Errorf("%w: connection %q is %v, want OPEN", ErrInvalidState, id, conn.State)
 	}
-	return conn, nil
+	client, err := h.Client(conn.ClientID)
+	return conn, client, err
+}
+
+// packetChannel resolves the channel end at (port, id) a packet travels on
+// and the light client behind its open connection, after checking that
+// peer, the packet's other end, is the channel's counterparty: neither the
+// commitment nor the path of a packet binds both ends of its route.
+func (h *Handler) packetChannel(port PortID, id ChannelID, peer ChannelCounterparty) (*ChannelEnd, Client, error) {
+	end, err := h.Channel(port, id)
+	if err != nil {
+		return nil, nil, err
+	}
+	if end.Counterparty != peer {
+		return nil, nil, fmt.Errorf("%w: route mismatch", ErrInvalidPacket)
+	}
+	_, client, err := h.openClient(end.ConnectionID)
+	return end, client, err
+}
+
+// channelStep advances the channel end at (port, id) from state have once
+// proof shows the peer channel stored the end mirroring it in state peer:
+// the same ordering and version, this channel as its counterparty, the
+// peer's side of the connection. The end closes if the peer closed and
+// opens otherwise. peerChannel is the peer's channel id when this step
+// learns it (ChanOpenAck), empty to keep the recorded one.
+func (h *Handler) channelStep(port PortID, id ChannelID, have, peer State, peerChannel ChannelID, proof []byte, proofHeight Height) error {
+	end, err := h.Channel(port, id)
+	if err != nil {
+		return err
+	}
+	if end.State != have {
+		return fmt.Errorf("%w: channel %s/%s is %v, want %v", ErrInvalidState, port, id, end.State, have)
+	}
+	conn, client, err := h.openClient(end.ConnectionID)
+	if err != nil {
+		return err
+	}
+	if peerChannel != "" {
+		end.Counterparty.ChannelID = peerChannel
+	}
+	expected := &ChannelEnd{
+		State:        peer,
+		Ordering:     end.Ordering,
+		Counterparty: ChannelCounterparty{PortID: port, ChannelID: id},
+		ConnectionID: conn.Counterparty.ConnectionID,
+		Version:      end.Version,
+	}
+	if err := client.VerifyMembership(proofHeight, ChannelPath(end.Counterparty.PortID, end.Counterparty.ChannelID), marshalChannelEnd(expected), proof); err != nil {
+		return err
+	}
+	end.State = StateOpen
+	if peer == StateClosed {
+		end.State = StateClosed
+	}
+	return h.setChannel(port, id, end)
 }
 
 // ChanOpenInit starts a channel handshake (chain A).
@@ -434,7 +419,7 @@ func (h *Handler) ChanOpenInit(port PortID, connID ConnectionID, counterpartyPor
 	if err != nil {
 		return "", err
 	}
-	if _, err := h.openConnection(connID); err != nil {
+	if _, _, err := h.openClient(connID); err != nil {
 		return "", err
 	}
 	id := h.newChannelID()
@@ -475,11 +460,7 @@ func (h *Handler) ChanOpenTry(
 	if err != nil {
 		return "", err
 	}
-	conn, err := h.openConnection(connID)
-	if err != nil {
-		return "", err
-	}
-	client, err := h.Client(conn.ClientID)
+	conn, client, err := h.openClient(connID)
 	if err != nil {
 		return "", err
 	}
@@ -490,7 +471,7 @@ func (h *Handler) ChanOpenTry(
 		ConnectionID: conn.Counterparty.ConnectionID,
 		Version:      version,
 	}
-	if err := client.VerifyMembership(proofHeight, ChannelPath(counterparty.PortID, counterparty.ChannelID), expectedChannelBytes(expected), proofInit); err != nil {
+	if err := client.VerifyMembership(proofHeight, ChannelPath(counterparty.PortID, counterparty.ChannelID), marshalChannelEnd(expected), proofInit); err != nil {
 		return "", err
 	}
 	id := h.newChannelID()
@@ -519,34 +500,7 @@ func (h *Handler) ChanOpenTry(
 
 // ChanOpenAck completes chain A's channel end.
 func (h *Handler) ChanOpenAck(port PortID, id ChannelID, counterpartyChannel ChannelID, proofTry []byte, proofHeight Height) error {
-	end, err := h.Channel(port, id)
-	if err != nil {
-		return err
-	}
-	if end.State != StateInit {
-		return fmt.Errorf("%w: channel %s/%s is %v, want INIT", ErrInvalidState, port, id, end.State)
-	}
-	conn, err := h.openConnection(end.ConnectionID)
-	if err != nil {
-		return err
-	}
-	client, err := h.Client(conn.ClientID)
-	if err != nil {
-		return err
-	}
-	expected := &ChannelEnd{
-		State:        StateTryOpen,
-		Ordering:     end.Ordering,
-		Counterparty: ChannelCounterparty{PortID: port, ChannelID: id},
-		ConnectionID: conn.Counterparty.ConnectionID,
-		Version:      end.Version,
-	}
-	if err := client.VerifyMembership(proofHeight, ChannelPath(end.Counterparty.PortID, counterpartyChannel), expectedChannelBytes(expected), proofTry); err != nil {
-		return err
-	}
-	end.State = StateOpen
-	end.Counterparty.ChannelID = counterpartyChannel
-	if err := h.setChannel(port, id, end); err != nil {
+	if err := h.channelStep(port, id, StateInit, StateTryOpen, counterpartyChannel, proofTry, proofHeight); err != nil {
 		return err
 	}
 	h.emit(EventChanOpenAck{ChannelID: id})
@@ -555,33 +509,7 @@ func (h *Handler) ChanOpenAck(port PortID, id ChannelID, counterpartyChannel Cha
 
 // ChanOpenConfirm completes chain B's channel end.
 func (h *Handler) ChanOpenConfirm(port PortID, id ChannelID, proofAck []byte, proofHeight Height) error {
-	end, err := h.Channel(port, id)
-	if err != nil {
-		return err
-	}
-	if end.State != StateTryOpen {
-		return fmt.Errorf("%w: channel %s/%s is %v, want TRYOPEN", ErrInvalidState, port, id, end.State)
-	}
-	conn, err := h.openConnection(end.ConnectionID)
-	if err != nil {
-		return err
-	}
-	client, err := h.Client(conn.ClientID)
-	if err != nil {
-		return err
-	}
-	expected := &ChannelEnd{
-		State:        StateOpen,
-		Ordering:     end.Ordering,
-		Counterparty: ChannelCounterparty{PortID: port, ChannelID: id},
-		ConnectionID: conn.Counterparty.ConnectionID,
-		Version:      end.Version,
-	}
-	if err := client.VerifyMembership(proofHeight, ChannelPath(end.Counterparty.PortID, end.Counterparty.ChannelID), expectedChannelBytes(expected), proofAck); err != nil {
-		return err
-	}
-	end.State = StateOpen
-	if err := h.setChannel(port, id, end); err != nil {
+	if err := h.channelStep(port, id, StateTryOpen, StateOpen, "", proofAck, proofHeight); err != nil {
 		return err
 	}
 	h.emit(EventChanOpenConfirm{ChannelID: id})
@@ -608,33 +536,7 @@ func (h *Handler) ChanCloseInit(port PortID, id ChannelID) error {
 // ChanCloseConfirm closes this end after the counterparty proved its end
 // closed.
 func (h *Handler) ChanCloseConfirm(port PortID, id ChannelID, proofClosed []byte, proofHeight Height) error {
-	end, err := h.Channel(port, id)
-	if err != nil {
-		return err
-	}
-	if end.State != StateOpen {
-		return fmt.Errorf("%w: channel %s/%s is %v, want OPEN", ErrInvalidState, port, id, end.State)
-	}
-	conn, err := h.openConnection(end.ConnectionID)
-	if err != nil {
-		return err
-	}
-	client, err := h.Client(conn.ClientID)
-	if err != nil {
-		return err
-	}
-	expected := &ChannelEnd{
-		State:        StateClosed,
-		Ordering:     end.Ordering,
-		Counterparty: ChannelCounterparty{PortID: port, ChannelID: id},
-		ConnectionID: conn.Counterparty.ConnectionID,
-		Version:      end.Version,
-	}
-	if err := client.VerifyMembership(proofHeight, ChannelPath(end.Counterparty.PortID, end.Counterparty.ChannelID), expectedChannelBytes(expected), proofClosed); err != nil {
-		return err
-	}
-	end.State = StateClosed
-	if err := h.setChannel(port, id, end); err != nil {
+	if err := h.channelStep(port, id, StateOpen, StateClosed, "", proofClosed, proofHeight); err != nil {
 		return err
 	}
 	h.emit(EventChanCloseConfirm{ChannelID: id})
@@ -707,23 +609,12 @@ func (h *Handler) RecvPacket(p *Packet, proof []byte, proofHeight Height) ([]byt
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	end, err := h.Channel(p.DestPort, p.DestChannel)
+	end, client, err := h.packetChannel(p.DestPort, p.DestChannel, ChannelCounterparty{PortID: p.SourcePort, ChannelID: p.SourceChannel})
 	if err != nil {
 		return nil, err
 	}
 	if end.State != StateOpen {
 		return nil, fmt.Errorf("%w: channel %s/%s is %v", ErrChannelClosed, p.DestPort, p.DestChannel, end.State)
-	}
-	if end.Counterparty.PortID != p.SourcePort || end.Counterparty.ChannelID != p.SourceChannel {
-		return nil, fmt.Errorf("%w: route mismatch", ErrInvalidPacket)
-	}
-	conn, err := h.openConnection(end.ConnectionID)
-	if err != nil {
-		return nil, err
-	}
-	client, err := h.Client(conn.ClientID)
-	if err != nil {
-		return nil, err
 	}
 	if p.TimedOut(h.self.CurrentHeight(), h.self.CurrentTime()) {
 		return nil, ErrPacketExpired
@@ -752,7 +643,7 @@ func (h *Handler) RecvPacket(p *Packet, proof []byte, proofHeight Height) ([]byt
 		if err := h.store.Set(NextSequenceRecvPath(p.DestPort, p.DestChannel), sequenceValue(next+1)); err != nil {
 			return nil, err
 		}
-	case Unordered:
+	default: // Unordered: the channel decoder admits no other ordering
 		receiptPath := ReceiptPath(p.DestPort, p.DestChannel, p.Sequence)
 		has, err := h.store.Has(receiptPath)
 		switch {
@@ -780,8 +671,6 @@ func (h *Handler) RecvPacket(p *Packet, proof []byte, proofHeight Height) ([]byt
 			}
 			h.receiptsSealed.Inc()
 		}
-	default:
-		return nil, fmt.Errorf("%w: %v", ErrInvalidOrdering, end.Ordering)
 	}
 
 	m, err := h.module(p.DestPort)
@@ -815,7 +704,8 @@ func (h *Handler) hasReceipt(p *Packet) bool {
 }
 
 // pendingCommitment opens the settlement of a packet this chain sent: it
-// resolves the packet's channel end, the light client behind the channel's
+// resolves the packet's channel end (which must name the packet's
+// destination as its counterparty), the light client behind the channel's
 // open connection and the commitment path, and checks that the path still
 // holds p's commitment. A path that holds nothing means the packet was
 // already acknowledged or timed out (ErrPacketAlreadyDelivered).
@@ -823,15 +713,7 @@ func (h *Handler) pendingCommitment(p *Packet) (*ChannelEnd, Client, string, err
 	if err := p.Validate(); err != nil {
 		return nil, nil, "", err
 	}
-	end, err := h.Channel(p.SourcePort, p.SourceChannel)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	conn, err := h.openConnection(end.ConnectionID)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	client, err := h.Client(conn.ClientID)
+	end, client, err := h.packetChannel(p.SourcePort, p.SourceChannel, ChannelCounterparty{PortID: p.DestPort, ChannelID: p.DestChannel})
 	if err != nil {
 		return nil, nil, "", err
 	}

@@ -133,7 +133,7 @@ type pair struct {
 	connA, connB ConnectionID
 }
 
-func newPair(t *testing.T, orderings ...Ordering) *pair {
+func newPair(t testing.TB, orderings ...Ordering) *pair {
 	t.Helper()
 	ordering := Unordered
 	if len(orderings) > 0 {
@@ -526,7 +526,7 @@ func TestStoreSealReclaimsSequentialReceipts(t *testing.T) {
 	}
 }
 
-func must(t *testing.T, err error) {
+func must(t testing.TB, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatal(err)
@@ -646,5 +646,56 @@ func TestQuickPacketWireRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// forgeDestination returns a delivered packet relabelled to a destination
+// channel B never opened, and B's height after the packet's timeout. The
+// commitment binds a packet's timeouts and data and its path the source and
+// sequence: only A's channel end ties the destination.
+func forgeDestination(t *testing.T, p *pair) (*Packet, *Packet, Height) {
+	t.Helper()
+	pkt, proof, h := p.send(t, []byte("delivered"), p.b.now.Add(3*time.Second))
+	_, err := p.b.handler.RecvPacket(pkt, proof, h)
+	must(t, err)
+	p.b.commit()
+	p.b.commit()
+	forged := *pkt
+	forged.DestChannel = "channel-77"
+	return pkt, &forged, p.b.height - 1
+}
+
+// TestTimeoutRejectsForgedDestination: B never received anything on the
+// forged channel, so absence there proves nothing about the packet; taking
+// it would refund tokens B already credited.
+func TestTimeoutRejectsForgedDestination(t *testing.T) {
+	p := newPair(t)
+	pkt, forged, h := forgeDestination(t, p)
+	absent, err := p.b.snaps[h].ProveNonMembership(ReceiptPath(forged.DestPort, forged.DestChannel, forged.Sequence))
+	must(t, err)
+	if err := p.a.handler.TimeoutPacket(forged, absent, h); !errors.Is(err, ErrInvalidPacket) {
+		t.Fatalf("timeout with a forged destination = %v, want ErrInvalidPacket", err)
+	}
+	if len(p.modA.timeouts) != 0 || !p.a.handler.HasCommitment(pkt) {
+		t.Fatal("the forged timeout reached the application or cleared the commitment")
+	}
+}
+
+// TestAckRejectsForgedDestination: an ack B holds on another channel at the
+// same sequence settles nothing here, however it reads.
+func TestAckRejectsForgedDestination(t *testing.T) {
+	p := newPair(t)
+	pkt, forged, _ := forgeDestination(t, p)
+	errorAck := []byte(`{"error":"refund me"}`)
+	must(t, p.b.store.Set(AckPath(forged.DestPort, forged.DestChannel, forged.Sequence), AckCommitmentBytes(errorAck)))
+	p.b.commit()
+	h := p.b.height - 1
+	_, proof, err := p.b.snaps[h].ProveMembership(AckPath(forged.DestPort, forged.DestChannel, forged.Sequence))
+	must(t, err)
+	if err := p.a.handler.AcknowledgePacket(forged, errorAck, proof, h); !errors.Is(err, ErrInvalidPacket) {
+		t.Fatalf("ack with a forged destination = %v, want ErrInvalidPacket", err)
+	}
+	if len(p.modA.acks) != 0 || !p.a.handler.HasCommitment(pkt) {
+		t.Fatal("the forged ack reached the application or cleared the commitment")
 	}
 }

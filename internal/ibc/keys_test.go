@@ -225,11 +225,10 @@ func FuzzPathToKey(f *testing.F) {
 	})
 }
 
-// TestEndCacheHandsOutCopies: Channel and Connection decode their stored
-// bytes once and serve later reads from that, but what a caller does to the
-// end it was handed never shows in the next read, and a rewritten end is
-// decoded afresh.
-func TestEndCacheHandsOutCopies(t *testing.T) {
+// TestEndReadsHandOutCopies: what a caller does to the channel or
+// connection end it was handed never shows in the next read, and a
+// rewritten end reads back rewritten.
+func TestEndReadsHandOutCopies(t *testing.T) {
 	p := newPair(t)
 	h := p.a.handler
 	first, err := h.Channel("transfer", p.chanA)
@@ -239,7 +238,7 @@ func TestEndCacheHandsOutCopies(t *testing.T) {
 	again, err := h.Channel("transfer", p.chanA)
 	must(t, err)
 	if *again != want {
-		t.Fatalf("second read = %+v, want %+v: the cache leaked a caller's edit", *again, want)
+		t.Fatalf("second read = %+v, want %+v: a caller's edit leaked", *again, want)
 	}
 	conn, err := h.Connection(want.ConnectionID)
 	must(t, err)
@@ -253,7 +252,7 @@ func TestEndCacheHandsOutCopies(t *testing.T) {
 	closed, err := h.Channel("transfer", p.chanA)
 	must(t, err)
 	if closed.State != StateClosed {
-		t.Fatalf("channel reads %v after ChanCloseInit: served from a stale decode", closed.State)
+		t.Fatalf("channel reads %v after ChanCloseInit", closed.State)
 	}
 	if _, err := h.SendPacket("transfer", p.chanA, []byte("x"), 0, p.a.now.Add(1)); !errors.Is(err, ErrChannelClosed) {
 		t.Fatalf("send on the closed channel = %v, want ErrChannelClosed", err)

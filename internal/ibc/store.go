@@ -190,7 +190,7 @@ func (s *Store) appendValueLocked(path string, val []byte) {
 	s.writeLog[s.head] = append(s.writeLog[s.head], path)
 }
 
-// valueAt resolves path's bytes as of version v (the head sees v = current
+// valueAt resolves path's bytes as of version v (0 reads the head's
 // pending version). A tombstone or missing history reads as absent. When
 // the in-heap history has no entry at or below v — which happens for
 // recovered stores and for generations evicted to the backend — the
@@ -198,6 +198,9 @@ func (s *Store) appendValueLocked(path string, val []byte) {
 func (s *Store) valueAt(path string, v Version) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	if v == 0 {
+		v = s.head
+	}
 	h := s.values[path]
 	for i := len(h) - 1; i >= 0; i-- {
 		if h[i].ver <= v {
@@ -228,36 +231,10 @@ func (s *Store) Set(path string, value []byte) error {
 
 // Get returns the value bytes stored under path, after checking that they
 // still hash to the trie's leaf commitment (desync → ErrValueMismatch).
-func (s *Store) Get(path string) ([]byte, error) {
-	h, err := s.trie.Get(PathToKey(path))
-	if err != nil {
-		return nil, fmt.Errorf("ibc: get %q: %w", path, err)
-	}
-	v, ok := s.valueAt(path, s.headVersion())
-	if !ok {
-		return nil, fmt.Errorf("ibc: get %q: value table out of sync", path)
-	}
-	if cryptoutil.HashBytes(v) != h {
-		return nil, fmt.Errorf("ibc: get %q: %w", path, ErrValueMismatch)
-	}
-	return v, nil
-}
-
-// headVersion returns the current pending version id.
-func (s *Store) headVersion() Version {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.head
-}
+func (s *Store) Get(path string) ([]byte, error) { return s.read().get(path) }
 
 // Has reports whether path holds a live value.
-func (s *Store) Has(path string) (bool, error) {
-	ok, err := s.trie.Has(PathToKey(path))
-	if err != nil {
-		return false, fmt.Errorf("ibc: has %q: %w", path, err)
-	}
-	return ok, nil
-}
+func (s *Store) Has(path string) (bool, error) { return s.read().has(path) }
 
 // IsSealed reports whether the path was sealed.
 func (s *Store) IsSealed(path string) bool {
@@ -294,39 +271,14 @@ func (s *Store) Seal(path string) error {
 
 // ProveMembership returns (value, serialized proof) for a present path.
 func (s *Store) ProveMembership(path string) ([]byte, []byte, error) {
-	proof, err := s.trie.Prove(PathToKey(path))
-	if err != nil {
-		return nil, nil, fmt.Errorf("ibc: prove %q: %w", path, err)
-	}
-	if !proof.Membership {
-		return nil, nil, fmt.Errorf("ibc: prove %q: path is absent", path)
-	}
-	raw, err := proof.MarshalBinary()
-	if err != nil {
-		return nil, nil, fmt.Errorf("ibc: prove %q: %w", path, err)
-	}
-	v, ok := s.valueAt(path, s.headVersion())
-	if !ok {
-		return nil, nil, fmt.Errorf("ibc: prove %q: value table out of sync", path)
-	}
-	return v, raw, nil
+	return s.read().proveMembership(path)
 }
 
 // ProveNonMembership returns a serialized absence proof for path.
-func (s *Store) ProveNonMembership(path string) ([]byte, error) {
-	proof, err := s.trie.Prove(PathToKey(path))
-	if err != nil {
-		return nil, fmt.Errorf("ibc: prove absence %q: %w", path, err)
-	}
-	if proof.Membership {
-		return nil, fmt.Errorf("ibc: prove absence %q: path is present", path)
-	}
-	raw, err := proof.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("ibc: prove absence %q: %w", path, err)
-	}
-	return raw, nil
-}
+func (s *Store) ProveNonMembership(path string) ([]byte, error) { return s.read().proveAbsence(path) }
+
+// read is the head's read path: the live trie and the pending version.
+func (s *Store) read() reader { return reader{store: s, trie: s.trie} }
 
 // ReadOnlyStore is a read-only view of one committed store version,
 // obtained from Store.At. It serves reads and proofs against the frozen
@@ -345,67 +297,122 @@ func (r *ReadOnlyStore) Root() cryptoutil.Hash { return r.view.Root() }
 
 // Get returns the value bytes stored under path at this version, with the
 // same trie-commitment integrity check as the head's Get.
-func (r *ReadOnlyStore) Get(path string) ([]byte, error) {
-	h, err := r.view.Get(PathToKey(path))
-	if err != nil {
-		return nil, fmt.Errorf("ibc: get %q at version %d: %w", path, r.Version(), err)
-	}
-	v, ok := r.store.valueAt(path, r.Version())
-	if !ok {
-		return nil, fmt.Errorf("ibc: get %q at version %d: value table out of sync", path, r.Version())
-	}
-	if cryptoutil.HashBytes(v) != h {
-		return nil, fmt.Errorf("ibc: get %q at version %d: %w", path, r.Version(), ErrValueMismatch)
-	}
-	return v, nil
-}
+func (r *ReadOnlyStore) Get(path string) ([]byte, error) { return r.read().get(path) }
 
 // Has reports whether path held a live value at this version.
-func (r *ReadOnlyStore) Has(path string) (bool, error) {
-	ok, err := r.view.Has(PathToKey(path))
-	if err != nil {
-		return false, fmt.Errorf("ibc: has %q at version %d: %w", path, r.Version(), err)
-	}
-	return ok, nil
-}
+func (r *ReadOnlyStore) Has(path string) (bool, error) { return r.read().has(path) }
 
 // ProveMembership returns (value, serialized proof) for a path present at
 // this version. Proofs are byte-identical to the ones the head produced
 // while this version was current.
 func (r *ReadOnlyStore) ProveMembership(path string) ([]byte, []byte, error) {
-	proof, err := r.view.Prove(PathToKey(path))
-	if err != nil {
-		return nil, nil, fmt.Errorf("ibc: prove %q at version %d: %w", path, r.Version(), err)
-	}
-	if !proof.Membership {
-		return nil, nil, fmt.Errorf("ibc: prove %q at version %d: path is absent", path, r.Version())
-	}
-	raw, err := proof.MarshalBinary()
-	if err != nil {
-		return nil, nil, fmt.Errorf("ibc: prove %q at version %d: %w", path, r.Version(), err)
-	}
-	v, ok := r.store.valueAt(path, r.Version())
-	if !ok {
-		return nil, nil, fmt.Errorf("ibc: prove %q at version %d: value table out of sync", path, r.Version())
-	}
-	return v, raw, nil
+	return r.read().proveMembership(path)
 }
 
 // ProveNonMembership returns a serialized absence proof for path at this
 // version.
 func (r *ReadOnlyStore) ProveNonMembership(path string) ([]byte, error) {
-	proof, err := r.view.Prove(PathToKey(path))
-	if err != nil {
-		return nil, fmt.Errorf("ibc: prove absence %q at version %d: %w", path, r.Version(), err)
+	return r.read().proveAbsence(path)
+}
+
+func (r *ReadOnlyStore) read() reader {
+	return reader{store: r.store, trie: r.view, version: r.view.Version()}
+}
+
+// trieReader is what the head trie and a retained version's view share.
+type trieReader interface {
+	Get(key [trie.KeySize]byte) (cryptoutil.Hash, error)
+	Has(key [trie.KeySize]byte) (bool, error)
+	Prove(key [trie.KeySize]byte) (*trie.Proof, error)
+}
+
+// reader is the one read path of the head and of every retained version:
+// the trie it reads commitments and proofs from, and the version whose
+// value bytes it serves (0 for the head's pending version).
+type reader struct {
+	store   *Store
+	trie    trieReader
+	version Version
+}
+
+var (
+	errOutOfSync = errors.New("value table out of sync")
+	errAbsent    = errors.New("path is absent")
+	errPresent   = errors.New("path is present")
+)
+
+// fail wraps err as the failure of op on path, naming the version read.
+func (r reader) fail(op, path string, err error) error {
+	if r.version == 0 {
+		return fmt.Errorf("ibc: %s %q: %w", op, path, err)
 	}
-	if proof.Membership {
-		return nil, fmt.Errorf("ibc: prove absence %q at version %d: path is present", path, r.Version())
+	return fmt.Errorf("ibc: %s %q at version %d: %w", op, path, r.version, err)
+}
+
+// value returns path's bytes at the version read.
+func (r reader) value(path string) ([]byte, error) {
+	if val, ok := r.store.valueAt(path, r.version); ok {
+		return val, nil
 	}
-	raw, err := proof.MarshalBinary()
+	return nil, errOutOfSync
+}
+
+func (r reader) get(path string) ([]byte, error) {
+	h, err := r.trie.Get(PathToKey(path))
 	if err != nil {
-		return nil, fmt.Errorf("ibc: prove absence %q at version %d: %w", path, r.Version(), err)
+		return nil, r.fail("get", path, err)
+	}
+	v, err := r.value(path)
+	if err == nil && cryptoutil.HashBytes(v) != h {
+		err = ErrValueMismatch
+	}
+	if err != nil {
+		return nil, r.fail("get", path, err)
+	}
+	return v, nil
+}
+
+func (r reader) has(path string) (bool, error) {
+	ok, err := r.trie.Has(PathToKey(path))
+	if err != nil {
+		return false, r.fail("has", path, err)
+	}
+	return ok, nil
+}
+
+func (r reader) proveMembership(path string) ([]byte, []byte, error) {
+	raw, err := r.prove(path, true)
+	if err != nil {
+		return nil, nil, r.fail("prove", path, err)
+	}
+	v, err := r.value(path)
+	if err != nil {
+		return nil, nil, r.fail("prove", path, err)
+	}
+	return v, raw, nil
+}
+
+func (r reader) proveAbsence(path string) ([]byte, error) {
+	raw, err := r.prove(path, false)
+	if err != nil {
+		return nil, r.fail("prove absence", path, err)
 	}
 	return raw, nil
+}
+
+// prove serializes path's proof, which must show membership iff member.
+func (r reader) prove(path string, member bool) ([]byte, error) {
+	proof, err := r.trie.Prove(PathToKey(path))
+	if err != nil {
+		return nil, err
+	}
+	if proof.Membership != member {
+		if member {
+			return nil, errAbsent
+		}
+		return nil, errPresent
+	}
+	return proof.MarshalBinary()
 }
 
 // VerifyStoredMembership verifies a serialized proof that path holds value

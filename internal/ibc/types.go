@@ -133,30 +133,28 @@ type Client interface {
 
 // Counterparty identifies the remote end of a connection.
 type Counterparty struct {
-	ClientID     ClientID     `json:"client_id"`
-	ConnectionID ConnectionID `json:"connection_id"`
+	ClientID     ClientID
+	ConnectionID ConnectionID
 }
 
 // ConnectionEnd is the local state of a connection (ICS-03).
 type ConnectionEnd struct {
-	State        State        `json:"state"`
-	ClientID     ClientID     `json:"client_id"`
-	Counterparty Counterparty `json:"counterparty"`
-	// DelayPeriod is an optional safety delay before proofs are accepted.
-	DelayPeriod time.Duration `json:"delay_period"`
+	State        State
+	ClientID     ClientID
+	Counterparty Counterparty
 }
 
 // ChannelCounterparty identifies the remote end of a channel.
 type ChannelCounterparty struct {
-	PortID    PortID    `json:"port_id"`
-	ChannelID ChannelID `json:"channel_id"`
+	PortID    PortID
+	ChannelID ChannelID
 }
 
 // ChannelEnd is the local state of a channel (ICS-04).
 type ChannelEnd struct {
-	State        State               `json:"state"`
-	Ordering     Ordering            `json:"ordering"`
-	Counterparty ChannelCounterparty `json:"counterparty"`
-	ConnectionID ConnectionID        `json:"connection_id"`
-	Version      string              `json:"version"`
+	State        State
+	Ordering     Ordering
+	Counterparty ChannelCounterparty
+	ConnectionID ConnectionID
+	Version      string
 }
