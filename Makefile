@@ -51,6 +51,8 @@ lint: lint-deprecated
 # experiments' record-based figure path stay retired. Channel and
 # connection ends have one wire encoding with no decode cache; the JSON
 # path, its second encoder and the unused connection delay stay retired.
+# A light-client commit names its signers in validator-set order, so the
+# linear power lookup by key stays retired too.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -90,6 +92,11 @@ lint-deprecated:
 	@bad=$$(grep -rn 'decodeEnd\|expectedConnectionBytes\|expectedChannelBytes\|DelayPeriod' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired end encoding (ends go through internal/ibc/ends_wire.go, one encoder for stored and expected ends):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn '\.PowerOf(' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired power lookup (a commit lists its signers in set order; verifyCommit walks the set by position):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/cryptoutil"
+	"repro/internal/ibc"
 	"repro/internal/stats"
 )
 
@@ -75,12 +78,50 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	f := BuildFig4(getShortRun(t))
-	if f.TxSummary.Mean < 30 || f.TxSummary.Mean > 43 {
-		t.Fatalf("txs/update mean %.1f, want ~36.5", f.TxSummary.Mean)
+	d := getShortRun(t)
+	f := BuildFig4(d)
+	// A quorum-sized update is ~26 transactions; the paper's full-commit
+	// updates were 36.5.
+	if f.TxSummary.Mean < 22 || f.TxSummary.Mean > 30 {
+		t.Fatalf("txs/update mean %.1f, want ~26", f.TxSummary.Mean)
 	}
-	if f.TxSummary.StdDev < 1 {
-		t.Fatalf("txs/update sd %.1f; sizes should vary", f.TxSummary.StdDev)
+	// Every update the guest's client accepted carries a minimal quorum:
+	// more than 2/3 of the power, and not once it loses its weakest signer.
+	st, err := d.Net.GuestState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := st.Handler.Client(d.Net.Boot.GuestClientID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := 0
+	for h := uint64(2); h <= d.Net.CP.Height(); h++ {
+		if _, err := client.ConsensusTime(ibc.Height(h)); err != nil {
+			continue
+		}
+		u, err := d.Net.CP.UpdateAt(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		power := make(map[cryptoutil.PubKey]uint64, len(u.ValSet.Validators))
+		var total uint64
+		for _, v := range u.ValSet.Validators {
+			power[v.PubKey] = v.Power
+			total += v.Power
+		}
+		signed, weakest := uint64(0), uint64(math.MaxUint64)
+		for _, cs := range u.Commit {
+			signed += power[cs.PubKey]
+			weakest = min(weakest, power[cs.PubKey])
+		}
+		if signed*3 <= total*2 || (signed-weakest)*3 > total*2 {
+			t.Fatalf("update at %d: %d signers carry %d of %d, weakest %d: not a minimal quorum", h, len(u.Commit), signed, total, weakest)
+		}
+		updates++
+	}
+	if updates < len(d.UpdateTxCounts) {
+		t.Fatalf("checked %d accepted updates, the relayer reported %d", updates, len(d.UpdateTxCounts))
 	}
 	if f.Below25s < 0.35 {
 		t.Fatalf("P(<25s) = %.2f, want around one half", f.Below25s)

@@ -2,6 +2,7 @@ package tendermint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime/metrics"
@@ -58,7 +59,7 @@ func TestEncodedSizes(t *testing.T) {
 }
 
 // hostileCounts are encodings whose u16 entry count promises 65 535
-// entries the input does not hold: the commit's, and the validator set's.
+// entries the input does not hold: the validator set's, and the commit's.
 func hostileCounts(h *Header) [][]byte {
 	w := wire.NewWriter()
 	h.Encode(w)
@@ -91,6 +92,52 @@ func TestDecodeHostileCount(t *testing.T) {
 	}
 }
 
+// withIndices returns u's encoding with the set indices of its first
+// commit entries replaced by indices.
+func withIndices(u *Update, indices ...uint16) []byte {
+	b := u.Marshal()
+	at := u.Header.encodedSize() + u.ValSet.encodedSize() + 2
+	for i, x := range indices {
+		binary.BigEndian.PutUint16(b[at+i*commitEntrySize:], x)
+	}
+	return b
+}
+
+// badIndices are encodings of u whose commit names its signers out of
+// the rule: an index past the set, a repeated one, a descending pair, and
+// 0xffff.
+func badIndices(u *Update) [][]byte {
+	n := uint16(len(u.ValSet.Validators))
+	return [][]byte{withIndices(u, n), withIndices(u, 0, 0), withIndices(u, 5, 3), withIndices(u, 0xffff)}
+}
+
+// TestDecodeRefusesBadIndex: the decoder resolves each commit entry
+// against the set ahead of it, and refuses an index that is not a member
+// above the previous entry's with ErrCommitIndex, a set cut short with
+// wire.ErrShort and a set out of order with ErrSetOrder.
+func TestDecodeRefusesBadIndex(t *testing.T) {
+	c := newTestChain(t, 24)
+	u := c.update(c.header(cryptoutil.ZeroHash), 17)
+	for i, data := range badIndices(u) {
+		if _, err := UnmarshalUpdate(data); !errors.Is(err, ErrCommitIndex) {
+			t.Errorf("bad index %d: err = %v, want ErrCommitIndex", i, err)
+		}
+	}
+	set := u.Header.encodedSize()
+	if _, err := UnmarshalUpdate(u.Marshal()[:set+2+10*validatorSize]); !errors.Is(err, wire.ErrShort) {
+		t.Errorf("set cut short: err = %v, want wire.ErrShort", err)
+	}
+	swapped := u.Marshal()
+	first := swapped[set+2 : set+2+validatorSize]
+	second := swapped[set+2+validatorSize : set+2+2*validatorSize]
+	tmp := append([]byte(nil), first...)
+	copy(first, second)
+	copy(second, tmp)
+	if _, err := UnmarshalUpdate(swapped); !errors.Is(err, ErrSetOrder) {
+		t.Errorf("set out of order: err = %v, want ErrSetOrder", err)
+	}
+}
+
 // FuzzUpdateDecode feeds arbitrary bytes to the light-client update
 // decoder (what a relayer hands the guest contract and a counterparty
 // front-end): it never panics, allocates within a fixed multiple of the
@@ -106,6 +153,10 @@ func FuzzUpdateDecode(f *testing.F) {
 	for _, data := range hostileCounts(h) {
 		f.Add(data)
 	}
+	for _, data := range badIndices(good) {
+		f.Add(data)
+	}
+	f.Add(good.Marshal()[:h.encodedSize()+2+10*validatorSize])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var u *Update
 		var err error

@@ -57,14 +57,14 @@ func TestEncodingGolden(t *testing.T) {
 		{"Header.Hash", h.Hash().Hex(), "966d3151dac88dea4f49163d696b1d33d9a23115d67d023ae6310ce7370966ae"},
 		{"VotePayload", VotePayload(h.Hash(), small.Commit[0].Timestamp).Hex(), "c1191a1d740fced9efe348d11fbc68bff38f305a3624e4f1cb3b6afa18041e76"},
 		{"VotePayload/zero-time", VotePayload(h.Hash(), time.Time{}).Hex(), "8602da970e44b795ba01aadb8997c1ab256155f5d96ca65524c4d88b51a23ab4"},
-		{"Update.Marshal/4", digestHex(small.Marshal()), "15ce734e8c2e4141f53712c820a3483c5edf5567225bd45f8f2cd4b7218e602b"},
-		{"Update.Marshal/24", digestHex(large.Marshal()), "7a73c6446825d67b12ef714f6a8f57fb3ae8fbbf951ddc664b88bdbd573e5354"},
+		{"Update.Marshal/4", digestHex(small.Marshal()), "aff4f50d30d90094b19a0b54226a52c023477ad1637c8b8f288cba1e43cc59fa"},
+		{"Update.Marshal/24", digestHex(large.Marshal()), "19861a81d925a20c1e315c76e98602ea7c6c1b148b415377cfaa084bab155b5c"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
 		}
 	}
-	if n, m := len(small.Marshal()), len(large.Marshal()); n != 602 || m != 3482 {
-		t.Errorf("updates are %d and %d bytes, want 602 and 3482", n, m)
+	if n, m := len(small.Marshal()), len(large.Marshal()); n != 512 || m != 2792 {
+		t.Errorf("updates are %d and %d bytes, want 512 and 2792", n, m)
 	}
 }

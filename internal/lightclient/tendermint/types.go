@@ -25,10 +25,20 @@ type Validator struct {
 }
 
 // Encoded sizes of the fixed-layout entries: a validator (pubkey, power)
-// and a commit signature (pubkey, timestamp, signature).
+// and a commit entry (u16 set index, timestamp, signature).
 const (
-	validatorSize = 32 + 8
-	commitSigSize = 32 + 8 + 64
+	validatorSize   = 32 + 8
+	commitEntrySize = 2 + 8 + 64
+)
+
+// Errors returned by the update decoder and the commit check.
+var (
+	// ErrSetOrder: a validator set not in strictly ascending public-key
+	// order, which is the only order NewValidatorSet builds.
+	ErrSetOrder = errors.New("tendermint: validator set not in ascending public-key order")
+	// ErrCommitIndex: a commit entry that does not name a member of the
+	// update's validator set at a position above the previous entry's.
+	ErrCommitIndex = errors.New("tendermint: commit entry not at an ascending validator-set index")
 )
 
 // ValidatorSet is a canonical (pubkey-sorted) validator set.
@@ -60,14 +70,16 @@ func (vs *ValidatorSet) TotalPower() uint64 {
 	return total
 }
 
-// PowerOf returns pub's voting power (0 if absent).
-func (vs *ValidatorSet) PowerOf(pub cryptoutil.PubKey) uint64 {
-	for _, v := range vs.Validators {
-		if v.PubKey == pub {
-			return v.Power
-		}
+// seek returns the first position at or after from whose key is not below
+// pub, and whether that key is pub. A commit lists its signers in set
+// order, so a walk that seeks each entry from the previous one's position
+// reads the set once.
+func (vs *ValidatorSet) seek(pub cryptoutil.PubKey, from int) (int, bool) {
+	i := from
+	for i < len(vs.Validators) && vs.Validators[i].PubKey.Compare(pub) < 0 {
+		i++
 	}
-	return 0
+	return i, i < len(vs.Validators) && vs.Validators[i].PubKey == pub
 }
 
 func (vs *ValidatorSet) encodedSize() int { return 2 + len(vs.Validators)*validatorSize }
@@ -81,12 +93,17 @@ func (vs *ValidatorSet) Encode(w *wire.Writer) {
 	}
 }
 
-// DecodeValidatorSet reads a set written by Encode.
+// DecodeValidatorSet reads a set written by Encode; a set out of canonical
+// order fails with ErrSetOrder.
 func DecodeValidatorSet(r *wire.Reader) (*ValidatorSet, error) {
 	n := r.Count16(validatorSize)
 	vs := &ValidatorSet{Validators: make([]Validator, 0, n)}
 	for i := 0; i < n; i++ {
-		vs.Validators = append(vs.Validators, Validator{PubKey: r.PubKey(), Power: r.U64()})
+		v := Validator{PubKey: r.PubKey(), Power: r.U64()}
+		if i > 0 && vs.Validators[i-1].PubKey.Compare(v.PubKey) >= 0 {
+			return nil, fmt.Errorf("tendermint: decode validator set: %w", ErrSetOrder)
+		}
+		vs.Validators = append(vs.Validators, v)
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("tendermint: decode validator set: %w", err)
@@ -170,7 +187,8 @@ func VotePayload(headerHash cryptoutil.Hash, ts time.Time) cryptoutil.Hash {
 }
 
 // Update is a light-client update: a header, the commit that finalises it,
-// and the full validator set matching ValSetHash.
+// and the full validator set matching ValSetHash. The commit lists its
+// signers in set order.
 type Update struct {
 	Header *Header
 	Commit []CommitSig
@@ -178,52 +196,69 @@ type Update struct {
 }
 
 func (u *Update) encodedSize() int {
-	return u.Header.encodedSize() + 2 + len(u.Commit)*commitSigSize + u.ValSet.encodedSize()
+	return u.Header.encodedSize() + u.ValSet.encodedSize() + 2 + len(u.Commit)*commitEntrySize
 }
 
 // Marshal returns the serialized update; its length is what the relayer
-// must chunk across host transactions.
+// must chunk across host transactions. The set comes ahead of the commit,
+// whose entries name their signer by set index instead of repeating its
+// public key. An entry that is not a member at a position above the
+// previous entry's is written as the set size, which the decoder refuses.
 func (u *Update) Marshal() []byte {
 	w := wire.NewWriterSize(u.encodedSize())
 	u.Header.Encode(w)
+	u.ValSet.Encode(w)
 	w.U16(uint16(len(u.Commit)))
+	at := -1
 	for _, c := range u.Commit {
-		w.PubKey(c.PubKey)
+		i, ok := u.ValSet.seek(c.PubKey, at+1)
+		if !ok {
+			i = len(u.ValSet.Validators)
+		}
+		at = i
+		w.U16(uint16(i))
 		w.Time(c.Timestamp)
 		w.Signature(c.Signature)
 	}
-	u.ValSet.Encode(w)
 	return w.Bytes()
 }
 
-// UnmarshalUpdate decodes an update.
+// UnmarshalUpdate decodes an update. It resolves each commit entry's index
+// against the set as it reads it: an index at or past the set size, or not
+// above the previous entry's, fails with ErrCommitIndex.
 func UnmarshalUpdate(data []byte) (*Update, error) {
 	r := wire.NewReader(data)
 	h, err := DecodeHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	n := r.Count16(commitSigSize)
-	u := &Update{Header: h, Commit: make([]CommitSig, 0, n)}
-	for i := 0; i < n; i++ {
-		u.Commit = append(u.Commit, CommitSig{
-			PubKey:    r.PubKey(),
-			Timestamp: r.Time(),
-			Signature: r.Signature(),
-		})
-	}
 	vs, err := DecodeValidatorSet(r)
 	if err != nil {
 		return nil, err
 	}
-	u.ValSet = vs
+	n := r.Count16(commitEntrySize)
+	u := &Update{Header: h, Commit: make([]CommitSig, 0, n), ValSet: vs}
+	prev := -1
+	for i := 0; i < n; i++ {
+		at := int(r.U16())
+		if at >= len(vs.Validators) || at <= prev {
+			return nil, fmt.Errorf("tendermint: decode update: entry %d names %d after %d of %d: %w", i, at, prev, len(vs.Validators), ErrCommitIndex)
+		}
+		prev = at
+		u.Commit = append(u.Commit, CommitSig{
+			PubKey:    vs.Validators[at].PubKey,
+			Timestamp: r.Time(),
+			Signature: r.Signature(),
+		})
+	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("tendermint: decode update: %w", err)
 	}
 	return u, nil
 }
 
-// SignCommit produces a full commit for a header from the given keys
+// SignCommit produces a commit for a header from the given keys, in set
+// order (ascending public key) whatever order the keys come in
 // (test/simulation helper used by the counterparty chain).
 func SignCommit(h *Header, keys []*cryptoutil.PrivKey, ts time.Time) []CommitSig {
 	payload := VotePayload(h.Hash(), ts)
@@ -235,5 +270,6 @@ func SignCommit(h *Header, keys []*cryptoutil.PrivKey, ts time.Time) []CommitSig
 			Signature: k.SignHash(payload),
 		})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].PubKey.Compare(out[j].PubKey) < 0 })
 	return out
 }

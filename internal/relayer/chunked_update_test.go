@@ -2,9 +2,11 @@ package relayer
 
 import (
 	"errors"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/cryptoutil"
 	"repro/internal/guest"
 	"repro/internal/host"
 	"repro/internal/ibc"
@@ -62,6 +64,40 @@ func TestChunkedClientUpdateThroughTransactions(t *testing.T) {
 	txs := builder.UpdateClientTxs(res.GuestClientID, headerBytes, sigs)
 	if len(txs) < 5 {
 		t.Fatalf("update packed into %d txs; expected a long chunk sequence", len(txs))
+	}
+	// The update carries a minimal quorum: its signers, strongest first,
+	// pass 2/3 of the set's power only with the last of them.
+	power := make(map[cryptoutil.PubKey]uint64, len(update.ValSet.Validators))
+	var total uint64
+	for _, v := range update.ValSet.Validators {
+		power[v.PubKey] = v.Power
+		total += v.Power
+	}
+	signers := make([]uint64, len(update.Commit))
+	for i, cs := range update.Commit {
+		signers[i] = power[cs.PubKey]
+	}
+	sort.Slice(signers, func(i, j int) bool { return signers[i] > signers[j] })
+	var signed uint64
+	for i, p := range signers {
+		if signed += p; (signed*3 > total*2) != (i == len(signers)-1) {
+			t.Fatalf("%d signers: the first %d carry %d of %d power; want exactly the last to pass 2/3", len(signers), i+1, signed, total)
+		}
+	}
+	// Every signature it carries is a precompile entry of the upload.
+	verified := make(map[cryptoutil.PubKey]int)
+	for _, tx := range txs {
+		for _, sv := range tx.PrecompileSigs {
+			verified[sv.Pub]++
+		}
+	}
+	for _, cs := range update.Commit {
+		if verified[cs.PubKey] != 1 {
+			t.Fatalf("signer %s verified %d times by the precompile, want once", cs.PubKey.Short(), verified[cs.PubKey])
+		}
+	}
+	if len(verified) != len(update.Commit) {
+		t.Fatalf("precompile verifies %d keys for %d commit entries", len(verified), len(update.Commit))
 	}
 
 	var updated *guest.EventClientUpdated
