@@ -783,3 +783,65 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 		t.Errorf("%d packets and %d acks still queued on the shard", p, a)
 	}
 }
+
+// TestRefusedGuestAckRequeued: the guest end relays the ack of a packet it
+// received behind the header of the block that commits the ack. Here that
+// header lands out of order — the cosmos chain's client is handed a header
+// it already holds, and refuses it as stale — so the ack, proved at a
+// height the client never reached, is refused too. It goes to the engine's
+// ack queue, which updates the client to the guest's head and submits it
+// again: the packet is acknowledged exactly once.
+func TestRefusedGuestAckRequeued(t *testing.T) {
+	e := newLinkEnv(t, guestLink, netsim.Config{})
+	st, err := e.contract.State(e.chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := e.away.Handler().Client(e.cfg.A.ClientOfPeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	voucher := transfer.VoucherPrefix(bankPort, e.homeCh) + "COIN"
+	stale := uint64(0)
+	e.intercept = func(node netsim.NodeID, tx *netsim.MsgTx) {
+		m, ok := tx.Msgs[0].(netsim.MsgUpdateClient)
+		if node != e.cfg.A.Node || !ok || m.ClientID != e.cfg.A.ClientOfPeer || stale != 0 || e.homeApp.Balance("dave", voucher) == 0 {
+			return
+		}
+		// The first header pushed after the guest received the packet is
+		// the one its ack needs; swap in the one the client already holds.
+		stale = uint64(client.LatestHeight())
+		entry, err := st.Entry(stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Header = entry.SignedBlock().Marshal()
+		tx.Msgs = append([]any{m}, tx.Msgs[1:]...)
+	}
+	p := e.sendBack(t, 25, 0)
+	e.sched.RunFor(10 * time.Minute)
+
+	if stale == 0 {
+		t.Fatal("no header was pushed after the delivery; the scenario did not run")
+	}
+	refused := 0
+	for _, tx := range e.txs[e.cfg.A.Node] {
+		for _, m := range tx.Msgs {
+			if a, ok := m.(netsim.MsgAckPacket); ok && a.Packet.Sequence == p.Sequence {
+				refused++
+			}
+		}
+	}
+	if refused < 2 {
+		t.Fatalf("the ack was submitted %d times, want it refused and submitted again", refused)
+	}
+	if got := e.homeApp.Balance("dave", voucher); got != 25 {
+		t.Errorf("dave holds %d vouchers, want 25", got)
+	}
+	if e.away.Handler().HasCommitment(p) {
+		t.Error("the away chain still commits the packet: its ack was never relayed")
+	}
+	if a, c := e.counter("acks"), e.counter("ch."+string(e.awayCh)+".acks_to_cp"); a != 1 || c != 1 {
+		t.Errorf("acks = %d, acks_to_cp = %d, want 1 each (exactly once)", a, c)
+	}
+}

@@ -261,13 +261,17 @@ func (g *guestEnd) deliverEntry(entry *guest.BlockEntry) {
 }
 
 // relayAcks forwards acks for peer-sent packets delivered on the guest,
-// now that a finalised guest block commits them.
+// now that a finalised guest block commits them. Each carries that block's
+// height, so an ack the peer refuses (a header that landed out of order
+// left its client without this block) goes to the engine's ack queue, and
+// the engine updates the client to reach it and submits it again.
 func (g *guestEnd) relayAcks(entry *guest.BlockEntry) {
 	height := entry.Block.Height
 	for i, l := range g.lanes {
 		s := g.r.shards[i]
 		var remaining []ackWork
 		for _, w := range l.ackBacklog {
+			w.height = height
 			path := ibc.AckPath(w.packet.DestPort, w.packet.DestChannel, w.packet.Sequence)
 			proof, provedAt, err := g.proveMembership(height, path)
 			if err != nil {

@@ -177,8 +177,8 @@ type proven struct {
 }
 
 // ackWork is an ack written at height on the chain that received packet,
-// awaiting relay to the chain that sent it (height is zero for an ack the
-// guest end relays itself).
+// awaiting relay to the chain that sent it. On the guest, height is that of
+// the finalised block that commits the ack.
 type ackWork struct {
 	packet *ibc.Packet
 	ack    []byte
@@ -685,12 +685,13 @@ func (r *Relayer) requeue(to int, s *shard, w work) {
 	s.packets[src] = slices.Insert(q, i, w)
 }
 
-// requeueAck takes back an ack flush handed to side to and the sink
-// refused, for the next flush to prove and submit again — while to still
-// commits the packet: once it does not, the packet is settled. An ack the
-// guest end relays itself (it has no height) never was on a shard.
+// requeueAck takes back an ack a sink refused — one flush handed over, or
+// one the guest end relayed itself behind its block's header — for the next
+// flush to prove and submit again, once the peer's client reaches its
+// height, while to still commits the packet: once it does not, the packet
+// is settled.
 func (r *Relayer) requeueAck(to int, s *shard, w ackWork) {
-	if w.height != 0 && r.ends[to].hasCommitment(w.packet) {
+	if r.ends[to].hasCommitment(w.packet) {
 		s.acks[1-to] = append(s.acks[1-to], w)
 	}
 }
