@@ -52,7 +52,10 @@ lint: lint-deprecated
 # connection ends have one wire encoding with no decode cache; the JSON
 # path, its second encoder and the unused connection delay stay retired.
 # A light-client commit names its signers in validator-set order, so the
-# linear power lookup by key stays retired too.
+# linear power lookup by key stays retired too. Acks and timeouts reach a
+# sink as one shard's batch and stage like recvs: the single-item end
+# methods, the one-payload decoders, the recv-only budget declaration and
+# the recv-only batch rule stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -97,6 +100,11 @@ lint-deprecated:
 	@bad=$$(grep -rn '\.PowerOf(' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired power lookup (a commit lists its signers in set order; verifyCommit walks the set by position):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'ackPacket\|timeoutPacket\|recvJob\|UnmarshalAckPayload\|UnmarshalTimeoutPayload\|RecvBudgeter\|RecvBudget\|recvBatchLen\|chargeRecv' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired single-item datagrams (ends take batches: ackPackets/timeoutPackets; decode with UnmarshalAckPayloads/UnmarshalTimeoutPayloads; declare hook budgets with ibc.HookBudgeter):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -161,7 +169,8 @@ examples-smoke:
 
 # Fuzz smoke gate: every native fuzz target runs for five seconds beyond its
 # seed corpus (which plain `go test` already replays) — the recv staging
-# buffer, the staged ack, timeout and update-client payloads, the persisted
+# buffer, the staged ack and timeout batches (shared proof tails, heap-
+# charged decode) and update-client payload, the persisted
 # trie node format, the trie proof decoder, WAL recovery from an arbitrary
 # segment, the ICS-24 key derivation, the channel and connection end
 # decoders, the forward-memo parse, and the two light-client update

@@ -220,6 +220,8 @@ func (c *Contract) Execute(ctx *host.ExecContext, ins host.Instruction) error {
 			return e
 		}
 		err = c.emergencyRelease(ctx, st)
+	case OpCloseBuffer:
+		err = c.closeBuffer(ctx, st, r)
 	default:
 		return fmt.Errorf("guest: unknown opcode %d", op)
 	}
@@ -510,34 +512,35 @@ func (c *Contract) commitUpdateClient(ctx *host.ExecContext, st *State, r *wire.
 	return nil
 }
 
-// chargeRecv charges m what committing p costs the contract itself: hashing
-// the proof and walking its trie nodes.
-func chargeRecv(m *host.ComputeMeter, p *RecvPayload) error {
-	if err := m.ConsumeHash(len(p.Proof)); err != nil {
+// chargeProof charges m what verifying a staged proof costs the contract
+// itself: hashing it and walking its trie nodes.
+func chargeProof(m *host.ComputeMeter, proof []byte) error {
+	if err := m.ConsumeHash(len(proof)); err != nil {
 		return err
 	}
-	return m.Consume(host.CUPerTrieNode * uint64(1+len(p.Proof)/64))
+	return m.Consume(host.CUPerTrieNode * uint64(1+len(proof)/64))
 }
 
-// recvBatchLen is the recv batch rule: how many payloads from the front
-// of ps one commit may apply with units of compute left. The commit
-// decodes the whole staging buffer on the program heap and applies every
-// packet inside one transaction's compute budget, so the payloads with
+// batchLen is the batch rule of the three packet commits: how many payloads
+// from the front of ps one commit may apply with units of compute left. The
+// commit decodes the whole staging buffer on the program heap and applies
+// every packet inside one transaction's compute budget, so the payloads with
 // their proofs whole (wireSize: what the decode leaves on the heap, however
 // few bytes staged them) stay within host.MaxHeapBytes and the worst-case
-// metered compute — chargeRecv per packet plus what its destination port
-// declares for its recv path (ibc.RecvBudgeter) — within units. The first
-// payload always counts: a packet on its own is applied as it always was,
-// and fails on its own. The relayer cuts its jobs with the rule
-// (TxBuilder.RecvBatchLen) and the contract refuses a buffer that breaks it.
-func recvBatchLen(units uint64, ps []*RecvPayload, st *State) int {
+// metered compute — chargeProof per packet plus what the module running its
+// hook declares (ibc.HookBudgeter) — within units. The first payload always
+// counts: a packet on its own is applied as it always was, and fails on its
+// own. The relayer cuts its jobs with the rule (TxBuilder.RecvBatchLen,
+// AckBatchLen, TimeoutBatchLen) and the contract refuses a buffer that
+// breaks it.
+func batchLen[P packetPayload](units uint64, ps []P, st *State) int {
 	meter := host.NewComputeMeter(units)
 	bytes := 0
 	for i, p := range ps {
 		bytes += p.wireSize()
-		err := chargeRecv(meter, p)
+		err := chargeProof(meter, p.proof())
 		if err == nil {
-			err = meter.Consume(st.recvBudget(p.Packet))
+			err = meter.Consume(st.hookBudget(p.hook(), p.packet()))
 		}
 		if i > 0 && (err != nil || bytes > host.MaxHeapBytes) {
 			return i
@@ -546,36 +549,36 @@ func recvBatchLen(units uint64, ps []*RecvPayload, st *State) int {
 	return len(ps)
 }
 
-// recvBudget is the metered compute delivering p may charge beyond the
-// contract's own: what the module on p's destination port declares, 0 for
-// one that declares nothing.
-func (s *State) recvBudget(p *ibc.Packet) uint64 {
-	m, err := s.Handler.Router().Route(p.DestPort)
+// hookBudget is the metered compute running hook for p may charge beyond
+// the contract's own: what the module on the hook's end of p declares, 0
+// for one that declares nothing.
+func (s *State) hookBudget(hook ibc.Hook, p *ibc.Packet) uint64 {
+	port, channel := hook.End(p)
+	m, err := s.Handler.Router().Route(port)
 	if err != nil {
 		return 0
 	}
-	if b, ok := m.(ibc.RecvBudgeter); ok {
-		return b.RecvBudget(p.DestPort, p.DestChannel)
+	if b, ok := m.(ibc.HookBudgeter); ok {
+		return b.HookBudget(hook, port, channel)
 	}
 	return 0
 }
 
-// commitRecvPacket applies every incoming packet staged in the buffer
-// (Alg. 1 ReceivePacket, once per packet): verify the proof, reject
-// duplicates, deliver to the destination application on the host. The
-// buffer is decoded on the program heap — charged for the staged bytes
-// first, then by the decode for what each proof grows by as its shared tail
-// is put back — and checked against the batch rule before anything is
-// applied, so a transaction cannot run out of compute between two packets
-// and lose the first one's events. From here on every proof is whole: the
-// rule, the compute charge and Handler.RecvPacket see the payloads a
-// one-per-buffer relay would have staged. Each packet
-// then stands alone, as IBC requires of a multi-packet transaction: one
-// that is already receipted (a redundant relay) or fails its own checks is
-// passed over, the rest are delivered with one event each in staging
-// order, and the transaction fails — with the first packet's error — only
-// if none was.
-func (c *Contract) commitRecvPacket(ctx *host.ExecContext, st *State, r *wire.Reader) error {
+// commitPackets applies every packet staged in the buffer the instruction
+// names, with apply doing one packet's work — the commit of recvs, acks and
+// timeouts alike. The buffer is decoded on the program heap — charged for
+// the staged bytes first, then by the decode for what each proof grows by as
+// its shared tail is put back — and checked against the batch rule before
+// anything is applied, so a transaction cannot run out of compute between
+// two packets and lose the first one's events. From here on every proof is
+// whole: the rule, the compute charge and apply see the payloads a
+// one-per-buffer relay would have staged. Each packet then stands alone, as
+// IBC requires of a multi-packet transaction: one that is already settled
+// (a redundant relay) or fails its own checks is passed over, the rest are
+// applied with one event each in staging order, and the transaction fails —
+// with the first packet's error — only if none was.
+func commitPackets[P packetPayload](c *Contract, ctx *host.ExecContext, st *State, r *wire.Reader,
+	decode func([]byte, *host.HeapMeter) ([]P, error), apply func(P) error) error {
 	a, err := decodeCommit(r)
 	if err != nil {
 		return err
@@ -587,84 +590,83 @@ func (c *Contract) commitRecvPacket(ctx *host.ExecContext, st *State, r *wire.Re
 	if err := ctx.Heap.Alloc(len(buf.Data)); err != nil {
 		return err
 	}
-	payloads, err := UnmarshalRecvPayloads(buf.Data, ctx.Heap)
+	payloads, err := decode(buf.Data, ctx.Heap)
 	if err != nil {
 		return err
 	}
-	if n := recvBatchLen(ctx.Meter.Remaining(), payloads, st); n < len(payloads) {
+	if n := batchLen(ctx.Meter.Remaining(), payloads, st); n < len(payloads) {
 		return fmt.Errorf("%w: %d packets staged, %d fit", ErrRecvBatchTooLarge, len(payloads), n)
 	}
 	for _, p := range payloads {
-		if err := chargeRecv(ctx.Meter, p); err != nil {
+		if err := chargeProof(ctx.Meter, p.proof()); err != nil {
 			return err
 		}
 	}
 	var firstErr error
-	delivered := 0
+	applied := 0
 	for _, p := range payloads {
-		ack, err := st.Handler.RecvPacket(p.Packet, p.Proof, p.ProofHeight)
+		err := apply(p)
 		switch {
 		case err == nil:
-			delivered++
-			ctx.Emit(EventPacketDelivered{Packet: p.Packet, Ack: ack})
+			applied++
 		case errors.Is(err, host.ErrComputeBudgetExceeded):
 			return err
 		case firstErr == nil:
 			firstErr = err
 		}
 	}
-	if delivered == 0 {
+	if applied == 0 {
 		return firstErr
 	}
 	return nil
 }
 
-// commitAck applies a staged acknowledgement for a packet the guest sent.
-func (c *Contract) commitAck(ctx *host.ExecContext, st *State, r *wire.Reader) error {
-	a, err := decodeCommit(r)
-	if err != nil {
+// commitRecvPacket delivers the incoming packets staged in the buffer
+// (Alg. 1 ReceivePacket, once per packet): verify the proof, reject
+// duplicates, deliver to the destination application on the host.
+func (c *Contract) commitRecvPacket(ctx *host.ExecContext, st *State, r *wire.Reader) error {
+	return commitPackets(c, ctx, st, r, UnmarshalRecvPayloads, func(p *RecvPayload) error {
+		ack, err := st.Handler.RecvPacket(p.Packet, p.Proof, p.ProofHeight)
+		if err == nil {
+			ctx.Emit(EventPacketDelivered{Packet: p.Packet, Ack: ack})
+		}
 		return err
-	}
-	buf, err := c.takeBuffer(ctx, st, a.BufferID)
-	if err != nil {
-		return err
-	}
-	payload, err := UnmarshalAckPayload(buf.Data)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Meter.ConsumeHash(len(payload.Proof)); err != nil {
-		return err
-	}
-	if err := st.Handler.AcknowledgePacket(payload.Packet, payload.Ack, payload.Proof, payload.ProofHeight); err != nil {
-		return err
-	}
-	ctx.Emit(EventPacketAcked{Packet: payload.Packet})
-	return nil
+	})
 }
 
-// commitTimeout applies a staged timeout proof for a packet the guest
-// sent.
+// commitAck applies the acknowledgements staged in the buffer for packets
+// the guest sent.
+func (c *Contract) commitAck(ctx *host.ExecContext, st *State, r *wire.Reader) error {
+	return commitPackets(c, ctx, st, r, UnmarshalAckPayloads, func(p *AckPayload) error {
+		err := st.Handler.AcknowledgePacket(p.Packet, p.Ack, p.Proof, p.ProofHeight)
+		if err == nil {
+			ctx.Emit(EventPacketAcked{Packet: p.Packet})
+		}
+		return err
+	})
+}
+
+// commitTimeout applies the timeout proofs staged in the buffer for packets
+// the guest sent.
 func (c *Contract) commitTimeout(ctx *host.ExecContext, st *State, r *wire.Reader) error {
-	a, err := decodeCommit(r)
-	if err != nil {
+	return commitPackets(c, ctx, st, r, UnmarshalTimeoutPayloads, func(p *TimeoutPayload) error {
+		err := st.Handler.TimeoutPacket(p.Packet, p.Proof, p.ProofHeight)
+		if err == nil {
+			ctx.Emit(EventPacketTimedOut{Packet: p.Packet})
+		}
 		return err
+	})
+}
+
+// closeBuffer drops the fee payer's staging buffer, if it has one: the
+// relayer gave its job up, and nothing will commit it. A buffer that never
+// staged a byte (the job's first chunk was lost) is already closed.
+func (c *Contract) closeBuffer(ctx *host.ExecContext, st *State, r *wire.Reader) error {
+	id := r.U64()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("guest: decode close buffer: %w", err)
 	}
-	buf, err := c.takeBuffer(ctx, st, a.BufferID)
-	if err != nil {
-		return err
-	}
-	payload, err := UnmarshalTimeoutPayload(buf.Data)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Meter.ConsumeHash(len(payload.Proof)); err != nil {
-		return err
-	}
-	if err := st.Handler.TimeoutPacket(payload.Packet, payload.Proof, payload.ProofHeight); err != nil {
-		return err
-	}
-	ctx.Emit(EventPacketTimedOut{Packet: payload.Packet})
+	delete(st.staging, stagingKey{owner: ctx.FeePayer(), id: id})
 	return nil
 }
 

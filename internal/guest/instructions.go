@@ -45,6 +45,9 @@ const (
 	// dead for EmergencyTimeout (§VI-A's self-destruction mitigation for
 	// the last-validator-wishing-to-quit problem).
 	OpEmergencyRelease
+	// OpCloseBuffer drops the fee payer's staging buffer: a relayer that
+	// gives a chunked job up frees what its chunks staged.
+	OpCloseBuffer
 )
 
 // SendPacketArgs are the OpSendPacket payload.
@@ -221,6 +224,14 @@ func decodeCommit(r *wire.Reader) (*CommitArgs, error) {
 	return a, nil
 }
 
+// EncodeCloseBuffer builds OpCloseBuffer instruction data.
+func EncodeCloseBuffer(bufferID uint64) []byte {
+	w := wire.NewWriterSize(1 + 8)
+	w.U8(OpCloseBuffer)
+	w.U64(bufferID)
+	return w.Bytes()
+}
+
 // RecvPayload is the staged payload for OpCommitRecvPacket: the packet,
 // the proof height on the counterparty, and the commitment proof.
 type RecvPayload struct {
@@ -229,11 +240,87 @@ type RecvPayload struct {
 	Proof       []byte
 }
 
-// wireSize is the payload's size with its proof whole: what it costs the
-// commit's heap once decoded, and what a payload staged first or alone
-// occupies in the buffer.
+// AckPayload is the staged payload for OpCommitAck.
+type AckPayload struct {
+	Packet      *ibc.Packet
+	Ack         []byte
+	ProofHeight ibc.Height
+	Proof       []byte
+}
+
+// TimeoutPayload is the staged payload for OpCommitTimeout.
+type TimeoutPayload struct {
+	Packet      *ibc.Packet
+	ProofHeight ibc.Height
+	Proof       []byte
+}
+
+// packetPayload is what the three packet commits stage per packet: fields
+// ahead of the proof, then the proof, which comes last so a payload staged
+// after another writes only the part of it the one before lacks
+// (marshalPayloads). hook is the module callback applying it runs.
+type packetPayload interface {
+	packet() *ibc.Packet
+	proof() []byte
+	setProof(proof []byte)
+	hook() ibc.Hook
+	// wireSize is the payload's size with its proof whole: what it costs the
+	// commit's heap once decoded, and what a payload staged first or alone
+	// occupies in the buffer.
+	wireSize() int
+	writeFields(w *wire.Writer)
+	readFields(r *wire.Reader)
+}
+
+func (p *RecvPayload) packet() *ibc.Packet   { return p.Packet }
+func (p *RecvPayload) proof() []byte         { return p.Proof }
+func (p *RecvPayload) setProof(proof []byte) { p.Proof = proof }
+func (p *RecvPayload) hook() ibc.Hook        { return ibc.HookRecv }
 func (p *RecvPayload) wireSize() int {
 	return ibc.PacketWireSize(p.Packet) + 8 + 4 + len(p.Proof)
+}
+func (p *RecvPayload) writeFields(w *wire.Writer) {
+	ibc.EncodePacket(w, p.Packet)
+	w.U64(uint64(p.ProofHeight))
+}
+func (p *RecvPayload) readFields(r *wire.Reader) {
+	// The reader's first error sticks: the caller checks once per payload.
+	p.Packet, _ = ibc.DecodePacket(r)
+	p.ProofHeight = ibc.Height(r.U64())
+}
+
+func (p *AckPayload) packet() *ibc.Packet   { return p.Packet }
+func (p *AckPayload) proof() []byte         { return p.Proof }
+func (p *AckPayload) setProof(proof []byte) { p.Proof = proof }
+func (p *AckPayload) hook() ibc.Hook        { return ibc.HookAck }
+func (p *AckPayload) wireSize() int {
+	return ibc.PacketWireSize(p.Packet) + 4 + len(p.Ack) + 8 + 4 + len(p.Proof)
+}
+func (p *AckPayload) writeFields(w *wire.Writer) {
+	ibc.EncodePacket(w, p.Packet)
+	w.Bytes32(p.Ack)
+	w.U64(uint64(p.ProofHeight))
+}
+func (p *AckPayload) readFields(r *wire.Reader) {
+	p.Packet, _ = ibc.DecodePacket(r)
+	p.Ack = r.Bytes32()
+	p.ProofHeight = ibc.Height(r.U64())
+}
+
+func (p *TimeoutPayload) packet() *ibc.Packet   { return p.Packet }
+func (p *TimeoutPayload) proof() []byte         { return p.Proof }
+func (p *TimeoutPayload) setProof(proof []byte) { p.Proof = proof }
+func (p *TimeoutPayload) hook() ibc.Hook        { return ibc.HookTimeout }
+func (p *TimeoutPayload) wireSize() int {
+	return ibc.PacketWireSize(p.Packet) + 8 + 4 + len(p.Proof)
+}
+func (p *TimeoutPayload) writeFields(w *wire.Writer) {
+	ibc.EncodePacket(w, p.Packet)
+	w.U64(uint64(p.ProofHeight))
+}
+func (p *TimeoutPayload) readFields(r *wire.Reader) {
+	p.Packet, _ = ibc.DecodePacket(r)
+	p.ProofHeight = ibc.Height(r.U64())
 }
 
 // sharedTail is how many trailing bytes proof has in common with prev, as
@@ -247,56 +334,56 @@ func sharedTail(prev, proof []byte) int {
 	return n
 }
 
-// MarshalRecvPayload encodes RecvPayloads for staging, end to end with no
-// count prefix: a recv job stages every packet it carries in one buffer.
-// The first payload is written whole — a single packet encodes exactly as
-// it always has. One after it writes `u16 n` ahead of its proof and then
-// only proof[:len(proof)-n]: n is the number of trailing bytes the proof
-// shares with the whole proof of the payload before it. Proof bytes are
-// opaque here; the format pays off because trie.Proof.MarshalBinary writes
-// its items deepest first, so two neighbouring leaves proven at one root
-// agree in everything but the first item or two, and a caller that passes
+// marshalPayloads encodes payloads of one kind for staging, end to end with
+// no count prefix: a job stages every packet it carries in one buffer. The
+// first payload is written whole — a single packet encodes exactly as it
+// always has. One after it writes `u16 n` ahead of its proof and then only
+// proof[:len(proof)-n]: n is the number of trailing bytes the proof shares
+// with the whole proof of the payload before it. Proof bytes are opaque
+// here; the format pays off because trie.Proof.MarshalBinary writes its
+// items deepest first, so two neighbouring leaves proven at one root agree
+// in everything but the first item or two, and a caller that passes
 // payloads in sequence order (the relayer does) stages each shared upper
 // path once.
-func MarshalRecvPayload(ps ...*RecvPayload) []byte {
+func marshalPayloads[P packetPayload](ps []P) []byte {
 	size := 0 // an upper bound once neighbours share two bytes; the writer grows otherwise
 	for _, p := range ps {
 		size += p.wireSize()
 	}
 	w := wire.NewWriterSize(size)
 	for i, p := range ps {
-		ibc.EncodePacket(w, p.Packet)
-		w.U64(uint64(p.ProofHeight))
-		head := p.Proof
+		p.writeFields(w)
+		head := p.proof()
 		if i > 0 {
-			n := sharedTail(ps[i-1].Proof, p.Proof)
+			n := sharedTail(ps[i-1].proof(), head)
 			w.U16(uint16(n))
-			head = p.Proof[:len(p.Proof)-n]
+			head = head[:len(head)-n]
 		}
 		w.Bytes32(head)
 	}
 	return w.Bytes()
 }
 
-// UnmarshalRecvPayloads decodes a staging buffer of one or more
-// RecvPayloads laid end to end and makes every proof whole again — head ‖
-// the last n bytes of the proof before it, itself already whole — so what
-// it returns is position-independent. The caller has charged heap for the
-// buffer; each proof's growth (its n tail bytes, less the two of the
-// length field they replace) is charged before it is allocated, so a few
-// staged bytes cannot claim more memory than the heap has
-// (host.ErrHeapExhausted). A truncated payload — and trailing bytes, which
-// read as one — fails with wire.ErrShort, a tail longer than the proof it
-// names with ErrRecvSharedTail; nothing is returned unless the whole
-// buffer decodes.
-func UnmarshalRecvPayloads(data []byte, heap *host.HeapMeter) ([]*RecvPayload, error) {
+// unmarshalPayloads decodes a staging buffer of one or more payloads of one
+// kind laid end to end and makes every proof whole again — head ‖ the last n
+// bytes of the proof before it, itself already whole — so what it returns is
+// position-independent. The caller has charged heap for the buffer; each
+// proof's growth (its n tail bytes, less the two of the length field they
+// replace) is charged before it is allocated, so a few staged bytes cannot
+// claim more memory than the heap has (host.ErrHeapExhausted). A truncated
+// payload — and trailing bytes, which read as one — fails with
+// wire.ErrShort, a tail longer than the proof it names with
+// ErrRecvSharedTail; nothing is returned unless the whole buffer decodes.
+func unmarshalPayloads[T any, P interface {
+	*T
+	packetPayload
+}](data []byte, heap *host.HeapMeter, kind string) ([]P, error) {
 	r := wire.NewReader(data)
-	var ps []*RecvPayload
+	var ps []P
 	var prev []byte
 	for {
-		// The reader's first error sticks, so one check covers the payload.
-		pkt, _ := ibc.DecodePacket(r)
-		p := &RecvPayload{Packet: pkt, ProofHeight: ibc.Height(r.U64())}
+		p := P(new(T))
+		p.readFields(r)
 		n := 0
 		if len(ps) > 0 {
 			n = int(r.U16())
@@ -310,10 +397,10 @@ func UnmarshalRecvPayloads(data []byte, heap *host.HeapMeter) ([]*RecvPayload, e
 			err = heap.Alloc(n - 2)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("guest: decode recv payload %d: %w", len(ps), err)
+			return nil, fmt.Errorf("guest: decode %s payload %d: %w", kind, len(ps), err)
 		}
-		p.Proof = append(head, prev[len(prev)-n:]...)
-		prev = p.Proof
+		p.setProof(append(head, prev[len(prev)-n:]...))
+		prev = p.proof()
 		ps = append(ps, p)
 		if r.Remaining() == 0 {
 			return ps, nil
@@ -321,71 +408,30 @@ func UnmarshalRecvPayloads(data []byte, heap *host.HeapMeter) ([]*RecvPayload, e
 	}
 }
 
-// AckPayload is the staged payload for OpCommitAck.
-type AckPayload struct {
-	Packet      *ibc.Packet
-	Ack         []byte
-	ProofHeight ibc.Height
-	Proof       []byte
+// MarshalRecvPayload encodes RecvPayloads for staging (marshalPayloads).
+func MarshalRecvPayload(ps ...*RecvPayload) []byte { return marshalPayloads(ps) }
+
+// UnmarshalRecvPayloads decodes a recv staging buffer (unmarshalPayloads).
+func UnmarshalRecvPayloads(data []byte, heap *host.HeapMeter) ([]*RecvPayload, error) {
+	return unmarshalPayloads[RecvPayload](data, heap, "recv")
 }
 
-// MarshalAckPayload encodes an AckPayload for staging.
-func MarshalAckPayload(p *AckPayload) []byte {
-	w := wire.NewWriter()
-	ibc.EncodePacket(w, p.Packet)
-	w.Bytes32(p.Ack)
-	w.U64(uint64(p.ProofHeight))
-	w.Bytes32(p.Proof)
-	return w.Bytes()
+// MarshalAckPayload encodes AckPayloads for staging (marshalPayloads).
+func MarshalAckPayload(ps ...*AckPayload) []byte { return marshalPayloads(ps) }
+
+// UnmarshalAckPayloads decodes an ack staging buffer (unmarshalPayloads).
+func UnmarshalAckPayloads(data []byte, heap *host.HeapMeter) ([]*AckPayload, error) {
+	return unmarshalPayloads[AckPayload](data, heap, "ack")
 }
 
-// UnmarshalAckPayload decodes a staged AckPayload.
-func UnmarshalAckPayload(data []byte) (*AckPayload, error) {
-	r := wire.NewReader(data)
-	pkt, err := ibc.DecodePacket(r)
-	if err != nil {
-		return nil, err
-	}
-	p := &AckPayload{Packet: pkt}
-	p.Ack = r.Bytes32()
-	p.ProofHeight = ibc.Height(r.U64())
-	p.Proof = r.Bytes32()
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("guest: decode ack payload: %w", err)
-	}
-	return p, nil
-}
+// MarshalTimeoutPayload encodes TimeoutPayloads for staging
+// (marshalPayloads).
+func MarshalTimeoutPayload(ps ...*TimeoutPayload) []byte { return marshalPayloads(ps) }
 
-// TimeoutPayload is the staged payload for OpCommitTimeout.
-type TimeoutPayload struct {
-	Packet      *ibc.Packet
-	ProofHeight ibc.Height
-	Proof       []byte
-}
-
-// MarshalTimeoutPayload encodes a TimeoutPayload for staging.
-func MarshalTimeoutPayload(p *TimeoutPayload) []byte {
-	w := wire.NewWriter()
-	ibc.EncodePacket(w, p.Packet)
-	w.U64(uint64(p.ProofHeight))
-	w.Bytes32(p.Proof)
-	return w.Bytes()
-}
-
-// UnmarshalTimeoutPayload decodes a staged TimeoutPayload.
-func UnmarshalTimeoutPayload(data []byte) (*TimeoutPayload, error) {
-	r := wire.NewReader(data)
-	pkt, err := ibc.DecodePacket(r)
-	if err != nil {
-		return nil, err
-	}
-	p := &TimeoutPayload{Packet: pkt}
-	p.ProofHeight = ibc.Height(r.U64())
-	p.Proof = r.Bytes32()
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("guest: decode timeout payload: %w", err)
-	}
-	return p, nil
+// UnmarshalTimeoutPayloads decodes a timeout staging buffer
+// (unmarshalPayloads).
+func UnmarshalTimeoutPayloads(data []byte, heap *host.HeapMeter) ([]*TimeoutPayload, error) {
+	return unmarshalPayloads[TimeoutPayload](data, heap, "timeout")
 }
 
 // UpdateClientPayload is staged for OpCommitUpdateClient.

@@ -36,22 +36,36 @@ func (c *pickyClient) VerifyMembership(_ ibc.Height, path string, value, proof [
 	return nil
 }
 
-// hookedModule is a recording application whose recv path charges the
-// delivering transaction's meter: it declares budget units per delivery
-// (ibc.RecvBudgeter) and burns exactly that.
+// hookedModule is a recording application whose packet callbacks charge
+// the transaction's meter: it declares budget units per run of each
+// (ibc.HookBudgeter) and burns exactly that.
 type hookedModule struct {
 	recordingModule
 	st     *State
 	budget uint64
 }
 
-func (m *hookedModule) RecvBudget(ibc.PortID, ibc.ChannelID) uint64 { return m.budget }
+func (m *hookedModule) HookBudget(ibc.Hook, ibc.PortID, ibc.ChannelID) uint64 { return m.budget }
 
 func (m *hookedModule) OnRecvPacket(p ibc.Packet) ([]byte, error) {
 	if err := m.st.Meter().Consume(m.budget); err != nil {
 		return nil, err
 	}
 	return m.recordingModule.OnRecvPacket(p)
+}
+
+func (m *hookedModule) OnAcknowledgementPacket(p ibc.Packet, ack []byte) error {
+	if err := m.st.Meter().Consume(m.budget); err != nil {
+		return err
+	}
+	return m.recordingModule.OnAcknowledgementPacket(p, ack)
+}
+
+func (m *hookedModule) OnTimeoutPacket(p ibc.Packet) error {
+	if err := m.st.Meter().Consume(m.budget); err != nil {
+		return err
+	}
+	return m.recordingModule.OnTimeoutPacket(p)
 }
 
 // recvEnv is a contract with an open "transfer" channel behind a
@@ -333,10 +347,9 @@ func TestCommitRecvBatchIndependentPackets(t *testing.T) {
 // stageLater appends p to buf the way a payload after the first is staged:
 // head only, ahead of it the length n of the tail it claims to share with
 // the proof before it.
-func stageLater(buf []byte, p *RecvPayload, n int, head []byte) []byte {
+func stageLater[P packetPayload](buf []byte, p P, n int, head []byte) []byte {
 	w := wire.NewWriter()
-	ibc.EncodePacket(w, p.Packet)
-	w.U64(uint64(p.ProofHeight))
+	p.writeFields(w)
 	w.U16(uint16(n))
 	w.Bytes32(head)
 	return append(append([]byte(nil), buf...), w.Bytes()...)

@@ -30,8 +30,8 @@ var (
 	ErrStakeTooSmall     = errors.New("guest: stake below minimum")
 	ErrUnknownCandidate  = errors.New("guest: unknown candidate")
 	ErrUnknownBuffer     = errors.New("guest: unknown staging buffer")
-	ErrRecvBatchTooLarge = errors.New("guest: staged recv packets exceed one commit's heap or compute")
-	ErrRecvSharedTail    = errors.New("guest: staged recv proof shares more than the proof before it holds")
+	ErrRecvBatchTooLarge = errors.New("guest: staged packets exceed one commit's heap or compute")
+	ErrRecvSharedTail    = errors.New("guest: staged proof shares more than the proof before it holds")
 	ErrNothingToWithdraw = errors.New("guest: no matured withdrawals")
 	ErrBadEvidence       = errors.New("guest: misbehaviour evidence invalid")
 	ErrNotDead           = errors.New("guest: chain is not dead (emergency timeout not reached)")
@@ -480,6 +480,10 @@ func (s *State) pruneSnapshots() {
 		s.oldestSnapshot++
 	}
 }
+
+// StagingBuffers returns how many staging buffers are open: staged by a
+// fee payer and neither committed nor closed.
+func (s *State) StagingBuffers() int { return len(s.staging) }
 
 // RetainedSnapshots returns how many historical store versions the state
 // currently holds (telemetry).

@@ -5,6 +5,7 @@ import (
 	"repro/internal/guestblock"
 	"repro/internal/host"
 	"repro/internal/ibc"
+	"repro/internal/wire"
 )
 
 // TxBuilder builds host transactions that invoke the Guest Contract,
@@ -208,21 +209,49 @@ func (b *TxBuilder) RecvPacketTxs(ps ...*RecvPayload) []*host.Transaction {
 
 // RecvBatchLen returns how many payloads from the front of ps one
 // RecvPacketTxs call may carry to st's contract: the contract's batch rule
-// (recvBatchLen) held to half of Profile.MaxComputeUnits, which leaves the
+// (batchLen) held to half of Profile.MaxComputeUnits, which leaves the
 // commit headroom for a budget declared after the job was cut. The rule
 // reads the payloads with their proofs whole, as the commit will hold them,
 // not the fewer bytes RecvPacketTxs stages: sharing proof tails saves chunk
 // transactions, it does not fit more packets behind one commit.
 func (b *TxBuilder) RecvBatchLen(ps []*RecvPayload, st *State) int {
-	return recvBatchLen(b.Profile.MaxComputeUnits/2-host.CUBaseInstruction, ps, st)
+	return batchLen(b.batchUnits(), ps, st)
 }
 
-// AckPacketTxs stages an acknowledgement with its proof and commits it.
-func (b *TxBuilder) AckPacketTxs(p *AckPayload) []*host.Transaction {
-	return b.ChunkedUpload(OpCommitAck, "", MarshalAckPayload(p), nil, "ack-packet")
+// AckPacketTxs stages acknowledgements with their proofs as one chunk
+// sequence and commits them together, as RecvPacketTxs does packets;
+// AckBatchLen says how many one call may carry.
+func (b *TxBuilder) AckPacketTxs(ps ...*AckPayload) []*host.Transaction {
+	return b.ChunkedUpload(OpCommitAck, "", MarshalAckPayload(ps...), nil, "ack-packet")
 }
 
-// TimeoutPacketTxs stages a timeout proof and commits it.
-func (b *TxBuilder) TimeoutPacketTxs(p *TimeoutPayload) []*host.Transaction {
-	return b.ChunkedUpload(OpCommitTimeout, "", MarshalTimeoutPayload(p), nil, "timeout-packet")
+// AckBatchLen is RecvBatchLen for AckPacketTxs.
+func (b *TxBuilder) AckBatchLen(ps []*AckPayload, st *State) int {
+	return batchLen(b.batchUnits(), ps, st)
+}
+
+// TimeoutPacketTxs stages timeout proofs as one chunk sequence and commits
+// them together, as RecvPacketTxs does packets; TimeoutBatchLen says how
+// many one call may carry.
+func (b *TxBuilder) TimeoutPacketTxs(ps ...*TimeoutPayload) []*host.Transaction {
+	return b.ChunkedUpload(OpCommitTimeout, "", MarshalTimeoutPayload(ps...), nil, "timeout-packet")
+}
+
+// TimeoutBatchLen is RecvBatchLen for TimeoutPacketTxs.
+func (b *TxBuilder) TimeoutBatchLen(ps []*TimeoutPayload, st *State) int {
+	return batchLen(b.batchUnits(), ps, st)
+}
+
+// batchUnits is the compute a job's commit is cut to: half the profile's
+// limit, less the instruction's base charge.
+func (b *TxBuilder) batchUnits() uint64 {
+	return b.Profile.MaxComputeUnits/2 - host.CUBaseInstruction
+}
+
+// CloseBufferTx builds the transaction that drops the staging buffer a
+// ChunkedUpload job fills, named by the job's commit transaction: what a
+// relayer sends when it gives the job up.
+func (b *TxBuilder) CloseBufferTx(commit *host.Transaction) *host.Transaction {
+	id := wire.NewReader(commit.Instructions[0].Data[1:]).U64()
+	return b.tx("close-buffer", EncodeCloseBuffer(id))
 }

@@ -102,13 +102,32 @@ type Module interface {
 	OnTimeoutPacket(p Packet) error
 }
 
-// RecvBudgeter is implemented by modules and middleware layers whose
-// OnRecvPacket charges the compute meter of the transaction delivering the
-// packet: RecvBudget is the most one delivery on (port, channel) may
-// charge. Whoever applies several deliveries in one transaction bounds the
-// batch with it.
-type RecvBudgeter interface {
-	RecvBudget(port PortID, channel ChannelID) uint64
+// Hook names one of a module's three packet callbacks.
+type Hook uint8
+
+// The packet callbacks a module may meter.
+const (
+	HookRecv Hook = iota
+	HookAck
+	HookTimeout
+)
+
+// End is the (port, channel) whose module runs hook for p: the destination
+// end on recv, the source end on ack and timeout.
+func (h Hook) End(p *Packet) (PortID, ChannelID) {
+	if h == HookRecv {
+		return p.DestPort, p.DestChannel
+	}
+	return p.SourcePort, p.SourceChannel
+}
+
+// HookBudgeter is implemented by modules and middleware layers whose packet
+// callbacks charge the compute meter of the transaction that runs them:
+// HookBudget is the most one run of hook on (port, channel) may charge.
+// Whoever applies several packets in one transaction bounds the batch with
+// it.
+type HookBudgeter interface {
+	HookBudget(hook Hook, port PortID, channel ChannelID) uint64
 }
 
 // PacketSender is the send side of the packet lifecycle: assign a

@@ -127,14 +127,27 @@ func (c *Callbacks) Register(port ibc.PortID, ch ibc.ChannelID, cb *Callback) {
 	c.hooks[hookKey{port, ch}] = cb
 }
 
-// RecvBudget implements ibc.RecvBudgeter: the compute allowance of the
-// recv hook registered on (port, channel), 0 without one — the most a
-// delivery there may charge the host meter through this layer.
-func (c *Callbacks) RecvBudget(port ibc.PortID, ch ibc.ChannelID) uint64 {
-	if cb := c.hooks[hookKey{port, ch}]; cb != nil && cb.OnRecv != nil {
-		return cb.Budget
+// HookBudget implements ibc.HookBudgeter: the compute allowance of the hook
+// of that kind registered on (port, channel), 0 without one — the most one
+// run of it may charge the host meter through this layer.
+func (c *Callbacks) HookBudget(hook ibc.Hook, port ibc.PortID, ch ibc.ChannelID) uint64 {
+	cb := c.hooks[hookKey{port, ch}]
+	if cb == nil {
+		return 0
 	}
-	return 0
+	registered := false
+	switch hook {
+	case ibc.HookRecv:
+		registered = cb.OnRecv != nil
+	case ibc.HookAck:
+		registered = cb.OnAck != nil
+	case ibc.HookTimeout:
+		registered = cb.OnTimeout != nil
+	}
+	if !registered {
+		return 0
+	}
+	return cb.Budget
 }
 
 func (c *Callbacks) meter(budget uint64) *budgetMeter {

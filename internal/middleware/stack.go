@@ -131,15 +131,15 @@ func (s *Stack) Middleware(name string) Middleware {
 	return nil
 }
 
-// RecvBudget implements ibc.RecvBudgeter: the sum of what the layers that
-// charge the host meter on recv declare for one delivery on (port,
-// channel). A layer that meters its recv path declares it by implementing
-// ibc.RecvBudgeter itself.
-func (s *Stack) RecvBudget(port ibc.PortID, channel ibc.ChannelID) uint64 {
+// HookBudget implements ibc.HookBudgeter: the sum of what the layers that
+// charge the host meter in hook declare for one run on (port, channel). A
+// layer that meters its hooks declares them by implementing
+// ibc.HookBudgeter itself.
+func (s *Stack) HookBudget(hook ibc.Hook, port ibc.PortID, channel ibc.ChannelID) uint64 {
 	var units uint64
 	for _, mw := range s.mws {
-		if b, ok := mw.(ibc.RecvBudgeter); ok {
-			units += b.RecvBudget(port, channel)
+		if b, ok := mw.(ibc.HookBudgeter); ok {
+			units += b.HookBudget(hook, port, channel)
 		}
 	}
 	return units

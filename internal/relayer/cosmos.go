@@ -173,17 +173,23 @@ func (c *cosmosEnd) recvPackets(s *shard, batch []proven) {
 	}
 }
 
-func (c *cosmosEnd) ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64) {
-	c.submit(netsim.MsgAckPacket{Packet: w.packet, Ack: w.ack, Proof: proof, ProofHeight: ibc.Height(provedAt)},
-		func(_ any, err error) {
-			if err != nil {
-				c.r.requeueAck(c.side, s, w)
-			}
-			c.r.acked(c.side, s, w.packet, err)
-		})
+// ackPackets submits the batch one message per ack, in order.
+func (c *cosmosEnd) ackPackets(s *shard, batch []provenAck) {
+	for _, w := range batch {
+		c.submit(netsim.MsgAckPacket{Packet: w.packet, Ack: w.ack, Proof: w.proof, ProofHeight: ibc.Height(w.provedAt)},
+			func(_ any, err error) {
+				if err != nil {
+					c.r.requeueAck(c.side, s, w.ackWork)
+				}
+				c.r.acked(c.side, s, w.packet, err)
+			})
+	}
 }
 
-func (c *cosmosEnd) timeoutPacket(_ *shard, tr *packetTrace, proof []byte, provedAt ibc.Height) {
-	c.submit(netsim.MsgTimeoutPacket{Packet: tr.packet, Proof: proof, ProofHeight: provedAt},
-		func(_ any, err error) { c.r.timedOut(tr, err) })
+// timeoutPackets submits the batch one message per packet, in order.
+func (c *cosmosEnd) timeoutPackets(_ *shard, batch []provenTimeout) {
+	for _, w := range batch {
+		c.submit(netsim.MsgTimeoutPacket{Packet: w.tr.packet, Proof: w.proof, ProofHeight: w.provedAt},
+			func(_ any, err error) { c.r.timedOut(w.tr, err) })
+	}
 }

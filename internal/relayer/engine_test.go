@@ -18,6 +18,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/transfer"
+	"repro/internal/wire"
 )
 
 // linkKind selects what the engine under test relays between.
@@ -68,6 +69,11 @@ type linkEnv struct {
 	// or cut a link to lose the reply.
 	txs       map[netsim.NodeID][]netsim.MsgTx
 	intercept func(node netsim.NodeID, tx *netsim.MsgTx)
+	// hostLabels labels every transaction the guest link's host front-end
+	// was called with, in arrival order; hostIntercept, when set, sees each
+	// first and returns the transaction to submit in its place.
+	hostLabels    []string
+	hostIntercept func(tx *host.Transaction) *host.Transaction
 }
 
 // newLinkEnv builds the link and starts its first engine, whose config
@@ -163,7 +169,12 @@ func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(
 		e.net.Node(home.Node, nil, e.frontEnd(home.Node, home.Chain))
 	} else {
 		e.net.Node(home.Node, nil, func(_ netsim.NodeID, _ string, payload any) (any, error) {
-			err := e.chain.Submit(payload.(netsim.MsgSubmitTx).Tx)
+			tx := payload.(netsim.MsgSubmitTx).Tx
+			e.hostLabels = append(e.hostLabels, tx.Label)
+			if e.hostIntercept != nil {
+				tx = e.hostIntercept(tx)
+			}
+			err := e.chain.Submit(tx)
 			if errors.Is(err, host.ErrDuplicateTransaction) {
 				err = nil
 			}
@@ -306,6 +317,42 @@ func recvSeqs(txs ...netsim.MsgTx) []uint64 {
 		}
 	}
 	return seqs
+}
+
+// cutMidJob cuts the first engine off from the host once a job has started
+// on lane and the next transaction it has to send carries label, runs then,
+// and reports how many transactions the job had left. The link heals ten
+// seconds later.
+func (e *linkEnv) cutMidJob(lane *pacer, label string, then func()) *int {
+	left := new(int)
+	e.sched.Every(50*time.Millisecond, func() bool {
+		if len(lane.queue) == 0 {
+			return true
+		}
+		j := lane.queue[0]
+		if j.started.IsZero() || len(j.txs) == 0 || j.txs[0].Label != label {
+			return true
+		}
+		*left = len(j.txs)
+		e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{Drop: 1})
+		e.sched.After(10*time.Second, func() {
+			e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{})
+		})
+		then()
+		return false
+	})
+	return left
+}
+
+// count is how many of labels equal label.
+func count(labels []string, label string) int {
+	n := 0
+	for _, l := range labels {
+		if l == label {
+			n++
+		}
+	}
+	return n
 }
 
 // loseReply cuts the link that carries node's replies to the first engine,
@@ -558,6 +605,43 @@ func TestEngine(t *testing.T) {
 				}
 			}
 		}},
+		{"acks toward the guest share one job", guestLink, func(t *testing.T, kind linkKind) {
+			// Twelve packets the guest sends in one block are delivered in
+			// one transaction, so their acks are written at one height and
+			// reach the guest end as one batch: one chunk sequence and one
+			// commit, not a job of about three transactions each. Cut off
+			// from the host mid-upload, the job gives all twelve back, and
+			// the next one acknowledges each once.
+			const n, amt = 12, 5
+			for _, cut := range []bool{false, true} {
+				e := newLinkEnv(t, kind, netsim.Config{})
+				r := e.relayer
+				r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 5}
+				left := new(int)
+				if cut {
+					left = e.cutMidJob(r.ends[1].(*guestEnd).lanes[1].pc, "ack-packet/chunk", func() {})
+				}
+				for i := 0; i < n; i++ {
+					e.send(t, amt, 0)
+				}
+				e.sched.RunFor(20 * time.Minute)
+
+				e.wantTransferred(t, n*amt, n*amt)
+				if got := e.counter("ch." + string(e.homeCh) + ".acks_to_guest"); got != n {
+					t.Errorf("cut %v: acks_to_guest = %d, want %d (each exactly once)", cut, got, n)
+				}
+				commits, txs := count(e.hostLabels, "ack-packet/commit"), count(e.hostLabels, "ack-packet/chunk")+count(e.hostLabels, "ack-packet/commit")
+				if !cut && (commits != 1 || txs > n) {
+					t.Errorf("%d acks took %d commits in %d transactions, want one job of at most %d", n, commits, txs, n)
+				}
+				if cut && (*left == 0 || e.counter("net_dead_letters") == 0 || commits != 1) {
+					t.Errorf("cut with %d transactions left, %d dead letters, %d commits: want a chunk lost mid-job and one commit after it", *left, e.counter("net_dead_letters"), commits)
+				}
+				if n := e.guestState(t).StagingBuffers(); n != 0 {
+					t.Errorf("cut %v: %d staging buffers left open", cut, n)
+				}
+			}
+		}},
 	}
 	for _, kind := range []linkKind{guestLink, cosmosLink} {
 		for _, sc := range scenarios {
@@ -702,29 +786,6 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 	e.scanTimeouts()
 	bank := r.shards[1]
 	lane := r.ends[1].(*guestEnd).lanes[bank.index].pc
-	// cutMidJob cuts the engine off from the host once a job has started on
-	// the bank lane and the next transaction it has to send carries label,
-	// runs then, and reports how many transactions the job had left.
-	cutMidJob := func(label string, then func()) *int {
-		left := new(int)
-		e.sched.Every(50*time.Millisecond, func() bool {
-			if len(lane.queue) == 0 {
-				return true
-			}
-			j := lane.queue[0]
-			if j.started.IsZero() || len(j.txs) == 0 || j.txs[0].Label != label {
-				return true
-			}
-			*left = len(j.txs)
-			e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{Drop: 1})
-			e.sched.After(10*time.Second, func() {
-				e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{})
-			})
-			then()
-			return false
-		})
-		return left
-	}
 
 	const amount = 10
 	// The first packet expires before the cosmos chain has even committed it.
@@ -746,8 +807,8 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 		}
 	}
 	live := uint64(len(sent) - 1)
-	cutChunks := cutMidJob("recv-packet/chunk", func() { e.send(t, 40, 0) })
-	cutAck := cutMidJob("ack-packet/commit", func() {})
+	cutChunks := e.cutMidJob(lane, "recv-packet/chunk", func() { e.send(t, 40, 0) })
+	cutAck := e.cutMidJob(lane, "ack-packet/commit", func() {})
 	e.sched.RunFor(20 * time.Minute)
 
 	if *cutChunks == 0 || *cutAck == 0 {
@@ -782,6 +843,21 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 	if p, a := len(bank.packets[0]), len(bank.acks[0]); p != 0 || a != 0 {
 		t.Errorf("%d packets and %d acks still queued on the shard", p, a)
 	}
+	// The two jobs given up staged their chunks for nothing: once the link
+	// healed, their buffers were closed.
+	if n := e.guestState(t).StagingBuffers(); n != 0 {
+		t.Errorf("%d staging buffers left open", n)
+	}
+}
+
+// guestState is the guest link's contract state.
+func (e *linkEnv) guestState(t *testing.T) *guest.State {
+	t.Helper()
+	st, err := e.contract.State(e.chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 // TestRefusedGuestAckRequeued: the guest end relays the ack of a packet it
@@ -843,5 +919,47 @@ func TestRefusedGuestAckRequeued(t *testing.T) {
 	}
 	if a, c := e.counter("acks"), e.counter("ch."+string(e.awayCh)+".acks_to_cp"); a != 1 || c != 1 {
 		t.Errorf("acks = %d, acks_to_cp = %d, want 1 each (exactly once)", a, c)
+	}
+}
+
+// TestGuestRecvWaitsForRefusedUpdate: the client update three counterparty
+// packets need is submitted in full, and the guest refuses its commit in
+// execution — the relayer, which sees only its transactions accepted, takes
+// it for landed. The packets are not flushed at the update's target, where
+// their proofs would fail as well and be counted delivered: they wait at the
+// height the guest's client holds, the next update takes the client past
+// them, and each is delivered exactly once.
+func TestGuestRecvWaitsForRefusedUpdate(t *testing.T) {
+	e := newLinkEnv(t, guestLink, netsim.Config{})
+	refused := false
+	e.hostIntercept = func(tx *host.Transaction) *host.Transaction {
+		if tx.Label != "client-update/commit" || refused {
+			return tx
+		}
+		// Name a client the guest does not have.
+		refused = true
+		id := wire.NewReader(tx.Instructions[0].Data[1:]).U64()
+		bad := *tx
+		bad.Instructions = []host.Instruction{tx.Instructions[0]}
+		bad.Instructions[0].Data = guest.EncodeCommit(guest.OpCommitUpdateClient, &guest.CommitArgs{BufferID: id, ClientID: "07-tendermint-404"})
+		return &bad
+	}
+	const n, amt = 3, 20
+	for i := 0; i < n; i++ {
+		e.sendBack(t, amt, 0)
+	}
+	e.sched.RunFor(10 * time.Minute)
+
+	if !refused {
+		t.Fatal("no client update reached the host; the scenario did not run")
+	}
+	if got := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"); got != n*amt {
+		t.Errorf("dave holds %d vouchers, want %d (every packet exactly once)", got, n*amt)
+	}
+	if d, lost := e.counter("delivered"), e.counter("lost_race"); d != n || lost != 0 {
+		t.Errorf("delivered = %d, lost_race = %d, want %d and 0", d, lost, n)
+	}
+	if got := count(e.hostLabels, "recv-packet/commit"); got != 1 {
+		t.Errorf("%d recv commits, want 1: nothing is submitted behind the refused update", got)
 	}
 }

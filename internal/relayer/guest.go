@@ -264,7 +264,10 @@ func (g *guestEnd) deliverEntry(entry *guest.BlockEntry) {
 // now that a finalised guest block commits them. Each carries that block's
 // height, so an ack the peer refuses (a header that landed out of order
 // left its client without this block) goes to the engine's ack queue, and
-// the engine updates the client to reach it and submits it again.
+// the engine updates the client to reach it and submits it again. Each ack
+// travels after its own latency draw from the lane's stream: lane 0 shares
+// the root stream with the client-update pacer, so one draw per block would
+// move every run whose guest receives packets.
 func (g *guestEnd) relayAcks(entry *guest.BlockEntry) {
 	height := entry.Block.Height
 	for i, l := range g.lanes {
@@ -278,12 +281,12 @@ func (g *guestEnd) relayAcks(entry *guest.BlockEntry) {
 				remaining = append(remaining, w)
 				continue
 			}
-			w := w
+			ack := []provenAck{{w, proof, provedAt}}
 			g.r.sched.After(g.r.cfg.CPLatency.Sample(l.rng), func() {
 				// The peer's client must know this block first; its FIFO
 				// keeps the update ahead of the ack.
 				g.pushHeader(height, entry.SignedBlock(), func(error) {})
-				g.peer().ackPacket(s, w, proof, provedAt)
+				g.peer().ackPackets(s, ack)
 			})
 		}
 		l.ackBacklog = remaining
@@ -380,69 +383,90 @@ func (g *guestEnd) updateClient(h header, done func(error)) {
 	})
 }
 
-// recvPackets runs the ReceivePacket flow for the batch: as few jobs as
-// the host's per-invocation limits allow (TxBuilder.RecvBatchLen), each
-// one chunk sequence staging its packets back to back and one commit that
-// applies them all — 4-5 transactions for a packet on its own, under one
-// per packet at depth. A shard hands over its packets in sequence order and
-// requeue keeps that order, so neighbours in batch are neighbouring leaves
-// of the counterparty's trie: their proofs differ in the deepest item or
-// two, and the staging format (guest.MarshalRecvPayload) uploads the part
-// they share once.
+// recvPackets, ackPackets and timeoutPackets run a datagram flow for one
+// shard's batch: as few jobs as the host's per-invocation limits allow
+// (the builder's batch rule), each on the shard's lane, one chunk sequence
+// staging its payloads back to back and one commit that applies them all —
+// 4-5 transactions for a packet on its own, under one per packet at depth.
+// A shard hands over its work in sequence order and requeue keeps that
+// order, so neighbours in a batch are neighbouring leaves of the proving
+// chain's trie: their proofs differ in the deepest item or two, and the
+// staging format (guest.MarshalRecvPayload and its siblings) uploads the
+// part they share once. A job whose submission failed (a dead-lettered
+// chunk takes everything staged with it) hands each item back to the
+// engine's rule for its kind; a job submitted in full settles every item,
+// as an item on its own always was: the relayer does not see a host
+// transaction fail in execution, and a commit the guest rejected loses the
+// same items whether they shared it or not (ROADMAP 1b).
 func (g *guestEnd) recvPackets(s *shard, batch []proven) {
 	payloads := make([]*guest.RecvPayload, len(batch))
 	for i, w := range batch {
 		payloads[i] = &guest.RecvPayload{Packet: w.packet, ProofHeight: ibc.Height(w.provedAt), Proof: w.proof}
 	}
-	for len(batch) > 0 {
-		n := g.builder.RecvBatchLen(payloads, g.st)
-		g.recvJob(s, batch[:n], payloads[:n])
-		batch, payloads = batch[n:], payloads[n:]
+	jobs(batch, payloads, func(ps []*guest.RecvPayload) int { return g.builder.RecvBatchLen(ps, g.st) },
+		func(job []proven, ps []*guest.RecvPayload) {
+			txs := g.builder.RecvPacketTxs(ps...)
+			cost := g.feeOf(txs)
+			g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) {
+				if err != nil {
+					for _, w := range job {
+						g.r.recvFailed(g.side, s, w.work)
+					}
+					return
+				}
+				// The histograms observe each packet's share of its job, so
+				// they keep reading "host txs (cents) per received packet".
+				n := float64(len(job))
+				for _, w := range job {
+					g.mRecvTxs.Observe(float64(len(txs)) / n)
+					g.mRecvCost.Observe(fees.Cents(cost) / n)
+					g.r.delivered(g.side, s, w.packet, nil, 0, false)
+				}
+			})
+		})
+}
+
+func (g *guestEnd) ackPackets(s *shard, batch []provenAck) {
+	payloads := make([]*guest.AckPayload, len(batch))
+	for i, w := range batch {
+		payloads[i] = &guest.AckPayload{Packet: w.packet, Ack: w.ack, ProofHeight: ibc.Height(w.provedAt), Proof: w.proof}
 	}
+	jobs(batch, payloads, func(ps []*guest.AckPayload) int { return g.builder.AckBatchLen(ps, g.st) },
+		func(job []provenAck, ps []*guest.AckPayload) {
+			g.lanes[s.index].pc.enqueue(g.builder.AckPacketTxs(ps...), func(_, _ time.Time, err error) {
+				for _, w := range job {
+					if err != nil {
+						g.r.requeueAck(g.side, s, w.ackWork)
+					}
+					g.r.acked(g.side, s, w.packet, err)
+				}
+			})
+		})
 }
 
-// recvJob submits one recv job and settles each of its packets. A job
-// whose submission failed (a dead-lettered chunk takes every packet staged
-// with it) is settled packet by packet by the guest's state
-// (Relayer.recvFailed). A job that was submitted in full counts every
-// packet delivered, as a packet on its own always was: the relayer does
-// not see a host transaction fail in execution, and a commit the guest
-// rejected loses the same packets whether they shared it or not (ROADMAP
-// 1c).
-func (g *guestEnd) recvJob(s *shard, job []proven, payloads []*guest.RecvPayload) {
-	txs := g.builder.RecvPacketTxs(payloads...)
-	cost := g.feeOf(txs)
-	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) {
-		if err != nil {
-			for _, w := range job {
-				g.r.recvFailed(g.side, s, w.work)
-			}
-			return
-		}
-		// The histograms observe each packet's share of its job, so they
-		// keep reading "host txs (cents) per received packet".
-		n := float64(len(job))
-		for _, w := range job {
-			g.mRecvTxs.Observe(float64(len(txs)) / n)
-			g.mRecvCost.Observe(fees.Cents(cost) / n)
-			g.r.delivered(g.side, s, w.packet, nil, 0, false)
-		}
-	})
+func (g *guestEnd) timeoutPackets(s *shard, batch []provenTimeout) {
+	payloads := make([]*guest.TimeoutPayload, len(batch))
+	for i, w := range batch {
+		payloads[i] = &guest.TimeoutPayload{Packet: w.tr.packet, ProofHeight: w.provedAt, Proof: w.proof}
+	}
+	jobs(batch, payloads, func(ps []*guest.TimeoutPayload) int { return g.builder.TimeoutBatchLen(ps, g.st) },
+		func(job []provenTimeout, ps []*guest.TimeoutPayload) {
+			g.lanes[s.index].pc.enqueue(g.builder.TimeoutPacketTxs(ps...), func(_, _ time.Time, err error) {
+				for _, w := range job {
+					g.r.timedOut(w.tr, err)
+				}
+			})
+		})
 }
 
-func (g *guestEnd) ackPacket(s *shard, w ackWork, proof []byte, provedAt uint64) {
-	txs := g.builder.AckPacketTxs(&guest.AckPayload{Packet: w.packet, Ack: w.ack, ProofHeight: ibc.Height(provedAt), Proof: proof})
-	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) {
-		if err != nil {
-			g.r.requeueAck(g.side, s, w)
-		}
-		g.r.acked(g.side, s, w.packet, err)
-	})
-}
-
-func (g *guestEnd) timeoutPacket(s *shard, tr *packetTrace, proof []byte, provedAt ibc.Height) {
-	txs := g.builder.TimeoutPacketTxs(&guest.TimeoutPayload{Packet: tr.packet, ProofHeight: provedAt, Proof: proof})
-	g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) { g.r.timedOut(tr, err) })
+// jobs cuts items, and the payloads staging them, into the longest runs fit
+// allows and hands each run to submit.
+func jobs[W, P any](items []W, payloads []P, fit func([]P) int, submit func([]W, []P)) {
+	for len(items) > 0 {
+		n := fit(payloads)
+		submit(items[:n], payloads[:n])
+		items, payloads = items[n:], payloads[n:]
+	}
 }
 
 // feeOf is what the host charges for txs.

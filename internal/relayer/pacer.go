@@ -8,9 +8,12 @@ import (
 	"repro/internal/netsim"
 )
 
-// job is a paced sequence of host transactions with a completion callback.
+// job is a paced sequence of host transactions — a guest.TxBuilder chunked
+// upload — with a completion callback.
 type job struct {
 	txs []*host.Transaction
+	// commit is the job's last transaction, which names its staging buffer.
+	commit *host.Transaction
 	// started is when the first transaction was submitted (the paper's
 	// Fig. 4 measures first-tx to last-tx execution).
 	started time.Time
@@ -32,6 +35,8 @@ type pacer struct {
 	// queue is the FIFO of host tx jobs; busy marks the pump running.
 	queue []*job
 	busy  bool
+	// closes drop the staging buffers of jobs given up, still to submit.
+	closes []*host.Transaction
 }
 
 // enqueue schedules a paced submission of txs; onDone fires one slot after
@@ -39,7 +44,7 @@ type pacer struct {
 // transaction landing times — or as soon as a submission fails, with the
 // error.
 func (p *pacer) enqueue(txs []*host.Transaction, onDone func(started, finished time.Time, err error)) {
-	p.queue = append(p.queue, &job{txs: txs, onDone: onDone})
+	p.queue = append(p.queue, &job{txs: txs, commit: txs[len(txs)-1], onDone: onDone})
 	p.g.queueDelta(+1)
 	if !p.busy {
 		p.busy = true
@@ -84,17 +89,40 @@ func (p *pacer) pump() {
 		if err != nil {
 			// Oversized or malformed transactions are a relayer bug (and a
 			// dead-lettered submission surfaces here too); drop the job
-			// rather than wedge the queue, and tell its owner.
+			// rather than wedge the queue, and tell its owner. The staging
+			// buffer its chunks may have filled will never be committed: it
+			// is closed once a transaction gets through again, since a
+			// dead letter means the host was out of reach.
 			p.queue = p.queue[1:]
 			g.queueDelta(-1)
+			p.closes = append(p.closes, g.builder.CloseBufferTx(j.commit))
 			j.onDone(j.started, sched.Now(), err)
 			sched.After(0, p.pump)
 			return
 		}
 		// Only a transaction the host accepted is charged.
 		g.r.TotalFees += tx.Fee(g.host.Profile())
+		if len(p.closes) > 0 {
+			p.closeBuffers()
+		}
 		sched.After(g.r.cfg.TxGap.Sample(p.rng), p.pump)
 	})
+}
+
+// closeBuffers submits the pending closes, now that a transaction got
+// through; one that fails again waits for the next.
+func (p *pacer) closeBuffers() {
+	g, closes := p.g, p.closes
+	p.closes = nil
+	for _, tx := range closes {
+		g.r.call(g.node, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx}, func(_ any, err error) {
+			if err != nil {
+				p.closes = append(p.closes, tx)
+				return
+			}
+			g.r.TotalFees += tx.Fee(g.host.Profile())
+		})
+	}
 }
 
 // queueDelta tracks the aggregate job-queue depth across all pacers and
