@@ -29,7 +29,7 @@ func BenchmarkTraceKey(b *testing.B) {
 // 10 000 packets (their traces kept for Fig. 2) and has 100 outstanding,
 // none expired yet: the steady state of an outbound run between blocks.
 func BenchmarkCheckTimeouts(b *testing.B) {
-	l := newFakeLink(b)
+	l := newFakeLink(b, fakeChannels)
 	for i := 0; i < 10_000; i++ {
 		l.deliver(1, l.send(1, i%2, time.Hour), false)
 	}

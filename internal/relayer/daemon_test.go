@@ -146,12 +146,13 @@ func TestDaemonTimeoutFlow(t *testing.T) {
 
 // TestCheckTimeoutsOrdersSameScanExpiries pins the timeout scan's
 // submission order: the trace table is a map, so packets expiring in one
-// scan must be sorted by (port, channel, sequence) before their host
+// scan must be sorted by (side, port, channel, sequence) before their host
 // transactions are enqueued — otherwise the host sees them in a
-// run-dependent order.
+// run-dependent order. The six expire in one scan on one channel, so the
+// guest end stages them as one job with one commit.
 func TestCheckTimeoutsOrdersSameScanExpiries(t *testing.T) {
 	const packets = 6
-	run := func() (order []uint64, fees host.Lamports) {
+	run := func() (order []uint64, commits int, fees host.Lamports) {
 		h := newDaemonHarness(t)
 		h.sched.Every(15*time.Second, func() bool {
 			h.relayer.CheckTimeouts()
@@ -176,19 +177,27 @@ func TestCheckTimeoutsOrdersSameScanExpiries(t *testing.T) {
 					order = append(order, e.Packet.Sequence)
 				}
 			}
+			for _, res := range b.Results {
+				if res.Label == "timeout-packet/commit" {
+					commits++
+				}
+			}
 		}
-		return order, h.relayer.TotalFees
+		return order, commits, h.relayer.TotalFees
 	}
-	first, firstFees := run()
+	first, commits, firstFees := run()
 	if len(first) != packets {
 		t.Fatalf("timed out %d packets, want %d (order %v)", len(first), packets, first)
+	}
+	if commits != 1 {
+		t.Fatalf("%d timeouts took %d commits, want one job", packets, commits)
 	}
 	for i, seq := range first {
 		if seq != uint64(i+1) {
 			t.Fatalf("host saw timeouts in order %v, want ascending sequence", first)
 		}
 	}
-	second, secondFees := run()
+	second, _, secondFees := run()
 	if !reflect.DeepEqual(first, second) || firstFees != secondFees {
 		t.Fatalf("runs diverged: order %v vs %v, fees %d vs %d", first, second, firstFees, secondFees)
 	}
