@@ -55,7 +55,12 @@ lint: lint-deprecated
 # linear power lookup by key stays retired too. Acks and timeouts reach a
 # sink as one shard's batch and stage like recvs: the single-item end
 # methods, the one-payload decoders, the recv-only budget declaration and
-# the recv-only batch rule stay retired.
+# the recv-only batch rule stay retired. A metric is kept only where a
+# benchmark, figure, verdict, summary, example or test reads it
+# (internal/core TestEveryMetricHasAReader): the process-wide quorum
+# observer, the event-bus statistics, the unread latency and attempt
+# histograms, and the telemetry options only those metrics needed stay
+# retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -105,6 +110,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'ackPacket\|timeoutPacket\|recvJob\|UnmarshalAckPayload\|UnmarshalTimeoutPayload\|RecvBudgeter\|RecvBudget\|recvBatchLen\|chargeRecv' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired single-item datagrams (ends take batches: ackPackets/timeoutPackets; decode with UnmarshalAckPayloads/UnmarshalTimeoutPayloads; declare hook budgets with ibc.HookBudgeter):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'SetQuorumObserver\|BusStats\|WithFeesTelemetry\|net_attempts\|update_verify_s\|sign_latency_s\|transfer\.WithTelemetry\|transfer\.WithMetricsNamespace\|fisherman\.WithTelemetry' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired unread telemetry (a key stays only with a reader; see TestEveryMetricHasAReader in internal/core):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

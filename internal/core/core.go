@@ -480,9 +480,7 @@ func (n *Network) buildChain(cp *chainPlan) (*MeshChain, error) {
 		mc.end = relayer.EndConfig{Chain: chain, Node: cp.node}
 	}
 	for _, pp := range cp.ports {
-		app := transfer.New(pp.port,
-			transfer.WithTelemetry(n.Tel.Metrics),
-			transfer.WithMetricsNamespace(pp.appNS))
+		app := transfer.New(pp.port)
 		mws, err := n.buildMiddlewares(pp.stack, app, resolve, sender, meter)
 		if err != nil {
 			return nil, fmt.Errorf("core: chain %s port %s middleware: %w", cp.name, pp.port, err)
@@ -510,13 +508,6 @@ func (n *Network) setupFoundation() error {
 	}
 	n.mBlockInterval = n.Tel.Metrics.Histogram("guest.block.interval_s")
 	n.mBlockFinalise = n.Tel.Metrics.Histogram("guest.block.finalise_s")
-	// Quorum verification cost is real CPU work (Ed25519), so it is the one
-	// wall-clock measurement in an otherwise virtual-time simulation. The
-	// observer is process-wide; the latest Network wins.
-	quorumHist := n.Tel.Metrics.Histogram("guestblock.quorum_verify_s")
-	guestblock.SetQuorumObserver(func(d time.Duration) {
-		quorumHist.Observe(d.Seconds())
-	})
 
 	n.payer = cryptoutil.GenerateKey("network-payer")
 	n.Host.Fund(n.payer.Public(), 1_000_000*host.LamportsPerSOL)
@@ -625,7 +616,7 @@ func (n *Network) startDaemons() {
 
 	// Fisherman infrastructure.
 	n.Gossip = &fisherman.Gossip{}
-	f := fisherman.New("0", n.Host, contract, n.Gossip, n.Net, 0, fisherman.WithTelemetry(n.Tel.Metrics))
+	f := fisherman.New("0", n.Host, contract, n.Gossip, n.Net, 0)
 	n.Host.Fund(f.Key().Public(), 100*host.LamportsPerSOL)
 	n.Fishermen = []*fisherman.Fisherman{f}
 
@@ -652,7 +643,7 @@ func (n *Network) buildMiddlewares(stack []mwPlan, bank *transfer.App, resolve m
 			if !ms.Fees.Enabled() {
 				return nil, fmt.Errorf("core: fees middleware needs a non-zero schedule")
 			}
-			opts := []middleware.FeesOption{middleware.WithFeesTelemetry(n.Tel.Metrics, ms.ns)}
+			var opts []middleware.FeesOption
 			if ms.exemptSender != "" {
 				opts = append(opts, middleware.WithFeesExemptSender(ms.exemptSender))
 			}
@@ -735,9 +726,6 @@ func (n *Network) wireScheduling(feesPresent bool) {
 			}
 			if view.Refresh() {
 				cRecomputes.Inc()
-			}
-			for _, l := range n.Mesh.Links {
-				n.Tel.Metrics.Gauge("mesh.routing.cost_milli." + l.ID).Set(int64(view.Cost(l.ID) * 1000))
 			}
 			return true
 		})
@@ -970,17 +958,24 @@ func (n *Network) SendTransferFromCPOn(ch int, sender, receiver, denom string, a
 		Receiver: receiver,
 		Memo:     memo,
 	}
-	if err := rt.CPApp.PrepareSend(rt.CPChannel, data); err != nil {
+	return n.cosmosSend(n.CP, rt.CPApp, rt.Spec.CPPort, rt.CPChannel, data, timeout)
+}
+
+// cosmosSend is the one send path on a cosmos chain: app escrows (or
+// burns) data's tokens, then chain commits the packet on port/ch; a packet
+// the chain refuses undoes the escrow.
+func (n *Network) cosmosSend(chain *counterparty.Chain, app *transfer.App, port ibc.PortID, ch ibc.ChannelID, data *transfer.PacketData, timeout time.Duration) (*ibc.Packet, error) {
+	if err := app.PrepareSend(ch, data); err != nil {
 		return nil, err
 	}
 	var ts time.Time
 	if timeout > 0 {
 		ts = n.Sched.Now().Add(timeout)
 	}
-	p, err := n.CP.SendPacket(rt.Spec.CPPort, rt.CPChannel, data.Marshal(), 0, ts)
+	p, err := chain.SendPacket(port, ch, data.Marshal(), 0, ts)
 	if err != nil {
 		// The packet never entered the chain: undo the escrow.
-		_ = rt.CPApp.CancelSend(rt.CPChannel, data)
+		_ = app.CancelSend(ch, data)
 		return nil, err
 	}
 	return p, nil
@@ -991,29 +986,18 @@ func (n *Network) GuestState() (*guest.State, error) {
 	return n.Contract.State(n.Host)
 }
 
-// SnapshotTelemetry refreshes the signature-cache and state-growth gauges
-// and returns a point-in-time snapshot of every metric, event-bus counter,
-// and packet trace in the deployment.
+// SnapshotTelemetry refreshes the state-growth gauges and each link's
+// backlog gauge, and returns a point-in-time snapshot of every metric and
+// packet trace in the deployment.
 func (n *Network) SnapshotTelemetry() telemetry.Snapshot {
-	stats := cryptoutil.DefaultBatchVerifier().Stats()
-	n.Tel.Metrics.Gauge("cryptoutil.sigcache.hits").Set(int64(stats.Hits))
-	n.Tel.Metrics.Gauge("cryptoutil.sigcache.misses").Set(int64(stats.Misses))
-	n.Tel.Metrics.Gauge("cryptoutil.sigcache.len").Set(int64(stats.Len))
 	if st, err := n.GuestState(); err == nil {
-		tr := st.Store.Trie()
-		n.Tel.Metrics.Gauge("guest.state.live_nodes").Set(int64(tr.NodeCount()))
+		n.Tel.Metrics.Gauge("guest.state.live_nodes").Set(int64(st.Store.Trie().NodeCount()))
 		n.Tel.Metrics.Gauge("guest.state.retained_versions").Set(int64(st.RetainedSnapshots()))
-		// Ratio in basis points (gauges are integral).
-		n.Tel.Metrics.Gauge("guest.state.shared_node_ratio_bp").Set(int64(tr.SharedNodeRatio() * 10_000))
 	}
-	// Each link's live health sits next to the counters its relayers
-	// already emit: the work backlog the adaptive view scores, and the
-	// delivery-latency EWMA in milliseconds. (The <ns>.net_dead_letters
-	// counters register at wiring.)
+	// Each link's work backlog, the figure the adaptive view scores, sits
+	// next to the counters its relayers already emit.
 	for _, l := range n.Mesh.Links {
-		h := l.Health()
-		n.Tel.Metrics.Gauge(l.MetricsNS + ".backlog").Set(int64(h.Backlog))
-		n.Tel.Metrics.Gauge(l.MetricsNS + ".health_latency_ms").Set(int64(h.Latency * 1000))
+		n.Tel.Metrics.Gauge(l.MetricsNS + ".backlog").Set(int64(l.Health().Backlog))
 	}
 	return n.Tel.Snapshot()
 }

@@ -343,17 +343,8 @@ func (n *Network) SendRouted(src, dst, sender, receiver, denom string, amount ui
 		Receiver: rs.Plan.Receiver,
 		Memo:     rs.Plan.Memo,
 	}
-	if err := app.PrepareSend(h0.Channel, data); err != nil {
-		return nil, err
-	}
-	var ts time.Time
-	if timeout > 0 {
-		ts = n.Sched.Now().Add(timeout)
-	}
-	p, err := mc.CP.SendPacket(h0.Port, h0.Channel, data.Marshal(), 0, ts)
+	p, err := n.cosmosSend(mc.CP, app, h0.Port, h0.Channel, data, timeout)
 	if err != nil {
-		// The packet never entered the chain: undo the escrow.
-		_ = app.CancelSend(h0.Channel, data)
 		return nil, err
 	}
 	rs.Packet = p

@@ -46,11 +46,10 @@ type chainPlan struct {
 	ports []portPlan
 }
 
-// portPlan declares one bound port: the transfer app's metric namespace
-// and the middleware stack wrapped around it, outermost first.
+// portPlan declares one bound port and the middleware stack wrapped
+// around its transfer app, outermost first.
 type portPlan struct {
 	port  ibc.PortID
-	appNS string
 	stack []mwPlan
 }
 
@@ -165,7 +164,7 @@ func pairPlan(cfg *Config) (*plan, error) {
 				return nil
 			}
 		}
-		pp := portPlan{port: port, appNS: side + ".transfer"}
+		pp := portPlan{port: port}
 		for _, ms := range mws {
 			pp.stack = append(pp.stack, mwPlan{MiddlewareSpec: ms, ns: side + ".mw." + string(ms.Kind)})
 		}
@@ -352,11 +351,11 @@ func meshPlan(cfg *Config) (*plan, error) {
 			}
 		}
 		base := "mesh." + chain.name + "." + string(port)
-		pp := portPlan{port: port, appNS: base}
+		pp := portPlan{port: port}
 		if spec.Fees.Enabled() {
 			pp.stack = append(pp.stack, mwPlan{
 				MiddlewareSpec: MiddlewareSpec{Kind: MiddlewareFees, Fees: spec.Fees},
-				ns:             base + ".fees", exemptSender: forwardAccount,
+				exemptSender:   forwardAccount,
 			})
 		}
 		pp.stack = append(pp.stack, mwPlan{

@@ -12,7 +12,6 @@ import (
 	"repro/internal/guestblock"
 	"repro/internal/host"
 	"repro/internal/netsim"
-	"repro/internal/telemetry"
 )
 
 // Observation is a signature sighting: a validator's signature over a
@@ -55,38 +54,23 @@ type Fisherman struct {
 	// height to detect double-signing.
 	seen map[cryptoutil.PubKey]map[uint64]Observation
 
-	verifier  *cryptoutil.BatchVerifier
-	telemetry *telemetry.Registry
-	// Instruments (nil-safe no-ops without WithTelemetry).
-	mObservations *telemetry.Counter
-	mEvidence     *telemetry.Counter
+	verifier *cryptoutil.BatchVerifier
 
 	// Evidence goes out over the simulated network as reliable calls that
 	// retry until the host acknowledges.
-	ep           *netsim.Endpoint
-	retry        netsim.RetryPolicy
-	mNetRetries  *telemetry.Counter
-	mNetDead     *telemetry.Counter
-	mNetAttempts *telemetry.Histogram
+	ep    *netsim.Endpoint
+	retry netsim.RetryPolicy
 
 	// Submitted counts evidence transactions sent.
 	Submitted int
 }
 
-// Option configures a fisherman.
-type Option func(*Fisherman)
-
-// WithTelemetry registers the fisherman's sighting/evidence counters in reg.
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(f *Fisherman) { f.telemetry = reg }
-}
-
 // New creates a fisherman at netsim.FishermanNode(index) on net; fund its
 // account for fees. Fishermen are permissionless — anyone can run one
 // (§III-C).
-func New(name string, chain *host.Chain, contract *guest.Contract, gossip *Gossip, net *netsim.Network, index int, opts ...Option) *Fisherman {
+func New(name string, chain *host.Chain, contract *guest.Contract, gossip *Gossip, net *netsim.Network, index int) *Fisherman {
 	key := cryptoutil.GenerateKey("fisherman/" + name)
-	f := &Fisherman{
+	return &Fisherman{
 		chain:    chain,
 		contract: contract,
 		gossip:   gossip,
@@ -97,15 +81,6 @@ func New(name string, chain *host.Chain, contract *guest.Contract, gossip *Gossi
 		ep:       net.Node(netsim.FishermanNode(index), nil, nil),
 		retry:    netsim.DefaultRetryPolicy(),
 	}
-	for _, o := range opts {
-		o(f)
-	}
-	f.mObservations = f.telemetry.Counter("fisherman.observations")
-	f.mEvidence = f.telemetry.Counter("fisherman.evidence_submitted")
-	f.mNetRetries = f.telemetry.Counter("fisherman.net_retries")
-	f.mNetDead = f.telemetry.Counter("fisherman.net_dead_letters")
-	f.mNetAttempts = f.telemetry.Histogram("fisherman.net_attempts")
-	return f
 }
 
 // Key returns the fisherman's fee-paying key.
@@ -128,7 +103,6 @@ func (f *Fisherman) Poll() error {
 		tasks[i] = cryptoutil.HashTask(o.PubKey, guestblock.SigningPayloadForHash(o.BlockHash), o.Signature)
 	}
 	valid := f.verifier.VerifyEach(tasks)
-	f.mObservations.Add(uint64(len(obs)))
 	for i, o := range obs {
 		if !valid[i] {
 			continue // forged sighting, not usable evidence
@@ -193,13 +167,11 @@ func (f *Fisherman) remember(o Observation) {
 
 func (f *Fisherman) submit(ev *guest.Evidence) {
 	tx := f.builder.MisbehaviourTx(ev)
-	obs := netsim.RetryObserver{Retries: f.mNetRetries, DeadLetters: f.mNetDead, Attempts: f.mNetAttempts}
 	f.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx},
-		f.retry, obs, func(_ any, err error) {
+		f.retry, netsim.RetryObserver{}, func(_ any, err error) {
 			if err != nil {
 				return
 			}
 			f.Submitted++
-			f.mEvidence.Inc()
 		})
 }

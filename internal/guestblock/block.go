@@ -298,8 +298,6 @@ func (sb *SignedBlock) VerifyQuorum(epoch *Epoch) error {
 // VerifyQuorumWith is VerifyQuorum with an explicit verifier; benchmarks
 // and tests use it to compare sequential, parallel, and cached paths.
 func (sb *SignedBlock) VerifyQuorumWith(epoch *Epoch, verifier *cryptoutil.BatchVerifier) error {
-	start := time.Now()
-	defer func() { observeQuorum(time.Since(start)) }()
 	if sb.Block.EpochIndex != epoch.Index {
 		return fmt.Errorf("guestblock: block epoch %d, verifying with epoch %d", sb.Block.EpochIndex, epoch.Index)
 	}

@@ -167,12 +167,9 @@ type Chain struct {
 	prunedBlocks int
 
 	// Telemetry instruments; nil (no-op) until SetTelemetry is called.
-	txsSubmitted    *telemetry.Counter
 	txsExecuted     *telemetry.Counter
-	txsFailed       *telemetry.Counter
 	feesCharged     *telemetry.Counter
 	txCompute       *telemetry.Histogram
-	mempoolDepth    *telemetry.Gauge
 	mempoolRejected *telemetry.Counter
 	mempoolShed     *telemetry.Counter
 }
@@ -203,12 +200,9 @@ func (c *Chain) Profile() Profile { return c.profile }
 func (c *Chain) SetTelemetry(reg *telemetry.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.txsSubmitted = reg.Counter("host.txs_submitted")
 	c.txsExecuted = reg.Counter("host.txs_executed")
-	c.txsFailed = reg.Counter("host.txs_failed")
 	c.feesCharged = reg.Counter("host.fees_lamports")
 	c.txCompute = reg.Histogram("host.tx_compute_units")
-	c.mempoolDepth = reg.Gauge("host.mempool_depth")
 	c.mempoolRejected = reg.Counter("host.mempool_rejected")
 	c.mempoolShed = reg.Counter("host.mempool_shed")
 }
@@ -382,8 +376,6 @@ func (c *Chain) Submit(tx *Transaction) error {
 	c.rememberTxLocked(tx)
 	c.seq++
 	c.mempool = append(c.mempool, pendingTx{tx: tx, submitted: c.slot, seq: c.seq})
-	c.txsSubmitted.Inc()
-	c.mempoolDepth.Set(int64(len(c.mempool)))
 	hook := c.onSubmit
 	c.mu.Unlock()
 	if hook != nil {
@@ -518,7 +510,6 @@ func (c *Chain) produceBlockLocked() (*Block, []*Transaction) {
 		block.Results = append(block.Results, res)
 	}
 	c.mempool = rest
-	c.mempoolDepth.Set(int64(len(c.mempool)))
 
 	c.blocks = append(c.blocks, block)
 	if c.keepBlocks > 0 && len(c.blocks) > c.keepBlocks {
@@ -616,7 +607,6 @@ func (c *Chain) executeLocked(ptx *pendingTx, block *Block) TxResult {
 	if payer.Lamports < fee {
 		res.Err = fmt.Errorf("%w: fee %d > balance %d", ErrInsufficientFunds, fee, payer.Lamports)
 		c.txsExecuted.Inc()
-		c.txsFailed.Inc()
 		return res
 	}
 	payer.Lamports -= fee
@@ -636,7 +626,6 @@ func (c *Chain) executeLocked(ptx *pendingTx, block *Block) TxResult {
 	if err != nil {
 		res.Err = err
 		c.txsExecuted.Inc()
-		c.txsFailed.Inc()
 		c.feesCharged.Add(uint64(fee))
 		return res
 	}
@@ -673,9 +662,6 @@ func (c *Chain) executeLocked(ptx *pendingTx, block *Block) TxResult {
 	c.txsExecuted.Inc()
 	c.feesCharged.Add(uint64(fee))
 	c.txCompute.Observe(float64(res.Units))
-	if res.Err != nil {
-		c.txsFailed.Inc()
-	}
 
 	if res.Err == nil {
 		for i := range sink.events {

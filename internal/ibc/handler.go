@@ -37,9 +37,7 @@ type Handler struct {
 	sealReceipts bool
 
 	// bus carries typed protocol events (ibc.Event* structs). It is always
-	// non-nil: with no subscribers it counts published events as dropped,
-	// so "nothing was listening" is observable instead of silent — the
-	// failure mode of the old WithEventSink nil-callback default.
+	// non-nil; an event published with no subscriber is discarded.
 	bus *telemetry.Bus
 
 	// telemetry is the metrics registry (nil means no-op instruments);
@@ -53,8 +51,6 @@ type Handler struct {
 	packetsReceived *telemetry.Counter
 	packetsAcked    *telemetry.Counter
 	packetsTimedOut *telemetry.Counter
-	receiptsSealed  *telemetry.Counter
-	updateVerify    *telemetry.Histogram
 }
 
 // HandlerOption configures a Handler.
@@ -66,8 +62,8 @@ func WithSealedReceipts() HandlerOption {
 	return func(h *Handler) { h.sealReceipts = true }
 }
 
-// WithTelemetry registers the handler's packet counters and client-update
-// latency histogram in reg, under the handler's metrics namespace.
+// WithTelemetry registers the handler's packet counters in reg, under the
+// handler's metrics namespace.
 func WithTelemetry(reg *telemetry.Registry) HandlerOption {
 	return func(h *Handler) { h.telemetry = reg }
 }
@@ -99,8 +95,6 @@ func NewHandler(store *Store, self SelfInfo, opts ...HandlerOption) *Handler {
 	h.packetsReceived = h.telemetry.Counter(h.metricsNS + ".packets_received")
 	h.packetsAcked = h.telemetry.Counter(h.metricsNS + ".packets_acked")
 	h.packetsTimedOut = h.telemetry.Counter(h.metricsNS + ".packets_timed_out")
-	h.receiptsSealed = h.telemetry.Counter(h.metricsNS + ".receipts_sealed")
-	h.updateVerify = h.telemetry.Histogram(h.metricsNS + ".update_verify_s")
 	return h
 }
 
@@ -165,13 +159,9 @@ func (h *Handler) UpdateClient(id ClientID, header []byte) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
 	if err := c.Update(header, h.self.CurrentTime()); err != nil {
 		return fmt.Errorf("ibc: update client %q: %w", id, err)
 	}
-	// Wall-clock cost of header verification — for the guest client this is
-	// the quorum signature check the paper prices in §V.
-	h.updateVerify.Observe(time.Since(start).Seconds())
 	h.emit(EventUpdateClient{ClientID: id})
 	return nil
 }
@@ -669,7 +659,6 @@ func (h *Handler) RecvPacket(p *Packet, proof []byte, proofHeight Height) ([]byt
 			if err := h.store.Seal(receiptPath); err != nil {
 				return nil, err
 			}
-			h.receiptsSealed.Inc()
 		}
 	}
 

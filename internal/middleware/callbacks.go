@@ -79,7 +79,6 @@ type Callbacks struct {
 	metricsNS string
 	cExecuted *telemetry.Counter
 	cRejected *telemetry.Counter
-	cFailed   *telemetry.Counter
 }
 
 type hookKey struct {
@@ -113,7 +112,6 @@ func NewCallbacks(opts ...CallbacksOption) *Callbacks {
 	}
 	c.cExecuted = c.telemetry.Counter(c.metricsNS + ".executed")
 	c.cRejected = c.telemetry.Counter(c.metricsNS + ".recv_rejected")
-	c.cFailed = c.telemetry.Counter(c.metricsNS + ".failed")
 	return c
 }
 
@@ -179,7 +177,7 @@ func (c *Callbacks) OnRecvPacket(next RecvFn, p ibc.Packet) ([]byte, error) {
 }
 
 // OnAcknowledgementPacket runs the registered ack hook after settlement;
-// hook errors are swallowed (counted), host-meter faults propagate.
+// hook errors are swallowed, host-meter faults propagate.
 func (c *Callbacks) OnAcknowledgementPacket(next AckFn, p ibc.Packet, ack []byte) error {
 	if err := next(p, ack); err != nil {
 		return err
@@ -193,7 +191,6 @@ func (c *Callbacks) OnAcknowledgementPacket(next AckFn, p ibc.Packet, ack []byte
 		if m.hostErr != nil {
 			return fmt.Errorf("middleware: ack callback: %w", m.hostErr)
 		}
-		c.cFailed.Inc()
 		return nil
 	}
 	c.cExecuted.Inc()
@@ -215,7 +212,6 @@ func (c *Callbacks) OnTimeoutPacket(next TimeoutFn, p ibc.Packet) error {
 		if m.hostErr != nil {
 			return fmt.Errorf("middleware: timeout callback: %w", m.hostErr)
 		}
-		c.cFailed.Inc()
 		return nil
 	}
 	c.cExecuted.Inc()

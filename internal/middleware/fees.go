@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/ibc"
-	"repro/internal/telemetry"
 	"repro/internal/transfer"
 )
 
@@ -64,14 +63,6 @@ type Fees struct {
 	// Conservation totals: Escrowed == Paid + Refunded + outstanding
 	// pending at every point in time, and Claimed <= Paid.
 	EscrowedTotal, PaidTotal, RefundedTotal, ClaimedTotal uint64
-
-	telemetry *telemetry.Registry
-	metricsNS string
-	cClaims   *telemetry.Counter
-	// Per-channel counters, resolved lazily per channel ID.
-	chEscrowed map[ibc.ChannelID]*telemetry.Counter
-	chPaid     map[ibc.ChannelID]*telemetry.Counter
-	chRefunded map[ibc.ChannelID]*telemetry.Counter
 }
 
 type feeKey struct {
@@ -88,12 +79,6 @@ type pendingFee struct {
 // FeesOption configures the fees middleware.
 type FeesOption func(*Fees)
 
-// WithFeesTelemetry registers the middleware's per-channel fee counters
-// in reg under ns.
-func WithFeesTelemetry(reg *telemetry.Registry, ns string) FeesOption {
-	return func(f *Fees) { f.telemetry, f.metricsNS = reg, ns }
-}
-
 // WithFeesExemptSender marks a module account whose sends escrow no fee —
 // the forwarding module's onward hops, which the original sender already
 // paid for on the first hop.
@@ -109,19 +94,14 @@ func WithFeesExemptSender(account string) FeesOption {
 // NewFees creates the fees middleware escrowing schedule against bank.
 func NewFees(bank Bank, schedule FeeSchedule, opts ...FeesOption) *Fees {
 	f := &Fees{
-		bank:       bank,
-		schedule:   schedule,
-		pending:    make(map[feeKey]pendingFee),
-		accrued:    make(map[string]map[string]uint64),
-		metricsNS:  "fees",
-		chEscrowed: make(map[ibc.ChannelID]*telemetry.Counter),
-		chPaid:     make(map[ibc.ChannelID]*telemetry.Counter),
-		chRefunded: make(map[ibc.ChannelID]*telemetry.Counter),
+		bank:     bank,
+		schedule: schedule,
+		pending:  make(map[feeKey]pendingFee),
+		accrued:  make(map[string]map[string]uint64),
 	}
 	for _, o := range opts {
 		o(f)
 	}
-	f.cClaims = f.telemetry.Counter(f.metricsNS + ".claimed_tokens")
 	return f
 }
 
@@ -141,15 +121,6 @@ func (f *Fees) SetPayeeResolver(r func(ibc.Packet) string) { f.payeeFor = r }
 
 // Schedule returns the fee schedule in force.
 func (f *Fees) Schedule() FeeSchedule { return f.schedule }
-
-func (f *Fees) chCounter(m map[ibc.ChannelID]*telemetry.Counter, ch ibc.ChannelID, leg string) *telemetry.Counter {
-	c, ok := m[ch]
-	if !ok {
-		c = f.telemetry.Counter(fmt.Sprintf("%s.ch.%s.%s", f.metricsNS, ch, leg))
-		m[ch] = c
-	}
-	return c
-}
 
 // SendPacket escrows the fee schedule from the transfer sender before the
 // packet is committed. Non-transfer payloads pass through unfeed; an
@@ -177,7 +148,6 @@ func (f *Fees) SendPacket(next SendFn, port ibc.PortID, ch ibc.ChannelID, data [
 	}
 	f.pending[feeKey{p.SourcePort, p.SourceChannel, p.Sequence}] = pendingFee{refundTo: d.Sender, fee: f.schedule}
 	f.EscrowedTotal += total
-	f.chCounter(f.chEscrowed, p.SourceChannel, "escrowed_tokens").Add(total)
 	return p, nil
 }
 
@@ -203,11 +173,9 @@ func (f *Fees) settle(p ibc.Packet, earned, refunded uint64, pf pendingFee) {
 	}
 	f.accrue(payee, pf.fee.Denom, earned)
 	f.PaidTotal += earned
-	f.chCounter(f.chPaid, p.SourceChannel, "paid_tokens").Add(earned)
 	if refunded > 0 {
 		f.bank.Credit(pf.refundTo, pf.fee.Denom, refunded)
 		f.RefundedTotal += refunded
-		f.chCounter(f.chRefunded, p.SourceChannel, "refunded_tokens").Add(refunded)
 	}
 }
 
@@ -250,7 +218,6 @@ func (f *Fees) Claim(payee string) map[string]uint64 {
 		amt := acc[denom]
 		f.bank.Credit(payee, denom, amt)
 		f.ClaimedTotal += amt
-		f.cClaims.Add(amt)
 		out[denom] = amt
 	}
 	return out

@@ -43,7 +43,6 @@ func (n *Network) Crash(id NodeID) {
 		return
 	}
 	nd.crashed = true
-	n.gCrashed.Add(1)
 }
 
 // Heal brings a crashed node back online.
@@ -53,13 +52,11 @@ func (n *Network) Heal(id NodeID) {
 		return
 	}
 	nd.crashed = false
-	n.gCrashed.Add(-1)
 }
 
 // Partition severs groups a and b immediately.
 func (n *Network) Partition(a, b []NodeID) {
 	n.partitions = append(n.partitions, activePartition{a: nodeSet(a), b: nodeSet(b)})
-	n.gPartitions.Set(int64(len(n.partitions)))
 }
 
 // HealPartition removes the first active partition matching the groups.
@@ -71,7 +68,6 @@ func (n *Network) HealPartition(a, b []NodeID) {
 			break
 		}
 	}
-	n.gPartitions.Set(int64(len(n.partitions)))
 }
 
 func nodeSet(ids []NodeID) map[NodeID]bool {

@@ -101,13 +101,6 @@ type node struct {
 	crashed bool
 }
 
-// link carries one directed link's config and lazily-registered counters.
-type link struct {
-	cfg       LinkConfig
-	delivered *telemetry.Counter
-	dropped   *telemetry.Counter
-}
-
 type linkKey struct{ from, to NodeID }
 
 // pendingCall tracks an outstanding request awaiting its reply.
@@ -134,7 +127,7 @@ type Network struct {
 	cfg   Config
 
 	nodes map[NodeID]*node
-	links map[linkKey]*link
+	links map[linkKey]LinkConfig
 
 	// partitions holds the active partition windows (group pairs).
 	partitions []activePartition
@@ -151,9 +144,6 @@ type Network struct {
 	mDropPartition *telemetry.Counter
 	mDuplicated    *telemetry.Counter
 	mReordered     *telemetry.Counter
-	mLateReplies   *telemetry.Counter
-	gPartitions    *telemetry.Gauge
-	gCrashed       *telemetry.Gauge
 }
 
 type activePartition struct {
@@ -163,7 +153,7 @@ type activePartition struct {
 // Option configures a Network.
 type Option func(*Network)
 
-// WithTelemetry registers the transport's counters and gauges in reg
+// WithTelemetry registers the transport's counters in reg
 // under the "netsim." prefix.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(n *Network) { n.reg = reg }
@@ -177,7 +167,7 @@ func New(sched *sim.Scheduler, cfg Config, opts ...Option) *Network {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		cfg:     cfg,
 		nodes:   make(map[NodeID]*node),
-		links:   make(map[linkKey]*link),
+		links:   make(map[linkKey]LinkConfig),
 		pending: make(map[uint64]*pendingCall),
 	}
 	for _, o := range opts {
@@ -190,9 +180,6 @@ func New(sched *sim.Scheduler, cfg Config, opts ...Option) *Network {
 	n.mDropPartition = n.reg.Counter("netsim.dropped_partition")
 	n.mDuplicated = n.reg.Counter("netsim.duplicated")
 	n.mReordered = n.reg.Counter("netsim.reordered")
-	n.mLateReplies = n.reg.Counter("netsim.late_replies")
-	n.gPartitions = n.reg.Gauge("netsim.partitions_active")
-	n.gCrashed = n.reg.Gauge("netsim.crashed_nodes")
 	return n
 }
 
@@ -214,7 +201,7 @@ func (n *Network) Endpoint(id NodeID) *Endpoint {
 
 // SetLink configures the directed link from -> to.
 func (n *Network) SetLink(from, to NodeID, cfg LinkConfig) {
-	n.links[linkKey{from, to}] = &link{cfg: cfg}
+	n.links[linkKey{from, to}] = cfg
 }
 
 // SetLinkBoth configures both directions between a and b.
@@ -223,26 +210,13 @@ func (n *Network) SetLinkBoth(a, b NodeID, cfg LinkConfig) {
 	n.SetLink(b, a, cfg)
 }
 
-// link returns the directed link record, creating it from the default
-// config on first use.
-func (n *Network) linkFor(from, to NodeID) *link {
-	key := linkKey{from, to}
-	if lk, ok := n.links[key]; ok {
-		return lk
+// linkFor returns the directed link's config: the one SetLink installed,
+// or the network default.
+func (n *Network) linkFor(from, to NodeID) LinkConfig {
+	if cfg, ok := n.links[linkKey{from, to}]; ok {
+		return cfg
 	}
-	lk := &link{cfg: n.cfg.Default}
-	n.links[key] = lk
-	return lk
-}
-
-// linkCounters lazily registers the per-link telemetry counters; perfect
-// links that never drop stay out of the registry until first use.
-func (lk *link) counters(n *Network, from, to NodeID) {
-	if lk.delivered == nil && n.reg != nil {
-		prefix := fmt.Sprintf("netsim.link.%s->%s.", from, to)
-		lk.delivered = n.reg.Counter(prefix + "delivered")
-		lk.dropped = n.reg.Counter(prefix + "dropped")
-	}
+	return n.cfg.Default
 }
 
 // crashed reports whether id is inside a crash window.
@@ -270,20 +244,19 @@ const callTTL = 2 * time.Hour
 // envelope (and, for calls, its reply) completed synchronously.
 func (n *Network) send(env *envelope) bool {
 	n.mSent.Inc()
-	lk := n.linkFor(env.from, env.to)
 	// Fault checks at send time: a crashed node neither sends nor
 	// receives; partitions sever the pair in both directions.
 	if n.crashed(env.from) || n.crashed(env.to) {
-		n.drop(lk, env, n.mDropCrash)
+		n.drop(n.mDropCrash)
 		return false
 	}
 	if n.partitioned(env.from, env.to) {
-		n.drop(lk, env, n.mDropPartition)
+		n.drop(n.mDropPartition)
 		return false
 	}
-	cfg := lk.cfg
+	cfg := n.linkFor(env.from, env.to)
 	if cfg.lossless() {
-		return n.deliver(env, lk)
+		return n.deliver(env)
 	}
 	copies := 1
 	if cfg.Duplicate > 0 && n.rng.Float64() < cfg.Duplicate {
@@ -292,7 +265,7 @@ func (n *Network) send(env *envelope) bool {
 	}
 	for i := 0; i < copies; i++ {
 		if cfg.Drop > 0 && n.rng.Float64() < cfg.Drop {
-			n.drop(lk, env, nil)
+			n.drop(nil)
 			continue
 		}
 		var delay time.Duration
@@ -312,14 +285,14 @@ func (n *Network) send(env *envelope) bool {
 			// Fault checks again at arrival time: windows that opened
 			// while the message was in flight still eat it.
 			if n.crashed(env.to) {
-				n.drop(lk, env, n.mDropCrash)
+				n.drop(n.mDropCrash)
 				return
 			}
 			if n.partitioned(env.from, env.to) {
-				n.drop(lk, env, n.mDropPartition)
+				n.drop(n.mDropPartition)
 				return
 			}
-			n.deliver(env, lk)
+			n.deliver(env)
 		})
 	}
 	return false
@@ -327,10 +300,8 @@ func (n *Network) send(env *envelope) bool {
 
 // drop counts a lost envelope. cause is the crash/partition counter, nil
 // for random link loss.
-func (n *Network) drop(lk *link, env *envelope, cause *telemetry.Counter) {
-	lk.counters(n, env.from, env.to)
+func (n *Network) drop(cause *telemetry.Counter) {
 	n.mDropped.Inc()
-	lk.dropped.Inc()
 	if cause != nil {
 		cause.Inc()
 	}
@@ -338,10 +309,8 @@ func (n *Network) drop(lk *link, env *envelope, cause *telemetry.Counter) {
 
 // deliver hands an envelope to its destination node. Reports whether a
 // call's reply also completed synchronously.
-func (n *Network) deliver(env *envelope, lk *link) bool {
-	lk.counters(n, env.from, env.to)
+func (n *Network) deliver(env *envelope) bool {
 	n.mDelivered.Inc()
-	lk.delivered.Inc()
 	nd := n.nodes[env.to]
 	if nd == nil {
 		return false
@@ -352,7 +321,6 @@ func (n *Network) deliver(env *envelope, lk *link) bool {
 		if !ok {
 			// The caller gave up (TTL) or a duplicate reply raced a
 			// faster copy; idempotent handlers make this harmless.
-			n.mLateReplies.Inc()
 			return false
 		}
 		delete(n.pending, env.callID)

@@ -43,8 +43,6 @@ type RetryObserver struct {
 	Retries *telemetry.Counter
 	// DeadLetters counts calls abandoned after MaxAttempts.
 	DeadLetters *telemetry.Counter
-	// Attempts observes the attempt count of each completed call.
-	Attempts *telemetry.Histogram
 }
 
 // ReliableCall issues a call and re-issues it with exponential backoff
@@ -74,7 +72,6 @@ func (e *Endpoint) ReliableCall(to NodeID, kind string, payload any, p RetryPoli
 				return // a duplicated reply, or one racing the dead-letter timer
 			}
 			done = true
-			obs.Attempts.Observe(float64(attempts))
 			cb(resp, err)
 		})
 		if completed {
@@ -87,7 +84,6 @@ func (e *Endpoint) ReliableCall(to NodeID, kind string, payload any, p RetryPoli
 			if p.MaxAttempts > 0 && attempts >= p.MaxAttempts {
 				done = true
 				obs.DeadLetters.Inc()
-				obs.Attempts.Observe(float64(attempts))
 				cb(nil, ErrDeadLetter)
 				return
 			}

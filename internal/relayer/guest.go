@@ -60,15 +60,14 @@ type guestEnd struct {
 	// so proofs at it would be unverifiable.
 	pushed uint64
 
-	mUpdLatency  *telemetry.Histogram
-	mUpdTxs      *telemetry.Histogram
-	mUpdCost     *telemetry.Histogram
-	mUpdSigs     *telemetry.Histogram
-	mRecvTxs     *telemetry.Histogram
-	mRecvCost    *telemetry.Histogram
-	mJobLatency  *telemetry.Histogram
-	mQueueDepth  *telemetry.Gauge
-	mSnapRetries *telemetry.Counter
+	mUpdLatency *telemetry.Histogram
+	mUpdTxs     *telemetry.Histogram
+	mUpdCost    *telemetry.Histogram
+	mUpdSigs    *telemetry.Histogram
+	mRecvTxs    *telemetry.Histogram
+	mRecvCost   *telemetry.Histogram
+	mJobLatency *telemetry.Histogram
+	mQueueDepth *telemetry.Gauge
 }
 
 // lane is the guest end's per-channel state.
@@ -101,7 +100,6 @@ func newGuestEnd(r *Relayer, side int, ec EndConfig, reg *telemetry.Registry) (*
 	g.mRecvCost = reg.Histogram(r.ns + ".recv.cost_cents")
 	g.mJobLatency = reg.Histogram(r.ns + ".job.latency_s")
 	g.mQueueDepth = reg.Gauge(r.ns + ".queue_depth")
-	g.mSnapRetries = reg.Counter(r.ns + ".snapshot_pruned_retries")
 	// Lane 0 rides the relayer's root stream (single-channel byte
 	// identity); every later lane derives its own deterministic streams
 	// from the scenario seed and the channel ID.
@@ -328,7 +326,6 @@ func (g *guestEnd) proveMembership(height uint64, path string) (proof []byte, pr
 	if latest == nil || latest.Block.Height <= height {
 		return nil, 0, err
 	}
-	g.mSnapRetries.Inc()
 	newHeight := latest.Block.Height
 	_, proof, err = g.st.ProveMembershipAt(newHeight, path)
 	if err != nil {

@@ -304,11 +304,9 @@ type Relayer struct {
 	mAcks          *telemetry.Counter
 	mTimeouts      *telemetry.Counter
 	mLostRace      *telemetry.Counter
-	mFeesClaimed   *telemetry.Counter
 	mHopLatency    *telemetry.Histogram
 	mNetRetries    *telemetry.Counter
 	mNetDead       *telemetry.Counter
-	mNetAttempts   *telemetry.Histogram
 
 	// healthLat is the EWMA delivery latency (seconds) behind Health();
 	// healthSeen marks the first observation.
@@ -373,11 +371,9 @@ func New(cfg Config, sched *sim.Scheduler, net *netsim.Network, opts ...Option) 
 	r.mAcks = reg.Counter(r.ns + ".acks")
 	r.mTimeouts = reg.Counter(r.ns + ".timeouts_submitted")
 	r.mLostRace = reg.Counter(r.ns + ".lost_race")
-	r.mFeesClaimed = reg.Counter(r.ns + ".fees_claimed_tokens")
 	r.mHopLatency = reg.Histogram(r.ns + ".hop.latency_s")
 	r.mNetRetries = reg.Counter(r.ns + ".net_retries")
 	r.mNetDead = reg.Counter(r.ns + ".net_dead_letters")
-	r.mNetAttempts = reg.Histogram(r.ns + ".net_attempts")
 	r.ep = net.Node(cfg.NodeID, r.onNetMessage, nil)
 
 	r.byChan = [2]map[chanKey]*shard{{}, {}}
@@ -445,7 +441,6 @@ func (r *Relayer) ClaimFees() map[string]uint64 {
 				total = make(map[string]uint64)
 			}
 			total[denom] += amt
-			r.mFeesClaimed.Add(amt)
 		}
 	}
 	return total
@@ -480,7 +475,7 @@ func (r *Relayer) Health() routing.LinkHealth {
 
 // call issues one reliable call with the relayer's retry accounting.
 func (r *Relayer) call(to netsim.NodeID, kind string, payload any, done func(resp any, err error)) {
-	obs := netsim.RetryObserver{Retries: r.mNetRetries, DeadLetters: r.mNetDead, Attempts: r.mNetAttempts}
+	obs := netsim.RetryObserver{Retries: r.mNetRetries, DeadLetters: r.mNetDead}
 	r.ep.ReliableCall(to, kind, payload, r.retry, obs, done)
 }
 

@@ -12,111 +12,40 @@ type Event interface {
 	EventKind() string
 }
 
-// BusStats is a point-in-time snapshot of bus activity.
-type BusStats struct {
-	// Published counts every Publish call.
-	Published uint64
-	// Delivered counts event→subscriber deliveries (one event to three
-	// subscribers counts three).
-	Delivered uint64
-	// Dropped counts events published while no subscriber was attached.
-	// A non-zero value is the signal the old sink API could not give:
-	// instrumentation happened but nobody was listening.
-	Dropped uint64
-	// Subscribers is the current subscriber count.
-	Subscribers int
-}
-
 // Bus is a synchronous typed event bus. Publish delivers to subscribers in
 // subscription order under the bus lock, so for a single publisher the
 // emission order every subscriber observes is deterministic and identical.
+// A subscriber stays attached for the bus's lifetime.
 //
-// The zero value and the nil bus are both usable no-ops for Publish (events
-// are counted as dropped on a zero-value bus; a nil bus discards silently),
-// which makes the "no sink configured" default explicit and observable
-// instead of a silent nil-callback check.
+// Publish on a bus with no subscriber, or on a nil bus, discards the event.
 //
 // Subscriber callbacks run with the bus lock held: they must be fast and
-// must not call back into the same bus (Subscribe/Publish/Close would
-// deadlock).
+// must not call back into the same bus (Subscribe/Publish would deadlock).
 type Bus struct {
-	mu     sync.Mutex
-	subs   []*Subscription
-	nextID uint64
-
-	published uint64
-	delivered uint64
-	dropped   uint64
+	mu   sync.Mutex
+	subs []func(Event)
 }
 
 // NewBus returns an empty bus.
 func NewBus() *Bus { return &Bus{} }
 
-// Subscription is a handle to an active subscriber; Close detaches it.
-type Subscription struct {
-	bus *Bus
-	id  uint64
-	fn  func(Event)
-}
-
-// Subscribe attaches fn to the bus and returns its handle. Subscribers
-// receive events in the order they subscribed.
-func (b *Bus) Subscribe(fn func(Event)) *Subscription {
+// Subscribe attaches fn to the bus. Subscribers receive events in the
+// order they subscribed.
+func (b *Bus) Subscribe(fn func(Event)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.nextID++
-	s := &Subscription{bus: b, id: b.nextID, fn: fn}
-	b.subs = append(b.subs, s)
-	return s
-}
-
-// Close detaches the subscription; it is idempotent and nil-safe.
-func (s *Subscription) Close() {
-	if s == nil || s.bus == nil {
-		return
-	}
-	b := s.bus
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, sub := range b.subs {
-		if sub.id == s.id {
-			b.subs = append(b.subs[:i], b.subs[i+1:]...)
-			break
-		}
-	}
-	s.bus = nil
+	b.subs = append(b.subs, fn)
 }
 
 // Publish delivers ev to every subscriber, in subscription order, before
-// returning. Publishing with no subscribers counts the event as dropped.
+// returning.
 func (b *Bus) Publish(ev Event) {
 	if b == nil {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.published++
-	if len(b.subs) == 0 {
-		b.dropped++
-		return
-	}
-	for _, s := range b.subs {
-		s.fn(ev)
-		b.delivered++
-	}
-}
-
-// Stats returns the bus counters.
-func (b *Bus) Stats() BusStats {
-	if b == nil {
-		return BusStats{}
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return BusStats{
-		Published:   b.published,
-		Delivered:   b.delivered,
-		Dropped:     b.dropped,
-		Subscribers: len(b.subs),
+	for _, fn := range b.subs {
+		fn(ev)
 	}
 }

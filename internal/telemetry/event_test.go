@@ -36,60 +36,18 @@ func TestBusDeliversInSubscriptionOrder(t *testing.T) {
 	}
 }
 
-func TestBusCountsDropsWithoutSubscribers(t *testing.T) {
-	b := NewBus()
-	b.Publish(testEvent{})
-	b.Publish(testEvent{})
-	st := b.Stats()
-	if st.Published != 2 || st.Dropped != 2 || st.Delivered != 0 {
-		t.Fatalf("stats = %+v, want published=2 dropped=2 delivered=0", st)
-	}
-
-	sub := b.Subscribe(func(Event) {})
-	b.Publish(testEvent{})
-	st = b.Stats()
-	if st.Published != 3 || st.Dropped != 2 || st.Delivered != 1 || st.Subscribers != 1 {
-		t.Fatalf("stats = %+v, want published=3 dropped=2 delivered=1 subscribers=1", st)
-	}
-
-	sub.Close()
-	sub.Close() // idempotent
-	if st := b.Stats(); st.Subscribers != 0 {
-		t.Fatalf("subscribers after close = %d, want 0", st.Subscribers)
-	}
-}
-
-func TestBusUnsubscribeStopsDelivery(t *testing.T) {
-	b := NewBus()
-	var a, c int
-	subA := b.Subscribe(func(Event) { a++ })
-	b.Subscribe(func(Event) { c++ })
-
-	b.Publish(testEvent{})
-	subA.Close()
-	b.Publish(testEvent{})
-
-	if a != 1 || c != 2 {
-		t.Fatalf("a=%d c=%d, want a=1 c=2", a, c)
-	}
-}
-
 func TestNilBusIsNoOp(t *testing.T) {
 	var b *Bus
 	b.Publish(testEvent{}) // must not panic
-	if st := b.Stats(); st != (BusStats{}) {
-		t.Fatalf("nil bus stats = %+v, want zero", st)
-	}
-	var s *Subscription
-	s.Close() // must not panic
 }
 
 // TestBusConcurrentPublishSubscribe exercises the bus from many goroutines;
-// run with -race to validate the locking discipline.
+// run with -race to validate the locking discipline. A subscriber attached
+// throughout sees every event exactly once.
 func TestBusConcurrentPublishSubscribe(t *testing.T) {
 	b := NewBus()
-	var mu sync.Mutex
-	seen := 0
+	steady := 0 // written under the bus lock
+	b.Subscribe(func(Event) { steady++ })
 	const publishers, perPublisher, churners = 8, 200, 4
 
 	var wg sync.WaitGroup
@@ -107,27 +65,13 @@ func TestBusConcurrentPublishSubscribe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				sub := b.Subscribe(func(Event) {
-					mu.Lock()
-					seen++
-					mu.Unlock()
-				})
-				sub.Close()
+				b.Subscribe(func(Event) {})
 			}
 		}()
 	}
 	wg.Wait()
 
-	st := b.Stats()
-	if st.Published != publishers*perPublisher {
-		t.Fatalf("published = %d, want %d", st.Published, publishers*perPublisher)
-	}
-	if st.Delivered+st.Dropped < st.Published {
-		t.Fatalf("delivered(%d)+dropped(%d) < published(%d)", st.Delivered, st.Dropped, st.Published)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if uint64(seen) != st.Delivered {
-		t.Fatalf("callback saw %d deliveries, stats say %d", seen, st.Delivered)
+	if steady != publishers*perPublisher {
+		t.Fatalf("steady subscriber saw %d events, want %d", steady, publishers*perPublisher)
 	}
 }

@@ -44,14 +44,6 @@ func (g *Gauge) Set(n int64) {
 	g.v.Store(n)
 }
 
-// Add shifts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -80,16 +72,6 @@ func (h *Histogram) Observe(v float64) {
 	h.samples = append(h.samples, v)
 	h.sum += v
 	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.samples)
 }
 
 // Sum returns the sum of all observations.

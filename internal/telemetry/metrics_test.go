@@ -22,7 +22,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("g")
 	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 	if g.Value() != 4 {
 		t.Fatalf("gauge = %d, want 4", g.Value())
 	}
@@ -34,7 +34,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.Inc()
 	g.Set(1)
 	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Samples() != nil || h.Sum() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	if empty := (HistogramSnapshot{}); !math.IsNaN(empty.Quantile(0.5)) || !math.IsNaN(empty.Mean()) {
@@ -153,7 +153,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
 				r.Counter("hits").Inc()
-				r.Gauge("depth").Add(1)
+				r.Gauge("depth").Set(int64(j))
 				r.Histogram("lat").Observe(float64(j))
 			}
 		}()
@@ -162,7 +162,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	if got := r.Counter("hits").Value(); got != 4000 {
 		t.Fatalf("counter = %d, want 4000", got)
 	}
-	if got := r.Histogram("lat").Count(); got != 4000 {
+	if got := len(r.Histogram("lat").Samples()); got != 4000 {
 		t.Fatalf("histogram count = %d, want 4000", got)
 	}
 }

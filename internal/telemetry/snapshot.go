@@ -37,12 +37,11 @@ func (h HistogramSnapshot) Mean() float64 {
 }
 
 // Snapshot is a consistent point-in-time export of a registry (and, via
-// Telemetry.Snapshot, the bus counters and packet traces).
+// Telemetry.Snapshot, the packet traces).
 type Snapshot struct {
 	Counters   map[string]uint64
 	Gauges     map[string]int64
 	Histograms map[string]HistogramSnapshot
-	Bus        BusStats
 	Traces     []Trace
 }
 
@@ -95,16 +94,6 @@ func (s Snapshot) HistogramSamples(name string) []float64 {
 	return s.Histograms[name].Samples
 }
 
-// Trace returns the trace for key and whether it exists.
-func (s Snapshot) Trace(key string) (Trace, bool) {
-	for _, tr := range s.Traces {
-		if tr.Key == key {
-			return tr, true
-		}
-	}
-	return Trace{}, false
-}
-
 // Render formats the snapshot as deterministic, diff-friendly text: every
 // section is sorted by name.
 func (s Snapshot) Render() string {
@@ -134,10 +123,6 @@ func (s Snapshot) Render() string {
 			fmt.Fprintf(&b, "  %-40s n=%d mean=%.3f p50=%.3f p95=%.3f max=%.3f\n",
 				k, h.Count(), h.Mean(), h.Quantile(0.5), h.Quantile(0.95), h.Quantile(1))
 		}
-	}
-	if s.Bus.Published > 0 || s.Bus.Subscribers > 0 {
-		fmt.Fprintf(&b, "events: published=%d delivered=%d dropped=%d subscribers=%d\n",
-			s.Bus.Published, s.Bus.Delivered, s.Bus.Dropped, s.Bus.Subscribers)
 	}
 	if len(s.Traces) > 0 {
 		complete := 0

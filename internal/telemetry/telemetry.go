@@ -8,9 +8,10 @@
 // The paper's whole evaluation (§V) is measurement — packet latency,
 // light-client update cost, validator signing behaviour, guest block
 // intervals — so instrumentation is part of the system model, not an
-// afterthought: every actor package (host, guest, counterparty, relayer,
-// validator, fisherman) reports through one shared Telemetry and the
-// experiment drivers compile their figures from its snapshots.
+// afterthought: the actor packages report through one shared Telemetry and
+// the experiment drivers compile their figures from its snapshots. A key
+// is written only where something reads it; internal/core's
+// TestEveryMetricHasAReader lists each key with its reader.
 //
 // Concurrency: counters and gauges are single atomics (safe to bump from
 // any goroutine, negligible cost on hot paths); histograms and the tracer
@@ -18,32 +19,28 @@
 // under its own lock so emission order is deterministic.
 package telemetry
 
-// Telemetry bundles the three observability surfaces one deployment
-// shares: a metrics registry, an event bus, and a packet tracer.
+// Telemetry bundles the two observability surfaces one deployment
+// shares: a metrics registry and a packet tracer. Event buses are per
+// chain handler (ibc.Handler.Events).
 type Telemetry struct {
 	// Metrics is the named counter/gauge/histogram registry.
 	Metrics *Registry
-	// Bus is a process-wide event bus for components that are not embedded
-	// in a chain handler (handlers own per-chain buses).
-	Bus *Bus
 	// Tracer records per-packet lifecycle spans.
 	Tracer *Tracer
 }
 
-// New returns an empty Telemetry with all three surfaces ready.
+// New returns an empty Telemetry with both surfaces ready.
 func New() *Telemetry {
 	return &Telemetry{
 		Metrics: NewRegistry(),
-		Bus:     NewBus(),
 		Tracer:  NewTracer(),
 	}
 }
 
-// Snapshot captures metrics, bus statistics, and traces in one consistent,
-// deterministically ordered export.
+// Snapshot captures metrics and traces in one consistent, deterministically
+// ordered export.
 func (t *Telemetry) Snapshot() Snapshot {
 	s := t.Metrics.Snapshot()
-	s.Bus = t.Bus.Stats()
 	s.Traces = t.Tracer.Snapshot()
 	return s
 }

@@ -100,16 +100,6 @@ func (t *Tracer) Trace(key string) (Trace, bool) {
 	return copyTrace(tr), true
 }
 
-// Len returns the number of traced packets.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.traces)
-}
-
 // Snapshot returns copies of all traces sorted by key.
 func (t *Tracer) Snapshot() []Trace {
 	if t == nil {

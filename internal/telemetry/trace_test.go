@@ -56,9 +56,6 @@ func TestTracerSnapshotSortedAndIsolated(t *testing.T) {
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
 	tr.Mark("k", StageSend, time.Time{}) // must not panic
-	if tr.Len() != 0 {
-		t.Fatal("nil tracer Len != 0")
-	}
 	if _, ok := tr.Trace("k"); ok {
 		t.Fatal("nil tracer returned a trace")
 	}

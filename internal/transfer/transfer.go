@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"repro/internal/ibc"
-	"repro/internal/telemetry"
 )
 
 // PacketData is the fungible-token packet payload (ICS-20 shape).
@@ -93,53 +92,17 @@ type App struct {
 	// Cancels counts sends rolled back before the packet ever left the
 	// chain (mempool rejection or deadline shedding under load).
 	Cancels int
-
-	// Telemetry mirrors of the test counters above; nil instruments are
-	// no-ops, so an app built without WithTelemetry pays nothing.
-	telemetry *telemetry.Registry
-	metricsNS string
-	cMints    *telemetry.Counter
-	cBurns    *telemetry.Counter
-	cRefunds  *telemetry.Counter
-	cCancels  *telemetry.Counter
 }
 
 var _ ibc.Module = (*App)(nil)
 
-// Option configures a transfer App (PR 2 functional-options convention).
-type Option func(*App)
-
-// WithTelemetry registers the app's voucher-operation counters in reg
-// under the app's metrics namespace.
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(a *App) { a.telemetry = reg }
-}
-
-// WithMetricsNamespace sets the metric-name prefix (default "transfer").
-// Deployments running one app per chain side use e.g. "guest.transfer"
-// and "cp.transfer" so both report into one registry.
-func WithMetricsNamespace(ns string) Option {
-	return func(a *App) { a.metricsNS = ns }
-}
-
 // New creates a transfer app for the given port.
-func New(port ibc.PortID, opts ...Option) *App {
-	a := &App{
-		port:      port,
-		balances:  make(map[string]map[string]uint64),
-		escrow:    make(map[ibc.ChannelID]map[string]uint64),
-		metricsNS: "transfer",
+func New(port ibc.PortID) *App {
+	return &App{
+		port:     port,
+		balances: make(map[string]map[string]uint64),
+		escrow:   make(map[ibc.ChannelID]map[string]uint64),
 	}
-	for _, o := range opts {
-		o(a)
-	}
-	// Resolve instruments once options settled (namespace may follow the
-	// registry in the option list); nil registry yields no-op counters.
-	a.cMints = a.telemetry.Counter(a.metricsNS + ".mints")
-	a.cBurns = a.telemetry.Counter(a.metricsNS + ".burns")
-	a.cRefunds = a.telemetry.Counter(a.metricsNS + ".refunds")
-	a.cCancels = a.telemetry.Counter(a.metricsNS + ".cancels")
-	return a
 }
 
 // Mint credits tokens out of thin air (genesis supply / faucet).
@@ -216,7 +179,6 @@ func (a *App) PrepareSend(srcChannel ibc.ChannelID, d *PacketData) error {
 	if strings.HasPrefix(d.Denom, prefix) {
 		// Voucher going home: burn.
 		a.Burns++
-		a.cBurns.Inc()
 		return nil
 	}
 	// Native: escrow.
@@ -236,13 +198,11 @@ func (a *App) PrepareSend(srcChannel ibc.ChannelID, d *PacketData) error {
 // stranded and per-channel conservation would break under overload.
 func (a *App) CancelSend(srcChannel ibc.ChannelID, d *PacketData) error {
 	a.Cancels++
-	a.cCancels.Inc()
 	prefix := voucherPrefix(a.port, srcChannel)
 	if strings.HasPrefix(d.Denom, prefix) {
 		// The burned voucher comes back into existence.
 		a.credit(d.Sender, d.Denom, d.Amount)
 		a.Mints++
-		a.cMints.Inc()
 		return nil
 	}
 	esc := a.escrow[srcChannel]
@@ -288,7 +248,6 @@ func (a *App) OnRecvPacket(p ibc.Packet) ([]byte, error) {
 	voucher := voucherPrefix(p.DestPort, p.DestChannel) + d.Denom
 	a.credit(d.Receiver, voucher, d.Amount)
 	a.Mints++
-	a.cMints.Inc()
 	return AckSuccess, nil
 }
 
@@ -312,13 +271,11 @@ func (a *App) refund(p ibc.Packet) error {
 		return err
 	}
 	a.Refunds++
-	a.cRefunds.Inc()
 	prefix := voucherPrefix(p.SourcePort, p.SourceChannel)
 	if strings.HasPrefix(d.Denom, prefix) {
 		// A burned voucher comes back into existence.
 		a.credit(d.Sender, d.Denom, d.Amount)
 		a.Mints++
-		a.cMints.Inc()
 		return nil
 	}
 	esc := a.escrow[p.SourceChannel]

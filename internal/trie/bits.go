@@ -48,17 +48,11 @@ func pathToKey(p path) [KeySize]byte {
 	return key
 }
 
-// pack returns the canonical packed encoding of the path: a length prefix is
-// NOT included; callers hash the length separately. Trailing bits of the
-// final byte are zero.
+// pack returns the canonical packed encoding of the path in an exact-size
+// buffer: a length prefix is NOT included (writePath and the node hashes
+// carry it separately). Trailing bits of the final byte are zero.
 func (p path) pack() []byte {
-	buf := make([]byte, (len(p)+7)/8)
-	for i, b := range p {
-		if b != 0 {
-			buf[i/8] |= 1 << (7 - uint(i%8))
-		}
-	}
-	return buf
+	return appendPacked(make([]byte, 0, (len(p)+7)/8), p)
 }
 
 // writePath writes a packed path as its u16 bit length and its packed

@@ -2,7 +2,6 @@ package trie
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 
 	"repro/internal/cryptoutil"
 )
@@ -69,31 +68,45 @@ type node struct {
 	sealed bool
 }
 
-// pathLenBuf encodes a path bit length as 2 big-endian bytes for hashing.
-func pathLenBuf(n int) []byte {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], uint16(n))
-	return b[:]
-}
+// maxPreimage is the largest node hash preimage: tag + 2-byte bit length
+// + 32-byte packed path + 32-byte value/child hash (a branch's tag + two
+// child hashes is one byte shorter).
+const maxPreimage = 3 + KeySize + cryptoutil.HashSize
 
 // leafHash computes the commitment of a leaf with the given remaining path
 // and value.
 func leafHash(p path, value cryptoutil.Hash) cryptoutil.Hash {
-	return cryptoutil.HashTagged(tagLeaf, pathLenBuf(len(p)), p.pack(), value[:])
-}
-
-// branchHash computes the commitment of a branch from its children hashes.
-func branchHash(left, right cryptoutil.Hash) cryptoutil.Hash {
-	return cryptoutil.HashTagged(tagBranch, left[:], right[:])
+	return pathedHash(tagLeaf, p, value)
 }
 
 // extHash computes the commitment of an extension node.
 func extHash(p path, child cryptoutil.Hash) cryptoutil.Hash {
-	return cryptoutil.HashTagged(tagExt, pathLenBuf(len(p)), p.pack(), child[:])
+	return pathedHash(tagExt, p, child)
+}
+
+// pathedHash digests the preimage a leaf or extension commits to:
+// SHA-256(tag ‖ u16 bit length ‖ packed path ‖ h).
+func pathedHash(tag byte, p path, h cryptoutil.Hash) cryptoutil.Hash {
+	var buf [maxPreimage]byte
+	b := append(buf[:0], tag, byte(len(p)>>8), byte(len(p)))
+	b = appendPacked(b, p)
+	return sha256.Sum256(append(b, h[:]...))
+}
+
+// branchHash computes the commitment of a branch from its children hashes:
+// SHA-256(tag ‖ left ‖ right).
+func branchHash(left, right cryptoutil.Hash) cryptoutil.Hash {
+	var buf [maxPreimage]byte
+	b := append(buf[:0], tagBranch)
+	b = append(b, left[:]...)
+	return sha256.Sum256(append(b, right[:]...))
 }
 
 // hash computes the node's commitment from its current contents. Children
 // hashes are read from the refs, so deeper nodes must be rehashed first.
+// Every node hash — the rehash spine, decodeNode's content check and proof
+// verification — goes through leafHash, extHash and branchHash, whose
+// preimages are built on the stack: hashing allocates nothing.
 func (n *node) hash() cryptoutil.Hash {
 	switch n.kind {
 	case kindLeaf:
@@ -105,17 +118,6 @@ func (n *node) hash() cryptoutil.Hash {
 	default:
 		panic("trie: invalid node kind")
 	}
-}
-
-// nodeHasher assembles a node's preimage into a reusable scratch buffer
-// and digests it with one sha256.Sum256 call. Each Trie owns one: trie
-// mutations are serialised (the account model forbids concurrent writers
-// anyway), so the scratch removes the per-node path-packing allocation
-// from the rehash spine, and Sum256 keeps the digest state on the stack —
-// an interface-valued hash.Hash here would force every argument to escape.
-// The byte streams are identical to leafHash/branchHash/extHash.
-type nodeHasher struct {
-	buf []byte
 }
 
 // appendPacked appends the canonical packed encoding of p to b.
@@ -130,34 +132,6 @@ func appendPacked(b []byte, p path) []byte {
 		}
 	}
 	return b
-}
-
-// node computes n's commitment using the reusable scratch buffer.
-func (nh *nodeHasher) node(n *node) cryptoutil.Hash {
-	if nh.buf == nil {
-		// Largest preimage: tag + 2-byte length + 32-byte packed path +
-		// 32-byte value/child hash, or tag + two 32-byte child hashes.
-		nh.buf = make([]byte, 0, 3+KeySize+KeySize)
-	}
-	b := nh.buf[:0]
-	switch n.kind {
-	case kindLeaf:
-		b = append(b, tagLeaf, byte(len(n.path)>>8), byte(len(n.path)))
-		b = appendPacked(b, n.path)
-		b = append(b, n.value[:]...)
-	case kindBranch:
-		b = append(b, tagBranch)
-		b = append(b, n.children[0].hash[:]...)
-		b = append(b, n.children[1].hash[:]...)
-	case kindExt:
-		b = append(b, tagExt, byte(len(n.path)>>8), byte(len(n.path)))
-		b = appendPacked(b, n.path)
-		b = append(b, n.child.hash[:]...)
-	default:
-		panic("trie: invalid node kind")
-	}
-	nh.buf = b
-	return sha256.Sum256(b)
 }
 
 // storageBytes models the on-chain storage footprint of a node, mirroring

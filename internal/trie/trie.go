@@ -66,14 +66,8 @@ type Trie struct {
 	versions map[Version]ref
 	fresh    int
 
-	// hs is the reusable hashing state for the rehash spine. It is never
-	// shared between tries, so single-writer tries stay
-	// goroutine-isolated.
-	hs nodeHasher
-
 	// pathScratch and stackScratch back the descent of the current
-	// mutation (Set/Seal/Delete). Like hs they rely on writes being
-	// serialised; the read-only walkers (lookupRef, proveRef) never touch
+	// mutation (Set/Seal/Delete). They rely on writes being serialised; the read-only walkers (lookupRef, proveRef) never touch
 	// them, so concurrent Views of retained versions stay safe.
 	pathScratch  [keyBits]byte
 	stackScratch []*ref
@@ -216,10 +210,10 @@ func (t *Trie) mutStack() []*ref {
 }
 
 // rehash recomputes commitments from the deepest changed ref up to the
-// root, through the trie's reusable hashing state.
+// root.
 func (t *Trie) rehash(stack []*ref) {
 	for i := len(stack) - 1; i >= 0; i-- {
-		stack[i].hash = t.hs.node(stack[i].node)
+		stack[i].hash = stack[i].node.hash()
 	}
 }
 
@@ -252,7 +246,7 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 				return err
 			}
 			cur.node = leaf
-			cur.hash = t.hs.node(leaf)
+			cur.hash = leaf.hash()
 			t.leafCount++
 			t.rehash(stack)
 			return nil
@@ -268,7 +262,7 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 					return ErrSealed
 				}
 				n.value = value
-				cur.hash = t.hs.node(n)
+				cur.hash = n.hash()
 				t.rehash(stack)
 				return nil
 			}
@@ -325,19 +319,19 @@ func (t *Trie) splitLeaf(cur *ref, old *node, remaining path, value cryptoutil.H
 	br := t.take(&node{kind: kindBranch})
 	// Reuse the old leaf node with a shortened path.
 	old.path = oldRest[1:].clone()
-	br.children[oldRest[0]] = ref{hash: t.hs.node(old), node: old}
-	br.children[newRest[0]] = ref{hash: t.hs.node(newLeaf), node: newLeaf}
+	br.children[oldRest[0]] = ref{hash: old.hash(), node: old}
+	br.children[newRest[0]] = ref{hash: newLeaf.hash(), node: newLeaf}
 	t.leafCount++
 
 	if c == 0 {
 		cur.node = br
-		cur.hash = t.hs.node(br)
+		cur.hash = br.hash()
 		return nil
 	}
 	ext := t.take(&node{kind: kindExt, path: remaining[:c].clone()})
-	ext.child = ref{hash: t.hs.node(br), node: br}
+	ext.child = ref{hash: br.hash(), node: br}
 	cur.node = ext
-	cur.hash = t.hs.node(ext)
+	cur.hash = ext.hash()
 	return nil
 }
 
@@ -368,20 +362,20 @@ func (t *Trie) splitExt(cur *ref, old *node, remaining path, value cryptoutil.Ha
 		t.free(old)
 	} else {
 		old.path = oldRest[1:].clone()
-		br.children[oldRest[0]] = ref{hash: t.hs.node(old), node: old}
+		br.children[oldRest[0]] = ref{hash: old.hash(), node: old}
 	}
-	br.children[newRest[0]] = ref{hash: t.hs.node(newLeaf), node: newLeaf}
+	br.children[newRest[0]] = ref{hash: newLeaf.hash(), node: newLeaf}
 	t.leafCount++
 
 	if c == 0 {
 		cur.node = br
-		cur.hash = t.hs.node(br)
+		cur.hash = br.hash()
 		return nil
 	}
 	ext := t.take(&node{kind: kindExt, path: remaining[:c].clone()})
-	ext.child = ref{hash: t.hs.node(br), node: br}
+	ext.child = ref{hash: br.hash(), node: br}
 	cur.node = ext
-	cur.hash = t.hs.node(ext)
+	cur.hash = ext.hash()
 	return nil
 }
 
@@ -678,16 +672,16 @@ func (t *Trie) mergeDown(bit byte, sib ref) (ref, error) {
 	switch n.kind {
 	case kindLeaf:
 		n.path = append(path{bit}, n.path...)
-		return ref{hash: t.hs.node(n), node: n}, nil
+		return ref{hash: n.hash(), node: n}, nil
 	case kindExt:
 		n.path = append(path{bit}, n.path...)
-		return ref{hash: t.hs.node(n), node: n}, nil
+		return ref{hash: n.hash(), node: n}, nil
 	case kindBranch:
 		ext, err := t.alloc(&node{kind: kindExt, path: path{bit}, child: sib})
 		if err != nil {
 			return ref{}, err
 		}
-		return ref{hash: t.hs.node(ext), node: ext}, nil
+		return ref{hash: ext.hash(), node: ext}, nil
 	default:
 		return ref{}, fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
 	}
@@ -709,9 +703,9 @@ func (t *Trie) mergeExtChild(gp *ref) error {
 		child.path = append(ext.path.clone(), child.path...)
 		t.free(ext)
 		gp.node = child
-		gp.hash = t.hs.node(child)
+		gp.hash = child.hash()
 	case kindBranch:
-		gp.hash = t.hs.node(ext)
+		gp.hash = ext.hash()
 	}
 	return nil
 }

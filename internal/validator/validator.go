@@ -70,8 +70,7 @@ type Validator struct {
 	seed      int64
 	telemetry *telemetry.Registry
 	// Instruments (nil-safe no-ops without WithTelemetry).
-	mSignatures  *telemetry.Counter
-	mSignLatency *telemetry.Histogram
+	mSignatures *telemetry.Counter
 
 	// The daemon's address on the simulated network: host blocks arrive as
 	// wire notifications (cursor-pulled, so a dropped one loses nothing) and
@@ -80,10 +79,9 @@ type Validator struct {
 	ep         *netsim.Endpoint
 	hostCursor host.Slot
 	retry      netsim.RetryPolicy
-	// Shared across validators, like the sign instruments.
-	mNetRetries  *telemetry.Counter
-	mNetDead     *telemetry.Counter
-	mNetAttempts *telemetry.Histogram
+	// Shared across validators, like the sign counter.
+	mNetRetries *telemetry.Counter
+	mNetDead    *telemetry.Counter
 }
 
 // Option configures a validator daemon.
@@ -124,10 +122,8 @@ func New(key *cryptoutil.PrivKey, b Behaviour, chain *host.Chain, contract *gues
 	}
 	v.rng = rand.New(rand.NewSource(v.seed))
 	v.mSignatures = v.telemetry.Counter("validator.signatures")
-	v.mSignLatency = v.telemetry.Histogram("validator.sign_latency_s")
 	v.mNetRetries = v.telemetry.Counter("validator.net_retries")
 	v.mNetDead = v.telemetry.Counter("validator.net_dead_letters")
-	v.mNetAttempts = v.telemetry.Histogram("validator.net_attempts")
 	v.ep = net.Node(netsim.ValidatorNode(index), v.onNetMessage, nil)
 	return v
 }
@@ -236,7 +232,6 @@ func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
 			Cost:    tx.Fee(v.chain.Profile()),
 		})
 		v.mSignatures.Inc()
-		v.mSignLatency.Observe(latency.Seconds())
 	})
 }
 
@@ -244,7 +239,7 @@ func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
 // until the host acknowledges. done fires exactly once with the submission
 // outcome.
 func (v *Validator) submitTx(tx *host.Transaction, done func(error)) {
-	obs := netsim.RetryObserver{Retries: v.mNetRetries, DeadLetters: v.mNetDead, Attempts: v.mNetAttempts}
+	obs := netsim.RetryObserver{Retries: v.mNetRetries, DeadLetters: v.mNetDead}
 	v.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx},
 		v.retry, obs, func(_ any, err error) { done(err) })
 }
