@@ -60,7 +60,9 @@ lint: lint-deprecated
 # (internal/core TestEveryMetricHasAReader): the process-wide quorum
 # observer, the event-bus statistics, the unread latency and attempt
 # histograms, and the telemetry options only those metrics needed stay
-# retired.
+# retired. An update-client staging buffer is the Tendermint update's own
+# encoding (set first, so the set stages before the header is picked): the
+# length-framed update-client payload and its codec stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -115,6 +117,11 @@ lint-deprecated:
 	@bad=$$(grep -rn 'SetQuorumObserver\|BusStats\|WithFeesTelemetry\|net_attempts\|update_verify_s\|sign_latency_s\|transfer\.WithTelemetry\|transfer\.WithMetricsNamespace\|fisherman\.WithTelemetry' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired unread telemetry (a key stays only with a reader; see TestEveryMetricHasAReader in internal/core):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'UpdateClientPayload\|MarshalUpdateClientPayload\|UnmarshalUpdateClientPayload' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired update-client payload (the staging buffer is tendermint.Update.Marshal's bytes; stage it with TxBuilder.BeginUpdateClient/UpdateClientTxs):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -180,11 +187,13 @@ examples-smoke:
 # Fuzz smoke gate: every native fuzz target runs for five seconds beyond its
 # seed corpus (which plain `go test` already replays) — the recv staging
 # buffer, the staged ack and timeout batches (shared proof tails, heap-
-# charged decode) and update-client payload, the persisted
+# charged decode) and update-client buffer, the persisted
 # trie node format, the trie proof decoder, WAL recovery from an arbitrary
 # segment, the ICS-24 key derivation, the channel and connection end
-# decoders, the forward-memo parse, and the two light-client update
-# decoders (Tendermint update, guest signed block).
+# decoders, the forward-memo parse, the two light-client update
+# decoders (Tendermint update, guest signed block), and the transfer
+# packet data encoder (FuzzPacketDataMarshal: Marshal never panics and
+# round-trips).
 # One target per invocation: `go test -fuzz` takes a single match. A
 # failure leaves the input under the package's testdata/fuzz/ to commit
 # with the fix. WAL recovery opens a directory twice per input, so its
@@ -199,6 +208,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzPathToKey$$' -fuzztime=5s ./internal/ibc
 	$(GO) test -run='^$$' -fuzz='^FuzzEndDecode$$' -fuzztime=5s ./internal/ibc
 	$(GO) test -run='^$$' -fuzz='^FuzzForwardMemo$$' -fuzztime=5s ./internal/middleware
+	$(GO) test -run='^$$' -fuzz='^FuzzPacketDataMarshal$$' -fuzztime=5s ./internal/transfer
 	$(GO) test -run='^$$' -fuzz='^FuzzUpdateDecode$$' -fuzztime=5s ./internal/lightclient/tendermint
 	$(GO) test -run='^$$' -fuzz='^FuzzSignedBlockDecode$$' -fuzztime=5s ./internal/guestblock
 
@@ -239,5 +249,5 @@ api-update:
 # The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
-# example smoke runs, and five seconds of each of the ten fuzz targets.
+# example smoke runs, and five seconds of each of the eleven fuzz targets.
 ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

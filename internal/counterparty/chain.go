@@ -325,8 +325,18 @@ func (c *Chain) HeaderAt(height uint64) (*tendermint.Header, error) {
 	return c.headers[height-1], nil
 }
 
-// UpdateAt builds the light-client update for height: header + validator
-// set + commit. Its serialized size is what the relayer must chunk. The
+// ValidatorSetAt returns the validator set whose hash the header at height
+// carries: what an update for that height starts with, known before its
+// commit is signed. The set never rotates.
+func (c *Chain) ValidatorSetAt(height uint64) (*tendermint.ValidatorSet, error) {
+	if _, err := c.HeaderAt(height); err != nil {
+		return nil, err
+	}
+	return c.valset, nil
+}
+
+// UpdateAt builds the light-client update for height: validator set +
+// header + commit. Its serialized size is what the relayer must chunk. The
 // commit carries the fewest of the block's participants whose power is more
 // than 2/3 (ValidatorSet.Quorum), in set order; only those are signed,
 // lazily and deterministically from the height, and cached.

@@ -56,7 +56,7 @@ func TestUpdateAtGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256(u.Marshal())
-	if got, want := hex.EncodeToString(sum[:]), "4ca804dc18bc3cad5927c28944b2cde519412ce8b153e30b3d61a5571456f0db"; got != want {
+	if got, want := hex.EncodeToString(sum[:]), "6bd635b104371244578171e70a96868331d5b4357bb520ba3505473b774cead7"; got != want {
 		t.Errorf("update at height 17 = %s, want %s", got, want)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/host"
+	"repro/internal/lightclient/tendermint"
 	"repro/internal/wire"
 )
 
@@ -53,7 +54,7 @@ func staged(tb testing.TB, txs []*host.Transaction) []byte {
 // they re-encode to at most len(data) bytes that decode to them again.
 // slack is what decode may allocate beyond 4×len(data) + 16 KiB: a metered
 // batch grows its proofs' shared tails up to the heap, the update-client
-// payload not at all.
+// buffer (a Tendermint update) not at all.
 type stagedCodec struct {
 	name   string
 	slack  uint64
@@ -105,20 +106,21 @@ func batchCodec[P packetPayload](name string, unmarshal func([]byte, *host.HeapM
 	}
 }
 
-// commitCodecs are the staged payloads of the ack, timeout and
+// commitCodecs are the staged buffers of the ack, timeout and
 // update-client commits.
 var commitCodecs = []stagedCodec{
 	batchCodec("ack", UnmarshalAckPayloads, MarshalAckPayload),
 	batchCodec("timeout", UnmarshalTimeoutPayloads, MarshalTimeoutPayload),
 	{
+		// The update-client buffer is the update's encoding itself.
 		name: "update-client",
 		decode: func(data []byte) error {
-			_, err := UnmarshalUpdateClientPayload(data)
+			_, err := tendermint.UnmarshalUpdate(data)
 			return err
 		},
 		check: func(t *testing.T, data []byte) {
-			p, _ := UnmarshalUpdateClientPayload(data)
-			if again := MarshalUpdateClientPayload(p.Header); !bytes.Equal(again, data) {
+			u, _ := tendermint.UnmarshalUpdate(data)
+			if again := u.Marshal(); !bytes.Equal(again, data) {
 				t.Fatalf("update-client: accepted %x, re-marshals to %x", data, again)
 			}
 		},
@@ -137,7 +139,7 @@ func settleBomb[P packetPayload](marshal func(...P) []byte, payload func(seq uin
 }
 
 // FuzzCommitPayloadDecode feeds arbitrary bytes to the decoders of the
-// staged ack, timeout and update-client payloads (untrusted bytes a relayer
+// staged ack, timeout and update-client buffers (untrusted bytes a relayer
 // uploads to the contract): none panics or allocates beyond a fixed
 // multiple of the input (and, for a metered batch, of the heap), none decodes to more than the heap
 // holds, and a buffer one accepts re-encodes to at most its own size and
@@ -167,12 +169,11 @@ func FuzzCommitPayloadDecode(f *testing.F) {
 		acks[i], timeouts[i] = ack(uint64(i+1), 0), timeout(uint64(i+1), 0)
 		acks[i].Proof, timeouts[i].Proof = shared(i), shared(i)
 	}
-	key := cryptoutil.GenerateKey("fuzz-validator")
-	sigs := []SigBatch{{Pub: key.Public(), Payload: []byte("vote"), Sig: key.Sign([]byte("vote"))}}
+	update, sigs := testUpdate(tendermintKeys(f, 24), 24, 17)
 	for _, txs := range [][]*host.Transaction{
 		b.AckPacketTxs(&AckPayload{Packet: p.Packet, Ack: []byte(`{"result":"AQ=="}`), ProofHeight: 9, Proof: p.Proof}),
 		b.TimeoutPacketTxs(&TimeoutPayload{Packet: p.Packet, ProofHeight: 9, Proof: p.Proof}),
-		b.UpdateClientTxs("07-tendermint-0", bytes.Repeat([]byte{0xcd}, 2500), sigs),
+		b.UpdateClientTxs("07-tendermint-0", update.Marshal(), sigs),
 		b.AckPacketTxs(acks...),
 		b.TimeoutPacketTxs(timeouts...),
 	} {

@@ -489,18 +489,14 @@ func (c *Contract) commitUpdateClient(ctx *host.ExecContext, st *State, r *wire.
 	if err != nil {
 		return err
 	}
-	payload, err := UnmarshalUpdateClientPayload(buf.Data)
-	if err != nil {
-		return err
-	}
-	if err := ctx.Meter.ConsumeHash(len(payload.Header)); err != nil {
+	if err := ctx.Meter.ConsumeHash(len(buf.Data)); err != nil {
 		return err
 	}
 	client, err := st.Handler.Client(a.ClientID)
 	if err != nil {
 		return err
 	}
-	if err := updateClientPresigned(client, payload.Header, ctx.Time, buf); err != nil {
+	if err := updateClientPresigned(client, buf.Data, ctx.Time, buf); err != nil {
 		return err
 	}
 	buf.Txs++ // the commit transaction itself

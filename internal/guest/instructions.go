@@ -433,25 +433,3 @@ func MarshalTimeoutPayload(ps ...*TimeoutPayload) []byte { return marshalPayload
 func UnmarshalTimeoutPayloads(data []byte, heap *host.HeapMeter) ([]*TimeoutPayload, error) {
 	return unmarshalPayloads[TimeoutPayload](data, heap, "timeout")
 }
-
-// UpdateClientPayload is staged for OpCommitUpdateClient.
-type UpdateClientPayload struct {
-	Header []byte
-}
-
-// MarshalUpdateClientPayload encodes the staged client update.
-func MarshalUpdateClientPayload(header []byte) []byte {
-	w := wire.NewWriter()
-	w.Bytes32(header)
-	return w.Bytes()
-}
-
-// UnmarshalUpdateClientPayload decodes the staged client update.
-func UnmarshalUpdateClientPayload(data []byte) (*UpdateClientPayload, error) {
-	r := wire.NewReader(data)
-	p := &UpdateClientPayload{Header: r.Bytes32()}
-	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("guest: decode update-client payload: %w", err)
-	}
-	return p, nil
-}

@@ -5,6 +5,7 @@ import (
 	"repro/internal/guestblock"
 	"repro/internal/host"
 	"repro/internal/ibc"
+	"repro/internal/lightclient/tendermint"
 	"repro/internal/wire"
 )
 
@@ -129,6 +130,9 @@ const (
 	maxClaimsPerChunk = 4
 	// claimDataBytes is the in-instruction footprint of one claim.
 	claimDataBytes = 32 + 2 + 32
+	// claimEntryBytes is the precompile entry one claim adds to its chunk
+	// transaction: signature, public key, offsets and the signed digest.
+	claimEntryBytes = 64 + 32 + 14 + 32
 	// chunkEnvelope is the OpChunk framing: op, buffer id, data length,
 	// claim count.
 	chunkEnvelope = 1 + 8 + 4 + 2
@@ -140,11 +144,82 @@ const (
 func (b *TxBuilder) chunkDataCapacity(nClaims int) int {
 	room := b.Profile.MaxInstructionData(1, 1) - chunkEnvelope - nClaims*claimDataBytes
 	// Each claim also adds a precompile entry to the transaction itself.
-	room -= nClaims * (64 + 32 + 14 + 32)
+	room -= nClaims * claimEntryBytes
 	if room < 0 {
 		return 0
 	}
 	return room
+}
+
+// maxClaims is how many signature claims one chunk transaction carries:
+// roomy profiles take every claim the signature limit allows, the Solana
+// profile only a handful.
+func (b *TxBuilder) maxClaims() int {
+	if b.Profile.MaxTransactionSize > 8*host.MaxTransactionSize {
+		return b.Profile.MaxSignatures - 1
+	}
+	return maxClaimsPerChunk
+}
+
+// Upload is one staging buffer filled by a chunked upload, built in two
+// parts: Prefix, chunk transactions staging bytes known when the upload
+// begins, and Tail, the rest of the payload with its signature claims, then
+// Commit. A relayer submits the prefix first and builds the tail when its
+// pacer reaches it; ChunkedUpload builds both at once.
+type Upload struct {
+	b      *TxBuilder
+	buffer uint64
+	label  string
+	staged int // payload bytes the prefix stages
+
+	Prefix []*host.Transaction
+	// Commit is the upload's last transaction, which names its buffer.
+	Commit *host.Transaction
+}
+
+// beginUpload opens a staging buffer for a commitOp upload and stages the
+// front of prefix that fills whole claim-free chunk transactions; Tail
+// stages the rest.
+func (b *TxBuilder) beginUpload(commitOp byte, clientID ibc.ClientID, prefix []byte, label string) *Upload {
+	u := &Upload{b: b, buffer: b.nextBuffer, label: label}
+	b.nextBuffer++
+	if per := b.chunkDataCapacity(0); per > 0 {
+		for len(prefix)-u.staged >= per {
+			u.Prefix = append(u.Prefix, b.chunkTx(u.buffer, prefix[u.staged:u.staged+per], nil, label))
+			u.staged += per
+		}
+	}
+	u.Commit = b.tx(label+"/commit", EncodeCommit(commitOp, &CommitArgs{BufferID: u.buffer, ClientID: clientID}))
+	return u
+}
+
+// Tail builds the transactions that stage the rest of payload, whose first
+// bytes must be those the prefix staged, with the signature batch claimed,
+// and finish with Commit.
+func (u *Upload) Tail(payload []byte, sigs []SigBatch) []*host.Transaction {
+	b := u.b
+	var txs []*host.Transaction
+	remaining := payload[u.staged:]
+	for len(remaining) > 0 || len(sigs) > 0 {
+		n := min(len(sigs), b.maxClaims())
+		d := min(len(remaining), b.chunkDataCapacity(n))
+		txs = append(txs, b.chunkTx(u.buffer, remaining[:d], sigs[:n], u.label))
+		remaining, sigs = remaining[d:], sigs[n:]
+	}
+	return append(txs, u.Commit)
+}
+
+// chunkTx builds one chunk transaction staging data into buffer, with the
+// runtime verifying sigs as precompile entries.
+func (b *TxBuilder) chunkTx(buffer uint64, data []byte, sigs []SigBatch, label string) *host.Transaction {
+	args := &ChunkArgs{BufferID: buffer, Data: data}
+	tx := b.tx(label+"/chunk", nil)
+	for _, s := range sigs {
+		args.SigClaims = append(args.SigClaims, SigClaim{Pub: s.Pub, Payload: s.Payload})
+		tx.PrecompileSigs = append(tx.PrecompileSigs, host.SigVerify{Pub: s.Pub, Msg: s.Payload, Sig: s.Sig})
+	}
+	tx.Instructions[0].Data = EncodeChunk(args)
+	return tx
 }
 
 // ChunkedUpload builds the transaction sequence that stages payload (with
@@ -152,50 +227,28 @@ func (b *TxBuilder) chunkDataCapacity(nClaims int) int {
 // carrying commitOp. This is the multi-transaction pattern behind the
 // "36.5 transactions per light-client update" statistic (§V-A).
 func (b *TxBuilder) ChunkedUpload(commitOp byte, clientID ibc.ClientID, payload []byte, sigs []SigBatch, label string) []*host.Transaction {
-	bufID := b.nextBuffer
-	b.nextBuffer++
-
-	var txs []*host.Transaction
-	remaining := payload
-	pendingSigs := sigs
-
-	for len(remaining) > 0 || len(pendingSigs) > 0 {
-		n := len(pendingSigs)
-		// Roomy profiles can take every claim in one transaction; the
-		// Solana profile fits only a handful per chunk.
-		maxClaims := maxClaimsPerChunk
-		if b.Profile.MaxTransactionSize > 8*host.MaxTransactionSize {
-			maxClaims = b.Profile.MaxSignatures - 1
-		}
-		if n > maxClaims {
-			n = maxClaims
-		}
-		capacity := b.chunkDataCapacity(n)
-		d := len(remaining)
-		if d > capacity {
-			d = capacity
-		}
-		args := &ChunkArgs{BufferID: bufID, Data: remaining[:d]}
-		tx := b.tx(label+"/chunk", nil)
-		for _, s := range pendingSigs[:n] {
-			args.SigClaims = append(args.SigClaims, SigClaim{Pub: s.Pub, Payload: s.Payload})
-			tx.PrecompileSigs = append(tx.PrecompileSigs, host.SigVerify{Pub: s.Pub, Msg: s.Payload, Sig: s.Sig})
-		}
-		tx.Instructions[0].Data = EncodeChunk(args)
-		txs = append(txs, tx)
-		remaining = remaining[d:]
-		pendingSigs = pendingSigs[n:]
-	}
-
-	commit := b.tx(label+"/commit", EncodeCommit(commitOp, &CommitArgs{BufferID: bufID, ClientID: clientID}))
-	txs = append(txs, commit)
-	return txs
+	return b.beginUpload(commitOp, clientID, nil, label).Tail(payload, sigs)
 }
 
-// UpdateClientTxs stages a light-client update (header bytes plus the
-// commit signatures the runtime must verify) and commits it.
-func (b *TxBuilder) UpdateClientTxs(clientID ibc.ClientID, header []byte, sigs []SigBatch) []*host.Transaction {
-	return b.ChunkedUpload(OpCommitUpdateClient, clientID, MarshalUpdateClientPayload(header), sigs, "client-update")
+// UpdateClientTxs stages a light-client update (its Tendermint encoding,
+// whose commit signatures the runtime verifies) and commits it.
+func (b *TxBuilder) UpdateClientTxs(clientID ibc.ClientID, update []byte, sigs []SigBatch) []*host.Transaction {
+	return b.BeginUpdateClient(clientID, nil).Tail(update, sigs)
+}
+
+// BeginUpdateClient opens the upload of a Tendermint update whose encoding
+// starts with set, its validator set's encoding, and stages the whole
+// claim-free chunks set fills: the set does not depend on the height, so
+// the header can be picked when the tail is built. That costs no
+// transaction while a chunk full of claims takes at least its room in
+// claims and their commit entries — the tail's commit alone then fills
+// every chunk that carries claims — which holds on the Solana profile; a
+// roomier one stages nothing ahead.
+func (b *TxBuilder) BeginUpdateClient(clientID ibc.ClientID, set []byte) *Upload {
+	if mc := b.maxClaims(); b.chunkDataCapacity(0) > mc*(claimDataBytes+claimEntryBytes+tendermint.CommitEntrySize) {
+		set = nil
+	}
+	return b.beginUpload(OpCommitUpdateClient, clientID, set, "client-update")
 }
 
 // RecvPacketTxs stages incoming packets with their proofs as one chunk
@@ -248,9 +301,9 @@ func (b *TxBuilder) batchUnits() uint64 {
 	return b.Profile.MaxComputeUnits/2 - host.CUBaseInstruction
 }
 
-// CloseBufferTx builds the transaction that drops the staging buffer a
-// ChunkedUpload job fills, named by the job's commit transaction: what a
-// relayer sends when it gives the job up.
+// CloseBufferTx builds the transaction that drops the staging buffer an
+// Upload fills, named by its commit transaction: what a relayer sends when
+// it gives the job up.
 func (b *TxBuilder) CloseBufferTx(commit *host.Transaction) *host.Transaction {
 	id := wire.NewReader(commit.Instructions[0].Data[1:]).U64()
 	return b.tx("close-buffer", EncodeCloseBuffer(id))

@@ -1,12 +1,14 @@
 package tendermint
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/wire"
 )
 
 // goldenUpdate builds a fixed update over n validators: powers 10+i%7 as
@@ -57,8 +59,8 @@ func TestEncodingGolden(t *testing.T) {
 		{"Header.Hash", h.Hash().Hex(), "966d3151dac88dea4f49163d696b1d33d9a23115d67d023ae6310ce7370966ae"},
 		{"VotePayload", VotePayload(h.Hash(), small.Commit[0].Timestamp).Hex(), "c1191a1d740fced9efe348d11fbc68bff38f305a3624e4f1cb3b6afa18041e76"},
 		{"VotePayload/zero-time", VotePayload(h.Hash(), time.Time{}).Hex(), "8602da970e44b795ba01aadb8997c1ab256155f5d96ca65524c4d88b51a23ab4"},
-		{"Update.Marshal/4", digestHex(small.Marshal()), "aff4f50d30d90094b19a0b54226a52c023477ad1637c8b8f288cba1e43cc59fa"},
-		{"Update.Marshal/24", digestHex(large.Marshal()), "19861a81d925a20c1e315c76e98602ea7c6c1b148b415377cfaa084bab155b5c"},
+		{"Update.Marshal/4", digestHex(small.Marshal()), "f56fd153b14cc3eecf69749feba52ada6a52ee64a095ea10293c366a45972bfa"},
+		{"Update.Marshal/24", digestHex(large.Marshal()), "f08897b12e3e47fd7f4106eb5075773bddc80433f97c16540e59d34c9f5b5419"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
@@ -66,5 +68,15 @@ func TestEncodingGolden(t *testing.T) {
 	}
 	if n, m := len(small.Marshal()), len(large.Marshal()); n != 512 || m != 2792 {
 		t.Errorf("updates are %d and %d bytes, want 512 and 2792", n, m)
+	}
+	// The set leads, then the header: what a relayer stages before it picks
+	// the height is a prefix of every update under that set.
+	for _, u := range []*Update{small, large} {
+		w := wire.NewWriter()
+		u.ValSet.Encode(w)
+		u.Header.Encode(w)
+		if !bytes.HasPrefix(u.Marshal(), w.Bytes()) {
+			t.Errorf("update over %d validators does not start with set ‖ header", len(u.ValSet.Validators))
+		}
 	}
 }

@@ -25,10 +25,11 @@ type Validator struct {
 }
 
 // Encoded sizes of the fixed-layout entries: a validator (pubkey, power)
-// and a commit entry (u16 set index, timestamp, signature).
+// and a commit entry (u16 set index, timestamp, signature), which is what
+// each signature a chunked upload claims adds to the staged update.
 const (
 	validatorSize   = 32 + 8
-	commitEntrySize = 2 + 8 + 64
+	CommitEntrySize = 2 + 8 + 64
 )
 
 // Errors returned by the update decoder and the commit check.
@@ -109,6 +110,13 @@ func DecodeValidatorSet(r *wire.Reader) (*ValidatorSet, error) {
 		return nil, fmt.Errorf("tendermint: decode validator set: %w", err)
 	}
 	return vs, nil
+}
+
+// Marshal returns the set's encoding, which an update's starts with.
+func (vs *ValidatorSet) Marshal() []byte {
+	w := wire.NewWriterSize(vs.encodedSize())
+	vs.Encode(w)
+	return w.Bytes()
 }
 
 // Hash returns the set's commitment: HashTagged('v', encoding), hashed
@@ -196,18 +204,20 @@ type Update struct {
 }
 
 func (u *Update) encodedSize() int {
-	return u.Header.encodedSize() + u.ValSet.encodedSize() + 2 + len(u.Commit)*commitEntrySize
+	return u.Header.encodedSize() + u.ValSet.encodedSize() + 2 + len(u.Commit)*CommitEntrySize
 }
 
-// Marshal returns the serialized update; its length is what the relayer
-// must chunk across host transactions. The set comes ahead of the commit,
-// whose entries name their signer by set index instead of repeating its
-// public key. An entry that is not a member at a position above the
-// previous entry's is written as the set size, which the decoder refuses.
+// Marshal returns the serialized update, set ‖ header ‖ commit; its length
+// is what the relayer must chunk across host transactions. The set leads:
+// it does not depend on the height, so a relayer can stage its bytes before
+// it picks the header. It comes ahead of the commit, whose entries name
+// their signer by set index instead of repeating its public key. An entry
+// that is not a member at a position above the previous entry's is written
+// as the set size, which the decoder refuses.
 func (u *Update) Marshal() []byte {
 	w := wire.NewWriterSize(u.encodedSize())
-	u.Header.Encode(w)
 	u.ValSet.Encode(w)
+	u.Header.Encode(w)
 	w.U16(uint16(len(u.Commit)))
 	at := -1
 	for _, c := range u.Commit {
@@ -228,15 +238,15 @@ func (u *Update) Marshal() []byte {
 // above the previous entry's, fails with ErrCommitIndex.
 func UnmarshalUpdate(data []byte) (*Update, error) {
 	r := wire.NewReader(data)
-	h, err := DecodeHeader(r)
-	if err != nil {
-		return nil, err
-	}
 	vs, err := DecodeValidatorSet(r)
 	if err != nil {
 		return nil, err
 	}
-	n := r.Count16(commitEntrySize)
+	h, err := DecodeHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	n := r.Count16(CommitEntrySize)
 	u := &Update{Header: h, Commit: make([]CommitSig, 0, n), ValSet: vs}
 	prev := -1
 	for i := 0; i < n; i++ {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/counterparty"
 	"repro/internal/ibc"
+	"repro/internal/lightclient/tendermint"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 )
@@ -63,13 +64,42 @@ func (c *cosmosEnd) head() (uint64, time.Time, error) {
 	return h, hdr.Time, nil
 }
 
-func (c *cosmosEnd) sendUpdate(height uint64, done func(error)) error {
-	upd, err := c.chain.UpdateAt(height)
+// sendUpdate hands the peer an update planned at height, bound when the
+// peer asks: its commit is signed only then, at the height bindHeight picks.
+func (c *cosmosEnd) sendUpdate(height uint64, done func(uint64, error)) error {
+	planned, err := c.chain.HeaderAt(height)
 	if err != nil {
 		return err
 	}
-	c.r.ends[1-c.side].updateClient(upd, done)
+	set, err := c.chain.ValidatorSetAt(height)
+	if err != nil {
+		return err
+	}
+	c.r.ends[1-c.side].updateClient(update{set: set, bind: func() (header, uint64, error) {
+		at := c.bindHeight(planned)
+		upd, err := c.chain.UpdateAt(at)
+		return upd, at, err
+	}}, done)
 	return nil
+}
+
+// bindHeight picks the height an update planned at planned.Height binds
+// to: the chain's head when packets for this link were committed above the
+// planned height and the head's validator set is the planned one — which a
+// guest sink staged ahead — and the planned height otherwise. The IBC
+// relayer rule is "update to the newest height, then submit what it
+// proves"; binding late lets the update prove the packets committed while
+// it waited. A cosmos sink binds at once, when the head is the planned
+// height.
+func (c *cosmosEnd) bindHeight(planned *tendermint.Header) uint64 {
+	head := c.chain.Height()
+	if head <= planned.Height || !c.r.packetsAbove(c.side, planned.Height) {
+		return planned.Height
+	}
+	if h, err := c.chain.HeaderAt(head); err != nil || h.ValSetHash != planned.ValSetHash {
+		return planned.Height
+	}
+	return head
 }
 
 func (c *cosmosEnd) proveMembership(height uint64, path string) ([]byte, uint64, error) {
@@ -145,9 +175,14 @@ func (c *cosmosEnd) issue() {
 
 func (c *cosmosEnd) inOrder() bool { return true }
 
-func (c *cosmosEnd) updateClient(h header, done func(error)) {
+func (c *cosmosEnd) updateClient(u update, done func(uint64, error)) {
+	h, height, err := u.bind()
+	if err != nil {
+		done(0, err)
+		return
+	}
 	c.submit(netsim.MsgUpdateClient{ClientID: c.clientID, Header: h.Marshal()},
-		func(_ any, err error) { done(err) })
+		func(_ any, err error) { done(height, err) })
 }
 
 // recvPackets delivers the batch one message per packet, in order. The

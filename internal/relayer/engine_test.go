@@ -28,6 +28,9 @@ const (
 	// guestLink is the guest chain and a cosmos chain; the "home" end is
 	// the guest.
 	guestLink linkKind = "guest-cosmos"
+	// wideGuestLink is guestLink with the counterparty's default 115
+	// validators, whose set fills whole chunk transactions of an update.
+	wideGuestLink linkKind = "guest-cosmos-115"
 	// cosmosLink is two cosmos chains; the "home" end is chain A.
 	cosmosLink linkKind = "cosmos-cosmos"
 	// orderedLink is cosmosLink with an ordered bank channel.
@@ -102,8 +105,12 @@ func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(
 	}
 
 	var home EndConfig
-	if kind == guestLink {
-		e.bootEnv = newBootEnv(t)
+	if kind == guestLink || kind == wideGuestLink {
+		if kind == wideGuestLink {
+			e.bootEnv = newBootEnvWithCP(t, counterparty.DefaultConfig().NumValidators)
+		} else {
+			e.bootEnv = newBootEnv(t)
+		}
 		e.sched = sim.NewScheduler(e.clock.Now())
 		e.away = e.cp
 		st, err := e.contract.State(e.chain)
@@ -961,5 +968,84 @@ func TestGuestRecvWaitsForRefusedUpdate(t *testing.T) {
 	}
 	if got := count(e.hostLabels, "recv-packet/commit"); got != 1 {
 		t.Errorf("%d recv commits, want 1: nothing is submitted behind the refused update", got)
+	}
+}
+
+// stagingSlowly paces host transactions two seconds apart, so the
+// 115-validator set's whole chunks take longer to stage than the cosmos
+// chain's six-second block interval.
+func stagingSlowly(c *Config) { c.TxGap = sim.Constant(2 * time.Second) }
+
+// TestGuestUpdateRetargetsToWaitingPackets: a packet the cosmos chain
+// commits while the update its predecessor needs is staging the validator
+// set rides that same update. The pacer binds the header when it reaches
+// the height-dependent part, to the chain's head, since a packet waits
+// above the planned height: one update commit delivers both packets, where
+// an update whose header is fixed when it is planned needs a second.
+func TestGuestUpdateRetargetsToWaitingPackets(t *testing.T) {
+	e := newLinkEnv(t, wideGuestLink, netsim.Config{}, stagingSlowly)
+	var planned, head uint64
+	e.hostIntercept = func(tx *host.Transaction) *host.Transaction {
+		switch {
+		case tx.Label == "client-update/chunk" && planned == 0:
+			// Committed at the cosmos chain's next block, while the set's
+			// chunks still go out.
+			planned = e.away.Height()
+			e.sendBack(t, 20, 0)
+		case tx.Label == "client-update/commit" && head == 0:
+			head = e.away.Height()
+		}
+		return tx
+	}
+	e.sendBack(t, 20, 0)
+	e.sched.RunFor(10 * time.Minute)
+
+	if planned == 0 || head <= planned {
+		t.Fatalf("update planned at %d committed with the head at %d: no block came while the set staged; the scenario did not run", planned, head)
+	}
+	if got := count(e.hostLabels, "client-update/commit"); got != 1 {
+		t.Errorf("%d client-update commits, want 1: the second packet rides the first update", got)
+	}
+	if got := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"); got != 40 {
+		t.Errorf("dave holds %d vouchers, want 40", got)
+	}
+	if d, a := e.counter("delivered"), e.counter("acks"); d != 2 || a != 2 {
+		t.Errorf("delivered = %d, acks = %d, want 2 each", d, a)
+	}
+	if got := count(e.hostLabels, "recv-packet/commit"); got != 1 {
+		t.Errorf("%d recv commits, want 1: both packets are provable at the installed height", got)
+	}
+}
+
+// TestGuestUpdateForAcksKeepsPlannedHeight: an update the guest's client
+// needs only for acks installs exactly the height it was planned at, while
+// the cosmos chain produces blocks and writes the ack of a second packet
+// above that height as the set stages: acks alone never move the header.
+func TestGuestUpdateForAcksKeepsPlannedHeight(t *testing.T) {
+	e := newLinkEnv(t, wideGuestLink, netsim.Config{}, stagingSlowly)
+	var planned, head uint64
+	e.hostIntercept = func(tx *host.Transaction) *host.Transaction {
+		switch {
+		case tx.Label == "client-update/chunk" && planned == 0:
+			planned = e.away.Height()
+			e.sched.After(0, func() { e.send(t, 30, 0) })
+		case tx.Label == "client-update/commit" && head == 0:
+			head = e.away.Height()
+		}
+		return tx
+	}
+	e.send(t, 30, 0)
+	e.sched.RunFor(10 * time.Minute)
+
+	if planned == 0 || head <= planned {
+		t.Fatalf("update planned at %d committed with the head at %d: no block came while the set staged; the scenario did not run", planned, head)
+	}
+	e.wantTransferred(t, 60, 60)
+	client, err := e.guestState(t).Handler.Client(e.cfg.B.ClientOfPeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.ConsensusTime(ibc.Height(planned)); err != nil {
+		t.Errorf("the first update did not install its planned height %d (the head was %d at its commit): %v", planned, head, err)
 	}
 }

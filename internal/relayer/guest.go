@@ -226,7 +226,8 @@ func (g *guestEnd) pumpHeaders() {
 // heights still queued in the header pump, and those heights' consensus
 // states then never install.
 func (g *guestEnd) pushHeader(height uint64, h header, done func(error)) {
-	g.peer().updateClient(h, func(err error) {
+	bind := func() (header, uint64, error) { return h, height, nil }
+	g.peer().updateClient(update{bind: bind}, func(_ uint64, err error) {
 		if err == nil && height > g.pushed {
 			g.pushed = height
 		}
@@ -299,12 +300,12 @@ func (g *guestEnd) head() (uint64, time.Time, error) {
 	return e.Block.Height, e.Block.Time, nil
 }
 
-func (g *guestEnd) sendUpdate(height uint64, done func(error)) error {
+func (g *guestEnd) sendUpdate(height uint64, done func(uint64, error)) error {
 	entry, err := g.st.Entry(height)
 	if err != nil {
 		return err
 	}
-	g.pushHeader(height, entry.SignedBlock(), done)
+	g.pushHeader(height, entry.SignedBlock(), func(err error) { done(height, err) })
 	return nil
 }
 
@@ -355,28 +356,44 @@ func (g *guestEnd) packetDelivered(p *ibc.Packet) bool { return g.st.Handler.Pac
 // datagrams their own lane, so only the update's landing orders them.
 func (g *guestEnd) inOrder() bool { return false }
 
-// updateClient stages a peer header across chunk transactions whose
-// precompile entries verify the commit signatures (§IV), on the root
-// pacer.
-func (g *guestEnd) updateClient(h header, done func(error)) {
-	update := h.(*tendermint.Update)
-	sigs := make([]guest.SigBatch, 0, len(update.Commit))
-	headerHash := update.Header.Hash()
-	for _, cs := range update.Commit {
-		payload := tendermint.VotePayload(headerHash, cs.Timestamp)
-		sigs = append(sigs, guest.SigBatch{Pub: cs.PubKey, Payload: payload[:], Sig: cs.Signature})
+// updateClient stages a peer update across chunk transactions whose
+// precompile entries verify the commit signatures (§IV), on the root pacer,
+// in two parts. The whole claim-free chunks of the validator set, which
+// the encoding starts with and which does not depend on the height, go
+// first; the pacer builds the rest — set remainder, header, commit and the
+// claims — when it reaches it, binding the update then, so the header is
+// the newest one its packets allow and its commit is signed once. done
+// reports the height bound.
+func (g *guestEnd) updateClient(u update, done func(uint64, error)) {
+	up := g.builder.BeginUpdateClient(g.clientID, u.set.Marshal())
+	var height uint64
+	var txs []*host.Transaction // the tail, once built
+	var sigs []guest.SigBatch
+	tail := func() ([]*host.Transaction, error) {
+		h, at, err := u.bind()
+		if err != nil {
+			return nil, err
+		}
+		upd := h.(*tendermint.Update)
+		headerHash := upd.Header.Hash()
+		sigs = make([]guest.SigBatch, 0, len(upd.Commit))
+		for _, cs := range upd.Commit {
+			payload := tendermint.VotePayload(headerHash, cs.Timestamp)
+			sigs = append(sigs, guest.SigBatch{Pub: cs.PubKey, Payload: payload[:], Sig: cs.Signature})
+		}
+		height = at
+		txs = up.Tail(upd.Marshal(), sigs)
+		return txs, nil
 	}
-	txs := g.builder.UpdateClientTxs(g.clientID, update.Marshal(), sigs)
-	cost := g.feeOf(txs)
-	g.root.enqueue(txs, func(started, finished time.Time, err error) {
+	g.root.stage(up.Prefix, tail, up.Commit, func(started, finished time.Time, err error) {
 		if err == nil {
 			// Fig. 4's latency is first-tx landing to last-tx landing.
 			g.mUpdLatency.Observe(finished.Sub(started).Seconds())
-			g.mUpdTxs.Observe(float64(len(txs)))
-			g.mUpdCost.Observe(fees.Cents(cost))
+			g.mUpdTxs.Observe(float64(len(up.Prefix) + len(txs)))
+			g.mUpdCost.Observe(fees.Cents(g.feeOf(up.Prefix) + g.feeOf(txs)))
 			g.mUpdSigs.Observe(float64(len(sigs)))
 		}
-		done(err)
+		done(height, err)
 	})
 }
 

@@ -12,6 +12,9 @@ import (
 // upload — with a completion callback.
 type job struct {
 	txs []*host.Transaction
+	// tail, when set, builds the transactions that follow txs; the pump
+	// calls it once they are submitted, after the gap that follows them.
+	tail func() ([]*host.Transaction, error)
 	// commit is the job's last transaction, which names its staging buffer.
 	commit *host.Transaction
 	// started is when the first transaction was submitted (the paper's
@@ -44,7 +47,15 @@ type pacer struct {
 // transaction landing times — or as soon as a submission fails, with the
 // error.
 func (p *pacer) enqueue(txs []*host.Transaction, onDone func(started, finished time.Time, err error)) {
-	p.queue = append(p.queue, &job{txs: txs, commit: txs[len(txs)-1], onDone: onDone})
+	p.stage(txs, nil, txs[len(txs)-1], onDone)
+}
+
+// stage schedules a job whose first transactions, prefix, are built and
+// whose tail, if any, is built when the pump reaches it; commit is the
+// transaction the job ends with. onDone fires as enqueue's does, or with
+// tail's error.
+func (p *pacer) stage(prefix []*host.Transaction, tail func() ([]*host.Transaction, error), commit *host.Transaction, onDone func(started, finished time.Time, err error)) {
+	p.queue = append(p.queue, &job{txs: prefix, tail: tail, commit: commit, onDone: onDone})
 	p.g.queueDelta(+1)
 	if !p.busy {
 		p.busy = true
@@ -60,6 +71,15 @@ func (p *pacer) pump() {
 	}
 	g, sched := p.g, p.g.r.sched
 	j := p.queue[0]
+	if len(j.txs) == 0 && j.tail != nil {
+		txs, err := j.tail()
+		j.tail = nil
+		if err != nil {
+			p.giveUp(j, err)
+			return
+		}
+		j.txs = txs
+	}
 	if len(j.txs) == 0 {
 		// Job finished submitting; fire completion after landing.
 		p.queue = p.queue[1:]
@@ -89,15 +109,8 @@ func (p *pacer) pump() {
 		if err != nil {
 			// Oversized or malformed transactions are a relayer bug (and a
 			// dead-lettered submission surfaces here too); drop the job
-			// rather than wedge the queue, and tell its owner. The staging
-			// buffer its chunks may have filled will never be committed: it
-			// is closed once a transaction gets through again, since a
-			// dead letter means the host was out of reach.
-			p.queue = p.queue[1:]
-			g.queueDelta(-1)
-			p.closes = append(p.closes, g.builder.CloseBufferTx(j.commit))
-			j.onDone(j.started, sched.Now(), err)
-			sched.After(0, p.pump)
+			// rather than wedge the queue, and tell its owner.
+			p.giveUp(j, err)
 			return
 		}
 		// Only a transaction the host accepted is charged.
@@ -107,6 +120,19 @@ func (p *pacer) pump() {
 		}
 		sched.After(g.r.cfg.TxGap.Sample(p.rng), p.pump)
 	})
+}
+
+// giveUp drops the current job, j, and tells its owner. The staging buffer
+// its chunks may have filled will never be committed: it is closed once a
+// transaction gets through again, since a dead letter means the host was
+// out of reach.
+func (p *pacer) giveUp(j *job, err error) {
+	g, sched := p.g, p.g.r.sched
+	p.queue = p.queue[1:]
+	g.queueDelta(-1)
+	p.closes = append(p.closes, g.builder.CloseBufferTx(j.commit))
+	j.onDone(j.started, sched.Now(), err)
+	sched.After(0, p.pump)
 }
 
 // closeBuffers submits the pending closes, now that a transaction got

@@ -46,6 +46,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/host"
 	"repro/internal/ibc"
+	"repro/internal/lightclient/tendermint"
 	"repro/internal/netsim"
 	"repro/internal/routing"
 	"repro/internal/sim"
@@ -206,17 +207,29 @@ type provenTimeout struct {
 // header is a serialisable client update.
 type header interface{ Marshal() []byte }
 
+// update is a client update a source hands its peer, bound late: bind
+// fetches the header at the height it picks, and a sink calls it once — a
+// cosmos sink at once, the guest's when its pacer reaches the part of the
+// upload that depends on the height. set is the validator set the source's
+// header at the planned height carries (nil from the guest), which the
+// guest stages ahead of the rest.
+type update struct {
+	set  *tendermint.ValidatorSet
+	bind func() (h header, height uint64, err error)
+}
+
 // end is one chain of the link as the engine sees it. Sink operations
 // report their outcome through Relayer.delivered / requeue / acked /
 // timedOut.
 type end interface {
 	// As a source: scan feeds new chain events to the engine (queuePacket,
 	// or the end's own delivery schedule); head is the newest provable
-	// height and its time; sendUpdate pushes the header at height to the
-	// peer's client; the provers and hasCommitment read its state.
+	// height and its time; sendUpdate pushes a header planned at height to
+	// the peer's client and reports the height it installed; the provers
+	// and hasCommitment read its state.
 	scan()
 	head() (uint64, time.Time, error)
-	sendUpdate(height uint64, done func(error)) error
+	sendUpdate(height uint64, done func(installed uint64, err error)) error
 	proveMembership(height uint64, path string) (proof []byte, provedAt uint64, err error)
 	proveNonMembership(height uint64, path string) ([]byte, error)
 	hasCommitment(p *ibc.Packet) bool
@@ -228,7 +241,7 @@ type end interface {
 	client() (ibc.Client, error)
 	packetDelivered(p *ibc.Packet) bool
 	inOrder() bool
-	updateClient(h header, done func(error))
+	updateClient(u update, done func(installed uint64, err error))
 	recvPackets(s *shard, batch []proven)
 	ackPackets(s *shard, batch []provenAck)
 	timeoutPackets(s *shard, batch []provenTimeout)
@@ -533,16 +546,17 @@ func (r *Relayer) queuePacket(src int, p *ibc.Packet, height uint64) {
 
 // maybeUpdate keeps the peer's client of side src where src's queued work
 // needs it: with nothing above the client's height it flushes; otherwise
-// it sends one update to src's head — one header covers every shard — and
-// flushes at that height: right behind the update when the sink keeps
-// order, so header and datagrams share a transaction, and in any case when
-// the update lands — at the height the client then holds, which is below
-// the target when the sink refused the update in execution (the guest's
-// pacer sees its transactions submitted, not applied); the maybeUpdate that
-// follows sends the next one. The update count therefore depends on block
-// cadence and backlog arrival, not on the number of channels or packets,
-// which is the amortisation the paper's cost model (§V, Tables II-III)
-// relies on.
+// it sends one update planned at src's head — one header covers every
+// shard — and flushes: at that height right behind the update when the
+// sink keeps order, so header and datagrams share a transaction, and in
+// any case when the update lands, at the height it installed (a guest sink
+// binds the header late, and takes a newer head when packets wait above
+// the planned one) or the height the client then holds if lower, which is
+// when the sink refused the update in execution (the guest's pacer sees
+// its transactions submitted, not applied); the maybeUpdate that follows
+// sends the next one. The update count therefore depends on block cadence
+// and backlog arrival, not on the number of channels or packets, which is
+// the amortisation the paper's cost model (§V, Tables II-III) relies on.
 func (r *Relayer) maybeUpdate(src int) {
 	d := &r.dirs[src]
 	if d.inFlight {
@@ -577,16 +591,16 @@ func (r *Relayer) maybeUpdate(src int) {
 		return
 	}
 	d.inFlight = true
-	err = r.ends[src].sendUpdate(target, func(err error) {
+	err = r.ends[src].sendUpdate(target, func(installed uint64, err error) {
 		d.inFlight = false
 		if err != nil {
 			return
 		}
-		height := target
+		height := installed
 		if client, err := r.ends[1-src].client(); err == nil {
-			height = min(target, uint64(client.LatestHeight()))
+			height = min(installed, uint64(client.LatestHeight()))
 		}
-		if height == target {
+		if height == installed {
 			r.mClientUpdates.Inc()
 		}
 		r.flush(src, height)
@@ -602,6 +616,20 @@ func (r *Relayer) maybeUpdate(src int) {
 		// the missing consensus state and goes back to its shard.
 		r.flush(src, target)
 	}
+}
+
+// packetsAbove reports whether packets sourced on src wait for a client
+// height above height: what lets a late-bound update take a newer head.
+// Acks alone do not.
+func (r *Relayer) packetsAbove(src int, height uint64) bool {
+	for _, s := range r.shards {
+		for _, w := range s.packets[src] {
+			if w.height > height {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // flush submits every shard's work sourced on src and provable at or

@@ -39,9 +39,9 @@ func (f *fakeEnd) peer() *fakeEnd { return f.r.ends[1-f.side].(*fakeEnd) }
 
 func (f *fakeEnd) scan()                            {}
 func (f *fakeEnd) head() (uint64, time.Time, error) { return f.height, f.now, nil }
-func (f *fakeEnd) sendUpdate(height uint64, done func(error)) error {
+func (f *fakeEnd) sendUpdate(height uint64, done func(uint64, error)) error {
 	f.peer().cl.install(height, f.now)
-	done(nil)
+	done(height, nil)
 	return nil
 }
 func (f *fakeEnd) proveMembership(height uint64, _ string) ([]byte, uint64, error) {
@@ -54,12 +54,12 @@ func (f *fakeEnd) hasCommitment(p *ibc.Packet) bool {
 	f.commitmentReads++
 	return f.committed[idOf(f.side, p)]
 }
-func (f *fakeEnd) client() (ibc.Client, error)             { return f.cl, nil }
-func (f *fakeEnd) packetDelivered(*ibc.Packet) bool        { return false }
-func (f *fakeEnd) inOrder() bool                           { return false }
-func (f *fakeEnd) updateClient(_ header, done func(error)) { done(nil) }
-func (f *fakeEnd) recvPackets(*shard, []proven)            {}
-func (f *fakeEnd) ackPackets(*shard, []provenAck)          {}
+func (f *fakeEnd) client() (ibc.Client, error)                     { return f.cl, nil }
+func (f *fakeEnd) packetDelivered(*ibc.Packet) bool                { return false }
+func (f *fakeEnd) inOrder() bool                                   { return false }
+func (f *fakeEnd) updateClient(_ update, done func(uint64, error)) { done(0, nil) }
+func (f *fakeEnd) recvPackets(*shard, []proven)                    {}
+func (f *fakeEnd) ackPackets(*shard, []provenAck)                  {}
 func (f *fakeEnd) timeoutPackets(s *shard, batch []provenTimeout) {
 	var names []string
 	for _, w := range batch {

@@ -204,6 +204,38 @@ func TestPacketDataValidation(t *testing.T) {
 	}
 }
 
+// FuzzPacketDataMarshal: PacketData.Marshal never panics — json.Marshal
+// of the plain struct cannot fail, whatever its strings hold — and what it
+// writes decodes to the same data, each invalid UTF-8 byte replaced by
+// U+FFFD, unless a required field is empty or the amount zero, which the
+// decoder refuses.
+func FuzzPacketDataMarshal(f *testing.F) {
+	f.Add("transfer/channel-0/uatom", "cosmos1sender", "guest1receiver", "", uint64(1000))
+	f.Add("X", "a", "b", `{"forward":{"receiver":"c","port":"transfer","channel":"channel-7"}}`, uint64(1))
+	f.Add("\xff\xfe", "<script>&", "\u2028", "\x00\"", uint64(1<<63))
+	f.Add("", "a", "b", "m", uint64(0))
+	f.Fuzz(func(t *testing.T, denom, sender, receiver, memo string, amount uint64) {
+		d := PacketData{Denom: denom, Amount: amount, Sender: sender, Receiver: receiver, Memo: memo}
+		got, err := UnmarshalPacketData(d.Marshal())
+		if amount == 0 || denom == "" || sender == "" || receiver == "" {
+			if err == nil {
+				t.Fatalf("accepted %+v", d)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("%+v: %v", d, err)
+		}
+		// Converting to runes turns each invalid byte into U+FFFD, as the
+		// JSON encoder does.
+		valid := func(s string) string { return string([]rune(s)) }
+		want := PacketData{Denom: valid(denom), Amount: amount, Sender: valid(sender), Receiver: valid(receiver), Memo: valid(memo)}
+		if *got != want {
+			t.Fatalf("%+v round-trips to %+v, want %+v", d, *got, want)
+		}
+	})
+}
+
 func TestChanOpenValidation(t *testing.T) {
 	app := New("transfer")
 	if err := app.OnChanOpen("transfer", "channel-0", "ics20-1"); err != nil {
