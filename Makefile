@@ -191,9 +191,12 @@ examples-smoke:
 # trie node format, the trie proof decoder, WAL recovery from an arbitrary
 # segment, the ICS-24 key derivation, the channel and connection end
 # decoders, the forward-memo parse, the two light-client update
-# decoders (Tendermint update, guest signed block), and the transfer
+# decoders (Tendermint update, guest signed block), the transfer
 # packet data encoder (FuzzPacketDataMarshal: Marshal never panics and
-# round-trips).
+# round-trips), and the sealable trie against a map model
+# (FuzzTrieDifferential: Set/Delete/Seal/Get under an ErrFull arena cap,
+# the root equal to a trie built from scratch, every node encoding and
+# decoding under its own hash).
 # One target per invocation: `go test -fuzz` takes a single match. A
 # failure leaves the input under the package's testdata/fuzz/ to commit
 # with the fix. WAL recovery opens a directory twice per input, so its
@@ -204,6 +207,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitPayloadDecode$$' -fuzztime=5s ./internal/guest
 	$(GO) test -run='^$$' -fuzz='^FuzzNodeCodecDecode$$' -fuzztime=5s ./internal/trie
 	$(GO) test -run='^$$' -fuzz='^FuzzProofDecode$$' -fuzztime=5s ./internal/trie
+	$(GO) test -run='^$$' -fuzz='^FuzzTrieDifferential$$' -fuzztime=5s ./internal/trie
 	$(GO) test -run='^$$' -fuzz='^FuzzDiskRecover$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/nodestore
 	$(GO) test -run='^$$' -fuzz='^FuzzPathToKey$$' -fuzztime=5s ./internal/ibc
 	$(GO) test -run='^$$' -fuzz='^FuzzEndDecode$$' -fuzztime=5s ./internal/ibc
@@ -249,5 +253,5 @@ api-update:
 # The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
-# example smoke runs, and five seconds of each of the eleven fuzz targets.
+# example smoke runs, and five seconds of each of the twelve fuzz targets.
 ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

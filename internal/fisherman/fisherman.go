@@ -167,7 +167,7 @@ func (f *Fisherman) remember(o Observation) {
 
 func (f *Fisherman) submit(ev *guest.Evidence) {
 	tx := f.builder.MisbehaviourTx(ev)
-	f.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx},
+	f.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Txs: []*host.Transaction{tx}},
 		f.retry, netsim.RetryObserver{}, func(_ any, err error) {
 			if err != nil {
 				return

@@ -32,9 +32,12 @@ type MsgCPBlock struct {
 	Height uint64
 }
 
-// MsgSubmitTx is the KindSubmitTx payload.
+// MsgSubmitTx is the KindSubmitTx payload: an ordered submission. The host
+// admits Txs in order, so with equal fees they execute in that order, in
+// one block when its budget allows; each still executes, and fails, on its
+// own.
 type MsgSubmitTx struct {
-	Tx *host.Transaction
+	Txs []*host.Transaction
 }
 
 // HostFrontEnd serves the calls addressed to the host chain's RPC
@@ -42,19 +45,22 @@ type MsgSubmitTx struct {
 // (counterparty.Chain.FrontEnd) it is idempotent, so ReliableCall's
 // at-least-once delivery composes into exactly-once effects: the chain's
 // replay protection rejects a re-sent accepted transaction, so the
-// duplicate is acknowledged as success.
+// duplicate is acknowledged as success. A submission stops at the first
+// transaction the host refuses and answers with its error.
 func HostFrontEnd(chain *host.Chain) CallHandler {
 	return func(_ NodeID, kind string, payload any) (any, error) {
 		m, ok := payload.(MsgSubmitTx)
 		if !ok {
 			return nil, fmt.Errorf("netsim: host: unknown call %q", kind)
 		}
-		err := chain.Submit(m.Tx)
-		if errors.Is(err, host.ErrDuplicateTransaction) {
-			// The earlier copy landed; this retry only re-requests the ack.
-			err = nil
+		for _, tx := range m.Txs {
+			// A duplicate's earlier copy landed; this retry only re-requests
+			// the ack.
+			if err := chain.Submit(tx); err != nil && !errors.Is(err, host.ErrDuplicateTransaction) {
+				return nil, err
+			}
 		}
-		return nil, err
+		return nil, nil
 	}
 }
 

@@ -1,7 +1,6 @@
 package relayer
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -175,17 +174,17 @@ func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(
 	if home.Chain != nil {
 		e.net.Node(home.Node, nil, e.frontEnd(home.Node, home.Chain))
 	} else {
-		e.net.Node(home.Node, nil, func(_ netsim.NodeID, _ string, payload any) (any, error) {
-			tx := payload.(netsim.MsgSubmitTx).Tx
-			e.hostLabels = append(e.hostLabels, tx.Label)
-			if e.hostIntercept != nil {
-				tx = e.hostIntercept(tx)
+		serve := netsim.HostFrontEnd(e.chain)
+		e.net.Node(home.Node, nil, func(from netsim.NodeID, kind string, payload any) (any, error) {
+			m := payload.(netsim.MsgSubmitTx)
+			m.Txs = slices.Clone(m.Txs)
+			for i, tx := range m.Txs {
+				e.hostLabels = append(e.hostLabels, tx.Label)
+				if e.hostIntercept != nil {
+					m.Txs[i] = e.hostIntercept(tx)
+				}
 			}
-			err := e.chain.Submit(tx)
-			if errors.Is(err, host.ErrDuplicateTransaction) {
-				err = nil
-			}
-			return nil, err
+			return serve(from, kind, m)
 		})
 	}
 	e.relayer = e.addRelayer(t, e.cfg)
@@ -327,13 +326,14 @@ func recvSeqs(txs ...netsim.MsgTx) []uint64 {
 }
 
 // cutMidJob cuts the first engine off from the host once a job has started
-// on lane and the next transaction it has to send carries label, runs then,
-// and reports how many transactions the job had left. The link heals ten
-// seconds later.
+// on lane, the next transaction it has to send carries label and the root
+// pacer has nothing to send, runs then, and reports how many transactions
+// the job had left. The link heals ten seconds later.
 func (e *linkEnv) cutMidJob(lane *pacer, label string, then func()) *int {
 	left := new(int)
+	root := e.relayer.ends[1].(*guestEnd).root
 	e.sched.Every(50*time.Millisecond, func() bool {
-		if len(lane.queue) == 0 {
+		if len(lane.queue) == 0 || len(root.queue) > 0 {
 			return true
 		}
 		j := lane.queue[0]
@@ -775,8 +775,9 @@ func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
 
 // TestRecvJobResubmittedAfterDeadLetter: counterparty packets provable
 // behind one client update share one recv job — as many of them as it
-// takes for the job to have a chunk left to send once it has started. The
-// engine is cut off from the host at that point, until the retry budget
+// takes for the job to have a chunk left to send once the update's commit
+// went without it. The engine is cut off from the host at that point,
+// while nothing else is in flight, until the retry budget
 // dead-letters one of its chunks: the job is dropped with nothing
 // committed, so every packet must go back to its shard and arrive exactly
 // once when the link heals — except the first. The guest chain moved on
@@ -798,7 +799,8 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 	// The first packet expires before the cosmos chain has even committed it.
 	sent := []*ibc.Packet{e.sendBack(t, amount, time.Second)}
 	// Neighbouring packets stage little more than themselves, so size the
-	// job by what it stages: two chunks and the commit.
+	// job by what it stages: more chunks than the client update's tail, so
+	// that it is still staging on its lane once the update's commit went.
 	for builder := *r.ends[1].(*guestEnd).builder; ; {
 		sent = append(sent, e.sendBack(t, amount, 0))
 		staged := make([]*guest.RecvPayload, len(sent))
@@ -809,7 +811,7 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 			}
 			staged[i] = &guest.RecvPayload{Packet: p, Proof: proof}
 		}
-		if len(builder.RecvPacketTxs(staged...)) >= 3 {
+		if len(builder.RecvPacketTxs(staged...)) >= 10 {
 			break
 		}
 	}
@@ -931,16 +933,24 @@ func TestRefusedGuestAckRequeued(t *testing.T) {
 
 // TestGuestRecvWaitsForRefusedUpdate: the client update three counterparty
 // packets need is submitted in full, and the guest refuses its commit in
-// execution — the relayer, which sees only its transactions accepted, takes
-// it for landed. The packets are not flushed at the update's target, where
-// their proofs would fail as well and be counted delivered: they wait at the
-// height the guest's client holds, the next update takes the client past
-// them, and each is delivered exactly once.
+// execution — the relayer sees only its transactions accepted. The recv job
+// proven at the update's height commits in the same submission and fails
+// on the missing consensus state. Its packets are settled by the guest's
+// state: none counted delivered, all back on their shard, the job's buffer
+// closed. They wait at the height the guest's client holds, the next update
+// takes the client past them, and each is delivered exactly once.
 func TestGuestRecvWaitsForRefusedUpdate(t *testing.T) {
 	e := newLinkEnv(t, guestLink, netsim.Config{})
 	refused := false
+	deliveredAtRetry := -1
 	e.hostIntercept = func(tx *host.Transaction) *host.Transaction {
-		if tx.Label != "client-update/commit" || refused {
+		if tx.Label != "client-update/commit" {
+			return tx
+		}
+		if refused {
+			if deliveredAtRetry < 0 {
+				deliveredAtRetry = int(e.counter("delivered"))
+			}
 			return tx
 		}
 		// Name a client the guest does not have.
@@ -960,14 +970,23 @@ func TestGuestRecvWaitsForRefusedUpdate(t *testing.T) {
 	if !refused {
 		t.Fatal("no client update reached the host; the scenario did not run")
 	}
+	if deliveredAtRetry != 0 {
+		t.Errorf("delivered = %d when the next update went out, want 0: the refused update's recv job landed nothing", deliveredAtRetry)
+	}
 	if got := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"); got != n*amt {
 		t.Errorf("dave holds %d vouchers, want %d (every packet exactly once)", got, n*amt)
 	}
 	if d, lost := e.counter("delivered"), e.counter("lost_race"); d != n || lost != 0 {
 		t.Errorf("delivered = %d, lost_race = %d, want %d and 0", d, lost, n)
 	}
-	if got := count(e.hostLabels, "recv-packet/commit"); got != 1 {
-		t.Errorf("%d recv commits, want 1: nothing is submitted behind the refused update", got)
+	if got := count(e.hostLabels, "recv-packet/commit"); got != 2 {
+		t.Errorf("%d recv commits, want 2: one refused with its update, one behind the next", got)
+	}
+	if got := count(e.hostLabels, "close-buffer"); got != 1 {
+		t.Errorf("%d buffer closes, want 1 (the refused update's recv job)", got)
+	}
+	if n := e.guestState(t).StagingBuffers(); n != 0 {
+		t.Errorf("%d staging buffers left open", n)
 	}
 }
 

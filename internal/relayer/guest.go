@@ -362,14 +362,17 @@ func (g *guestEnd) inOrder() bool { return false }
 // the encoding starts with and which does not depend on the height, go
 // first; the pacer builds the rest — set remainder, header, commit and the
 // claims — when it reaches it, binding the update then, so the header is
-// the newest one its packets allow and its commit is signed once. done
-// reports the height bound.
+// the newest one its packets allow and its commit is signed once. Binding
+// also proves each shard's first recv job at that height for the update's
+// landing slot (groupRecvs). done reports the height bound.
 func (g *guestEnd) updateClient(u update, done func(uint64, error)) {
 	up := g.builder.BeginUpdateClient(g.clientID, u.set.Marshal())
 	var height uint64
 	var txs []*host.Transaction // the tail, once built
 	var sigs []guest.SigBatch
-	tail := func() ([]*host.Transaction, error) {
+	j := &job{txs: up.Prefix, commit: up.Commit, slot: &landing{}}
+	j.slot.update = j
+	j.tail = func() ([]*host.Transaction, error) {
 		h, at, err := u.bind()
 		if err != nil {
 			return nil, err
@@ -383,18 +386,91 @@ func (g *guestEnd) updateClient(u update, done func(uint64, error)) {
 		}
 		height = at
 		txs = up.Tail(upd.Marshal(), sigs)
-		return txs, nil
+		return g.groupRecvs(j.slot, at, txs), nil
 	}
-	g.root.stage(up.Prefix, tail, up.Commit, func(started, finished time.Time, err error) {
+	j.onDone = func(started, finished time.Time, err error) {
 		if err == nil {
-			// Fig. 4's latency is first-tx landing to last-tx landing.
+			// Fig. 4's latency is first-tx landing to last-tx landing. The
+			// update's own transactions are counted, not the recv chunks
+			// riding ahead of its commit.
 			g.mUpdLatency.Observe(finished.Sub(started).Seconds())
 			g.mUpdTxs.Observe(float64(len(up.Prefix) + len(txs)))
 			g.mUpdCost.Observe(fees.Cents(g.feeOf(up.Prefix) + g.feeOf(txs)))
 			g.mUpdSigs.Observe(float64(len(sigs)))
 		}
 		done(height, err)
-	})
+	}
+	g.root.push(j)
+}
+
+// groupRecvs gives the update whose tail is tail, bound at height, its
+// landing slot l: each shard's first recv job — the packets the engine
+// would flush at height, cut by the batch rule — is proven at height now,
+// so the update and the packets it unlocks commit together, as a cosmos end
+// sends a header and the datagrams it proves in one transaction. Lane 0's
+// chunks ride the root pacer between the update's tail and its commit, in
+// the transactions groupRecvs returns; the other lanes stage theirs on
+// their own pacers meanwhile. The rest of each shard's packets flush when
+// the update lands.
+func (g *guestEnd) groupRecvs(l *landing, height uint64, tail []*host.Transaction) []*host.Transaction {
+	var chunks []*host.Transaction // lane 0's
+	for _, s := range g.r.shards {
+		var ps []*guest.RecvPayload
+		batch := g.r.takeProvable(1-g.side, s, height, func(w proven) bool {
+			ps = append(ps, &guest.RecvPayload{Packet: w.packet, ProofHeight: ibc.Height(w.provedAt), Proof: w.proof})
+			if g.builder.RecvBatchLen(ps, g.st) == len(ps) {
+				return true
+			}
+			ps = ps[:len(ps)-1]
+			return false
+		})
+		if len(batch) == 0 {
+			continue
+		}
+		txs := g.builder.RecvPacketTxs(ps...)
+		commit := txs[len(txs)-1]
+		rj := &job{txs: txs, commit: commit, slot: l, onDone: g.settleRecvs(s, batch, txs)}
+		if pc := g.lanes[s.index].pc; pc != g.root {
+			pc.push(rj)
+			continue
+		}
+		chunks = append(chunks, txs[:len(txs)-1]...)
+		rj.txs = nil
+		l.ready = append(l.ready, rj)
+	}
+	if len(chunks) == 0 {
+		return tail
+	}
+	n := len(tail) - 1
+	return append(append(tail[:n:n], chunks...), tail[n])
+}
+
+// settleRecvs is the completion of a recv job proven at a client update's
+// height (groupRecvs). The update commits in the same slot and may be
+// refused in execution, which the relayer does not see, so each packet is
+// settled by the guest's state: delivered, or handed to recvFailed. A job
+// none of whose packets landed has its staging buffer closed.
+func (g *guestEnd) settleRecvs(s *shard, batch []proven, txs []*host.Transaction) func(started, finished time.Time, err error) {
+	return func(_, _ time.Time, err error) {
+		n, cost := float64(len(batch)), g.feeOf(txs)
+		landed := 0
+		for _, w := range batch {
+			if !g.packetDelivered(w.packet) {
+				g.r.recvFailed(g.side, s, w.work)
+				continue
+			}
+			landed++
+			g.mRecvTxs.Observe(float64(len(txs)) / n)
+			g.mRecvCost.Observe(fees.Cents(cost) / n)
+			g.r.delivered(g.side, s, w.packet, nil, 0, false)
+		}
+		if landed == 0 && err == nil {
+			// A given-up job's pacer closes the buffer itself.
+			pc := g.lanes[s.index].pc
+			pc.closes = append(pc.closes, g.builder.CloseBufferTx(txs[len(txs)-1]))
+			pc.closeBuffers()
+		}
+	}
 }
 
 // recvPackets, ackPackets and timeoutPackets run a datagram flow for one

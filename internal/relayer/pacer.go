@@ -17,10 +17,29 @@ type job struct {
 	tail func() ([]*host.Transaction, error)
 	// commit is the job's last transaction, which names its staging buffer.
 	commit *host.Transaction
+	// slot, on a client update's job, is the host slot its commit shares
+	// with the recv jobs the update unlocks; on one of those, the slot its
+	// commit waits for.
+	slot *landing
 	// started is when the first transaction was submitted (the paper's
 	// Fig. 4 measures first-tx to last-tx execution).
 	started time.Time
 	onDone  func(started, finished time.Time, err error)
+}
+
+// landing is the host slot of a client update toward the guest: the
+// update's commit goes out in one ordered submission with the commits of
+// the recv jobs proven at its height whose chunks are staged by then, so
+// the guest changes state once for the update and the packets it unlocks.
+// A recv job still staging when the update's commit goes commits on its own
+// lane; one whose update was given up is given up too.
+type landing struct {
+	update *job
+	// ready are the recv jobs whose commits wait for the update's.
+	ready []*job
+	// gone marks the update's commit submitted, or given up with err.
+	gone bool
+	err  error
 }
 
 // pacer is one paced host-transaction submitter: a FIFO of jobs drained
@@ -47,15 +66,13 @@ type pacer struct {
 // transaction landing times — or as soon as a submission fails, with the
 // error.
 func (p *pacer) enqueue(txs []*host.Transaction, onDone func(started, finished time.Time, err error)) {
-	p.stage(txs, nil, txs[len(txs)-1], onDone)
+	p.push(&job{txs: txs, commit: txs[len(txs)-1], onDone: onDone})
 }
 
-// stage schedules a job whose first transactions, prefix, are built and
-// whose tail, if any, is built when the pump reaches it; commit is the
-// transaction the job ends with. onDone fires as enqueue's does, or with
-// tail's error.
-func (p *pacer) stage(prefix []*host.Transaction, tail func() ([]*host.Transaction, error), commit *host.Transaction, onDone func(started, finished time.Time, err error)) {
-	p.queue = append(p.queue, &job{txs: prefix, tail: tail, commit: commit, onDone: onDone})
+// push schedules j, whose tail, if any, is built when the pump reaches it;
+// onDone fires as enqueue's does, or with the tail's error.
+func (p *pacer) push(j *job) {
+	p.queue = append(p.queue, j)
 	p.g.queueDelta(+1)
 	if !p.busy {
 		p.busy = true
@@ -63,7 +80,9 @@ func (p *pacer) stage(prefix []*host.Transaction, tail func() ([]*host.Transacti
 	}
 }
 
-// pump submits the next transaction of the current job.
+// pump submits the next transaction of the current job. A client update's
+// commit takes the commits of its landing's ready recv jobs along; a recv
+// job that reaches its commit before its update's goes parks in the landing.
 func (p *pacer) pump() {
 	if len(p.queue) == 0 {
 		p.busy = false
@@ -82,30 +101,38 @@ func (p *pacer) pump() {
 	}
 	if len(j.txs) == 0 {
 		// Job finished submitting; fire completion after landing.
-		p.queue = p.queue[1:]
-		g.queueDelta(-1)
+		p.pop()
 		slot := g.host.Profile().SlotDuration
-		sched.After(slot+slot/2, func() {
-			finished := sched.Now()
-			if !j.started.IsZero() {
-				lat := finished.Sub(j.started).Seconds()
-				g.mJobLatency.Observe(lat)
-				g.r.observeLatency(lat)
-			}
-			j.onDone(j.started, finished, nil)
-		})
+		sched.After(slot+slot/2, func() { p.land(j) })
 		sched.After(0, p.pump)
 		return
+	}
+	txs := j.txs[:1:1]
+	if l := j.slot; l != nil && len(j.txs) == 1 && j.tail == nil {
+		switch {
+		case l.update == j:
+			l.gone = true
+			for _, rj := range l.ready {
+				txs = append(txs, rj.commit)
+			}
+		case l.err != nil:
+			p.giveUp(j, l.err)
+			return
+		case !l.gone:
+			p.pop()
+			l.ready = append(l.ready, j)
+			sched.After(0, p.pump)
+			return
+		}
 	}
 	if j.started.IsZero() {
 		// First transaction lands at the next slot boundary.
 		j.started = sched.Now().Add(g.host.Profile().SlotDuration / 2)
 	}
-	tx := j.txs[0]
 	j.txs = j.txs[1:]
 	// The host's replay protection makes the reliable call's retries
 	// idempotent.
-	g.r.call(g.node, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx}, func(_ any, err error) {
+	g.r.call(g.node, netsim.KindSubmitTx, netsim.MsgSubmitTx{Txs: txs}, func(_ any, err error) {
 		if err != nil {
 			// Oversized or malformed transactions are a relayer bug (and a
 			// dead-lettered submission surfaces here too); drop the job
@@ -114,7 +141,9 @@ func (p *pacer) pump() {
 			return
 		}
 		// Only a transaction the host accepted is charged.
-		g.r.TotalFees += tx.Fee(g.host.Profile())
+		for _, tx := range txs {
+			g.r.TotalFees += tx.Fee(g.host.Profile())
+		}
 		if len(p.closes) > 0 {
 			p.closeBuffers()
 		}
@@ -122,17 +151,53 @@ func (p *pacer) pump() {
 	})
 }
 
+// pop takes the current job off the queue.
+func (p *pacer) pop() {
+	p.queue = p.queue[1:]
+	p.g.queueDelta(-1)
+}
+
+// land fires the completion of j, submitted in full, once its commit
+// landed: first those of the recv jobs whose commits went with it, so
+// packets they hand back are queued when the update's owner flushes.
+func (p *pacer) land(j *job) {
+	finished := p.g.r.sched.Now()
+	done := func(j *job) {
+		if !j.started.IsZero() {
+			lat := finished.Sub(j.started).Seconds()
+			p.g.mJobLatency.Observe(lat)
+			p.g.r.observeLatency(lat)
+		}
+		j.onDone(j.started, finished, nil)
+	}
+	if l := j.slot; l != nil && l.update == j {
+		for _, rj := range l.ready {
+			done(rj)
+		}
+	}
+	done(j)
+}
+
 // giveUp drops the current job, j, and tells its owner. The staging buffer
 // its chunks may have filled will never be committed: it is closed once a
 // transaction gets through again, since a dead letter means the host was
-// out of reach.
+// out of reach. A client update given up takes the recv jobs whose commits
+// wait for it along.
 func (p *pacer) giveUp(j *job, err error) {
-	g, sched := p.g, p.g.r.sched
-	p.queue = p.queue[1:]
-	g.queueDelta(-1)
-	p.closes = append(p.closes, g.builder.CloseBufferTx(j.commit))
-	j.onDone(j.started, sched.Now(), err)
-	sched.After(0, p.pump)
+	now := p.g.r.sched.Now()
+	p.pop()
+	drop := func(j *job) {
+		p.closes = append(p.closes, p.g.builder.CloseBufferTx(j.commit))
+		j.onDone(j.started, now, err)
+	}
+	if l := j.slot; l != nil && l.update == j {
+		l.gone, l.err = true, err
+		for _, rj := range l.ready {
+			drop(rj)
+		}
+	}
+	drop(j)
+	p.g.r.sched.After(0, p.pump)
 }
 
 // closeBuffers submits the pending closes, now that a transaction got
@@ -141,7 +206,7 @@ func (p *pacer) closeBuffers() {
 	g, closes := p.g, p.closes
 	p.closes = nil
 	for _, tx := range closes {
-		g.r.call(g.node, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx}, func(_ any, err error) {
+		g.r.call(g.node, netsim.KindSubmitTx, netsim.MsgSubmitTx{Txs: []*host.Transaction{tx}}, func(_ any, err error) {
 			if err != nil {
 				p.closes = append(p.closes, tx)
 				return

@@ -19,8 +19,9 @@
 // (guest.go): Alg. 2's header pump decides which guest blocks the peer
 // must learn, and every guest-bound datagram becomes a sequence of
 // size-limited host transactions paced like a real RPC submitter — this
-// is what produces the ~36.5-transaction client updates and their 25-60 s
-// latency (Figs. 4-5) and the 4-5 transaction ReceivePacket flow (§V-A).
+// is what produces the multi-transaction client updates and their latency
+// (Figs. 4-5) and the 4-5 transaction ReceivePacket flow (§V-A); an update
+// and the first recv job of each channel it unlocks share one host slot.
 // A cosmos↔cosmos link is the engine with two cosmos ends; the guest link
 // is the engine with one guest end.
 //
@@ -114,8 +115,8 @@ func DefaultConfig() Config {
 	return Config{
 		// Per-transaction pacing: ~0.5 s typical RPC/confirmation gap
 		// with occasional multi-second stalls (congestion, retries) —
-		// together with the ~36-tx updates this yields Fig. 4's
-		// 50% < 25 s / 96% < 60 s shape.
+		// together with the multi-transaction updates this yields
+		// Fig. 4's 50% < 25 s / 96% < 60 s shape.
 		TxGap: sim.Mixture{
 			Weights: []float64{0.975, 0.025},
 			Components: []sim.Dist{
@@ -551,12 +552,14 @@ func (r *Relayer) queuePacket(src int, p *ibc.Packet, height uint64) {
 // sink keeps order, so header and datagrams share a transaction, and in
 // any case when the update lands, at the height it installed (a guest sink
 // binds the header late, and takes a newer head when packets wait above
-// the planned one) or the height the client then holds if lower, which is
-// when the sink refused the update in execution (the guest's pacer sees
-// its transactions submitted, not applied); the maybeUpdate that follows
-// sends the next one. The update count therefore depends on block cadence
-// and backlog arrival, not on the number of channels or packets, which is
-// the amortisation the paper's cost model (§V, Tables II-III) relies on.
+// the planned one; binding, it takes each shard's first job to commit with
+// the update, and settles it by its state before the update lands) or the
+// height the client then holds if lower, which is when the sink refused the
+// update in execution (the guest's pacer sees its transactions submitted,
+// not applied); the maybeUpdate that follows sends the next one. The update
+// count therefore depends on block cadence and backlog arrival, not on the
+// number of channels or packets, which is the amortisation the paper's cost
+// model (§V, Tables II-III) relies on.
 func (r *Relayer) maybeUpdate(src int) {
 	d := &r.dirs[src]
 	if d.inFlight {
@@ -632,6 +635,35 @@ func (r *Relayer) packetsAbove(src int, height uint64) bool {
 	return false
 }
 
+// takeProvable proves at height, and takes off shard s, the packets sourced
+// on src that are provable at height, from the front of the queue for as
+// long as admit accepts them: all of them for flush, the first job for a
+// sink that stages one when an update binds height (the rest stay queued
+// for the flush that follows its landing). Packets whose proof cannot be
+// produced stay queued.
+func (r *Relayer) takeProvable(src int, s *shard, height uint64, admit func(proven) bool) []proven {
+	var job []proven
+	var later []work
+	open := true
+	for _, w := range s.packets[src] {
+		if open && w.height <= height {
+			path := ibc.CommitmentPath(w.packet.SourcePort, w.packet.SourceChannel, w.packet.Sequence)
+			if proof, provedAt, err := r.ends[src].proveMembership(height, path); err == nil {
+				if p := (proven{w, proof, provedAt}); admit(p) {
+					job = append(job, p)
+					continue
+				}
+				open = false
+			}
+		}
+		later = append(later, w)
+	}
+	if len(job) > 0 {
+		s.packets[src] = later
+	}
+	return job
+}
+
 // flush submits every shard's work sourced on src and provable at or
 // below height, proving it at height: the item's own height may carry no
 // consensus state on the peer's client when delivery was delayed past an
@@ -641,20 +673,7 @@ func (r *Relayer) flush(src int, height uint64) {
 	r.dirs[src].want = 0
 	from, to := r.ends[src], r.ends[1-src]
 	for _, s := range r.shards {
-		var later []work
-		var batch []proven
-		for _, w := range s.packets[src] {
-			if w.height <= height {
-				path := ibc.CommitmentPath(w.packet.SourcePort, w.packet.SourceChannel, w.packet.Sequence)
-				if proof, provedAt, err := from.proveMembership(height, path); err == nil {
-					batch = append(batch, proven{w, proof, provedAt})
-					continue
-				}
-			}
-			later = append(later, w)
-		}
-		s.packets[src] = later
-		if len(batch) > 0 {
+		if batch := r.takeProvable(src, s, height, func(proven) bool { return true }); len(batch) > 0 {
 			to.recvPackets(s, batch)
 		}
 

@@ -240,7 +240,7 @@ func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
 // outcome.
 func (v *Validator) submitTx(tx *host.Transaction, done func(error)) {
 	obs := netsim.RetryObserver{Retries: v.mNetRetries, DeadLetters: v.mNetDead}
-	v.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Tx: tx},
+	v.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Txs: []*host.Transaction{tx}},
 		v.retry, obs, func(_ any, err error) { done(err) })
 }
 
