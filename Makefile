@@ -63,6 +63,8 @@ lint: lint-deprecated
 # retired. An update-client staging buffer is the Tendermint update's own
 # encoding (set first, so the set stages before the header is picked): the
 # length-framed update-client payload and its codec stay retired.
+# Guest-bound jobs settle by the guest's state (settledJob, pushed onto a
+# pacer): the recv-only settleRecvs and the unchecked enqueue stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -122,6 +124,11 @@ lint-deprecated:
 	@bad=$$(grep -rn 'UpdateClientPayload\|MarshalUpdateClientPayload\|UnmarshalUpdateClientPayload' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired update-client payload (the staging buffer is tendermint.Update.Marshal's bytes; stage it with TxBuilder.BeginUpdateClient/UpdateClientTxs):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'settleRecvs\|\.enqueue(' --include='*.go' internal/relayer); \
+	if [ -n "$$bad" ]; then \
+		echo "retired guest job completions (every guest-bound job is a settledJob, pushed onto its pacer):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

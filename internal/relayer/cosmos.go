@@ -208,23 +208,26 @@ func (c *cosmosEnd) recvPackets(s *shard, batch []proven) {
 	}
 }
 
-// ackPackets submits the batch one message per ack, in order.
+// ackPackets submits the batch one message per ack, in order; each
+// message's own result settles it.
 func (c *cosmosEnd) ackPackets(s *shard, batch []provenAck) {
 	for _, w := range batch {
 		c.submit(netsim.MsgAckPacket{Packet: w.packet, Ack: w.ack, Proof: w.proof, ProofHeight: ibc.Height(w.provedAt)},
 			func(_ any, err error) {
 				if err != nil {
 					c.r.requeueAck(c.side, s, w.ackWork)
+					return
 				}
-				c.r.acked(c.side, s, w.packet, err)
+				c.r.acked(c.side, s, w.packet)
 			})
 	}
 }
 
-// timeoutPackets submits the batch one message per packet, in order.
+// timeoutPackets submits the batch one message per packet, in order; each
+// message's own result settles it.
 func (c *cosmosEnd) timeoutPackets(_ *shard, batch []provenTimeout) {
 	for _, w := range batch {
 		c.submit(netsim.MsgTimeoutPacket{Packet: w.tr.packet, Proof: w.proof, ProofHeight: w.provedAt},
-			func(_ any, err error) { c.r.timedOut(w.tr, err) })
+			func(_ any, err error) { c.r.timedOut(w.tr, err == nil) })
 	}
 }

@@ -782,9 +782,9 @@ func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
 // committed, so every packet must go back to its shard and arrive exactly
 // once when the link heals — except the first. The guest chain moved on
 // during the cut (a user's send was committed and finalised) and the packet
-// has expired at its head: resubmitted, it would ride a job "submitted in
-// full" and be counted delivered, so it is left to the timeout scan and its
-// sender is refunded exactly once. The ack of the user's packet comes back
+// has expired at its head: every flush would resubmit it to be rejected
+// again, so it is left to the timeout scan and its sender is refunded
+// exactly once. The ack of the user's packet comes back
 // as a job on the same lane, which is dead-lettered the same way: it goes
 // back to its shard and is acknowledged once.
 func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {

@@ -153,7 +153,7 @@ func (g *guestEnd) scan() {
 				if r.route(g.side, p.SourcePort, p.SourceChannel) == nil {
 					continue
 				}
-				r.track(g.side, p, true)
+				r.track(g.side, p)
 				// Send and commit coincide on the guest: the commitment is
 				// written in the same host transaction as SendPacket.
 				key := traceKey(p)
@@ -427,14 +427,13 @@ func (g *guestEnd) groupRecvs(l *landing, height uint64, tail []*host.Transactio
 		if len(batch) == 0 {
 			continue
 		}
-		txs := g.builder.RecvPacketTxs(ps...)
-		commit := txs[len(txs)-1]
-		rj := &job{txs: txs, commit: commit, slot: l, onDone: g.settleRecvs(s, batch, txs)}
+		rj := g.deliverJob(s, batch, ps)
+		rj.slot = l
 		if pc := g.lanes[s.index].pc; pc != g.root {
 			pc.push(rj)
 			continue
 		}
-		chunks = append(chunks, txs[:len(txs)-1]...)
+		chunks = append(chunks, rj.txs[:len(rj.txs)-1]...)
 		rj.txs = nil
 		l.ready = append(l.ready, rj)
 	}
@@ -443,34 +442,6 @@ func (g *guestEnd) groupRecvs(l *landing, height uint64, tail []*host.Transactio
 	}
 	n := len(tail) - 1
 	return append(append(tail[:n:n], chunks...), tail[n])
-}
-
-// settleRecvs is the completion of a recv job proven at a client update's
-// height (groupRecvs). The update commits in the same slot and may be
-// refused in execution, which the relayer does not see, so each packet is
-// settled by the guest's state: delivered, or handed to recvFailed. A job
-// none of whose packets landed has its staging buffer closed.
-func (g *guestEnd) settleRecvs(s *shard, batch []proven, txs []*host.Transaction) func(started, finished time.Time, err error) {
-	return func(_, _ time.Time, err error) {
-		n, cost := float64(len(batch)), g.feeOf(txs)
-		landed := 0
-		for _, w := range batch {
-			if !g.packetDelivered(w.packet) {
-				g.r.recvFailed(g.side, s, w.work)
-				continue
-			}
-			landed++
-			g.mRecvTxs.Observe(float64(len(txs)) / n)
-			g.mRecvCost.Observe(fees.Cents(cost) / n)
-			g.r.delivered(g.side, s, w.packet, nil, 0, false)
-		}
-		if landed == 0 && err == nil {
-			// A given-up job's pacer closes the buffer itself.
-			pc := g.lanes[s.index].pc
-			pc.closes = append(pc.closes, g.builder.CloseBufferTx(txs[len(txs)-1]))
-			pc.closeBuffers()
-		}
-	}
 }
 
 // recvPackets, ackPackets and timeoutPackets run a datagram flow for one
@@ -482,40 +453,39 @@ func (g *guestEnd) settleRecvs(s *shard, batch []proven, txs []*host.Transaction
 // order, so neighbours in a batch are neighbouring leaves of the proving
 // chain's trie: their proofs differ in the deepest item or two, and the
 // staging format (guest.MarshalRecvPayload and its siblings) uploads the
-// part they share once. A job whose submission failed (a dead-lettered
-// chunk takes everything staged with it) hands each item back to the
-// engine's rule for its kind; a job submitted in full settles every item,
-// as an item on its own always was: the relayer does not see a host
-// transaction fail in execution, and a commit the guest rejected loses the
-// same items whether they shared it or not (ROADMAP 1b).
+// part they share once. Every job settles as settledJob does.
 func (g *guestEnd) recvPackets(s *shard, batch []proven) {
 	payloads := make([]*guest.RecvPayload, len(batch))
 	for i, w := range batch {
 		payloads[i] = &guest.RecvPayload{Packet: w.packet, ProofHeight: ibc.Height(w.provedAt), Proof: w.proof}
 	}
 	jobs(batch, payloads, func(ps []*guest.RecvPayload) int { return g.builder.RecvBatchLen(ps, g.st) },
-		func(job []proven, ps []*guest.RecvPayload) {
-			txs := g.builder.RecvPacketTxs(ps...)
-			cost := g.feeOf(txs)
-			g.lanes[s.index].pc.enqueue(txs, func(_, _ time.Time, err error) {
-				if err != nil {
-					for _, w := range job {
-						g.r.recvFailed(g.side, s, w.work)
-					}
-					return
-				}
-				// The histograms observe each packet's share of its job, so
-				// they keep reading "host txs (cents) per received packet".
-				n := float64(len(job))
-				for _, w := range job {
-					g.mRecvTxs.Observe(float64(len(txs)) / n)
-					g.mRecvCost.Observe(fees.Cents(cost) / n)
-					g.r.delivered(g.side, s, w.packet, nil, 0, false)
-				}
-			})
-		})
+		func(job []proven, ps []*guest.RecvPayload) { g.lanes[s.index].pc.push(g.deliverJob(s, job, ps)) })
 }
 
+// deliverJob is the job that stages ps, the payloads of batch, and commits
+// them: the only recv job, whether a flush or a client update's binding
+// (groupRecvs) built it. A packet the guest shows delivered is delivered;
+// any other goes to recvFailed.
+func (g *guestEnd) deliverJob(s *shard, batch []proven, ps []*guest.RecvPayload) *job {
+	txs := g.builder.RecvPacketTxs(ps...)
+	n, cost := float64(len(batch)), g.feeOf(txs)
+	return settledJob(g, s, txs, batch, func(w proven) bool {
+		if !g.packetDelivered(w.packet) {
+			g.r.recvFailed(g.side, s, w.work)
+			return false
+		}
+		// The histograms observe each packet's share of its job, so they
+		// keep reading "host txs (cents) per received packet".
+		g.mRecvTxs.Observe(float64(len(txs)) / n)
+		g.mRecvCost.Observe(fees.Cents(cost) / n)
+		g.r.delivered(g.side, s, w.packet, nil, 0, false)
+		return true
+	})
+}
+
+// ackPackets settles an ack as acked once the guest no longer commits its
+// packet, and hands it to requeueAck otherwise.
 func (g *guestEnd) ackPackets(s *shard, batch []provenAck) {
 	payloads := make([]*guest.AckPayload, len(batch))
 	for i, w := range batch {
@@ -523,17 +493,19 @@ func (g *guestEnd) ackPackets(s *shard, batch []provenAck) {
 	}
 	jobs(batch, payloads, func(ps []*guest.AckPayload) int { return g.builder.AckBatchLen(ps, g.st) },
 		func(job []provenAck, ps []*guest.AckPayload) {
-			g.lanes[s.index].pc.enqueue(g.builder.AckPacketTxs(ps...), func(_, _ time.Time, err error) {
-				for _, w := range job {
-					if err != nil {
-						g.r.requeueAck(g.side, s, w.ackWork)
-					}
-					g.r.acked(g.side, s, w.packet, err)
+			g.lanes[s.index].pc.push(settledJob(g, s, g.builder.AckPacketTxs(ps...), job, func(w provenAck) bool {
+				if g.hasCommitment(w.packet) {
+					g.r.requeueAck(g.side, s, w.ackWork)
+					return false
 				}
-			})
+				g.r.acked(g.side, s, w.packet)
+				return true
+			}))
 		})
 }
 
+// timeoutPackets settles a timeout as landed once the guest no longer
+// commits its packet; one that did not land is left for the next scan.
 func (g *guestEnd) timeoutPackets(s *shard, batch []provenTimeout) {
 	payloads := make([]*guest.TimeoutPayload, len(batch))
 	for i, w := range batch {
@@ -541,12 +513,36 @@ func (g *guestEnd) timeoutPackets(s *shard, batch []provenTimeout) {
 	}
 	jobs(batch, payloads, func(ps []*guest.TimeoutPayload) int { return g.builder.TimeoutBatchLen(ps, g.st) },
 		func(job []provenTimeout, ps []*guest.TimeoutPayload) {
-			g.lanes[s.index].pc.enqueue(g.builder.TimeoutPacketTxs(ps...), func(_, _ time.Time, err error) {
-				for _, w := range job {
-					g.r.timedOut(w.tr, err)
-				}
-			})
+			g.lanes[s.index].pc.push(settledJob(g, s, g.builder.TimeoutPacketTxs(ps...), job, func(w provenTimeout) bool {
+				landed := !g.hasCommitment(w.tr.packet)
+				g.r.timedOut(w.tr, landed)
+				return landed
+			}))
 		})
+}
+
+// settledJob is the job that stages and commits txs on shard s's lane for
+// items. The relayer sees its transactions accepted, never whether the
+// contract applied them, so its completion — once the commit landed, or
+// when the job is given up — settles every item by the guest's state, with
+// landed telling whether the guest shows it applied. A job that landed
+// applying none of its items has its staging buffer closed; a given-up
+// job's pacer closes it itself.
+func settledJob[W any](g *guestEnd, s *shard, txs []*host.Transaction, items []W, landed func(W) bool) *job {
+	commit := txs[len(txs)-1]
+	return &job{txs: txs, commit: commit, onDone: func(_, _ time.Time, err error) {
+		applied := false
+		for _, w := range items {
+			if landed(w) {
+				applied = true
+			}
+		}
+		if !applied && err == nil {
+			pc := g.lanes[s.index].pc
+			pc.closes = append(pc.closes, g.builder.CloseBufferTx(commit))
+			pc.closeBuffers()
+		}
+	}}
 }
 
 // jobs cuts items, and the payloads staging them, into the longest runs fit

@@ -61,16 +61,10 @@ type pacer struct {
 	closes []*host.Transaction
 }
 
-// enqueue schedules a paced submission of txs; onDone fires one slot after
-// the last submission (when the commit landed) with the first and last
-// transaction landing times — or as soon as a submission fails, with the
-// error.
-func (p *pacer) enqueue(txs []*host.Transaction, onDone func(started, finished time.Time, err error)) {
-	p.push(&job{txs: txs, commit: txs[len(txs)-1], onDone: onDone})
-}
-
-// push schedules j, whose tail, if any, is built when the pump reaches it;
-// onDone fires as enqueue's does, or with the tail's error.
+// push schedules a paced submission of j, whose tail, if any, is built when
+// the pump reaches it. j's onDone fires one slot after the last submission
+// (when the commit landed) with the first and last transaction landing
+// times — or as soon as a submission or the tail fails, with the error.
 func (p *pacer) push(j *job) {
 	p.queue = append(p.queue, j)
 	p.g.queueDelta(+1)

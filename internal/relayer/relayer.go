@@ -22,8 +22,12 @@
 // is what produces the multi-transaction client updates and their latency
 // (Figs. 4-5) and the 4-5 transaction ReceivePacket flow (§V-A); an update
 // and the first recv job of each channel it unlocks share one host slot.
-// A cosmos↔cosmos link is the engine with two cosmos ends; the guest link
-// is the engine with one guest end.
+// The relayer sees those transactions accepted, never whether the contract
+// applied them, so each item of a guest-bound job, landed or given up,
+// settles from the guest's state — the one outcome rule, which a cosmos
+// end's per-message answers already follow: work has landed when the
+// sink's state proves it. A cosmos↔cosmos link is the engine with two
+// cosmos ends; the guest link is the engine with one guest end.
 //
 // The engine serves any number of channels multiplexed over the link's
 // one connection: work queues live in per-channel shards, while each
@@ -134,7 +138,6 @@ func DefaultConfig() Config {
 type packetTrace struct {
 	packet   *ibc.Packet
 	src      uint8 // side the packet was sent from
-	guest    bool  // sent from the guest end (see settle)
 	inFlight bool  // a timeout submission is pending
 }
 
@@ -220,8 +223,8 @@ type update struct {
 }
 
 // end is one chain of the link as the engine sees it. Sink operations
-// report their outcome through Relayer.delivered / requeue / acked /
-// timedOut.
+// report each item landed or not through the engine's rule for its kind:
+// delivered or recvFailed, acked or requeueAck, timedOut.
 type end interface {
 	// As a source: scan feeds new chain events to the engine (queuePacket,
 	// or the end's own delivery schedule); head is the newest provable
@@ -521,9 +524,9 @@ func canExpire(p *ibc.Packet) bool {
 
 // track traces a packet committed on side src, if it can expire: the
 // timeout scan may come to owe it a proof.
-func (r *Relayer) track(src int, p *ibc.Packet, guest bool) {
+func (r *Relayer) track(src int, p *ibc.Packet) {
 	if canExpire(p) {
-		r.traces[idOf(src, p)] = &packetTrace{packet: p, src: uint8(src), guest: guest}
+		r.traces[idOf(src, p)] = &packetTrace{packet: p, src: uint8(src)}
 	}
 }
 
@@ -542,7 +545,7 @@ func (r *Relayer) queuePacket(src int, p *ibc.Packet, height uint64) {
 		return
 	}
 	s.packets[src] = append(s.packets[src], work{packet: p, height: height, seen: r.sched.Now()})
-	r.track(src, p, false)
+	r.track(src, p)
 }
 
 // maybeUpdate keeps the peer's client of side src where src's queued work
@@ -720,15 +723,12 @@ func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provabl
 	}
 }
 
-// recvFailed settles a recv whose submission to side to failed — the update
-// ahead of it was refused, so its proof height has no consensus state; a
-// chunk of its job was dead-lettered — by the sink's state: a packet the
-// sink shows delivered is delivered, any other goes back to its shard. A
-// packet already expired at the sink's head is left to the timeout scan:
-// every flush would submit it again to be rejected again, and on the guest,
-// where the relayer cannot see a transaction fail in execution, the
-// resubmission would count it delivered and its sender would never be
-// refunded.
+// recvFailed settles a recv that did not land on side to — the update ahead
+// of it was refused, so its proof height has no consensus state; a chunk of
+// its job was dead-lettered; the packet expired — by the sink's state: a
+// packet the sink shows delivered is delivered, any other goes back to its
+// shard. A packet already expired at the sink's head is left to the timeout
+// scan: every flush would submit it again to be rejected again.
 func (r *Relayer) recvFailed(to int, s *shard, w work) {
 	sink := r.ends[to]
 	if sink.packetDelivered(w.packet) {
@@ -770,35 +770,27 @@ func (r *Relayer) requeueAck(to int, s *shard, w ackWork) {
 	}
 }
 
-// acked records the outcome of relaying p's ack to side to, which sent p.
-func (r *Relayer) acked(to int, s *shard, p *ibc.Packet, err error) {
-	if err != nil {
-		return
-	}
+// acked records that p's ack landed on side to, which sent p.
+func (r *Relayer) acked(to int, s *shard, p *ibc.Packet) {
 	r.mAcks.Inc()
 	s.cAcked[to].Inc()
 	r.settle(to, p, telemetry.StageAck)
 }
 
-// timedOut records the outcome of a timeout submission. The in-flight
-// flag clears either way, so a dropped submission is retried by a later
-// scan.
-func (r *Relayer) timedOut(tr *packetTrace, err error) {
+// timedOut records the outcome of a timeout submission, as the sending end
+// reports it: landed or not. The in-flight flag clears either way, so a
+// timeout that did not land is submitted again by a later scan.
+func (r *Relayer) timedOut(tr *packetTrace, landed bool) {
 	tr.inFlight = false
-	if err == nil {
+	if landed {
 		r.settle(int(tr.src), tr.packet, telemetry.StageTimeout)
 	}
 }
 
 // settle closes the trace of a packet sent from side src that was acked or
-// timed out. A guest-sent one stays open until a scan sees its commitment
-// gone: the relayer cannot see a host transaction fail in execution, and a
-// timeout the guest rejected has to be submitted again.
+// timed out.
 func (r *Relayer) settle(src int, p *ibc.Packet, stage string) {
-	id := idOf(src, p)
-	if tr := r.traces[id]; tr != nil && !tr.guest {
-		delete(r.traces, id)
-	}
+	delete(r.traces, idOf(src, p))
 	r.mark(src, p, stage)
 }
 

@@ -180,7 +180,7 @@ func (l *fakeLink) send(side, ch int, timeout time.Duration) *ibc.Packet {
 	}
 	l.ends[side].committed[idOf(side, p)] = true
 	if side == 1 {
-		l.r.track(1, p, true)
+		l.r.track(1, p)
 	} else {
 		l.r.queuePacket(0, p, l.ends[0].height)
 	}
@@ -212,31 +212,35 @@ func (l *fakeLink) counter(name string) uint64 {
 // TestCheckTimeoutsMatchesFullWalk drives a link through one seeded
 // schedule of sends, deliveries, lost races, acks, commitments a competing
 // relayer cleared, client updates, and timeout submissions that land,
-// dead-letter, stay pending, or land and are rejected in execution (which
-// the relayer cannot see: it reads as success). Before each scan the
-// schedule walks every packet it sent and, from its own record of each,
-// predicts the timeouts the scan submits, their order and the batches they
-// go in; after it, the relayer must hold a trace for exactly the packets it
-// may still owe a timeout proof. It runs over channels named apart on the
-// two sides and over channels both sides name alike.
+// dead-letter, stay pending, or are submitted in full and rejected in
+// execution. Either side reports a timeout landed or not landed, as both
+// ends do — a cosmos end from the message's result, the guest end from its
+// state — so a landed one closes its trace at once and a rejected one is
+// submitted again. Before each scan the schedule walks every packet it sent
+// and, from its own record of each, predicts the timeouts the scan submits,
+// their order and the batches they go in; after it, the relayer must hold a
+// trace for exactly the packets it may still owe a timeout proof. It runs
+// over channels named apart on the two sides and over channels both sides
+// name alike.
 func TestCheckTimeoutsMatchesFullWalk(t *testing.T) {
-	resubmitted := [2]int{}
+	var resubmitted [2][2]int // by channel naming, then sending side
 	for seed := int64(1); seed <= 6; seed++ {
-		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) { resubmitted[0] += runScanSchedule(t, fakeChannels, seed) })
-		t.Run(fmt.Sprint("twin ids seed ", seed), func(t *testing.T) { resubmitted[1] += runScanSchedule(t, twinChannels, seed) })
+		t.Run(fmt.Sprint("seed ", seed), func(t *testing.T) { runScanSchedule(t, fakeChannels, seed, &resubmitted[0]) })
+		t.Run(fmt.Sprint("twin ids seed ", seed), func(t *testing.T) { runScanSchedule(t, twinChannels, seed, &resubmitted[1]) })
 	}
-	if resubmitted[0] == 0 || resubmitted[1] == 0 {
-		t.Errorf("resubmitted %v guest-side timeouts rejected in execution (distinct ids, twin ids), want some on each", resubmitted)
+	for naming, sides := range resubmitted {
+		if sides[0] == 0 || sides[1] == 0 {
+			t.Errorf("channel naming %d: resubmitted %v timeouts rejected in execution (side 0, side 1), want some on each side", naming, sides)
+		}
 	}
 }
 
-// runScanSchedule runs the schedule seed draws over channels and returns
-// how often the scan resubmitted a guest-side timeout that had read as
-// landed.
-func runScanSchedule(t *testing.T, channels []routing.Link, seed int64) int {
+// runScanSchedule runs the schedule seed draws over channels and adds to
+// resubmitted, per sending side, how often the scan resubmitted a timeout
+// rejected in execution.
+func runScanSchedule(t *testing.T, channels []routing.Link, seed int64, resubmitted *[2]int) {
 	l := newFakeLink(t, channels)
 	rng := rand.New(rand.NewSource(seed))
-	errDead := errors.New("dead letter")
 
 	// sent is the schedule's record of one packet.
 	type sent struct {
@@ -245,7 +249,7 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64) int {
 		delivered bool // landed, whoever delivered it
 		cleared   bool // the source no longer commits it
 		inFlight  bool // a timeout submission is pending
-		refunded  bool // a timeout submission read as landed
+		rejected  bool // a timeout submission was rejected in execution
 	}
 	var packets []*sent
 	byID := map[traceID]*sent{}
@@ -262,13 +266,10 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64) int {
 		return pool[rng.Intn(len(pool))]
 	}
 	undelivered := func(s *sent) bool { return !s.delivered && !s.cleared }
-	// owed: the relayer may still owe s a timeout proof. The cosmos-like
-	// side (0) is done with a packet once a timeout reads as landed; the
-	// guest-like side (1) waits for the commitment to go, so a timeout
-	// rejected in execution is submitted again.
-	owed := func(s *sent) bool {
-		return canExpire(s.p) && undelivered(s) && !(s.src == 0 && s.refunded)
-	}
+	// owed: the relayer may still owe s a timeout proof. A timeout that
+	// landed cleared the commitment; one rejected in execution leaves the
+	// packet owed, on either side.
+	owed := func(s *sent) bool { return canExpire(s.p) && undelivered(s) }
 	// expect predicts a scan: the owed packets not in flight, in (side,
 	// port, channel, sequence) order, whose timeout has elapsed as seen
 	// through the source's client of the destination — which the scan pulls
@@ -310,7 +311,7 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64) int {
 		}
 		return want, due[:n]
 	}
-	var lostRaces, rivalClears, deadLetters, landed, rejected, resubmitted, shared int
+	var lostRaces, rivalClears, deadLetters, landed, rejected, shared int
 
 	for step := 0; step < 1500; step++ {
 		switch op := rng.Intn(12); {
@@ -333,7 +334,7 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64) int {
 			if s := pick(func(s *sent) bool { return s.delivered && !s.cleared }); s != nil {
 				s.cleared = true
 				delete(l.ends[s.src].committed, idOf(s.src, s.p))
-				l.r.acked(s.src, l.shardOf(s.src, s.p), s.p, nil)
+				l.r.acked(s.src, l.shardOf(s.src, s.p), s.p)
 			}
 		case op < 7: // a competing relayer settles an undelivered packet
 			if s := pick(undelivered); s != nil {
@@ -359,16 +360,19 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64) int {
 			switch outcome {
 			case 0: // landed: the source refunds and clears the commitment
 				landed++
-				s.cleared, s.refunded = true, true
+				s.cleared = true
 				delete(e.committed, idOf(side, tr.packet))
-				l.r.timedOut(tr, nil)
+				l.r.timedOut(tr, true)
+				if l.r.traces[idOf(side, tr.packet)] != nil {
+					t.Fatalf("step %d: the trace of %s stays open after its timeout landed", step, traceKey(tr.packet))
+				}
 			case 1:
 				deadLetters++
-				l.r.timedOut(tr, errDead)
+				l.r.timedOut(tr, false)
 			case 2: // submitted in full, rejected on chain
 				rejected++
-				s.refunded = true
-				l.r.timedOut(tr, nil)
+				s.rejected = true
+				l.r.timedOut(tr, false)
 			}
 		default: // scan
 			want, due := expect()
@@ -383,8 +387,9 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64) int {
 				}
 			}
 			for _, s := range due {
-				if s.refunded {
-					resubmitted++
+				if s.rejected {
+					resubmitted[s.src]++
+					s.rejected = false
 				}
 				s.inFlight = true
 			}
@@ -418,7 +423,6 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64) int {
 		t.Errorf("thin schedule: %d timeouts submitted (%d landed, %d dead-lettered, %d rejected, %d batches of several), %d lost races, %d rival clears, %d client pulls",
 			submitted, landed, deadLetters, rejected, shared, lostRaces, rivalClears, l.counter("client_updates"))
 	}
-	return resubmitted
 }
 
 // TestCheckTimeoutsSkipsSettledTraces: the relayer keeps nothing for a
