@@ -65,6 +65,9 @@ lint: lint-deprecated
 # length-framed update-client payload and its codec stay retired.
 # Guest-bound jobs settle by the guest's state (settledJob, pushed onto a
 # pacer): the recv-only settleRecvs and the unchecked enqueue stay retired.
+# Trie paths are packed bit strings held inline in the node and read by bit
+# index: the bit-per-byte unpacking, re-packing, prefix and scratch helpers
+# and the proof-item reversal stay retired in internal/trie.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -129,6 +132,11 @@ lint-deprecated:
 	@bad=$$(grep -rn 'settleRecvs\|\.enqueue(' --include='*.go' internal/relayer); \
 	if [ -n "$$bad" ]; then \
 		echo "retired guest job completions (every guest-bound job is a settledJob, pushed onto its pacer):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'unpackPath|appendPacked|commonPrefixLen|descentPath|pathScratch|reverseItems' --include='*.go' internal/trie); \
+	if [ -n "$$bad" ]; then \
+		echo "retired bit-per-byte path helpers (a trie path is the packed form: matchLen, slice, concat and bit on internal/trie's path):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -200,7 +208,8 @@ examples-smoke:
 # decoders, the forward-memo parse, the two light-client update
 # decoders (Tendermint update, guest signed block), the transfer
 # packet data encoder (FuzzPacketDataMarshal: Marshal never panics and
-# round-trips), and the sealable trie against a map model
+# round-trips), the packed trie path operations against the bit-per-byte
+# model (FuzzPathOps), and the sealable trie against a map model
 # (FuzzTrieDifferential: Set/Delete/Seal/Get under an ErrFull arena cap,
 # the root equal to a trie built from scratch, every node encoding and
 # decoding under its own hash).
@@ -215,6 +224,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzNodeCodecDecode$$' -fuzztime=5s ./internal/trie
 	$(GO) test -run='^$$' -fuzz='^FuzzProofDecode$$' -fuzztime=5s ./internal/trie
 	$(GO) test -run='^$$' -fuzz='^FuzzTrieDifferential$$' -fuzztime=5s ./internal/trie
+	$(GO) test -run='^$$' -fuzz='^FuzzPathOps$$' -fuzztime=5s ./internal/trie
 	$(GO) test -run='^$$' -fuzz='^FuzzDiskRecover$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/nodestore
 	$(GO) test -run='^$$' -fuzz='^FuzzPathToKey$$' -fuzztime=5s ./internal/ibc
 	$(GO) test -run='^$$' -fuzz='^FuzzEndDecode$$' -fuzztime=5s ./internal/ibc
@@ -260,5 +270,5 @@ api-update:
 # The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
-# example smoke runs, and five seconds of each of the twelve fuzz targets.
+# example smoke runs, and five seconds of each of the thirteen fuzz targets.
 ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

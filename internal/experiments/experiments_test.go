@@ -243,6 +243,18 @@ func TestMeasureArenaCapacityMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestMeasureArenaCapacityBelowOneNode: a byte cap smaller than one
+// 72-byte node holds no pair at all. It used to round down to a node
+// limit of zero, which means unlimited, and the fill never returned.
+func TestMeasureArenaCapacityBelowOneNode(t *testing.T) {
+	if got := MeasureArenaCapacity(71); got != 0 {
+		t.Fatalf("a 71-byte arena holds %d pairs, want 0", got)
+	}
+	if got := MeasureArenaCapacity(72); got != 1 {
+		t.Fatalf("a 72-byte arena holds %d pairs, want 1", got)
+	}
+}
+
 func TestCongestionAblation(t *testing.T) {
 	a := RunCongestionAblation(10, 1)
 	if len(a.AdaptiveDelays) == 0 || len(a.FixedHighDelays) == 0 {

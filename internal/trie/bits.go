@@ -9,6 +9,7 @@ package trie
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/wire"
@@ -22,37 +23,88 @@ const KeySize = cryptoutil.HashSize
 // keyBits is the number of bits in a key.
 const keyBits = KeySize * 8
 
-// path is an immutable sequence of bits. Bits are stored unpacked (one byte
-// per bit, values 0 or 1) for easy slicing and comparison; pack() produces
-// the canonical packed form used when hashing.
-type path []byte
+// path is a bit string of at most keyBits bits in its canonical packed
+// form, the one form hashing, node encodings and proofs use: bit i is bit
+// 7-i%8 of b[i/8] (MSB first), and every bit past n is zero. So a path is a
+// plain value — two paths hold the same bits exactly when they are ==, and
+// b[:(n+7)/8] is its encoding, with no conversion. A key is the full-length
+// path over its own bytes (keyToPath), and descents read it by bit index.
+type path struct {
+	b [KeySize]byte
+	n uint16
+}
 
-// keyToPath unpacks a 32-byte key into its 256-bit path.
+// keyToPath returns the full 256-bit path of a key.
 func keyToPath(key [KeySize]byte) path {
-	p := make(path, keyBits)
-	for i := 0; i < keyBits; i++ {
-		p[i] = (key[i/8] >> (7 - uint(i%8))) & 1
+	return path{b: key, n: keyBits}
+}
+
+// len returns the path length in bits.
+func (p *path) len() int { return int(p.n) }
+
+// size returns the length of the packed encoding in bytes.
+func (p *path) size() int { return (int(p.n) + 7) / 8 }
+
+// packed returns the canonical packed encoding, aliasing the path.
+func (p *path) packed() []byte { return p.b[:p.size()] }
+
+// bit returns bit i (0 or 1); i must be below the path length.
+func (p *path) bit(i int) byte {
+	return p.b[i>>3] >> (7 - uint(i&7)) & 1
+}
+
+// octet returns the eight bits of p starting at bit i; bits past the
+// end of the buffer read as zero.
+func (p *path) octet(i int) byte {
+	j, s := i>>3, uint(i&7)
+	v := p.b[j] << s
+	if s != 0 && j+1 < KeySize {
+		v |= p.b[j+1] >> (8 - s)
 	}
+	return v
+}
+
+// matchLen returns the length of the common prefix of p and q from bit pos
+// on, at most the shorter of the two: one XOR and one leading-zero count
+// per byte of p. pos must not exceed q's length.
+func (p *path) matchLen(q *path, pos int) int {
+	limit := min(p.len(), q.len()-pos)
+	for j := 0; 8*j < limit; j++ {
+		if x := p.b[j] ^ q.octet(pos+8*j); x != 0 {
+			return min(8*j+bits.LeadingZeros8(x), limit)
+		}
+	}
+	return limit
+}
+
+// slice returns bits [from, to) of p as a path of their own.
+func (p *path) slice(from, to int) path {
+	q := path{n: uint16(to - from)}
+	for j := 0; j < q.size(); j++ {
+		q.b[j] = p.octet(from + 8*j)
+	}
+	if r := q.n % 8; r != 0 {
+		q.b[q.size()-1] &= 0xff << (8 - r)
+	}
+	return q
+}
+
+// concat returns p followed by q; the two together must fit a key.
+func (p path) concat(q path) path {
+	j0, s := int(p.n>>3), uint(p.n&7)
+	for j, v := range q.packed() {
+		p.b[j0+j] |= v >> s
+		if s != 0 && j0+j+1 < KeySize {
+			p.b[j0+j+1] = v << (8 - s)
+		}
+	}
+	p.n += q.n
 	return p
 }
 
-// pathToKey packs a full-length path back into a key. The path must be
-// exactly keyBits long.
-func pathToKey(p path) [KeySize]byte {
-	var key [KeySize]byte
-	for i, b := range p {
-		if b != 0 {
-			key[i/8] |= 1 << (7 - uint(i%8))
-		}
-	}
-	return key
-}
-
-// pack returns the canonical packed encoding of the path in an exact-size
-// buffer: a length prefix is NOT included (writePath and the node hashes
-// carry it separately). Trailing bits of the final byte are zero.
-func (p path) pack() []byte {
-	return appendPacked(make([]byte, 0, (len(p)+7)/8), p)
+// bitPath returns the one-bit path holding b.
+func bitPath(b byte) path {
+	return path{b: [KeySize]byte{b << 7}, n: 1}
 }
 
 // writePath writes a packed path as its u16 bit length and its packed
@@ -80,45 +132,18 @@ func readPath(r *wire.Reader) ([]byte, int, error) {
 	return packed, bits, nil
 }
 
-// unpackPath reverses pack for a path of the given bit length.
-func unpackPath(packed []byte, bits int) path {
-	p := make(path, bits)
-	for i := 0; i < bits; i++ {
-		p[i] = (packed[i/8] >> (7 - uint(i%8))) & 1
+// packedPath builds a path from bits bits of packed encoding, dropping any
+// padding bits set past the length. It fails when the length is out of
+// range or the bytes are too few, which only a hand-built proof can hold.
+func packedPath(packed []byte, bits int) (path, error) {
+	var p path
+	if bits < 0 || bits > keyBits || len(packed) < (bits+7)/8 {
+		return p, fmt.Errorf("path of %d bits in %d bytes", bits, len(packed))
 	}
-	return p
-}
-
-// commonPrefixLen returns the length of the longest common prefix of a and b.
-func commonPrefixLen(a, b path) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	p.n = uint16(bits)
+	copy(p.b[:], packed[:p.size()])
+	if r := bits % 8; r != 0 {
+		p.b[p.size()-1] &= 0xff << (8 - r)
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return n
-}
-
-// equal reports whether two paths hold the same bits.
-func (p path) equal(q path) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// clone returns a copy of the path.
-func (p path) clone() path {
-	out := make(path, len(p))
-	copy(out, p)
-	return out
+	return p, nil
 }

@@ -174,7 +174,6 @@ func walkNodes(t *testing.T, r ref) {
 	if err != nil || back.kind != n.kind {
 		t.Fatalf("node of kind %d does not decode under its own hash: %v", n.kind, err)
 	}
-	walkNodes(t, n.child)
 	walkNodes(t, n.children[0])
 	walkNodes(t, n.children[1])
 }

@@ -1,7 +1,6 @@
 package trie
 
 import (
-	"bytes"
 	"fmt"
 
 	"repro/internal/cryptoutil"
@@ -83,14 +82,14 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	var err error
 	switch {
 	case p.terminal == terminalLeaf:
-		p.LeafPath, p.LeafPathLen, err = readOwnedPath(r)
+		p.LeafPath, p.LeafPathLen, err = readProofPath(r)
 		if !p.Membership {
 			p.LeafValue = r.Hash()
 		}
 	case p.Membership:
 		return fmt.Errorf("%w: membership proof without a leaf", ErrBadProof)
 	case p.terminal == terminalExt:
-		p.ExtPath, p.ExtPathLen, err = readOwnedPath(r)
+		p.ExtPath, p.ExtPathLen, err = readProofPath(r)
 		p.ExtChild = r.Hash()
 	case p.terminal != terminalNone:
 		return fmt.Errorf("%w: unknown terminal kind %d", ErrBadProof, p.terminal)
@@ -113,7 +112,7 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 			it.Bit = r.U8()
 			it.Sibling = r.Hash()
 		case AscentExt:
-			if it.Path, it.PathLen, err = readOwnedPath(r); err != nil {
+			if it.Path, it.PathLen, err = readProofPath(r); err != nil {
 				return err
 			}
 		default:
@@ -125,15 +124,40 @@ func (p *Proof) UnmarshalBinary(data []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("%w: %w", ErrBadProof, err)
 	}
+	p.ownPaths()
 	return nil
 }
 
-// readOwnedPath is readPath for a proof, which keeps its paths after the
-// caller's buffer is gone.
-func readOwnedPath(r *wire.Reader) ([]byte, int, error) {
+// readProofPath is readPath for a proof; the path aliases the input
+// until ownPaths copies it out.
+func readProofPath(r *wire.Reader) ([]byte, int, error) {
 	packed, bits, err := readPath(r)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %w", ErrBadProof, err)
 	}
-	return bytes.Clone(packed), bits, nil
+	return packed, bits, nil
+}
+
+// ownPaths copies every path of a proof into one exact-size buffer, so
+// the proof keeps its paths after the input it was read from, or the nodes
+// it was built from, change or are gone. Each copy is capped so that no
+// append through it reaches the next path; an empty path is nil.
+func (p *Proof) ownPaths() {
+	size := len(p.LeafPath) + len(p.ExtPath)
+	for _, it := range p.Items {
+		size += len(it.Path)
+	}
+	buf := make([]byte, 0, size)
+	own := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil
+		}
+		start := len(buf)
+		buf = append(buf, b...)
+		return buf[start:len(buf):len(buf)]
+	}
+	p.LeafPath, p.ExtPath = own(p.LeafPath), own(p.ExtPath)
+	for i := range p.Items {
+		p.Items[i].Path = own(p.Items[i].Path)
+	}
 }

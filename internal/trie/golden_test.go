@@ -60,11 +60,11 @@ func TestEncodingGolden(t *testing.T) {
 		name string
 		n    *node
 	}{
-		{"leaf", &node{kind: kindLeaf, path: path{1, 0, 1, 1, 0, 0, 1, 0, 1}, value: val("leaf")}},
-		{"leaf/sealed", &node{kind: kindLeaf, path: keyToPath(key("full"))[3:], value: val("stub"), sealed: true}},
+		{"leaf", &node{kind: kindLeaf, path: bitsPath(1, 0, 1, 1, 0, 0, 1, 0, 1), value: val("leaf")}},
+		{"leaf/sealed", &node{kind: kindLeaf, path: bitsPath(bitsOf(keyToPath(key("full")))[3:]...), value: val("stub"), sealed: true}},
 		{"branch/hash+sealed", &node{kind: kindBranch, children: [2]ref{{hash: h}, {hash: val("opaque"), sealed: true}}}},
 		{"branch/empty+hash", &node{kind: kindBranch, children: [2]ref{{}, {hash: h}}}},
-		{"ext", &node{kind: kindExt, path: path{0, 1, 1}, child: ref{hash: h}}},
+		{"ext", &node{kind: kindExt, path: bitsPath(0, 1, 1), children: [2]ref{{hash: h}}}},
 	}
 
 	type pin struct {

@@ -39,21 +39,14 @@ type ref struct {
 //
 //   - kindLeaf:   path = remaining key bits, value = stored value hash
 //   - kindBranch: children[0] and children[1], both non-empty
-//   - kindExt:    path = shared prefix bits (>=1), child
+//   - kindExt:    path = shared prefix bits (>=1), children[0] = the child
+//
+// The path is held inline in its packed form (see path), so a node is one
+// heap object of at most 176 bytes: kind, sealed and the 34-byte path, the
+// value hash, two 48-byte refs and the write generation. An extension
+// keeps its one child in slot 0 rather than a third ref.
 type node struct {
-	kind     nodeKind
-	path     path
-	value    cryptoutil.Hash
-	children [2]ref
-	child    ref
-
-	// rev is the trie write generation that created this physical node
-	// (allocation or copy-on-write copy). A node is mutable only while
-	// its generation is the trie's current one; Snapshot bumps the
-	// generation, freezing everything reachable from the snapshotted root.
-	// Mutations that land on a frozen node path-copy it first, so retained
-	// versions are structurally shared and never change.
-	rev uint64
+	kind nodeKind
 
 	// sealed marks a leaf as sealed (§III-A): its value can never be read
 	// or modified again, but the leaf's structure (path + value hash) is
@@ -66,6 +59,18 @@ type node struct {
 	// stays bounded exactly as §III-A claims while fresh sequence numbers
 	// always remain insertable.
 	sealed bool
+
+	path     path
+	value    cryptoutil.Hash
+	children [2]ref
+
+	// rev is the trie write generation that created this physical node
+	// (allocation or copy-on-write copy). A node is mutable only while
+	// its generation is the trie's current one; Snapshot bumps the
+	// generation, freezing everything reachable from the snapshotted root.
+	// Mutations that land on a frozen node path-copy it first, so retained
+	// versions are structurally shared and never change.
+	rev uint64
 }
 
 // maxPreimage is the largest node hash preimage: tag + 2-byte bit length
@@ -75,21 +80,22 @@ const maxPreimage = 3 + KeySize + cryptoutil.HashSize
 
 // leafHash computes the commitment of a leaf with the given remaining path
 // and value.
-func leafHash(p path, value cryptoutil.Hash) cryptoutil.Hash {
+func leafHash(p *path, value cryptoutil.Hash) cryptoutil.Hash {
 	return pathedHash(tagLeaf, p, value)
 }
 
 // extHash computes the commitment of an extension node.
-func extHash(p path, child cryptoutil.Hash) cryptoutil.Hash {
+func extHash(p *path, child cryptoutil.Hash) cryptoutil.Hash {
 	return pathedHash(tagExt, p, child)
 }
 
 // pathedHash digests the preimage a leaf or extension commits to:
-// SHA-256(tag ‖ u16 bit length ‖ packed path ‖ h).
-func pathedHash(tag byte, p path, h cryptoutil.Hash) cryptoutil.Hash {
+// SHA-256(tag ‖ u16 bit length ‖ packed path ‖ h). The packed path is
+// the node's own bytes, copied as they are.
+func pathedHash(tag byte, p *path, h cryptoutil.Hash) cryptoutil.Hash {
 	var buf [maxPreimage]byte
-	b := append(buf[:0], tag, byte(len(p)>>8), byte(len(p)))
-	b = appendPacked(b, p)
+	b := append(buf[:0], tag, byte(p.n>>8), byte(p.n))
+	b = append(b, p.packed()...)
 	return sha256.Sum256(append(b, h[:]...))
 }
 
@@ -110,28 +116,14 @@ func branchHash(left, right cryptoutil.Hash) cryptoutil.Hash {
 func (n *node) hash() cryptoutil.Hash {
 	switch n.kind {
 	case kindLeaf:
-		return leafHash(n.path, n.value)
+		return leafHash(&n.path, n.value)
 	case kindBranch:
 		return branchHash(n.children[0].hash, n.children[1].hash)
 	case kindExt:
-		return extHash(n.path, n.child.hash)
+		return extHash(&n.path, n.children[0].hash)
 	default:
 		panic("trie: invalid node kind")
 	}
-}
-
-// appendPacked appends the canonical packed encoding of p to b.
-func appendPacked(b []byte, p path) []byte {
-	start := len(b)
-	for n := (len(p) + 7) / 8; n > 0; n-- {
-		b = append(b, 0)
-	}
-	for i, bit := range p {
-		if bit != 0 {
-			b[start+i/8] |= 1 << (7 - uint(i%8))
-		}
-	}
-	return b
 }
 
 // storageBytes models the on-chain storage footprint of a node, mirroring

@@ -26,8 +26,7 @@ const (
 // encodeNode renders one node into its content-addressed byte form, in a
 // buffer of exactly its size.
 func encodeNode(n *node) []byte {
-	var scratch [KeySize]byte
-	packed := appendPacked(scratch[:0], n.path)
+	packed := n.path.packed()
 	var w *wire.Writer
 	switch n.kind {
 	case kindLeaf:
@@ -38,7 +37,7 @@ func encodeNode(n *node) []byte {
 		} else {
 			w.U8(0)
 		}
-		writePath(w, packed, len(n.path))
+		writePath(w, packed, n.path.len())
 		w.Hash(n.value)
 	case kindBranch:
 		w = wire.NewWriterSize(1 + childSize(n.children[0]) + childSize(n.children[1]))
@@ -46,10 +45,10 @@ func encodeNode(n *node) []byte {
 		writeChild(w, n.children[0])
 		writeChild(w, n.children[1])
 	case kindExt:
-		w = wire.NewWriterSize(3 + len(packed) + childSize(n.child))
+		w = wire.NewWriterSize(3 + len(packed) + childSize(n.children[0]))
 		w.U8(ncExt)
-		writePath(w, packed, len(n.path))
-		writeChild(w, n.child)
+		writePath(w, packed, n.path.len())
+		writeChild(w, n.children[0])
 	default:
 		panic("trie: encode node: invalid node kind")
 	}
@@ -97,13 +96,13 @@ func readChild(r *wire.Reader) (ref, error) {
 	}
 }
 
-// readNodePath reads a node's path and unpacks it.
+// readNodePath reads a node's path; readPath has checked it is canonical.
 func readNodePath(r *wire.Reader) (path, error) {
 	packed, bits, err := readPath(r)
 	if err != nil {
-		return nil, fmt.Errorf("trie: decode node: %w", err)
+		return path{}, fmt.Errorf("trie: decode node: %w", err)
 	}
-	return unpackPath(packed, bits), nil
+	return packedPath(packed, bits)
 }
 
 // decodeNode parses a node encoded by encodeNode and verifies that its
@@ -150,7 +149,7 @@ func parseNode(enc []byte) (*node, error) {
 		if n.path, err = readNodePath(r); err != nil {
 			return nil, err
 		}
-		if n.child, err = readChild(r); err != nil {
+		if n.children[0], err = readChild(r); err != nil {
 			return nil, err
 		}
 	default:

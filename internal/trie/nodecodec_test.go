@@ -123,9 +123,9 @@ func TestNodeCodecRejectsCorruption(t *testing.T) {
 func FuzzNodeCodecDecode(f *testing.F) {
 	h := val("child")
 	f.Add([]byte{})
-	f.Add(encodeNode(&node{kind: kindLeaf, path: path{1, 0, 1, 1, 0}, value: val("v"), sealed: true}))
+	f.Add(encodeNode(&node{kind: kindLeaf, path: bitsPath(1, 0, 1, 1, 0), value: val("v"), sealed: true}))
 	f.Add(encodeNode(&node{kind: kindBranch, children: [2]ref{{hash: h}, {hash: h, sealed: true}}}))
-	f.Add(encodeNode(&node{kind: kindExt, path: path{0, 1, 1}, child: ref{hash: h}}))
+	f.Add(encodeNode(&node{kind: kindExt, path: bitsPath(0, 1, 1), children: [2]ref{{hash: h}}}))
 	// A live child with the empty hash would re-encode as an empty child.
 	f.Add(append([]byte{ncBranch, ncChildEmpty, ncChildHash}, make([]byte, cryptoutil.HashSize)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -184,7 +184,7 @@ func childRefsOf(n *node) []ref {
 	case kindBranch:
 		return n.children[:]
 	case kindExt:
-		return []ref{n.child}
+		return n.children[:1]
 	default:
 		return nil
 	}

@@ -127,7 +127,7 @@ func (t *Trie) FlushRoot(ns NodeSource) (written int, err error) {
 				return err
 			}
 		case kindExt:
-			if err := walk(n.child); err != nil {
+			if err := walk(n.children[0]); err != nil {
 				return err
 			}
 		}

@@ -91,11 +91,14 @@ func (t *Trie) Prove(key [KeySize]byte) (*Proof, error) {
 // node backend, because the faulted nodes re-hash to the same commitments.
 // Refs are walked by value; faulted nodes are never installed into shared
 // state, keeping concurrent Views race-free.
+//
+// The descent records the inner nodes it crosses, then fillProof builds
+// the proof from them in exactly sized buffers.
 func proveRef(rs resolver, root ref, key [KeySize]byte) (*Proof, error) {
-	remaining := keyToPath(key)
+	kp := keyToPath(key)
+	var crossed [keyBits]*node // every crossing consumes at least one key bit
+	depth, pos := 0, 0
 	cur := root
-	proof := &Proof{}
-
 	for {
 		if cur.sealed {
 			return nil, ErrSealed
@@ -103,10 +106,7 @@ func proveRef(rs resolver, root ref, key [KeySize]byte) (*Proof, error) {
 		if cur.node == nil && cur.hash.IsZero() {
 			// Provably absent: empty trie or — impossible in a compressed
 			// trie below the root — an empty slot.
-			proof.Membership = false
-			proof.terminal = terminalNone
-			reverseItems(proof.Items)
-			return proof, nil
+			return fillProof(&kp, crossed[:depth], nil, false), nil
 		}
 		n, err := rs.resolve(cur)
 		if err != nil {
@@ -114,62 +114,65 @@ func proveRef(rs resolver, root ref, key [KeySize]byte) (*Proof, error) {
 		}
 		switch n.kind {
 		case kindLeaf:
-			if n.path.equal(remaining) {
-				if n.sealed {
-					// A sealed key can be proven neither present nor
-					// absent; the data backing either statement is gone.
-					return nil, ErrSealed
-				}
-				proof.Membership = true
-				proof.terminal = terminalLeaf
-				proof.LeafPath = n.path.pack()
-				proof.LeafPathLen = len(n.path)
-			} else {
-				proof.Membership = false
-				proof.terminal = terminalLeaf
-				proof.LeafPath = n.path.pack()
-				proof.LeafPathLen = len(n.path)
-				proof.LeafValue = n.value
+			member := n.holds(&kp, pos)
+			if member && n.sealed {
+				// A sealed key can be proven neither present nor absent;
+				// the data backing either statement is gone.
+				return nil, ErrSealed
 			}
-			reverseItems(proof.Items)
-			return proof, nil
+			return fillProof(&kp, crossed[:depth], n, member), nil
 		case kindExt:
-			c := commonPrefixLen(n.path, remaining)
-			if c < len(n.path) {
-				proof.Membership = false
-				proof.terminal = terminalExt
-				proof.ExtPath = n.path.pack()
-				proof.ExtPathLen = len(n.path)
-				proof.ExtChild = n.child.hash
-				reverseItems(proof.Items)
-				return proof, nil
+			if n.path.matchLen(&kp, pos) < n.path.len() {
+				return fillProof(&kp, crossed[:depth], n, false), nil
 			}
-			proof.Items = append(proof.Items, AscentItem{
-				Kind:    AscentExt,
-				Path:    n.path.pack(),
-				PathLen: len(n.path),
-			})
-			remaining = remaining[c:]
-			cur = n.child
+			pos += n.path.len()
+			cur = n.children[0]
 		case kindBranch:
-			b := remaining[0]
-			proof.Items = append(proof.Items, AscentItem{
-				Kind:    AscentBranch,
-				Bit:     b,
-				Sibling: n.children[1-b].hash,
-			})
-			remaining = remaining[1:]
-			cur = n.children[b]
+			cur = n.children[kp.bit(pos)]
+			pos++
 		default:
 			return nil, fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
 		}
+		crossed[depth] = n
+		depth++
 	}
 }
 
-func reverseItems(items []AscentItem) {
-	for i, j := 0, len(items)-1; i < j; i, j = i+1, j-1 {
-		items[i], items[j] = items[j], items[i]
+// fillProof builds the proof for key kp from the inner nodes the descent
+// crossed (root first) and the node it stopped at: a leaf (the key's own
+// when member), a diverging extension, or none for an empty slot. The
+// items go into one exact-size slice, deepest first, and ownPaths copies
+// the node paths they alias into one buffer.
+func fillProof(kp *path, crossed []*node, term *node, member bool) *Proof {
+	proof := &Proof{Membership: member, Items: make([]AscentItem, len(crossed))}
+	pos := 0
+	for i, n := range crossed {
+		it := &proof.Items[len(crossed)-1-i]
+		if n.kind == kindExt {
+			*it = AscentItem{Kind: AscentExt, Path: n.path.packed(), PathLen: n.path.len()}
+			pos += n.path.len()
+			continue
+		}
+		b := kp.bit(pos)
+		*it = AscentItem{Kind: AscentBranch, Bit: b, Sibling: n.children[1-b].hash}
+		pos++
 	}
+	switch {
+	case term == nil:
+		proof.terminal = terminalNone
+	case term.kind == kindLeaf:
+		proof.terminal = terminalLeaf
+		proof.LeafPath, proof.LeafPathLen = term.path.packed(), term.path.len()
+		if !member {
+			proof.LeafValue = term.value
+		}
+	default:
+		proof.terminal = terminalExt
+		proof.ExtPath, proof.ExtPathLen = term.path.packed(), term.path.len()
+		proof.ExtChild = term.children[0].hash
+	}
+	proof.ownPaths()
+	return proof
 }
 
 // VerifyMembership checks that proof demonstrates key ↦ value under root.
@@ -180,17 +183,19 @@ func VerifyMembership(root cryptoutil.Hash, key [KeySize]byte, value cryptoutil.
 	if value.IsZero() {
 		return fmt.Errorf("%w: zero value", ErrBadProof)
 	}
-	keyPath := keyToPath(key)
+	kp := keyToPath(key)
 	prefixLen := ascentBits(proof.Items)
-	leafPath := unpackPath(proof.LeafPath, proof.LeafPathLen)
-	if prefixLen+len(leafPath) != keyBits {
+	leafPath, err := proofPath(proof.LeafPath, proof.LeafPathLen)
+	if err != nil {
+		return err
+	}
+	if prefixLen+leafPath.len() != keyBits {
 		return fmt.Errorf("%w: path length mismatch", ErrBadProof)
 	}
-	if !leafPath.equal(keyPath[prefixLen:]) {
+	if leafPath.matchLen(&kp, prefixLen) != leafPath.len() {
 		return fmt.Errorf("%w: leaf path does not match key", ErrBadProof)
 	}
-	h := leafHash(leafPath, value)
-	got, err := climb(h, keyPath[:prefixLen], proof.Items)
+	got, err := climb(leafHash(&leafPath, value), &kp, prefixLen, proof.Items)
 	if err != nil {
 		return err
 	}
@@ -206,9 +211,10 @@ func VerifyNonMembership(root cryptoutil.Hash, key [KeySize]byte, proof *Proof) 
 	if proof == nil || proof.Membership {
 		return fmt.Errorf("%w: not a non-membership proof", ErrBadProof)
 	}
-	keyPath := keyToPath(key)
+	kp := keyToPath(key)
 	prefixLen := ascentBits(proof.Items)
 
+	var h cryptoutil.Hash
 	switch proof.terminal {
 	case terminalNone:
 		if len(proof.Items) != 0 || !root.IsZero() {
@@ -216,46 +222,43 @@ func VerifyNonMembership(root cryptoutil.Hash, key [KeySize]byte, proof *Proof) 
 		}
 		return nil
 	case terminalLeaf:
-		leafPath := unpackPath(proof.LeafPath, proof.LeafPathLen)
-		if prefixLen+len(leafPath) != keyBits {
+		leafPath, err := proofPath(proof.LeafPath, proof.LeafPathLen)
+		if err != nil {
+			return err
+		}
+		if prefixLen+leafPath.len() != keyBits {
 			return fmt.Errorf("%w: path length mismatch", ErrBadProof)
 		}
-		if leafPath.equal(keyPath[prefixLen:]) {
+		if leafPath.matchLen(&kp, prefixLen) == leafPath.len() {
 			return fmt.Errorf("%w: leaf path equals key; key may be present", ErrBadProof)
 		}
 		if proof.LeafValue.IsZero() {
 			return fmt.Errorf("%w: diverging leaf missing value", ErrBadProof)
 		}
-		h := leafHash(leafPath, proof.LeafValue)
-		got, err := climb(h, keyPath[:prefixLen], proof.Items)
+		h = leafHash(&leafPath, proof.LeafValue)
+	case terminalExt:
+		extPath, err := proofPath(proof.ExtPath, proof.ExtPathLen)
 		if err != nil {
 			return err
 		}
-		if got != root {
-			return fmt.Errorf("%w: root mismatch", ErrBadProof)
-		}
-		return nil
-	case terminalExt:
-		extPath := unpackPath(proof.ExtPath, proof.ExtPathLen)
-		if prefixLen+len(extPath) > keyBits {
+		if prefixLen < 0 || prefixLen+extPath.len() > keyBits {
 			return fmt.Errorf("%w: path overrun", ErrBadProof)
 		}
-		c := commonPrefixLen(extPath, keyPath[prefixLen:])
-		if c == len(extPath) {
+		if extPath.matchLen(&kp, prefixLen) == extPath.len() {
 			return fmt.Errorf("%w: extension matches key; key may be present", ErrBadProof)
 		}
-		h := extHash(extPath, proof.ExtChild)
-		got, err := climb(h, keyPath[:prefixLen], proof.Items)
-		if err != nil {
-			return err
-		}
-		if got != root {
-			return fmt.Errorf("%w: root mismatch", ErrBadProof)
-		}
-		return nil
+		h = extHash(&extPath, proof.ExtChild)
 	default:
 		return fmt.Errorf("%w: unknown terminal", ErrBadProof)
 	}
+	got, err := climb(h, &kp, prefixLen, proof.Items)
+	if err != nil {
+		return err
+	}
+	if got != root {
+		return fmt.Errorf("%w: root mismatch", ErrBadProof)
+	}
+	return nil
 }
 
 // ascentBits counts the key bits consumed by the ascent items.
@@ -272,11 +275,20 @@ func ascentBits(items []AscentItem) int {
 	return n
 }
 
+// proofPath reads one of a proof's packed paths.
+func proofPath(packed []byte, bits int) (path, error) {
+	p, err := packedPath(packed, bits)
+	if err != nil {
+		return p, fmt.Errorf("%w: %w", ErrBadProof, err)
+	}
+	return p, nil
+}
+
 // climb recomputes the root from a terminal hash h, walking the ascent
 // items (deepest first) and checking every consumed bit against the key
-// prefix (deepest bits last in keyPrefix).
-func climb(h cryptoutil.Hash, keyPrefix path, items []AscentItem) (cryptoutil.Hash, error) {
-	pos := len(keyPrefix)
+// kp's first prefixLen bits, deepest bits last.
+func climb(h cryptoutil.Hash, kp *path, prefixLen int, items []AscentItem) (cryptoutil.Hash, error) {
+	pos := prefixLen
 	for _, it := range items {
 		switch it.Kind {
 		case AscentBranch:
@@ -284,7 +296,7 @@ func climb(h cryptoutil.Hash, keyPrefix path, items []AscentItem) (cryptoutil.Ha
 				return cryptoutil.ZeroHash, fmt.Errorf("%w: ascent underflow", ErrBadProof)
 			}
 			pos--
-			b := keyPrefix[pos]
+			b := kp.bit(pos)
 			if b != it.Bit {
 				return cryptoutil.ZeroHash, fmt.Errorf("%w: branch bit mismatch", ErrBadProof)
 			}
@@ -297,12 +309,15 @@ func climb(h cryptoutil.Hash, keyPrefix path, items []AscentItem) (cryptoutil.Ha
 			if pos < it.PathLen {
 				return cryptoutil.ZeroHash, fmt.Errorf("%w: ascent underflow", ErrBadProof)
 			}
+			p, err := proofPath(it.Path, it.PathLen)
+			if err != nil {
+				return cryptoutil.ZeroHash, err
+			}
 			pos -= it.PathLen
-			p := unpackPath(it.Path, it.PathLen)
-			if !p.equal(keyPrefix[pos : pos+it.PathLen]) {
+			if p.matchLen(kp, pos) != p.len() {
 				return cryptoutil.ZeroHash, fmt.Errorf("%w: extension path mismatch", ErrBadProof)
 			}
-			h = extHash(p, h)
+			h = extHash(&p, h)
 		default:
 			return cryptoutil.ZeroHash, fmt.Errorf("%w: unknown ascent kind", ErrBadProof)
 		}

@@ -48,7 +48,7 @@ type Trie struct {
 	nodeCount   int // live (unsealed, allocated) nodes in the head version
 	leafCount   int // live (unsealed) leaves, maintained so Len is O(1)
 	sealedCount int // refs currently marked sealed
-	maxNodes    int // 0 = unlimited
+	maxNodes    int // 0 = unlimited, < 0 = no room at all
 
 	// Cumulative counters used by the storage experiments. They describe
 	// the logical head version only: copy-on-write copies are neither
@@ -66,10 +66,10 @@ type Trie struct {
 	versions map[Version]ref
 	fresh    int
 
-	// pathScratch and stackScratch back the descent of the current
-	// mutation (Set/Seal/Delete). They rely on writes being serialised; the read-only walkers (lookupRef, proveRef) never touch
-	// them, so concurrent Views of retained versions stay safe.
-	pathScratch  [keyBits]byte
+	// stackScratch backs the ancestor stack of the current mutation
+	// (Set/Seal/Delete). It relies on writes being serialised; the
+	// read-only walkers (lookupRef, proveRef) never touch it, so
+	// concurrent Views of retained versions stay safe.
 	stackScratch []*ref
 
 	// ns is the optional content-addressed node backend (see nodesource.go).
@@ -83,14 +83,21 @@ type Option func(*Trie)
 
 // WithCapacity limits the number of live nodes, modelling a fixed-size
 // account. Operations that would allocate past the limit fail with ErrFull.
+// Zero means unlimited.
 func WithCapacity(maxNodes int) Option {
 	return func(t *Trie) { t.maxNodes = maxNodes }
 }
 
 // WithCapacityBytes limits the arena by modelled storage bytes
-// (storageBytes per node).
+// (storageBytes per node). Zero means unlimited; a positive cap smaller
+// than one node holds none, so every allocation fails with ErrFull.
 func WithCapacityBytes(maxBytes int) Option {
-	return func(t *Trie) { t.maxNodes = maxBytes / storageBytes }
+	return func(t *Trie) {
+		t.maxNodes = maxBytes / storageBytes
+		if maxBytes > 0 && t.maxNodes == 0 {
+			t.maxNodes = -1
+		}
+	}
 }
 
 // New returns an empty trie.
@@ -139,7 +146,7 @@ func (t *Trie) writeRev() uint64 {
 // operation that allocates more than once reserves its net growth before
 // it touches anything, so a full arena never leaves it half applied.
 func (t *Trie) reserve(n int) error {
-	if t.maxNodes > 0 && t.nodeCount+n > t.maxNodes {
+	if t.maxNodes != 0 && t.nodeCount+n > t.maxNodes {
 		return ErrFull
 	}
 	return nil
@@ -187,16 +194,10 @@ func (t *Trie) ensureOwned(cur *ref) *node {
 	return cur.node
 }
 
-// descentPath unpacks key into the trie's mutation scratch. The returned
-// path is valid only until the next mutation begins; node paths derived
-// from it must be clone()d before being stored, which Set/Seal/Delete
-// already guarantee.
-func (t *Trie) descentPath(key [KeySize]byte) path {
-	p := path(t.pathScratch[:])
-	for i := 0; i < keyBits; i++ {
-		p[i] = (key[i/8] >> (7 - uint(i%8))) & 1
-	}
-	return p
+// holds reports whether leaf n holds the key kp, whose bits from pos on
+// remain after the descent to n.
+func (n *node) holds(kp *path, pos int) bool {
+	return pos+n.path.len() == keyBits && n.path.matchLen(kp, pos) == n.path.len()
 }
 
 // mutStack returns the reusable (empty) ancestor stack for a mutation. Its
@@ -224,7 +225,8 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 	if value.IsZero() {
 		return ErrZeroValue
 	}
-	remaining := t.descentPath(key)
+	kp := keyToPath(key)
+	pos := 0
 	cur := &t.root
 	stack := t.mutStack()
 
@@ -241,7 +243,7 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 				// (unreachable once materialise has run with a source).
 				return ErrSealed
 			}
-			leaf, err := t.alloc(&node{kind: kindLeaf, path: remaining.clone(), value: value})
+			leaf, err := t.alloc(&node{kind: kindLeaf, path: kp.slice(pos, keyBits), value: value})
 			if err != nil {
 				return err
 			}
@@ -254,8 +256,8 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 		n := t.ensureOwned(cur)
 		switch n.kind {
 		case kindLeaf:
-			c := commonPrefixLen(n.path, remaining)
-			if c == len(n.path) && c == len(remaining) {
+			c := n.path.matchLen(&kp, pos)
+			if c == n.path.len() && pos+c == keyBits {
 				if n.sealed {
 					// Double-delivery guard (Alg. 1 line 37): a sealed
 					// key can never be written again.
@@ -266,30 +268,30 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 				t.rehash(stack)
 				return nil
 			}
-			if err := t.splitLeaf(cur, n, remaining, value, c); err != nil {
+			if err := t.splitLeaf(cur, n, &kp, pos, value, c); err != nil {
 				return err
 			}
 			t.rehash(stack)
 			return nil
 		case kindExt:
-			c := commonPrefixLen(n.path, remaining)
-			if c == len(n.path) {
-				remaining = remaining[c:]
+			c := n.path.matchLen(&kp, pos)
+			if c == n.path.len() {
+				pos += c
 				stack = append(stack, cur)
-				cur = &n.child
+				cur = &n.children[0]
 				continue
 			}
-			if err := t.splitExt(cur, n, remaining, value, c); err != nil {
+			if err := t.splitExt(cur, n, &kp, pos, value, c); err != nil {
 				return err
 			}
 			t.rehash(stack)
 			return nil
 		case kindBranch:
-			if len(remaining) == 0 {
+			if pos == keyBits {
 				return fmt.Errorf("trie: internal: key exhausted at branch")
 			}
-			b := remaining[0]
-			remaining = remaining[1:]
+			b := kp.bit(pos)
+			pos++
 			stack = append(stack, cur)
 			cur = &n.children[b]
 		default:
@@ -299,13 +301,10 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 }
 
 // splitLeaf replaces the leaf held by cur with a structure distinguishing
-// the existing leaf from the new (key remainder, value) pair. c is the
-// common prefix length; because keys are fixed length, both remainders are
-// non-empty and differ at bit c.
-func (t *Trie) splitLeaf(cur *ref, old *node, remaining path, value cryptoutil.Hash, c int) error {
-	oldRest := old.path[c:]
-	newRest := remaining[c:]
-
+// the existing leaf from the new (key remainder, value) pair; the key's
+// remainder is kp from bit pos on. c is the common prefix length; because
+// keys are fixed length, both remainders are non-empty and differ at bit c.
+func (t *Trie) splitLeaf(cur *ref, old *node, kp *path, pos int, value cryptoutil.Hash, c int) error {
 	// The new leaf and the branch, plus an extension above them when the
 	// two keys share a prefix.
 	grow := 2
@@ -315,67 +314,64 @@ func (t *Trie) splitLeaf(cur *ref, old *node, remaining path, value cryptoutil.H
 	if err := t.reserve(grow); err != nil {
 		return err
 	}
-	newLeaf := t.take(&node{kind: kindLeaf, path: newRest[1:].clone(), value: value})
+	newLeaf := t.take(&node{kind: kindLeaf, path: kp.slice(pos+c+1, keyBits), value: value})
 	br := t.take(&node{kind: kindBranch})
 	// Reuse the old leaf node with a shortened path.
-	old.path = oldRest[1:].clone()
-	br.children[oldRest[0]] = ref{hash: old.hash(), node: old}
-	br.children[newRest[0]] = ref{hash: newLeaf.hash(), node: newLeaf}
+	oldBit := old.path.bit(c)
+	old.path = old.path.slice(c+1, old.path.len())
+	br.children[oldBit] = ref{hash: old.hash(), node: old}
+	br.children[kp.bit(pos+c)] = ref{hash: newLeaf.hash(), node: newLeaf}
 	t.leafCount++
+	t.branchOff(cur, br, kp, pos, c)
+	return nil
+}
 
+// branchOff installs a split's new branch at cur, under an extension over
+// the c bits of kp from pos on that the two keys share, if any.
+func (t *Trie) branchOff(cur *ref, br *node, kp *path, pos, c int) {
 	if c == 0 {
 		cur.node = br
 		cur.hash = br.hash()
-		return nil
+		return
 	}
-	ext := t.take(&node{kind: kindExt, path: remaining[:c].clone()})
-	ext.child = ref{hash: br.hash(), node: br}
+	ext := t.take(&node{kind: kindExt, path: kp.slice(pos, pos+c)})
+	ext.children[0] = ref{hash: br.hash(), node: br}
 	cur.node = ext
 	cur.hash = ext.hash()
-	return nil
 }
 
 // splitExt replaces the extension held by cur so the new key can branch off
 // at bit c of the extension's path.
-func (t *Trie) splitExt(cur *ref, old *node, remaining path, value cryptoutil.Hash, c int) error {
-	oldRest := old.path[c:] // >= 1 bit
-	newRest := remaining[c:]
+func (t *Trie) splitExt(cur *ref, old *node, kp *path, pos int, value cryptoutil.Hash, c int) error {
+	oldRest := old.path.len() - c // >= 1 bit
 
 	// The new leaf and the branch, plus an extension above them when the
 	// key shares a prefix with the old one — unless the old extension has
 	// a single bit left: the branch absorbs it, and the slot it frees
 	// pays for the new extension.
 	grow := 2
-	if c > 0 && len(oldRest) > 1 {
+	if c > 0 && oldRest > 1 {
 		grow = 3
 	}
 	if err := t.reserve(grow); err != nil {
 		return err
 	}
-	newLeaf := t.take(&node{kind: kindLeaf, path: newRest[1:].clone(), value: value})
+	newLeaf := t.take(&node{kind: kindLeaf, path: kp.slice(pos+c+1, keyBits), value: value})
 	br := t.take(&node{kind: kindBranch})
 
-	// The old extension's child goes under oldRest[0], via a shortened
+	// The old extension's child goes under its bit c, via a shortened
 	// extension if bits remain.
-	if len(oldRest) == 1 {
-		br.children[oldRest[0]] = old.child
+	oldBit := old.path.bit(c)
+	if oldRest == 1 {
+		br.children[oldBit] = old.children[0]
 		t.free(old)
 	} else {
-		old.path = oldRest[1:].clone()
-		br.children[oldRest[0]] = ref{hash: old.hash(), node: old}
+		old.path = old.path.slice(c+1, old.path.len())
+		br.children[oldBit] = ref{hash: old.hash(), node: old}
 	}
-	br.children[newRest[0]] = ref{hash: newLeaf.hash(), node: newLeaf}
+	br.children[kp.bit(pos+c)] = ref{hash: newLeaf.hash(), node: newLeaf}
 	t.leafCount++
-
-	if c == 0 {
-		cur.node = br
-		cur.hash = br.hash()
-		return nil
-	}
-	ext := t.take(&node{kind: kindExt, path: remaining[:c].clone()})
-	ext.child = ref{hash: br.hash(), node: br}
-	cur.node = ext
-	cur.hash = ext.hash()
+	t.branchOff(cur, br, kp, pos, c)
 	return nil
 }
 
@@ -391,7 +387,8 @@ func (t *Trie) Get(key [KeySize]byte) (cryptoutil.Hash, error) {
 // installed into shared state — which is what lets Views of retained
 // versions share it with the live head, race-free.
 func lookupRef(rs resolver, root ref, key [KeySize]byte) (cryptoutil.Hash, error) {
-	remaining := keyToPath(key)
+	kp := keyToPath(key)
+	pos := 0
 	cur := root
 	for {
 		if cur.sealed {
@@ -406,7 +403,7 @@ func lookupRef(rs resolver, root ref, key [KeySize]byte) (cryptoutil.Hash, error
 		}
 		switch n.kind {
 		case kindLeaf:
-			if n.path.equal(remaining) {
+			if n.holds(&kp, pos) {
 				if n.sealed {
 					return cryptoutil.ZeroHash, ErrSealed
 				}
@@ -414,16 +411,14 @@ func lookupRef(rs resolver, root ref, key [KeySize]byte) (cryptoutil.Hash, error
 			}
 			return cryptoutil.ZeroHash, ErrNotFound
 		case kindExt:
-			c := commonPrefixLen(n.path, remaining)
-			if c < len(n.path) {
+			if n.path.matchLen(&kp, pos) < n.path.len() {
 				return cryptoutil.ZeroHash, ErrNotFound
 			}
-			remaining = remaining[c:]
-			cur = n.child
+			pos += n.path.len()
+			cur = n.children[0]
 		case kindBranch:
-			b := remaining[0]
-			remaining = remaining[1:]
-			cur = n.children[b]
+			cur = n.children[kp.bit(pos)]
+			pos++
 		default:
 			return cryptoutil.ZeroHash, fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
 		}
@@ -452,7 +447,8 @@ func (t *Trie) Has(key [KeySize]byte) (bool, error) {
 // nodes are freed — this is the disk-reclamation mechanism that bounds the
 // guest blockchain's storage.
 func (t *Trie) Seal(key [KeySize]byte) error {
-	remaining := t.descentPath(key)
+	kp := keyToPath(key)
+	pos := 0
 	cur := &t.root
 	stack := t.mutStack()
 
@@ -469,7 +465,7 @@ func (t *Trie) Seal(key [KeySize]byte) error {
 		n := t.ensureOwned(cur)
 		switch n.kind {
 		case kindLeaf:
-			if !n.path.equal(remaining) {
+			if !n.holds(&kp, pos) {
 				return ErrNotFound
 			}
 			if n.sealed {
@@ -480,16 +476,15 @@ func (t *Trie) Seal(key [KeySize]byte) error {
 			t.collapseSaturated(stack)
 			return nil
 		case kindExt:
-			c := commonPrefixLen(n.path, remaining)
-			if c < len(n.path) {
+			if n.path.matchLen(&kp, pos) < n.path.len() {
 				return ErrNotFound
 			}
-			remaining = remaining[c:]
+			pos += n.path.len()
 			stack = append(stack, cur)
-			cur = &n.child
+			cur = &n.children[0]
 		case kindBranch:
-			b := remaining[0]
-			remaining = remaining[1:]
+			b := kp.bit(pos)
+			pos++
 			stack = append(stack, cur)
 			cur = &n.children[b]
 		default:
@@ -506,7 +501,7 @@ func saturated(r *ref) bool {
 		return true
 	}
 	n := r.node
-	return n != nil && n.kind == kindLeaf && n.sealed && len(n.path) == 0
+	return n != nil && n.kind == kindLeaf && n.sealed && n.path.len() == 0
 }
 
 // collapseSaturated walks ancestors from deepest to shallowest, replacing
@@ -552,7 +547,8 @@ func (t *Trie) collapseSaturated(stack []*ref) {
 // Contract only deletes entries it never seals, e.g. packet commitments
 // cleared on acknowledgement.)
 func (t *Trie) Delete(key [KeySize]byte) error {
-	remaining := t.descentPath(key)
+	kp := keyToPath(key)
+	pos := 0
 	cur := &t.root
 	stack := t.mutStack()
 
@@ -569,7 +565,7 @@ func (t *Trie) Delete(key [KeySize]byte) error {
 		n := t.ensureOwned(cur)
 		switch n.kind {
 		case kindLeaf:
-			if !n.path.equal(remaining) {
+			if !n.holds(&kp, pos) {
 				return ErrNotFound
 			}
 			if n.sealed {
@@ -577,16 +573,15 @@ func (t *Trie) Delete(key [KeySize]byte) error {
 			}
 			return t.deleteLeaf(cur, stack)
 		case kindExt:
-			c := commonPrefixLen(n.path, remaining)
-			if c < len(n.path) {
+			if n.path.matchLen(&kp, pos) < n.path.len() {
 				return ErrNotFound
 			}
-			remaining = remaining[c:]
+			pos += n.path.len()
 			stack = append(stack, cur)
-			cur = &n.child
+			cur = &n.children[0]
 		case kindBranch:
-			b := remaining[0]
-			remaining = remaining[1:]
+			b := kp.bit(pos)
+			pos++
 			stack = append(stack, cur)
 			cur = &n.children[b]
 		default:
@@ -653,7 +648,7 @@ func (t *Trie) deleteLeaf(cur *ref, stack []*ref) error {
 	// merge the two paths.
 	if len(stack) > 0 {
 		gp := stack[len(stack)-1]
-		if gp.node.kind == kindExt && parent == &gp.node.child {
+		if gp.node.kind == kindExt && parent == &gp.node.children[0] {
 			if err := t.mergeExtChild(gp); err != nil {
 				return err
 			}
@@ -670,14 +665,11 @@ func (t *Trie) deleteLeaf(cur *ref, stack []*ref) error {
 func (t *Trie) mergeDown(bit byte, sib ref) (ref, error) {
 	n := sib.node
 	switch n.kind {
-	case kindLeaf:
-		n.path = append(path{bit}, n.path...)
-		return ref{hash: n.hash(), node: n}, nil
-	case kindExt:
-		n.path = append(path{bit}, n.path...)
+	case kindLeaf, kindExt:
+		n.path = bitPath(bit).concat(n.path)
 		return ref{hash: n.hash(), node: n}, nil
 	case kindBranch:
-		ext, err := t.alloc(&node{kind: kindExt, path: path{bit}, child: sib})
+		ext, err := t.alloc(&node{kind: kindExt, path: bitPath(bit), children: [2]ref{sib}})
 		if err != nil {
 			return ref{}, err
 		}
@@ -691,16 +683,16 @@ func (t *Trie) mergeDown(bit byte, sib ref) (ref, error) {
 // itself an extension or a leaf, concatenating paths.
 func (t *Trie) mergeExtChild(gp *ref) error {
 	ext := gp.node
-	if err := t.materialise(&ext.child); err != nil {
+	if err := t.materialise(&ext.children[0]); err != nil {
 		return err
 	}
-	child := t.ensureOwned(&ext.child)
+	child := t.ensureOwned(&ext.children[0])
 	if child == nil {
 		return nil
 	}
 	switch child.kind {
 	case kindLeaf, kindExt:
-		child.path = append(ext.path.clone(), child.path...)
+		child.path = ext.path.concat(child.path)
 		t.free(ext)
 		gp.node = child
 		gp.hash = child.hash()
@@ -793,15 +785,14 @@ func keysFrom(rs resolver, root ref) [][KeySize]byte {
 			if n.sealed {
 				return
 			}
-			full := append(prefix.clone(), n.path...)
-			out = append(out, pathToKey(full))
+			out = append(out, prefix.concat(n.path).b)
 		case kindExt:
-			walk(n.child, append(prefix.clone(), n.path...))
+			walk(n.children[0], prefix.concat(n.path))
 		case kindBranch:
-			walk(n.children[0], append(prefix.clone(), 0))
-			walk(n.children[1], append(prefix.clone(), 1))
+			walk(n.children[0], prefix.concat(bitPath(0)))
+			walk(n.children[1], prefix.concat(bitPath(1)))
 		}
 	}
-	walk(root, nil)
+	walk(root, path{})
 	return out
 }
