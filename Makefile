@@ -68,6 +68,9 @@ lint: lint-deprecated
 # Trie paths are packed bit strings held inline in the node and read by bit
 # index: the bit-per-byte unpacking, re-packing, prefix and scratch helpers
 # and the proof-item reversal stay retired in internal/trie.
+# Guest-sourced packets and acks reach the peer through the shards and
+# flush, like a cosmos source's: the guest end's own per-packet delivery,
+# per-ack relay and per-lane ack backlog stay retired in internal/relayer.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -137,6 +140,11 @@ lint-deprecated:
 	@bad=$$(grep -rnE 'unpackPath|appendPacked|commonPrefixLen|descentPath|pathScratch|reverseItems' --include='*.go' internal/trie); \
 	if [ -n "$$bad" ]; then \
 		echo "retired bit-per-byte path helpers (a trie path is the packed form: matchLen, slice, concat and bit on internal/trie's path):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE 'deliverEntry|relayAcks|ackBacklog' --include='*.go' internal/relayer); \
+	if [ -n "$$bad" ]; then \
+		echo "retired guest-source delivery (a landed guest header queues its block's work on the shards and flushes; see guestEnd.landed):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/counterparty"
 	"repro/internal/guest"
+	"repro/internal/guestblock"
 	"repro/internal/host"
 	"repro/internal/ibc"
 	"repro/internal/lightclient/tendermint"
@@ -626,7 +627,7 @@ func TestEngine(t *testing.T) {
 				r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 5}
 				left := new(int)
 				if cut {
-					left = e.cutMidJob(r.ends[1].(*guestEnd).lanes[1].pc, "ack-packet/chunk", func() {})
+					left = e.cutMidJob(r.ends[1].(*guestEnd).lanes[1], "ack-packet/chunk", func() {})
 				}
 				for i := 0; i < n; i++ {
 					e.send(t, amt, 0)
@@ -793,7 +794,7 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 	r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 5}
 	e.scanTimeouts()
 	bank := r.shards[1]
-	lane := r.ends[1].(*guestEnd).lanes[bank.index].pc
+	lane := r.ends[1].(*guestEnd).lanes[bank.index]
 
 	const amount = 10
 	// The first packet expires before the cosmos chain has even committed it.
@@ -928,6 +929,93 @@ func TestRefusedGuestAckRequeued(t *testing.T) {
 	}
 	if a, c := e.counter("acks"), e.counter("ch."+string(e.awayCh)+".acks_to_cp"); a != 1 || c != 1 {
 		t.Errorf("acks = %d, acks_to_cp = %d, want 1 each (exactly once)", a, c)
+	}
+}
+
+// TestRefusedGuestRecvRequeued: the header pump pushes the header of the
+// guest block that carries a packet, and the cosmos chain's client is
+// handed a header it already holds instead, which its front-end answers as
+// applied. The recv the landing flushes, proved at a height the client never
+// reached, is refused. It goes back to its shard, the engine updates the
+// client to the guest's head and submits it again: bob is paid exactly once.
+func TestRefusedGuestRecvRequeued(t *testing.T) {
+	e := newLinkEnv(t, guestLink, netsim.Config{})
+	st := e.guestState(t)
+	client, err := e.away.Handler().Client(e.cfg.A.ClientOfPeer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := uint64(0)
+	e.intercept = func(node netsim.NodeID, tx *netsim.MsgTx) {
+		m, ok := tx.Msgs[0].(netsim.MsgUpdateClient)
+		if node != e.cfg.A.Node || !ok || m.ClientID != e.cfg.A.ClientOfPeer || stale != 0 {
+			return
+		}
+		stale = uint64(client.LatestHeight())
+		entry, err := st.Entry(stale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Header = entry.SignedBlock().Marshal()
+		tx.Msgs = append([]any{m}, tx.Msgs[1:]...)
+	}
+	e.send(t, 25, 0)
+	e.sched.RunFor(10 * time.Minute)
+
+	if stale == 0 {
+		t.Fatal("no header was pushed to the cosmos chain; the scenario did not run")
+	}
+	if got := len(recvSeqs(e.txs[e.cfg.A.Node]...)); got != 2 {
+		t.Errorf("the recv was submitted %d times, want it refused and submitted again", got)
+	}
+	e.wantTransferred(t, 25, 25)
+	if d, a := e.counter("delivered"), e.counter("acks"); d != 1 || a != 1 {
+		t.Errorf("delivered = %d, acks = %d, want 1 each (exactly once)", d, a)
+	}
+}
+
+// TestGuestAcksRideOneHeader: three cosmos packets reach the guest in one
+// recv job, so one guest block commits their three acks. The cosmos chain's
+// client learns that block from one header push, which the three acks ride.
+func TestGuestAcksRideOneHeader(t *testing.T) {
+	e := newLinkEnv(t, guestLink, netsim.Config{})
+	for i := 0; i < 3; i++ {
+		e.sendBack(t, 10, 0)
+	}
+	e.sched.RunFor(10 * time.Minute)
+
+	pushes := map[uint64]int{}
+	ackHeights := map[uint64]int{}
+	for _, tx := range e.txs[e.cfg.A.Node] {
+		for _, m := range tx.Msgs {
+			switch m := m.(type) {
+			case netsim.MsgUpdateClient:
+				sb, err := guestblock.UnmarshalSignedBlock(m.Header)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pushes[sb.Block.Height]++
+			case netsim.MsgAckPacket:
+				ackHeights[uint64(m.ProofHeight)]++
+			}
+		}
+	}
+	if len(ackHeights) != 1 {
+		t.Fatalf("acks proved at heights %v, want one block committing all three; the scenario did not run", ackHeights)
+	}
+	for h, n := range ackHeights {
+		if n != 3 {
+			t.Fatalf("%d acks proved at height %d, want 3", n, h)
+		}
+		if pushes[h] != 1 {
+			t.Errorf("the header of guest block %d was pushed %d times, want once for its three acks", h, pushes[h])
+		}
+	}
+	if got := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"); got != 30 {
+		t.Errorf("dave holds %d vouchers, want 30", got)
+	}
+	if d, a := e.counter("delivered"), e.counter("acks"); d != 3 || a != 3 {
+		t.Errorf("delivered = %d, acks = %d, want 3 each", d, a)
 	}
 }
 

@@ -17,11 +17,13 @@ import (
 
 // guestEnd is the guest blockchain: a contract on the host chain.
 //
-// As a source it does not queue work for the engine's update rule. Alg. 2
-// decides which guest headers its peer must learn — every finalised block
-// that carries packets or rotates the epoch, in height order — and the
-// block's packets follow each header; acks written on the guest ride the
-// next finalised block the same way.
+// As a source, Alg. 2's header pump decides which guest headers its peer
+// learns: every finalised block that carries this relayer's packets,
+// commits acks the guest wrote, or rotates the epoch, in height order. When
+// a header lands, the block's packets and acks go on their shards at its
+// height and the engine flushes them, so batching and the failure rules
+// cover them as they cover a cosmos source's work; a header the peer
+// refuses leaves them there for the engine's update rule.
 //
 // As a sink every datagram becomes a sequence of size-limited host
 // transactions submitted by a pacer, one per channel plus the root pacer
@@ -38,18 +40,23 @@ type guestEnd struct {
 
 	cursor host.Slot // last host block scanned
 
-	// lanes[i] is shard i's paced submitter and ack backlog; root is lane
-	// 0's pacer. queuedJobs aggregates job-queue depth across all pacers.
-	lanes      []*lane
+	// lanes[i] is shard i's paced submitter; root is lane 0's.
+	// queuedJobs aggregates job-queue depth across all pacers.
+	lanes      []*pacer
 	root       *pacer
 	queuedJobs int64
+
+	// acks are acks the guest wrote for peer-sent packets, awaiting the
+	// header of the finalised block that commits them; their height is that
+	// block's, zero until one does.
+	acks []ackWork
 
 	// headers serialises header pushes in finalisation (= height) order.
 	// With pipelined guest blocks a quorum cascade finalises several
 	// entries at once; racing their updates over independently sampled
 	// latencies would let a later height land first, making the earlier
-	// ones stale at the peer's client and silently stranding their
-	// packets.
+	// ones stale at the peer's client, whose work would then wait for
+	// another update.
 	headers    []*guest.BlockEntry
 	headerBusy bool
 	// pushed is the highest guest height whose consensus state is known to
@@ -68,16 +75,6 @@ type guestEnd struct {
 	mRecvCost   *telemetry.Histogram
 	mJobLatency *telemetry.Histogram
 	mQueueDepth *telemetry.Gauge
-}
-
-// lane is the guest end's per-channel state.
-type lane struct {
-	pc *pacer
-	// rng paces this lane's peer-side latency draws.
-	rng *rand.Rand
-	// ackBacklog holds peer-sent packets delivered on the guest whose acks
-	// still need relaying back.
-	ackBacklog []ackWork
 }
 
 func newGuestEnd(r *Relayer, side int, ec EndConfig, reg *telemetry.Registry) (*guestEnd, error) {
@@ -101,17 +98,16 @@ func newGuestEnd(r *Relayer, side int, ec EndConfig, reg *telemetry.Registry) (*
 	g.mJobLatency = reg.Histogram(r.ns + ".job.latency_s")
 	g.mQueueDepth = reg.Gauge(r.ns + ".queue_depth")
 	// Lane 0 rides the relayer's root stream (single-channel byte
-	// identity); every later lane derives its own deterministic streams
+	// identity); every later lane derives its own deterministic stream
 	// from the scenario seed and the channel ID.
 	g.root = &pacer{g: g, rng: r.rng}
 	for i, ch := range r.cfg.Channels {
-		l := &lane{pc: g.root, rng: r.rng}
+		pc := g.root
 		if i > 0 {
 			seed := sim.DeriveSeed(r.cfg.Seed, "relayer/ch/"+string(ch.ChannelB))
-			l.rng = rand.New(rand.NewSource(seed))
-			l.pc = &pacer{g: g, rng: rand.New(rand.NewSource(sim.DeriveSeed(seed, "pacing")))}
+			pc = &pacer{g: g, rng: rand.New(rand.NewSource(sim.DeriveSeed(seed, "pacing")))}
 		}
-		g.lanes = append(g.lanes, l)
+		g.lanes = append(g.lanes, pc)
 	}
 	return g, nil
 }
@@ -120,13 +116,7 @@ func (g *guestEnd) peer() end { return g.r.ends[1-g.side] }
 
 func (g *guestEnd) sinkNames() (string, string) { return "recv_submitted", "acks_to_guest" }
 
-func (g *guestEnd) backlog() int {
-	n := int(g.queuedJobs) + len(g.headers)
-	for _, l := range g.lanes {
-		n += len(l.ackBacklog)
-	}
-	return n
-}
+func (g *guestEnd) backlog() int { return int(g.queuedJobs) + len(g.headers) + len(g.acks) }
 
 // --- source ---
 
@@ -139,14 +129,12 @@ func (g *guestEnd) scan() {
 			switch e := ev.Payload.(type) {
 			case guest.EventFinalisedBlock:
 				g.onFinalised(e.Entry)
-				g.relayAcks(e.Entry)
 			case guest.EventPacketDelivered:
 				// A peer-sent packet was delivered on the guest; its ack
-				// needs to ride a finalised guest block back.
+				// rides the header of the finalised block that commits it.
 				p := e.Packet
-				if s := r.route(g.side, p.DestPort, p.DestChannel); s != nil {
-					l := g.lanes[s.index]
-					l.ackBacklog = append(l.ackBacklog, ackWork{packet: p, ack: e.Ack})
+				if r.route(g.side, p.DestPort, p.DestChannel) != nil {
+					g.acks = append(g.acks, ackWork{packet: p, ack: e.Ack})
 				}
 			case ibc.EventSendPacket:
 				p := e.Packet
@@ -164,10 +152,10 @@ func (g *guestEnd) scan() {
 	}
 }
 
-// onFinalised handles a finalised guest block: forward it to the peer's
-// light client if it carries packets or rotates the epoch (Alg. 2), then
-// deliver its packets with proofs. One header update covers every
-// channel's packets in the block.
+// onFinalised handles a finalised guest block: queue its header for the
+// peer's light client if it carries packets, commits pending acks or
+// rotates the epoch (Alg. 2). One header covers every channel's work in the
+// block.
 func (g *guestEnd) onFinalised(entry *guest.BlockEntry) {
 	r := g.r
 	owned := 0
@@ -181,28 +169,53 @@ func (g *guestEnd) onFinalised(entry *guest.BlockEntry) {
 		r.tracer.Mark(key, telemetry.StagePickup, r.sched.Now())
 	}
 	// Epoch rotations gate every client of the guest chain: push the
-	// header even when the block carries no packets this relayer serves.
-	if owned == 0 && entry.Block.NextEpoch == nil {
+	// header even when the block carries no work this relayer serves.
+	if !g.commitAcks(entry.Block.Height) && owned == 0 && entry.Block.NextEpoch == nil {
 		return
 	}
 	g.headers = append(g.headers, entry)
 	g.pumpHeaders()
 }
 
+// commitAcks gives the pending acks the block at height commits that
+// block's height, and reports whether there were any.
+func (g *guestEnd) commitAcks(height uint64) bool {
+	if len(g.acks) == 0 {
+		return false
+	}
+	snap, err := g.st.SnapshotAt(height)
+	if err != nil {
+		return false
+	}
+	committed := false
+	for i := range g.acks {
+		w := &g.acks[i]
+		if w.height != 0 {
+			continue
+		}
+		// An ack the snapshot cannot read stays pending: the acks persist,
+		// so a later finalised block commits it too.
+		if ok, _ := snap.Has(ibc.AckPath(w.packet.DestPort, w.packet.DestChannel, w.packet.Sequence)); ok {
+			w.height, committed = height, true
+		}
+	}
+	return committed
+}
+
 // pumpHeaders dispatches at most one header update at a time, in queue
-// order. Busy covers only the UpdateClient round-trip; packet deliveries
-// unlocked by an update do not hold up the next header.
+// order. Busy covers only the UpdateClient round-trip; the flush a landing
+// runs does not hold up the next header.
 func (g *guestEnd) pumpHeaders() {
 	for !g.headerBusy && len(g.headers) > 0 {
 		entry := g.headers[0]
 		g.headers = g.headers[1:]
 		height := entry.Block.Height
 		if height <= g.pushed {
-			// A prune fall-forward already advanced the client past this
-			// height, so the header would be rejected as stale and its
+			// A prune fall-forward or an engine update already advanced the
+			// client past this height, so the header would be stale and its
 			// consensus state will never install. Skip the round-trip and
-			// prove the packets against the advanced height instead.
-			g.deliverEntry(entry)
+			// prove the block's work against the advanced height instead.
+			g.landed(entry, nil)
 			continue
 		}
 		sb := entry.SignedBlock()
@@ -210,21 +223,48 @@ func (g *guestEnd) pumpHeaders() {
 		g.r.sched.After(g.r.cfg.CPLatency.Sample(g.r.rng), func() {
 			g.pushHeader(height, sb, func(err error) {
 				g.headerBusy = false
-				if err == nil {
-					g.deliverEntry(entry)
-				}
+				g.landed(entry, err)
 				g.pumpHeaders()
 			})
 		})
 	}
 }
 
+// landed puts entry's work — its packets and the acks it commits — on
+// their shards at its height once its header push ended, and flushes it at
+// the newest height the peer's client is known to hold: at least the
+// entry's own, higher when a fall-forward advanced the client. Commitments
+// persist in guest state until acked, so a later root still commits them.
+// A push the peer refused (err) leaves the work queued for maybeUpdate.
+func (g *guestEnd) landed(entry *guest.BlockEntry, err error) {
+	r, height := g.r, entry.Block.Height
+	for _, p := range entry.Packets {
+		if s := r.route(g.side, p.SourcePort, p.SourceChannel); s != nil {
+			s.packets[g.side] = append(s.packets[g.side], work{packet: p, height: height})
+		}
+	}
+	pending := g.acks[:0]
+	for _, w := range g.acks {
+		if w.height == 0 || w.height > height {
+			pending = append(pending, w)
+			continue
+		}
+		s := r.route(g.side, w.packet.DestPort, w.packet.DestChannel)
+		s.acks[g.side] = append(s.acks[g.side], w)
+	}
+	clear(g.acks[len(pending):])
+	g.acks = pending
+	if err == nil {
+		r.flush(g.side, g.pushed)
+	}
+}
+
 // pushHeader sends a guest header to the peer's client and records the
 // height on success, so deliveries never prove below what the client is
 // known to hold. Every header push must go through here: out-of-band
-// pushes (ack relaying, prune fall-forward) can advance the client past
-// heights still queued in the header pump, and those heights' consensus
-// states then never install.
+// pushes (the engine's updates, prune fall-forward) can advance the client
+// past heights still queued in the header pump, and those heights'
+// consensus states then never install.
 func (g *guestEnd) pushHeader(height uint64, h header, done func(error)) {
 	bind := func() (header, uint64, error) { return h, height, nil }
 	g.peer().updateClient(update{bind: bind}, func(_ uint64, err error) {
@@ -233,63 +273,6 @@ func (g *guestEnd) pushHeader(height uint64, h header, done func(error)) {
 		}
 		done(err)
 	})
-}
-
-// deliverEntry relays entry's packets to the peer with proofs at the
-// newest height its client is known to hold — at least the entry's own
-// height, higher when a fall-forward advanced the client. Packet
-// commitments persist in guest state until acked, so a later root still
-// commits them.
-func (g *guestEnd) deliverEntry(entry *guest.BlockEntry) {
-	proveAt := entry.Block.Height
-	if g.pushed > proveAt {
-		proveAt = g.pushed
-	}
-	for _, p := range entry.Packets {
-		s := g.r.route(g.side, p.SourcePort, p.SourceChannel)
-		if s == nil {
-			continue
-		}
-		path := ibc.CommitmentPath(p.SourcePort, p.SourceChannel, p.Sequence)
-		if proof, provedAt, err := g.proveMembership(proveAt, path); err == nil {
-			// One call per packet keeps the block's packets in block order
-			// on the peer's FIFO whatever channels they interleave.
-			g.peer().recvPackets(s, []proven{{work{packet: p}, proof, provedAt}})
-		}
-	}
-}
-
-// relayAcks forwards acks for peer-sent packets delivered on the guest,
-// now that a finalised guest block commits them. Each carries that block's
-// height, so an ack the peer refuses (a header that landed out of order
-// left its client without this block) goes to the engine's ack queue, and
-// the engine updates the client to reach it and submits it again. Each ack
-// travels after its own latency draw from the lane's stream: lane 0 shares
-// the root stream with the client-update pacer, so one draw per block would
-// move every run whose guest receives packets.
-func (g *guestEnd) relayAcks(entry *guest.BlockEntry) {
-	height := entry.Block.Height
-	for i, l := range g.lanes {
-		s := g.r.shards[i]
-		var remaining []ackWork
-		for _, w := range l.ackBacklog {
-			w.height = height
-			path := ibc.AckPath(w.packet.DestPort, w.packet.DestChannel, w.packet.Sequence)
-			proof, provedAt, err := g.proveMembership(height, path)
-			if err != nil {
-				remaining = append(remaining, w)
-				continue
-			}
-			ack := []provenAck{{w, proof, provedAt}}
-			g.r.sched.After(g.r.cfg.CPLatency.Sample(l.rng), func() {
-				// The peer's client must know this block first; its FIFO
-				// keeps the update ahead of the ack.
-				g.pushHeader(height, entry.SignedBlock(), func(error) {})
-				g.peer().ackPackets(s, ack)
-			})
-		}
-		l.ackBacklog = remaining
-	}
 }
 
 func (g *guestEnd) head() (uint64, time.Time, error) {
@@ -429,7 +412,7 @@ func (g *guestEnd) groupRecvs(l *landing, height uint64, tail []*host.Transactio
 		}
 		rj := g.deliverJob(s, batch, ps)
 		rj.slot = l
-		if pc := g.lanes[s.index].pc; pc != g.root {
+		if pc := g.lanes[s.index]; pc != g.root {
 			pc.push(rj)
 			continue
 		}
@@ -460,7 +443,7 @@ func (g *guestEnd) recvPackets(s *shard, batch []proven) {
 		payloads[i] = &guest.RecvPayload{Packet: w.packet, ProofHeight: ibc.Height(w.provedAt), Proof: w.proof}
 	}
 	jobs(batch, payloads, func(ps []*guest.RecvPayload) int { return g.builder.RecvBatchLen(ps, g.st) },
-		func(job []proven, ps []*guest.RecvPayload) { g.lanes[s.index].pc.push(g.deliverJob(s, job, ps)) })
+		func(job []proven, ps []*guest.RecvPayload) { g.lanes[s.index].push(g.deliverJob(s, job, ps)) })
 }
 
 // deliverJob is the job that stages ps, the payloads of batch, and commits
@@ -493,7 +476,7 @@ func (g *guestEnd) ackPackets(s *shard, batch []provenAck) {
 	}
 	jobs(batch, payloads, func(ps []*guest.AckPayload) int { return g.builder.AckBatchLen(ps, g.st) },
 		func(job []provenAck, ps []*guest.AckPayload) {
-			g.lanes[s.index].pc.push(settledJob(g, s, g.builder.AckPacketTxs(ps...), job, func(w provenAck) bool {
+			g.lanes[s.index].push(settledJob(g, s, g.builder.AckPacketTxs(ps...), job, func(w provenAck) bool {
 				if g.hasCommitment(w.packet) {
 					g.r.requeueAck(g.side, s, w.ackWork)
 					return false
@@ -513,7 +496,7 @@ func (g *guestEnd) timeoutPackets(s *shard, batch []provenTimeout) {
 	}
 	jobs(batch, payloads, func(ps []*guest.TimeoutPayload) int { return g.builder.TimeoutBatchLen(ps, g.st) },
 		func(job []provenTimeout, ps []*guest.TimeoutPayload) {
-			g.lanes[s.index].pc.push(settledJob(g, s, g.builder.TimeoutPacketTxs(ps...), job, func(w provenTimeout) bool {
+			g.lanes[s.index].push(settledJob(g, s, g.builder.TimeoutPacketTxs(ps...), job, func(w provenTimeout) bool {
 				landed := !g.hasCommitment(w.tr.packet)
 				g.r.timedOut(w.tr, landed)
 				return landed
@@ -538,7 +521,7 @@ func settledJob[W any](g *guestEnd, s *shard, txs []*host.Transaction, items []W
 			}
 		}
 		if !applied && err == nil {
-			pc := g.lanes[s.index].pc
+			pc := g.lanes[s.index]
 			pc.closes = append(pc.closes, g.builder.CloseBufferTx(commit))
 			pc.closeBuffers()
 		}

@@ -93,9 +93,9 @@ type Config struct {
 	TxGap sim.Dist
 	// CPLatency is the latency of submitting to a cosmos chain (not the
 	// bottleneck the paper measures). On a guest link the guest end draws it
-	// for its own actions on its peer — Alg. 2's header pushes and the ack
-	// relay; on a cosmos↔cosmos link, where nothing else paces them, each
-	// cosmos end draws it before every transaction it submits.
+	// for its own actions on its peer — Alg. 2's header pushes; on a
+	// cosmos↔cosmos link, where nothing else paces them, each cosmos end
+	// draws it before every transaction it submits.
 	CPLatency sim.Dist
 	// Seed makes pacing deterministic.
 	Seed int64
@@ -165,8 +165,8 @@ func traceKey(p *ibc.Packet) string {
 }
 
 // work is a packet committed on its source at height, awaiting delivery.
-// seen is when the relayer scanned it (zero for work an end drives
-// itself).
+// seen is when the relayer scanned it; zero means queued by the guest's
+// header pump, not timed as a hop.
 type work struct {
 	packet *ibc.Packet
 	height uint64
@@ -226,8 +226,8 @@ type update struct {
 // report each item landed or not through the engine's rule for its kind:
 // delivered or recvFailed, acked or requeueAck, timedOut.
 type end interface {
-	// As a source: scan feeds new chain events to the engine (queuePacket,
-	// or the end's own delivery schedule); head is the newest provable
+	// As a source: scan feeds new chain events to the engine's shards (at
+	// once, or as the guest's header pump lands); head is the newest provable
 	// height and its time; sendUpdate pushes a header planned at height to
 	// the peer's client and reports the height it installed; the provers
 	// and hasCommitment read its state.
@@ -289,7 +289,8 @@ type Relayer struct {
 	ns    string
 	sched *sim.Scheduler
 	// rng is the Seed root stream: the guest end's client-update pacer,
-	// first lane and header pump draw from it, as do cosmos op latencies.
+	// which is its first lane, and its header pump draw from it, as do
+	// cosmos op latencies.
 	rng *rand.Rand
 	key *cryptoutil.PrivKey
 
@@ -703,7 +704,7 @@ func (r *Relayer) flush(src int, height uint64) {
 
 // delivered records that p landed on side to. A sink that answers with
 // the written ack has it relayed once the ack's height is provable; the
-// guest end relays its own (they ride finalised guest blocks).
+// guest end queues its own as the finalised block committing them lands.
 func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provableAt uint64, duplicate bool) {
 	// A packet that arrived can no longer time out, whoever delivered it:
 	// only its ack is pending.
@@ -743,15 +744,13 @@ func (r *Relayer) recvFailed(to int, s *shard, w work) {
 
 // requeue takes back work whose submission to side to failed and whose
 // sink does not show it delivered, for the next flush to prove and submit
-// again. It goes back in sequence order, ahead of packets queued since: an
-// ordered channel accepts no other. Once the source no longer commits the
-// packet (acked through another relayer, or timed out) there is nothing
-// left to deliver. Work an end drives itself never was on a shard: the
-// guest's header pump hands a block's packets over once, and what the sink
-// rejects is the timeout scan's.
+// again, whichever source queued it. It goes back in sequence order, ahead
+// of packets queued since: an ordered channel accepts no other. Once the
+// source no longer commits the packet (acked through another relayer, or
+// timed out) there is nothing left to deliver.
 func (r *Relayer) requeue(to int, s *shard, w work) {
 	src := 1 - to
-	if w.seen.IsZero() || !r.ends[src].hasCommitment(w.packet) {
+	if !r.ends[src].hasCommitment(w.packet) {
 		return
 	}
 	q := s.packets[src]
@@ -759,11 +758,9 @@ func (r *Relayer) requeue(to int, s *shard, w work) {
 	s.packets[src] = slices.Insert(q, i, w)
 }
 
-// requeueAck takes back an ack a sink refused — one flush handed over, or
-// one the guest end relayed itself behind its block's header — for the next
-// flush to prove and submit again, once the peer's client reaches its
-// height, while to still commits the packet: once it does not, the packet
-// is settled.
+// requeueAck takes back an ack a sink refused, for the next flush to prove
+// and submit again once the peer's client reaches its height, while to
+// still commits the packet: once it does not, the packet is settled.
 func (r *Relayer) requeueAck(to int, s *shard, w ackWork) {
 	if r.ends[to].hasCommitment(w.packet) {
 		s.acks[1-to] = append(s.acks[1-to], w)
