@@ -71,6 +71,10 @@ lint: lint-deprecated
 # Guest-sourced packets and acks reach the peer through the shards and
 # flush, like a cosmos source's: the guest end's own per-packet delivery,
 # per-ack relay and per-lane ack backlog stay retired in internal/relayer.
+# An event kind is kept only where something reads it (internal/core
+# TestEveryEventHasAReader): the 21 unread ibc and guest kinds (handshake,
+# client, recv, channel-closed, queued, signed, stake and slashing events)
+# stay retired outside tests.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -145,6 +149,11 @@ lint-deprecated:
 	@bad=$$(grep -rnE 'deliverEntry|relayAcks|ackBacklog' --include='*.go' internal/relayer); \
 	if [ -n "$$bad" ]; then \
 		echo "retired guest-source delivery (a landed guest header queues its block's work on the shards and flushes; see guestEnd.landed):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnwE 'Event(CreateClient|UpdateClient|ConnOpen(Init|Try|Ack|Confirm)|ChanOpen(Init|Try|Ack|Confirm)|ChanClose(Init|Confirm)|ChannelClosed|RecvPacket|PacketQueued|Signed|Staked|Unstaked|Withdrawn|EmergencyRelease|ValidatorSlashed)' --include='*.go' --exclude='*_test.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired unread event kinds (a kind stays only with a reader; see TestEveryEventHasAReader in internal/core):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -66,8 +66,6 @@ func main() {
 	cfg.OutPerDay = *outPerDay
 	cfg.InPerDay = *inPerDay
 	cfg.Seed = *seed
-	cfg.Channels = *channels
-	cfg.OrderedFraction = *orderedFrac
 
 	netCfg := netsim.Config{
 		Seed: *netSeed,
@@ -121,6 +119,9 @@ func main() {
 
 	start := time.Now()
 	coreCfg := core.Config{HostProfile: profile, Seed: *seed, Net: netCfg}
+	if *channels > 1 {
+		coreCfg.Channels = experiments.ChannelTopology(*channels, *orderedFrac)
+	}
 	if *storeDir != "" {
 		coreCfg.Store = core.StoreSpec{Dir: *storeDir, SyncEvery: *storeSync}
 	}

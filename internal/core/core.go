@@ -93,8 +93,8 @@ type StoreSpec struct {
 	// SyncEvery adds a group-fsync every N root commits on top of the
 	// finalisation-driven syncs (0 = finalisation only).
 	SyncEvery int
-	// ColdRetention, when > 0 and GuestParams.ColdRetention is unset,
-	// evicts guest snapshots older than this many blocks to disk.
+	// ColdRetention, when > 0, evicts guest snapshots older than this
+	// many blocks to disk (guest.Config.ColdRetention).
 	ColdRetention int
 }
 
@@ -529,7 +529,6 @@ func (n *Network) setupFoundation() error {
 		return errors.New("core: no genesis validator (need one with JoinAt == 0)")
 	}
 
-	params := cfg.GuestParams
 	if cfg.Store.Dir != "" {
 		ns, err := nodestore.Open(filepath.Join(cfg.Store.Dir, "guest"), nodestore.DiskConfig{
 			SyncEvery: cfg.Store.SyncEvery,
@@ -538,17 +537,15 @@ func (n *Network) setupFoundation() error {
 			return fmt.Errorf("core: open guest node store: %w", err)
 		}
 		n.GuestNodeStore = ns
-		if params.ColdRetention == 0 {
-			params.ColdRetention = cfg.Store.ColdRetention
-		}
 	}
 
 	contract, deposit, err := guest.Deploy(n.Host, guest.Config{
-		Params:            params,
+		Params:            cfg.GuestParams,
 		Payer:             n.payer.Public(),
 		GenesisValidators: genesis,
 		Telemetry:         n.Tel.Metrics,
 		NodeStore:         n.GuestNodeStore,
+		ColdRetention:     cfg.Store.ColdRetention,
 	})
 	if err != nil {
 		return fmt.Errorf("core: deploy guest contract: %w", err)
@@ -790,34 +787,14 @@ func (n *Network) dispatch(block *host.Block) {
 	n.hostCursor = block.Slot
 }
 
-// maybeCrank submits GenerateBlock when Alg. 1's conditions can pass.
+// maybeCrank submits GenerateBlock when Alg. 1's precondition holds.
 func (n *Network) maybeCrank() {
 	st, err := n.Contract.State(n.Host)
 	if err != nil {
 		return
 	}
-	// Mirror the contract's pipelining gate: crank while fewer than
-	// PipelineDepth unfinalised blocks trail the finalised prefix (and
-	// never past a pending epoch-rotation block).
-	depth := st.Params.EffectivePipelineDepth()
-	unfinalised := 0
-	for i := len(st.Entries) - 1; i >= 0 && !st.Entries[i].Finalised; i-- {
-		if st.Entries[i].Block.NextEpoch != nil {
-			return
-		}
-		unfinalised++
-	}
-	if unfinalised >= depth {
-		return
-	}
-	head := st.Head()
-	rootChanged := head.Block.StateRoot != st.Store.Root()
-	aged := n.Sched.Now().Sub(head.Block.Time) >= st.Params.Delta
-	if !rootChanged && !aged {
-		return
-	}
-	if err := n.Host.Submit(n.crank.GenerateBlockTx()); err != nil {
-		return
+	if st.CanGenerateBlock(n.Sched.Now()) == nil {
+		_ = n.Host.Submit(n.crank.GenerateBlockTx())
 	}
 }
 

@@ -111,6 +111,85 @@ func TestGuestToCPTransfer(t *testing.T) {
 	}
 }
 
+// TestCPRelayLog: a counterparty's relay log holds one
+// EventPacketsCommitted per block that committed packets, and nothing from
+// its handler; together the entries list the packets the chain sent, in
+// send order. A relayer's cursor over the log only moves forward and sees
+// each entry once.
+func TestCPRelayLog(t *testing.T) {
+	n := testNetwork(t)
+	n.CPApp.Mint("cp-carol", "PICA", 500)
+
+	var sent []*ibc.Packet
+	var polled []counterparty.Event
+	cursor := 0
+	poll := func() {
+		evs, next := n.CP.EventsSince(cursor)
+		if next < cursor || next-cursor != len(evs) {
+			t.Fatalf("cursor %d → %d over %d entries", cursor, next, len(evs))
+		}
+		polled = append(polled, evs...)
+		cursor = next
+	}
+	// Rounds of 1..4 sends, each round inside one 3 s block window.
+	for round := 1; round <= 4; round++ {
+		for i := 0; i < round; i++ {
+			p, err := n.SendTransferFromCP("cp-carol", "guest-dave", "PICA", 10, "", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent = append(sent, p)
+		}
+		n.Run(10 * time.Second)
+		poll()
+	}
+	n.Run(5 * time.Minute)
+	poll()
+	voucher := "transfer/" + string(n.Boot.GuestChannel) + "/PICA"
+	if got := n.GuestApp.Balance("guest-dave", voucher); got != 100 {
+		t.Fatalf("dave voucher balance = %d, want 100", got)
+	}
+
+	log, end := n.CP.EventsSince(0)
+	if end != cursor || len(log) != len(polled) {
+		t.Fatalf("cursor reads saw %d entries up to %d, the log holds %d up to %d", len(polled), cursor, len(log), end)
+	}
+	byHeight := make(map[uint64][]*ibc.Packet)
+	var listed []*ibc.Packet
+	var last uint64
+	for i, ev := range log {
+		pc, ok := ev.Payload.(counterparty.EventPacketsCommitted)
+		if !ok {
+			t.Fatalf("entry %d at height %d is %s, want PacketsCommitted", i, ev.Height, ev.Payload.EventKind())
+		}
+		if ev.Height <= last {
+			t.Fatalf("entry %d at height %d follows height %d", i, ev.Height, last)
+		}
+		if polled[i].Height != ev.Height {
+			t.Fatalf("entry %d: cursor reads saw height %d, the full log %d", i, polled[i].Height, ev.Height)
+		}
+		last = ev.Height
+		byHeight[ev.Height] = pc.Packets
+		listed = append(listed, pc.Packets...)
+	}
+	for h := uint64(1); h <= n.CP.Height(); h++ {
+		if got, want := len(byHeight[h]), len(n.CP.PacketsAt(h)); got != want {
+			t.Fatalf("height %d: log lists %d packets, the block committed %d", h, got, want)
+		}
+	}
+	if len(log) != 4 {
+		t.Fatalf("log holds %d entries, want one per round (4)", len(log))
+	}
+	if len(listed) != len(sent) {
+		t.Fatalf("log lists %d packets, %d were sent", len(listed), len(sent))
+	}
+	for i, p := range listed {
+		if p != sent[i] {
+			t.Fatalf("listed packet %d is sequence %d, sent was %d", i, p.Sequence, sent[i].Sequence)
+		}
+	}
+}
+
 func TestCPToGuestTransfer(t *testing.T) {
 	n := testNetwork(t)
 	n.CPApp.Mint("cp-carol", "PICA", 500)

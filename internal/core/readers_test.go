@@ -12,6 +12,7 @@ import (
 	"repro/internal/host"
 	"repro/internal/ibc"
 	"repro/internal/middleware"
+	"repro/internal/telemetry"
 )
 
 // metricReaders is the rule that keeps a telemetry key: a key a deployment
@@ -74,8 +75,8 @@ func TestEveryMetricHasAReader(t *testing.T) {
 			unread[k] = true
 		}
 	}
-	check(readerPair(t))
-	check(readerMesh(t))
+	check(readerPair(t, nil))
+	check(readerMesh(t, nil))
 	if len(unread) > 0 {
 		keys := make([]string, 0, len(unread))
 		for k := range unread {
@@ -87,9 +88,93 @@ func TestEveryMetricHasAReader(t *testing.T) {
 	}
 }
 
+// eventReaders is the rule that keeps an event kind, keyed by EventKind():
+// a kind a deployment emits — on a handler bus, into a host block, or into
+// a counterparty's relay log — must have a row, and the row names what
+// reads it: non-test code, the repo benchmark, a figure or verdict, an
+// example, or a test. Add a row only together with its reader; a kind with
+// no reader is deleted instead.
+var eventReaders = map[string]string{
+	"SendPacket":        "relayer guestEnd (a guest block's packets, guest.go), benchmark/phase.go send spans",
+	"WriteAck":          "counterparty front-end (acks to serve), experiments scenario runner (deliveries), benchmark/phase.go",
+	"AcknowledgePacket": "benchmark/phase.go ack spans",
+	"TimeoutPacket":     "relayer TestCheckTimeoutsOrdersSameScanExpiries",
+	"NewBlock":          "validator daemon (blocks to sign), core dispatch (guest.block.interval_s)",
+	"FinalisedBlock":    "relayer guestEnd (Alg. 2 header pump), core dispatch (guest.block.finalise_s)",
+	"PacketDelivered":   "relayer guestEnd (acks to relay), guest recvEnv.run (recv_batch_test.go)",
+	"ClientUpdated":     "relayer TestChunkedClientUpdateThroughTransactions",
+	"PacketAcked":       "guest TestCommitSettleBatch",
+	"PacketTimedOut":    "guest TestCommitSettleBatch",
+	"PacketsCommitted":  "relayer cosmosEnd (packets to relay, cosmos.go), benchmark/trace.go",
+}
+
+// TestEveryEventHasAReader runs the deployments of TestEveryMetricHasAReader
+// and fails on any event kind they emit that has no row in eventReaders.
+// It taps every handler bus before traffic starts, every host block, and
+// every counterparty's relay log.
+func TestEveryEventHasAReader(t *testing.T) {
+	emitted := make(map[string]bool)
+	note := func(ev telemetry.Event) { emitted[ev.EventKind()] = true }
+	var finish []func()
+	watch := func(n *Network) {
+		st, err := n.GuestState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Handler.Events().Subscribe(note)
+		var cps []*counterparty.Chain
+		for _, name := range n.Mesh.Order {
+			if cp := n.Mesh.Chain(name).CP; cp != nil {
+				cp.Handler().Events().Subscribe(note)
+				cps = append(cps, cp)
+			}
+		}
+		// The host keeps a bounded window of blocks: drain it while the
+		// run goes, from the bootstrap blocks on.
+		var cursor host.Slot
+		drain := func() bool {
+			for _, b := range n.Host.BlocksSince(cursor) {
+				cursor = b.Slot
+				for _, ev := range b.Events {
+					note(ev.Payload)
+				}
+			}
+			return true
+		}
+		drain()
+		n.Sched.Every(time.Minute, drain)
+		finish = append(finish, func() {
+			drain()
+			for _, cp := range cps {
+				log, _ := cp.EventsSince(0)
+				for _, ev := range log {
+					note(ev.Payload)
+				}
+			}
+		})
+	}
+	readerPair(t, watch)
+	readerMesh(t, watch)
+	for _, f := range finish {
+		f()
+	}
+	var unread []string
+	for k := range emitted {
+		if _, ok := eventReaders[k]; !ok {
+			unread = append(unread, k)
+		}
+	}
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		t.Fatalf("%d event kinds have no reader (delete the kind and its emit sites, or add a row naming the reader):\n  %s",
+			len(unread), strings.Join(unread, "\n  "))
+	}
+}
+
 // readerPair is the guest ↔ cp pair with callbacks and ICS-29 fees on both
-// ends, after one transfer each way.
-func readerPair(t *testing.T) *Network {
+// ends, after one transfer each way. watch, when set, sees the network
+// before any traffic.
+func readerPair(t *testing.T, watch func(*Network)) *Network {
 	t.Helper()
 	cp := counterparty.DefaultConfig()
 	cp.NumValidators = 12
@@ -103,6 +188,9 @@ func readerPair(t *testing.T) *Network {
 	}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if watch != nil {
+		watch(n)
 	}
 	for _, side := range []*middleware.Stack{n.Channels[0].GuestStack, n.Channels[0].CPStack} {
 		side.Middleware("callbacks").(*middleware.Callbacks).Register("transfer", "",
@@ -124,8 +212,9 @@ func readerPair(t *testing.T) *Network {
 }
 
 // readerMesh is the three-chain line guest — a — b with a fee schedule and
-// adaptive routing, after one routed transfer each way.
-func readerMesh(t *testing.T) *Network {
+// adaptive routing, after one routed transfer each way. watch is as for
+// readerPair.
+func readerMesh(t *testing.T, watch func(*Network)) *Network {
 	t.Helper()
 	spec := MeshSpec{
 		Chains:  []MeshChainSpec{{Name: "guest", Kind: MeshGuest}, {Name: "a"}, {Name: "b"}},
@@ -136,6 +225,9 @@ func readerMesh(t *testing.T) *Network {
 	n, err := NewNetwork(Config{Behaviours: fastFleet(4), Seed: 11, Mesh: spec})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if watch != nil {
+		watch(n)
 	}
 	alice := n.NewUser("alice", 10*host.LamportsPerSOL, "GUEST", 1_000)
 	n.Mesh.Chain("guest").Apps["transfer"].Mint(alice.Key.Public().String(), "FEE", 1_000)

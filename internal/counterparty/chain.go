@@ -52,20 +52,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Event is a chain event the relayer polls. The payload is typed: ibc
-// handler events surface as ibc.Event* structs, and block-level packet
-// commits as EventPacketsCommitted.
+// Event is a chain event the relayer polls. The log holds one
+// EventPacketsCommitted per block that committed packets; handler events
+// stay on the handler's bus (Handler().Events()).
 type Event struct {
 	Height  uint64
 	Payload telemetry.Event
-}
-
-// Kind returns the payload's stable event name.
-func (e Event) Kind() string {
-	if e.Payload == nil {
-		return ""
-	}
-	return e.Payload.EventKind()
 }
 
 // EventPacketsCommitted reports the packets committed by a block (relayable
@@ -194,9 +186,6 @@ func New(cfg Config, clock host.Clock, opts ...Option) (*Chain, error) {
 		ibc.WithTelemetry(c.telemetry),
 		ibc.WithMetricsNamespace(c.metricsNS),
 	)
-	c.handler.Events().Subscribe(func(ev telemetry.Event) {
-		c.events = append(c.events, Event{Height: c.height, Payload: ev})
-	})
 	c.produceBlockLocked() // genesis
 	return c, nil
 }

@@ -187,19 +187,6 @@ func TestSendPacketRelayableNextBlock(t *testing.T) {
 	_ = clock
 }
 
-func TestEventCursor(t *testing.T) {
-	c, clock := newTestCP(t)
-	events, cur := c.EventsSince(0)
-	base := len(events)
-	clock.Advance(6 * time.Second)
-	c.ProduceBlock()
-	events, cur2 := c.EventsSince(cur)
-	if len(events) != 0 && cur2 < cur {
-		t.Fatal("cursor went backwards")
-	}
-	_ = base
-}
-
 // TestEveryBlockHasAcceptedUpdate: the validators that sign a block carry
 // more than 2/3 of the power, so a client anchored at genesis accepts the
 // update of every one of 2 000 blocks of a 24-validator chain. A draw by

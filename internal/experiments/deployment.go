@@ -40,13 +40,6 @@ type Config struct {
 	InMemo  sim.Dist
 	// Seed drives the workload and all network randomness.
 	Seed int64
-	// Channels sizes the channel topology (0 or 1 keeps the reference
-	// single-channel deployment; the workload round-robins sends across
-	// channels when more are opened).
-	Channels int
-	// OrderedFraction is the fraction of channels opened Ordered when
-	// Channels > 1.
-	OrderedFraction float64
 }
 
 // DefaultConfig mirrors the evaluation conditions.
@@ -115,16 +108,14 @@ func Run(cfg Config) (*Deployment, error) {
 }
 
 // RunWithNetwork executes the deployment workload on a custom network
-// configuration (used by the ablations).
+// configuration (the ablations, and guestsim's flags); with more than one
+// channel in netCfg the workload round-robins its sends across them.
 func RunWithNetwork(cfg Config, netCfg core.Config) (*Deployment, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = core.EvaluationWindow
 	}
 	if netCfg.Seed == 0 {
 		netCfg.Seed = cfg.Seed
-	}
-	if cfg.Channels > 1 && len(netCfg.Channels) == 0 {
-		netCfg.Channels = ChannelTopology(cfg.Channels, cfg.OrderedFraction)
 	}
 	net, err := core.NewNetwork(netCfg)
 	if err != nil {

@@ -47,6 +47,12 @@ type Config struct {
 	// last finalised root instead of re-syncing from genesis. nil keeps
 	// the store purely in-heap (byte-identical legacy behaviour).
 	NodeStore nodestore.Store
+	// ColdRetention is how many recent snapshots stay fully materialised
+	// on the heap when NodeStore is persistent: snapshots older than this
+	// many blocks are evicted to the store and fault their nodes back in
+	// on demand, so retained history stops pinning heap. 0 disables
+	// eviction; ignored without a persistent store.
+	ColdRetention int
 }
 
 // Deploy registers the Guest Contract on the chain, allocates its provable
@@ -71,16 +77,17 @@ func Deploy(chain *host.Chain, cfg Config) (*Contract, host.Lamports, error) {
 		return nil, 0, fmt.Errorf("guest: open provable store: %w", err)
 	}
 	st := &State{
-		Params:       cfg.Params,
-		Account:      c.stateKey,
-		Store:        store,
-		CurrentEpoch: epoch,
-		Candidates:   make(map[cryptoutil.PubKey]*Candidate),
-		Slashed:      make(map[cryptoutil.PubKey]bool),
-		staging:      make(map[stagingKey]*StagingBuffer),
-		snapshots:    make(map[uint64]ibc.Version),
-		nowTime:      chain.Now(),
-		nowSlot:      uint64(chain.Slot()),
+		Params:        cfg.Params,
+		Account:       c.stateKey,
+		Store:         store,
+		CurrentEpoch:  epoch,
+		coldRetention: cfg.ColdRetention,
+		Candidates:    make(map[cryptoutil.PubKey]*Candidate),
+		Slashed:       make(map[cryptoutil.PubKey]bool),
+		staging:       make(map[stagingKey]*StagingBuffer),
+		snapshots:     make(map[uint64]ibc.Version),
+		nowTime:       chain.Now(),
+		nowSlot:       uint64(chain.Slot()),
 	}
 	st.Handler = ibc.NewHandler(store, st,
 		ibc.WithSealedReceipts(),
@@ -265,7 +272,6 @@ func (c *Contract) sendPacket(ctx *host.ExecContext, st *State, r *wire.Reader) 
 		return err
 	}
 	st.PendingPackets = append(st.PendingPackets, p)
-	ctx.Emit(EventPacketQueued{Packet: p})
 	return nil
 }
 
@@ -343,7 +349,6 @@ func (c *Contract) sign(ctx *host.ExecContext, st *State, r *wire.Reader) error 
 	}
 
 	finalised := st.applySignature(entry, a.PubKey, a.Signature, ctx.Time)
-	ctx.Emit(EventSigned{Height: a.Height, PubKey: a.PubKey})
 	// With pipelining a vote can finalise a run of blocks at once (a
 	// parent reaching quorum releases children that already had theirs);
 	// emit one event per block, in height order.
@@ -378,7 +383,6 @@ func (c *Contract) stake(ctx *host.ExecContext, st *State, r *wire.Reader) error
 	} else {
 		st.Candidates[a.Validator] = &Candidate{PubKey: a.Validator, Owner: owner, Stake: amount}
 	}
-	ctx.Emit(EventStaked{Validator: a.Validator})
 	return nil
 }
 
@@ -403,7 +407,6 @@ func (c *Contract) unstake(ctx *host.ExecContext, st *State, r *wire.Reader) err
 		Amount:      cand.Stake,
 		AvailableAt: ctx.Time.Add(st.Params.UnbondingPeriod),
 	})
-	ctx.Emit(EventUnstaked{Validator: pub})
 	return nil
 }
 
@@ -427,7 +430,6 @@ func (c *Contract) withdraw(ctx *host.ExecContext, st *State) error {
 	}
 	ctx.Credit(owner, paid)
 	st.Withdrawals = kept
-	ctx.Emit(EventWithdrawn{Owner: owner})
 	return nil
 }
 
@@ -700,7 +702,6 @@ func (c *Contract) emergencyRelease(ctx *host.ExecContext, st *State) error {
 	st.Candidates = make(map[cryptoutil.PubKey]*Candidate)
 	st.Withdrawals = nil
 	st.Halted = true
-	ctx.Emit(EventEmergencyRelease{Released: total})
 	return nil
 }
 
@@ -786,10 +787,5 @@ func (c *Contract) submitMisbehaviour(ctx *host.ExecContext, st *State, r *wire.
 	}
 	st.Withdrawals = kept
 	st.SlashedPot += confiscated - reward
-	ctx.Emit(EventValidatorSlashed{
-		Validator: e.Validator,
-		Kind:      e.Kind,
-		Stake:     confiscated,
-	})
 	return nil
 }

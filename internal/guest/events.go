@@ -1,24 +1,15 @@
 package guest
 
 import (
-	"repro/internal/cryptoutil"
 	"repro/internal/guestblock"
-	"repro/internal/host"
 	"repro/internal/ibc"
 )
 
 // Event payload types emitted by the Guest Contract into the host event
-// log. Off-chain daemons (validators, relayers, fishermen) consume these by
-// type-switching on host.Event.Payload; each implements telemetry.Event.
-
-// EventPacketQueued reports an outgoing packet committed and waiting to
-// ride in the next guest block.
-type EventPacketQueued struct {
-	Packet *ibc.Packet
-}
-
-// EventKind implements telemetry.Event.
-func (EventPacketQueued) EventKind() string { return "PacketQueued" }
+// log. Off-chain actors consume them by type-switching on
+// host.Event.Payload: validators watch new blocks, relayers finalised blocks
+// and delivered packets (Alg. 2). Each implements telemetry.Event, and a
+// kind is emitted only while something reads it (DESIGN.md §13).
 
 // EventNewBlock reports a freshly minted (not yet finalised) guest block.
 type EventNewBlock struct {
@@ -74,54 +65,3 @@ type EventPacketTimedOut struct {
 
 // EventKind implements telemetry.Event.
 func (EventPacketTimedOut) EventKind() string { return "PacketTimedOut" }
-
-// EventSigned reports an accepted validator signature.
-type EventSigned struct {
-	Height uint64
-	PubKey cryptoutil.PubKey
-}
-
-// EventKind implements telemetry.Event.
-func (EventSigned) EventKind() string { return "Signed" }
-
-// EventStaked reports new candidate stake.
-type EventStaked struct {
-	Validator cryptoutil.PubKey
-}
-
-// EventKind implements telemetry.Event.
-func (EventStaked) EventKind() string { return "Staked" }
-
-// EventUnstaked reports a candidate starting its unbonding exit.
-type EventUnstaked struct {
-	Validator cryptoutil.PubKey
-}
-
-// EventKind implements telemetry.Event.
-func (EventUnstaked) EventKind() string { return "Unstaked" }
-
-// EventWithdrawn reports matured stake paid out to its owner.
-type EventWithdrawn struct {
-	Owner cryptoutil.PubKey
-}
-
-// EventKind implements telemetry.Event.
-func (EventWithdrawn) EventKind() string { return "Withdrawn" }
-
-// EventEmergencyRelease reports the §VI-A dead-chain payout.
-type EventEmergencyRelease struct {
-	Released host.Lamports
-}
-
-// EventKind implements telemetry.Event.
-func (EventEmergencyRelease) EventKind() string { return "EmergencyRelease" }
-
-// EventValidatorSlashed reports a slashing caused by fisherman evidence.
-type EventValidatorSlashed struct {
-	Validator cryptoutil.PubKey
-	Kind      byte
-	Stake     host.Lamports
-}
-
-// EventKind implements telemetry.Event.
-func (EventValidatorSlashed) EventKind() string { return "ValidatorSlashed" }

@@ -39,12 +39,6 @@ type Params struct {
 	// SnapshotRetention is how many recent per-block state snapshots the
 	// off-chain RPC layer keeps for proof generation.
 	SnapshotRetention int
-	// ColdRetention is how many recent snapshots stay fully materialised
-	// on the heap when a persistent node store is attached: snapshots
-	// older than this many blocks are evicted to the store and fault
-	// their nodes back in on demand, so retained history stops pinning
-	// heap. 0 disables eviction; ignored without a persistent store.
-	ColdRetention int
 	// EmergencyTimeout implements the §VI-A mitigation for the "last
 	// validator wishing to quit" problem: once no guest block has been
 	// generated for this long, the chain is considered dead and anyone

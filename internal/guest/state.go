@@ -146,6 +146,7 @@ type State struct {
 	// per-block snapshot cost no longer scales with state size.
 	snapshots      map[uint64]ibc.Version
 	oldestSnapshot uint64
+	coldRetention  int
 	coldCursor     uint64
 	persistErr     error
 
@@ -297,11 +298,12 @@ func (s *State) buildNextEpoch() (*guestblock.Epoch, error) {
 	return guestblock.NewEpoch(s.CurrentEpoch.Index+1, vals)
 }
 
-// generateBlockCore is Alg. 1 GenerateBlock minus metering and events; it
-// is shared by the contract instruction path and the direct (operator
-// bootstrap) path.
-func (s *State) generateBlockCore(now time.Time, slot uint64) (*BlockEntry, error) {
-	head := s.Head()
+// CanGenerateBlock is Alg. 1's precondition for GenerateBlock at now:
+// ErrHeadNotFinalised while the pipeline is full, ErrNothingToCommit while
+// the root is unchanged and the head younger than Δ, nil when a block may
+// be generated. The contract checks it, and the crank consults it before
+// submitting.
+func (s *State) CanGenerateBlock(now time.Time) error {
 	// Pipelining gate: up to PipelineDepth unfinalised blocks may trail
 	// the finalised prefix (depth 1 = the paper's serialised behaviour).
 	// An unfinalised epoch-rotation block always blocks generation — the
@@ -310,17 +312,28 @@ func (s *State) generateBlockCore(now time.Time, slot uint64) (*BlockEntry, erro
 	unfinalised := 0
 	for i := len(s.Entries) - 1; i >= 0 && !s.Entries[i].Finalised; i-- {
 		if s.Entries[i].Block.NextEpoch != nil {
-			return nil, ErrHeadNotFinalised
+			return ErrHeadNotFinalised
 		}
 		unfinalised++
 	}
 	if unfinalised >= depth {
-		return nil, ErrHeadNotFinalised
+		return ErrHeadNotFinalised
 	}
-	age := now.Sub(head.Block.Time)
-	if head.Block.StateRoot == s.Store.Root() && age < s.Params.Delta {
-		return nil, ErrNothingToCommit
+	head := s.Head()
+	if head.Block.StateRoot == s.Store.Root() && now.Sub(head.Block.Time) < s.Params.Delta {
+		return ErrNothingToCommit
 	}
+	return nil
+}
+
+// generateBlockCore is Alg. 1 GenerateBlock minus metering and events; it
+// is shared by the contract instruction path and the direct (operator
+// bootstrap) path.
+func (s *State) generateBlockCore(now time.Time, slot uint64) (*BlockEntry, error) {
+	if err := s.CanGenerateBlock(now); err != nil {
+		return nil, err
+	}
+	head := s.Head()
 
 	block := &guestblock.Block{
 		Height:          head.Block.Height + 1,
@@ -386,12 +399,12 @@ func (s *State) applySignature(entry *BlockEntry, pub cryptoutil.PubKey, sig cry
 // guaranteed and the operator should treat the node as failed.
 func (s *State) PersistError() error { return s.persistErr }
 
-// evictColdSnapshots spills retained snapshots older than ColdRetention
-// blocks to the persistent node store: their heap node pointers and value
-// history are dropped, and historical reads fault back in from disk. The
-// cursor makes the scan O(evicted), not O(retained).
+// evictColdSnapshots spills retained snapshots older than
+// Config.ColdRetention blocks to the persistent node store: their heap node
+// pointers and value history are dropped, and historical reads fault back
+// in from disk. The cursor makes the scan O(evicted), not O(retained).
 func (s *State) evictColdSnapshots(height uint64) {
-	cr := s.Params.ColdRetention
+	cr := s.coldRetention
 	if cr <= 0 || !s.Store.Persistent() {
 		return
 	}

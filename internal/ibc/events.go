@@ -1,102 +1,16 @@
 package ibc
 
 // Typed protocol events published on the handler's event bus
-// (telemetry.Bus). Each lifecycle step has its own struct so consumers
-// type-switch on the concrete type instead of string-matching a kind and
-// down-casting an `any` payload — the API the old
-// WithEventSink(kind string, data any) callback could not offer.
-
-// EventCreateClient is published when a light client is registered.
-type EventCreateClient struct{ ClientID ClientID }
-
-// EventKind implements telemetry.Event.
-func (EventCreateClient) EventKind() string { return "CreateClient" }
-
-// EventUpdateClient is published after a client accepted a new header.
-type EventUpdateClient struct{ ClientID ClientID }
-
-// EventKind implements telemetry.Event.
-func (EventUpdateClient) EventKind() string { return "UpdateClient" }
-
-// EventConnOpenInit is published by ConnOpenInit.
-type EventConnOpenInit struct{ ConnectionID ConnectionID }
-
-// EventKind implements telemetry.Event.
-func (EventConnOpenInit) EventKind() string { return "ConnOpenInit" }
-
-// EventConnOpenTry is published by ConnOpenTry.
-type EventConnOpenTry struct{ ConnectionID ConnectionID }
-
-// EventKind implements telemetry.Event.
-func (EventConnOpenTry) EventKind() string { return "ConnOpenTry" }
-
-// EventConnOpenAck is published by ConnOpenAck.
-type EventConnOpenAck struct{ ConnectionID ConnectionID }
-
-// EventKind implements telemetry.Event.
-func (EventConnOpenAck) EventKind() string { return "ConnOpenAck" }
-
-// EventConnOpenConfirm is published by ConnOpenConfirm.
-type EventConnOpenConfirm struct{ ConnectionID ConnectionID }
-
-// EventKind implements telemetry.Event.
-func (EventConnOpenConfirm) EventKind() string { return "ConnOpenConfirm" }
-
-// EventChanOpenInit is published by ChanOpenInit.
-type EventChanOpenInit struct{ ChannelID ChannelID }
-
-// EventKind implements telemetry.Event.
-func (EventChanOpenInit) EventKind() string { return "ChanOpenInit" }
-
-// EventChanOpenTry is published by ChanOpenTry.
-type EventChanOpenTry struct{ ChannelID ChannelID }
-
-// EventKind implements telemetry.Event.
-func (EventChanOpenTry) EventKind() string { return "ChanOpenTry" }
-
-// EventChanOpenAck is published by ChanOpenAck.
-type EventChanOpenAck struct{ ChannelID ChannelID }
-
-// EventKind implements telemetry.Event.
-func (EventChanOpenAck) EventKind() string { return "ChanOpenAck" }
-
-// EventChanOpenConfirm is published by ChanOpenConfirm.
-type EventChanOpenConfirm struct{ ChannelID ChannelID }
-
-// EventKind implements telemetry.Event.
-func (EventChanOpenConfirm) EventKind() string { return "ChanOpenConfirm" }
-
-// EventChanCloseInit is published by ChanCloseInit.
-type EventChanCloseInit struct{ ChannelID ChannelID }
-
-// EventKind implements telemetry.Event.
-func (EventChanCloseInit) EventKind() string { return "ChanCloseInit" }
-
-// EventChanCloseConfirm is published by ChanCloseConfirm.
-type EventChanCloseConfirm struct{ ChannelID ChannelID }
-
-// EventKind implements telemetry.Event.
-func (EventChanCloseConfirm) EventKind() string { return "ChanCloseConfirm" }
-
-// EventChannelClosed is published when a timeout on an ordered channel
-// forcibly closes it.
-type EventChannelClosed struct{ ChannelID ChannelID }
-
-// EventKind implements telemetry.Event.
-func (EventChannelClosed) EventKind() string { return "ChannelClosed" }
+// (telemetry.Bus). Each kind is its own struct, so consumers type-switch on
+// the concrete type. A kind is emitted only while something reads it
+// (DESIGN.md §13): the benchmark reads sends, acks written and acks
+// verified, and a relayer test reads timeouts.
 
 // EventSendPacket is published when a packet commitment is written.
 type EventSendPacket struct{ Packet *Packet }
 
 // EventKind implements telemetry.Event.
 func (EventSendPacket) EventKind() string { return "SendPacket" }
-
-// EventRecvPacket is published after an incoming packet is delivered to the
-// application.
-type EventRecvPacket struct{ Packet *Packet }
-
-// EventKind implements telemetry.Event.
-func (EventRecvPacket) EventKind() string { return "RecvPacket" }
 
 // EventWriteAck is published when the acknowledgement for a received packet
 // is committed.

@@ -138,7 +138,6 @@ func (h *Handler) CreateClient(id ClientID, c Client) error {
 		return fmt.Errorf("%w: %q", ErrClientExists, id)
 	}
 	h.clients[id] = c
-	h.emit(EventCreateClient{ClientID: id})
 	return nil
 }
 
@@ -162,7 +161,6 @@ func (h *Handler) UpdateClient(id ClientID, header []byte) error {
 	if err := c.Update(header, h.self.CurrentTime()); err != nil {
 		return fmt.Errorf("ibc: update client %q: %w", id, err)
 	}
-	h.emit(EventUpdateClient{ClientID: id})
 	return nil
 }
 
@@ -201,7 +199,6 @@ func (h *Handler) ConnOpenInit(clientID ClientID, counterpartyClientID ClientID)
 	if err := h.setConnection(id, end); err != nil {
 		return "", err
 	}
-	h.emit(EventConnOpenInit{ConnectionID: id})
 	return id, nil
 }
 
@@ -242,7 +239,6 @@ func (h *Handler) ConnOpenTry(
 	if err := h.setConnection(id, end); err != nil {
 		return "", err
 	}
-	h.emit(EventConnOpenTry{ConnectionID: id})
 	return id, nil
 }
 
@@ -278,11 +274,7 @@ func (h *Handler) ConnOpenAck(
 	}
 	end.State = StateOpen
 	end.Counterparty.ConnectionID = counterpartyConnID
-	if err := h.setConnection(id, end); err != nil {
-		return err
-	}
-	h.emit(EventConnOpenAck{ConnectionID: id})
-	return nil
+	return h.setConnection(id, end)
 }
 
 // ConnOpenConfirm completes chain B's side.
@@ -307,11 +299,7 @@ func (h *Handler) ConnOpenConfirm(id ConnectionID, proofAck []byte, proofHeight 
 		return err
 	}
 	end.State = StateOpen
-	if err := h.setConnection(id, end); err != nil {
-		return err
-	}
-	h.emit(EventConnOpenConfirm{ConnectionID: id})
-	return nil
+	return h.setConnection(id, end)
 }
 
 // --- Channels (ICS-04 handshake) ---
@@ -432,7 +420,6 @@ func (h *Handler) ChanOpenInit(port PortID, connID ConnectionID, counterpartyPor
 	if err := h.store.Set(NextSequenceRecvPath(port, id), sequenceValue(1)); err != nil {
 		return "", err
 	}
-	h.emit(EventChanOpenInit{ChannelID: id})
 	return id, nil
 }
 
@@ -484,26 +471,17 @@ func (h *Handler) ChanOpenTry(
 	if err := h.store.Set(NextSequenceRecvPath(port, id), sequenceValue(1)); err != nil {
 		return "", err
 	}
-	h.emit(EventChanOpenTry{ChannelID: id})
 	return id, nil
 }
 
 // ChanOpenAck completes chain A's channel end.
 func (h *Handler) ChanOpenAck(port PortID, id ChannelID, counterpartyChannel ChannelID, proofTry []byte, proofHeight Height) error {
-	if err := h.channelStep(port, id, StateInit, StateTryOpen, counterpartyChannel, proofTry, proofHeight); err != nil {
-		return err
-	}
-	h.emit(EventChanOpenAck{ChannelID: id})
-	return nil
+	return h.channelStep(port, id, StateInit, StateTryOpen, counterpartyChannel, proofTry, proofHeight)
 }
 
 // ChanOpenConfirm completes chain B's channel end.
 func (h *Handler) ChanOpenConfirm(port PortID, id ChannelID, proofAck []byte, proofHeight Height) error {
-	if err := h.channelStep(port, id, StateTryOpen, StateOpen, "", proofAck, proofHeight); err != nil {
-		return err
-	}
-	h.emit(EventChanOpenConfirm{ChannelID: id})
-	return nil
+	return h.channelStep(port, id, StateTryOpen, StateOpen, "", proofAck, proofHeight)
 }
 
 // ChanCloseInit closes this end of a channel voluntarily.
@@ -516,21 +494,13 @@ func (h *Handler) ChanCloseInit(port PortID, id ChannelID) error {
 		return fmt.Errorf("%w: channel %s/%s is %v, want OPEN", ErrInvalidState, port, id, end.State)
 	}
 	end.State = StateClosed
-	if err := h.setChannel(port, id, end); err != nil {
-		return err
-	}
-	h.emit(EventChanCloseInit{ChannelID: id})
-	return nil
+	return h.setChannel(port, id, end)
 }
 
 // ChanCloseConfirm closes this end after the counterparty proved its end
 // closed.
 func (h *Handler) ChanCloseConfirm(port PortID, id ChannelID, proofClosed []byte, proofHeight Height) error {
-	if err := h.channelStep(port, id, StateOpen, StateClosed, "", proofClosed, proofHeight); err != nil {
-		return err
-	}
-	h.emit(EventChanCloseConfirm{ChannelID: id})
-	return nil
+	return h.channelStep(port, id, StateOpen, StateClosed, "", proofClosed, proofHeight)
 }
 
 // --- Packet lifecycle ---
@@ -677,7 +647,6 @@ func (h *Handler) RecvPacket(p *Packet, proof []byte, proofHeight Height) ([]byt
 		return nil, err
 	}
 	h.packetsReceived.Inc()
-	h.emit(EventRecvPacket{Packet: p})
 	h.emit(EventWriteAck{Packet: p, Ack: ack})
 	return ack, nil
 }
@@ -816,7 +785,6 @@ func (h *Handler) TimeoutPacket(p *Packet, proofUnreceived []byte, proofHeight H
 		if err := h.setChannel(p.SourcePort, p.SourceChannel, end); err != nil {
 			return err
 		}
-		h.emit(EventChannelClosed{ChannelID: p.SourceChannel})
 	}
 	h.packetsTimedOut.Inc()
 	h.emit(EventTimeoutPacket{Packet: p})
