@@ -74,7 +74,11 @@ lint: lint-deprecated
 # An event kind is kept only where something reads it (internal/core
 # TestEveryEventHasAReader): the 21 unread ibc and guest kinds (handshake,
 # client, recv, channel-closed, queued, signed, stake and slashing events)
-# stay retired outside tests.
+# stay retired outside tests. Signatures take one path: the host verifies a
+# transaction's precompile batch when it executes it, through the one pool
+# and cache in cryptoutil. The host's sharded pre-verification stage, the
+# in-program verify and its compute charge, and the guest's client-update
+# fallback stay retired outside tests.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -154,6 +158,11 @@ lint-deprecated:
 	@bad=$$(grep -rnwE 'Event(CreateClient|UpdateClient|ConnOpen(Init|Try|Ack|Confirm)|ChanOpen(Init|Try|Ack|Confirm)|ChanClose(Init|Confirm)|ChannelClosed|RecvPacket|PacketQueued|Signed|Staked|Unstaked|Withdrawn|EmergencyRelease|ValidatorSlashed)' --include='*.go' --exclude='*_test.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired unread event kinds (a kind stays only with a reader; see TestEveryEventHasAReader in internal/core):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'preVerifyShardedLocked\|preVerifyShards\|preVerified\|VerifySignature\|CUPerEd25519Verify\|updateClientPresigned' --include='*.go' --exclude='*_test.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired signature paths (a transaction's precompile batch is verified when executeLocked runs it; cryptoutil.BatchVerifier is the one pool and cache):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

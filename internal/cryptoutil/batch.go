@@ -189,14 +189,9 @@ func (v *BatchVerifier) Verify(t VerifyTask) bool {
 }
 
 // VerifyAll reports whether every task in the batch carries a valid
-// signature, fanning the work across the pool and cancelling outstanding
-// work as soon as one invalid signature is found. Callers that need to
-// identify the offending task (the rare failure path) should rescan with
-// Verify, which yields the same first-invalid index a sequential loop
-// would.
+// signature: every VerifyEach verdict is true.
 func (v *BatchVerifier) VerifyAll(tasks []VerifyTask) bool {
-	results := v.run(tasks, true)
-	for _, ok := range results {
+	for _, ok := range v.VerifyEach(tasks) {
 		if !ok {
 			return false
 		}
@@ -204,54 +199,35 @@ func (v *BatchVerifier) VerifyAll(tasks []VerifyTask) bool {
 	return true
 }
 
-// VerifyEach verifies every task and returns per-task validity; unlike
-// VerifyAll it never cancels early. Fishermen use it to screen a mixed
-// stream of sightings where invalid entries are skipped, not fatal.
+// VerifyEach verifies every task across the pool and returns per-task
+// validity. It is the one batch path: a caller that must name an offender
+// reports the first false, which is the task a sequential loop would
+// stop at, and a fisherman screening a mixed stream of sightings skips
+// the false entries.
 func (v *BatchVerifier) VerifyEach(tasks []VerifyTask) []bool {
-	return v.run(tasks, false)
-}
-
-// run executes the batch. With failFast, a detected invalid signature stops
-// workers from claiming further tasks; unclaimed tasks report false, which
-// VerifyAll folds into the same overall verdict.
-func (v *BatchVerifier) run(tasks []VerifyTask, failFast bool) []bool {
 	results := make([]bool, len(tasks))
-	workers := v.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
+	workers := min(v.workers, len(tasks))
 	if workers <= 1 {
 		for i := range tasks {
 			results[i] = v.Verify(tasks[i])
-			if failFast && !results[i] {
-				break
-			}
 		}
 		return results
 	}
 
 	var (
-		next    atomic.Int64
-		stopped atomic.Bool
-		wg      sync.WaitGroup
+		next atomic.Int64
+		wg   sync.WaitGroup
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				if failFast && stopped.Load() {
-					return
-				}
 				i := int(next.Add(1)) - 1
 				if i >= len(tasks) {
 					return
 				}
 				results[i] = v.Verify(tasks[i])
-				if failFast && !results[i] {
-					stopped.Store(true)
-					return
-				}
 			}
 		}()
 	}

@@ -22,14 +22,25 @@ func corrupt(t VerifyTask) VerifyTask {
 	return t
 }
 
+// firstFalse returns the index of the first false verdict, or -1.
+func firstFalse(verdicts []bool) int {
+	for i, ok := range verdicts {
+		if !ok {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestBatchVerifyAllTable(t *testing.T) {
 	base := quorumTasks(7)
-	cases := []struct {
+	type testCase struct {
 		name    string
 		mutate  func([]VerifyTask) []VerifyTask
 		workers int
 		want    bool
-	}{
+	}
+	cases := []testCase{
 		{"empty batch", func([]VerifyTask) []VerifyTask { return nil }, 4, true},
 		{"single task", func(ts []VerifyTask) []VerifyTask { return ts[:1] }, 4, true},
 		{"all valid", func(ts []VerifyTask) []VerifyTask { return ts }, 4, true},
@@ -44,12 +55,7 @@ func TestBatchVerifyAllTable(t *testing.T) {
 	for pos := 0; pos < len(base); pos++ {
 		pos := pos
 		for _, workers := range []int{1, 4} {
-			cases = append(cases, struct {
-				name    string
-				mutate  func([]VerifyTask) []VerifyTask
-				workers int
-				want    bool
-			}{
+			cases = append(cases, testCase{
 				fmt.Sprintf("invalid at %d workers %d", pos, workers),
 				func(ts []VerifyTask) []VerifyTask {
 					out := append([]VerifyTask(nil), ts...)
@@ -60,6 +66,20 @@ func TestBatchVerifyAllTable(t *testing.T) {
 			})
 		}
 	}
+	// Two invalid signatures: the offender named is the lower one, however
+	// the pool schedules the batch.
+	for _, workers := range []int{1, 4} {
+		cases = append(cases, testCase{
+			fmt.Sprintf("invalid at 2 and 5 workers %d", workers),
+			func(ts []VerifyTask) []VerifyTask {
+				out := append([]VerifyTask(nil), ts...)
+				out[5] = corrupt(out[5])
+				out[2] = corrupt(out[2])
+				return out
+			},
+			workers, false,
+		})
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			v := NewBatchVerifier(WithWorkers(tc.workers), WithCacheSize(64))
@@ -67,16 +87,20 @@ func TestBatchVerifyAllTable(t *testing.T) {
 			if got := v.VerifyAll(tasks); got != tc.want {
 				t.Fatalf("VerifyAll = %v, want %v", got, tc.want)
 			}
-			// Equivalence with the sequential single-signature path.
-			want := true
-			for _, task := range tasks {
+			// Equivalence with the sequential single-signature path: the
+			// same verdict, and the same first offender.
+			serialFirst := -1
+			for i, task := range tasks {
 				if !VerifyHash(task.Pub, Hash(task.Msg), task.Sig) {
-					want = false
+					serialFirst = i
 					break
 				}
 			}
-			if want != tc.want {
+			if want := serialFirst < 0; want != tc.want {
 				t.Fatalf("sequential VerifyHash disagrees: %v vs %v", want, tc.want)
+			}
+			if got := firstFalse(v.VerifyEach(tasks)); got != serialFirst {
+				t.Fatalf("VerifyEach names task %d, sequential loop task %d", got, serialFirst)
 			}
 		})
 	}

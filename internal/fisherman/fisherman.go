@@ -54,8 +54,6 @@ type Fisherman struct {
 	// height to detect double-signing.
 	seen map[cryptoutil.PubKey]map[uint64]Observation
 
-	verifier *cryptoutil.BatchVerifier
-
 	// Evidence goes out over the simulated network as reliable calls that
 	// retry until the host acknowledges.
 	ep    *netsim.Endpoint
@@ -77,7 +75,6 @@ func New(name string, chain *host.Chain, contract *guest.Contract, gossip *Gossi
 		builder:  guest.NewTxBuilder(contract, key.Public()),
 		key:      key,
 		seen:     make(map[cryptoutil.PubKey]map[uint64]Observation),
-		verifier: cryptoutil.DefaultBatchVerifier(),
 		ep:       net.Node(netsim.FishermanNode(index), nil, nil),
 		retry:    netsim.DefaultRetryPolicy(),
 	}
@@ -88,9 +85,9 @@ func (f *Fisherman) Key() *cryptoutil.PrivKey { return f.key }
 
 // Poll scans new sightings and submits evidence for offences. The audit
 // screens the whole poll window's signatures as one batch — forged
-// sightings are dropped per-entry rather than failing the poll, so the
-// batch runs without fail-fast — and classification stays serial to keep
-// evidence submission order deterministic.
+// sightings are dropped per-entry rather than failing the poll — and
+// classification stays serial to keep evidence submission order
+// deterministic.
 func (f *Fisherman) Poll() error {
 	obs, cursor := f.gossip.Since(f.cursor)
 	f.cursor = cursor
@@ -102,7 +99,7 @@ func (f *Fisherman) Poll() error {
 	for i, o := range obs {
 		tasks[i] = cryptoutil.HashTask(o.PubKey, guestblock.SigningPayloadForHash(o.BlockHash), o.Signature)
 	}
-	valid := f.verifier.VerifyEach(tasks)
+	valid := cryptoutil.DefaultBatchVerifier().VerifyEach(tasks)
 	for i, o := range obs {
 		if !valid[i] {
 			continue // forged sighting, not usable evidence

@@ -9,6 +9,7 @@ import (
 	"repro/internal/guestblock"
 	"repro/internal/host"
 	"repro/internal/ibc"
+	"repro/internal/lightclient/tendermint"
 	"repro/internal/nodestore"
 	"repro/internal/telemetry"
 	"repro/internal/trie"
@@ -480,8 +481,11 @@ func (c *Contract) takeBuffer(ctx *host.ExecContext, st *State, id uint64) (*Sta
 }
 
 // commitUpdateClient applies a staged light-client update. Signature
-// verification was performed by the runtime across the chunk transactions;
-// the client re-runs every non-signature check.
+// verification was performed by the runtime across the chunk transactions
+// (the §IV compute-budget workaround): the client looks each commit
+// signature up in the buffer's runtime-verified set and re-runs every
+// non-signature check. The guest's client of its peer is a Tendermint
+// client; any other client type is refused.
 func (c *Contract) commitUpdateClient(ctx *host.ExecContext, st *State, r *wire.Reader) error {
 	a, err := decodeCommit(r)
 	if err != nil {
@@ -498,7 +502,18 @@ func (c *Contract) commitUpdateClient(ctx *host.ExecContext, st *State, r *wire.
 	if err != nil {
 		return err
 	}
-	if err := updateClientPresigned(client, buf.Data, ctx.Time, buf); err != nil {
+	tc, ok := client.(*tendermint.Client)
+	if !ok {
+		return fmt.Errorf("guest: client %s is a %T, not a tendermint client", a.ClientID, client)
+	}
+	u, err := tendermint.UnmarshalUpdate(buf.Data)
+	if err != nil {
+		return err
+	}
+	check := func(pub cryptoutil.PubKey, payload cryptoutil.Hash) bool {
+		return buf.VerifiedSigs[sigDigest(pub, payload[:])]
+	}
+	if err := tc.UpdatePresigned(u, ctx.Time, check); err != nil {
 		return err
 	}
 	buf.Txs++ // the commit transaction itself

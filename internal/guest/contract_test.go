@@ -2,6 +2,7 @@ package guest
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -434,6 +435,27 @@ func TestRefusedChunkStagesNothing(t *testing.T) {
 	e.submit(chunk("second", true))
 	if buf := e.state().staging[staged]; string(buf.Data) != "firstsecond" || buf.Txs != 2 || len(buf.VerifiedSigs) != 2 {
 		t.Fatalf("resubmitted with its claim verified: data %q, %d txs, %d verified claims", buf.Data, buf.Txs, len(buf.VerifiedSigs))
+	}
+}
+
+// TestUpdateClientRefusesOtherClientType: the guest's client of its peer is
+// a Tendermint client, whose update the contract applies against the
+// runtime-verified signatures. A commit naming another client type is
+// refused rather than handed to that client's own Update.
+func TestUpdateClientRefusesOtherClientType(t *testing.T) {
+	e := newEnv(t, 2)
+	if err := e.state().Handler.CreateClient("test-client", &permissiveClient{}); err != nil {
+		t.Fatal(err)
+	}
+	key := cryptoutil.GenerateKey("other-client-relayer")
+	e.chain.Fund(key.Public(), 10*host.LamportsPerSOL)
+	txs := NewTxBuilder(e.contract, key.Public()).UpdateClientTxs("test-client", []byte("a header"), nil)
+	for _, tx := range txs[:len(txs)-1] {
+		e.submit(tx)
+	}
+	err := e.submitExpectErr(txs[len(txs)-1])
+	if err == nil || !strings.Contains(err.Error(), "not a tendermint client") {
+		t.Fatalf("err = %v, want the client type refused", err)
 	}
 }
 

@@ -66,15 +66,6 @@ func NewEpoch(index uint64, validators []Validator) (*Epoch, error) {
 	}, nil
 }
 
-// TotalStake returns the sum of validator stakes.
-func (e *Epoch) TotalStake() uint64 {
-	var total uint64
-	for _, v := range e.Validators {
-		total += v.Stake
-	}
-	return total
-}
-
 // StakeOf returns the stake of pub, or 0 if pub is not in the epoch.
 func (e *Epoch) StakeOf(pub cryptoutil.PubKey) uint64 {
 	for _, v := range e.Validators {
@@ -326,13 +317,9 @@ func (sb *SignedBlock) VerifyQuorumWith(epoch *Epoch, verifier *cryptoutil.Batch
 	if stake < epoch.QuorumStake {
 		return fmt.Errorf("guestblock: stake %d below quorum %d", stake, epoch.QuorumStake)
 	}
-	if !verifier.VerifyAll(tasks) {
-		// Rare failure path: rescan serially so the reported offender is
-		// the same one a sequential loop would name.
-		for i, t := range tasks {
-			if !verifier.Verify(t) {
-				return fmt.Errorf("guestblock: invalid signature from %s", sb.Signatures[i].PubKey.Short())
-			}
+	for i, ok := range verifier.VerifyEach(tasks) {
+		if !ok {
+			return fmt.Errorf("guestblock: invalid signature from %s", sb.Signatures[i].PubKey.Short())
 		}
 	}
 	return nil

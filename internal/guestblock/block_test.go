@@ -114,9 +114,20 @@ func TestSignedBlockQuorum(t *testing.T) {
 	if err := sb.VerifyQuorum(e); err != nil {
 		t.Fatal(err)
 	}
+	// A block with two bad signatures, at positions 1 and 3.
+	bad := &SignedBlock{Block: b}
+	for _, k := range keys {
+		bad.Signatures = append(bad.Signatures, BlockSignature{
+			Height: b.Height, PubKey: k.Public(), Signature: k.SignHash(payload),
+		})
+	}
+	bad.Signatures[1].Signature[0] ^= 0xff
+	bad.Signatures[3].Signature[0] ^= 0xff
+	wantErr := "guestblock: invalid signature from " + keys[1].Public().Short()
 	// The verdict does not depend on how the signatures are checked: one
 	// worker, the pool, or the pool behind the verification cache — where
-	// the second pass answers from the cache.
+	// the second pass answers from the cache. Nor does the offender named:
+	// it is the lower of the two bad signers, as a sequential loop finds.
 	for name, v := range map[string]*cryptoutil.BatchVerifier{
 		"sequential":   cryptoutil.NewBatchVerifier(cryptoutil.WithWorkers(1), cryptoutil.WithCacheSize(0)),
 		"batch":        cryptoutil.NewBatchVerifier(cryptoutil.WithCacheSize(0)),
@@ -125,6 +136,9 @@ func TestSignedBlockQuorum(t *testing.T) {
 		for pass := 0; pass < 2; pass++ {
 			if err := sb.VerifyQuorumWith(e, v); err != nil {
 				t.Fatalf("%s verifier, pass %d: %v", name, pass, err)
+			}
+			if err := bad.VerifyQuorumWith(e, v); err == nil || err.Error() != wantErr {
+				t.Fatalf("%s verifier, pass %d: two bad signatures: err = %v, want %q", name, pass, err, wantErr)
 			}
 		}
 	}

@@ -106,39 +106,56 @@ func TestDeadlineShedding(t *testing.T) {
 	}
 }
 
-// TestShardedPreVerify exercises the parallel precompile pre-verification
-// path with a block full of signature-bearing transactions from fee payers
-// spread over the shard space, mixing valid and invalid signatures, and
-// checks the outcome matches the serial semantics: valid ones execute,
-// invalid ones fail with the precompile error, in priority order.
-func TestShardedPreVerify(t *testing.T) {
-	c, _, prog, payer := newTestChain(t)
-	msg := []byte("pre-verify me")
+// TestMixedPrecompileBatches runs a block full of signature-bearing
+// transactions, mixing valid and invalid precompile batches, and checks
+// the outcome follows serial semantics: valid ones execute, invalid ones
+// fail with the precompile error, in priority order. One more valid
+// transaction waits behind them past the block compute budget: it runs in
+// the next block, and its signature is verified once, when it runs.
+func TestMixedPrecompileBatches(t *testing.T) {
+	c, clock, prog, _ := newTestChain(t)
+	msg := []byte("verify me")
 
 	const n = 24
 	wantErr := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		signer := cryptoutil.GenerateKey(string(rune('a'+i)) + "-signer")
+	submit := func(i int, label string, bad bool) {
+		t.Helper()
+		signer := cryptoutil.GenerateKeyIndexed("mixed-signer", i)
 		sv := SigVerify{Pub: signer.Public(), Msg: msg, Sig: signer.Sign(msg)}
-		bad := i%3 == 0
 		if bad {
 			sv.Sig[0] ^= 0xff
 		}
-		// Spread fee payers across shard prefixes; each needs funds.
-		fp := cryptoutil.GenerateKey(string(rune('A'+i)) + "-payer").Public()
+		// Distinct fee payers; each needs funds.
+		fp := cryptoutil.GenerateKeyIndexed("mixed-payer", i).Public()
 		c.Fund(fp, LamportsPerSOL)
 		tx := call(prog, fp, 1)
-		tx.FeePayer = fp
 		tx.PrecompileSigs = []SigVerify{sv}
-		tx.Label = string(rune('a' + i))
-		wantErr[tx.Label] = bad
+		tx.Label = label
+		wantErr[label] = bad
 		if err := c.Submit(tx); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+			t.Fatalf("submit %s: %v", label, err)
 		}
 	}
-	_ = payer
+	okWant := 0
+	for i := 0; i < n; i++ {
+		bad := i%3 == 0
+		if !bad {
+			okWant++
+		}
+		submit(i, string(rune('a'+i)), bad)
+	}
+	// Each valid counter call costs one base instruction: the n batches
+	// fill the block budget, and the last transaction waits a slot.
+	c.profile.BlockComputeBudget = uint64(okWant) * CUBaseInstruction
+	submit(n, "deferred", false)
 
+	verifications := func() uint64 {
+		s := cryptoutil.DefaultBatchVerifier().Stats()
+		return s.Hits + s.Misses
+	}
+	v0 := verifications()
 	b := c.ProduceBlock()
+	v1 := verifications()
 	if len(b.Results) != n {
 		t.Fatalf("block results = %d, want %d", len(b.Results), n)
 	}
@@ -161,5 +178,20 @@ func TestShardedPreVerify(t *testing.T) {
 	}
 	if st.(*counterState).n != okCount {
 		t.Fatalf("counter = %d, want %d", st.(*counterState).n, okCount)
+	}
+	if v1-v0 != n {
+		t.Fatalf("block verified %d signatures, want %d (the deferred one waits)", v1-v0, n)
+	}
+
+	clock.Advance(SlotDuration)
+	b = c.ProduceBlock()
+	if len(b.Results) != 1 || b.Results[0].Label != "deferred" || b.Results[0].Err != nil {
+		t.Fatalf("next block results: %+v", b.Results)
+	}
+	if got := verifications() - v0; got != n+1 {
+		t.Fatalf("two blocks verified %d signatures, want %d: the deferred one exactly once", got, n+1)
+	}
+	if st.(*counterState).n != okCount+1 {
+		t.Fatalf("counter = %d, want %d", st.(*counterState).n, okCount+1)
 	}
 }

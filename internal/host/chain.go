@@ -63,17 +63,6 @@ func (ctx *ExecContext) IsSigner(key cryptoutil.PubKey) bool { return ctx.signer
 // FeePayer returns the transaction's fee payer.
 func (ctx *ExecContext) FeePayer() cryptoutil.PubKey { return ctx.tx.FeePayer }
 
-// VerifySignature asks the runtime to verify an Ed25519 signature. It is
-// charged at the precompile rate: in-contract verification would blow the
-// compute budget (§IV), so like the paper's deployment we route through
-// the runtime.
-func (ctx *ExecContext) VerifySignature(pub cryptoutil.PubKey, msg []byte, sig cryptoutil.Signature) (bool, error) {
-	if err := ctx.Meter.Consume(CUPerEd25519Verify); err != nil {
-		return false, err
-	}
-	return cryptoutil.Verify(pub, msg, sig), nil
-}
-
 // Transfer moves lamports between accounts; the source must have signed.
 func (ctx *ExecContext) Transfer(from, to cryptoutil.PubKey, amount Lamports) error {
 	if !ctx.IsSigner(from) {
@@ -111,18 +100,11 @@ func (ctx *ExecContext) Debit(from cryptoutil.PubKey, amount Lamports) error {
 	return nil
 }
 
-// pendingTx is a queued transaction with its submission slot and, once the
-// pre-verification stage has run, its cached precompile result.
+// pendingTx is a queued transaction with its submission slot.
 type pendingTx struct {
 	tx        *Transaction
 	submitted Slot
 	seq       int // arrival order tiebreak
-
-	// preVerified caches the parallel precompile stage's output so a
-	// transaction that waits several slots is verified exactly once.
-	preVerified bool
-	verified    map[cryptoutil.Hash]bool
-	verifyErr   error
 }
 
 // Chain is the simulated host blockchain.
@@ -488,15 +470,6 @@ func (c *Chain) produceBlockLocked() (*Block, []*Transaction) {
 		return a.seq < b.seq
 	})
 
-	// Pre-verification stage: precompile signature batches for every
-	// queued transaction are verified in parallel, sharded by fee-payer
-	// key prefix, before the serial apply loop below consumes the cached
-	// results in canonical order. Verification is stateless, so the
-	// overlap cannot change execution outcomes — it only stops a block
-	// full of single-signature Sign transactions from paying one
-	// verification round-trip each, serially.
-	c.preVerifyShardedLocked()
-
 	var budget uint64
 	var rest []pendingTx
 	for i := range c.mempool {
@@ -504,8 +477,7 @@ func (c *Chain) produceBlockLocked() (*Block, []*Transaction) {
 			rest = append(rest, c.mempool[i:]...)
 			break
 		}
-		ptx := &c.mempool[i]
-		res := c.executeLocked(ptx, block)
+		res := c.executeLocked(c.mempool[i].tx, block)
 		budget += res.Units
 		block.Results = append(block.Results, res)
 	}
@@ -536,63 +508,15 @@ func (c *Chain) anyDeadlineLocked() bool {
 	return false
 }
 
-// preVerifyShards caps the verification worker fan-out per block.
-const preVerifyShards = 8
-
-// preVerifyShardedLocked runs the precompile batches of every queued,
-// not-yet-verified transaction across worker goroutines, sharded by the
-// fee payer's key prefix. Results are cached on the pendingTx, so the
-// serial apply loop — which keeps the canonical (tip, priority, arrival)
-// order — never re-verifies, and a transaction deferred to a later slot
-// is verified exactly once. Determinism: the per-transaction result does
-// not depend on shard scheduling, only on the transaction itself.
-func (c *Chain) preVerifyShardedLocked() {
-	var work [preVerifyShards][]*pendingTx
-	n := 0
-	for i := range c.mempool {
-		ptx := &c.mempool[i]
-		if ptx.preVerified || len(ptx.tx.PrecompileSigs) == 0 {
-			continue
-		}
-		shard := int(ptx.tx.FeePayer[0]) % preVerifyShards
-		work[shard] = append(work[shard], ptx)
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	if n == 1 {
-		for _, shard := range work {
-			for _, ptx := range shard {
-				ptx.verified, ptx.verifyErr = runPrecompiles(ptx.tx)
-				ptx.preVerified = true
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for s := range work {
-		if len(work[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard []*pendingTx) {
-			defer wg.Done()
-			for _, ptx := range shard {
-				ptx.verified, ptx.verifyErr = runPrecompiles(ptx.tx)
-				ptx.preVerified = true
-			}
-		}(work[s])
-	}
-	wg.Wait()
-}
-
-// executeLocked runs one transaction atomically. State mutations performed
-// by programs are applied directly; on error the native state objects are
-// responsible for their own rollback (the Guest Contract stages mutations
-// accordingly), while fee charging always happens.
-func (c *Chain) executeLocked(ptx *pendingTx, block *Block) TxResult {
-	tx := ptx.tx
+// executeLocked runs one transaction atomically: it verifies the
+// transaction's precompile signatures, then runs its instructions. A
+// transaction the block budget defers is not executed in that block, so
+// its signatures are verified once, in the block that runs it. State
+// mutations performed by programs are applied directly; on error the
+// native state objects are responsible for their own rollback (the Guest
+// Contract stages mutations accordingly), while fee charging always
+// happens.
+func (c *Chain) executeLocked(tx *Transaction, block *Block) TxResult {
 	res := TxResult{
 		Slot:     block.Slot,
 		Index:    len(block.Results),
@@ -619,10 +543,7 @@ func (c *Chain) executeLocked(ptx *pendingTx, block *Block) TxResult {
 		signers[s] = true
 	}
 
-	verified, err := ptx.verified, ptx.verifyErr
-	if !ptx.preVerified {
-		verified, err = runPrecompiles(tx)
-	}
+	verified, err := runPrecompiles(tx)
 	if err != nil {
 		res.Err = err
 		c.txsExecuted.Inc()

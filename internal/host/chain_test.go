@@ -342,43 +342,6 @@ func (p *transferProgram) Execute(ctx *ExecContext, _ Instruction) error {
 	return ctx.Transfer(p.from, p.to, 500)
 }
 
-func TestVerifySignatureMetered(t *testing.T) {
-	c, _, _, payer := newTestChain(t)
-	key := cryptoutil.GenerateKey("signer")
-	msg := []byte("hello")
-	sig := key.Sign(msg)
-
-	p := &sigProgram{id: cryptoutil.GenerateKey("sigprog").Public(), pub: key.Public(), msg: msg, sig: sig}
-	c.RegisterProgram(p)
-	must(t, c.Submit(&Transaction{FeePayer: payer, Instructions: []Instruction{{Program: p.id}}}))
-	b := c.ProduceBlock()
-	if b.Results[0].Err != nil {
-		t.Fatal(b.Results[0].Err)
-	}
-	if b.Results[0].Units < CUPerEd25519Verify {
-		t.Fatalf("units = %d, want >= %d (sig verify charged)", b.Results[0].Units, CUPerEd25519Verify)
-	}
-}
-
-type sigProgram struct {
-	id  ProgramID
-	pub cryptoutil.PubKey
-	msg []byte
-	sig cryptoutil.Signature
-}
-
-func (p *sigProgram) ID() ProgramID { return p.id }
-func (p *sigProgram) Execute(ctx *ExecContext, _ Instruction) error {
-	ok, err := ctx.VerifySignature(p.pub, p.msg, p.sig)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return errors.New("bad signature")
-	}
-	return nil
-}
-
 func must(t *testing.T, err error) {
 	t.Helper()
 	if err != nil {

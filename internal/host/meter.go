@@ -9,9 +9,6 @@ import "fmt"
 const (
 	// CUPerSHA256Block is charged per 64-byte block hashed.
 	CUPerSHA256Block = 85
-	// CUPerEd25519Verify is charged when a program asks the runtime to
-	// verify a signature via the precompile path.
-	CUPerEd25519Verify = 30_000
 	// CUPerTrieNode is charged per trie node visited or written.
 	CUPerTrieNode = 1_200
 	// CUPerByteWritten is charged per byte written to account data.

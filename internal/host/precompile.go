@@ -38,24 +38,21 @@ func (ctx *ExecContext) PrecompileVerified(pub cryptoutil.PubKey, msg []byte) bo
 // runPrecompiles verifies all transaction-level signature requests,
 // returning the set of verified digests or an error that fails the tx.
 // Like the real runtime — which verifies a transaction's signatures before
-// scheduling it — the requests are checked as one batch across the worker
-// pool, with the shared cache absorbing re-submissions of the same chunked
+// its instructions run — the requests are checked as one batch by the
+// shared verifier, whose cache absorbs re-submissions of the same chunked
 // light-client update.
 func runPrecompiles(tx *Transaction) (map[cryptoutil.Hash]bool, error) {
 	if len(tx.PrecompileSigs) == 0 {
 		return nil, nil
 	}
-	verifier := cryptoutil.DefaultBatchVerifier()
 	tasks := make([]cryptoutil.VerifyTask, len(tx.PrecompileSigs))
 	for i := range tx.PrecompileSigs {
 		sv := &tx.PrecompileSigs[i]
 		tasks[i] = cryptoutil.VerifyTask{Pub: sv.Pub, Msg: sv.Msg, Sig: sv.Sig}
 	}
-	if !verifier.VerifyAll(tasks) {
-		for i, t := range tasks {
-			if !verifier.Verify(t) {
-				return nil, fmt.Errorf("host: precompile signature %d invalid", i)
-			}
+	for i, ok := range cryptoutil.DefaultBatchVerifier().VerifyEach(tasks) {
+		if !ok {
+			return nil, fmt.Errorf("host: precompile signature %d invalid", i)
 		}
 	}
 	out := make(map[cryptoutil.Hash]bool, len(tx.PrecompileSigs))

@@ -89,16 +89,17 @@ func (c *Client) UpdateSigned(sb *guestblock.SignedBlock) error {
 		return fmt.Errorf("%w: block epoch %d, trusted %d (missed rotation block?)",
 			ErrEpochMismatch, sb.Block.EpochIndex, c.epoch.Index)
 	}
+	next := sb.Block.NextEpoch
+	if next != nil && next.Index != c.epoch.Index+1 {
+		return fmt.Errorf("guestlc: next epoch index %d, want %d", next.Index, c.epoch.Index+1)
+	}
 	if err := sb.VerifyQuorum(c.epoch); err != nil {
 		return err
 	}
 	c.latest = h
 	c.consensus[h] = ConsensusState{Time: sb.Block.Time, StateRoot: sb.Block.StateRoot}
-	if sb.Block.NextEpoch != nil {
-		if sb.Block.NextEpoch.Index != c.epoch.Index+1 {
-			return fmt.Errorf("guestlc: next epoch index %d, want %d", sb.Block.NextEpoch.Index, c.epoch.Index+1)
-		}
-		c.epoch = sb.Block.NextEpoch
+	if next != nil {
+		c.epoch = next
 	}
 	return nil
 }

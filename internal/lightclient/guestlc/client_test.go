@@ -186,6 +186,40 @@ func TestEpochMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestRefusedRotationChangesNothing: a quorum-signed block that rotates
+// to epoch 2 from epoch 0 skips an epoch. The client refuses it, and the
+// refusal leaves its height, consensus states and trusted epoch as they
+// were.
+func TestRefusedRotationChangesNothing(t *testing.T) {
+	g := newGuestSim(t, "glc-skip", 4)
+	c, err := NewClient(g.head, g.epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]guestblock.Validator, 4)
+	for i := range vals {
+		vals[i] = guestblock.Validator{PubKey: cryptoutil.GenerateKeyIndexed("glc-skip-next", i).Public(), Stake: 50}
+	}
+	skip, err := guestblock.NewEpoch(2, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch, before := g.epoch, c.LatestHeight()
+	b := g.next(cryptoutil.HashBytes([]byte("skip")), skip)
+	if err := c.UpdateSigned(signed(b, epoch, g.keys, 4)); err == nil {
+		t.Fatal("rotation from epoch 0 to epoch 2 accepted")
+	}
+	if after := c.LatestHeight(); after != before {
+		t.Fatalf("latest %d -> %d", before, after)
+	}
+	if _, err := c.ConsensusTime(ibc.Height(b.Height)); !errors.Is(err, ErrUnknownHeight) {
+		t.Fatalf("refused block installed a consensus state: err = %v", err)
+	}
+	if c.Epoch() != epoch {
+		t.Fatalf("client epoch = %d, want %d", c.Epoch().Index, epoch.Index)
+	}
+}
+
 func TestMembershipVerificationThroughClient(t *testing.T) {
 	// End to end with a real store: commit state, update the client with
 	// a block carrying the root, verify a proof through the client.

@@ -257,12 +257,9 @@ func (c *Client) verifyCommit(u *Update, check SigChecker) error {
 	for i, sig := range u.Commit {
 		tasks[i] = cryptoutil.HashTask(sig.PubKey, VotePayload(headerHash, sig.Timestamp), sig.Signature)
 	}
-	verifier := cryptoutil.DefaultBatchVerifier()
-	if !verifier.VerifyAll(tasks) {
-		for i, t := range tasks {
-			if !verifier.Verify(t) {
-				return fmt.Errorf("tendermint: invalid commit signature from %s", u.Commit[i].PubKey.Short())
-			}
+	for i, ok := range cryptoutil.DefaultBatchVerifier().VerifyEach(tasks) {
+		if !ok {
+			return fmt.Errorf("tendermint: invalid commit signature from %s", u.Commit[i].PubKey.Short())
 		}
 	}
 	return nil
