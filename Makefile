@@ -78,7 +78,10 @@ lint: lint-deprecated
 # transaction's precompile batch when it executes it, through the one pool
 # and cache in cryptoutil. The host's sharded pre-verification stage, the
 # in-program verify and its compute charge, and the guest's client-update
-# fallback stay retired outside tests.
+# fallback stay retired outside tests. A trie proof is its wire encoding,
+# written into one buffer and verified in place: the decoded item struct,
+# its kind type, the terminal path-length fields and the path-owning copy
+# stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -163,6 +166,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'preVerifyShardedLocked\|preVerifyShards\|preVerified\|VerifySignature\|CUPerEd25519Verify\|updateClientPresigned' --include='*.go' --exclude='*_test.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired signature paths (a transaction's precompile batch is verified when executeLocked runs it; cryptoutil.BatchVerifier is the one pool and cache):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'AscentItem\|AscentKind\|ownPaths\|LeafPathLen\|ExtPathLen' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired proof struct (a trie.Proof is its encoding: Prove writes it into one buffer, the verifiers read it in place):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

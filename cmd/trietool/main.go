@@ -19,6 +19,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -33,7 +34,7 @@ func main() {
 
 	tr := trie.New()
 	run := func(line string) {
-		if err := eval(tr, line); err != nil {
+		if err := eval(os.Stdout, tr, line); err != nil {
 			fmt.Printf("error: %v\n", err)
 		}
 	}
@@ -63,7 +64,8 @@ func seqKey(prefix string, i uint64) [trie.KeySize]byte {
 	return k
 }
 
-func eval(tr *trie.Trie, line string) error {
+// eval runs one script line against tr and writes what it prints to out.
+func eval(out io.Writer, tr *trie.Trie, line string) error {
 	if line == "" || strings.HasPrefix(line, "#") {
 		return nil
 	}
@@ -76,7 +78,7 @@ func eval(tr *trie.Trie, line string) error {
 		if err := tr.Set(key(f[1]), cryptoutil.HashBytes([]byte(f[2]))); err != nil {
 			return err
 		}
-		fmt.Printf("ok root=%s\n", tr.Root().Short())
+		fmt.Fprintf(out, "ok root=%s\n", tr.Root().Short())
 	case "get":
 		if len(f) != 2 {
 			return errors.New("usage: get <key>")
@@ -85,7 +87,7 @@ func eval(tr *trie.Trie, line string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("value hash: %s\n", v.Short())
+		fmt.Fprintf(out, "value hash: %s\n", v.Short())
 	case "del":
 		if len(f) != 2 {
 			return errors.New("usage: del <key>")
@@ -93,7 +95,7 @@ func eval(tr *trie.Trie, line string) error {
 		if err := tr.Delete(key(f[1])); err != nil {
 			return err
 		}
-		fmt.Printf("ok root=%s\n", tr.Root().Short())
+		fmt.Fprintf(out, "ok root=%s\n", tr.Root().Short())
 	case "seal":
 		if len(f) != 2 {
 			return errors.New("usage: seal <key>")
@@ -101,7 +103,7 @@ func eval(tr *trie.Trie, line string) error {
 		if err := tr.Seal(key(f[1])); err != nil {
 			return err
 		}
-		fmt.Printf("sealed; root unchanged: %s, live nodes %d\n", tr.Root().Short(), tr.NodeCount())
+		fmt.Fprintf(out, "sealed; root unchanged: %s, live nodes %d\n", tr.Root().Short(), tr.NodeCount())
 	case "prove":
 		if len(f) != 2 {
 			return errors.New("usage: prove <key>")
@@ -110,19 +112,15 @@ func eval(tr *trie.Trie, line string) error {
 		if err != nil {
 			return err
 		}
-		raw, err := proof.MarshalBinary()
-		if err != nil {
-			return err
-		}
 		kind := "non-membership"
-		if proof.Membership {
+		if proof.Membership() {
 			kind = "membership"
 		}
-		fmt.Printf("%s proof: %d ascent items, %d bytes\n", kind, len(proof.Items), len(raw))
+		fmt.Fprintf(out, "%s proof: %d ascent items, %d bytes\n", kind, proof.Items(), len(*proof))
 	case "root":
-		fmt.Printf("root: %s\n", tr.Root())
+		fmt.Fprintf(out, "root: %s\n", tr.Root())
 	case "stats":
-		fmt.Printf("live nodes: %d (%d bytes), sealed regions: %d, allocs: %d, frees: %d, entries: %d\n",
+		fmt.Fprintf(out, "live nodes: %d (%d bytes), sealed regions: %d, allocs: %d, frees: %d, entries: %d\n",
 			tr.NodeCount(), tr.StorageBytes(), tr.SealedCount(), tr.TotalAllocs(), tr.TotalFrees(), tr.Len())
 	case "seq", "sealseq":
 		if len(f) != 3 {
@@ -143,7 +141,7 @@ func eval(tr *trie.Trie, line string) error {
 				return fmt.Errorf("at %d: %w", i, err)
 			}
 		}
-		fmt.Printf("ok root=%s live=%d sealed=%d\n", tr.Root().Short(), tr.NodeCount(), tr.SealedCount())
+		fmt.Fprintf(out, "ok root=%s live=%d sealed=%d\n", tr.Root().Short(), tr.NodeCount(), tr.SealedCount())
 	default:
 		return fmt.Errorf("unknown command %q", f[0])
 	}

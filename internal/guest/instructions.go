@@ -340,8 +340,9 @@ func sharedTail(prev, proof []byte) int {
 // always has. One after it writes `u16 n` ahead of its proof and then only
 // proof[:len(proof)-n]: n is the number of trailing bytes the proof shares
 // with the whole proof of the payload before it. Proof bytes are opaque
-// here; the format pays off because trie.Proof.MarshalBinary writes its
-// items deepest first, so two neighbouring leaves proven at one root agree
+// here; the format pays off because a trie.Proof, which is its own
+// encoding (trie.Proof.MarshalBinary returns it as it is), holds its items
+// deepest first, so two neighbouring leaves proven at one root agree
 // in everything but the first item or two, and a caller that passes
 // payloads in sequence order (the relayer does) stages each shared upper
 // path once.
@@ -367,10 +368,12 @@ func marshalPayloads[P packetPayload](ps []P) []byte {
 // unmarshalPayloads decodes a staging buffer of one or more payloads of one
 // kind laid end to end and makes every proof whole again — head ‖ the last n
 // bytes of the proof before it, itself already whole — so what it returns is
-// position-independent. The caller has charged heap for the buffer; each
-// proof's growth (its n tail bytes, less the two of the length field they
-// replace) is charged before it is allocated, so a few staged bytes cannot
-// claim more memory than the heap has (host.ErrHeapExhausted). A truncated
+// position-independent: a proof's head is read in place and copied with
+// its tail into one allocation. The caller has charged heap for the
+// buffer; each proof's growth (its n tail bytes, less the two of the
+// length field they replace) is charged before it is allocated, so a few
+// staged bytes cannot claim more memory than the heap has
+// (host.ErrHeapExhausted). A truncated
 // payload — and trailing bytes, which read as one — fails with
 // wire.ErrShort, a tail longer than the proof it names with
 // ErrRecvSharedTail; nothing is returned unless the whole buffer decodes.
@@ -388,7 +391,7 @@ func unmarshalPayloads[T any, P interface {
 		if len(ps) > 0 {
 			n = int(r.U16())
 		}
-		head := r.Bytes32()
+		head := r.Raw(int(r.U32()))
 		err := r.Err()
 		if err == nil && n > len(prev) {
 			err = fmt.Errorf("%w: %d bytes of a %d-byte proof", ErrRecvSharedTail, n, len(prev))
@@ -399,7 +402,7 @@ func unmarshalPayloads[T any, P interface {
 		if err != nil {
 			return nil, fmt.Errorf("guest: decode %s payload %d: %w", kind, len(ps), err)
 		}
-		p.setProof(append(head, prev[len(prev)-n:]...))
+		p.setProof(append(append(make([]byte, 0, len(head)+n), head...), prev[len(prev)-n:]...))
 		prev = p.proof()
 		ps = append(ps, p)
 		if r.Remaining() == 0 {

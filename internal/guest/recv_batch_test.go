@@ -566,6 +566,31 @@ func TestRecvBatchSharesProofTails(t *testing.T) {
 	})
 }
 
+// TestRecvBatchDecodeAllocations: a proof rebuilt from a shared tail costs
+// the one allocation a proof staged whole costs, so k payloads decode in
+// as many allocations either way.
+func TestRecvBatchDecodeAllocations(t *testing.T) {
+	const k = 8
+	ps := payloads(k, 200)
+	for i, p := range ps {
+		p.Proof[i] = byte(i) // each shares all but its first i+1 bytes with the one before
+	}
+	whole := MarshalRecvPayload(ps[0])
+	for _, p := range ps[1:] {
+		whole = stageLater(whole, p, 0, p.Proof)
+	}
+	allocs := func(buf []byte) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if back, err := decode(buf, 1<<20); err != nil || len(back) != k {
+				t.Fatalf("%d payloads decoded to %d: %v", k, len(back), err)
+			}
+		})
+	}
+	if shared, want := allocs(MarshalRecvPayload(ps...)), allocs(whole); shared > want {
+		t.Errorf("%d shared-tail payloads decode in %v allocations, staged whole in %v", k, shared, want)
+	}
+}
+
 // TestRecvPacketTxsGolden pins the one-packet job to the bytes the
 // per-packet flow built before packets could share a commit.
 func TestRecvPacketTxsGolden(t *testing.T) {

@@ -400,28 +400,25 @@ func (r reader) proveAbsence(path string) ([]byte, error) {
 	return raw, nil
 }
 
-// prove serializes path's proof, which must show membership iff member.
+// prove returns path's encoded proof, which must show membership iff member.
 func (r reader) prove(path string, member bool) ([]byte, error) {
 	proof, err := r.trie.Prove(PathToKey(path))
 	if err != nil {
 		return nil, err
 	}
-	if proof.Membership != member {
+	if proof.Membership() != member {
 		if member {
 			return nil, errAbsent
 		}
 		return nil, errPresent
 	}
-	return proof.MarshalBinary()
+	return *proof, nil
 }
 
 // VerifyStoredMembership verifies a serialized proof that path holds value
 // under root. It is the verification half used by light clients.
 func VerifyStoredMembership(root cryptoutil.Hash, path string, value []byte, rawProof []byte) error {
-	var proof trie.Proof
-	if err := proof.UnmarshalBinary(rawProof); err != nil {
-		return fmt.Errorf("%w: %v", ErrProofVerification, err)
-	}
+	proof := trie.Proof(rawProof)
 	if err := trie.VerifyMembership(root, PathToKey(path), cryptoutil.HashBytes(value), &proof); err != nil {
 		return fmt.Errorf("%w: %v", ErrProofVerification, err)
 	}
@@ -430,10 +427,7 @@ func VerifyStoredMembership(root cryptoutil.Hash, path string, value []byte, raw
 
 // VerifyStoredNonMembership verifies a serialized absence proof for path.
 func VerifyStoredNonMembership(root cryptoutil.Hash, path string, rawProof []byte) error {
-	var proof trie.Proof
-	if err := proof.UnmarshalBinary(rawProof); err != nil {
-		return fmt.Errorf("%w: %v", ErrProofVerification, err)
-	}
+	proof := trie.Proof(rawProof)
 	if err := trie.VerifyNonMembership(root, PathToKey(path), &proof); err != nil {
 		return fmt.Errorf("%w: %v", ErrProofVerification, err)
 	}

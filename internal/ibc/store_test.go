@@ -191,3 +191,44 @@ func TestStoreCapacity(t *testing.T) {
 		t.Fatalf("err = %v, want ErrFull", err)
 	}
 }
+
+// TestStoreProofAllocations pins what a proof costs on each side of the
+// wire: the prover writes one buffer (and the trie.Proof that holds it),
+// and the verifiers read the relayed bytes in place.
+func TestStoreProofAllocations(t *testing.T) {
+	scopeMemo.Store(nil) // room for this scope, whatever ran before
+	s := NewStore()
+	for seq := uint64(1); seq <= 64; seq++ {
+		if err := s.Set(CommitmentPath("transfer", "channel-0", seq), []byte{byte(seq)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	present, absent := CommitmentPath("transfer", "channel-0", 7), CommitmentPath("transfer", "channel-0", 1000)
+	value, proof, err := s.ProveMembership(present)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absence, err := s.ProveNonMembership(absent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := s.Root()
+	for _, c := range []struct {
+		name string
+		max  float64
+		f    func() error
+	}{
+		{"Store.ProveMembership", 2, func() error { _, _, err := s.ProveMembership(present); return err }},
+		{"VerifyStoredMembership", 0, func() error { return VerifyStoredMembership(root, present, value, proof) }},
+		{"VerifyStoredNonMembership", 0, func() error { return VerifyStoredNonMembership(root, absent, absence) }},
+	} {
+		var err error
+		got := testing.AllocsPerRun(200, func() { err = c.f() })
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got > c.max {
+			t.Errorf("%s: %v allocations, want <= %v", c.name, got, c.max)
+		}
+	}
+}

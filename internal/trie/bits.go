@@ -7,8 +7,6 @@
 package trie
 
 import (
-	"errors"
-	"fmt"
 	"math/bits"
 
 	"repro/internal/cryptoutil"
@@ -114,36 +112,19 @@ func writePath(w *wire.Writer, packed []byte, bits int) {
 	w.Raw(packed)
 }
 
-// readPath reads a path written by writePath; the packed bytes alias the
-// reader's input. A path longer than a key or with a padding bit set is an
-// error, so that proofs and stored nodes are non-malleable: no two byte
-// strings decode to the same structure.
-func readPath(r *wire.Reader) ([]byte, int, error) {
-	bits := int(r.U16())
-	packed := r.Raw((bits + 7) / 8)
-	switch {
-	case r.Err() != nil:
-		return nil, 0, r.Err()
-	case bits > keyBits:
-		return nil, 0, fmt.Errorf("path length %d exceeds key bits", bits)
-	case bits%8 != 0 && packed[len(packed)-1]&(0xff>>(bits%8)) != 0:
-		return nil, 0, errors.New("non-canonical path padding")
+// pathOf returns the path bits bits of packed encoding hold. ok is false
+// unless packed is that path's canonical encoding — no longer than a key,
+// exactly (bits+7)/8 bytes, every padding bit zero — so that proofs and
+// stored nodes are non-malleable: no two byte strings decode to the same
+// structure.
+func pathOf(packed []byte, bits int) (p path, ok bool) {
+	if bits < 0 || bits > keyBits || len(packed) != (bits+7)/8 {
+		return p, false
 	}
-	return packed, bits, nil
-}
-
-// packedPath builds a path from bits bits of packed encoding, dropping any
-// padding bits set past the length. It fails when the length is out of
-// range or the bytes are too few, which only a hand-built proof can hold.
-func packedPath(packed []byte, bits int) (path, error) {
-	var p path
-	if bits < 0 || bits > keyBits || len(packed) < (bits+7)/8 {
-		return p, fmt.Errorf("path of %d bits in %d bytes", bits, len(packed))
+	if r := bits % 8; r != 0 && packed[len(packed)-1]&(0xff>>r) != 0 {
+		return p, false
 	}
 	p.n = uint16(bits)
-	copy(p.b[:], packed[:p.size()])
-	if r := bits % 8; r != 0 {
-		p.b[p.size()-1] &= 0xff << (8 - r)
-	}
-	return p, nil
+	copy(p.b[:], packed)
+	return p, true
 }

@@ -1,6 +1,7 @@
 package trie
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"testing"
@@ -40,18 +41,18 @@ func TestEncodingGolden(t *testing.T) {
 	divLeaf := prove(tr, key("absent-2"))
 	divExt := prove(tr, seqKey(7, 1<<20))
 	empty := prove(New(), key("a"))
-	kinds := map[AscentKind]bool{}
-	for _, it := range member.Items {
-		kinds[it.Kind] = true
-	}
+	m, kinds := partsOf(t, member)
+	leaf, _ := partsOf(t, divLeaf)
+	ext, _ := partsOf(t, divExt)
+	none, _ := partsOf(t, empty)
 	switch {
-	case !member.Membership || !kinds[AscentBranch] || !kinds[AscentExt]:
+	case !m.member || !bytes.Contains(kinds, []byte{itemBranch}) || !bytes.Contains(kinds, []byte{itemExt}):
 		t.Fatal("membership case is not a membership proof through branches and extensions")
-	case divLeaf.Membership || divLeaf.LeafPathLen == 0:
+	case leaf.member || leaf.terminal != terminalLeaf || leaf.path.len() == 0:
 		t.Fatal("diverging-leaf case does not end at a leaf")
-	case divExt.Membership || divExt.ExtPathLen == 0:
+	case ext.member || ext.terminal != terminalExt || ext.path.len() == 0:
 		t.Fatal("diverging-extension case does not end at an extension")
-	case empty.Membership || len(empty.Items) != 0:
+	case none.member || none.count != 0:
 		t.Fatal("empty-trie case is not empty")
 	}
 

@@ -96,13 +96,19 @@ func readChild(r *wire.Reader) (ref, error) {
 	}
 }
 
-// readNodePath reads a node's path; readPath has checked it is canonical.
+// readNodePath reads a node's path written by writePath, refusing any
+// but its canonical encoding (pathOf).
 func readNodePath(r *wire.Reader) (path, error) {
-	packed, bits, err := readPath(r)
-	if err != nil {
+	bits := int(r.U16())
+	packed := r.Raw((bits + 7) / 8)
+	if err := r.Err(); err != nil {
 		return path{}, fmt.Errorf("trie: decode node: %w", err)
 	}
-	return packedPath(packed, bits)
+	p, ok := pathOf(packed, bits)
+	if !ok {
+		return p, fmt.Errorf("trie: decode node: non-canonical path of %d bits", bits)
+	}
+	return p, nil
 }
 
 // decodeNode parses a node encoded by encodeNode and verifies that its

@@ -74,8 +74,8 @@ func FuzzPathOps(f *testing.F) {
 				t.Fatalf("bit %d of %v = %d", i, ma, got)
 			}
 		}
-		if back, err := packedPath(a.packed(), la); err != nil || back != a {
-			t.Fatalf("packed round trip of %v: %v, %v", ma, bitsOf(back), err)
+		if back, ok := pathOf(a.packed(), la); !ok || back != a {
+			t.Fatalf("packed round trip of %v: %v, %v", ma, bitsOf(back), ok)
 		}
 
 		from := int(data[4]) % (la + 1)
@@ -100,9 +100,9 @@ func FuzzPathOps(f *testing.F) {
 
 // TestNodeFootprintAndAllocs gates the node size and the allocations of
 // the hot operations on a 4 000-key trie: a fresh sequential Set builds
-// its nodes with their paths inline, Get reads the key in place, and a
-// proof is one Proof, one item slice and one path buffer on both sides of
-// the wire.
+// its nodes with their paths inline, Get reads the key in place, Prove
+// writes one exact-size buffer (and the Proof that holds it), and the
+// verifiers read the encoded bytes in place.
 func TestNodeFootprintAndAllocs(t *testing.T) {
 	if s := unsafe.Sizeof(node{}); s > 176 {
 		t.Fatalf("node is %d bytes, want <= 176", s)
@@ -119,7 +119,11 @@ func TestNodeFootprintAndAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc := marshal(t, proof)
+	absent, err := tr.Prove(seqKey(1, 0))
+	if err != nil || absent.Membership() {
+		t.Fatalf("want an absence proof: %v", err)
+	}
+	enc, absentEnc := Proof(marshal(t, proof)), Proof(marshal(t, absent))
 	root := tr.Root()
 
 	for _, c := range []struct {
@@ -129,13 +133,9 @@ func TestNodeFootprintAndAllocs(t *testing.T) {
 	}{
 		{"Set of a fresh sequential key", 2, func() { must(t, tr.Set(seqKey(0, next), v)); next++ }},
 		{"Get", 0, func() { _, err = tr.Get(k) }},
-		{"Prove", 3, func() { _, err = tr.Prove(k) }},
-		{"UnmarshalBinary + VerifyMembership", 4, func() {
-			var p Proof
-			if err = p.UnmarshalBinary(enc); err == nil {
-				err = VerifyMembership(root, k, v, &p)
-			}
-		}},
+		{"Prove", 2, func() { _, err = tr.Prove(k) }},
+		{"VerifyMembership", 0, func() { err = VerifyMembership(root, k, v, &enc) }},
+		{"VerifyNonMembership", 0, func() { err = VerifyNonMembership(root, seqKey(1, 0), &absentEnc) }},
 	} {
 		got := testing.AllocsPerRun(200, c.f)
 		if err != nil {

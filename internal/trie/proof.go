@@ -5,77 +5,87 @@ import (
 	"fmt"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/wire"
 )
 
-// Proof errors.
-var (
-	// ErrBadProof is returned when a proof fails verification.
-	ErrBadProof = errors.New("trie: proof verification failed")
-)
-
-// AscentItem is one step of the path from the proven node up to the root.
-type AscentItem struct {
-	// Kind distinguishes a branch step from an extension step.
-	Kind AscentKind
-	// Bit is the branch side the key descends into (branch steps only).
-	Bit byte
-	// Sibling is the other child's hash (branch steps only).
-	Sibling cryptoutil.Hash
-	// Path is the extension's bit path (extension steps only), packed.
-	Path []byte
-	// PathLen is the extension path length in bits.
-	PathLen int
-}
-
-// AscentKind identifies the shape of an AscentItem.
-type AscentKind uint8
-
-// Ascent item kinds.
-const (
-	AscentBranch AscentKind = iota + 1
-	AscentExt
-)
+// ErrBadProof is returned when a proof fails decoding or verification.
+var ErrBadProof = errors.New("trie: proof verification failed")
 
 // Proof proves membership or non-membership of a key against a root
 // commitment (§II "Provable storage"). For membership, the statement is
 // "key maps to value". For non-membership, the proof exhibits the node at
 // which the key's path diverges, demonstrating no leaf for the key can
 // exist under the root.
-type Proof struct {
-	// Membership is true for a proof of presence.
-	Membership bool
+//
+// A proof is its wire encoding, the one form the prover writes, the
+// relayer carries and the verifiers read in place. The encoding matters
+// because relayed proofs must fit into 1232-byte host transactions (§IV);
+// the relayer chunks larger payloads across transactions.
+//
+//	u8  version (1)
+//	u8  flags: terminal<<1 | membership
+//	    the terminal node:
+//	      none (0)       empty trie; no items follow
+//	      leaf (1)       path, then the value hash for non-membership
+//	                     (membership: the verifier supplies the value)
+//	      extension (2)  path, child hash (non-membership only)
+//	u16 item count, at most one item per key bit
+//	    the items, from the terminal up to the root (deepest first):
+//	      branch (1)     u8 bit the key takes, sibling hash
+//	      extension (2)  path
+//
+// A path is its u16 bit length and its packed bytes (writePath).
+type Proof []byte
 
-	// Items lead from the terminal node up to the root (deepest first).
-	Items []AscentItem
+// Wire format version for proofs.
+const proofWireVersion = 1
 
-	// Terminal node description.
-	//
-	// For membership: a leaf; LeafPath holds the leaf's remaining path and
-	// the verifier supplies the value.
-	//
-	// For non-membership one of three terminal shapes applies:
-	//   - diverging leaf: LeafPath + LeafValue of the other key's leaf
-	//   - diverging extension: ExtPath + ExtChild
-	//   - empty trie / empty slot: no terminal (Items empty, root zero)
-	LeafPath    []byte
-	LeafPathLen int
-	LeafValue   cryptoutil.Hash // non-membership diverging leaf only
-	ExtPath     []byte
-	ExtPathLen  int
-	ExtChild    cryptoutil.Hash
-
-	// terminal is the shape: Prove and UnmarshalBinary set it, and the
-	// verifiers and MarshalBinary read only it.
-	terminal terminalKind
-}
-
-type terminalKind uint8
-
+// Terminal shapes, as the flags byte holds them.
 const (
-	terminalNone terminalKind = iota
+	terminalNone = iota
 	terminalLeaf
 	terminalExt
 )
+
+// Ascent item kinds.
+const (
+	itemBranch = iota + 1
+	itemExt
+)
+
+// Encoded sizes: the fewest bytes an item takes (a kind byte and an empty
+// path's u16 bit length), and a branch item.
+const (
+	minItemSize    = 3
+	branchItemSize = 2 + cryptoutil.HashSize
+)
+
+// The refusals, each wrapping ErrBadProof. None is built per call, so
+// checking untrusted bytes allocates nothing, whether they verify or not.
+var (
+	errProofShort    = badProof("truncated")
+	errProofVersion  = badProof("unsupported version")
+	errProofTerminal = badProof("unknown terminal kind")
+	errProofNoLeaf   = badProof("membership proof without a leaf")
+	errProofPath     = badProof("non-canonical path")
+	errProofCount    = badProof("more ascent items than key bits")
+	errProofItem     = badProof("unknown ascent kind")
+	errProofBit      = badProof("branch bit is neither 0 nor 1")
+	errProofTrailing = badProof("trailing bytes")
+	errNotMember     = badProof("not a membership proof")
+	errNotAbsent     = badProof("not a non-membership proof")
+	errZeroValue     = badProof("zero value")
+	errPathLength    = badProof("path length mismatch")
+	errLeafKey       = badProof("leaf path does not match key")
+	errKeyPresent    = badProof("terminal path equals key; key may be present")
+	errNotEmpty      = badProof("empty-trie proof against non-empty root")
+	errBranchBit     = badProof("branch bit mismatch")
+	errExtKey        = badProof("extension path mismatch")
+	errUnconsumed    = badProof("unconsumed key bits")
+	errRootMismatch  = badProof("root mismatch")
+)
+
+func badProof(why string) error { return fmt.Errorf("%w: %s", ErrBadProof, why) }
 
 // Prove constructs a membership or non-membership proof for key, depending
 // on the key's presence. It fails with ErrSealed if the descent crosses a
@@ -92,8 +102,8 @@ func (t *Trie) Prove(key [KeySize]byte) (*Proof, error) {
 // Refs are walked by value; faulted nodes are never installed into shared
 // state, keeping concurrent Views race-free.
 //
-// The descent records the inner nodes it crosses, then fillProof builds
-// the proof from them in exactly sized buffers.
+// The descent records the inner nodes it crosses, then encodeProof writes
+// the proof from them into one exact-size buffer.
 func proveRef(rs resolver, root ref, key [KeySize]byte) (*Proof, error) {
 	kp := keyToPath(key)
 	var crossed [keyBits]*node // every crossing consumes at least one key bit
@@ -106,7 +116,7 @@ func proveRef(rs resolver, root ref, key [KeySize]byte) (*Proof, error) {
 		if cur.node == nil && cur.hash.IsZero() {
 			// Provably absent: empty trie or — impossible in a compressed
 			// trie below the root — an empty slot.
-			return fillProof(&kp, crossed[:depth], nil, false), nil
+			return encodeProof(&kp, crossed[:depth], nil, false), nil
 		}
 		n, err := rs.resolve(cur)
 		if err != nil {
@@ -120,10 +130,10 @@ func proveRef(rs resolver, root ref, key [KeySize]byte) (*Proof, error) {
 				// the data backing either statement is gone.
 				return nil, ErrSealed
 			}
-			return fillProof(&kp, crossed[:depth], n, member), nil
+			return encodeProof(&kp, crossed[:depth], n, member), nil
 		case kindExt:
 			if n.path.matchLen(&kp, pos) < n.path.len() {
-				return fillProof(&kp, crossed[:depth], n, false), nil
+				return encodeProof(&kp, crossed[:depth], n, false), nil
 			}
 			pos += n.path.len()
 			cur = n.children[0]
@@ -138,192 +148,307 @@ func proveRef(rs resolver, root ref, key [KeySize]byte) (*Proof, error) {
 	}
 }
 
-// fillProof builds the proof for key kp from the inner nodes the descent
+// encodeProof writes the proof for key kp from the inner nodes the descent
 // crossed (root first) and the node it stopped at: a leaf (the key's own
-// when member), a diverging extension, or none for an empty slot. The
-// items go into one exact-size slice, deepest first, and ownPaths copies
-// the node paths they alias into one buffer.
-func fillProof(kp *path, crossed []*node, term *node, member bool) *Proof {
-	proof := &Proof{Membership: member, Items: make([]AscentItem, len(crossed))}
-	pos := 0
-	for i, n := range crossed {
-		it := &proof.Items[len(crossed)-1-i]
+// when member), a diverging extension, or none for an empty slot.
+func encodeProof(kp *path, crossed []*node, term *node, member bool) *Proof {
+	size, flags := 4, byte(terminalNone) // version, flags, item count
+	if term != nil {
+		size += 2 + term.path.size()
+		flags = terminalLeaf << 1
+		if term.kind == kindExt {
+			flags = terminalExt << 1
+		}
+		if term.kind == kindExt || !member {
+			size += cryptoutil.HashSize
+		}
+	}
+	if member {
+		flags |= 1
+	}
+	pos := 0 // the key bits the items consume
+	for _, n := range crossed {
 		if n.kind == kindExt {
-			*it = AscentItem{Kind: AscentExt, Path: n.path.packed(), PathLen: n.path.len()}
+			size += minItemSize + n.path.size()
 			pos += n.path.len()
+		} else {
+			size += branchItemSize
+			pos++
+		}
+	}
+
+	w := wire.NewWriterSize(size)
+	w.U8(proofWireVersion)
+	w.U8(flags)
+	if term != nil {
+		writePath(w, term.path.packed(), term.path.len())
+		switch {
+		case term.kind == kindExt:
+			w.Hash(term.children[0].hash)
+		case !member:
+			w.Hash(term.value)
+		}
+	}
+	w.U16(uint16(len(crossed)))
+	for i := len(crossed) - 1; i >= 0; i-- {
+		n := crossed[i]
+		if n.kind == kindExt {
+			pos -= n.path.len()
+			w.U8(itemExt)
+			writePath(w, n.path.packed(), n.path.len())
 			continue
 		}
+		pos--
 		b := kp.bit(pos)
-		*it = AscentItem{Kind: AscentBranch, Bit: b, Sibling: n.children[1-b].hash}
-		pos++
+		w.U8(itemBranch)
+		w.U8(b)
+		w.Hash(n.children[1-b].hash)
 	}
+	p := Proof(w.Bytes())
+	return &p
+}
+
+// Membership reports whether p is a proof of presence.
+func (p Proof) Membership() bool { return len(p) > 1 && p[1]&1 != 0 }
+
+// Items returns the number of ascent items p holds, read from its count;
+// 0 when p is not a valid proof.
+func (p Proof) Items() int {
+	v, err := p.parse()
+	if err != nil {
+		return 0
+	}
+	return v.count
+}
+
+// MarshalBinary returns the proof's bytes, which are its encoding.
+func (p Proof) MarshalBinary() ([]byte, error) { return p, nil }
+
+// UnmarshalBinary keeps a copy of data if it is a proof Prove could have
+// written: the checks the verifiers make before they climb, so short or
+// trailing input, a non-canonical path, an unknown kind and a membership
+// proof without a leaf are errors (ErrBadProof).
+func (p *Proof) UnmarshalBinary(data []byte) error {
+	if _, err := Proof(data).parse(); err != nil {
+		return err
+	}
+	*p = append(Proof(nil), data...)
+	return nil
+}
+
+// proofParts is what parse reads off a valid proof: its statement, its
+// terminal and the items above it, still in their encoding.
+type proofParts struct {
+	member   bool
+	terminal byte
+	path     path            // the terminal's
+	hash     cryptoutil.Hash // a diverging leaf's value or an extension's child
+	count    int             // items
+	items    []byte          // the item bytes, deepest first
+	bits     int             // the key bits the items consume
+}
+
+// parse checks in one pass that p is a proof Prove could have written —
+// every path canonical, every kind known, no byte missing or left over —
+// and returns its parts. It reads p in place and allocates nothing.
+func (p Proof) parse() (proofParts, error) {
+	var v proofParts
+	if len(p) < 2 {
+		return v, errProofShort
+	}
+	if p[0] != proofWireVersion {
+		return v, errProofVersion
+	}
+	v.member, v.terminal = p[1]&1 != 0, p[1]>>1
+	rest := []byte(p[2:])
+	var err error
 	switch {
-	case term == nil:
-		proof.terminal = terminalNone
-	case term.kind == kindLeaf:
-		proof.terminal = terminalLeaf
-		proof.LeafPath, proof.LeafPathLen = term.path.packed(), term.path.len()
-		if !member {
-			proof.LeafValue = term.value
+	case v.terminal == terminalLeaf:
+		if v.path, rest, err = cutPath(rest); err == nil && !v.member {
+			v.hash, rest, err = cutHash(rest)
 		}
-	default:
-		proof.terminal = terminalExt
-		proof.ExtPath, proof.ExtPathLen = term.path.packed(), term.path.len()
-		proof.ExtChild = term.children[0].hash
+	case v.member:
+		return v, errProofNoLeaf
+	case v.terminal == terminalExt:
+		if v.path, rest, err = cutPath(rest); err == nil {
+			v.hash, rest, err = cutHash(rest)
+		}
+	case v.terminal != terminalNone:
+		return v, errProofTerminal
 	}
-	proof.ownPaths()
-	return proof
+	if err != nil {
+		return v, err
+	}
+	if len(rest) < 2 {
+		return v, errProofShort
+	}
+	// A verifiable proof consumes at least one key bit per item.
+	v.count, rest = int(rest[0])<<8|int(rest[1]), rest[2:]
+	switch {
+	case v.count > keyBits:
+		return v, errProofCount
+	case v.count > len(rest)/minItemSize:
+		return v, errProofShort
+	}
+	v.items = rest
+	for i := 0; i < v.count; i++ {
+		if len(rest) == 0 {
+			return v, errProofShort
+		}
+		switch rest[0] {
+		case itemBranch:
+			if len(rest) < branchItemSize {
+				return v, errProofShort
+			}
+			if rest[1] > 1 {
+				return v, errProofBit
+			}
+			rest = rest[branchItemSize:]
+			v.bits++
+		case itemExt:
+			var ext path
+			if ext, rest, err = cutPath(rest[1:]); err != nil {
+				return v, err
+			}
+			v.bits += ext.len()
+		default:
+			return v, errProofItem
+		}
+	}
+	if len(rest) != 0 {
+		return v, errProofTrailing
+	}
+	return v, nil
+}
+
+// cutPath reads a path written by writePath off the front of b.
+func cutPath(b []byte) (path, []byte, error) {
+	if len(b) < 2 {
+		return path{}, nil, errProofShort
+	}
+	bits := int(b[0])<<8 | int(b[1])
+	end := 2 + (bits+7)/8
+	if len(b) < end {
+		return path{}, nil, errProofShort
+	}
+	p, ok := pathOf(b[2:end], bits)
+	if !ok {
+		return p, nil, errProofPath
+	}
+	return p, b[end:], nil
+}
+
+// cutHash reads a hash off the front of b.
+func cutHash(b []byte) (cryptoutil.Hash, []byte, error) {
+	if len(b) < cryptoutil.HashSize {
+		return cryptoutil.ZeroHash, nil, errProofShort
+	}
+	return cryptoutil.Hash(b[:cryptoutil.HashSize]), b[cryptoutil.HashSize:], nil
 }
 
 // VerifyMembership checks that proof demonstrates key ↦ value under root.
+// It reads the proof's bytes in place and allocates nothing.
 func VerifyMembership(root cryptoutil.Hash, key [KeySize]byte, value cryptoutil.Hash, proof *Proof) error {
-	if proof == nil || !proof.Membership || proof.terminal != terminalLeaf {
-		return fmt.Errorf("%w: not a membership proof", ErrBadProof)
+	if proof == nil {
+		return errNotMember
 	}
-	if value.IsZero() {
-		return fmt.Errorf("%w: zero value", ErrBadProof)
+	v, err := proof.parse()
+	switch {
+	case err != nil:
+		return err
+	case !v.member: // parse has refused a membership proof without a leaf
+		return errNotMember
+	case value.IsZero():
+		return errZeroValue
 	}
 	kp := keyToPath(key)
-	prefixLen := ascentBits(proof.Items)
-	leafPath, err := proofPath(proof.LeafPath, proof.LeafPathLen)
-	if err != nil {
-		return err
+	if v.bits+v.path.len() != keyBits {
+		return errPathLength
 	}
-	if prefixLen+leafPath.len() != keyBits {
-		return fmt.Errorf("%w: path length mismatch", ErrBadProof)
+	if v.path.matchLen(&kp, v.bits) != v.path.len() {
+		return errLeafKey
 	}
-	if leafPath.matchLen(&kp, prefixLen) != leafPath.len() {
-		return fmt.Errorf("%w: leaf path does not match key", ErrBadProof)
-	}
-	got, err := climb(leafHash(&leafPath, value), &kp, prefixLen, proof.Items)
-	if err != nil {
-		return err
-	}
-	if got != root {
-		return fmt.Errorf("%w: root mismatch", ErrBadProof)
-	}
-	return nil
+	return v.climb(leafHash(&v.path, value), &kp, root)
 }
 
 // VerifyNonMembership checks that proof demonstrates the absence of key
-// under root.
+// under root. It reads the proof's bytes in place and allocates nothing.
 func VerifyNonMembership(root cryptoutil.Hash, key [KeySize]byte, proof *Proof) error {
-	if proof == nil || proof.Membership {
-		return fmt.Errorf("%w: not a non-membership proof", ErrBadProof)
+	if proof == nil {
+		return errNotAbsent
 	}
-	kp := keyToPath(key)
-	prefixLen := ascentBits(proof.Items)
-
-	var h cryptoutil.Hash
-	switch proof.terminal {
-	case terminalNone:
-		if len(proof.Items) != 0 || !root.IsZero() {
-			return fmt.Errorf("%w: empty-trie proof against non-empty root", ErrBadProof)
-		}
-		return nil
-	case terminalLeaf:
-		leafPath, err := proofPath(proof.LeafPath, proof.LeafPathLen)
-		if err != nil {
-			return err
-		}
-		if prefixLen+leafPath.len() != keyBits {
-			return fmt.Errorf("%w: path length mismatch", ErrBadProof)
-		}
-		if leafPath.matchLen(&kp, prefixLen) == leafPath.len() {
-			return fmt.Errorf("%w: leaf path equals key; key may be present", ErrBadProof)
-		}
-		if proof.LeafValue.IsZero() {
-			return fmt.Errorf("%w: diverging leaf missing value", ErrBadProof)
-		}
-		h = leafHash(&leafPath, proof.LeafValue)
-	case terminalExt:
-		extPath, err := proofPath(proof.ExtPath, proof.ExtPathLen)
-		if err != nil {
-			return err
-		}
-		if prefixLen < 0 || prefixLen+extPath.len() > keyBits {
-			return fmt.Errorf("%w: path overrun", ErrBadProof)
-		}
-		if extPath.matchLen(&kp, prefixLen) == extPath.len() {
-			return fmt.Errorf("%w: extension matches key; key may be present", ErrBadProof)
-		}
-		h = extHash(&extPath, proof.ExtChild)
-	default:
-		return fmt.Errorf("%w: unknown terminal", ErrBadProof)
-	}
-	got, err := climb(h, &kp, prefixLen, proof.Items)
+	v, err := proof.parse()
 	if err != nil {
 		return err
 	}
-	if got != root {
-		return fmt.Errorf("%w: root mismatch", ErrBadProof)
+	if v.member {
+		return errNotAbsent
 	}
-	return nil
-}
-
-// ascentBits counts the key bits consumed by the ascent items.
-func ascentBits(items []AscentItem) int {
-	n := 0
-	for _, it := range items {
-		switch it.Kind {
-		case AscentBranch:
-			n++
-		case AscentExt:
-			n += it.PathLen
+	kp := keyToPath(key)
+	var h cryptoutil.Hash
+	switch v.terminal {
+	case terminalNone:
+		if v.count != 0 || !root.IsZero() {
+			return errNotEmpty
 		}
+		return nil
+	case terminalLeaf:
+		if v.bits+v.path.len() != keyBits {
+			return errPathLength
+		}
+		if v.path.matchLen(&kp, v.bits) == v.path.len() {
+			return errKeyPresent
+		}
+		if v.hash.IsZero() {
+			return errZeroValue
+		}
+		h = leafHash(&v.path, v.hash)
+	default: // terminalExt: parse has refused every other terminal
+		if v.bits+v.path.len() > keyBits {
+			return errPathLength
+		}
+		if v.path.matchLen(&kp, v.bits) == v.path.len() {
+			return errKeyPresent
+		}
+		h = extHash(&v.path, v.hash)
 	}
-	return n
+	return v.climb(h, &kp, root)
 }
 
-// proofPath reads one of a proof's packed paths.
-func proofPath(packed []byte, bits int) (path, error) {
-	p, err := packedPath(packed, bits)
-	if err != nil {
-		return p, fmt.Errorf("%w: %w", ErrBadProof, err)
-	}
-	return p, nil
-}
-
-// climb recomputes the root from a terminal hash h, walking the ascent
-// items (deepest first) and checking every consumed bit against the key
-// kp's first prefixLen bits, deepest bits last.
-func climb(h cryptoutil.Hash, kp *path, prefixLen int, items []AscentItem) (cryptoutil.Hash, error) {
-	pos := prefixLen
-	for _, it := range items {
-		switch it.Kind {
-		case AscentBranch:
-			if pos < 1 {
-				return cryptoutil.ZeroHash, fmt.Errorf("%w: ascent underflow", ErrBadProof)
-			}
+// climb recomputes the root from the terminal's hash h, walking the items
+// parse has validated from the deepest up and checking every key bit they
+// consume against kp: the deepest item takes the last of the first v.bits.
+func (v *proofParts) climb(h cryptoutil.Hash, kp *path, root cryptoutil.Hash) error {
+	pos, items := v.bits, v.items
+	for len(items) > 0 {
+		if items[0] == itemBranch {
 			pos--
 			b := kp.bit(pos)
-			if b != it.Bit {
-				return cryptoutil.ZeroHash, fmt.Errorf("%w: branch bit mismatch", ErrBadProof)
+			if b != items[1] {
+				return errBranchBit
 			}
+			sibling := cryptoutil.Hash(items[2:branchItemSize])
 			if b == 0 {
-				h = branchHash(h, it.Sibling)
+				h = branchHash(h, sibling)
 			} else {
-				h = branchHash(it.Sibling, h)
+				h = branchHash(sibling, h)
 			}
-		case AscentExt:
-			if pos < it.PathLen {
-				return cryptoutil.ZeroHash, fmt.Errorf("%w: ascent underflow", ErrBadProof)
-			}
-			p, err := proofPath(it.Path, it.PathLen)
-			if err != nil {
-				return cryptoutil.ZeroHash, err
-			}
-			pos -= it.PathLen
-			if p.matchLen(kp, pos) != p.len() {
-				return cryptoutil.ZeroHash, fmt.Errorf("%w: extension path mismatch", ErrBadProof)
-			}
-			h = extHash(&p, h)
-		default:
-			return cryptoutil.ZeroHash, fmt.Errorf("%w: unknown ascent kind", ErrBadProof)
+			items = items[branchItemSize:]
+			continue
 		}
+		ext, rest, _ := cutPath(items[1:])
+		pos -= ext.len()
+		if ext.matchLen(kp, pos) != ext.len() {
+			return errExtKey
+		}
+		h = extHash(&ext, h)
+		items = rest
 	}
 	if pos != 0 {
-		return cryptoutil.ZeroHash, fmt.Errorf("%w: %d unconsumed key bits", ErrBadProof, pos)
+		return errUnconsumed
 	}
-	return h, nil
+	if h != root {
+		return errRootMismatch
+	}
+	return nil
 }

@@ -394,7 +394,7 @@ func TestMembershipProof(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !proof.Membership {
+		if !proof.Membership() {
 			t.Fatalf("Prove(%d) returned non-membership", i)
 		}
 		if err := VerifyMembership(root, k, v, proof); err != nil {
@@ -427,7 +427,7 @@ func TestNonMembershipProof(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if proof.Membership {
+		if proof.Membership() {
 			t.Fatalf("Prove(absent%d) returned membership", i)
 		}
 		if err := VerifyNonMembership(root, k, proof); err != nil {
@@ -487,10 +487,10 @@ func TestProofRoundTrip(t *testing.T) {
 		if err := back.UnmarshalBinary(data); err != nil {
 			t.Fatal(err)
 		}
-		if back.Membership != proof.Membership {
+		if back.Membership() != proof.Membership() {
 			t.Fatal("membership flag lost in round trip")
 		}
-		if proof.Membership {
+		if proof.Membership() {
 			v, err := tr.Get(k)
 			if err != nil {
 				t.Fatal(err)
@@ -758,7 +758,7 @@ func TestQuickProofKeyBinding(t *testing.T) {
 	f := func(a, b uint8) bool {
 		i, j := int(a)%n, int(b)%n
 		proof, err := tr.Prove(key(fmt.Sprintf("kb%d", i)))
-		if err != nil || !proof.Membership {
+		if err != nil || !proof.Membership() {
 			return false
 		}
 		if i == j {
