@@ -82,6 +82,11 @@ lint: lint-deprecated
 # written into one buffer and verified in place: the decoded item struct,
 # its kind type, the terminal path-length fields and the path-owning copy
 # stay retired.
+# A value is versioned once, by the trie leaf that holds it (Put/Value),
+# and persisted once, as a record under its value hash beside the nodes.
+# The ibc.Store's per-path value history (its revisions, write log and
+# prune/trim pair), the per-read re-hash with its mismatch and out-of-sync
+# errors, and the backend's per-path versioned value lookup stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -173,6 +178,11 @@ lint-deprecated:
 		echo "retired proof struct (a trie.Proof is its encoding: Prove writes it into one buffer, the verifiers read it in place):"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rnw 'valueRev\|writeLog\|pruneValuesLocked\|trimHistoryLocked\|ErrValueMismatch\|errOutOfSync\|ValueAt' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired value history (a trie leaf holds its value: trie.Put/Value; the backend stores it under its hash: ValuePut/ValueGet):"; \
+		echo "$$bad"; exit 1; \
+	fi
 
 # Tier-1 gate: everything must compile, vet clean, pass the test suite, and
 # the concurrency-heavy packages must be race-clean — telemetry (shared
@@ -246,12 +256,15 @@ examples-smoke:
 # model (FuzzPathOps), and the sealable trie against a map model
 # (FuzzTrieDifferential: Set/Delete/Seal/Get under an ErrFull arena cap,
 # the root equal to a trie built from scratch, every node encoding and
-# decoding under its own hash).
+# decoding under its own hash), and the disk-backed ibc.Store against a
+# per-version map model (FuzzStoreVersions: Set/Delete/receipt seals,
+# commits, releases, evictions, syncs, power cuts and reopens; every
+# retained version's reads and proofs checked after each step).
 # One target per invocation: `go test -fuzz` takes a single match. A
 # failure leaves the input under the package's testdata/fuzz/ to commit
-# with the fix. WAL recovery opens a directory twice per input, so its
-# minimisation of a new input is capped at 100 runs, or it would spend the
-# five seconds there.
+# with the fix. WAL recovery opens a directory twice per input and the
+# store model opens one per input, so their minimisation of a new input is
+# capped at 100 runs, or they would spend the five seconds there.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRecvBatchDecode$$' -fuzztime=5s ./internal/guest
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitPayloadDecode$$' -fuzztime=5s ./internal/guest
@@ -262,6 +275,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDiskRecover$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/nodestore
 	$(GO) test -run='^$$' -fuzz='^FuzzPathToKey$$' -fuzztime=5s ./internal/ibc
 	$(GO) test -run='^$$' -fuzz='^FuzzEndDecode$$' -fuzztime=5s ./internal/ibc
+	$(GO) test -run='^$$' -fuzz='^FuzzStoreVersions$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/ibc
 	$(GO) test -run='^$$' -fuzz='^FuzzForwardMemo$$' -fuzztime=5s ./internal/middleware
 	$(GO) test -run='^$$' -fuzz='^FuzzPacketDataMarshal$$' -fuzztime=5s ./internal/transfer
 	$(GO) test -run='^$$' -fuzz='^FuzzUpdateDecode$$' -fuzztime=5s ./internal/lightclient/tendermint
@@ -304,5 +318,5 @@ api-update:
 # The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
-# example smoke runs, and five seconds of each of the thirteen fuzz targets.
+# example smoke runs, and five seconds of each of the fourteen fuzz targets.
 ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

@@ -401,8 +401,8 @@ func (s *State) PersistError() error { return s.persistErr }
 
 // evictColdSnapshots spills retained snapshots older than
 // Config.ColdRetention blocks to the persistent node store: their heap node
-// pointers and value history are dropped, and historical reads fault back
-// in from disk. The cursor makes the scan O(evicted), not O(retained).
+// pointers (and the values their leaves hold) are dropped, and historical
+// reads fault back in from disk. The cursor makes the scan O(evicted), not O(retained).
 func (s *State) evictColdSnapshots(height uint64) {
 	cr := s.coldRetention
 	if cr <= 0 || !s.Store.Persistent() {
@@ -477,7 +477,7 @@ func (s *State) StorageNodeCount() int { return s.Store.Trie().NodeCount() }
 func (s *State) StorageBytes() int { return s.Store.Trie().StorageBytes() }
 
 // pruneSnapshots releases store versions beyond the retention window, so
-// the trie nodes and value history only they kept alive can be reclaimed.
+// the trie nodes and values only they kept alive can be reclaimed.
 func (s *State) pruneSnapshots() {
 	if s.Params.SnapshotRetention <= 0 {
 		return

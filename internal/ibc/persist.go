@@ -10,8 +10,8 @@ import (
 // Persistence integration: an optional nodestore backend behind the store.
 //
 // With a backend attached, every Commit flushes the delta — new trie nodes
-// in post-order, the generation's value writes, then a root record — into
-// the backend's log. Durability is still explicit: the guest chain calls
+// in post-order, each new leaf's value record just before the leaf, then a
+// root record — into the backend's log. Durability is still explicit: the guest chain calls
 // SyncBackend on block finalisation, so the group-fsync boundary coincides
 // with "finalised", and a crash recovers exactly the last finalised root.
 // With no backend (the default) nothing here runs and the store behaves
@@ -42,9 +42,7 @@ func NewStoreWithBackend(b nodestore.Store, opts ...trie.Option) (*Store, error)
 	}, rec.Head.Version+1)
 	for _, rr := range rec.Retained {
 		s.trie.RestoreVersion(trie.Version(rr.Version), rr.Root, rr.Sealed)
-		s.retained[trie.Version(rr.Version)] = struct{}{}
 	}
-	s.head = Version(rec.Head.Version) + 1
 	s.recoveredHeight = rec.Head.Height
 	return s, nil
 }
@@ -62,8 +60,6 @@ func (s *Store) CommitAt(height uint64) Version {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := s.trie.Snapshot()
-	s.retained[v] = struct{}{}
-	s.head = v + 1
 	if s.backend != nil {
 		if err := s.flushLocked(v, height); err != nil && s.flushErr == nil {
 			s.flushErr = err
@@ -72,23 +68,12 @@ func (s *Store) CommitAt(height uint64) Version {
 	return v
 }
 
-// flushLocked appends version v's delta to the backend: new nodes
-// (post-order, content-deduped), the generation's value writes, then the
-// closing root record. Called with mu held.
+// flushLocked appends version v's delta to the backend: new nodes and
+// their leaves' values (post-order, content-deduped), then the closing
+// root record. Called with mu held.
 func (s *Store) flushLocked(v Version, height uint64) error {
 	if _, err := s.trie.FlushRoot(s.backend); err != nil {
 		return fmt.Errorf("ibc: flush version %d: %w", v, err)
-	}
-	for _, p := range s.writeLog[v] {
-		h := s.values[p]
-		for i := len(h) - 1; i >= 0; i-- {
-			if h[i].ver == v {
-				if err := s.backend.ValuePut(uint64(v), p, h[i].val, h[i].val == nil); err != nil {
-					return fmt.Errorf("ibc: flush value %q: %w", p, err)
-				}
-				break
-			}
-		}
 	}
 	t := s.trie
 	err := s.backend.CommitRoot(nodestore.RootRecord{
@@ -134,36 +119,16 @@ func (s *Store) CloseBackend() error {
 	return s.backend.Close()
 }
 
-// Evict spills a retained version to the backend: its in-heap node
-// pointers and this generation's in-heap value history are dropped, and
-// reads of the version fault everything back from the backend on demand.
-// The version must already be flushed (any version produced by Commit with
-// a backend attached is). Evicting with no backend is a no-op: the heap is
-// the only copy.
+// Evict spills a retained version to the backend: its in-heap root
+// pointer is dropped, so nodes and values only it reached can be
+// collected, and reads of the version fault them back from the backend on
+// demand. The version must already be flushed (any version produced by
+// Commit with a backend attached is). Evicting with no backend is a no-op:
+// the heap is the only copy.
 func (s *Store) Evict(v Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.backend == nil {
-		return
+	if s.backend != nil {
+		s.trie.EvictVersion(v)
 	}
-	if _, ok := s.retained[v]; !ok {
-		return
-	}
-	s.trie.EvictVersion(v)
-	for _, p := range s.writeLog[v] {
-		h := s.values[p]
-		i := 0
-		for i < len(h) && h[i].ver <= v {
-			i++
-		}
-		if i == 0 {
-			continue
-		}
-		if i == len(h) {
-			delete(s.values, p)
-		} else {
-			s.values[p] = h[i:]
-		}
-	}
-	delete(s.writeLog, v)
 }

@@ -2,11 +2,14 @@ package ibc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
+	"repro/internal/cryptoutil"
 	"repro/internal/nodestore"
+	"repro/internal/trie"
 )
 
 func openBacked(t *testing.T, dir string) *Store {
@@ -236,3 +239,93 @@ func TestEvictedConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestValueRecordIntegrity: a value read back from the backend must hash
+// to its leaf. A record stored under the wrong hash, a missing record and
+// a failed read each come back as an error the caller can name with
+// errors.Is — never as absence or as the wrong bytes.
+func TestValueRecordIntegrity(t *testing.T) {
+	dir := t.TempDir()
+	d, err := nodestore.Open(dir, nodestore.DiskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The forged record comes first, so the flush's honest put dedups.
+	if err := d.ValuePut(cryptoutil.HashBytes([]byte("honest")), []byte("forged")); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStoreWithBackend(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, v := range map[string]string{"x": "honest", "y": "ok"} {
+		if err := s.Set(p, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v := s.CommitAt(1)
+	if got, err := s.Get("x"); err != nil || string(got) != "honest" {
+		t.Fatalf("head Get = %q, %v; the head leaf holds its own bytes", got, err)
+	}
+	s.Evict(v)
+	ro, err := s.At(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ro.Get("x"); !errors.Is(err, trie.ErrValueCorrupt) {
+		t.Fatalf("evicted Get of a forged record = %v, want ErrValueCorrupt", err)
+	}
+	if _, _, err := ro.ProveMembership("x"); !errors.Is(err, trie.ErrValueCorrupt) {
+		t.Fatalf("evicted proof of a forged record = %v, want ErrValueCorrupt", err)
+	}
+	if got, err := ro.Get("y"); err != nil || string(got) != "ok" {
+		t.Fatalf("evicted Get of an honest record = %q, %v", got, err)
+	}
+	if err := s.CloseBackend(); err != nil {
+		t.Fatal(err)
+	}
+	re := openBacked(t, dir)
+	defer re.CloseBackend()
+	if _, err := re.Get("x"); !errors.Is(err, trie.ErrValueCorrupt) {
+		t.Fatalf("recovered head Get of a forged record = %v, want ErrValueCorrupt", err)
+	}
+
+	// A backend whose value reads fail, or find nothing.
+	errRead := errors.New("injected read failure")
+	for _, c := range []struct {
+		name string
+		get  func() ([]byte, bool, error)
+		want error
+	}{
+		{"failed read", func() ([]byte, bool, error) { return nil, false, errRead }, errRead},
+		{"missing record", func() ([]byte, bool, error) { return nil, false, nil }, trie.ErrValueMissing},
+	} {
+		s, err := NewStoreWithBackend(valueGetter{nodestore.NewMem(), c.get})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Set("x", []byte("honest")); err != nil {
+			t.Fatal(err)
+		}
+		v := s.Commit()
+		s.Evict(v)
+		ro, err := s.At(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ro.Get("x"); !errors.Is(err, c.want) {
+			t.Fatalf("%s: Get = %v, want %v", c.name, err, c.want)
+		}
+		if ok, err := ro.Has("x"); err != nil || !ok {
+			t.Fatalf("%s: Has = %v, %v; the leaf itself is intact", c.name, ok, err)
+		}
+	}
+}
+
+// valueGetter is a backend whose value reads are get.
+type valueGetter struct {
+	*nodestore.Mem
+	get func() ([]byte, bool, error)
+}
+
+func (v valueGetter) ValueGet(cryptoutil.Hash) ([]byte, bool, error) { return v.get() }

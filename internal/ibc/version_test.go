@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/trie"
 )
@@ -153,77 +156,71 @@ func TestSealAtHeadKeepsVersionedValue(t *testing.T) {
 	}
 }
 
-func TestGetIntegrityCheck(t *testing.T) {
+// TestReleaseFreesValues: a version's value bytes live in its leaves, so
+// releasing every version that still reached an overwritten, deleted or
+// sealed value lets the collector free it (a sealed stub keeps no bytes),
+// while the surviving version keeps reading its own.
+func TestReleaseFreesValues(t *testing.T) {
 	s := NewStore()
-	if err := s.Set("x", []byte("honest")); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the side table behind the store's back.
-	s.mu.Lock()
-	h := s.values["x"]
-	h[len(h)-1].val = []byte("tampered")
-	s.mu.Unlock()
-	if _, err := s.Get("x"); !errors.Is(err, ErrValueMismatch) {
-		t.Fatalf("Get on desynced table = %v, want ErrValueMismatch", err)
-	}
-	// Versioned reads run the same check.
-	if err := s.Set("y", []byte("ok")); err != nil {
-		t.Fatal(err)
-	}
-	v := s.Commit()
-	s.mu.Lock()
-	h = s.values["y"]
-	h[len(h)-1].val = []byte("tampered too")
-	s.mu.Unlock()
-	snap, err := s.At(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snap.Get("y"); !errors.Is(err, ErrValueMismatch) {
-		t.Fatalf("versioned Get on desynced table = %v, want ErrValueMismatch", err)
-	}
-}
-
-func TestReleasePrunesValueHistory(t *testing.T) {
-	s := NewStore()
-	var versions []Version
-	for i := 0; i < 10; i++ {
-		if err := s.Set("hot", []byte(fmt.Sprintf("gen%d", i))); err != nil {
+	var freed atomic.Int32
+	watch := func(r interface {
+		Get(string) ([]byte, error)
+	}, path string) {
+		t.Helper()
+		b, err := r.Get(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		// Values of 16 bytes or more get their own allocation, so the
+		// finalizer runs exactly when nothing reaches the bytes.
+		runtime.SetFinalizer(&b[0], func(*byte) { freed.Add(1) })
+	}
+	var versions []Version
+	for i := 0; i < 10; i++ {
+		if err := s.Set("hot", []byte(fmt.Sprintf("generation %02d of the hot value", i))); err != nil {
+			t.Fatal(err)
+		}
+		watch(s, "hot")
 		versions = append(versions, s.Commit())
 	}
-	if n := len(s.values["hot"]); n != 10 {
-		t.Fatalf("history length = %d, want 10", n)
+	for _, p := range []string{"gone", "sealed"} {
+		if err := s.Set(p, []byte("a value retired at the head: "+p)); err != nil {
+			t.Fatal(err)
+		}
+		watch(s, p)
+	}
+	v := s.Commit()
+	if err := s.Delete("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Seal("sealed"); err != nil {
+		t.Fatal(err)
 	}
 	for _, v := range versions[:9] {
 		s.Release(v)
 	}
-	if n := len(s.values["hot"]); n > 2 {
-		t.Fatalf("history not pruned: %d entries for 1 retained version", n)
+	s.Release(v)
+	if n := s.RetainedVersions(); n != 1 {
+		t.Fatalf("RetainedVersions = %d, want 1", n)
+	}
+	// The nine overwritten generations and the retired values are garbage.
+	for i := 0; i < 100 && freed.Load() < 11; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := freed.Load(); n != 11 {
+		t.Fatalf("%d of 11 released values freed", n)
 	}
 	// The surviving version still reads its value.
 	snap, err := s.At(versions[9])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := snap.Get("hot"); err != nil || !bytes.Equal(got, []byte("gen9")) {
-		t.Fatalf("survivor read = %q, %v; want gen9", got, err)
+	if got, err := snap.Get("hot"); err != nil || string(got) != "generation 09 of the hot value" {
+		t.Fatalf("survivor read = %q, %v; want generation 09", got, err)
 	}
-	// A deleted path's tombstone goes away entirely once no version needs it.
-	if err := s.Set("gone", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	v := s.Commit()
-	if err := s.Delete("gone"); err != nil {
-		t.Fatal(err)
-	}
-	s.Release(versions[9])
-	s.Release(v)
-	s.Commit() // advance head so the tombstone generation falls below cutoff
-	s.Release(s.Commit())
-	if _, ok := s.values["gone"]; ok {
-		t.Fatal("dead tombstone not reclaimed")
+	if ok, err := s.Has("gone"); err != nil || ok {
+		t.Fatalf("head Has(gone) = %v, %v; want absent", ok, err)
 	}
 }
 

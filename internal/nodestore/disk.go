@@ -25,7 +25,10 @@ import (
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //
 // and the payload starts with a one-byte record type (node, value, root,
-// release). Appends go through a bufio writer; durability is explicit:
+// release). Node and value records are content-addressed: the type byte,
+// the 32-byte hash the record is stored under, then its bytes (an encoded
+// trie node, or a leaf's value bytes under the value hash the leaf commits
+// to). Each hash is written once; the RAM index maps it to its location. Appends go through a bufio writer; durability is explicit:
 // Sync flushes the buffer and fsyncs the active segment — one group fsync
 // covers every record appended since the last one, which is what makes a
 // per-block flush cheap (the guest syncs once per finalised block, not
@@ -34,10 +37,10 @@ import (
 // Recovery (Open on a non-empty directory) replays segments in order and
 // stops at the first truncated or corrupt record, truncating the log
 // there; the last complete root record in the valid prefix is the
-// recovered head. Because the trie flushes nodes in post-order and the
-// ibc.Store appends value deltas before the root record, any prefix
-// ending at a root record is a complete, openable state — this is the
-// WAL invariant the kill-and-recover chaos test exercises.
+// recovered head. Because the trie flushes nodes in post-order, each
+// leaf's value before the leaf, and the ibc.Store appends the root record
+// last, any prefix ending at a root record is a complete, openable state —
+// this is the WAL invariant the kill-and-recover chaos test exercises.
 //
 // All methods are safe for concurrent use; reads of already-flushed data
 // use pread so they do not disturb the append position.
@@ -58,7 +61,7 @@ type Disk struct {
 	durableOff int64
 
 	nodes    map[cryptoutil.Hash]loc
-	values   map[string][]diskValue
+	values   map[cryptoutil.Hash]loc
 	roots    []RootRecord
 	released map[uint64]struct{}
 
@@ -81,11 +84,13 @@ type DiskConfig struct {
 	SyncEvery int
 }
 
+// Record types. 0x02 was a per-path, per-version value delta; it is never
+// reused, so such a record ends a replay as an unknown type.
 const (
 	recNode    byte = 0x01
-	recValue   byte = 0x02
 	recRoot    byte = 0x03
 	recRelease byte = 0x04
+	recValue   byte = 0x05
 
 	frameHeader     = 8       // u32 length + u32 crc
 	maxRecordBytes  = 1 << 24 // sanity bound when scanning
@@ -109,12 +114,6 @@ type loc struct {
 	n   int
 }
 
-type diskValue struct {
-	ver  uint64
-	at   loc
-	tomb bool
-}
-
 func segName(i int) string { return fmt.Sprintf("seg-%08d.wal", i) }
 
 // Open opens (or creates) a disk store in dir, replaying any existing log.
@@ -130,7 +129,7 @@ func Open(dir string, cfg DiskConfig) (*Disk, error) {
 		dir:      dir,
 		cfg:      cfg,
 		nodes:    make(map[cryptoutil.Hash]loc),
-		values:   make(map[string][]diskValue),
+		values:   make(map[cryptoutil.Hash]loc),
 		released: make(map[uint64]struct{}),
 	}
 	names, err := listSegments(dir)
@@ -238,28 +237,17 @@ func (d *Disk) scanSegment(seg int, data []byte) (int64, error) {
 // payloadOff is the payload's offset within its segment file.
 func (d *Disk) indexRecord(seg int, payloadOff int64, payload []byte) error {
 	r := wire.NewReader(payload)
-	// rest locates what follows the fields read so far: a node's encoding
-	// or a value's bytes, which run to the end of the payload.
-	rest := func() loc {
-		return loc{seg: seg, off: payloadOff + int64(len(payload)-r.Remaining()), n: r.Remaining()}
-	}
 	switch kind := r.U8(); kind {
-	case recNode:
+	case recNode, recValue:
 		h := r.Hash()
 		if err := r.Err(); err != nil {
-			return fmt.Errorf("nodestore: node record: %w", err)
+			return fmt.Errorf("nodestore: record %#x: %w", kind, err)
 		}
-		if _, ok := d.nodes[h]; !ok {
-			d.nodes[h] = rest()
+		// The node's encoding or the value's bytes run to the end.
+		index := d.index(kind)
+		if _, ok := index[h]; !ok {
+			index[h] = loc{seg: seg, off: payloadOff + int64(len(payload)-r.Remaining()), n: r.Remaining()}
 		}
-	case recValue:
-		ver := r.U64()
-		tomb := r.U8() != 0
-		path := r.String16()
-		if err := r.Err(); err != nil {
-			return fmt.Errorf("nodestore: value record: %w", err)
-		}
-		d.values[path] = append(d.values[path], diskValue{ver: ver, at: rest(), tomb: tomb})
 	case recRoot:
 		rec := readRootRecord(r)
 		if err := r.Done(); err != nil {
@@ -362,39 +350,43 @@ func (d *Disk) readAtLocked(at loc) ([]byte, error) {
 	return buf, nil
 }
 
-// NodePut appends a node record unless the hash is already stored (dedup).
-func (d *Disk) NodePut(h cryptoutil.Hash, enc []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
+// index returns the hash index of a content-addressed record type.
+func (d *Disk) index(kind byte) map[cryptoutil.Hash]loc {
+	if kind == recValue {
+		return d.values
 	}
-	if _, ok := d.nodes[h]; ok {
-		d.stats.NodesDeduped++
-		return nil
-	}
-	w := wire.NewWriterSize(1 + cryptoutil.HashSize + len(enc))
-	w.U8(recNode)
-	w.Hash(h)
-	head := w.Len()
-	w.Raw(enc)
-	off, err := d.appendLocked(w.Bytes())
-	if err != nil {
-		return err
-	}
-	d.nodes[h] = loc{seg: len(d.segs) - 1, off: off + int64(head), n: len(enc)}
-	d.stats.NodesWritten++
-	return nil
+	return d.nodes
 }
 
-// NodeGet returns the encoded node for h.
-func (d *Disk) NodeGet(h cryptoutil.Hash) ([]byte, bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// putLocked appends a content-addressed record of type kind unless h is
+// already stored, reporting whether it appended.
+func (d *Disk) putLocked(kind byte, h cryptoutil.Hash, data []byte) (bool, error) {
+	if d.closed {
+		return false, ErrClosed
+	}
+	index := d.index(kind)
+	if _, ok := index[h]; ok {
+		return false, nil
+	}
+	w := wire.NewWriterSize(1 + cryptoutil.HashSize + len(data))
+	w.U8(kind)
+	w.Hash(h)
+	head := w.Len()
+	w.Raw(data)
+	off, err := d.appendLocked(w.Bytes())
+	if err != nil {
+		return false, err
+	}
+	index[h] = loc{seg: len(d.segs) - 1, off: off + int64(head), n: len(data)}
+	return true, nil
+}
+
+// getLocked reads the content-addressed record of type kind stored under h.
+func (d *Disk) getLocked(kind byte, h cryptoutil.Hash) ([]byte, bool, error) {
 	if d.closed {
 		return nil, false, ErrClosed
 	}
-	at, ok := d.nodes[h]
+	at, ok := d.index(kind)[h]
 	if !ok {
 		return nil, false, nil
 	}
@@ -402,8 +394,32 @@ func (d *Disk) NodeGet(h cryptoutil.Hash) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	d.stats.NodeReads++
 	return buf, true, nil
+}
+
+// NodePut appends a node record unless the hash is already stored (dedup).
+func (d *Disk) NodePut(h cryptoutil.Hash, enc []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	added, err := d.putLocked(recNode, h, enc)
+	switch {
+	case added:
+		d.stats.NodesWritten++
+	case err == nil:
+		d.stats.NodesDeduped++
+	}
+	return err
+}
+
+// NodeGet returns the encoded node for h.
+func (d *Disk) NodeGet(h cryptoutil.Hash) ([]byte, bool, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	buf, ok, err := d.getLocked(recNode, h)
+	if ok {
+		d.stats.NodeReads++
+	}
+	return buf, ok, err
 }
 
 // NodeHas reports whether h is stored.
@@ -414,58 +430,20 @@ func (d *Disk) NodeHas(h cryptoutil.Hash) bool {
 	return ok
 }
 
-// ValuePut appends one value delta record.
-func (d *Disk) ValuePut(ver uint64, path string, value []byte, tombstone bool) error {
+// ValuePut appends a value record unless the hash is already stored
+// (dedup).
+func (d *Disk) ValuePut(h cryptoutil.Hash, value []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if len(path) > 1<<16-1 {
-		return fmt.Errorf("nodestore: path too long (%d bytes)", len(path))
-	}
-	w := wire.NewWriterSize(1 + 8 + 1 + 2 + len(path) + len(value))
-	w.U8(recValue)
-	w.U64(ver)
-	w.U8(flag(tombstone))
-	w.String16(path)
-	head := w.Len()
-	w.Raw(value)
-	off, err := d.appendLocked(w.Bytes())
-	if err != nil {
-		return err
-	}
-	d.values[path] = append(d.values[path], diskValue{
-		ver:  ver,
-		at:   loc{seg: len(d.segs) - 1, off: off + int64(head), n: len(value)},
-		tomb: tombstone,
-	})
-	d.stats.ValuesWritten++
-	return nil
+	_, err := d.putLocked(recValue, h, value)
+	return err
 }
 
-// ValueAt returns the newest delta for path with version ≤ maxVer.
-func (d *Disk) ValueAt(path string, maxVer uint64) ([]byte, bool, error) {
+// ValueGet returns the value bytes stored under h.
+func (d *Disk) ValueGet(h cryptoutil.Hash) ([]byte, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
-		return nil, false, ErrClosed
-	}
-	hist := d.values[path]
-	for i := len(hist) - 1; i >= 0; i-- {
-		if hist[i].ver <= maxVer {
-			if hist[i].tomb {
-				return nil, false, nil
-			}
-			buf, err := d.readAtLocked(hist[i].at)
-			if err != nil {
-				return nil, false, err
-			}
-			d.stats.ValueReads++
-			return buf, true, nil
-		}
-	}
-	return nil, false, nil
+	return d.getLocked(recValue, h)
 }
 
 // CommitRoot appends the root record closing one version, applies the

@@ -19,7 +19,7 @@ func openDisk(t *testing.T, dir string, cfg DiskConfig) *Disk {
 }
 
 // writeVersion appends one version's worth of records: a few nodes, a
-// value delta, and the closing root record.
+// value under its hash, and the closing root record.
 func writeVersion(t *testing.T, d *Disk, v uint64) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
@@ -28,7 +28,8 @@ func writeVersion(t *testing.T, d *Disk, v uint64) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.ValuePut(v, "path/x", []byte(fmt.Sprintf("val%d", v)), false); err != nil {
+	val := fmt.Sprintf("val%d", v)
+	if err := d.ValuePut(h(val), []byte(val)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.CommitRoot(RootRecord{Version: v, Root: h(fmt.Sprintf("root%d", v)), Height: v}); err != nil {
@@ -66,9 +67,9 @@ func TestDiskReopenRecoversEverything(t *testing.T) {
 	if err != nil || !ok || string(got) != "enc 3 1" {
 		t.Fatalf("NodeGet after reopen = %q, %v, %v", got, ok, err)
 	}
-	val, ok, err := re.ValueAt("path/x", 4)
+	val, ok, err := re.ValueGet(h("val4"))
 	if err != nil || !ok || string(val) != "val4" {
-		t.Fatalf("ValueAt after reopen = %q, %v, %v", val, ok, err)
+		t.Fatalf("ValueGet after reopen = %q, %v, %v", val, ok, err)
 	}
 	if re.Stats().RecoveredRecords == 0 {
 		t.Fatal("RecoveredRecords not counted")
@@ -104,10 +105,11 @@ func TestDiskCrashDropsUnsyncedTail(t *testing.T) {
 	if re.NodeHas(h("n3-0")) {
 		t.Fatal("unsynced node survived the power cut")
 	}
-	if _, ok, _ := re.ValueAt("path/x", 99); !ok {
-		t.Fatal("synced value lost")
-	} else if v, _, _ := re.ValueAt("path/x", 99); string(v) != "val2" {
-		t.Fatalf("value after crash = %q, want val2", v)
+	if v, ok, err := re.ValueGet(h("val2")); err != nil || !ok || string(v) != "val2" {
+		t.Fatalf("synced value after crash = %q, %v, %v; want val2", v, ok, err)
+	}
+	if _, ok, _ := re.ValueGet(h("val3")); ok {
+		t.Fatal("unsynced value survived the power cut")
 	}
 }
 
@@ -325,9 +327,10 @@ func FuzzDiskRecover(f *testing.F) {
 		f.Fatal(err)
 	}
 	for v := uint64(1); v <= 3; v++ {
+		val := fmt.Sprintf("val%d", v%2) // version 3 re-puts version 1's value
 		for _, err := range []error{
 			d.NodePut(h(fmt.Sprintf("n%d", v)), []byte("enc")),
-			d.ValuePut(v, "path/x", []byte("val"), v == 2),
+			d.ValuePut(h(val), []byte(val)),
 			d.CommitRoot(RootRecord{Version: v, Root: h(fmt.Sprintf("root%d", v)), Height: v}),
 		} {
 			if err != nil {

@@ -15,11 +15,9 @@ import (
 func TestRecordGolden(t *testing.T) {
 	dir := t.TempDir()
 	d := openDisk(t, dir, DiskConfig{})
-	const path = "commitments/ports/transfer/channels/channel-0/sequences/1"
 	for _, err := range []error{
 		d.NodePut(h("node"), []byte("encoded node bytes")),
-		d.ValuePut(7, path, []byte("value"), false),
-		d.ValuePut(8, path, nil, true),
+		d.ValuePut(h("value"), []byte("value")),
 		d.CommitRoot(RootRecord{
 			Version: 8, Root: h("root"), Sealed: true, Height: 41,
 			Nodes: 123, Leaves: 45, SealedRefs: 6, TotalAllocs: 789, TotalFrees: 666,
@@ -45,7 +43,7 @@ func TestRecordGolden(t *testing.T) {
 		len    int
 	}
 	var got []pin
-	names := []string{"node", "value", "tombstone", "root", "release"}
+	names := []string{"node", "value", "root", "release"}
 	for rest := seg; len(rest) > 0; {
 		if len(rest) < 8 || len(got) == len(names) {
 			t.Fatalf("segment does not frame into %d records", len(names))
@@ -58,11 +56,10 @@ func TestRecordGolden(t *testing.T) {
 	got = append(got, pin{"segment", digest(seg), len(seg)})
 	want := []pin{
 		{"node", "c5eca2a2841f37ce5b8dc1ced5058b913e047674bd755843b761ef04ab248047", 51},
-		{"value", "ad34c12fea2a63113a08ad43ae55c6dccf9628ea32974b9ff5e791bc1575e3b7", 74},
-		{"tombstone", "1131d2a97fcc51541f2335c2ca83689fafe309f17c1e66f580baa9522afd6c7d", 69},
+		{"value", "d4ef5b94ec4eb6b783412addd9f3673c3ab6253c71c7721a619a74cae4363153", 38},
 		{"root", "da68b5a04faebc4677076a2984767e4f56b29080a8eb59c72afbd708f9785d5c", 90},
 		{"release", "ff7ea9afa16aff0fe857c4d8b24c7325211241217b12fee4e5214d85a785d21c", 9},
-		{"segment", "30918b5aedaf7d561659761c9d52b2f2bdbc585665d4b07ccfe4bd7182e06e17", 333},
+		{"segment", "8e24a7ae1c03ebddff0d2d7bd76ef787df31b5197d8f31d2e851371074a9dfe5", 220},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("segment holds %d records, want %d", len(got)-1, len(want)-1)

@@ -10,28 +10,23 @@ import (
 // Mem is the in-memory Store: plain maps behind a mutex. It keeps exactly
 // the data the heap already held, so attaching it to a trie changes no
 // observable behaviour — it exists to unit-test the durability plumbing
-// (flush ordering, value deltas, root records) without touching disk, and
-// to serve as the reference implementation for the Disk recovery tests.
+// (flush ordering, value records, root records) without touching disk,
+// and to serve as the reference implementation for the Disk recovery
+// tests.
 type Mem struct {
 	mu       sync.Mutex
 	nodes    map[cryptoutil.Hash][]byte
-	values   map[string][]memValue
+	values   map[cryptoutil.Hash][]byte
 	roots    []RootRecord
 	released map[uint64]struct{}
 	stats    Stats
-}
-
-type memValue struct {
-	ver  uint64
-	val  []byte
-	tomb bool
 }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem {
 	return &Mem{
 		nodes:    make(map[cryptoutil.Hash][]byte),
-		values:   make(map[string][]memValue),
+		values:   make(map[cryptoutil.Hash][]byte),
 		released: make(map[uint64]struct{}),
 	}
 }
@@ -70,33 +65,22 @@ func (m *Mem) NodeHas(h cryptoutil.Hash) bool {
 	return ok
 }
 
-// ValuePut records a value delta for ver.
-func (m *Mem) ValuePut(ver uint64, path string, value []byte, tombstone bool) error {
+// ValuePut stores value under h, deduplicating on hash.
+func (m *Mem) ValuePut(h cryptoutil.Hash, value []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	m.values[path] = append(m.values[path], memValue{ver: ver, val: cp, tomb: tombstone})
-	m.stats.ValuesWritten++
+	if _, ok := m.values[h]; !ok {
+		m.values[h] = append([]byte(nil), value...)
+	}
 	return nil
 }
 
-// ValueAt returns the newest delta for path with version ≤ maxVer.
-func (m *Mem) ValueAt(path string, maxVer uint64) ([]byte, bool, error) {
+// ValueGet returns the value bytes stored under h.
+func (m *Mem) ValueGet(h cryptoutil.Hash) ([]byte, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	hist := m.values[path]
-	// Deltas append in version order; scan from the newest.
-	for i := len(hist) - 1; i >= 0; i-- {
-		if hist[i].ver <= maxVer {
-			if hist[i].tomb {
-				return nil, false, nil
-			}
-			m.stats.ValueReads++
-			return hist[i].val, true, nil
-		}
-	}
-	return nil, false, nil
+	value, ok := m.values[h]
+	return value, ok, nil
 }
 
 // CommitRoot records the root closing one version.

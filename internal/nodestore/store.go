@@ -1,7 +1,9 @@
 // Package nodestore provides the pluggable, content-addressed state
 // backend behind the trie's copy-on-write store: a hash→encoded-node map
-// plus the per-version value deltas and root records the ibc.Store needs
-// to survive a restart.
+// and a hash→value-bytes map (a leaf's value under the value hash the leaf
+// commits to), plus the root records and releases the ibc.Store needs to
+// survive a restart. Versions live in the trie alone: a version's values
+// are whatever its leaves' hashes address.
 //
 // Two implementations ship:
 //
@@ -12,9 +14,9 @@
 //     batched group fsync, content-addressed dedup, and crash-recovery
 //     replay to the last durable root (see disk.go).
 //
-// The interface is deliberately wider than trie.NodeSource (the three
-// Node* methods): the trie only resolves and flushes nodes, while the
-// ibc.Store additionally persists value history, root records and version
+// The interface is deliberately wider than trie.NodeSource (the Node* and
+// Value* methods): the trie only resolves and flushes nodes and values,
+// while the ibc.Store additionally persists root records and version
 // releases. Any Store satisfies trie.NodeSource.
 package nodestore
 
@@ -24,9 +26,9 @@ import (
 
 // RootRecord freezes one committed version: the root commitment plus the
 // head counters a recovered trie resumes with. A root record in the log
-// asserts that every node and value record of that version precedes it
-// (the trie's post-order flush discipline), so any log prefix ending at a
-// root record is a complete, openable state.
+// asserts that every node and value record the version reaches precedes
+// it (the trie's post-order flush discipline), so any log prefix ending at
+// a root record is a complete, openable state.
 type RootRecord struct {
 	// Version is the trie/store version frozen by this commit.
 	Version uint64
@@ -66,9 +68,6 @@ type Stats struct {
 	NodesDeduped uint64
 	// NodeReads counts NodeGet calls that returned a node.
 	NodeReads uint64
-	// ValuesWritten / ValueReads mirror the value side-table traffic.
-	ValuesWritten uint64
-	ValueReads    uint64
 	// RootsCommitted counts CommitRoot calls.
 	RootsCommitted uint64
 	// Syncs counts explicit durability points (group fsyncs for Disk).
@@ -85,8 +84,8 @@ type Stats struct {
 	RecoveredRecords uint64
 }
 
-// Store is the full backend contract used by ibc.Store. The Node* subset
-// is exactly trie.NodeSource.
+// Store is the full backend contract used by ibc.Store. The Node* and
+// Value* subset is exactly trie.NodeSource.
 type Store interface {
 	// NodePut stores an encoded node under its content hash. Re-storing a
 	// known hash is a cheap no-op (dedup).
@@ -96,13 +95,12 @@ type Store interface {
 	// NodeHas reports whether h is stored.
 	NodeHas(h cryptoutil.Hash) bool
 
-	// ValuePut records one value delta: path was set to value (or deleted,
-	// when tombstone is true) in version ver.
-	ValuePut(ver uint64, path string, value []byte, tombstone bool) error
-	// ValueAt returns the value of path as of version maxVer: the delta
-	// with the greatest version ≤ maxVer. ok is false when no delta
-	// qualifies or the qualifying delta is a tombstone.
-	ValueAt(path string, maxVer uint64) ([]byte, bool, error)
+	// ValuePut stores a leaf's value bytes under their hash. Re-storing a
+	// known hash is a cheap no-op (dedup).
+	ValuePut(h cryptoutil.Hash, value []byte) error
+	// ValueGet returns the value bytes stored under h, or ok=false when
+	// unknown. The trie checks that they hash to h.
+	ValueGet(h cryptoutil.Hash) ([]byte, bool, error)
 
 	// CommitRoot appends the root record closing one version.
 	CommitRoot(rec RootRecord) error

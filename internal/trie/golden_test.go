@@ -61,8 +61,8 @@ func TestEncodingGolden(t *testing.T) {
 		name string
 		n    *node
 	}{
-		{"leaf", &node{kind: kindLeaf, path: bitsPath(1, 0, 1, 1, 0, 0, 1, 0, 1), value: val("leaf")}},
-		{"leaf/sealed", &node{kind: kindLeaf, path: bitsPath(bitsOf(keyToPath(key("full")))[3:]...), value: val("stub"), sealed: true}},
+		{"leaf", &node{kind: kindLeaf, path: bitsPath(1, 0, 1, 1, 0, 0, 1, 0, 1), children: [2]ref{{hash: val("leaf")}}}},
+		{"leaf/sealed", &node{kind: kindLeaf, path: bitsPath(bitsOf(keyToPath(key("full")))[3:]...), children: [2]ref{{hash: val("stub")}}, sealed: true}},
 		{"branch/hash+sealed", &node{kind: kindBranch, children: [2]ref{{hash: h}, {hash: val("opaque"), sealed: true}}}},
 		{"branch/empty+hash", &node{kind: kindBranch, children: [2]ref{{}, {hash: h}}}},
 		{"ext", &node{kind: kindExt, path: bitsPath(0, 1, 1), children: [2]ref{{hash: h}}}},

@@ -37,31 +37,39 @@ type ref struct {
 // node is a trie node. Exactly one of the three shapes is active, selected
 // by kind:
 //
-//   - kindLeaf:   path = remaining key bits, value = stored value hash
+//   - kindLeaf:   path = remaining key bits, children[0].hash = the value
+//     hash, value = the value bytes (nil when the leaf does not hold them)
 //   - kindBranch: children[0] and children[1], both non-empty
 //   - kindExt:    path = shared prefix bits (>=1), children[0] = the child
 //
 // The path is held inline in its packed form (see path), so a node is one
 // heap object of at most 176 bytes: kind, sealed and the 34-byte path, the
-// value hash, two 48-byte refs and the write generation. An extension
-// keeps its one child in slot 0 rather than a third ref.
+// value bytes' slice header, two 48-byte refs and the write generation. A
+// leaf keeps its value hash in child slot 0, which leaves never use for a
+// child, and an extension keeps its one child there rather than in a
+// third ref.
 type node struct {
 	kind nodeKind
 
 	// sealed marks a leaf as sealed (§III-A): its value can never be read
 	// or modified again, but the leaf's structure (path + value hash) is
 	// retained as a stub so that future keys can still branch off next to
-	// it. Stubs are freed — and replaced by an opaque sealed ref in the
-	// parent — once the subtree they belong to is *saturated*: every key
-	// under the subtree's prefix has been sealed. With the sequential
-	// sequence-number keys the Guest Contract uses for receipts, seals
-	// saturate aligned blocks behind the delivery frontier, so storage
-	// stays bounded exactly as §III-A claims while fresh sequence numbers
-	// always remain insertable.
+	// it. A stub drops its value bytes. Stubs are freed — and replaced by
+	// an opaque sealed ref in the parent — once the subtree they belong to
+	// is *saturated*: every key under the subtree's prefix has been sealed.
+	// With the sequential sequence-number keys the Guest Contract uses for
+	// receipts, seals saturate aligned blocks behind the delivery frontier,
+	// so storage stays bounded exactly as §III-A claims while fresh
+	// sequence numbers always remain insertable.
 	sealed bool
 
-	path     path
-	value    cryptoutil.Hash
+	path path
+
+	// value is a leaf's value bytes, committed to by children[0].hash. It
+	// is set by Put and never modified in place, so path copies share it;
+	// a leaf written by Set, faulted in from a NodeSource or sealed holds
+	// none, and a read fetches them from the NodeSource by hash.
+	value    []byte
 	children [2]ref
 
 	// rev is the trie write generation that created this physical node
@@ -72,6 +80,15 @@ type node struct {
 	// versions are structurally shared and never change.
 	rev uint64
 }
+
+// newLeaf returns a leaf holding the value hash h and, when the caller has
+// them, its bytes.
+func newLeaf(p path, h cryptoutil.Hash, value []byte) *node {
+	return &node{kind: kindLeaf, path: p, value: value, children: [2]ref{{hash: h}}}
+}
+
+// valueHash returns a leaf's value hash.
+func (n *node) valueHash() cryptoutil.Hash { return n.children[0].hash }
 
 // maxPreimage is the largest node hash preimage: tag + 2-byte bit length
 // + 32-byte packed path + 32-byte value/child hash (a branch's tag + two
@@ -116,7 +133,7 @@ func branchHash(left, right cryptoutil.Hash) cryptoutil.Hash {
 func (n *node) hash() cryptoutil.Hash {
 	switch n.kind {
 	case kindLeaf:
-		return leafHash(&n.path, n.value)
+		return leafHash(&n.path, n.valueHash())
 	case kindBranch:
 		return branchHash(n.children[0].hash, n.children[1].hash)
 	case kindExt:

@@ -38,7 +38,7 @@ func encodeNode(n *node) []byte {
 			w.U8(0)
 		}
 		writePath(w, packed, n.path.len())
-		w.Hash(n.value)
+		w.Hash(n.valueHash())
 	case kindBranch:
 		w = wire.NewWriterSize(1 + childSize(n.children[0]) + childSize(n.children[1]))
 		w.U8(ncBranch)
@@ -142,7 +142,7 @@ func parseNode(enc []byte) (*node, error) {
 		if n.path, err = readNodePath(r); err != nil {
 			return nil, err
 		}
-		n.value = r.Hash()
+		n.children[0].hash = r.Hash()
 	case ncBranch:
 		n.kind = kindBranch
 		for i := range n.children {

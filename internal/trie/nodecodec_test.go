@@ -11,18 +11,35 @@ import (
 	"repro/internal/cryptoutil"
 )
 
-// mapSource is a minimal in-test NodeSource: a mutex-guarded hash→bytes
-// map. Keeping it local to the trie package keeps these tests free of a
-// dependency on internal/nodestore (which is itself tested against the
-// same contract).
+// mapSource is a minimal in-test NodeSource: mutex-guarded hash→bytes
+// maps for nodes and values. Keeping it local to the trie package keeps
+// these tests free of a dependency on internal/nodestore (which is itself
+// tested against the same contract).
 type mapSource struct {
 	mu   sync.Mutex
 	m    map[cryptoutil.Hash][]byte
+	vals map[cryptoutil.Hash][]byte
 	puts []cryptoutil.Hash // flush order, for the post-order check
 }
 
 func newMapSource() *mapSource {
-	return &mapSource{m: make(map[cryptoutil.Hash][]byte)}
+	return &mapSource{m: make(map[cryptoutil.Hash][]byte), vals: make(map[cryptoutil.Hash][]byte)}
+}
+
+func (s *mapSource) ValuePut(h cryptoutil.Hash, value []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.vals[h]; !ok {
+		s.vals[h] = append([]byte(nil), value...)
+	}
+	return nil
+}
+
+func (s *mapSource) ValueGet(h cryptoutil.Hash) ([]byte, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	value, ok := s.vals[h]
+	return value, ok, nil
 }
 
 func (s *mapSource) NodePut(h cryptoutil.Hash, enc []byte) error {
@@ -123,7 +140,7 @@ func TestNodeCodecRejectsCorruption(t *testing.T) {
 func FuzzNodeCodecDecode(f *testing.F) {
 	h := val("child")
 	f.Add([]byte{})
-	f.Add(encodeNode(&node{kind: kindLeaf, path: bitsPath(1, 0, 1, 1, 0), value: val("v"), sealed: true}))
+	f.Add(encodeNode(&node{kind: kindLeaf, path: bitsPath(1, 0, 1, 1, 0), children: [2]ref{{hash: val("v")}}, sealed: true}))
 	f.Add(encodeNode(&node{kind: kindBranch, children: [2]ref{{hash: h}, {hash: h, sealed: true}}}))
 	f.Add(encodeNode(&node{kind: kindExt, path: bitsPath(0, 1, 1), children: [2]ref{{hash: h}}}))
 	// A live child with the empty hash would re-encode as an empty child.

@@ -7,16 +7,18 @@ import (
 )
 
 // NodeSource is the pluggable content-addressed backend behind the trie:
-// a hash→encoded-node store. The trie writes nodes with NodePut during
-// FlushRoot and faults evicted nodes back in with NodeGet during reads and
-// mutations. internal/nodestore provides the implementations (an in-memory
-// map and a WAL-backed disk store); the trie deliberately depends only on
-// this three-method seam so the storage layer stays swappable.
+// a hash→encoded-node store and a hash→value-bytes store. The trie writes
+// nodes with NodePut and leaf values with ValuePut during FlushRoot, and
+// faults evicted nodes and values back in with NodeGet and ValueGet during
+// reads and mutations. internal/nodestore provides the implementations (an
+// in-memory map and a WAL-backed disk store); the trie deliberately
+// depends only on this seam so the storage layer stays swappable.
 //
 // The contract is content addressing: NodeGet(h) must return exactly the
-// bytes some NodePut(h, enc) stored, and the trie verifies on decode that
-// the bytes re-hash to h — a corrupt or substituted node can never be
-// silently accepted.
+// bytes some NodePut(h, enc) stored, and ValueGet(h) the bytes some
+// ValuePut(h, value) stored. The trie verifies on decode that a node
+// re-hashes to h and that a value hashes to h — a corrupt or substituted
+// record can never be silently accepted.
 type NodeSource interface {
 	// NodePut stores enc under h. Storing the same hash twice is legal and
 	// must be idempotent (content-addressed dedup).
@@ -27,6 +29,12 @@ type NodeSource interface {
 	// NodeHas reports whether h is already stored, letting FlushRoot skip
 	// whole already-persisted subtrees.
 	NodeHas(h cryptoutil.Hash) bool
+	// ValuePut stores a leaf's value bytes under their hash h. Like
+	// NodePut it is idempotent.
+	ValuePut(h cryptoutil.Hash, value []byte) error
+	// ValueGet returns the value bytes stored under h, or ok=false when
+	// the hash is unknown.
+	ValueGet(h cryptoutil.Hash) ([]byte, bool, error)
 }
 
 // SetNodeSource attaches a node backend. With a source attached, refs may
@@ -62,6 +70,25 @@ func (rs resolver) load(h cryptoutil.Hash) (*node, error) {
 	return decodeNode(h, enc)
 }
 
+// loadValue fetches the value bytes stored under h, verifying that they
+// hash to h: a missing record is ErrValueMissing, a substituted one
+// ErrValueCorrupt, and a failed read the source's error.
+func (rs resolver) loadValue(h cryptoutil.Hash) ([]byte, error) {
+	if rs.ns == nil {
+		return nil, fmt.Errorf("%w: %x (no node source attached)", ErrValueMissing, h[:8])
+	}
+	value, ok, err := rs.ns.ValueGet(h)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("trie: value %x: %w", h[:8], err)
+	case !ok:
+		return nil, fmt.Errorf("%w: %x", ErrValueMissing, h[:8])
+	case cryptoutil.HashBytes(value) != h:
+		return nil, fmt.Errorf("%w: %x", ErrValueCorrupt, h[:8])
+	}
+	return value, nil
+}
+
 // resolve returns the ref's node, faulting it in when evicted. The ref is
 // taken by value: the caller's copy gets the pointer, shared state is
 // untouched.
@@ -91,15 +118,16 @@ func (t *Trie) materialise(cur *ref) error {
 }
 
 // FlushRoot persists every node reachable from the current head root into
-// ns, in post-order (children strictly before parents). Subtrees whose
+// ns, in post-order (children strictly before parents), each leaf's value
+// bytes just before the leaf. Subtrees whose
 // root hash the backend already holds are skipped wholesale — that is the
 // content-addressed dedup which makes flushing an O(delta) operation under
 // copy-on-write: only nodes created since the last flush are new hashes.
 //
 // The post-order discipline is the durability invariant the WAL backend
-// relies on: if a parent record is on disk, every child record precedes it
-// in the log, so any log prefix that ends at a root record describes a
-// complete, decodable trie.
+// relies on: if a parent record is on disk, every child record (and a
+// leaf's value record) precedes it in the log, so any log prefix that ends
+// at a root record describes a complete, decodable trie.
 func (t *Trie) FlushRoot(ns NodeSource) (written int, err error) {
 	if ns == nil {
 		return 0, fmt.Errorf("trie: flush: nil node source")
@@ -119,6 +147,12 @@ func (t *Trie) FlushRoot(ns NodeSource) (written int, err error) {
 		}
 		n := r.node
 		switch n.kind {
+		case kindLeaf:
+			if n.value != nil {
+				if err := ns.ValuePut(n.valueHash(), n.value); err != nil {
+					return err
+				}
+			}
 		case kindBranch:
 			if err := walk(n.children[0]); err != nil {
 				return err

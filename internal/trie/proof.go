@@ -182,11 +182,8 @@ func encodeProof(kp *path, crossed []*node, term *node, member bool) *Proof {
 	w.U8(flags)
 	if term != nil {
 		writePath(w, term.path.packed(), term.path.len())
-		switch {
-		case term.kind == kindExt:
-			w.Hash(term.children[0].hash)
-		case !member:
-			w.Hash(term.value)
+		if term.kind == kindExt || !member {
+			w.Hash(term.children[0].hash) // the child's or the diverging leaf's value hash
 		}
 	}
 	w.U16(uint16(len(crossed)))

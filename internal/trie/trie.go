@@ -23,6 +23,13 @@ var (
 	// ErrUnknownVersion is returned when reading a version that was never
 	// snapshotted or has been released.
 	ErrUnknownVersion = errors.New("trie: unknown version")
+	// ErrValueMissing is returned when a leaf's value bytes are neither
+	// held by the leaf nor stored in the NodeSource under its value hash
+	// (the leaf was written by Set, which stores only the hash).
+	ErrValueMissing = errors.New("trie: value bytes missing")
+	// ErrValueCorrupt is returned when the bytes a NodeSource returns for
+	// a leaf's value do not hash to the leaf's value hash.
+	ErrValueCorrupt = errors.New("trie: value bytes do not match the leaf")
 )
 
 // Version identifies a frozen snapshot of the trie taken by Snapshot.
@@ -30,7 +37,8 @@ var (
 type Version uint64
 
 // Trie is a sealable Merkle-Patricia binary trie over fixed 32-byte keys and
-// 32-byte value hashes. The zero value is NOT ready to use; call New.
+// 32-byte value hashes; a leaf written by Put also holds the value bytes
+// behind its hash. The zero value is NOT ready to use; call New.
 //
 // Trie is a copy-on-write versioned store: Snapshot freezes the current
 // contents as an O(1) version handle, and later mutations path-copy any
@@ -218,13 +226,29 @@ func (t *Trie) rehash(stack []*ref) {
 	}
 }
 
-// Set stores value under key. Inserting a key whose path crosses a sealed
-// reference fails with ErrSealed — including re-inserting a key that was
-// itself sealed, which is the double-delivery guard of Alg. 1 line 37.
+// Set stores the value hash value under key. Inserting a key whose path
+// crosses a sealed reference fails with ErrSealed — including re-inserting
+// a key that was itself sealed, which is the double-delivery guard of
+// Alg. 1 line 37.
 func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 	if value.IsZero() {
 		return ErrZeroValue
 	}
+	return t.set(key, value, nil)
+}
+
+// Put stores value's hash under key, as Set does, and keeps a copy of the
+// bytes in the leaf, so Value reads them back from this version and every
+// version snapshotted before the key changes again.
+func (t *Trie) Put(key [KeySize]byte, value []byte) error {
+	held := make([]byte, len(value)) // non-nil even when empty: the leaf holds it
+	copy(held, value)
+	return t.set(key, cryptoutil.HashBytes(value), held)
+}
+
+// set stores the leaf (h, value) under key: the one write path of Set and
+// Put.
+func (t *Trie) set(key [KeySize]byte, h cryptoutil.Hash, value []byte) error {
 	kp := keyToPath(key)
 	pos := 0
 	cur := &t.root
@@ -243,7 +267,7 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 				// (unreachable once materialise has run with a source).
 				return ErrSealed
 			}
-			leaf, err := t.alloc(&node{kind: kindLeaf, path: kp.slice(pos, keyBits), value: value})
+			leaf, err := t.alloc(newLeaf(kp.slice(pos, keyBits), h, value))
 			if err != nil {
 				return err
 			}
@@ -263,12 +287,12 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 					// key can never be written again.
 					return ErrSealed
 				}
-				n.value = value
+				n.children[0].hash, n.value = h, value
 				cur.hash = n.hash()
 				t.rehash(stack)
 				return nil
 			}
-			if err := t.splitLeaf(cur, n, &kp, pos, value, c); err != nil {
+			if err := t.splitLeaf(cur, n, &kp, pos, newLeaf(kp.slice(pos+c+1, keyBits), h, value), c); err != nil {
 				return err
 			}
 			t.rehash(stack)
@@ -281,7 +305,7 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 				cur = &n.children[0]
 				continue
 			}
-			if err := t.splitExt(cur, n, &kp, pos, value, c); err != nil {
+			if err := t.splitExt(cur, n, &kp, pos, newLeaf(kp.slice(pos+c+1, keyBits), h, value), c); err != nil {
 				return err
 			}
 			t.rehash(stack)
@@ -301,10 +325,10 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 }
 
 // splitLeaf replaces the leaf held by cur with a structure distinguishing
-// the existing leaf from the new (key remainder, value) pair; the key's
-// remainder is kp from bit pos on. c is the common prefix length; because
-// keys are fixed length, both remainders are non-empty and differ at bit c.
-func (t *Trie) splitLeaf(cur *ref, old *node, kp *path, pos int, value cryptoutil.Hash, c int) error {
+// the existing leaf from leaf, the new key's leaf, which holds the key's
+// remainder after bit pos+c of kp. c is the common prefix length; because keys are
+// fixed length, both remainders are non-empty and differ at bit c.
+func (t *Trie) splitLeaf(cur *ref, old *node, kp *path, pos int, leaf *node, c int) error {
 	// The new leaf and the branch, plus an extension above them when the
 	// two keys share a prefix.
 	grow := 2
@@ -314,13 +338,13 @@ func (t *Trie) splitLeaf(cur *ref, old *node, kp *path, pos int, value cryptouti
 	if err := t.reserve(grow); err != nil {
 		return err
 	}
-	newLeaf := t.take(&node{kind: kindLeaf, path: kp.slice(pos+c+1, keyBits), value: value})
+	t.take(leaf)
 	br := t.take(&node{kind: kindBranch})
 	// Reuse the old leaf node with a shortened path.
 	oldBit := old.path.bit(c)
 	old.path = old.path.slice(c+1, old.path.len())
 	br.children[oldBit] = ref{hash: old.hash(), node: old}
-	br.children[kp.bit(pos+c)] = ref{hash: newLeaf.hash(), node: newLeaf}
+	br.children[kp.bit(pos+c)] = ref{hash: leaf.hash(), node: leaf}
 	t.leafCount++
 	t.branchOff(cur, br, kp, pos, c)
 	return nil
@@ -340,9 +364,9 @@ func (t *Trie) branchOff(cur *ref, br *node, kp *path, pos, c int) {
 	cur.hash = ext.hash()
 }
 
-// splitExt replaces the extension held by cur so the new key can branch off
-// at bit c of the extension's path.
-func (t *Trie) splitExt(cur *ref, old *node, kp *path, pos int, value cryptoutil.Hash, c int) error {
+// splitExt replaces the extension held by cur so leaf, the new key's leaf,
+// can branch off at bit c of the extension's path.
+func (t *Trie) splitExt(cur *ref, old *node, kp *path, pos int, leaf *node, c int) error {
 	oldRest := old.path.len() - c // >= 1 bit
 
 	// The new leaf and the branch, plus an extension above them when the
@@ -356,7 +380,7 @@ func (t *Trie) splitExt(cur *ref, old *node, kp *path, pos int, value cryptoutil
 	if err := t.reserve(grow); err != nil {
 		return err
 	}
-	newLeaf := t.take(&node{kind: kindLeaf, path: kp.slice(pos+c+1, keyBits), value: value})
+	t.take(leaf)
 	br := t.take(&node{kind: kindBranch})
 
 	// The old extension's child goes under its bit c, via a shortened
@@ -369,50 +393,58 @@ func (t *Trie) splitExt(cur *ref, old *node, kp *path, pos int, value cryptoutil
 		old.path = old.path.slice(c+1, old.path.len())
 		br.children[oldBit] = ref{hash: old.hash(), node: old}
 	}
-	br.children[kp.bit(pos+c)] = ref{hash: newLeaf.hash(), node: newLeaf}
+	br.children[kp.bit(pos+c)] = ref{hash: leaf.hash(), node: leaf}
 	t.leafCount++
 	t.branchOff(cur, br, kp, pos, c)
 	return nil
 }
 
-// Get returns the value stored under key. It returns ErrNotFound if the key
-// is provably absent and ErrSealed if the lookup would need to traverse a
-// sealed reference.
+// Get returns the value hash stored under key. It returns ErrNotFound if
+// the key is provably absent and ErrSealed if the lookup would need to
+// traverse a sealed reference.
 func (t *Trie) Get(key [KeySize]byte) (cryptoutil.Hash, error) {
-	return lookupRef(t.loader(), t.root, key)
+	return lookupHash(t.loader(), t.root, key)
 }
 
-// lookupRef resolves key starting from an arbitrary root reference. It is
-// purely read-only — refs are walked by value and faulted nodes are never
-// installed into shared state — which is what lets Views of retained
-// versions share it with the live head, race-free.
-func lookupRef(rs resolver, root ref, key [KeySize]byte) (cryptoutil.Hash, error) {
+// Value returns the value bytes stored under key by Put, with Get's
+// errors, or ErrValueMissing and ErrValueCorrupt when the leaf's bytes
+// cannot be read back (see resolver.loadValue). The caller must not
+// modify the returned bytes.
+func (t *Trie) Value(key [KeySize]byte) ([]byte, error) {
+	return lookupValue(t.loader(), t.root, key)
+}
+
+// lookupLeaf resolves key's live leaf starting from an arbitrary root
+// reference. It is purely read-only — refs are walked by value and faulted
+// nodes are never installed into shared state — which is what lets Views
+// of retained versions share it with the live head, race-free.
+func lookupLeaf(rs resolver, root ref, key [KeySize]byte) (*node, error) {
 	kp := keyToPath(key)
 	pos := 0
 	cur := root
 	for {
 		if cur.sealed {
-			return cryptoutil.ZeroHash, ErrSealed
+			return nil, ErrSealed
 		}
 		if cur.node == nil && cur.hash.IsZero() {
-			return cryptoutil.ZeroHash, ErrNotFound
+			return nil, ErrNotFound
 		}
 		n, err := rs.resolve(cur)
 		if err != nil {
-			return cryptoutil.ZeroHash, err
+			return nil, err
 		}
 		switch n.kind {
 		case kindLeaf:
 			if n.holds(&kp, pos) {
 				if n.sealed {
-					return cryptoutil.ZeroHash, ErrSealed
+					return nil, ErrSealed
 				}
-				return n.value, nil
+				return n, nil
 			}
-			return cryptoutil.ZeroHash, ErrNotFound
+			return nil, ErrNotFound
 		case kindExt:
 			if n.path.matchLen(&kp, pos) < n.path.len() {
-				return cryptoutil.ZeroHash, ErrNotFound
+				return nil, ErrNotFound
 			}
 			pos += n.path.len()
 			cur = n.children[0]
@@ -420,9 +452,31 @@ func lookupRef(rs resolver, root ref, key [KeySize]byte) (cryptoutil.Hash, error
 			cur = n.children[kp.bit(pos)]
 			pos++
 		default:
-			return cryptoutil.ZeroHash, fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
+			return nil, fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
 		}
 	}
+}
+
+// lookupHash returns the value hash of key's leaf under root.
+func lookupHash(rs resolver, root ref, key [KeySize]byte) (cryptoutil.Hash, error) {
+	n, err := lookupLeaf(rs, root, key)
+	if err != nil {
+		return cryptoutil.ZeroHash, err
+	}
+	return n.valueHash(), nil
+}
+
+// lookupValue returns the value bytes of key's leaf under root: the leaf's
+// own, or the NodeSource's record under the leaf's value hash.
+func lookupValue(rs resolver, root ref, key [KeySize]byte) ([]byte, error) {
+	n, err := lookupLeaf(rs, root, key)
+	if err != nil {
+		return nil, err
+	}
+	if n.value != nil {
+		return n.value, nil
+	}
+	return rs.loadValue(n.valueHash())
 }
 
 // Has reports whether key is present (and unsealed).
@@ -471,7 +525,7 @@ func (t *Trie) Seal(key [KeySize]byte) error {
 			if n.sealed {
 				return ErrSealed
 			}
-			n.sealed = true
+			n.sealed, n.value = true, nil
 			t.leafCount--
 			t.collapseSaturated(stack)
 			return nil

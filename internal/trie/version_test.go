@@ -396,3 +396,69 @@ func TestConcurrentHistoricalReadsDuringHeadWrites(t *testing.T) {
 	default:
 	}
 }
+
+// TestPutValueVersions: a leaf written by Put holds its value bytes, so
+// versions keep the bytes they were snapshotted with, a seal drops them,
+// Set leaves a hash alone, and a flushed and evicted version faults them
+// back in by the leaf's value hash, checked against it.
+func TestPutValueVersions(t *testing.T) {
+	tr := New()
+	ns := newMapSource()
+	tr.SetNodeSource(ns)
+	buf := []byte("first")
+	must(t, tr.Put(key("a"), buf))
+	must(t, tr.Put(key("b"), []byte("shared")))
+	copy(buf, "XXXXX") // Put keeps its own copy
+	if h, err := tr.Get(key("a")); err != nil || h != cryptoutil.HashBytes([]byte("first")) {
+		t.Fatalf("Get after Put = %v, %v; want the value's hash", h.Short(), err)
+	}
+	v1 := tr.Snapshot()
+	if _, err := tr.FlushRoot(ns); err != nil {
+		t.Fatal(err)
+	}
+	if len(ns.vals) != 2 {
+		t.Fatalf("flush stored %d values, want 2", len(ns.vals))
+	}
+	must(t, tr.Put(key("a"), []byte("second")))
+	must(t, tr.Seal(key("b")))
+	must(t, tr.Set(key("c"), val("hash only")))
+	if got, err := tr.Value(key("a")); err != nil || string(got) != "second" {
+		t.Fatalf("head Value(a) = %q, %v", got, err)
+	}
+	if _, err := tr.Value(key("b")); !errors.Is(err, ErrSealed) {
+		t.Fatalf("head Value(sealed) = %v, want ErrSealed", err)
+	}
+	if _, err := tr.Value(key("c")); !errors.Is(err, ErrValueMissing) {
+		t.Fatalf("head Value(hash only) = %v, want ErrValueMissing", err)
+	}
+	if _, err := tr.Value(key("d")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("head Value(absent) = %v, want ErrNotFound", err)
+	}
+	view := func() *View {
+		t.Helper()
+		v, err := tr.At(v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, evicted := range []bool{false, true} {
+		if evicted {
+			tr.EvictVersion(v1)
+		}
+		for name, want := range map[string]string{"a": "first", "b": "shared"} {
+			if got, err := view().Value(key(name)); err != nil || string(got) != want {
+				t.Fatalf("version Value(%s) (evicted %v) = %q, %v; want %q", name, evicted, got, err, want)
+			}
+		}
+	}
+	first := cryptoutil.HashBytes([]byte("first"))
+	ns.vals[first] = []byte("forged")
+	if _, err := view().Value(key("a")); !errors.Is(err, ErrValueCorrupt) {
+		t.Fatalf("evicted Value of a forged record = %v, want ErrValueCorrupt", err)
+	}
+	delete(ns.vals, first)
+	if _, err := view().Value(key("a")); !errors.Is(err, ErrValueMissing) {
+		t.Fatalf("evicted Value of a missing record = %v, want ErrValueMissing", err)
+	}
+}

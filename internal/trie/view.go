@@ -27,11 +27,17 @@ func (v *View) Version() Version { return v.version }
 // Root returns the root commitment of the frozen version.
 func (v *View) Root() cryptoutil.Hash { return v.root.hash }
 
-// Get returns the value stored under key in this version. Sealing that
-// happened at the head after the snapshot is invisible here: the frozen
-// nodes still carry their values.
+// Get returns the value hash stored under key in this version. Sealing
+// that happened at the head after the snapshot is invisible here: the
+// frozen nodes still carry their values.
 func (v *View) Get(key [KeySize]byte) (cryptoutil.Hash, error) {
-	return lookupRef(v.rs, v.root, key)
+	return lookupHash(v.rs, v.root, key)
+}
+
+// Value returns the value bytes stored under key in this version, as
+// Trie.Value does.
+func (v *View) Value(key [KeySize]byte) ([]byte, error) {
+	return lookupValue(v.rs, v.root, key)
 }
 
 // Has reports whether key is present (and was unsealed) in this version.
