@@ -186,11 +186,13 @@ lint-deprecated:
 
 # Tier-1 gate: everything must compile, vet clean, pass the test suite, and
 # the concurrency-heavy packages must be race-clean — telemetry (shared
-# mutable state everywhere) plus relayer and core now that the relayer
-# runs per-channel shards on the scheduler. Full -race stays in `make ci`.
+# mutable state everywhere), relayer and core now that the relayer runs
+# per-channel shards on the scheduler, and trie and ibc, whose Views and
+# read-only stores read the trie's published page tables and cells while
+# the writer reuses freed cells. Full -race stays in `make ci`.
 test: build vet
 	$(GO) test ./...
-	$(GO) test -race ./internal/telemetry/... ./internal/relayer/... ./internal/core/...
+	$(GO) test -race ./internal/telemetry/... ./internal/relayer/... ./internal/core/... ./internal/trie/... ./internal/ibc/...
 
 race:
 	$(GO) test -race ./...

@@ -240,6 +240,99 @@ func TestEvictedConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TestStaleReadOnlyStoresAcrossReclamation: read-only stores opened before
+// Evict and Release keep reading while head writes reuse the trie cells
+// those calls freed. The evicted version serves the same values and
+// byte-identical proofs from the backend; the released one fails with
+// ErrUnknownVersion once Release has returned. Run with -race.
+func TestStaleReadOnlyStoresAcrossReclamation(t *testing.T) {
+	const n = 32
+	s := openBacked(t, t.TempDir())
+	defer s.CloseBackend()
+	p := func(i int) string { return fmt.Sprintf("stale/%d", i%n) }
+	for i := 0; i < n; i++ {
+		if err := s.Set(p(i), []byte(fmt.Sprintf("old%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evicted := s.CommitAt(1)
+	for i := 0; i < n; i++ {
+		if err := s.Set(p(i), []byte(fmt.Sprintf("mid%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	released := s.CommitAt(2)
+	ev, err := s.At(evicted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := s.At(released)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, n)
+	for i := range want {
+		if _, want[i], err = ev.ProveMembership(p(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errc := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i += 3 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v, proof, err := ev.ProveMembership(p(i))
+				if err != nil || string(v) != fmt.Sprintf("old%d", i%n) || !bytes.Equal(proof, want[i%n]) {
+					errc <- fmt.Errorf("reader %d: the evicted version's %q changed: %q, %v", g, p(i), v, err)
+					return
+				}
+				if v, _, err := rel.ProveMembership(p(i)); err == nil && string(v) != fmt.Sprintf("mid%d", i%n) {
+					errc <- fmt.Errorf("reader %d: the released version read %q for %q", g, v, p(i))
+					return
+				} else if err != nil && !errors.Is(err, ErrUnknownVersion) {
+					errc <- fmt.Errorf("reader %d: the released version failed with %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+
+	s.Evict(evicted)
+	s.Release(released)
+	for i := 0; i < 200; i++ {
+		if err := s.Set(p(i), []byte(fmt.Sprintf("new%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			s.Release(s.CommitAt(uint64(3 + i/10)))
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+	if _, err := rel.Get(p(0)); !errors.Is(err, ErrUnknownVersion) {
+		t.Fatalf("a released version's Get = %v, want ErrUnknownVersion", err)
+	}
+	for i := range want {
+		if _, proof, err := ev.ProveMembership(p(i)); err != nil || !bytes.Equal(proof, want[i]) {
+			t.Fatalf("the evicted version's proof of %q changed: %v", p(i), err)
+		}
+	}
+}
+
 // TestValueRecordIntegrity: a value read back from the backend must hash
 // to its leaf. A record stored under the wrong hash, a missing record and
 // a failed read each come back as an error the caller can name with

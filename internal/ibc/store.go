@@ -31,9 +31,10 @@ type Version = trie.Version
 // ReadOnlyStore views may be used from other goroutines concurrently with
 // head writes.
 type Store struct {
-	// mu guards the trie's version table (Commit, At, Release, Evict) and
-	// flushErr.
-	mu   sync.RWMutex
+	// mu orders commits, releases, evictions and syncs with the backend
+	// and guards flushErr. The trie guards its own version table, so At
+	// and the views it opens need no lock here.
+	mu   sync.Mutex
 	trie *trie.Trie
 
 	// backend is the optional persistence layer (see persist.go): nil
@@ -66,8 +67,6 @@ func (s *Store) Commit() Version { return s.CommitAt(0) }
 
 // At returns a read-only view of a committed, retained version.
 func (s *Store) At(v Version) (*ReadOnlyStore, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	view, err := s.trie.At(v)
 	if err != nil {
 		return nil, fmt.Errorf("ibc: at version %d: %w", v, err)
@@ -93,11 +92,7 @@ func (s *Store) Release(v Version) {
 }
 
 // RetainedVersions returns how many committed versions are currently held.
-func (s *Store) RetainedVersions() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.trie.RetainedVersions()
-}
+func (s *Store) RetainedVersions() int { return s.trie.RetainedVersions() }
 
 // Set stores value under the ICS-24 path.
 func (s *Store) Set(path string, value []byte) error {
@@ -157,7 +152,9 @@ func (s *Store) read() reader { return reader{trie: s.trie} }
 // ReadOnlyStore is a read-only view of one committed store version,
 // obtained from Store.At. It serves reads and proofs against the frozen
 // root for as long as the version stays retained, and is safe to use
-// concurrently with head writes.
+// concurrently with head writes: after Evict it reads through the backend
+// with byte-identical proofs, and after Release it fails with
+// ErrUnknownVersion (trie.View states the contract).
 type ReadOnlyStore struct {
 	view *trie.View
 }

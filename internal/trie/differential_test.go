@@ -2,6 +2,8 @@ package trie
 
 import (
 	"errors"
+	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/cryptoutil"
@@ -34,10 +36,15 @@ func diffKey(s byte) [KeySize]byte {
 // untouched, and the operation then runs uncapped. Every answer must be the model's — Get's value or
 // ErrNotFound or ErrSealed, and the same for the mutations, except that a
 // Delete may refuse a live key whose sibling subtree collapsed into a
-// sealed reference, leaving the trie untouched. At the end the root and the
+// sealed reference, leaving the trie untouched. A Get's cap bits instead
+// drive versions: 1 snapshots the trie (and copies the model), 2 releases
+// the oldest retained version, 3 checks every retained version's reads
+// against its copy. After every operation the reclamation oracle
+// (checkArena) must hold: the cells in use are exactly those the head and
+// the retained versions reach. At the end the root and the
 // counts must equal those of a trie built from scratch out of the model,
 // and every node the trie holds must encode and decode under its own hash
-// (encodeNode, node.hash, decodeNode): the trie builds no node of an
+// (encodeNode, cell.hash, decodeNode): the trie builds no node of an
 // unknown kind, and decodeNode refuses one, so the two invalid-kind panics
 // are unreachable.
 func FuzzTrieDifferential(f *testing.F) {
@@ -49,12 +56,34 @@ func FuzzTrieDifferential(f *testing.F) {
 	f.Add([]byte{0, 8, 0, 10, 0, 12, 2, 10, 5, 8, 9, 12, 13, 14, 4, 8, 1, 10, 3, 8})
 	// Both spaces and scattered keys, every operation under a cap.
 	f.Add([]byte{4, 1, 8, 3, 12, 0xe1, 4, 0xf0, 6, 1, 10, 0xe1, 5, 3, 9, 0xf0, 7, 1, 15, 0xe1})
+	// Versions: snapshot, overwrite, snapshot, release the first, seal and
+	// delete over the freed cells, check the one still retained.
+	f.Add([]byte{0, 0, 0, 2, 0, 4, 7, 0, 0, 0, 0, 2, 7, 0, 11, 0, 2, 0, 2, 2, 15, 0, 11, 0, 1, 4, 15, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 512 {
 			ops = ops[:512]
 		}
 		tr := New()
 		model := map[[KeySize]byte]entry{}
+		type version struct {
+			v     Version
+			model map[[KeySize]byte]entry
+		}
+		var kept []version
+		checkVersions := func(when string) {
+			for _, kv := range kept {
+				view, err := tr.At(kv.v)
+				if err != nil {
+					t.Fatalf("%s: version %d: %v", when, kv.v, err)
+				}
+				for k, e := range kv.model {
+					got, err := view.Get(k)
+					if e.sealed && !errors.Is(err, ErrSealed) || !e.sealed && (err != nil || got != e.value) {
+						t.Fatalf("%s: version %d reads %s, %v for a key the model has as %+v", when, kv.v, got.Short(), err, e)
+					}
+				}
+			}
+		}
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, room, k := ops[i]&3, int(ops[i]>>2&3), diffKey(ops[i+1])
 			v := cryptoutil.HashUint64('v', uint64(i))
@@ -81,6 +110,18 @@ func FuzzTrieDifferential(f *testing.F) {
 				case err != nil || got != e.value:
 					t.Fatalf("op %d: Get = %s, %v; want %s", i/2, got.Short(), err, e.value.Short())
 				}
+				switch room {
+				case 1:
+					kept = append(kept, version{tr.Snapshot(), maps.Clone(model)})
+				case 2:
+					if len(kept) > 0 {
+						tr.Release(kept[0].v)
+						kept = kept[1:]
+					}
+				case 3:
+					checkVersions(fmt.Sprintf("op %d", i/2))
+				}
+				checkArena(t, tr)
 				continue
 			}
 
@@ -115,6 +156,7 @@ func FuzzTrieDifferential(f *testing.F) {
 				// The key's sibling subtree is a sealed reference: merging
 				// would rebuild freed nodes.
 				untouched("a refused Delete")
+				checkArena(t, tr)
 				continue
 			}
 			if !errors.Is(err, want) || (want == nil && err != nil) {
@@ -122,6 +164,7 @@ func FuzzTrieDifferential(f *testing.F) {
 			}
 			if err != nil {
 				untouched("a refused operation")
+				checkArena(t, tr)
 				continue
 			}
 			switch op {
@@ -132,7 +175,9 @@ func FuzzTrieDifferential(f *testing.F) {
 			case 2:
 				model[k] = entry{value: e.value, sealed: true}
 			}
+			checkArena(t, tr)
 		}
+		checkVersions("at the end")
 
 		fresh, live := New(), 0
 		for k, e := range model {
@@ -152,28 +197,33 @@ func FuzzTrieDifferential(f *testing.F) {
 				tr.Root().Short(), tr.Len(), tr.NodeCount(), tr.SealedCount(),
 				fresh.Root().Short(), live, fresh.NodeCount(), fresh.SealedCount())
 		}
-		walkNodes(t, tr.root)
+		walkNodes(t, tr, tr.root)
 	})
 }
 
-// walkNodes checks that every node under r encodes and decodes under its
+// walkNodes checks that every cell under s encodes and decodes under its
 // own hash, which its parent holds.
-func walkNodes(t *testing.T, r ref) {
-	n := r.node
-	if n == nil {
+func walkNodes(t *testing.T, tr *Trie, s slot) {
+	if !s.inArena() {
 		return
 	}
-	if n.kind != kindLeaf && n.kind != kindBranch && n.kind != kindExt {
-		t.Fatalf("the trie built a node of kind %d", n.kind)
+	c := tr.cell(&s)
+	if k := c.kind(); k != kindLeaf && k != kindBranch && k != kindExt {
+		t.Fatalf("the trie built a node of kind %d", k)
 	}
-	h := n.hash()
-	if h != r.hash {
-		t.Fatalf("node hashes to %s, its parent holds %s", h.Short(), r.hash.Short())
+	h := c.hash()
+	if h != s.hash {
+		t.Fatalf("node hashes to %s, its parent holds %s", h.Short(), s.hash.Short())
 	}
-	back, err := decodeNode(h, encodeNode(n))
-	if err != nil || back.kind != n.kind {
-		t.Fatalf("node of kind %d does not decode under its own hash: %v", n.kind, err)
+	back, err := decodeNode(h, encodeNode(c))
+	if err != nil || back.kind() != c.kind() {
+		t.Fatalf("node of kind %d does not decode under its own hash: %v", c.kind(), err)
 	}
-	walkNodes(t, n.children[0])
-	walkNodes(t, n.children[1])
+	switch c.kind() {
+	case kindBranch:
+		walkNodes(t, tr, c.kids[0])
+		walkNodes(t, tr, c.kids[1])
+	case kindExt:
+		walkNodes(t, tr, c.kids[0])
+	}
 }

@@ -59,13 +59,13 @@ func TestEncodingGolden(t *testing.T) {
 	h := val("child")
 	nodes := []struct {
 		name string
-		n    *node
+		n    cell
 	}{
-		{"leaf", &node{kind: kindLeaf, path: bitsPath(1, 0, 1, 1, 0, 0, 1, 0, 1), children: [2]ref{{hash: val("leaf")}}}},
-		{"leaf/sealed", &node{kind: kindLeaf, path: bitsPath(bitsOf(keyToPath(key("full")))[3:]...), children: [2]ref{{hash: val("stub")}}, sealed: true}},
-		{"branch/hash+sealed", &node{kind: kindBranch, children: [2]ref{{hash: h}, {hash: val("opaque"), sealed: true}}}},
-		{"branch/empty+hash", &node{kind: kindBranch, children: [2]ref{{}, {hash: h}}}},
-		{"ext", &node{kind: kindExt, path: bitsPath(0, 1, 1), children: [2]ref{{hash: h}}}},
+		{"leaf", leafCell(bitsPath(1, 0, 1, 1, 0, 0, 1, 0, 1), val("leaf"), false)},
+		{"leaf/sealed", leafCell(bitsPath(bitsOf(keyToPath(key("full")))[3:]...), val("stub"), true)},
+		{"branch/hash+sealed", branchCell(hashOnly(h, false), hashOnly(val("opaque"), true))},
+		{"branch/empty+hash", branchCell(slot{}, hashOnly(h, false))},
+		{"ext", extCell(bitsPath(0, 1, 1), hashOnly(h, false))},
 	}
 
 	type pin struct {
@@ -85,7 +85,7 @@ func TestEncodingGolden(t *testing.T) {
 		got = append(got, pin{c.name, digestHex(b), len(b)})
 	}
 	for _, c := range nodes {
-		b := encodeNode(c.n)
+		b := encodeNode(&c.n)
 		got = append(got, pin{"node/" + c.name, digestHex(b), len(b)})
 	}
 	want := []pin{

@@ -23,72 +23,144 @@ const (
 	kindExt
 )
 
-// ref is a reference to a child node as stored inside its parent: the
-// child's hash plus either a live pointer or a "sealed" marker. A sealed
-// reference keeps contributing its hash to the parent (so the root
-// commitment is unchanged) but the node itself has been freed from storage
-// and can never be accessed again.
-type ref struct {
-	hash   cryptoutil.Hash
-	node   *node // nil when empty or sealed
-	sealed bool
-}
-
-// node is a trie node. Exactly one of the three shapes is active, selected
-// by kind:
+// slot is a reference as a parent cell (or a root) holds it: the child's
+// 32-byte hash plus a u32 whose top three bits are the slot's state and
+// whose other bits index the child's cell in the arena (see arena.go). A
+// sealed slot keeps contributing its hash to the parent, so the root
+// commitment is unchanged, but the subtree behind it has been freed and
+// can never be accessed again; an evicted one names a node the NodeSource
+// holds. A dirty slot's hash is stale: a write changed the subtree and
+// settle has not rehashed it yet, so each of its ancestors is dirty too.
 //
-//   - kindLeaf:   path = remaining key bits, children[0].hash = the value
-//     hash, value = the value bytes (nil when the leaf does not hold them)
-//   - kindBranch: children[0] and children[1], both non-empty
-//   - kindExt:    path = shared prefix bits (>=1), children[0] = the child
+// A leaf reuses the shape twice: its first slot holds the value hash and,
+// when live, the index of the value bytes' record; its second holds the
+// leaf's packed path and bit length (as does an extension's).
+type slot struct {
+	hash cryptoutil.Hash
+	tag  uint32
+}
+
+// Slot states, in a slot tag's top three bits.
+const (
+	slotEmpty   uint32 = iota // no subtree: the zero slot
+	slotLive                  // a cell in the arena, its hash current
+	slotDirty                 // a cell in the arena, its hash stale
+	slotSealed                // hash only: the subtree was freed
+	slotEvicted               // hash only: the node lives in the NodeSource
+
+	stateShift = 29
+	indexMask  = 1<<stateShift - 1
+)
+
+func (s *slot) state() uint32 { return s.tag >> stateShift }
+
+// index returns the arena index a live or dirty slot refers to (for a
+// leaf's value slot, its record's).
+func (s *slot) index() uint32 { return s.tag & indexMask }
+
+// inArena reports whether the slot refers to a cell of the arena.
+func (s *slot) inArena() bool { st := s.state(); return st == slotLive || st == slotDirty }
+
+func (s *slot) sealed() bool { return s.state() == slotSealed }
+
+// stateTag returns the tag of a slot in state st referring to index i.
+func stateTag(st, i uint32) uint32 { return st<<stateShift | i }
+
+// hashOnly returns the slot of a subtree known only by its commitment:
+// sealed, or else evicted — or empty when there is no commitment at all.
+func hashOnly(h cryptoutil.Hash, sealed bool) slot {
+	switch {
+	case sealed:
+		return slot{hash: h, tag: stateTag(slotSealed, 0)}
+	case h.IsZero():
+		return slot{}
+	default:
+		return slot{hash: h, tag: stateTag(slotEvicted, 0)}
+	}
+}
+
+// cell is one trie node as the arena stores it: the paper's fixed 72-byte
+// slot (§V-D) — two 36-byte slots — plus a u32 header and a u32 reference
+// count, 80 bytes that hold no Go pointer, so the collector never scans
+// them. Exactly one of three shapes is active, selected by kind:
 //
-// The path is held inline in its packed form (see path), so a node is one
-// heap object of at most 176 bytes: kind, sealed and the 34-byte path, the
-// value bytes' slice header, two 48-byte refs and the write generation. A
-// leaf keeps its value hash in child slot 0, which leaves never use for a
-// child, and an extension keeps its one child there rather than in a
-// third ref.
-type node struct {
-	kind nodeKind
+//   - kindLeaf:   kids[0] = the value hash (live when the leaf holds the
+//     value bytes' record), kids[1] = the path (remaining key bits)
+//   - kindBranch: kids[0] and kids[1], both non-empty
+//   - kindExt:    kids[0] = the child, kids[1] = the path (shared prefix
+//     bits, >= 1)
+type cell struct {
+	kids [2]slot
 
-	// sealed marks a leaf as sealed (§III-A): its value can never be read
-	// or modified again, but the leaf's structure (path + value hash) is
-	// retained as a stub so that future keys can still branch off next to
-	// it. A stub drops its value bytes. Stubs are freed — and replaced by
-	// an opaque sealed ref in the parent — once the subtree they belong to
-	// is *saturated*: every key under the subtree's prefix has been sealed.
-	// With the sequential sequence-number keys the Guest Contract uses for
-	// receipts, seals saturate aligned blocks behind the delivery frontier,
-	// so storage stays bounded exactly as §III-A claims while fresh
-	// sequence numbers always remain insertable.
-	sealed bool
+	// head holds the kind, the sealed flag and the write generation in
+	// which the head last created or wrote the cell (the shared-node ratio
+	// counts the first write in each). A cell is mutable only while the
+	// head alone refers to it (refs == 1); one a retained version still
+	// reaches is path-copied first, so retained versions are structurally
+	// shared and never change, and Views read their cells race-free.
+	//
+	// A sealed leaf (§III-A) can never be read or modified again, but its
+	// structure (path + value hash) is retained as a stub so that future
+	// keys can still branch off next to it. A stub drops its value bytes.
+	// Stubs are freed — and replaced by a sealed slot in the parent — once
+	// the subtree they belong to is *saturated*: every key under the
+	// subtree's prefix has been sealed. With the sequential sequence-number
+	// keys the Guest Contract uses for receipts, seals saturate aligned
+	// blocks behind the delivery frontier, so storage stays bounded exactly
+	// as §III-A claims while fresh sequence numbers always remain
+	// insertable.
+	head uint32
 
-	path path
-
-	// value is a leaf's value bytes, committed to by children[0].hash. It
-	// is set by Put and never modified in place, so path copies share it;
-	// a leaf written by Set, faulted in from a NodeSource or sealed holds
-	// none, and a read fetches them from the NodeSource by hash.
-	value    []byte
-	children [2]ref
-
-	// rev is the trie write generation that created this physical node
-	// (allocation or copy-on-write copy). A node is mutable only while
-	// its generation is the trie's current one; Snapshot bumps the
-	// generation, freezing everything reachable from the snapshotted root.
-	// Mutations that land on a frozen node path-copy it first, so retained
-	// versions are structurally shared and never change.
-	rev uint64
+	// refs counts the slots and roots (the head's, every retained
+	// version's) that refer to this cell; at zero the cell returns to the
+	// free list. Only the writer reads or writes it: Views never do, so
+	// its changes on a shared cell race with nothing they read.
+	refs uint32
 }
 
-// newLeaf returns a leaf holding the value hash h and, when the caller has
-// them, its bytes.
-func newLeaf(p path, h cryptoutil.Hash, value []byte) *node {
-	return &node{kind: kindLeaf, path: p, value: value, children: [2]ref{{hash: h}}}
+// The bits of cell.head: kind, sealed, then the generation.
+const (
+	kindBits   = 3
+	sealedFlag = 4
+	genShift   = 3
+)
+
+func (c *cell) kind() nodeKind { return nodeKind(c.head & kindBits) }
+func (c *cell) sealed() bool   { return c.head&sealedFlag != 0 }
+func (c *cell) gen() uint32    { return c.head >> genShift }
+
+// setGen moves the cell to write generation g, keeping kind and flags.
+func (c *cell) setGen(g uint32) { c.head = c.head&(1<<genShift-1) | g<<genShift }
+
+// cellHead returns the head word of a cell of kind k in generation 0.
+func cellHead(k nodeKind, sealed bool) uint32 {
+	h := uint32(k)
+	if sealed {
+		h |= sealedFlag
+	}
+	return h
 }
+
+// path returns a leaf's or extension's path.
+func (c *cell) path() path {
+	return path{b: c.kids[1].hash, n: uint16(c.kids[1].tag)}
+}
+
+func (c *cell) setPath(p path) { c.kids[1] = slot{hash: p.b, tag: uint32(p.n)} }
 
 // valueHash returns a leaf's value hash.
-func (n *node) valueHash() cryptoutil.Hash { return n.children[0].hash }
+func (c *cell) valueHash() cryptoutil.Hash { return c.kids[0].hash }
+
+// holdsValue reports whether a leaf holds a record of its value bytes.
+func (c *cell) holdsValue() bool { return c.kids[0].state() == slotLive }
+
+// leafCell returns a leaf over path p with value hash h, holding no value
+// record.
+func leafCell(p path, h cryptoutil.Hash, sealed bool) cell {
+	c := cell{kids: [2]slot{{hash: h}}, head: cellHead(kindLeaf, sealed)}
+	c.setPath(p)
+	return c
+}
 
 // maxPreimage is the largest node hash preimage: tag + 2-byte bit length
 // + 32-byte packed path + 32-byte value/child hash (a branch's tag + two
@@ -125,19 +197,21 @@ func branchHash(left, right cryptoutil.Hash) cryptoutil.Hash {
 	return sha256.Sum256(append(b, right[:]...))
 }
 
-// hash computes the node's commitment from its current contents. Children
-// hashes are read from the refs, so deeper nodes must be rehashed first.
-// Every node hash — the rehash spine, decodeNode's content check and proof
+// hash computes the cell's commitment from its current contents. Children
+// hashes are read from the slots, so deeper cells must be settled first.
+// Every node hash — settle, decodeNode's content check and proof
 // verification — goes through leafHash, extHash and branchHash, whose
 // preimages are built on the stack: hashing allocates nothing.
-func (n *node) hash() cryptoutil.Hash {
-	switch n.kind {
+func (c *cell) hash() cryptoutil.Hash {
+	switch c.kind() {
 	case kindLeaf:
-		return leafHash(&n.path, n.valueHash())
+		p := c.path()
+		return leafHash(&p, c.valueHash())
 	case kindBranch:
-		return branchHash(n.children[0].hash, n.children[1].hash)
+		return branchHash(c.kids[0].hash, c.kids[1].hash)
 	case kindExt:
-		return extHash(&n.path, n.children[0].hash)
+		p := c.path()
+		return extHash(&p, c.kids[0].hash)
 	default:
 		panic("trie: invalid node kind")
 	}

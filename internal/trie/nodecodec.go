@@ -23,76 +23,80 @@ const (
 	ncChildSealed byte = 0x02 // opaque sealed reference (hash only)
 )
 
-// encodeNode renders one node into its content-addressed byte form, in a
+// encodeNode renders one cell into its content-addressed byte form, in a
 // buffer of exactly its size.
-func encodeNode(n *node) []byte {
-	packed := n.path.packed()
+func encodeNode(c *cell) []byte {
 	var w *wire.Writer
-	switch n.kind {
+	switch c.kind() {
 	case kindLeaf:
+		p := c.path()
+		packed := p.packed()
 		w = wire.NewWriterSize(4 + len(packed) + cryptoutil.HashSize)
 		w.U8(ncLeaf)
-		if n.sealed {
+		if c.sealed() {
 			w.U8(1)
 		} else {
 			w.U8(0)
 		}
-		writePath(w, packed, n.path.len())
-		w.Hash(n.valueHash())
+		writePath(w, packed, p.len())
+		w.Hash(c.valueHash())
 	case kindBranch:
-		w = wire.NewWriterSize(1 + childSize(n.children[0]) + childSize(n.children[1]))
+		w = wire.NewWriterSize(1 + childSize(c.kids[0]) + childSize(c.kids[1]))
 		w.U8(ncBranch)
-		writeChild(w, n.children[0])
-		writeChild(w, n.children[1])
+		writeChild(w, c.kids[0])
+		writeChild(w, c.kids[1])
 	case kindExt:
-		w = wire.NewWriterSize(3 + len(packed) + childSize(n.children[0]))
+		p := c.path()
+		packed := p.packed()
+		w = wire.NewWriterSize(3 + len(packed) + childSize(c.kids[0]))
 		w.U8(ncExt)
-		writePath(w, packed, n.path.len())
-		writeChild(w, n.children[0])
+		writePath(w, packed, p.len())
+		writeChild(w, c.kids[0])
 	default:
 		panic("trie: encode node: invalid node kind")
 	}
 	return w.Bytes()
 }
 
-// childSize is the encoded size of a child reference: its state byte, then
-// its hash unless it is empty.
-func childSize(r ref) int {
-	if !r.sealed && r.hash.IsZero() {
+// childSize is the encoded size of a child slot: its state byte, then its
+// hash unless it is empty. A settled child's hash is current.
+func childSize(s slot) int {
+	if !s.sealed() && s.hash.IsZero() {
 		return 1
 	}
 	return 1 + cryptoutil.HashSize
 }
 
-func writeChild(w *wire.Writer, r ref) {
+func writeChild(w *wire.Writer, s slot) {
 	switch {
-	case r.sealed:
+	case s.sealed():
 		w.U8(ncChildSealed)
-		w.Hash(r.hash)
-	case r.hash.IsZero():
+		w.Hash(s.hash)
+	case s.hash.IsZero():
 		w.U8(ncChildEmpty)
 	default:
 		w.U8(ncChildHash)
-		w.Hash(r.hash)
+		w.Hash(s.hash)
 	}
 }
 
-// readChild reads what writeChild wrote. A live child with the empty hash
-// is refused: it would re-encode as an empty child.
-func readChild(r *wire.Reader) (ref, error) {
+// readChild reads what writeChild wrote, as an empty, evicted or sealed
+// slot. A live child with the empty hash is refused: it would re-encode as
+// an empty child.
+func readChild(r *wire.Reader) (slot, error) {
 	switch state := r.U8(); state {
 	case ncChildEmpty:
-		return ref{}, nil
+		return slot{}, nil
 	case ncChildHash:
 		h := r.Hash()
 		if h.IsZero() && r.Err() == nil {
-			return ref{}, fmt.Errorf("trie: decode node: live child with the empty hash")
+			return slot{}, fmt.Errorf("trie: decode node: live child with the empty hash")
 		}
-		return ref{hash: h}, nil
+		return hashOnly(h, false), nil
 	case ncChildSealed:
-		return ref{hash: r.Hash(), sealed: true}, nil
+		return hashOnly(r.Hash(), true), nil
 	default:
-		return ref{}, fmt.Errorf("trie: decode node: unknown child state %#x", state)
+		return slot{}, fmt.Errorf("trie: decode node: unknown child state %#x", state)
 	}
 }
 
@@ -111,60 +115,77 @@ func readNodePath(r *wire.Reader) (path, error) {
 	return p, nil
 }
 
-// decodeNode parses a node encoded by encodeNode and verifies that its
-// content re-hashes to h — the content-addressing check that makes a
-// corrupted or substituted store entry detectable at the first read.
-func decodeNode(h cryptoutil.Hash, enc []byte) (*node, error) {
-	n, err := parseNode(enc)
-	if err != nil {
+// decodeNode parses a node encoded by encodeNode into a cell of its own and
+// verifies that its content re-hashes to h (see decodeInto).
+func decodeNode(h cryptoutil.Hash, enc []byte) (*cell, error) {
+	c := new(cell)
+	if err := decodeInto(c, h, enc); err != nil {
 		return nil, err
 	}
-	if got := n.hash(); got != h {
-		return nil, fmt.Errorf("trie: decode node: content hash %x does not match address %x", got[:8], h[:8])
-	}
-	return n, nil
+	return c, nil
 }
 
-// parseNode parses one encoded node, rejecting every malformed or
-// non-canonical form. Children come back as evicted refs (hash only); the
-// node carries write generation 0 so the first mutation path-copies it.
-func parseNode(enc []byte) (*node, error) {
+// decodeInto parses a node encoded by encodeNode into c and verifies that
+// its content re-hashes to h — the content-addressing check that makes a
+// corrupted or substituted store entry detectable at the first read.
+func decodeInto(c *cell, h cryptoutil.Hash, enc []byte) error {
+	if err := parseInto(c, enc); err != nil {
+		return err
+	}
+	if got := c.hash(); got != h {
+		return fmt.Errorf("trie: decode node: content hash %x does not match address %x", got[:8], h[:8])
+	}
+	return nil
+}
+
+// parseInto parses one encoded node into c, rejecting every malformed or
+// non-canonical form. Children come back as evicted slots (hash only), a
+// leaf holds no value record, and the cell carries write generation 0, so
+// the first write counts it as fresh. c's reference count is left as it
+// is.
+func parseInto(c *cell, enc []byte) error {
 	r := wire.NewReader(enc)
-	n := &node{}
+	var kids [2]slot
+	var p path
 	var err error
-	switch kind := r.U8(); kind {
+	kind, sealed := nodeKind(0), false
+	switch tag := r.U8(); tag {
 	case ncLeaf:
 		flags := r.U8()
 		if flags > 1 {
-			return nil, fmt.Errorf("trie: decode node: invalid leaf flags %#x", flags)
+			return fmt.Errorf("trie: decode node: invalid leaf flags %#x", flags)
 		}
-		n.kind, n.sealed = kindLeaf, flags == 1
-		if n.path, err = readNodePath(r); err != nil {
-			return nil, err
+		kind, sealed = kindLeaf, flags == 1
+		if p, err = readNodePath(r); err != nil {
+			return err
 		}
-		n.children[0].hash = r.Hash()
+		kids[0].hash = r.Hash()
 	case ncBranch:
-		n.kind = kindBranch
-		for i := range n.children {
-			if n.children[i], err = readChild(r); err != nil {
-				return nil, err
+		kind = kindBranch
+		for i := range kids {
+			if kids[i], err = readChild(r); err != nil {
+				return err
 			}
 		}
 	case ncExt:
-		n.kind = kindExt
-		if n.path, err = readNodePath(r); err != nil {
-			return nil, err
+		kind = kindExt
+		if p, err = readNodePath(r); err != nil {
+			return err
 		}
-		if n.children[0], err = readChild(r); err != nil {
-			return nil, err
+		if kids[0], err = readChild(r); err != nil {
+			return err
 		}
 	default:
 		if r.Err() == nil {
-			return nil, fmt.Errorf("trie: decode node: unknown kind %#x", kind)
+			return fmt.Errorf("trie: decode node: unknown kind %#x", tag)
 		}
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("trie: decode node: %w", err)
+		return fmt.Errorf("trie: decode node: %w", err)
 	}
-	return n, nil
+	c.kids, c.head = kids, cellHead(kind, sealed)
+	if kind != kindBranch {
+		c.setPath(p)
+	}
+	return nil
 }

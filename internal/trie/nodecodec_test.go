@@ -140,17 +140,20 @@ func TestNodeCodecRejectsCorruption(t *testing.T) {
 func FuzzNodeCodecDecode(f *testing.F) {
 	h := val("child")
 	f.Add([]byte{})
-	f.Add(encodeNode(&node{kind: kindLeaf, path: bitsPath(1, 0, 1, 1, 0), children: [2]ref{{hash: val("v")}}, sealed: true}))
-	f.Add(encodeNode(&node{kind: kindBranch, children: [2]ref{{hash: h}, {hash: h, sealed: true}}}))
-	f.Add(encodeNode(&node{kind: kindExt, path: bitsPath(0, 1, 1), children: [2]ref{{hash: h}}}))
+	leaf := leafCell(bitsPath(1, 0, 1, 1, 0), val("v"), true)
+	branch := branchCell(hashOnly(h, false), hashOnly(h, true))
+	ext := extCell(bitsPath(0, 1, 1), hashOnly(h, false))
+	f.Add(encodeNode(&leaf))
+	f.Add(encodeNode(&branch))
+	f.Add(encodeNode(&ext))
 	// A live child with the empty hash would re-encode as an empty child.
 	f.Add(append([]byte{ncBranch, ncChildEmpty, ncChildHash}, make([]byte, cryptoutil.HashSize)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, err := parseNode(data)
-		if err != nil {
+		var n cell
+		if err := parseInto(&n, data); err != nil {
 			return
 		}
-		if again := encodeNode(n); !bytes.Equal(again, data) {
+		if again := encodeNode(&n); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %x, re-encodes to %x", data, again)
 		}
 		addr := n.hash()
@@ -184,7 +187,7 @@ func TestFlushRootPostOrder(t *testing.T) {
 		for _, c := range childRefsOf(n) {
 			// Sealed children collapse to opaque commitments with no
 			// stored node; empty children have no hash at all.
-			if c.sealed || c.hash.IsZero() {
+			if c.sealed() || c.hash.IsZero() {
 				continue
 			}
 			if !seen[c.hash] {
@@ -195,16 +198,28 @@ func TestFlushRootPostOrder(t *testing.T) {
 	}
 }
 
-// childRefsOf lists a decoded node's child refs (empty for leaves).
-func childRefsOf(n *node) []ref {
-	switch n.kind {
+// childRefsOf lists a decoded node's child slots (none for leaves).
+func childRefsOf(c *cell) []slot {
+	switch c.kind() {
 	case kindBranch:
-		return n.children[:]
+		return c.kids[:]
 	case kindExt:
-		return n.children[:1]
+		return c.kids[:1]
 	default:
 		return nil
 	}
+}
+
+// branchCell returns a branch over the two child slots.
+func branchCell(a, b slot) cell {
+	return cell{kids: [2]slot{a, b}, head: cellHead(kindBranch, false)}
+}
+
+// extCell returns an extension over path p to the child slot.
+func extCell(p path, child slot) cell {
+	c := cell{kids: [2]slot{child}, head: cellHead(kindExt, false)}
+	c.setPath(p)
+	return c
 }
 
 // TestFlushIsIncremental checks the O(delta) property: re-flushing after

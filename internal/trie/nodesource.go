@@ -37,37 +37,53 @@ type NodeSource interface {
 	ValueGet(h cryptoutil.Hash) ([]byte, bool, error)
 }
 
-// SetNodeSource attaches a node backend. With a source attached, refs may
-// exist in the evicted state (hash known, node pointer nil, not sealed):
-// reads fault the node back in transiently and mutations materialise it on
-// the descent path. With no source attached (the default), evicted refs
-// are impossible and every code path behaves exactly as before.
+// SetNodeSource attaches a node backend. With a source attached, slots may
+// be evicted (hash known, no cell): reads fault the node in transiently
+// and mutations materialise it on the descent path. With no source
+// attached (the default), evicted slots are impossible.
 func (t *Trie) SetNodeSource(ns NodeSource) { t.ns = ns }
 
-// resolver faults evicted nodes in from a NodeSource during read-only
-// walks. Loaded nodes are returned to the walker by value and never
-// installed into shared refs, so concurrent Views of retained versions
-// stay data-race free: the walkers copy each ref before resolving it.
+// resolver is what a read-only walk reads: the arena's page tables as the
+// walk found them, and the NodeSource it faults evicted nodes in from.
+// Faulted nodes are decoded into cells of the walker's own and never
+// installed in the arena, so concurrent Views of retained versions stay
+// data-race free: the walkers copy each slot before resolving it.
 type resolver struct {
-	ns NodeSource
+	cells [][]cell
+	vals  [][][]byte
+	ns    NodeSource
 }
 
-func (t *Trie) loader() resolver { return resolver{ns: t.ns} }
+// loader returns the head's resolver: the writer's own page tables.
+func (t *Trie) loader() resolver {
+	return resolver{cells: t.cells.pages, vals: t.vals.pages, ns: t.ns}
+}
 
-// load fetches and decodes the node committed to by h, verifying that the
-// decoded content re-hashes to h.
-func (rs resolver) load(h cryptoutil.Hash) (*node, error) {
+// published returns a View's resolver: the page tables the writer last
+// published, which hold every cell of every version retained when they
+// were loaded.
+func (t *Trie) published() resolver {
+	rs := resolver{ns: t.ns}
+	if tab := t.pub.Load(); tab != nil {
+		rs.cells, rs.vals = tab.cells, tab.vals
+	}
+	return rs
+}
+
+// loadInto fetches and decodes into c the node committed to by h,
+// verifying that the decoded content re-hashes to h.
+func (rs resolver) loadInto(c *cell, h cryptoutil.Hash) error {
 	if rs.ns == nil {
-		return nil, fmt.Errorf("trie: node %x evicted but no node source attached", h[:8])
+		return fmt.Errorf("trie: node %x evicted but no node source attached", h[:8])
 	}
 	enc, ok, err := rs.ns.NodeGet(h)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !ok {
-		return nil, fmt.Errorf("trie: node %x missing from node source", h[:8])
+		return fmt.Errorf("trie: node %x missing from node source", h[:8])
 	}
-	return decodeNode(h, enc)
+	return decodeInto(c, h, enc)
 }
 
 // loadValue fetches the value bytes stored under h, verifying that they
@@ -89,31 +105,37 @@ func (rs resolver) loadValue(h cryptoutil.Hash) ([]byte, error) {
 	return value, nil
 }
 
-// resolve returns the ref's node, faulting it in when evicted. The ref is
-// taken by value: the caller's copy gets the pointer, shared state is
+// resolve returns the cell s refers to: the arena's, or a fresh decoding
+// of the evicted node. The slot is taken by value; shared state is
 // untouched.
-func (rs resolver) resolve(r ref) (*node, error) {
-	if r.node != nil {
-		return r.node, nil
+func (rs resolver) resolve(s slot) (*cell, error) {
+	if s.inArena() {
+		i := s.index()
+		return &rs.cells[i>>pageShift][i&pageMask], nil
 	}
-	return rs.load(r.hash)
+	c := new(cell)
+	if err := rs.loadInto(c, s.hash); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// materialise installs the node behind an evicted ref so a mutation can
-// descend through it. It must only be called on refs owned by the current
-// mutation (the root field or a child slot of an ensureOwned'd node) —
-// never on a ref shared with a retained version. The faulted node carries
-// generation 0, so ensureOwned immediately path-copies it: the installed
-// node itself is never mutated and may keep being shared via the backend.
-func (t *Trie) materialise(cur *ref) error {
-	if cur.node != nil || cur.sealed || cur.hash.IsZero() || t.ns == nil {
+// materialise faults the node behind an evicted slot into an arena cell so
+// a mutation can descend through it. It must only be called on slots the
+// head owns (the root or a child slot of an owned cell) — never on one
+// shared with a retained version. The cell carries generation 0 and one
+// reference, so own edits it in place and counts it as fresh, as it counts
+// a path copy.
+func (t *Trie) materialise(cur *slot) error {
+	if cur.state() != slotEvicted {
 		return nil
 	}
-	n, err := t.loader().load(cur.hash)
-	if err != nil {
+	var c cell
+	if err := t.loader().loadInto(&c, cur.hash); err != nil {
 		return err
 	}
-	cur.node = n
+	c.refs = 1
+	cur.tag = stateTag(slotLive, t.place(c))
 	return nil
 }
 
@@ -132,40 +154,41 @@ func (t *Trie) FlushRoot(ns NodeSource) (written int, err error) {
 	if ns == nil {
 		return 0, fmt.Errorf("trie: flush: nil node source")
 	}
-	var walk func(r ref) error
-	walk = func(r ref) error {
-		if r.sealed || r.hash.IsZero() {
+	t.settle(&t.root)
+	var walk func(s slot) error
+	walk = func(s slot) error {
+		if s.state() == slotSealed || s.state() == slotEmpty {
 			return nil
 		}
-		if ns.NodeHas(r.hash) {
+		if ns.NodeHas(s.hash) {
 			return nil
 		}
-		if r.node == nil {
+		if !s.inArena() {
 			// Evicted but unknown to the backend: the store this trie was
 			// recovered from must hold it, so a different ns was passed.
-			return fmt.Errorf("trie: flush: evicted node %x not present in node source", r.hash[:8])
+			return fmt.Errorf("trie: flush: evicted node %x not present in node source", s.hash[:8])
 		}
-		n := r.node
-		switch n.kind {
+		c := t.cell(&s)
+		switch c.kind() {
 		case kindLeaf:
-			if n.value != nil {
-				if err := ns.ValuePut(n.valueHash(), n.value); err != nil {
+			if c.holdsValue() {
+				if err := ns.ValuePut(c.valueHash(), *t.vals.at(c.kids[0].index())); err != nil {
 					return err
 				}
 			}
 		case kindBranch:
-			if err := walk(n.children[0]); err != nil {
+			if err := walk(c.kids[0]); err != nil {
 				return err
 			}
-			if err := walk(n.children[1]); err != nil {
+			if err := walk(c.kids[1]); err != nil {
 				return err
 			}
 		case kindExt:
-			if err := walk(n.children[0]); err != nil {
+			if err := walk(c.kids[0]); err != nil {
 				return err
 			}
 		}
-		if err := ns.NodePut(r.hash, encodeNode(n)); err != nil {
+		if err := ns.NodePut(s.hash, encodeNode(c)); err != nil {
 			return err
 		}
 		written++
@@ -177,32 +200,34 @@ func (t *Trie) FlushRoot(ns NodeSource) (written int, err error) {
 	return written, nil
 }
 
-// EvictVersion drops the in-heap node pointer of a retained version,
-// leaving only its root hash. The version stays readable through At — the
-// walkers fault nodes back in from the attached NodeSource on demand — but
-// nodes reachable only from this version become garbage-collectable. Call
-// it after the version has been flushed (Commit with a backend attached
-// guarantees that). Evicting an unknown version is a no-op.
+// EvictVersion drops a retained version's cells from the arena, leaving
+// only its root hash. The version stays readable through At — the walkers
+// fault nodes back in from the attached NodeSource on demand — and the
+// cells only this version reached go back on the free list. Call it after
+// the version has been flushed (Commit with a backend attached guarantees
+// that). Evicting an unknown version is a no-op.
 func (t *Trie) EvictVersion(v Version) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	r, ok := t.versions[v]
-	if !ok || r.node == nil {
+	if !ok || !r.inArena() {
 		return
 	}
-	t.versions[v] = ref{hash: r.hash}
+	t.versions[v] = hashOnly(r.hash, false)
+	t.drop(r)
 }
 
 // RestoreVersion re-registers a retained version from its recovered root
 // commitment. The version starts fully evicted; reads fault nodes in from
 // the attached NodeSource.
 func (t *Trie) RestoreVersion(v Version, root cryptoutil.Hash, sealed bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.versions == nil {
-		t.versions = make(map[Version]ref)
+		t.versions = make(map[Version]slot)
 	}
-	r := ref{hash: root}
-	if sealed {
-		r.sealed = true
-	}
-	t.versions[v] = r
+	t.drop(t.versions[v])
+	t.versions[v] = hashOnly(root, sealed)
 }
 
 // RestoredCounts carries the head counters a recovered trie resumes with,
@@ -216,16 +241,12 @@ type RestoredCounts struct {
 }
 
 // RestoreHead points the head at a recovered root. The head starts fully
-// evicted (mutations materialise and path-copy nodes on demand) and rev
-// becomes the write generation for the next mutations; it must exceed
-// every restored version so copy-on-write keeps treating recovered nodes
-// as frozen.
+// evicted (mutations materialise nodes on demand) and rev becomes the
+// write generation for the next mutations; it must exceed every restored
+// version, so the next Snapshot names a new one.
 func (t *Trie) RestoreHead(root cryptoutil.Hash, sealed bool, c RestoredCounts, rev uint64) {
-	r := ref{hash: root}
-	if sealed {
-		r.sealed = true
-	}
-	t.root = r
+	t.drop(t.root)
+	t.root = hashOnly(root, sealed)
 	t.nodeCount = c.Nodes
 	t.leafCount = c.Leaves
 	t.sealedCount = c.SealedRefs

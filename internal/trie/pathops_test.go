@@ -3,6 +3,8 @@ package trie
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -98,14 +100,20 @@ func FuzzPathOps(f *testing.F) {
 	})
 }
 
-// TestNodeFootprintAndAllocs gates the node size and the allocations of
-// the hot operations on a 4 000-key trie: a fresh sequential Set builds
-// its nodes with their paths inline, Get reads the key in place, Prove
-// writes one exact-size buffer (and the Proof that holds it), and the
-// verifiers read the encoded bytes in place.
+// TestNodeFootprintAndAllocs gates the cell's size and layout, deferred
+// hashing, and the allocations of the hot operations on a 4 000-key trie:
+// a cell is the paper's 72-byte slot plus a generation and a reference
+// count and holds no pointer the collector would scan; 1 000 writes to one
+// key cost one settle of its path; a fresh sequential Set takes its cells
+// from the arena, Get reads the key in place, Prove writes one exact-size
+// buffer (and the Proof that holds it), and the verifiers read the encoded
+// bytes in place.
 func TestNodeFootprintAndAllocs(t *testing.T) {
-	if s := unsafe.Sizeof(node{}); s > 176 {
-		t.Fatalf("node is %d bytes, want <= 176", s)
+	if s := unsafe.Sizeof(cell{}); s > 80 {
+		t.Fatalf("cell is %d bytes, want <= 80", s)
+	}
+	if hasPointers(reflect.TypeOf(cell{})) {
+		t.Fatal("cell holds a pointer")
 	}
 	tr := New()
 	v := val("footprint")
@@ -115,6 +123,7 @@ func TestNodeFootprintAndAllocs(t *testing.T) {
 	}
 	next := uint64(n)
 	k := seqKey(0, 1234)
+
 	proof, err := tr.Prove(k)
 	if err != nil {
 		t.Fatal(err)
@@ -147,5 +156,56 @@ func TestNodeFootprintAndAllocs(t *testing.T) {
 	}
 	if _, err := tr.Get(seqKey(0, next-1)); err != nil {
 		t.Fatalf("the last fresh key: %v", err)
+	}
+	tr.Root()
+	hashed := tr.hashes
+	for i := 0; i < 1000; i++ {
+		must(t, tr.Set(k, val(fmt.Sprint(i))))
+	}
+	tr.Root()
+	if got, want := tr.hashes-hashed, depthOf(tr, k)+1; got != want {
+		t.Fatalf("Root after 1 000 Sets of one key hashed %d nodes, want its depth + 1 = %d", got, want)
+	}
+}
+
+// hasPointers reports whether a value of type ty holds anything the
+// garbage collector must scan.
+func hasPointers(ty reflect.Type) bool {
+	switch ty.Kind() {
+	case reflect.Array:
+		return ty.Len() > 0 && hasPointers(ty.Elem())
+	case reflect.Struct:
+		for i := 0; i < ty.NumField(); i++ {
+			if hasPointers(ty.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	default:
+		return true
+	}
+}
+
+// depthOf returns the number of inner cells above key's leaf in the head.
+func depthOf(tr *Trie, key [KeySize]byte) int {
+	kp := keyToPath(key)
+	depth, pos := 0, 0
+	for s := tr.root; ; depth++ {
+		c := tr.cell(&s)
+		switch c.kind() {
+		case kindBranch:
+			s = c.kids[kp.bit(pos)]
+			pos++
+		case kindExt:
+			p := c.path()
+			pos += p.len()
+			s = c.kids[0]
+		default:
+			return depth
+		}
 	}
 }

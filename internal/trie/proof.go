@@ -91,75 +91,81 @@ func badProof(why string) error { return fmt.Errorf("%w: %s", ErrBadProof, why) 
 // on the key's presence. It fails with ErrSealed if the descent crosses a
 // sealed reference: sealed data can neither be proven present nor absent.
 func (t *Trie) Prove(key [KeySize]byte) (*Proof, error) {
+	t.settle(&t.root)
 	return proveRef(t.loader(), t.root, key)
 }
 
-// proveRef builds the proof from an arbitrary root reference. It is the
-// shared read-only walker behind Trie.Prove and View.Prove, so proofs for a
+// proveRef builds the proof from an arbitrary root slot. It is the shared
+// read-only walker behind Trie.Prove and View.Prove, so proofs for a
 // retained version are byte-identical to the ones the head produced when
 // that version was current — including after the version was evicted to a
 // node backend, because the faulted nodes re-hash to the same commitments.
-// Refs are walked by value; faulted nodes are never installed into shared
-// state, keeping concurrent Views race-free.
+// Slots are walked by value; faulted nodes are never installed in the
+// arena, keeping concurrent Views race-free. Every hash it reads is
+// settled: a retained version's always is, and Trie.Prove settles the
+// head first.
 //
-// The descent records the inner nodes it crosses, then encodeProof writes
+// The descent records the inner cells it crosses, then encodeProof writes
 // the proof from them into one exact-size buffer.
-func proveRef(rs resolver, root ref, key [KeySize]byte) (*Proof, error) {
+func proveRef(rs resolver, root slot, key [KeySize]byte) (*Proof, error) {
 	kp := keyToPath(key)
-	var crossed [keyBits]*node // every crossing consumes at least one key bit
+	var crossed [keyBits]*cell // every crossing consumes at least one key bit
 	depth, pos := 0, 0
 	cur := root
 	for {
-		if cur.sealed {
+		switch cur.state() {
+		case slotSealed:
 			return nil, ErrSealed
-		}
-		if cur.node == nil && cur.hash.IsZero() {
+		case slotEmpty:
 			// Provably absent: empty trie or — impossible in a compressed
 			// trie below the root — an empty slot.
 			return encodeProof(&kp, crossed[:depth], nil, false), nil
 		}
-		n, err := rs.resolve(cur)
+		c, err := rs.resolve(cur)
 		if err != nil {
 			return nil, err
 		}
-		switch n.kind {
+		switch c.kind() {
 		case kindLeaf:
-			member := n.holds(&kp, pos)
-			if member && n.sealed {
+			member := c.holds(&kp, pos)
+			if member && c.sealed() {
 				// A sealed key can be proven neither present nor absent;
 				// the data backing either statement is gone.
 				return nil, ErrSealed
 			}
-			return encodeProof(&kp, crossed[:depth], n, member), nil
+			return encodeProof(&kp, crossed[:depth], c, member), nil
 		case kindExt:
-			if n.path.matchLen(&kp, pos) < n.path.len() {
-				return encodeProof(&kp, crossed[:depth], n, false), nil
+			p := c.path()
+			if p.matchLen(&kp, pos) < p.len() {
+				return encodeProof(&kp, crossed[:depth], c, false), nil
 			}
-			pos += n.path.len()
-			cur = n.children[0]
+			pos += p.len()
+			cur = c.kids[0]
 		case kindBranch:
-			cur = n.children[kp.bit(pos)]
+			cur = c.kids[kp.bit(pos)]
 			pos++
 		default:
-			return nil, fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
+			return nil, fmt.Errorf("trie: internal: invalid node kind %d", c.kind())
 		}
-		crossed[depth] = n
+		crossed[depth] = c
 		depth++
 	}
 }
 
-// encodeProof writes the proof for key kp from the inner nodes the descent
-// crossed (root first) and the node it stopped at: a leaf (the key's own
+// encodeProof writes the proof for key kp from the inner cells the descent
+// crossed (root first) and the cell it stopped at: a leaf (the key's own
 // when member), a diverging extension, or none for an empty slot.
-func encodeProof(kp *path, crossed []*node, term *node, member bool) *Proof {
+func encodeProof(kp *path, crossed []*cell, term *cell, member bool) *Proof {
 	size, flags := 4, byte(terminalNone) // version, flags, item count
+	var tp path
 	if term != nil {
-		size += 2 + term.path.size()
+		tp = term.path()
+		size += 2 + tp.size()
 		flags = terminalLeaf << 1
-		if term.kind == kindExt {
+		if term.kind() == kindExt {
 			flags = terminalExt << 1
 		}
-		if term.kind == kindExt || !member {
+		if term.kind() == kindExt || !member {
 			size += cryptoutil.HashSize
 		}
 	}
@@ -167,10 +173,11 @@ func encodeProof(kp *path, crossed []*node, term *node, member bool) *Proof {
 		flags |= 1
 	}
 	pos := 0 // the key bits the items consume
-	for _, n := range crossed {
-		if n.kind == kindExt {
-			size += minItemSize + n.path.size()
-			pos += n.path.len()
+	for _, c := range crossed {
+		if c.kind() == kindExt {
+			p := c.path()
+			size += minItemSize + p.size()
+			pos += p.len()
 		} else {
 			size += branchItemSize
 			pos++
@@ -181,25 +188,26 @@ func encodeProof(kp *path, crossed []*node, term *node, member bool) *Proof {
 	w.U8(proofWireVersion)
 	w.U8(flags)
 	if term != nil {
-		writePath(w, term.path.packed(), term.path.len())
-		if term.kind == kindExt || !member {
-			w.Hash(term.children[0].hash) // the child's or the diverging leaf's value hash
+		writePath(w, tp.packed(), tp.len())
+		if term.kind() == kindExt || !member {
+			w.Hash(term.kids[0].hash) // the child's or the diverging leaf's value hash
 		}
 	}
 	w.U16(uint16(len(crossed)))
 	for i := len(crossed) - 1; i >= 0; i-- {
-		n := crossed[i]
-		if n.kind == kindExt {
-			pos -= n.path.len()
+		c := crossed[i]
+		if c.kind() == kindExt {
+			p := c.path()
+			pos -= p.len()
 			w.U8(itemExt)
-			writePath(w, n.path.packed(), n.path.len())
+			writePath(w, p.packed(), p.len())
 			continue
 		}
 		pos--
 		b := kp.bit(pos)
 		w.U8(itemBranch)
 		w.U8(b)
-		w.Hash(n.children[1-b].hash)
+		w.Hash(c.kids[1-b].hash)
 	}
 	p := Proof(w.Bytes())
 	return &p

@@ -3,6 +3,8 @@ package trie
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cryptoutil"
 )
@@ -40,22 +42,29 @@ type Version uint64
 // 32-byte value hashes; a leaf written by Put also holds the value bytes
 // behind its hash. The zero value is NOT ready to use; call New.
 //
-// Trie is a copy-on-write versioned store: Snapshot freezes the current
-// contents as an O(1) version handle, and later mutations path-copy any
-// node shared with a retained version instead of editing it in place.
-// Nodes reachable from a retained version are therefore immutable.
+// Nodes are fixed-size cells in an arena the trie owns (see arena.go),
+// referring to each other by index. Trie is a copy-on-write versioned
+// store: Snapshot freezes the current contents as an O(1) version handle,
+// and later mutations path-copy any cell shared with a retained version
+// instead of editing it in place. Cells reachable from a retained version
+// are therefore immutable; a cell no retained root reaches returns to the
+// free list, and later writes reuse it.
+//
+// A write only marks the slots it changed, and their ancestors, dirty.
+// settle hashes each dirty cell once, at the first read that needs a
+// hash: Root, Snapshot, Prove, FlushRoot, and the collapse of a saturated
+// subtree (the sealed slot keeps the subtree's hash).
 //
 // Mutations are not safe for concurrent use — the Guest Contract serialises
 // writes the same way the Solana runtime serialises writes to an account —
 // but Views of already-snapshotted versions may be read concurrently with
-// head mutations, because the writer only ever touches nodes created after
-// the snapshot was taken.
+// head mutations (see View for the contract).
 type Trie struct {
-	root ref
+	root slot
 
 	nodeCount   int // live (unsealed, allocated) nodes in the head version
 	leafCount   int // live (unsealed) leaves, maintained so Len is O(1)
-	sealedCount int // refs currently marked sealed
+	sealedCount int // slots currently marked sealed
 	maxNodes    int // 0 = unlimited, < 0 = no room at all
 
 	// Cumulative counters used by the storage experiments. They describe
@@ -66,23 +75,38 @@ type Trie struct {
 	totalAllocs int
 	totalFrees  int
 
-	// rev is the current write generation (see node.rev); versions maps
-	// retained snapshot handles to their frozen roots. fresh counts the
-	// physical nodes created (allocated or path-copied) in the current
-	// generation, for the shared-node telemetry ratio.
-	rev      uint64
-	versions map[Version]ref
-	fresh    int
+	// rev is the current write generation, which Snapshot bumps (see
+	// cell.head). fresh counts the cells created, path-copied or first
+	// written in the current generation, for the shared-node telemetry
+	// ratio; hashes counts the cells settle has hashed.
+	rev    uint64
+	fresh  int
+	hashes int
+
+	// cells and vals are the arena: the nodes, and the value bytes of the
+	// leaves that hold them, one record per leaf. pub is their page tables
+	// as Views read them, republished whenever either grows.
+	cells pool[cell]
+	vals  pool[[]byte]
+	pub   atomic.Pointer[tables]
+
+	// mu orders Views against the reclamation of their cells: versions is
+	// written (Snapshot, Release, EvictVersion, RestoreVersion) under
+	// the write lock, and a View reads under the read lock, so the cells a
+	// released or evicted version alone reached go back on the free list
+	// only while no View is reading them.
+	mu       sync.RWMutex
+	versions map[Version]slot
 
 	// stackScratch backs the ancestor stack of the current mutation
 	// (Set/Seal/Delete). It relies on writes being serialised; the
-	// read-only walkers (lookupRef, proveRef) never touch it, so
+	// read-only walkers (lookupLeaf, proveRef) never touch it, so
 	// concurrent Views of retained versions stay safe.
-	stackScratch []*ref
+	stackScratch []*slot
 
 	// ns is the optional content-addressed node backend (see nodesource.go).
-	// nil means every node lives on the heap and evicted refs are
-	// impossible — the original, byte-identical behaviour.
+	// nil means every node lives in the arena and evicted slots are
+	// impossible.
 	ns NodeSource
 }
 
@@ -118,7 +142,10 @@ func New(opts ...Option) *Trie {
 }
 
 // Root returns the current root commitment.
-func (t *Trie) Root() cryptoutil.Hash { return t.root.hash }
+func (t *Trie) Root() cryptoutil.Hash {
+	t.settle(&t.root)
+	return t.root.hash
+}
 
 // Len returns the number of live (retrievable) key-value pairs. Sealed
 // entries are not counted. The count is maintained incrementally by
@@ -141,14 +168,19 @@ func (t *Trie) TotalAllocs() int { return t.totalAllocs }
 // deletion).
 func (t *Trie) TotalFrees() int { return t.totalFrees }
 
-// writeRev returns the current write generation, repairing a zero (legacy
-// zero-constructed) trie so generation 0 never marks a node as current.
+// writeRev returns the current write generation, repairing a zero
+// (zero-constructed) trie so generation 0 — the one faulted-in cells
+// carry — never marks a cell as written in the current one.
 func (t *Trie) writeRev() uint64 {
 	if t.rev == 0 {
 		t.rev = 1
 	}
 	return t.rev
 }
+
+// gen returns the current write generation as cells record it: its low
+// 29 bits, which only the shared-node ratio reads.
+func (t *Trie) gen() uint32 { return uint32(t.writeRev()) & (1<<(32-genShift) - 1) }
 
 // reserve fails with ErrFull unless n more nodes fit the arena. An
 // operation that allocates more than once reserves its net growth before
@@ -160,70 +192,191 @@ func (t *Trie) reserve(n int) error {
 	return nil
 }
 
-// take counts n into the arena; the caller has reserved the room.
-func (t *Trie) take(n *node) *node {
-	n.rev = t.writeRev()
+// cell returns the arena cell a live or dirty slot refers to.
+func (t *Trie) cell(s *slot) *cell { return t.cells.at(s.index()) }
+
+// place stores c in a free cell and returns its index. It counts nothing:
+// take does, for the cells that are new head nodes.
+func (t *Trie) place(c cell) uint32 {
+	i, grew := t.cells.alloc()
+	*t.cells.at(i) = c
+	if grew {
+		t.publish()
+	}
+	return i
+}
+
+// publish hands Views the current page tables.
+func (t *Trie) publish() {
+	t.pub.Store(&tables{cells: t.cells.pages, vals: t.vals.pages})
+}
+
+// take places c as a new head node of the current generation, referred to
+// by the one slot the caller installs, and counts it into the arena; the
+// caller has reserved the room.
+func (t *Trie) take(c cell) (uint32, *cell) {
+	c.setGen(t.gen())
+	c.refs = 1
+	i := t.place(c)
 	t.nodeCount++
 	t.totalAllocs++
 	t.fresh++
-	return n
+	return i, t.cells.at(i)
 }
 
-func (t *Trie) alloc(n *node) (*node, error) {
-	if err := t.reserve(1); err != nil {
-		return nil, err
-	}
-	return t.take(n), nil
-}
-
-func (t *Trie) free(n *node) {
-	if n == nil {
-		return
-	}
+// forget counts a node out of the head.
+func (t *Trie) forget() {
 	t.nodeCount--
 	t.totalFrees++
 }
 
-// ensureOwned returns cur's node, path-copying it first when it belongs to
-// an older write generation and may therefore be shared with a retained
-// version. The copy is content- and hash-identical, so taking ownership of
-// a whole descent path is safe even when the operation later fails.
-// Copies do not move the storage-deposit counters: the head holds the same
-// logical node either way.
-func (t *Trie) ensureOwned(cur *ref) *node {
-	n := cur.node
-	if n == nil || n.rev == t.writeRev() {
-		return n
+// ref counts one more reference to the cell s refers to, if any.
+func (t *Trie) ref(s slot) {
+	if s.inArena() {
+		t.cell(&s).refs++
 	}
-	cp := *n
-	cp.rev = t.rev
-	cur.node = &cp
-	t.fresh++
-	return cur.node
 }
 
-// holds reports whether leaf n holds the key kp, whose bits from pos on
-// remain after the descent to n.
-func (n *node) holds(kp *path, pos int) bool {
-	return pos+n.path.len() == keyBits && n.path.matchLen(kp, pos) == n.path.len()
+// drop removes one reference to the cell s refers to, if any. A cell left
+// with none is freed, with its value record and its references to its
+// children: a subtree no retained root reaches goes back on the free list.
+func (t *Trie) drop(s slot) {
+	if !s.inArena() {
+		return
+	}
+	c := t.cell(&s)
+	if c.refs--; c.refs > 0 {
+		return
+	}
+	switch c.kind() {
+	case kindLeaf:
+		t.keep(c, nil)
+	case kindBranch:
+		t.drop(c.kids[0])
+		t.drop(c.kids[1])
+	case kindExt:
+		t.drop(c.kids[0])
+	}
+	t.cells.release(s.index())
+}
+
+// keep points leaf c's value record at value; nil frees the record. c must
+// be the head's own, and so is its record.
+func (t *Trie) keep(c *cell, value []byte) {
+	switch {
+	case value == nil:
+		if c.holdsValue() {
+			i := c.kids[0].index()
+			*t.vals.at(i) = nil
+			t.vals.release(i)
+			c.kids[0].tag = 0
+		}
+	case c.holdsValue():
+		*t.vals.at(c.kids[0].index()) = value
+	default:
+		i, grew := t.vals.alloc()
+		*t.vals.at(i) = value
+		if grew {
+			t.publish()
+		}
+		c.kids[0].tag = stateTag(slotLive, i)
+	}
+}
+
+// own returns the cell cur refers to, ready for the head to mutate. A cell
+// only cur refers to is the head's alone and is edited in place; one that
+// a retained version still reaches is path-copied first. The copy is
+// content- and hash-identical, so taking ownership of a whole descent path
+// is safe even when the operation later fails. Copies do not move the
+// storage-deposit counters: the head holds the same logical node either
+// way. The first write to a cell since the last snapshot, copy or not,
+// counts toward fresh.
+func (t *Trie) own(cur *slot) *cell {
+	c := t.cell(cur)
+	g := t.gen()
+	if c.refs == 1 {
+		if c.gen() != g {
+			c.setGen(g)
+			t.fresh++
+		}
+		return c
+	}
+	i := t.place(*c)
+	cp := t.cells.at(i)
+	cp.setGen(g)
+	cp.refs = 1
+	c.refs--
+	t.fresh++
+	switch cp.kind() {
+	case kindLeaf:
+		if cp.holdsValue() {
+			cp.kids[0].tag = 0
+			t.keep(cp, *t.vals.at(c.kids[0].index()))
+		}
+	case kindBranch:
+		t.ref(cp.kids[0])
+		t.ref(cp.kids[1])
+	case kindExt:
+		t.ref(cp.kids[0])
+	}
+	cur.tag = stateTag(cur.state(), i)
+	return cp
+}
+
+// holds reports whether leaf c holds the key kp, whose bits from pos on
+// remain after the descent to c.
+func (c *cell) holds(kp *path, pos int) bool {
+	p := c.path()
+	return pos+p.len() == keyBits && p.matchLen(kp, pos) == p.len()
 }
 
 // mutStack returns the reusable (empty) ancestor stack for a mutation. Its
 // capacity covers the maximum possible descent depth, so appends never
 // reallocate.
-func (t *Trie) mutStack() []*ref {
+func (t *Trie) mutStack() []*slot {
 	if t.stackScratch == nil {
-		t.stackScratch = make([]*ref, 0, keyBits)
+		t.stackScratch = make([]*slot, 0, keyBits)
 	}
 	return t.stackScratch[:0]
 }
 
-// rehash recomputes commitments from the deepest changed ref up to the
-// root.
-func (t *Trie) rehash(stack []*ref) {
-	for i := len(stack) - 1; i >= 0; i-- {
-		stack[i].hash = stack[i].node.hash()
+// markDirty marks a live slot's hash stale.
+func (s *slot) markDirty() { s.tag = stateTag(slotDirty, s.index()) }
+
+// touch marks the ancestors of a changed slot dirty, deepest first, up to
+// the first one an earlier write left dirty: its ancestors are dirty
+// already.
+func touch(stack []*slot) {
+	for i := len(stack) - 1; i >= 0 && stack[i].state() != slotDirty; i-- {
+		stack[i].markDirty()
 	}
+}
+
+// settle hashes every dirty cell under s, children first, each once, and
+// leaves s clean.
+func (t *Trie) settle(s *slot) {
+	if s.state() != slotDirty {
+		return
+	}
+	c := t.cell(s)
+	switch c.kind() {
+	case kindBranch:
+		t.settle(&c.kids[0])
+		t.settle(&c.kids[1])
+	case kindExt:
+		t.settle(&c.kids[0])
+	}
+	s.hash = c.hash()
+	s.tag = stateTag(slotLive, s.index())
+	t.hashes++
+}
+
+// newLeaf takes a leaf holding the value hash h and, when the caller has
+// them, its bytes, and returns the dirty slot that refers to it.
+func (t *Trie) newLeaf(p path, h cryptoutil.Hash, value []byte) slot {
+	i, c := t.take(leafCell(p, h, false))
+	t.keep(c, value)
+	return slot{tag: stateTag(slotDirty, i)}
 }
 
 // Set stores the value hash value under key. Inserting a key whose path
@@ -238,8 +391,8 @@ func (t *Trie) Set(key [KeySize]byte, value cryptoutil.Hash) error {
 }
 
 // Put stores value's hash under key, as Set does, and keeps a copy of the
-// bytes in the leaf, so Value reads them back from this version and every
-// version snapshotted before the key changes again.
+// bytes in the leaf's record, so Value reads them back from this version
+// and every version snapshotted before the key changes again.
 func (t *Trie) Put(key [KeySize]byte, value []byte) error {
 	held := make([]byte, len(value)) // non-nil even when empty: the leaf holds it
 	copy(held, value)
@@ -255,60 +408,56 @@ func (t *Trie) set(key [KeySize]byte, h cryptoutil.Hash, value []byte) error {
 	stack := t.mutStack()
 
 	for {
-		if cur.sealed {
+		if cur.sealed() {
 			return ErrSealed
 		}
 		if err := t.materialise(cur); err != nil {
 			return err
 		}
-		if cur.node == nil {
-			if !cur.hash.IsZero() {
-				// Defensive: a non-zero hash without a node must be sealed
-				// (unreachable once materialise has run with a source).
-				return ErrSealed
-			}
-			leaf, err := t.alloc(newLeaf(kp.slice(pos, keyBits), h, value))
-			if err != nil {
+		if !cur.inArena() {
+			if err := t.reserve(1); err != nil {
 				return err
 			}
-			cur.node = leaf
-			cur.hash = leaf.hash()
+			*cur = t.newLeaf(kp.slice(pos, keyBits), h, value)
 			t.leafCount++
-			t.rehash(stack)
+			touch(stack)
 			return nil
 		}
-		n := t.ensureOwned(cur)
-		switch n.kind {
+		c := t.own(cur)
+		switch c.kind() {
 		case kindLeaf:
-			c := n.path.matchLen(&kp, pos)
-			if c == n.path.len() && pos+c == keyBits {
-				if n.sealed {
+			p := c.path()
+			m := p.matchLen(&kp, pos)
+			if m == p.len() && pos+m == keyBits {
+				if c.sealed() {
 					// Double-delivery guard (Alg. 1 line 37): a sealed
 					// key can never be written again.
 					return ErrSealed
 				}
-				n.children[0].hash, n.value = h, value
-				cur.hash = n.hash()
-				t.rehash(stack)
+				c.kids[0].hash = h
+				t.keep(c, value)
+				cur.markDirty()
+				touch(stack)
 				return nil
 			}
-			if err := t.splitLeaf(cur, n, &kp, pos, newLeaf(kp.slice(pos+c+1, keyBits), h, value), c); err != nil {
+			if err := t.splitLeaf(cur, c, &kp, pos, h, value, m); err != nil {
 				return err
 			}
-			t.rehash(stack)
+			touch(stack)
 			return nil
 		case kindExt:
-			c := n.path.matchLen(&kp, pos)
-			if c == n.path.len() {
-				pos += c
+			p := c.path()
+			m := p.matchLen(&kp, pos)
+			if m == p.len() {
+				pos += m
 				stack = append(stack, cur)
-				cur = &n.children[0]
+				cur = &c.kids[0]
 				continue
 			}
-			if err := t.splitExt(cur, n, &kp, pos, newLeaf(kp.slice(pos+c+1, keyBits), h, value), c); err != nil {
+			if err := t.splitExt(cur, c, &kp, pos, h, value, m); err != nil {
 				return err
 			}
-			t.rehash(stack)
+			touch(stack)
 			return nil
 		case kindBranch:
 			if pos == keyBits {
@@ -317,85 +466,88 @@ func (t *Trie) set(key [KeySize]byte, h cryptoutil.Hash, value []byte) error {
 			b := kp.bit(pos)
 			pos++
 			stack = append(stack, cur)
-			cur = &n.children[b]
+			cur = &c.kids[b]
 		default:
-			return fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
+			return fmt.Errorf("trie: internal: invalid node kind %d", c.kind())
 		}
 	}
 }
 
-// splitLeaf replaces the leaf held by cur with a structure distinguishing
-// the existing leaf from leaf, the new key's leaf, which holds the key's
-// remainder after bit pos+c of kp. c is the common prefix length; because keys are
-// fixed length, both remainders are non-empty and differ at bit c.
-func (t *Trie) splitLeaf(cur *ref, old *node, kp *path, pos int, leaf *node, c int) error {
+// splitLeaf replaces the leaf old, which cur refers to, with a structure
+// distinguishing it from the new key's leaf (h, value), which holds the
+// key's remainder after bit pos+m of kp. m is the common prefix length;
+// because keys are fixed length, both remainders are non-empty and differ
+// at bit m.
+func (t *Trie) splitLeaf(cur *slot, old *cell, kp *path, pos int, h cryptoutil.Hash, value []byte, m int) error {
 	// The new leaf and the branch, plus an extension above them when the
 	// two keys share a prefix.
 	grow := 2
-	if c > 0 {
+	if m > 0 {
 		grow = 3
 	}
 	if err := t.reserve(grow); err != nil {
 		return err
 	}
-	t.take(leaf)
-	br := t.take(&node{kind: kindBranch})
-	// Reuse the old leaf node with a shortened path.
-	oldBit := old.path.bit(c)
-	old.path = old.path.slice(c+1, old.path.len())
-	br.children[oldBit] = ref{hash: old.hash(), node: old}
-	br.children[kp.bit(pos+c)] = ref{hash: leaf.hash(), node: leaf}
+	leaf := t.newLeaf(kp.slice(pos+m+1, keyBits), h, value)
+	bi, br := t.take(cell{head: cellHead(kindBranch, false)})
+	// Reuse the old leaf's cell with a shortened path.
+	p := old.path()
+	br.kids[p.bit(m)] = slot{tag: stateTag(slotDirty, cur.index())}
+	old.setPath(p.slice(m+1, p.len()))
+	br.kids[kp.bit(pos+m)] = leaf
 	t.leafCount++
-	t.branchOff(cur, br, kp, pos, c)
+	t.branchOff(cur, bi, kp, pos, m)
 	return nil
 }
 
-// branchOff installs a split's new branch at cur, under an extension over
-// the c bits of kp from pos on that the two keys share, if any.
-func (t *Trie) branchOff(cur *ref, br *node, kp *path, pos, c int) {
-	if c == 0 {
-		cur.node = br
-		cur.hash = br.hash()
+// branchOff installs a split's new branch (cell bi) at cur, under an
+// extension over the m bits of kp from pos on that the two keys share, if
+// any.
+func (t *Trie) branchOff(cur *slot, bi uint32, kp *path, pos, m int) {
+	br := slot{tag: stateTag(slotDirty, bi)}
+	if m == 0 {
+		*cur = br
 		return
 	}
-	ext := t.take(&node{kind: kindExt, path: kp.slice(pos, pos+c)})
-	ext.children[0] = ref{hash: br.hash(), node: br}
-	cur.node = ext
-	cur.hash = ext.hash()
+	ei, ext := t.take(cell{kids: [2]slot{br}, head: cellHead(kindExt, false)})
+	ext.setPath(kp.slice(pos, pos+m))
+	*cur = slot{tag: stateTag(slotDirty, ei)}
 }
 
-// splitExt replaces the extension held by cur so leaf, the new key's leaf,
-// can branch off at bit c of the extension's path.
-func (t *Trie) splitExt(cur *ref, old *node, kp *path, pos int, leaf *node, c int) error {
-	oldRest := old.path.len() - c // >= 1 bit
+// splitExt replaces the extension old, which cur refers to, so the new
+// key's leaf (h, value) can branch off at bit m of the extension's path.
+func (t *Trie) splitExt(cur *slot, old *cell, kp *path, pos int, h cryptoutil.Hash, value []byte, m int) error {
+	p := old.path()
+	oldRest := p.len() - m // >= 1 bit
 
 	// The new leaf and the branch, plus an extension above them when the
 	// key shares a prefix with the old one — unless the old extension has
-	// a single bit left: the branch absorbs it, and the slot it frees
+	// a single bit left: the branch absorbs it, and the cell it frees
 	// pays for the new extension.
 	grow := 2
-	if c > 0 && oldRest > 1 {
+	if m > 0 && oldRest > 1 {
 		grow = 3
 	}
 	if err := t.reserve(grow); err != nil {
 		return err
 	}
-	t.take(leaf)
-	br := t.take(&node{kind: kindBranch})
+	leaf := t.newLeaf(kp.slice(pos+m+1, keyBits), h, value)
+	bi, br := t.take(cell{head: cellHead(kindBranch, false)})
 
-	// The old extension's child goes under its bit c, via a shortened
+	// The old extension's child goes under its bit m, via a shortened
 	// extension if bits remain.
-	oldBit := old.path.bit(c)
 	if oldRest == 1 {
-		br.children[oldBit] = old.children[0]
-		t.free(old)
+		br.kids[p.bit(m)] = old.kids[0]
+		t.ref(old.kids[0])
+		t.forget()
+		t.drop(*cur)
 	} else {
-		old.path = old.path.slice(c+1, old.path.len())
-		br.children[oldBit] = ref{hash: old.hash(), node: old}
+		br.kids[p.bit(m)] = slot{tag: stateTag(slotDirty, cur.index())}
+		old.setPath(p.slice(m+1, p.len()))
 	}
-	br.children[kp.bit(pos+c)] = ref{hash: leaf.hash(), node: leaf}
+	br.kids[kp.bit(pos+m)] = leaf
 	t.leafCount++
-	t.branchOff(cur, br, kp, pos, c)
+	t.branchOff(cur, bi, kp, pos, m)
 	return nil
 }
 
@@ -415,73 +567,79 @@ func (t *Trie) Value(key [KeySize]byte) ([]byte, error) {
 }
 
 // lookupLeaf resolves key's live leaf starting from an arbitrary root
-// reference. It is purely read-only — refs are walked by value and faulted
-// nodes are never installed into shared state — which is what lets Views
-// of retained versions share it with the live head, race-free.
-func lookupLeaf(rs resolver, root ref, key [KeySize]byte) (*node, error) {
+// slot. It is purely read-only — slots are walked by value and faulted
+// nodes are never installed in the arena — which is what lets Views of
+// retained versions share it with the live head, race-free.
+func lookupLeaf(rs resolver, root slot, key [KeySize]byte) (*cell, error) {
 	kp := keyToPath(key)
 	pos := 0
 	cur := root
 	for {
-		if cur.sealed {
+		switch cur.state() {
+		case slotSealed:
 			return nil, ErrSealed
-		}
-		if cur.node == nil && cur.hash.IsZero() {
+		case slotEmpty:
 			return nil, ErrNotFound
 		}
-		n, err := rs.resolve(cur)
+		c, err := rs.resolve(cur)
 		if err != nil {
 			return nil, err
 		}
-		switch n.kind {
+		switch c.kind() {
 		case kindLeaf:
-			if n.holds(&kp, pos) {
-				if n.sealed {
+			if c.holds(&kp, pos) {
+				if c.sealed() {
 					return nil, ErrSealed
 				}
-				return n, nil
+				return c, nil
 			}
 			return nil, ErrNotFound
 		case kindExt:
-			if n.path.matchLen(&kp, pos) < n.path.len() {
+			p := c.path()
+			if p.matchLen(&kp, pos) < p.len() {
 				return nil, ErrNotFound
 			}
-			pos += n.path.len()
-			cur = n.children[0]
+			pos += p.len()
+			cur = c.kids[0]
 		case kindBranch:
-			cur = n.children[kp.bit(pos)]
+			cur = c.kids[kp.bit(pos)]
 			pos++
 		default:
-			return nil, fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
+			return nil, fmt.Errorf("trie: internal: invalid node kind %d", c.kind())
 		}
 	}
 }
 
 // lookupHash returns the value hash of key's leaf under root.
-func lookupHash(rs resolver, root ref, key [KeySize]byte) (cryptoutil.Hash, error) {
-	n, err := lookupLeaf(rs, root, key)
+func lookupHash(rs resolver, root slot, key [KeySize]byte) (cryptoutil.Hash, error) {
+	c, err := lookupLeaf(rs, root, key)
 	if err != nil {
 		return cryptoutil.ZeroHash, err
 	}
-	return n.valueHash(), nil
+	return c.valueHash(), nil
 }
 
 // lookupValue returns the value bytes of key's leaf under root: the leaf's
-// own, or the NodeSource's record under the leaf's value hash.
-func lookupValue(rs resolver, root ref, key [KeySize]byte) ([]byte, error) {
-	n, err := lookupLeaf(rs, root, key)
+// own record, or the NodeSource's record under the leaf's value hash.
+func lookupValue(rs resolver, root slot, key [KeySize]byte) ([]byte, error) {
+	c, err := lookupLeaf(rs, root, key)
 	if err != nil {
 		return nil, err
 	}
-	if n.value != nil {
-		return n.value, nil
+	if c.holdsValue() {
+		i := c.kids[0].index()
+		return rs.vals[i>>pageShift][i&pageMask], nil
 	}
-	return rs.loadValue(n.valueHash())
+	return rs.loadValue(c.valueHash())
 }
 
 // Has reports whether key is present (and unsealed).
 func (t *Trie) Has(key [KeySize]byte) (bool, error) {
-	_, err := t.Get(key)
+	return present(t.Get(key))
+}
+
+// present turns a lookup's answer into Has's.
+func present(_ cryptoutil.Hash, err error) (bool, error) {
 	switch {
 	case err == nil:
 		return true, nil
@@ -498,7 +656,7 @@ func (t *Trie) Has(key [KeySize]byte) (bool, error) {
 // once every key under a subtree's prefix has been sealed (which happens
 // for the dense sequential sequence-number keys the Guest Contract uses),
 // the saturated subtree collapses into a single opaque reference and its
-// nodes are freed — this is the disk-reclamation mechanism that bounds the
+// cells are freed — this is the disk-reclamation mechanism that bounds the
 // guest blockchain's storage.
 func (t *Trie) Seal(key [KeySize]byte) error {
 	kp := keyToPath(key)
@@ -507,90 +665,96 @@ func (t *Trie) Seal(key [KeySize]byte) error {
 	stack := t.mutStack()
 
 	for {
-		if cur.sealed {
+		if cur.sealed() {
 			return ErrSealed
 		}
 		if err := t.materialise(cur); err != nil {
 			return err
 		}
-		if cur.node == nil {
+		if !cur.inArena() {
 			return ErrNotFound
 		}
-		n := t.ensureOwned(cur)
-		switch n.kind {
+		c := t.own(cur)
+		switch c.kind() {
 		case kindLeaf:
-			if !n.holds(&kp, pos) {
+			if !c.holds(&kp, pos) {
 				return ErrNotFound
 			}
-			if n.sealed {
+			if c.sealed() {
 				return ErrSealed
 			}
-			n.sealed, n.value = true, nil
+			c.head |= sealedFlag
+			t.keep(c, nil)
 			t.leafCount--
 			t.collapseSaturated(stack)
 			return nil
 		case kindExt:
-			if n.path.matchLen(&kp, pos) < n.path.len() {
+			p := c.path()
+			if p.matchLen(&kp, pos) < p.len() {
 				return ErrNotFound
 			}
-			pos += n.path.len()
+			pos += p.len()
 			stack = append(stack, cur)
-			cur = &n.children[0]
+			cur = &c.kids[0]
 		case kindBranch:
 			b := kp.bit(pos)
 			pos++
 			stack = append(stack, cur)
-			cur = &n.children[b]
+			cur = &c.kids[b]
 		default:
-			return fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
+			return fmt.Errorf("trie: internal: invalid node kind %d", c.kind())
 		}
 	}
 }
 
-// saturated reports whether the ref's entire key range is sealed: either an
-// opaque sealed ref, or a zero-length-path sealed leaf stub (which covers
+// saturated reports whether the slot's entire key range is sealed: either
+// a sealed slot, or a zero-length-path sealed leaf stub (which covers
 // exactly one key).
-func saturated(r *ref) bool {
-	if r.sealed {
+func (t *Trie) saturated(s *slot) bool {
+	if s.sealed() {
 		return true
 	}
-	n := r.node
-	return n != nil && n.kind == kindLeaf && n.sealed && n.path.len() == 0
+	if !s.inArena() {
+		return false
+	}
+	c := t.cell(s)
+	return c.kind() == kindLeaf && c.sealed() && c.kids[1].tag == 0 // a zero-length path
 }
 
 // collapseSaturated walks ancestors from deepest to shallowest, replacing
-// any branch whose both children are saturated with an opaque sealed
-// reference and freeing the nodes. Extensions never collapse: their path
-// bits mean sibling keys were never inserted, so the covered range is not
-// saturated. Hashes never change.
-func (t *Trie) collapseSaturated(stack []*ref) {
+// any branch whose both children are saturated with a sealed slot and
+// freeing the cells. Extensions never collapse: their path bits mean
+// sibling keys were never inserted, so the covered range is not saturated.
+// Hashes never change, but the sealed slot keeps the branch's, so a dirty
+// branch is settled first.
+func (t *Trie) collapseSaturated(stack []*slot) {
 	for i := len(stack) - 1; i >= 0; i-- {
 		r := stack[i]
-		n := r.node
-		if n.kind != kindBranch {
+		c := t.cell(r)
+		if c.kind() != kindBranch {
 			return
 		}
 		// An evicted sibling may hide a saturated stub; fault it in before
 		// deciding. A load failure only skips the (optional) collapse.
-		for j := range n.children {
-			if t.materialise(&n.children[j]) != nil {
+		for j := range c.kids {
+			if t.materialise(&c.kids[j]) != nil {
 				return
 			}
 		}
-		if !saturated(&n.children[0]) || !saturated(&n.children[1]) {
+		if !t.saturated(&c.kids[0]) || !t.saturated(&c.kids[1]) {
 			return
 		}
-		for j := range n.children {
-			if n.children[j].node != nil {
-				t.free(n.children[j].node)
-			}
-			if n.children[j].sealed {
+		t.settle(r)
+		for j := range c.kids {
+			if c.kids[j].inArena() {
+				t.forget()
+			} else {
 				t.sealedCount--
 			}
 		}
-		t.free(n)
-		r.node = nil
-		r.sealed = true
+		t.forget()
+		t.drop(*r)
+		*r = hashOnly(r.hash, true)
 		t.sealedCount++
 	}
 }
@@ -607,201 +771,217 @@ func (t *Trie) Delete(key [KeySize]byte) error {
 	stack := t.mutStack()
 
 	for {
-		if cur.sealed {
+		if cur.sealed() {
 			return ErrSealed
 		}
 		if err := t.materialise(cur); err != nil {
 			return err
 		}
-		if cur.node == nil {
+		if !cur.inArena() {
 			return ErrNotFound
 		}
-		n := t.ensureOwned(cur)
-		switch n.kind {
+		c := t.own(cur)
+		switch c.kind() {
 		case kindLeaf:
-			if !n.holds(&kp, pos) {
+			if !c.holds(&kp, pos) {
 				return ErrNotFound
 			}
-			if n.sealed {
+			if c.sealed() {
 				return ErrSealed
 			}
 			return t.deleteLeaf(cur, stack)
 		case kindExt:
-			if n.path.matchLen(&kp, pos) < n.path.len() {
+			p := c.path()
+			if p.matchLen(&kp, pos) < p.len() {
 				return ErrNotFound
 			}
-			pos += n.path.len()
+			pos += p.len()
 			stack = append(stack, cur)
-			cur = &n.children[0]
+			cur = &c.kids[0]
 		case kindBranch:
 			b := kp.bit(pos)
 			pos++
 			stack = append(stack, cur)
-			cur = &n.children[b]
+			cur = &c.kids[b]
 		default:
-			return fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
+			return fmt.Errorf("trie: internal: invalid node kind %d", c.kind())
 		}
 	}
 }
 
 // deleteLeaf removes the leaf at cur and restructures: the leaf's parent
-// branch collapses into its sibling (possibly merging extensions/leaf
-// paths); a chain of extensions above is merged.
-func (t *Trie) deleteLeaf(cur *ref, stack []*ref) error {
-	// Find nearest branch ancestor; extensions between it and the leaf
-	// would only exist if the leaf were deeper than its parent ext, but an
-	// ext's child is the leaf only via direct ref, so cur's parent is
-	// either a branch, an ext (whose only child is this leaf), or the root.
+// branch collapses into its sibling (possibly merging extension and leaf
+// paths); an extension above is merged.
+func (t *Trie) deleteLeaf(cur *slot, stack []*slot) error {
+	// cur's parent is a branch or the root: an extension always leads to
+	// a branch.
 	if len(stack) == 0 {
 		// Leaf at root.
-		t.free(cur.node)
+		t.forget()
 		t.leafCount--
-		*cur = ref{}
+		t.drop(*cur)
+		*cur = slot{}
 		return nil
 	}
 	parent := stack[len(stack)-1]
-	pn := parent.node
+	pc := t.cell(parent)
 
-	if pn.kind == kindExt {
+	if pc.kind() == kindExt {
 		// An extension leading directly to a leaf cannot exist by
-		// construction (extensions always lead to branches), but guard
-		// against it to keep Delete total.
+		// construction, but guard against it to keep Delete total.
 		return fmt.Errorf("trie: internal: extension above leaf")
 	}
 
-	// Parent is a branch: identify the sibling. The sibling's node gets
+	// Parent is a branch: identify the sibling. The sibling gets
 	// restructured by mergeDown, so take ownership of it too — it is not on
 	// the descent path and may still be shared with a retained version.
-	var sideBit byte
-	if &pn.children[1] == cur {
-		sideBit = 1
+	var side byte
+	if &pc.kids[1] == cur {
+		side = 1
 	}
-	if pn.children[1-sideBit].sealed {
+	sib := &pc.kids[1-side]
+	if sib.sealed() {
 		return ErrSealed
 	}
-	if err := t.materialise(&pn.children[1-sideBit]); err != nil {
+	if err := t.materialise(sib); err != nil {
 		return err
 	}
-	t.ensureOwned(&pn.children[1-sideBit])
-	sib := pn.children[1-sideBit]
+	t.own(sib)
 
 	// Replace the branch with "sibling prefixed by its branch bit". Build
 	// the replacement before freeing anything so an allocation failure
 	// leaves the trie untouched.
-	merged, err := t.mergeDown(1-sideBit, sib)
+	merged, err := t.mergeDown(1-side, *sib)
 	if err != nil {
 		return err
 	}
-	t.free(cur.node)
-	t.free(pn)
+	t.forget()
+	t.forget()
 	t.leafCount--
+	t.ref(*sib) // merged refers to it now; dropping the branch frees the leaf
+	t.drop(*parent)
 	*parent = merged
 	stack = stack[:len(stack)-1]
 
-	// If the new parent slot is an ext/leaf and ITS parent is an ext,
-	// merge the two paths.
+	// If the new parent slot's parent is an extension, merge the two
+	// paths.
 	if len(stack) > 0 {
 		gp := stack[len(stack)-1]
-		if gp.node.kind == kindExt && parent == &gp.node.children[0] {
-			if err := t.mergeExtChild(gp); err != nil {
-				return err
-			}
+		if g := t.cell(gp); g.kind() == kindExt && parent == &g.kids[0] {
+			t.mergeExtChild(gp)
 			stack = stack[:len(stack)-1]
 		}
 	}
-	t.rehash(stack)
+	touch(stack)
 	return nil
 }
 
-// mergeDown produces the ref that replaces a deleted branch: the surviving
-// child prefixed with its branch bit. Leaf and extension children absorb
-// the bit into their path; a branch child gets a fresh 1-bit extension.
-func (t *Trie) mergeDown(bit byte, sib ref) (ref, error) {
-	n := sib.node
-	switch n.kind {
+// mergeDown produces the slot that replaces a deleted branch: the surviving
+// child sib, the head's own, prefixed with its branch bit. Leaf and
+// extension children absorb the bit into their path; a branch child gets a
+// fresh 1-bit extension.
+func (t *Trie) mergeDown(bit byte, sib slot) (slot, error) {
+	c := t.cell(&sib)
+	switch c.kind() {
 	case kindLeaf, kindExt:
-		n.path = bitPath(bit).concat(n.path)
-		return ref{hash: n.hash(), node: n}, nil
+		c.setPath(bitPath(bit).concat(c.path()))
+		return slot{tag: stateTag(slotDirty, sib.index())}, nil
 	case kindBranch:
-		ext, err := t.alloc(&node{kind: kindExt, path: bitPath(bit), children: [2]ref{sib}})
-		if err != nil {
-			return ref{}, err
+		if err := t.reserve(1); err != nil {
+			return slot{}, err
 		}
-		return ref{hash: ext.hash(), node: ext}, nil
+		i, ext := t.take(cell{kids: [2]slot{sib}, head: cellHead(kindExt, false)})
+		ext.setPath(bitPath(bit))
+		return slot{tag: stateTag(slotDirty, i)}, nil
 	default:
-		return ref{}, fmt.Errorf("trie: internal: invalid node kind %d", n.kind)
+		return slot{}, fmt.Errorf("trie: internal: invalid node kind %d", c.kind())
 	}
 }
 
-// mergeExtChild merges gp (an extension) with its child when the child is
-// itself an extension or a leaf, concatenating paths.
-func (t *Trie) mergeExtChild(gp *ref) error {
-	ext := gp.node
-	if err := t.materialise(&ext.children[0]); err != nil {
-		return err
-	}
-	child := t.ensureOwned(&ext.children[0])
-	if child == nil {
-		return nil
-	}
-	switch child.kind {
-	case kindLeaf, kindExt:
-		child.path = ext.path.concat(child.path)
-		t.free(ext)
-		gp.node = child
-		gp.hash = child.hash()
-	case kindBranch:
-		gp.hash = ext.hash()
-	}
-	return nil
+// mergeExtChild merges the extension gp refers to with its child, which
+// mergeDown has just made a leaf or an extension of the head's own,
+// concatenating paths.
+func (t *Trie) mergeExtChild(gp *slot) {
+	ext := t.cell(gp)
+	child := ext.kids[0]
+	c := t.cell(&child)
+	ep := ext.path()
+	c.setPath(ep.concat(c.path()))
+	t.forget()
+	t.ref(child)
+	t.drop(*gp)
+	*gp = slot{tag: stateTag(slotDirty, child.index())}
 }
 
 // Snapshot freezes the current contents as a new version and returns its
-// handle. The call is O(1): no nodes or values are copied — the version
-// records the current root reference, and the write generation is bumped so
-// that every future mutation path-copies the nodes it touches instead of
-// editing anything reachable from the frozen root.
+// handle. It settles the head and records the root slot, whose cell the
+// version now refers to as well, so every future mutation path-copies the
+// cells it touches instead of editing anything reachable from the frozen
+// root. The call is O(1) apart from settling what the head wrote since
+// the last one.
 func (t *Trie) Snapshot() Version {
-	if t.versions == nil {
-		t.versions = make(map[Version]ref)
-	}
+	t.settle(&t.root)
 	v := Version(t.writeRev())
+	t.ref(t.root)
+	t.mu.Lock()
+	if t.versions == nil {
+		t.versions = make(map[Version]slot)
+	}
 	t.versions[v] = t.root
+	t.mu.Unlock()
 	t.rev++
 	t.fresh = 0
 	return v
 }
 
-// At returns a read-only view of a retained version. Views stay valid (and
-// safe to read concurrently with head mutations) until the version is
-// released.
+// At returns a read-only view of a retained version.
 func (t *Trie) At(v Version) (*View, error) {
+	r, err := t.version(v)
+	if err != nil {
+		return nil, err
+	}
+	return &View{t: t, version: v, root: r.hash}, nil
+}
+
+// version returns the root slot of retained version v.
+func (t *Trie) version(v Version) (slot, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	r, ok := t.versions[v]
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownVersion, v)
+		return slot{}, unknownVersion(v)
 	}
-	return &View{version: v, root: r, rs: t.loader()}, nil
+	return r, nil
 }
+
+func unknownVersion(v Version) error { return fmt.Errorf("%w: %d", ErrUnknownVersion, v) }
 
 // VersionRoot returns the root commitment frozen by version v.
 func (t *Trie) VersionRoot(v Version) (cryptoutil.Hash, error) {
-	r, ok := t.versions[v]
-	if !ok {
-		return cryptoutil.ZeroHash, fmt.Errorf("%w: %d", ErrUnknownVersion, v)
-	}
-	return r.hash, nil
+	r, err := t.version(v)
+	return r.hash, err
 }
 
-// Release drops a retained version. Nodes reachable only from released
-// versions become garbage: the head and the remaining versions share
-// everything still live, so nothing else keeps the pruned nodes alive.
-// Releasing an unknown version is a no-op.
+// Release drops a retained version. The cells only it reached go back on
+// the free list: the head and the remaining versions hold references to
+// everything they share. Releasing an unknown version is a no-op.
 func (t *Trie) Release(v Version) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r, ok := t.versions[v]
+	if !ok {
+		return
+	}
 	delete(t.versions, v)
+	t.drop(r)
 }
 
 // RetainedVersions returns how many snapshot versions are currently held.
-func (t *Trie) RetainedVersions() int { return len(t.versions) }
+func (t *Trie) RetainedVersions() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.versions)
+}
 
 // SharedNodeRatio reports the fraction of the head version's nodes that are
 // structurally shared with the last snapshot (i.e. not written since). 1
@@ -823,28 +1003,28 @@ func (t *Trie) Keys() [][KeySize]byte {
 	return keysFrom(t.loader(), t.root)
 }
 
-func keysFrom(rs resolver, root ref) [][KeySize]byte {
+func keysFrom(rs resolver, root slot) [][KeySize]byte {
 	var out [][KeySize]byte
-	var walk func(r ref, prefix path)
-	walk = func(r ref, prefix path) {
-		if r.sealed || (r.node == nil && r.hash.IsZero()) {
+	var walk func(s slot, prefix path)
+	walk = func(s slot, prefix path) {
+		if s.state() == slotSealed || s.state() == slotEmpty {
 			return
 		}
-		n, err := rs.resolve(r)
+		c, err := rs.resolve(s)
 		if err != nil {
 			return
 		}
-		switch n.kind {
+		switch c.kind() {
 		case kindLeaf:
-			if n.sealed {
+			if c.sealed() {
 				return
 			}
-			out = append(out, prefix.concat(n.path).b)
+			out = append(out, prefix.concat(c.path()).b)
 		case kindExt:
-			walk(n.children[0], prefix.concat(n.path))
+			walk(c.kids[0], prefix.concat(c.path()))
 		case kindBranch:
-			walk(n.children[0], prefix.concat(bitPath(0)))
-			walk(n.children[1], prefix.concat(bitPath(1)))
+			walk(c.kids[0], prefix.concat(bitPath(0)))
+			walk(c.kids[1], prefix.concat(bitPath(1)))
 		}
 	}
 	walk(root, path{})
