@@ -87,6 +87,9 @@ lint: lint-deprecated
 # The ibc.Store's per-path value history (its revisions, write log and
 # prune/trim pair), the per-read re-hash with its mismatch and out-of-sync
 # errors, and the backend's per-path versioned value lookup stay retired.
+# A host block lives until its slowest reader passes it: the fixed retention
+# window and its knob, slot-cursor polling and the by-slot lookup stay
+# retired; a consumer pulls through its own host.Reader.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -181,6 +184,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'valueRev\|writeLog\|pruneValuesLocked\|trimHistoryLocked\|ErrValueMismatch\|errOutOfSync\|ValueAt' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired value history (a trie leaf holds its value: trie.Put/Value; the backend stores it under its hash: ValuePut/ValueGet):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'SetBlockRetention\|BlocksSince\|BlockAt' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired block retention (a host block lives until its slowest reader passes it: pull through host.Chain.NewReader):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/counterparty"
 	"repro/internal/fees"
 	"repro/internal/host"
 	"repro/internal/netsim"
@@ -164,5 +165,55 @@ func TestChaosDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("identical chaos runs diverged:\n  %s\n  %s", a, b)
+	}
+}
+
+// TestHostHoldsOnlyUnreadBlocks: the host keeps a block only while some
+// daemon has not pulled it. With every daemon reachable it holds nothing
+// between slots however long the run; a validator cut off by a crash window
+// holds the blocks produced since it went dark, and releases them when it
+// is back.
+func TestHostHoldsOnlyUnreadBlocks(t *testing.T) {
+	cp := counterparty.DefaultConfig()
+	cp.NumValidators = 12
+	cp.BlockInterval = 3 * time.Second
+	n, err := NewNetwork(Config{
+		CP:         cp,
+		Behaviours: fastFleet(4),
+		Seed:       7,
+		Net: netsim.Config{Crashes: []netsim.CrashWindow{{
+			Node:     netsim.ValidatorNode(3),
+			From:     2 * time.Hour,
+			Duration: time.Hour,
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := n.NewUser("sender", 10_000*host.LamportsPerSOL, "GUEST", 1<<40)
+	n.Sched.Every(5*time.Minute, func() bool {
+		_, _ = n.SendTransferFromGuest(u, "cp-receiver", "GUEST", 1, "", fees.BundlePolicy, 0)
+		return true
+	})
+
+	n.Run(2 * time.Hour)
+	if held := n.Host.HeldBlocks(); held != 0 {
+		t.Fatalf("%d blocks held with every daemon caught up after %d slots", held, n.Host.Slot())
+	}
+	n.Run(30 * time.Minute)
+	early := n.Host.HeldBlocks()
+	n.Run(29 * time.Minute)
+	late := n.Host.HeldBlocks()
+	if early == 0 || late <= early {
+		t.Fatalf("held %d then %d blocks while validator 3 was dark; want a growing backlog", early, late)
+	}
+	t.Logf("%d then %d blocks held for the dark validator, at slot %d", early, late, n.Host.Slot())
+	signed := len(n.Validators[3].Records)
+	n.Run(time.Hour)
+	if held := n.Host.HeldBlocks(); held != 0 {
+		t.Fatalf("%d blocks held after validator 3 came back", held)
+	}
+	if len(n.Validators[3].Records) == signed {
+		t.Fatal("validator 3 signed nothing once it was back")
 	}
 }

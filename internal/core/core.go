@@ -204,7 +204,6 @@ type Network struct {
 	payer         *cryptoutil.PrivKey
 	crank         *guest.TxBuilder
 	slotScheduled bool
-	hostCursor    host.Slot
 
 	// hostEP is the host chain's RPC front-end on the simulated network
 	// (netsim.HostFrontEnd); guest is the guest chain's runtime, whose
@@ -358,7 +357,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n.hostEP = n.Net.Node(netsim.HostNode, nil, netsim.HostFrontEnd(n.Host))
 	for _, name := range mesh.Order {
 		if mc := mesh.Chains[name]; mc.CP != nil {
-			mc.deliveredBy = make(map[string]netsim.NodeID)
+			mc.deliveredBy = make(map[counterparty.RecvKey]netsim.NodeID)
 			mc.ep = n.Net.Node(mc.Node, nil, mc.CP.FrontEnd(mc.deliveredBy))
 		}
 	}
@@ -501,7 +500,6 @@ func (n *Network) buildChain(cp *chainPlan) (*MeshChain, error) {
 func (n *Network) setupFoundation() error {
 	cfg := n.cfg
 	n.Host = host.NewChainWithProfile(n.Sched.Clock(), cfg.HostProfile)
-	n.Host.SetBlockRetention(2048)
 	n.Host.SetTelemetry(n.Tel.Metrics)
 	if cfg.MempoolLimit > 0 {
 		n.Host.SetMempoolLimit(cfg.MempoolLimit)
@@ -776,15 +774,15 @@ func (n *Network) dispatch(block *host.Block) {
 		}
 	}
 	// New-block notifications go out over the wire. A dropped notification
-	// loses nothing: daemons cursor-pull every retained block on the next
-	// delivery.
+	// loses nothing: each daemon's host reader holds the block until the
+	// next delivery wakes it to pull.
+	var msg any = netsim.MsgHostBlock{Slot: block.Slot} // boxed once for every recipient
 	for i := range n.Validators {
-		n.hostEP.Send(netsim.ValidatorNode(i), netsim.KindHostBlock, netsim.MsgHostBlock{Block: block})
+		n.hostEP.Send(netsim.ValidatorNode(i), netsim.KindHostBlock, msg)
 	}
 	for _, rn := range n.guest.relayerNodes {
-		n.hostEP.Send(rn, netsim.KindHostBlock, netsim.MsgHostBlock{Block: block})
+		n.hostEP.Send(rn, netsim.KindHostBlock, msg)
 	}
-	n.hostCursor = block.Slot
 }
 
 // maybeCrank submits GenerateBlock when Alg. 1's precondition holds.

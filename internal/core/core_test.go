@@ -192,6 +192,7 @@ func TestCPRelayLog(t *testing.T) {
 
 func TestCPToGuestTransfer(t *testing.T) {
 	n := testNetwork(t)
+	blocks := n.Host.NewReader()
 	n.CPApp.Mint("cp-carol", "PICA", 500)
 
 	recipient := "guest-dave"
@@ -217,7 +218,7 @@ func TestCPToGuestTransfer(t *testing.T) {
 		t.Fatalf("client update used %v txs; expected a chunked upload", updates[0])
 	}
 	// The recv flow used multiple host transactions.
-	if txs := snap.HistogramSamples("relayer.recv.txs"); len(txs) != 1 || txs[0] < 2 || hostResults(n, "recv-packet/commit") != 1 {
+	if txs := snap.HistogramSamples("relayer.recv.txs"); len(txs) != 1 || txs[0] < 2 || hostResults(blocks.Pull(nil), "recv-packet/commit") != 1 {
 		t.Fatalf("recv txs per packet = %v, want one job of one packet in several transactions", txs)
 	}
 	// The ack rode a finalised guest block back and cleared the cp-side

@@ -22,6 +22,7 @@ func TestUpdateCoalescing(t *testing.T) {
 	// Several counterparty packets committed while one client update is
 	// in flight must be served by few updates, not one per packet.
 	n := testNetwork(t)
+	blocks := n.Host.NewReader()
 	n.CPApp.Mint("burst-sender", "PICA", 1_000_000)
 	for i := 0; i < 6; i++ {
 		if _, err := n.SendTransferFromCP("burst-sender", "guest-recv", "PICA", 10, "", 0); err != nil {
@@ -35,7 +36,7 @@ func TestUpdateCoalescing(t *testing.T) {
 		t.Fatalf("delivered %d of 6", delivered)
 	}
 	// Packets provable behind one update share a chunk sequence and commit.
-	if jobs := hostResults(n, "recv-packet/commit"); jobs >= 6 {
+	if jobs := hostResults(blocks.Pull(nil), "recv-packet/commit"); jobs >= 6 {
 		t.Fatalf("%d recv jobs for 6 packets; expected batching", jobs)
 	}
 	if updates := len(snap.HistogramSamples("relayer.update.txs")); updates >= 6 {
@@ -46,10 +47,10 @@ func TestUpdateCoalescing(t *testing.T) {
 	}
 }
 
-// hostResults counts the host transactions labelled label.
-func hostResults(n *Network, label string) int {
+// hostResults counts the host transactions in blocks labelled label.
+func hostResults(blocks []*host.Block, label string) int {
 	count := 0
-	for _, b := range n.Host.BlocksSince(0) {
+	for _, b := range blocks {
 		for _, res := range b.Results {
 			if res.Label == label {
 				count++
@@ -84,6 +85,7 @@ func TestRecvBatchingRespectsHostLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reader := n.Host.NewReader()
 	hooked := make(map[ibc.ChannelID]int)
 	for _, rt := range n.Channels {
 		rt.CPApp.Mint("burst-sender", "PICA", 1_000_000)
@@ -111,12 +113,12 @@ func TestRecvBatchingRespectsHostLimits(t *testing.T) {
 		sent = append(sent, send(i%2))
 	}
 
-	recvTxs := 0
-	var cursor host.Slot
+	recvTxs, jobs := 0, 0
 	for i := 0; i < 60; i++ {
 		n.Run(10 * time.Second)
-		for _, b := range n.Host.BlocksSince(cursor) {
-			cursor = b.Slot
+		blocks := reader.Pull(nil)
+		jobs += hostResults(blocks, "recv-packet/commit")
+		for _, b := range blocks {
 			for _, res := range b.Results {
 				if !strings.HasPrefix(res.Label, "recv-packet/") {
 					continue
@@ -133,7 +135,6 @@ func TestRecvBatchingRespectsHostLimits(t *testing.T) {
 	}
 
 	delivered := len(n.SnapshotTelemetry().HistogramSamples("relayer.recv.txs"))
-	jobs := hostResults(n, "recv-packet/commit")
 	if delivered != len(sent) {
 		t.Fatalf("delivered %d of %d", delivered, len(sent))
 	}
@@ -174,6 +175,7 @@ func TestOrderedInboundBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocks := n.Host.NewReader()
 	n.CPApp.Mint("burst-sender", "PICA", 1_000_000)
 	var sent []*ibc.Packet
 	for i := 0; i < packets; i++ {
@@ -188,11 +190,12 @@ func TestOrderedInboundBatch(t *testing.T) {
 	// One job: one commit, and one recv.txs sample per packet, each its
 	// share of the job's transactions.
 	txs := n.SnapshotTelemetry().HistogramSamples("relayer.recv.txs")
-	if commits := hostResults(n, "recv-packet/commit"); commits != 1 || len(txs) != packets {
+	run := blocks.Pull(nil)
+	if commits := hostResults(run, "recv-packet/commit"); commits != 1 || len(txs) != packets {
 		t.Fatalf("%d recv commits delivered %d packets, want one job of %d", commits, len(txs), packets)
 	}
 	recvTxs := 0
-	for _, b := range n.Host.BlocksSince(0) {
+	for _, b := range run {
 		for _, res := range b.Results {
 			if strings.HasPrefix(res.Label, "recv-packet/") {
 				recvTxs++

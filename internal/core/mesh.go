@@ -129,7 +129,7 @@ type MeshChain struct {
 	// packet (cosmos chains only): the front-end flags later deliveries
 	// from other nodes as lost races, and the fee payee resolver pays the
 	// recorded winner.
-	deliveredBy map[string]netsim.NodeID
+	deliveredBy map[counterparty.RecvKey]netsim.NodeID
 }
 
 // MeshLink is one wired link: canonical ends, the channels the handshakes
@@ -259,7 +259,7 @@ func (n *Network) wireFees() bool {
 				if !ok {
 					return ""
 				}
-				if payee := payeeOf[end.peer.deliveredBy[counterparty.RecvKey(&p)]]; payee != "" {
+				if payee := payeeOf[end.peer.deliveredBy[counterparty.RecvKeyOf(&p)]]; payee != "" {
 					return payee
 				}
 				return end.primaryPayee

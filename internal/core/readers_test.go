@@ -129,22 +129,22 @@ func TestEveryEventHasAReader(t *testing.T) {
 				cps = append(cps, cp)
 			}
 		}
-		// The host keeps a bounded window of blocks: drain it while the
-		// run goes, from the bootstrap blocks on.
-		var cursor host.Slot
-		drain := func() bool {
-			for _, b := range n.Host.BlocksSince(cursor) {
-				cursor = b.Slot
+		// The reader must exist before the host's first block to see every
+		// one. NewNetwork produces none (the bootstrap handshakes and
+		// their guest blocks run as direct calls, not host transactions);
+		// fail rather than miss any if that changes. The host holds every
+		// block this reader has not pulled, so one pull at the end sees
+		// the whole run.
+		if s := n.Host.Slot(); s != 0 {
+			t.Fatalf("the host produced blocks up to slot %d before the test could read them", s)
+		}
+		blocks := n.Host.NewReader()
+		finish = append(finish, func() {
+			for _, b := range blocks.Pull(nil) {
 				for _, ev := range b.Events {
 					note(ev.Payload)
 				}
 			}
-			return true
-		}
-		drain()
-		n.Sched.Every(time.Minute, drain)
-		finish = append(finish, func() {
-			drain()
 			for _, cp := range cps {
 				log, _ := cp.EventsSince(0)
 				for _, ev := range log {

@@ -12,8 +12,15 @@ import (
 )
 
 // RecvKey identifies a packet on the receiving side.
-func RecvKey(p *ibc.Packet) string {
-	return fmt.Sprintf("%s/%s/%d", p.DestPort, p.DestChannel, p.Sequence)
+type RecvKey struct {
+	Port     ibc.PortID
+	Channel  ibc.ChannelID
+	Sequence uint64
+}
+
+// RecvKeyOf returns p's receive-side key.
+func RecvKeyOf(p *ibc.Packet) RecvKey {
+	return RecvKey{p.DestPort, p.DestChannel, p.Sequence}
 }
 
 // FrontEnd builds the chain's RPC front-end on the simulated network. It
@@ -36,12 +43,12 @@ func RecvKey(p *ibc.Packet) string {
 // (a lost race) while a relayer's own retry still looks like its one
 // delivery, and the fee payee resolver reads the same registry so
 // first-to-deliver claims the ICS-29 fee.
-func (c *Chain) FrontEnd(deliveredBy map[string]netsim.NodeID) netsim.CallHandler {
-	acks := make(map[string][]byte)
+func (c *Chain) FrontEnd(deliveredBy map[RecvKey]netsim.NodeID) netsim.CallHandler {
+	acks := make(map[RecvKey][]byte)
 	// The bus runs callbacks under its lock: record only, never re-enter.
 	c.Handler().Events().Subscribe(func(ev telemetry.Event) {
 		if wa, ok := ev.(ibc.EventWriteAck); ok {
-			acks[RecvKey(wa.Packet)] = wa.Ack
+			acks[RecvKeyOf(wa.Packet)] = wa.Ack
 		}
 	})
 	settled := func(err error) error {
@@ -62,7 +69,7 @@ func (c *Chain) FrontEnd(deliveredBy map[string]netsim.NodeID) netsim.CallHandle
 		case netsim.MsgRecvPacket:
 			ack, err := c.Handler().RecvPacket(m.Packet, m.Proof, m.ProofHeight)
 			if errors.Is(err, ibc.ErrPacketAlreadyDelivered) {
-				key := RecvKey(m.Packet)
+				key := RecvKeyOf(m.Packet)
 				if prev, ok := acks[key]; ok {
 					winner, recorded := deliveredBy[key]
 					return netsim.RespRecvPacket{
@@ -74,7 +81,7 @@ func (c *Chain) FrontEnd(deliveredBy map[string]netsim.NodeID) netsim.CallHandle
 			if err != nil {
 				return nil, err
 			}
-			deliveredBy[RecvKey(m.Packet)] = from
+			deliveredBy[RecvKeyOf(m.Packet)] = from
 			return netsim.RespRecvPacket{Ack: ack, ProvableAt: c.Height() + 1}, nil
 		case netsim.MsgAckPacket:
 			return nil, settled(c.Handler().AcknowledgePacket(m.Packet, m.Ack, m.Proof, m.ProofHeight))

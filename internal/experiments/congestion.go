@@ -93,7 +93,6 @@ func RunCongestionAblation(minutes int, seed int64) *CongestionAblation {
 func runCongestionProbe(minutes int, policyName string) probeResult {
 	sched := sim.NewScheduler(time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC))
 	chain := host.NewChain(sched.Clock())
-	chain.SetBlockRetention(64)
 
 	spammer := cryptoutil.GenerateKey("spammer").Public()
 	chain.Fund(spammer, 1_000_000*host.LamportsPerSOL)
@@ -172,10 +171,9 @@ func runCongestionProbe(minutes int, policyName string) probeResult {
 	})
 
 	// Watcher: collect probe landings once per slot.
-	var cursor host.Slot
+	blocks := chain.NewReader()
 	sched.Every(host.SlotDuration, func() bool {
-		for _, b := range chain.BlocksSince(cursor) {
-			cursor = b.Slot
+		for _, b := range blocks.Pull(nil) {
 			for _, ev := range b.Events {
 				pe, ok := ev.Payload.(probeEvent)
 				if !ok {

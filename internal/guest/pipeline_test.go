@@ -88,10 +88,10 @@ func TestPipelineCascadeFinalisesInOrder(t *testing.T) {
 
 	// Collect finalisation events while signing height 2: its quorum must
 	// cascade-finalise 3 and 4 in height order within the same vote.
-	cursor := e.chain.Slot()
+	blocks := e.chain.NewReader()
 	signAll(2)
 	var finalised []uint64
-	for _, b := range e.chain.BlocksSince(cursor) {
+	for _, b := range blocks.Pull(nil) {
 		for _, ev := range b.Events {
 			if fe, ok := ev.Payload.(EventFinalisedBlock); ok {
 				finalised = append(finalised, fe.Entry.Block.Height)

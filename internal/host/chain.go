@@ -1,7 +1,6 @@
 package host
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -142,11 +141,10 @@ type Chain struct {
 	seenTxRing []*Transaction
 	seenTxPos  int
 
-	blocks []*Block
-	// keepBlocks bounds retained history (0 = keep everything).
-	keepBlocks int
-	// prunedBlocks counts blocks discarded from the front of the history.
-	prunedBlocks int
+	// blocks are the produced blocks some reader has not pulled yet, in
+	// slot order; readers are the cursors handed out by NewReader.
+	blocks  []*Block
+	readers []*Reader
 
 	// Telemetry instruments; nil (no-op) until SetTelemetry is called.
 	txsExecuted     *telemetry.Counter
@@ -217,14 +215,6 @@ func (c *Chain) SetSubmitHook(fn func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.onSubmit = fn
-}
-
-// SetBlockRetention bounds how many recent blocks the chain keeps; long
-// simulations use this to keep memory flat.
-func (c *Chain) SetBlockRetention(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.keepBlocks = n
 }
 
 // RegisterProgram deploys a program.
@@ -484,16 +474,7 @@ func (c *Chain) produceBlockLocked() (*Block, []*Transaction) {
 	c.mempool = rest
 
 	c.blocks = append(c.blocks, block)
-	if c.keepBlocks > 0 && len(c.blocks) > c.keepBlocks {
-		drop := len(c.blocks) - c.keepBlocks
-		// Reslice, do not copy the window on every block: the dropped
-		// pointers are cleared so their blocks can be collected, and
-		// append moves the live window to a fresh array whenever this
-		// one's tail runs out.
-		clear(c.blocks[:drop])
-		c.blocks = c.blocks[drop:]
-		c.prunedBlocks += drop
-	}
+	c.trimLocked()
 	return block, shed
 }
 
@@ -594,26 +575,70 @@ func (c *Chain) executeLocked(tx *Transaction, block *Block) TxResult {
 	return res
 }
 
-// BlocksSince returns blocks with slot > after, for event polling.
-func (c *Chain) BlocksSince(after Slot) []*Block {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	idx := sort.Search(len(c.blocks), func(i int) bool { return c.blocks[i].Slot > after })
-	if idx >= len(c.blocks) {
-		return nil
-	}
-	out := make([]*Block, len(c.blocks)-idx)
-	copy(out, c.blocks[idx:])
-	return out
+// Reader is one consumer's cursor into the chain's blocks. The chain keeps
+// a block until every reader has pulled it, so a reader that stops pulling
+// (its daemon cut off by a crash window) holds every block after its
+// cursor and reads them all, in order, when it pulls again.
+type Reader struct {
+	c      *Chain
+	cursor Slot // last slot pulled
 }
 
-// BlockAt returns the block at the given slot, if retained.
-func (c *Chain) BlockAt(slot Slot) (*Block, error) {
+// NewReader registers a reader whose cursor is the current slot: it reads
+// the blocks produced from now on. A block produced while the chain has no
+// reader is dropped at once.
+func (c *Chain) NewReader() *Reader {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	idx := sort.Search(len(c.blocks), func(i int) bool { return c.blocks[i].Slot >= slot })
-	if idx >= len(c.blocks) || c.blocks[idx].Slot != slot {
-		return nil, errors.New("host: block not retained")
+	r := &Reader{c: c, cursor: c.slot}
+	c.readers = append(c.readers, r)
+	return r
+}
+
+// Pull appends the blocks produced since the reader's last pull to dst, in
+// slot order, moves its cursor past them and returns the extended slice,
+// as append does. A daemon woken on every block passes its last result
+// cut to length 0, so its steady-state pulls allocate nothing.
+func (r *Reader) Pull(dst []*Block) []*Block {
+	c := r.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	idx := sort.Search(len(c.blocks), func(i int) bool { return c.blocks[i].Slot > r.cursor })
+	if idx == len(c.blocks) {
+		return dst
 	}
-	return c.blocks[idx], nil
+	dst = append(dst, c.blocks[idx:]...)
+	r.cursor = c.blocks[len(c.blocks)-1].Slot
+	c.trimLocked()
+	return dst
+}
+
+// HeldBlocks returns how many produced blocks some reader has not pulled.
+func (c *Chain) HeldBlocks() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.blocks)
+}
+
+// trimLocked drops the blocks every reader has pulled, in one pass over
+// the readers. The blocks kept move to the front of the array only when
+// they are no more than those dropped, so moving them costs at most one
+// copy per dropped block.
+func (c *Chain) trimLocked() {
+	low := c.slot
+	for _, r := range c.readers {
+		low = min(low, r.cursor)
+	}
+	drop := sort.Search(len(c.blocks), func(i int) bool { return c.blocks[i].Slot > low })
+	if drop == 0 {
+		return
+	}
+	if kept := len(c.blocks) - drop; kept <= drop {
+		copy(c.blocks, c.blocks[drop:])
+		clear(c.blocks[kept:])
+		c.blocks = c.blocks[:kept]
+	} else {
+		clear(c.blocks[:drop])
+		c.blocks = c.blocks[drop:]
+	}
 }

@@ -3,6 +3,7 @@ package host
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -249,54 +250,145 @@ func TestResizeRecoverDeposit(t *testing.T) {
 
 func TestEventsAndPolling(t *testing.T) {
 	c, clock, prog, payer := newTestChain(t)
+	r := c.NewReader()
 	must(t, c.Submit(call(prog, payer, 4)))
 	c.ProduceBlock()
 	clock.Advance(SlotDuration)
 	must(t, c.Submit(call(prog, payer, 4)))
 	c.ProduceBlock()
 
-	blocks := c.BlocksSince(0)
-	if len(blocks) != 2 {
-		t.Fatalf("BlocksSince(0) = %d blocks, want 2", len(blocks))
+	blocks := r.Pull(nil)
+	if len(blocks) != 2 || blocks[0].Slot != 1 || blocks[1].Slot != 2 {
+		t.Fatalf("Pull() = %d blocks, want slots 1 and 2", len(blocks))
 	}
-	blocks = c.BlocksSince(1)
-	if len(blocks) != 1 || blocks[0].Slot != 2 {
-		t.Fatalf("BlocksSince(1) wrong: %+v", blocks)
-	}
-	if len(blocks[0].EventsOfKind("ping")) != 1 {
+	if len(blocks[1].EventsOfKind("ping")) != 1 {
 		t.Fatal("missing ping event")
+	}
+	if blocks := r.Pull(nil); len(blocks) != 0 {
+		t.Fatalf("second Pull() = %d blocks, want none", len(blocks))
+	}
+	// Pull appends to the slice it is given, as append does.
+	clock.Advance(SlotDuration)
+	c.ProduceBlock()
+	if got := r.Pull(blocks[:1]); len(got) != 2 || got[0] != blocks[0] || got[1].Slot != 3 {
+		t.Fatalf("Pull(dst) = %d blocks, want dst's slot 1 then slot 3", len(got))
 	}
 }
 
+// TestBlockRetention: the chain holds a block until every reader has
+// pulled it, and no longer.
 func TestBlockRetention(t *testing.T) {
-	c, _, prog, payer := newTestChain(t)
-	const keep = 5
-	c.SetBlockRetention(keep)
-	// Three windows' worth, so the retained window has slid off the front
-	// of its backing array more than once.
-	for i := 0; i < 3*keep; i++ {
-		must(t, c.Submit(call(prog, payer, 1)))
+	c, _, _, _ := newTestChain(t)
+	// Without a reader nothing is held.
+	c.ProduceBlock()
+	if len(c.blocks) != 0 {
+		t.Fatalf("a chain with no reader holds %d blocks", len(c.blocks))
+	}
+
+	fast, slow := c.NewReader(), c.NewReader()
+	// Every reader caught up: the chain holds only the block just produced.
+	for i := 0; i < 10_000; i++ {
+		c.ProduceBlock()
+		if len(c.blocks) > 1 {
+			t.Fatalf("slot %d: %d blocks held with every reader caught up", c.Slot(), len(c.blocks))
+		}
+		fast.Pull(nil)
+		slow.Pull(nil)
+	}
+	if len(c.blocks) != 0 {
+		t.Fatalf("%d blocks held once every reader pulled", len(c.blocks))
+	}
+
+	// One reader stalls for 3 000 slots, past the 2 048-block window the
+	// chain once kept: the other keeps pulling, and the stalled one still
+	// reads every block, in order, exactly once.
+	const stall = 3_000
+	var produced []*Block
+	for i := 0; i < stall; i++ {
+		produced = append(produced, c.ProduceBlock())
+		fast.Pull(nil)
+	}
+	if len(c.blocks) != stall {
+		t.Fatalf("%d blocks held for a reader %d behind", len(c.blocks), stall)
+	}
+	got := slow.Pull(nil)
+	if len(got) != stall {
+		t.Fatalf("stalled reader pulled %d blocks, want %d", len(got), stall)
+	}
+	for i, b := range got {
+		if b != produced[i] {
+			t.Fatalf("pulled block %d is slot %d, want slot %d", i, b.Slot, produced[i].Slot)
+		}
+	}
+	if again := slow.Pull(nil); len(again) != 0 {
+		t.Fatalf("second pull returned %d blocks", len(again))
+	}
+	if len(c.blocks) != 0 {
+		t.Fatalf("%d blocks held after the stalled reader caught up", len(c.blocks))
+	}
+
+	// Every reader stalled: the chain keeps all they have not read until
+	// the last of them pulls.
+	const idle = 50
+	for i := 0; i < idle; i++ {
 		c.ProduceBlock()
 	}
-	blocks := c.BlocksSince(0)
-	if len(blocks) != keep {
-		t.Fatalf("retained %d blocks, want %d", len(blocks), keep)
+	if len(c.blocks) != idle {
+		t.Fatalf("%d blocks held for two stalled readers, want %d", len(c.blocks), idle)
 	}
-	for i, b := range blocks {
-		if want := Slot(2*keep + 1 + i); b.Slot != want {
-			t.Fatalf("retained block %d is slot %d, want %d", i, b.Slot, want)
+	if n := len(fast.Pull(nil)); n != idle || len(c.blocks) != idle {
+		t.Fatalf("first reader pulled %d, chain holds %d; want %d and %d", n, len(c.blocks), idle, idle)
+	}
+	if n := len(slow.Pull(nil)); n != idle || len(c.blocks) != 0 {
+		t.Fatalf("second reader pulled %d, chain holds %d; want %d and 0", n, len(c.blocks), idle)
+	}
+}
+
+// TestReadersConcurrent: readers pulling on their own goroutines while
+// another produces blocks each read every block once, in slot order.
+func TestReadersConcurrent(t *testing.T) {
+	c, _, _, _ := newTestChain(t)
+	const blocks, readers = 2_000, 3
+	var got [readers][]Slot
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := range got {
+		r := c.NewReader()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					for _, b := range r.Pull(nil) {
+						got[i] = append(got[i], b.Slot)
+					}
+					return
+				default:
+				}
+				for _, b := range r.Pull(nil) {
+					got[i] = append(got[i], b.Slot)
+				}
+			}
+		}(i)
+	}
+	for i := 0; i < blocks; i++ {
+		c.ProduceBlock()
+	}
+	close(done)
+	wg.Wait()
+	for i, slots := range got {
+		if len(slots) != blocks {
+			t.Fatalf("reader %d pulled %d blocks, want %d", i, len(slots), blocks)
+		}
+		for j, s := range slots {
+			if s != Slot(j+1) {
+				t.Fatalf("reader %d: block %d is slot %d, want %d", i, j, s, j+1)
+			}
 		}
 	}
-	if blocks := c.BlocksSince(3*keep - 2); len(blocks) != 2 || blocks[1].Slot != 3*keep {
-		t.Fatalf("BlocksSince(%d) = %d blocks", 3*keep-2, len(blocks))
-	}
-	for _, pruned := range []Slot{3, keep, 2 * keep} {
-		if _, err := c.BlockAt(pruned); err == nil {
-			t.Fatalf("pruned block %d still retrievable", pruned)
-		}
-	}
-	if b, err := c.BlockAt(2*keep + 2); err != nil || b.Slot != 2*keep+2 {
-		t.Fatalf("BlockAt(%d) = %v, %v", 2*keep+2, b, err)
+	if c.HeldBlocks() != 0 {
+		t.Fatalf("%d blocks held once every reader pulled", c.HeldBlocks())
 	}
 }
 

@@ -22,9 +22,12 @@ const (
 	KindTx = "cp.tx"
 )
 
-// MsgHostBlock is the KindHostBlock payload.
+// MsgHostBlock is the KindHostBlock payload: only a wake-up, since
+// daemons pull the blocks from their host.Reader. It names the new block's
+// slot rather than carrying the block, so a notification delayed or dropped
+// in flight holds no block in memory.
 type MsgHostBlock struct {
-	Block *host.Block
+	Slot host.Slot
 }
 
 // MsgCPBlock is the KindCPBlock payload.

@@ -78,7 +78,7 @@ func TestDaemonDeliversInboundPacket(t *testing.T) {
 		t.Fatalf("recv txs per packet = %v, want one packet in at least 2 transactions", txs)
 	}
 	commits := 0
-	for _, b := range h.chain.BlocksSince(0) {
+	for _, b := range h.hostBlocks.Pull(nil) {
 		for _, res := range b.Results {
 			if res.Label == "recv-packet/commit" {
 				commits++
@@ -171,7 +171,7 @@ func TestCheckTimeoutsOrdersSameScanExpiries(t *testing.T) {
 			}
 		}
 		h.sched.RunFor(8 * time.Minute)
-		for _, b := range h.chain.BlocksSince(0) {
+		for _, b := range h.hostBlocks.Pull(nil) {
 			for _, ev := range b.Events {
 				if e, ok := ev.Payload.(ibc.EventTimeoutPacket); ok {
 					order = append(order, e.Packet.Sequence)

@@ -77,6 +77,9 @@ type linkEnv struct {
 	// first and returns the transaction to submit in its place.
 	hostLabels    []string
 	hostIntercept func(tx *host.Transaction) *host.Transaction
+	// hostBlocks reads every block the guest link's host produces, for
+	// tests that inspect them after the run (nil on a cosmos link).
+	hostBlocks *host.Reader
 }
 
 // newLinkEnv builds the link and starts its first engine, whose config
@@ -112,6 +115,7 @@ func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(
 			e.bootEnv = newBootEnv(t)
 		}
 		e.sched = sim.NewScheduler(e.clock.Now())
+		e.hostBlocks = e.chain.NewReader()
 		e.away = e.cp
 		st, err := e.contract.State(e.chain)
 		must(err)
@@ -267,7 +271,7 @@ func (e *linkEnv) guestTicks() {
 
 // frontEnd is c's front-end behind the transaction log.
 func (e *linkEnv) frontEnd(node netsim.NodeID, c *counterparty.Chain) netsim.CallHandler {
-	serve := c.FrontEnd(map[string]netsim.NodeID{})
+	serve := c.FrontEnd(map[counterparty.RecvKey]netsim.NodeID{})
 	return func(from netsim.NodeID, kind string, payload any) (any, error) {
 		if tx, ok := payload.(netsim.MsgTx); ok {
 			if e.intercept != nil {

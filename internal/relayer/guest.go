@@ -38,7 +38,8 @@ type guestEnd struct {
 	// clientID is the guest's client of the peer.
 	clientID ibc.ClientID
 
-	cursor host.Slot // last host block scanned
+	blocks *host.Reader  // the host blocks not yet scanned
+	pulled []*host.Block // Pull's buffer, empty between scans
 
 	// lanes[i] is shard i's paced submitter; root is lane 0's.
 	// queuedJobs aggregates job-queue depth across all pacers.
@@ -85,9 +86,9 @@ func newGuestEnd(r *Relayer, side int, ec EndConfig, reg *telemetry.Registry) (*
 	g := &guestEnd{
 		r: r, side: side, host: ec.Host, st: st, node: ec.Node, clientID: ec.ClientOfPeer,
 		builder: guest.NewTxBuilderForProfile(ec.Contract, r.key.Public(), ec.Host.Profile()),
-		// Start the block cursor at the current slot: bootstrap blocks
-		// predate the relayer and were already handled.
-		cursor: ec.Host.Slot(),
+		// The reader starts at the current slot: bootstrap blocks predate
+		// the relayer and were already handled.
+		blocks: ec.Host.NewReader(),
 	}
 	g.mUpdLatency = reg.Histogram(r.ns + ".update.latency_s")
 	g.mUpdTxs = reg.Histogram(r.ns + ".update.txs")
@@ -120,11 +121,11 @@ func (g *guestEnd) backlog() int { return int(g.queuedJobs) + len(g.headers) + l
 
 // --- source ---
 
-// scan processes the host blocks since the cursor.
+// scan processes the host blocks since the last scan.
 func (g *guestEnd) scan() {
 	r := g.r
-	for _, b := range g.host.BlocksSince(g.cursor) {
-		g.cursor = b.Slot
+	g.pulled = g.blocks.Pull(g.pulled[:0])
+	for _, b := range g.pulled {
 		for _, ev := range b.Events {
 			switch e := ev.Payload.(type) {
 			case guest.EventFinalisedBlock:
@@ -150,6 +151,7 @@ func (g *guestEnd) scan() {
 			}
 		}
 	}
+	clear(g.pulled) // pin no block the host has trimmed
 }
 
 // onFinalised handles a finalised guest block: queue its header for the

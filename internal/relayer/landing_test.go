@@ -18,11 +18,11 @@ func (e *linkEnv) sendOnTransfer(t *testing.T) {
 	}
 }
 
-// hostBlocks is every host block the guest link's chain produced, with the
+// blockLabels is every host block the guest link's chain produced, with the
 // labels of the transactions each executed, and whether one failed.
-func (e *linkEnv) hostBlocks(t *testing.T) (labels [][]string, failed bool) {
+func (e *linkEnv) blockLabels(t *testing.T) (labels [][]string, failed bool) {
 	t.Helper()
-	for _, b := range e.chain.BlocksSince(0) {
+	for _, b := range e.hostBlocks.Pull(nil) {
 		var ls []string
 		for _, r := range b.Results {
 			ls = append(ls, r.Label)
@@ -55,7 +55,7 @@ func TestUpdateLandsWithItsReceives(t *testing.T) {
 	}
 	e.sched.RunFor(10 * time.Minute)
 
-	labels, failed := e.hostBlocks(t)
+	labels, failed := e.blockLabels(t)
 	if failed {
 		t.Error("a relayer transaction failed in execution")
 	}
@@ -109,7 +109,7 @@ func TestLateLaneCommitsOnItsOwnPacer(t *testing.T) {
 	if commit < 0 || count(e.hostLabels[commit:], "recv-packet/chunk") == 0 {
 		t.Fatalf("no recv chunk went out after the update's commit; the scenario did not run: %q", e.hostLabels)
 	}
-	labels, failed := e.hostBlocks(t)
+	labels, failed := e.blockLabels(t)
 	if failed {
 		t.Error("a relayer transaction failed in execution")
 	}

@@ -72,13 +72,14 @@ type Validator struct {
 	// Instruments (nil-safe no-ops without WithTelemetry).
 	mSignatures *telemetry.Counter
 
-	// The daemon's address on the simulated network: host blocks arrive as
-	// wire notifications (cursor-pulled, so a dropped one loses nothing) and
-	// sign transactions go out as reliable calls that retry until the host
-	// acknowledges.
-	ep         *netsim.Endpoint
-	hostCursor host.Slot
-	retry      netsim.RetryPolicy
+	// The daemon's address on the simulated network: host-block
+	// notifications wake it to pull its reader (so a dropped one loses
+	// nothing) and sign transactions go out as reliable calls that retry
+	// until the host acknowledges.
+	ep     *netsim.Endpoint
+	blocks *host.Reader
+	pulled []*host.Block // Pull's buffer, empty between wake-ups
+	retry  netsim.RetryPolicy
 	// Shared across validators, like the sign counter.
 	mNetRetries *telemetry.Counter
 	mNetDead    *telemetry.Counter
@@ -114,7 +115,7 @@ func New(key *cryptoutil.PrivKey, b Behaviour, chain *host.Chain, contract *gues
 		sched:         sched,
 		pendingCost:   make(map[uint64]host.Lamports),
 		signedHeights: make(map[uint64]bool),
-		hostCursor:    chain.Slot(),
+		blocks:        chain.NewReader(),
 		retry:         netsim.DefaultRetryPolicy(),
 	}
 	for _, o := range opts {
@@ -133,12 +134,13 @@ func (v *Validator) onNetMessage(_ netsim.NodeID, kind string, _ any) {
 	if kind != netsim.KindHostBlock {
 		return
 	}
-	// The notification is only a wake-up; the cursor pull consumes every
-	// retained block exactly once even when notifications drop.
-	for _, b := range v.chain.BlocksSince(v.hostCursor) {
-		v.hostCursor = b.Slot
+	// The notification is only a wake-up; the pull consumes every block
+	// exactly once even when notifications drop.
+	v.pulled = v.blocks.Pull(v.pulled[:0])
+	for _, b := range v.pulled {
 		v.OnHostBlock(b)
 	}
+	clear(v.pulled) // pin no block the host has trimmed
 }
 
 // Activate starts the daemon (scheduled at Behaviour.JoinAt).

@@ -64,7 +64,7 @@ func newValEnv(t *testing.T, n int, latency sim.Dist) *valEnv {
 	sched.Every(host.SlotDuration, func() bool {
 		b := chain.ProduceBlock()
 		for i := range e.daemons {
-			hostEP.Send(netsim.ValidatorNode(i), netsim.KindHostBlock, netsim.MsgHostBlock{Block: b})
+			hostEP.Send(netsim.ValidatorNode(i), netsim.KindHostBlock, netsim.MsgHostBlock{Slot: b.Slot})
 		}
 		return true
 	})
