@@ -90,6 +90,11 @@ lint: lint-deprecated
 # A host block lives until its slowest reader passes it: the fixed retention
 # window and its knob, slot-cursor polling and the by-slot lookup stay
 # retired; a consumer pulls through its own host.Reader.
+# Provable history is the ibc.Store's: a chain commits or shares a version
+# per height and states its window in heights, and the store releases or
+# evicts a version once its last height leaves. The guest's and the
+# counterparty's own snapshot maps, cursors, reference counts and
+# cold-eviction loop stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -189,6 +194,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'SetBlockRetention\|BlocksSince\|BlockAt' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired block retention (a host block lives until its slowest reader passes it: pull through host.Chain.NewReader):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnwE 'pruneSnapshots|evictColdSnapshots|versionRefs|oldestSnapshot|coldCursor' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired per-chain snapshot windows (the ibc.Store indexes versions by height: CommitAt/ShareAt, SetProvableHeights/SetHotHeights, AtHeight):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,12 +48,12 @@ func main() {
 	storeDir := flag.String("store-dir", "", "persist guest state to a WAL-backed node store under this directory (empty = in-memory; scenario override: where a scenario that declares a store keeps it, empty = a throwaway temp directory)")
 	storeSync := flag.Int("store-sync-interval", 0, "group-fsync cadence in committed roots on top of the per-finalisation fsync (0 = finalisation only)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (read it with `go tool pprof`)")
-	memProfile := flag.String("memprofile", "", "write an allocation and heap profile to this file when the run ends")
+	memProfile := flag.String("memprofile", "", "write an allocation and heap profile to this file at the end of the run, while its deployment is live")
 	flag.Parse()
 
-	stopProfiles := startProfiles(*cpuProfile, *memProfile)
+	writeHeap, stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	if *scenario != "" {
-		passed := scenarioMode(os.Stdout, *scenario, *seed, *packets, *rate, *duration, *storeDir)
+		passed := scenarioMode(os.Stdout, *scenario, *seed, *packets, *rate, *duration, *storeDir, writeHeap)
 		stopProfiles()
 		if !passed {
 			os.Exit(1)
@@ -209,16 +210,22 @@ func main() {
 	if *metrics {
 		fmt.Printf("\n--- telemetry snapshot ---\n%s", dep.Net.SnapshotTelemetry().Render())
 	}
+	if writeHeap != nil {
+		writeHeap()
+		runtime.KeepAlive(dep) // the profile shows what the deployment retains
+	}
 }
 
-// startProfiles starts a CPU profile into cpuFile and returns the function
-// that ends it and writes the heap profile (allocations since start, and
-// what is still live after a collection) to memFile; an empty name skips
-// that profile. Both are plain runtime/pprof files around whichever mode
-// runs. The benchmark's traced pass folds its own profile into per-package
-// shares (benchmark/pprof.go); that code stays with the benchmark until an
-// issue that may edit benchmark/ moves it here.
-func startProfiles(cpuFile, memFile string) (stop func()) {
+// startProfiles starts a CPU profile into cpuFile and returns writeHeap,
+// which writes the heap profile (allocations since start, and what is
+// still live after a collection) to memFile, and stop, which ends the CPU
+// profile. An empty name skips that profile (writeHeap is nil). Both are
+// plain runtime/pprof files; a mode calls writeHeap while its deployment
+// is still reachable, so the in-use figures are what the run retains. The
+// benchmark's traced pass folds its own profile into per-package shares
+// (benchmark/pprof.go); that code stays with the benchmark until a change
+// that may edit benchmark/ moves it here.
+func startProfiles(cpuFile, memFile string) (writeHeap, stop func()) {
 	var cpu *os.File
 	if cpuFile != "" {
 		f, err := os.Create(cpuFile)
@@ -230,16 +237,18 @@ func startProfiles(cpuFile, memFile string) (stop func()) {
 		}
 		cpu = f
 	}
-	return func() {
+	stop = func() {
 		if cpu != nil {
 			pprof.StopCPUProfile()
 			if err := cpu.Close(); err != nil {
 				log.Fatalf("-cpuprofile: %v", err)
 			}
 		}
-		if memFile == "" {
-			return
-		}
+	}
+	if memFile == "" {
+		return nil, stop
+	}
+	return func() {
 		f, err := os.Create(memFile)
 		if err == nil {
 			runtime.GC() // so the in-use figures are what the run retains
@@ -251,13 +260,15 @@ func startProfiles(cpuFile, memFile string) (stop func()) {
 		if err != nil {
 			log.Fatalf("-memprofile: %v", err)
 		}
-	}
+	}, stop
 }
 
 // scenarioMode runs a registered acceptance scenario — every run it makes,
 // then its verdict — and reports whether it passed: no ledger violation in
 // any run and no failed verdict line. The overrides apply to every run.
-func scenarioMode(w io.Writer, name string, seed int64, packets int, rate float64, window time.Duration, storeDir string) bool {
+// A non-nil atEnd runs as each run's last action, while its network is
+// live (the heap profile; the last run's write stays).
+func scenarioMode(w io.Writer, name string, seed int64, packets int, rate float64, window time.Duration, storeDir string, atEnd func()) bool {
 	runs, verdict, ok := experiments.Lookup(name)
 	if !ok {
 		log.Fatalf("unknown scenario %q (see -help)", name)
@@ -285,6 +296,12 @@ func scenarioMode(w io.Writer, name string, seed int64, packets int, rate float6
 				storeDir = tmp
 			}
 			s.Net.Store.Dir = storeDir
+		}
+		if atEnd != nil {
+			s.Actions = append(slices.Clip(s.Actions), experiments.Action{At: s.Window + s.Drain, Do: func(*core.Network) error {
+				atEnd()
+				return nil
+			}})
 		}
 		rep, err := s.Run()
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 // run whose ledger reports a violation, printing it.
 func TestScenarioModeVerdict(t *testing.T) {
 	var out bytes.Buffer
-	if !scenarioMode(&out, "mesh-line", 7, 3, 0, 2*time.Hour, "") {
+	if !scenarioMode(&out, "mesh-line", 7, 3, 0, 2*time.Hour, "", nil) {
 		t.Fatalf("mesh-line failed:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "seed 7, 2h0m0s + 3h0m0s drain, 3 flows, 3 planned transfers each") {
@@ -23,11 +23,11 @@ func TestScenarioModeVerdict(t *testing.T) {
 	// -packets means nothing to a scenario whose traffic is a loadgen
 	// stream: it is ignored, not handed to a schedule the literal lacks.
 	out.Reset()
-	if !scenarioMode(&out, "load", 1, 5, 0, time.Minute, "") {
+	if !scenarioMode(&out, "load", 1, 5, 0, time.Minute, "", nil) {
 		t.Fatalf("load with -packets failed:\n%s", out.String())
 	}
 	out.Reset()
-	if scenarioMode(&out, "stray-voucher", 1, 0, 0, 0, "") {
+	if scenarioMode(&out, "stray-voucher", 1, 0, 0, 0, "", nil) {
 		t.Fatalf("stray-voucher passed:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "VIOLATION guest>cp[0]: vouchers 262 != delivered tokens 255") {
@@ -40,7 +40,7 @@ func TestScenarioModeVerdict(t *testing.T) {
 // every line of its verdict holds.
 func TestScenarioModeStoresInTempDir(t *testing.T) {
 	var out bytes.Buffer
-	if !scenarioMode(&out, "recover", 1, 0, 0, 0, "") {
+	if !scenarioMode(&out, "recover", 1, 0, 0, 0, "", nil) {
 		t.Fatalf("recover failed:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "ok   root_match") || strings.Contains(out.String(), "FAIL") {
@@ -54,14 +54,33 @@ func TestScenarioModeStoresInTempDir(t *testing.T) {
 func TestProfilesWritten(t *testing.T) {
 	dir := t.TempDir()
 	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
-	startProfiles(cpu, mem)()
+	writeHeap, stop := startProfiles(cpu, mem)
+	writeHeap()
+	stop()
 	for _, name := range []string{cpu, mem} {
 		if fi, err := os.Stat(name); err != nil || fi.Size() == 0 {
 			t.Errorf("%s: not written (%v)", filepath.Base(name), err)
 		}
 	}
-	startProfiles("", "")()
+	if writeHeap, stop := startProfiles("", ""); writeHeap != nil {
+		t.Error("no -memprofile, yet a heap writer")
+	} else {
+		stop()
+	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 2 {
 		t.Errorf("unset flags wrote files: %v", entries)
+	}
+}
+
+// TestScenarioModeRunsAtEndPerRun: the heap writer runs once per run, as
+// its last action, while the run's network is live.
+func TestScenarioModeRunsAtEndPerRun(t *testing.T) {
+	var out bytes.Buffer
+	calls := 0
+	if !scenarioMode(&out, "load", 1, 0, 0, time.Minute, "", func() { calls++ }) {
+		t.Fatalf("load failed:\n%s", out.String())
+	}
+	if runs := strings.Count(out.String(), "\nscenario "); calls != runs || runs == 0 {
+		t.Fatalf("atEnd ran %d times over %d runs", calls, runs)
 	}
 }

@@ -154,7 +154,6 @@ func TestCPRelayLog(t *testing.T) {
 	if end != cursor || len(log) != len(polled) {
 		t.Fatalf("cursor reads saw %d entries up to %d, the log holds %d up to %d", len(polled), cursor, len(log), end)
 	}
-	byHeight := make(map[uint64][]*ibc.Packet)
 	var listed []*ibc.Packet
 	var last uint64
 	for i, ev := range log {
@@ -169,13 +168,7 @@ func TestCPRelayLog(t *testing.T) {
 			t.Fatalf("entry %d: cursor reads saw height %d, the full log %d", i, polled[i].Height, ev.Height)
 		}
 		last = ev.Height
-		byHeight[ev.Height] = pc.Packets
 		listed = append(listed, pc.Packets...)
-	}
-	for h := uint64(1); h <= n.CP.Height(); h++ {
-		if got, want := len(byHeight[h]), len(n.CP.PacketsAt(h)); got != want {
-			t.Fatalf("height %d: log lists %d packets, the block committed %d", h, got, want)
-		}
 	}
 	if len(log) != 4 {
 		t.Fatalf("log holds %d entries, want one per round (4)", len(log))
@@ -231,22 +224,15 @@ func TestCPToGuestTransfer(t *testing.T) {
 // mustCPPacket returns the single packet the counterparty sent.
 func mustCPPacket(t *testing.T, n *Network) *ibc.Packet {
 	t.Helper()
-	pkts := n.CP.PacketsAt(findCPPacketHeight(t, n))
+	var pkts []*ibc.Packet
+	log, _ := n.CP.EventsSince(0)
+	for _, ev := range log {
+		pkts = append(pkts, ev.Payload.(counterparty.EventPacketsCommitted).Packets...)
+	}
 	if len(pkts) != 1 {
 		t.Fatalf("cp packets = %d, want 1", len(pkts))
 	}
 	return pkts[0]
-}
-
-func findCPPacketHeight(t *testing.T, n *Network) uint64 {
-	t.Helper()
-	for h := uint64(1); h <= n.CP.Height(); h++ {
-		if len(n.CP.PacketsAt(h)) > 0 {
-			return h
-		}
-	}
-	t.Fatal("no cp packet committed")
-	return 0
 }
 
 func TestRoundTripVoucherReturnsHome(t *testing.T) {

@@ -278,9 +278,6 @@ func meshPlan(cfg *Config) (*plan, error) {
 			if cc.Seed == 0 {
 				cc.Seed = sim.DeriveSeed(cfg.Seed, "mesh/chain/"+sp.Name)
 			}
-			if cc.SnapshotRetention == 0 {
-				cc.SnapshotRetention = 4096
-			}
 			cp.cp = cc
 			cp.ibcNS = "mesh." + sp.Name + ".ibc"
 			cp.node = netsim.ChainNode(sp.Name)

@@ -36,21 +36,22 @@ type Config struct {
 	ParticipationMin float64
 	// Seed makes the participation draw deterministic.
 	Seed int64
-	// SnapshotRetention bounds historical proof snapshots.
-	SnapshotRetention int
 }
 
 // DefaultConfig mirrors the evaluation setup.
 func DefaultConfig() Config {
 	return Config{
-		ChainID:           "picasso-sim",
-		NumValidators:     115,
-		BlockInterval:     6 * time.Second,
-		ParticipationMin:  0.68,
-		Seed:              1,
-		SnapshotRetention: 4096,
+		ChainID:          "picasso-sim",
+		NumValidators:    115,
+		BlockInterval:    6 * time.Second,
+		ParticipationMin: 0.68,
+		Seed:             1,
 	}
 }
+
+// provableHeights is how many of the newest heights the chain serves
+// proofs at.
+const provableHeights = 4096
 
 // Event is a chain event the relayer polls. The log holds one
 // EventPacketsCommitted per block that committed packets; handler events
@@ -114,23 +115,12 @@ type Chain struct {
 	// commit signatures themselves are generated lazily in UpdateAt
 	// (a month of 6-second blocks would otherwise cost 40M+ Ed25519
 	// operations for updates nobody relays).
-	signerCounts   []int
-	commitCache    map[uint64][]tendermint.CommitSig
-	snapshots      map[uint64]ibc.Version
-	oldestSnapshot uint64
-	// versionRefs counts how many heights share each committed version:
-	// consecutive blocks whose root did not change reuse one version
-	// (commit-on-change), and the version is released only when the last
-	// height referencing it is pruned.
-	versionRefs map[ibc.Version]int
-	lastVersion ibc.Version
-	lastRoot    cryptoutil.Hash
+	signerCounts []int
+	commitCache  map[uint64][]tendermint.CommitSig
 
 	// pendingPackets are packets sent since the last block; like the
 	// guest chain, a packet becomes relayable once a block commits it.
 	pendingPackets []*ibc.Packet
-	// packetsAt[height] lists packets committed at that height.
-	packetsAt map[uint64][]*ibc.Packet
 
 	events    []Event
 	telemetry *telemetry.Registry
@@ -150,10 +140,7 @@ func New(cfg Config, clock host.Clock, opts ...Option) (*Chain, error) {
 		clock:       clock,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		signerRng:   rand.New(rand.NewSource(cfg.Seed)),
-		snapshots:   make(map[uint64]ibc.Version),
-		versionRefs: make(map[ibc.Version]int),
 		commitCache: make(map[uint64][]tendermint.CommitSig),
-		packetsAt:   make(map[uint64][]*ibc.Packet),
 	}
 	vals := make([]tendermint.Validator, cfg.NumValidators)
 	generated := make([]*cryptoutil.PrivKey, cfg.NumValidators)
@@ -179,6 +166,7 @@ func New(cfg Config, clock host.Clock, opts ...Option) (*Chain, error) {
 		o(c)
 	}
 	c.store = ibc.NewStore()
+	c.store.SetProvableHeights(provableHeights)
 	if c.metricsNS == "" {
 		c.metricsNS = "cp.ibc"
 	}
@@ -257,53 +245,19 @@ func (c *Chain) produceBlockLocked() *tendermint.Header {
 
 	c.headers = append(c.headers, h)
 	c.signerCounts = append(c.signerCounts, n)
-	// Commit-on-change versioning: consecutive blocks with the same root
-	// share one retained version.
-	if c.lastVersion == 0 || c.store.Root() != c.lastRoot {
-		// If every height that referenced the previous version was already
-		// pruned (it survived only as the reuse candidate), release it now.
-		if old := c.lastVersion; old != 0 {
-			if _, live := c.versionRefs[old]; !live {
-				c.store.Release(old)
-			}
-		}
-		c.lastVersion = c.store.CommitAt(c.height)
-		c.lastRoot = c.store.Root()
+	// Commit-on-change: a block whose root equals its parent's shares the
+	// parent's version.
+	if n := len(c.headers); n > 1 && c.headers[n-2].AppRoot == h.AppRoot {
+		c.store.ShareAt(c.height)
+	} else {
+		c.store.CommitAt(c.height)
 	}
-	c.snapshots[c.height] = c.lastVersion
-	c.versionRefs[c.lastVersion]++
-	c.pruneSnapshots()
 
 	if len(c.pendingPackets) > 0 {
-		c.packetsAt[c.height] = c.pendingPackets
 		c.events = append(c.events, Event{Height: c.height, Payload: EventPacketsCommitted{Packets: c.pendingPackets}})
 		c.pendingPackets = nil
 	}
 	return h
-}
-
-func (c *Chain) pruneSnapshots() {
-	if c.cfg.SnapshotRetention <= 0 {
-		return
-	}
-	if c.oldestSnapshot == 0 {
-		c.oldestSnapshot = 1
-	}
-	// Heights are contiguous, so an advancing cursor prunes in O(1)
-	// amortised. A shared version is released only when its last height
-	// leaves the window.
-	for len(c.snapshots) > c.cfg.SnapshotRetention {
-		if v, ok := c.snapshots[c.oldestSnapshot]; ok {
-			delete(c.snapshots, c.oldestSnapshot)
-			if c.versionRefs[v]--; c.versionRefs[v] <= 0 {
-				delete(c.versionRefs, v)
-				if v != c.lastVersion {
-					c.store.Release(v)
-				}
-			}
-		}
-		c.oldestSnapshot++
-	}
 }
 
 // HeaderAt returns the header at height.
@@ -381,17 +335,10 @@ func (c *Chain) GenesisUpdate() (*tendermint.Header, *tendermint.ValidatorSet) {
 }
 
 // SnapshotAt returns a read-only view of the store version committed at
-// height, for proof generation.
+// height, for proof generation: ibc.ErrHeightPruned once height left the
+// provable window, ibc.ErrUnknownHeight for a height never produced.
 func (c *Chain) SnapshotAt(height uint64) (*ibc.ReadOnlyStore, error) {
-	v, ok := c.snapshots[height]
-	if !ok {
-		return nil, fmt.Errorf("counterparty: no snapshot at %d", height)
-	}
-	snap, err := c.store.At(v)
-	if err != nil {
-		return nil, fmt.Errorf("counterparty: snapshot at %d: %w", height, err)
-	}
-	return snap, nil
+	return c.store.AtHeight(height)
 }
 
 // ProveMembershipAt proves a path against the root committed at height.
@@ -424,9 +371,6 @@ func (c *Chain) SendPacket(port ibc.PortID, channel ibc.ChannelID, data []byte, 
 	c.pendingPackets = append(c.pendingPackets, p)
 	return p, nil
 }
-
-// PacketsAt lists packets committed at height.
-func (c *Chain) PacketsAt(height uint64) []*ibc.Packet { return c.packetsAt[height] }
 
 // EventsSince returns events with index > cursor, and the new cursor.
 func (c *Chain) EventsSince(cursor int) ([]Event, int) {

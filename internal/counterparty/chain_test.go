@@ -163,7 +163,7 @@ func TestValidateSelfClient(t *testing.T) {
 	}
 	// A client for another chain is rejected.
 	other, err := New(Config{ChainID: "other", NumValidators: 4, BlockInterval: time.Second,
-		ParticipationMin: 0.7, Seed: 9, SnapshotRetention: 16}, host.NewManualClock(time.Unix(0, 0)))
+		ParticipationMin: 0.7, Seed: 9}, host.NewManualClock(time.Unix(0, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,11 +48,12 @@ type Config struct {
 	// last finalised root instead of re-syncing from genesis. nil keeps
 	// the store purely in-heap (byte-identical legacy behaviour).
 	NodeStore nodestore.Store
-	// ColdRetention is how many recent snapshots stay fully materialised
-	// on the heap when NodeStore is persistent: snapshots older than this
-	// many blocks are evicted to the store and fault their nodes back in
+	// ColdRetention is how many recent heights keep their store versions
+	// fully materialised on the heap when NodeStore is persistent: older
+	// versions are evicted to the node store and fault their nodes back in
 	// on demand, so retained history stops pinning heap. 0 disables
-	// eviction; ignored without a persistent store.
+	// eviction; ignored without a persistent store. The store applies it
+	// (ibc.Store.SetHotHeights).
 	ColdRetention int
 }
 
@@ -77,18 +78,17 @@ func Deploy(chain *host.Chain, cfg Config) (*Contract, host.Lamports, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("guest: open provable store: %w", err)
 	}
+	store.SetHotHeights(cfg.ColdRetention)
 	st := &State{
-		Params:        cfg.Params,
-		Account:       c.stateKey,
-		Store:         store,
-		CurrentEpoch:  epoch,
-		coldRetention: cfg.ColdRetention,
-		Candidates:    make(map[cryptoutil.PubKey]*Candidate),
-		Slashed:       make(map[cryptoutil.PubKey]bool),
-		staging:       make(map[stagingKey]*StagingBuffer),
-		snapshots:     make(map[uint64]ibc.Version),
-		nowTime:       chain.Now(),
-		nowSlot:       uint64(chain.Slot()),
+		Params:       cfg.Params,
+		Account:      c.stateKey,
+		Store:        store,
+		CurrentEpoch: epoch,
+		Candidates:   make(map[cryptoutil.PubKey]*Candidate),
+		Slashed:      make(map[cryptoutil.PubKey]bool),
+		staging:      make(map[stagingKey]*StagingBuffer),
+		nowTime:      chain.Now(),
+		nowSlot:      uint64(chain.Slot()),
 	}
 	st.Handler = ibc.NewHandler(store, st,
 		ibc.WithSealedReceipts(),
@@ -119,7 +119,7 @@ func Deploy(chain *host.Chain, cfg Config) (*Contract, host.Lamports, error) {
 		Finalised:  true,
 		CreatedAt:  chain.Now(),
 	})
-	st.snapshots[1] = store.Commit()
+	store.CommitAt(genesis.Height)
 
 	deposit, err := chain.CreateStateAccount(cfg.Payer, c.stateKey, c.programID, cfg.Params.StateSize, st)
 	if err != nil {

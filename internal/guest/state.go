@@ -18,11 +18,12 @@ import (
 var (
 	ErrHeadNotFinalised = errors.New("guest: head block is not finalised")
 	ErrNothingToCommit  = errors.New("guest: state unchanged and head younger than delta")
-	ErrUnknownHeight    = errors.New("guest: unknown block height")
-	// ErrSnapshotPruned marks a height that existed but whose store version
-	// fell out of the retention window. Distinct from ErrUnknownHeight so a
-	// relayer can tell "retry against a newer root" from "bogus height".
-	ErrSnapshotPruned    = errors.New("guest: snapshot pruned from retention window")
+	// ErrUnknownHeight and ErrSnapshotPruned are the store's height
+	// lookup errors: a height the chain never reached, and one that
+	// existed but whose version left the retention window, so a relayer
+	// can tell "bogus height" from "retry against a newer root".
+	ErrUnknownHeight     = ibc.ErrUnknownHeight
+	ErrSnapshotPruned    = ibc.ErrHeightPruned
 	ErrNotValidator      = errors.New("guest: signer is not an epoch validator")
 	ErrAlreadySigned     = errors.New("guest: validator already signed this block")
 	ErrBadSignature      = errors.New("guest: signature not verified by runtime")
@@ -114,8 +115,8 @@ func sigDigest(pub cryptoutil.PubKey, payload []byte) cryptoutil.Hash {
 }
 
 // State is the Guest Contract's account state: everything Alg. 1 keeps
-// on-chain, plus off-chain-queryable bookkeeping (snapshots for proof
-// generation, experiment timestamps).
+// on-chain, plus off-chain-queryable bookkeeping (the store's per-height
+// versions for proof generation, experiment timestamps).
 type State struct {
 	Params  Params
 	Account cryptoutil.PubKey
@@ -139,16 +140,7 @@ type State struct {
 
 	staging map[stagingKey]*StagingBuffer
 
-	// snapshots[height] is the store version committed at block creation —
-	// the simulation analogue of reading historical account data through an
-	// RPC node; relayers prove against finalised roots from these. Each
-	// handle is an O(1) copy-on-write version, not a deep copy, so the
-	// per-block snapshot cost no longer scales with state size.
-	snapshots      map[uint64]ibc.Version
-	oldestSnapshot uint64
-	coldRetention  int
-	coldCursor     uint64
-	persistErr     error
+	persistErr error
 
 	// Execution context mirror: the handler's SelfInfo reads these.
 	nowTime time.Time
@@ -189,22 +181,13 @@ func (s *State) Entry(height uint64) (*BlockEntry, error) {
 }
 
 // SnapshotAt returns a read-only view of the store version committed when
-// the block at height was created. A height inside the chain's history whose
+// the block at height was created — the simulation analogue of reading
+// historical account data through an RPC node; relayers prove against
+// finalised roots from these. A height inside the chain's history whose
 // version was released reports ErrSnapshotPruned; a height the chain never
 // reached reports ErrUnknownHeight.
 func (s *State) SnapshotAt(height uint64) (*ibc.ReadOnlyStore, error) {
-	v, ok := s.snapshots[height]
-	if !ok {
-		if height >= 1 && height <= s.Height() {
-			return nil, fmt.Errorf("%w: height %d", ErrSnapshotPruned, height)
-		}
-		return nil, fmt.Errorf("%w: no snapshot at %d", ErrUnknownHeight, height)
-	}
-	snap, err := s.Store.At(v)
-	if err != nil {
-		return nil, fmt.Errorf("guest: snapshot at %d: %w", height, err)
-	}
-	return snap, nil
+	return s.Store.AtHeight(height)
 }
 
 // ProveMembershipAt generates a membership proof against the state root of
@@ -364,9 +347,9 @@ func (s *State) generateBlockCore(now time.Time, slot uint64) (*BlockEntry, erro
 	}
 	s.PendingPackets = nil
 	s.Entries = append(s.Entries, entry)
-	s.snapshots[block.Height] = s.Store.CommitAt(block.Height)
-	s.pruneSnapshots()
-	s.evictColdSnapshots(block.Height)
+	// Params are read live: a retention change applies from this commit on.
+	s.Store.SetProvableHeights(s.Params.SnapshotRetention)
+	s.Store.CommitAt(block.Height)
 
 	if block.NextEpoch != nil {
 		s.CurrentEpoch = block.NextEpoch
@@ -398,26 +381,6 @@ func (s *State) applySignature(entry *BlockEntry, pub cryptoutil.PubKey, sig cry
 // path recorded, or nil. A non-nil value means durability is no longer
 // guaranteed and the operator should treat the node as failed.
 func (s *State) PersistError() error { return s.persistErr }
-
-// evictColdSnapshots spills retained snapshots older than
-// Config.ColdRetention blocks to the persistent node store: their heap node
-// pointers (and the values their leaves hold) are dropped, and historical
-// reads fault back in from disk. The cursor makes the scan O(evicted), not O(retained).
-func (s *State) evictColdSnapshots(height uint64) {
-	cr := s.coldRetention
-	if cr <= 0 || !s.Store.Persistent() {
-		return
-	}
-	if s.coldCursor == 0 {
-		s.coldCursor = 1
-	}
-	for h := s.coldCursor; h+uint64(cr) <= height; h++ {
-		if v, ok := s.snapshots[h]; ok {
-			s.Store.Evict(v)
-		}
-		s.coldCursor = h + 1
-	}
-}
 
 // cascadeFinalise finalises, in height order, every tail entry whose quorum
 // is reached and whose parent is finalised, returning the newly finalised
@@ -476,31 +439,13 @@ func (s *State) StorageNodeCount() int { return s.Store.Trie().NodeCount() }
 // StorageBytes exposes the modelled storage footprint.
 func (s *State) StorageBytes() int { return s.Store.Trie().StorageBytes() }
 
-// pruneSnapshots releases store versions beyond the retention window, so
-// the trie nodes and values only they kept alive can be reclaimed.
-func (s *State) pruneSnapshots() {
-	if s.Params.SnapshotRetention <= 0 {
-		return
-	}
-	if s.oldestSnapshot == 0 {
-		s.oldestSnapshot = 1
-	}
-	for len(s.snapshots) > s.Params.SnapshotRetention {
-		if v, ok := s.snapshots[s.oldestSnapshot]; ok {
-			s.Store.Release(v)
-			delete(s.snapshots, s.oldestSnapshot)
-		}
-		s.oldestSnapshot++
-	}
-}
-
 // StagingBuffers returns how many staging buffers are open: staged by a
 // fee payer and neither committed nor closed.
 func (s *State) StagingBuffers() int { return len(s.staging) }
 
 // RetainedSnapshots returns how many historical store versions the state
-// currently holds (telemetry).
-func (s *State) RetainedSnapshots() int { return len(s.snapshots) }
+// holds (telemetry): one per provable height, as every block commits one.
+func (s *State) RetainedSnapshots() int { return s.Store.RetainedVersions() }
 
 // LatestFinalised returns the newest finalised block entry, or nil if none
 // is finalised yet. Relayers fall back to it when a proof height has been

@@ -27,9 +27,6 @@ var (
 	// ErrAccountTooLarge is returned when an account would exceed the
 	// 10 MiB limit.
 	ErrAccountTooLarge = errors.New("host: account too large")
-	// ErrNotRentExempt is returned when an account creation does not
-	// carry the rent-exempt deposit.
-	ErrNotRentExempt = errors.New("host: deposit below rent-exempt minimum")
 	// ErrMissingSigner is returned when a required signer did not sign.
 	ErrMissingSigner = errors.New("host: missing required signer")
 	// ErrDuplicateTransaction is returned when a transaction is submitted
@@ -40,7 +37,4 @@ var (
 	// limit is reached. Open-loop load generators treat it as an explicit
 	// reject signal (backpressure) instead of queueing without bound.
 	ErrMempoolFull = errors.New("host: mempool full")
-	// ErrDeadlineExceeded marks a transaction shed from the mempool
-	// because its deadline passed before it could be included in a block.
-	ErrDeadlineExceeded = errors.New("host: transaction deadline exceeded")
 )

@@ -172,10 +172,10 @@ func FuzzStoreVersions(f *testing.F) {
 					continue
 				}
 				if o == opRelease {
-					s.Release(v)
+					s.release(v)
 					delete(m.versions, v)
 				} else {
-					s.Evict(v)
+					s.evict(v)
 				}
 			case opDurability:
 				switch arg % 3 {

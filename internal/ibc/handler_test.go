@@ -56,7 +56,7 @@ func (c *mockChain) ValidateSelfClient(clientState []byte) error {
 func (c *mockChain) commit() {
 	c.roots[c.height] = c.store.Root()
 	c.times[c.height] = c.now
-	snap, err := c.store.At(c.store.Commit())
+	snap, err := c.store.At(c.store.CommitAt(uint64(c.height)))
 	if err != nil {
 		panic(err)
 	}

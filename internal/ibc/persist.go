@@ -9,7 +9,7 @@ import (
 
 // Persistence integration: an optional nodestore backend behind the store.
 //
-// With a backend attached, every Commit flushes the delta — new trie nodes
+// With a backend attached, every CommitAt flushes the delta — new trie nodes
 // in post-order, each new leaf's value record just before the leaf, then a
 // root record — into the backend's log. Durability is still explicit: the guest chain calls
 // SyncBackend on block finalisation, so the group-fsync boundary coincides
@@ -53,20 +53,6 @@ func (s *Store) Persistent() bool { return s.backend != nil }
 // RecoveredHeight returns the chain height recorded with the recovered
 // head root, or 0 for a fresh store.
 func (s *Store) RecoveredHeight() uint64 { return s.recoveredHeight }
-
-// CommitAt is Commit with the producing chain height attached to the root
-// record, so recovery can report which block the durable state belongs to.
-func (s *Store) CommitAt(height uint64) Version {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v := s.trie.Snapshot()
-	if s.backend != nil {
-		if err := s.flushLocked(v, height); err != nil && s.flushErr == nil {
-			s.flushErr = err
-		}
-	}
-	return v
-}
 
 // flushLocked appends version v's delta to the backend: new nodes and
 // their leaves' values (post-order, content-deduped), then the closing
@@ -117,18 +103,4 @@ func (s *Store) CloseBackend() error {
 		return nil
 	}
 	return s.backend.Close()
-}
-
-// Evict spills a retained version to the backend: its in-heap root
-// pointer is dropped, so nodes and values only it reached can be
-// collected, and reads of the version fault them back from the backend on
-// demand. The version must already be flushed (any version produced by
-// Commit with a backend attached is). Evicting with no backend is a no-op:
-// the heap is the only copy.
-func (s *Store) Evict(v Version) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.backend != nil {
-		s.trie.EvictVersion(v)
-	}
 }

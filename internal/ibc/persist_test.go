@@ -145,7 +145,7 @@ func TestEvictReadsThroughBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s.Evict(v1)
+	s.evict(v1)
 
 	// The evicted version reads and proves identically, faulting nodes
 	// and values back from the backend.
@@ -189,7 +189,7 @@ func TestEvictedConcurrentReaders(t *testing.T) {
 		}
 	}
 	v := s.CommitAt(1)
-	s.Evict(v)
+	s.evict(v)
 	ro, err := s.At(v)
 	if err != nil {
 		t.Fatal(err)
@@ -241,10 +241,11 @@ func TestEvictedConcurrentReaders(t *testing.T) {
 }
 
 // TestStaleReadOnlyStoresAcrossReclamation: read-only stores opened before
-// Evict and Release keep reading while head writes reuse the trie cells
-// those calls freed. The evicted version serves the same values and
-// byte-identical proofs from the backend; the released one fails with
-// ErrUnknownVersion once Release has returned. Run with -race.
+// the window releases and evicts their versions keep reading while head
+// writes reuse the trie cells those commits freed. The evicted height
+// serves the same values and byte-identical proofs from the backend; the
+// released one fails with ErrUnknownVersion once the commit that pushed it
+// out has returned. Run with -race.
 func TestStaleReadOnlyStoresAcrossReclamation(t *testing.T) {
 	const n = 32
 	s := openBacked(t, t.TempDir())
@@ -255,18 +256,18 @@ func TestStaleReadOnlyStoresAcrossReclamation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	evicted := s.CommitAt(1)
+	s.CommitAt(1)
 	for i := 0; i < n; i++ {
 		if err := s.Set(p(i), []byte(fmt.Sprintf("mid%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	released := s.CommitAt(2)
-	ev, err := s.At(evicted)
+	s.CommitAt(2)
+	rel, err := s.AtHeight(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := s.At(released)
+	ev, err := s.AtHeight(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +292,11 @@ func TestStaleReadOnlyStoresAcrossReclamation(t *testing.T) {
 				default:
 				}
 				v, proof, err := ev.ProveMembership(p(i))
-				if err != nil || string(v) != fmt.Sprintf("old%d", i%n) || !bytes.Equal(proof, want[i%n]) {
+				if err != nil || string(v) != fmt.Sprintf("mid%d", i%n) || !bytes.Equal(proof, want[i%n]) {
 					errc <- fmt.Errorf("reader %d: the evicted version's %q changed: %q, %v", g, p(i), v, err)
 					return
 				}
-				if v, _, err := rel.ProveMembership(p(i)); err == nil && string(v) != fmt.Sprintf("mid%d", i%n) {
+				if v, _, err := rel.ProveMembership(p(i)); err == nil && string(v) != fmt.Sprintf("old%d", i%n) {
 					errc <- fmt.Errorf("reader %d: the released version read %q for %q", g, v, p(i))
 					return
 				} else if err != nil && !errors.Is(err, ErrUnknownVersion) {
@@ -306,14 +307,19 @@ func TestStaleReadOnlyStoresAcrossReclamation(t *testing.T) {
 		}(g)
 	}
 
-	s.Evict(evicted)
-	s.Release(released)
+	// Height 3's commit releases height 1 and evicts height 2; after it
+	// every commit evicts the height before, so head writes keep reusing
+	// freed cells while height 2 stays provable.
+	s.SetProvableHeights(2)
+	s.SetHotHeights(1)
+	s.CommitAt(3)
+	s.SetProvableHeights(0)
 	for i := 0; i < 200; i++ {
 		if err := s.Set(p(i), []byte(fmt.Sprintf("new%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		if i%10 == 9 {
-			s.Release(s.CommitAt(uint64(3 + i/10)))
+			s.CommitAt(uint64(4 + i/10))
 		}
 	}
 	close(stop)
@@ -325,6 +331,9 @@ func TestStaleReadOnlyStoresAcrossReclamation(t *testing.T) {
 	}
 	if _, err := rel.Get(p(0)); !errors.Is(err, ErrUnknownVersion) {
 		t.Fatalf("a released version's Get = %v, want ErrUnknownVersion", err)
+	}
+	if _, err := s.AtHeight(1); !errors.Is(err, ErrHeightPruned) {
+		t.Fatalf("AtHeight(1) = %v, want ErrHeightPruned", err)
 	}
 	for i := range want {
 		if _, proof, err := ev.ProveMembership(p(i)); err != nil || !bytes.Equal(proof, want[i]) {
@@ -360,7 +369,7 @@ func TestValueRecordIntegrity(t *testing.T) {
 	if got, err := s.Get("x"); err != nil || string(got) != "honest" {
 		t.Fatalf("head Get = %q, %v; the head leaf holds its own bytes", got, err)
 	}
-	s.Evict(v)
+	s.evict(v)
 	ro, err := s.At(v)
 	if err != nil {
 		t.Fatal(err)
@@ -400,8 +409,8 @@ func TestValueRecordIntegrity(t *testing.T) {
 		if err := s.Set("x", []byte("honest")); err != nil {
 			t.Fatal(err)
 		}
-		v := s.Commit()
-		s.Evict(v)
+		v := s.commit()
+		s.evict(v)
 		ro, err := s.At(v)
 		if err != nil {
 			t.Fatal(err)

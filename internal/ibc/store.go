@@ -22,20 +22,31 @@ type Version = trie.Version
 // (peers verify values against proofs of their hashes, exactly the
 // "stores its commitment" model of Alg. 1).
 //
-// The store is versioned by the trie alone: Commit freezes the current
-// contents as an O(1) version handle and At opens a read-only view of any
-// retained version. Path copying keeps each version's leaves, values
-// included, unchanged while the head moves on, and Release lets the nodes
-// only it reached be collected. Mutations must come from a single writer
-// (the account model already forbids concurrent writers), but
-// ReadOnlyStore views may be used from other goroutines concurrently with
-// head writes.
+// The store is versioned by the trie alone: CommitAt freezes the current
+// contents as an O(1) version handle for a chain height, and At and
+// AtHeight open a read-only view of any retained version. Path copying
+// keeps each version's leaves, values included, unchanged while the head
+// moves on, and the provable window (history.go) releases the versions
+// whose heights left it, so the nodes only they reached are reused.
+// Mutations must come from a single writer (the account model already
+// forbids concurrent writers), but ReadOnlyStore views may be used from
+// other goroutines concurrently with head writes.
 type Store struct {
 	// mu orders commits, releases, evictions and syncs with the backend
-	// and guards flushErr. The trie guards its own version table, so At
-	// and the views it opens need no lock here.
+	// and guards flushErr and heights. The trie guards its own version
+	// table, so At and the views it opens need no lock here.
 	mu   sync.Mutex
 	trie *trie.Trie
+
+	// heights is the provable window, oldest first (history.go), and the
+	// eviction cursor has passed its first evicted entries. first is the
+	// lowest height ever indexed, which tells a pruned height from an
+	// unknown one. provable and hot, the writer's, bound the window in
+	// heights (0: no bound).
+	heights       []heightVersion
+	evicted       int
+	first         uint64
+	provable, hot int
 
 	// backend is the optional persistence layer (see persist.go): nil
 	// keeps the store purely in-heap with byte-identical behaviour.
@@ -59,12 +70,6 @@ func (s *Store) Root() cryptoutil.Hash { return s.trie.Root() }
 // Trie exposes the underlying sealable trie (for storage accounting).
 func (s *Store) Trie() *trie.Trie { return s.trie }
 
-// Commit freezes the current contents as a new retained version and returns
-// its handle. O(1) for the in-heap store: nothing is copied — the trie
-// snapshots structurally, values and all. With a backend attached the
-// version's delta is additionally appended to the log (see CommitAt).
-func (s *Store) Commit() Version { return s.CommitAt(0) }
-
 // At returns a read-only view of a committed, retained version.
 func (s *Store) At(v Version) (*ReadOnlyStore, error) {
 	view, err := s.trie.At(v)
@@ -72,23 +77,6 @@ func (s *Store) At(v Version) (*ReadOnlyStore, error) {
 		return nil, fmt.Errorf("ibc: at version %d: %w", v, err)
 	}
 	return &ReadOnlyStore{view: view}, nil
-}
-
-// Release drops a retained version, letting the trie nodes and values
-// reachable only from it be collected. Releasing an unknown or
-// already-released version is a no-op.
-func (s *Store) Release(v Version) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.trie.VersionRoot(v); err != nil {
-		return
-	}
-	s.trie.Release(v)
-	if s.backend != nil {
-		if err := s.backend.ReleaseVersion(uint64(v)); err != nil && s.flushErr == nil {
-			s.flushErr = err
-		}
-	}
 }
 
 // RetainedVersions returns how many committed versions are currently held.
@@ -150,11 +138,11 @@ func (s *Store) ProveNonMembership(path string) ([]byte, error) { return s.read(
 func (s *Store) read() reader { return reader{trie: s.trie} }
 
 // ReadOnlyStore is a read-only view of one committed store version,
-// obtained from Store.At. It serves reads and proofs against the frozen
-// root for as long as the version stays retained, and is safe to use
-// concurrently with head writes: after Evict it reads through the backend
-// with byte-identical proofs, and after Release it fails with
-// ErrUnknownVersion (trie.View states the contract).
+// obtained from Store.At or Store.AtHeight. It serves reads and proofs
+// against the frozen root for as long as the version stays retained, and is
+// safe to use concurrently with head writes: once its version is evicted it
+// reads through the backend with byte-identical proofs, and once released
+// it fails with ErrUnknownVersion (trie.View states the contract).
 type ReadOnlyStore struct {
 	view *trie.View
 }

@@ -146,8 +146,8 @@ func TestStoreSnapshotIndependence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ver := s.Commit()
-	defer s.Release(ver)
+	ver := s.commit()
+	defer s.release(ver)
 	snap, err := s.At(ver)
 	if err != nil {
 		t.Fatal(err)

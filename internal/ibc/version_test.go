@@ -19,7 +19,7 @@ func TestStoreCommitAtRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	root1 := s.Root()
-	v1 := s.Commit()
+	v1 := s.commit()
 
 	if err := s.Set("a/path", []byte("two")); err != nil {
 		t.Fatal(err)
@@ -53,11 +53,11 @@ func TestStoreCommitAtRelease(t *testing.T) {
 		t.Fatalf("head Get = %q, %v; want %q", got, err, "two")
 	}
 
-	s.Release(v1)
+	s.release(v1)
 	if _, err := s.At(v1); !errors.Is(err, ErrUnknownVersion) {
 		t.Fatalf("At(released) = %v, want ErrUnknownVersion", err)
 	}
-	s.Release(v1) // double release is a no-op
+	s.release(v1) // double release is a no-op
 	if s.RetainedVersions() != 0 {
 		t.Fatalf("RetainedVersions = %d, want 0", s.RetainedVersions())
 	}
@@ -71,7 +71,7 @@ func TestVersionedProofsVerifyAgainstFrozenRoot(t *testing.T) {
 		}
 	}
 	root := s.Root()
-	v := s.Commit()
+	v := s.commit()
 	for i := 0; i < 20; i++ {
 		if err := s.Set(fmt.Sprintf("k/%d", i), []byte("overwritten")); err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func TestSealAtHeadKeepsVersionedValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	root := s.Root()
-	v := s.Commit()
+	v := s.commit()
 	if err := s.Seal("receipt/1"); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSealAtHeadKeepsVersionedValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	root2 := s.Root()
-	v2 := s.Commit()
+	v2 := s.commit()
 	if err := s.Delete("commitment/1"); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestReleaseFreesValues(t *testing.T) {
 			t.Fatal(err)
 		}
 		watch(s, "hot")
-		versions = append(versions, s.Commit())
+		versions = append(versions, s.commit())
 	}
 	for _, p := range []string{"gone", "sealed"} {
 		if err := s.Set(p, []byte("a value retired at the head: "+p)); err != nil {
@@ -189,7 +189,7 @@ func TestReleaseFreesValues(t *testing.T) {
 		}
 		watch(s, p)
 	}
-	v := s.Commit()
+	v := s.commit()
 	if err := s.Delete("gone"); err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +197,9 @@ func TestReleaseFreesValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, v := range versions[:9] {
-		s.Release(v)
+		s.release(v)
 	}
-	s.Release(v)
+	s.release(v)
 	if n := s.RetainedVersions(); n != 1 {
 		t.Fatalf("RetainedVersions = %d, want 1", n)
 	}
@@ -234,7 +234,7 @@ func TestConcurrentVersionReadsDuringHeadWrites(t *testing.T) {
 		}
 	}
 	root := s.Root()
-	v := s.Commit()
+	v := s.commit()
 	snap, err := s.At(v)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestConcurrentVersionReadsDuringHeadWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%50 == 0 {
-			s.Release(s.Commit())
+			s.release(s.commit())
 		}
 	}
 	close(stop)
@@ -289,7 +289,7 @@ func TestStoreVersionAfterTrieCapacityError(t *testing.T) {
 	if err := s.Set("a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	v := s.Commit()
+	v := s.commit()
 	for i := 0; ; i++ {
 		if err := s.Set(fmt.Sprintf("fill/%d", i), []byte("x")); err != nil {
 			if !errors.Is(err, trie.ErrFull) {

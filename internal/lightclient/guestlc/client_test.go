@@ -238,7 +238,7 @@ func TestMembershipVerificationThroughClient(t *testing.T) {
 	}
 	// Prove from the versioned snapshot (the relayer path): commit the
 	// block's state as a version, mutate the head, prove from the version.
-	snap, err := store.At(store.Commit())
+	snap, err := store.At(store.CommitAt(b.Height))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/counterparty"
 	"repro/internal/guest"
 	"repro/internal/host"
 	"repro/internal/ibc"
@@ -90,8 +91,9 @@ func TestDaemonDeliversInboundPacket(t *testing.T) {
 	}
 	// The ack went back to the counterparty and cleared its commitment.
 	var cleared bool
-	for hh := uint64(1); hh <= h.cp.Height(); hh++ {
-		for _, p := range h.cp.PacketsAt(hh) {
+	log, _ := h.cp.EventsSince(0)
+	for _, ev := range log {
+		for _, p := range ev.Payload.(counterparty.EventPacketsCommitted).Packets {
 			if !h.cp.Handler().HasCommitment(p) {
 				cleared = true
 			}
