@@ -95,6 +95,12 @@ lint: lint-deprecated
 # evicts a version once its last height leaves. The guest's and the
 # counterparty's own snapshot maps, cursors, reference counts and
 # cold-eviction loop stay retired.
+# Each job keeps the one path a deployment runs. Misbehaviour takes effect
+# at the Guest Contract (OpSubmitMisbehaviour, fed by the fisherman), so
+# the light clients' freeze path (SubmitMisbehaviour, ErrFrozen, Frozen())
+# stays retired; a validator goes down only by its netsim node crashing, so
+# the daemon's Stop/Resume switch stays retired; and a fee payout goes to
+# whom the payee resolver names, so the static SetPayee stays retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -199,6 +205,11 @@ lint-deprecated:
 	@bad=$$(grep -rnwE 'pruneSnapshots|evictColdSnapshots|versionRefs|oldestSnapshot|coldCursor' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired per-chain snapshot windows (the ibc.Store indexes versions by height: CommitAt/ShareAt, SetProvableHeights/SetHotHeights, AtHeight):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$( { grep -rnw 'SubmitMisbehaviour\|ErrFrozen\|SetPayee' --include='*.go' .; grep -rn 'Frozen()' --include='*.go' .; grep -rnE 'func \([a-z]* \*Validator\) (Stop|Resume)\(' --include='*.go' .; } ); \
+	if [ -n "$$bad" ]; then \
+		echo "retired second paths (misbehaviour: guest.Contract OpSubmitMisbehaviour via the fisherman; outages: netsim Network.Crash/Heal or a CrashWindow; fee payee: Fees.SetPayeeResolver):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -52,12 +52,6 @@ var (
 	BundlePolicy = Policy{Name: "bundle", BundleTip: FromUSD(3.02) - host.BaseFeePerSignature}
 )
 
-// Apply copies the policy onto a transaction.
-func (p Policy) Apply(tx *host.Transaction) {
-	tx.PriorityFee = p.PriorityFee
-	tx.BundleTip = p.BundleTip
-}
-
 // String implements fmt.Stringer.
 func (p Policy) String() string {
 	return fmt.Sprintf("%s(prio=%d, tip=%d)", p.Name, p.PriorityFee, p.BundleTip)

@@ -27,9 +27,8 @@ func TestDeploymentPoliciesMatchPaperCosts(t *testing.T) {
 	// verification? No — sends carry only the payer signature; the §V-A
 	// clusters are total transaction cost. Build a representative send.
 	sendTx := func(p Policy) *host.Transaction {
-		tx := &host.Transaction{FeePayer: [32]byte{1}, Instructions: []host.Instruction{{Data: []byte{1}}}}
-		p.Apply(tx)
-		return tx
+		return &host.Transaction{FeePayer: [32]byte{1}, Instructions: []host.Instruction{{Data: []byte{1}}},
+			PriorityFee: p.PriorityFee, BundleTip: p.BundleTip}
 	}
 	prio := USD(sendTx(PriorityPolicy).Fee(host.SolanaProfile()))
 	if math.Abs(prio-1.40) > 0.01 {
@@ -41,15 +40,12 @@ func TestDeploymentPoliciesMatchPaperCosts(t *testing.T) {
 	}
 }
 
-func TestApplySetsFields(t *testing.T) {
-	tx := &host.Transaction{}
-	PriorityPolicy.Apply(tx)
-	if tx.PriorityFee == 0 || tx.BundleTip != 0 {
-		t.Fatalf("priority policy applied wrong: %+v", tx)
+func TestPoliciesSetOneFeeField(t *testing.T) {
+	if p := PriorityPolicy; p.PriorityFee == 0 || p.BundleTip != 0 {
+		t.Fatalf("priority policy sets the wrong fields: %+v", p)
 	}
-	BundlePolicy.Apply(tx)
-	if tx.BundleTip == 0 || tx.PriorityFee != 0 {
-		t.Fatalf("bundle policy applied wrong: %+v", tx)
+	if p := BundlePolicy; p.BundleTip == 0 || p.PriorityFee != 0 {
+		t.Fatalf("bundle policy sets the wrong fields: %+v", p)
 	}
 }
 

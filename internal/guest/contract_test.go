@@ -622,7 +622,6 @@ func openTestChannel(t *testing.T, st *State, port ibc.PortID) {
 type permissiveClient struct{}
 
 func (permissiveClient) LatestHeight() ibc.Height       { return 1 }
-func (permissiveClient) Frozen() bool                   { return false }
 func (permissiveClient) StateBytes() []byte             { return []byte("permissive") }
 func (permissiveClient) Update([]byte, time.Time) error { return nil }
 func (permissiveClient) VerifyMembership(ibc.Height, string, []byte, []byte) error {

@@ -68,11 +68,9 @@ func (c *mockChain) commit() {
 // mockClient lets one mockChain verify the other's proofs.
 type mockClient struct {
 	target *mockChain
-	frozen bool
 }
 
 func (m *mockClient) LatestHeight() Height { return m.target.height - 1 }
-func (m *mockClient) Frozen() bool         { return m.frozen }
 func (m *mockClient) StateBytes() []byte   { return []byte("client-for-" + m.target.name) }
 func (m *mockClient) Update(_ []byte, _ time.Time) error {
 	return nil // mock chains are always in sync

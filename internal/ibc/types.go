@@ -123,8 +123,6 @@ type Client interface {
 	// ConsensusTime returns the counterparty timestamp recorded at
 	// height; used for packet timeouts.
 	ConsensusTime(height Height) (time.Time, error)
-	// Frozen reports whether the client was frozen due to misbehaviour.
-	Frozen() bool
 	// StateBytes returns the serialized client state; the counterparty
 	// validates it during connection handshakes (self-client validation,
 	// the introspection step incomplete IBC ports leave blank).

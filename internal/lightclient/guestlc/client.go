@@ -21,7 +21,6 @@ const ClientType = "guest-blockchain"
 
 // Errors returned by the client.
 var (
-	ErrFrozen        = errors.New("guestlc: client frozen due to misbehaviour")
 	ErrStaleBlock    = errors.New("guestlc: block height not newer than latest")
 	ErrEpochMismatch = errors.New("guestlc: block epoch does not match trusted epoch")
 	ErrUnknownHeight = errors.New("guestlc: no consensus state at height")
@@ -38,7 +37,6 @@ type Client struct {
 	latest    ibc.Height
 	epoch     *guestblock.Epoch
 	consensus map[ibc.Height]ConsensusState
-	frozen    bool
 }
 
 var _ ibc.Client = (*Client)(nil)
@@ -61,9 +59,6 @@ func NewClient(genesis *guestblock.Block, epoch *guestblock.Epoch) (*Client, err
 // LatestHeight implements ibc.Client.
 func (c *Client) LatestHeight() ibc.Height { return c.latest }
 
-// Frozen implements ibc.Client.
-func (c *Client) Frozen() bool { return c.frozen }
-
 // Epoch returns the currently trusted validator set.
 func (c *Client) Epoch() *guestblock.Epoch { return c.epoch }
 
@@ -78,9 +73,6 @@ func (c *Client) Update(headerBytes []byte, _ time.Time) error {
 
 // UpdateSigned verifies and applies a decoded signed block.
 func (c *Client) UpdateSigned(sb *guestblock.SignedBlock) error {
-	if c.frozen {
-		return ErrFrozen
-	}
 	h := ibc.Height(sb.Block.Height)
 	if h <= c.latest {
 		return fmt.Errorf("%w: %d <= %d", ErrStaleBlock, h, c.latest)
@@ -165,24 +157,4 @@ func DecodeClientState(data []byte) (*ClientStateInfo, error) {
 		return nil, fmt.Errorf("guestlc: client state type %q", typ)
 	}
 	return info, nil
-}
-
-// SubmitMisbehaviour freezes the client given two conflicting signed blocks
-// at the same height, each carrying a valid quorum (a guest-chain fork,
-// only possible if the host chain itself equivocated, §VI-C).
-func (c *Client) SubmitMisbehaviour(a, b *guestblock.SignedBlock) error {
-	if a.Block.Height != b.Block.Height {
-		return errors.New("guestlc: misbehaviour blocks at different heights")
-	}
-	if a.Block.Hash() == b.Block.Hash() {
-		return errors.New("guestlc: blocks identical")
-	}
-	if err := a.VerifyQuorum(c.epoch); err != nil {
-		return fmt.Errorf("guestlc: first block: %w", err)
-	}
-	if err := b.VerifyQuorum(c.epoch); err != nil {
-		return fmt.Errorf("guestlc: second block: %w", err)
-	}
-	c.frozen = true
-	return nil
 }

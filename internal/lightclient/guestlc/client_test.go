@@ -275,38 +275,6 @@ func TestMembershipVerificationThroughClient(t *testing.T) {
 	}
 }
 
-func TestMisbehaviourFreezesGuestClient(t *testing.T) {
-	g := newGuestSim(t, "glc-g", 4)
-	c, err := NewClient(g.head, g.epoch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two conflicting blocks at height 2, both carrying quorums (host
-	// equivocation scenario, §VI-C).
-	mk := func(tag string) *guestblock.SignedBlock {
-		b := &guestblock.Block{
-			Height:          2,
-			HostHeight:      100,
-			Time:            g.now.Add(time.Minute),
-			PrevHash:        g.head.Hash(),
-			StateRoot:       cryptoutil.HashBytes([]byte(tag)),
-			EpochIndex:      0,
-			EpochCommitment: g.epoch.Commitment(),
-		}
-		return signed(b, g.epoch, g.keys, 4)
-	}
-	if err := c.SubmitMisbehaviour(mk("fork-a"), mk("fork-b")); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Frozen() {
-		t.Fatal("client not frozen")
-	}
-	b := g.next(cryptoutil.HashBytes([]byte("later")), nil)
-	if err := c.UpdateSigned(signed(b, g.epoch, g.keys, 4)); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("frozen client accepted update: %v", err)
-	}
-}
-
 func TestClientStateRoundTrip(t *testing.T) {
 	g := newGuestSim(t, "glc-h", 4)
 	c, err := NewClient(g.head, g.epoch)

@@ -16,7 +16,6 @@ const ClientType = "07-tendermint"
 
 // Errors returned by the client.
 var (
-	ErrFrozen          = errors.New("tendermint: client frozen due to misbehaviour")
 	ErrStaleHeader     = errors.New("tendermint: header height not newer than latest")
 	ErrTrustExpired    = errors.New("tendermint: trusting period expired")
 	ErrInsufficientSig = errors.New("tendermint: commit below 2/3 of header validator set")
@@ -50,7 +49,6 @@ type Client struct {
 	trustingPeriod time.Duration
 
 	latest      ibc.Height
-	frozen      bool
 	consensus   map[ibc.Height]ConsensusState
 	trustedVals *ValidatorSet
 	// lastUpdateLocal is the local time of the last accepted update.
@@ -94,9 +92,6 @@ func NewClient(chainID string, trustedHeader *Header, trustedVals *ValidatorSet,
 // LatestHeight implements ibc.Client.
 func (c *Client) LatestHeight() ibc.Height { return c.latest }
 
-// Frozen implements ibc.Client.
-func (c *Client) Frozen() bool { return c.frozen }
-
 // SigChecker verifies that pub signed payload. The default checker runs
 // Ed25519 in-process; the Guest Contract instead supplies a checker backed
 // by the host's transaction-level precompile, because verifying dozens of
@@ -128,9 +123,6 @@ func (c *Client) UpdateVerified(u *Update, now time.Time) error {
 // update is the shared verification path; check==nil means verify
 // signatures in-process.
 func (c *Client) update(u *Update, now time.Time, check SigChecker) error {
-	if c.frozen {
-		return ErrFrozen
-	}
 	if err := c.checkRate(now); err != nil {
 		return err
 	}
@@ -325,28 +317,4 @@ func DecodeClientState(data []byte) (chainID string, latest ibc.Height, trusting
 		return "", 0, 0, fmt.Errorf("tendermint: client state type %q", typ)
 	}
 	return chainID, latest, trusting, nil
-}
-
-// SubmitMisbehaviour freezes the client given two conflicting valid
-// updates of its chain for the same height.
-func (c *Client) SubmitMisbehaviour(u1, u2 *Update) error {
-	for _, u := range []*Update{u1, u2} {
-		if err := c.checkChain(u.Header); err != nil {
-			return err
-		}
-	}
-	if u1.Header.Height != u2.Header.Height {
-		return errors.New("tendermint: misbehaviour headers at different heights")
-	}
-	if u1.Header.Hash() == u2.Header.Hash() {
-		return errors.New("tendermint: headers identical")
-	}
-	if err := c.verifyCommit(u1, nil); err != nil {
-		return fmt.Errorf("tendermint: first header: %w", err)
-	}
-	if err := c.verifyCommit(u2, nil); err != nil {
-		return fmt.Errorf("tendermint: second header: %w", err)
-	}
-	c.frozen = true
-	return nil
 }

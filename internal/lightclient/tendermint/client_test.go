@@ -258,57 +258,6 @@ func TestRateLimit(t *testing.T) {
 	}
 }
 
-func TestMisbehaviourFreezes(t *testing.T) {
-	c := newTestChain(t, 4)
-	client := newTestClient(t, c)
-	// Two conflicting headers at the same height, both with quorum.
-	c.height++
-	c.now = c.now.Add(6 * time.Second)
-	h1 := &Header{ChainID: c.chainID, Height: c.height, Time: c.now,
-		AppRoot: cryptoutil.HashBytes([]byte("fork-a")), ValSetHash: c.valset.Hash(), NextValSetHash: c.valset.Hash()}
-	h2 := &Header{ChainID: c.chainID, Height: c.height, Time: c.now,
-		AppRoot: cryptoutil.HashBytes([]byte("fork-b")), ValSetHash: c.valset.Hash(), NextValSetHash: c.valset.Hash()}
-	u1 := &Update{Header: h1, Commit: SignCommit(h1, c.keys, c.now), ValSet: c.valset}
-	u2 := &Update{Header: h2, Commit: SignCommit(h2, c.keys, c.now), ValSet: c.valset}
-	if err := client.SubmitMisbehaviour(u1, u2); err != nil {
-		t.Fatal(err)
-	}
-	if !client.Frozen() {
-		t.Fatal("client not frozen")
-	}
-	h3 := c.header(cryptoutil.ZeroHash)
-	if err := client.UpdateVerified(c.update(h3, 4), c.now); !errors.Is(err, ErrFrozen) {
-		t.Fatalf("frozen client accepted update: %v", err)
-	}
-}
-
-// TestMisbehaviourOfAnotherChainRefused: two conflicting headers signed by
-// the trusted validators but naming another chain are no evidence against
-// this one; the client refuses them with the error an update of that chain
-// gets, and stays live.
-func TestMisbehaviourOfAnotherChainRefused(t *testing.T) {
-	c := newTestChain(t, 4)
-	client := newTestClient(t, c)
-	c.height++
-	c.now = c.now.Add(6 * time.Second)
-	fork := func(root string) *Update {
-		h := &Header{ChainID: "other-chain", Height: c.height, Time: c.now,
-			AppRoot: cryptoutil.HashBytes([]byte(root)), ValSetHash: c.valset.Hash(), NextValSetHash: c.valset.Hash()}
-		return &Update{Header: h, Commit: SignCommit(h, c.keys, c.now), ValSet: c.valset}
-	}
-	u1, u2 := fork("fork-a"), fork("fork-b")
-	err := client.SubmitMisbehaviour(u1, u2)
-	if want := client.UpdateVerified(u1, c.now); err == nil || want == nil || err.Error() != want.Error() {
-		t.Fatalf("misbehaviour of another chain: err = %v, want the update's %v", err, want)
-	}
-	if client.Frozen() {
-		t.Fatal("client frozen by another chain's headers")
-	}
-	if err := client.UpdateVerified(c.update(c.header(cryptoutil.ZeroHash), 4), c.now); err != nil {
-		t.Fatalf("client refused its own chain after the refused evidence: %v", err)
-	}
-}
-
 func TestUpdatePresignedUsesChecker(t *testing.T) {
 	c := newTestChain(t, 4)
 	client := newTestClient(t, c)

@@ -1,10 +1,10 @@
 // Package tendermint implements a simplified Tendermint-style light client:
 // BFT headers finalised by >2/3 of a known validator set, with sequential
-// and skipping (1/3-overlap) verification, validator-set rotation, freezing
-// on misbehaviour, and optional update rate limiting (§VI-C). The guest
-// blockchain instantiates it to track the Cosmos-like counterparty; header
-// and commit sizes are what force the multi-transaction chunked updates the
-// paper measures (§V-A, Figs. 4-5).
+// and skipping (1/3-overlap) verification, validator-set rotation, and
+// optional update rate limiting (§VI-C). The guest blockchain instantiates
+// it to track the Cosmos-like counterparty; header and commit sizes are
+// what force the multi-transaction chunked updates the paper measures
+// (§V-A, Figs. 4-5).
 package tendermint
 
 import (

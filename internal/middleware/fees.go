@@ -34,7 +34,7 @@ func (f FeeSchedule) Enabled() bool { return f.Denom != "" && f.Total() > 0 }
 
 // Fees is the ICS-29-style relayer-incentivisation middleware. On the
 // send path it escrows the fee schedule from the packet sender; on ack it
-// pays the recv+ack fees to the registered relayer payee and refunds the
+// pays the recv+ack fees to the resolved relayer payee and refunds the
 // unused timeout fee; on timeout it pays the timeout fee and refunds the
 // rest. Payouts accrue off-bank until the relayer claims them.
 type Fees struct {
@@ -42,11 +42,10 @@ type Fees struct {
 
 	bank     Bank
 	schedule FeeSchedule
-	payee    string
-	// payeeFor, when set, resolves the payee per packet at settlement —
-	// the competing-relayer seam: the deployment records which relayer
-	// delivered each packet and first-to-deliver claims the fee. An
-	// empty result falls back to the static payee.
+	// payeeFor resolves the payee per packet at settlement — the
+	// competing-relayer seam: the deployment records which relayer
+	// delivered each packet and first-to-deliver claims the fee. Unset,
+	// or with an empty result, the payout accrues under "".
 	payeeFor func(ibc.Packet) string
 	// exempt lists module accounts whose sends escrow nothing: onward
 	// hops emitted by the forwarding middleware ride the fee the original
@@ -108,15 +107,12 @@ func NewFees(bank Bank, schedule FeeSchedule, opts ...FeesOption) *Fees {
 // Name implements Middleware.
 func (f *Fees) Name() string { return "fees" }
 
-// SetPayee registers the relayer identity fee payouts accrue to.
-func (f *Fees) SetPayee(payee string) { f.payee = payee }
-
 // SetPayeeResolver registers a per-packet payee resolver consulted at
 // settlement time. With competing relayers on one channel the escrow
 // cannot know the winner at send time; the deployment wires a resolver
 // over its delivery registry so the fee pays whichever relayer actually
-// delivered the packet. Returning "" falls back to the static payee
-// (e.g. for timeout settlements, where no delivery happened).
+// delivered the packet, and falls back to the link's primary relayer for
+// settlements no delivery decided (timeouts).
 func (f *Fees) SetPayeeResolver(r func(ibc.Packet) string) { f.payeeFor = r }
 
 // Schedule returns the fee schedule in force.
@@ -165,11 +161,9 @@ func (f *Fees) accrue(payee, denom string, amount uint64) {
 
 // settle pays the earned legs to the payee and refunds the rest.
 func (f *Fees) settle(p ibc.Packet, earned, refunded uint64, pf pendingFee) {
-	payee := f.payee
+	payee := ""
 	if f.payeeFor != nil {
-		if resolved := f.payeeFor(p); resolved != "" {
-			payee = resolved
-		}
+		payee = f.payeeFor(p)
 	}
 	f.accrue(payee, pf.fee.Denom, earned)
 	f.PaidTotal += earned

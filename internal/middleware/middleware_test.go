@@ -139,7 +139,7 @@ func TestFeesEscrowSettleAndClaim(t *testing.T) {
 	bank.Mint("alice", "fee", 100)
 	sched := FeeSchedule{Denom: "fee", RecvFee: 3, AckFee: 2, TimeoutFee: 4}
 	fees := NewFees(bank, sched)
-	fees.SetPayee("relayer-1")
+	fees.SetPayeeResolver(func(ibc.Packet) string { return "relayer-1" })
 
 	core := &coreSender{log: new([]string)}
 	send := NewStack(&quietApp{}, fees).WrapSender(core)
@@ -191,7 +191,7 @@ func TestFeesTimeoutRefundsDeliveryLegs(t *testing.T) {
 	bank := transfer.New("transfer")
 	bank.Mint("alice", "fee", 20)
 	fees := NewFees(bank, FeeSchedule{Denom: "fee", RecvFee: 3, AckFee: 2, TimeoutFee: 4})
-	fees.SetPayee("relayer-1")
+	fees.SetPayeeResolver(func(ibc.Packet) string { return "relayer-1" })
 	core := &coreSender{log: new([]string)}
 	send := NewStack(&quietApp{}, fees).WrapSender(core)
 	p, err := send.SendPacket("transfer", "chan-a", feePacketData("alice"), 0, time.Time{})

@@ -101,7 +101,6 @@ func (c *fakeClient) ConsensusTime(h ibc.Height) (time.Time, error) {
 	}
 	return t, nil
 }
-func (c *fakeClient) Frozen() bool       { return false }
 func (c *fakeClient) StateBytes() []byte { return nil }
 
 // fakeLink is an engine over two fake ends, serving two channels.

@@ -62,8 +62,6 @@ type Validator struct {
 	pendingCost map[uint64]host.Lamports
 	// signedHeights guards against double submission.
 	signedHeights map[uint64]bool
-	// stopped halts further signing (operator failure injection).
-	stopped bool
 	// joined marks the daemon as started (JoinAt reached).
 	joined bool
 
@@ -146,15 +144,9 @@ func (v *Validator) onNetMessage(_ netsim.NodeID, kind string, _ any) {
 // Activate starts the daemon (scheduled at Behaviour.JoinAt).
 func (v *Validator) Activate() { v.joined = true }
 
-// Stop halts the daemon (failure injection, cf. validator #1's outage).
-func (v *Validator) Stop() { v.stopped = true }
-
-// Resume restarts a stopped daemon.
-func (v *Validator) Resume() { v.stopped = false }
-
 // OnHostBlock processes one host block's events (Alg. 2 upon NewBlock).
 func (v *Validator) OnHostBlock(b *host.Block) {
-	if !v.Behaviour.Active || !v.joined || v.stopped {
+	if !v.Behaviour.Active || !v.joined {
 		return
 	}
 	for _, ev := range b.Events {
@@ -207,9 +199,6 @@ func (v *Validator) inEpoch(block *guestblock.Block) bool {
 // host includes it in the next slot, which Table I's 0.4 s quantisation
 // reflects).
 func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
-	if v.stopped {
-		return
-	}
 	tx := v.builder.SignTx(v.Key, block)
 	v.submitTx(tx, func(err error) {
 		if err != nil {

@@ -19,6 +19,7 @@ type valEnv struct {
 	sched    *sim.Scheduler
 	chain    *host.Chain
 	contract *guest.Contract
+	net      *netsim.Network
 	keys     []*cryptoutil.PrivKey
 	daemons  []*Validator
 	payer    cryptoutil.PubKey
@@ -50,6 +51,7 @@ func newValEnv(t *testing.T, n int, latency sim.Dist) *valEnv {
 	// A zero-value network is lossless and synchronous: the daemons run as
 	// deployed, on their endpoints, and nothing is drawn or delayed.
 	net := netsim.New(sched, netsim.Config{})
+	e.net = net
 	hostEP := net.Node(netsim.HostNode, nil, netsim.HostFrontEnd(chain))
 	for i := 0; i < n; i++ {
 		v := New(e.keys[i], Behaviour{
@@ -127,15 +129,18 @@ func TestValidatorsSignAndFinalise(t *testing.T) {
 func TestStoppedValidatorRecovers(t *testing.T) {
 	// With three equal stakes of 100, the quorum is 201: two signers
 	// reach only 200, so all three validators are required.
+	// The third validator's node crashes: it hears of no host block and
+	// signs nothing.
 	e := newValEnv(t, 3, sim.Constant(500*time.Millisecond))
-	e.daemons[2].Stop()
+	e.net.Crash(netsim.ValidatorNode(2))
 	e.generateBlock()
 	e.sched.RunFor(10 * time.Second)
 	if e.head().Finalised {
 		t.Fatal("finalised without the stopped validator")
 	}
-	// The stopped daemon resumes and the recovery path signs the head.
-	e.daemons[2].Resume()
+	// The node comes back; its next wake-up pulls the blocks it missed and
+	// the recovery path signs the head.
+	e.net.Heal(netsim.ValidatorNode(2))
 	e.sched.RunFor(10 * time.Second)
 	if !e.head().Finalised {
 		t.Fatal("recovery signing did not finalise the head")
