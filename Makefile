@@ -283,7 +283,8 @@ examples-smoke:
 # decoders, the forward-memo parse, the two light-client update
 # decoders (Tendermint update, guest signed block), the transfer
 # packet data encoder (FuzzPacketDataMarshal: Marshal never panics and
-# round-trips), the packed trie path operations against the bit-per-byte
+# round-trips), the success-ack check against the JSON rule it shortcuts
+# (FuzzSuccessAck), the packed trie path operations against the bit-per-byte
 # model (FuzzPathOps), and the sealable trie against a map model
 # (FuzzTrieDifferential: Set/Delete/Seal/Get under an ErrFull arena cap,
 # the root equal to a trie built from scratch, every node encoding and
@@ -309,6 +310,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStoreVersions$$' -fuzztime=5s -fuzzminimizetime=100x ./internal/ibc
 	$(GO) test -run='^$$' -fuzz='^FuzzForwardMemo$$' -fuzztime=5s ./internal/middleware
 	$(GO) test -run='^$$' -fuzz='^FuzzPacketDataMarshal$$' -fuzztime=5s ./internal/transfer
+	$(GO) test -run='^$$' -fuzz='^FuzzSuccessAck$$' -fuzztime=5s ./internal/transfer
 	$(GO) test -run='^$$' -fuzz='^FuzzUpdateDecode$$' -fuzztime=5s ./internal/lightclient/tendermint
 	$(GO) test -run='^$$' -fuzz='^FuzzSignedBlockDecode$$' -fuzztime=5s ./internal/guestblock
 
@@ -349,5 +351,5 @@ api-update:
 # The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
 # whole suite under the race detector, the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
-# example smoke runs, and five seconds of each of the fourteen fuzz targets.
+# example smoke runs, and five seconds of each of the fifteen fuzz targets.
 ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -206,10 +207,12 @@ type Network struct {
 	slotScheduled bool
 
 	// hostEP is the host chain's RPC front-end on the simulated network
-	// (netsim.HostFrontEnd); guest is the guest chain's runtime, whose
-	// relayerNodes host-block notifications fan out to.
-	hostEP *netsim.Endpoint
-	guest  *MeshChain
+	// (netsim.HostFrontEnd); host-block notifications fan out to the
+	// validators' nodes and to the relayerNodes of guest, the guest
+	// chain's runtime.
+	hostEP         *netsim.Endpoint
+	validatorNodes []netsim.NodeID
+	guest          *MeshChain
 
 	// Guest-block cadence instruments fed from dispatch.
 	mBlockInterval *telemetry.Histogram
@@ -594,6 +597,7 @@ func (n *Network) startDaemons() {
 			validator.WithSeed(cfg.Seed+int64(i)*101),
 			validator.WithTelemetry(n.Tel.Metrics))
 		n.Validators = append(n.Validators, v)
+		n.validatorNodes = append(n.validatorNodes, netsim.ValidatorNode(i))
 		i := i
 		if b.JoinAt <= 0 {
 			v.Activate()
@@ -777,8 +781,8 @@ func (n *Network) dispatch(block *host.Block) {
 	// loses nothing: each daemon's host reader holds the block until the
 	// next delivery wakes it to pull.
 	var msg any = netsim.MsgHostBlock{Slot: block.Slot} // boxed once for every recipient
-	for i := range n.Validators {
-		n.hostEP.Send(netsim.ValidatorNode(i), netsim.KindHostBlock, msg)
+	for _, vn := range n.validatorNodes {
+		n.hostEP.Send(vn, netsim.KindHostBlock, msg)
 	}
 	for _, rn := range n.guest.relayerNodes {
 		n.hostEP.Send(rn, netsim.KindHostBlock, msg)
@@ -869,10 +873,13 @@ func (n *Network) InjectTransfer(req TransferReq) (*host.Transaction, error) {
 		return nil, fmt.Errorf("core: no channel %d (topology has %d)", ch, len(n.Channels))
 	}
 	rt := n.Channels[ch]
+	// The sender's PubKey.String spelling, without fmt's per-call cost.
+	var sender [2 * len(req.Sender)]byte
+	hex.Encode(sender[:], req.Sender[:])
 	data := &transfer.PacketData{
 		Denom:    req.Denom,
 		Amount:   req.Amount,
-		Sender:   req.Sender.String(),
+		Sender:   string(sender[:]),
 		Receiver: req.Receiver,
 		Memo:     req.Memo,
 	}

@@ -174,7 +174,9 @@ func New(cfg Config, clock host.Clock, opts ...Option) (*Chain, error) {
 		ibc.WithTelemetry(c.telemetry),
 		ibc.WithMetricsNamespace(c.metricsNS),
 	)
-	c.produceBlockLocked() // genesis
+	if _, err := c.produceBlockLocked(); err != nil { // genesis
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -219,18 +221,40 @@ func (c *Chain) ValidateSelfClient(clientState []byte) error {
 }
 
 // ProduceBlock commits the current store root into a new header with a
-// randomly-sized (but quorum-satisfying) commit.
+// randomly-sized (but quorum-satisfying) commit. The chain numbers its
+// heights itself, so its store refuses the next one only after something
+// else indexed it through Store (ibc.ErrHeightOrder); the chain then keeps
+// its head and returns that.
 func (c *Chain) ProduceBlock() *tendermint.Header {
-	return c.produceBlockLocked()
+	h, err := c.produceBlockLocked()
+	if err != nil {
+		return c.headers[len(c.headers)-1]
+	}
+	return h
 }
 
-func (c *Chain) produceBlockLocked() *tendermint.Header {
-	c.height++
+// produceBlockLocked indexes the next height in the store, then builds its
+// header. A height the store refuses leaves the chain unchanged.
+func (c *Chain) produceBlockLocked() (*tendermint.Header, error) {
+	height := c.height + 1
+	root := c.store.Root()
+	// Commit-on-change: a block whose root equals its parent's shares the
+	// parent's version.
+	var err error
+	if n := len(c.headers); n > 0 && c.headers[n-1].AppRoot == root {
+		err = c.store.ShareAt(height)
+	} else {
+		_, err = c.store.CommitAt(height)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("counterparty: block %d: %w", height, err)
+	}
+	c.height = height
 	h := &tendermint.Header{
 		ChainID:        c.cfg.ChainID,
 		Height:         c.height,
 		Time:           c.clock.Now(),
-		AppRoot:        c.store.Root(),
+		AppRoot:        root,
 		ValSetHash:     c.valsetHash,
 		NextValSetHash: c.valsetHash,
 	}
@@ -245,19 +269,12 @@ func (c *Chain) produceBlockLocked() *tendermint.Header {
 
 	c.headers = append(c.headers, h)
 	c.signerCounts = append(c.signerCounts, n)
-	// Commit-on-change: a block whose root equals its parent's shares the
-	// parent's version.
-	if n := len(c.headers); n > 1 && c.headers[n-2].AppRoot == h.AppRoot {
-		c.store.ShareAt(c.height)
-	} else {
-		c.store.CommitAt(c.height)
-	}
 
 	if len(c.pendingPackets) > 0 {
 		c.events = append(c.events, Event{Height: c.height, Payload: EventPacketsCommitted{Packets: c.pendingPackets}})
 		c.pendingPackets = nil
 	}
-	return h
+	return h, nil
 }
 
 // HeaderAt returns the header at height.

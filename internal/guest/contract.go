@@ -119,7 +119,9 @@ func Deploy(chain *host.Chain, cfg Config) (*Contract, host.Lamports, error) {
 		Finalised:  true,
 		CreatedAt:  chain.Now(),
 	})
-	store.CommitAt(genesis.Height)
+	if _, err := store.CommitAt(genesis.Height); err != nil {
+		return nil, 0, fmt.Errorf("guest: commit genesis: %w", err)
+	}
 
 	deposit, err := chain.CreateStateAccount(cfg.Payer, c.stateKey, c.programID, cfg.Params.StateSize, st)
 	if err != nil {

@@ -338,6 +338,11 @@ func (s *State) generateBlockCore(now time.Time, slot uint64) (*BlockEntry, erro
 		block.NextEpoch = next
 	}
 
+	// Params are read live: a retention change applies from this commit on.
+	s.Store.SetProvableHeights(s.Params.SnapshotRetention)
+	if _, err := s.Store.CommitAt(block.Height); err != nil {
+		return nil, fmt.Errorf("guest: commit block %d: %w", block.Height, err)
+	}
 	entry := &BlockEntry{
 		Block:      block,
 		Epoch:      s.CurrentEpoch,
@@ -347,9 +352,6 @@ func (s *State) generateBlockCore(now time.Time, slot uint64) (*BlockEntry, erro
 	}
 	s.PendingPackets = nil
 	s.Entries = append(s.Entries, entry)
-	// Params are read live: a retention change applies from this commit on.
-	s.Store.SetProvableHeights(s.Params.SnapshotRetention)
-	s.Store.CommitAt(block.Height)
 
 	if block.NextEpoch != nil {
 		s.CurrentEpoch = block.NextEpoch

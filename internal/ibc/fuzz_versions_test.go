@@ -160,7 +160,10 @@ func FuzzStoreVersions(f *testing.F) {
 				}
 			case opCommit:
 				root := s.Root()
-				v := s.CommitAt(uint64(m.last) + 1)
+				v, err := s.CommitAt(uint64(m.last) + 1)
+				if err != nil {
+					t.Fatalf("op %d: commit: %v", i/2, err)
+				}
 				if v != m.last+1 {
 					t.Fatalf("op %d: commit made version %d after %d", i/2, v, m.last)
 				}

@@ -32,6 +32,13 @@ type Handler struct {
 	nextConn int
 	nextChan int
 
+	// channels and conns hold every end the handler has written or read,
+	// decoded, with a channel's store keys beside it: setChannel and
+	// setConnection write them through, so the packet path neither reads
+	// nor decodes an end, nor spells and hashes a path of its own channel.
+	channels map[chanID]*channel
+	conns    map[ConnectionID]*ConnectionEnd
+
 	// sealReceipts turns on the guest blockchain's storage reclamation:
 	// receipts are sealed immediately after delivery.
 	sealReceipts bool
@@ -82,6 +89,8 @@ func NewHandler(store *Store, self SelfInfo, opts ...HandlerOption) *Handler {
 		self:      self,
 		clients:   make(map[ClientID]Client),
 		router:    NewRouter(),
+		channels:  make(map[chanID]*channel),
+		conns:     make(map[ConnectionID]*ConnectionEnd),
 		bus:       telemetry.NewBus(),
 		metricsNS: "ibc",
 	}
@@ -173,16 +182,40 @@ func (h *Handler) newConnectionID() ConnectionID {
 }
 
 func (h *Handler) setConnection(id ConnectionID, end *ConnectionEnd) error {
-	return storeEnd(h.store, ConnectionPath(id), end, marshalConnectionEnd, unmarshalConnectionEnd)
+	if err := storeEnd(h.store, ConnectionPath(id), end, marshalConnectionEnd, unmarshalConnectionEnd); err != nil {
+		return err
+	}
+	kept := *end
+	h.conns[id] = &kept
+	return nil
 }
 
-// Connection returns the connection end stored under id.
-func (h *Handler) Connection(id ConnectionID) (*ConnectionEnd, error) {
+// connection returns the connection end stored under id, read and decoded
+// once. The caller must not modify it.
+func (h *Handler) connection(id ConnectionID) (*ConnectionEnd, error) {
+	if end, ok := h.conns[id]; ok {
+		return end, nil
+	}
 	raw, err := h.store.Get(ConnectionPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrConnectionNotFound, id)
 	}
-	return unmarshalConnectionEnd(raw)
+	end, err := unmarshalConnectionEnd(raw)
+	if err != nil {
+		return nil, err
+	}
+	h.conns[id] = end
+	return end, nil
+}
+
+// Connection returns a copy of the connection end stored under id.
+func (h *Handler) Connection(id ConnectionID) (*ConnectionEnd, error) {
+	end, err := h.connection(id)
+	if err != nil {
+		return nil, err
+	}
+	c := *end
+	return &c, nil
 }
 
 // ConnOpenInit starts the handshake (chain A).
@@ -310,23 +343,82 @@ func (h *Handler) newChannelID() ChannelID {
 	return id
 }
 
-func (h *Handler) setChannel(port PortID, id ChannelID, end *ChannelEnd) error {
-	return storeEnd(h.store, ChannelPath(port, id), end, marshalChannelEnd, unmarshalChannelEnd)
+// chanID names a channel end: its port and channel identifier.
+type chanID struct {
+	port PortID
+	id   ChannelID
 }
 
-// Channel returns the channel end for (port, id).
-func (h *Handler) Channel(port PortID, id ChannelID) (*ChannelEnd, error) {
+// channel is what the handler keeps of a channel end: the decoded end and
+// the trie keys of the channel's own paths, its two next-sequence
+// counters and its three sequenced namespaces.
+type channel struct {
+	end                         ChannelEnd
+	nextSend, nextRecv          storeKey
+	commitments, receipts, acks seqKeys
+}
+
+func newChannel(port PortID, id ChannelID) *channel {
+	return &channel{
+		nextSend:    PathToKey(NextSequenceSendPath(port, id)),
+		nextRecv:    PathToKey(NextSequenceRecvPath(port, id)),
+		commitments: newSeqKeys(nsCommitment, port, id),
+		receipts:    newSeqKeys(nsReceipt, port, id),
+		acks:        newSeqKeys(nsAck, port, id),
+	}
+}
+
+// keepChannel records end as the channel end at (port, id).
+func (h *Handler) keepChannel(port PortID, id ChannelID, end *ChannelEnd) *channel {
+	k := chanID{port, id}
+	c := h.channels[k]
+	if c == nil {
+		c = newChannel(port, id)
+		h.channels[k] = c
+	}
+	c.end = *end
+	return c
+}
+
+func (h *Handler) setChannel(port PortID, id ChannelID, end *ChannelEnd) error {
+	if err := storeEnd(h.store, ChannelPath(port, id), end, marshalChannelEnd, unmarshalChannelEnd); err != nil {
+		return err
+	}
+	h.keepChannel(port, id, end)
+	return nil
+}
+
+// channel returns the channel at (port, id), its end read and decoded
+// once. The caller must not modify the end.
+func (h *Handler) channel(port PortID, id ChannelID) (*channel, error) {
+	if c, ok := h.channels[chanID{port, id}]; ok {
+		return c, nil
+	}
 	raw, err := h.store.Get(ChannelPath(port, id))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s/%s", ErrChannelNotFound, port, id)
 	}
-	return unmarshalChannelEnd(raw)
+	end, err := unmarshalChannelEnd(raw)
+	if err != nil {
+		return nil, err
+	}
+	return h.keepChannel(port, id, end), nil
+}
+
+// Channel returns a copy of the channel end for (port, id).
+func (h *Handler) Channel(port PortID, id ChannelID) (*ChannelEnd, error) {
+	c, err := h.channel(port, id)
+	if err != nil {
+		return nil, err
+	}
+	end := c.end
+	return &end, nil
 }
 
 // openClient resolves the light client behind an open connection: the one
 // lookup every channel handshake and packet proof makes.
 func (h *Handler) openClient(id ConnectionID) (*ConnectionEnd, Client, error) {
-	conn, err := h.Connection(id)
+	conn, err := h.connection(id)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -337,20 +429,20 @@ func (h *Handler) openClient(id ConnectionID) (*ConnectionEnd, Client, error) {
 	return conn, client, err
 }
 
-// packetChannel resolves the channel end at (port, id) a packet travels on
+// packetChannel resolves the channel at (port, id) a packet travels on
 // and the light client behind its open connection, after checking that
 // peer, the packet's other end, is the channel's counterparty: neither the
 // commitment nor the path of a packet binds both ends of its route.
-func (h *Handler) packetChannel(port PortID, id ChannelID, peer ChannelCounterparty) (*ChannelEnd, Client, error) {
-	end, err := h.Channel(port, id)
+func (h *Handler) packetChannel(port PortID, id ChannelID, peer ChannelCounterparty) (*channel, Client, error) {
+	c, err := h.channel(port, id)
 	if err != nil {
 		return nil, nil, err
 	}
-	if end.Counterparty != peer {
+	if c.end.Counterparty != peer {
 		return nil, nil, fmt.Errorf("%w: route mismatch", ErrInvalidPacket)
 	}
-	_, client, err := h.openClient(end.ConnectionID)
-	return end, client, err
+	_, client, err := h.openClient(c.end.ConnectionID)
+	return c, client, err
 }
 
 // channelStep advances the channel end at (port, id) from state have once
@@ -509,16 +601,16 @@ func (h *Handler) ChanCloseConfirm(port PortID, id ChannelID, proofClosed []byte
 // (Alg. 1 SendPacket, minus the host-specific fee collection which the
 // Guest Contract layers on top).
 func (h *Handler) SendPacket(port PortID, id ChannelID, data []byte, timeoutHeight Height, timeoutTimestamp time.Time) (*Packet, error) {
-	end, err := h.Channel(port, id)
+	c, err := h.channel(port, id)
 	if err != nil {
 		return nil, err
 	}
-	if end.State != StateOpen {
-		return nil, fmt.Errorf("%w: channel %s/%s is %v", ErrChannelClosed, port, id, end.State)
+	if c.end.State != StateOpen {
+		return nil, fmt.Errorf("%w: channel %s/%s is %v", ErrChannelClosed, port, id, c.end.State)
 	}
-	raw, err := h.store.Get(NextSequenceSendPath(port, id))
+	raw, err := h.store.trie.Value(c.nextSend)
 	if err != nil {
-		return nil, err
+		return nil, pathError("get", NextSequenceSendPath(port, id), err)
 	}
 	seq, err := decodeSequence(raw)
 	if err != nil {
@@ -528,8 +620,8 @@ func (h *Handler) SendPacket(port PortID, id ChannelID, data []byte, timeoutHeig
 		Sequence:         seq,
 		SourcePort:       port,
 		SourceChannel:    id,
-		DestPort:         end.Counterparty.PortID,
-		DestChannel:      end.Counterparty.ChannelID,
+		DestPort:         c.end.Counterparty.PortID,
+		DestChannel:      c.end.Counterparty.ChannelID,
 		Data:             append([]byte(nil), data...),
 		TimeoutHeight:    timeoutHeight,
 		TimeoutTimestamp: timeoutTimestamp,
@@ -537,11 +629,11 @@ func (h *Handler) SendPacket(port PortID, id ChannelID, data []byte, timeoutHeig
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if err := h.store.Set(NextSequenceSendPath(port, id), sequenceValue(seq+1)); err != nil {
-		return nil, err
+	if err := h.store.put(c.nextSend, sequenceValue(seq+1)); err != nil {
+		return nil, pathError("set", NextSequenceSendPath(port, id), err)
 	}
-	if err := h.store.Set(CommitmentPath(port, id, seq), p.CommitmentBytes()); err != nil {
-		return nil, err
+	if err := h.store.put(c.commitments.at(seq), p.CommitmentBytes()); err != nil {
+		return nil, pathError("set", c.commitments.path(seq), err)
 	}
 	h.packetsSent.Inc()
 	h.emit(EventSendPacket{Packet: p})
@@ -569,12 +661,12 @@ func (h *Handler) RecvPacket(p *Packet, proof []byte, proofHeight Height) ([]byt
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	end, client, err := h.packetChannel(p.DestPort, p.DestChannel, ChannelCounterparty{PortID: p.SourcePort, ChannelID: p.SourceChannel})
+	c, client, err := h.packetChannel(p.DestPort, p.DestChannel, ChannelCounterparty{PortID: p.SourcePort, ChannelID: p.SourceChannel})
 	if err != nil {
 		return nil, err
 	}
-	if end.State != StateOpen {
-		return nil, fmt.Errorf("%w: channel %s/%s is %v", ErrChannelClosed, p.DestPort, p.DestChannel, end.State)
+	if c.end.State != StateOpen {
+		return nil, fmt.Errorf("%w: channel %s/%s is %v", ErrChannelClosed, p.DestPort, p.DestChannel, c.end.State)
 	}
 	if p.TimedOut(h.self.CurrentHeight(), h.self.CurrentTime()) {
 		return nil, ErrPacketExpired
@@ -584,11 +676,11 @@ func (h *Handler) RecvPacket(p *Packet, proof []byte, proofHeight Height) ([]byt
 		return nil, err
 	}
 
-	switch end.Ordering {
+	switch c.end.Ordering {
 	case Ordered:
-		raw, err := h.store.Get(NextSequenceRecvPath(p.DestPort, p.DestChannel))
+		raw, err := h.store.trie.Value(c.nextRecv)
 		if err != nil {
-			return nil, err
+			return nil, pathError("get", NextSequenceRecvPath(p.DestPort, p.DestChannel), err)
 		}
 		next, err := decodeSequence(raw)
 		if err != nil {
@@ -600,34 +692,34 @@ func (h *Handler) RecvPacket(p *Packet, proof []byte, proofHeight Height) ([]byt
 			}
 			return nil, fmt.Errorf("%w: got %d, want %d", ErrSequenceMismatch, p.Sequence, next)
 		}
-		if err := h.store.Set(NextSequenceRecvPath(p.DestPort, p.DestChannel), sequenceValue(next+1)); err != nil {
-			return nil, err
+		if err := h.store.put(c.nextRecv, sequenceValue(next+1)); err != nil {
+			return nil, pathError("set", NextSequenceRecvPath(p.DestPort, p.DestChannel), err)
 		}
 	default: // Unordered: the channel decoder admits no other ordering
-		receiptPath := ReceiptPath(p.DestPort, p.DestChannel, p.Sequence)
-		has, err := h.store.Has(receiptPath)
+		receipt := c.receipts.at(p.Sequence)
+		has, err := h.store.trie.Has(receipt)
 		switch {
 		case errors.Is(err, trie.ErrSealed):
 			return nil, ErrPacketAlreadyDelivered
 		case err != nil:
-			return nil, err
+			return nil, pathError("has", c.receipts.path(p.Sequence), err)
 		case has:
 			return nil, ErrPacketAlreadyDelivered
 		}
-		err = h.store.Set(receiptPath, receiptValue)
+		err = h.store.put(receipt, receiptValue)
 		switch {
 		case errors.Is(err, trie.ErrSealed):
 			// The sealed receipt IS the double-delivery guard (§III-A).
 			return nil, ErrPacketAlreadyDelivered
 		case err != nil:
-			return nil, err
+			return nil, pathError("set", c.receipts.path(p.Sequence), err)
 		}
-		if has, _ := h.store.Has(receiptPath); !has {
-			return nil, fmt.Errorf("%w: %q", ErrReceiptLost, receiptPath)
+		if has, _ := h.store.trie.Has(receipt); !has {
+			return nil, fmt.Errorf("%w: %q", ErrReceiptLost, c.receipts.path(p.Sequence))
 		}
 		if h.sealReceipts {
-			if err := h.store.Seal(receiptPath); err != nil {
-				return nil, err
+			if err := h.store.trie.Seal(receipt); err != nil {
+				return nil, pathError("seal", c.receipts.path(p.Sequence), err)
 			}
 		}
 	}
@@ -643,8 +735,8 @@ func (h *Handler) RecvPacket(p *Packet, proof []byte, proofHeight Height) ([]byt
 	if len(ack) == 0 {
 		return nil, fmt.Errorf("ibc: application returned empty acknowledgement")
 	}
-	if err := h.store.Set(AckPath(p.DestPort, p.DestChannel, p.Sequence), AckCommitmentBytes(ack)); err != nil {
-		return nil, err
+	if err := h.store.put(c.acks.at(p.Sequence), AckCommitmentBytes(ack)); err != nil {
+		return nil, pathError("set", c.acks.path(p.Sequence), err)
 	}
 	h.packetsReceived.Inc()
 	h.emit(EventWriteAck{Packet: p, Ack: ack})
@@ -662,37 +754,44 @@ func (h *Handler) hasReceipt(p *Packet) bool {
 }
 
 // pendingCommitment opens the settlement of a packet this chain sent: it
-// resolves the packet's channel end (which must name the packet's
-// destination as its counterparty), the light client behind the channel's
-// open connection and the commitment path, and checks that the path still
+// resolves the packet's channel (whose end must name the packet's
+// destination as its counterparty) and the light client behind the
+// channel's open connection, and checks that the commitment path still
 // holds p's commitment. A path that holds nothing means the packet was
 // already acknowledged or timed out (ErrPacketAlreadyDelivered).
-func (h *Handler) pendingCommitment(p *Packet) (*ChannelEnd, Client, string, error) {
+func (h *Handler) pendingCommitment(p *Packet) (*channel, Client, error) {
 	if err := p.Validate(); err != nil {
-		return nil, nil, "", err
+		return nil, nil, err
 	}
-	end, client, err := h.packetChannel(p.SourcePort, p.SourceChannel, ChannelCounterparty{PortID: p.DestPort, ChannelID: p.DestChannel})
+	c, client, err := h.packetChannel(p.SourcePort, p.SourceChannel, ChannelCounterparty{PortID: p.DestPort, ChannelID: p.DestChannel})
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, err
 	}
-	commitPath := CommitmentPath(p.SourcePort, p.SourceChannel, p.Sequence)
-	stored, err := h.store.Get(commitPath)
+	stored, err := h.store.trie.Value(c.commitments.at(p.Sequence))
 	if errors.Is(err, trie.ErrNotFound) {
-		return nil, nil, "", ErrPacketAlreadyDelivered
+		return nil, nil, ErrPacketAlreadyDelivered
 	}
 	if err != nil {
-		return nil, nil, "", err
+		return nil, nil, pathError("get", c.commitments.path(p.Sequence), err)
 	}
 	if string(stored) != string(p.CommitmentBytes()) {
-		return nil, nil, "", fmt.Errorf("%w: commitment mismatch", ErrInvalidPacket)
+		return nil, nil, fmt.Errorf("%w: commitment mismatch", ErrInvalidPacket)
 	}
-	return end, client, commitPath, nil
+	return c, client, nil
+}
+
+// clearCommitment deletes the commitment of p, a packet sent on c.
+func (h *Handler) clearCommitment(c *channel, p *Packet) error {
+	if err := h.store.trie.Delete(c.commitments.at(p.Sequence)); err != nil {
+		return pathError("delete", c.commitments.path(p.Sequence), err)
+	}
+	return nil
 }
 
 // AcknowledgePacket verifies the counterparty committed ack for a packet
 // this chain sent, notifies the application, and clears the commitment.
 func (h *Handler) AcknowledgePacket(p *Packet, ack []byte, proofAck []byte, proofHeight Height) error {
-	_, client, commitPath, err := h.pendingCommitment(p)
+	c, client, err := h.pendingCommitment(p)
 	if err != nil {
 		return err
 	}
@@ -707,7 +806,7 @@ func (h *Handler) AcknowledgePacket(p *Packet, ack []byte, proofAck []byte, proo
 	if err := m.OnAcknowledgementPacket(*p, ack); err != nil {
 		return fmt.Errorf("%w: ack callback: %w", ErrAppRejected, err)
 	}
-	if err := h.store.Delete(commitPath); err != nil {
+	if err := h.clearCommitment(c, p); err != nil {
 		return err
 	}
 	h.packetsAcked.Inc()
@@ -720,7 +819,7 @@ func (h *Handler) AcknowledgePacket(p *Packet, ack []byte, proofAck []byte, proo
 // commitment. For unordered channels the proof is receipt non-membership;
 // for ordered channels it is a nextSequenceRecv proof.
 func (h *Handler) TimeoutPacket(p *Packet, proofUnreceived []byte, proofHeight Height) error {
-	end, client, commitPath, err := h.pendingCommitment(p)
+	c, client, err := h.pendingCommitment(p)
 	if err != nil {
 		return err
 	}
@@ -743,7 +842,7 @@ func (h *Handler) TimeoutPacket(p *Packet, proofUnreceived []byte, proofHeight H
 		return ErrPacketNotExpired
 	}
 
-	switch end.Ordering {
+	switch c.end.Ordering {
 	case Unordered:
 		receiptPath := ReceiptPath(p.DestPort, p.DestChannel, p.Sequence)
 		if err := client.VerifyNonMembership(proofHeight, receiptPath, proofUnreceived); err != nil {
@@ -775,14 +874,15 @@ func (h *Handler) TimeoutPacket(p *Packet, proofUnreceived []byte, proofHeight H
 	if err := m.OnTimeoutPacket(*p); err != nil {
 		return fmt.Errorf("%w: timeout callback: %w", ErrAppRejected, err)
 	}
-	if err := h.store.Delete(commitPath); err != nil {
+	if err := h.clearCommitment(c, p); err != nil {
 		return err
 	}
 	// Per ICS-04, a timeout on an ordered channel breaks the ordering
 	// guarantee permanently: the channel closes.
-	if end.Ordering == Ordered {
-		end.State = StateClosed
-		if err := h.setChannel(p.SourcePort, p.SourceChannel, end); err != nil {
+	if c.end.Ordering == Ordered {
+		closed := c.end
+		closed.State = StateClosed
+		if err := h.setChannel(p.SourcePort, p.SourceChannel, &closed); err != nil {
 			return err
 		}
 	}
@@ -804,11 +904,11 @@ func (h *Handler) PacketDelivered(p *Packet) bool {
 	if h.hasReceipt(p) {
 		return true
 	}
-	end, err := h.Channel(p.DestPort, p.DestChannel)
-	if err != nil || end.Ordering != Ordered {
+	c, err := h.channel(p.DestPort, p.DestChannel)
+	if err != nil || c.end.Ordering != Ordered {
 		return false
 	}
-	raw, err := h.store.Get(NextSequenceRecvPath(p.DestPort, p.DestChannel))
+	raw, err := h.store.trie.Value(c.nextRecv)
 	if err != nil {
 		return false
 	}

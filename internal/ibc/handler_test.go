@@ -56,7 +56,11 @@ func (c *mockChain) ValidateSelfClient(clientState []byte) error {
 func (c *mockChain) commit() {
 	c.roots[c.height] = c.store.Root()
 	c.times[c.height] = c.now
-	snap, err := c.store.At(c.store.CommitAt(uint64(c.height)))
+	v, err := c.store.CommitAt(uint64(c.height))
+	if err != nil {
+		panic(err)
+	}
+	snap, err := c.store.At(v)
 	if err != nil {
 		panic(err)
 	}
@@ -503,10 +507,10 @@ func TestPathToKeyStructuredSequences(t *testing.T) {
 		t.Fatal("commitment and receipt namespaces collide")
 	}
 	// Unstructured paths hash flat.
-	k5 := PathToKey(ClientStatePath("client-0"))
-	k6 := PathToKey(ClientStatePath("client-1"))
+	k5 := PathToKey(ConnectionPath("connection-0"))
+	k6 := PathToKey(ConnectionPath("connection-1"))
 	if k5 == k6 {
-		t.Fatal("distinct client paths collide")
+		t.Fatal("distinct connection paths collide")
 	}
 }
 

@@ -19,9 +19,13 @@ import (
 
 // Errors of a height lookup. A relayer that meets ErrHeightPruned retries
 // against a newer root; ErrUnknownHeight names a height no block committed.
+// ErrHeightOrder refuses to index a height at or below the newest one
+// indexed: from CommitAt and ShareAt, or from a reopened backend whose
+// recorded heights do not increase.
 var (
 	ErrHeightPruned  = errors.New("ibc: height pruned from the provable window")
 	ErrUnknownHeight = errors.New("ibc: unknown height")
+	ErrHeightOrder   = errors.New("ibc: height indexed out of order")
 )
 
 // heightVersion is one height of the provable window and the version it
@@ -41,15 +45,18 @@ func (s *Store) SetProvableHeights(n int) { s.provable = n }
 // version whose heights all fell out. 0 evicts nothing.
 func (s *Store) SetHotHeights(n int) { s.hot = n }
 
-// CommitAt freezes the current contents as the version of height, which
-// must exceed every height indexed before, and trims the window. O(1) for
-// the in-heap store: the trie snapshots structurally, values and all. With
-// a backend attached the version's delta is appended to the log, its root
-// record naming height, so recovery can report which block the durable
-// state belongs to.
-func (s *Store) CommitAt(height uint64) Version {
+// CommitAt freezes the current contents as the version of height and
+// trims the window. A height at or below one indexed before commits
+// nothing and fails with ErrHeightOrder. O(1) for the in-heap store: the
+// trie snapshots structurally, values and all. With a backend attached the
+// version's delta is appended to the log, its root record naming height,
+// so recovery can report which block the durable state belongs to.
+func (s *Store) CommitAt(height uint64) (Version, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.orderLocked(height); err != nil {
+		return 0, err
+	}
 	v := s.trie.Snapshot()
 	if s.backend != nil {
 		if err := s.flushLocked(v, height); err != nil && s.flushErr == nil {
@@ -57,25 +64,41 @@ func (s *Store) CommitAt(height uint64) Version {
 		}
 	}
 	s.indexLocked(height, v)
-	return v
+	return v, nil
 }
 
-// ShareAt maps height, which must exceed every height indexed before, to
-// the newest committed version without committing: the block at height
-// changed nothing. It trims the window as CommitAt does.
-func (s *Store) ShareAt(height uint64) {
+// ShareAt maps height to the newest committed version without
+// committing: the block at height changed nothing. It trims the window as
+// CommitAt does, and refuses what CommitAt refuses, and a store with no
+// version committed (ErrUnknownVersion).
+func (s *Store) ShareAt(height uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.indexLocked(height, s.heights[len(s.heights)-1].version)
+	if err := s.orderLocked(height); err != nil {
+		return err
+	}
+	n := len(s.heights)
+	if n == 0 {
+		return fmt.Errorf("%w: height %d shares no committed version", ErrUnknownVersion, height)
+	}
+	s.indexLocked(height, s.heights[n-1].version)
+	return nil
 }
 
-// indexLocked appends height → v to the window, then releases the versions
-// whose heights all left the provable window and evicts those whose heights
-// all left the hot one. Called with mu held.
-func (s *Store) indexLocked(height uint64, v Version) {
+// orderLocked refuses height unless it exceeds every height indexed
+// before. Called with mu held.
+func (s *Store) orderLocked(height uint64) error {
 	if n := len(s.heights); n > 0 && height <= s.heights[n-1].height {
-		panic(fmt.Sprintf("ibc: height %d indexed after %d", height, s.heights[n-1].height))
+		return fmt.Errorf("%w: %d after %d", ErrHeightOrder, height, s.heights[n-1].height)
 	}
+	return nil
+}
+
+// indexLocked appends height → v to the window, which orderLocked
+// admitted, then releases the versions whose heights all left the
+// provable window and evicts those whose heights all left the hot one.
+// Called with mu held.
+func (s *Store) indexLocked(height uint64, v Version) {
 	if s.first == 0 {
 		s.first = height
 	}

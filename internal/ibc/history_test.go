@@ -15,7 +15,22 @@ func (s *Store) commit() Version {
 		h = s.heights[n-1].height + 1
 	}
 	s.mu.Unlock()
-	return s.CommitAt(h)
+	v, err := s.CommitAt(h)
+	if err != nil {
+		panic(err) // h is above every indexed height
+	}
+	return v
+}
+
+// mustCommitAt commits the head at height h, which the test indexes in
+// order.
+func mustCommitAt(t testing.TB, s *Store, h uint64) Version {
+	t.Helper()
+	v, err := s.CommitAt(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }
 
 // release and evict drop or spill one version regardless of the window.
@@ -61,9 +76,9 @@ func TestWindowReleasesAtLastHeight(t *testing.T) {
 			if err := s.Set("k", []byte(reads[h])); err != nil {
 				t.Fatal(err)
 			}
-			versions = append(versions, s.CommitAt(h))
-		} else {
-			s.ShareAt(h)
+			versions = append(versions, mustCommitAt(t, s, h))
+		} else if err := s.ShareAt(h); err != nil {
+			t.Fatal(err)
 		}
 		retained := map[Version]bool{}
 		for _, i := range step.retained {
@@ -107,7 +122,7 @@ func TestPrunedAndUnknownHeightsDiffer(t *testing.T) {
 		if err := s.Set("k", []byte(fmt.Sprint(h))); err != nil {
 			t.Fatal(err)
 		}
-		s.CommitAt(h)
+		mustCommitAt(t, s, h)
 	}
 	for h, want := range map[uint64]error{0: ErrUnknownHeight, 9: ErrUnknownHeight, 10: ErrHeightPruned,
 		11: ErrHeightPruned, 13: ErrUnknownHeight, 16: ErrUnknownHeight} {
@@ -123,13 +138,23 @@ func TestPrunedAndUnknownHeightsDiffer(t *testing.T) {
 	if _, err := s.AtHeight(12); err != nil {
 		t.Fatalf("AtHeight(12) = %v", err)
 	}
-	// Heights only move forward.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("committing height 15 twice did not panic")
-		}
-	}()
-	s.CommitAt(15)
+	// Heights only move forward: a refused height indexes nothing.
+	retained := s.RetainedVersions()
+	if _, err := s.CommitAt(15); !errors.Is(err, ErrHeightOrder) {
+		t.Fatalf("committing height 15 twice = %v, want ErrHeightOrder", err)
+	}
+	if err := s.ShareAt(14); !errors.Is(err, ErrHeightOrder) {
+		t.Fatalf("sharing height 14 after 15 = %v, want ErrHeightOrder", err)
+	}
+	if got := s.RetainedVersions(); got != retained {
+		t.Fatalf("refused heights changed the retained versions: %d -> %d", retained, got)
+	}
+	if _, err := s.AtHeight(16); !errors.Is(err, ErrUnknownHeight) {
+		t.Fatalf("AtHeight(16) after refused commits = %v, want ErrUnknownHeight", err)
+	}
+	if err := NewStore().ShareAt(1); !errors.Is(err, ErrUnknownVersion) {
+		t.Fatalf("sharing a height on an empty store = %v, want ErrUnknownVersion", err)
+	}
 }
 
 // TestEvictedHeightProvesThroughDisk: with three provable heights and one
@@ -150,7 +175,7 @@ func TestEvictedHeightProvesThroughDisk(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.CommitAt(h)
+		mustCommitAt(t, s, h)
 		ro, err := s.AtHeight(h)
 		if err != nil {
 			t.Fatal(err)

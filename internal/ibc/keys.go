@@ -18,11 +18,6 @@ import (
 
 // Path builders (ibc-go compatible shapes).
 
-// ClientStatePath is the storage path of a client's latest state.
-func ClientStatePath(id ClientID) string {
-	return fmt.Sprintf("clients/%s/clientState", id)
-}
-
 // ConnectionPath is the storage path of a connection end.
 func ConnectionPath(id ConnectionID) string {
 	return fmt.Sprintf("connections/%s", id)
@@ -85,6 +80,47 @@ func sequencedPath(ns string, port PortID, ch ChannelID, seq uint64) string {
 	b.WriteString(segSequences)
 	b.Write(num)
 	return b.String()
+}
+
+// seqKeys derives the trie keys of one channel's paths in one sequenced
+// namespace without spelling them: at(seq) is PathToKey of the
+// namespace's path for seq. The handler keeps one per namespace for each
+// channel it holds, so a packet's commitment, receipt and ack keys cost a
+// copy and a store of the sequence.
+type seqKeys struct {
+	ns      string
+	port    PortID
+	channel ChannelID
+	// base is the key of sequence 0. spelled marks identifiers whose
+	// paths do not split back into them (one holds a '/'): those paths
+	// hash flat, so each key is derived from the spelled path.
+	base    storeKey
+	spelled bool
+}
+
+func newSeqKeys(ns string, port PortID, ch ChannelID) seqKeys {
+	path := sequencedPath(ns, port, ch, 0)
+	_, p, c, _, ok := splitSequencedPath(path)
+	return seqKeys{
+		ns: ns, port: port, channel: ch,
+		base:    PathToKey(path),
+		spelled: !ok || p != string(port) || c != string(ch),
+	}
+}
+
+// at is the key of sequence seq.
+func (k *seqKeys) at(seq uint64) storeKey {
+	if k.spelled {
+		return PathToKey(k.path(seq))
+	}
+	key := k.base
+	binary.BigEndian.PutUint64(key[1+scopeLen:], seq)
+	return key
+}
+
+// path spells sequence seq's path, for the errors that name it.
+func (k *seqKeys) path(seq uint64) string {
+	return sequencedPath(k.ns, k.port, k.channel, seq)
 }
 
 // Structured key namespaces. One byte tags keep namespaces disjoint.

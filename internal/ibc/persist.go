@@ -21,7 +21,12 @@ import (
 // the backend holds recovered state (a reopened disk store), the trie
 // resumes from the last durable root: the head and every retained version
 // start fully evicted and fault nodes back in on demand, so cold-open cost
-// is O(log) replay plus lazy reads, not a full state rebuild.
+// is O(log) replay plus lazy reads, not a full state rebuild. Each
+// recovered version is indexed under the height its root record names, so
+// AtHeight serves it; recorded heights that do not increase fail with
+// ErrHeightOrder. A root record names the height that committed its
+// version and no height that shared it, and the log keeps no released
+// version: every other height reports ErrUnknownHeight.
 func NewStoreWithBackend(b nodestore.Store, opts ...trie.Option) (*Store, error) {
 	s := NewStore(opts...)
 	if b == nil {
@@ -41,8 +46,13 @@ func NewStoreWithBackend(b nodestore.Store, opts ...trie.Option) (*Store, error)
 		TotalFrees:  rec.Head.TotalFrees,
 	}, rec.Head.Version+1)
 	for _, rr := range rec.Retained {
+		if err := s.orderLocked(rr.Height); err != nil {
+			return nil, fmt.Errorf("ibc: recovered version %d: %w", rr.Version, err)
+		}
 		s.trie.RestoreVersion(trie.Version(rr.Version), rr.Root, rr.Sealed)
+		s.indexLocked(rr.Height, trie.Version(rr.Version))
 	}
+	s.evicted = len(s.heights) // every recovered version starts evicted
 	s.recoveredHeight = rec.Head.Height
 	return s, nil
 }

@@ -47,7 +47,7 @@ func TestPersistentStoreColdReopen(t *testing.T) {
 		if err := s.Set("clients/c0/clientState", []byte(fmt.Sprintf("cs-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-		v := s.CommitAt(uint64(100 + i))
+		v := mustCommitAt(t, s, uint64(100+i))
 		versions = append(versions, v)
 		ro, err := s.At(v)
 		if err != nil {
@@ -66,7 +66,7 @@ func TestPersistentStoreColdReopen(t *testing.T) {
 	if err := s.Seal("sealed/entry"); err != nil {
 		t.Fatal(err)
 	}
-	lastVer := s.CommitAt(200)
+	lastVer := mustCommitAt(t, s, 200)
 	wantRoot := s.Root()
 	if err := s.SyncBackend(); err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestPersistentStoreColdReopen(t *testing.T) {
 	if err := re.Set("new/path", []byte("nv")); err != nil {
 		t.Fatal(err)
 	}
-	next := re.CommitAt(201)
+	next := mustCommitAt(t, re, 201)
 	if next <= lastVer {
 		t.Fatalf("post-recovery commit version %d not after %d", next, lastVer)
 	}
@@ -127,14 +127,14 @@ func TestEvictReadsThroughBackend(t *testing.T) {
 	if err := s.Set("a/b", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	v1 := s.CommitAt(1)
+	v1 := mustCommitAt(t, s, 1)
 	if err := s.Set("a/b", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Set("c/d", []byte("w")); err != nil {
 		t.Fatal(err)
 	}
-	v2 := s.CommitAt(2)
+	v2 := mustCommitAt(t, s, 2)
 
 	ro, err := s.At(v1)
 	if err != nil {
@@ -188,7 +188,7 @@ func TestEvictedConcurrentReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v := s.CommitAt(1)
+	v := mustCommitAt(t, s, 1)
 	s.evict(v)
 	ro, err := s.At(v)
 	if err != nil {
@@ -225,7 +225,7 @@ func TestEvictedConcurrentReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%8 == 7 {
-			s.CommitAt(uint64(2 + i/8))
+			mustCommitAt(t, s, uint64(2+i/8))
 		}
 	}
 	close(stop)
@@ -256,13 +256,13 @@ func TestStaleReadOnlyStoresAcrossReclamation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.CommitAt(1)
+	mustCommitAt(t, s, 1)
 	for i := 0; i < n; i++ {
 		if err := s.Set(p(i), []byte(fmt.Sprintf("mid%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.CommitAt(2)
+	mustCommitAt(t, s, 2)
 	rel, err := s.AtHeight(1)
 	if err != nil {
 		t.Fatal(err)
@@ -312,14 +312,14 @@ func TestStaleReadOnlyStoresAcrossReclamation(t *testing.T) {
 	// freed cells while height 2 stays provable.
 	s.SetProvableHeights(2)
 	s.SetHotHeights(1)
-	s.CommitAt(3)
+	mustCommitAt(t, s, 3)
 	s.SetProvableHeights(0)
 	for i := 0; i < 200; i++ {
 		if err := s.Set(p(i), []byte(fmt.Sprintf("new%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		if i%10 == 9 {
-			s.CommitAt(uint64(4 + i/10))
+			mustCommitAt(t, s, uint64(4+i/10))
 		}
 	}
 	close(stop)
@@ -365,7 +365,7 @@ func TestValueRecordIntegrity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v := s.CommitAt(1)
+	v := mustCommitAt(t, s, 1)
 	if got, err := s.Get("x"); err != nil || string(got) != "honest" {
 		t.Fatalf("head Get = %q, %v; the head leaf holds its own bytes", got, err)
 	}
@@ -431,3 +431,91 @@ type valueGetter struct {
 }
 
 func (v valueGetter) ValueGet(cryptoutil.Hash) ([]byte, bool, error) { return v.get() }
+
+// TestReopenedStoreAnswersAtHeight: a reopened store indexes every
+// recovered version under the height its root record names, so AtHeight
+// proves byte for byte what At did before the restart; a height no
+// recovered record names reports ErrUnknownHeight, and the index refuses
+// the recovered heights again.
+func TestReopenedStoreAnswersAtHeight(t *testing.T) {
+	dir := t.TempDir()
+	s := openBacked(t, dir)
+	s.SetProvableHeights(2)
+	type proved struct{ value, proof []byte }
+	want := map[uint64]proved{}
+	for h := uint64(1); h <= 3; h++ {
+		if err := s.Set("a/b", []byte(fmt.Sprint("v", h))); err != nil {
+			t.Fatal(err)
+		}
+		ro, err := s.At(mustCommitAt(t, s, h))
+		if err != nil {
+			t.Fatal(err)
+		}
+		val, proof, err := ro.ProveMembership("a/b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[h] = proved{val, proof}
+	}
+	if err := s.SyncBackend(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CloseBackend(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := openBacked(t, dir)
+	defer re.CloseBackend()
+	for _, h := range []uint64{2, 3} {
+		ro, err := re.AtHeight(h)
+		if err != nil {
+			t.Fatalf("AtHeight(%d) after reopen: %v", h, err)
+		}
+		val, proof, err := ro.ProveMembership("a/b")
+		if err != nil || !bytes.Equal(val, want[h].value) || !bytes.Equal(proof, want[h].proof) {
+			t.Fatalf("AtHeight(%d) after reopen proves differently: %v", h, err)
+		}
+	}
+	// Height 1 was released before the cut and 4 never committed: the log
+	// names neither.
+	for _, h := range []uint64{0, 1, 4} {
+		if _, err := re.AtHeight(h); !errors.Is(err, ErrUnknownHeight) {
+			t.Fatalf("AtHeight(%d) after reopen = %v, want ErrUnknownHeight", h, err)
+		}
+	}
+	if _, err := re.CommitAt(3); !errors.Is(err, ErrHeightOrder) {
+		t.Fatalf("committing recovered height 3 again = %v, want ErrHeightOrder", err)
+	}
+	mustCommitAt(t, re, 4)
+	if _, err := re.AtHeight(4); err != nil {
+		t.Fatalf("AtHeight(4) after a post-reopen commit: %v", err)
+	}
+}
+
+// TestReopenRefusesNonIncreasingHeights: root records whose heights do not
+// increase fail the reopen with ErrHeightOrder rather than reaching the
+// height index.
+func TestReopenRefusesNonIncreasingHeights(t *testing.T) {
+	dir := t.TempDir()
+	ns, err := nodestore.Open(dir, nodestore.DiskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := NewStore().Root()
+	for v := uint64(1); v <= 2; v++ {
+		if err := ns.CommitRoot(nodestore.RootRecord{Version: v, Root: root, Height: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ns.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := nodestore.Open(dir, nodestore.DiskConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if _, err := NewStoreWithBackend(re); !errors.Is(err, ErrHeightOrder) {
+		t.Fatalf("reopening heights 7, 7 = %v, want ErrHeightOrder", err)
+	}
+}

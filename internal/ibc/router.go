@@ -1,9 +1,6 @@
 package ibc
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Router dispatches packets and channel callbacks to the application
 // module bound on each port (ICS-05/ICS-26). It used to be an anonymous
@@ -74,21 +71,4 @@ func (r *Router) Route(port PortID) (Module, error) {
 		return nil, fmt.Errorf("%w: %q", ErrPortNotBound, port)
 	}
 	return m, nil
-}
-
-// HasRoute reports whether port is bound.
-func (r *Router) HasRoute(port PortID) bool {
-	_, ok := r.modules[port]
-	return ok
-}
-
-// Ports lists the bound ports in lexical order (deterministic for
-// telemetry and tests).
-func (r *Router) Ports() []PortID {
-	out := make([]PortID, 0, len(r.modules))
-	for p := range r.modules {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

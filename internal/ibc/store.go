@@ -82,15 +82,31 @@ func (s *Store) At(v Version) (*ReadOnlyStore, error) {
 // RetainedVersions returns how many committed versions are currently held.
 func (s *Store) RetainedVersions() int { return s.trie.RetainedVersions() }
 
+// storeKey is a path's trie key, as PathToKey derives it.
+type storeKey = [trie.KeySize]byte
+
+var errEmptyValue = errors.New("empty value")
+
 // Set stores value under the ICS-24 path.
 func (s *Store) Set(path string, value []byte) error {
-	if len(value) == 0 {
-		return fmt.Errorf("ibc: empty value for %q", path)
-	}
-	if err := s.trie.Put(PathToKey(path), value); err != nil {
-		return fmt.Errorf("ibc: set %q: %w", path, err)
+	if err := s.put(PathToKey(path), value); err != nil {
+		return pathError("set", path, err)
 	}
 	return nil
+}
+
+// put is the store's one write path: a copy of value under key. The
+// handler writes its channels' paths through it by their memoised keys.
+func (s *Store) put(key storeKey, value []byte) error {
+	if len(value) == 0 {
+		return errEmptyValue
+	}
+	return s.trie.Put(key, value)
+}
+
+// pathError is the failure of op on path, as every store error names it.
+func pathError(op, path string, err error) error {
+	return fmt.Errorf("ibc: %s %q: %w", op, path, err)
 }
 
 // Get returns the value bytes stored under path. The caller must not
@@ -110,7 +126,7 @@ func (s *Store) IsSealed(path string) bool {
 // Retained versions keep their own leaf, so they still read the old bytes.
 func (s *Store) Delete(path string) error {
 	if err := s.trie.Delete(PathToKey(path)); err != nil {
-		return fmt.Errorf("ibc: delete %q: %w", path, err)
+		return pathError("delete", path, err)
 	}
 	return nil
 }
@@ -121,7 +137,7 @@ func (s *Store) Delete(path string) error {
 // at head must not invalidate historical proofs.
 func (s *Store) Seal(path string) error {
 	if err := s.trie.Seal(PathToKey(path)); err != nil {
-		return fmt.Errorf("ibc: seal %q: %w", path, err)
+		return pathError("seal", path, err)
 	}
 	return nil
 }
@@ -199,7 +215,7 @@ var (
 // fail wraps err as the failure of op on path, naming the version read.
 func (r reader) fail(op, path string, err error) error {
 	if r.version == 0 {
-		return fmt.Errorf("ibc: %s %q: %w", op, path, err)
+		return pathError(op, path, err)
 	}
 	return fmt.Errorf("ibc: %s %q at version %d: %w", op, path, r.version, err)
 }

@@ -238,7 +238,11 @@ func TestMembershipVerificationThroughClient(t *testing.T) {
 	}
 	// Prove from the versioned snapshot (the relayer path): commit the
 	// block's state as a version, mutate the head, prove from the version.
-	snap, err := store.At(store.CommitAt(b.Height))
+	v, err := store.CommitAt(b.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := store.At(v)
 	if err != nil {
 		t.Fatal(err)
 	}

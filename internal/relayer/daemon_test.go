@@ -204,3 +204,25 @@ func TestCheckTimeoutsOrdersSameScanExpiries(t *testing.T) {
 		t.Fatalf("runs diverged: order %v vs %v, fees %d vs %d", first, second, firstFees, secondFees)
 	}
 }
+
+// TestMarkSpellsKeyOnStack: the relayer spells a packet's tracer key on its
+// stack at each mark, so marking a traced packet allocates nothing.
+func TestMarkSpellsKeyOnStack(t *testing.T) {
+	h := newDaemonHarness(t)
+	side := -1
+	for i, e := range h.relayer.ends {
+		if _, ok := e.(*guestEnd); ok {
+			side = i
+		}
+	}
+	p := &ibc.Packet{Sequence: 7, SourcePort: "transfer", SourceChannel: h.res.GuestChannel}
+	now := h.sched.Now()
+	h.relayer.mark(side, p, telemetry.StageSend, now)
+	if n := testing.AllocsPerRun(100, func() { h.relayer.mark(side, p, telemetry.StageRecv, now) }); n != 0 {
+		t.Fatalf("marking a traced packet: %.0f allocations, want 0", n)
+	}
+	tr, ok := h.tel.Tracer.Trace(traceKey(p))
+	if _, recv := tr.Span(telemetry.StageRecv); !ok || !recv {
+		t.Fatalf("trace %q = %+v, %v: want send and recv", traceKey(p), tr, ok)
+	}
+}

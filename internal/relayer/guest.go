@@ -145,9 +145,8 @@ func (g *guestEnd) scan() {
 				r.track(g.side, p)
 				// Send and commit coincide on the guest: the commitment is
 				// written in the same host transaction as SendPacket.
-				key := traceKey(p)
-				r.tracer.Mark(key, telemetry.StageSend, ev.Time)
-				r.tracer.Mark(key, telemetry.StageCommit, ev.Time)
+				r.mark(g.side, p, telemetry.StageSend, ev.Time)
+				r.mark(g.side, p, telemetry.StageCommit, ev.Time)
 			}
 		}
 	}
@@ -166,9 +165,8 @@ func (g *guestEnd) onFinalised(entry *guest.BlockEntry) {
 			continue
 		}
 		owned++
-		key := traceKey(p)
-		r.tracer.Mark(key, telemetry.StageFinalise, entry.FinalisedAt)
-		r.tracer.Mark(key, telemetry.StagePickup, r.sched.Now())
+		r.mark(g.side, p, telemetry.StageFinalise, entry.FinalisedAt)
+		r.mark(g.side, p, telemetry.StagePickup, r.sched.Now())
 	}
 	// Epoch rotations gate every client of the guest chain: push the
 	// header even when the block carries no work this relayer serves.

@@ -153,15 +153,14 @@ func idOf(src int, p *ibc.Packet) traceID {
 	return traceID{uint8(src), p.SourceChannel, p.Sequence}
 }
 
-// traceKey is the packet's key in the telemetry tracer.
-func traceKey(p *ibc.Packet) string {
-	b := make([]byte, 0, len(p.SourcePort)+len(p.SourceChannel)+22)
+// appendTraceKey appends the packet's key in the telemetry tracer,
+// "port/channel/sequence", to b.
+func appendTraceKey(b []byte, p *ibc.Packet) []byte {
 	b = append(b, p.SourcePort...)
 	b = append(b, '/')
 	b = append(b, p.SourceChannel...)
 	b = append(b, '/')
-	b = strconv.AppendUint(b, p.Sequence, 10)
-	return string(b)
+	return strconv.AppendUint(b, p.Sequence, 10)
 }
 
 // work is a packet committed on its source at height, awaiting delivery.
@@ -531,11 +530,13 @@ func (r *Relayer) track(src int, p *ibc.Packet) {
 	}
 }
 
-// mark records stage, now, in the tracer for a packet sent from side src.
-// Only the guest end's packets are traced (Fig. 2).
-func (r *Relayer) mark(src int, p *ibc.Packet, stage string) {
+// mark records stage, at, in the tracer for a packet sent from side src.
+// Only the guest end's packets are traced (Fig. 2). The key is spelled on
+// the stack: the tracer copies it once, when the packet's trace starts.
+func (r *Relayer) mark(src int, p *ibc.Packet, stage string, at time.Time) {
 	if _, guest := r.ends[src].(*guestEnd); guest {
-		r.tracer.Mark(traceKey(p), stage, r.sched.Now())
+		var key [64]byte
+		r.tracer.MarkBytes(appendTraceKey(key[:0], p), stage, at)
 	}
 }
 
@@ -716,7 +717,7 @@ func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provabl
 		r.mLostRace.Inc()
 		return
 	}
-	r.mark(1-to, p, telemetry.StageRecv)
+	r.mark(1-to, p, telemetry.StageRecv, r.sched.Now())
 	r.mDelivered.Inc()
 	s.cDelivered[to].Inc()
 	if ack != nil {
@@ -788,7 +789,7 @@ func (r *Relayer) timedOut(tr *packetTrace, landed bool) {
 // timed out.
 func (r *Relayer) settle(src int, p *ibc.Packet, stage string) {
 	delete(r.traces, idOf(src, p))
-	r.mark(src, p, stage)
+	r.mark(src, p, stage, r.sched.Now())
 }
 
 // CheckTimeouts submits a receipt non-membership proof to the sending

@@ -78,6 +78,31 @@ func (t *Tracer) Mark(key, stage string, at time.Time) {
 		tr = &Trace{Key: key}
 		t.traces[key] = tr
 	}
+	tr.mark(stage, at)
+}
+
+// MarkBytes is Mark for a key spelled in the caller's buffer. The tracer
+// copies the key only when it starts the key's trace, so a caller that
+// marks one packet at several stages spells its key on the stack each
+// time and allocates it once.
+func (t *Tracer) MarkBytes(key []byte, stage string, at time.Time) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	tr, ok := t.traces[string(key)]
+	if !ok {
+		k := string(key)
+		tr = &Trace{Key: k}
+		t.traces[k] = tr
+	}
+	tr.mark(stage, at)
+}
+
+// mark appends stage at at unless the trace already holds it. Called with
+// the tracer's mu held.
+func (tr *Trace) mark(stage string, at time.Time) {
 	for _, s := range tr.Spans {
 		if s.Stage == stage {
 			return

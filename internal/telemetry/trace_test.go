@@ -29,6 +29,26 @@ func TestTracerMarkFirstWins(t *testing.T) {
 	}
 }
 
+// TestMarkBytesCopiesKeyOnce: MarkBytes marks the trace Mark would, copies
+// the key when the trace starts (the caller's buffer is reused), and
+// allocates nothing for a trace that exists.
+func TestMarkBytesCopiesKeyOnce(t *testing.T) {
+	tr := NewTracer()
+	t0 := time.Unix(0, 0)
+	key := []byte("transfer/channel-0/1")
+	tr.MarkBytes(key, StageSend, t0)
+	copy(key, "XXXXXXXX")
+	tr.Mark("transfer/channel-0/1", StageCommit, t0)
+	got, ok := tr.Trace("transfer/channel-0/1")
+	if !ok || len(got.Spans) != 2 {
+		t.Fatalf("trace = %+v, %v: want send and commit under the key first marked", got, ok)
+	}
+	key = []byte("transfer/channel-0/1")
+	if n := testing.AllocsPerRun(100, func() { tr.MarkBytes(key, StageRecv, t0) }); n != 0 {
+		t.Fatalf("MarkBytes on an existing trace: %.0f allocations, want 0", n)
+	}
+}
+
 func TestTracerSnapshotSortedAndIsolated(t *testing.T) {
 	tr := NewTracer()
 	now := time.Unix(0, 0)

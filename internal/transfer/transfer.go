@@ -7,6 +7,7 @@
 package transfer
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -41,8 +42,13 @@ func AckError(reason string) []byte {
 	return raw
 }
 
-// IsSuccessAck reports whether ack is the success acknowledgement.
+// IsSuccessAck reports whether ack is a success acknowledgement: a JSON
+// object with a "result" member. AckSuccess, the one every transfer app
+// writes, is recognised by its bytes before any decoding.
 func IsSuccessAck(ack []byte) bool {
+	if bytes.Equal(ack, AckSuccess) {
+		return true
+	}
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(ack, &m); err != nil {
 		return false
@@ -150,17 +156,25 @@ func (a *App) Debit(account, denom string, amount uint64) error {
 	return a.debit(account, denom, amount)
 }
 
-// voucherPrefix is the denom prefix for tokens that travelled over
-// (port, channel).
-func voucherPrefix(port ibc.PortID, ch ibc.ChannelID) string {
-	return fmt.Sprintf("%s/%s/", port, ch)
+// VoucherPrefix exposes the ICS-20 denom trace prefix for tokens that
+// travelled over (port, channel), "port/channel/" — middleware
+// (forwarding) and tests use it to reconstruct the denom a recv credited.
+func VoucherPrefix(port ibc.PortID, ch ibc.ChannelID) string {
+	return string(port) + "/" + string(ch) + "/"
 }
 
-// VoucherPrefix exposes the ICS-20 denom trace prefix for tokens that
-// travelled over (port, channel) — middleware (forwarding) and tests use
-// it to reconstruct the denom a recv credited.
-func VoucherPrefix(port ibc.PortID, ch ibc.ChannelID) string {
-	return voucherPrefix(port, ch)
+// cutVoucherPrefix reports whether denom starts with VoucherPrefix(port,
+// ch) and returns the rest, checking the prefix piece by piece rather
+// than spelling it.
+func cutVoucherPrefix(denom string, port ibc.PortID, ch ibc.ChannelID) (string, bool) {
+	for _, piece := range [...]string{string(port), "/", string(ch), "/"} {
+		rest, ok := strings.CutPrefix(denom, piece)
+		if !ok {
+			return "", false
+		}
+		denom = rest
+	}
+	return denom, true
 }
 
 // PrepareSend debits/escrows sender funds and returns the packet data to
@@ -172,11 +186,10 @@ func VoucherPrefix(port ibc.PortID, ch ibc.ChannelID) string {
 //   - voucher returning home over the channel it came through: burn here,
 //     the counterparty un-escrows.
 func (a *App) PrepareSend(srcChannel ibc.ChannelID, d *PacketData) error {
-	prefix := voucherPrefix(a.port, srcChannel)
 	if err := a.debit(d.Sender, d.Denom, d.Amount); err != nil {
 		return err
 	}
-	if strings.HasPrefix(d.Denom, prefix) {
+	if _, voucher := cutVoucherPrefix(d.Denom, a.port, srcChannel); voucher {
 		// Voucher going home: burn.
 		a.Burns++
 		return nil
@@ -198,8 +211,7 @@ func (a *App) PrepareSend(srcChannel ibc.ChannelID, d *PacketData) error {
 // stranded and per-channel conservation would break under overload.
 func (a *App) CancelSend(srcChannel ibc.ChannelID, d *PacketData) error {
 	a.Cancels++
-	prefix := voucherPrefix(a.port, srcChannel)
-	if strings.HasPrefix(d.Denom, prefix) {
+	if _, voucher := cutVoucherPrefix(d.Denom, a.port, srcChannel); voucher {
 		// The burned voucher comes back into existence.
 		a.credit(d.Sender, d.Denom, d.Amount)
 		a.Mints++
@@ -232,10 +244,8 @@ func (a *App) OnRecvPacket(p ibc.Packet) ([]byte, error) {
 		return AckError(err.Error()), nil
 	}
 	// Sender-side prefix for the channel the packet travelled through.
-	srcPrefix := voucherPrefix(p.SourcePort, p.SourceChannel)
-	if strings.HasPrefix(d.Denom, srcPrefix) {
+	if home, ok := cutVoucherPrefix(d.Denom, p.SourcePort, p.SourceChannel); ok {
 		// Token returning home: un-escrow the original denom.
-		home := strings.TrimPrefix(d.Denom, srcPrefix)
 		esc := a.escrow[p.DestChannel]
 		if esc == nil || esc[home] < d.Amount {
 			return AckError("transfer: insufficient escrow"), nil
@@ -245,7 +255,7 @@ func (a *App) OnRecvPacket(p ibc.Packet) ([]byte, error) {
 		return AckSuccess, nil
 	}
 	// Foreign token arriving: mint a voucher traced through OUR end.
-	voucher := voucherPrefix(p.DestPort, p.DestChannel) + d.Denom
+	voucher := string(p.DestPort) + "/" + string(p.DestChannel) + "/" + d.Denom
 	a.credit(d.Receiver, voucher, d.Amount)
 	a.Mints++
 	return AckSuccess, nil
@@ -271,8 +281,7 @@ func (a *App) refund(p ibc.Packet) error {
 		return err
 	}
 	a.Refunds++
-	prefix := voucherPrefix(p.SourcePort, p.SourceChannel)
-	if strings.HasPrefix(d.Denom, prefix) {
+	if _, voucher := cutVoucherPrefix(d.Denom, p.SourcePort, p.SourceChannel); voucher {
 		// A burned voucher comes back into existence.
 		a.credit(d.Sender, d.Denom, d.Amount)
 		a.Mints++

@@ -1,6 +1,7 @@
 package transfer
 
 import (
+	"encoding/json"
 	"testing"
 
 	"repro/internal/ibc"
@@ -251,3 +252,89 @@ func TestChanOpenValidation(t *testing.T) {
 		t.Fatal("wrong version accepted")
 	}
 }
+
+// jsonSuccessAck is the acknowledgement rule before IsSuccessAck compared
+// bytes first: a JSON object with a "result" member. It is the oracle the
+// fast path must agree with.
+func jsonSuccessAck(ack []byte) bool {
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(ack, &m); err != nil {
+		return false
+	}
+	_, ok := m["result"]
+	return ok
+}
+
+// FuzzSuccessAck: IsSuccessAck answers every input as the JSON rule does.
+func FuzzSuccessAck(f *testing.F) {
+	for _, seed := range []string{
+		string(AckSuccess),
+		string(AckError("transfer: insufficient escrow")),
+		` {"result":"AQ=="} `,
+		"{\n\t\"result\" : \"AQ==\"\n}",
+		`{"\u0072esult":"AQ=="}`,
+		`{"result":"AQ==","result":"AQ=="}`,
+		`{"error":"x","result":"AQ=="}`,
+		`{"Result":"AQ=="}`,
+		`["result"]`,
+		`"result"`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, ack []byte) {
+		if got, want := IsSuccessAck(ack), jsonSuccessAck(ack); got != want {
+			t.Fatalf("IsSuccessAck(%q) = %v, the JSON rule says %v", ack, got, want)
+		}
+	})
+}
+
+// TestAckAndRecvAllocations pins what an ack check, a send and a recv cost
+// the app: the success ack is recognised without decoding, and a voucher
+// prefix is checked without spelling it. The recv counts are the
+// packet data's JSON decode plus, for a minted voucher, its denom.
+func TestAckAndRecvAllocations(t *testing.T) {
+	app := New("transfer")
+	app.Mint("alice", "SOL", 1<<21)
+	if err := app.PrepareSend("channel-5", &PacketData{Denom: "SOL", Amount: 1 << 20, Sender: "alice", Receiver: "bob"}); err != nil {
+		t.Fatal(err)
+	}
+	foreign := pkt("channel-0", "channel-5", &PacketData{Denom: "ATOM", Amount: 1, Sender: "carol", Receiver: "bob"})
+	home := pkt("channel-0", "channel-5", &PacketData{Denom: "transfer/channel-0/SOL", Amount: 1, Sender: "carol", Receiver: "bob"})
+	errAck := AckError("transfer: insufficient escrow")
+	send := &PacketData{Denom: "SOL", Amount: 1, Sender: "alice", Receiver: "bob"}
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func() bool
+	}{
+		{"IsSuccessAck(AckSuccess)", 0, func() bool { return IsSuccessAck(AckSuccess) }},
+		{"IsSuccessAck(error ack)", errorAckAllocs, func() bool { return !IsSuccessAck(errAck) }},
+		{"PrepareSend(native denom)", 0, func() bool { return app.PrepareSend("channel-5", send) == nil }},
+		{"OnRecvPacket(foreign denom)", recvMintAllocs, func() bool {
+			ack, err := app.OnRecvPacket(foreign)
+			return err == nil && IsSuccessAck(ack)
+		}},
+		{"OnRecvPacket(returning denom)", recvHomeAllocs, func() bool {
+			ack, err := app.OnRecvPacket(home)
+			return err == nil && IsSuccessAck(ack)
+		}},
+	} {
+		ok := true
+		got := testing.AllocsPerRun(100, func() { ok = ok && c.f() })
+		if !ok {
+			t.Fatalf("%s: wrong answer", c.name)
+		}
+		if got != c.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
+// The pinned counts of TestAckAndRecvAllocations.
+const (
+	errorAckAllocs = 9
+	recvMintAllocs = 9
+	recvHomeAllocs = 8
+)
