@@ -101,6 +101,8 @@ lint: lint-deprecated
 # stays retired; a validator goes down only by its netsim node crashing, so
 # the daemon's Stop/Resume switch stays retired; and a fee payout goes to
 # whom the payee resolver names, so the static SetPayee stays retired.
+# cryptoutil keeps no name that only tests call: the hex hash parser and
+# the digest-typed verify wrapper stay retired (Verify takes h[:]).
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -212,16 +214,23 @@ lint-deprecated:
 		echo "retired second paths (misbehaviour: guest.Contract OpSubmitMisbehaviour via the fisherman; outages: netsim Network.Crash/Heal or a CrashWindow; fee payee: Fees.SetPayeeResolver):"; \
 		echo "$$bad"; exit 1; \
 	fi
+	@bad=$$(grep -rnw 'HashFromHex\|VerifyHash' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired test-only cryptoutil names (verify a digest with cryptoutil.Verify(pub, h[:], sig)):"; \
+		echo "$$bad"; exit 1; \
+	fi
 
 # Tier-1 gate: everything must compile, vet clean, pass the test suite, and
 # the concurrency-heavy packages must be race-clean — telemetry (shared
 # mutable state everywhere), relayer and core now that the relayer runs
 # per-channel shards on the scheduler, and trie and ibc, whose Views and
 # read-only stores read the trie's published page tables and cells while
-# the writer reuses freed cells. Full -race stays in `make ci`.
+# the writer reuses freed cells, and cryptoutil, the light clients and the
+# counterparty, whose commits are signed and verified on cryptoutil's
+# worker goroutines. Full -race stays in `make ci`.
 test: build vet
 	$(GO) test ./...
-	$(GO) test -race ./internal/telemetry/... ./internal/relayer/... ./internal/core/... ./internal/trie/... ./internal/ibc/...
+	$(GO) test -race ./internal/telemetry/... ./internal/relayer/... ./internal/core/... ./internal/trie/... ./internal/ibc/... ./internal/cryptoutil/... ./internal/lightclient/... ./internal/counterparty/...
 
 race:
 	$(GO) test -race ./...

@@ -8,8 +8,9 @@ import (
 )
 
 // VerifyTask is one Ed25519 verification request submitted to a
-// BatchVerifier. Msg is the raw signed message; for the common case of
-// signatures over a 32-byte digest use HashTask.
+// BatchVerifier. Msg is the raw signed message; a batch of signatures over
+// 32-byte digests points each Msg into one digest array, and HashTask
+// builds a lone task that owns a copy of its digest.
 type VerifyTask struct {
 	Pub PubKey
 	Msg []byte
@@ -206,14 +207,37 @@ func (v *BatchVerifier) VerifyAll(tasks []VerifyTask) bool {
 // the false entries.
 func (v *BatchVerifier) VerifyEach(tasks []VerifyTask) []bool {
 	results := make([]bool, len(tasks))
-	workers := min(v.workers, len(tasks))
-	if workers <= 1 {
-		for i := range tasks {
-			results[i] = v.Verify(tasks[i])
-		}
-		return results
-	}
+	fanOut(len(tasks), v.workers, func(i int) { results[i] = v.Verify(tasks[i]) })
+	return results
+}
 
+// SignHashEach signs h under every key and returns the signatures in key
+// order, exactly what a sequential SignHash loop returns (Ed25519 is
+// deterministic), computed across GOMAXPROCS workers like the default
+// verifier's.
+func SignHashEach(keys []*PrivKey, h Hash) []Signature {
+	sigs := make([]Signature, len(keys))
+	fanOut(len(keys), runtime.GOMAXPROCS(0), func(i int) { sigs[i] = keys[i].SignHash(h) })
+	return sigs
+}
+
+// fanOut calls f(i) for every i in [0, n) on min(workers, n) goroutines
+// that claim indices from a shared counter, and returns when all calls
+// have. It runs inline when n <= 1 or workers <= 1. The caller only waits:
+// it does not claim indices itself. Running the caller as one of the
+// workers measured slower on a two-core host (benchmark inbound-ladder,
+// 112 → 131 µs per packet in three alternating pairs), most likely because
+// the one goroutine it spawns then sits in its P's runnext slot until
+// another P steals it, so the batch runs on one core for most of its
+// length.
+func fanOut(n, workers int, f func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
@@ -224,13 +248,12 @@ func (v *BatchVerifier) VerifyEach(tasks []VerifyTask) []bool {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
+				if i >= n {
 					return
 				}
-				results[i] = v.Verify(tasks[i])
+				f(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return results
 }

@@ -91,13 +91,13 @@ func TestBatchVerifyAllTable(t *testing.T) {
 			// same verdict, and the same first offender.
 			serialFirst := -1
 			for i, task := range tasks {
-				if !VerifyHash(task.Pub, Hash(task.Msg), task.Sig) {
+				if !Verify(task.Pub, task.Msg, task.Sig) {
 					serialFirst = i
 					break
 				}
 			}
 			if want := serialFirst < 0; want != tc.want {
-				t.Fatalf("sequential VerifyHash disagrees: %v vs %v", want, tc.want)
+				t.Fatalf("sequential Verify disagrees: %v vs %v", want, tc.want)
 			}
 			if got := firstFalse(v.VerifyEach(tasks)); got != serialFirst {
 				t.Fatalf("VerifyEach names task %d, sequential loop task %d", got, serialFirst)
@@ -216,6 +216,29 @@ func TestBatchVerifyConcurrentCallers(t *testing.T) {
 	s := v.Stats()
 	if s.Hits == 0 {
 		t.Fatalf("concurrent warm batches should hit the cache: %+v", s)
+	}
+}
+
+// TestSignHashEachMatchesSequential: the fanned-out signer returns, in key
+// order, exactly the signatures a sequential SignHash loop does.
+func TestSignHashEachMatchesSequential(t *testing.T) {
+	h := HashBytes([]byte("sign-each"))
+	for _, n := range []int{0, 1, 2, 3, 17, 115} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			keys := make([]*PrivKey, n)
+			for i := range keys {
+				keys[i] = GenerateKeyIndexed("sign-each", i)
+			}
+			got := SignHashEach(keys, h)
+			if len(got) != n {
+				t.Fatalf("%d signatures for %d keys", len(got), n)
+			}
+			for i, k := range keys {
+				if want := k.SignHash(h); got[i] != want {
+					t.Fatalf("signature %d differs from the sequential SignHash", i)
+				}
+			}
+		})
 	}
 }
 

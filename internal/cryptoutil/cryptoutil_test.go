@@ -25,16 +25,6 @@ func TestHashHelpers(t *testing.T) {
 
 func TestHexRoundTrip(t *testing.T) {
 	h := HashBytes([]byte("hex"))
-	back, err := HashFromHex(h.Hex())
-	if err != nil || back != h {
-		t.Fatalf("round trip: %v %v", back, err)
-	}
-	if _, err := HashFromHex("zz"); err == nil {
-		t.Fatal("bad hex accepted")
-	}
-	if _, err := HashFromHex("abcd"); err == nil {
-		t.Fatal("short hex accepted")
-	}
 	if h.Short() != h.Hex()[:8] {
 		t.Fatal("Short mismatch")
 	}
@@ -71,7 +61,7 @@ func TestSignVerify(t *testing.T) {
 	}
 	h := HashBytes(msg)
 	hs := k.SignHash(h)
-	if !VerifyHash(k.Public(), h, hs) {
+	if !Verify(k.Public(), h[:], hs) {
 		t.Fatal("hash signature rejected")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 )
 
 // HashSize is the size of a Hash in bytes.
@@ -77,17 +76,3 @@ func (h Hash) Short() string { return h.Hex()[:8] }
 
 // String implements fmt.Stringer.
 func (h Hash) String() string { return h.Hex() }
-
-// HashFromHex parses a 64-character hex string into a Hash.
-func HashFromHex(s string) (Hash, error) {
-	var h Hash
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return h, fmt.Errorf("cryptoutil: invalid hex hash: %w", err)
-	}
-	if len(b) != HashSize {
-		return h, fmt.Errorf("cryptoutil: hash must be %d bytes, got %d", HashSize, len(b))
-	}
-	copy(h[:], b)
-	return h, nil
-}

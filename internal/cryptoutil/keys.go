@@ -56,11 +56,6 @@ func Verify(pub PubKey, msg []byte, sig Signature) bool {
 	return ed25519.Verify(pub[:], msg, sig[:])
 }
 
-// VerifyHash reports whether sig is a valid signature of h under pub.
-func VerifyHash(pub PubKey, h Hash, sig Signature) bool {
-	return Verify(pub, h[:], sig)
-}
-
 // IsZero reports whether the public key is all zeroes.
 func (p PubKey) IsZero() bool { return p == PubKey{} }
 

@@ -95,9 +95,12 @@ func (f *Fisherman) Poll() error {
 	if err != nil {
 		return err
 	}
+	// One digest array for the batch, not one allocation per task.
+	digests := make([]cryptoutil.Hash, len(obs))
 	tasks := make([]cryptoutil.VerifyTask, len(obs))
 	for i, o := range obs {
-		tasks[i] = cryptoutil.HashTask(o.PubKey, guestblock.SigningPayloadForHash(o.BlockHash), o.Signature)
+		digests[i] = guestblock.SigningPayloadForHash(o.BlockHash)
+		tasks[i] = cryptoutil.VerifyTask{Pub: o.PubKey, Msg: digests[i][:], Sig: o.Signature}
 	}
 	valid := cryptoutil.DefaultBatchVerifier().VerifyEach(tasks)
 	for i, o := range obs {

@@ -312,7 +312,7 @@ func (sb *SignedBlock) VerifyQuorumWith(epoch *Epoch, verifier *cryptoutil.Batch
 			return fmt.Errorf("guestblock: signer %s not in epoch", s.PubKey.Short())
 		}
 		stake += vstake
-		tasks = append(tasks, cryptoutil.HashTask(s.PubKey, payload, s.Signature))
+		tasks = append(tasks, cryptoutil.VerifyTask{Pub: s.PubKey, Msg: payload[:], Sig: s.Signature})
 	}
 	if stake < epoch.QuorumStake {
 		return fmt.Errorf("guestblock: stake %d below quorum %d", stake, epoch.QuorumStake)

@@ -245,9 +245,12 @@ func (c *Client) verifyCommit(u *Update, check SigChecker) error {
 		}
 		return nil
 	}
+	// One digest array for the batch, not one allocation per task.
+	digests := make([]cryptoutil.Hash, len(u.Commit))
 	tasks := make([]cryptoutil.VerifyTask, len(u.Commit))
 	for i, sig := range u.Commit {
-		tasks[i] = cryptoutil.HashTask(sig.PubKey, VotePayload(headerHash, sig.Timestamp), sig.Signature)
+		digests[i] = VotePayload(headerHash, sig.Timestamp)
+		tasks[i] = cryptoutil.VerifyTask{Pub: sig.PubKey, Msg: digests[i][:], Sig: sig.Signature}
 	}
 	for i, ok := range cryptoutil.DefaultBatchVerifier().VerifyEach(tasks) {
 		if !ok {

@@ -341,3 +341,42 @@ func TestUpdateSizeScalesWithValidators(t *testing.T) {
 		t.Fatalf("update sizes: %d (10 vals) vs %d (100 vals); expected ~10x growth", len(us), len(ul))
 	}
 }
+
+// TestUpdateVerifiedAllocsFlatInSigners pins the batch's one digest array:
+// verifying a 24-signature commit allocates no more than a 4-signature one.
+// The shared cache is warmed first, so its own insertions do not count.
+func TestUpdateVerifiedAllocsFlatInSigners(t *testing.T) {
+	allocs := func(n int) float64 {
+		const runs = 20
+		c := newNamedTestChain(t, "tm-allocs", n)
+		anchor := c.header(cryptoutil.ZeroHash)
+		updates := make([]*Update, runs+1) // AllocsPerRun adds a warm-up run
+		for i := range updates {
+			updates[i] = c.update(c.header(cryptoutil.HashUint64('r', uint64(i))), n)
+		}
+		newClient := func() *Client {
+			client, err := NewClient(c.chainID, anchor, c.valset)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return client
+		}
+		warm := newClient()
+		for _, u := range updates {
+			if err := warm.UpdateVerified(u, c.now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client, next := newClient(), 0
+		return testing.AllocsPerRun(runs, func() {
+			if err := client.UpdateVerified(updates[next], c.now); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	small, large := allocs(4), allocs(24)
+	if large > small {
+		t.Fatalf("UpdateVerified: %.0f allocations for 24 signatures, %.0f for 4; want no growth", large, small)
+	}
+}

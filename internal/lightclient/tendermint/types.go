@@ -269,16 +269,13 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 
 // SignCommit produces a commit for a header from the given keys, in set
 // order (ascending public key) whatever order the keys come in
-// (test/simulation helper used by the counterparty chain).
+// (test/simulation helper used by the counterparty chain). The keys sign
+// the one vote payload across cryptoutil's workers.
 func SignCommit(h *Header, keys []*cryptoutil.PrivKey, ts time.Time) []CommitSig {
-	payload := VotePayload(h.Hash(), ts)
-	out := make([]CommitSig, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, CommitSig{
-			PubKey:    k.Public(),
-			Timestamp: ts,
-			Signature: k.SignHash(payload),
-		})
+	sigs := cryptoutil.SignHashEach(keys, VotePayload(h.Hash(), ts))
+	out := make([]CommitSig, len(keys))
+	for i, k := range keys {
+		out[i] = CommitSig{PubKey: k.Public(), Timestamp: ts, Signature: sigs[i]}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PubKey.Compare(out[j].PubKey) < 0 })
 	return out

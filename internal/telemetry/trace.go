@@ -75,7 +75,7 @@ func (t *Tracer) Mark(key, stage string, at time.Time) {
 	defer t.mu.Unlock()
 	tr, ok := t.traces[key]
 	if !ok {
-		tr = &Trace{Key: key}
+		tr = newTrace(key)
 		t.traces[key] = tr
 	}
 	tr.mark(stage, at)
@@ -94,10 +94,21 @@ func (t *Tracer) MarkBytes(key []byte, stage string, at time.Time) {
 	tr, ok := t.traces[string(key)]
 	if !ok {
 		k := string(key)
-		tr = &Trace{Key: k}
+		tr = newTrace(k)
 		t.traces[k] = tr
 	}
 	tr.mark(stage, at)
+}
+
+// lifecycleStages is the span count of a packet that completes normally
+// (send through ack); a timed-out packet has no more.
+const lifecycleStages = 6
+
+// newTrace starts key's trace with room for every lifecycle stage, so its
+// span list is allocated once rather than grown at the second, third and
+// fifth mark.
+func newTrace(key string) *Trace {
+	return &Trace{Key: key, Spans: make([]Span, 0, lifecycleStages)}
 }
 
 // mark appends stage at at unless the trace already holds it. Called with

@@ -106,3 +106,23 @@ func TestTracerConcurrentMarks(t *testing.T) {
 		t.Fatalf("spans = %d, want exactly 2 despite 1600 marks", len(got.Spans))
 	}
 }
+
+// TestTraceSpansSizedAtStart: a new trace holds all six lifecycle stages
+// without growing its span list, so marking them costs the same fixed
+// allocations as marking the first.
+func TestTraceSpansSizedAtStart(t *testing.T) {
+	t0 := time.Unix(0, 0)
+	markNew := func(stages ...string) float64 {
+		return testing.AllocsPerRun(100, func() {
+			tr := NewTracer()
+			for _, stage := range stages {
+				tr.Mark("transfer/channel-0/1", stage, t0)
+			}
+		})
+	}
+	first := markNew(StageSend)
+	all := markNew(StageSend, StageCommit, StageFinalise, StagePickup, StageRecv, StageAck)
+	if all != first {
+		t.Fatalf("marking six stages of a new trace: %.0f allocations, one stage: %.0f; want equal", all, first)
+	}
+}

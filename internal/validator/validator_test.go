@@ -180,7 +180,7 @@ func TestForgedSignatureHelper(t *testing.T) {
 	forged := cryptoutil.HashBytes([]byte("bad block"))
 	sig := e.daemons[0].PublishForgedSignature(42, forged)
 	payload := guestblock.SigningPayloadForHash(forged)
-	if !cryptoutil.VerifyHash(sig.PubKey, payload, sig.Signature) {
+	if !cryptoutil.Verify(sig.PubKey, payload[:], sig.Signature) {
 		t.Fatal("forged signature does not verify (fisherman could not use it)")
 	}
 }
