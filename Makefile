@@ -103,6 +103,13 @@ lint: lint-deprecated
 # whom the payee resolver names, so the static SetPayee stays retired.
 # cryptoutil keeps no name that only tests call: the hex hash parser and
 # the digest-typed verify wrapper stay retired (Verify takes h[:]).
+# Every exported name under internal/ has a non-test reader or a row in
+# exportReaders (readers_test.go TestEveryExportHasAReader). The names only
+# tests read stay retired: the profile-taking tx builder (a builder sizes
+# for the host its contract is deployed on), the state-account resize and
+# the mempool headroom read, the trie's per-version root lookup, the
+# Tendermint client's root lookup and the store's recovered height
+# (AtHeight serves every recovered height).
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -217,6 +224,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'HashFromHex\|VerifyHash' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired test-only cryptoutil names (verify a digest with cryptoutil.Verify(pub, h[:], sig)):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'NewTxBuilderForProfile\|ResizeStateAccount\|MempoolFree\|VersionRoot\|ConsensusRoot\|RecoveredHeight' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired test-only names (guest.NewTxBuilder sizes for the contract's host; ibc.Store.AtHeight serves recovered heights; see TestEveryExportHasAReader):"; \
 		echo "$$bad"; exit 1; \
 	fi
 
@@ -358,7 +370,9 @@ api-update:
 	$(GO) run ./cmd/apidump internal/ibc internal/middleware internal/routing internal/nodestore > api/ibc.txt
 
 # The pre-merge gate: vet + lint (gofmt, the retired-API grep), the
-# whole suite under the race detector, the coverage summary, the
+# whole suite under the race detector (the reader gates among it:
+# TestEveryMetricHasAReader, TestEveryEventHasAReader and
+# TestEveryExportHasAReader), the coverage summary, the
 # figure-drift check, the exported-API stability check, the scenario and
 # example smoke runs, and five seconds of each of the fifteen fuzz targets.
 ci: vet lint race cover verify-figs api-check scenario-smoke examples-smoke fuzz-smoke

@@ -18,19 +18,30 @@ package repro
 //	§V-D     10 MiB account: >72k pairs, ≈ $14.6k deposit
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
 )
 
+// sharedOnce runs one default deployment for the whole suite: the
+// simulation is deterministic, so every figure bench reads the same run.
+var (
+	sharedOnce sync.Once
+	sharedDep  *experiments.Deployment
+	sharedErr  error
+)
+
 func mustShared(b *testing.B) *experiments.Deployment {
 	b.Helper()
-	dep, err := experiments.Shared()
-	if err != nil {
-		b.Fatal(err)
+	sharedOnce.Do(func() {
+		sharedDep, sharedErr = experiments.Run(experiments.DefaultConfig())
+	})
+	if sharedErr != nil {
+		b.Fatal(sharedErr)
 	}
-	return dep
+	return sharedDep
 }
 
 func BenchmarkFig2SendPacketDelay(b *testing.B) {

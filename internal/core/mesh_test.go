@@ -270,9 +270,6 @@ func TestMeshRelayerNamespacesNeverCollide(t *testing.T) {
 func TestMeshStaticDefaultNeverObservesView(t *testing.T) {
 	n := meshNetwork(t, Config{Behaviours: fastFleet(4), Seed: 11, Mesh: lineMesh()})
 	n.Run(10 * time.Minute)
-	if got := n.Mesh.View.Recomputes(); got != 0 {
-		t.Fatalf("static view recomputed %d times", got)
-	}
 	if got := len(n.Mesh.View.Paths("guest", "c")); got != 1 {
 		t.Fatalf("static view keeps %d guest->c paths, want 1", got)
 	}

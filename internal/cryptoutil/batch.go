@@ -1,7 +1,6 @@
 package cryptoutil
 
 import (
-	"container/list"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,19 +35,67 @@ func (t *VerifyTask) cacheKey() Hash {
 // sigCache is a mutex-protected bounded LRU of verification results. Only
 // *valid* triples are stored: signature verification is a pure function, so
 // a cached entry can never go stale, and refusing to cache failures keeps an
-// attacker from churning the cache with garbage signatures.
+// attacker from churning the cache with garbage signatures. The recency
+// list is intrusive: entries link by index into one slice sized to cap, and
+// a full cache reuses its least recently used entry for the new key, so
+// adding a key allocates nothing.
 type sigCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used; values are Hash keys
-	m   map[Hash]*list.Element
+	mu         sync.Mutex
+	cap        int
+	entries    []lruEntry
+	head, tail int32 // most and least recently used entry; -1 when empty
+	m          map[Hash]int32
+}
+
+// lruEntry is one cached key and its neighbours in recency order (-1 past
+// either end).
+type lruEntry struct {
+	key        Hash
+	prev, next int32
 }
 
 func newSigCache(capacity int) *sigCache {
 	return &sigCache{
-		cap: capacity,
-		ll:  list.New(),
-		m:   make(map[Hash]*list.Element, capacity),
+		cap:     capacity,
+		entries: make([]lruEntry, 0, capacity),
+		head:    -1,
+		tail:    -1,
+		m:       make(map[Hash]int32, capacity),
+	}
+}
+
+// unlink takes entry i out of the recency list.
+func (c *sigCache) unlink(i int32) {
+	e := &c.entries[i]
+	if e.prev >= 0 {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+// pushFront links entry i in as the most recently used.
+func (c *sigCache) pushFront(i int32) {
+	e := &c.entries[i]
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.entries[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
+}
+
+// promote makes entry i the most recently used.
+func (c *sigCache) promote(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
 }
 
@@ -56,9 +103,9 @@ func newSigCache(capacity int) *sigCache {
 func (c *sigCache) contains(key Hash) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
+	i, ok := c.m[key]
 	if ok {
-		c.ll.MoveToFront(el)
+		c.promote(i)
 	}
 	return ok
 }
@@ -67,22 +114,27 @@ func (c *sigCache) contains(key Hash) bool {
 func (c *sigCache) add(key Hash) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
+	if i, ok := c.m[key]; ok {
+		c.promote(i)
 		return
 	}
-	for c.ll.Len() >= c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(Hash))
+	i := int32(len(c.entries))
+	if len(c.entries) < c.cap {
+		c.entries = append(c.entries, lruEntry{key: key})
+	} else {
+		i = c.tail
+		c.unlink(i)
+		delete(c.m, c.entries[i].key)
+		c.entries[i].key = key
 	}
-	c.m[key] = c.ll.PushFront(key)
+	c.pushFront(i)
+	c.m[key] = i
 }
 
 func (c *sigCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.entries)
 }
 
 // BatchVerifier verifies sets of Ed25519 signatures across a sized worker

@@ -6,12 +6,10 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -237,23 +235,4 @@ func (d *Deployment) collect() {
 
 	// Fig. 6: guest block intervals.
 	d.BlockIntervals = snap.HistogramSamples("guest.block.interval_s")
-}
-
-// sharedRun caches one default deployment for the benchmark suite: the
-// simulation is deterministic, so every figure bench reads the same run.
-var (
-	sharedOnce sync.Once
-	sharedDep  *Deployment
-	sharedErr  error
-)
-
-// Shared returns the cached default deployment run.
-func Shared() (*Deployment, error) {
-	sharedOnce.Do(func() {
-		sharedDep, sharedErr = Run(DefaultConfig())
-	})
-	if sharedErr != nil {
-		return nil, fmt.Errorf("experiments: shared deployment: %w", sharedErr)
-	}
-	return sharedDep, nil
 }

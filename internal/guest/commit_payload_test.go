@@ -146,7 +146,7 @@ func settleBomb[P packetPayload](marshal func(...P) []byte, payload func(seq uin
 // decodes back to the same payloads — an ack or timeout batch may re-encode
 // shorter, since the encoder shares the longest tail it can.
 func FuzzCommitPayloadDecode(f *testing.F) {
-	b := NewTxBuilder(&Contract{}, cryptoutil.GenerateKey("fuzz-relayer").Public())
+	b := NewTxBuilder(&Contract{profile: host.SolanaProfile()}, cryptoutil.GenerateKey("fuzz-relayer").Public())
 	p := payload(3, 1500)
 	p.Packet.TimeoutHeight = 42
 	p.Packet.TimeoutTimestamp = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)

@@ -27,6 +27,9 @@ func payloadForHash(h cryptoutil.Hash) cryptoutil.Hash {
 type Contract struct {
 	programID host.ProgramID
 	stateKey  cryptoutil.PubKey
+	// profile is the host's, recorded at deployment: a TxBuilder sizes
+	// chunked uploads and batch commits to it.
+	profile host.Profile
 }
 
 var _ host.Program = (*Contract)(nil)
@@ -72,6 +75,7 @@ func Deploy(chain *host.Chain, cfg Config) (*Contract, host.Lamports, error) {
 	c := &Contract{
 		programID: cryptoutil.GenerateKey("guest-contract-program").Public(),
 		stateKey:  cryptoutil.GenerateKey("guest-contract-state").Public(),
+		profile:   chain.Profile(),
 	}
 
 	store, err := ibc.NewStoreWithBackend(cfg.NodeStore, trie.WithCapacityBytes(cfg.Params.StateSize))
@@ -140,9 +144,6 @@ func Deploy(chain *host.Chain, cfg Config) (*Contract, host.Lamports, error) {
 
 // ID implements host.Program.
 func (c *Contract) ID() host.ProgramID { return c.programID }
-
-// StateKey returns the contract's state account address.
-func (c *Contract) StateKey() cryptoutil.PubKey { return c.stateKey }
 
 // State fetches the live contract state from the chain (off-chain read
 // API, the RPC analogue).
@@ -268,14 +269,20 @@ func (c *Contract) sendPacket(ctx *host.ExecContext, st *State, r *wire.Reader) 
 	}
 	st.TotalFeesCollected += st.Params.PacketFee
 
-	// Sends thread the port's middleware stack (fees, callbacks, ...)
-	// before the core handler commits the packet.
-	p, err := st.Handler.AppSendPacket(a.Port, a.Channel, a.Data, a.TimeoutHeight, a.TimeoutTimestamp)
+	_, err = st.sendPacket(a.Port, a.Channel, a.Data, a.TimeoutHeight, a.TimeoutTimestamp)
+	return err
+}
+
+// sendPacket is the guest's one chain-level send: the packet threads the
+// port's middleware stack (fees, callbacks, ...) before the core handler
+// commits it, then joins the next guest block's pending list.
+func (s *State) sendPacket(port ibc.PortID, ch ibc.ChannelID, data []byte, th ibc.Height, tt time.Time) (*ibc.Packet, error) {
+	p, err := s.Handler.AppSendPacket(port, ch, data, th, tt)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	st.PendingPackets = append(st.PendingPackets, p)
-	return nil
+	s.PendingPackets = append(s.PendingPackets, p)
+	return p, nil
 }
 
 // PacketSender returns the guest blockchain's chain-level send entry
@@ -300,12 +307,7 @@ type GuestPacketSender struct {
 
 // SendPacket implements ibc.PacketSender.
 func (g *GuestPacketSender) SendPacket(port ibc.PortID, ch ibc.ChannelID, data []byte, th ibc.Height, tt time.Time) (*ibc.Packet, error) {
-	p, err := g.st.Handler.AppSendPacket(port, ch, data, th, tt)
-	if err != nil {
-		return nil, err
-	}
-	g.st.PendingPackets = append(g.st.PendingPackets, p)
-	return p, nil
+	return g.st.sendPacket(port, ch, data, th, tt)
 }
 
 // generateBlock implements Alg. 1 GenerateBlock.

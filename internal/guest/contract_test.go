@@ -28,8 +28,14 @@ type env struct {
 
 func newEnv(t *testing.T, validators int) *env {
 	t.Helper()
+	return newEnvOn(t, validators, host.SolanaProfile())
+}
+
+// newEnvOn is newEnv on a host with profile p.
+func newEnvOn(t *testing.T, validators int, p host.Profile) *env {
+	t.Helper()
 	clock := host.NewManualClock(time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC))
-	chain := host.NewChain(clock)
+	chain := host.NewChainWithProfile(clock, p)
 	payer := cryptoutil.GenerateKey("env-payer").Public()
 	chain.Fund(payer, 1_000_000*host.LamportsPerSOL)
 
@@ -136,7 +142,7 @@ func TestDeployCreatesGenesis(t *testing.T) {
 		t.Fatalf("epoch: %+v", st.CurrentEpoch)
 	}
 	// Genesis stakes escrowed into the contract account.
-	if bal := e.chain.Balance(e.contract.StateKey()); bal < 400*host.LamportsPerSOL {
+	if bal := e.chain.Balance(e.contract.stateKey); bal < 400*host.LamportsPerSOL {
 		t.Fatalf("contract balance %d missing escrowed stakes", bal)
 	}
 }

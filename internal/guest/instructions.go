@@ -341,7 +341,7 @@ func sharedTail(prev, proof []byte) int {
 // proof[:len(proof)-n]: n is the number of trailing bytes the proof shares
 // with the whole proof of the payload before it. Proof bytes are opaque
 // here; the format pays off because a trie.Proof, which is its own
-// encoding (trie.Proof.MarshalBinary returns it as it is), holds its items
+// encoding ([]byte(p) is the wire form), holds its items
 // deepest first, so two neighbouring leaves proven at one root agree
 // in everything but the first item or two, and a caller that passes
 // payloads in sequence order (the relayer does) stages each shared upper

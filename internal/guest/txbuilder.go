@@ -22,24 +22,15 @@ type TxBuilder struct {
 	PriorityFee host.Lamports
 	BundleTip   host.Lamports
 
-	// Profile is the host profile chunked uploads are sized for
-	// (Solana by default; §VI-D hosts with roomier transactions need
-	// far fewer chunks).
-	Profile host.Profile
-
 	nextBuffer uint64
 }
 
-// NewTxBuilder returns a builder paying fees from payer, sized for the
-// Solana profile.
+// NewTxBuilder returns a builder paying fees from payer. Chunked uploads
+// and batch commits are sized for the profile of the host the contract is
+// deployed on (§VI-D hosts with roomier transactions need far fewer
+// chunks).
 func NewTxBuilder(contract *Contract, payer cryptoutil.PubKey) *TxBuilder {
-	return &TxBuilder{contract: contract, payer: payer, Profile: host.SolanaProfile()}
-}
-
-// NewTxBuilderForProfile returns a builder sized for a custom host
-// profile.
-func NewTxBuilderForProfile(contract *Contract, payer cryptoutil.PubKey, p host.Profile) *TxBuilder {
-	return &TxBuilder{contract: contract, payer: payer, Profile: p}
+	return &TxBuilder{contract: contract, payer: payer}
 }
 
 func (b *TxBuilder) tx(label string, data []byte) *host.Transaction {
@@ -139,10 +130,10 @@ const (
 )
 
 // chunkDataCapacity returns how many payload bytes fit in a chunk
-// transaction carrying nClaims signature claims under the builder's host
+// transaction carrying nClaims signature claims under the contract's host
 // profile.
 func (b *TxBuilder) chunkDataCapacity(nClaims int) int {
-	room := b.Profile.MaxInstructionData(1, 1) - chunkEnvelope - nClaims*claimDataBytes
+	room := b.contract.profile.MaxInstructionData(1, 1) - chunkEnvelope - nClaims*claimDataBytes
 	// Each claim also adds a precompile entry to the transaction itself.
 	room -= nClaims * claimEntryBytes
 	if room < 0 {
@@ -155,8 +146,8 @@ func (b *TxBuilder) chunkDataCapacity(nClaims int) int {
 // roomy profiles take every claim the signature limit allows, the Solana
 // profile only a handful.
 func (b *TxBuilder) maxClaims() int {
-	if b.Profile.MaxTransactionSize > 8*host.MaxTransactionSize {
-		return b.Profile.MaxSignatures - 1
+	if p := b.contract.profile; p.MaxTransactionSize > 8*host.MaxTransactionSize {
+		return p.MaxSignatures - 1
 	}
 	return maxClaimsPerChunk
 }
@@ -262,7 +253,7 @@ func (b *TxBuilder) RecvPacketTxs(ps ...*RecvPayload) []*host.Transaction {
 
 // RecvBatchLen returns how many payloads from the front of ps one
 // RecvPacketTxs call may carry to st's contract: the contract's batch rule
-// (batchLen) held to half of Profile.MaxComputeUnits, which leaves the
+// (batchLen) held to half of the host's MaxComputeUnits, which leaves the
 // commit headroom for a budget declared after the job was cut. The rule
 // reads the payloads with their proofs whole, as the commit will hold them,
 // not the fewer bytes RecvPacketTxs stages: sharing proof tails saves chunk
@@ -298,7 +289,7 @@ func (b *TxBuilder) TimeoutBatchLen(ps []*TimeoutPayload, st *State) int {
 // batchUnits is the compute a job's commit is cut to: half the profile's
 // limit, less the instruction's base charge.
 func (b *TxBuilder) batchUnits() uint64 {
-	return b.Profile.MaxComputeUnits/2 - host.CUBaseInstruction
+	return b.contract.profile.MaxComputeUnits/2 - host.CUBaseInstruction
 }
 
 // CloseBufferTx builds the transaction that drops the staging buffer an

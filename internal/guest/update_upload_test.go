@@ -60,7 +60,7 @@ func TestUpdateClientPrefixCostsNothing(t *testing.T) {
 	keys := tendermintKeys(t, 115)
 	payer := cryptoutil.GenerateKey("upload-relayer").Public()
 	for _, profile := range []host.Profile{host.SolanaProfile(), host.NEARLikeProfile(), host.TRONLikeProfile()} {
-		b := NewTxBuilderForProfile(&Contract{}, payer, profile)
+		b := NewTxBuilder(&Contract{profile: profile}, payer)
 		largest := 0
 		for n := 1; n <= len(keys); n++ {
 			full, _ := testUpdate(keys, n, n)
@@ -100,6 +100,69 @@ func TestUpdateClientPrefixCostsNothing(t *testing.T) {
 		}
 		if solana := profile.Name == host.SolanaProfile().Name; solana != (largest > 0) {
 			t.Errorf("%s: the largest set stages %d chunks ahead", profile.Name, largest)
+		}
+	}
+}
+
+// TestTxBuilderSizesForItsHost: a builder for a contract deployed on a
+// host sizes its uploads and batches to that host's profile. An update's
+// first chunk carries as many claims as the host's signature limit allows
+// and fills the host's instruction room, and a recv batch is cut to half
+// the host's compute limit: on the roomy §VI-D hosts, fewer transactions
+// and longer batches than on Solana.
+func TestTxBuilderSizesForItsHost(t *testing.T) {
+	keys := tendermintKeys(t, 24)
+	u, sigs := testUpdate(keys, 24, 17)
+	update := u.Marshal()
+	const budget = 2_000_000 // a hook's declared compute, per packet
+	ps := payloads(100, 32)
+	solanaUnits := host.SolanaProfile().MaxComputeUnits/2 - host.CUBaseInstruction
+	var solanaTxs int
+	for _, p := range []host.Profile{host.SolanaProfile(), host.NEARLikeProfile(), host.TRONLikeProfile()} {
+		e := newEnvOn(t, 2, p)
+		st := e.state()
+		st.BeginDirect(e.clock.Now(), uint64(e.chain.Slot()))
+		if err := st.Handler.BindPort("transfer", &hookedModule{st: st, budget: budget}); err != nil {
+			t.Fatal(err)
+		}
+		b := NewTxBuilder(e.contract, e.payer)
+
+		txs := b.UpdateClientTxs("07-tendermint-0", update, sigs)
+		claims := maxClaimsPerChunk
+		if p.MaxTransactionSize > 8*host.MaxTransactionSize {
+			claims = p.MaxSignatures - 1
+		}
+		claims = min(claims, len(sigs))
+		room := p.MaxInstructionData(1, 1) - chunkEnvelope - claims*(claimDataBytes+claimEntryBytes)
+		if got := len(txs[0].PrecompileSigs); got != claims {
+			t.Errorf("%s: the first chunk carries %d claims, want %d", p.Name, got, claims)
+		}
+		if got, want := len(staged(t, txs[:2])), min(room, len(update)); got != want {
+			t.Errorf("%s: the first chunk stages %d bytes, want %d", p.Name, got, want)
+		}
+		if !bytes.Equal(staged(t, txs), update) {
+			t.Errorf("%s: the upload does not stage the update", p.Name)
+		}
+		for _, tx := range txs {
+			if err := tx.Validate(p); err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+		}
+
+		units := p.MaxComputeUnits/2 - host.CUBaseInstruction
+		got := b.RecvBatchLen(ps, st)
+		if want := batchLen(units, ps, st); got != want {
+			t.Errorf("%s: RecvBatchLen = %d, want %d (half the host's %d compute units)", p.Name, got, want, p.MaxComputeUnits)
+		}
+		if p.Name == host.SolanaProfile().Name {
+			solanaTxs = len(txs)
+			continue
+		}
+		if solana := batchLen(solanaUnits, ps, st); got <= solana {
+			t.Errorf("%s: RecvBatchLen = %d, no more than Solana's %d", p.Name, got, solana)
+		}
+		if len(txs) >= solanaTxs {
+			t.Errorf("%s: the update takes %d transactions, Solana %d", p.Name, len(txs), solanaTxs)
 		}
 	}
 }

@@ -38,12 +38,6 @@ func (a *Account) Size() int {
 	return len(a.Data)
 }
 
-// RentExempt reports whether the account holds at least the rent-exempt
-// minimum for its size.
-func (a *Account) RentExempt() bool {
-	return a.Lamports >= RentExemptBalance(a.Size())
-}
-
 // validateSize checks the account size limit.
 func (a *Account) validateSize() error {
 	if a.Size() > MaxAccountSize {

@@ -15,9 +15,6 @@ func TestMempoolLimitRejects(t *testing.T) {
 	c.SetTelemetry(reg)
 	c.SetMempoolLimit(2)
 
-	if free := c.MempoolFree(); free != 2 {
-		t.Fatalf("MempoolFree = %d, want 2", free)
-	}
 	for i := 0; i < 2; i++ {
 		tx := call(prog, payer, 1)
 		tx.PriorityFee = Lamports(i) // distinct hashes
@@ -25,8 +22,8 @@ func TestMempoolLimitRejects(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if free := c.MempoolFree(); free != 0 {
-		t.Fatalf("MempoolFree = %d, want 0", free)
+	if n := len(c.mempool); n != 2 {
+		t.Fatalf("mempool holds %d, want 2", n)
 	}
 	over := call(prog, payer, 1)
 	over.PriorityFee = 99
@@ -42,8 +39,8 @@ func TestMempoolLimitRejects(t *testing.T) {
 	if len(b.Results) != 2 {
 		t.Fatalf("block results = %d, want 2", len(b.Results))
 	}
-	if free := c.MempoolFree(); free != 2 {
-		t.Fatalf("MempoolFree after block = %d, want 2", free)
+	if n := len(c.mempool); n != 0 {
+		t.Fatalf("mempool holds %d after the block, want 0", n)
 	}
 	if err := c.Submit(over); err != nil {
 		t.Fatalf("submit after drain: %v", err)
@@ -52,9 +49,6 @@ func TestMempoolLimitRejects(t *testing.T) {
 
 func TestMempoolUnlimitedByDefault(t *testing.T) {
 	c, _, prog, payer := newTestChain(t)
-	if free := c.MempoolFree(); free != -1 {
-		t.Fatalf("MempoolFree = %d, want -1 (unlimited)", free)
-	}
 	for i := 0; i < 64; i++ {
 		tx := call(prog, payer, 1)
 		tx.PriorityFee = Lamports(i)

@@ -195,21 +195,6 @@ func (c *Chain) SetMempoolLimit(n int) {
 	c.mempoolLimit = n
 }
 
-// MempoolFree returns how many more transactions the mempool admits before
-// Submit starts rejecting, or -1 when the mempool is unlimited.
-func (c *Chain) MempoolFree() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.mempoolLimit <= 0 {
-		return -1
-	}
-	free := c.mempoolLimit - len(c.mempool)
-	if free < 0 {
-		free = 0
-	}
-	return free
-}
-
 // SetSubmitHook registers a callback fired after each successful Submit.
 func (c *Chain) SetSubmitHook(fn func()) {
 	c.mu.Lock()
@@ -274,38 +259,6 @@ func (c *Chain) CreateStateAccount(payer, key cryptoutil.PubKey, owner ProgramID
 	acc.Lamports = deposit
 	c.accounts[key] = acc
 	return deposit, nil
-}
-
-// ResizeStateAccount changes a state account's declared size, settling the
-// rent-exempt deposit difference with the payer (deposit is recoverable
-// when the account shrinks, as §V-D notes).
-func (c *Chain) ResizeStateAccount(payer, key cryptoutil.PubKey, newSize int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	acc, ok := c.accounts[key]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownAccount, key.Short())
-	}
-	if newSize > MaxAccountSize {
-		return ErrAccountTooLarge
-	}
-	oldDep := RentExemptBalance(acc.Size())
-	newDep := RentExemptBalance(newSize)
-	p := c.getOrCreateAccount(payer)
-	if newDep > oldDep {
-		diff := newDep - oldDep
-		if p.Lamports < diff {
-			return fmt.Errorf("%w: need %d more lamports", ErrInsufficientFunds, diff)
-		}
-		p.Lamports -= diff
-		acc.Lamports += diff
-	} else {
-		diff := oldDep - newDep
-		acc.Lamports -= diff
-		p.Lamports += diff
-	}
-	acc.DataSize = newSize
-	return nil
 }
 
 // StateOf returns the native state object of a program account.

@@ -233,21 +233,6 @@ func TestCreateStateAccountRequiresDeposit(t *testing.T) {
 	}
 }
 
-func TestResizeRecoverDeposit(t *testing.T) {
-	c, _, prog, payer := newTestChain(t)
-	before := c.Balance(payer)
-	// Grow to 1 MiB, then shrink back; the deposit must round-trip.
-	must(t, c.ResizeStateAccount(payer, prog.account, 1024*1024))
-	mid := c.Balance(payer)
-	if mid >= before {
-		t.Fatal("growing did not take a deposit")
-	}
-	must(t, c.ResizeStateAccount(payer, prog.account, 1024))
-	if c.Balance(payer) != before {
-		t.Fatalf("deposit not recovered: before=%d after=%d", before, c.Balance(payer))
-	}
-}
-
 func TestEventsAndPolling(t *testing.T) {
 	c, clock, prog, payer := newTestChain(t)
 	r := c.NewReader()
@@ -485,14 +470,6 @@ func TestAccountRent(t *testing.T) {
 	a.DataSize = 5000 // declared size wins
 	if a.Size() != 5000 {
 		t.Fatalf("declared size = %d", a.Size())
-	}
-	a.Lamports = RentExemptBalance(5000) - 1
-	if a.RentExempt() {
-		t.Fatal("below minimum counted as exempt")
-	}
-	a.Lamports++
-	if !a.RentExempt() {
-		t.Fatal("exact minimum not exempt")
 	}
 	a.DataSize = MaxAccountSize + 1
 	if err := a.validateSize(); !errors.Is(err, ErrAccountTooLarge) {

@@ -53,16 +53,11 @@ func NewStoreWithBackend(b nodestore.Store, opts ...trie.Option) (*Store, error)
 		s.indexLocked(rr.Height, trie.Version(rr.Version))
 	}
 	s.evicted = len(s.heights) // every recovered version starts evicted
-	s.recoveredHeight = rec.Head.Height
 	return s, nil
 }
 
 // Persistent reports whether a backend is attached.
 func (s *Store) Persistent() bool { return s.backend != nil }
-
-// RecoveredHeight returns the chain height recorded with the recovered
-// head root, or 0 for a fresh store.
-func (s *Store) RecoveredHeight() uint64 { return s.recoveredHeight }
 
 // flushLocked appends version v's delta to the backend: new nodes and
 // their leaves' values (post-order, content-deduped), then the closing

@@ -81,8 +81,9 @@ func TestPersistentStoreColdReopen(t *testing.T) {
 	if re.Root() != wantRoot {
 		t.Fatalf("recovered root %v, want %v", re.Root(), wantRoot)
 	}
-	if re.RecoveredHeight() != 200 {
-		t.Fatalf("recovered height %d, want 200", re.RecoveredHeight())
+	// The head's height is indexed: AtHeight(200) serves the head root.
+	if ro, err := re.AtHeight(200); err != nil || ro.Root() != wantRoot {
+		t.Fatalf("AtHeight(200) after reopen = %v, want the head root %v", err, wantRoot)
 	}
 	// Head reads fault in through the backend, values included.
 	got, err := re.Get("clients/c0/clientState")

@@ -51,11 +51,9 @@ type Store struct {
 	// backend is the optional persistence layer (see persist.go): nil
 	// keeps the store purely in-heap with byte-identical behaviour.
 	// flushErr latches the first background flush failure until
-	// SyncBackend surfaces it. recoveredHeight is the chain height of a
-	// recovered head root, 0 for fresh stores.
-	backend         nodestore.Store
-	flushErr        error
-	recoveredHeight uint64
+	// SyncBackend surfaces it.
+	backend  nodestore.Store
+	flushErr error
 }
 
 // NewStore returns an empty provable store. Trie options (such as the

@@ -287,15 +287,6 @@ func (c *Client) ConsensusTime(height ibc.Height) (time.Time, error) {
 	return cs.Time, nil
 }
 
-// ConsensusRoot returns the verified app root at height.
-func (c *Client) ConsensusRoot(height ibc.Height) (cryptoutil.Hash, error) {
-	cs, ok := c.consensus[height]
-	if !ok {
-		return cryptoutil.ZeroHash, fmt.Errorf("%w: %d", ErrUnknownHeight, height)
-	}
-	return cs.AppRoot, nil
-}
-
 // StateBytes implements ibc.Client: {type, chainID, latest, trusting}.
 func (c *Client) StateBytes() []byte {
 	w := wire.NewWriter()

@@ -217,9 +217,6 @@ func (f *Fees) Claim(payee string) map[string]uint64 {
 	return out
 }
 
-// Accrued returns payee's settled-but-unclaimed income in denom.
-func (f *Fees) Accrued(payee, denom string) uint64 { return f.accrued[payee][denom] }
-
 // PendingCount returns the number of packets whose fees are still in
 // escrow (sent but not yet settled).
 func (f *Fees) PendingCount() int { return len(f.pending) }

@@ -167,7 +167,7 @@ func TestFeesEscrowSettleAndClaim(t *testing.T) {
 	if got := bank.Balance("alice", "fee"); got != 95 {
 		t.Fatalf("alice after refund = %d, want 95", got)
 	}
-	if got := fees.Accrued("relayer-1", "fee"); got != 5 {
+	if got := fees.accrued["relayer-1"]["fee"]; got != 5 {
 		t.Fatalf("accrued = %d, want 5", got)
 	}
 	if fees.EscrowedTotal != fees.PaidTotal+fees.RefundedTotal {
@@ -202,7 +202,7 @@ func TestFeesTimeoutRefundsDeliveryLegs(t *testing.T) {
 		t.Fatalf("timeout: %v", err)
 	}
 	// Timeout leg (4) earned, delivery legs (5) refunded.
-	if got := fees.Accrued("relayer-1", "fee"); got != 4 {
+	if got := fees.accrued["relayer-1"]["fee"]; got != 4 {
 		t.Fatalf("accrued = %d, want 4", got)
 	}
 	if got := bank.Balance("alice", "fee"); got != 20-9+5 {

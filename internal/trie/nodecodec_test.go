@@ -266,10 +266,7 @@ func TestEvictVersionFaultsBackIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preBytes, err := preProof.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	preBytes := []byte(*preProof)
 
 	tr.EvictVersion(v)
 
@@ -290,10 +287,7 @@ func TestEvictVersionFaultsBackIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	postBytes, err := postProof.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	postBytes := []byte(*postProof)
 	if !bytes.Equal(preBytes, postBytes) {
 		t.Fatal("proof bytes changed across eviction")
 	}

@@ -226,9 +226,6 @@ func (p Proof) Items() int {
 	return v.count
 }
 
-// MarshalBinary returns the proof's bytes, which are its encoding.
-func (p Proof) MarshalBinary() ([]byte, error) { return p, nil }
-
 // UnmarshalBinary keeps a copy of data if it is a proof Prove could have
 // written: the checks the verifiers make before they climb, so short or
 // trailing input, a non-canonical path, an unknown kind and a membership

@@ -956,12 +956,6 @@ func (t *Trie) version(v Version) (slot, error) {
 
 func unknownVersion(v Version) error { return fmt.Errorf("%w: %d", ErrUnknownVersion, v) }
 
-// VersionRoot returns the root commitment frozen by version v.
-func (t *Trie) VersionRoot(v Version) (cryptoutil.Hash, error) {
-	r, err := t.version(v)
-	return r.hash, err
-}
-
 // Release drops a retained version. The cells only it reached go back on
 // the free list: the head and the remaining versions hold references to
 // everything they share. Releasing an unknown version is a no-op.
@@ -995,38 +989,4 @@ func (t *Trie) SharedNodeRatio() float64 {
 		return 0
 	}
 	return r
-}
-
-// Keys returns all live keys in the trie, in depth-first order. Intended
-// for tests and debugging.
-func (t *Trie) Keys() [][KeySize]byte {
-	return keysFrom(t.loader(), t.root)
-}
-
-func keysFrom(rs resolver, root slot) [][KeySize]byte {
-	var out [][KeySize]byte
-	var walk func(s slot, prefix path)
-	walk = func(s slot, prefix path) {
-		if s.state() == slotSealed || s.state() == slotEmpty {
-			return
-		}
-		c, err := rs.resolve(s)
-		if err != nil {
-			return
-		}
-		switch c.kind() {
-		case kindLeaf:
-			if c.sealed() {
-				return
-			}
-			out = append(out, prefix.concat(c.path()).b)
-		case kindExt:
-			walk(c.kids[0], prefix.concat(c.path()))
-		case kindBranch:
-			walk(c.kids[0], prefix.concat(bitPath(0)))
-			walk(c.kids[1], prefix.concat(bitPath(1)))
-		}
-	}
-	walk(root, path{})
-	return out
 }

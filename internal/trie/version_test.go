@@ -46,8 +46,8 @@ func TestSnapshotFreezesContents(t *testing.T) {
 	if view.Root() != root1 {
 		t.Fatalf("view root = %v, want frozen %v", view.Root(), root1)
 	}
-	if got, err := tr.VersionRoot(v1); err != nil || got != root1 {
-		t.Fatalf("VersionRoot = %v, %v; want %v", got, err, root1)
+	if r, err := tr.version(v1); err != nil || r.hash != root1 {
+		t.Fatalf("version %d root = %v, %v; want %v", v1, r.hash, err, root1)
 	}
 	for i := 0; i < 64; i++ {
 		got, err := view.Get(key(fmt.Sprintf("k%d", i)))
@@ -88,10 +88,7 @@ func TestVersionProofsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := []byte(*p)
 		before[i] = b
 	}
 	absentBefore, err := tr.Prove(key("absent"))
@@ -118,10 +115,7 @@ func TestVersionProofsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("view.Prove(p%d): %v", i, err)
 		}
-		got, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := []byte(*p)
 		if !reflect.DeepEqual(got, before[i]) {
 			t.Fatalf("proof for p%d changed across snapshot", i)
 		}
@@ -133,14 +127,8 @@ func TestVersionProofsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotAbs, err := absentAfter.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAbs, err := absentBefore.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotAbs := []byte(*absentAfter)
+	wantAbs := []byte(*absentBefore)
 	if !reflect.DeepEqual(gotAbs, wantAbs) {
 		t.Fatal("non-membership proof changed across snapshot")
 	}

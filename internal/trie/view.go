@@ -89,14 +89,3 @@ func (v *View) Prove(key [KeySize]byte) (*Proof, error) {
 	defer v.close()
 	return proveRef(rs, root, key)
 }
-
-// Keys returns all live keys in this version, in depth-first order
-// (none once the version is released). Intended for tests and debugging.
-func (v *View) Keys() [][KeySize]byte {
-	rs, root, err := v.open()
-	if err != nil {
-		return nil
-	}
-	defer v.close()
-	return keysFrom(rs, root)
-}
