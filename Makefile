@@ -110,6 +110,7 @@ lint: lint-deprecated
 # the mempool headroom read, the trie's per-version root lookup, the
 # Tendermint client's root lookup and the store's recovered height
 # (AtHeight serves every recovered height).
+# A reliable call retries until answered: the dead-letter mode and the settable reorder delay stay retired.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -229,6 +230,11 @@ lint-deprecated:
 	@bad=$$(grep -rnw 'NewTxBuilderForProfile\|ResizeStateAccount\|MempoolFree\|VersionRoot\|ConsensusRoot\|RecoveredHeight' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
 		echo "retired test-only names (guest.NewTxBuilder sizes for the contract's host; ibc.Store.AtHeight serves recovered heights; see TestEveryExportHasAReader):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnw 'ErrDeadLetter\|MaxAttempts\|DeadLetters\|ReorderDelay' --include='*.go' .); \
+	if [ -n "$$bad" ]; then \
+		echo "retired dead-letter mode (netsim.ReliableCall retries until answered; a relayer job is given up only when the host refuses a transaction; a reordered message is held 500ms):"; \
 		echo "$$bad"; exit 1; \
 	fi
 

@@ -190,9 +190,8 @@ func main() {
 			dropped, snap.Counter("netsim.sent"),
 			snap.Counter("netsim.dropped_crash"), snap.Counter("netsim.dropped_partition"),
 			snap.Counter("netsim.duplicated"), snap.Counter("netsim.reordered"))
-		fmt.Printf("  reliable calls:    %d retries, %d dead letters\n",
-			snap.Counter("relayer.net_retries")+snap.Counter("validator.net_retries"),
-			snap.Counter("relayer.net_dead_letters")+snap.Counter("validator.net_dead_letters"))
+		fmt.Printf("  reliable calls:    %d retries\n",
+			snap.Counter("relayer.net_retries")+snap.Counter("validator.net_retries"))
 	}
 
 	if *storeDir != "" {

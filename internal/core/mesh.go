@@ -157,14 +157,13 @@ type MeshLink struct {
 }
 
 // Health aggregates the link's live health across its relayer fleet:
-// mean delivery-latency EWMA, summed dead letters, summed backlog.
+// mean delivery-latency EWMA and summed backlog.
 func (l *MeshLink) Health() routing.LinkHealth {
 	var agg routing.LinkHealth
 	var lat float64
 	for _, r := range l.Relayers {
 		h := r.Health()
 		lat += h.Latency
-		agg.DeadLetters += h.DeadLetters
 		agg.Backlog += h.Backlog
 	}
 	agg.Latency = lat / float64(len(l.Relayers))
@@ -210,7 +209,7 @@ func (m *MeshRuntime) Link(a, b string) *MeshLink {
 
 // linkCfgSet reports whether a per-link fault profile was declared.
 func linkCfgSet(c netsim.LinkConfig) bool {
-	return c.Latency != nil || c.Drop != 0 || c.Duplicate != 0 || c.Reorder != 0 || c.ReorderDelay != 0
+	return c.Latency != nil || c.Drop != 0 || c.Duplicate != 0 || c.Reorder != 0
 }
 
 // wireFees points every fee middleware at the relayer fleets: the payee

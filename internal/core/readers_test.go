@@ -31,7 +31,7 @@ var metricReaders = []struct{ pattern, reader string }{
 	{`\.callbacks\.(executed|recv_rejected)$`, "experiments middlewareVerdict"},
 	{`\.forward\.(forwarded|stranded)$`, "experiments middlewareVerdict"},
 	{`^validator\.signatures$`, "benchmark validator.signatures_per_block"},
-	{`^(validator|relayer(\.link\.[^.]+)?)\.net_(retries|dead_letters)$`, "guestsim network-faults line, outage verdict, benchmark relayer.net_retries_per_packet and relayer.dead_letters"},
+	{`^(validator|relayer(\.link\.[^.]+)?)\.net_retries$`, "guestsim network-faults line, outage verdict, benchmark relayer.net_retries_per_packet"},
 	{`^netsim\.(sent|dropped|dropped_crash|dropped_partition|duplicated|reordered)$`, "guestsim network-faults line, benchmark netsim.msgs_per_packet and netsim.dropped_share"},
 	{`^netsim\.delivered$`, "TestChaosDeterminism fingerprint"},
 	{`^mesh\.routing\.recomputes$`, "experiments adaptive verdict, benchmark routing.recomputes"},

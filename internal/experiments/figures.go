@@ -18,7 +18,6 @@ type Fig2 struct {
 	// Stragglers counts packets beyond 21 s (paper: 3, caused by slow
 	// validator signing).
 	Stragglers int
-	ECDF       [][2]float64
 }
 
 // BuildFig2 computes the figure from a deployment run.
@@ -31,7 +30,6 @@ func BuildFig2(d *Deployment) *Fig2 {
 	e := stats.NewECDF(f.Latencies)
 	f.Within21s = e.At(21)
 	f.Stragglers = len(f.Latencies) - int(f.Within21s*float64(len(f.Latencies))+0.5)
-	f.ECDF = e.Points(40)
 	return f
 }
 
@@ -114,7 +112,6 @@ type Fig4 struct {
 	// (50% < 25 s, 96% < 60 s); TxMean/TxStd the 36.5 ± 5.8 stat.
 	Below25s float64
 	Below60s float64
-	ECDF     [][2]float64
 }
 
 // BuildFig4 computes the figure from a deployment run.
@@ -125,7 +122,6 @@ func BuildFig4(d *Deployment) *Fig4 {
 	e := stats.NewECDF(f.Latencies)
 	f.Below25s = e.At(25)
 	f.Below60s = e.At(60)
-	f.ECDF = e.Points(40)
 	return f
 }
 
@@ -148,9 +144,6 @@ type Fig5 struct {
 	CostsCents []float64
 	SigCounts  []float64
 	Summary    stats.Summary
-	// CostPerTxCents and CostPerSigCents decompose the fee model.
-	CostPerTxCents  float64
-	CostPerSigCents float64
 	// SigCorrelation is cost↔signature-count correlation (should be
 	// strongly positive; the §V-B mechanism).
 	SigCorrelation float64
@@ -160,8 +153,6 @@ type Fig5 struct {
 func BuildFig5(d *Deployment) *Fig5 {
 	f := &Fig5{CostsCents: d.UpdateCosts, SigCounts: d.UpdateSigs}
 	f.Summary = stats.Summarize(f.CostsCents)
-	f.CostPerTxCents = 0.1 // base fee, by construction of the host model
-	f.CostPerSigCents = 0.1
 	f.SigCorrelation = stats.Pearson(f.CostsCents, f.SigCounts)
 	return f
 }

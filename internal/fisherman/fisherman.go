@@ -56,8 +56,7 @@ type Fisherman struct {
 
 	// Evidence goes out over the simulated network as reliable calls that
 	// retry until the host acknowledges.
-	ep    *netsim.Endpoint
-	retry netsim.RetryPolicy
+	ep *netsim.Endpoint
 
 	// Submitted counts evidence transactions sent.
 	Submitted int
@@ -76,7 +75,6 @@ func New(name string, chain *host.Chain, contract *guest.Contract, gossip *Gossi
 		key:      key,
 		seen:     make(map[cryptoutil.PubKey]map[uint64]Observation),
 		ep:       net.Node(netsim.FishermanNode(index), nil, nil),
-		retry:    netsim.DefaultRetryPolicy(),
 	}
 }
 
@@ -168,7 +166,7 @@ func (f *Fisherman) remember(o Observation) {
 func (f *Fisherman) submit(ev *guest.Evidence) {
 	tx := f.builder.MisbehaviourTx(ev)
 	f.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Txs: []*host.Transaction{tx}},
-		f.retry, netsim.RetryObserver{}, func(_ any, err error) {
+		netsim.DefaultRetryPolicy(), netsim.RetryObserver{}, func(_ any, err error) {
 			if err != nil {
 				return
 			}

@@ -60,6 +60,10 @@ type Config struct {
 	ColdRetention int
 }
 
+// stateSize is the provable-storage account size in bytes: the deployment
+// allocated the 10 MiB Solana maximum (§V-D).
+const stateSize = host.MaxAccountSize
+
 // Deploy registers the Guest Contract on the chain, allocates its provable
 // state account (the 10 MiB deposit of §V-D), and creates the genesis
 // block. It returns the contract handle and the deposit charged.
@@ -78,7 +82,7 @@ func Deploy(chain *host.Chain, cfg Config) (*Contract, host.Lamports, error) {
 		profile:   chain.Profile(),
 	}
 
-	store, err := ibc.NewStoreWithBackend(cfg.NodeStore, trie.WithCapacityBytes(cfg.Params.StateSize))
+	store, err := ibc.NewStoreWithBackend(cfg.NodeStore, trie.WithCapacityBytes(stateSize))
 	if err != nil {
 		return nil, 0, fmt.Errorf("guest: open provable store: %w", err)
 	}
@@ -127,7 +131,7 @@ func Deploy(chain *host.Chain, cfg Config) (*Contract, host.Lamports, error) {
 		return nil, 0, fmt.Errorf("guest: commit genesis: %w", err)
 	}
 
-	deposit, err := chain.CreateStateAccount(cfg.Payer, c.stateKey, c.programID, cfg.Params.StateSize, st)
+	deposit, err := chain.CreateStateAccount(cfg.Payer, c.stateKey, c.programID, stateSize, st)
 	if err != nil {
 		return nil, 0, fmt.Errorf("guest: allocate state account: %w", err)
 	}
@@ -247,6 +251,10 @@ func (c *Contract) Execute(ctx *host.ExecContext, ins host.Instruction) error {
 	return nil
 }
 
+// packetFee is the contract-level fee collected per sent packet (Alg. 1
+// collect_fees).
+const packetFee host.Lamports = 10_000
+
 // sendPacket implements Alg. 1 SendPacket: collect fees, assign sequence,
 // commit the packet.
 func (c *Contract) sendPacket(ctx *host.ExecContext, st *State, r *wire.Reader) error {
@@ -264,10 +272,9 @@ func (c *Contract) sendPacket(ctx *host.ExecContext, st *State, r *wire.Reader) 
 		return err
 	}
 	// collect_fees(payload)
-	if err := ctx.Transfer(a.Sender, st.Account, st.Params.PacketFee); err != nil {
+	if err := ctx.Transfer(a.Sender, st.Account, packetFee); err != nil {
 		return fmt.Errorf("guest: collect fees: %w", err)
 	}
-	st.TotalFeesCollected += st.Params.PacketFee
 
 	_, err = st.sendPacket(a.Port, a.Channel, a.Data, a.TimeoutHeight, a.TimeoutTimestamp)
 	return err
@@ -363,6 +370,9 @@ func (c *Contract) sign(ctx *host.ExecContext, st *State, r *wire.Reader) error 
 	return nil
 }
 
+// minStake is the minimum candidate stake: 1 SOL.
+const minStake = host.LamportsPerSOL
+
 // stake adds candidate stake from the signing owner.
 func (c *Contract) stake(ctx *host.ExecContext, st *State, r *wire.Reader) error {
 	a, err := decodeStake(r)
@@ -370,8 +380,8 @@ func (c *Contract) stake(ctx *host.ExecContext, st *State, r *wire.Reader) error
 		return err
 	}
 	amount := host.Lamports(a.Amount)
-	if amount < st.Params.MinStake {
-		return fmt.Errorf("%w: %d < %d", ErrStakeTooSmall, amount, st.Params.MinStake)
+	if amount < minStake {
+		return fmt.Errorf("%w: %d < %d", ErrStakeTooSmall, amount, minStake)
 	}
 	if st.Slashed[a.Validator] {
 		return ErrSlashedValidator
@@ -390,6 +400,10 @@ func (c *Contract) stake(ctx *host.ExecContext, st *State, r *wire.Reader) error
 	}
 	return nil
 }
+
+// unbondingPeriod is how long stake stays locked after exit: the
+// deployment used one week (§IV).
+const unbondingPeriod = 7 * 24 * time.Hour
 
 // unstake begins a candidate's exit; stake unlocks after the unbonding
 // period (the "stake held for one week after exit" rule of §IV).
@@ -410,7 +424,7 @@ func (c *Contract) unstake(ctx *host.ExecContext, st *State, r *wire.Reader) err
 		PubKey:      pub,
 		Owner:       cand.Owner,
 		Amount:      cand.Stake,
-		AvailableAt: ctx.Time.Add(st.Params.UnbondingPeriod),
+		AvailableAt: ctx.Time.Add(unbondingPeriod),
 	})
 	return nil
 }
@@ -694,9 +708,6 @@ func (c *Contract) closeBuffer(ctx *host.ExecContext, st *State, r *wire.Reader)
 // caller may trigger it; all candidate stakes and pending withdrawals are
 // paid out immediately and the contract halts.
 func (c *Contract) emergencyRelease(ctx *host.ExecContext, st *State) error {
-	if st.Params.EmergencyTimeout <= 0 {
-		return fmt.Errorf("%w: emergency release disabled", ErrNotDead)
-	}
 	dead := ctx.Time.Sub(st.Head().Block.Time)
 	if dead < st.Params.EmergencyTimeout {
 		return fmt.Errorf("%w: head is %v old, timeout %v", ErrNotDead, dead, st.Params.EmergencyTimeout)

@@ -278,7 +278,7 @@ func TestStakeUnstakeWithdraw(t *testing.T) {
 	if err := e.submitExpectErr(builder.WithdrawTx()); !errors.Is(err, ErrNothingToWithdraw) {
 		t.Fatalf("err = %v, want ErrNothingToWithdraw (unbonding)", err)
 	}
-	e.clock.Advance(st.Params.UnbondingPeriod + time.Minute)
+	e.clock.Advance(unbondingPeriod + time.Minute)
 	e.submit(builder.WithdrawTx())
 	gained := e.chain.Balance(owner) - ownerBal
 	// The stake came back minus the few tx fees paid meanwhile.
@@ -354,8 +354,8 @@ func TestSendPacketCollectsFees(t *testing.T) {
 		t.Fatalf("pending packets = %d", len(st.PendingPackets))
 	}
 	spent := before - e.chain.Balance(sender)
-	if spent < st.Params.PacketFee {
-		t.Fatalf("sender spent %d, fee is %d", spent, st.Params.PacketFee)
+	if spent < packetFee {
+		t.Fatalf("sender spent %d, fee is %d", spent, packetFee)
 	}
 	// The packet rides the next generated block.
 	crank := NewTxBuilder(e.contract, e.payer)
@@ -714,19 +714,6 @@ func TestEmergencyRelease(t *testing.T) {
 	}
 	if err := e.submitExpectErr(builder.EmergencyReleaseTx()); !errors.Is(err, ErrHalted) {
 		t.Fatalf("second release = %v, want ErrHalted", err)
-	}
-}
-
-func TestEmergencyReleaseDisabled(t *testing.T) {
-	e := newEnv(t, 2)
-	st := e.state()
-	st.Params.EmergencyTimeout = 0
-	e.clock.Advance(365 * 24 * time.Hour)
-	anyone := cryptoutil.GenerateKey("anyone2").Public()
-	e.chain.Fund(anyone, host.LamportsPerSOL)
-	builder := NewTxBuilder(e.contract, anyone)
-	if err := e.submitExpectErr(builder.EmergencyReleaseTx()); !errors.Is(err, ErrNotDead) {
-		t.Fatalf("err = %v, want ErrNotDead (disabled)", err)
 	}
 }
 

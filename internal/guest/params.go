@@ -6,11 +6,7 @@
 // between the host chain and IBC counterparties (Alg. 1).
 package guest
 
-import (
-	"time"
-
-	"repro/internal/host"
-)
+import "time"
 
 // Params are the guest blockchain's governance parameters. The defaults
 // mirror the paper's mainnet deployment (§IV).
@@ -25,17 +21,6 @@ type Params struct {
 	// MaxValidators caps the validator set: the top-staked candidates are
 	// selected each epoch (§III-B).
 	MaxValidators int
-	// MinStake is the minimum candidate stake.
-	MinStake host.Lamports
-	// UnbondingPeriod is how long stake stays locked after exit; the
-	// deployment used one week.
-	UnbondingPeriod time.Duration
-	// PacketFee is the contract-level fee collected per sent packet
-	// (Alg. 1 collect_fees).
-	PacketFee host.Lamports
-	// StateSize is the provable-storage account size in bytes; the
-	// deployment allocated the 10 MiB Solana maximum (§V-D).
-	StateSize int
 	// SnapshotRetention is how many recent per-block state snapshots the
 	// off-chain RPC layer keeps for proof generation.
 	SnapshotRetention int
@@ -43,7 +28,7 @@ type Params struct {
 	// validator wishing to quit" problem: once no guest block has been
 	// generated for this long, the chain is considered dead and anyone
 	// may trigger the release of all staked assets to their owners,
-	// bypassing the unbonding period. 0 disables the mechanism.
+	// bypassing the unbonding period.
 	EmergencyTimeout time.Duration
 	// PipelineDepth is how many unfinalised guest blocks may trail the
 	// finalised prefix. The paper's deployment serialises generation and
@@ -68,10 +53,6 @@ func DefaultParams() Params {
 		Delta:             time.Hour,
 		EpochLength:       100_000,
 		MaxValidators:     24,
-		MinStake:          host.LamportsPerSOL, // 1 SOL
-		UnbondingPeriod:   7 * 24 * time.Hour,
-		PacketFee:         10_000,
-		StateSize:         host.MaxAccountSize,
 		SnapshotRetention: 256,
 		EmergencyTimeout:  30 * 24 * time.Hour,
 	}

@@ -157,9 +157,6 @@ type State struct {
 	// metered like any other contract code.
 	execMeter *host.ComputeMeter
 
-	// Experiment counters.
-	TotalFeesCollected host.Lamports
-
 	// Halted is set after an emergency release (§VI-A): the guest chain
 	// is dead and the contract refuses all further operations.
 	Halted bool

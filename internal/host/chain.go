@@ -455,7 +455,6 @@ func (c *Chain) executeLocked(tx *Transaction, block *Block) TxResult {
 		Slot:     block.Slot,
 		Index:    len(block.Results),
 		Label:    tx.Label,
-		NumSigs:  tx.NumSignatures(),
 		Size:     tx.Size(),
 		FeePayer: tx.FeePayer,
 	}

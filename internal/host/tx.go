@@ -115,7 +115,6 @@ type TxResult struct {
 	Err      error
 	Fee      Lamports
 	Units    uint64 // compute units consumed
-	NumSigs  int
 	Size     int
 	FeePayer cryptoutil.PubKey
 }

@@ -87,9 +87,6 @@ type Forward struct {
 	timeout time.Duration
 	now     func() time.Time
 
-	// Forwarded/Stranded mirror the telemetry counters for tests.
-	Forwarded, Stranded int
-
 	telemetry  *telemetry.Registry
 	metricsNS  string
 	cForwarded *telemetry.Counter
@@ -136,11 +133,6 @@ func (f *Forward) Name() string { return "forward" }
 // Account returns the module account funding onward hops.
 func (f *Forward) Account() string { return f.account }
 
-func (f *Forward) strand() {
-	f.Stranded++
-	f.cStranded.Inc()
-}
-
 // OnRecvPacket delivers the packet through the inner chain, then re-sends
 // the received tokens over the hop named in the memo.
 func (f *Forward) OnRecvPacket(next RecvFn, p ibc.Packet) ([]byte, error) {
@@ -156,7 +148,7 @@ func (f *Forward) OnRecvPacket(next RecvFn, p ibc.Packet) ([]byte, error) {
 	if d.Receiver != f.account {
 		// The memo asked to forward but the funds went to someone else;
 		// nothing to forward from the module account.
-		f.strand()
+		f.cStranded.Inc()
 		return ack, nil
 	}
 
@@ -174,7 +166,7 @@ func (f *Forward) OnRecvPacket(next RecvFn, p ibc.Packet) ([]byte, error) {
 	hopPort, hopCh := ibc.PortID(info.Port), ibc.ChannelID(info.Channel)
 	app := f.resolve(hopPort)
 	if app == nil {
-		f.strand()
+		f.cStranded.Inc()
 		return ack, nil
 	}
 	nd := &transfer.PacketData{
@@ -185,7 +177,7 @@ func (f *Forward) OnRecvPacket(next RecvFn, p ibc.Packet) ([]byte, error) {
 		Memo:     info.Memo,
 	}
 	if err := app.PrepareSend(hopCh, nd); err != nil {
-		f.strand()
+		f.cStranded.Inc()
 		return ack, nil
 	}
 	var tt time.Time
@@ -196,10 +188,9 @@ func (f *Forward) OnRecvPacket(next RecvFn, p ibc.Packet) ([]byte, error) {
 		// The onward packet never committed: undo the escrow/burn so the
 		// tokens sit claimably at the module account instead of limbo.
 		_ = app.CancelSend(hopCh, nd)
-		f.strand()
+		f.cStranded.Inc()
 		return ack, nil
 	}
-	f.Forwarded++
 	f.cForwarded.Inc()
 	return ack, nil
 }

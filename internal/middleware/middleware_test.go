@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ibc"
+	"repro/internal/telemetry"
 	"repro/internal/transfer"
 )
 
@@ -251,6 +252,13 @@ func (failSender) SendPacket(ibc.PortID, ibc.ChannelID, []byte, ibc.Height, time
 
 // --- forwarding ---
 
+// forwardCounts reads the forwarding middleware's counters from reg, which
+// WithForwardTelemetry registered them in under "forward".
+func forwardCounts(reg *telemetry.Registry) (forwarded, stranded uint64) {
+	s := reg.Snapshot()
+	return s.Counter("forward.forwarded"), s.Counter("forward.stranded")
+}
+
 // TestForwardDenomTrace walks a voucher through an intermediate hop: a
 // packet arrives on (transfer, chan-b) carrying native TOK with a forward
 // memo; the middleware must re-send the minted voucher
@@ -266,12 +274,13 @@ func TestForwardDenomTrace(t *testing.T) {
 		}
 		return p, err
 	}
+	reg := telemetry.NewRegistry()
 	fwd := NewForward("hub-module", func(port ibc.PortID) ForwardBank {
 		if port == "transfer" {
 			return app
 		}
 		return nil
-	}, senderFunc(rec))
+	}, senderFunc(rec), WithForwardTelemetry(reg, "forward"))
 	s := NewStack(app, fwd)
 
 	memo := ForwardMemo(ForwardInfo{Port: "transfer", Channel: "chan-next", Receiver: "bob"})
@@ -288,8 +297,8 @@ func TestForwardDenomTrace(t *testing.T) {
 	if err != nil || !transfer.IsSuccessAck(ack) {
 		t.Fatalf("recv = %q, %v", ack, err)
 	}
-	if fwd.Forwarded != 1 || fwd.Stranded != 0 {
-		t.Fatalf("forwarded=%d stranded=%d", fwd.Forwarded, fwd.Stranded)
+	if forwarded, stranded := forwardCounts(reg); forwarded != 1 || stranded != 0 {
+		t.Fatalf("forwarded=%d stranded=%d", forwarded, stranded)
 	}
 	if len(sent) != 1 {
 		t.Fatalf("onward packets = %d", len(sent))
@@ -327,6 +336,7 @@ func TestForwardReturningHomeUnwinds(t *testing.T) {
 
 	var sent []*ibc.Packet
 	core := &coreSender{log: new([]string)}
+	reg := telemetry.NewRegistry()
 	fwd := NewForward("hub-module", func(ibc.PortID) ForwardBank { return app },
 		senderFunc(func(port ibc.PortID, ch ibc.ChannelID, data []byte, th ibc.Height, tt time.Time) (*ibc.Packet, error) {
 			p, err := core.SendPacket(port, ch, data, th, tt)
@@ -334,7 +344,7 @@ func TestForwardReturningHomeUnwinds(t *testing.T) {
 				sent = append(sent, p)
 			}
 			return p, err
-		}))
+		}), WithForwardTelemetry(reg, "forward"))
 	s := NewStack(app, fwd)
 
 	// The voucher returns: denom is prefixed with the REMOTE end's trace of
@@ -359,8 +369,8 @@ func TestForwardReturningHomeUnwinds(t *testing.T) {
 	if err != nil || !transfer.IsSuccessAck(ack) {
 		t.Fatalf("recv = %q, %v", ack, err)
 	}
-	if fwd.Forwarded != 1 {
-		t.Fatalf("forwarded = %d (stranded %d)", fwd.Forwarded, fwd.Stranded)
+	if forwarded, stranded := forwardCounts(reg); forwarded != 1 {
+		t.Fatalf("forwarded = %d (stranded %d)", forwarded, stranded)
 	}
 	nd, _ := transfer.UnmarshalPacketData(sent[0].Data)
 	if nd.Denom != "TOK" {
@@ -376,11 +386,12 @@ func TestForwardReturningHomeUnwinds(t *testing.T) {
 // tokens stay at the module account and the stranded counter ticks.
 func TestForwardStrandsOnUnknownPort(t *testing.T) {
 	app := transfer.New("transfer")
+	reg := telemetry.NewRegistry()
 	fwd := NewForward("hub-module", func(ibc.PortID) ForwardBank { return nil },
 		senderFunc(func(ibc.PortID, ibc.ChannelID, []byte, ibc.Height, time.Time) (*ibc.Packet, error) {
 			t.Fatal("sender must not run for an unresolvable hop")
 			return nil, nil
-		}))
+		}), WithForwardTelemetry(reg, "forward"))
 	s := NewStack(app, fwd)
 	memo := ForwardMemo(ForwardInfo{Port: "nosuch", Channel: "chan-x", Receiver: "bob"})
 	d := &transfer.PacketData{Denom: "TOK", Amount: 3, Sender: "alice", Receiver: "hub-module", Memo: memo}
@@ -390,8 +401,8 @@ func TestForwardStrandsOnUnknownPort(t *testing.T) {
 	if err != nil || !transfer.IsSuccessAck(ack) {
 		t.Fatalf("recv = %q, %v", ack, err)
 	}
-	if fwd.Stranded != 1 || fwd.Forwarded != 0 {
-		t.Fatalf("stranded=%d forwarded=%d", fwd.Stranded, fwd.Forwarded)
+	if forwarded, stranded := forwardCounts(reg); stranded != 1 || forwarded != 0 {
+		t.Fatalf("stranded=%d forwarded=%d", stranded, forwarded)
 	}
 	voucher := transfer.VoucherPrefix("transfer", "chan-b") + "TOK"
 	if got := app.Balance("hub-module", voucher); got != 3 {

@@ -68,13 +68,13 @@ type LinkConfig struct {
 	Drop float64
 	// Duplicate is the probability a message is delivered twice.
 	Duplicate float64
-	// Reorder is the probability a message is held back by ReorderDelay,
+	// Reorder is the probability a message is held back for reorderDelay (500ms),
 	// letting later traffic overtake it.
 	Reorder float64
-	// ReorderDelay is the hold-back applied to reordered messages
-	// (default 500ms when Reorder > 0).
-	ReorderDelay time.Duration
 }
+
+// reorderDelay is the hold-back applied to a reordered message.
+const reorderDelay = 500 * time.Millisecond
 
 // lossless reports whether the link never needs the scheduler or RNG.
 func (c LinkConfig) lossless() bool {
@@ -273,11 +273,7 @@ func (n *Network) send(env *envelope) bool {
 			delay = cfg.Latency.Sample(n.rng)
 		}
 		if cfg.Reorder > 0 && n.rng.Float64() < cfg.Reorder {
-			hold := cfg.ReorderDelay
-			if hold <= 0 {
-				hold = 500 * time.Millisecond
-			}
-			delay += hold
+			delay += reorderDelay
 			n.mReordered.Inc()
 		}
 		env := env

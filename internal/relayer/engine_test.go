@@ -74,9 +74,11 @@ type linkEnv struct {
 	intercept func(node netsim.NodeID, tx *netsim.MsgTx)
 	// hostLabels labels every transaction the guest link's host front-end
 	// was called with, in arrival order; hostIntercept, when set, sees each
-	// first and returns the transaction to submit in its place.
+	// first and returns the transaction to submit in its place. refused
+	// counts the transactions refuse had the host refuse.
 	hostLabels    []string
 	hostIntercept func(tx *host.Transaction) *host.Transaction
+	refused       int
 	// hostBlocks reads every block the guest link's host produces, for
 	// tests that inspect them after the run (nil on a cosmos link).
 	hostBlocks *host.Reader
@@ -330,11 +332,31 @@ func recvSeqs(txs ...netsim.MsgTx) []uint64 {
 	return seqs
 }
 
-// cutMidJob cuts the first engine off from the host once a job has started
-// on lane, the next transaction it has to send carries label and the root
-// pacer has nothing to send, runs then, and reports how many transactions
-// the job had left. The link heals ten seconds later.
-func (e *linkEnv) cutMidJob(lane *pacer, label string, then func()) *int {
+// refuse has the host refuse, once, the first transaction match picks: the
+// front-end is handed a copy without instructions, which fails Validate, so
+// the submission carrying it fails as one meeting a full mempool does.
+func (e *linkEnv) refuse(match func(*host.Transaction) bool) {
+	prev, done := e.hostIntercept, false
+	e.hostIntercept = func(tx *host.Transaction) *host.Transaction {
+		if prev != nil {
+			tx = prev(tx)
+		}
+		if done || !match(tx) {
+			return tx
+		}
+		done = true
+		e.refused++
+		return &host.Transaction{FeePayer: tx.FeePayer}
+	}
+}
+
+// refuseMidJob cuts the first engine off from the host once a job has
+// started on lane, the next transaction it has to send carries label and
+// the root pacer has nothing to send, runs then, and reports how many
+// transactions the job had left. The link heals five seconds later, and the
+// host refuses that transaction when the call's retry reaches it: an
+// overloaded host first stops answering, then turns submissions away.
+func (e *linkEnv) refuseMidJob(lane *pacer, label string, then func()) *int {
 	left := new(int)
 	root := e.relayer.ends[1].(*guestEnd).root
 	e.sched.Every(50*time.Millisecond, func() bool {
@@ -346,8 +368,10 @@ func (e *linkEnv) cutMidJob(lane *pacer, label string, then func()) *int {
 			return true
 		}
 		*left = len(j.txs)
+		next := j.txs[0]
+		e.refuse(func(tx *host.Transaction) bool { return tx == next })
 		e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{Drop: 1})
-		e.sched.After(10*time.Second, func() {
+		e.sched.After(5*time.Second, func() {
 			e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{})
 		})
 		then()
@@ -621,17 +645,15 @@ func TestEngine(t *testing.T) {
 			// Twelve packets the guest sends in one block are delivered in
 			// one transaction, so their acks are written at one height and
 			// reach the guest end as one batch: one chunk sequence and one
-			// commit, not a job of about three transactions each. Cut off
-			// from the host mid-upload, the job gives all twelve back, and
-			// the next one acknowledges each once.
+			// commit, not a job of about three transactions each. With a
+			// chunk the host refuses mid-upload, the job gives all twelve
+			// back, and the next one acknowledges each once.
 			const n, amt = 12, 5
 			for _, cut := range []bool{false, true} {
 				e := newLinkEnv(t, kind, netsim.Config{})
-				r := e.relayer
-				r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 5}
 				left := new(int)
 				if cut {
-					left = e.cutMidJob(r.ends[1].(*guestEnd).lanes[1], "ack-packet/chunk", func() {})
+					left = e.refuseMidJob(e.relayer.ends[1].(*guestEnd).lanes[1], "ack-packet/chunk", func() {})
 				}
 				for i := 0; i < n; i++ {
 					e.send(t, amt, 0)
@@ -646,8 +668,8 @@ func TestEngine(t *testing.T) {
 				if !cut && (commits != 1 || txs > n) {
 					t.Errorf("%d acks took %d commits in %d transactions, want one job of at most %d", n, commits, txs, n)
 				}
-				if cut && (*left == 0 || e.counter("net_dead_letters") == 0 || commits != 1) {
-					t.Errorf("cut with %d transactions left, %d dead letters, %d commits: want a chunk lost mid-job and one commit after it", *left, e.counter("net_dead_letters"), commits)
+				if cut && (*left == 0 || e.refused == 0 || commits != 1) {
+					t.Errorf("refused with %d transactions left, %d refusals, %d commits: want a chunk refused mid-job and one commit after it", *left, e.refused, commits)
 				}
 				if n := e.guestState(t).StagingBuffers(); n != 0 {
 					t.Errorf("cut %v: %d staging buffers left open", cut, n)
@@ -732,28 +754,19 @@ func TestCosmosRecvRequeuedAfterRefusedUpdate(t *testing.T) {
 	}
 }
 
-// TestTimeoutResubmittedAfterDeadLetter cuts the engine off from the host
-// just as it submits a timeout, until the retry budget dead-letters the
-// submission. The in-flight flag must clear with the dropped job so a
-// later scan resubmits, and the sender is refunded exactly once. The fees
-// the relayer reports are what the host debited: the dead-lettered
-// transaction never reached it.
-func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
+// TestTimeoutResubmittedAfterRefusal: the host refuses the first
+// transaction of the engine's first timeout submission. The in-flight flag
+// must clear with the dropped job so a later scan resubmits, and the
+// sender is refunded exactly once. The fees the relayer reports are what
+// the host debited: the refused transaction was never charged.
+func TestTimeoutResubmittedAfterRefusal(t *testing.T) {
 	e := newLinkEnv(t, guestLink, netsim.Config{})
 	r := e.relayer
-	r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 3}
 	key := r.Key().Public()
 	balance := e.chain.Balance(key)
-	cut := false
+	e.refuse(func(tx *host.Transaction) bool { return strings.HasPrefix(tx.Label, "timeout-packet/") })
 	e.sched.Every(15*time.Second, func() bool {
 		r.CheckTimeouts()
-		if e.counter("timeouts_submitted") == 1 && !cut {
-			cut = true
-			e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{Drop: 1})
-			e.sched.After(10*time.Second, func() {
-				e.net.SetLinkBoth(netsim.RelayerNode, netsim.HostNode, netsim.LinkConfig{})
-			})
-		}
 		return true
 	})
 	// Too short for the cosmos chain to accept: delivery is rejected as
@@ -761,11 +774,11 @@ func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
 	e.send(t, 90, 2*time.Second)
 	e.sched.RunFor(10 * time.Minute)
 
-	if dead := e.counter("net_dead_letters"); dead == 0 {
-		t.Fatal("the cut never dead-lettered a submission; the scenario did not run")
+	if e.refused == 0 {
+		t.Fatal("the host never refused a timeout transaction; the scenario did not run")
 	}
 	if n := e.counter("timeouts_submitted"); n != 2 {
-		t.Errorf("timeout submissions = %d, want 2 (dead-lettered, then resubmitted)", n)
+		t.Errorf("timeout submissions = %d, want 2 (refused, then resubmitted)", n)
 	}
 	e.wantTransferred(t, 90, 0)
 	for _, tr := range r.traces {
@@ -778,24 +791,23 @@ func TestTimeoutResubmittedAfterDeadLetter(t *testing.T) {
 	}
 }
 
-// TestRecvJobResubmittedAfterDeadLetter: counterparty packets provable
+// TestRecvJobResubmittedAfterRefusal: counterparty packets provable
 // behind one client update share one recv job — as many of them as it
 // takes for the job to have a chunk left to send once the update's commit
 // went without it. The engine is cut off from the host at that point,
-// while nothing else is in flight, until the retry budget
-// dead-letters one of its chunks: the job is dropped with nothing
-// committed, so every packet must go back to its shard and arrive exactly
-// once when the link heals — except the first. The guest chain moved on
-// during the cut (a user's send was committed and finalised) and the packet
-// has expired at its head: every flush would resubmit it to be rejected
-// again, so it is left to the timeout scan and its sender is refunded
-// exactly once. The ack of the user's packet comes back
-// as a job on the same lane, which is dead-lettered the same way: it goes
-// back to its shard and is acknowledged once.
-func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
+// while nothing else is in flight, and the host refuses the stalled chunk
+// once the link heals: the job is dropped with nothing committed, so every
+// packet must go back to its shard and arrive exactly once — except the
+// first. The guest chain moved on during the cut (a user's send was
+// committed and finalised) and the packet has expired at its head: every
+// flush would resubmit it to be rejected again, so it is left to the
+// timeout scan and its sender is refunded exactly once. The ack of the
+// user's packet comes back as a job on the same lane, whose commit is
+// refused the same way: it goes back to its shard and is acknowledged
+// once.
+func TestRecvJobResubmittedAfterRefusal(t *testing.T) {
 	e := newLinkEnv(t, guestLink, netsim.Config{})
 	r := e.relayer
-	r.retry = netsim.RetryPolicy{Timeout: time.Second, Backoff: 1, MaxAttempts: 5}
 	e.scanTimeouts()
 	bank := r.shards[1]
 	lane := r.ends[1].(*guestEnd).lanes[bank.index]
@@ -821,15 +833,15 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 		}
 	}
 	live := uint64(len(sent) - 1)
-	cutChunks := e.cutMidJob(lane, "recv-packet/chunk", func() { e.send(t, 40, 0) })
-	cutAck := e.cutMidJob(lane, "ack-packet/commit", func() {})
+	refusedChunks := e.refuseMidJob(lane, "recv-packet/chunk", func() { e.send(t, 40, 0) })
+	refusedAck := e.refuseMidJob(lane, "ack-packet/commit", func() {})
 	e.sched.RunFor(20 * time.Minute)
 
-	if *cutChunks == 0 || *cutAck == 0 {
-		t.Fatalf("the link was cut with %d recv and %d ack transactions left to send, want both mid-job; the scenario did not run", *cutChunks, *cutAck)
+	if *refusedChunks == 0 || *refusedAck == 0 {
+		t.Fatalf("the host refused with %d recv and %d ack transactions left to send, want both mid-job; the scenario did not run", *refusedChunks, *refusedAck)
 	}
-	if dead := e.counter("net_dead_letters"); dead != 2 {
-		t.Fatalf("%d submissions were dead-lettered, want 2 (a recv chunk and an ack commit); the scenario did not run", dead)
+	if e.refused != 2 {
+		t.Fatalf("%d submissions were refused, want 2 (a recv chunk and an ack commit); the scenario did not run", e.refused)
 	}
 	if got, want := e.homeApp.Balance("dave", transfer.VoucherPrefix(bankPort, e.homeCh)+"COIN"), live*amount; got != want {
 		t.Errorf("dave holds %d vouchers, want %d (every live packet exactly once)", got, want)
@@ -852,13 +864,18 @@ func TestRecvJobResubmittedAfterDeadLetter(t *testing.T) {
 	}
 	e.wantTransferred(t, 40, 40)
 	if got := e.counter("ch." + string(e.homeCh) + ".acks_to_guest"); got != 1 {
-		t.Errorf("acks_to_guest = %d, want 1 (dead-lettered, then resubmitted)", got)
+		t.Errorf("acks_to_guest = %d, want 1 (refused, then resubmitted)", got)
 	}
 	if p, a := len(bank.packets[0]), len(bank.acks[0]); p != 0 || a != 0 {
 		t.Errorf("%d packets and %d acks still queued on the shard", p, a)
 	}
-	// The two jobs given up staged their chunks for nothing: once the link
-	// healed, their buffers were closed.
+	// The expired packet is never staged again: the one recv job that
+	// commits is the live packets' redelivery.
+	if got := count(e.hostLabels, "recv-packet/commit"); got != 1 {
+		t.Errorf("%d recv commits, want 1: the expired packet was staged again", got)
+	}
+	// The two jobs given up staged their chunks for nothing: once a
+	// transaction got through again, their buffers were closed.
 	if n := e.guestState(t).StagingBuffers(); n != 0 {
 		t.Errorf("%d staging buffers left open", n)
 	}

@@ -128,9 +128,9 @@ func (p *pacer) pump() {
 	// idempotent.
 	g.r.call(g.node, netsim.KindSubmitTx, netsim.MsgSubmitTx{Txs: txs}, func(_ any, err error) {
 		if err != nil {
-			// Oversized or malformed transactions are a relayer bug (and a
-			// dead-lettered submission surfaces here too); drop the job
-			// rather than wedge the queue, and tell its owner.
+			// The host refused the submission: a full mempool, or a
+			// transaction that fails validation (a relayer bug). Drop the
+			// job rather than wedge the queue, and tell its owner.
 			p.giveUp(j, err)
 			return
 		}
@@ -174,9 +174,9 @@ func (p *pacer) land(j *job) {
 
 // giveUp drops the current job, j, and tells its owner. The staging buffer
 // its chunks may have filled will never be committed: it is closed once a
-// transaction gets through again, since a dead letter means the host was
-// out of reach. A client update given up takes the recv jobs whose commits
-// wait for it along.
+// transaction gets through again, since a host that refused one (a full
+// mempool) would refuse the close too. A client update given up takes the
+// recv jobs whose commits wait for it along.
 func (p *pacer) giveUp(j *job, err error) {
 	now := p.g.r.sched.Now()
 	p.pop()

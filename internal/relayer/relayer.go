@@ -293,8 +293,7 @@ type Relayer struct {
 	rng *rand.Rand
 	key *cryptoutil.PrivKey
 
-	ep    *netsim.Endpoint
-	retry netsim.RetryPolicy
+	ep *netsim.Endpoint
 
 	ends   [2]end
 	nodes  [2]netsim.NodeID // the ends' front-ends, whose blocks wake the relayer
@@ -323,7 +322,6 @@ type Relayer struct {
 	mLostRace      *telemetry.Counter
 	mHopLatency    *telemetry.Histogram
 	mNetRetries    *telemetry.Counter
-	mNetDead       *telemetry.Counter
 
 	// healthLat is the EWMA delivery latency (seconds) behind Health();
 	// healthSeen marks the first observation.
@@ -372,7 +370,6 @@ func New(cfg Config, sched *sim.Scheduler, net *netsim.Network, opts ...Option) 
 		sched:  sched,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		key:    cryptoutil.GenerateKey(cfg.KeyName),
-		retry:  netsim.DefaultRetryPolicy(),
 		traces: make(map[traceID]*packetTrace),
 	}
 	for _, o := range opts {
@@ -390,7 +387,6 @@ func New(cfg Config, sched *sim.Scheduler, net *netsim.Network, opts ...Option) 
 	r.mLostRace = reg.Counter(r.ns + ".lost_race")
 	r.mHopLatency = reg.Histogram(r.ns + ".hop.latency_s")
 	r.mNetRetries = reg.Counter(r.ns + ".net_retries")
-	r.mNetDead = reg.Counter(r.ns + ".net_dead_letters")
 	r.ep = net.Node(cfg.NodeID, r.onNetMessage, nil)
 
 	r.byChan = [2]map[chanKey]*shard{{}, {}}
@@ -477,9 +473,8 @@ func (r *Relayer) observeLatency(s float64) {
 }
 
 // Health is the sample the adaptive routing plane scores the link by: the
-// EWMA delivery latency, the cumulative dead-letter count of the
-// relayer's reliable calls, and every queue a packet can wait in — shard
-// work plus whatever the ends hold.
+// EWMA delivery latency and every queue a packet can wait in — shard work
+// plus whatever the ends hold.
 func (r *Relayer) Health() routing.LinkHealth {
 	backlog := r.ends[0].backlog() + r.ends[1].backlog()
 	for _, s := range r.shards {
@@ -487,13 +482,12 @@ func (r *Relayer) Health() routing.LinkHealth {
 			backlog += len(s.packets[side]) + len(s.acks[side])
 		}
 	}
-	return routing.LinkHealth{Latency: r.healthLat, DeadLetters: r.mNetDead.Value(), Backlog: backlog}
+	return routing.LinkHealth{Latency: r.healthLat, Backlog: backlog}
 }
 
 // call issues one reliable call with the relayer's retry accounting.
 func (r *Relayer) call(to netsim.NodeID, kind string, payload any, done func(resp any, err error)) {
-	obs := netsim.RetryObserver{Retries: r.mNetRetries, DeadLetters: r.mNetDead}
-	r.ep.ReliableCall(to, kind, payload, r.retry, obs, done)
+	r.ep.ReliableCall(to, kind, payload, netsim.DefaultRetryPolicy(), netsim.RetryObserver{Retries: r.mNetRetries}, done)
 }
 
 // onNetMessage consumes block notifications: the sender identifies which
@@ -726,8 +720,8 @@ func (r *Relayer) delivered(to int, s *shard, p *ibc.Packet, ack []byte, provabl
 }
 
 // recvFailed settles a recv that did not land on side to — the update ahead
-// of it was refused, so its proof height has no consensus state; a chunk of
-// its job was dead-lettered; the packet expired — by the sink's state: a
+// of it was refused, so its proof height has no consensus state; the host
+// refused a transaction of its job; the packet expired — by the sink's state: a
 // packet the sink shows delivered is delivered, any other goes back to its
 // shard. A packet already expired at the sink's head is left to the timeout
 // scan: every flush would submit it again to be rejected again.

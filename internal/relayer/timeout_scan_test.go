@@ -211,7 +211,7 @@ func (l *fakeLink) counter(name string) uint64 {
 // TestCheckTimeoutsMatchesFullWalk drives a link through one seeded
 // schedule of sends, deliveries, lost races, acks, commitments a competing
 // relayer cleared, client updates, and timeout submissions that land,
-// dead-letter, stay pending, or are submitted in full and rejected in
+// are refused, stay pending, or are submitted in full and rejected in
 // execution. Either side reports a timeout landed or not landed, as both
 // ends do — a cosmos end from the message's result, the guest end from its
 // state — so a landed one closes its trace at once and a rejected one is
@@ -310,7 +310,7 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64, resubmit
 		}
 		return want, due[:n]
 	}
-	var lostRaces, rivalClears, deadLetters, landed, rejected, shared int
+	var lostRaces, rivalClears, refused, landed, rejected, shared int
 
 	for step := 0; step < 1500; step++ {
 		switch op := rng.Intn(12); {
@@ -365,8 +365,8 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64, resubmit
 				if l.r.traces[idOf(side, tr.packet)] != nil {
 					t.Fatalf("step %d: the trace of %s stays open after its timeout landed", step, traceKey(tr.packet))
 				}
-			case 1:
-				deadLetters++
+			case 1: // refused by the host: nothing executed
+				refused++
 				l.r.timedOut(tr, false)
 			case 2: // submitted in full, rejected on chain
 				rejected++
@@ -417,10 +417,10 @@ func runScanSchedule(t *testing.T, channels []routing.Link, seed int64, resubmit
 		t.Errorf("channel timeout counters %v do not add up to %d", perChannel, submitted)
 	}
 	// The schedule has to have exercised every case it claims to.
-	if submitted < 20 || landed == 0 || deadLetters == 0 || rejected == 0 || lostRaces == 0 || rivalClears == 0 || shared == 0 ||
+	if submitted < 20 || landed == 0 || refused == 0 || rejected == 0 || lostRaces == 0 || rivalClears == 0 || shared == 0 ||
 		submitted <= uint64(landed) || l.counter("client_updates") == 0 || perChannel[0] == 0 || perChannel[1] == 0 {
-		t.Errorf("thin schedule: %d timeouts submitted (%d landed, %d dead-lettered, %d rejected, %d batches of several), %d lost races, %d rival clears, %d client pulls",
-			submitted, landed, deadLetters, rejected, shared, lostRaces, rivalClears, l.counter("client_updates"))
+		t.Errorf("thin schedule: %d timeouts submitted (%d landed, %d refused, %d rejected, %d batches of several), %d lost races, %d rival clears, %d client pulls",
+			submitted, landed, refused, rejected, shared, lostRaces, rivalClears, l.counter("client_updates"))
 	}
 }
 

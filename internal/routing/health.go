@@ -18,33 +18,25 @@ func LinkID(a, b string) string {
 }
 
 // LinkHealth is one telemetry sample for a link, fed from the relayers
-// serving it: the EWMA packet-delivery latency, the cumulative
-// dead-letter count of the link's reliable network calls, and the depth
-// of the relayer's queued work (inbound packets, pending acks, ack
-// backlog, paced jobs).
+// serving it: the EWMA packet-delivery latency and the depth of the
+// relayer's queued work (inbound packets, pending acks, ack backlog, paced
+// jobs).
 type LinkHealth struct {
 	// Latency is the EWMA delivery latency in seconds.
 	Latency float64
-	// DeadLetters is the cumulative dead-lettered call count; the view
-	// folds per-refresh deltas into a drop-rate EWMA.
-	DeadLetters uint64
 	// Backlog is the current queued-work depth.
 	Backlog int
 }
 
 // A link's cost is baseCost, the per-hop floor that lets shorter paths
 // win when health is equal, plus latencyWeight per second of EWMA delivery
-// latency, dropWeight per dead-lettered call in the drop EWMA (each
-// refresh's new dead letters enter it at weight dropDecay) and
-// backlogWeight per backlogged work item — one more hop's worth per second
-// of latency, per two dead letters, per 50 queued items. A chain pair
-// keeps at most maxPaths near-equal-cost paths.
+// latency and backlogWeight per backlogged work item — one more hop's
+// worth per second of latency, per 50 queued items. A chain pair keeps at
+// most maxPaths near-equal-cost paths.
 const (
 	baseCost      = 1.0
 	latencyWeight = 1.0
-	dropWeight    = 0.5
 	backlogWeight = 0.02
-	dropDecay     = 0.5
 	maxPaths      = 4
 )
 
@@ -84,9 +76,7 @@ type View struct {
 	ids    []string // canonical link IDs, sorted
 	chains []string
 
-	samples  map[string]LinkHealth
-	dropEWMA map[string]float64
-	lastDead map[string]uint64
+	samples map[string]LinkHealth
 
 	effective map[string]float64 // costs backing the current path table
 	paths     map[string][]scoredPath
@@ -128,8 +118,6 @@ func newView(links []Link, model CostModel, seed int64, paths int) *View {
 		maxPaths: paths,
 		links:    append([]Link(nil), links...),
 		samples:  make(map[string]LinkHealth),
-		dropEWMA: make(map[string]float64),
-		lastDead: make(map[string]uint64),
 	}
 	seen := make(map[string]bool)
 	chains := make(map[string]bool)
@@ -163,28 +151,16 @@ func (v *View) Cost(id string) float64 {
 	return baseCost
 }
 
-// Observe records a health sample for link id (canonical LinkID). The
-// dead-letter counter is cumulative; Observe folds its delta into the
-// drop EWMA. Samples take effect at the next Refresh.
-func (v *View) Observe(id string, h LinkHealth) {
-	delta := float64(0)
-	if h.DeadLetters > v.lastDead[id] {
-		delta = float64(h.DeadLetters - v.lastDead[id])
-	}
-	v.lastDead[id] = h.DeadLetters
-	v.dropEWMA[id] = dropDecay*delta + (1-dropDecay)*v.dropEWMA[id]
-	v.samples[id] = h
-}
+// Observe records a health sample for link id (canonical LinkID).
+// Samples take effect at the next Refresh.
+func (v *View) Observe(id string, h LinkHealth) { v.samples[id] = h }
 
 // freshCosts scores every link from the latest samples.
 func (v *View) freshCosts() map[string]float64 {
 	costs := make(map[string]float64, len(v.ids))
 	for _, id := range v.ids {
 		h := v.samples[id]
-		costs[id] = baseCost +
-			latencyWeight*h.Latency +
-			dropWeight*v.dropEWMA[id] +
-			backlogWeight*float64(h.Backlog)
+		costs[id] = baseCost + latencyWeight*h.Latency + backlogWeight*float64(h.Backlog)
 	}
 	return costs
 }

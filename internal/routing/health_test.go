@@ -167,42 +167,31 @@ func TestViewHysteresisGatesRecompute(t *testing.T) {
 	}
 }
 
-func TestViewScoresDeadLettersAndBacklog(t *testing.T) {
+func TestViewScoresBacklog(t *testing.T) {
 	v := NewView(diamondLinks(), CostModel{}, 1)
 	id := LinkID("b", "c")
 	base := v.Cost(id)
-	// Dead letters are cumulative; the view folds deltas into an EWMA.
-	v.Observe(id, LinkHealth{DeadLetters: 4})
-	v.Refresh()
-	withDrops := v.Cost(id)
-	if withDrops <= base {
-		t.Fatalf("dead letters did not raise cost: %v <= %v", withDrops, base)
-	}
-	// A flat counter means no new drops: the penalty halves, and a large
-	// backlog becomes the dominant term.
-	v.Observe(id, LinkHealth{DeadLetters: 4, Backlog: 500})
+	// A large backlog raises the link's cost.
+	v.Observe(id, LinkHealth{Backlog: 500})
 	v.Refresh()
 	withBacklog := v.Cost(id)
-	if withBacklog <= withDrops {
-		t.Fatalf("backlog did not raise cost: %v <= %v", withBacklog, withDrops)
+	if withBacklog <= base {
+		t.Fatalf("backlog did not raise cost: %v <= %v", withBacklog, base)
 	}
-	// Healthy samples decay the penalty away: the cost comes back to
-	// within the hysteresis band of base, where the gate stops moving it.
-	for i := 0; i < 8; i++ {
-		v.Observe(id, LinkHealth{DeadLetters: 4})
-		v.Refresh()
-	}
-	if got := v.Cost(id); got >= withDrops || got > base*(1+DefaultCostModel().Hysteresis) {
-		t.Fatalf("cost did not return to base after recovery: %v (base %v)", got, base)
+	// A drained backlog brings the cost back to base.
+	v.Observe(id, LinkHealth{})
+	v.Refresh()
+	if got := v.Cost(id); got != base {
+		t.Fatalf("cost did not return to base after the backlog drained: %v (base %v)", got, base)
 	}
 }
 
 // TestViewDefaultCostsGolden pins DefaultCostModel by what it does: the
 // diamond's link costs, guest->c path set and the arms sixteen flows take
-// after each step of a fixed health script — base cost, the latency, drop
-// and backlog terms, the drop EWMA's decay, the hysteresis gate (steps 0
-// and 4 move no table) and the equal-cost spread (step 3 readmits the a
-// arm at 2.2375 against 2.27), value for value.
+// after each step of a fixed health script — base cost, the latency and
+// backlog terms, the hysteresis gate (steps 0 and 4 move no table) and the
+// equal-cost spread (step 3 readmits the a arm at 2.05 against 2.02),
+// value for value.
 func TestViewDefaultCostsGolden(t *testing.T) {
 	type obs struct {
 		id string
@@ -217,14 +206,14 @@ func TestViewDefaultCostsGolden(t *testing.T) {
 	}{
 		{[]obs{{"a-c", LinkHealth{Latency: 0.1, Backlog: 5}}},
 			false, [4]float64{1, 1, 1, 1}, "ab", "aababbaababbaaba"},
-		{[]obs{{"a-c", LinkHealth{Latency: 0.1, DeadLetters: 3, Backlog: 40}}, {"b-guest", LinkHealth{Latency: 0.02}}},
-			true, [4]float64{2.6500000000000004, 1, 1, 1.02}, "b", "bbbbbbbbbbbbbbbb"},
-		{[]obs{{"a-c", LinkHealth{Latency: 2.5, DeadLetters: 3, Backlog: 40}}, {"b-c", LinkHealth{Latency: 0.04, Backlog: 2}}},
-			true, [4]float64{4.675, 1, 1.08, 1.02}, "b", "bbbbbbbbbbbbbbbb"},
-		{[]obs{{"a-c", LinkHealth{Latency: 0.05, DeadLetters: 3}}, {"b-c", LinkHealth{DeadLetters: 1}}},
-			true, [4]float64{1.2375, 1, 1.25, 1.02}, "ab", "aababbaababbaaba"},
-		{[]obs{{"a-c", LinkHealth{DeadLetters: 3}}, {"b-c", LinkHealth{DeadLetters: 1}}},
-			false, [4]float64{1.2375, 1, 1.25, 1.02}, "ab", "aababbaababbaaba"},
+		{[]obs{{"a-c", LinkHealth{Latency: 0.1, Backlog: 40}}, {"b-guest", LinkHealth{Latency: 0.02}}},
+			true, [4]float64{1.9000000000000001, 1, 1, 1.02}, "b", "bbbbbbbbbbbbbbbb"},
+		{[]obs{{"a-c", LinkHealth{Latency: 2.5, Backlog: 40}}, {"b-c", LinkHealth{Latency: 0.04, Backlog: 2}}},
+			true, [4]float64{4.3, 1, 1.08, 1.02}, "b", "bbbbbbbbbbbbbbbb"},
+		{[]obs{{"a-c", LinkHealth{Latency: 0.05}}, {"b-c", LinkHealth{}}},
+			true, [4]float64{1.05, 1, 1, 1.02}, "ba", "bbabaabbabaabbab"},
+		{[]obs{{"a-c", LinkHealth{}}, {"b-c", LinkHealth{}}},
+			false, [4]float64{1.05, 1, 1, 1.02}, "ba", "bbabaabbabaabbab"},
 	}
 	v := NewView(diamondLinks(), DefaultCostModel(), 7)
 	rebuilds := 0

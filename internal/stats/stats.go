@@ -134,20 +134,6 @@ func (e *ECDF) At(x float64) float64 {
 // Len returns the sample count.
 func (e *ECDF) Len() int { return len(e.sorted) }
 
-// Points returns (x, P(X<=x)) pairs suitable for plotting the CDF curves
-// of Figs. 2 and 4.
-func (e *ECDF) Points(n int) [][2]float64 {
-	if len(e.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i+1) / float64(n)
-		out = append(out, [2]float64{Quantile(e.sorted, q), q})
-	}
-	return out
-}
-
 // Histogram bins samples into equal-width buckets over [min, max].
 type Histogram struct {
 	Min, Max float64

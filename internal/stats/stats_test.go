@@ -83,10 +83,6 @@ func TestECDF(t *testing.T) {
 	if got := e.At(2.5); !almost(got, 0.5, 1e-9) {
 		t.Fatalf("At(2.5) = %v", got)
 	}
-	pts := e.Points(4)
-	if len(pts) != 4 || pts[3][1] != 1 {
-		t.Fatalf("points: %v", pts)
-	}
 }
 
 func TestHistogram(t *testing.T) {

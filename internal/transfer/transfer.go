@@ -92,12 +92,6 @@ type App struct {
 
 	// escrow[channel][denom] tracks locked source-chain tokens.
 	escrow map[ibc.ChannelID]map[string]uint64
-
-	// Mints/Burns/Refunds count voucher operations for tests.
-	Mints, Burns, Refunds int
-	// Cancels counts sends rolled back before the packet ever left the
-	// chain (mempool rejection or deadline shedding under load).
-	Cancels int
 }
 
 var _ ibc.Module = (*App)(nil)
@@ -191,7 +185,6 @@ func (a *App) PrepareSend(srcChannel ibc.ChannelID, d *PacketData) error {
 	}
 	if _, voucher := cutVoucherPrefix(d.Denom, a.port, srcChannel); voucher {
 		// Voucher going home: burn.
-		a.Burns++
 		return nil
 	}
 	// Native: escrow.
@@ -210,11 +203,9 @@ func (a *App) PrepareSend(srcChannel ibc.ChannelID, d *PacketData) error {
 // fire. Without this rollback, escrowed (or burned) funds would be
 // stranded and per-channel conservation would break under overload.
 func (a *App) CancelSend(srcChannel ibc.ChannelID, d *PacketData) error {
-	a.Cancels++
 	if _, voucher := cutVoucherPrefix(d.Denom, a.port, srcChannel); voucher {
 		// The burned voucher comes back into existence.
 		a.credit(d.Sender, d.Denom, d.Amount)
-		a.Mints++
 		return nil
 	}
 	esc := a.escrow[srcChannel]
@@ -257,7 +248,6 @@ func (a *App) OnRecvPacket(p ibc.Packet) ([]byte, error) {
 	// Foreign token arriving: mint a voucher traced through OUR end.
 	voucher := string(p.DestPort) + "/" + string(p.DestChannel) + "/" + d.Denom
 	a.credit(d.Receiver, voucher, d.Amount)
-	a.Mints++
 	return AckSuccess, nil
 }
 
@@ -280,11 +270,9 @@ func (a *App) refund(p ibc.Packet) error {
 	if err != nil {
 		return err
 	}
-	a.Refunds++
 	if _, voucher := cutVoucherPrefix(d.Denom, p.SourcePort, p.SourceChannel); voucher {
 		// A burned voucher comes back into existence.
 		a.credit(d.Sender, d.Denom, d.Amount)
-		a.Mints++
 		return nil
 	}
 	esc := a.escrow[p.SourceChannel]

@@ -18,6 +18,18 @@ func pkt(srcChan, dstChan ibc.ChannelID, d *PacketData) ibc.Packet {
 	}
 }
 
+// supply is every unit of denom a holds: account balances plus escrow.
+func supply(a *App, denom string) uint64 {
+	var n uint64
+	for _, b := range a.balances {
+		n += b[denom]
+	}
+	for _, esc := range a.escrow {
+		n += esc[denom]
+	}
+	return n
+}
+
 func TestEscrowAndMint(t *testing.T) {
 	src := New("transfer")
 	dst := New("transfer")
@@ -43,8 +55,11 @@ func TestEscrowAndMint(t *testing.T) {
 	if dst.Balance("bob", "transfer/channel-5/SOL") != 400 {
 		t.Fatal("voucher not minted")
 	}
-	if dst.Mints != 1 {
-		t.Fatalf("mints = %d", dst.Mints)
+	if got := supply(dst, "transfer/channel-5/SOL"); got != 400 {
+		t.Fatalf("voucher supply = %d, want 400 (minted once)", got)
+	}
+	if got := supply(src, "SOL"); got != 1000 {
+		t.Fatalf("SOL supply = %d, want 1000 (escrowed, not destroyed)", got)
 	}
 }
 
@@ -71,8 +86,8 @@ func TestVoucherReturnsHome(t *testing.T) {
 	if dst.Balance("bob", voucher) != 0 {
 		t.Fatal("voucher not burned")
 	}
-	if dst.Burns != 1 {
-		t.Fatalf("burns = %d", dst.Burns)
+	if got := supply(dst, voucher); got != 0 {
+		t.Fatalf("voucher supply = %d after the burn, want 0", got)
 	}
 	ack, err := src.OnRecvPacket(pkt("channel-5", "channel-0", back))
 	if err != nil {
@@ -144,8 +159,8 @@ func TestErrorAckRefunds(t *testing.T) {
 	if app.EscrowedAmount("channel-0", "SOL") != 0 {
 		t.Fatal("escrow not released on refund")
 	}
-	if app.Refunds != 1 {
-		t.Fatalf("refunds = %d", app.Refunds)
+	if got := supply(app, "SOL"); got != 500 {
+		t.Fatalf("SOL supply = %d after the refund, want 500 (refunded once)", got)
 	}
 }
 

@@ -77,10 +77,8 @@ type Validator struct {
 	ep     *netsim.Endpoint
 	blocks *host.Reader
 	pulled []*host.Block // Pull's buffer, empty between wake-ups
-	retry  netsim.RetryPolicy
 	// Shared across validators, like the sign counter.
 	mNetRetries *telemetry.Counter
-	mNetDead    *telemetry.Counter
 }
 
 // Option configures a validator daemon.
@@ -114,7 +112,6 @@ func New(key *cryptoutil.PrivKey, b Behaviour, chain *host.Chain, contract *gues
 		pendingCost:   make(map[uint64]host.Lamports),
 		signedHeights: make(map[uint64]bool),
 		blocks:        chain.NewReader(),
-		retry:         netsim.DefaultRetryPolicy(),
 	}
 	for _, o := range opts {
 		o(v)
@@ -122,7 +119,6 @@ func New(key *cryptoutil.PrivKey, b Behaviour, chain *host.Chain, contract *gues
 	v.rng = rand.New(rand.NewSource(v.seed))
 	v.mSignatures = v.telemetry.Counter("validator.signatures")
 	v.mNetRetries = v.telemetry.Counter("validator.net_retries")
-	v.mNetDead = v.telemetry.Counter("validator.net_dead_letters")
 	v.ep = net.Node(netsim.ValidatorNode(index), v.onNetMessage, nil)
 	return v
 }
@@ -230,9 +226,8 @@ func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
 // until the host acknowledges. done fires exactly once with the submission
 // outcome.
 func (v *Validator) submitTx(tx *host.Transaction, done func(error)) {
-	obs := netsim.RetryObserver{Retries: v.mNetRetries, DeadLetters: v.mNetDead}
 	v.ep.ReliableCall(netsim.HostNode, netsim.KindSubmitTx, netsim.MsgSubmitTx{Txs: []*host.Transaction{tx}},
-		v.retry, obs, func(_ any, err error) { done(err) })
+		netsim.DefaultRetryPolicy(), netsim.RetryObserver{Retries: v.mNetRetries}, func(_ any, err error) { done(err) })
 }
 
 // SignCount returns the number of submitted signatures.

@@ -22,7 +22,7 @@ var exportReaders = map[string]string{
 	// The paper's own features, reached only by tests.
 	"guest.TxBuilder.UnstakeTx":            "§III-B unstake (guest TestStakeUnstakeWithdraw)",
 	"guest.TxBuilder.WithdrawTx":           "§III-B withdraw after unbonding (guest TestStakeUnstakeWithdraw)",
-	"guest.TxBuilder.EmergencyReleaseTx":   "§VI-A emergency release (guest TestEmergencyRelease, TestEmergencyReleaseDisabled)",
+	"guest.TxBuilder.EmergencyReleaseTx":   "§VI-A emergency release (guest TestEmergencyRelease)",
 	"ibc.Handler.ChanCloseInit":            "ICS-04 channel close (ibc TestChannelCloseHandshake, core TestRefusedCPSendLeavesNoEscrow)",
 	"ibc.Handler.ChanCloseConfirm":         "ICS-04 channel close (ibc TestChannelCloseHandshake)",
 	"lightclient/tendermint.WithRateLimit": "§VI-C update rate limit (tendermint TestRateLimit)",
