@@ -25,92 +25,10 @@ lint: lint-deprecated
 		$(GO) vet ./...; \
 	fi
 
-# Grep gate for retired APIs. The deprecated O(n) Clone() snapshot shims
-# and the error aliases ErrInvalidProof / ErrDuplicatePacket were deleted
-# in PR 7; this gate keeps them from creeping back in any file. Use the
-# O(1) Snapshot/Commit + At + Release versioning API and the canonical
-# ErrProofVerification / ErrPacketAlreadyDelivered names. PR 13 folded the
-# second relayer into relayer.Relayer (one engine, two ends, always on a
-# netsim endpoint); its names stay retired too (netsim.LinkRelayerNode is a
-# different thing).
-# PR 17 folded the five packet-plane scenario drivers into Scenario
-# literals run by Scenario.Run (internal/experiments/scenarios.go); their
-# names stay retired outside benchmark/, whose one comment mention stays.
-# PR 19 folded the last two hand-written drivers (the §V-C outage and the
-# kill-and-recover run) into the same registry and deleted the whole-trie
-# serialiser (nodecodec.go is the persisted format); those names are
-# retired everywhere. PR 22 made a cosmos chain's front-end serve one call,
-# the transaction (netsim.KindTx / MsgTx); the four per-datagram call kinds
-# are message types inside it and their names stay retired. PR 24 made a
-# setting exist only where two callers disagree: the knobs every caller
-# left at one value became constants, the capabilities only they could
-# switch on went with them, and the validator and fisherman lost their
-# transport-less mode (the network is a constructor argument). The
-# telemetry registry and tracer are the relayer's only measurement record:
-# its per-update and per-recv records, its timeout count and the
-# experiments' record-based figure path stay retired. Channel and
-# connection ends have one wire encoding with no decode cache; the JSON
-# path, its second encoder and the unused connection delay stay retired.
-# A light-client commit names its signers in validator-set order, so the
-# linear power lookup by key stays retired too. Acks and timeouts reach a
-# sink as one shard's batch and stage like recvs: the single-item end
-# methods, the one-payload decoders, the recv-only budget declaration and
-# the recv-only batch rule stay retired. A metric is kept only where a
-# benchmark, figure, verdict, summary, example or test reads it
-# (internal/core TestEveryMetricHasAReader): the process-wide quorum
-# observer, the event-bus statistics, the unread latency and attempt
-# histograms, and the telemetry options only those metrics needed stay
-# retired. An update-client staging buffer is the Tendermint update's own
-# encoding (set first, so the set stages before the header is picked): the
-# length-framed update-client payload and its codec stay retired.
-# Guest-bound jobs settle by the guest's state (settledJob, pushed onto a
-# pacer): the recv-only settleRecvs and the unchecked enqueue stay retired.
-# Trie paths are packed bit strings held inline in the node and read by bit
-# index: the bit-per-byte unpacking, re-packing, prefix and scratch helpers
-# and the proof-item reversal stay retired in internal/trie.
-# Guest-sourced packets and acks reach the peer through the shards and
-# flush, like a cosmos source's: the guest end's own per-packet delivery,
-# per-ack relay and per-lane ack backlog stay retired in internal/relayer.
-# An event kind is kept only where something reads it (internal/core
-# TestEveryEventHasAReader): the 21 unread ibc and guest kinds (handshake,
-# client, recv, channel-closed, queued, signed, stake and slashing events)
-# stay retired outside tests. Signatures take one path: the host verifies a
-# transaction's precompile batch when it executes it, through the one pool
-# and cache in cryptoutil. The host's sharded pre-verification stage, the
-# in-program verify and its compute charge, and the guest's client-update
-# fallback stay retired outside tests. A trie proof is its wire encoding,
-# written into one buffer and verified in place: the decoded item struct,
-# its kind type, the terminal path-length fields and the path-owning copy
-# stay retired.
-# A value is versioned once, by the trie leaf that holds it (Put/Value),
-# and persisted once, as a record under its value hash beside the nodes.
-# The ibc.Store's per-path value history (its revisions, write log and
-# prune/trim pair), the per-read re-hash with its mismatch and out-of-sync
-# errors, and the backend's per-path versioned value lookup stay retired.
-# A host block lives until its slowest reader passes it: the fixed retention
-# window and its knob, slot-cursor polling and the by-slot lookup stay
-# retired; a consumer pulls through its own host.Reader.
-# Provable history is the ibc.Store's: a chain commits or shares a version
-# per height and states its window in heights, and the store releases or
-# evicts a version once its last height leaves. The guest's and the
-# counterparty's own snapshot maps, cursors, reference counts and
-# cold-eviction loop stay retired.
-# Each job keeps the one path a deployment runs. Misbehaviour takes effect
-# at the Guest Contract (OpSubmitMisbehaviour, fed by the fisherman), so
-# the light clients' freeze path (SubmitMisbehaviour, ErrFrozen, Frozen())
-# stays retired; a validator goes down only by its netsim node crashing, so
-# the daemon's Stop/Resume switch stays retired; and a fee payout goes to
-# whom the payee resolver names, so the static SetPayee stays retired.
-# cryptoutil keeps no name that only tests call: the hex hash parser and
-# the digest-typed verify wrapper stay retired (Verify takes h[:]).
-# Every exported name under internal/ has a non-test reader or a row in
-# exportReaders (readers_test.go TestEveryExportHasAReader). The names only
-# tests read stay retired: the profile-taking tx builder (a builder sizes
-# for the host its contract is deployed on), the state-account resize and
-# the mempool headroom read, the trie's per-version root lookup, the
-# Tendermint client's root lookup and the store's recovered height
-# (AtHeight serves every recovered height).
-# A reliable call retries until answered: the dead-letter mode and the settable reorder delay stay retired.
+# Grep gate for retired APIs: a name that a change deleted, or folded into
+# another, must not come back. Each grep lists retired identifiers, scans
+# every Go file unless it names a narrower set, and prints what replaced
+# them.
 lint-deprecated:
 	@bad=$$(grep -rn '\.Clone()\|ErrInvalidProof\|ErrDuplicatePacket' --include='*.go' .); \
 	if [ -n "$$bad" ]; then \
@@ -256,14 +174,15 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem ./...
 
-# Code size per internal package and of cmd/guestsim: non-test Go lines
-# that are neither blank nor comment-only. Simplification PRs quote their
-# line deltas from this. (The repo benchmark is not a make target: see
-# benchmark/README.md.)
+# Code size per internal package and of cmd/guestsim, then their total:
+# non-test Go lines that are neither blank nor comment-only.
+# Simplification PRs quote their line deltas from this. (The repo
+# benchmark is not a make target: see benchmark/README.md.)
 loc:
-	@for d in internal/*/ cmd/guestsim/; do \
-		printf '%6d %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | grep -v '^\s*$$' | grep -vc '^\s*//')" $${d%/}; \
-	done
+	@total=0; for d in internal/*/ cmd/guestsim/; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | grep -v '^\s*$$' | grep -vc '^\s*//'); \
+		printf '%6d %s\n' $$n $${d%/}; total=$$((total + n)); \
+	done; printf '%6d total\n' $$total
 
 # Scenario smoke gate: the acceptance scenarios no Go test already runs
 # at full size, each through the one runner and ledger. The mesh line and

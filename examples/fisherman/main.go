@@ -57,7 +57,7 @@ func main() {
 	// Offence 3: sign a block that differs from the canonical block at an
 	// existing height.
 	forged := cryptoutil.HashBytes([]byte("a fork that never happened"))
-	sig := byz.PublishForgedSignature(2, forged)
+	sig := byz.PublishForgedSignature(forged)
 	net.Gossip.Publish(fisherman.Observation{
 		Height: 2, BlockHash: forged, PubKey: sig.PubKey, Signature: sig.Signature,
 	})
@@ -74,7 +74,7 @@ func main() {
 	// Offence 2: another validator signs a far-future height.
 	byz2 := net.Validators[8]
 	future := cryptoutil.HashBytes([]byte("block from the future"))
-	sig2 := byz2.PublishForgedSignature(9_999, future)
+	sig2 := byz2.PublishForgedSignature(future)
 	net.Gossip.Publish(fisherman.Observation{
 		Height: 9_999, BlockHash: future, PubKey: sig2.PubKey, Signature: sig2.Signature,
 	})
@@ -88,8 +88,8 @@ func main() {
 	h := st.Height() + 1
 	a := cryptoutil.HashBytes([]byte("candidate block A"))
 	b := cryptoutil.HashBytes([]byte("candidate block B"))
-	sa := byz3.PublishForgedSignature(h, a)
-	sb := byz3.PublishForgedSignature(h, b)
+	sa := byz3.PublishForgedSignature(a)
+	sb := byz3.PublishForgedSignature(b)
 	net.Gossip.Publish(fisherman.Observation{Height: h, BlockHash: a, PubKey: sa.PubKey, Signature: sa.Signature})
 	net.Gossip.Publish(fisherman.Observation{Height: h, BlockHash: b, PubKey: sb.PubKey, Signature: sb.Signature})
 	fmt.Printf("third validator double-signs height %d...\n", h)

@@ -151,7 +151,6 @@ type ChannelRuntime struct {
 	GuestApp     *transfer.App
 	CPApp        *transfer.App
 	GuestStack   *middleware.Stack
-	CPStack      *middleware.Stack
 	GuestChannel ibc.ChannelID
 	CPChannel    ibc.ChannelID
 }
@@ -319,7 +318,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 					GuestApp:     n.guest.Apps[guestPort],
 					CPApp:        cosmos.Apps[cpPort],
 					GuestStack:   n.guest.Stacks[guestPort],
-					CPStack:      cosmos.Stacks[cpPort],
 					GuestChannel: res.GuestChannel,
 					CPChannel:    res.CPChannel,
 				})
@@ -676,9 +674,9 @@ func (n *Network) wireScheduling(feesPresent bool) {
 			continue
 		}
 		n.Sched.Every(mc.CP.BlockInterval(), func() bool {
-			h := mc.CP.ProduceBlock()
+			mc.CP.ProduceBlock()
 			for _, rn := range mc.relayerNodes {
-				mc.ep.Send(rn, netsim.KindCPBlock, netsim.MsgCPBlock{Height: h.Height})
+				mc.ep.Send(rn, netsim.KindCPBlock, nil)
 			}
 			return true
 		})
@@ -780,12 +778,11 @@ func (n *Network) dispatch(block *host.Block) {
 	// New-block notifications go out over the wire. A dropped notification
 	// loses nothing: each daemon's host reader holds the block until the
 	// next delivery wakes it to pull.
-	var msg any = netsim.MsgHostBlock{Slot: block.Slot} // boxed once for every recipient
 	for _, vn := range n.validatorNodes {
-		n.hostEP.Send(vn, netsim.KindHostBlock, msg)
+		n.hostEP.Send(vn, netsim.KindHostBlock, nil)
 	}
 	for _, rn := range n.guest.relayerNodes {
-		n.hostEP.Send(rn, netsim.KindHostBlock, msg)
+		n.hostEP.Send(rn, netsim.KindHostBlock, nil)
 	}
 }
 
@@ -805,13 +802,12 @@ func (n *Network) Run(d time.Duration) { n.Sched.RunFor(d) }
 
 // User is a funded account that can send transfers from the guest side.
 type User struct {
-	Key  *cryptoutil.PrivKey
-	Name string
+	Key *cryptoutil.PrivKey
 }
 
 // NewUser creates and funds a guest-side user with tokens to send.
 func (n *Network) NewUser(name string, lamports host.Lamports, denom string, tokens uint64) *User {
-	u := &User{Key: cryptoutil.GenerateKey("user/" + name), Name: name}
+	u := &User{Key: cryptoutil.GenerateKey("user/" + name)}
 	n.Host.Fund(u.Key.Public(), lamports)
 	n.GuestApp.Mint(u.Key.Public().String(), denom, tokens)
 	return u

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/counterparty"
 	"repro/internal/fees"
-	"repro/internal/host"
 	"repro/internal/ibc"
 	"repro/internal/middleware"
 	"repro/internal/netsim"
@@ -308,10 +307,6 @@ type RoutedSend struct {
 	Route      []routing.Hop
 	Plan       routing.ForwardPlan
 	DenomTrace []string
-	// Packet is the first-hop packet (cosmos-source sends).
-	Packet *ibc.Packet
-	// Tx is the submitted host transaction (guest-source sends).
-	Tx *host.Transaction
 }
 
 // SendRouted sends amount of denom from sender on chain src to receiver
@@ -342,11 +337,9 @@ func (n *Network) SendRouted(src, dst, sender, receiver, denom string, amount ui
 		Receiver: rs.Plan.Receiver,
 		Memo:     rs.Plan.Memo,
 	}
-	p, err := n.cosmosSend(mc.CP, app, h0.Port, h0.Channel, data, timeout)
-	if err != nil {
+	if _, err := n.cosmosSend(mc.CP, app, h0.Port, h0.Channel, data, timeout); err != nil {
 		return nil, err
 	}
-	rs.Packet = p
 	return rs, nil
 }
 
@@ -368,7 +361,7 @@ func (n *Network) SendRoutedFromGuest(u *User, dst, receiver, denom string, amou
 	if ch < 0 {
 		return nil, fmt.Errorf("core: no guest link for hop %s/%s", h0.Port, h0.Channel)
 	}
-	tx, err := n.InjectTransfer(TransferReq{
+	if _, err := n.InjectTransfer(TransferReq{
 		Channel:  ch,
 		Sender:   u.Key.Public(),
 		Receiver: rs.Plan.Receiver,
@@ -377,11 +370,9 @@ func (n *Network) SendRoutedFromGuest(u *User, dst, receiver, denom string, amou
 		Memo:     rs.Plan.Memo,
 		Policy:   policy,
 		Timeout:  timeout,
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	rs.Tx = tx
 	return rs, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -270,8 +271,14 @@ func TestMeshRelayerNamespacesNeverCollide(t *testing.T) {
 func TestMeshStaticDefaultNeverObservesView(t *testing.T) {
 	n := meshNetwork(t, Config{Behaviours: fastFleet(4), Seed: 11, Mesh: lineMesh()})
 	n.Run(10 * time.Minute)
-	if got := len(n.Mesh.View.Paths("guest", "c")); got != 1 {
-		t.Fatalf("static view keeps %d guest->c paths, want 1", got)
+	single, err := n.Mesh.View.Route("guest", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(0); seq < 16; seq++ {
+		if hops, err := n.Mesh.View.RouteFlow("guest", "c", "alice", seq); err != nil || !reflect.DeepEqual(hops, single) {
+			t.Fatalf("static view routes guest->c flow %d via %+v (%v), want its one path %+v", seq, hops, err, single)
+		}
 	}
 	if _, ok := n.SnapshotTelemetry().Counters["mesh.routing.recomputes"]; ok {
 		t.Fatal("static mesh scheduled the adaptive health feed")

@@ -192,7 +192,7 @@ func readerPair(t *testing.T, watch func(*Network)) *Network {
 	if watch != nil {
 		watch(n)
 	}
-	for _, side := range []*middleware.Stack{n.Channels[0].GuestStack, n.Channels[0].CPStack} {
+	for _, side := range []*middleware.Stack{n.Channels[0].GuestStack, n.Mesh.Chain("cp").Stacks["transfer"]} {
 		side.Middleware("callbacks").(*middleware.Callbacks).Register("transfer", "",
 			&middleware.Callback{Budget: 1_000, OnRecv: func(ibc.Packet, middleware.Meter) error { return nil }})
 	}
@@ -207,7 +207,7 @@ func readerPair(t *testing.T, watch func(*Network)) *Network {
 		t.Fatal(err)
 	}
 	n.Run(5 * time.Minute)
-	settled(t, n.Channels[0].GuestStack, n.Channels[0].CPStack)
+	settled(t, n.Channels[0].GuestStack, n.Mesh.Chain("cp").Stacks["transfer"])
 	return n
 }
 

@@ -131,12 +131,6 @@ func (c *sigCache) add(key Hash) {
 	c.m[key] = i
 }
 
-func (c *sigCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // BatchVerifier verifies sets of Ed25519 signatures across a sized worker
 // pool with an optional bounded LRU cache of already-verified triples.
 // Repeated light-client updates over the same validator set — or the same
@@ -207,15 +201,13 @@ func DefaultBatchVerifier() *BatchVerifier { return defaultVerifier }
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64
-	Len    int
 	Cap    int
 }
 
-// Stats returns the verifier's cumulative cache counters and current size.
+// Stats returns the verifier's cumulative cache counters and capacity.
 func (v *BatchVerifier) Stats() CacheStats {
 	s := CacheStats{Hits: v.hits.Load(), Misses: v.misses.Load()}
 	if v.cache != nil {
-		s.Len = v.cache.len()
 		s.Cap = v.cache.cap
 	}
 	return s

@@ -74,7 +74,6 @@ type SendSample struct {
 // Deployment holds the raw measurements of one simulated window.
 type Deployment struct {
 	Net *core.Network
-	Cfg Config
 
 	Sends           []SendSample
 	UpdateLatencies []float64 // seconds (Fig. 4)
@@ -119,7 +118,7 @@ func RunWithNetwork(cfg Config, netCfg core.Config) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Deployment{Net: net, Cfg: cfg}
+	d := &Deployment{Net: net}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1000))
 
 	alice := net.NewUser("wl-sender", 100_000*host.LamportsPerSOL, "GUEST", 1<<40)

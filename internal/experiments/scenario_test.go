@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -73,7 +74,7 @@ func (r row) run(t *testing.T) {
 	for _, rep := range o.reports {
 		switch {
 		case r.violation == "" && len(rep.Violations) > 0:
-			t.Errorf("%s: violations %q\n%s", rep.Scenario.Name, rep.Violations, rep.Fingerprint)
+			t.Errorf("%s: violations %q\n%s", rep.Scenario.Name, rep.Violations, fingerprint(rep))
 		case r.violation != "" && (len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], r.violation)):
 			t.Errorf("%s: violations %q, want exactly one containing %q", rep.Scenario.Name, rep.Violations, r.violation)
 		}
@@ -268,11 +269,16 @@ func sameSeedTwice(t *testing.T, names ...string) {
 		delete(memo, name)
 		second := runScenario(t, name, nil)
 		for i := range first.reports {
-			if a, b := first.reports[i].Fingerprint, second.reports[i].Fingerprint; a != b {
+			if a, b := fingerprint(first.reports[i]), fingerprint(second.reports[i]); a != b {
 				t.Errorf("%s run %d diverged:\n%s\n---\n%s", name, i, a, b)
 			}
 		}
 	}
+}
+
+// fingerprint digests a run: two runs of one Scenario must agree.
+func fingerprint(rep *Report) string {
+	return fmt.Sprintf("%v|%v|%v|%q", rep.Flows, rep.Links, rep.Fees, rep.Violations)
 }
 
 func TestRunMeshDeterministic(t *testing.T)         { sameSeedTwice(t, "mesh-line", "mesh-diamond") }

@@ -131,7 +131,7 @@ func Deploy(chain *host.Chain, cfg Config) (*Contract, host.Lamports, error) {
 		return nil, 0, fmt.Errorf("guest: commit genesis: %w", err)
 	}
 
-	deposit, err := chain.CreateStateAccount(cfg.Payer, c.stateKey, c.programID, stateSize, st)
+	deposit, err := chain.CreateStateAccount(cfg.Payer, c.stateKey, stateSize, st)
 	if err != nil {
 		return nil, 0, fmt.Errorf("guest: allocate state account: %w", err)
 	}
@@ -480,7 +480,6 @@ func (c *Contract) chunk(ctx *host.ExecContext, st *State, r *wire.Reader) error
 		st.staging[key] = buf
 	}
 	buf.Data = append(buf.Data, a.Data...)
-	buf.Txs++
 	for _, claim := range a.SigClaims {
 		buf.VerifiedSigs[sigDigest(claim.Pub, claim.Payload)] = true
 	}
@@ -534,12 +533,7 @@ func (c *Contract) commitUpdateClient(ctx *host.ExecContext, st *State, r *wire.
 	if err := tc.UpdatePresigned(u, ctx.Time, check); err != nil {
 		return err
 	}
-	buf.Txs++ // the commit transaction itself
-	ctx.Emit(EventClientUpdated{
-		ClientID: a.ClientID,
-		Height:   client.LatestHeight(),
-		Txs:      buf.Txs,
-	})
+	ctx.Emit(EventClientUpdated{})
 	return nil
 }
 
@@ -671,7 +665,7 @@ func (c *Contract) commitAck(ctx *host.ExecContext, st *State, r *wire.Reader) e
 	return commitPackets(c, ctx, st, r, UnmarshalAckPayloads, func(p *AckPayload) error {
 		err := st.Handler.AcknowledgePacket(p.Packet, p.Ack, p.Proof, p.ProofHeight)
 		if err == nil {
-			ctx.Emit(EventPacketAcked{Packet: p.Packet})
+			ctx.Emit(EventPacketAcked{})
 		}
 		return err
 	})
@@ -683,7 +677,7 @@ func (c *Contract) commitTimeout(ctx *host.ExecContext, st *State, r *wire.Reade
 	return commitPackets(c, ctx, st, r, UnmarshalTimeoutPayloads, func(p *TimeoutPayload) error {
 		err := st.Handler.TimeoutPacket(p.Packet, p.Proof, p.ProofHeight)
 		if err == nil {
-			ctx.Emit(EventPacketTimedOut{Packet: p.Packet})
+			ctx.Emit(EventPacketTimedOut{})
 		}
 		return err
 	})
@@ -701,16 +695,22 @@ func (c *Contract) closeBuffer(ctx *host.ExecContext, st *State, r *wire.Reader)
 	return nil
 }
 
+// emergencyTimeout implements the §VI-A mitigation for the "last validator
+// wishing to quit" problem: once no guest block has been generated for this
+// long, the chain is considered dead and anyone may trigger the release of
+// all staked assets to their owners, bypassing the unbonding period.
+const emergencyTimeout = 30 * 24 * time.Hour
+
 // emergencyRelease implements the §VI-A self-destruction mitigation: if no
-// guest block has been generated for EmergencyTimeout, the chain is dead —
+// guest block has been generated for emergencyTimeout, the chain is dead —
 // without this, validators could never recover their stake once the
 // validator set fell below quorum ("last validator wishing to quit"). Any
 // caller may trigger it; all candidate stakes and pending withdrawals are
 // paid out immediately and the contract halts.
 func (c *Contract) emergencyRelease(ctx *host.ExecContext, st *State) error {
 	dead := ctx.Time.Sub(st.Head().Block.Time)
-	if dead < st.Params.EmergencyTimeout {
-		return fmt.Errorf("%w: head is %v old, timeout %v", ErrNotDead, dead, st.Params.EmergencyTimeout)
+	if dead < emergencyTimeout {
+		return fmt.Errorf("%w: head is %v old, timeout %v", ErrNotDead, dead, emergencyTimeout)
 	}
 	// Pay out candidates, then matured-and-unmatured withdrawals alike.
 	var total host.Lamports

@@ -427,7 +427,7 @@ func TestRefusedChunkStagesNothing(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBadSignature", err)
 	}
 	if buf, ok := e.state().staging[staged]; ok {
-		t.Fatalf("a refused chunk created its buffer: %d bytes, %d txs", len(buf.Data), buf.Txs)
+		t.Fatalf("a refused chunk created its buffer: %d bytes", len(buf.Data))
 	}
 
 	e.submit(chunk("first", true))
@@ -435,12 +435,12 @@ func TestRefusedChunkStagesNothing(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBadSignature", err)
 	}
 	buf := e.state().staging[staged]
-	if string(buf.Data) != "first" || buf.Txs != 1 || len(buf.VerifiedSigs) != 1 {
-		t.Fatalf("a refused chunk changed its buffer: data %q, %d txs, %d verified claims", buf.Data, buf.Txs, len(buf.VerifiedSigs))
+	if string(buf.Data) != "first" || len(buf.VerifiedSigs) != 1 {
+		t.Fatalf("a refused chunk changed its buffer: data %q, %d verified claims", buf.Data, len(buf.VerifiedSigs))
 	}
 	e.submit(chunk("second", true))
-	if buf := e.state().staging[staged]; string(buf.Data) != "firstsecond" || buf.Txs != 2 || len(buf.VerifiedSigs) != 2 {
-		t.Fatalf("resubmitted with its claim verified: data %q, %d txs, %d verified claims", buf.Data, buf.Txs, len(buf.VerifiedSigs))
+	if buf := e.state().staging[staged]; string(buf.Data) != "firstsecond" || len(buf.VerifiedSigs) != 2 {
+		t.Fatalf("resubmitted with its claim verified: data %q, %d verified claims", buf.Data, len(buf.VerifiedSigs))
 	}
 }
 
@@ -688,7 +688,7 @@ func TestEmergencyRelease(t *testing.T) {
 	crank := NewTxBuilder(e.contract, e.payer)
 	e.submit(crank.GenerateBlockTx())
 	st := e.state()
-	e.clock.Advance(st.Params.EmergencyTimeout + time.Hour)
+	e.clock.Advance(emergencyTimeout + time.Hour)
 
 	ownerBalances := make([]host.Lamports, len(e.keys))
 	for i, k := range e.keys {
@@ -818,7 +818,7 @@ func TestCommitAckAndTimeoutThroughInstructions(t *testing.T) {
 // recordingModule records application callbacks.
 type recordingModule struct {
 	recvd    []ibc.Packet
-	acks     [][]byte
+	acks     []ibc.Packet
 	timeouts []ibc.Packet
 }
 
@@ -828,7 +828,7 @@ func (m *recordingModule) OnRecvPacket(p ibc.Packet) ([]byte, error) {
 	return []byte("ok"), nil
 }
 func (m *recordingModule) OnAcknowledgementPacket(p ibc.Packet, ack []byte) error {
-	m.acks = append(m.acks, ack)
+	m.acks = append(m.acks, p)
 	return nil
 }
 func (m *recordingModule) OnTimeoutPacket(p ibc.Packet) error {

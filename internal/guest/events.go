@@ -27,13 +27,8 @@ type EventFinalisedBlock struct {
 // EventKind implements telemetry.Event.
 func (EventFinalisedBlock) EventKind() string { return "FinalisedBlock" }
 
-// EventClientUpdated reports a committed light-client update and how many
-// host transactions the chunked upload took (the Fig. 4 statistic).
-type EventClientUpdated struct {
-	ClientID ibc.ClientID
-	Height   ibc.Height
-	Txs      int
-}
+// EventClientUpdated reports a committed light-client update.
+type EventClientUpdated struct{}
 
 // EventKind implements telemetry.Event.
 func (EventClientUpdated) EventKind() string { return "ClientUpdated" }
@@ -50,18 +45,14 @@ func (EventPacketDelivered) EventKind() string { return "PacketDelivered" }
 
 // EventPacketAcked reports the acknowledgement for a guest-sent packet
 // landing back on the guest chain.
-type EventPacketAcked struct {
-	Packet *ibc.Packet
-}
+type EventPacketAcked struct{}
 
 // EventKind implements telemetry.Event.
 func (EventPacketAcked) EventKind() string { return "PacketAcked" }
 
 // EventPacketTimedOut reports a guest-sent packet proven undelivered past
 // its timeout.
-type EventPacketTimedOut struct {
-	Packet *ibc.Packet
-}
+type EventPacketTimedOut struct{}
 
 // EventKind implements telemetry.Event.
 func (EventPacketTimedOut) EventKind() string { return "PacketTimedOut" }

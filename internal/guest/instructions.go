@@ -42,8 +42,8 @@ const (
 	// (§III-C).
 	OpSubmitMisbehaviour
 	// OpEmergencyRelease frees all staked assets once the chain has been
-	// dead for EmergencyTimeout (§VI-A's self-destruction mitigation for
-	// the last-validator-wishing-to-quit problem).
+	// dead for emergencyTimeout, 30 days (§VI-A's self-destruction
+	// mitigation for the last-validator-wishing-to-quit problem).
 	OpEmergencyRelease
 	// OpCloseBuffer drops the fee payer's staging buffer: a relayer that
 	// gives a chunked job up frees what its chunks staged.

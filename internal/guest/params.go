@@ -24,12 +24,6 @@ type Params struct {
 	// SnapshotRetention is how many recent per-block state snapshots the
 	// off-chain RPC layer keeps for proof generation.
 	SnapshotRetention int
-	// EmergencyTimeout implements the §VI-A mitigation for the "last
-	// validator wishing to quit" problem: once no guest block has been
-	// generated for this long, the chain is considered dead and anyone
-	// may trigger the release of all staked assets to their owners,
-	// bypassing the unbonding period.
-	EmergencyTimeout time.Duration
 	// PipelineDepth is how many unfinalised guest blocks may trail the
 	// finalised prefix. The paper's deployment serialises generation and
 	// finalisation (depth 1, the default); raising it lets block minting,
@@ -54,6 +48,5 @@ func DefaultParams() Params {
 		EpochLength:       100_000,
 		MaxValidators:     24,
 		SnapshotRetention: 256,
-		EmergencyTimeout:  30 * 24 * time.Hour,
 	}
 }

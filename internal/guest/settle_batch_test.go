@@ -16,7 +16,8 @@ import (
 
 // settleKind is a commit that settles packets the guest sent — acks or
 // timeouts — and what its tests need of it: its payloads, its builder
-// calls, its decoder and the event it emits per settled packet.
+// calls, its decoder, the event kind it emits per settled packet and the
+// application callback it makes for each.
 type settleKind[P packetPayload] struct {
 	op        byte
 	payload   func(p *ibc.Packet, proofLen int) P
@@ -24,9 +25,9 @@ type settleKind[P packetPayload] struct {
 	batchLen  func(b *TxBuilder, ps []P, st *State) int
 	marshal   func(ps ...P) []byte
 	unmarshal func([]byte, *host.HeapMeter) ([]P, error)
-	settled   func(ev any) (*ibc.Packet, bool)
-	// hooks is how often the application saw this kind's callback.
-	hooks func(m *recordingModule) int
+	event     string
+	// hooks is the packets the application saw this kind's callback for.
+	hooks func(m *recordingModule) []ibc.Packet
 }
 
 var ackKind = settleKind[*AckPayload]{
@@ -38,11 +39,8 @@ var ackKind = settleKind[*AckPayload]{
 	batchLen:  (*TxBuilder).AckBatchLen,
 	marshal:   MarshalAckPayload,
 	unmarshal: UnmarshalAckPayloads,
-	settled: func(ev any) (*ibc.Packet, bool) {
-		e, ok := ev.(EventPacketAcked)
-		return e.Packet, ok
-	},
-	hooks: func(m *recordingModule) int { return len(m.acks) },
+	event:     "PacketAcked",
+	hooks:     func(m *recordingModule) []ibc.Packet { return m.acks },
 }
 
 var timeoutKind = settleKind[*TimeoutPayload]{
@@ -54,11 +52,8 @@ var timeoutKind = settleKind[*TimeoutPayload]{
 	batchLen:  (*TxBuilder).TimeoutBatchLen,
 	marshal:   MarshalTimeoutPayload,
 	unmarshal: UnmarshalTimeoutPayloads,
-	settled: func(ev any) (*ibc.Packet, bool) {
-		e, ok := ev.(EventPacketTimedOut)
-		return e.Packet, ok
-	},
-	hooks: func(m *recordingModule) int { return len(m.timeouts) },
+	event:     "PacketTimedOut",
+	hooks:     func(m *recordingModule) []ibc.Packet { return m.timeouts },
 }
 
 // TestCommitSettleBatch runs the batch contract of the recv commit against
@@ -86,7 +81,8 @@ func (e *recvEnv) sent(n int) []*ibc.Packet {
 }
 
 // settle stages and commits txs; it returns the commit's result and the
-// sequences of the packets it settled, in event order.
+// sequences of the packets it settled, in the order the application saw
+// them. The commit emits one event per settled packet.
 func settle[P packetPayload](e *recvEnv, k settleKind[P], txs []*host.Transaction) (host.TxResult, []uint64) {
 	e.t.Helper()
 	for _, tx := range txs[:len(txs)-1] {
@@ -95,12 +91,14 @@ func settle[P packetPayload](e *recvEnv, k settleKind[P], txs []*host.Transactio
 	if err := e.chain.Submit(txs[len(txs)-1]); err != nil {
 		e.t.Fatal(err)
 	}
+	before := len(k.hooks(&e.mod.recordingModule))
 	b := e.step()
 	var seqs []uint64
-	for _, ev := range b.Events {
-		if p, ok := k.settled(ev.Payload); ok {
-			seqs = append(seqs, p.Sequence)
-		}
+	for _, p := range k.hooks(&e.mod.recordingModule)[before:] {
+		seqs = append(seqs, p.Sequence)
+	}
+	if n := len(b.EventsOfKind(k.event)); n != len(seqs) {
+		e.t.Errorf("%d %s events for %d settled packets, want one each", n, k.event, len(seqs))
 	}
 	return b.Results[0], seqs
 }
@@ -146,12 +144,12 @@ func testCommitSettleBatch[P packetPayload](t *testing.T, k settleKind[P]) {
 				t.Fatalf("commit failed: %v", res.Err)
 			}
 			if !sameSeqs(settled, seqs(ps)) {
-				t.Errorf("events %v, want one per packet in staging order", settled)
+				t.Errorf("settled %v, want every packet in staging order", settled)
 			}
 			if left := committed(e, ps); len(left) != 0 {
 				t.Errorf("packets %v still committed", left)
 			}
-			if got := k.hooks(&e.mod.recordingModule); got != n {
+			if got := len(k.hooks(&e.mod.recordingModule)); got != n {
 				t.Errorf("application saw %d callbacks, want %d", got, n)
 			}
 			if want := host.CUBaseInstruction + uint64(n)*perPacket; res.Units != want {
@@ -171,14 +169,14 @@ func testCommitSettleBatch[P packetPayload](t *testing.T, k settleKind[P]) {
 			t.Fatalf("a redundant relay failed the batch: %v", res.Err)
 		}
 		if !sameSeqs(settled, []uint64{1, 3}) {
-			t.Errorf("events %v, want [1 3]", settled)
+			t.Errorf("settled %v, want [1 3]", settled)
 		}
-		if got := k.hooks(&e.mod.recordingModule); got != 3 {
+		if got := len(k.hooks(&e.mod.recordingModule)); got != 3 {
 			t.Errorf("application saw %d callbacks, want each packet once", got)
 		}
 		// Settled alone, the packet fails the transaction as it always did.
 		if res, settled := settle(e, k, k.txs(e.builder, k.payload(ps[0], 200))); res.Err == nil || len(settled) != 0 {
-			t.Errorf("settling a settled packet alone: err = %v, events %v", res.Err, settled)
+			t.Errorf("settling a settled packet alone: err = %v, settled %v", res.Err, settled)
 		}
 	})
 
@@ -198,12 +196,12 @@ func testCommitSettleBatch[P packetPayload](t *testing.T, k settleKind[P]) {
 		if !errors.Is(res.Err, ErrRecvBatchTooLarge) {
 			t.Fatalf("%d payloads of %d units each: err = %v, want ErrRecvBatchTooLarge", fit+1, perPacket+budget, res.Err)
 		}
-		if len(settled) != 0 || k.hooks(&e.mod.recordingModule) != 0 || e.state().Store.Root() != root || len(committed(e, ps)) != fit+1 {
+		if len(settled) != 0 || len(k.hooks(&e.mod.recordingModule)) != 0 || e.state().Store.Root() != root || len(committed(e, ps)) != fit+1 {
 			t.Error("a refused batch was partly applied")
 		}
 		res, settled = settle(e, k, k.txs(e.builder, payloads(ps[:fit], proofLen)...))
 		if res.Err != nil || !sameSeqs(settled, seqs(ps[:fit])) {
-			t.Fatalf("%d payloads fit the transaction: err = %v, events %v", fit, res.Err, settled)
+			t.Fatalf("%d payloads fit the transaction: err = %v, settled %v", fit, res.Err, settled)
 		}
 	})
 

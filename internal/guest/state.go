@@ -66,7 +66,6 @@ func (e *BlockEntry) SignedBlock() *guestblock.SignedBlock {
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
 	for _, pub := range keys {
 		sb.Signatures = append(sb.Signatures, guestblock.BlockSignature{
-			Height:    e.Block.Height,
 			PubKey:    pub,
 			Signature: e.Signatures[pub],
 		})
@@ -104,9 +103,6 @@ type StagingBuffer struct {
 	// VerifiedSigs records runtime-verified (pubkey, payload) digests so
 	// the commit instruction can trust them without re-verification.
 	VerifiedSigs map[cryptoutil.Hash]bool
-	// Txs counts the host transactions that contributed to this buffer
-	// (for the Fig. 4 statistics).
-	Txs int
 }
 
 // sigDigest identifies a verified (pubkey, payload) pair within a buffer.

@@ -222,7 +222,6 @@ func SigningPayloadForHash(blockHash cryptoutil.Hash) cryptoutil.Hash {
 
 // BlockSignature is one validator's finalisation vote.
 type BlockSignature struct {
-	Height    uint64
 	PubKey    cryptoutil.PubKey
 	Signature cryptoutil.Signature
 }
@@ -266,7 +265,6 @@ func UnmarshalSignedBlock(data []byte) (*SignedBlock, error) {
 	sb := &SignedBlock{Block: b, Signatures: make([]BlockSignature, 0, n)}
 	for i := 0; i < n; i++ {
 		sb.Signatures = append(sb.Signatures, BlockSignature{
-			Height:    b.Height,
 			PubKey:    r.PubKey(),
 			Signature: r.Signature(),
 		})

@@ -101,7 +101,7 @@ func TestSignedBlockQuorum(t *testing.T) {
 	// Two signatures (100+101=201) are below quorum.
 	for i := 0; i < 2; i++ {
 		sb.Signatures = append(sb.Signatures, BlockSignature{
-			Height: b.Height, PubKey: keys[i].Public(), Signature: keys[i].SignHash(payload),
+			PubKey: keys[i].Public(), Signature: keys[i].SignHash(payload),
 		})
 	}
 	if err := sb.VerifyQuorum(e); err == nil {
@@ -109,7 +109,7 @@ func TestSignedBlockQuorum(t *testing.T) {
 	}
 	// Third signature crosses quorum.
 	sb.Signatures = append(sb.Signatures, BlockSignature{
-		Height: b.Height, PubKey: keys[2].Public(), Signature: keys[2].SignHash(payload),
+		PubKey: keys[2].Public(), Signature: keys[2].SignHash(payload),
 	})
 	if err := sb.VerifyQuorum(e); err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestSignedBlockQuorum(t *testing.T) {
 	bad := &SignedBlock{Block: b}
 	for _, k := range keys {
 		bad.Signatures = append(bad.Signatures, BlockSignature{
-			Height: b.Height, PubKey: k.Public(), Signature: k.SignHash(payload),
+			PubKey: k.Public(), Signature: k.SignHash(payload),
 		})
 	}
 	bad.Signatures[1].Signature[0] ^= 0xff
@@ -153,7 +153,7 @@ func TestSignedBlockRejectsForgery(t *testing.T) {
 		sb := &SignedBlock{Block: b}
 		for _, k := range keys {
 			sb.Signatures = append(sb.Signatures, BlockSignature{
-				Height: b.Height, PubKey: k.Public(), Signature: k.SignHash(payload),
+				PubKey: k.Public(), Signature: k.SignHash(payload),
 			})
 		}
 		return sb
@@ -169,7 +169,7 @@ func TestSignedBlockRejectsForgery(t *testing.T) {
 	// Outsider signer.
 	sb = good()
 	outsider := cryptoutil.GenerateKey("outsider")
-	sb.Signatures[0] = BlockSignature{Height: b.Height, PubKey: outsider.Public(), Signature: outsider.SignHash(payload)}
+	sb.Signatures[0] = BlockSignature{PubKey: outsider.Public(), Signature: outsider.SignHash(payload)}
 	if err := sb.VerifyQuorum(e); err == nil {
 		t.Fatal("outsider signer accepted")
 	}
@@ -198,7 +198,7 @@ func TestSignedBlockMarshalRoundTrip(t *testing.T) {
 	sb := &SignedBlock{Block: b}
 	for _, k := range keys {
 		sb.Signatures = append(sb.Signatures, BlockSignature{
-			Height: b.Height, PubKey: k.Public(), Signature: k.SignHash(payload),
+			PubKey: k.Public(), Signature: k.SignHash(payload),
 		})
 	}
 	data := sb.Marshal()

@@ -37,7 +37,7 @@ func signedBlock(t testing.TB) *SignedBlock {
 	sb := &SignedBlock{Block: b}
 	for _, k := range keys[:17] {
 		sb.Signatures = append(sb.Signatures, BlockSignature{
-			Height: b.Height, PubKey: k.Public(), Signature: k.SignHash(b.SigningPayload()),
+			PubKey: k.Public(), Signature: k.SignHash(b.SigningPayload()),
 		})
 	}
 	return sb

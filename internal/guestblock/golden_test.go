@@ -46,7 +46,7 @@ func TestEncodingGolden(t *testing.T) {
 		sb := &SignedBlock{Block: b}
 		for _, k := range keys[:3] {
 			sb.Signatures = append(sb.Signatures, BlockSignature{
-				Height: b.Height, PubKey: k.Public(), Signature: k.SignHash(b.SigningPayload()),
+				PubKey: k.Public(), Signature: k.SignHash(b.SigningPayload()),
 			})
 		}
 		return sb

@@ -1,14 +1,10 @@
 package host
 
-import (
-	"fmt"
-
-	"repro/internal/cryptoutil"
-)
+import "fmt"
 
 // Account is an entry in the host chain's account database. Following the
-// Solana model, an account stores lamports and a fixed-size data region and
-// is owned by a program; only the owner may mutate the data.
+// Solana model, an account stores lamports and a fixed-size data region;
+// the simulation does not record the program that owns it.
 //
 // Program-owned state accounts additionally carry State, an opaque native
 // object, with DataSize declaring the on-chain footprint used for rent.
@@ -18,9 +14,7 @@ import (
 // measures) is identical, the serialization code is not what the paper
 // evaluates.
 type Account struct {
-	Key      cryptoutil.PubKey
 	Lamports Lamports
-	Owner    ProgramID
 	Data     []byte
 
 	// State is the native state object for program accounts.

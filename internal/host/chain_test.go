@@ -61,7 +61,7 @@ func newTestChain(t *testing.T) (*Chain, *ManualClock, *counterProgram, cryptout
 		account: cryptoutil.GenerateKey("counter-state").Public(),
 	}
 	c.RegisterProgram(prog)
-	if _, err := c.CreateStateAccount(payer, prog.account, prog.id, 1024, &counterState{}); err != nil {
+	if _, err := c.CreateStateAccount(payer, prog.account, 1024, &counterState{}); err != nil {
 		t.Fatal(err)
 	}
 	return c, clock, prog, payer
@@ -227,7 +227,7 @@ func TestCreateStateAccountRequiresDeposit(t *testing.T) {
 	c := NewChain(clock)
 	poor := cryptoutil.GenerateKey("poor").Public()
 	c.Fund(poor, 1000)
-	_, err := c.CreateStateAccount(poor, cryptoutil.GenerateKey("acct").Public(), ProgramID{}, MaxAccountSize, nil)
+	_, err := c.CreateStateAccount(poor, cryptoutil.GenerateKey("acct").Public(), MaxAccountSize, nil)
 	if !errors.Is(err, ErrInsufficientFunds) {
 		t.Fatalf("err = %v, want ErrInsufficientFunds", err)
 	}
@@ -457,8 +457,8 @@ func TestMeters(t *testing.T) {
 	if err := h.Alloc(60); !errors.Is(err, ErrHeapExhausted) {
 		t.Fatalf("heap overrun = %v", err)
 	}
-	if h.Used() != 120 {
-		t.Fatalf("heap used = %d", h.Used())
+	if h.used != 120 {
+		t.Fatalf("heap used = %d", h.used)
 	}
 }
 
@@ -506,7 +506,7 @@ func TestChainProfileEnforced(t *testing.T) {
 		account: cryptoutil.GenerateKey("profile-state").Public(),
 	}
 	c.RegisterProgram(prog)
-	if _, err := c.CreateStateAccount(payer, prog.account, prog.id, 64, &counterState{}); err != nil {
+	if _, err := c.CreateStateAccount(payer, prog.account, 64, &counterState{}); err != nil {
 		t.Fatal(err)
 	}
 	// A transaction far beyond Solana's limit fits the NEAR-like profile.

@@ -12,9 +12,7 @@ import (
 // telemetry.Event: consumers type-switch on the concrete struct rather than
 // string-matching a kind and down-casting an untyped value.
 type Event struct {
-	Slot    Slot
 	Time    time.Time
-	Program ProgramID
 	Payload telemetry.Event
 }
 
@@ -52,6 +50,6 @@ type eventSink struct {
 	events []Event
 }
 
-func (s *eventSink) emit(program ProgramID, ev telemetry.Event) {
-	s.events = append(s.events, Event{Program: program, Payload: ev})
+func (s *eventSink) emit(ev telemetry.Event) {
+	s.events = append(s.events, Event{Payload: ev})
 }

@@ -71,6 +71,3 @@ func (m *HeapMeter) Alloc(n int) error {
 	}
 	return nil
 }
-
-// Used returns bytes allocated so far.
-func (m *HeapMeter) Used() int { return m.used }

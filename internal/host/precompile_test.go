@@ -50,8 +50,8 @@ func TestPrecompileVerifiedVisibleToProgram(t *testing.T) {
 		t.Fatal("program did not see the precompile verification")
 	}
 	// Per-signature fee charged: 1 payer + 1 precompile.
-	if b.Results[0].Fee != 2*BaseFeePerSignature {
-		t.Fatalf("fee = %d, want %d", b.Results[0].Fee, 2*BaseFeePerSignature)
+	if fee := LamportsPerSOL - c.Balance(payer); fee != 2*BaseFeePerSignature {
+		t.Fatalf("fee = %d, want %d", fee, 2*BaseFeePerSignature)
 	}
 }
 

@@ -109,12 +109,7 @@ func (tx *Transaction) Validate(p Profile) error {
 
 // TxResult records the outcome of an executed transaction.
 type TxResult struct {
-	Slot     Slot
-	Index    int
-	Label    string
-	Err      error
-	Fee      Lamports
-	Units    uint64 // compute units consumed
-	Size     int
-	FeePayer cryptoutil.PubKey
+	Label string
+	Err   error
+	Units uint64 // compute units consumed
 }

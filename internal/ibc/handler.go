@@ -107,9 +107,6 @@ func NewHandler(store *Store, self SelfInfo, opts ...HandlerOption) *Handler {
 	return h
 }
 
-// Store returns the underlying provable store.
-func (h *Handler) Store() *Store { return h.store }
-
 // Events returns the handler's event bus. Subscribe to receive typed
 // protocol events; delivery is synchronous and in subscription order.
 func (h *Handler) Events() *telemetry.Bus { return h.bus }

@@ -120,33 +120,10 @@ func (s *Store) IsSealed(path string) bool {
 	return errors.Is(err, trie.ErrSealed)
 }
 
-// Delete removes path (used for packet commitments cleared on ack).
-// Retained versions keep their own leaf, so they still read the old bytes.
-func (s *Store) Delete(path string) error {
-	if err := s.trie.Delete(PathToKey(path)); err != nil {
-		return pathError("delete", path, err)
-	}
-	return nil
-}
-
-// Seal permanently retires path, reclaiming its storage while keeping the
-// root commitment intact (§III-A). Used for delivered packet receipts. As
-// with Delete, retained versions keep serving the pre-seal value — sealing
-// at head must not invalidate historical proofs.
-func (s *Store) Seal(path string) error {
-	if err := s.trie.Seal(PathToKey(path)); err != nil {
-		return pathError("seal", path, err)
-	}
-	return nil
-}
-
 // ProveMembership returns (value, serialized proof) for a present path.
 func (s *Store) ProveMembership(path string) ([]byte, []byte, error) {
 	return s.read().proveMembership(path)
 }
-
-// ProveNonMembership returns a serialized absence proof for path.
-func (s *Store) ProveNonMembership(path string) ([]byte, error) { return s.read().proveAbsence(path) }
 
 // read is the head's read path: the live trie.
 func (s *Store) read() reader { return reader{trie: s.trie} }
@@ -163,12 +140,6 @@ type ReadOnlyStore struct {
 
 // Version returns the committed version this view reads.
 func (r *ReadOnlyStore) Version() Version { return r.view.Version() }
-
-// Root returns the frozen commitment root.
-func (r *ReadOnlyStore) Root() cryptoutil.Hash { return r.view.Root() }
-
-// Get returns the value bytes stored under path at this version.
-func (r *ReadOnlyStore) Get(path string) ([]byte, error) { return r.read().get(path) }
 
 // Has reports whether path held a live value at this version.
 func (r *ReadOnlyStore) Has(path string) (bool, error) { return r.read().has(path) }

@@ -59,9 +59,6 @@ func NewClient(genesis *guestblock.Block, epoch *guestblock.Epoch) (*Client, err
 // LatestHeight implements ibc.Client.
 func (c *Client) LatestHeight() ibc.Height { return c.latest }
 
-// Epoch returns the currently trusted validator set.
-func (c *Client) Epoch() *guestblock.Epoch { return c.epoch }
-
 // Update implements ibc.Client: headerBytes is a guestblock.SignedBlock.
 func (c *Client) Update(headerBytes []byte, _ time.Time) error {
 	sb, err := guestblock.UnmarshalSignedBlock(headerBytes)
@@ -137,7 +134,6 @@ func (c *Client) StateBytes() []byte {
 // ClientStateInfo is the decoded form of StateBytes.
 type ClientStateInfo struct {
 	Latest          ibc.Height
-	EpochIndex      uint64
 	EpochCommitment cryptoutil.Hash
 }
 
@@ -145,10 +141,8 @@ type ClientStateInfo struct {
 func DecodeClientState(data []byte) (*ClientStateInfo, error) {
 	r := wire.NewReader(data)
 	typ := r.String16()
-	info := &ClientStateInfo{
-		Latest:     ibc.Height(r.U64()),
-		EpochIndex: r.U64(),
-	}
+	info := &ClientStateInfo{Latest: ibc.Height(r.U64())}
+	r.U64() // the epoch index, which the commitment binds
 	info.EpochCommitment = r.Hash()
 	if err := r.Done(); err != nil {
 		return nil, err

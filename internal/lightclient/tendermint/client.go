@@ -26,9 +26,8 @@ var (
 
 // ConsensusState is the verified counterparty state at one height.
 type ConsensusState struct {
-	Time           time.Time
-	AppRoot        cryptoutil.Hash
-	NextValSetHash cryptoutil.Hash
+	Time    time.Time
+	AppRoot cryptoutil.Hash
 }
 
 // Option configures a Client.
@@ -78,11 +77,7 @@ func NewClient(chainID string, trustedHeader *Header, trustedVals *ValidatorSet,
 		consensus:      make(map[ibc.Height]ConsensusState),
 		trustedVals:    trustedVals,
 	}
-	c.consensus[c.latest] = ConsensusState{
-		Time:           trustedHeader.Time,
-		AppRoot:        trustedHeader.AppRoot,
-		NextValSetHash: trustedHeader.NextValSetHash,
-	}
+	c.consensus[c.latest] = ConsensusState{Time: trustedHeader.Time, AppRoot: trustedHeader.AppRoot}
 	for _, o := range opts {
 		o(c)
 	}
@@ -141,11 +136,7 @@ func (c *Client) update(u *Update, now time.Time, check SigChecker) error {
 	}
 
 	c.latest = h
-	c.consensus[h] = ConsensusState{
-		Time:           u.Header.Time,
-		AppRoot:        u.Header.AppRoot,
-		NextValSetHash: u.Header.NextValSetHash,
-	}
+	c.consensus[h] = ConsensusState{Time: u.Header.Time, AppRoot: u.Header.AppRoot}
 	c.trustedVals = u.ValSet
 	c.lastUpdateLocal = now
 	c.rateCount++

@@ -52,12 +52,6 @@ func (a *Accounts) Pub(idx uint64) cryptoutil.PubKey {
 	return pub
 }
 
-// Sample draws an account by popularity, materialising it if new.
-func (a *Accounts) Sample() (uint64, cryptoutil.PubKey) {
-	idx := a.SampleIndex()
-	return idx, a.Pub(idx)
-}
-
 // AccountKey derives the synthetic pubkey of account idx.
 func AccountKey(idx uint64) cryptoutil.PubKey {
 	var be [8]byte

@@ -129,17 +129,6 @@ func (s *Sampler) Next() Event {
 	return ev
 }
 
-// Stats are the generator's offered/admitted/rejected/shed counts. A
-// transaction counts admitted when Submit accepts it and shed if the
-// mempool later drops it past its deadline, so Admitted-Shed is the load
-// that actually reached execution.
-type Stats struct {
-	Offered  uint64
-	Admitted uint64
-	Rejected uint64
-	Shed     uint64
-}
-
 // Generator injects an open-loop transfer workload into a core.Network on
 // its virtual clock.
 type Generator struct {
@@ -256,16 +245,6 @@ func (g *Generator) inject(ev Event) {
 
 // Accounts exposes the generator's sender population.
 func (g *Generator) Accounts() *Accounts { return g.sampler.accounts }
-
-// Stats returns the generator's counters.
-func (g *Generator) Stats() Stats {
-	return Stats{
-		Offered:  g.offered.Value(),
-		Admitted: g.admitted.Value(),
-		Rejected: g.rejected.Value(),
-		Shed:     g.shed.Value(),
-	}
-}
 
 // AdmittedTokens returns the token sum of admitted transfers on channel
 // ch, net of deadline sheds — the amount that must equal the channel's

@@ -12,7 +12,6 @@ import (
 // Bank is the balance surface the fees middleware escrows against —
 // implemented by transfer.App, but any account/denom ledger works.
 type Bank interface {
-	Balance(account, denom string) uint64
 	Credit(account, denom string, amount uint64)
 	Debit(account, denom string, amount uint64) error
 }

@@ -130,9 +130,6 @@ func NewForward(account string, resolve AppResolver, sender ibc.PacketSender, op
 // Name implements Middleware.
 func (f *Forward) Name() string { return "forward" }
 
-// Account returns the module account funding onward hops.
-func (f *Forward) Account() string { return f.account }
-
 // OnRecvPacket delivers the packet through the inner chain, then re-sends
 // the received tokens over the hop named in the memo.
 func (f *Forward) OnRecvPacket(next RecvFn, p ibc.Packet) ([]byte, error) {

@@ -69,7 +69,6 @@ func (PassThrough) SendPacket(next SendFn, port ibc.PortID, channel ibc.ChannelI
 // through the chain into the core handler), so Handler.BindPort treats it
 // like any other module while wiring both directions.
 type Stack struct {
-	app ibc.Module
 	mws []Middleware
 
 	// Chains precomposed at construction: dispatch is a closure call per
@@ -88,7 +87,7 @@ var (
 // NewStack wraps app in mws, with mws[0] outermost (see the package doc
 // for the resulting hook orders). An empty stack is a pure delegate.
 func NewStack(app ibc.Module, mws ...Middleware) *Stack {
-	s := &Stack{app: app, mws: mws}
+	s := &Stack{mws: mws}
 
 	// recv and chan-open enter outside-in: compose innermost-first so the
 	// final closure enters mws[0].
@@ -115,9 +114,6 @@ func NewStack(app ibc.Module, mws ...Middleware) *Stack {
 	s.ack, s.timeout = ack, tmo
 	return s
 }
-
-// Len returns the number of middlewares in the chain.
-func (s *Stack) Len() int { return len(s.mws) }
 
 // Middleware returns the first middleware named name, or nil. Deployments
 // use it to reach a layer for registration calls (fee claiming, callback

@@ -147,8 +147,8 @@ func TestEmptyStackDelegates(t *testing.T) {
 	var log []string
 	app := &recorderApp{log: &log, ack: []byte(`{"result":"AQ=="}`)}
 	s := NewStack(app)
-	if s.Len() != 0 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.mws) != 0 {
+		t.Fatalf("%d middlewares", len(s.mws))
 	}
 	p := testPacket()
 	ack, err := s.OnRecvPacket(p)

@@ -11,9 +11,13 @@ import (
 // Wire message kinds. Notifications (one-way) carry chain heads; calls
 // carry submissions and IBC handler operations.
 const (
-	// KindHostBlock notifies daemons of a new host block (host -> all).
+	// KindHostBlock notifies daemons of a new host block (host -> all). It
+	// carries no payload: daemons pull the blocks from their host.Reader,
+	// so a notification delayed or dropped in flight holds no block in
+	// memory.
 	KindHostBlock = "host.block"
-	// KindCPBlock notifies the relayer of a new counterparty block.
+	// KindCPBlock notifies the relayer of a new counterparty block (no
+	// payload).
 	KindCPBlock = "cp.block"
 	// KindSubmitTx submits a host transaction (daemon -> host, call).
 	KindSubmitTx = "host.submit"
@@ -21,19 +25,6 @@ const (
 	// Cosmos chain's front-end (call).
 	KindTx = "cp.tx"
 )
-
-// MsgHostBlock is the KindHostBlock payload: only a wake-up, since
-// daemons pull the blocks from their host.Reader. It names the new block's
-// slot rather than carrying the block, so a notification delayed or dropped
-// in flight holds no block in memory.
-type MsgHostBlock struct {
-	Slot host.Slot
-}
-
-// MsgCPBlock is the KindCPBlock payload.
-type MsgCPBlock struct {
-	Height uint64
-}
 
 // MsgSubmitTx is the KindSubmitTx payload: an ordered submission. The host
 // admits Txs in order, so with equal fees they execute in that order, in

@@ -183,19 +183,11 @@ func New(sched *sim.Scheduler, cfg Config, opts ...Option) *Network {
 	return n
 }
 
-// Scheduler exposes the network's scheduler (for retry timers).
-func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
-
 // Node registers an actor and returns its endpoint. handler serves
 // one-way messages, calls serves request/response calls; either may be
 // nil for nodes that only originate traffic.
 func (n *Network) Node(id NodeID, handler Handler, calls CallHandler) *Endpoint {
 	n.nodes[id] = &node{handler: handler, calls: calls}
-	return &Endpoint{net: n, id: id}
-}
-
-// Endpoint returns an endpoint for a registered node.
-func (n *Network) Endpoint(id NodeID) *Endpoint {
 	return &Endpoint{net: n, id: id}
 }
 
@@ -350,9 +342,6 @@ type Endpoint struct {
 	net *Network
 	id  NodeID
 }
-
-// ID returns the endpoint's node.
-func (e *Endpoint) ID() NodeID { return e.id }
 
 // Send delivers a one-way message (at-most-once).
 func (e *Endpoint) Send(to NodeID, kind string, payload any) {

@@ -134,7 +134,7 @@ func TestDaemonTimeoutFlow(t *testing.T) {
 	if st.Handler.HasCommitment(p) {
 		t.Fatal("commitment not cleared by timeout")
 	}
-	tr, _ := h.tel.Tracer.Trace(traceKey(p))
+	tr, _ := traceOf(h.tel.Tracer, traceKey(p))
 	if _, ok := tr.Span(telemetry.StageTimeout); !ok {
 		t.Fatalf("no timeout span: %+v", tr)
 	}
@@ -144,6 +144,16 @@ func TestDaemonTimeoutFlow(t *testing.T) {
 	if len(h.relayer.traces) != 0 {
 		t.Fatalf("%d traces left once the timeout cleared the commitment", len(h.relayer.traces))
 	}
+}
+
+// traceOf is key's trace in the tracer's snapshot, and whether it exists.
+func traceOf(tr *telemetry.Tracer, key string) (telemetry.Trace, bool) {
+	for _, got := range tr.Snapshot() {
+		if got.Key == key {
+			return got, true
+		}
+	}
+	return telemetry.Trace{}, false
 }
 
 // TestCheckTimeoutsOrdersSameScanExpiries pins the timeout scan's
@@ -221,7 +231,7 @@ func TestMarkSpellsKeyOnStack(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { h.relayer.mark(side, p, telemetry.StageRecv, now) }); n != 0 {
 		t.Fatalf("marking a traced packet: %.0f allocations, want 0", n)
 	}
-	tr, ok := h.tel.Tracer.Trace(traceKey(p))
+	tr, ok := traceOf(h.tel.Tracer, traceKey(p))
 	if _, recv := tr.Span(telemetry.StageRecv); !ok || !recv {
 		t.Fatalf("trace %q = %+v, %v: want send and recv", traceKey(p), tr, ok)
 	}

@@ -51,6 +51,8 @@ type linkEnv struct {
 	sched    *sim.Scheduler
 	net      *netsim.Network
 	tel      *telemetry.Telemetry
+	// nodes are the chain front-ends' endpoints, which wake the engines.
+	nodes map[netsim.NodeID]*netsim.Endpoint
 	// res is the guest link's "transfer" channel (nopModule on both ends).
 	res *Result
 
@@ -177,12 +179,14 @@ func newLinkEnv(t *testing.T, kind linkKind, netCfg netsim.Config, tune ...func(
 
 	e.net = netsim.New(e.sched, netCfg)
 	e.net.ScheduleFaults(e.sched.Now())
-	e.net.Node(e.cfg.A.Node, nil, e.frontEnd(e.cfg.A.Node, e.away))
+	e.nodes = map[netsim.NodeID]*netsim.Endpoint{
+		e.cfg.A.Node: e.net.Node(e.cfg.A.Node, nil, e.frontEnd(e.cfg.A.Node, e.away)),
+	}
 	if home.Chain != nil {
-		e.net.Node(home.Node, nil, e.frontEnd(home.Node, home.Chain))
+		e.nodes[home.Node] = e.net.Node(home.Node, nil, e.frontEnd(home.Node, home.Chain))
 	} else {
 		serve := netsim.HostFrontEnd(e.chain)
-		e.net.Node(home.Node, nil, func(from netsim.NodeID, kind string, payload any) (any, error) {
+		e.nodes[home.Node] = e.net.Node(home.Node, nil, func(from netsim.NodeID, kind string, payload any) (any, error) {
 			m := payload.(netsim.MsgSubmitTx)
 			m.Txs = slices.Clone(m.Txs)
 			for i, tx := range m.Txs {
@@ -221,7 +225,7 @@ func (e *linkEnv) addRelayer(t *testing.T, cfg Config) *Relayer {
 // notify tells every engine that the chain behind node produced a block.
 func (e *linkEnv) notify(node netsim.NodeID, kind string) {
 	for _, r := range e.relayers {
-		e.net.Endpoint(node).Send(r.ep.ID(), kind, nil)
+		e.nodes[node].Send(r.cfg.NodeID, kind, nil)
 	}
 }
 
@@ -394,8 +398,8 @@ func count(labels []string, label string) int {
 // loseReply cuts the link that carries node's replies to the first engine,
 // for long enough to lose the one about to be sent and no retry.
 func (e *linkEnv) loseReply(node netsim.NodeID) {
-	e.net.SetLink(node, e.relayer.ep.ID(), netsim.LinkConfig{Drop: 1})
-	e.sched.After(5*time.Second, func() { e.net.SetLink(node, e.relayer.ep.ID(), netsim.LinkConfig{}) })
+	e.net.SetLink(node, e.relayer.cfg.NodeID, netsim.LinkConfig{Drop: 1})
+	e.sched.After(5*time.Second, func() { e.net.SetLink(node, e.relayer.cfg.NodeID, netsim.LinkConfig{}) })
 }
 
 // send moves amount TOK from alice on the home chain towards bob on the

@@ -140,9 +140,6 @@ func newView(links []Link, model CostModel, seed int64, paths int) *View {
 	return v
 }
 
-// Chains lists every chain in the graph, sorted.
-func (v *View) Chains() []string { return v.chains }
-
 // Cost returns the effective cost of link id in the live table.
 func (v *View) Cost(id string) float64 {
 	if c, ok := v.effective[id]; ok {
@@ -286,17 +283,6 @@ func lessPath(a, b []Hop) bool {
 		}
 	}
 	return false
-}
-
-// Paths returns the current multi-path set for src->dst, cheapest
-// first. The slice is shared — callers must not mutate it.
-func (v *View) Paths(src, dst string) [][]Hop {
-	set := v.paths[routeKey(src, dst)]
-	out := make([][]Hop, len(set))
-	for i, p := range set {
-		out[i] = p.hops
-	}
-	return out
 }
 
 // Route returns the current best path src->dst. When several retained

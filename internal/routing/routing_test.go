@@ -63,8 +63,8 @@ func TestRouteDeterministicUnderPermutation(t *testing.T) {
 		})
 	}
 	t1, t2 := NewTable(links), NewTable(flipped)
-	for _, src := range t1.Chains() {
-		for _, dst := range t1.Chains() {
+	for _, src := range t1.chains {
+		for _, dst := range t1.chains {
 			if src == dst {
 				continue
 			}

@@ -131,14 +131,10 @@ func (e *ECDF) At(x float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// Len returns the sample count.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // Histogram bins samples into equal-width buckets over [min, max].
 type Histogram struct {
 	Min, Max float64
 	Counts   []int
-	Total    int
 }
 
 // NewHistogram builds a histogram with the given bucket count.
@@ -157,7 +153,6 @@ func NewHistogram(xs []float64, buckets int, min, max float64) *Histogram {
 			idx = buckets - 1
 		}
 		h.Counts[idx]++
-		h.Total++
 	}
 	return h
 }

@@ -122,20 +122,6 @@ func (tr *Trace) mark(stage string, at time.Time) {
 	tr.Spans = append(tr.Spans, Span{Stage: stage, At: at})
 }
 
-// Trace returns a copy of the trace for key and whether it exists.
-func (t *Tracer) Trace(key string) (Trace, bool) {
-	if t == nil {
-		return Trace{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	tr, ok := t.traces[key]
-	if !ok {
-		return Trace{}, false
-	}
-	return copyTrace(tr), true
-}
-
 // Snapshot returns copies of all traces sorted by key.
 func (t *Tracer) Snapshot() []Trace {
 	if t == nil {

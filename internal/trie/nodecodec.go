@@ -115,16 +115,6 @@ func readNodePath(r *wire.Reader) (path, error) {
 	return p, nil
 }
 
-// decodeNode parses a node encoded by encodeNode into a cell of its own and
-// verifies that its content re-hashes to h (see decodeInto).
-func decodeNode(h cryptoutil.Hash, enc []byte) (*cell, error) {
-	c := new(cell)
-	if err := decodeInto(c, h, enc); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // decodeInto parses a node encoded by encodeNode into c and verifies that
 // its content re-hashes to h — the content-addressing check that makes a
 // corrupted or substituted store entry detectable at the first read.

@@ -22,6 +22,16 @@ type mapSource struct {
 	puts []cryptoutil.Hash // flush order, for the post-order check
 }
 
+// decodeNode parses a node encoded by encodeNode into a cell of its own and
+// verifies that its content re-hashes to h (see decodeInto).
+func decodeNode(h cryptoutil.Hash, enc []byte) (*cell, error) {
+	c := new(cell)
+	if err := decodeInto(c, h, enc); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 func newMapSource() *mapSource {
 	return &mapSource{m: make(map[cryptoutil.Hash][]byte), vals: make(map[cryptoutil.Hash][]byte)}
 }

@@ -38,7 +38,6 @@ type Behaviour struct {
 
 // SignRecord is one submitted signature, for the Table I statistics.
 type SignRecord struct {
-	Height uint64
 	// Latency is block generation → sign transaction landing.
 	Latency time.Duration
 	// Cost is the transaction fee paid.
@@ -58,8 +57,6 @@ type Validator struct {
 
 	// Records collects per-signature statistics.
 	Records []SignRecord
-	// pendingCost tracks the fee of the in-flight sign tx per height.
-	pendingCost map[uint64]host.Lamports
 	// signedHeights guards against double submission.
 	signedHeights map[uint64]bool
 	// joined marks the daemon as started (JoinAt reached).
@@ -109,7 +106,6 @@ func New(key *cryptoutil.PrivKey, b Behaviour, chain *host.Chain, contract *gues
 		contract:      contract,
 		builder:       builder,
 		sched:         sched,
-		pendingCost:   make(map[uint64]host.Lamports),
 		signedHeights: make(map[uint64]bool),
 		blocks:        chain.NewReader(),
 	}
@@ -214,7 +210,6 @@ func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
 			latency = slot
 		}
 		v.Records = append(v.Records, SignRecord{
-			Height:  block.Height,
 			Latency: latency,
 			Cost:    tx.Fee(v.chain.Profile()),
 		})
@@ -244,11 +239,10 @@ func (v *Validator) LatenciesSeconds() []float64 {
 
 // PublishForgedSignature is the byzantine action the fisherman example and
 // tests exploit: the validator signs an arbitrary (non-canonical) block
-// hash at the given height and returns the signature for gossip.
-func (v *Validator) PublishForgedSignature(height uint64, forgedHash cryptoutil.Hash) guestblock.BlockSignature {
+// hash and returns the signature for gossip.
+func (v *Validator) PublishForgedSignature(forgedHash cryptoutil.Hash) guestblock.BlockSignature {
 	payload := guestblock.SigningPayloadForHash(forgedHash)
 	return guestblock.BlockSignature{
-		Height:    height,
 		PubKey:    v.Key.Public(),
 		Signature: v.Key.SignHash(payload),
 	}

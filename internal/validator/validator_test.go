@@ -64,9 +64,9 @@ func newValEnv(t *testing.T, n int, latency sim.Dist) *valEnv {
 	}
 	// Drive slots every 400ms and notify the daemons of each block.
 	sched.Every(host.SlotDuration, func() bool {
-		b := chain.ProduceBlock()
+		chain.ProduceBlock()
 		for i := range e.daemons {
-			hostEP.Send(netsim.ValidatorNode(i), netsim.KindHostBlock, netsim.MsgHostBlock{Slot: b.Slot})
+			hostEP.Send(netsim.ValidatorNode(i), netsim.KindHostBlock, nil)
 		}
 		return true
 	})
@@ -178,7 +178,7 @@ func TestLatencyQuantisedToSlots(t *testing.T) {
 func TestForgedSignatureHelper(t *testing.T) {
 	e := newValEnv(t, 2, sim.Constant(time.Second))
 	forged := cryptoutil.HashBytes([]byte("bad block"))
-	sig := e.daemons[0].PublishForgedSignature(42, forged)
+	sig := e.daemons[0].PublishForgedSignature(forged)
 	payload := guestblock.SigningPayloadForHash(forged)
 	if !cryptoutil.Verify(sig.PubKey, payload[:], sig.Signature) {
 		t.Fatal("forged signature does not verify (fisherman could not use it)")
